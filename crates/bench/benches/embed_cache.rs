@@ -19,7 +19,7 @@
 //!    <10% of a 4 ms pass — same absolute tax, smaller denominator).
 //!
 //! Results are also written machine-readably to
-//! `results/BENCH_embed_cache.json` (p50/p99/throughput per series plus
+//! `results/BENCH_embed_cache.json` (p50/p99/mean per series plus
 //! the two assertion margins), so the perf trajectory is tracked across
 //! PRs instead of living only in CI logs.
 //!
@@ -208,7 +208,7 @@ fn bench_embed_cache(_c: &mut Criterion) {
         let s = report.add_series(name, lat);
         println!(
             "{name:<28} p50 {:>10.2?}  p99 {:>10.2?}  ({:.0} ops/s)",
-            s.p50, s.p99, s.throughput
+            s.p50, s.p99, s.inv_mean_latency
         );
         s.p50
     };

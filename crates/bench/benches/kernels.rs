@@ -3,12 +3,19 @@
 //!
 //! The GEMM/BraggNN section doubles as the kernel-engine CI gate: it
 //! writes `results/BENCH_kernels.json` (p50/p99 + GFLOP/s per size, plus
-//! the blocked-vs-naive speedup metrics) through
-//! [`fairdms_bench::report::BenchReport`] and asserts the perf floor the
-//! blocked engine must hold — ≥2× the naive `ikj` reference at 256×256
-//! and no regression at 64×64, measured on interleaved pairs so machine
-//! jitter hits both implementations alike (the same pairing discipline
-//! as the embed-cache smoke).
+//! the speedup metrics) through [`fairdms_bench::report::BenchReport`]
+//! and asserts the perf floors the engine must hold, each measured on
+//! interleaved pairs so machine jitter hits both sides alike (the same
+//! pairing discipline as the embed-cache smoke):
+//!
+//! * blocked GEMM ≥2× the naive `ikj` reference at 256×256 and no
+//!   regression at 64×64;
+//! * on the four skinny shapes convolution lowers to, `Threading::Auto`
+//!   never more than 10% slower than `Threading::Sequential` — the
+//!   dispatch may decline to fan out, it may not pay for a region it
+//!   cannot win back;
+//! * BraggNN's second convolution, forward + backward, ≥3× a direct
+//!   seven-loop convolution on the same batch.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairdms_bench::report::BenchReport;
@@ -16,9 +23,11 @@ use fairdms_clustering::{fuzzy, KMeans, KMeansConfig};
 use fairdms_core::jsd::jsd;
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::voigt::{fit_peak, render, FitConfig, PeakParams};
-use fairdms_nn::layers::Mode;
+use fairdms_nn::layers::{Conv2d, Layer, Mode};
 use fairdms_nn::loss::{Loss, Mse};
-use fairdms_tensor::{ops, rng::TensorRng};
+use fairdms_tensor::gemm::{self, Threading};
+use fairdms_tensor::{ops, rng::TensorRng, Tensor};
+use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Times `blocked` and `naive` on the same inputs, back to back within
@@ -52,6 +61,68 @@ fn paired_speedup(blocked: &[Duration], naive: &[Duration]) -> f64 {
         .collect();
     ratios.sort_unstable_by(|a, b| a.total_cmp(b));
     ratios[ratios.len() / 2]
+}
+
+/// `(m, k, n)` of the skinny products a 16→8-channel 3×3 convolution over
+/// 32 16×16 images lowers to: forward, `∂W` and `∂cols` in a row-major
+/// lowering, `∂T` in the channel-major one.
+const SKINNY: [(usize, usize, usize); 4] = [
+    (8192, 144, 8),
+    (8, 8192, 144),
+    (8192, 8, 144),
+    (144, 8, 8192),
+];
+
+/// Direct seven-loop 3×3-style convolution, forward and backward, over
+/// flat NCHW buffers: the reference the lowered layer is floored against.
+/// Returns `(y, dw, db, dx)` for the upstream gradient `dy`.
+#[allow(clippy::too_many_arguments)]
+fn conv_direct_fwd_bwd(
+    x: &[f32],
+    w: &[f32],
+    b: &[f32],
+    dy: &[f32],
+    (n, c, h, wid): (usize, usize, usize, usize),
+    oc: usize,
+    k: usize,
+    pad: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (oh, ow) = (h + 2 * pad + 1 - k, wid + 2 * pad + 1 - k);
+    let mut y = vec![0.0f32; n * oc * oh * ow];
+    let (mut dw, mut db, mut dx) = (vec![0.0f32; w.len()], vec![0.0f32; oc], vec![0.0; x.len()]);
+    for ni in 0..n {
+        for co in 0..oc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let o = ((ni * oc + co) * oh + oy) * ow + ox;
+                    let g = dy[o];
+                    let mut acc = b[co];
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            let iy = oy + ky;
+                            if iy < pad || iy >= h + pad {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let ix = ox + kx;
+                                if ix < pad || ix >= wid + pad {
+                                    continue;
+                                }
+                                let xi = ((ni * c + ci) * h + iy - pad) * wid + ix - pad;
+                                let wi = ((co * c + ci) * k + ky) * k + kx;
+                                acc += x[xi] * w[wi];
+                                dw[wi] += g * x[xi];
+                                dx[xi] += g * w[wi];
+                            }
+                        }
+                    }
+                    y[o] = acc;
+                    db[co] += g;
+                }
+            }
+        }
+    }
+    (y, dw, db, dx)
 }
 
 fn bench_gemm(c: &mut Criterion) {
@@ -133,21 +204,152 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
 
-    // BraggNN forward/backward training step: the end-to-end consumer of
-    // the engine (conv im2col GEMMs + dense layers), recorded so kernel
-    // changes show up in model-step terms too.
-    let mut net = ArchSpec::BraggNN { patch: 15 }.build(0);
+    // The skinny shapes, each under Auto and Sequential on interleaved
+    // pairs. GFLOP/s is recorded per policy; the gate is their ratio.
+    let mut auto_vs_seq = Vec::new();
+    for &(m, k, n) in &SKINNY {
+        let mut rng = TensorRng::seeded(0);
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let b = rng.uniform(&[k, n], -1.0, 1.0);
+        let run = |policy| {
+            black_box(gemm::matmul_with(&a, &b, policy));
+        };
+        run(Threading::Auto);
+        run(Threading::Sequential);
+        let (lat_auto, lat_seq) =
+            measure_pair(40, || run(Threading::Auto), || run(Threading::Sequential));
+        let flops = 2.0 * (m * k * n) as f64;
+        let name = format!("gemm/skinny_{m}x{k}x{n}");
+        summarize(&mut report, &format!("{name}_auto"), &lat_auto, flops);
+        summarize(&mut report, &format!("{name}_seq"), &lat_seq, flops);
+        let ratio = paired_speedup(&lat_auto, &lat_seq);
+        report.add_metric(&format!("{name}_auto_vs_seq"), ratio);
+        auto_vs_seq.push(((m, k, n), ratio));
+    }
+
+    // What one parallel region costs on this machine: the number
+    // `ops::PAR_MIN_WORK` is sized against.
+    let mut lanes = vec![0u8; rayon::current_num_threads().max(2)];
+    let lat: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            lanes.par_iter_mut().for_each(|v| *v = v.wrapping_add(1));
+            t0.elapsed()
+        })
+        .collect();
+    summarize(&mut report, "rayon/empty_region", &lat, 0.0);
+
+    // BraggNN's two convolutions at the deployed 16×16 patch, batch 32,
+    // forward and backward apart, so a step-time change can be traced to
+    // its layer.
     let mut rng = TensorRng::seeded(1);
-    let x = rng.uniform(&[32, 1, 15, 15], 0.0, 1.0);
+    let conv_flops = |cin: usize, cout: usize| 2.0 * (32 * cout * cin * 9 * 256) as f64;
+    for (name, cin, cout) in [("conv1_1to16", 1usize, 16usize), ("conv2_16to8", 16, 8)] {
+        let mut conv = Conv2d::new(cin, cout, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[32, cin, 16, 16], -1.0, 1.0);
+        let dy = rng.uniform(&[32, cout, 16, 16], -1.0, 1.0);
+        black_box(conv.forward(&x, Mode::Train));
+        black_box(conv.backward(&dy));
+        let (mut lat_fwd, mut lat_bwd) = (Vec::new(), Vec::new());
+        for _ in 0..40 {
+            let t0 = Instant::now();
+            black_box(conv.forward(&x, Mode::Train));
+            lat_fwd.push(t0.elapsed());
+            let t0 = Instant::now();
+            black_box(conv.backward(&dy));
+            lat_bwd.push(t0.elapsed());
+        }
+        let flops = conv_flops(cin, cout);
+        summarize(
+            &mut report,
+            &format!("conv/{name}_fwd_batch32"),
+            &lat_fwd,
+            flops,
+        );
+        summarize(
+            &mut report,
+            &format!("conv/{name}_bwd_batch32"),
+            &lat_bwd,
+            2.0 * flops,
+        );
+    }
+
+    // The lowered second convolution against the direct seven-loop one:
+    // forward + full backward on the same batch, interleaved.
+    let conv_speedup = {
+        let mut conv = Conv2d::new(16, 8, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[32, 16, 16, 16], -1.0, 1.0);
+        let dy = rng.uniform(&[32, 8, 16, 16], -1.0, 1.0);
+        let (w, b) = {
+            let p = conv.params();
+            (p[0].value.clone(), p[1].value.clone())
+        };
+        let lowered = |conv: &mut Conv2d| {
+            let y = conv.forward(&x, Mode::Train);
+            (y, conv.backward(&dy))
+        };
+        let direct = || {
+            conv_direct_fwd_bwd(
+                x.data(),
+                w.data(),
+                b.data(),
+                dy.data(),
+                (32, 16, 16, 16),
+                8,
+                3,
+                1,
+            )
+        };
+        // The two must be computing the same thing for the ratio to mean
+        // anything.
+        let ((y, dx), (y_ref, _, _, dx_ref)) = (lowered(&mut conv), direct());
+        assert!(fairdms_tensor::allclose(
+            &y,
+            &Tensor::from_vec(y_ref, y.shape()),
+            1e-3
+        ));
+        assert!(fairdms_tensor::allclose(
+            &dx,
+            &Tensor::from_vec(dx_ref, dx.shape()),
+            1e-3
+        ));
+        let (lat_lowered, lat_direct) = measure_pair(
+            10,
+            || {
+                black_box(lowered(&mut conv));
+            },
+            || {
+                black_box(direct());
+            },
+        );
+        let flops = 3.0 * conv_flops(16, 8);
+        summarize(
+            &mut report,
+            "conv/conv2_lowered_fwd_bwd",
+            &lat_lowered,
+            flops,
+        );
+        summarize(&mut report, "conv/conv2_direct_fwd_bwd", &lat_direct, flops);
+        let speedup = paired_speedup(&lat_lowered, &lat_direct);
+        println!("conv2 fwd+bwd: lowered {speedup:.2}x direct (paired median)");
+        report.add_metric("conv_speedup_vs_direct", speedup);
+        speedup
+    };
+
+    // BraggNN training step at the deployed patch size: forward, loss
+    // gradient, parameter gradients — what `Trainer` runs per batch,
+    // recorded so kernel changes show up in model-step terms too.
+    let mut net = ArchSpec::BraggNN { patch: 16 }.build(0);
+    let x = rng.uniform(&[32, 1, 16, 16], 0.0, 1.0);
     let y = rng.uniform(&[32, 2], 0.0, 1.0);
     let step = |net: &mut fairdms_nn::Sequential| {
         let pred = net.forward(&x, Mode::Train);
         let grad = Mse.backward(&pred, &y);
-        black_box(net.backward(&grad));
+        net.backward_params(&grad);
     };
-    step(&mut net); // warm (first step allocates the im2col scratch)
-    let mut lat = Vec::with_capacity(20);
-    for _ in 0..20 {
+    step(&mut net); // warm (first step sizes the recycled buffers)
+    let mut lat = Vec::with_capacity(40);
+    for _ in 0..40 {
         let t0 = Instant::now();
         step(&mut net);
         lat.push(t0.elapsed());
@@ -171,18 +373,31 @@ fn bench_gemm(c: &mut Criterion) {
         s64 >= 0.95,
         "blocked GEMM must not regress at 64x64, got {s64:.2}x vs naive"
     );
+    // Auto may stay sequential on a skinny shape; what it may not do is
+    // open a region that costs more than it returns.
+    for ((m, k, n), ratio) in auto_vs_seq {
+        assert!(
+            ratio >= 1.0 / 1.1,
+            "Auto is {:.0}% slower than Sequential on {m}x{k}x{n}",
+            (1.0 / ratio - 1.0) * 100.0
+        );
+    }
+    assert!(
+        conv_speedup >= 3.0,
+        "lowered conv2 fwd+bwd must be ≥3x the direct convolution, got {conv_speedup:.2}x"
+    );
 }
 
 fn bench_braggnn_step(c: &mut Criterion) {
-    let mut net = ArchSpec::BraggNN { patch: 15 }.build(0);
+    let mut net = ArchSpec::BraggNN { patch: 16 }.build(0);
     let mut rng = TensorRng::seeded(1);
-    let x = rng.uniform(&[32, 1, 15, 15], 0.0, 1.0);
+    let x = rng.uniform(&[32, 1, 16, 16], 0.0, 1.0);
     let y = rng.uniform(&[32, 2], 0.0, 1.0);
     c.bench_function("braggnn_fwd_bwd_batch32", |b| {
         b.iter(|| {
             let pred = net.forward(&x, Mode::Train);
             let grad = Mse.backward(&pred, &y);
-            net.backward(&grad)
+            net.backward_params(&grad)
         })
     });
 }

@@ -195,12 +195,12 @@ fn bench_scale_store(_c: &mut Criterion) {
         }
 
         let bs = report.add_series(&format!("nearest_labeled/one/brute/{n}"), &brute_lat);
-        let (bp50, bthr) = (bs.p50, bs.throughput);
+        let (bp50, bthr) = (bs.p50, bs.inv_mean_latency);
         let rs = report.add_series(&format!("nearest_labeled/one/routed/{n}"), &routed_lat);
         let one_speedup = bp50.as_secs_f64() / rs.p50.as_secs_f64().max(1e-12);
-        let (rp50, rthr) = (rs.p50, rs.throughput);
+        let (rp50, rthr) = (rs.p50, rs.inv_mean_latency);
         let bbs = report.add_series(&format!("nearest_labeled/batch/brute/{n}"), &brute_batch);
-        let (bbp50, bbthr) = (bbs.p50, bbs.throughput);
+        let (bbp50, bbthr) = (bbs.p50, bbs.inv_mean_latency);
         let rbs = report.add_series(&format!("nearest_labeled/batch/routed/{n}"), &routed_batch);
         let speedup = bbp50.as_secs_f64() / rbs.p50.as_secs_f64().max(1e-12);
         println!(
@@ -209,7 +209,7 @@ fn bench_scale_store(_c: &mut Criterion) {
              ({bbthr:>5.0}/s) routed p50 {:>9.2?} ({:>5.0}/s) {speedup:>4.1}x | \
              scanned {:.2}% of brute rows, {pruned} balls pruned",
             rbs.p50,
-            rbs.throughput,
+            rbs.inv_mean_latency,
             scanned_fraction * 100.0,
         );
         report.add_metric(&format!("speedup_single_{n}"), one_speedup);

@@ -4,9 +4,11 @@
 //! perf trajectory across PRs needs numbers a script can diff. Benches
 //! therefore also write `results/BENCH_<name>.json` through
 //! [`BenchReport`]: one file per bench, one record per measured series,
-//! each carrying p50/p99/mean latency (seconds) and throughput (ops/s),
-//! plus free-form scalar metrics for bench-specific quantities (hit
-//! ratios, speedup factors, assertion margins).
+//! each carrying p50/p99/mean latency (seconds) and the inverse of the
+//! mean (a rate only for a serial loop — see
+//! [`SeriesSummary::inv_mean_latency`]), plus free-form scalar metrics for
+//! bench-specific quantities (hit ratios, speedup factors, GFLOP/s,
+//! measured throughputs, assertion margins).
 //!
 //! The JSON is hand-rolled (the workspace is offline — no serde): flat
 //! enough to stay trivially correct, stable enough to `jq` across
@@ -27,8 +29,12 @@ pub struct SeriesSummary {
     pub p99: Duration,
     /// Mean latency.
     pub mean: Duration,
-    /// Completed operations per second (1 / mean).
-    pub throughput: f64,
+    /// `1 / mean`, per second. Operations per second **only** when the
+    /// series was measured one operation at a time; for a windowed or
+    /// multi-connection series the latencies overlap and this is not a
+    /// throughput — those benches record `operations / wall` as a metric
+    /// of its own.
+    pub inv_mean_latency: f64,
 }
 
 impl SeriesSummary {
@@ -45,7 +51,7 @@ impl SeriesSummary {
             p50: q(0.50),
             p99: q(0.99),
             mean,
-            throughput: if mean.as_secs_f64() > 0.0 {
+            inv_mean_latency: if mean.as_secs_f64() > 0.0 {
                 1.0 / mean.as_secs_f64()
             } else {
                 f64::INFINITY
@@ -104,13 +110,13 @@ impl BenchReport {
         let mut out = String::from("{\n  \"series\": [\n");
         for (i, s) in self.series.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"samples\": {}, \"p50_s\": {}, \"p99_s\": {}, \"mean_s\": {}, \"throughput_ops_s\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"samples\": {}, \"p50_s\": {}, \"p99_s\": {}, \"mean_s\": {}, \"inv_mean_latency_per_s\": {}}}{}\n",
                 json_escape(&s.name),
                 s.samples,
                 json_f64(s.p50.as_secs_f64()),
                 json_f64(s.p99.as_secs_f64()),
                 json_f64(s.mean.as_secs_f64()),
-                json_f64(s.throughput),
+                json_f64(s.inv_mean_latency),
                 if i + 1 < self.series.len() { "," } else { "" }
             ));
         }
@@ -155,7 +161,7 @@ mod tests {
         assert!(s.p50 <= s.p99);
         assert_eq!(s.p50, Duration::from_micros(50));
         assert_eq!(s.p99, Duration::from_micros(99));
-        assert!((s.throughput - 1.0 / s.mean.as_secs_f64()).abs() < 1e-6);
+        assert!((s.inv_mean_latency - 1.0 / s.mean.as_secs_f64()).abs() < 1e-6);
     }
 
     #[test]

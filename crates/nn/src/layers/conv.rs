@@ -1,21 +1,57 @@
-//! 2-D convolution via im2col + GEMM.
+//! 2-D convolution lowered to GEMM one sample at a time.
 //!
-//! The im2col lowering turns convolution into the GEMM that
-//! `fairdms-tensor` already parallelizes, which is exactly how the reference
-//! frameworks the paper used execute CPU convolutions.
+//! Each sample's `[C, H, W]` image is unrolled into a **channel-major**
+//! patch matrix `T` of shape `[C·K·K, OH·OW]` — row `(c, ky, kx)` holds,
+//! for every output pixel, the input value that kernel tap reads. In that
+//! layout the lowering is span copies (one per kernel tap and output row,
+//! the padding border filled as two spans — no per-element branch), and
+//! every product reads and writes `[N, C, H, W]` buffers in place:
+//!
+//! * forward `Y_s = W · T` lands directly in the sample's `[OC, OH·OW]`
+//!   block of the NCHW output, seeded with the bias;
+//! * `∂Wᵀ += T · ∂Y_sᵀ` streams `T` as the engine's unpacked A operand
+//!   and reads `∂Y_s` straight out of the NCHW gradient; a row of ones
+//!   appended to `T` makes the same product emit `∂b`;
+//! * `∂T = Wᵀ · ∂Y_s` is folded back into `∂X_s` by the adjoint span adds.
+//!
+//! `T` is one sample's worth (147 KiB for BraggNN's second layer), lives
+//! in recycled per-thread scratch and never leaves cache; the backward
+//! pass rebuilds it from the cached *input* instead of keeping a batch of
+//! patch matrices alive between the passes. See DESIGN.md §9.
 
 use super::{Layer, Mode};
 use crate::param::Param;
-use fairdms_tensor::{ops, rng::TensorRng, Tensor};
+use fairdms_tensor::gemm::{self, Threading};
+use fairdms_tensor::ops::PAR_MIN_WORK;
+use fairdms_tensor::{rng::TensorRng, Tensor};
 use rayon::prelude::*;
 use std::cell::Cell;
 
+/// Samples per fan-out task. Fixed — never derived from the pool width —
+/// because each block owns one `∂W`/`∂b` partial and the partials are
+/// summed in block order: the same blocks, the same order, the same bits
+/// at any thread count.
+const SAMPLE_BLOCK: usize = 2;
+
+/// The engine runs on the block's own thread: the fan-out over sample
+/// blocks is the pass's one parallel region.
+const SEQ: Threading = Threading::Sequential;
+
 thread_local! {
-    /// Recycled im2col scratch for [`Conv2d::infer`]. `infer` takes `&self`
-    /// and is called concurrently from the snapshot read pool, so the scratch
-    /// cannot live on the layer — each thread keeps its own buffer and the
-    /// patch-matrix allocation amortizes to zero across inference batches.
-    static INFER_COLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Recycled patch-matrix scratch (`T`, plus `∂T` in the backward
+    /// pass). Per thread rather than per layer: `infer` takes `&self` and
+    /// is called concurrently from the snapshot read pool.
+    static PATCHES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` floats of this thread's scratch (contents unspecified).
+fn with_scratch(len: usize, f: impl FnOnce(&mut [f32])) {
+    let mut buf = PATCHES.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    f(&mut buf[..len]);
+    PATCHES.set(buf);
 }
 
 /// 2-D convolution over `[N, C, H, W]` inputs.
@@ -28,8 +64,140 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cached_cols: Option<Tensor>,
-    cached_in_shape: Option<Vec<usize>>,
+    cached_input: Option<Tensor>,
+}
+
+/// The extents of one lowering, and the span arithmetic both directions of
+/// it share.
+#[derive(Clone, Copy)]
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl Geom {
+    /// Rows of the patch matrix.
+    fn patch(&self) -> usize {
+        self.c * self.k * self.k
+    }
+
+    /// Columns of the patch matrix.
+    fn pixels(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Elements of one input sample.
+    fn sample(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// The output positions `lo..hi` along one axis whose kernel tap `tap`
+    /// reads inside the input (`o·stride + tap − pad ∈ 0..extent`); every
+    /// other position reads padding.
+    fn inside(&self, tap: usize, extent: usize, out_extent: usize) -> (usize, usize) {
+        let lo = self.pad.saturating_sub(tap).div_ceil(self.stride);
+        let hi = (extent + self.pad)
+            .checked_sub(tap + 1)
+            .map_or(0, |last| (last / self.stride + 1).min(out_extent));
+        (lo.min(hi), hi)
+    }
+
+    /// With stride 1 and output rows as long as input rows (`2·pad = k − 1`),
+    /// a kernel tap reads the whole input plane displaced by a constant:
+    /// patch row `[lo .. lo + len]` is plane `[from .. from + len]`, one
+    /// span instead of one per output row. The elements that displacement
+    /// carries across a row end are exactly the tap's padding columns.
+    fn shifted_plane(&self, ky: usize, kx: usize) -> Option<(usize, usize, usize)> {
+        (self.stride == 1 && self.ow == self.w).then(|| {
+            let (tap, origin) = (ky * self.w + kx, (self.w + 1) * self.pad);
+            // Clamped: an image smaller than its padding displaces some
+            // taps clean off the plane.
+            let lo = origin.saturating_sub(tap).min(self.pixels());
+            let from = tap.saturating_sub(origin).min(self.pixels());
+            (lo, from, self.pixels() - lo.max(from))
+        })
+    }
+
+    /// Zeroes the columns of one patch row that tap column `kx` reads from
+    /// the left or right padding.
+    fn clear_padding_columns(&self, kx: usize, row: &mut [f32]) {
+        let (lo, hi) = self.inside(kx, self.w, self.ow);
+        for ox in (0..lo).chain(hi..self.ow) {
+            row[ox..].iter_mut().step_by(self.ow).for_each(|v| *v = 0.0);
+        }
+    }
+
+    /// Every kernel tap `(ci, ky, kx)`, in patch-row order.
+    fn taps(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        let k = self.k;
+        (0..self.c)
+            .flat_map(move |ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx))))
+    }
+
+    /// Unrolls one `[C, H, W]` sample into `t` (`[patch, pixels]`), writing
+    /// every element: interiors as span copies, padding as span fills.
+    fn im2col(&self, x: &[f32], t: &mut [f32]) {
+        let (w, ow, stride) = (self.w, self.ow, self.stride);
+        for ((ci, ky, kx), row) in self.taps().zip(t.chunks_exact_mut(self.pixels())) {
+            let plane = &x[ci * self.h * w..][..self.h * w];
+            if let Some((lo, from, len)) = self.shifted_plane(ky, kx) {
+                row[..lo].fill(0.0);
+                row[lo + len..].fill(0.0);
+                row[lo..lo + len].copy_from_slice(&plane[from..from + len]);
+                self.clear_padding_columns(kx, row);
+                continue;
+            }
+            let (oy_lo, oy_hi) = self.inside(ky, self.h, self.oh);
+            let (ox_lo, ox_hi) = self.inside(kx, w, ow);
+            row[..oy_lo * ow].fill(0.0);
+            row[oy_hi * ow..].fill(0.0);
+            for oy in oy_lo..oy_hi {
+                let dst = &mut row[oy * ow..(oy + 1) * ow];
+                dst[..ox_lo].fill(0.0);
+                dst[ox_hi..].fill(0.0);
+                let src = &plane[(oy * stride + ky - self.pad) * w..][..w];
+                let src = src[ox_lo * stride + kx - self.pad..].iter().step_by(stride);
+                for (d, &v) in dst[ox_lo..ox_hi].iter_mut().zip(src) {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// The adjoint of [`Geom::im2col`]: adds every interior span of `dt`
+    /// back onto the input positions it was copied from (`dt` is scratch,
+    /// and is clobbered).
+    fn col2im(&self, dt: &mut [f32], dx: &mut [f32]) {
+        let (w, ow, stride) = (self.w, self.ow, self.stride);
+        for ((ci, ky, kx), row) in self.taps().zip(dt.chunks_exact_mut(self.pixels())) {
+            let plane = &mut dx[ci * self.h * w..][..self.h * w];
+            if let Some((lo, from, len)) = self.shifted_plane(ky, kx) {
+                self.clear_padding_columns(kx, row);
+                for (d, &v) in plane[from..from + len].iter_mut().zip(&row[lo..lo + len]) {
+                    *d += v;
+                }
+                continue;
+            }
+            let (oy_lo, oy_hi) = self.inside(ky, self.h, self.oh);
+            let (ox_lo, ox_hi) = self.inside(kx, w, ow);
+            for oy in oy_lo..oy_hi {
+                let src = &row[oy * ow + ox_lo..oy * ow + ox_hi];
+                let dst = &mut plane[(oy * stride + ky - self.pad) * w..][..w];
+                let dst = dst[ox_lo * stride + kx - self.pad..]
+                    .iter_mut()
+                    .step_by(stride);
+                for (d, &v) in dst.zip(src) {
+                    *d += v;
+                }
+            }
+        }
+    }
 }
 
 impl Conv2d {
@@ -56,8 +224,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cached_cols: None,
-            cached_in_shape: None,
+            cached_input: None,
         }
     }
 
@@ -73,162 +240,148 @@ impl Conv2d {
         (in_extent + 2 * self.padding - self.kernel) / self.stride + 1
     }
 
-    /// Lowers `[N, C, H, W]` input into the `[N*OH*OW, C*K*K]` patch matrix,
-    /// reusing `scratch`'s allocation when it is large enough.
-    fn im2col(&self, x: &Tensor, oh: usize, ow: usize, scratch: Vec<f32>) -> Tensor {
-        let (n, c, h, w) = dims4(x);
-        let k = self.kernel;
-        let patch = c * k * k;
-        let rows_per_sample = oh * ow;
-        let mut cols = scratch;
-        // Padding positions are never written below, so the buffer must be
-        // zeroed: clear() drops every stale element, resize() refills with 0.
-        cols.clear();
-        cols.resize(n * rows_per_sample * patch, 0.0);
-        let xd = x.data();
-        let stride = self.stride;
-        let pad = self.padding as isize;
-
-        cols.par_chunks_mut(rows_per_sample * patch)
-            .enumerate()
-            .for_each(|(ni, sample_cols)| {
-                let x_sample = &xd[ni * c * h * w..(ni + 1) * c * h * w];
-                for out_y in 0..oh {
-                    for out_x in 0..ow {
-                        let row = out_y * ow + out_x;
-                        let dst = &mut sample_cols[row * patch..(row + 1) * patch];
-                        let mut di = 0usize;
-                        for ci in 0..c {
-                            let chan = &x_sample[ci * h * w..(ci + 1) * h * w];
-                            for ky in 0..k {
-                                let in_y = (out_y * stride + ky) as isize - pad;
-                                if in_y < 0 || in_y >= h as isize {
-                                    di += k;
-                                    continue;
-                                }
-                                let row_base = in_y as usize * w;
-                                for kx in 0..k {
-                                    let in_x = (out_x * stride + kx) as isize - pad;
-                                    if in_x >= 0 && in_x < w as isize {
-                                        dst[di] = chan[row_base + in_x as usize];
-                                    }
-                                    di += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        Tensor::from_vec(cols, &[n * rows_per_sample, patch])
-    }
-
-    /// Scatter-adds the patch-matrix gradient back into input layout
-    /// (the adjoint of [`Conv2d::im2col`]).
-    fn col2im(&self, dcols: &Tensor, in_shape: &[usize], oh: usize, ow: usize) -> Tensor {
-        let (n, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let k = self.kernel;
-        let patch = c * k * k;
-        let rows_per_sample = oh * ow;
-        let mut dx = vec![0.0f32; n * c * h * w];
-        let dc = dcols.data();
-        let stride = self.stride;
-        let pad = self.padding as isize;
-
-        dx.par_chunks_mut(c * h * w)
-            .enumerate()
-            .for_each(|(ni, dx_sample)| {
-                let sample_cols =
-                    &dc[ni * rows_per_sample * patch..(ni + 1) * rows_per_sample * patch];
-                for out_y in 0..oh {
-                    for out_x in 0..ow {
-                        let row = out_y * ow + out_x;
-                        let src = &sample_cols[row * patch..(row + 1) * patch];
-                        let mut si = 0usize;
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                let in_y = (out_y * stride + ky) as isize - pad;
-                                if in_y < 0 || in_y >= h as isize {
-                                    si += k;
-                                    continue;
-                                }
-                                let row_base = ci * h * w + in_y as usize * w;
-                                for kx in 0..k {
-                                    let in_x = (out_x * stride + kx) as isize - pad;
-                                    if in_x >= 0 && in_x < w as isize {
-                                        dx_sample[row_base + in_x as usize] += src[si];
-                                    }
-                                    si += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        Tensor::from_vec(dx, in_shape)
-    }
-}
-
-impl Conv2d {
-    /// The full forward computation; returns `(output, cols)` so `forward`
-    /// can cache the patch matrix while `infer` recycles its allocation.
-    /// `col_scratch` seeds the im2col buffer (pass an empty `Vec` to allocate
-    /// fresh).
-    fn compute(&self, x: &Tensor, col_scratch: Vec<f32>) -> (Tensor, Tensor) {
+    /// Checks an input's shape and derives the lowering's extents from it.
+    fn geom(&self, x: &Tensor) -> (usize, Geom) {
         let (n, c, h, w) = dims4(x);
         assert_eq!(
             c, self.in_c,
             "Conv2d: expected {} input channels, got {c}",
             self.in_c
         );
-        let oh = self.out_extent(h);
-        let ow = self.out_extent(w);
+        let geom = Geom {
+            c,
+            h,
+            w,
+            oh: self.out_extent(h),
+            ow: self.out_extent(w),
+            k: self.kernel,
+            stride: self.stride,
+            pad: self.padding,
+        };
+        (n, geom)
+    }
 
-        let cols = self.im2col(x, oh, ow, col_scratch); // [N*OH*OW, patch]
-                                                        // Bias rides in the GEMM epilogue — added once per output element as
-                                                        // the final depth block flushes, bit-identical to the separate
-                                                        // `+ bias[ci]` pass this replaces but without a second output sweep.
-        let gemm = ops::matmul_transb_bias(&cols, &self.weight.value, &self.bias.value);
+    /// The forward pass shared by `forward` and `infer`: one fan-out over
+    /// sample blocks, each sample unrolled into this thread's scratch and
+    /// multiplied straight into its NCHW output block.
+    fn lowered_forward(&self, x: &Tensor) -> Tensor {
+        let (n, g) = self.geom(x);
+        let (oc, patch, pixels) = (self.out_c, g.patch(), g.pixels());
+        let (xd, wd, bias) = (x.data(), self.weight.value.data(), self.bias.value.data());
+        let mut out = vec![0.0f32; n * oc * pixels];
+        let block = |(bi, y_block): (usize, &mut [f32])| {
+            with_scratch(patch * pixels, |t| {
+                for (si, y) in y_block.chunks_exact_mut(oc * pixels).enumerate() {
+                    let s = bi * SAMPLE_BLOCK + si;
+                    g.im2col(&xd[s * g.sample()..][..g.sample()], t);
+                    for (y_row, &b) in y.chunks_exact_mut(pixels).zip(bias) {
+                        y_row.fill(b);
+                    }
+                    gemm::matmul_acc(oc, patch, pixels, wd, t, y, SEQ);
+                }
+            });
+        };
+        let blocks = SAMPLE_BLOCK * oc * pixels;
+        if n * oc * patch * pixels >= PAR_MIN_WORK {
+            out.par_chunks_mut(blocks).enumerate().for_each(block);
+        } else {
+            out.chunks_mut(blocks).enumerate().for_each(block);
+        }
+        Tensor::from_vec(out, &[n, oc, g.oh, g.ow])
+    }
 
-        // Permute [N*OH*OW, OC] → [N, OC, OH, OW].
-        let rows_per_sample = oh * ow;
-        let oc = self.out_c;
-        let mut out = vec![0.0f32; n * oc * rows_per_sample];
-        let gd = gemm.data();
-        out.par_chunks_mut(oc * rows_per_sample)
-            .enumerate()
-            .for_each(|(ni, out_sample)| {
-                let g_sample = &gd[ni * rows_per_sample * oc..(ni + 1) * rows_per_sample * oc];
-                for (r, g_row) in g_sample.chunks(oc).enumerate() {
-                    for (ci, &v) in g_row.iter().enumerate() {
-                        out_sample[ci * rows_per_sample + r] = v;
+    /// The backward pass: accumulates `∂W`/`∂b` and, when `want_dx`, returns
+    /// `∂L/∂input`. One fan-out over the same sample blocks as the forward
+    /// pass; each block sums its samples' parameter gradients into its own
+    /// partial, and the partials are added to the parameters in block order.
+    fn lowered_backward(&mut self, grad_out: &Tensor, want_dx: bool) -> Option<Tensor> {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward called before forward");
+        let (n, g) = self.geom(x);
+        let (oc, patch, pixels) = (self.out_c, g.patch(), g.pixels());
+        assert_eq!(
+            grad_out.shape(),
+            &[n, oc, g.oh, g.ow],
+            "Conv2d: gradient shape mismatch"
+        );
+        let (xd, gd) = (x.data(), grad_out.data());
+        // `[patch, oc]`: the A operand of `∂T = Wᵀ · ∂Y`.
+        let wt = want_dx.then(|| self.weight.value.transpose());
+
+        // Per block: `∂Wᵀ` as `[patch, oc]` and, below it, `∂b` as the row
+        // the ones row of `T` produces.
+        let partial = (patch + 1) * oc;
+        let mut partials = vec![0.0f32; n.div_ceil(SAMPLE_BLOCK) * partial];
+        let mut dx = want_dx.then(|| vec![0.0f32; n * g.sample()]);
+        let mut dx_blocks = dx
+            .iter_mut()
+            .flat_map(|dx| dx.chunks_mut(SAMPLE_BLOCK * g.sample()));
+        let mut blocks: Vec<(&mut [f32], Option<&mut [f32]>)> = partials
+            .chunks_exact_mut(partial)
+            .map(|p| (p, dx_blocks.next()))
+            .collect();
+        let block = |(bi, (dwt, dx_block)): (usize, &mut (&mut [f32], Option<&mut [f32]>))| {
+            with_scratch((2 * patch + 1) * pixels, |scratch| {
+                let (t, dt) = scratch.split_at_mut((patch + 1) * pixels);
+                t[patch * pixels..].fill(1.0);
+                let first = bi * SAMPLE_BLOCK;
+                for s in first..(first + SAMPLE_BLOCK).min(n) {
+                    let dy = &gd[s * oc * pixels..][..oc * pixels];
+                    g.im2col(
+                        &xd[s * g.sample()..][..g.sample()],
+                        &mut t[..patch * pixels],
+                    );
+                    gemm::matmul_transb_acc(patch + 1, pixels, oc, t, dy, dwt, SEQ);
+                    if let (Some(dx_block), Some(wt)) = (dx_block.as_deref_mut(), &wt) {
+                        dt.fill(0.0);
+                        gemm::matmul_acc(patch, oc, pixels, wt.data(), dy, dt, SEQ);
+                        g.col2im(dt, &mut dx_block[(s - first) * g.sample()..][..g.sample()]);
                     }
                 }
             });
+        };
+        let passes = 1 + usize::from(want_dx);
+        if passes * n * oc * patch * pixels >= PAR_MIN_WORK {
+            blocks.par_iter_mut().enumerate().for_each(block);
+        } else {
+            blocks.iter_mut().enumerate().for_each(block);
+        }
+        drop(blocks);
 
-        (Tensor::from_vec(out, &[n, oc, oh, ow]), cols)
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        for partial in partials.chunks_exact(partial) {
+            let (dwt, dbias) = partial.split_at(patch * oc);
+            for (j, dwt_row) in dwt.chunks_exact(oc).enumerate() {
+                for (o, &v) in dwt_row.iter().enumerate() {
+                    dw[o * patch + j] += v;
+                }
+            }
+            for (b, &v) in db.iter_mut().zip(dbias) {
+                *b += v;
+            }
+        }
+        dx.map(|dx| Tensor::from_vec(dx, x.shape()))
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        // Reclaim last batch's patch matrix as this batch's scratch: steady
-        // state training performs zero im2col allocations per step.
-        let scratch = self
-            .cached_cols
+        // Keep the input for `backward`, in last step's allocation.
+        let mut kept = self
+            .cached_input
             .take()
             .map(Tensor::into_vec)
             .unwrap_or_default();
-        let (out, cols) = self.compute(x, scratch);
-        self.cached_cols = Some(cols);
-        self.cached_in_shape = Some(x.shape().to_vec());
-        out
+        kept.clear();
+        kept.extend_from_slice(x.data());
+        self.cached_input = Some(Tensor::from_vec(kept, x.shape()));
+        self.lowered_forward(x)
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let scratch = INFER_COLS.take();
-        let (out, cols) = self.compute(x, scratch);
-        INFER_COLS.set(cols.into_vec());
-        out
+        self.lowered_forward(x)
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -236,35 +389,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let in_shape = self.cached_in_shape.clone().expect("missing input shape");
-        let (n, oc, oh, ow) = dims4(grad_out);
-        assert_eq!(oc, self.out_c, "Conv2d: gradient channel mismatch");
-        let rows_per_sample = oh * ow;
+        self.lowered_backward(grad_out, true)
+            .expect("input gradient was requested")
+    }
 
-        // Permute ∂Y [N, OC, OH, OW] → G [N*OH*OW, OC].
-        let gd = grad_out.data();
-        let mut g = vec![0.0f32; n * rows_per_sample * oc];
-        g.par_chunks_mut(rows_per_sample * oc)
-            .enumerate()
-            .for_each(|(ni, g_sample)| {
-                let gout = &gd[ni * oc * rows_per_sample..(ni + 1) * oc * rows_per_sample];
-                for r in 0..rows_per_sample {
-                    for ci in 0..oc {
-                        g_sample[r * oc + ci] = gout[ci * rows_per_sample + r];
-                    }
-                }
-            });
-        let g = Tensor::from_vec(g, &[n * rows_per_sample, oc]);
-
-        // ∂W = Gᵀ × cols, ∂b = column sums of G, ∂cols = G × W.
-        self.weight.grad.add_assign(&ops::matmul_transa(&g, cols));
-        self.bias.grad.add_assign(&g.sum_rows());
-        let dcols = ops::matmul(&g, &self.weight.value);
-        self.col2im(&dcols, &in_shape, oh, ow)
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.lowered_backward(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -335,6 +465,47 @@ mod tests {
         out
     }
 
+    /// Direct backward pass of [`conv_naive`]: `(∂W, ∂b, ∂X)` for `∂Y = dy`.
+    fn conv_naive_backward(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> (Tensor, Tensor, Tensor) {
+        let (n, c, h, wid) = dims4(x);
+        let (_, oc, oh, ow) = dims4(dy);
+        let mut dw = Tensor::zeros(w.shape());
+        let mut db = Tensor::zeros(&[oc]);
+        let mut dx = Tensor::zeros(x.shape());
+        for ni in 0..n {
+            for co in 0..oc {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dy.at(&[ni, co, oy, ox]);
+                        db.data_mut()[co] += g;
+                        for ci in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let iy = (oy * stride + ky) as isize - pad as isize;
+                                    let ix = (ox * stride + kx) as isize - pad as isize;
+                                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < wid as isize {
+                                        let at = [ni, ci, iy as usize, ix as usize];
+                                        let tap = [co, ci * k * k + ky * k + kx];
+                                        dw.set(&tap, dw.at(&tap) + g * x.at(&at));
+                                        dx.set(&at, dx.at(&at) + g * w.at(&tap));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (dw, db, dx)
+    }
+
     #[test]
     fn forward_matches_naive_reference() {
         let mut rng = TensorRng::seeded(0);
@@ -348,6 +519,101 @@ mod tests {
                 fairdms_tensor::allclose(&y, &y_ref, 1e-4),
                 "mismatch at stride={stride} pad={pad}"
             );
+        }
+    }
+
+    #[test]
+    fn lowering_matches_naive_reference_on_odd_shapes() {
+        // Odd extents, every stride/padding corner, a batch that is not a
+        // multiple of the sample block, and a non-square image so a
+        // swapped axis cannot hide.
+        let mut rng = TensorRng::seeded(4);
+        for &(h, w) in &[(15usize, 15usize), (9, 13)] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1] {
+                    let at = format!("{h}x{w} stride={stride} pad={pad}");
+                    let n = 2 * SAMPLE_BLOCK + 1;
+                    let mut conv = Conv2d::new(2, 3, 3, stride, pad, &mut rng);
+                    conv.bias.value = rng.uniform(&[3], -0.5, 0.5);
+                    let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
+                    let (wv, bv) = (conv.weight.value.clone(), conv.bias.value.clone());
+
+                    let y = conv.forward(&x, Mode::Train);
+                    let y_ref = conv_naive(&x, &wv, &bv, 3, stride, pad);
+                    assert_eq!(y.shape(), y_ref.shape(), "{at}");
+                    assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4), "forward {at}");
+                    assert_eq!(conv.infer(&x), y, "infer {at}");
+
+                    let dy = rng.uniform(y.shape(), -1.0, 1.0);
+                    let (dw_ref, db_ref, dx_ref) =
+                        conv_naive_backward(&x, &wv, &dy, 3, stride, pad);
+                    let dx = conv.backward(&dy);
+                    assert!(fairdms_tensor::allclose(&dx, &dx_ref, 1e-4), "dx {at}");
+                    let (dw, db) = (conv.weight.grad.clone(), conv.bias.grad.clone());
+                    assert!(fairdms_tensor::allclose(&dw, &dw_ref, 1e-3), "dw {at}");
+                    assert!(fairdms_tensor::allclose(&db, &db_ref, 1e-3), "db {at}");
+
+                    // The params-only pass accumulates the same bits.
+                    conv.weight.zero_grad();
+                    conv.bias.zero_grad();
+                    conv.backward_params(&dy);
+                    assert_eq!(conv.weight.grad, dw, "params-only dw {at}");
+                    assert_eq!(conv.bias.grad, db, "params-only db {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_wider_than_the_padded_border_reads_only_padding_there() {
+        // 5-wide kernel, padding 2, on a 3×3 image: most taps of most
+        // outputs fall outside, some taps for every output.
+        let mut rng = TensorRng::seeded(5);
+        let mut conv = Conv2d::new(1, 2, 5, 1, 2, &mut rng);
+        let x = rng.uniform(&[1, 1, 3, 3], -1.0, 1.0);
+        let y = conv.forward(&x, Mode::Train);
+        let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 5, 1, 2);
+        assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4));
+        let dy = rng.uniform(y.shape(), -1.0, 1.0);
+        let (_, _, dx_ref) = conv_naive_backward(&x, &conv.weight.value, &dy, 5, 1, 2);
+        assert!(fairdms_tensor::allclose(&conv.backward(&dy), &dx_ref, 1e-4));
+    }
+
+    #[test]
+    fn image_smaller_than_its_padding_is_all_border() {
+        let mut rng = TensorRng::seeded(7);
+        let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[3, 2, 1, 1], -1.0, 1.0);
+        let y = conv.forward(&x, Mode::Train);
+        let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 3, 1, 1);
+        assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-5));
+        let dy = rng.uniform(y.shape(), -1.0, 1.0);
+        let (dw_ref, _, dx_ref) = conv_naive_backward(&x, &conv.weight.value, &dy, 3, 1, 1);
+        assert!(fairdms_tensor::allclose(&conv.backward(&dy), &dx_ref, 1e-5));
+        assert!(fairdms_tensor::allclose(&conv.weight.grad, &dw_ref, 1e-5));
+    }
+
+    #[test]
+    fn fan_out_is_bit_identical_across_pool_widths() {
+        // Big enough that forward and backward both clear the parallel
+        // gate; 65 samples leave a ragged last block and uneven shares.
+        let mut rng = TensorRng::seeded(8);
+        let conv = Conv2d::new(16, 8, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[65, 16, 16, 16], -1.0, 1.0);
+        let dy = rng.uniform(&[65, 8, 16, 16], -1.0, 1.0);
+        assert!(x.shape()[0] * 8 * 144 * 256 >= PAR_MIN_WORK);
+        let run = |threads: usize| {
+            let mut conv = conv.clone();
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+            pool.build().unwrap().install(|| {
+                let y = conv.forward(&x, Mode::Train);
+                let dx = conv.backward(&dy);
+                (y, dx, conv.weight.grad.clone(), conv.bias.grad.clone())
+            })
+        };
+        let reference = run(1);
+        for threads in [2usize, 3, 5] {
+            assert!(run(threads) == reference, "differs at {threads} threads");
         }
     }
 
@@ -379,6 +645,18 @@ mod tests {
         conv.backward(&Tensor::ones(y.shape()));
         // 2 samples × 3×3 outputs = 18 ones summed into the single bias.
         assert!((conv.bias.grad.data()[0] - 18.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn inference_leaves_the_backward_cache_alone() {
+        let mut rng = TensorRng::seeded(6);
+        let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[4, 1, 5, 5], -1.0, 1.0);
+        let y = conv.forward(&x, Mode::Train);
+        // A validation batch of another size in between…
+        conv.infer(&rng.uniform(&[3, 1, 5, 5], -1.0, 1.0));
+        // …and backward still differentiates the training batch.
+        assert_eq!(conv.backward(&Tensor::ones(y.shape())).shape(), x.shape());
     }
 
     #[test]

@@ -72,6 +72,14 @@ pub trait Layer: Send + Sync {
     /// in a differentiable mode ([`Mode::Train`]).
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a network being trained. Accumulates the same
+    /// parameter gradients; layers whose `∂L/∂input` costs real work
+    /// override it to skip that work.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Deep-copies the layer behind the trait object (parameters and
     /// hyper-parameters; transient backward caches need not be preserved).
     fn clone_layer(&self) -> Box<dyn Layer>;
@@ -157,6 +165,21 @@ impl Sequential {
         grad
     }
 
+    /// [`Sequential::backward`] without the final `∂L/∂input`: the same
+    /// parameter gradients, minus the first layer's input-gradient work.
+    /// What a training step wants — nothing consumes the gradient with
+    /// respect to the data.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut grad = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            grad = layer.backward(&grad);
+        }
+        first.backward_params(&grad);
+    }
+
     /// All learnable parameters, in layer order (stable across calls, which
     /// is what optimizers key their per-parameter state on).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -214,6 +237,29 @@ mod tests {
         assert_eq!(gx.shape(), &[5, 3]);
         assert_eq!(net.params().len(), 4); // 2 dense layers × (W, b)
         assert!(net.num_params() > 0);
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_parameter_gradients() {
+        let mut rng = TensorRng::seeded(3);
+        let mut net = Sequential::new(vec![
+            Box::new(Conv2d::new(1, 2, 3, 1, 1, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Flatten::new()),
+            Box::new(Dense::new(2 * 4 * 4, 3, &mut rng)),
+        ]);
+        let x = rng.uniform(&[5, 1, 4, 4], -1.0, 1.0);
+        let dy = rng.uniform(&[5, 3], -1.0, 1.0);
+        net.forward(&x, Mode::Train);
+        net.backward(&dy);
+        let full: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
+        net.zero_grad();
+        net.forward(&x, Mode::Train);
+        net.backward_params(&dy);
+        let params_only: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
+        assert_eq!(full, params_only);
+        // An empty network has nothing to accumulate.
+        Sequential::empty().backward_params(&dy);
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl Trainer {
                 let pred = net.forward(&bx, Mode::Train);
                 epoch_loss += loss.forward(&pred, &by) as f64;
                 let grad = loss.backward(&pred, &by);
-                net.backward(&grad);
+                net.backward_params(&grad);
                 if let Some(max_norm) = self.cfg.grad_clip {
                     let mut params = net.params_mut();
                     clip_grad_norm(&mut params, max_norm);
@@ -298,8 +298,11 @@ impl Trainer {
         }
     }
 
-    /// Mean loss over a dataset in eval mode, batched to bound memory.
-    pub fn evaluate(&self, net: &mut Sequential, loss: &dyn Loss, x: &Tensor, y: &Tensor) -> f32 {
+    /// Mean loss over a dataset in eval mode, batched to bound memory. Runs
+    /// through [`Sequential::infer`], so scoring a validation set between
+    /// epochs leaves the layers' backward caches (and their recycled
+    /// allocations) sized for the training batch.
+    pub fn evaluate(&self, net: &Sequential, loss: &dyn Loss, x: &Tensor, y: &Tensor) -> f32 {
         let n = x.shape()[0];
         if n == 0 {
             return 0.0;
@@ -311,7 +314,7 @@ impl Trainer {
             let end = (start + self.cfg.batch_size).min(n);
             let bx = x.slice_rows(start, end);
             let by = y.slice_rows(start, end);
-            let pred = net.forward(&bx, Mode::Eval);
+            let pred = net.infer(&bx);
             total += loss.forward(&pred, &by) as f64 * (end - start) as f64;
             count += end - start;
             start = end;

@@ -27,7 +27,8 @@
 //! and its two thread parks entirely (`NetServerConfig::inline_reads`,
 //! on by default). `benches/net_plane.rs` measures the resulting
 //! throughput multiple over strict request-response usage of the same
-//! stack: 18.5× at 256 connections on the CI runner, gated at ≥3×.
+//! stack: 6.65× at 256 connections in `results/BENCH_net_plane.json`,
+//! gated at ≥3×.
 
 pub mod client;
 pub mod codec;

@@ -16,7 +16,7 @@
 //! * `slice.par_iter_mut()` and `slice.par_chunks_mut(n)` with
 //!   `.enumerate().for_each(...)`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] (pool width applies to
-//!   work submitted from inside the closure).
+//!   work submitted from inside the closure) and [`current_num_threads`].
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
@@ -25,6 +25,12 @@ use std::marker::PhantomData;
 thread_local! {
     /// Pool-width override installed by [`ThreadPool::install`].
     static POOL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Worker count a parallel region opened by the calling thread would use
+/// (mirrors `rayon::current_num_threads`).
+pub fn current_num_threads() -> usize {
+    pool_width()
 }
 
 /// Worker count for the calling context.

@@ -25,12 +25,15 @@
 //!   exactly the shape LLVM's SLP vectorizer wants). No `std::arch`
 //!   intrinsics, no nightly `portable_simd` — the offline shim toolchain
 //!   stays buildable everywhere.
-//! * **Deterministic parallelism.** Rayon parallelizes over `MC`-row
-//!   panels of C only. Each output row is always accumulated by exactly one
-//!   task in a **fixed order** — ascending k within a `KC` block, blocks in
-//!   ascending order, accumulator flushed into C once per block — so the
-//!   result is bit-identical regardless of thread count, pool width, or
-//!   whether the sequential or parallel dispatch ran. The embedding cache's
+//! * **Deterministic parallelism.** Rayon parallelizes over contiguous
+//!   row ranges of C only, in **one parallel region per call**: each worker
+//!   runs the whole block loop (packing included) over its own rows, so a
+//!   deep product never pays a region per depth block. Each output row is
+//!   always accumulated by exactly one task in a **fixed order** —
+//!   ascending k within a `KC` block, blocks in ascending order,
+//!   accumulator flushed into C once per block — so the result is
+//!   bit-identical regardless of thread count, pool width, or whether the
+//!   sequential or parallel dispatch ran. The embedding cache's
 //!   cached-vs-uncached bit-identity contract (DESIGN.md §8) rests on this:
 //!   a row's embedding must not depend on which batch, which thread, or
 //!   which panel position computed it.
@@ -42,14 +45,14 @@
 //!
 //! [`matmul_naive`]: crate::ops::matmul_naive
 
-use crate::ops::PAR_THRESHOLD;
+use crate::ops::PAR_MIN_WORK;
 use crate::Tensor;
 use rayon::prelude::*;
 use std::cell::Cell;
 
-/// Row-panel height: rows of C (and A) processed per parallel task. Kept
-/// small enough that medium batches still fan out across the pool, large
-/// enough that a panel's A rows (`MC×KC` floats ≈ 32 KiB) sit in L2.
+/// Row-panel height: rows of C (and A) swept across one packed B block
+/// before moving to the next, sized so a panel's A rows (`MC×KC` floats ≈
+/// 32 KiB) sit in L2.
 pub const MC: usize = 32;
 
 /// Depth block: k-extent of one packed B block (`KC×NR` floats ≈ 8 KiB per
@@ -71,20 +74,25 @@ pub const MR: usize = 4;
 /// statements are written for.
 pub const NR: usize = 8;
 
-/// Execution policy for the row-panel loop.
+/// Execution policy for the row split.
 ///
-/// [`Threading::Auto`] switches on output size (≥ [`PAR_THRESHOLD`]
-/// elements ⇒ parallel); the forced variants exist so the determinism
-/// regression tests can pin "sequential and parallel dispatch produce
-/// bit-identical results" directly instead of straddling the threshold
-/// with carefully sized inputs.
+/// [`Threading::Auto`] switches on work (`m·k·n` ≥ [`PAR_MIN_WORK`]
+/// multiply–adds, over at least `2·MC` rows ⇒ parallel): a region costs
+/// its thread spawns however little each thread is given, so the gate is
+/// the time there is to win, not the size of the output. The forced
+/// variants exist so the determinism regression tests can pin "sequential
+/// and parallel dispatch produce bit-identical results" directly instead
+/// of straddling the threshold with carefully sized inputs, and so a
+/// caller that already fans out itself (the convolution's sample blocks)
+/// can keep the engine from opening a region inside its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Threading {
-    /// Parallelize when the output has at least [`PAR_THRESHOLD`] elements.
+    /// Parallelize when the product has at least [`PAR_MIN_WORK`]
+    /// multiply–adds and `2·MC` rows.
     Auto,
-    /// Always run the row-panel loop on the calling thread.
+    /// Always run on the calling thread.
     Sequential,
-    /// Always dispatch row panels through the rayon pool.
+    /// Always split the rows across the rayon pool.
     Parallel,
 }
 
@@ -140,16 +148,7 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tensor {
     let (k2, n) = dims2(b, "matmul: B");
     assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2} differ");
     let mut out = vec![0.0f32; m * n];
-    gemm_driver(
-        m,
-        k,
-        n,
-        a.data(),
-        BSrc::Normal(b.data()),
-        Epilogue::None,
-        &mut out,
-        threading,
-    );
+    matmul_acc(m, k, n, a.data(), b.data(), &mut out, threading);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -165,17 +164,45 @@ pub fn matmul_transb_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tenso
     let (n, k2) = dims2(b, "matmul_transb: B");
     assert_eq!(k, k2, "matmul_transb: inner dimensions {k} vs {k2} differ");
     let mut out = vec![0.0f32; m * n];
-    gemm_driver(
-        m,
-        k,
-        n,
-        a.data(),
-        BSrc::Transposed(b.data()),
-        Epilogue::None,
-        &mut out,
-        threading,
-    );
+    matmul_transb_acc(m, k, n, a.data(), b.data(), &mut out, threading);
     Tensor::from_vec(out, &[m, n])
+}
+
+/// Slice-level `C += A × B` (`A` `[m, k]`, `B` `[k, n]`, `C` `[m, n]`, all
+/// row-major): the engine's accumulate-into-C flush made public, so a
+/// caller can seed `C` (a bias, an earlier partial sum) and write the
+/// product straight into a slice of a larger buffer — the convolution
+/// writes each sample's `[out_c, oh·ow]` block of the NCHW output this way.
+pub fn matmul_acc(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    threading: Threading,
+) {
+    assert_eq!(a.len(), m * k, "matmul_acc: A extent");
+    assert_eq!(b.len(), k * n, "matmul_acc: B extent");
+    assert_eq!(c.len(), m * n, "matmul_acc: C extent");
+    gemm_driver(m, k, n, a, BSrc::Normal(b), Epilogue::None, c, threading);
+}
+
+/// Slice-level `C += A × Bᵀ` (`B` stored `[n, k]`); see [`matmul_acc`].
+pub fn matmul_transb_acc(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    threading: Threading,
+) {
+    assert_eq!(a.len(), m * k, "matmul_transb_acc: A extent");
+    assert_eq!(b.len(), n * k, "matmul_transb_acc: B extent");
+    assert_eq!(c.len(), m * n, "matmul_transb_acc: C extent");
+    let b = BSrc::Transposed(b);
+    gemm_driver(m, k, n, a, b, Epilogue::None, c, threading);
 }
 
 /// Pairwise squared Euclidean distances `D[i,j] = ‖aᵢ − bⱼ‖²` between the
@@ -344,10 +371,10 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
     (t.shape()[0], t.shape()[1])
 }
 
-/// The block-loop driver: packs one `[KC×NC]` block of B at a time and
-/// sweeps it across every `MC`-row panel of C (in parallel when the output
-/// is large enough). The epilogue is handed to the macro-kernel only for
-/// the final depth block — every earlier block flushes plain.
+/// The dispatch driver: settles the degenerate shapes, decides from the
+/// work whether to split, and runs [`gemm_rows`] once on the calling thread
+/// or once per worker over contiguous row ranges — one parallel region per
+/// call, whatever the depth.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     m: usize,
@@ -387,13 +414,52 @@ fn gemm_driver(
     }
 
     let parallel = match threading {
-        Threading::Auto => m * n >= PAR_THRESHOLD,
+        // Enough work to win back a region, and enough rows that the
+        // workers' private repacks of B (`k·n` each) stay small beside
+        // their `rows·k·n` of arithmetic. An eight-row product eight
+        // thousand deep is all repack: splitting it doubles the cost.
+        Threading::Auto => m * k * n >= PAR_MIN_WORK && m >= 2 * MC,
         Threading::Sequential => false,
         Threading::Parallel => true,
     };
+    // Rows per worker, in whole register tiles. Where a row lands — which
+    // worker, which panel, interior tile or tail — never changes its bits,
+    // so the split is free to follow the pool width.
+    let rows_per_task = if parallel {
+        m.div_ceil(rayon::current_num_threads())
+            .next_multiple_of(MR)
+    } else {
+        m
+    };
+    if rows_per_task >= m {
+        gemm_rows(k, n, a, 0, b, epilogue, out);
+    } else {
+        out.par_chunks_mut(rows_per_task * n)
+            .enumerate()
+            .for_each(|(ti, c_rows)| {
+                gemm_rows(k, n, a, ti * rows_per_task, b, epilogue, c_rows);
+            });
+    }
+}
+
+/// The block loop over the C rows `row_base ..` held in `c_rows`: packs one
+/// `[KC×NC]` block of B at a time into this thread's scratch and sweeps it
+/// across every `MC`-row panel. The epilogue is handed to the macro-kernel
+/// only for the final depth block — every earlier block flushes plain.
+/// Parallel workers each pack for themselves: the copy is `k·n` against
+/// `rows·k·n` multiply–adds, and it buys a region per call instead of one
+/// per block.
+fn gemm_rows(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    row_base: usize,
+    b: BSrc<'_>,
+    epilogue: Epilogue<'_>,
+    c_rows: &mut [f32],
+) {
     let k_blocks = k.div_ceil(KC);
     let mut packed = PACK_B.with(Cell::take);
-
     let mut jc = 0;
     while jc < n {
         let nc_b = NC.min(n - jc);
@@ -407,14 +473,9 @@ fn gemm_driver(
             } else {
                 Epilogue::None
             };
-            let run_panel = |(pi, c_panel): (usize, &mut [f32])| {
-                let row0 = pi * MC;
+            for (pi, c_panel) in c_rows.chunks_mut(MC * n).enumerate() {
+                let row0 = row_base + pi * MC;
                 macro_kernel(a, k, row0, c_panel, n, &packed, kc_b, pc, jc, nc_b, ep);
-            };
-            if parallel {
-                out.par_chunks_mut(MC * n).enumerate().for_each(run_panel);
-            } else {
-                out.chunks_mut(MC * n).enumerate().for_each(run_panel);
             }
         }
         jc += NC;
@@ -438,17 +499,29 @@ fn pack_b(
     packed: &mut Vec<f32>,
 ) {
     let panels = nc_b.div_ceil(NR);
-    packed.clear();
+    // Every lane of a full panel is overwritten below, so only the edge
+    // panel's padding needs zeroing — no sweep over the whole block.
     packed.resize(panels * kc_b * NR, 0.0);
     for t in 0..panels {
         let j0 = jc + t * NR;
         let jw = NR.min(jc + nc_b - j0);
         let dst_panel = &mut packed[t * kc_b * NR..(t + 1) * kc_b * NR];
+        if jw < NR {
+            dst_panel.fill(0.0);
+        }
         match b {
+            BSrc::Normal(bd) if jw == NR => {
+                // Fixed-width rows: each copy is one vector move, not a
+                // `memcpy` call sized at run time.
+                for (p, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
+                    let off = (pc + p) * n + j0;
+                    dst.copy_from_slice(&bd[off..off + NR]);
+                }
+            }
             BSrc::Normal(bd) => {
                 for (p, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
-                    let src = &bd[(pc + p) * n + j0..(pc + p) * n + j0 + jw];
-                    dst[..jw].copy_from_slice(src);
+                    let off = (pc + p) * n + j0;
+                    dst[..jw].copy_from_slice(&bd[off..off + jw]);
                 }
             }
             BSrc::Transposed(bd) => {
@@ -471,7 +544,11 @@ fn pack_b(
 /// row tail — both accumulating each output row in the identical order
 /// (ascending k, accumulator flushed once), so tile position never
 /// changes a row's floating-point result.
+// `inline(never)`: folded into `gemm_rows`' block loop, the micro-kernels
+// lose their SLP vectorization (measured 4 GFLOP/s against 50) — the
+// kernel CI floor in `benches/kernels.rs` is the guard.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn macro_kernel(
     a: &[f32],
     k: usize,

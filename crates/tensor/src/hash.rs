@@ -26,7 +26,7 @@ use rayon::prelude::*;
 
 /// Rows-×-width threshold above which [`row_hashes`] hashes rows on the
 /// rayon pool (same "measure before parallelizing" rule as
-/// [`ops::PAR_THRESHOLD`](crate::ops::PAR_THRESHOLD)).
+/// [`ops::PAR_MIN_WORK`](crate::ops::PAR_MIN_WORK)).
 const PAR_HASH_THRESHOLD: usize = 64 * 1024;
 
 #[inline]

@@ -8,9 +8,10 @@
 //! [`crate::gemm`]; the pre-engine row loop survives as [`matmul_naive`],
 //! the reference that tests and the kernel CI bench compare against.
 //!
-//! Parallel kernels switch to a sequential loop below [`PAR_THRESHOLD`]
-//! output elements, where thread-pool overhead would dominate — the
-//! "measure before parallelizing" advice from the bundled perf guides.
+//! Parallel kernels stay on the calling thread below [`PAR_MIN_WORK`]
+//! multiply–adds, where the cost of opening a parallel region would
+//! dominate — the "measure before parallelizing" advice from the bundled
+//! perf guides.
 
 use crate::Tensor;
 
@@ -18,8 +19,17 @@ pub use crate::gemm::{
     matmul, matmul_transa, matmul_transb, matmul_transb_bias, matvec, sq_dist_into, sq_dist_matrix,
 };
 
-/// Minimum number of output elements before a kernel uses the rayon pool.
-pub const PAR_THRESHOLD: usize = 16 * 1024;
+/// Minimum work, in multiply–adds (`m·k·n` for a GEMM), before a kernel
+/// opens a parallel region. The rayon shim's region is an OS-thread spawn
+/// per worker — 70–120 µs for two on the 2-vCPU reference box
+/// (`rayon/empty_region` in `results/BENCH_kernels.json`), whose second
+/// vCPU returns 1.1–1.3× on vector code — and one core retires 10–25
+/// multiply–adds per nanosecond, so ~16 M (≈ 0.7–1.5 ms sequential) is
+/// where a split stops being able to lose there, and is a clear win on
+/// two real cores. Work, not output size: a `[144×8192]·[8192×8]` product
+/// has 1,152 outputs and 9.4 M multiply–adds, a `[144×8]·[8×256]` one
+/// 36,864 outputs and 0.3 M.
+pub const PAR_MIN_WORK: usize = 1 << 24;
 
 /// Outer product `A = x ⊗ y` (`[m] × [n] → [m,n]`).
 pub fn outer(x: &Tensor, y: &Tensor) -> Tensor {
@@ -203,10 +213,11 @@ mod tests {
 
     #[test]
     fn large_matmul_uses_parallel_path_and_matches() {
-        // 256x256 output exceeds PAR_THRESHOLD, exercising the rayon branch.
+        // 256³ = 16 M multiply–adds reaches PAR_MIN_WORK, exercising the
+        // rayon branch.
         let mut rng = TensorRng::seeded(42);
-        let a = rng.uniform(&[256, 32], -1.0, 1.0);
-        let b = rng.uniform(&[32, 256], -1.0, 1.0);
+        let a = rng.uniform(&[256, 256], -1.0, 1.0);
+        let b = rng.uniform(&[256, 256], -1.0, 1.0);
         assert!(allclose_rel(
             &matmul(&a, &b),
             &matmul_naive(&a, &b),
