@@ -9,18 +9,29 @@
 //! paths **interleaved and paired** on the same single-row queries so
 //! scheduler jitter hits both series alike.
 //!
-//! CI gates on the top swept size: routed p50 must be ≥3× below brute
-//! p50. Results land machine-readably in
-//! `results/BENCH_scale_store.json` — per-size p50/p99 for both paths,
-//! the speedup factors, and the fraction of candidate rows the pruning
-//! actually eliminated.
+//! Every size is measured on two stores: one **built** in one pass (the
+//! first read decodes and partitions the whole store) and one **grown**
+//! from half that size by 64-document ingests with a routed read after
+//! each, so that half its rows reached the index as deltas from the
+//! store's change log. The first read after each ingest is the
+//! `refresh_after_ingest_64` series: what a write costs the next reader.
+//!
+//! CI gates: bit-equality on both stores at every size; at the top swept
+//! size routed p50 ≥3× below brute p50 on both stores; and the refresh
+//! p50 at the top size at most [`REFRESH_GROWTH_BOUND`]× the refresh p50
+//! at the smallest, a hundredth of its documents (the refresh is O(batch);
+//! one that re-read the store would grow a hundredfold). Results land
+//! machine-readably in `results/BENCH_scale_store.json` — per-size
+//! p50/p99 for both paths, the speedup factors, the refresh series, and
+//! the fraction of candidate rows the pruning actually eliminated.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fairdms_bench::report::BenchReport;
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
-use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig};
+use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig, SystemSnapshot};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Embedding width. Identity embedder: the bench measures the *read
@@ -37,6 +48,19 @@ const QUERIES: usize = 48;
 /// probe, snapshot hop) that both paths pay identically.
 const BATCH: usize = 256;
 const BATCH_ITERS: usize = 40;
+/// Documents per ingest while a store is grown through deltas — the
+/// `scan_update` loop's `UpdateModel` batch.
+const REFRESH_BATCH: usize = 64;
+/// How much dearer a refresh may be at the largest swept size than at the
+/// smallest. Not 1: the 10³ store's clusters are below `min_cluster_rows`,
+/// so its refresh appends to fifteen small blocks, while each row of a
+/// partitioned store also finds its ball (a scan of the cluster's ball
+/// centers), copies that ball once (the previous index still shares it)
+/// and pays its share of a ball re-split per 64 rows — a per-row constant
+/// measured 4–9× higher (the 10³ median rests on eight refreshes), that
+/// grows another 1.5× from 10⁴ to 10⁵. A refresh that re-read the store
+/// would cost a hundred times more at the top.
+const REFRESH_GROWTH_BOUND: f64 = 15.0;
 
 #[derive(Clone)]
 struct PassthroughEmbedder;
@@ -88,9 +112,17 @@ fn blob_rows(n: usize, seed: u64) -> Tensor {
     Tensor::from_vec(data, &[n, DIM])
 }
 
-/// A fairDS with `n` labeled documents ingested through the normal write
-/// path (embed → route → store), so stored cluster assignments are the
-/// coarse quantizer's own.
+/// Ingests `rows` labeled documents through the normal write path (embed
+/// → route → store), so stored cluster assignments are the coarse
+/// quantizer's own. Labels continue from the store's current size.
+fn ingest(ds: &mut FairDS, rows: usize, seed: u64) {
+    let have = ds.store().len();
+    let x = blob_rows(rows, seed.wrapping_add(have as u64));
+    let labels: Vec<f32> = (0..rows * 2).map(|i| (have + i) as f32).collect();
+    ds.ingest_labeled(&x, &Tensor::from_vec(labels, &[rows, 2]), have);
+}
+
+/// A fairDS with `n` labeled documents, ingested in a few large chunks.
 fn populated_fairds(n: usize, seed: u64) -> FairDS {
     let mut ds = FairDS::in_memory(
         Box::new(PassthroughEmbedder),
@@ -101,16 +133,149 @@ fn populated_fairds(n: usize, seed: u64) -> FairDS {
         },
     );
     ds.train_system(&blob_rows(2048, seed ^ 0xA5), &EmbedTrainConfig::default());
-    let mut inserted = 0;
-    while inserted < n {
-        let chunk = (n - inserted).min(25_000);
-        let x = blob_rows(chunk, seed.wrapping_add(inserted as u64));
-        let labels: Vec<f32> = (0..chunk * 2).map(|i| (inserted + i) as f32).collect();
-        let y = Tensor::from_vec(labels, &[chunk, 2]);
-        ds.ingest_labeled(&x, &y, inserted);
-        inserted += chunk;
+    while ds.store().len() < n {
+        let chunk = (n - ds.store().len()).min(25_000);
+        ingest(&mut ds, chunk, seed);
     }
     ds
+}
+
+/// The routed and the brute view of one store.
+fn views(ds: &mut FairDS) -> (Arc<SystemSnapshot>, Arc<SystemSnapshot>) {
+    ds.configure_read_index(ReadIndexConfig::default());
+    let routed = ds.snapshot().expect("trained");
+    ds.configure_read_index(ReadIndexConfig {
+        enabled: false,
+        ..ReadIndexConfig::default()
+    });
+    (routed, ds.snapshot().expect("trained"))
+}
+
+/// Checks `routed` == `brute` to the bit on their store and times the two
+/// paths interleaved; series and metrics are recorded under `tag`. Returns
+/// the batched speedup (brute p50 / routed p50).
+fn measure(
+    report: &mut BenchReport,
+    routed: &SystemSnapshot,
+    brute: &SystemSnapshot,
+    tag: &str,
+) -> f64 {
+    let n = routed.store().len();
+    let queries = blob_rows(QUERIES, 9_000 + n as u64);
+    let rows: Vec<Tensor> = (0..QUERIES)
+        .map(|i| Tensor::from_vec(queries.row(i).to_vec(), &[1, DIM]))
+        .collect();
+
+    // Correctness first: routing must be invisible. (Also warms both
+    // snapshots' index + embed caches so the timed loop measures
+    // steady-state reads, not the one-off index build.)
+    let rh = routed.nearest_labeled(&queries);
+    let bh = brute.nearest_labeled(&queries);
+    assert_eq!(rh.len(), bh.len());
+    for (i, (r, b)) in rh.iter().zip(&bh).enumerate() {
+        let (rd, rdoc) = r.as_ref().expect("dense labeled store always hits");
+        let (bd, bdoc) = b.as_ref().expect("dense labeled store always hits");
+        assert_eq!(
+            rd.to_bits(),
+            bd.to_bits(),
+            "query {i} at {tag}: routed distance diverged from brute"
+        );
+        assert_eq!(
+            rdoc, bdoc,
+            "query {i} at {tag}: routed winner diverged from brute"
+        );
+    }
+
+    // Paired single-row reads, brute leg then routed leg, counters
+    // diffed around the routed legs only.
+    let counters = routed.read_index_counters();
+    let scanned0 = counters.candidates_scanned();
+    let pruned0 = counters.balls_pruned();
+    let probes0 = counters.probes();
+    let mut brute_lat = Vec::with_capacity(QUERIES);
+    let mut routed_lat = Vec::with_capacity(QUERIES);
+    for q in &rows {
+        let t0 = Instant::now();
+        black_box(brute.nearest_labeled(q));
+        brute_lat.push(t0.elapsed());
+        let t1 = Instant::now();
+        black_box(routed.nearest_labeled(q));
+        routed_lat.push(t1.elapsed());
+    }
+    let probes = counters.probes() - probes0;
+    let scanned = counters.candidates_scanned() - scanned0;
+    let pruned = counters.balls_pruned() - pruned0;
+    // Brute work for the same probes is ~rows-per-cluster each; the
+    // scanned fraction is what pruning + margin refinement left over.
+    let brute_rows = probes as f64 * (n as f64 / K as f64);
+    let scanned_fraction = scanned as f64 / brute_rows.max(1.0);
+
+    // The gated series: whole-batch reads, brute leg then routed leg.
+    let batch = blob_rows(BATCH, 77_000 + n as u64);
+    let mut brute_batch = Vec::with_capacity(BATCH_ITERS);
+    let mut routed_batch = Vec::with_capacity(BATCH_ITERS);
+    for _ in 0..BATCH_ITERS {
+        let t0 = Instant::now();
+        black_box(brute.nearest_labeled(&batch));
+        brute_batch.push(t0.elapsed());
+        let t1 = Instant::now();
+        black_box(routed.nearest_labeled(&batch));
+        routed_batch.push(t1.elapsed());
+    }
+
+    let bs = report.add_series(&format!("nearest_labeled/one/brute/{tag}"), &brute_lat);
+    let (bp50, bthr) = (bs.p50, bs.inv_mean_latency);
+    let rs = report.add_series(&format!("nearest_labeled/one/routed/{tag}"), &routed_lat);
+    let one_speedup = bp50.as_secs_f64() / rs.p50.as_secs_f64().max(1e-12);
+    let (rp50, rthr) = (rs.p50, rs.inv_mean_latency);
+    let bbs = report.add_series(&format!("nearest_labeled/batch/brute/{tag}"), &brute_batch);
+    let (bbp50, bbthr) = (bbs.p50, bbs.inv_mean_latency);
+    let rbs = report.add_series(
+        &format!("nearest_labeled/batch/routed/{tag}"),
+        &routed_batch,
+    );
+    let speedup = bbp50.as_secs_f64() / rbs.p50.as_secs_f64().max(1e-12);
+    println!(
+        "{tag:>13}  one: brute p50 {bp50:>9.2?} ({bthr:>6.0}/s) routed p50 {rp50:>9.2?} \
+         ({rthr:>6.0}/s) {one_speedup:>4.1}x | batch{BATCH}: brute p50 {bbp50:>9.2?} \
+         ({bbthr:>5.0}/s) routed p50 {:>9.2?} ({:>5.0}/s) {speedup:>4.1}x | \
+         scanned {:.2}% of brute rows, {pruned} balls pruned",
+        rbs.p50,
+        rbs.inv_mean_latency,
+        scanned_fraction * 100.0,
+    );
+    report.add_metric(&format!("speedup_single_{tag}"), one_speedup);
+    report.add_metric(&format!("speedup_batch_{tag}"), speedup);
+    report.add_metric(&format!("scanned_fraction_{tag}"), scanned_fraction);
+    report.add_metric(&format!("pruned_fraction_{tag}"), 1.0 - scanned_fraction);
+    report.add_metric(&format!("balls_pruned_{tag}"), pruned as f64);
+    speedup
+}
+
+/// Views of a store of `n` documents whose second half arrived in
+/// [`REFRESH_BATCH`]-document ingests, each followed by one read of the
+/// routed view — the read that brings its index up to date, timed. The
+/// brute view has not read yet.
+fn grown_views(n: usize, seed: u64) -> (Arc<SystemSnapshot>, Arc<SystemSnapshot>, Vec<Duration>) {
+    let mut ds = populated_fairds(n / 2, seed);
+    let (routed, brute) = views(&mut ds);
+    let query = blob_rows(1, 5_000 + n as u64);
+    black_box(routed.nearest_labeled(&query));
+    let decoded = ds.read_index_counters().rows_decoded();
+    let mut refresh = Vec::new();
+    while ds.store().len() < n {
+        let batch = REFRESH_BATCH.min(n - ds.store().len());
+        ingest(&mut ds, batch, seed ^ 0x64);
+        let t = Instant::now();
+        black_box(routed.nearest_labeled(&query));
+        refresh.push(t.elapsed());
+    }
+    assert_eq!(
+        ds.read_index_counters().rows_decoded() - decoded,
+        (n - n / 2) as u64,
+        "the routed index must have grown through deltas, not rebuilds"
+    );
+    (routed, brute, refresh)
 }
 
 fn bench_scale_store(_c: &mut Criterion) {
@@ -118,119 +283,57 @@ fn bench_scale_store(_c: &mut Criterion) {
     if std::env::var("SCALE_STORE_FULL").is_ok_and(|v| v == "1") {
         sizes.push(1_000_000);
     }
-    let top = *sizes.last().expect("non-empty sweep");
+    let (bottom, top) = (sizes[0], *sizes.last().expect("non-empty sweep"));
 
     let mut report = BenchReport::new();
-    let mut top_speedup = 0.0f64;
+    let mut top_speedups = (0.0f64, 0.0f64);
+    let mut refresh_p50 = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        let mut ds = populated_fairds(n, 42);
-        let routed = ds.snapshot().expect("trained");
-        ds.configure_read_index(ReadIndexConfig {
-            enabled: false,
-            ..ReadIndexConfig::default()
-        });
-        let brute = ds.snapshot().expect("trained");
-
-        let queries = blob_rows(QUERIES, 9_000 + n as u64);
-        let rows: Vec<Tensor> = (0..QUERIES)
-            .map(|i| Tensor::from_vec(queries.row(i).to_vec(), &[1, DIM]))
-            .collect();
-
-        // Correctness first: routing must be invisible. (Also warms both
-        // snapshots' index + embed caches so the timed loop measures
-        // steady-state reads, not the one-off index build.)
-        let rh = routed.nearest_labeled(&queries);
-        let bh = brute.nearest_labeled(&queries);
-        assert_eq!(rh.len(), bh.len());
-        for (i, (r, b)) in rh.iter().zip(&bh).enumerate() {
-            let (rd, rdoc) = r.as_ref().expect("dense labeled store always hits");
-            let (bd, bdoc) = b.as_ref().expect("dense labeled store always hits");
-            assert_eq!(
-                rd.to_bits(),
-                bd.to_bits(),
-                "query {i} at n={n}: routed distance diverged from brute"
-            );
-            assert_eq!(
-                rdoc.get_f32s("embedding"),
-                bdoc.get_f32s("embedding"),
-                "query {i} at n={n}: routed winner diverged from brute"
-            );
-        }
-
-        // Paired single-row reads, brute leg then routed leg, counters
-        // diffed around the routed legs only.
-        let counters = ds.read_index_counters();
-        let scanned0 = counters.candidates_scanned();
-        let pruned0 = counters.balls_pruned();
-        let probes0 = counters.probes();
-        let mut brute_lat = Vec::with_capacity(QUERIES);
-        let mut routed_lat = Vec::with_capacity(QUERIES);
-        for q in &rows {
-            let t0 = Instant::now();
-            black_box(brute.nearest_labeled(q));
-            brute_lat.push(t0.elapsed());
-            let t1 = Instant::now();
-            black_box(routed.nearest_labeled(q));
-            routed_lat.push(t1.elapsed());
-        }
-        let probes = counters.probes() - probes0;
-        let scanned = counters.candidates_scanned() - scanned0;
-        let pruned = counters.balls_pruned() - pruned0;
-        // Brute work for the same probes is ~rows-per-cluster each; the
-        // scanned fraction is what pruning + margin refinement left over.
-        let brute_rows = probes as f64 * (n as f64 / K as f64);
-        let scanned_fraction = scanned as f64 / brute_rows.max(1.0);
-
-        // The gated series: whole-batch reads, brute leg then routed leg.
-        let batch = blob_rows(BATCH, 77_000 + n as u64);
-        let mut brute_batch = Vec::with_capacity(BATCH_ITERS);
-        let mut routed_batch = Vec::with_capacity(BATCH_ITERS);
-        for _ in 0..BATCH_ITERS {
-            let t0 = Instant::now();
-            black_box(brute.nearest_labeled(&batch));
-            brute_batch.push(t0.elapsed());
-            let t1 = Instant::now();
-            black_box(routed.nearest_labeled(&batch));
-            routed_batch.push(t1.elapsed());
-        }
-
-        let bs = report.add_series(&format!("nearest_labeled/one/brute/{n}"), &brute_lat);
-        let (bp50, bthr) = (bs.p50, bs.inv_mean_latency);
-        let rs = report.add_series(&format!("nearest_labeled/one/routed/{n}"), &routed_lat);
-        let one_speedup = bp50.as_secs_f64() / rs.p50.as_secs_f64().max(1e-12);
-        let (rp50, rthr) = (rs.p50, rs.inv_mean_latency);
-        let bbs = report.add_series(&format!("nearest_labeled/batch/brute/{n}"), &brute_batch);
-        let (bbp50, bbthr) = (bbs.p50, bbs.inv_mean_latency);
-        let rbs = report.add_series(&format!("nearest_labeled/batch/routed/{n}"), &routed_batch);
-        let speedup = bbp50.as_secs_f64() / rbs.p50.as_secs_f64().max(1e-12);
-        println!(
-            "n={n:>7}  one: brute p50 {bp50:>9.2?} ({bthr:>6.0}/s) routed p50 {rp50:>9.2?} \
-             ({rthr:>6.0}/s) {one_speedup:>4.1}x | batch{BATCH}: brute p50 {bbp50:>9.2?} \
-             ({bbthr:>5.0}/s) routed p50 {:>9.2?} ({:>5.0}/s) {speedup:>4.1}x | \
-             scanned {:.2}% of brute rows, {pruned} balls pruned",
-            rbs.p50,
-            rbs.inv_mean_latency,
-            scanned_fraction * 100.0,
+        let (routed, brute) = views(&mut populated_fairds(n, 42));
+        let built = measure(&mut report, &routed, &brute, &format!("{n}"));
+        let (routed, brute, refresh) = grown_views(n, 42);
+        let grown = measure(&mut report, &routed, &brute, &format!("{n}_grown"));
+        let rs = report.add_series(
+            &format!("refresh_after_ingest_{REFRESH_BATCH}/{n}"),
+            &refresh,
         );
-        report.add_metric(&format!("speedup_single_{n}"), one_speedup);
-        report.add_metric(&format!("speedup_batch_{n}"), speedup);
-        report.add_metric(&format!("scanned_fraction_{n}"), scanned_fraction);
-        report.add_metric(&format!("pruned_fraction_{n}"), 1.0 - scanned_fraction);
-        report.add_metric(&format!("balls_pruned_{n}"), pruned as f64);
+        println!(
+            "{:>13}  refresh after a {REFRESH_BATCH}-doc ingest: p50 {:>9.2?} p99 {:>9.2?} \
+             ({} refreshes)",
+            format!("{n}_grown"),
+            rs.p50,
+            rs.p99,
+            refresh.len()
+        );
+        refresh_p50.push(rs.p50.as_secs_f64());
         if n == top {
-            top_speedup = speedup;
+            top_speedups = (built, grown);
         }
     }
 
+    let (small, large) = (refresh_p50[0], refresh_p50[refresh_p50.len() - 1]);
+    report.add_metric("refresh_growth_top_vs_bottom", large / small);
     let path = report.write("scale_store");
     println!("wrote {}", path.display());
 
-    // The CI gate: at the largest swept store, batched routed reads must
-    // be at least 3x below the brute scan at the median.
+    // The CI gates. At the largest swept store, batched routed reads must
+    // be at least 3x below the brute scan at the median, whether the store
+    // was built in one pass or grown through deltas.
+    for (how, speedup) in [("built", top_speedups.0), ("grown", top_speedups.1)] {
+        assert!(
+            speedup >= 3.0,
+            "batched routed reads must be >=3x faster than brute at n={top} ({how}; \
+             measured {speedup:.1}x)"
+        );
+    }
+    // And bringing the index up to date after an ingest must not grow with
+    // the store.
     assert!(
-        top_speedup >= 3.0,
-        "batched routed reads must be >=3x faster than brute at n={top} \
-         (measured {top_speedup:.1}x)"
+        large <= REFRESH_GROWTH_BOUND * small,
+        "refresh after a {REFRESH_BATCH}-doc ingest must not grow with the store: \
+         {:.0} us at n={top} vs {:.0} us at n={bottom}",
+        large * 1e6,
+        small * 1e6
     );
 }
 

@@ -7,7 +7,7 @@
 
 use fairdms_tensor::gemm::Threading;
 use fairdms_tensor::{
-    ops::{row_sq_norms, sq_dist, sq_dist_into},
+    ops::{row_sq_norms, sq_dist, sq_dist_into, PAR_MIN_WORK},
     rng::TensorRng,
     Tensor,
 };
@@ -263,15 +263,26 @@ thread_local! {
 /// — precisely the answer the scalar [`nearest_center`] scan produces.
 /// Assignments are therefore identical on both paths, for fitting and
 /// prediction alike; only the cost changes.
+///
+/// The per-row passes open a parallel region only from [`PAR_MIN_WORK`]
+/// multiply–adds up (the GEMM gates itself the same way): a small batch —
+/// a read's few frames, a ball being re-split — costs less than the
+/// region would.
 fn assign_parallel(data: &Tensor, centers: &Tensor, out: &mut [usize]) {
     let d = data.shape()[1];
     let n = data.shape()[0];
     let k = centers.shape()[0];
     let raw = data.data();
+    let per_row = |out: &mut [usize], f: &(dyn Fn(usize) -> usize + Sync)| {
+        if n * k * d < PAR_MIN_WORK {
+            out.iter_mut().enumerate().for_each(|(i, a)| *a = f(i));
+        } else {
+            out.par_iter_mut().enumerate().for_each(|(i, a)| *a = f(i));
+        }
+    };
     if n * k < BATCH_ASSIGN_MIN || d == 0 {
-        out.par_iter_mut().enumerate().for_each(|(i, a)| {
-            let row = &raw[i * d..(i + 1) * d];
-            *a = nearest_center(row, centers).0;
+        per_row(out, &|i| {
+            nearest_center(&raw[i * d..(i + 1) * d], centers).0
         });
         return;
     }
@@ -291,13 +302,10 @@ fn assign_parallel(data: &Tensor, centers: &Tensor, out: &mut [usize]) {
         &mut dist,
         Threading::Auto,
     );
-    {
-        let dist = &dist;
-        out.par_iter_mut().enumerate().for_each(|(i, a)| {
-            let row = &raw[i * d..(i + 1) * d];
-            *a = refine_nearest(&dist[i * k..(i + 1) * k], dn[i], &cn, row, centers);
-        });
-    }
+    per_row(out, &|i| {
+        let row = &raw[i * d..(i + 1) * d];
+        refine_nearest(&dist[i * k..(i + 1) * k], dn[i], &cn, row, centers)
+    });
     ASSIGN_DIST.with(|c| c.set(dist));
 }
 
@@ -336,11 +344,14 @@ fn refine_nearest(drow: &[f32], qn: f32, cn: &[f32], row: &[f32], centers: &Tens
 pub fn wss(data: &Tensor, centers: &Tensor, assignments: &[usize]) -> f32 {
     let d = data.shape()[1];
     let raw = data.data();
-    assignments
-        .par_iter()
-        .enumerate()
-        .map(|(i, &a)| sq_dist(&raw[i * d..(i + 1) * d], centers.row(a)))
-        .sum()
+    let err = |(i, &a): (usize, &usize)| sq_dist(&raw[i * d..(i + 1) * d], centers.row(a));
+    // Both arms add the terms in index order, so the sum's bits do not
+    // depend on which one ran.
+    if assignments.len() * d < PAR_MIN_WORK {
+        assignments.iter().enumerate().map(err).sum()
+    } else {
+        assignments.par_iter().enumerate().map(err).sum()
+    }
 }
 
 /// The point with maximum distance to its assigned center (used to reseed

@@ -26,7 +26,7 @@ pub use fuzzy::{certainty, certainty_with_fuzzifier, memberships};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use metrics::{davies_bouldin, silhouette};
 pub use minibatch::{fit_minibatch, MiniBatchConfig};
-pub use partition::{partition_balls, Ball, BallPartitionConfig};
+pub use partition::{inflated_radius, partition_balls, Ball, BallPartitionConfig};
 
 /// Normalizes a histogram of cluster counts into a probability distribution.
 ///

@@ -25,6 +25,15 @@ const RADIUS_SLACK_REL: f32 = 1e-3;
 /// Absolute radius inflation floor (rows coincident with the center).
 const RADIUS_SLACK_ABS: f32 = 1e-6;
 
+/// The radius a ball needs to cover a member at exact distance
+/// `member_dist` from its center: inflated so the triangle-inequality
+/// bound survives f32 rounding. The builder applies it to the farthest
+/// member; a caller that adds a row to an existing ball widens the radius
+/// to at least this.
+pub fn inflated_radius(member_dist: f32) -> f32 {
+    member_dist * (1.0 + RADIUS_SLACK_REL) + RADIUS_SLACK_ABS
+}
+
 /// Ball-partition hyperparameters.
 #[derive(Clone, Debug)]
 pub struct BallPartitionConfig {
@@ -37,6 +46,14 @@ pub struct BallPartitionConfig {
     /// Seed for the mini-batch fits (derived per recursive split, so the
     /// whole partition is a pure function of `(data, config)`).
     pub seed: u64,
+}
+
+impl BallPartitionConfig {
+    /// The leaf rule: a group of at most this many rows is emitted as one
+    /// ball instead of being split further.
+    pub fn leaf_rows(&self) -> usize {
+        2 * self.target
+    }
 }
 
 impl Default for BallPartitionConfig {
@@ -96,7 +113,7 @@ fn split(
     out: &mut Vec<Ball>,
 ) {
     let n = rows.len();
-    if n <= 2 * cfg.target || depth >= cfg.max_depth {
+    if n <= cfg.leaf_rows() || depth >= cfg.max_depth {
         out.push(make_ball(data, d, rows));
         return;
     }
@@ -157,7 +174,7 @@ fn make_ball(data: &[f32], d: usize, rows: Vec<usize>) -> Ball {
     Ball {
         members: rows,
         center,
-        radius: max_d * (1.0 + RADIUS_SLACK_REL) + RADIUS_SLACK_ABS,
+        radius: inflated_radius(max_d),
     }
 }
 

@@ -34,7 +34,8 @@ use crate::embedding::{EmbedTrainConfig, Embedder};
 use crate::reuse::{EmbedCache, EmbedCacheConfig};
 use fairdms_clustering::kmeans::normed_margin;
 use fairdms_clustering::{
-    assignments_to_pdf, elbow, fuzzy, partition_balls, BallPartitionConfig, KMeans, KMeansConfig,
+    assignments_to_pdf, elbow, fuzzy, inflated_radius, partition_balls, BallPartitionConfig,
+    KMeans, KMeansConfig,
 };
 use fairdms_datastore::{Collection, DocId, Document, RawCodec};
 use fairdms_nn::trainer::TrainControl;
@@ -47,6 +48,7 @@ use fairdms_tensor::{
 };
 use parking_lot::RwLock;
 use rayon::prelude::*;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,6 +125,7 @@ pub struct ReadIndexCounters {
     probes: AtomicU64,
     balls_pruned: AtomicU64,
     candidates_scanned: AtomicU64,
+    rows_decoded: AtomicU64,
 }
 
 impl ReadIndexCounters {
@@ -147,6 +150,12 @@ impl ReadIndexCounters {
     /// Rows that reached the exact-refine scan, summed over probes.
     pub fn candidates_scanned(&self) -> u64 {
         self.candidates_scanned.load(Ordering::Relaxed)
+    }
+
+    /// Store documents decoded to build the read index or bring it up to
+    /// date — the work a store mutation costs the next routed read.
+    pub fn rows_decoded(&self) -> u64 {
+        self.rows_decoded.load(Ordering::Relaxed)
     }
 }
 
@@ -184,149 +193,95 @@ struct MembershipIndex {
     all_ids: Vec<DocId>,
 }
 
-/// Decoded rows of one store shard at one shard revision — the unit of
-/// incremental index rebuild. Rows are ascending by id; only documents
-/// carrying an `embedding` of the snapshot's width are kept.
-struct ShardRows {
-    /// The shard's [`Collection::shard_revisions`] entry observed before
-    /// decoding. A later rebuild reuses this decode verbatim (`Arc` clone,
-    /// zero document reads) while the entry is unchanged.
-    revision: u64,
-    docs: Vec<ShardDoc>,
-}
-
-/// One decoded document row inside [`ShardRows`].
-struct ShardDoc {
-    id: DocId,
-    /// The stored cluster id (`-1` when the document carries none).
-    cluster: i64,
-    emb: Vec<f32>,
-    label: Option<Vec<f32>>,
-}
-
-/// Per-cluster cached embeddings (and labels) at one revision: one
-/// *sharded* decode pass over the store, after which nearest-neighbour
-/// reads never touch (or decode) stored documents until the best match is
-/// known. Two-level IVF (DESIGN.md §12): the k-means plane routes a query
-/// to a cluster, and large clusters carry a ball sub-partition that the
-/// triangle inequality prunes — exactly, results stay bit-identical to
-/// the brute per-cluster scan.
+/// Per-cluster cached embeddings (and labels) at one revision, so that
+/// nearest-neighbour reads never touch (or decode) stored documents until
+/// the best match is known. Two-level IVF (DESIGN.md §12): the k-means
+/// plane routes a query to a cluster, and large clusters carry a ball
+/// sub-partition that the triangle inequality prunes — exactly, results
+/// stay bit-identical to the brute per-cluster scan.
+///
+/// Built once by decoding the whole store, then kept current from the
+/// store's change log: the index of the next revision shares every
+/// cluster and ball the logged mutations did not touch.
 struct EmbeddingIndex {
     revision: u64,
-    /// Per-shard decodes, reusable across rebuilds while the shard's
-    /// revision holds still.
-    shards: Vec<Arc<ShardRows>>,
+    /// Every indexed id is below this, so a changed id at or above it is a
+    /// new row — the ingest case, which appends instead of rebuilding.
+    end_id: DocId,
     clusters: Vec<Arc<ClusterEmbeddings>>,
 }
 
-/// One ball of a cluster's sub-partition: member rows (indices into the
-/// cluster's embedding matrix, ascending), a conservative radius around
-/// the ball center (stored flattened in
-/// [`ClusterEmbeddings::ball_centers`]), and whether any member carries a
-/// label (the eligibility bit for label-donating searches).
-struct IndexBall {
-    members: Vec<usize>,
-    radius: f32,
-    labeled: bool,
+/// One store document as the index keeps it.
+struct IndexRow {
+    id: DocId,
+    cluster: usize,
+    emb: Vec<f32>,
+    label: Option<Arc<[f32]>>,
 }
 
-/// The embedding cache of one cluster. Rows are documents that carry an
-/// `embedding` field of the snapshot's embedding width, ascending by id
-/// (the deterministic tie order of the brute scan).
-struct ClusterEmbeddings {
+/// A dense block of index rows, ascending by id: one ball of a partitioned
+/// cluster, or all rows of an unpartitioned one.
+#[derive(Clone, Default)]
+struct IndexBall {
     ids: Vec<DocId>,
-    /// Flattened `[rows, embed_dim]` embeddings, row-parallel to `ids`.
+    /// Flattened `[rows, embed_dim]` embeddings, row-parallel to `ids`:
+    /// the dense panel per-ball GEMMs read with no per-query gather.
     emb: Vec<f32>,
-    /// Stored label per row (`None` when the document carries none).
-    labels: Vec<Option<Vec<f32>>>,
     /// Cached `‖x‖²` per row — the store-side half of the
     /// `‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x` GEMM expansion.
     norms: Vec<f32>,
-    /// Ball sub-partition (empty for small clusters, which scan linearly).
-    balls: Vec<IndexBall>,
-    /// Flattened `[balls, embed_dim]` ball centers.
-    ball_centers: Vec<f32>,
-    /// `‖c‖²` per ball center.
-    ball_center_norms: Vec<f32>,
-    /// Ball-contiguous copy of `emb`: ball j's member rows packed densely
-    /// from row offset `ball_block[j]`, in `members` order, so per-ball
-    /// GEMMs read one dense panel with no per-query gather.
-    ball_emb: Vec<f32>,
-    /// Row norms parallel to `ball_emb`.
-    ball_norms: Vec<f32>,
-    /// Row offset of each ball's block in `ball_emb`.
-    ball_block: Vec<u32>,
+    /// Stored label per row (`None` when the document carries none).
+    labels: Vec<Option<Arc<[f32]>>>,
+    /// Conservative radius around the ball's center (stored flattened in
+    /// [`ClusterEmbeddings::ball_centers`]); unused while unpartitioned.
+    radius: f32,
+    /// Whether any row carries a label (the eligibility bit for
+    /// label-donating searches).
+    labeled: bool,
 }
 
-/// Pruning slack applied on top of [`normed_margin`] when comparing ball
-/// bounds: the bounds pass through a `sqrt` and a radius addition, so the
-/// lower bound is deflated and the upper bound inflated by this relative
-/// factor before any ball is discarded. Generous against f32 rounding
-/// (real GEMM error is ~1e-6 relative); pruning stays exact.
-const PRUNE_SLACK: f32 = 1e-3;
-
-impl ClusterEmbeddings {
-    /// Builds one cluster's cache; rows of `ids.len() ≥ min_cluster_rows`
-    /// clusters are sub-partitioned into balls (deterministic in the
-    /// cluster content and seed).
-    fn build(
-        ids: Vec<DocId>,
-        emb: Vec<f32>,
-        labels: Vec<Option<Vec<f32>>>,
-        dim: usize,
-        ri: &ReadIndexConfig,
-        seed: u64,
-    ) -> ClusterEmbeddings {
-        let norms = row_sq_norms(&emb, dim);
-        let rows = ids.len();
-        let mut cl = ClusterEmbeddings {
-            ids,
-            emb,
-            labels,
-            norms,
-            balls: Vec::new(),
-            ball_centers: Vec::new(),
-            ball_center_norms: Vec::new(),
-            ball_emb: Vec::new(),
-            ball_norms: Vec::new(),
-            ball_block: Vec::new(),
-        };
-        if !ri.enabled || dim == 0 || rows < ri.min_cluster_rows.max(1) {
-            return cl;
-        }
-        let parts = partition_balls(
-            &cl.emb,
-            dim,
-            &BallPartitionConfig {
-                target: ri.ball_target.max(1),
-                max_depth: 3,
-                seed,
-            },
-        );
-        for b in parts {
-            let labeled = b.members.iter().any(|&r| cl.labels[r].is_some());
-            cl.ball_center_norms
-                .push(b.center.iter().map(|&v| v * v).sum());
-            cl.ball_centers.extend_from_slice(&b.center);
-            cl.ball_block.push(cl.ball_norms.len() as u32);
-            for &r in &b.members {
-                cl.ball_emb
-                    .extend_from_slice(&cl.emb[r * dim..(r + 1) * dim]);
-                cl.ball_norms.push(cl.norms[r]);
-            }
-            cl.balls.push(IndexBall {
-                members: b.members,
-                radius: b.radius,
-                labeled,
-            });
-        }
-        cl
+impl IndexBall {
+    fn len(&self) -> usize {
+        self.ids.len()
     }
 
-    /// Nearest row to `z` (Euclidean over embeddings). `labeled_only`
-    /// restricts the search to rows that carry a stored label — the
-    /// pseudo-labeling contract, where an unlabeled neighbour can never
-    /// donate a label no matter how close it sits.
+    fn push(&mut self, id: DocId, emb: &[f32], norm: f32, label: Option<Arc<[f32]>>) {
+        self.ids.push(id);
+        self.emb.extend_from_slice(emb);
+        self.norms.push(norm);
+        self.labeled |= label.is_some();
+        self.labels.push(label);
+    }
+
+    fn push_row(&mut self, row: IndexRow) {
+        // The same ascending-index sum `row_sq_norms` takes.
+        let norm = row.emb.iter().map(|&v| v * v).sum();
+        self.push(row.id, &row.emb, norm, row.label);
+    }
+
+    /// Copies row `r` of `src` onto the end of this block.
+    fn push_from(&mut self, src: &IndexBall, r: usize, dim: usize) {
+        self.push(
+            src.ids[r],
+            &src.emb[r * dim..(r + 1) * dim],
+            src.norms[r],
+            src.labels[r].clone(),
+        );
+    }
+
+    /// A new block of this block's rows `members`, in that order.
+    fn gather(&self, members: &[usize], dim: usize) -> IndexBall {
+        let mut out = IndexBall::default();
+        members.iter().for_each(|&r| out.push_from(self, r, dim));
+        out
+    }
+
+    /// Nearest row to `z` (Euclidean over embeddings), scanning in
+    /// ascending id order with a strict `<` — the brute scan every routed
+    /// read must reproduce. `labeled_only` restricts the search to rows
+    /// that carry a stored label — the pseudo-labeling contract, where an
+    /// unlabeled neighbour can never donate a label no matter how close it
+    /// sits.
     fn nearest(&self, z: &[f32], labeled_only: bool) -> Option<(f32, usize)> {
         let dim = z.len();
         let mut best: Option<(f32, usize)> = None;
@@ -343,6 +298,157 @@ impl ClusterEmbeddings {
     }
 }
 
+/// What shapes one cluster's sub-partition. Fixed for a snapshot, so every
+/// build, append and re-split of the cluster agrees on it.
+struct ClusterLayout {
+    dim: usize,
+    /// Rows from which the cluster is sub-partitioned (`usize::MAX` when
+    /// routing is off).
+    min_rows: usize,
+    /// Ball sizing, seeded per cluster.
+    ball: BallPartitionConfig,
+}
+
+/// The embedding cache of one cluster: documents that carry an `embedding`
+/// field of the snapshot's embedding width. A cluster below
+/// `min_cluster_rows` is one block scanned linearly; a larger one is
+/// sub-partitioned into balls, each owning its rows.
+#[derive(Clone, Default)]
+struct ClusterEmbeddings {
+    rows: usize,
+    balls: Vec<Arc<IndexBall>>,
+    /// Flattened `[balls, embed_dim]` ball centers (empty while
+    /// unpartitioned).
+    ball_centers: Vec<f32>,
+    /// `‖c‖²` per ball center.
+    ball_center_norms: Vec<f32>,
+}
+
+/// Pruning slack applied on top of [`normed_margin`] when comparing ball
+/// bounds: the bounds pass through a `sqrt` and a radius addition, so the
+/// lower bound is deflated and the upper bound inflated by this relative
+/// factor before any ball is discarded. Generous against f32 rounding
+/// (real GEMM error is ~1e-6 relative); pruning stays exact.
+const PRUNE_SLACK: f32 = 1e-3;
+
+impl ClusterEmbeddings {
+    /// Builds one cluster's cache from all of its rows (`flat`, ascending
+    /// by id); the sub-partition is deterministic in the rows and seed.
+    fn build(flat: &IndexBall, lay: &ClusterLayout) -> ClusterEmbeddings {
+        let mut cl = ClusterEmbeddings {
+            rows: flat.len(),
+            ..ClusterEmbeddings::default()
+        };
+        if cl.rows >= lay.min_rows {
+            cl.push_split(flat, lay, lay.ball.seed);
+        } else if cl.rows > 0 {
+            cl.balls.push(Arc::new(flat.clone()));
+        }
+        cl
+    }
+
+    fn is_partitioned(&self) -> bool {
+        !self.ball_center_norms.is_empty()
+    }
+
+    /// Partitions `block` into balls and adds them to the cluster.
+    fn push_split(&mut self, block: &IndexBall, lay: &ClusterLayout, seed: u64) {
+        let cfg = BallPartitionConfig {
+            seed,
+            ..lay.ball.clone()
+        };
+        for b in partition_balls(&block.emb, lay.dim, &cfg) {
+            let mut ball = block.gather(&b.members, lay.dim);
+            ball.radius = b.radius;
+            self.ball_center_norms
+                .push(b.center.iter().map(|&v| v * v).sum());
+            self.ball_centers.extend_from_slice(&b.center);
+            self.balls.push(Arc::new(ball));
+        }
+    }
+
+    /// Adds a row whose id is above every id in the cluster, leaving every
+    /// ball it does not land in shared with the previous index. The row
+    /// joins the ball whose center is nearest by the exact scalar distance
+    /// and widens its radius to cover it; a ball that outgrows the
+    /// partitioner's leaf rule is re-split on its own, and an unpartitioned
+    /// cluster is partitioned the moment it reaches `min_cluster_rows`.
+    fn append(&mut self, row: IndexRow, lay: &ClusterLayout) {
+        self.rows += 1;
+        if !self.is_partitioned() {
+            if self.balls.is_empty() {
+                self.balls.push(Arc::default());
+            }
+            let block = Arc::make_mut(&mut self.balls[0]);
+            block.push_row(row);
+            if self.rows >= lay.min_rows {
+                *self = ClusterEmbeddings::build(&std::mem::take(block), lay);
+            }
+            return;
+        }
+        let (mut j, mut dist) = (0, f32::INFINITY);
+        for (b, center) in self.ball_centers.chunks_exact(lay.dim).enumerate() {
+            let d = sq_dist(&row.emb, center).sqrt();
+            if d < dist {
+                (j, dist) = (b, d);
+            }
+        }
+        let ball = Arc::make_mut(&mut self.balls[j]);
+        ball.radius = ball.radius.max(inflated_radius(dist));
+        ball.push_row(row);
+        if ball.len() > lay.ball.leaf_rows() {
+            // Re-split ball `j` alone: take it out (the last ball fills its
+            // slot) and add its parts.
+            let last = self.balls.len() - 1;
+            let block = self.balls.swap_remove(j);
+            self.ball_center_norms.swap_remove(j);
+            self.ball_centers
+                .copy_within(last * lay.dim..(last + 1) * lay.dim, j * lay.dim);
+            self.ball_centers.truncate(last * lay.dim);
+            let seed = lay.ball.seed ^ block.ids[0].wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.push_split(&block, lay, seed);
+        }
+    }
+
+    fn contains(&self, id: DocId) -> bool {
+        self.balls
+            .iter()
+            .any(|ball| ball.ids.binary_search(&id).is_ok())
+    }
+
+    /// The cluster rebuilt from scratch over its rows minus the ids in
+    /// `drop`, plus `add` — the layout a full build of those rows yields.
+    fn rebuilt(
+        &self,
+        drop: &HashSet<DocId>,
+        add: Vec<IndexRow>,
+        lay: &ClusterLayout,
+    ) -> ClusterEmbeddings {
+        let mut flat = IndexBall::default();
+        for ball in &self.balls {
+            for r in (0..ball.len()).filter(|&r| !drop.contains(&ball.ids[r])) {
+                flat.push_from(ball, r, lay.dim);
+            }
+        }
+        add.into_iter().for_each(|row| flat.push_row(row));
+        let mut order: Vec<usize> = (0..flat.len()).collect();
+        order.sort_unstable_by_key(|&r| flat.ids[r]);
+        ClusterEmbeddings::build(&flat.gather(&order, lay.dim), lay)
+    }
+}
+
+/// What one cluster search found for its query group: per query, the
+/// winner's `(distance, ball, row in ball)`.
+type GroupHits = Vec<(usize, Option<(f32, usize, usize)>)>;
+
+/// Rows leaving and entering one cluster while the index is advanced,
+/// held until the cluster is rebuilt.
+#[derive(Default)]
+struct DirtyCluster {
+    drop: HashSet<DocId>,
+    add: Vec<IndexRow>,
+}
+
 /// An immutable view of a fitted fairDS system plane.
 ///
 /// All methods take `&self`; a `SystemSnapshot` behind an `Arc` is safe to
@@ -350,8 +456,9 @@ impl ClusterEmbeddings {
 /// path. Interior mutation is limited to a relaxed atomic counter that
 /// derives per-call sampling seeds for
 /// [`SystemSnapshot::lookup_matching`], plus two revision-keyed index
-/// caches (cluster membership, cluster embeddings) that are rebuilt at
-/// most once per store mutation and shared by every read in between.
+/// caches (cluster membership, cluster embeddings) that are brought up to
+/// date at most once per store mutation and shared by every read in
+/// between.
 pub struct SystemSnapshot {
     embedder: Arc<dyn Embedder>,
     kmeans: Arc<KMeans>,
@@ -367,7 +474,8 @@ pub struct SystemSnapshot {
     /// publication; refreshed when the store has changed since.
     members_cache: RwLock<Option<Arc<MembershipIndex>>>,
     /// Embedding cache, keyed on the store revision. Built lazily on the
-    /// first nearest-neighbour read (one decode pass over the store).
+    /// first nearest-neighbour read (one decode pass over the store), then
+    /// advanced through the store's change log.
     emb_cache: RwLock<Option<Arc<EmbeddingIndex>>>,
     /// The data-reuse plane's content-addressed embedding memo table,
     /// shared with the owning [`FairDS`] across publications. Entries are
@@ -469,133 +577,139 @@ impl SystemSnapshot {
         cache_install(&self.members_cache, idx, rev, |i| i.revision)
     }
 
-    /// The current embedding index, rebuilding if the store moved on.
-    /// Rows whose stored embedding width differs from this snapshot's
+    /// The current embedding index, brought up to date if the store moved
+    /// on. Rows whose stored embedding width differs from this snapshot's
     /// embedder (stale documents from an earlier system plane) are
     /// excluded, mirroring the per-query width check the uncached path
     /// applied.
     ///
-    /// The rebuild is **sharded**: documents are decoded shard-by-shard
-    /// (in parallel), each decode tagged with the shard's own mutation
-    /// counter, and a rebuild reuses every shard whose counter is
-    /// unchanged — one store mutation re-decodes one shard, not the whole
-    /// store. Cluster layouts are then scatter-gathered from the shard
-    /// decodes in ascending-id order (the brute scan's deterministic tie
-    /// order); a cluster whose membership and contributing shards are
-    /// untouched reuses its previous layout (and ball sub-partition)
-    /// wholesale.
+    /// The first read builds the index from the whole store. After that a
+    /// revision miss costs O(rows written since): the previous index is
+    /// advanced through the store's change log ([`Collection::
+    /// changes_since`]), decoding only the changed documents and sharing
+    /// every cluster and ball they did not touch. A log trimmed past the
+    /// previous index falls back to the full build. Like the membership
+    /// index, builds run outside the lock and the first one per revision
+    /// wins.
     fn embedding_index(&self) -> Arc<EmbeddingIndex> {
         let rev = self.store.revision();
         if let Some(idx) = cache_hit(&self.emb_cache, rev, |i| i.revision) {
             return idx;
         }
-        // The previous index (any revision) is the reuse donor: its
-        // shard decodes and cluster layouts are recycled wherever the
-        // per-shard counters prove them still current.
         let prev = self.emb_cache.read().clone();
+        let idx = prev
+            .and_then(|prev| self.advance_index(&prev))
+            .unwrap_or_else(|| self.build_index(rev));
+        let rev = idx.revision;
+        cache_install(&self.emb_cache, Arc::new(idx), rev, |i| i.revision)
+    }
+
+    fn cluster_layout(&self, cluster: usize) -> ClusterLayout {
+        let ri = &self.cfg.read_index;
         let dim = self.embedder.embed_dim();
-        let shard_revs = self.store.shard_revisions();
-        let shards: Vec<Arc<ShardRows>> = (0..self.store.shard_count())
-            .into_par_iter()
-            .map(|s| {
-                if let Some(ps) = prev.as_ref().and_then(|p| p.shards.get(s)) {
-                    if ps.revision == shard_revs[s] {
-                        return Arc::clone(ps);
-                    }
-                }
-                let mut docs = Vec::new();
-                for id in self.store.shard_ids(s) {
-                    let Some(doc) = self.store.get(id) else {
-                        continue;
-                    };
-                    let Some(emb) = doc.get_f32s("embedding") else {
-                        continue;
-                    };
-                    if emb.len() != dim {
-                        continue;
-                    }
-                    docs.push(ShardDoc {
-                        id,
-                        cluster: doc.get_i64("cluster").unwrap_or(-1),
-                        emb: emb.to_vec(),
-                        label: doc.get_f32s("label").map(|l| l.to_vec()),
-                    });
-                }
-                Arc::new(ShardRows {
-                    revision: shard_revs[s],
-                    docs,
-                })
-            })
-            .collect();
-        let changed: Vec<bool> = shards
-            .iter()
-            .enumerate()
-            .map(|(s, sh)| {
-                prev.as_ref()
-                    .and_then(|p| p.shards.get(s))
-                    .map(|ps| !Arc::ptr_eq(ps, sh))
-                    .unwrap_or(true)
-            })
-            .collect();
-        // Scatter-gather: merge the shard decodes into per-cluster row
-        // lists, ascending by id across shards.
-        let k = self.k();
-        let mut order: Vec<(DocId, usize, usize)> = Vec::new();
-        for (s, sh) in shards.iter().enumerate() {
-            order.extend(sh.docs.iter().enumerate().map(|(r, d)| (d.id, s, r)));
+        ClusterLayout {
+            dim,
+            min_rows: if ri.enabled && dim > 0 {
+                ri.min_cluster_rows.max(1)
+            } else {
+                usize::MAX
+            },
+            ball: BallPartitionConfig {
+                target: ri.ball_target.max(1),
+                max_depth: 3,
+                seed: self.cfg.seed ^ (cluster as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            },
         }
-        order.sort_unstable_by_key(|e| e.0);
-        let mut per_cluster: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k];
-        for (_, s, r) in order {
-            let c = shards[s].docs[r].cluster;
-            if (0..k as i64).contains(&c) {
-                per_cluster[c as usize].push((s, r));
+    }
+
+    /// Decodes one stored document into an index row; `None` when it is
+    /// gone or has no place in this snapshot's index.
+    fn decode_row(&self, id: DocId) -> Option<IndexRow> {
+        let doc = self.store.get(id)?;
+        self.read_stats.rows_decoded.fetch_add(1, Ordering::Relaxed);
+        let emb = doc.get_f32s("embedding")?;
+        let cluster = usize::try_from(doc.get_i64("cluster")?).ok()?;
+        (emb.len() == self.embedder.embed_dim() && cluster < self.k()).then(|| IndexRow {
+            id,
+            cluster,
+            emb: emb.to_vec(),
+            label: doc.get_f32s("label").map(Arc::from),
+        })
+    }
+
+    /// The full build: one parallel decode pass over the store, rows
+    /// scattered to their clusters in ascending-id order (the brute scan's
+    /// deterministic tie order), clusters partitioned in parallel.
+    fn build_index(&self, revision: u64) -> EmbeddingIndex {
+        let ids = self.store.ids();
+        let rows: Vec<Option<IndexRow>> = ids.par_iter().map(|&id| self.decode_row(id)).collect();
+        let mut flats: Vec<IndexBall> = vec![IndexBall::default(); self.k()];
+        for row in rows.into_iter().flatten() {
+            flats[row.cluster].push_row(row);
+        }
+        let clusters = flats
+            .par_iter()
+            .enumerate()
+            .map(|(c, flat)| Arc::new(ClusterEmbeddings::build(flat, &self.cluster_layout(c))))
+            .collect();
+        EmbeddingIndex {
+            revision,
+            end_id: ids.last().map_or(0, |&last| last + 1),
+            clusters,
+        }
+    }
+
+    /// The index after the mutations logged since `prev` (`None` when the
+    /// log no longer reaches back that far). Each changed id is applied
+    /// once, in log order, as "make the row for this id equal the stored
+    /// document now" — so applying an entry again, or one whose document
+    /// has since changed again, is harmless. A new id appends to its
+    /// cluster; anything else (update, delete, cluster move, an id logged
+    /// out of order) marks the clusters it leaves and enters, and each
+    /// marked cluster is rebuilt from its previous rows — before the next
+    /// append into it, or at the end — so the resulting layout depends on
+    /// the mutation sequence, not on how reads happened to batch it.
+    fn advance_index(&self, prev: &EmbeddingIndex) -> Option<EmbeddingIndex> {
+        let mut changed = self.store.changes_since(prev.revision)?;
+        let mut next = EmbeddingIndex {
+            revision: prev.revision + changed.len() as u64,
+            end_id: prev.end_id,
+            clusters: prev.clusters.clone(),
+        };
+        let mut seen = HashSet::with_capacity(changed.len());
+        changed.retain(|&id| seen.insert(id));
+        let mut dirty: Vec<DirtyCluster> = std::iter::repeat_with(DirtyCluster::default)
+            .take(next.clusters.len())
+            .collect();
+        let flush = |cl: &mut Arc<ClusterEmbeddings>, d: &mut DirtyCluster, c: usize| {
+            if !d.drop.is_empty() || !d.add.is_empty() {
+                let add = std::mem::take(&mut d.add);
+                *cl = Arc::new(cl.rebuilt(&d.drop, add, &self.cluster_layout(c)));
+                d.drop.clear();
+            }
+        };
+        for id in changed {
+            let row = self.decode_row(id);
+            if id >= next.end_id {
+                if let Some(row) = row {
+                    let c = row.cluster;
+                    flush(&mut next.clusters[c], &mut dirty[c], c);
+                    Arc::make_mut(&mut next.clusters[c]).append(row, &self.cluster_layout(c));
+                    next.end_id = id + 1;
+                }
+                continue;
+            }
+            if let Some(c) = next.clusters.iter().position(|cl| cl.contains(id)) {
+                dirty[c].drop.insert(id);
+            }
+            if let Some(row) = row {
+                dirty[row.cluster].add.push(row);
             }
         }
-        let clusters: Vec<Arc<ClusterEmbeddings>> = (0..k)
-            .into_par_iter()
-            .map(|c| {
-                let rows = &per_cluster[c];
-                // Unchanged membership drawn entirely from unchanged
-                // shards ⇒ byte-identical cluster; reuse the previous
-                // layout and its ball partition outright.
-                if let Some(pc) = prev.as_ref().and_then(|p| p.clusters.get(c)) {
-                    if pc.ids.len() == rows.len()
-                        && rows.iter().all(|&(s, _)| !changed[s])
-                        && pc
-                            .ids
-                            .iter()
-                            .zip(rows)
-                            .all(|(&pid, &(s, r))| pid == shards[s].docs[r].id)
-                    {
-                        return Arc::clone(pc);
-                    }
-                }
-                let mut ids = Vec::with_capacity(rows.len());
-                let mut emb = Vec::with_capacity(rows.len() * dim);
-                let mut labels = Vec::with_capacity(rows.len());
-                for &(s, r) in rows {
-                    let d = &shards[s].docs[r];
-                    ids.push(d.id);
-                    emb.extend_from_slice(&d.emb);
-                    labels.push(d.label.clone());
-                }
-                Arc::new(ClusterEmbeddings::build(
-                    ids,
-                    emb,
-                    labels,
-                    dim,
-                    &self.cfg.read_index,
-                    self.cfg.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ))
-            })
-            .collect();
-        let idx = Arc::new(EmbeddingIndex {
-            revision: rev,
-            shards,
-            clusters,
-        });
-        cache_install(&self.emb_cache, idx, rev, |i| i.revision)
+        for (c, (cl, d)) in next.clusters.iter_mut().zip(&mut dirty).enumerate() {
+            flush(cl, d, c);
+        }
+        Some(next)
     }
 
     /// The number of fitted clusters.
@@ -850,17 +964,17 @@ impl SystemSnapshot {
     /// Parallel per-sample nearest-stored-label search: `(distance, label)`
     /// for each input row, `None` when its cluster holds no labeled docs.
     ///
-    /// Served entirely from the embedding index: one decode pass per store
-    /// revision, routed through the IVF read path — no per-sample `find_by`
-    /// queries and no per-candidate document decoding.
+    /// Served entirely from the embedding index, routed through the IVF
+    /// read path — no per-sample `find_by` queries and no per-candidate
+    /// document decoding.
     fn nearest_labels_parallel(&self, images: &Tensor) -> Vec<Option<(f32, Vec<f32>)>> {
         let z = self.embed_cached(images);
         let index = self.embedding_index();
         self.routed_nearest(&z, &index, true)
             .into_iter()
             .map(|hit| {
-                let (dist, cluster, row) = hit?;
-                Some((dist, index.clusters[cluster].labels[row].as_ref()?.clone()))
+                let (dist, ball, row) = hit?;
+                Some((dist, ball.labels[row].as_ref()?.to_vec()))
             })
             .collect()
     }
@@ -876,8 +990,8 @@ impl SystemSnapshot {
         self.routed_nearest(&z, &index, false)
             .into_iter()
             .map(|hit| {
-                let (dist, cluster, row) = hit?;
-                let doc = self.store.get(index.clusters[cluster].ids[row])?;
+                let (dist, ball, row) = hit?;
+                let doc = self.store.get(ball.ids[row])?;
                 Some((dist, doc))
             })
             .collect()
@@ -887,23 +1001,23 @@ impl SystemSnapshot {
     /// and [`SystemSnapshot::nearest_labeled`]: routes the whole batch with
     /// one GEMM-batched `predict`, groups queries by routed cluster, and
     /// searches each cluster group through the ball-pruned, GEMM-batched
-    /// read index. Returns `(distance, cluster, row)` per query.
+    /// read index. Returns `(distance, block, row in block)` per query.
     ///
     /// **Exactness contract:** results — distance bits *and* winner row —
-    /// are identical to the brute per-cluster scan ([`ClusterEmbeddings::
-    /// nearest`]). GEMM distances only ever *pre-select*: every candidate
+    /// are identical to the brute per-cluster scan ([`IndexBall::nearest`]
+    /// over the cluster's rows in ascending id order). GEMM distances only ever *pre-select*: every candidate
     /// within [`normed_margin`] of the best GEMM distance is re-evaluated
     /// with the scalar `sq_dist(..).sqrt()` the brute scan uses, in
-    /// ascending row order with the same strict-`<` tie rule, and ball
+    /// ascending id order with the same strict-`<` tie rule, and ball
     /// pruning discards a ball only when its triangle-inequality lower
     /// bound (slack-deflated) exceeds a slack-inflated upper bound some
     /// probed stored row is proven to realize.
-    fn routed_nearest(
+    fn routed_nearest<'a>(
         &self,
         z: &Tensor,
-        index: &EmbeddingIndex,
+        index: &'a EmbeddingIndex,
         labeled_only: bool,
-    ) -> Vec<Option<(f32, usize, usize)>> {
+    ) -> Vec<Option<(f32, &'a IndexBall, usize)>> {
         let n = z.shape()[0];
         if n == 0 {
             return Vec::new();
@@ -911,13 +1025,14 @@ impl SystemSnapshot {
         let routed = self.kmeans.predict(z);
         if !self.cfg.read_index.enabled {
             // Brute reference path (the pre-index read plane): per-row
-            // linear scan of the routed cluster's cached embeddings.
+            // linear scan of the routed cluster's cached embeddings, which
+            // an index built with routing off keeps in one block.
             return (0..n)
                 .into_par_iter()
                 .map(|i| {
-                    let cl = &index.clusters[routed[i]];
-                    cl.nearest(z.row(i), labeled_only)
-                        .map(|(d, row)| (d, routed[i], row))
+                    let block = index.clusters[routed[i]].balls.first()?;
+                    let (d, row) = block.nearest(z.row(i), labeled_only)?;
+                    Some((d, &**block, row))
                 })
                 .collect();
         }
@@ -935,7 +1050,6 @@ impl SystemSnapshot {
             .enumerate()
             .filter(|(_, qs)| !qs.is_empty())
             .collect();
-        type GroupHits = Vec<(usize, Option<(f32, usize)>)>;
         let search = |(c, qs): &(usize, Vec<usize>)| {
             self.search_cluster(&index.clusters[*c], qs, z, labeled_only)
         };
@@ -947,7 +1061,7 @@ impl SystemSnapshot {
         let mut out = vec![None; n];
         for (c, hits) in grouped {
             for (q, hit) in hits {
-                out[q] = hit.map(|(d, row)| (d, c, row));
+                out[q] = hit.map(|(d, ball, row)| (d, &*index.clusters[c].balls[ball], row));
             }
         }
         out
@@ -961,22 +1075,25 @@ impl SystemSnapshot {
         qs: &[usize],
         z: &Tensor,
         labeled_only: bool,
-    ) -> Vec<(usize, Option<(f32, usize)>)> {
+    ) -> GroupHits {
         if qs.is_empty() {
             return Vec::new();
         }
-        if cl.ids.is_empty() {
+        if cl.rows == 0 {
             self.read_stats.record(qs.len() as u64, 0, 0);
             return qs.iter().map(|&q| (q, None)).collect();
         }
         // Small cluster (no ball partition): the brute scan *is* the read
         // path; every row is a scanned candidate.
-        if cl.balls.is_empty() {
+        if !cl.is_partitioned() {
             self.read_stats
-                .record(qs.len() as u64, 0, (qs.len() * cl.ids.len()) as u64);
+                .record(qs.len() as u64, 0, (qs.len() * cl.rows) as u64);
             return qs
                 .iter()
-                .map(|&q| (q, cl.nearest(z.row(q), labeled_only)))
+                .map(|&q| {
+                    let hit = cl.balls[0].nearest(z.row(q), labeled_only);
+                    (q, hit.map(|(d, row)| (d, 0, row)))
+                })
                 .collect();
         }
         let d = z.shape()[1];
@@ -1023,16 +1140,15 @@ impl SystemSnapshot {
             }
             probe_ball.push(best);
         }
-        // Per-ball GEMM batching over the ball-contiguous embedding copy:
-        // queries needing the same ball are evaluated as one GEMM against
-        // that ball's dense block. The alternative — one GEMM over the
+        // Per-ball GEMM batching over each ball's own dense block: queries
+        // needing the same ball are evaluated as one GEMM against it. The alternative — one GEMM over the
         // *union* of surviving rows across the query group — makes every
         // query pay for every other query's survivors (m × union work,
         // quadratic in group size); per-ball subgrouping does exactly the
         // distances some query needs, with no per-row gather at all.
         let ball_dists = |j: usize, qi: &[u32]| -> Vec<f32> {
-            let len = cl.balls[j].members.len();
-            let off = cl.ball_block[j] as usize;
+            let ball = &cl.balls[j];
+            let len = ball.len();
             let mut sub_q = Vec::with_capacity(qi.len() * d);
             let mut sub_n = Vec::with_capacity(qi.len());
             for &i in qi {
@@ -1046,9 +1162,9 @@ impl SystemSnapshot {
                 d,
                 len,
                 &sub_q,
-                &cl.ball_emb[off * d..(off + len) * d],
+                &ball.emb,
                 &sub_n,
-                &cl.ball_norms[off..off + len],
+                &ball.norms,
                 &mut dd,
                 Threading::Auto,
             );
@@ -1073,16 +1189,17 @@ impl SystemSnapshot {
                 continue;
             }
             let pd = ball_dists(j, qi);
-            let len = cl.balls[j].members.len();
+            let ball = &cl.balls[j];
+            let len = ball.len();
             for (a, &iq) in qi.iter().enumerate() {
                 let i = iq as usize;
                 let qn = qnorms[i];
                 let mut cut = f32::INFINITY;
-                for (t, &r) in cl.balls[j].members.iter().enumerate() {
-                    if labeled_only && cl.labels[r].is_none() {
+                for t in 0..len {
+                    if labeled_only && ball.labels[t].is_none() {
                         continue;
                     }
-                    cut = cut.min(pd[a * len + t] + normed_margin(qn, cl.norms[r]));
+                    cut = cut.min(pd[a * len + t] + normed_margin(qn, ball.norms[t]));
                 }
                 if cut < f32::INFINITY {
                     bound[i] = cut.max(0.0).sqrt() * (1.0 + PRUNE_SLACK);
@@ -1125,40 +1242,44 @@ impl SystemSnapshot {
                 continue;
             }
             let dd = ball_dists(j, qi);
-            let len = cl.balls[j].members.len();
+            let ball = &cl.balls[j];
+            let len = ball.len();
             for (a, &iq) in qi.iter().enumerate() {
                 let i = iq as usize;
                 let qn = qnorms[i];
-                for (t, &r) in cl.balls[j].members.iter().enumerate() {
-                    if labeled_only && cl.labels[r].is_none() {
+                for t in 0..len {
+                    if labeled_only && ball.labels[t].is_none() {
                         continue;
                     }
-                    cutoff[i] = cutoff[i].min(dd[a * len + t] + normed_margin(qn, cl.norms[r]));
+                    cutoff[i] = cutoff[i].min(dd[a * len + t] + normed_margin(qn, ball.norms[t]));
                 }
             }
             surv_dist[j] = dd;
         }
-        let mut cands: Vec<Vec<usize>> = vec![Vec::new(); m];
+        // Candidates carry their document id first: rows are ascending by id
+        // within a cluster, so sorting candidates is the brute scan's order.
+        let mut cands: Vec<Vec<(DocId, usize, usize)>> = vec![Vec::new(); m];
         for (j, qi) in surv_queries.iter().enumerate() {
             let dd = &surv_dist[j];
-            let len = cl.balls[j].members.len();
+            let ball = &cl.balls[j];
+            let len = ball.len();
             for (a, &iq) in qi.iter().enumerate() {
                 let i = iq as usize;
                 if cutoff[i] == f32::INFINITY {
                     continue;
                 }
                 let qn = qnorms[i];
-                for (t, &r) in cl.balls[j].members.iter().enumerate() {
-                    if labeled_only && cl.labels[r].is_none() {
+                for t in 0..len {
+                    if labeled_only && ball.labels[t].is_none() {
                         continue;
                     }
-                    if dd[a * len + t] - normed_margin(qn, cl.norms[r]) <= cutoff[i] {
-                        cands[i].push(r);
+                    if dd[a * len + t] - normed_margin(qn, ball.norms[t]) <= cutoff[i] {
+                        cands[i].push((ball.ids[t], j, t));
                     }
                 }
             }
         }
-        // Exact refine, in the brute scan's ascending-row order with its
+        // Exact refine, in the brute scan's ascending-id order with its
         // strict-`<` rule: bit-identical winner and bits.
         let mut scanned_total = 0u64;
         let out = qs
@@ -1172,11 +1293,11 @@ impl SystemSnapshot {
                 c.sort_unstable();
                 scanned_total += c.len() as u64;
                 let zrow = z.row(q);
-                let mut best: Option<(f32, usize)> = None;
-                for &r in c.iter() {
-                    let dist_e = sq_dist(zrow, &cl.emb[r * d..(r + 1) * d]).sqrt();
-                    if best.map(|(bd, _)| dist_e < bd).unwrap_or(true) {
-                        best = Some((dist_e, r));
+                let mut best: Option<(f32, usize, usize)> = None;
+                for &(_, j, t) in c.iter() {
+                    let dist_e = sq_dist(zrow, &cl.balls[j].emb[t * d..(t + 1) * d]).sqrt();
+                    if best.map(|(bd, _, _)| dist_e < bd).unwrap_or(true) {
+                        best = Some((dist_e, j, t));
                     }
                 }
                 (q, best)
@@ -1753,26 +1874,29 @@ impl FairDS {
         let snap = Arc::clone(self.ready("ingest"));
         assert_eq!(images.shape()[0], labels.shape()[0], "image/label mismatch");
         let z = snap.embed_cached(images);
-        let n = images.shape()[0];
         let label_w = labels.row_size();
         // One GEMM-batched routing pass for the whole batch — bit-identical
         // to the per-row centroid scan (`predict` refines every near-tie
         // with the exact scalar distance).
         let clusters = snap.kmeans.predict(&z);
-        let mut ids = Vec::with_capacity(n);
-        for (i, &cluster) in clusters.iter().enumerate() {
-            let doc = Document::new()
-                .with("pixels", images.row(i).to_vec())
-                .with("embedding", z.row(i).to_vec())
-                .with("cluster", cluster as i64)
-                .with("scan", scan as i64)
-                .with(
-                    "label",
-                    labels.data()[i * label_w..(i + 1) * label_w].to_vec(),
-                );
-            ids.push(self.store.insert(&doc));
-        }
-        ids
+        let docs: Vec<Document> = clusters
+            .iter()
+            .enumerate()
+            .map(|(i, &cluster)| {
+                Document::new()
+                    .with("pixels", images.row(i).to_vec())
+                    .with("embedding", z.row(i).to_vec())
+                    .with("cluster", cluster as i64)
+                    .with("scan", scan as i64)
+                    .with(
+                        "label",
+                        labels.data()[i * label_w..(i + 1) * label_w].to_vec(),
+                    )
+            })
+            .collect();
+        // One batch: readers see none or all of it, and refresh their
+        // indexes once.
+        self.store.insert_many(&docs)
     }
 
     /// Embeds a dataset and returns its per-sample cluster assignments.
@@ -1947,6 +2071,112 @@ mod tests {
             let docs = snap.lookup_matching(&[0.5, 0.5], 30);
             assert_eq!(docs.len(), 30, "deleted draws must be backfilled");
         }
+    }
+
+    /// The work bound of the read index, as counts: after a B-document
+    /// ingest into a warm N-document index the next read decodes exactly B
+    /// documents and shares every cluster and ball the batch did not land
+    /// in; only a change-log overrun decodes the store again.
+    #[test]
+    fn index_refresh_after_ingest_decodes_only_the_batch() {
+        const BATCH: usize = 32;
+        let (train, _) = blob_images(20, 4, 30);
+        for n in [1_000usize, 8_000] {
+            let mut ds = fairds_with_k(4);
+            ds.train_system(&train, &quick_embed_cfg());
+            let (x, y) = blob_images(n / 4, 4, 31);
+            ds.ingest_labeled(&x, &y, 0);
+            let snap = ds.snapshot().unwrap();
+            let counters = Arc::clone(ds.read_index_counters());
+            let query = x.slice_rows(0, 1);
+            let index_of = |snap: &SystemSnapshot| snap.emb_cache.read().clone().unwrap();
+
+            // First read: the full build decodes the store once; a read of
+            // the unchanged store decodes nothing.
+            snap.nearest_labeled(&query);
+            assert_eq!(counters.rows_decoded(), n as u64, "n={n}: full build");
+            snap.nearest_labeled(&query);
+            assert_eq!(counters.rows_decoded(), n as u64, "n={n}: warm read");
+            let before = index_of(&snap);
+
+            // The whole batch is one frame, so it lands in one ball.
+            let frame = x.slice_rows(0, 1);
+            let target = snap.assign(&frame)[0];
+            let batch = Tensor::from_vec(frame.data().repeat(BATCH), &[BATCH, SIDE * SIDE]);
+            ds.ingest_labeled(&batch, &Tensor::zeros(&[BATCH, 2]), 1);
+            snap.nearest_labeled(&query);
+            assert_eq!(
+                counters.rows_decoded(),
+                (n + BATCH) as u64,
+                "n={n}: the refresh decodes exactly the batch"
+            );
+            let after = index_of(&snap);
+            assert_eq!(after.revision, ds.store().revision());
+            for (c, (b, a)) in before.clusters.iter().zip(&after.clusters).enumerate() {
+                if c != target {
+                    assert!(Arc::ptr_eq(b, a), "n={n}: cluster {c} was not written");
+                    continue;
+                }
+                assert_eq!(a.rows, b.rows + BATCH);
+                let min_rows = ds.config().read_index.min_cluster_rows;
+                assert_eq!(a.is_partitioned(), a.rows >= min_rows, "n={n}");
+                if b.is_partitioned() {
+                    let shared = (a.balls.iter())
+                        .filter(|ball| b.balls.iter().any(|old| Arc::ptr_eq(old, ball)))
+                        .count();
+                    assert_eq!(shared, b.balls.len() - 1, "n={n}: one ball took the batch");
+                }
+            }
+
+            // More writes than the change log holds: the store is decoded
+            // again.
+            let (x, y) = blob_images(1_250, 4, 32);
+            ds.ingest_labeled(&x, &y, 2);
+            snap.nearest_labeled(&query);
+            assert_eq!(
+                counters.rows_decoded(),
+                (2 * (n + BATCH) + 5_000) as u64,
+                "n={n}: a log overrun decodes the store"
+            );
+        }
+    }
+
+    /// An index grown batch by batch keeps the shape the partitioner
+    /// promises the search: balls within the leaf rule, every row inside
+    /// its ball's radius, ids ascending, labeled bits set.
+    #[test]
+    fn delta_grown_index_keeps_the_partition_invariants() {
+        let (train, _) = blob_images(20, 4, 33);
+        let mut ds = fairds_with_k(2);
+        ds.train_system(&train, &quick_embed_cfg());
+        let snap = ds.snapshot().unwrap();
+        let query = train.slice_rows(0, 1);
+        for round in 0..100 {
+            let (x, y) = blob_images(4, 4, 100 + round);
+            ds.ingest_labeled(&x, &y, round as usize);
+            snap.nearest_labeled(&query);
+        }
+        let counters = ds.read_index_counters();
+        assert_eq!(counters.rows_decoded(), 100 * 16, "no row decoded twice");
+        let index = snap.emb_cache.read().clone().unwrap();
+        let dim = snap.embedder.embed_dim();
+        let leaf = 2 * snap.cfg.read_index.ball_target;
+        let mut rows = 0;
+        for cl in &index.clusters {
+            assert!(cl.is_partitioned(), "{} rows partition", cl.rows);
+            assert!(cl.balls.len() > 2, "{} rows split", cl.rows);
+            assert_eq!(cl.balls.iter().map(|b| b.len()).sum::<usize>(), cl.rows);
+            rows += cl.rows;
+            for (ball, center) in cl.balls.iter().zip(cl.ball_centers.chunks_exact(dim)) {
+                assert!(ball.len() <= leaf, "ball of {} rows", ball.len());
+                assert!(ball.ids.windows(2).all(|w| w[0] < w[1]));
+                assert!(ball.labeled);
+                for emb in ball.emb.chunks_exact(dim) {
+                    assert!(sq_dist(emb, center).sqrt() <= ball.radius);
+                }
+            }
+        }
+        assert_eq!(rows, 100 * 16);
     }
 
     #[test]

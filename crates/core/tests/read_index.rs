@@ -9,7 +9,7 @@
 //! pseudo-labeling sits on knife-edge threshold comparisons.
 
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
-use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig};
+use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig, SystemSnapshot};
 use fairdms_datastore::Document;
 use fairdms_tensor::{ops::sq_dist, rng::TensorRng, Tensor};
 use proptest::prelude::*;
@@ -50,6 +50,12 @@ fn quantized_row(rng: &mut TensorRng, spread: f32) -> Vec<f32> {
         .collect()
 }
 
+const TINY_BALLS: ReadIndexConfig = ReadIndexConfig {
+    enabled: true,
+    ball_target: 4,
+    min_cluster_rows: 4,
+};
+
 /// A fairDS over the identity embedder with an aggressive read-index
 /// layout (tiny balls, sub-partitioning from 4 rows up) so even small
 /// generated stores exercise routing, pruning, and the GEMM batch path.
@@ -59,11 +65,7 @@ fn routed_fairds(k: usize, seed: u64) -> FairDS {
         FairDsConfig {
             k: Some(k),
             seed,
-            read_index: ReadIndexConfig {
-                enabled: true,
-                ball_target: 4,
-                min_cluster_rows: 4,
-            },
+            read_index: TINY_BALLS,
             ..FairDsConfig::default()
         },
     );
@@ -162,6 +164,156 @@ proptest! {
         prop_assert_eq!(rl, bl);
         prop_assert_eq!(rs, bs);
     }
+}
+
+/// `n` quantized rows as an `[n, DIM]` tensor.
+fn quantized_rows(rng: &mut TensorRng, n: usize, spread: f32) -> Tensor {
+    let mut data = Vec::with_capacity(n * DIM);
+    for _ in 0..n {
+        data.extend(quantized_row(rng, spread));
+    }
+    Tensor::from_vec(data, &[n, DIM])
+}
+
+/// Three views of one store: `live` has been answering reads since before
+/// the mutations (its index advanced through the change log), `fresh` has
+/// never read (its first read is a full build), `brute` is the unrouted
+/// oracle. All three must agree on every distance bit, winner document and
+/// pseudo-label.
+fn views_agree(
+    live: &SystemSnapshot,
+    fresh: &SystemSnapshot,
+    brute: &SystemSnapshot,
+    queries: &Tensor,
+) -> Result<(), String> {
+    let reference = brute.nearest_labeled(queries);
+    let fallback = |row: &[f32]| vec![row[0] + 100.0, row[1] + 100.0];
+    let reference_labels = brute.pseudo_label(queries, f32::INFINITY, fallback);
+    for (name, view) in [("delta-maintained", live), ("freshly built", fresh)] {
+        let hits = view.nearest_labeled(queries);
+        for (i, (got, want)) in hits.iter().zip(&reference).enumerate() {
+            let same = match (got, want) {
+                (None, None) => true,
+                (Some((gd, gdoc)), Some((wd, wdoc))) => {
+                    gd.to_bits() == wd.to_bits() && gdoc == wdoc
+                }
+                _ => false,
+            };
+            if !same {
+                return Err(format!(
+                    "query {i}: {name} index served {got:?}, brute scan {want:?}"
+                ));
+            }
+        }
+        if view.pseudo_label(queries, f32::INFINITY, fallback) != reference_labels {
+            return Err(format!("{name} index pseudo-labels differ from brute"));
+        }
+    }
+    Ok(())
+}
+
+/// Runs `ops` — `(kind, size, salt)` triples decoded below — against one
+/// fairDS while one snapshot lives through all of them, checking
+/// [`views_agree`] at every read. Every document is distinguishable (a
+/// serial number in its label or `uid`), so equal winner documents mean
+/// equal winner ids even among duplicate embeddings.
+fn run_interleaving(k: usize, seed: u64, ops: &[(usize, usize, u64)]) -> Result<(), String> {
+    let mut ds = routed_fairds(k, seed);
+    let live = ds.snapshot().expect("trained");
+    let mut rng = TensorRng::seeded(seed ^ 0x5EED);
+    let mut serial = 0.0f32;
+    for (step, &(kind, size, salt)) in ops.iter().enumerate() {
+        let ids = ds.store().ids();
+        let pick = |n: usize| -> Vec<u64> {
+            (0..n.min(ids.len()))
+                .map(|i| ids[(salt as usize).wrapping_add(i * 7) % ids.len()])
+                .collect()
+        };
+        match kind {
+            // The write path proper: kmeans-routed, labeled, one batch.
+            0..=2 => {
+                let x = quantized_rows(&mut rng, size, 1.0);
+                let labels: Vec<f32> = (0..size * 2).map(|i| serial + (i / 2) as f32).collect();
+                serial += size as f32;
+                ds.ingest_labeled(&x, &Tensor::from_vec(labels, &[size, 2]), step);
+            }
+            // Direct inserts under arbitrary clusters, half unlabeled: what
+            // a later reindex moves to the cluster kmeans assigns.
+            3 => {
+                for i in 0..size.min(12) {
+                    let emb = quantized_row(&mut rng, 1.0);
+                    let mut doc = Document::new()
+                        .with("pixels", emb.clone())
+                        .with("embedding", emb)
+                        .with("cluster", ((salt as usize + i) % k) as i64)
+                        .with("uid", serial as i64);
+                    if i % 2 == 0 {
+                        doc.set("label", vec![serial, serial]);
+                    }
+                    serial += 1.0;
+                    ds.store().insert(&doc);
+                }
+            }
+            4 => pick(size.min(9)).into_iter().for_each(|id| {
+                ds.store().delete(id);
+            }),
+            5 => {
+                ds.reindex_ids(&pick(size));
+            }
+            _ => {
+                ds.configure_read_index(TINY_BALLS);
+                let fresh = ds.snapshot().expect("trained");
+                ds.configure_read_index(ReadIndexConfig {
+                    enabled: false,
+                    ..TINY_BALLS
+                });
+                let brute = ds.snapshot().expect("trained");
+                let queries = quantized_rows(&mut rng, 1 + size % 9, 1.0);
+                views_agree(&live, &fresh, &brute, &queries)
+                    .map_err(|e| format!("step {step}: {e}"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Incremental == from-scratch == brute, across random interleavings
+    /// of ingests, direct inserts, deletes, reindexes and reads. With
+    /// 4-row balls the stores here cross `min_cluster_rows`, split balls
+    /// on append and rebuild clusters on every delete and cluster move.
+    #[test]
+    fn delta_maintained_index_matches_full_build_and_brute(
+        k in 2usize..5,
+        seed in 0u64..1000,
+        ops in proptest::collection::vec((0usize..8, 1usize..40, any::<u64>()), 4..28),
+    ) {
+        let mut ops = ops;
+        ops.push((7, 8, 0));
+        if let Err(e) = run_interleaving(k, seed, &ops) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// The same three-way agreement when more mutations land between two reads
+/// than the store's change log holds: the long-lived snapshot must notice
+/// and rebuild, not advance from a log with a hole in it.
+#[test]
+fn change_log_overrun_between_reads_falls_back_to_a_full_build() {
+    let ops = [
+        (0, 30, 1),
+        (7, 8, 2),
+        (0, 4200, 3),
+        (4, 9, 4),
+        (7, 8, 5),
+        (0, 20, 6),
+        (5, 30, 7),
+        (7, 8, 8),
+    ];
+    run_interleaving(3, 11, &ops).unwrap();
 }
 
 /// The routed path must actually route on a store big enough to ball-split

@@ -12,8 +12,8 @@
 use crate::codec::{Codec, RawCodec};
 use crate::value::Document;
 use bytes::Bytes;
-use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +21,11 @@ use std::sync::Arc;
 pub type DocId = u64;
 
 const DEFAULT_SHARDS: usize = 16;
+
+/// Mutations the change log remembers. A derived cache that falls further
+/// behind than this rebuilds from the store instead of catching up; 4,096
+/// ids are 32 KiB per collection and cover sixty-odd ingest batches.
+const CHANGE_LOG_CAPACITY: usize = 4096;
 
 struct Shard {
     docs: HashMap<DocId, Bytes>,
@@ -39,16 +44,16 @@ pub struct Collection {
     shards: Vec<RwLock<Shard>>,
     indexes: RwLock<Vec<Index>>,
     next_id: AtomicU64,
-    /// Bumped on every insert/update/delete. Readers key derived caches
-    /// (e.g. fairDS's cluster-membership index) on this so they rebuild
-    /// exactly once per store change instead of re-querying per call.
+    /// The number of mutations ever logged: advanced by one per inserted,
+    /// updated or deleted document. Readers key derived caches (e.g.
+    /// fairDS's read index) on this so they refresh exactly once per store
+    /// change instead of re-querying per call.
     revision: AtomicU64,
-    /// Per-shard mutation counters (same Release-publish / Acquire-read
-    /// protocol as the global `revision`). A derived cache that decodes
-    /// documents shard-by-shard — fairDS's read index — compares these to
-    /// re-decode only the shards that actually changed, making rebuild
-    /// after a mutation O(changed shard) instead of O(store).
-    shard_revisions: Vec<AtomicU64>,
+    /// The ids of the last [`CHANGE_LOG_CAPACITY`] mutations, oldest
+    /// first: the entry at position `i` took the revision from
+    /// `revision - len + i` to one more. `revision` only moves under this
+    /// lock, after the entries it counts are in place.
+    changes: Mutex<VecDeque<DocId>>,
 }
 
 impl std::fmt::Debug for Collection {
@@ -79,11 +84,11 @@ impl Collection {
             indexes: RwLock::new(Vec::new()),
             next_id: AtomicU64::new(0),
             revision: AtomicU64::new(0),
-            shard_revisions: (0..DEFAULT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            changes: Mutex::new(VecDeque::with_capacity(CHANGE_LOG_CAPACITY)),
         }
     }
 
-    /// Monotone mutation counter: changes whenever a document is inserted,
+    /// Monotone mutation counter: advances by one per document inserted,
     /// updated, or deleted. Equal revisions observed before and after a
     /// derived computation guarantee the computation saw a stable set of
     /// documents (publish with `Release`, read with `Acquire`).
@@ -91,39 +96,29 @@ impl Collection {
         self.revision.load(Ordering::Acquire)
     }
 
-    #[inline]
-    fn bump_revision(&self, id: DocId) {
-        self.shard_revisions[(id as usize) % self.shards.len()].fetch_add(1, Ordering::Release);
-        self.revision.fetch_add(1, Ordering::Release);
+    /// Logs the mutated `ids` and advances the revision past all of them
+    /// in one step, so a reader sees none or all of a batch. Every mutation
+    /// passes through here *after* its document write, so whoever observes
+    /// the new revision (or the log entries) also observes the documents.
+    fn bump_revision(&self, ids: &[DocId]) {
+        let mut log = self.changes.lock();
+        let tail = &ids[ids.len().saturating_sub(CHANGE_LOG_CAPACITY)..];
+        let excess = (log.len() + tail.len()).saturating_sub(CHANGE_LOG_CAPACITY);
+        log.drain(..excess);
+        log.extend(tail);
+        self.revision.fetch_add(ids.len() as u64, Ordering::Release);
     }
 
-    /// Number of hash shards documents are distributed over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a document id hashes to (stable for the collection's
-    /// lifetime — shard count never changes after construction).
-    #[inline]
-    pub fn shard_index(&self, id: DocId) -> usize {
-        (id as usize) % self.shards.len()
-    }
-
-    /// Snapshot of every per-shard mutation counter (`Acquire` loads, same
-    /// stability contract as [`Collection::revision`] but scoped to one
-    /// shard each).
-    pub fn shard_revisions(&self) -> Vec<u64> {
-        self.shard_revisions
-            .iter()
-            .map(|r| r.load(Ordering::Acquire))
-            .collect()
-    }
-
-    /// All document ids living in one shard, ascending.
-    pub fn shard_ids(&self, shard: usize) -> Vec<DocId> {
-        let mut ids: Vec<DocId> = self.shards[shard].read().docs.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+    /// The ids mutated since the store was at revision `since`, in
+    /// mutation order (an id mutated twice appears twice); `since` plus
+    /// their number is the revision they lead to. `None` once the log has
+    /// been trimmed past `since` — the caller must re-read the store.
+    pub fn changes_since(&self, since: u64) -> Option<Vec<DocId>> {
+        let log = self.changes.lock();
+        // Stable while the log is locked: the revision only moves under it.
+        let behind = self.revision.load(Ordering::Acquire).checked_sub(since)?;
+        let start = log.len().checked_sub(usize::try_from(behind).ok()?)?;
+        Some(log.range(start..).copied().collect())
     }
 
     /// Collection name.
@@ -144,23 +139,34 @@ impl Collection {
     /// Inserts a document, returning its id. Encoding happens on the insert
     /// path (the paper's "building data indexes as data are written").
     pub fn insert(&self, doc: &Document) -> DocId {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let encoded = Bytes::from(self.codec.encode(doc));
-        self.shard_of(id).write().docs.insert(id, encoded);
+        self.insert_many(std::slice::from_ref(doc))[0]
+    }
+
+    /// Inserts many documents, returning their (consecutive) ids in order.
+    /// Documents are encoded before any lock is taken, the secondary
+    /// indexes are locked once for the whole batch, and the batch is
+    /// published under a single revision advance.
+    pub fn insert_many(&self, docs: &[Document]) -> Vec<DocId> {
+        let first = self.next_id.fetch_add(docs.len() as u64, Ordering::Relaxed);
+        let ids: Vec<DocId> = (first..first + docs.len() as u64).collect();
+        let encoded: Vec<Bytes> = docs
+            .iter()
+            .map(|doc| Bytes::from(self.codec.encode(doc)))
+            .collect();
+        for (&id, payload) in ids.iter().zip(encoded) {
+            self.shard_of(id).write().docs.insert(id, payload);
+        }
         let mut indexes = self.indexes.write();
         for index in indexes.iter_mut() {
-            if let Some(v) = doc.get_i64(&index.field) {
-                index.map.entry(v).or_default().insert(id);
+            for (&id, doc) in ids.iter().zip(docs) {
+                if let Some(v) = doc.get_i64(&index.field) {
+                    index.map.entry(v).or_default().insert(id);
+                }
             }
         }
         drop(indexes);
-        self.bump_revision(id);
-        id
-    }
-
-    /// Inserts many documents, returning their ids in order.
-    pub fn insert_many(&self, docs: &[Document]) -> Vec<DocId> {
-        docs.iter().map(|d| self.insert(d)).collect()
+        self.bump_revision(&ids);
+        ids
     }
 
     /// Fetches and decodes a document.
@@ -203,7 +209,7 @@ impl Collection {
             }
         }
         drop(indexes);
-        self.bump_revision(id);
+        self.bump_revision(&[id]);
         true
     }
 
@@ -223,7 +229,7 @@ impl Collection {
             }
         }
         drop(indexes);
-        self.bump_revision(id);
+        self.bump_revision(&[id]);
         true
     }
 
@@ -278,7 +284,7 @@ impl Collection {
     /// [`Collection::create_index`] afterwards).
     pub(crate) fn insert_raw_with_id(&self, id: DocId, payload: Bytes) {
         self.shard_of(id).write().docs.insert(id, payload);
-        self.bump_revision(id);
+        self.bump_revision(&[id]);
     }
 
     /// Forces the id counter (snapshot restore path).
@@ -620,31 +626,89 @@ mod tests {
     }
 
     #[test]
-    fn shard_revisions_bump_only_the_touched_shard() {
+    fn change_log_lists_mutations_in_order() {
         let coll = Collection::new("t", Arc::new(RawCodec));
-        let id = coll.insert(&doc(1, 0));
-        let shard = coll.shard_index(id);
-        let before = coll.shard_revisions();
-        assert_eq!(before.len(), coll.shard_count());
-        assert!(coll.update(id, &doc(2, 0)));
-        let after = coll.shard_revisions();
-        for (s, (&b, &a)) in before.iter().zip(&after).enumerate() {
-            if s == shard {
-                assert!(a > b, "touched shard {s} must bump");
-            } else {
-                assert_eq!(a, b, "untouched shard {s} must not bump");
-            }
+        let r0 = coll.revision();
+        let a = coll.insert(&doc(1, 0));
+        let batch = coll.insert_many(&[doc(2, 1), doc(3, 2)]);
+        let r1 = coll.revision();
+        assert!(coll.update(a, &doc(4, 0)));
+        assert!(coll.delete(batch[0]));
+        // Failed mutations log nothing.
+        assert!(!coll.delete(batch[0]));
+        let all = coll.changes_since(r0).expect("within the log");
+        assert_eq!(all, vec![a, batch[0], batch[1], a, batch[0]]);
+        assert_eq!(r0 + all.len() as u64, coll.revision());
+        assert_eq!(coll.changes_since(r1), Some(vec![a, batch[0]]));
+        assert_eq!(coll.changes_since(coll.revision()), Some(Vec::new()));
+        assert_eq!(coll.changes_since(coll.revision() + 1), None);
+    }
+
+    #[test]
+    fn trimmed_change_log_returns_none() {
+        let coll = Collection::new("t", Arc::new(RawCodec));
+        let id = coll.insert(&doc(0, 0));
+        let r1 = coll.revision();
+        for i in 0..CHANGE_LOG_CAPACITY as i64 {
+            assert!(coll.update(id, &doc(i, 0)));
         }
-        assert!(coll.delete(id));
-        assert!(coll.shard_revisions()[shard] > after[shard]);
-        // Ids land in their hashed shard and nowhere else.
-        let id2 = coll.insert(&doc(3, 1));
-        assert!(coll.shard_ids(coll.shard_index(id2)).contains(&id2));
-        let elsewhere: usize = (0..coll.shard_count())
-            .filter(|&s| s != coll.shard_index(id2))
-            .map(|s| coll.shard_ids(s).len())
-            .sum();
-        assert_eq!(elsewhere, 0);
+        // Exactly CAPACITY entries since r1: still derivable; one further
+        // back is gone.
+        assert_eq!(
+            coll.changes_since(r1).map(|c| c.len()),
+            Some(CHANGE_LOG_CAPACITY)
+        );
+        assert_eq!(coll.changes_since(r1 - 1), None);
+        // One batch larger than the log keeps only its tail.
+        let docs: Vec<Document> = (0..CHANGE_LOG_CAPACITY as i64 + 5)
+            .map(|i| doc(i, 1))
+            .collect();
+        let r2 = coll.revision();
+        let ids = coll.insert_many(&docs);
+        assert_eq!(coll.revision(), r2 + ids.len() as u64);
+        assert_eq!(coll.changes_since(r2), None);
+        assert_eq!(coll.changes_since(r2 + 5), Some(ids[5..].to_vec()));
+    }
+
+    #[test]
+    fn concurrent_inserts_lose_no_log_entry() {
+        let coll = Arc::new(Collection::new("t", Arc::new(RawCodec)));
+        let r0 = coll.revision();
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4i64)
+            .map(|t| {
+                let c = Arc::clone(&coll);
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    let mut ids = Vec::new();
+                    let mut pairs = Vec::new();
+                    for i in 0..50 {
+                        ids.push(c.insert(&doc(t, i)));
+                        let pair = c.insert_many(&[doc(t, i), doc(t, i)]);
+                        ids.extend(&pair);
+                        pairs.push((pair[0], pair[1]));
+                    }
+                    (ids, pairs)
+                })
+            })
+            .collect();
+        let (mut inserted, mut pairs) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (ids, batches) = h.join().unwrap();
+            inserted.extend(ids);
+            pairs.extend(batches);
+        }
+        let mut logged = coll.changes_since(r0).expect("600 entries fit the log");
+        assert_eq!(coll.revision(), r0 + logged.len() as u64);
+        // A batch is published whole: its entries sit side by side.
+        for (a, b) in pairs {
+            let at = logged.iter().position(|&id| id == a).expect("logged");
+            assert_eq!(logged.get(at + 1), Some(&b), "batch {a},{b} interleaved");
+        }
+        inserted.sort_unstable();
+        logged.sort_unstable();
+        assert_eq!(logged, inserted, "every insert is logged exactly once");
     }
 
     #[test]

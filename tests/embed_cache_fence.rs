@@ -284,15 +284,20 @@ fn ingest_triggered_async_retrain_fences_too() {
     let noise_labels = Tensor::zeros(&[60, 2]);
     let (_, retrained) = client.ingest(noise, noise_labels, 1).expect("drift");
     assert!(retrained, "drifted ingest must trigger");
-    while client.metrics().expect("metrics").system_retrains == 0 {
+    // `system_retrains` ticks before the new view is published, so wait
+    // for the publication itself.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let sys = loop {
+        let sys = client.current_view().system.clone().expect("sys");
+        if sys.version() > v0 {
+            break sys;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the background retrain never published a new generation"
+        );
         std::thread::yield_now();
-    }
-
-    let sys = client.current_view().system.clone().expect("retrained");
-    assert!(
-        sys.version() > v0,
-        "installation published a new generation"
-    );
+    };
     assert_eq!(
         sys.embed_cached(&x),
         sys.embedder().embed(&x),
