@@ -14,6 +14,7 @@ use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datastore::{Collection, Document, RawCodec};
 use fairdms_nn::schedule::LrSchedule;
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::Arc;

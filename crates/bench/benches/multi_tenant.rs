@@ -12,8 +12,9 @@
 //!
 //! The bench **asserts** B's contended read p99 stays within 3× its solo
 //! p99: training monopolizing the shared pool must not leak into another
-//! tenant's read path (reads run on each tenant's own read pool and
-//! actor; the training executor is the only shared compute).
+//! tenant's read path (reads run on the connection's reader thread
+//! against the tenant's own snapshot; the training executor is the only
+//! shared compute).
 //!
 //! Results land in `results/BENCH_multi_tenant.json` via
 //! `fairdms_bench::report`. CI runs this bench at exactly this scale (see

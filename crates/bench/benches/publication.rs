@@ -22,6 +22,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_core::{FairDsConfig, ModelManager};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

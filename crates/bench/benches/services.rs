@@ -12,6 +12,7 @@ use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::{BraggSimulator, DriftModel};
 use fairdms_nn::checkpoint;
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,7 +86,7 @@ fn bench_zoo_recommend(c: &mut Criterion) {
 /// training loop hammering the actor. Before the user-plane split, every
 /// one of these reads would have queued behind the training run (the
 /// reported `update_model` duration bounds that stall); with the split
-/// they are served from snapshots by the read pool.
+/// they are served from snapshots on the calling thread.
 fn bench_concurrent_read_plane(_c: &mut Criterion) {
     let history = bragg_history(2, 160, 7);
     let (hx, hy) = bragg_flat(&history);
@@ -106,7 +107,6 @@ fn bench_concurrent_read_plane(_c: &mut Criterion) {
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
             auto_retrain: false,
-            read_pool_size: 0, // auto-size from the machine
             ..DmsServerConfig::default()
         },
     );

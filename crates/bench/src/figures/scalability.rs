@@ -27,6 +27,7 @@ use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::voigt::{label_batch, FitConfig};
 use fairdms_datastore::{Collection, Document, RawCodec};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use std::sync::Arc;
 use std::time::Instant;

@@ -23,7 +23,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::net::{NetServer, NetServerConfig, NetServerHandle, Pending, PipelinedClient};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::{Request, ServiceError};
+use fairdms_service::{DmsApi, Request, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::collections::VecDeque;
@@ -108,7 +108,6 @@ pub fn spawn_wire_deployment(seed: u64, net_cfg: NetServerConfig) -> WireDeploym
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
             auto_retrain: false,
-            read_pool_size: 2,
             ..DmsServerConfig::default()
         },
     );

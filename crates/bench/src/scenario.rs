@@ -24,7 +24,7 @@ use fairdms_datasets::tomo::TomoSimulator;
 use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::{NetServerConfig, NetServerHandle, PipelinedClient};
 use fairdms_service::server::DmsServerConfig;
-use fairdms_service::{Request, ServiceError, TenantId};
+use fairdms_service::{DmsApi, Request, ServiceError, TenantId};
 use fairdms_tensor::Tensor;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -203,7 +203,6 @@ pub fn spawn_scenario_deployment(
                 training_queue_capacity: sc.training_queue_capacity,
                 config: DmsServerConfig {
                     auto_retrain: false,
-                    read_pool_size: 2,
                     ..DmsServerConfig::default()
                 },
             },

@@ -479,8 +479,8 @@ impl Default for ModelManager {
 
 impl ModelManager {
     /// A manager with an explicit threshold. Panics outside `[0, 1]`; use
-    /// [`ModelManager::try_new`] where unwinding is unacceptable (e.g. on
-    /// a read worker).
+    /// [`ModelManager::try_new`] where unwinding is unacceptable (e.g. in
+    /// a read handler).
     pub fn new(distance_threshold: f64) -> Self {
         Self::try_new(distance_threshold).expect("JSD threshold must be in [0, 1]")
     }

@@ -40,7 +40,7 @@ const SEQ: Threading = Threading::Sequential;
 thread_local! {
     /// Recycled patch-matrix scratch (`T`, plus `∂T` in the backward
     /// pass). Per thread rather than per layer: `infer` takes `&self` and
-    /// is called concurrently from the snapshot read pool.
+    /// is called concurrently from every thread serving snapshot reads.
     static PATCHES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 

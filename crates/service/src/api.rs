@@ -8,18 +8,19 @@
 //! system plane runs inside the server, triggered by the certainty monitor.
 //!
 //! Requests are further classified by [`Request::is_read_only`]: read-only
-//! operations are served off the actor thread by a pool of snapshot-reading
-//! workers and never queue behind training, while mutating operations
+//! operations are answered on the calling thread from the published
+//! snapshot and never queue behind training, while mutating operations
 //! serialize through the actor (see [`crate::server`] and DESIGN.md §6).
+//!
+//! [`DmsApi`] is the one client surface: a transport implements
+//! [`DmsApi::call`] and inherits the typed helpers.
 
+use crate::metrics::MetricsSnapshot;
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::PseudoLabelStats;
 use fairdms_core::workflow::UpdateReport;
 use fairdms_datastore::Document;
 use fairdms_tensor::Tensor;
-
-/// Identifier assigned to every accepted request (monotonic per server).
-pub type RequestId = u64;
 
 /// Identifier of one tenant — one isolated experiment deployment — inside
 /// a shared service process (DESIGN.md §14). Carried on every wire frame;
@@ -162,9 +163,7 @@ impl Request {
     ///
     /// `PseudoLabel` is *not* read-only even though it writes no service
     /// state: it drives the server's fallback labeler, an exclusive
-    /// `FnMut`, so it serializes through the actor. `Metrics` is read-only
-    /// (and [`crate::server::DmsClient::metrics`] skips the queue
-    /// entirely — the registry is lock-free).
+    /// `FnMut`, so it serializes through the actor.
     pub fn is_read_only(&self) -> bool {
         matches!(
             self,
@@ -219,11 +218,9 @@ pub enum Reply {
         /// Documents written.
         count: usize,
         /// True when the certainty monitor fired and a system-plane
-        /// retrain was *triggered*. With the background training executor
-        /// (the default) the retrain completes asynchronously — poll
-        /// `system_retrains` / the snapshot version for installation; in
-        /// serialized mode (`training_pool_size: 0`) it has already
-        /// completed when this reply arrives.
+        /// retrain was *triggered*. The retrain completes asynchronously
+        /// on the training executor — poll `system_retrains` / the
+        /// snapshot version for installation.
         retrained: bool,
     },
     /// Dataset PDF.
@@ -261,11 +258,162 @@ pub enum Reply {
     /// Certainty in `[0, 1]`.
     Certainty(f64),
     /// Metrics snapshot.
-    Metrics(crate::metrics::MetricsSnapshot),
+    Metrics(MetricsSnapshot),
 }
 
 /// What a client ultimately receives.
 pub type ServiceResult = Result<Reply, ServiceError>;
+
+/// A reply variant that does not answer the request that was sent. Over a
+/// socket that is a peer fault, so every transport reports it as an error
+/// instead of unwinding the caller.
+fn mismatch(got: &Reply) -> ServiceError {
+    ServiceError::Protocol(format!("mismatched reply variant for request: {got:?}"))
+}
+
+/// The typed client surface of a fairDMS deployment, the same over every
+/// transport: implement [`DmsApi::call`] and the helpers follow. Code
+/// written against `&impl DmsApi` runs unchanged in-process
+/// ([`crate::server::DmsClient`]) and over a socket
+/// ([`crate::net::PipelinedClient`]).
+pub trait DmsApi {
+    /// Sends one request and blocks for its reply.
+    fn call(&self, req: Request) -> ServiceResult;
+
+    /// Bootstrap the system plane. Returns the fitted K.
+    fn train_system(
+        &self,
+        images: Tensor,
+        embed_cfg: EmbedTrainConfig,
+    ) -> Result<usize, ServiceError> {
+        match self.call(Request::TrainSystem { images, embed_cfg })? {
+            Reply::SystemTrained { k } => Ok(k),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Ingest labeled data; returns `(count, retrained)`.
+    fn ingest(
+        &self,
+        images: Tensor,
+        labels: Tensor,
+        scan: usize,
+    ) -> Result<(usize, bool), ServiceError> {
+        match self.call(Request::IngestLabeled {
+            images,
+            labels,
+            scan,
+        })? {
+            Reply::Ingested { count, retrained } => Ok((count, retrained)),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Dataset cluster PDF.
+    fn dataset_pdf(&self, images: Tensor) -> Result<Vec<f64>, ServiceError> {
+        match self.call(Request::DatasetPdf { images })? {
+            Reply::Pdf(p) => Ok(p),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Pseudo-label with the server's fallback. Pass `f32::NAN` to use the
+    /// server's default threshold.
+    fn pseudo_label(
+        &self,
+        images: Tensor,
+        threshold: f32,
+    ) -> Result<(Tensor, PseudoLabelStats), ServiceError> {
+        match self.call(Request::PseudoLabel { images, threshold })? {
+            Reply::Labeled { labels, stats } => Ok((labels, stats)),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// PDF-matched document retrieval.
+    fn lookup(&self, pdf: Vec<f64>, count: usize) -> Result<Vec<Document>, ServiceError> {
+        match self.call(Request::LookupMatching { pdf, count })? {
+            Reply::Documents(d) => Ok(d),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Zoo ranking for a dataset PDF (the full, sorted ranking).
+    fn recommend(&self, pdf: Vec<f64>) -> Result<RankedModels, ServiceError> {
+        match self.call(Request::Recommend { pdf, top_k: None })? {
+            Reply::Ranked(r) => Ok(r),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// The `k` lowest-divergence zoo entries for a dataset PDF, ascending
+    /// — served by the snapshot's pruned partial-ranking path, which
+    /// avoids sorting (and usually scoring) the whole zoo.
+    fn recommend_top_k(&self, pdf: Vec<f64>, k: usize) -> Result<RankedModels, ServiceError> {
+        match self.call(Request::Recommend {
+            pdf,
+            top_k: Some(k),
+        })? {
+            Reply::Ranked(r) => Ok(r),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Full rapid model update; returns `(checkpoint, report)`.
+    fn update_model(
+        &self,
+        images: Tensor,
+        scan: usize,
+    ) -> Result<(Vec<u8>, UpdateReport), ServiceError> {
+        match self.call(Request::UpdateModel { images, scan })? {
+            Reply::Updated { checkpoint, report } => Ok((checkpoint, report)),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Publish an externally trained checkpoint.
+    fn publish(
+        &self,
+        name: &str,
+        checkpoint: Vec<u8>,
+        pdf: Vec<f64>,
+        scan: usize,
+    ) -> Result<usize, ServiceError> {
+        match self.call(Request::PublishModel {
+            name: name.to_string(),
+            checkpoint,
+            pdf,
+            scan,
+        })? {
+            Reply::Published { zoo_id } => Ok(zoo_id),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Fetch a checkpoint and its training PDF from the Zoo.
+    fn fetch(&self, zoo_id: usize) -> Result<(Vec<u8>, Vec<f64>), ServiceError> {
+        match self.call(Request::FetchModel { zoo_id })? {
+            Reply::Model { checkpoint, pdf } => Ok((checkpoint, pdf)),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Fuzzy-clustering certainty of a dataset.
+    fn certainty(&self, images: Tensor) -> Result<f64, ServiceError> {
+        match self.call(Request::Certainty { images })? {
+            Reply::Certainty(c) => Ok(c),
+            other => Err(mismatch(&other)),
+        }
+    }
+
+    /// Server metrics snapshot.
+    fn metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
+        match self.call(Request::Metrics)? {
+            Reply::Metrics(m) => Ok(m),
+            other => Err(mismatch(&other)),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

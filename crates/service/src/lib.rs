@@ -6,25 +6,25 @@
 //! the background. This crate packages the [`fairdms_core`] workflow
 //! behind a concurrent request/reply server with a **split user plane**:
 //!
-//! * [`api`] — the typed request/response vocabulary, error model, and the
-//!   read/write classification ([`api::Request::is_read_only`]);
+//! * [`api`] — the typed request/response vocabulary, error model, the
+//!   read/write classification ([`api::Request::is_read_only`]) and the
+//!   one typed client surface ([`api::DmsApi`]);
 //! * [`swap`] — [`swap::SnapshotCell`], the lock-free atomically-swappable
 //!   `Arc` cell snapshot publication rides on;
 //! * [`server`] — [`server::DmsServer`]: a thin mutation actor
 //!   (bounded-queue admission, O(ms) operations only), a **background
 //!   training executor** running cancellable, supersedable training jobs
 //!   (`UpdateModel` fine-tunes, certainty-triggered retrains) whose
-//!   results are version-fenced before publication, plus an N-thread read
-//!   pool serving `DatasetPdf` / `LookupMatching` / `Recommend` /
-//!   `FetchModel` / `Certainty` from immutable snapshots — so neither
-//!   reads *nor ingest* ever stall behind a training run;
+//!   results are version-fenced before publication, while `DatasetPdf` /
+//!   `LookupMatching` / `Recommend` / `FetchModel` / `Certainty` are
+//!   answered on the caller's thread from immutable snapshots — so
+//!   neither reads *nor ingest* ever stall behind a training run;
 //! * [`metrics`] — lock-free per-operation queue-wait/run-time statistics
 //!   and training-job counters, served to clients without ever entering
 //!   an admission queue;
 //! * [`net`] — the wire plane (DESIGN.md §13): a pipelined TCP/UDS
 //!   listener over the same deployment ([`net::NetServer`]) and the
-//!   matching socket clients ([`net::DmsTcpClient`],
-//!   [`net::PipelinedClient`]);
+//!   matching socket client ([`net::PipelinedClient`]);
 //! * [`multi`] — the tenant plane (DESIGN.md §14): [`multi::MultiDms`]
 //!   hosts N isolated deployments behind one process, sharing one
 //!   fair-scheduled training pool and one wire listener, with per-tenant
@@ -37,6 +37,7 @@
 //! use fairdms_core::models::ArchSpec;
 //! use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 //! use fairdms_service::server::{DmsServer, DmsServerConfig};
+//! use fairdms_service::DmsApi; // the typed helpers
 //!
 //! let side = 8;
 //! let embedder = AutoencoderEmbedder::new(side * side, 32, 8, 0);
@@ -46,14 +47,12 @@
 //!     ModelManager::default(),
 //!     RapidTrainerConfig::new(ArchSpec::BraggNN { patch: side }, side),
 //! );
-//! let cfg = DmsServerConfig {
-//!     read_pool_size: 4, // 0 ⇒ sized from available parallelism
-//!     ..DmsServerConfig::default()
-//! };
+//! let cfg = DmsServerConfig::default();
 //! let (client, handle) = DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg);
 //! // Mutations serialize through the actor...
 //! // client.train_system(...)?; client.update_model(...)?;
-//! // ...while reads are served concurrently from published snapshots:
+//! // ...while reads are answered on the calling thread, concurrently,
+//! // from published snapshots:
 //! // client.dataset_pdf(...)?; client.recommend(...)?; client.metrics()?;
 //! drop(client);
 //! handle.shutdown();
@@ -77,12 +76,10 @@ pub mod server;
 #[allow(unsafe_code)]
 pub mod swap;
 
-pub use api::{RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId};
+pub use api::{DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId};
 pub use metrics::{Metrics, MetricsSnapshot, NetStats, OpSnapshot};
 pub use multi::{MultiDms, MultiDmsBuilder, TenantSpec};
-pub use net::{
-    DmsTcpClient, NetServer, NetServerConfig, NetServerHandle, PipelinedClient, TenantRouter,
-};
+pub use net::{NetServer, NetServerConfig, NetServerHandle, PipelinedClient, TenantRouter};
 pub use server::{
     DmsClient, DmsServer, DmsServerConfig, FallbackLabeler, ServerHandle, ServiceView,
 };

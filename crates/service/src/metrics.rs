@@ -27,6 +27,7 @@
 
 use fairdms_core::fairds::ReadIndexCounters;
 use fairdms_core::reuse::{EmbedCache, EmbedCacheStats};
+use fairdms_datastore::wire::{OutOfBounds, Reader, WriteExt};
 use fairdms_flows::jobs::{JobPool, TenantId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -155,82 +156,217 @@ pub const OPS: [&str; 11] = [
     "metrics",
 ];
 
-/// The server-wide metrics registry: run-time and queue-wait [`OpStats`]
-/// per operation plus system-plane and training-executor counters.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    ops: [OpStats; OPS.len()],
-    queue: [OpStats; OPS.len()],
-    /// Certainty-triggered system-plane retrains that *completed and
-    /// installed* (an asynchronously superseded retrain never counts).
-    pub system_retrains: AtomicU64,
-    /// Store documents installed by **copying** the retrain job's shipped
-    /// embeddings/clusters back (the O(copy) install path — zero forward
-    /// passes on the actor).
-    pub retrain_docs_copied: AtomicU64,
-    /// Store documents ingested mid-flight that a retrain install had to
-    /// freshly embed in its delta batch. Persistently large values mean
-    /// ingest outpaces retraining and the install is drifting back toward
-    /// O(store) work on the actor.
-    pub retrain_docs_delta_embedded: AtomicU64,
-    /// Training jobs (model updates and system retrains) handed to the
-    /// training executor — or run inline when the executor is disabled.
-    pub training_jobs_started: AtomicU64,
-    /// Training jobs whose result was published (model registered /
-    /// system plane installed).
-    pub training_jobs_completed: AtomicU64,
-    /// Training jobs cancelled by a newer trigger for the same plane, or
-    /// whose completed result was rejected by the version fence because
-    /// the plane they trained from had been replaced mid-flight.
-    pub training_jobs_superseded: AtomicU64,
-    /// Admission-queue-full events where the client *blocked* until the
-    /// queue drained and the request then proceeded normally. Healthy
-    /// backpressure, not failure — dashboards alerting on request loss
-    /// should watch [`Metrics::rejected`] instead. (Before this split the
-    /// two were conflated under `rejected`.)
-    pub backpressure_waits: AtomicU64,
-    /// Requests that actually failed admission: the target plane's channel
-    /// was disconnected (server shut down or its worker died), so the
-    /// client observed `Unavailable`.
-    pub rejected: AtomicU64,
-    /// Handle onto the data-reuse plane's embedding cache, attached at
-    /// server spawn so snapshots can report
-    /// `embed_cache_{hits,misses,evictions,stale_generation}`. The cache
-    /// keeps its own lock-free counters; this is a read-only view.
-    embed_cache: OnceLock<Arc<EmbedCache>>,
-    /// Handle onto the read plane's IVF index counters, attached at server
-    /// spawn so snapshots report `read_index_{probes,balls_pruned,
-    /// candidates_scanned}` (DESIGN.md §12). Read-only view, same contract
-    /// as [`Metrics::attach_embed_cache`].
-    read_index: OnceLock<Arc<ReadIndexCounters>>,
-    /// Handle onto the wire plane's connection/frame counters, attached
-    /// when a network listener is spawned over this deployment
-    /// (DESIGN.md §13). Zeroed in snapshots until then.
-    net: OnceLock<Arc<NetCounters>>,
-    /// Weak handle onto the training [`JobPool`] plus this deployment's
-    /// tenant id, attached at server spawn so snapshots report the
-    /// `training_jobs_queued` gauge (DESIGN.md §14). Weak on purpose: the
-    /// registry outlives the server teardown path and must not keep the
-    /// pool's worker threads alive past shutdown.
-    training_pool: OnceLock<(Weak<JobPool>, TenantId)>,
+/// Declares a registry and its plain-data snapshot from **one field
+/// table**, so a counter is spelled once: the table generates the
+/// registry's atomic fields, the snapshot struct, the `snapshot()` loads
+/// and the wire codec's `put_u64s`/`get_u64s`, all in table order.
+///
+/// * `registry` / `snapshot` braces hold the fields that are not plain
+///   counters — attachments on the registry side; on the snapshot side
+///   structured fields with the closure `snapshot()` fills them by (the
+///   codec writes those itself).
+/// * `atomic(vis)` lines are `AtomicU64`s of that visibility on the
+///   registry and `pub u64`s on the snapshot.
+/// * `read` lines exist only on the snapshot: a `u64` filled by a closure
+///   over the registry (a counter owned by an attached component).
+macro_rules! u64_table {
+    (
+        $(#[$reg_meta:meta])*
+        registry $Reg:ident { $($(#[$e_meta:meta])* $e:ident: $e_ty:ty,)* }
+        $(#[$snap_meta:meta])*
+        snapshot $Snap:ident { $($(#[$s_meta:meta])* $s:ident: $s_ty:ty = $s_load:expr,)* }
+        atomic($a_vis:vis) { $($(#[$a_meta:meta])* $a:ident,)* }
+        read { $($(#[$r_meta:meta])* $r:ident = $r_load:expr,)* }
+    ) => {
+        $(#[$reg_meta])*
+        pub struct $Reg {
+            $($(#[$e_meta])* $e: $e_ty,)*
+            $($(#[$a_meta])* $a_vis $a: AtomicU64,)*
+        }
+
+        $(#[$snap_meta])*
+        pub struct $Snap {
+            $($(#[$s_meta])* pub $s: $s_ty,)*
+            $($(#[$a_meta])* pub $a: u64,)*
+            $($(#[$r_meta])* pub $r: u64,)*
+        }
+
+        impl $Reg {
+            /// A point-in-time copy of everything.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap {
+                    $($s: ($s_load)(self),)*
+                    $($a: self.$a.load(Ordering::Relaxed),)*
+                    $($r: ($r_load)(self),)*
+                }
+            }
+        }
+
+        impl $Snap {
+            /// Appends every table field to a wire payload, in table order.
+            pub(crate) fn put_u64s(&self, out: &mut Vec<u8>) {
+                $(out.put_u64(self.$a);)*
+                $(out.put_u64(self.$r);)*
+            }
+
+            /// Reads every table field back, in table order.
+            pub(crate) fn get_u64s(&mut self, r: &mut Reader<'_>) -> Result<(), OutOfBounds> {
+                $(self.$a = r.u64()?;)*
+                $(self.$r = r.u64()?;)*
+                Ok(())
+            }
+        }
+    };
 }
 
-/// Lock-free counters of the wire plane (DESIGN.md §13): one instance per
-/// deployment, shared by every listener's accept loop and every
-/// connection's reader/writer threads. All monotone except
-/// `connections_active`, a gauge.
-#[derive(Debug, Default)]
-pub struct NetCounters {
-    connections_opened: AtomicU64,
-    connections_active: AtomicU64,
-    connections_busy_rejected: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    decode_errors: AtomicU64,
-    drains_graceful: AtomicU64,
-    drains_abrupt: AtomicU64,
+u64_table! {
+    /// The server-wide metrics registry: run-time and queue-wait [`OpStats`]
+    /// per operation plus system-plane and training-executor counters.
+    #[derive(Debug, Default)]
+    registry Metrics {
+        ops: [OpStats; OPS.len()],
+        queue: [OpStats; OPS.len()],
+        /// Handle onto the data-reuse plane's embedding cache, attached at
+        /// server spawn so snapshots can report
+        /// `embed_cache_{hits,misses,evictions,stale_generation}`. The cache
+        /// keeps its own lock-free counters; this is a read-only view.
+        embed_cache: OnceLock<Arc<EmbedCache>>,
+        /// Handle onto the read plane's IVF index counters, attached at
+        /// server spawn so snapshots report the `read_index_*` fields
+        /// (DESIGN.md §12). Read-only view, same contract as
+        /// [`Metrics::attach_embed_cache`].
+        read_index: OnceLock<Arc<ReadIndexCounters>>,
+        /// Handle onto the wire plane's connection/frame counters, attached
+        /// when a network listener is spawned over this deployment
+        /// (DESIGN.md §13). Zeroed in snapshots until then.
+        net: OnceLock<Arc<NetCounters>>,
+        /// Weak handle onto the training [`JobPool`] plus this deployment's
+        /// tenant id, attached at server spawn so snapshots report the
+        /// `training_jobs_queued` gauge (DESIGN.md §14). Weak on purpose: the
+        /// registry outlives the server teardown path and must not keep the
+        /// pool's worker threads alive past shutdown.
+        training_pool: OnceLock<(Weak<JobPool>, TenantId)>,
+    }
+    /// Plain-data copy of the whole registry.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    snapshot MetricsSnapshot {
+        /// Per-operation run-time snapshots (dequeue → reply), in [`OPS`]
+        /// order.
+        ops: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| OPS
+            .iter()
+            .map(|&name| (name, m.op(name).snapshot()))
+            .collect(),
+        /// Per-operation queue-wait snapshots (admission → dequeue), in
+        /// [`OPS`] order.
+        queue: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| OPS
+            .iter()
+            .map(|&name| (name, m.queue_of(name).snapshot()))
+            .collect(),
+        /// Data-reuse plane counters
+        /// (`embed_cache_{hits,misses,evictions,stale_generation}`), zeroed
+        /// when no cache is attached.
+        embed_cache: EmbedCacheStats =
+            |m: &Metrics| m.embed_cache.get().map(|c| c.stats()).unwrap_or_default(),
+        /// Wire-plane connection/frame counters (DESIGN.md §13), zeroed when
+        /// no network listener is attached to this deployment.
+        net: NetStats = |m: &Metrics| m.net.get().map(|c| c.snapshot()).unwrap_or_default(),
+    }
+    atomic(pub) {
+        /// Certainty-triggered system-plane retrains that *completed and
+        /// installed* (an asynchronously superseded retrain never counts).
+        system_retrains,
+        /// Store documents installed by **copying** the retrain job's shipped
+        /// embeddings/clusters back (the O(copy) install path — zero forward
+        /// passes on the actor).
+        retrain_docs_copied,
+        /// Store documents ingested mid-flight that a retrain install had to
+        /// freshly embed in its delta batch. Persistently large values mean
+        /// ingest outpaces retraining and the install is drifting back toward
+        /// O(store) work on the actor.
+        retrain_docs_delta_embedded,
+        /// Training jobs (model updates and system retrains) handed to the
+        /// training executor, plus the retrains `UpdateModel` runs inline.
+        training_jobs_started,
+        /// Training jobs whose result was published (model registered /
+        /// system plane installed).
+        training_jobs_completed,
+        /// Training jobs cancelled by a newer trigger for the same plane, or
+        /// whose completed result was rejected by the version fence because
+        /// the plane they trained from had been replaced mid-flight.
+        training_jobs_superseded,
+        /// Admission-queue-full events where the client *blocked* until the
+        /// queue drained and the request then proceeded normally. Healthy
+        /// backpressure, not failure — dashboards alerting on request loss
+        /// should watch `rejected` instead. (Before this split the two were
+        /// conflated under `rejected`.)
+        backpressure_waits,
+        /// Requests that actually failed admission — a write found the
+        /// actor's channel disconnected (server shut down or its actor
+        /// died), or a read arrived after shutdown began — so the client
+        /// observed `Unavailable`.
+        rejected,
+    }
+    read {
+        /// Training jobs admitted but not yet picked up by a pool worker — the
+        /// bounded-admission gauge (DESIGN.md §14). Zeroed after pool shutdown.
+        training_jobs_queued = |m: &Metrics| m
+            .training_pool
+            .get()
+            .and_then(|(pool, tenant)| pool.upgrade().map(|p| p.queued(*tenant) as u64))
+            .unwrap_or_default(),
+        /// Read-index probes served (one per routed query); zeroed when no
+        /// counters are attached.
+        read_index_probes = |m: &Metrics| m.read_index_u64(ReadIndexCounters::probes),
+        /// Balls discarded by triangle-inequality pruning across all probes.
+        read_index_balls_pruned = |m: &Metrics| m.read_index_u64(ReadIndexCounters::balls_pruned),
+        /// Candidate rows whose distances the GEMM batch actually evaluated
+        /// (brute work would be `probes × cluster rows`; the gap is the
+        /// read-index win).
+        read_index_candidates_scanned =
+            |m: &Metrics| m.read_index_u64(ReadIndexCounters::candidates_scanned),
+        /// Store documents decoded to build the read index or bring it up to
+        /// date — what store mutations cost the routed reads after them.
+        read_index_rows_decoded = |m: &Metrics| m.read_index_u64(ReadIndexCounters::rows_decoded),
+    }
+}
+
+u64_table! {
+    /// Lock-free counters of the wire plane (DESIGN.md §13): one instance per
+    /// deployment, shared by every listener's accept loop and every
+    /// connection's reader/writer threads. All monotone except
+    /// `connections_active`, a gauge.
+    #[derive(Debug, Default)]
+    registry NetCounters {}
+    /// Plain-data copy of [`NetCounters`], carried in every
+    /// [`MetricsSnapshot`] (zeroed when no listener is attached).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    snapshot NetStats {}
+    atomic(pub(self)) {
+        /// Connections accepted over the lifetime of the deployment
+        /// (over-limit rejections not included).
+        connections_opened,
+        /// Currently open connections (gauge).
+        connections_active,
+        /// Connections answered [`crate::api::ServiceError::Busy`] at accept
+        /// because the limit was reached.
+        connections_busy_rejected,
+        /// Request frames decoded off sockets.
+        frames_in,
+        /// Reply frames written to sockets.
+        frames_out,
+        /// Total inbound wire bytes (frame headers included).
+        bytes_in,
+        /// Total outbound wire bytes (frame headers included).
+        bytes_out,
+        /// Frames/messages rejected by the decoder (each also ends its
+        /// connection with a protocol-error frame).
+        decode_errors,
+        /// Connections that closed with every accepted request answered.
+        drains_graceful,
+        /// Connections torn down mid-stream (peer vanished, transport error).
+        drains_abrupt,
+    }
+    read {}
 }
 
 impl NetCounters {
@@ -289,51 +425,6 @@ impl NetCounters {
     pub fn decode_error(&self) {
         self.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> NetStats {
-        NetStats {
-            connections_opened: self.connections_opened.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            connections_busy_rejected: self.connections_busy_rejected.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            drains_graceful: self.drains_graceful.load(Ordering::Relaxed),
-            drains_abrupt: self.drains_abrupt.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of [`NetCounters`], carried in every
-/// [`MetricsSnapshot`] (zeroed when no listener is attached).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Connections accepted over the lifetime of the deployment
-    /// (over-limit rejections not included).
-    pub connections_opened: u64,
-    /// Currently open connections (gauge).
-    pub connections_active: u64,
-    /// Connections answered [`crate::api::ServiceError::Busy`] at accept
-    /// because the limit was reached.
-    pub connections_busy_rejected: u64,
-    /// Request frames decoded off sockets.
-    pub frames_in: u64,
-    /// Reply frames written to sockets.
-    pub frames_out: u64,
-    /// Total inbound wire bytes (frame headers included).
-    pub bytes_in: u64,
-    /// Total outbound wire bytes (frame headers included).
-    pub bytes_out: u64,
-    /// Frames/messages rejected by the decoder (each also ends its
-    /// connection with a protocol-error frame).
-    pub decode_errors: u64,
-    /// Connections that closed with every accepted request answered.
-    pub drains_graceful: u64,
-    /// Connections torn down mid-stream (peer vanished, transport error).
-    pub drains_abrupt: u64,
 }
 
 impl Metrics {
@@ -373,6 +464,11 @@ impl Metrics {
         let _ = self.read_index.set(counters);
     }
 
+    /// One counter of the attached read index; zero when none is attached.
+    fn read_index_u64(&self, counter: fn(&ReadIndexCounters) -> u64) -> u64 {
+        self.read_index.get().map_or(0, |c| counter(c))
+    }
+
     /// Attaches the deployment's wire-plane counters so connection/frame
     /// statistics appear in every subsequent [`Metrics::snapshot`]. First
     /// attachment wins: every listener spawned over the same deployment
@@ -393,106 +489,6 @@ impl Metrics {
     pub fn attach_training_pool(&self, pool: Weak<JobPool>, tenant: TenantId) {
         let _ = self.training_pool.set((pool, tenant));
     }
-
-    /// A point-in-time copy of everything.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            ops: OPS
-                .iter()
-                .map(|&name| (name, self.op(name).snapshot()))
-                .collect(),
-            queue: OPS
-                .iter()
-                .map(|&name| (name, self.queue_of(name).snapshot()))
-                .collect(),
-            system_retrains: self.system_retrains.load(Ordering::Relaxed),
-            retrain_docs_copied: self.retrain_docs_copied.load(Ordering::Relaxed),
-            retrain_docs_delta_embedded: self.retrain_docs_delta_embedded.load(Ordering::Relaxed),
-            training_jobs_started: self.training_jobs_started.load(Ordering::Relaxed),
-            training_jobs_completed: self.training_jobs_completed.load(Ordering::Relaxed),
-            training_jobs_superseded: self.training_jobs_superseded.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            embed_cache: self
-                .embed_cache
-                .get()
-                .map(|c| c.stats())
-                .unwrap_or_default(),
-            read_index_probes: self
-                .read_index
-                .get()
-                .map(|c| c.probes())
-                .unwrap_or_default(),
-            read_index_balls_pruned: self
-                .read_index
-                .get()
-                .map(|c| c.balls_pruned())
-                .unwrap_or_default(),
-            read_index_candidates_scanned: self
-                .read_index
-                .get()
-                .map(|c| c.candidates_scanned())
-                .unwrap_or_default(),
-            net: self.net.get().map(|c| c.snapshot()).unwrap_or_default(),
-            training_jobs_queued: self
-                .training_pool
-                .get()
-                .and_then(|(pool, tenant)| pool.upgrade().map(|p| p.queued(*tenant) as u64))
-                .unwrap_or_default(),
-        }
-    }
-}
-
-/// Plain-data copy of the whole registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Per-operation run-time snapshots (dequeue → reply), in [`OPS`]
-    /// order.
-    pub ops: Vec<(&'static str, OpSnapshot)>,
-    /// Per-operation queue-wait snapshots (admission → dequeue), in
-    /// [`OPS`] order.
-    pub queue: Vec<(&'static str, OpSnapshot)>,
-    /// Certainty-triggered system retrains installed so far.
-    pub system_retrains: u64,
-    /// Docs installed by copy across all retrain installs (see
-    /// [`Metrics::retrain_docs_copied`]).
-    pub retrain_docs_copied: u64,
-    /// Docs freshly embedded by install delta batches (see
-    /// [`Metrics::retrain_docs_delta_embedded`]).
-    pub retrain_docs_delta_embedded: u64,
-    /// Training jobs started (see [`Metrics::training_jobs_started`]).
-    pub training_jobs_started: u64,
-    /// Training jobs whose result was published.
-    pub training_jobs_completed: u64,
-    /// Training jobs cancelled by a newer trigger or rejected by the
-    /// version fence.
-    pub training_jobs_superseded: u64,
-    /// Queue-full blocks where the request still succeeded (healthy
-    /// backpressure).
-    pub backpressure_waits: u64,
-    /// Requests refused with `Unavailable` because the admission channel
-    /// was disconnected.
-    pub rejected: u64,
-    /// Data-reuse plane counters
-    /// (`embed_cache_{hits,misses,evictions,stale_generation}`), zeroed
-    /// when no cache is attached.
-    pub embed_cache: EmbedCacheStats,
-    /// Read-index probes served (one per routed query); zeroed when no
-    /// counters are attached.
-    pub read_index_probes: u64,
-    /// Balls discarded by triangle-inequality pruning across all probes.
-    pub read_index_balls_pruned: u64,
-    /// Candidate rows whose distances the GEMM batch actually evaluated
-    /// (brute work would be `probes × cluster rows`; the gap is the
-    /// read-index win).
-    pub read_index_candidates_scanned: u64,
-    /// Wire-plane connection/frame counters (DESIGN.md §13), zeroed when
-    /// no network listener is attached to this deployment.
-    pub net: NetStats,
-    /// Training jobs admitted but not yet picked up by a pool worker — the
-    /// bounded-admission gauge (DESIGN.md §14). Zeroed when no training
-    /// pool is attached (serialized mode) or after pool shutdown.
-    pub training_jobs_queued: u64,
 }
 
 impl MetricsSnapshot {

@@ -8,8 +8,8 @@
 //! the service exists to arbitrate. [`MultiDms`] hosts them as *tenants*:
 //!
 //! * **Isolation** — each tenant owns a full deployment: its own mutation
-//!   actor, read pool, [`crate::swap::SnapshotCell`] chain, embed cache,
-//!   read index, model zoo and [`crate::metrics::Metrics`] registry. A
+//!   actor, [`crate::swap::SnapshotCell`] chain, embed cache, read
+//!   index, model zoo and [`crate::metrics::Metrics`] registry. A
 //!   publication, cache fill, or retrain in one tenant is invisible to
 //!   every other; replies are bit-identical to the same tenant running
 //!   solo (proven by `tests/tenant_differential.rs`).
@@ -24,7 +24,7 @@
 //! * **Admission quotas** — each tenant's training queue is bounded
 //!   ([`TenantSpec::training_queue_capacity`]); a flood past the cap is
 //!   answered [`crate::api::ServiceError::Busy`] instead of growing the
-//!   queue, and each tenant keeps its own actor/read queue depths
+//!   queue, and each tenant keeps its own actor queue depth
 //!   (`DmsServerConfig::queue_capacity`).
 //! * **One wire plane** — [`MultiDms::serve_tcp`] publishes every tenant
 //!   through a single listener; frames carry a tenant id and route to
@@ -52,8 +52,8 @@ pub struct TenantSpec {
     /// this answer `Busy`. Bounds one tenant's memory and backlog without
     /// touching the others.
     pub training_queue_capacity: usize,
-    /// The tenant's own deployment knobs (actor queue depth, read pool,
-    /// retrain policy, caches…). `training_pool_size` is ignored — the
+    /// The tenant's own deployment knobs (actor queue depth, retrain
+    /// policy, caches…). `training_pool_size` is ignored — the
     /// pool is shared and sized by [`MultiDmsBuilder::new`].
     pub config: DmsServerConfig,
 }
@@ -97,8 +97,7 @@ impl MultiDmsBuilder {
             !self.tenants.is_empty(),
             "MultiDms needs at least one tenant"
         );
-        let pool = (self.training_pool_size > 0)
-            .then(|| Arc::new(JobPool::new(self.training_pool_size, "fairdms-train")));
+        let pool = Arc::new(JobPool::new(self.training_pool_size, "fairdms-train"));
         let mut tenants: Vec<(TenantId, DmsClient, ServerHandle)> =
             Vec::with_capacity(self.tenants.len());
         for (spec, trainer, labeler) in self.tenants {
@@ -107,22 +106,17 @@ impl MultiDmsBuilder {
                 "duplicate tenant id {}",
                 spec.id
             );
-            if let Some(pool) = &pool {
-                pool.configure_tenant(
-                    spec.id,
-                    TenantQueueConfig {
-                        weight: spec.weight,
-                        capacity: spec.training_queue_capacity,
-                    },
-                );
-            }
+            pool.configure_tenant(
+                spec.id,
+                TenantQueueConfig {
+                    weight: spec.weight,
+                    capacity: spec.training_queue_capacity,
+                },
+            );
             let mut cfg = spec.config;
-            // The shared pool replaces the per-deployment one; a solo
-            // `training_pool_size` here would be misleading dead config.
-            cfg.training_pool_size = 0;
             cfg.training_queue_capacity = spec.training_queue_capacity;
             let (client, handle) =
-                DmsServer::spawn_shared(trainer, labeler, cfg, pool.clone(), spec.id);
+                DmsServer::spawn_shared(trainer, labeler, cfg, Arc::clone(&pool), spec.id);
             tenants.push((spec.id, client, handle));
         }
         tenants.sort_by_key(|(id, _, _)| *id);
@@ -135,14 +129,13 @@ impl MultiDmsBuilder {
 /// isolation and fairness contract.
 pub struct MultiDms {
     tenants: Vec<(TenantId, DmsClient, ServerHandle)>,
-    /// Shared training executor; `None` when built with pool size 0
-    /// (every tenant trains inline on its actor — serialized mode).
-    pool: Option<Arc<JobPool>>,
+    /// Shared training executor.
+    pool: Arc<JobPool>,
 }
 
 impl MultiDms {
     /// Starts a builder whose tenants share a `training_pool_size`-worker
-    /// training executor (`0` ⇒ inline serialized training per tenant).
+    /// training executor (at least one worker).
     pub fn builder(training_pool_size: usize) -> MultiDmsBuilder {
         MultiDmsBuilder {
             training_pool_size,
@@ -173,9 +166,9 @@ impl MultiDms {
     }
 
     /// Jobs queued (not yet running) in `tenant`'s training lane; `0` for
-    /// unknown tenants or serialized mode.
+    /// unknown tenants.
     pub fn training_jobs_queued(&self, tenant: TenantId) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.queued(tenant))
+        self.pool.queued(tenant)
     }
 
     /// A wire router over every tenant, for

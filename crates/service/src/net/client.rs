@@ -1,21 +1,17 @@
 //! Socket clients for the wire plane (DESIGN.md §13).
 //!
-//! Two layers:
+//! [`PipelinedClient`]: one socket, one background reader thread, any
+//! number of cheap [`PipelinedClient::clone`] handles.
+//! [`PipelinedClient::submit`] encodes and writes a request frame and
+//! returns a [`Pending`] ticket *without waiting*; dozens of requests can
+//! be in flight on one connection and the server's reply sequencer answers
+//! them in order. Writes buffer in userspace — [`Pending::wait`] flushes
+//! lazily, so a pipelined burst pays one syscall, not one per request.
 //!
-//! * [`PipelinedClient`] — the real machinery. One socket, one background
-//!   reader thread, any number of cheap [`PipelinedClient::clone`]
-//!   handles. [`PipelinedClient::submit`] encodes and writes a request
-//!   frame and returns a [`Pending`] ticket *without waiting*; dozens of
-//!   requests can be in flight on one connection and the server's reply
-//!   sequencer answers them in order. Writes buffer in userspace —
-//!   [`Pending::wait`] flushes lazily, so a pipelined burst pays one
-//!   syscall, not one per request.
-//! * [`DmsTcpClient`] — a drop-in mirror of
-//!   [`crate::server::DmsClient`]'s blocking convenience API (same method
-//!   names, same signatures) for code that wants the remote deployment to
-//!   feel in-process. Each call is submit + wait on the wrapped
-//!   [`PipelinedClient`], so even "synchronous" callers on different
-//!   threads share the socket efficiently.
+//! Code that wants the remote deployment to feel in-process uses the
+//! blocking typed helpers of [`DmsApi`], which this client implements as
+//! submit + wait — so even "synchronous" callers on different threads
+//! share the socket efficiently.
 //!
 //! ## Failure model
 //!
@@ -28,17 +24,11 @@
 //! [`ServiceError::Protocol`]; everything else as
 //! [`ServiceError::Unavailable`].
 
-use crate::api::{RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId};
-use crate::metrics::MetricsSnapshot;
+use crate::api::{DmsApi, Request, ServiceError, ServiceResult, TenantId};
 use crate::net::codec::{decode_error, decode_reply, encode_request};
 use crate::net::frame::{read_frame, write_frame, FrameError, FrameKind};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
-use fairdms_core::embedding::EmbedTrainConfig;
-use fairdms_core::PseudoLabelStats;
-use fairdms_core::UpdateReport;
-use fairdms_datastore::Document;
 use fairdms_flows::jobs::DEFAULT_TENANT;
-use fairdms_tensor::Tensor;
 use parking_lot::Mutex;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -399,197 +389,8 @@ fn client_reader(
     }
 }
 
-/// Blocking socket client mirroring [`crate::server::DmsClient`]'s
-/// convenience API method-for-method, so application code can switch
-/// between in-process and remote deployments by swapping the client type.
-/// Internally a window-1 [`PipelinedClient`]; clone it (cheap) and call
-/// from many threads to pipeline.
-#[derive(Clone)]
-pub struct DmsTcpClient {
-    pipe: PipelinedClient,
-}
-
-impl DmsTcpClient {
-    /// Connects over TCP, addressing tenant 0.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Ok(DmsTcpClient {
-            pipe: PipelinedClient::connect_tcp(addr)?,
-        })
+impl DmsApi for PipelinedClient {
+    fn call(&self, req: Request) -> ServiceResult {
+        PipelinedClient::call(self, &req)
     }
-
-    /// Connects over TCP, addressing `tenant` on a multi-tenant listener.
-    pub fn connect_tenant(addr: impl ToSocketAddrs, tenant: TenantId) -> io::Result<Self> {
-        Ok(DmsTcpClient {
-            pipe: PipelinedClient::connect_tcp_tenant(addr, tenant)?,
-        })
-    }
-
-    /// Connects over a Unix-domain socket, addressing tenant 0.
-    #[cfg(unix)]
-    pub fn connect_uds(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Ok(DmsTcpClient {
-            pipe: PipelinedClient::connect_uds(path)?,
-        })
-    }
-
-    /// A handle sharing this connection whose requests address `tenant`.
-    pub fn for_tenant(&self, tenant: TenantId) -> Self {
-        DmsTcpClient {
-            pipe: self.pipe.for_tenant(tenant),
-        }
-    }
-
-    /// Wraps an existing pipelined connection (sharing its socket).
-    pub fn from_pipelined(pipe: PipelinedClient) -> Self {
-        DmsTcpClient { pipe }
-    }
-
-    /// The underlying pipelined connection.
-    pub fn pipelined(&self) -> &PipelinedClient {
-        &self.pipe
-    }
-
-    /// Sends one request and blocks for its reply.
-    pub fn call(&self, req: &Request) -> ServiceResult {
-        self.pipe.call(req)
-    }
-
-    /// Remote [`crate::server::DmsClient::train_system`].
-    pub fn train_system(
-        &self,
-        images: Tensor,
-        embed_cfg: EmbedTrainConfig,
-    ) -> Result<usize, ServiceError> {
-        match self.call(&Request::TrainSystem { images, embed_cfg })? {
-            Reply::SystemTrained { k } => Ok(k),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::ingest`].
-    pub fn ingest(
-        &self,
-        images: Tensor,
-        labels: Tensor,
-        scan: usize,
-    ) -> Result<(usize, bool), ServiceError> {
-        match self.call(&Request::IngestLabeled {
-            images,
-            labels,
-            scan,
-        })? {
-            Reply::Ingested { count, retrained } => Ok((count, retrained)),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::dataset_pdf`].
-    pub fn dataset_pdf(&self, images: Tensor) -> Result<Vec<f64>, ServiceError> {
-        match self.call(&Request::DatasetPdf { images })? {
-            Reply::Pdf(p) => Ok(p),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::pseudo_label`].
-    pub fn pseudo_label(
-        &self,
-        images: Tensor,
-        threshold: f32,
-    ) -> Result<(Tensor, PseudoLabelStats), ServiceError> {
-        match self.call(&Request::PseudoLabel { images, threshold })? {
-            Reply::Labeled { labels, stats } => Ok((labels, stats)),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::lookup`].
-    pub fn lookup(&self, pdf: Vec<f64>, count: usize) -> Result<Vec<Document>, ServiceError> {
-        match self.call(&Request::LookupMatching { pdf, count })? {
-            Reply::Documents(d) => Ok(d),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::recommend`].
-    pub fn recommend(&self, pdf: Vec<f64>) -> Result<RankedModels, ServiceError> {
-        match self.call(&Request::Recommend { pdf, top_k: None })? {
-            Reply::Ranked(r) => Ok(r),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::recommend_top_k`].
-    pub fn recommend_top_k(&self, pdf: Vec<f64>, k: usize) -> Result<RankedModels, ServiceError> {
-        match self.call(&Request::Recommend {
-            pdf,
-            top_k: Some(k),
-        })? {
-            Reply::Ranked(r) => Ok(r),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::update_model`].
-    pub fn update_model(
-        &self,
-        images: Tensor,
-        scan: usize,
-    ) -> Result<(Vec<u8>, UpdateReport), ServiceError> {
-        match self.call(&Request::UpdateModel { images, scan })? {
-            Reply::Updated { checkpoint, report } => Ok((checkpoint, report)),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::publish`].
-    pub fn publish(
-        &self,
-        name: &str,
-        checkpoint: Vec<u8>,
-        pdf: Vec<f64>,
-        scan: usize,
-    ) -> Result<usize, ServiceError> {
-        match self.call(&Request::PublishModel {
-            name: name.to_string(),
-            checkpoint,
-            pdf,
-            scan,
-        })? {
-            Reply::Published { zoo_id } => Ok(zoo_id),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::fetch`].
-    pub fn fetch(&self, zoo_id: usize) -> Result<(Vec<u8>, Vec<f64>), ServiceError> {
-        match self.call(&Request::FetchModel { zoo_id })? {
-            Reply::Model { checkpoint, pdf } => Ok((checkpoint, pdf)),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote [`crate::server::DmsClient::certainty`].
-    pub fn certainty(&self, images: Tensor) -> Result<f64, ServiceError> {
-        match self.call(&Request::Certainty { images })? {
-            Reply::Certainty(c) => Ok(c),
-            other => Err(mismatch(&other)),
-        }
-    }
-
-    /// Remote metrics snapshot (round-trips through the wire, unlike the
-    /// in-process client's registry shortcut — the numbers are the same).
-    pub fn metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
-        match self.call(&Request::Metrics)? {
-            Reply::Metrics(m) => Ok(m),
-            other => Err(mismatch(&other)),
-        }
-    }
-}
-
-/// A reply variant that doesn't match the request we sent: on the wire
-/// that is a protocol fault, not a local invariant violation, so it
-/// surfaces as an error instead of a panic.
-fn mismatch(got: &Reply) -> ServiceError {
-    ServiceError::Protocol(format!("mismatched reply variant for request: {got:?}"))
 }

@@ -23,7 +23,7 @@
 //! * [`Document`] via [`RawCodec`] with a `u32` length prefix.
 
 use crate::api::{RankedModels, Reply, Request, ServiceError};
-use crate::metrics::{MetricsSnapshot, NetStats, OpSnapshot, BUCKETS, OPS};
+use crate::metrics::{MetricsSnapshot, OpSnapshot, BUCKETS, OPS};
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::PseudoLabelStats;
 use fairdms_core::reuse::EmbedCacheStats;
@@ -443,38 +443,31 @@ fn get_op_table(r: &mut Reader<'_>) -> Result<Vec<(&'static str, OpSnapshot)>, W
     Ok(table)
 }
 
+fn put_embed_cache(out: &mut Vec<u8>, s: &EmbedCacheStats) {
+    out.put_u64(s.hits);
+    out.put_u64(s.misses);
+    out.put_u64(s.evictions);
+    out.put_u64(s.stale_generation);
+}
+
+fn get_embed_cache(r: &mut Reader<'_>) -> Result<EmbedCacheStats, WireError> {
+    Ok(EmbedCacheStats {
+        hits: r.u64()?,
+        misses: r.u64()?,
+        evictions: r.u64()?,
+        stale_generation: r.u64()?,
+    })
+}
+
 fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
     // Histogram width goes first so a peer built against a different
     // BUCKETS fails loudly instead of misparsing every histogram.
     out.put_u32(BUCKETS as u32);
     put_op_table(out, &m.ops);
     put_op_table(out, &m.queue);
-    out.put_u64(m.system_retrains);
-    out.put_u64(m.retrain_docs_copied);
-    out.put_u64(m.retrain_docs_delta_embedded);
-    out.put_u64(m.training_jobs_started);
-    out.put_u64(m.training_jobs_completed);
-    out.put_u64(m.training_jobs_superseded);
-    out.put_u64(m.training_jobs_queued);
-    out.put_u64(m.backpressure_waits);
-    out.put_u64(m.rejected);
-    out.put_u64(m.embed_cache.hits);
-    out.put_u64(m.embed_cache.misses);
-    out.put_u64(m.embed_cache.evictions);
-    out.put_u64(m.embed_cache.stale_generation);
-    out.put_u64(m.read_index_probes);
-    out.put_u64(m.read_index_balls_pruned);
-    out.put_u64(m.read_index_candidates_scanned);
-    out.put_u64(m.net.connections_opened);
-    out.put_u64(m.net.connections_active);
-    out.put_u64(m.net.connections_busy_rejected);
-    out.put_u64(m.net.frames_in);
-    out.put_u64(m.net.frames_out);
-    out.put_u64(m.net.bytes_in);
-    out.put_u64(m.net.bytes_out);
-    out.put_u64(m.net.decode_errors);
-    out.put_u64(m.net.drains_graceful);
-    out.put_u64(m.net.drains_abrupt);
+    put_embed_cache(out, &m.embed_cache);
+    m.put_u64s(out);
+    m.net.put_u64s(out);
 }
 
 fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
@@ -484,40 +477,17 @@ fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
             "histogram width {buckets} != {BUCKETS}"
         )));
     }
-    Ok(MetricsSnapshot {
+    // The plain counters are read back by the field table that declares
+    // them (`metrics::u64_table!`), in the order `put_metrics` wrote them.
+    let mut m = MetricsSnapshot {
         ops: get_op_table(r)?,
         queue: get_op_table(r)?,
-        system_retrains: r.u64()?,
-        retrain_docs_copied: r.u64()?,
-        retrain_docs_delta_embedded: r.u64()?,
-        training_jobs_started: r.u64()?,
-        training_jobs_completed: r.u64()?,
-        training_jobs_superseded: r.u64()?,
-        training_jobs_queued: r.u64()?,
-        backpressure_waits: r.u64()?,
-        rejected: r.u64()?,
-        embed_cache: EmbedCacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            stale_generation: r.u64()?,
-        },
-        read_index_probes: r.u64()?,
-        read_index_balls_pruned: r.u64()?,
-        read_index_candidates_scanned: r.u64()?,
-        net: NetStats {
-            connections_opened: r.u64()?,
-            connections_active: r.u64()?,
-            connections_busy_rejected: r.u64()?,
-            frames_in: r.u64()?,
-            frames_out: r.u64()?,
-            bytes_in: r.u64()?,
-            bytes_out: r.u64()?,
-            decode_errors: r.u64()?,
-            drains_graceful: r.u64()?,
-            drains_abrupt: r.u64()?,
-        },
-    })
+        embed_cache: get_embed_cache(r)?,
+        ..MetricsSnapshot::default()
+    };
+    m.get_u64s(r)?;
+    m.net.get_u64s(r)?;
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------

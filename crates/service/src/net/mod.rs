@@ -1,8 +1,8 @@
 //! The wire plane: fairDMS over real sockets (DESIGN.md §13).
 //!
 //! Everything below the in-process [`crate::server::DmsClient`] already
-//! models the paper's concurrent service (admission queues, read pool,
-//! mutation actor). This module puts an actual network boundary in front
+//! models the paper's concurrent service (snapshot reads, admission
+//! queue, mutation actor). This module puts an actual network boundary in front
 //! of it:
 //!
 //! * [`frame`] — length-prefixed framing with a hard `max_frame_len`
@@ -11,21 +11,23 @@
 //!   `ServiceError`, built on [`fairdms_datastore::wire`];
 //! * [`server`] — [`server::NetServer`]: threaded TCP/UDS listener with a
 //!   bounded connection limit (over-limit sockets are *answered* `Busy`),
-//!   per-connection pipelining into the deployment's existing queues, an
+//!   per-connection pipelining into the deployment's actor queue, an
 //!   in-order reply sequencer, and graceful drain;
-//! * [`client`] — [`client::PipelinedClient`] (multi-handle, pipelined)
-//!   and [`client::DmsTcpClient`] (blocking mirror of `DmsClient`).
+//! * [`client`] — [`client::PipelinedClient`]: multi-handle, pipelined,
+//!   and — through [`crate::api::DmsApi`] — the same blocking typed
+//!   helpers as `DmsClient`.
 //!
-//! The perf story is **pipelining plus the inline-read fast path**: a
-//! connection's reader dispatches every decoded request immediately, so
-//! the server overlaps requests from one socket exactly as it overlaps
-//! requests from many in-process threads, and the reply sequencer
-//! batches responses into single writes. Read-only requests short-cut
-//! further — the reader thread executes them inline against the
-//! immutable service snapshot (`DmsClient::serve_read_inline`) and hands
-//! the sequencer a pre-resolved reply, skipping the read-pool round trip
-//! and its two thread parks entirely (`NetServerConfig::inline_reads`,
-//! on by default). `benches/net_plane.rs` measures the resulting
+//! The perf story is **pipelining plus reads on the reader thread**: a
+//! connection's reader dispatches every decoded mutating request
+//! immediately, so the actor overlaps requests from one socket exactly as
+//! it overlaps requests from many in-process threads, and the reply
+//! sequencer batches responses into single writes. Read-only requests
+//! never leave the reader thread — it executes them against the immutable
+//! service snapshot (`DmsClient::serve_read`, the same entry in-process
+//! callers use) and hands the sequencer a pre-resolved reply, with no
+//! hand-off and no thread park. One connection's reads therefore run one
+//! after another; reads from different connections run in parallel, one
+//! reader thread each. `benches/net_plane.rs` measures the resulting
 //! throughput multiple over strict request-response usage of the same
 //! stack: 6.65× at 256 connections in `results/BENCH_net_plane.json`,
 //! gated at ≥3×.
@@ -35,7 +37,7 @@ pub mod codec;
 pub mod frame;
 pub mod server;
 
-pub use client::{DmsTcpClient, Pending, PipelinedClient};
+pub use client::{Pending, PipelinedClient};
 pub use codec::WireError;
 pub use frame::{Frame, FrameError, FrameKind};
 pub use server::{NetServer, NetServerConfig, NetServerHandle, TenantRouter};

@@ -5,18 +5,19 @@
 //! real listener onto an existing [`DmsClient`]. Each accepted connection
 //! gets two threads:
 //!
-//! * a **reader** that decodes request frames and *immediately* dispatches
-//!   them into the deployment's admission queues via
-//!   [`DmsClient::dispatch`] — it never waits for a reply before reading
-//!   the next frame, which is what makes the wire pipelined: a client can
-//!   keep dozens of requests in flight on one socket and the read pool /
-//!   mutation actor overlap them exactly as they do for in-process
-//!   clients;
-//! * a **writer** (the reply sequencer) that receives the one-shot reply
-//!   receivers *in dispatch order* and writes each response back as it
-//!   resolves, preserving request order on the wire. Writes are batched:
-//!   the writer flushes only when its queue goes momentarily empty, so a
-//!   burst of pipelined replies costs one syscall, not one per reply.
+//! * a **reader** that decodes request frames and routes each one the way
+//!   an in-process caller's would go: a read-only request is answered
+//!   right here from the deployment's snapshot, a mutating one is
+//!   dispatched into the actor's admission queue. It never waits for an
+//!   actor reply before reading the next frame, which is what makes the
+//!   wire pipelined: a client can keep dozens of requests in flight on
+//!   one socket;
+//! * a **writer** (the reply sequencer) that receives resolved replies
+//!   and one-shot reply receivers *in dispatch order* and writes each
+//!   response back as it resolves, preserving request order on the wire.
+//!   Writes are batched: the writer flushes only when its queue goes
+//!   momentarily empty, so a burst of pipelined replies costs one
+//!   syscall, not one per reply.
 //!
 //! Backpressure composes with the deployment's own admission control: a
 //! reader blocked in `dispatch` (queue full) simply stops reading, which
@@ -64,16 +65,6 @@ pub struct NetServerConfig {
     /// `TCP_NODELAY` on accepted sockets (ignored for Unix sockets).
     /// Leave on: the writer already batches, so Nagle only adds latency.
     pub nodelay: bool,
-    /// Serve read-only requests directly on the connection's reader
-    /// thread against the read snapshot, instead of dispatching them to
-    /// the read pool. Saves two context switches per read — the
-    /// difference between ~2x and ~4x pipelining speedup in
-    /// `benches/net_plane.rs` — at the cost of serializing one
-    /// connection's reads behind each other (reads from *different*
-    /// connections still run in parallel, one reader thread each). Turn
-    /// off for workloads that pipeline many *expensive* reads on few
-    /// connections and want the pool's intra-connection parallelism.
-    pub inline_reads: bool,
 }
 
 impl Default for NetServerConfig {
@@ -82,7 +73,6 @@ impl Default for NetServerConfig {
             max_connections: 1024,
             max_frame_len: 64 << 20,
             nodelay: true,
-            inline_reads: true,
         }
     }
 }
@@ -205,9 +195,10 @@ enum OutMsg {
         tenant: TenantId,
         rx: Receiver<ServiceResult>,
     },
-    /// A request already served on the reader thread (the inline-read
-    /// fast path): the sequencer never waits on these. Boxed so the
-    /// queued message stays channel-slot-sized regardless of reply size.
+    /// A request already answered on the reader thread (every read, and
+    /// requests refused before admission): the sequencer never waits on
+    /// these. Boxed so the queued message stays channel-slot-sized
+    /// regardless of reply size.
     Ready {
         seq: u64,
         tenant: TenantId,
@@ -555,46 +546,32 @@ fn handle_frame(shared: &NetShared, frame: Frame, out_tx: &Sender<OutMsg>) -> Re
         tenant,
         msg: e.to_string(),
     })?;
-    let Some(client) = shared.router.client(tenant) else {
+    let resolved = match shared.router.client(tenant) {
         // Unknown tenant: a well-formed request to a mis-addressed (or
         // already retired) tenant is the *request's* problem, not the
         // connection's — answer `Invalid` and keep the socket up, so one
         // typo'd tenant id in a pipelined stream doesn't kill the other
         // tenants sharing the connection.
-        let _ = out_tx.send(OutMsg::Ready {
-            seq,
-            tenant,
-            result: Box::new(Err(ServiceError::Invalid(format!(
-                "unknown tenant {tenant}"
-            )))),
-        });
-        return Ok(());
-    };
-    if shared.cfg.inline_reads && req.is_read_only() {
-        // Fast path: answer on this thread from the read snapshot. The
-        // writer receives a resolved reply and never parks for it.
-        let result = client.serve_read_inline(req);
-        let _ = out_tx.send(OutMsg::Ready {
-            seq,
-            tenant,
-            result: Box::new(result),
-        });
-        return Ok(());
-    }
-    match client.dispatch(req) {
-        Ok(rx) => {
-            let _ = out_tx.send(OutMsg::Reply { seq, tenant, rx });
-            Ok(())
-        }
-        Err(e) => {
+        None => Err(ServiceError::Invalid(format!("unknown tenant {tenant}"))),
+        // Answered on this thread from the read snapshot: the writer
+        // receives a resolved reply and never parks for it.
+        Some(client) if req.is_read_only() => client.serve_read(req),
+        Some(client) => match client.dispatch(req) {
+            Ok(rx) => {
+                let _ = out_tx.send(OutMsg::Reply { seq, tenant, rx });
+                return Ok(());
+            }
             // Admission failed (service shutting down): answer this
             // request with the error; the connection itself stays up.
-            let (tx, rx) = crossbeam_channel::bounded(1);
-            let _ = tx.send(Err(e));
-            let _ = out_tx.send(OutMsg::Reply { seq, tenant, rx });
-            Ok(())
-        }
-    }
+            Err(e) => Err(e),
+        },
+    };
+    let _ = out_tx.send(OutMsg::Ready {
+        seq,
+        tenant,
+        result: Box::new(resolved),
+    });
+    Ok(())
 }
 
 /// Releases one connection's admission accounting exactly once, on every
@@ -718,8 +695,9 @@ pub struct NetServerHandle {
 
 impl NetServerHandle {
     /// The bound TCP address (`None` for Unix-socket listeners) — the
-    /// thing to hand to [`crate::net::client::DmsTcpClient::connect`]
-    /// after binding port 0.
+    /// thing to hand to
+    /// [`crate::net::client::PipelinedClient::connect_tcp`] after binding
+    /// port 0.
     pub fn local_addr(&self) -> Option<SocketAddr> {
         self.local_addr
     }

@@ -23,26 +23,26 @@
 //!   for the same plane *supersedes* the running job: it is cancelled at
 //!   its next epoch boundary and its client answers
 //!   [`ServiceError::Superseded`] instead of publishing a stale model.
-//!   `training_pool_size: 0` disables the executor and restores the old
-//!   actor-serialized behaviour (training completes before the ack).
-//! * **Read plane** — a pool of worker threads serving all read-only
-//!   requests (`DatasetPdf`, `LookupMatching`, `Recommend`, `FetchModel`,
-//!   `Certainty`, `Metrics`) from an immutable [`ServiceView`] snapshot
-//!   (frozen embedder + k-means + Zoo index) fetched per request from a
-//!   lock-free [`SnapshotCell`]. Readers never touch the actor — and with
-//!   the training executor, neither does a training run, so ingest keeps
-//!   flowing *while* a model fine-tunes, exactly as the paper's trainer
-//!   reads MongoDB directly while the service handles updates (fairDMS
-//!   §III; the FAIR-HEDM follow-up runs fine-tuning as asynchronous
-//!   checkpointed jobs against the registry).
+//! * **Read plane** — every read-only request (`DatasetPdf`,
+//!   `LookupMatching`, `Recommend`, `FetchModel`, `Certainty`, `Metrics`)
+//!   is answered *on the thread that asked* — an in-process caller's own
+//!   thread, or a connection's reader thread — from an immutable
+//!   [`ServiceView`] snapshot (frozen embedder + k-means + Zoo index)
+//!   fetched per request from a lock-free [`SnapshotCell`]. There is no
+//!   read queue and no read worker: readers never touch the actor — and
+//!   with the training executor, neither does a training run, so ingest
+//!   keeps flowing *while* a model fine-tunes, exactly as the paper's
+//!   trainer reads MongoDB directly while the service handles updates
+//!   (fairDMS §III; the FAIR-HEDM follow-up runs fine-tuning as
+//!   asynchronous checkpointed jobs against the registry).
 //!
 //! Every publication is still publish-before-acknowledge: the actor
 //! freezes the post-mutation state into the read plane — a single atomic
 //! `Arc` swap — before the owning client sees its reply, so a client that
 //! hears an ack can immediately read the state the ack describes.
 
-use crate::api::{RankedModels, Reply, Request, RequestId, ServiceError, ServiceResult};
-use crate::metrics::Metrics;
+use crate::api::{DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult};
+use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::swap::SnapshotCell;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
@@ -55,10 +55,10 @@ use fairdms_flows::jobs::{CancelToken, JobPool, TenantId, TenantQueueConfig, DEF
 use fairdms_nn::checkpoint;
 use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A label fallback installed server-side (the expensive conventional
 /// labeler, e.g. a pseudo-Voigt fit).
@@ -67,8 +67,8 @@ pub type FallbackLabeler = Box<dyn FnMut(&[f32]) -> Vec<f32> + Send>;
 /// Server deployment knobs.
 #[derive(Clone, Debug)]
 pub struct DmsServerConfig {
-    /// Admission queue depth per plane; `try_send` beyond this blocks the
-    /// client (backpressure instead of unbounded memory growth).
+    /// Admission queue depth of the mutation actor; `try_send` beyond this
+    /// blocks the client (backpressure instead of unbounded memory growth).
     pub queue_capacity: usize,
     /// Pseudo-label reuse threshold used by [`Request::PseudoLabel`] when
     /// the caller passes a non-finite threshold, and by `UpdateModel`.
@@ -89,17 +89,10 @@ pub struct DmsServerConfig {
     pub retrain_cooldown: usize,
     /// Embedding hyper-parameters for triggered retrains.
     pub retrain_embed_cfg: EmbedTrainConfig,
-    /// Read-plane worker count. `0` sizes the pool from the machine's
-    /// available parallelism (capped at 8).
-    pub read_pool_size: usize,
-    /// Training-executor worker count (default 1). Heavy training jobs —
-    /// `UpdateModel` fine-tunes and certainty-triggered system retrains —
-    /// run on this background pool so the mutation actor keeps serving
-    /// ingest while models train. `0` disables the executor and restores
-    /// the actor-serialized write plane: training runs inline and its
-    /// client waits out every epoch (the pre-split behaviour, kept as the
-    /// bench baseline and for deployments that need the synchronous
-    /// retrain-before-ack contract).
+    /// Training-executor worker count (default 1, at least 1). Heavy
+    /// training jobs — `UpdateModel` fine-tunes and certainty-triggered
+    /// system retrains — run on this background pool so the mutation
+    /// actor keeps serving ingest while models train.
     pub training_pool_size: usize,
     /// Maximum training jobs queued (admitted but not yet picked up by an
     /// executor worker) for this deployment's tenant before new training
@@ -125,7 +118,6 @@ impl Default for DmsServerConfig {
             auto_retrain: true,
             retrain_cooldown: 0,
             retrain_embed_cfg: EmbedTrainConfig::default(),
-            read_pool_size: 0,
             training_pool_size: 1,
             training_queue_capacity: 64,
             embed_cache_capacity: EmbedCacheConfig::default().capacity,
@@ -134,19 +126,7 @@ impl Default for DmsServerConfig {
     }
 }
 
-impl DmsServerConfig {
-    fn resolved_read_pool(&self) -> usize {
-        if self.read_pool_size > 0 {
-            return self.read_pool_size;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8)
-    }
-}
-
-/// The immutable state a read worker serves one request from.
+/// The immutable state one read request is served from.
 ///
 /// No method on this type (or anything it holds) takes `&mut self`;
 /// publication replaces the whole view via [`SnapshotCell::store`].
@@ -160,7 +140,7 @@ pub struct ServiceView {
     /// plane re-validates it per `Recommend` and answers
     /// [`ServiceError::Invalid`] when it is outside `[0, 1]` — an
     /// out-of-range trainer configuration must degrade one operation, not
-    /// unwind (and poison) a read worker.
+    /// poison the deployment.
     pub distance_threshold: f64,
 }
 
@@ -177,16 +157,17 @@ impl ServiceView {
 struct Shared {
     view: SnapshotCell<ServiceView>,
     metrics: Arc<Metrics>,
-    /// Set when the actor dies by panic: the write plane is gone, so the
-    /// whole service reports `Unavailable` rather than serving reads from
-    /// a state that can no longer be maintained.
+    /// Set when the actor dies by panic or a read handler panics: the
+    /// state can no longer be trusted or maintained, so the whole service
+    /// reports `Unavailable` rather than serving reads from it.
     poisoned: AtomicBool,
+    /// Set (Release) when the [`ServerHandle`] begins shutdown; reads load
+    /// it (Acquire) and answer `Unavailable` from then on, the read-side
+    /// counterpart of the actor's disconnected admission channel.
+    shut_down: AtomicBool,
 }
 
 struct Envelope {
-    /// Monotonic admission id; surfaced in panics/diagnostics only.
-    #[allow(dead_code)]
-    id: RequestId,
     req: Request,
     reply: Sender<ServiceResult>,
     /// When the client started admission; `dequeue − enqueued` is the
@@ -250,12 +231,10 @@ struct InFlight {
 /// retrains). "Latest" is the supersession rule: submitting a newer job
 /// for a plane cancels the previous one's token.
 struct TrainingExec {
-    /// `None` ⇒ serialized mode (`training_pool_size: 0`): training runs
-    /// inline on the actor. `Arc` because the pool may be shared by every
-    /// tenant of a multi-tenant deployment (DESIGN.md §14); a solo server
-    /// holds the only strong reference and still joins the workers at
-    /// shutdown.
-    pool: Option<Arc<JobPool>>,
+    /// `Arc` because the pool may be shared by every tenant of a
+    /// multi-tenant deployment (DESIGN.md §14); a solo server holds the
+    /// only strong reference and still joins the workers at shutdown.
+    pool: Arc<JobPool>,
     /// The tenant this actor submits training work as; queue bounds and
     /// round-robin fairness in the shared pool key off it.
     tenant: TenantId,
@@ -267,14 +246,11 @@ struct TrainingExec {
 }
 
 impl TrainingExec {
-    /// Whether the tenant's training queue can admit one more job. `true`
-    /// in serialized mode (inline training has no queue). Race-free as an
-    /// admission pre-check because this actor is the only thread that
-    /// enqueues under its tenant id.
+    /// Whether the tenant's training queue can admit one more job.
+    /// Race-free as an admission pre-check because this actor is the only
+    /// thread that enqueues under its tenant id.
     fn has_queue_capacity(&self) -> bool {
-        self.pool
-            .as_ref()
-            .is_none_or(|p| p.has_capacity(self.tenant))
+        self.pool.has_capacity(self.tenant)
     }
 
     /// Cancels the in-flight update (a newer trigger supersedes it) and
@@ -314,8 +290,6 @@ impl TrainingExec {
         let done = self.done_tx.clone();
         let wake = self.wake_tx.clone();
         self.pool
-            .as_ref()
-            .expect("submit_update requires the executor")
             .try_spawn_for(self.tenant, token, move |ctl| {
                 let ctl = TrainControl::from_flag(ctl.flag());
                 let trained =
@@ -345,8 +319,6 @@ impl TrainingExec {
         let done = self.done_tx.clone();
         let wake = self.wake_tx.clone();
         self.pool
-            .as_ref()
-            .expect("submit_retrain requires the executor")
             .try_spawn_for(self.tenant, token, move |ctl| {
                 let ctl = TrainControl::from_flag(ctl.flag());
                 let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -363,56 +335,51 @@ impl TrainingExec {
     }
 
     /// Shutdown path: cancel whatever is in flight (jobs wind down at
-    /// their next epoch boundary) and join the pool. In-flight clients
+    /// their next epoch boundary) and release the pool, which joins the
+    /// workers when this was the last reference. In-flight clients
     /// observe `Unavailable` when their reply senders drop with the
     /// undrained completion channel.
-    fn shutdown(&mut self) {
-        if let Some(f) = self.update.take() {
+    fn shutdown(self) {
+        for f in [self.update, self.retrain].into_iter().flatten() {
             f.token.cancel();
         }
-        if let Some(f) = self.retrain.take() {
-            f.token.cancel();
-        }
-        drop(self.pool.take()); // joins the workers
     }
 }
 
-/// Clone-able client handle. Every call is synchronous: it enqueues the
-/// request on the plane matching its classification and blocks on the
-/// one-shot reply. [`DmsClient::metrics`] bypasses both queues entirely.
+/// Clone-able client handle. Every call is synchronous: a read-only
+/// request is answered on the calling thread from the published snapshot;
+/// a mutating one is enqueued on the actor and blocks on the one-shot
+/// reply. The typed helpers come from [`DmsApi`].
 #[derive(Clone)]
 pub struct DmsClient {
     write_tx: Sender<Msg>,
-    read_tx: Sender<Msg>,
-    next_id: Arc<AtomicU64>,
     shared: Arc<Shared>,
 }
 
-/// Join handle owning the server's lifetime: the worker threads run until
-/// this handle is dropped or [`ServerHandle::shutdown`] is called. The
-/// handle enqueues shutdown messages behind whatever is already queued, so
-/// queued requests drain before the workers exit, and clients still alive
-/// observe [`ServiceError::Unavailable`] from then on.
+/// Join handle owning the server's lifetime: the actor runs until this
+/// handle is dropped or [`ServerHandle::shutdown`] is called. The handle
+/// stops admitting reads, then enqueues the shutdown message behind
+/// whatever writes are already queued, so those drain before the actor
+/// exits, and clients still alive observe [`ServiceError::Unavailable`]
+/// from then on.
 ///
 /// Dropping every [`DmsClient`] clone does *not* stop the server by
-/// itself — the handle keeps the admission channels open so it can always
+/// itself — the handle keeps the admission channel open so it can always
 /// deliver its shutdown signal. Leaking the handle therefore leaks the
-/// worker threads; drop it (or call `shutdown`) to end the deployment.
+/// actor thread; drop it (or call `shutdown`) to end the deployment.
 pub struct ServerHandle {
     actor: Option<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
     write_tx: Sender<Msg>,
-    read_tx: Sender<Msg>,
-    metrics: Arc<Metrics>,
+    shared: Arc<Shared>,
 }
 
 impl ServerHandle {
-    /// Metrics registry shared with the workers.
+    /// Metrics registry shared with the actor and every client.
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
-    /// Signals shutdown, drains queued requests, and joins the workers.
+    /// Signals shutdown, drains queued requests, and joins the actor.
     pub fn shutdown(self) {
         drop(self) // Drop does the work; this method exists for intent.
     }
@@ -420,28 +387,22 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        // Enqueue one shutdown per worker; sends fail harmlessly when a
-        // worker is already gone (panic or all-clients-dropped exit).
+        self.shared.shut_down.store(true, Ordering::Release);
+        // The send fails harmlessly when the actor is already gone (panic).
         let _ = self.write_tx.send(Msg::Shutdown);
-        for _ in &self.readers {
-            let _ = self.read_tx.send(Msg::Shutdown);
-        }
         if let Some(a) = self.actor.take() {
             let _ = a.join();
-        }
-        for r in self.readers.drain(..) {
-            let _ = r.join();
         }
     }
 }
 
-/// The server: spawns the mutating actor plus the snapshot-serving read
-/// pool, and serves [`Request`]s until all clients disconnect.
+/// The server: spawns the mutating actor and its training executor, and
+/// serves [`Request`]s until its [`ServerHandle`] shuts it down.
 pub struct DmsServer;
 
 impl DmsServer {
-    /// Spawns the actor and read pool and returns a client plus the join
-    /// handle.
+    /// Spawns the actor and a `training_pool_size`-worker training
+    /// executor, and returns a client plus the join handle.
     ///
     /// The `trainer` carries the fairDS instance (trained or not), the
     /// Zoo, and the recommendation policy; `labeler` is the conventional
@@ -451,38 +412,33 @@ impl DmsServer {
         labeler: FallbackLabeler,
         cfg: DmsServerConfig,
     ) -> (DmsClient, ServerHandle) {
-        let pool = (cfg.training_pool_size > 0).then(|| {
-            let pool = Arc::new(JobPool::new(cfg.training_pool_size, "fairdms-train"));
-            pool.configure_tenant(
-                DEFAULT_TENANT,
-                TenantQueueConfig {
-                    weight: 1,
-                    capacity: cfg.training_queue_capacity,
-                },
-            );
-            pool
-        });
+        let pool = Arc::new(JobPool::new(cfg.training_pool_size, "fairdms-train"));
+        pool.configure_tenant(
+            DEFAULT_TENANT,
+            TenantQueueConfig {
+                weight: 1,
+                capacity: cfg.training_queue_capacity,
+            },
+        );
         Self::spawn_shared(trainer, labeler, cfg, pool, DEFAULT_TENANT)
     }
 
     /// Spawns a deployment that submits its training work to a caller-owned
     /// [`JobPool`] under `tenant` — the multi-tenant building block
     /// (DESIGN.md §14): N deployments share one pool (fair deficit-weighted
-    /// round-robin across tenants) while keeping their own actor, read
-    /// pool, snapshots, caches and metrics. The caller configures the
-    /// tenant's weight and queue capacity on the pool
-    /// ([`JobPool::configure_tenant`]) and keeps the pool alive for the
-    /// deployments' lifetime; `pool: None` selects serialized mode exactly
-    /// like `training_pool_size: 0`.
+    /// round-robin across tenants) while keeping their own actor,
+    /// snapshots, caches and metrics. The caller configures the tenant's
+    /// weight and queue capacity on the pool
+    /// ([`JobPool::configure_tenant`]); `cfg.training_pool_size` is not
+    /// read here, the pool is already sized.
     pub fn spawn_shared(
         mut trainer: RapidTrainer,
         labeler: FallbackLabeler,
         cfg: DmsServerConfig,
-        pool: Option<Arc<JobPool>>,
+        pool: Arc<JobPool>,
         tenant: TenantId,
     ) -> (DmsClient, ServerHandle) {
         let (write_tx, write_rx) = bounded::<Msg>(cfg.queue_capacity);
-        let (read_tx, read_rx) = bounded::<Msg>(cfg.queue_capacity);
         // Size the data-reuse plane to the deployment's knobs (replacing
         // whatever the fairDS builder defaulted to) and expose its
         // counters through the metrics registry.
@@ -493,18 +449,16 @@ impl DmsServer {
         let metrics = Arc::new(Metrics::new());
         metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache()));
         metrics.attach_read_index(Arc::clone(trainer.fairds.read_index_counters()));
-        if let Some(pool) = &pool {
-            // Weak: the registry must not keep pool workers alive past the
-            // owner's shutdown; the gauge just reads 0 afterwards.
-            metrics.attach_training_pool(Arc::downgrade(pool), tenant);
-        }
+        // Weak: the registry must not keep pool workers alive past the
+        // owner's shutdown; the gauge just reads 0 afterwards.
+        metrics.attach_training_pool(Arc::downgrade(&pool), tenant);
         let shared = Arc::new(Shared {
             view: SnapshotCell::new(Arc::new(ServiceView::of(&trainer))),
-            metrics: Arc::clone(&metrics),
+            metrics,
             poisoned: AtomicBool::new(false),
+            shut_down: AtomicBool::new(false),
         });
 
-        let read_pool = cfg.resolved_read_pool();
         let actor_shared = Arc::clone(&shared);
         let wake_tx = write_tx.clone();
         let actor = std::thread::Builder::new()
@@ -523,32 +477,16 @@ impl DmsServer {
             })
             .expect("failed to spawn fairdms-actor thread");
 
-        let readers = (0..read_pool)
-            .map(|i| {
-                let rx = read_rx.clone();
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("fairdms-read-{i}"))
-                    .spawn(move || read_loop(rx, shared))
-                    .expect("failed to spawn fairdms read worker")
-            })
-            .collect();
-        drop(read_rx);
-
         let client = DmsClient {
             write_tx: write_tx.clone(),
-            read_tx: read_tx.clone(),
-            next_id: Arc::new(AtomicU64::new(0)),
-            shared,
+            shared: Arc::clone(&shared),
         };
         (
             client,
             ServerHandle {
                 actor: Some(actor),
-                readers,
                 write_tx,
-                read_tx,
-                metrics,
+                shared,
             },
         )
     }
@@ -586,41 +524,6 @@ fn validate_image_width(images: &Tensor, want: usize) -> Result<(), ServiceError
 // Read plane
 // ---------------------------------------------------------------------
 
-fn read_loop(rx: Receiver<Msg>, shared: Arc<Shared>) {
-    while let Ok(msg) = rx.recv() {
-        let env = match msg {
-            Msg::Req(env) => env,
-            Msg::Wake => continue, // training wakes target the actor only
-            Msg::Shutdown => break,
-        };
-        // A panicking read would otherwise shrink the pool one thread at
-        // a time until every read hangs on a dead channel; poisoning
-        // instead fails the whole service loudly and consistently, the
-        // same contract the actor has. Declared after `env` so the flag
-        // is set before the reply sender disconnects (see actor_loop).
-        let poison = PoisonOnPanic(Arc::clone(&shared));
-        let op = env.req.op_name();
-        let start = Instant::now();
-        shared
-            .metrics
-            .queue_of(op)
-            .record(start.saturating_duration_since(env.enqueued), true);
-        let result = if shared.poisoned.load(Ordering::Acquire) {
-            Err(ServiceError::Unavailable)
-        } else {
-            handle_read(&shared.view.load(), &shared.metrics, env.req)
-        };
-        shared
-            .metrics
-            .op(op)
-            .record(start.elapsed(), result.is_ok());
-        // A client that gave up (dropped its reply receiver) is not an
-        // error; the work was already done.
-        let _ = env.reply.send(result);
-        drop(poison); // no panic this message
-    }
-}
-
 /// Validates images against the fitted embedder's input width, turning
 /// what would be a snapshot-side assertion panic into a client error.
 fn validate_image_dim(images: &Tensor, sys: &Arc<SystemSnapshot>) -> Result<(), ServiceError> {
@@ -656,7 +559,7 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
         }
         Request::Recommend { pdf, top_k } => {
             // Validate instead of asserting: a panic here would poison the
-            // whole read plane (see `ModelManager::new` / `jsd`'s input
+            // whole deployment (see `ModelManager::new` / `jsd`'s input
             // assertions), turning one bad request or one misconfigured
             // trainer into a dead service.
             if !fairdms_core::jsd::is_valid_pdf_mass(&pdf) {
@@ -716,7 +619,7 @@ struct MonitorState {
 }
 
 /// Marks the service poisoned if the actor unwinds (labeler panic etc.),
-/// so read workers fail fast instead of serving an unmaintained state.
+/// so reads fail fast instead of serving an unmaintained state.
 struct PoisonOnPanic(Arc<Shared>);
 
 impl Drop for PoisonOnPanic {
@@ -732,7 +635,7 @@ fn actor_loop(
     mut trainer: RapidTrainer,
     mut labeler: FallbackLabeler,
     cfg: DmsServerConfig,
-    pool: Option<Arc<JobPool>>,
+    pool: Arc<JobPool>,
     tenant: TenantId,
     rx: Receiver<Msg>,
     wake_tx: Sender<Msg>,
@@ -801,7 +704,7 @@ fn actor_loop(
         }
     }
     // Shutdown: cancel in-flight jobs (they wind down at the next epoch
-    // boundary) and join the executor. Undrained completions — and with
+    // boundary) and release the executor. Undrained completions — and with
     // them the deferred reply senders — drop here, surfacing as
     // `Unavailable` at their clients.
     exec.shutdown();
@@ -951,9 +854,9 @@ fn handle_train_done(
 ///
 /// Scheduling, by caller:
 ///
-/// * **Ingest** (`force_inline: false`, executor mode): the retrain is
-///   *submitted* and installs asynchronously after the fence. While one
-///   retrain is already in flight, new triggers are **skipped rather than
+/// * **Ingest** (`force_inline: false`): the retrain is *submitted* and
+///   installs asynchronously after the fence. While one retrain is
+///   already in flight, new triggers are **skipped rather than
 ///   superseding it** — every retrain refits the whole store, so the
 ///   running job is not stale, and superseding per drifted batch would
 ///   let a sustained drift stream cancel every retrain before it could
@@ -965,7 +868,6 @@ fn handle_train_done(
 ///   and submitting it asynchronously would deterministically fence-
 ///   reject the caller's own update. Any in-flight ingest-triggered
 ///   retrain is superseded: the inline refit subsumes it.
-/// * **Serialized mode** (`training_pool_size: 0`): always inline.
 ///
 /// Degenerate planes (fewer than 4 samples across store + batch) cannot
 /// be refit and never trigger.
@@ -985,14 +887,13 @@ fn monitor_and_maybe_retrain(
     if state.since_retrain <= cfg.retrain_cooldown {
         return false;
     }
-    let async_mode = exec.pool.is_some() && !force_inline;
-    if async_mode && exec.retrain.is_some() {
+    if !force_inline && exec.retrain.is_some() {
         // One retrain at a time: let the running refit install instead of
         // cancelling it per drifted batch. The counter stays advanced, so
         // the next monitored batch re-checks immediately after install.
         return false;
     }
-    if async_mode && !exec.has_queue_capacity() {
+    if !force_inline && !exec.has_queue_capacity() {
         // Bounded admission (DESIGN.md §14): the tenant's training queue
         // is full, so skip this trigger rather than grow the queue. The
         // counter stays advanced; the next monitored batch re-checks.
@@ -1010,13 +911,11 @@ fn monitor_and_maybe_retrain(
         .metrics
         .training_jobs_started
         .fetch_add(1, Ordering::Relaxed);
-    if async_mode {
+    if !force_inline {
         exec.submit_retrain(rjob, cfg.retrain_embed_cfg.clone());
     } else {
-        if exec.pool.is_some() {
-            // The inline refit subsumes whatever was in flight.
-            exec.supersede_retrain(&shared.metrics);
-        }
+        // The inline refit subsumes whatever was in flight.
+        exec.supersede_retrain(&shared.metrics);
         let trained = rjob
             .train(&cfg.retrain_embed_cfg, &TrainControl::new())
             .expect("uncancelled retrain always completes");
@@ -1123,14 +1022,10 @@ fn handle_write(
             }
             let retrained =
                 monitor_and_maybe_retrain(trainer, cfg, monitor, &images, shared, exec, false);
+            // No republish: a triggered retrain publishes at install, and
+            // store writes are visible to readers through the shared
+            // collection.
             let ids = trainer.fairds.ingest_labeled(&images, &labels, scan);
-            if retrained && exec.pool.is_none() {
-                // Serialized mode completed the retrain inline: model
-                // changes need a republish. (Executor mode publishes at
-                // install; store writes are visible to readers through
-                // the shared collection either way.)
-                publish(trainer);
-            }
             Ok(Reply::Ingested {
                 count: ids.len(),
                 retrained,
@@ -1169,7 +1064,7 @@ fn handle_write(
             if !trainer.fairds.is_ready() {
                 return WriteOutcome::Reply(reply, Err(ServiceError::NotReady));
             }
-            if exec.pool.is_some() && !exec.has_queue_capacity() {
+            if !exec.has_queue_capacity() {
                 // Bounded admission (DESIGN.md §14): answer `Busy` before
                 // the inline monitor, the O(ms) bookend work, and — most
                 // importantly — before superseding: a flood answered
@@ -1177,12 +1072,12 @@ fn handle_write(
                 // update. The client retries after backoff.
                 return WriteOutcome::Reply(reply, Err(ServiceError::Busy));
             }
-            // The monitor runs *inline* for updates (even in executor
-            // mode): the update's PDF and pseudo-labels must be computed
-            // under the refreshed plane, and an async retrain would
-            // deterministically fence-reject this very request. Publish
-            // the refreshed plane immediately — if the update is later
-            // superseded, readers must still see the retrain.
+            // The monitor runs *inline* for updates: the update's PDF and
+            // pseudo-labels must be computed under the refreshed plane,
+            // and an async retrain would deterministically fence-reject
+            // this very request. Publish the refreshed plane immediately
+            // — if the update is later superseded, readers must still see
+            // the retrain.
             if monitor_and_maybe_retrain(trainer, cfg, monitor, &images, shared, exec, true) {
                 publish(trainer);
             }
@@ -1190,26 +1085,13 @@ fn handle_write(
                 .metrics
                 .training_jobs_started
                 .fetch_add(1, Ordering::Relaxed);
-            if exec.pool.is_some() {
-                // The actor does only the O(ms) bookend: PDF + pseudo-
-                // labels + foundation resolution. The epoch loop runs on
-                // the executor; a newer UpdateModel supersedes this one.
-                let plan = trainer.prepare_update(&images, |p| labeler(p), scan);
-                exec.supersede_update(&shared.metrics);
-                exec.submit_update(plan, reply, started);
-                return WriteOutcome::Deferred;
-            }
-            // Serialized mode: train inline, client waits out every epoch.
-            let (net, report) = trainer.update_model(&images, |p| labeler(p), scan);
-            shared
-                .metrics
-                .training_jobs_completed
-                .fetch_add(1, Ordering::Relaxed);
-            publish(trainer); // new zoo entry (+ possible retrain) goes live
-            Ok(Reply::Updated {
-                checkpoint: checkpoint::save(&net),
-                report,
-            })
+            // The actor does only the O(ms) bookend: PDF + pseudo-
+            // labels + foundation resolution. The epoch loop runs on
+            // the executor; a newer UpdateModel supersedes this one.
+            let plan = trainer.prepare_update(&images, |p| labeler(p), scan);
+            exec.supersede_update(&shared.metrics);
+            exec.submit_update(plan, reply, started);
+            return WriteOutcome::Deferred;
         }
         Request::PublishModel {
             name,
@@ -1248,40 +1130,38 @@ fn handle_write(
 // ---------------------------------------------------------------------
 
 impl DmsClient {
-    /// Sends a raw request and waits for the reply. Read-only requests go
-    /// to the snapshot-serving pool, mutating requests to the actor.
+    /// Sends a raw request and waits for the reply: reads are answered on
+    /// this thread from the snapshot, mutating requests by the actor.
     /// Returns [`ServiceError::Unavailable`] when the server is gone.
     pub fn call(&self, req: Request) -> ServiceResult {
+        if req.is_read_only() {
+            return self.serve_read(req);
+        }
         self.dispatch(req)?
             .recv()
             .map_err(|_| ServiceError::Unavailable)?
     }
 
-    /// Enqueues a request and returns the one-shot reply receiver without
-    /// waiting for completion — the wire plane's pipelining primitive
-    /// (DESIGN.md §13): a connection's reader thread dispatches decoded
-    /// requests as fast as they arrive while its reply sequencer awaits
-    /// the receivers in admission order. Admission still applies
-    /// backpressure: a full plane queue blocks this call until the
+    /// Enqueues a mutating request on the actor and returns the one-shot
+    /// reply receiver without waiting for completion — the wire plane's
+    /// pipelining primitive (DESIGN.md §13): a connection's reader thread
+    /// dispatches decoded requests as fast as they arrive while its reply
+    /// sequencer awaits the receivers in admission order. Admission still
+    /// applies backpressure: a full actor queue blocks this call until the
     /// request is accepted (counted in `backpressure_waits`), which is
     /// what propagates server overload back onto the socket.
-    pub fn dispatch(&self, req: Request) -> Result<Receiver<ServiceResult>, ServiceError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let tx = if req.is_read_only() {
-            &self.read_tx
-        } else {
-            &self.write_tx
-        };
+    pub(crate) fn dispatch(&self, req: Request) -> Result<Receiver<ServiceResult>, ServiceError> {
+        debug_assert!(!req.is_read_only(), "reads go through serve_read");
         let (reply_tx, reply_rx) = bounded(1);
         let env = Msg::Req(Envelope {
-            id,
             req,
             reply: reply_tx,
             // Queue wait is measured from here, so a backpressure block in
             // `send` below is (correctly) attributed to the queue.
             enqueued: Instant::now(),
         });
-        match tx.try_send(env) {
+        let metrics = &self.shared.metrics;
+        match self.write_tx.try_send(env) {
             Ok(()) => {}
             Err(TrySendError::Full(env)) => {
                 // Backpressure: block rather than reject when the queue is
@@ -1289,191 +1169,53 @@ impl DmsClient {
                 // healthy flow control (`backpressure_waits`, counted only
                 // once the blocked request is actually admitted); a failed
                 // admission counts solely as `rejected`.
-                if tx.send(env).is_err() {
-                    self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                if self.write_tx.send(env).is_err() {
+                    metrics.rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(ServiceError::Unavailable);
                 }
-                self.shared
-                    .metrics
-                    .backpressure_waits
-                    .fetch_add(1, Ordering::Relaxed);
+                metrics.backpressure_waits.fetch_add(1, Ordering::Relaxed);
             }
             Err(TrySendError::Disconnected(_)) => {
-                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Unavailable);
             }
         }
         Ok(reply_rx)
     }
 
-    /// Bootstrap the system plane. Returns the fitted K.
-    pub fn train_system(
-        &self,
-        images: Tensor,
-        embed_cfg: EmbedTrainConfig,
-    ) -> Result<usize, ServiceError> {
-        match self.call(Request::TrainSystem { images, embed_cfg })? {
-            Reply::SystemTrained { k } => Ok(k),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Ingest labeled data; returns `(count, retrained)`.
-    pub fn ingest(
-        &self,
-        images: Tensor,
-        labels: Tensor,
-        scan: usize,
-    ) -> Result<(usize, bool), ServiceError> {
-        match self.call(Request::IngestLabeled {
-            images,
-            labels,
-            scan,
-        })? {
-            Reply::Ingested { count, retrained } => Ok((count, retrained)),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Dataset cluster PDF.
-    pub fn dataset_pdf(&self, images: Tensor) -> Result<Vec<f64>, ServiceError> {
-        match self.call(Request::DatasetPdf { images })? {
-            Reply::Pdf(p) => Ok(p),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Pseudo-label with the server's fallback. Pass `f32::NAN` to use the
-    /// server's default threshold.
-    pub fn pseudo_label(
-        &self,
-        images: Tensor,
-        threshold: f32,
-    ) -> Result<(Tensor, fairdms_core::PseudoLabelStats), ServiceError> {
-        match self.call(Request::PseudoLabel { images, threshold })? {
-            Reply::Labeled { labels, stats } => Ok((labels, stats)),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// PDF-matched document retrieval.
-    pub fn lookup(
-        &self,
-        pdf: Vec<f64>,
-        count: usize,
-    ) -> Result<Vec<fairdms_datastore::Document>, ServiceError> {
-        match self.call(Request::LookupMatching { pdf, count })? {
-            Reply::Documents(d) => Ok(d),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Zoo ranking for a dataset PDF (the full, sorted ranking).
-    pub fn recommend(&self, pdf: Vec<f64>) -> Result<RankedModels, ServiceError> {
-        match self.call(Request::Recommend { pdf, top_k: None })? {
-            Reply::Ranked(r) => Ok(r),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// The `k` lowest-divergence zoo entries for a dataset PDF, ascending
-    /// — served by the snapshot's pruned partial-ranking path, which
-    /// avoids sorting (and usually scoring) the whole zoo.
-    pub fn recommend_top_k(&self, pdf: Vec<f64>, k: usize) -> Result<RankedModels, ServiceError> {
-        match self.call(Request::Recommend {
-            pdf,
-            top_k: Some(k),
-        })? {
-            Reply::Ranked(r) => Ok(r),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Full rapid model update; returns `(checkpoint, report)`.
-    pub fn update_model(
-        &self,
-        images: Tensor,
-        scan: usize,
-    ) -> Result<(Vec<u8>, fairdms_core::UpdateReport), ServiceError> {
-        match self.call(Request::UpdateModel { images, scan })? {
-            Reply::Updated { checkpoint, report } => Ok((checkpoint, report)),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Publish an externally trained checkpoint.
-    pub fn publish(
-        &self,
-        name: &str,
-        checkpoint: Vec<u8>,
-        pdf: Vec<f64>,
-        scan: usize,
-    ) -> Result<usize, ServiceError> {
-        match self.call(Request::PublishModel {
-            name: name.to_string(),
-            checkpoint,
-            pdf,
-            scan,
-        })? {
-            Reply::Published { zoo_id } => Ok(zoo_id),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Fetch a checkpoint and its training PDF from the Zoo.
-    pub fn fetch(&self, zoo_id: usize) -> Result<(Vec<u8>, Vec<f64>), ServiceError> {
-        match self.call(Request::FetchModel { zoo_id })? {
-            Reply::Model { checkpoint, pdf } => Ok((checkpoint, pdf)),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Fuzzy-clustering certainty of a dataset.
-    pub fn certainty(&self, images: Tensor) -> Result<f64, ServiceError> {
-        match self.call(Request::Certainty { images })? {
-            Reply::Certainty(c) => Ok(c),
-            other => unreachable!("mismatched reply {other:?}"),
-        }
-    }
-
-    /// Server metrics snapshot, taken directly from the lock-free registry
-    /// — no admission queue, no worker round-trip, works even while both
-    /// planes are saturated. (`call(Request::Metrics)` still round-trips
-    /// through the read pool for wire-protocol completeness.)
-    pub fn metrics(&self) -> Result<crate::metrics::MetricsSnapshot, ServiceError> {
-        Ok(self.shared.metrics.snapshot())
-    }
-
     /// Serves a read-only request *on the calling thread* against the
-    /// current read-plane snapshot — the wire plane's fast path
-    /// (DESIGN.md §13): a connection's reader thread answers cheap reads
-    /// directly instead of round-tripping through the read pool, saving
-    /// two context switches per request. Records the same per-op metrics
-    /// as the pool (with zero queue wait, since there is no queue), and
-    /// poisons the service on panic exactly like a pool worker would.
-    ///
-    /// Callers must only pass requests for which
-    /// [`Request::is_read_only`] holds; mutating requests would hit
-    /// `handle_read`'s unreachable arm.
-    pub(crate) fn serve_read_inline(&self, req: Request) -> ServiceResult {
-        debug_assert!(req.is_read_only(), "inline path is for reads only");
-        let poison = PoisonOnPanic(Arc::clone(&self.shared));
+    /// current snapshot — the one read route, for in-process callers and
+    /// connection reader threads alike (DESIGN.md §6, §13). There is no
+    /// queue, so every read records a zero queue wait next to its run
+    /// time. A handler that panics (a user `Embedder::embed`, say) is
+    /// caught here: the deployment is poisoned and *this* request answers
+    /// `Unavailable`, but the calling thread — which may be a connection
+    /// reader pipelining other tenants' requests — is not unwound.
+    pub(crate) fn serve_read(&self, req: Request) -> ServiceResult {
+        debug_assert!(req.is_read_only(), "writes go through dispatch");
+        let shared = &*self.shared;
+        if shared.shut_down.load(Ordering::Acquire) {
+            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Unavailable);
+        }
         let op = req.op_name();
         let start = Instant::now();
-        self.shared
-            .metrics
-            .queue_of(op)
-            .record(std::time::Duration::ZERO, true);
-        let result = if self.shared.poisoned.load(Ordering::Acquire) {
+        shared.metrics.queue_of(op).record(Duration::ZERO, true);
+        let result = if shared.poisoned.load(Ordering::Acquire) {
             Err(ServiceError::Unavailable)
         } else {
-            handle_read(&self.shared.view.load(), &self.shared.metrics, req)
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_read(&shared.view.load(), &shared.metrics, req)
+            }))
+            .unwrap_or_else(|_| {
+                shared.poisoned.store(true, Ordering::Release);
+                Err(ServiceError::Unavailable)
+            })
         };
-        self.shared
+        shared
             .metrics
             .op(op)
             .record(start.elapsed(), result.is_ok());
-        drop(poison); // no panic while serving
         result
     }
 
@@ -1489,5 +1231,19 @@ impl DmsClient {
     /// immutable, so holding it never blocks the server.
     pub fn current_view(&self) -> Arc<ServiceView> {
         self.shared.view.load()
+    }
+}
+
+impl DmsApi for DmsClient {
+    fn call(&self, req: Request) -> ServiceResult {
+        DmsClient::call(self, req)
+    }
+
+    /// Taken directly from the lock-free registry instead of
+    /// `call(Request::Metrics)`: an operator's view must keep working
+    /// after the deployment is poisoned or shut down, and must not count
+    /// itself as a served `metrics` op.
+    fn metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
+        Ok(self.shared.metrics.snapshot())
     }
 }

@@ -18,7 +18,7 @@ use fairdms_service::net::codec::{
     decode_error, decode_reply, decode_request, encode_error, encode_reply, encode_request,
 };
 use fairdms_service::net::frame::{read_frame, write_frame, FrameError, FrameKind, BODY_HEADER};
-use fairdms_service::{Reply, Request, ServiceError};
+use fairdms_service::{Metrics, Reply, Request, ServiceError};
 use fairdms_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -237,5 +237,31 @@ fn frame_length_boundary_is_exact() {
             assert_eq!(m, max);
         }
         other => panic!("expected TooLong, got {other:?}"),
+    }
+}
+
+/// The `Metrics` reply carries every counter of the field table back into
+/// the field it came from — including `read_index_rows_decoded`, which the
+/// snapshot and the wire lacked until the table generated both.
+#[test]
+fn metrics_reply_roundtrip_keeps_every_counter_in_its_field() {
+    let registry = Metrics::new();
+    registry
+        .op("pdf")
+        .record(std::time::Duration::from_micros(40), true);
+    let mut m = registry.snapshot();
+    // Distinct values, so a put/get order slip lands in the wrong field.
+    m.system_retrains = 1;
+    m.rejected = 2;
+    m.training_jobs_queued = 3;
+    m.read_index_candidates_scanned = 4;
+    m.read_index_rows_decoded = 5;
+    m.embed_cache.stale_generation = 6;
+    m.net.connections_opened = 7;
+    m.net.drains_abrupt = 8;
+    let bytes = encode_reply(&Reply::Metrics(m.clone()));
+    match decode_reply(&bytes).expect("well-formed metrics reply must decode") {
+        Reply::Metrics(back) => assert_eq!(back, m),
+        other => panic!("decoded {other:?}"),
     }
 }

@@ -6,25 +6,27 @@
 //! perfectly good *reply* for exercising framing, sequencing, and drain
 //! semantics — and keeps the suite fast.
 
-use fairdms_core::embedding::AutoencoderEmbedder;
+use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
+use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::frame::{write_frame, FrameKind};
-use fairdms_service::net::{DmsTcpClient, NetServer, NetServerConfig, PipelinedClient};
+use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::{Request, ServiceError};
+use fairdms_service::{DmsApi, Request, ServiceError};
+use fairdms_tensor::rng::TensorRng;
+use fairdms_tensor::Tensor;
 use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
 
 const SIDE: usize = 8;
 
-fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
-    let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
+fn trainer_over(embedder: Box<dyn Embedder>, seed: u64) -> RapidTrainer {
     let fairds = FairDS::in_memory(
-        Box::new(embedder),
+        embedder,
         FairDsConfig {
             k: Some(2),
             ..FairDsConfig::default()
@@ -33,13 +35,33 @@ fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 2;
     tcfg.seed = seed;
-    let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let cfg = DmsServerConfig {
+    RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg)
+}
+
+fn server_cfg() -> DmsServerConfig {
+    DmsServerConfig {
         auto_retrain: false,
-        read_pool_size: 2,
         ..DmsServerConfig::default()
-    };
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
+    }
+}
+
+fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
+    let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
+    let trainer = trainer_over(Box::new(embedder), seed);
+    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), server_cfg())
+}
+
+fn frames(n: usize, seed: u64) -> (Tensor, Tensor) {
+    let x = TensorRng::seeded(seed).uniform(&[n, SIDE * SIDE], 0.0, 1.0);
+    (x, Tensor::from_vec(vec![0.5; n * 2], &[n, 2]))
+}
+
+fn embed_cfg() -> EmbedTrainConfig {
+    EmbedTrainConfig {
+        epochs: 2,
+        batch_size: 16,
+        ..EmbedTrainConfig::default()
+    }
 }
 
 fn serve(client: &DmsClient, cfg: NetServerConfig) -> fairdms_service::net::NetServerHandle {
@@ -65,13 +87,13 @@ fn untrained_deployment_answers_not_ready_over_tcp() {
     let net = serve(&client, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
 
-    let tcp = DmsTcpClient::connect(addr).unwrap();
+    let tcp = PipelinedClient::connect_tcp(addr).unwrap();
     let err = tcp
         .dataset_pdf(fairdms_tensor::Tensor::zeros(&[1, SIDE * SIDE]))
         .unwrap_err();
     assert_eq!(err, ServiceError::NotReady);
     // The error crossed the wire as a reply frame, not a dropped socket.
-    assert!(!tcp.pipelined().is_closed());
+    assert!(!tcp.is_closed());
 
     net.shutdown();
     drop(client);
@@ -104,42 +126,6 @@ fn pipelined_requests_on_one_socket_all_answer_in_order() {
     assert_eq!(stats.frames_in, 64, "{stats:?}");
     assert_eq!(stats.frames_out, 64, "{stats:?}");
     assert_eq!(stats.decode_errors, 0);
-
-    drop(pipe);
-    net.shutdown();
-    drop(client);
-    server.shutdown();
-}
-
-#[test]
-fn pooled_reads_config_sequences_replies_identically() {
-    // With the inline-read fast path disabled, reads round-trip through
-    // the read pool and the reply sequencer must reorder their
-    // out-of-order completions back into request order.
-    let (client, server) = spawn_deployment(8);
-    let net = serve(
-        &client,
-        NetServerConfig {
-            inline_reads: false,
-            ..NetServerConfig::default()
-        },
-    );
-    let pipe = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
-
-    let pendings: Vec<_> = (0..32)
-        .map(|_| {
-            pipe.submit(&Request::LookupMatching {
-                pdf: vec![0.5, 0.5],
-                count: 1,
-            })
-        })
-        .collect();
-    for p in pendings {
-        assert_eq!(p.wait().unwrap_err(), ServiceError::NotReady);
-    }
-    let stats = net.counters().snapshot();
-    assert_eq!(stats.frames_in, 32);
-    assert_eq!(stats.frames_out, 32);
 
     drop(pipe);
     net.shutdown();
@@ -203,7 +189,7 @@ fn abrupt_disconnect_mid_pipeline_does_not_disturb_others() {
     let net = serve(&client, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
 
-    let healthy = DmsTcpClient::connect(addr).unwrap();
+    let healthy = PipelinedClient::connect_tcp(addr).unwrap();
     assert!(healthy.metrics().is_ok());
 
     // A client that dies mid-frame: half a length prefix, then gone.
@@ -232,7 +218,7 @@ fn abrupt_disconnect_mid_pipeline_does_not_disturb_others() {
 
     // The healthy connection never noticed.
     assert!(healthy.metrics().is_ok());
-    assert!(!healthy.pipelined().is_closed());
+    assert!(!healthy.is_closed());
 
     drop(healthy);
     net.shutdown();
@@ -403,7 +389,7 @@ fn unix_socket_transport_works_end_to_end() {
     let path = dir.join("wire.sock");
     let net = NetServer::serve_uds(client.clone(), &path, NetServerConfig::default()).unwrap();
 
-    let uds = DmsTcpClient::connect_uds(&path).unwrap();
+    let uds = PipelinedClient::connect_uds(&path).unwrap();
     let snap = uds.metrics().unwrap();
     assert!(snap.net.connections_active >= 1);
 
@@ -413,4 +399,151 @@ fn unix_socket_transport_works_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
     drop(client);
     server.shutdown();
+}
+
+/// One tour of every typed helper, written once against the trait.
+fn typed_tour(api: &impl DmsApi) {
+    let (x, y) = frames(40, 90);
+    assert_eq!(api.train_system(x.clone(), embed_cfg()).unwrap(), 2);
+    assert_eq!(api.ingest(x.clone(), y, 0).unwrap(), (40, false));
+    let pdf = api.dataset_pdf(x.clone()).unwrap();
+    assert_eq!(pdf.len(), 2);
+    assert_eq!(api.lookup(pdf.clone(), 3).unwrap().len(), 3);
+    let (labels, stats) = api.pseudo_label(x.clone(), f32::NAN).unwrap();
+    assert_eq!(labels.shape(), [40, 2]);
+    assert_eq!(stats.reused + stats.computed, 40);
+    assert!((0.0..=1.0).contains(&api.certainty(x.clone()).unwrap()));
+
+    let checkpoint = fairdms_nn::checkpoint::save(&ArchSpec::BraggNN { patch: SIDE }.build(91));
+    let id = api
+        .publish("seed", checkpoint.clone(), pdf.clone(), 0)
+        .unwrap();
+    assert_eq!(api.fetch(id).unwrap(), (checkpoint, pdf.clone()));
+    assert_eq!(api.recommend(pdf.clone()).unwrap().ranked[0].0, id);
+    assert_eq!(api.recommend_top_k(pdf, 1).unwrap().ranked.len(), 1);
+    let (_, report) = api.update_model(x, 1).unwrap();
+    assert!(api.fetch(report.registered_id).is_ok());
+    assert_eq!(
+        api.fetch(999).unwrap_err(),
+        ServiceError::UnknownModel(999),
+        "a service error crosses every transport as itself"
+    );
+
+    let m = api.metrics().unwrap();
+    assert_eq!(m.op("pdf").unwrap().count, 1);
+    assert_eq!(m.op("fetch").unwrap().errors, 1);
+    assert_eq!(m.training_jobs_completed, 1);
+    assert!(
+        m.read_index_rows_decoded >= 40,
+        "the pseudo-label search decoded the store into the read index"
+    );
+}
+
+#[test]
+fn typed_helpers_are_one_surface_in_process_and_over_tcp() {
+    let (local, server) = spawn_deployment(11);
+    typed_tour(&local);
+    drop(local);
+    server.shutdown();
+
+    let (backing, server) = spawn_deployment(11);
+    let net = serve(&backing, NetServerConfig::default());
+    let remote = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    typed_tour(&remote);
+    drop(remote);
+    net.shutdown();
+    drop(backing);
+    server.shutdown();
+}
+
+/// Panics in the forward pass when a batch carries the sentinel pixel —
+/// a stand-in for a bug in a user-supplied embedder.
+struct TrippingEmbedder(AutoencoderEmbedder);
+
+const SENTINEL: f32 = -12345.0;
+
+impl Embedder for TrippingEmbedder {
+    fn name(&self) -> &'static str {
+        "tripping"
+    }
+    fn embed_dim(&self) -> usize {
+        self.0.embed_dim()
+    }
+    fn input_dim(&self) -> usize {
+        self.0.input_dim()
+    }
+    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
+        self.0.fit(images, cfg);
+    }
+    fn embed(&self, images: &Tensor) -> Tensor {
+        assert!(!images.data().contains(&SENTINEL), "embedder tripped");
+        self.0.embed(images)
+    }
+    fn clone_embedder(&self) -> Box<dyn Embedder> {
+        Box::new(TrippingEmbedder(self.0.clone()))
+    }
+}
+
+#[test]
+fn a_panicking_read_costs_its_tenant_not_the_connection_or_the_caller() {
+    let mut builder = MultiDms::builder(1);
+    for tenant in [1, 2] {
+        let seed = u64::from(tenant);
+        let embedder = TrippingEmbedder(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed));
+        builder = builder.tenant(
+            TenantSpec {
+                config: server_cfg(),
+                ..TenantSpec::new(tenant)
+            },
+            trainer_over(Box::new(embedder), seed),
+            Box::new(|_| vec![0.5, 0.5]),
+        );
+    }
+    let multi = builder.spawn();
+    let net = multi
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
+        .expect("bind");
+    // One socket, two tenants.
+    let doomed = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
+    let neighbour = doomed.for_tenant(2);
+    let (x, _) = frames(16, 92);
+    for api in [&doomed, &neighbour] {
+        api.train_system(x.clone(), embed_cfg()).unwrap();
+    }
+    let mut tripwire = x.clone();
+    tripwire.row_mut(3)[0] = SENTINEL;
+    let pdf_of = |images: &Tensor| Request::DatasetPdf {
+        images: images.clone(),
+    };
+
+    // The neighbour has replies in flight on both sides of the panic.
+    let before = neighbour.submit(&pdf_of(&x));
+    let boom = doomed.submit(&pdf_of(&tripwire));
+    let after = neighbour.submit(&pdf_of(&x));
+    assert!(before.wait().is_ok());
+    assert_eq!(boom.wait().unwrap_err(), ServiceError::Unavailable);
+    assert!(
+        after.wait().is_ok(),
+        "the neighbour lost an in-flight reply"
+    );
+    assert!(!doomed.is_closed(), "the connection outlives the panic");
+    // The panicking tenant is poisoned; its neighbour keeps serving.
+    assert_eq!(
+        doomed.dataset_pdf(x.clone()).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    assert!(neighbour.certainty(x.clone()).is_ok());
+
+    // The same read from an in-process caller: an error comes back and
+    // this thread is not unwound.
+    let local = multi.client(2).expect("tenant 2");
+    assert_eq!(
+        local.dataset_pdf(tripwire).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    assert_eq!(local.certainty(x).unwrap_err(), ServiceError::Unavailable);
+
+    drop((doomed, neighbour));
+    net.shutdown();
+    multi.shutdown();
 }

@@ -7,7 +7,7 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::ServiceError;
+use fairdms_service::{DmsApi, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::thread;
@@ -616,7 +616,7 @@ fn out_of_range_threshold_is_invalid_not_a_poisoned_service() {
 #[test]
 fn garbage_pdf_is_invalid_not_a_poisoned_service() {
     // Zero-mass / negative / non-finite PDFs used to unwind inside
-    // `jsd`'s input assertions on a read worker.
+    // `jsd`'s input assertions in the read handler.
     let (client, handle) = spawn_server(44, false);
     let net = ArchSpec::BraggNN { patch: SIDE }.build(45);
     client

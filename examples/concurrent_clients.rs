@@ -21,6 +21,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,7 +57,6 @@ fn main() {
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
             auto_retrain: false,
-            read_pool_size: 4,
             ..DmsServerConfig::default()
         },
     );
@@ -165,6 +165,10 @@ fn main() {
                     } else {
                         while_idle.push(elapsed);
                     }
+                    // Think time: a round trip is tens of microseconds, so
+                    // without it the fleet is done before the ~100 ms
+                    // update it is meant to overlap has begun.
+                    std::thread::sleep(Duration::from_millis(2));
                 }
                 (during_training, while_idle)
             })
@@ -214,8 +218,8 @@ fn main() {
         ingests_during.len()
     );
     println!("\nneither reads nor ingest queued behind training: compare the p99s");
-    println!("above with the update durations — the old serialized write plane");
-    println!("would have charged a full epoch loop to unlucky writers.");
+    println!("above with the update durations — a write plane that trained on the");
+    println!("actor would have charged a full epoch loop to unlucky writers.");
 
     let m = client.metrics().expect("metrics");
     println!("\ntotal calls served: {}", m.total_calls());

@@ -18,6 +18,7 @@ use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, FitConfig};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::DmsApi;
 use fairdms_tensor::Tensor;
 
 const SIDE: usize = 15;

@@ -3,10 +3,10 @@
 //! `service_deployment.rs` drives the server through in-process clients;
 //! this example puts the wire plane (DESIGN.md §13) in front of the same
 //! stack: a [`fairdms_service::net::NetServer`] listens on a loopback
-//! port, a [`fairdms_service::net::DmsTcpClient`] talks to it with the
-//! strict request-response pattern, a
-//! [`fairdms_service::net::PipelinedClient`] pushes a pipelined burst
-//! down one socket, and the run ends with the server's connection/frame
+//! port, a [`fairdms_service::net::PipelinedClient`] talks to it with
+//! the strict request-response pattern through the typed
+//! [`fairdms_service::DmsApi`] helpers, a second one pushes a pipelined
+//! burst down one socket, and the run ends with the server's connection/frame
 //! counters — the new `net` section of the metrics snapshot.
 //!
 //! Run with: `cargo run --release --example tcp_deployment`
@@ -16,9 +16,9 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::net::{DmsTcpClient, NetServer, NetServerConfig, PipelinedClient};
+use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
-use fairdms_service::Request;
+use fairdms_service::{DmsApi, Request};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 
@@ -68,7 +68,6 @@ fn main() {
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
             auto_retrain: false,
-            read_pool_size: 2,
             ..DmsServerConfig::default()
         },
     );
@@ -93,7 +92,7 @@ fn main() {
     println!("wire plane listening on {addr}\n");
 
     // --- Strict request-response over TCP. ------------------------------
-    let tcp = DmsTcpClient::connect(addr).expect("connect");
+    let tcp = PipelinedClient::connect_tcp(addr).expect("connect");
     let pdf = tcp
         .dataset_pdf(blob_images(8, 12).0)
         .expect("dataset_pdf over TCP");

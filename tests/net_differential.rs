@@ -1,5 +1,5 @@
 //! Differential test for the wire plane (DESIGN.md §13): every `Request`
-//! variant sent through [`DmsTcpClient`] must produce a reply
+//! variant sent through [`PipelinedClient`] must produce a reply
 //! **bit-identical** to the same request served by an in-process
 //! [`DmsClient`] against an identically-seeded deployment.
 //!
@@ -18,7 +18,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggPatch, BraggSimulator, DriftModel};
 use fairdms_service::net::codec::{decode_request, encode_reply, encode_request};
-use fairdms_service::net::{DmsTcpClient, NetServer, NetServerConfig};
+use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
 use fairdms_service::{Reply, Request, ServiceError, ServiceResult};
 use fairdms_tensor::Tensor;
@@ -46,7 +46,6 @@ fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
     let cfg = DmsServerConfig {
         auto_retrain: false,
-        read_pool_size: 1,
         ..DmsServerConfig::default()
     };
     DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
@@ -99,7 +98,7 @@ fn every_request_variant_is_bit_identical_over_tcp() {
         NetServerConfig::default(),
     )
     .expect("bind");
-    let remote = DmsTcpClient::connect(net.local_addr().unwrap()).unwrap();
+    let remote = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
 
     let run = |label: &str, req: Request| -> ServiceResult {
         let twin = wire_clone(&req);

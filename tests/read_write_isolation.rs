@@ -16,6 +16,7 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,7 +81,6 @@ fn spawn_server(
     let cfg = DmsServerConfig {
         auto_retrain,
         retrain_embed_cfg: embed_cfg(),
-        read_pool_size: 4,
         ..DmsServerConfig::default()
     };
     DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)

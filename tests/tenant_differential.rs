@@ -31,7 +31,6 @@ const SIDE: usize = 15;
 fn server_cfg() -> DmsServerConfig {
     DmsServerConfig {
         auto_retrain: false,
-        read_pool_size: 1,
         ..DmsServerConfig::default()
     }
 }

@@ -19,7 +19,7 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::ServiceError;
+use fairdms_service::{DmsApi, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +82,6 @@ fn spawn_server(seed: u64, train_epochs: usize) -> (DmsClient, ServerHandle) {
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
     let cfg = DmsServerConfig {
         auto_retrain: false,
-        read_pool_size: 2,
         training_pool_size: 1,
         ..DmsServerConfig::default()
     };
@@ -236,47 +235,6 @@ fn newer_update_supersedes_the_running_job_at_an_epoch_boundary() {
     assert_eq!(um.count, 2);
     assert_eq!(um.errors, 1);
 
-    drop(client);
-    handle.shutdown();
-}
-
-#[test]
-fn serialized_mode_still_trains_before_acknowledging() {
-    // training_pool_size: 0 keeps the old actor-serialized contract: the
-    // update's reply happens-after registration *and* the training ran on
-    // the actor itself (no Superseded errors possible).
-    let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 20);
-    let fairds = FairDS::in_memory(
-        Box::new(embedder),
-        FairDsConfig {
-            k: Some(2),
-            ..FairDsConfig::default()
-        },
-    );
-    let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
-    tcfg.train.epochs = 4;
-    tcfg.train.batch_size = 16;
-    let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, handle) = DmsServer::spawn(
-        trainer,
-        Box::new(|_| vec![0.5, 0.5]),
-        DmsServerConfig {
-            auto_retrain: false,
-            training_pool_size: 0,
-            ..DmsServerConfig::default()
-        },
-    );
-    let (x, y) = blob_images(20, 2, 21);
-    client.train_system(x.clone(), embed_cfg()).unwrap();
-    client.ingest(x.clone(), y, 0).unwrap();
-    let (x_new, _) = blob_images(10, 2, 22);
-    let (_, report) = client.update_model(x_new, 1).unwrap();
-    // Inline jobs still tick the executor counters for dashboard parity.
-    let m = client.metrics().unwrap();
-    assert_eq!(m.training_jobs_started, 1);
-    assert_eq!(m.training_jobs_completed, 1);
-    let (ckpt, _) = client.fetch(report.registered_id).unwrap();
-    assert!(!ckpt.is_empty());
     drop(client);
     handle.shutdown();
 }
