@@ -24,6 +24,15 @@
 //! machine-readably in `results/BENCH_scale_store.json` — per-size
 //! p50/p99 for both paths, the speedup factors, the refresh series, and
 //! the fraction of candidate rows the pruning actually eliminated.
+//!
+//! A last experiment times the **request-sized** reads — `certainty`,
+//! `dataset_pdf` and `nearest_labeled` on a cached 16-frame batch of
+//! patch-wide frames against a 10⁴-document store — and gates
+//! `certainty_16` p50 at ≤ 3× `dataset_pdf_16` p50. The two differ by a
+//! 16×8 membership matrix (~10 µs); a parallel region opened for it
+//! costs 100–400 µs, which is what the gate is there to catch
+//! (`benches/e2e`'s probes of the same pair read 5.6× before
+//! `fuzzy::memberships` was work-gated, DESIGN.md §9).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fairdms_bench::report::BenchReport;
@@ -278,6 +287,109 @@ fn grown_views(n: usize, seed: u64) -> (Arc<SystemSnapshot>, Arc<SystemSnapshot>
     (routed, brute, refresh)
 }
 
+/// Frame width of the request-sized experiment: the paper's 15×15 Bragg
+/// patch, so hashing and probing a cached frame weigh what they do in a
+/// deployment.
+const FRAME: usize = 225;
+/// Cluster count of the request-sized experiment: the `benches/e2e`
+/// deployment's, so the series line up with its `core.fairds.*` probes.
+const REQUEST_K: usize = 8;
+const REQUEST_FRAMES: usize = 16;
+const REQUEST_ITERS: usize = 400;
+
+/// Embeds a frame as its first [`DIM`] pixels (the rest is payload the
+/// embed cache hashes and compares).
+#[derive(Clone)]
+struct CropEmbedder;
+
+impl Embedder for CropEmbedder {
+    fn name(&self) -> &'static str {
+        "crop"
+    }
+    fn embed_dim(&self) -> usize {
+        DIM
+    }
+    fn input_dim(&self) -> usize {
+        FRAME
+    }
+    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn embed(&self, images: &Tensor) -> Tensor {
+        let n = images.shape()[0];
+        let data = (0..n).flat_map(|i| images.row(i)[..DIM].to_vec()).collect();
+        Tensor::from_vec(data, &[n, DIM])
+    }
+    fn clone_embedder(&self) -> Box<dyn Embedder> {
+        Box::new(self.clone())
+    }
+}
+
+/// [`blob_rows`] widened to [`FRAME`] pixels.
+fn blob_frames(n: usize, seed: u64) -> Tensor {
+    let rows = blob_rows(n, seed);
+    let mut data = Vec::with_capacity(n * FRAME);
+    for i in 0..n {
+        data.extend_from_slice(rows.row(i));
+        data.extend((DIM..FRAME).map(|p| (p + i) as f32));
+    }
+    Tensor::from_vec(data, &[n, FRAME])
+}
+
+/// Times the three request-sized reads on one cached batch, interleaved,
+/// and gates `certainty_16` against `dataset_pdf_16`.
+fn bench_request_sized_reads(report: &mut BenchReport) {
+    let n = 10_000;
+    let mut ds = FairDS::in_memory(
+        Box::new(CropEmbedder),
+        FairDsConfig {
+            k: Some(REQUEST_K),
+            seed: 42,
+            ..FairDsConfig::default()
+        },
+    );
+    ds.train_system(&blob_frames(2048, 42 ^ 0xA5), &EmbedTrainConfig::default());
+    let labels = Tensor::from_vec(vec![0.5; n * 2], &[n, 2]);
+    ds.ingest_labeled(&blob_frames(n, 43), &labels, 0);
+    let snap = ds.snapshot().expect("trained");
+    let batch = blob_frames(REQUEST_FRAMES, 44);
+    // The first pass fills the embed cache and builds the read index.
+    black_box((snap.certainty(&batch), snap.nearest_labeled(&batch)));
+
+    let mut lat = [const { Vec::new() }; 3];
+    for _ in 0..REQUEST_ITERS {
+        let t = Instant::now();
+        black_box(snap.certainty(&batch));
+        lat[0].push(t.elapsed());
+        let t = Instant::now();
+        black_box(snap.dataset_pdf(&batch));
+        lat[1].push(t.elapsed());
+        let t = Instant::now();
+        black_box(snap.nearest_labeled(&batch));
+        lat[2].push(t.elapsed());
+    }
+    let names = ["certainty_16", "dataset_pdf_16", "nearest_labeled_16"];
+    let p50: Vec<f64> = names
+        .iter()
+        .zip(&lat)
+        .map(|(name, lat)| {
+            let s = report.add_series(name, lat);
+            println!(
+                "{name:>18}  p50 {:>9.2?}  p99 {:>9.2?}  (cached batch, {n}-doc store)",
+                s.p50, s.p99
+            );
+            s.p50.as_secs_f64()
+        })
+        .collect();
+    let ratio = p50[0] / p50[1].max(1e-12);
+    report.add_metric("certainty_16_over_dataset_pdf_16", ratio);
+    assert!(
+        ratio <= 3.0,
+        "certainty on 16 cached frames must stay within 3x dataset_pdf \
+         ({:.1} us vs {:.1} us, {ratio:.1}x): a parallel region on a request-sized read?",
+        p50[0] * 1e6,
+        p50[1] * 1e6
+    );
+}
+
 fn bench_scale_store(_c: &mut Criterion) {
     let mut sizes: Vec<usize> = vec![1_000, 10_000, 100_000];
     if std::env::var("SCALE_STORE_FULL").is_ok_and(|v| v == "1") {
@@ -313,6 +425,7 @@ fn bench_scale_store(_c: &mut Criterion) {
 
     let (small, large) = (refresh_p50[0], refresh_p50[refresh_p50.len() - 1]);
     report.add_metric("refresh_growth_top_vs_bottom", large / small);
+    bench_request_sized_reads(&mut report);
     let path = report.write("scale_store");
     println!("wrote {}", path.display());
 

@@ -23,7 +23,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::net::{NetServer, NetServerConfig, NetServerHandle, Pending, PipelinedClient};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::{DmsApi, Request, ServiceError};
+use fairdms_service::{DmsApi, Request, ServiceError, ServiceResult};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::collections::VecDeque;
@@ -164,6 +164,10 @@ pub struct LoadConfig {
     pub read_fraction: f64,
     /// The read request to issue.
     pub read_kind: ReadKind,
+    /// Issue each request with the blocking [`PipelinedClient::call`]
+    /// instead of `submit` + `wait` (`window` is then 1 by construction):
+    /// on an idle connection the calling thread reads its own reply.
+    pub blocking_call: bool,
     /// Mix/jitter seed.
     pub seed: u64,
 }
@@ -176,6 +180,7 @@ impl Default for LoadConfig {
             window: 16,
             read_fraction: 0.9,
             read_kind: ReadKind::RoutedLookup,
+            blocking_call: false,
             seed: 1,
         }
     }
@@ -240,8 +245,8 @@ struct ConnOutcome {
 }
 
 impl ConnOutcome {
-    fn settle(&mut self, t0: Instant, pending: Pending) {
-        match pending.wait() {
+    fn settle(&mut self, t0: Instant, result: ServiceResult) {
+        match result {
             Ok(_) => self.ok += 1,
             Err(e) if is_protocol_error(&e) => self.protocol_errors += 1,
             Err(_) => self.service_errors += 1,
@@ -271,7 +276,7 @@ fn drive_connection(
     for i in 0..cfg.requests_per_connection {
         if window.len() >= cfg.window.max(1) {
             let (t0, pending) = window.pop_front().expect("non-empty window");
-            out.settle(t0, pending);
+            out.settle(t0, pending.wait());
         }
         let req = if is_read(cfg, conn, i) {
             match cfg.read_kind {
@@ -292,10 +297,15 @@ fn drive_connection(
                 scan: 1_000 + conn,
             }
         };
-        window.push_back((Instant::now(), client.submit(&req)));
+        let t0 = Instant::now();
+        if cfg.blocking_call {
+            out.settle(t0, client.call(&req));
+        } else {
+            window.push_back((t0, client.submit(&req)));
+        }
     }
     while let Some((t0, pending)) = window.pop_front() {
-        out.settle(t0, pending);
+        out.settle(t0, pending.wait());
     }
     out
 }

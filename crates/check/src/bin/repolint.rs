@@ -6,8 +6,9 @@
 //! Flags:
 //! * `--json` — one JSON object per finding (machine-readable).
 //! * `--root <dir>` — lint a tree other than the current workspace.
-//! * `--allowlist` — print the audited `Ordering::Relaxed` and blocking-
-//!   socket sites with their justifications, then exit.
+//! * `--allowlist` — print the audited `Ordering::Relaxed`, blocking-
+//!   socket and ungated parallel-region sites with their justifications,
+//!   then exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,6 +45,10 @@ fn main() -> ExitCode {
         for (path, why) in lint::NET_ALLOWLIST {
             println!("{path}\n    {why}");
         }
+        println!("# ungated parallel regions");
+        for (path, why) in lint::PAR_ALLOWLIST {
+            println!("{path}\n    {why}");
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -70,7 +75,7 @@ fn main() -> ExitCode {
             println!("{}", f.render());
         }
         if findings.is_empty() {
-            println!("repolint: clean ({} rules enforced)", 6);
+            println!("repolint: clean ({} rules enforced)", 7);
         } else {
             println!("repolint: {} finding(s)", findings.len());
         }

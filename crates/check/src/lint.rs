@@ -12,13 +12,14 @@
 //! | `no-static-mut` | no `static mut` anywhere — use an atomic or a lock |
 //! | `relaxed-allowlist` | `Ordering::Relaxed` only at sites on the audited allowlist below, each with a recorded justification |
 //! | `blocking-net` | blocking `std::net` / Unix-socket stream and listener types only in files on the audited `NET_ALLOWLIST` — the wire plane owns every socket, and each exempt file records where its blocking reads park and what unblocks them |
+//! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
 //!
 //! Zones: the shim crates are exempt from `no-std-sync` / `sleep-polling`
-//! / `relaxed-allowlist` (they *implement* the sync layer), and
+//! / `relaxed-allowlist` / `par-gate` (they *implement* those layers), and
 //! `crates/check` is exempt entirely (the checker's own scheduler is
 //! built on `std::sync`, and this file spells the patterns out). Test
 //! code — `tests/`, `benches/`, or below a `#[cfg(test)]` line — may
-//! sleep.
+//! sleep and may open ungated regions.
 //!
 //! Findings are produced as structured values; the `repolint` binary
 //! renders them human-readable or as JSON (`--json`) and exits non-zero
@@ -122,17 +123,44 @@ pub const NET_ALLOWLIST: &[(&str, &str)] = &[
     (
         "crates/service/src/net/server.rs",
         "wire-plane server: blocking reads live on dedicated per-connection reader threads, \
-         blocking writes on the per-connection reply sequencer; accept blocks on its own \
-         listener thread. Drain unblocks all of them by closing the sockets (shutdown + a \
-         self-connect to wake the accept loop)",
+         blocking writes on the per-connection reply sequencer (a reader's own window-1 \
+         reply is one write that does not wait; a full socket's remainder is sequenced); accept \
+         blocks on its own listener thread. Drain unblocks all of them by closing the sockets \
+         (shutdown + a self-connect to wake the accept loop)",
     ),
     (
         "crates/service/src/net/client.rs",
-        "wire-plane client: the only blocking read is the demux loop on each connection's \
-         dedicated reader thread; callers block on a channel, never on the socket. Dropping \
+        "wire-plane client: blocking reads are the demux loop on each connection's dedicated \
+         thread and a `call` reading its own reply when nothing else is in flight on the \
+         connection; every other caller blocks on a channel, never on the socket. Dropping \
          the client shuts the socket down, which unblocks the reader with a clean EOF",
     ),
 ];
+
+/// Audited ungated parallel-iterator files: (path suffix, justification).
+/// Everything else states its work and compares it against
+/// `ops::PAR_MIN_WORK` before opening a region.
+pub const PAR_ALLOWLIST: &[(&str, &str)] = &[
+    (
+        "crates/clustering/src/metrics.rs",
+        "silhouette / Davies–Bouldin: offline cluster-quality scores over a whole dataset, \
+         called by benches and figure regenerators, never on a request",
+    ),
+    (
+        "crates/datasets/src/voigt.rs",
+        "label_batch: the conventional labeler's per-node fan-out, a ~0.1 ms pseudo-Voigt fit \
+         per patch over a dataset-sized batch; offline, and the thing the paper's reuse avoids",
+    ),
+    (
+        "crates/bench/src/figures/fig09.rs",
+        "figure regenerator: the same per-patch Voigt fit over a whole scan, offline",
+    ),
+];
+
+/// How many lines above a parallel-iterator call `par-gate` looks for the
+/// comparison (the furthest audited site, the GEMM driver's dispatch
+/// `match`, sits 16 above its region).
+const PAR_GATE_WINDOW: usize = 24;
 
 /// Lints every `.rs` file under `root`. Paths in findings are relative
 /// to `root`.
@@ -302,6 +330,28 @@ pub fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
             }
         }
 
+        // par-gate
+        if !zone.shim && !in_test && !comment && opens_region(line) {
+            let gated = lines[i.saturating_sub(PAR_GATE_WINDOW)..=i]
+                .iter()
+                .any(|l| compares_par_min_work(l));
+            let allowed = PAR_ALLOWLIST.iter().any(|(p, _)| rel.ends_with(p));
+            if !gated && !allowed {
+                out.push(Finding {
+                    rule: "par-gate",
+                    path: rel.to_string(),
+                    line: lineno,
+                    excerpt: line.to_string(),
+                    message: format!(
+                        "parallel region without a work gate: state the work in \
+                         multiply–add equivalents and compare it against ops::PAR_MIN_WORK \
+                         within the {PAR_GATE_WINDOW} lines above (DESIGN.md §9), or justify and \
+                         allowlist the file (crates/check/src/lint.rs PAR_ALLOWLIST)"
+                    ),
+                });
+            }
+        }
+
         // relaxed-allowlist
         if !zone.shim && !comment && line.contains("Ordering::Relaxed") {
             let allowed = RELAXED_ALLOWLIST.iter().any(|(p, _)| rel.ends_with(p));
@@ -319,6 +369,30 @@ pub fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// Whether the line calls one of the shim's region-opening iterators.
+fn opens_region(line: &str) -> bool {
+    [
+        ".par_iter()",
+        ".into_par_iter()",
+        ".par_iter_mut()",
+        ".par_chunks_mut(",
+    ]
+    .iter()
+    .any(|call| line.contains(call))
+}
+
+/// Whether the line compares something against `PAR_MIN_WORK`.
+fn compares_par_min_work(line: &str) -> bool {
+    let line = line.trim();
+    !is_comment(line)
+        && line.match_indices("PAR_MIN_WORK").any(|(at, _)| {
+            let before = line[..at].trim_end();
+            [" <", " >", "<=", ">="]
+                .iter()
+                .any(|op| before.ends_with(op))
+        })
 }
 
 fn has_unsafe_marker(line: &str) -> bool {
@@ -425,6 +499,60 @@ mod tests {
         assert!(lint_str("crates/service/tests/x.rs", body).is_empty());
         // Address *types* are not blocking I/O.
         assert!(lint_str("crates/bench/src/netload.rs", "use std::net::SocketAddr;\n").is_empty());
+    }
+
+    #[test]
+    fn par_region_needs_a_work_gate_above_it() {
+        let ungated = "fn f(v: &mut [f32]) {\n    v.par_iter_mut().for_each(|x| *x += 1.0);\n}\n";
+        let f = lint_str("crates/core/src/x.rs", ungated);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("par-gate", 2));
+        // A gate on another rule is not a gate on this one.
+        let other_rule =
+            "if touched.len() <= 1 {\n    seq()\n} else {\n    t.par_iter().map(f).collect()\n}\n";
+        assert_eq!(
+            lint_str("crates/core/src/x.rs", other_rule)[0].rule,
+            "par-gate"
+        );
+        // Mentioning the constant in a comment is not comparing against it.
+        let comment =
+            "// stays below PAR_MIN_WORK\nlet h = (0..n).into_par_iter().map(f).collect();\n";
+        assert_eq!(lint_str("crates/core/src/x.rs", comment).len(), 1);
+        // Too far above to be this region's gate.
+        let far = format!(
+            "if work >= PAR_MIN_WORK {{ a() }}\n{}out.par_chunks_mut(k).for_each(f);\n",
+            "let _ = 0;\n".repeat(PAR_GATE_WINDOW)
+        );
+        assert_eq!(lint_str("crates/core/src/x.rs", &far).len(), 1);
+    }
+
+    #[test]
+    fn gated_allowlisted_shim_and_test_regions_pass() {
+        let either_side = [
+            "if n * k * d < PAR_MIN_WORK {\n    seq()\n} else {\n    out.par_iter_mut().for_each(f);\n}\n",
+            "let split =\n    ids.len() * ROW_WORK >= PAR_MIN_WORK;\nlet r = if split {\n    ids.par_iter().map(f).collect()\n};\n",
+        ];
+        for body in either_side {
+            assert!(lint_str("crates/core/src/x.rs", body).is_empty(), "{body}");
+        }
+        let ungated = "let fits = patches.par_iter().map(fit).collect();\n";
+        assert!(lint_str("crates/datasets/src/voigt.rs", ungated).is_empty());
+        assert!(lint_str("crates/shims/rayon/src/lib.rs", ungated).is_empty());
+        assert!(lint_str("crates/bench/benches/kernels.rs", ungated).is_empty());
+        let gated_test = format!("#[cfg(test)]\nmod tests {{ fn t() {{ {ungated} }} }}\n");
+        assert!(lint_str("crates/core/src/x.rs", &gated_test).is_empty());
+        // Every allowlisted file still exists and still needs its entry:
+        // linted under a path that is not on the list, it is flagged.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (path, why) in PAR_ALLOWLIST {
+            assert!(!why.is_empty(), "{path}");
+            let text = fs::read_to_string(root.join(path)).expect(path);
+            let f = lint_str("crates/core/src/x.rs", &text);
+            assert!(
+                f.iter().any(|f| f.rule == "par-gate"),
+                "{path}: stale entry"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! with fuzzifier `m > 1`. Memberships are in `[0, 1]` and sum to 1.
 
 use crate::kmeans::KMeans;
-use fairdms_tensor::{ops::sq_dist, Tensor};
+use fairdms_tensor::{
+    ops::{sq_dist, PAR_MIN_WORK, POWF_WORK},
+    Tensor,
+};
 use rayon::prelude::*;
 
 /// The conventional fuzzifier.
@@ -53,7 +56,8 @@ pub fn membership_of(sample: &[f32], centers: &Tensor, fuzzifier: f32) -> Vec<f3
 }
 
 /// Fuzzy membership matrix (`[n, k]`, row-stochastic) of a dataset against
-/// a fitted K-means model.
+/// a fitted K-means model. Rows are independent, so the matrix is the same
+/// to the bit whether or not the batch is large enough to be split.
 pub fn memberships(data: &Tensor, model: &KMeans, fuzzifier: f32) -> Tensor {
     assert_eq!(data.rank(), 2, "memberships expects [n, d] data");
     let n = data.shape()[0];
@@ -62,10 +66,15 @@ pub fn memberships(data: &Tensor, model: &KMeans, fuzzifier: f32) -> Tensor {
     let raw = data.data();
     let centers = model.centers();
     let mut out = vec![0.0f32; n * k];
-    out.par_chunks_mut(k).enumerate().for_each(|(i, row)| {
-        let u = membership_of(&raw[i * d..(i + 1) * d], centers, fuzzifier);
-        row.copy_from_slice(&u);
-    });
+    let fill = |(i, row): (usize, &mut [f32])| {
+        row.copy_from_slice(&membership_of(&raw[i * d..(i + 1) * d], centers, fuzzifier));
+    };
+    // Per row: k distances of d terms, then k² ratios raised to a power.
+    if n * k * (d + k * POWF_WORK) >= PAR_MIN_WORK {
+        out.par_chunks_mut(k).enumerate().for_each(fill);
+    } else {
+        out.chunks_mut(k).enumerate().for_each(fill);
+    }
     Tensor::from_vec(out, &[n, k])
 }
 

@@ -48,11 +48,21 @@ pub struct BallPartitionConfig {
     pub seed: u64,
 }
 
+/// Most sub-clusters one split fits.
+const MAX_FANOUT: usize = 16;
+
 impl BallPartitionConfig {
     /// The leaf rule: a group of at most this many rows is emitted as one
     /// ball instead of being split further.
     pub fn leaf_rows(&self) -> usize {
         2 * self.target
+    }
+
+    /// Upper bound on the multiply–adds partitioning spends per `d`-wide
+    /// row: one assignment against at most [`MAX_FANOUT`] centers at each
+    /// of at most `max_depth` levels.
+    pub fn row_work(&self, d: usize) -> usize {
+        self.max_depth * MAX_FANOUT * d
     }
 }
 
@@ -117,7 +127,7 @@ fn split(
         out.push(make_ball(data, d, rows));
         return;
     }
-    let k = (n / cfg.target).clamp(2, 16);
+    let k = (n / cfg.target).clamp(2, MAX_FANOUT);
     let mut gathered = Vec::with_capacity(n * d);
     for &r in &rows {
         gathered.extend_from_slice(&data[r * d..(r + 1) * d]);

@@ -42,7 +42,7 @@ use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::gemm::Threading;
 use fairdms_tensor::{
     hash::row_hashes,
-    ops::{row_sq_norms, sq_dist, sq_dist_into},
+    ops::{row_sq_norms, sq_dist, sq_dist_into, PAR_MIN_WORK, SQ_DIST_WORK},
     rng::TensorRng,
     Tensor,
 };
@@ -351,6 +351,23 @@ impl ClusterEmbeddings {
         !self.ball_center_norms.is_empty()
     }
 
+    /// What searching this cluster costs per `dim`-wide query, in
+    /// multiply–add equivalents (the unit of `ops::PAR_MIN_WORK`). A block
+    /// is scanned row by row, one scalar distance each. A partitioned
+    /// cluster's search — every ball scored, the probe ball and the
+    /// survivors evaluated, the exact refine — measures what a scan of
+    /// 7–15 of its balls would (5–18 µs from 10⁴ to 10⁵ documents at
+    /// `dim` 16, `benches/scale_store`) and is counted as
+    /// [`SEARCH_BALLS`].
+    fn search_work(&self, dim: usize) -> usize {
+        let scanned = if self.is_partitioned() {
+            SEARCH_BALLS * self.rows / self.balls.len()
+        } else {
+            self.rows
+        };
+        scanned * dim * SQ_DIST_WORK
+    }
+
     /// Partitions `block` into balls and adds them to the cluster.
     fn push_split(&mut self, block: &IndexBall, lay: &ClusterLayout, seed: u64) {
         let cfg = BallPartitionConfig {
@@ -436,6 +453,14 @@ impl ClusterEmbeddings {
         ClusterEmbeddings::build(&flat.gather(&order, lay.dim), lay)
     }
 }
+
+/// Fetching and decoding one stored document into an [`IndexRow`], in
+/// multiply–add equivalents (1–2 µs; the unit of `ops::PAR_MIN_WORK`).
+const ROW_DECODE_WORK: usize = 1 << 14;
+
+/// The balls' worth of rows a routed search of a partitioned cluster is
+/// counted as scanning ([`ClusterEmbeddings::search_work`]).
+const SEARCH_BALLS: usize = 8;
 
 /// What one cluster search found for its query group: per query, the
 /// winner's `(distance, ball, row in ball)`.
@@ -637,21 +662,34 @@ impl SystemSnapshot {
         })
     }
 
-    /// The full build: one parallel decode pass over the store, rows
-    /// scattered to their clusters in ascending-id order (the brute scan's
-    /// deterministic tie order), clusters partitioned in parallel.
+    /// The full build: one decode pass over the store, rows scattered to
+    /// their clusters in ascending-id order (the brute scan's deterministic
+    /// tie order), then each cluster partitioned — both passes split across
+    /// the pool once the store is large enough to pay for it.
     fn build_index(&self, revision: u64) -> EmbeddingIndex {
         let ids = self.store.ids();
-        let rows: Vec<Option<IndexRow>> = ids.par_iter().map(|&id| self.decode_row(id)).collect();
+        // Per document: one fetch-and-decode, then its share of its
+        // cluster's partition.
+        let lay = self.cluster_layout(0);
+        let split = ids.len() * (ROW_DECODE_WORK + lay.ball.row_work(lay.dim)) >= PAR_MIN_WORK;
+        let decode = |id: &DocId| self.decode_row(*id);
+        let rows: Vec<Option<IndexRow>> = if split {
+            ids.par_iter().map(decode).collect()
+        } else {
+            ids.iter().map(decode).collect()
+        };
         let mut flats: Vec<IndexBall> = vec![IndexBall::default(); self.k()];
         for row in rows.into_iter().flatten() {
             flats[row.cluster].push_row(row);
         }
-        let clusters = flats
-            .par_iter()
-            .enumerate()
-            .map(|(c, flat)| Arc::new(ClusterEmbeddings::build(flat, &self.cluster_layout(c))))
-            .collect();
+        let partition = |(c, flat): (usize, &IndexBall)| {
+            Arc::new(ClusterEmbeddings::build(flat, &self.cluster_layout(c)))
+        };
+        let clusters = if split {
+            flats.par_iter().enumerate().map(partition).collect()
+        } else {
+            flats.iter().enumerate().map(partition).collect()
+        };
         EmbeddingIndex {
             revision,
             end_id: ids.last().map_or(0, |&last| last + 1),
@@ -1023,40 +1061,46 @@ impl SystemSnapshot {
             return Vec::new();
         }
         let routed = self.kmeans.predict(z);
+        // Every query's search of the cluster it routes to. Queries (and
+        // query groups) are independent, so the hits are the same either
+        // side of the gate.
+        let dim = z.shape()[1];
+        let work: usize = routed
+            .iter()
+            .map(|&c| index.clusters[c].search_work(dim))
+            .sum();
         if !self.cfg.read_index.enabled {
             // Brute reference path (the pre-index read plane): per-row
             // linear scan of the routed cluster's cached embeddings, which
             // an index built with routing off keeps in one block.
-            return (0..n)
-                .into_par_iter()
-                .map(|i| {
-                    let block = index.clusters[routed[i]].balls.first()?;
-                    let (d, row) = block.nearest(z.row(i), labeled_only)?;
-                    Some((d, &**block, row))
-                })
-                .collect();
+            let scan = |i: usize| {
+                let block = index.clusters[routed[i]].balls.first()?;
+                let (d, row) = block.nearest(z.row(i), labeled_only)?;
+                Some((d, &**block, row))
+            };
+            return if work >= PAR_MIN_WORK {
+                (0..n).into_par_iter().map(scan).collect()
+            } else {
+                (0..n).map(scan).collect()
+            };
         }
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); index.clusters.len()];
         for (i, &c) in routed.iter().enumerate() {
             groups[c].push(i);
         }
-        // Only touched clusters are dispatched, and a lone group runs on
-        // the calling thread: the shim's parallel iterators spawn scoped
-        // OS threads per call, which would cost a single-row read (one
-        // query → one cluster) orders of magnitude more than the search
-        // itself.
         let touched: Vec<(usize, Vec<usize>)> = groups
             .into_iter()
             .enumerate()
             .filter(|(_, qs)| !qs.is_empty())
             .collect();
-        let search = |(c, qs): &(usize, Vec<usize>)| {
-            self.search_cluster(&index.clusters[*c], qs, z, labeled_only)
+        let search = |g: &(usize, Vec<usize>)| {
+            let hits = self.search_cluster(&index.clusters[g.0], &g.1, z, labeled_only);
+            (g.0, hits)
         };
-        let grouped: Vec<(usize, GroupHits)> = if touched.len() <= 1 {
-            touched.iter().map(|g| (g.0, search(g))).collect()
+        let grouped: Vec<(usize, GroupHits)> = if work >= PAR_MIN_WORK {
+            touched.par_iter().map(search).collect()
         } else {
-            touched.par_iter().map(|g| (g.0, search(g))).collect()
+            touched.iter().map(search).collect()
         };
         let mut out = vec![None; n];
         for (c, hits) in grouped {

@@ -354,6 +354,10 @@ u64_table! {
         frames_in,
         /// Reply frames written to sockets.
         frames_out,
+        /// Of `frames_out`, replies a connection's reader thread wrote itself
+        /// at window 1 instead of queueing them to its sequencer (one that a
+        /// full socket cut short counts: only its tail is queued).
+        replies_inline,
         /// Total inbound wire bytes (frame headers included).
         bytes_in,
         /// Total outbound wire bytes (frame headers included).
@@ -418,6 +422,12 @@ impl NetCounters {
     pub fn frame_out(&self, bytes: u64) {
         self.frames_out.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Marks the outbound frame just recorded as written by the
+    /// connection's reader thread.
+    pub fn reply_inline(&self) {
+        self.replies_inline.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a frame or message that failed to decode (hostile length

@@ -11,8 +11,10 @@
 //!   `ServiceError`, built on [`fairdms_datastore::wire`];
 //! * [`server`] — [`server::NetServer`]: threaded TCP/UDS listener with a
 //!   bounded connection limit (over-limit sockets are *answered* `Busy`),
-//!   per-connection pipelining into the deployment's actor queue, an
-//!   in-order reply sequencer, and graceful drain;
+//!   per-connection pipelining into the deployment's actor queue, and
+//!   graceful drain;
+//! * [`sequencer`] — which thread writes a reply: the connection's reader
+//!   itself at window 1, its in-order reply sequencer otherwise;
 //! * [`client`] — [`client::PipelinedClient`]: multi-handle, pipelined,
 //!   and — through [`crate::api::DmsApi`] — the same blocking typed
 //!   helpers as `DmsClient`.
@@ -24,17 +26,18 @@
 //! sequencer batches responses into single writes. Read-only requests
 //! never leave the reader thread — it executes them against the immutable
 //! service snapshot (`DmsClient::serve_read`, the same entry in-process
-//! callers use) and hands the sequencer a pre-resolved reply, with no
-//! hand-off and no thread park. One connection's reads therefore run one
-//! after another; reads from different connections run in parallel, one
-//! reader thread each. `benches/net_plane.rs` measures the resulting
-//! throughput multiple over strict request-response usage of the same
-//! stack: 6.65× at 256 connections in `results/BENCH_net_plane.json`,
-//! gated at ≥3×.
+//! callers use) and, on a connection at window 1, writes the reply too:
+//! such a read wakes the server's reader and the calling client thread
+//! and nothing else. One connection's reads therefore run one after
+//! another; reads from different connections run in parallel, one reader
+//! thread each. `benches/net_plane.rs` measures what pipelining buys over
+//! strict request-response usage of the same stack, gated at ≥3× on one
+//! connection (`results/BENCH_net_plane.json`).
 
 pub mod client;
 pub mod codec;
 pub mod frame;
+pub mod sequencer;
 pub mod server;
 
 pub use client::{Pending, PipelinedClient};

@@ -11,13 +11,16 @@
 //!   dispatched into the actor's admission queue. It never waits for an
 //!   actor reply before reading the next frame, which is what makes the
 //!   wire pipelined: a client can keep dozens of requests in flight on
-//!   one socket;
-//! * a **writer** (the reply sequencer) that receives resolved replies
-//!   and one-shot reply receivers *in dispatch order* and writes each
-//!   response back as it resolves, preserving request order on the wire.
-//!   Writes are batched: the writer flushes only when its queue goes
-//!   momentarily empty, so a burst of pipelined replies costs one
-//!   syscall, not one per reply.
+//!   one socket. At window 1 it also writes the reply it just computed,
+//!   so a read on an idle connection never leaves this thread;
+//! * a **writer** (the reply sequencer) that receives every dispatched
+//!   request's one-shot reply receiver, and every reply queued behind one
+//!   or resolved with more requests already buffered, *in request order*
+//!   and writes each response back as it resolves. Writes are batched:
+//!   the writer flushes only when its queue goes momentarily empty, so a
+//!   burst of pipelined replies costs one syscall, not one per reply.
+//!
+//! [`crate::net::sequencer`] holds the hand-over between the two.
 //!
 //! Backpressure composes with the deployment's own admission control: a
 //! reader blocked in `dispatch` (queue full) simply stops reading, which
@@ -31,17 +34,16 @@
 //! read side so readers observe EOF, and joins the writers, which answer
 //! every already-accepted request before exiting.
 
-use crate::api::{ServiceError, ServiceResult, TenantId};
+use crate::api::{ServiceError, TenantId};
 use crate::metrics::NetCounters;
-use crate::net::codec::{encode_error, encode_reply};
 use crate::net::frame::{
     read_frame, write_frame, Frame, FrameError, FrameKind, BODY_HEADER, LEN_PREFIX,
 };
+use crate::net::sequencer::{reply_lane, ReplyLane, Sequencer, TryWrite};
 use crate::server::DmsClient;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,16 +79,36 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Transport abstraction: TCP and Unix sockets differ only in these five
+/// Transport abstraction: TCP and Unix sockets differ only in these six
 /// operations, so the accept loop and connection threads are written once.
 trait NetStream: Read + Write + Send + Sized + 'static {
-    /// A second handle onto the same socket (reader and writer threads
-    /// each own one).
+    /// Another handle onto the same socket (the reader, the writer and
+    /// the drain hook each own one).
     fn duplicate(&self) -> io::Result<Self>;
     /// Half- or full-closes the socket.
     fn shut(&self, how: Shutdown) -> io::Result<()>;
     /// Applies `TCP_NODELAY` where it exists (no-op otherwise).
     fn set_nodelay_opt(&self, on: bool);
+    /// Switches the socket — every handle onto it — between blocking and
+    /// non-blocking I/O.
+    fn nonblocking(&self, on: bool) -> io::Result<()>;
+}
+
+/// The inline door's write ([`crate::net::sequencer`]). The mode belongs to
+/// the socket, not the handle, so this is for the reader thread alone, and
+/// only while the connection's sequencer is idle: the reader is not reading
+/// meanwhile, and an idle sequencer touches the socket only once the reader
+/// has queued to it again.
+impl<S: NetStream> TryWrite for S {
+    fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.nonblocking(true)?;
+        let taken = match self.write(buf) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(0),
+            taken => taken,
+        };
+        self.nonblocking(false)?;
+        taken
+    }
 }
 
 impl NetStream for TcpStream {
@@ -99,6 +121,9 @@ impl NetStream for TcpStream {
     fn set_nodelay_opt(&self, on: bool) {
         let _ = self.set_nodelay(on);
     }
+    fn nonblocking(&self, on: bool) -> io::Result<()> {
+        self.set_nonblocking(on)
+    }
 }
 
 #[cfg(unix)]
@@ -110,6 +135,9 @@ impl NetStream for std::os::unix::net::UnixStream {
         self.shutdown(how)
     }
     fn set_nodelay_opt(&self, _on: bool) {}
+    fn nonblocking(&self, on: bool) -> io::Result<()> {
+        self.set_nonblocking(on)
+    }
 }
 
 /// Listener side of the transport abstraction. Unblocking a thread parked
@@ -184,33 +212,6 @@ impl TenantRouter {
     pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
         self.tenants.iter().map(|(id, _)| *id)
     }
-}
-
-/// What the reader hands the reply sequencer, in dispatch order. Every
-/// variant echoes the request's `seq` and `tenant` on its reply frame.
-enum OutMsg {
-    /// A dispatched request: echo `seq` on whatever the service resolves.
-    Reply {
-        seq: u64,
-        tenant: TenantId,
-        rx: Receiver<ServiceResult>,
-    },
-    /// A request already answered on the reader thread (every read, and
-    /// requests refused before admission): the sequencer never waits on
-    /// these. Boxed so the queued message stays channel-slot-sized
-    /// regardless of reply size.
-    Ready {
-        seq: u64,
-        tenant: TenantId,
-        result: Box<ServiceResult>,
-    },
-    /// The peer broke the protocol: answer with a `ProtocolError` frame
-    /// (after everything queued before it) and close.
-    Fatal {
-        seq: u64,
-        tenant: TenantId,
-        msg: String,
-    },
 }
 
 /// State shared by one connection's two threads.
@@ -422,9 +423,8 @@ fn spawn_connection<S: NetStream>(
     stream: S,
 ) -> io::Result<()> {
     stream.set_nodelay_opt(shared.cfg.nodelay);
-    let write_half = stream.duplicate()?;
     let drain_half = stream.duplicate()?;
-    let (out_tx, out_rx) = unbounded::<OutMsg>();
+    let (lane, sequencer) = reply_lane(stream.duplicate()?, Arc::clone(&shared.counters));
     let state = Arc::new(ConnState {
         clean_eof: AtomicBool::new(false),
     });
@@ -436,7 +436,7 @@ fn spawn_connection<S: NetStream>(
         thread::Builder::new()
             .name(format!("dms-net-r{conn_id}"))
             .stack_size(CONN_STACK)
-            .spawn(move || reader_loop(shared, stream, out_tx, state))?
+            .spawn(move || reader_loop(shared, stream, lane, state))?
     };
     let writer = {
         let shared = Arc::clone(shared);
@@ -459,7 +459,7 @@ fn spawn_connection<S: NetStream>(
                     finished: &finished,
                     graceful: false,
                 };
-                teardown.graceful = writer_loop(&shared, write_half, out_rx, &state);
+                teardown.graceful = writer_loop(sequencer, &state);
             })
     };
     let writer = match writer {
@@ -485,12 +485,12 @@ fn spawn_connection<S: NetStream>(
     Ok(())
 }
 
-/// Decodes frames and dispatches them without waiting for replies — the
-/// pipelining half of the connection.
+/// Decodes frames and answers or dispatches them without waiting for actor
+/// replies — the pipelining half of the connection.
 fn reader_loop<S: NetStream>(
     shared: Arc<NetShared>,
     stream: S,
-    out_tx: Sender<OutMsg>,
+    mut lane: ReplyLane,
     state: Arc<ConnState>,
 ) {
     let mut r = BufReader::with_capacity(64 * 1024, stream);
@@ -503,11 +503,7 @@ fn reader_loop<S: NetStream>(
             }
             Err(e) if e.is_protocol_violation() => {
                 shared.counters.decode_error();
-                let _ = out_tx.send(OutMsg::Fatal {
-                    seq: 0,
-                    tenant: 0,
-                    msg: e.to_string(),
-                });
+                lane.fatal(0, 0, e.to_string());
                 break;
             }
             Err(_) => break, // transport error: abrupt
@@ -515,37 +511,43 @@ fn reader_loop<S: NetStream>(
         shared
             .counters
             .frame_in((LEN_PREFIX + BODY_HEADER + frame.payload.len()) as u64);
-        if let Err(fatal) = handle_frame(&shared, frame, &out_tx) {
-            shared.counters.decode_error();
-            let _ = out_tx.send(fatal);
+        let more_buffered = !r.buffer().is_empty();
+        if !handle_frame(&shared, frame, &mut lane, r.get_mut(), more_buffered) {
             break;
         }
     }
-    // Dropping out_tx is the writer's signal that no more requests are
+    // Dropping the lane is the writer's signal that no more requests are
     // coming; it answers what's queued, then exits.
 }
 
-/// Dispatches one decoded frame, or returns the fatal message that ends
-/// the connection.
-fn handle_frame(shared: &NetShared, frame: Frame, out_tx: &Sender<OutMsg>) -> Result<(), OutMsg> {
+/// Answers or dispatches one decoded frame. `false` ends the connection:
+/// the peer broke the protocol (the `ProtocolError` frame is queued) or an
+/// inline reply could not be written through `direct`.
+fn handle_frame(
+    shared: &NetShared,
+    frame: Frame,
+    lane: &mut ReplyLane,
+    direct: &mut impl TryWrite,
+    more_buffered: bool,
+) -> bool {
     let Frame {
         seq,
         tenant,
         kind,
         payload,
     } = frame;
+    let violation = |lane: &mut ReplyLane, msg: String| {
+        shared.counters.decode_error();
+        lane.fatal(seq, tenant, msg);
+        false
+    };
     if kind != FrameKind::Request {
-        return Err(OutMsg::Fatal {
-            seq,
-            tenant,
-            msg: format!("unexpected {kind:?} frame from client"),
-        });
+        return violation(lane, format!("unexpected {kind:?} frame from client"));
     }
-    let req = crate::net::codec::decode_request(&payload).map_err(|e| OutMsg::Fatal {
-        seq,
-        tenant,
-        msg: e.to_string(),
-    })?;
+    let req = match crate::net::codec::decode_request(&payload) {
+        Ok(req) => req,
+        Err(e) => return violation(lane, e.to_string()),
+    };
     let resolved = match shared.router.client(tenant) {
         // Unknown tenant: a well-formed request to a mis-addressed (or
         // already retired) tenant is the *request's* problem, not the
@@ -553,25 +555,20 @@ fn handle_frame(shared: &NetShared, frame: Frame, out_tx: &Sender<OutMsg>) -> Re
         // typo'd tenant id in a pipelined stream doesn't kill the other
         // tenants sharing the connection.
         None => Err(ServiceError::Invalid(format!("unknown tenant {tenant}"))),
-        // Answered on this thread from the read snapshot: the writer
-        // receives a resolved reply and never parks for it.
+        // Answered on this thread from the read snapshot.
         Some(client) if req.is_read_only() => client.serve_read(req),
         Some(client) => match client.dispatch(req) {
             Ok(rx) => {
-                let _ = out_tx.send(OutMsg::Reply { seq, tenant, rx });
-                return Ok(());
+                lane.dispatched(seq, tenant, rx);
+                return true;
             }
             // Admission failed (service shutting down): answer this
             // request with the error; the connection itself stays up.
             Err(e) => Err(e),
         },
     };
-    let _ = out_tx.send(OutMsg::Ready {
-        seq,
-        tenant,
-        result: Box::new(resolved),
-    });
-    Ok(())
+    lane.resolved(direct, seq, tenant, resolved, more_buffered)
+        .is_ok()
 }
 
 /// Releases one connection's admission accounting exactly once, on every
@@ -591,94 +588,18 @@ impl Drop for ConnTeardown<'_> {
     }
 }
 
-/// Writes replies in dispatch order, flushing when the queue goes idle —
-/// the sequencing half of the connection. Returns whether the close was
-/// graceful (every accepted request answered and flushed); the caller's
-/// [`ConnTeardown`] guard does the accounting.
-fn writer_loop<S: NetStream>(
-    shared: &NetShared,
-    stream: S,
-    out_rx: Receiver<OutMsg>,
-    state: &ConnState,
-) -> bool {
-    let mut w = io::BufWriter::with_capacity(64 * 1024, stream);
-    let mut buf = Vec::with_capacity(4 * 1024);
-    let mut broken = false;
-    'outer: loop {
-        let first = match out_rx.recv() {
-            Ok(m) => m,
-            Err(_) => break, // reader gone and every reply written
-        };
-        let mut next = Some(first);
-        while let Some(msg) = next {
-            let fatal = matches!(msg, OutMsg::Fatal { .. });
-            if write_msg(shared, &mut w, &mut buf, msg).is_err() {
-                broken = true;
-                break 'outer;
-            }
-            if fatal {
-                broken = true; // protocol violation: answered, now close
-                break 'outer;
-            }
-            next = out_rx.try_recv().ok();
-        }
-        if w.flush().is_err() {
-            broken = true;
-            break;
-        }
+/// Runs the connection's sequencer to its end, then closes the socket.
+/// Returns whether the close was graceful (every accepted request answered
+/// and flushed); the caller's [`ConnTeardown`] guard does the accounting.
+fn writer_loop<S: NetStream>(mut sequencer: Sequencer<S>, state: &ConnState) -> bool {
+    let answered = sequencer.run();
+    let _ = sequencer.stream().shut(Shutdown::Both);
+    if !answered {
+        // The shut above unblocks the reader (it may be mid-read on a live
+        // peer); whatever replies it still queues are discarded.
+        sequencer.discard_queued();
     }
-    if broken {
-        // Unblock the reader (it may be mid-read on a live peer) and
-        // discard whatever replies were still queued.
-        let _ = w.flush();
-        if let Ok(stream) = w.into_inner() {
-            let _ = stream.shut(Shutdown::Both);
-        }
-        while out_rx.recv().is_ok() {}
-        false
-    } else {
-        let _ = w.flush();
-        if let Ok(stream) = w.into_inner() {
-            let _ = stream.shut(Shutdown::Both);
-        }
-        state.clean_eof.load(Ordering::SeqCst)
-    }
-}
-
-/// Encodes and writes one queued message. For `Reply`, blocks until the
-/// service resolves it — in-order delivery is the contract.
-fn write_msg<W: Write>(
-    shared: &NetShared,
-    w: &mut W,
-    buf: &mut Vec<u8>,
-    msg: OutMsg,
-) -> io::Result<()> {
-    buf.clear();
-    let n = match msg {
-        OutMsg::Reply { seq, tenant, rx } => {
-            let result = rx.recv().unwrap_or(Err(ServiceError::Unavailable));
-            match result {
-                Ok(reply) => {
-                    write_frame(buf, seq, tenant, FrameKind::ReplyOk, &encode_reply(&reply))
-                }
-                Err(err) => write_frame(buf, seq, tenant, FrameKind::ReplyErr, &encode_error(&err)),
-            }
-        }
-        OutMsg::Ready {
-            seq,
-            tenant,
-            result,
-        } => match *result {
-            Ok(reply) => write_frame(buf, seq, tenant, FrameKind::ReplyOk, &encode_reply(&reply)),
-            Err(err) => write_frame(buf, seq, tenant, FrameKind::ReplyErr, &encode_error(&err)),
-        },
-        OutMsg::Fatal { seq, tenant, msg } => {
-            write_frame(buf, seq, tenant, FrameKind::ProtocolError, msg.as_bytes())
-        }
-    };
-    w.write_all(buf)?;
-    shared.counters.frame_out(n as u64);
-    Ok(())
+    answered && state.clean_eof.load(Ordering::SeqCst)
 }
 
 /// Handle onto a running listener; dropping it *without* calling

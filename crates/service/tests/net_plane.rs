@@ -15,7 +15,7 @@ use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::frame::{write_frame, FrameKind};
 use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::{DmsApi, Request, ServiceError};
+use fairdms_service::{DmsApi, Reply, Request, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::io::Write;
@@ -546,4 +546,419 @@ fn a_panicking_read_costs_its_tenant_not_the_connection_or_the_caller() {
     drop((doomed, neighbour));
     net.shutdown();
     multi.shutdown();
+}
+
+/// Blocks in the forward pass while a batch carries the sentinel pixel,
+/// until the test sends a token — a write the test holds in flight.
+struct GatedEmbedder(AutoencoderEmbedder, crossbeam_channel::Receiver<()>);
+
+impl Embedder for GatedEmbedder {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn embed_dim(&self) -> usize {
+        self.0.embed_dim()
+    }
+    fn input_dim(&self) -> usize {
+        self.0.input_dim()
+    }
+    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
+        self.0.fit(images, cfg);
+    }
+    fn embed(&self, images: &Tensor) -> Tensor {
+        if images.data().contains(&SENTINEL) {
+            let _ = self.1.recv();
+        }
+        self.0.embed(images)
+    }
+    fn clone_embedder(&self) -> Box<dyn Embedder> {
+        Box::new(GatedEmbedder(self.0.clone(), self.1.clone()))
+    }
+}
+
+/// Reads reply frames off a raw socket until `n` have arrived.
+fn read_replies(raw: &mut TcpStream, n: usize) -> Vec<fairdms_service::net::Frame> {
+    read_replies_up_to(raw, n, 1 << 20)
+}
+
+/// [`read_replies`] for replies of up to `max_len` bytes.
+fn read_replies_up_to(
+    raw: &mut TcpStream,
+    n: usize,
+    max_len: u32,
+) -> Vec<fairdms_service::net::Frame> {
+    (0..n)
+        .map(|_| fairdms_service::net::frame::read_frame(raw, max_len).expect("reply frame"))
+        .collect()
+}
+
+#[test]
+fn a_read_behind_an_in_flight_write_is_sequenced_and_a_window_1_stream_is_not() {
+    let (release, gate) = crossbeam_channel::unbounded();
+    let embedder = GatedEmbedder(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 12), gate);
+    let (client, server) = DmsServer::spawn(
+        trainer_over(Box::new(embedder), 12),
+        Box::new(|_| vec![0.5, 0.5]),
+        server_cfg(),
+    );
+    let (x, y) = frames(16, 93);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    let net = serve(&client, NetServerConfig::default());
+    let addr = net.local_addr().unwrap();
+    let stats = || net.counters().snapshot();
+
+    // One socket: a write the actor cannot finish yet, a read behind it,
+    // and a second write behind that. Once the reader has taken the third
+    // frame it has already decided the read's route — with the first
+    // write still in flight.
+    let mut held = x.clone();
+    held.row_mut(0)[0] = SENTINEL;
+    let ingest = |images: &Tensor| Request::IngestLabeled {
+        images: images.clone(),
+        labels: y.clone(),
+        scan: 0,
+    };
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut bytes = Vec::new();
+    for (seq, req) in [(1, ingest(&held)), (2, Request::Metrics), (3, ingest(&x))] {
+        let payload = fairdms_service::net::codec::encode_request(&req);
+        write_frame(&mut bytes, seq, 0, FrameKind::Request, &payload);
+    }
+    raw.write_all(&bytes).unwrap();
+    wait_until("reader took all three frames", || stats().frames_in == 3);
+    assert_eq!(stats().frames_out, 0, "a reply overtook the held write");
+    release.send(()).unwrap();
+    let seqs: Vec<u64> = read_replies(&mut raw, 3).iter().map(|f| f.seq).collect();
+    assert_eq!(seqs, [1, 2, 3], "replies left out of request order");
+    assert_eq!(stats().replies_inline, 0, "{:?}", stats());
+    drop(raw);
+
+    // A fresh connection at window 1: every reply is the reader's own.
+    let before = stats();
+    let tcp = PipelinedClient::connect_tcp(addr).unwrap();
+    for i in 0..32 {
+        match i % 3 {
+            0 => assert_eq!(tcp.dataset_pdf(x.clone()).unwrap().len(), 2),
+            1 => assert!(tcp.certainty(x.clone()).is_ok()),
+            _ => assert_eq!(tcp.lookup(vec![0.5, 0.5], i).unwrap().len(), i),
+        }
+    }
+    let after = stats();
+    assert_eq!(after.frames_out - before.frames_out, 32);
+    assert_eq!(after.replies_inline - before.replies_inline, 32);
+    assert_eq!(after.decode_errors, 0);
+
+    drop(tcp);
+    net.shutdown();
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn two_tenants_pipelining_beside_window_1_calls_each_get_their_own_replies() {
+    let mut builder = MultiDms::builder(1);
+    for tenant in [1, 2] {
+        let seed = 20 + u64::from(tenant);
+        let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
+        builder = builder.tenant(
+            TenantSpec {
+                config: server_cfg(),
+                ..TenantSpec::new(tenant)
+            },
+            trainer_over(Box::new(embedder), seed),
+            Box::new(|_| vec![0.5, 0.5]),
+        );
+    }
+    let multi = builder.spawn();
+    let net = multi
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
+        .expect("bind");
+    let one = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
+    let two = one.for_tenant(2);
+    let (x, y) = frames(16, 94);
+    for api in [&one, &two] {
+        api.train_system(x.clone(), embed_cfg()).unwrap();
+        api.ingest(x.clone(), y.clone(), 0).unwrap();
+    }
+
+    // Each request names a size only its own reply can echo: an ingest of
+    // `n` rows answers `count: n`, a lookup of `n` answers `n` documents.
+    let pipeline = |api: PipelinedClient, salt: usize| {
+        move || {
+            for round in 0..24 {
+                let sizes: Vec<usize> = (0..8).map(|i| 1 + (salt + round + i) % 7).collect();
+                let tickets: Vec<_> = sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| {
+                        api.submit(&if i % 2 == 0 {
+                            let (images, labels) = frames(n, (salt + round + i) as u64);
+                            Request::IngestLabeled {
+                                images,
+                                labels,
+                                scan: 0,
+                            }
+                        } else {
+                            Request::LookupMatching {
+                                pdf: vec![0.5, 0.5],
+                                count: n,
+                            }
+                        })
+                    })
+                    .collect();
+                for (ticket, n) in tickets.into_iter().zip(sizes) {
+                    match ticket.wait().expect("pipelined reply") {
+                        Reply::Ingested { count, .. } => assert_eq!(count, n),
+                        Reply::Documents(docs) => assert_eq!(docs.len(), n),
+                        other => panic!("someone else's reply: {other:?}"),
+                    }
+                }
+            }
+        }
+    };
+    let writers = [
+        thread::spawn(pipeline(one.clone(), 0)),
+        thread::spawn(pipeline(two.clone(), 3)),
+    ];
+    // A third handle at window 1, self-reading whenever the pipelines
+    // happen to be drained and queueing behind them whenever not.
+    let caller = one.for_tenant(2);
+    for i in 0..200 {
+        assert_eq!(caller.lookup(vec![0.5, 0.5], i % 9).unwrap().len(), i % 9);
+    }
+    for w in writers {
+        w.join().expect("pipelining thread");
+    }
+    assert!(!one.is_closed(), "a reply was matched to the wrong ticket");
+    let stats = net.counters().snapshot();
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.frames_in, stats.frames_out, "{stats:?}");
+
+    drop((one, two, caller));
+    net.shutdown();
+    multi.shutdown();
+}
+
+/// A scripted peer: swallows requests, plays `script` back.
+struct Swallow;
+
+impl Write for Swallow {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl fairdms_service::net::client::WriteHalf for Swallow {
+    fn shut(&self) {}
+}
+
+fn scripted(script: &[u8]) -> PipelinedClient {
+    let read_half = std::io::Cursor::new(script.to_vec());
+    PipelinedClient::over(Box::new(Swallow), Box::new(read_half), 0).unwrap()
+}
+
+#[test]
+fn a_self_reading_call_meets_terminal_conditions_exactly_as_the_demux_thread_does() {
+    let frame = |seq, kind, payload: &[u8]| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, seq, 0, kind, payload);
+        bytes
+    };
+    let ok = fairdms_service::net::codec::encode_reply(&Reply::Certainty(0.5));
+    let torn = frame(1, FrameKind::ReplyOk, &ok);
+    let cases: [(&str, Vec<u8>, ServiceError); 4] = [
+        ("busy", frame(0, FrameKind::Busy, &[]), ServiceError::Busy),
+        (
+            "protocol error frame",
+            frame(0, FrameKind::ProtocolError, b"bad tag"),
+            ServiceError::Protocol("server rejected stream: bad tag".into()),
+        ),
+        (
+            "seq mismatch",
+            frame(7, FrameKind::ReplyOk, &ok),
+            ServiceError::Protocol("reply seq 7 arrived while waiting for 1".into()),
+        ),
+        (
+            "EOF mid-frame",
+            torn[..torn.len() - 3].to_vec(),
+            ServiceError::Unavailable,
+        ),
+    ];
+    for (what, script, expected) in cases {
+        // Nothing in flight: `call` reads the socket itself.
+        let own = scripted(&script);
+        // A ticket: the demux thread reads it.
+        let demux = scripted(&script);
+        let via_demux = demux.submit(&Request::Metrics).wait().unwrap_err();
+        assert_eq!(
+            own.call(&Request::Metrics).unwrap_err(),
+            via_demux,
+            "{what}"
+        );
+        assert_eq!(via_demux, expected, "{what}");
+        for client in [own, demux] {
+            assert!(client.is_closed(), "{what}");
+            // Sticky, on either route, without touching the socket again.
+            assert_eq!(client.call(&Request::Metrics).unwrap_err(), expected);
+            let ticket = client.submit(&Request::Metrics);
+            assert_eq!(ticket.wait().unwrap_err(), expected, "{what}");
+        }
+    }
+    // A good reply first: the connection survives it and the next call —
+    // self-reading again — meets the end of the script.
+    let mut script = frame(1, FrameKind::ReplyOk, &ok);
+    script.extend(frame(0, FrameKind::Busy, &[]));
+    let client = scripted(&script);
+    assert!(matches!(
+        client.call(&Request::Metrics),
+        Ok(Reply::Certainty(c)) if c == 0.5
+    ));
+    assert!(!client.is_closed());
+    assert_eq!(
+        client.call(&Request::Metrics).unwrap_err(),
+        ServiceError::Busy
+    );
+}
+
+#[test]
+fn a_drain_mid_stream_answers_every_request_a_window_1_caller_got_in() {
+    let (client, server) = spawn_deployment(13);
+    let net = serve(&client, NetServerConfig::default());
+    let tcp = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    assert!(tcp.call(&Request::Metrics).is_ok());
+
+    let (started_tx, started_rx) = crossbeam_channel::bounded(1);
+    let caller = {
+        let tcp = tcp.clone();
+        thread::spawn(move || {
+            let mut answered = 0u64;
+            loop {
+                match tcp.call(&Request::Metrics) {
+                    Ok(_) => answered += 1,
+                    // The drain closed the socket between two requests.
+                    Err(e) => break (answered, e),
+                }
+                if answered == 8 {
+                    let _ = started_tx.send(());
+                }
+            }
+        })
+    };
+    started_rx.recv().expect("stream under way");
+    net.shutdown();
+    let (answered, end) = caller.join().expect("caller");
+    assert_eq!(end, ServiceError::Unavailable);
+
+    // Every frame the server took off the socket was answered, inline, and
+    // the close counts as graceful.
+    let stats = client.metrics().unwrap().net;
+    assert_eq!(stats.frames_in, stats.frames_out, "{stats:?}");
+    assert_eq!(stats.frames_out, answered + 1, "{stats:?}");
+    assert_eq!(stats.replies_inline, stats.frames_out, "{stats:?}");
+    assert_eq!(
+        (stats.connections_active, stats.drains_graceful),
+        (0, 1),
+        "{stats:?}"
+    );
+
+    drop(tcp);
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_reset_during_an_inline_write_tears_the_connection_down() {
+    let (client, server) = spawn_deployment(14);
+    // Bigger than both ends' socket buffers: the inline write cannot
+    // complete unless the peer reads.
+    let big = client
+        .publish("big", vec![7u8; 16 << 20], vec![0.5, 0.5], 0)
+        .unwrap();
+    let net = serve(&client, NetServerConfig::default());
+    let addr = net.local_addr().unwrap();
+    let healthy = PipelinedClient::connect_tcp(addr).unwrap();
+    assert!(healthy.metrics().is_ok());
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut bytes = Vec::new();
+    let fetch = fairdms_service::net::codec::encode_request(&Request::FetchModel { zoo_id: big });
+    write_frame(&mut bytes, 1, 0, FrameKind::Request, &fetch);
+    raw.write_all(&bytes).unwrap();
+    // Take the head of the reply, so its tail is waiting on this peer,
+    // then vanish with the rest unread.
+    let mut head = [0u8; 64];
+    std::io::Read::read_exact(&mut raw, &mut head).unwrap();
+    drop(raw);
+
+    wait_until("reset connection torn down", || {
+        net.counters().snapshot().connections_active == 1
+    });
+    let stats = net.counters().snapshot();
+    assert_eq!(stats.drains_abrupt, 1, "{stats:?}");
+    assert!(healthy.metrics().is_ok());
+
+    drop(healthy);
+    net.shutdown();
+    wait_until("all connections closed", || {
+        client.metrics().unwrap().net.connections_active == 0
+    });
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_that_writes_its_window_before_it_reads_is_still_served() {
+    let (client, server) = spawn_deployment(15);
+    // Bigger than both ends' socket buffers, as above.
+    let checkpoint = vec![9u8; 16 << 20];
+    let big = client
+        .publish("big", checkpoint.clone(), vec![0.5, 0.5], 0)
+        .unwrap();
+    let net = serve(&client, NetServerConfig::default());
+    let stats = || net.counters().snapshot();
+
+    // The first request arrives alone — window 1 as far as the reader can
+    // tell — and its reply fills the socket, because this peer reads
+    // nothing until it has written everything.
+    let mut raw = TcpStream::connect(net.local_addr().unwrap()).unwrap();
+    let request = |seq, req: &Request| {
+        let mut bytes = Vec::new();
+        let payload = fairdms_service::net::codec::encode_request(req);
+        write_frame(&mut bytes, seq, 0, FrameKind::Request, &payload);
+        bytes
+    };
+    raw.write_all(&request(1, &Request::FetchModel { zoo_id: big }))
+        .unwrap();
+    wait_until("the first reply is under way", || stats().frames_out == 1);
+    assert_eq!(stats().replies_inline, 1, "{:?}", stats());
+    // The reader must not be waiting on that socket: it takes the rest of
+    // the window while the reply is stuck.
+    raw.write_all(&request(2, &Request::Metrics)).unwrap();
+    raw.write_all(&request(3, &Request::FetchModel { zoo_id: big }))
+        .unwrap();
+    wait_until("reader took the whole window", || stats().frames_in == 3);
+
+    let replies = read_replies_up_to(&mut raw, 3, 32 << 20);
+    let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();
+    assert_eq!(seqs, [1, 2, 3], "replies left out of request order");
+    for fetched in [&replies[0], &replies[2]] {
+        let reply = fairdms_service::net::codec::decode_reply(&fetched.payload).unwrap();
+        let Reply::Model {
+            checkpoint: got, ..
+        } = reply
+        else {
+            panic!("seq {}: expected the model", fetched.seq);
+        };
+        assert!(got == checkpoint, "seq {}: torn reply", fetched.seq);
+    }
+    assert_eq!(stats().replies_inline, 1, "{:?}", stats());
+    assert_eq!(stats().decode_errors, 0);
+
+    drop(raw);
+    net.shutdown();
+    drop(client);
+    server.shutdown();
 }

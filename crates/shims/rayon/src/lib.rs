@@ -17,6 +17,17 @@
 //!   `.enumerate().for_each(...)`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] (pool width applies to
 //!   work submitted from inside the closure) and [`current_num_threads`].
+//!
+//! Deliberate divergences from rayon:
+//!
+//! * there is no persistent pool: a region that runs on more than one
+//!   worker spawns its workers and joins them before returning, so callers
+//!   gate on work (`fairdms_tensor::ops::PAR_MIN_WORK`) before opening one;
+//! * `ThreadPool::install` runs the closure on the calling thread and only
+//!   overrides the width of the regions it opens;
+//! * [`regions_opened`] (hidden, shim-only) counts the regions the calling
+//!   thread has spawned workers for, so a test can assert that a
+//!   request-sized call opens none.
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
@@ -25,6 +36,22 @@ use std::marker::PhantomData;
 thread_local! {
     /// Pool-width override installed by [`ThreadPool::install`].
     static POOL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// Regions this thread has spawned workers for.
+    static REGIONS_OPENED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many parallel regions the calling thread has opened so far — calls
+/// that spawned workers, not ones that ran inline because the pool or the
+/// index space was one wide. A diagnostic of this shim (rayon has no such
+/// call): tests take a delta around a call to pin down that it stayed on
+/// its thread.
+#[doc(hidden)]
+pub fn regions_opened() -> u64 {
+    REGIONS_OPENED.with(Cell::get)
+}
+
+fn count_region() {
+    REGIONS_OPENED.with(|c| c.set(c.get() + 1));
 }
 
 /// Worker count a parallel region opened by the calling thread would use
@@ -62,6 +89,7 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
+    count_region();
     let chunk = n.div_ceil(workers);
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
@@ -93,6 +121,7 @@ where
         items.into_iter().for_each(f);
         return;
     }
+    count_region();
     let chunk = n.div_ceil(workers);
     let f = &f;
     std::thread::scope(|scope| {
@@ -462,6 +491,27 @@ mod tests {
             .enumerate()
             .for_each(|(i, v)| *v = i as i64);
         assert!(buf.iter().enumerate().all(|(i, &v)| v == i as i64));
+    }
+
+    #[test]
+    fn regions_are_counted_only_when_workers_are_spawned() {
+        let wide = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let narrow = crate::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let before = crate::regions_opened();
+        narrow.install(|| (0..64usize).into_par_iter().for_each(|_| {}));
+        wide.install(|| (0..1usize).into_par_iter().for_each(|_| {}));
+        assert_eq!(crate::regions_opened(), before, "both ran inline");
+        wide.install(|| {
+            (0..64usize).into_par_iter().for_each(|_| {});
+            vec![0u8; 64].par_iter_mut().for_each(|v| *v = 1);
+        });
+        assert_eq!(crate::regions_opened(), before + 2);
     }
 
     #[test]

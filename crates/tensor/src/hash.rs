@@ -21,13 +21,9 @@
 //!   FNV on the 900-byte rows of a 15×15 detector patch, and with full
 //!   avalanche so shard selection can use the low bits.
 
+use crate::ops::{HASH_WORK, PAR_MIN_WORK};
 use crate::Tensor;
 use rayon::prelude::*;
-
-/// Rows-×-width threshold above which [`row_hashes`] hashes rows on the
-/// rayon pool (same "measure before parallelizing" rule as
-/// [`ops::PAR_MIN_WORK`](crate::ops::PAR_MIN_WORK)).
-const PAR_HASH_THRESHOLD: usize = 64 * 1024;
 
 #[inline]
 fn mix(mut x: u64) -> u64 {
@@ -56,15 +52,15 @@ pub fn hash_row(row: &[f32]) -> u64 {
 
 /// Per-row content hashes of a rank-2 tensor (`[n, d]` → `n` hashes).
 ///
-/// Large batches hash rows in parallel; each row's hash is identical to
-/// [`hash_row`] of that row either way.
+/// Batches of [`PAR_MIN_WORK`] or more hash rows in parallel; each row's
+/// hash is identical to [`hash_row`] of that row either way.
 pub fn row_hashes(t: &Tensor) -> Vec<u64> {
     assert_eq!(t.rank(), 2, "row_hashes expects [n, d]");
     let (n, d) = (t.shape()[0], t.shape()[1]);
     if d == 0 {
         return vec![hash_row(&[]); n];
     }
-    if t.numel() >= PAR_HASH_THRESHOLD {
+    if t.numel() * HASH_WORK >= PAR_MIN_WORK {
         let data = t.data();
         (0..n)
             .into_par_iter()
@@ -126,9 +122,10 @@ mod tests {
         }
         // Large enough to take the parallel path; rows repeat so hashes
         // must repeat positionally.
-        let n = 4096;
-        let data: Vec<f32> = (0..n).flat_map(|i| vec![(i % 7) as f32; 17]).collect();
-        let big = Tensor::from_vec(data, &[n, 17]);
+        let (n, d) = (1 << 13, 65);
+        assert!(n * d * HASH_WORK >= PAR_MIN_WORK);
+        let data: Vec<f32> = (0..n).flat_map(|i| vec![(i % 7) as f32; d]).collect();
+        let big = Tensor::from_vec(data, &[n, d]);
         let hashes = row_hashes(&big);
         assert_eq!(hashes[0], hashes[7]);
         assert_eq!(hashes[3], hash_row(big.row(3)));

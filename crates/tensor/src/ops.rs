@@ -8,10 +8,9 @@
 //! [`crate::gemm`]; the pre-engine row loop survives as [`matmul_naive`],
 //! the reference that tests and the kernel CI bench compare against.
 //!
-//! Parallel kernels stay on the calling thread below [`PAR_MIN_WORK`]
-//! multiply–adds, where the cost of opening a parallel region would
-//! dominate — the "measure before parallelizing" advice from the bundled
-//! perf guides.
+//! Every parallel-iterator site in the workspace states its work in
+//! multiply–add equivalents and opens a region only from [`PAR_MIN_WORK`]
+//! (the dispatch rule, DESIGN.md §9).
 
 use crate::Tensor;
 
@@ -19,17 +18,30 @@ pub use crate::gemm::{
     matmul, matmul_transa, matmul_transb, matmul_transb_bias, matvec, sq_dist_into, sq_dist_matrix,
 };
 
-/// Minimum work, in multiply–adds (`m·k·n` for a GEMM), before a kernel
-/// opens a parallel region. The rayon shim's region is an OS-thread spawn
-/// per worker — 70–120 µs for two on the 2-vCPU reference box
-/// (`rayon/empty_region` in `results/BENCH_kernels.json`), whose second
-/// vCPU returns 1.1–1.3× on vector code — and one core retires 10–25
-/// multiply–adds per nanosecond, so ~16 M (≈ 0.7–1.5 ms sequential) is
-/// where a split stops being able to lose there, and is a clear win on
-/// two real cores. Work, not output size: a `[144×8192]·[8192×8]` product
-/// has 1,152 outputs and 9.4 M multiply–adds, a `[144×8]·[8×256]` one
-/// 36,864 outputs and 0.3 M.
+/// The dispatch rule's one constant: the least work, in multiply–add
+/// equivalents (`m·k·n` for a GEMM), from which a call site opens a
+/// parallel region. A site whose inner step is not a multiply–add scales
+/// its count by that step's cost ([`POWF_WORK`], [`HASH_WORK`], …), so
+/// every site compares against this and nothing else. One core retires
+/// 10–25 multiply–adds per nanosecond, which puts the line at 0.7–1.5 ms of
+/// sequential work — ten times a region (`rayon/empty_region` in
+/// `results/BENCH_kernels.json`). Work, not output size: a
+/// `[144×8192]·[8192×8]` product has 1,152 outputs and 9.4 M
+/// multiply–adds, a `[144×8]·[8×256]` one 36,864 outputs and 0.3 M.
 pub const PAR_MIN_WORK: usize = 1 << 24;
+
+/// One `powf` in multiply–add equivalents (~10 ns of scalar libm).
+pub const POWF_WORK: usize = 128;
+
+/// Hashing one `f32` of a row in multiply–add equivalents
+/// ([`crate::hash::hash_row`]: half a round of a serially dependent
+/// three-multiply mixer, ~2 ns).
+pub const HASH_WORK: usize = 32;
+
+/// One term of a scalar [`sq_dist`] in multiply–add equivalents: its sum
+/// is one serially dependent `f32` chain, ~1 ns a term where the blocked
+/// kernels retire 10–25.
+pub const SQ_DIST_WORK: usize = 16;
 
 /// Outer product `A = x ⊗ y` (`[m] × [n] → [m,n]`).
 pub fn outer(x: &Tensor, y: &Tensor) -> Tensor {

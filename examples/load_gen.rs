@@ -28,6 +28,7 @@ fn main() {
         window: arg(3, 16),
         read_fraction: arg(4, 0.9f64),
         read_kind: ReadKind::RoutedLookup,
+        blocking_call: false,
         seed: 1,
     };
     println!(
