@@ -61,13 +61,14 @@ fn frames(n: usize, seed: u64) -> Tensor {
     Tensor::from_vec(data, &[n, DIM])
 }
 
-fn trained_fairds() -> FairDS {
+fn trained_fairds(capacity: usize, shards: usize) -> FairDS {
     let embedder = AutoencoderEmbedder::new(DIM, HIDDEN, EMBED, 7);
     let mut ds = FairDS::in_memory(
         Box::new(embedder),
         FairDsConfig {
             k: Some(10),
             seed: 7,
+            embed_cache: EmbedCacheConfig { capacity, shards },
             ..FairDsConfig::default()
         },
     );
@@ -171,16 +172,8 @@ fn run_workload(uncached: &Arc<SystemSnapshot>, cached: &Arc<SystemSnapshot>) ->
 fn bench_embed_cache(_c: &mut Criterion) {
     // Two identically-trained planes (training is deterministic given
     // seeds): the uncached one *is* the pre-PR baseline.
-    let mut ds_uncached = trained_fairds();
-    ds_uncached.configure_embed_cache(EmbedCacheConfig {
-        capacity: 0,
-        shards: 1,
-    });
-    let mut ds_cached = trained_fairds();
-    ds_cached.configure_embed_cache(EmbedCacheConfig {
-        capacity: 4096,
-        shards: 8,
-    });
+    let ds_uncached = trained_fairds(0, 1);
+    let ds_cached = trained_fairds(4096, 8);
     let baseline_snap = ds_uncached.snapshot().expect("trained");
     let snap = ds_cached.snapshot().expect("trained");
     {

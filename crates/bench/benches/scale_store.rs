@@ -154,7 +154,7 @@ fn views(ds: &mut FairDS) -> (Arc<SystemSnapshot>, Arc<SystemSnapshot>) {
     ds.configure_read_index(ReadIndexConfig::default());
     let routed = ds.snapshot().expect("trained");
     ds.configure_read_index(ReadIndexConfig {
-        enabled: false,
+        min_cluster_rows: usize::MAX,
         ..ReadIndexConfig::default()
     });
     (routed, ds.snapshot().expect("trained"))
@@ -196,24 +196,32 @@ fn measure(
     }
 
     // Paired single-row reads, brute leg then routed leg, counters
-    // diffed around the routed legs only.
+    // diffed around the routed legs only (the two views share them, and
+    // the brute view's scans count too).
     let counters = routed.read_index_counters();
-    let scanned0 = counters.candidates_scanned();
-    let pruned0 = counters.balls_pruned();
-    let probes0 = counters.probes();
+    let read = || {
+        [
+            counters.probes(),
+            counters.candidates_scanned(),
+            counters.balls_pruned(),
+        ]
+    };
+    let [mut probes, mut scanned, mut pruned] = [0u64; 3];
     let mut brute_lat = Vec::with_capacity(QUERIES);
     let mut routed_lat = Vec::with_capacity(QUERIES);
     for q in &rows {
         let t0 = Instant::now();
         black_box(brute.nearest_labeled(q));
         brute_lat.push(t0.elapsed());
+        let before = read();
         let t1 = Instant::now();
         black_box(routed.nearest_labeled(q));
         routed_lat.push(t1.elapsed());
+        let after = read();
+        probes += after[0] - before[0];
+        scanned += after[1] - before[1];
+        pruned += after[2] - before[2];
     }
-    let probes = counters.probes() - probes0;
-    let scanned = counters.candidates_scanned() - scanned0;
-    let pruned = counters.balls_pruned() - pruned0;
     // Brute work for the same probes is ~rows-per-cluster each; the
     // scanned fraction is what pruning + margin refinement left over.
     let brute_rows = probes as f64 * (n as f64 / K as f64);

@@ -14,11 +14,16 @@
 //!
 //! 2. **O(copy) retrain install.** `FairDS::install_retrained` occupies
 //!    the mutation actor for O(store × copy) + O(mid-flight delta), not
-//!    the old O(store × forward-pass). The captured-store size is swept;
-//!    for each size the bench times the copy-path install against the
-//!    **recompute baseline** (a full-store re-embed with the reuse cache
-//!    disabled — exactly the work the pre-split install ran on the
-//!    actor) and **asserts** the copy path wins at every swept size.
+//!    the old O(store × forward-pass). The captured-store size is swept
+//!    over 10³ and 10⁴ documents behind the e2e deployment's embedder
+//!    (256→512→16); for each size the bench times the copy-path install
+//!    against the **recompute baseline** (a full-store re-embed with the
+//!    reuse cache disabled — the forward pass and write-back the
+//!    pre-split install ran on the actor, without even the cache's miss
+//!    tax) and **asserts** [`INSTALL_GATE`] at 10⁴. The smaller size is
+//!    recorded ungated: below ~10³ documents the two paths sit within
+//!    1.3× of each other and a gate there passed and failed at one commit
+//!    (DESIGN.md §7, "Considered: delete the O(copy) install").
 //!
 //! Both parts record p50/p99 series into `results/BENCH_write_plane.json`
 //! via `fairdms_bench::report`. CI runs this bench at smoke scale (see
@@ -189,7 +194,16 @@ fn bench_ingest_during_training(report: &mut BenchReport) {
 /// where a full-store forward pass dwarfs a full-store document copy.
 const INSTALL_SIDE: usize = 16;
 const INSTALL_DIM: usize = INSTALL_SIDE * INSTALL_SIDE;
+/// Hidden width of the install sweep's embedder — the e2e deployment's.
+const INSTALL_HIDDEN: usize = 512;
 const INSTALL_ITERS: usize = 10;
+/// Captured-store sizes swept; the last one is gated.
+const INSTALL_SIZES: [usize; 2] = [1_000, 10_000];
+/// Least p50 speedup of the copy path over the recompute baseline at the
+/// largest swept size. Five runs on the 2-vCPU box read 3.0–5.0× there
+/// (1.7–3.9× at the smaller size), so 2× holds run to run and still fails
+/// a path that has fallen to parity.
+const INSTALL_GATE: f64 = 2.0;
 /// Docs ingested mid-flight (between `prepare_retrain` and install) per
 /// iteration — the delta the copy path must freshly embed.
 const MID_FLIGHT: usize = 8;
@@ -200,7 +214,7 @@ fn install_frames(n: usize, seed: u64) -> (Tensor, Tensor) {
 }
 
 fn install_fairds(cache: EmbedCacheConfig, store_size: usize, seed: u64) -> FairDS {
-    let embedder = AutoencoderEmbedder::new(INSTALL_DIM, 64, 16, seed);
+    let embedder = AutoencoderEmbedder::new(INSTALL_DIM, INSTALL_HIDDEN, 16, seed);
     let mut ds = FairDS::in_memory(
         Box::new(embedder),
         FairDsConfig {
@@ -254,7 +268,7 @@ fn time_copy_install(ds: &mut FairDS, iter: u64) -> Duration {
 }
 
 fn bench_retrain_install_occupancy(report: &mut BenchReport) {
-    for &store_size in &[64usize, 256] {
+    for store_size in INSTALL_SIZES {
         // O(copy) path: the job's shipped embeddings write back by DocId.
         let mut copy_lat = Vec::with_capacity(INSTALL_ITERS);
         {
@@ -308,13 +322,15 @@ fn bench_retrain_install_occupancy(report: &mut BenchReport) {
         // Loud regression guard: a re-coupled install (full forward pass
         // back on the actor) cannot beat the recompute baseline — it *is*
         // the recompute baseline, plus the copy.
-        assert!(
-            copy.p50 < recompute.p50,
-            "O(copy) install (p50 {:?}) must beat the full-recompute baseline (p50 {:?}) \
-             at store size {store_size}",
-            copy.p50,
-            recompute.p50
-        );
+        if store_size == INSTALL_SIZES[INSTALL_SIZES.len() - 1] {
+            assert!(
+                speedup >= INSTALL_GATE,
+                "O(copy) install (p50 {:?}) must beat the full-recompute baseline (p50 {:?}) \
+                 {INSTALL_GATE}x at store size {store_size}, got {speedup:.2}x",
+                copy.p50,
+                recompute.p50
+            );
+        }
     }
 }
 

@@ -31,23 +31,13 @@
 //! serialize behind system-plane maintenance.
 
 use crate::embedding::{EmbedTrainConfig, Embedder};
+use crate::read_index::ReadIndex;
+pub use crate::read_index::{ReadIndexConfig, ReadIndexCounters};
 use crate::reuse::{EmbedCache, EmbedCacheConfig};
-use fairdms_clustering::kmeans::normed_margin;
-use fairdms_clustering::{
-    assignments_to_pdf, elbow, fuzzy, inflated_radius, partition_balls, BallPartitionConfig,
-    KMeans, KMeansConfig,
-};
+use fairdms_clustering::{assignments_to_pdf, elbow, fuzzy, KMeans, KMeansConfig};
 use fairdms_datastore::{Collection, DocId, Document, RawCodec};
 use fairdms_nn::trainer::TrainControl;
-use fairdms_tensor::gemm::Threading;
-use fairdms_tensor::{
-    hash::row_hashes,
-    ops::{row_sq_norms, sq_dist, sq_dist_into, PAR_MIN_WORK, SQ_DIST_WORK},
-    rng::TensorRng,
-    Tensor,
-};
-use parking_lot::RwLock;
-use rayon::prelude::*;
+use fairdms_tensor::{hash::row_hashes, rng::TensorRng, Tensor};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,72 +83,6 @@ impl Default for FairDsConfig {
     }
 }
 
-/// Layout knobs of the two-level IVF read index (DESIGN.md §12).
-#[derive(Clone, Copy, Debug)]
-pub struct ReadIndexConfig {
-    /// `false` routes every nearest-neighbour read through the brute
-    /// per-cluster scan — the exactness oracle the routed path is tested
-    /// (and benched) against.
-    pub enabled: bool,
-    /// Target rows per ball in the within-cluster sub-partition.
-    pub ball_target: usize,
-    /// Clusters below this row count are not sub-partitioned: a linear
-    /// scan of a few hundred cached rows beats the ball bookkeeping.
-    pub min_cluster_rows: usize,
-}
-
-impl Default for ReadIndexConfig {
-    fn default() -> Self {
-        ReadIndexConfig {
-            enabled: true,
-            ball_target: 64,
-            min_cluster_rows: 256,
-        }
-    }
-}
-
-/// Monotone statistics of the routed read path, shared by every published
-/// snapshot of one [`FairDS`] (and surfaced through the service's metrics
-/// endpoint). Counters only — all `Relaxed`, nothing is ordered by them.
-#[derive(Debug, Default)]
-pub struct ReadIndexCounters {
-    probes: AtomicU64,
-    balls_pruned: AtomicU64,
-    candidates_scanned: AtomicU64,
-    rows_decoded: AtomicU64,
-}
-
-impl ReadIndexCounters {
-    #[inline]
-    fn record(&self, probes: u64, pruned: u64, scanned: u64) {
-        self.probes.fetch_add(probes, Ordering::Relaxed);
-        self.balls_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.candidates_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-    }
-
-    /// Queries routed through the read index so far.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Balls excluded by the triangle-inequality bound, summed over probes.
-    pub fn balls_pruned(&self) -> u64 {
-        self.balls_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Rows that reached the exact-refine scan, summed over probes.
-    pub fn candidates_scanned(&self) -> u64 {
-        self.candidates_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Store documents decoded to build the read index or bring it up to
-    /// date — the work a store mutation costs the next routed read.
-    pub fn rows_decoded(&self) -> u64 {
-        self.rows_decoded.load(Ordering::Relaxed)
-    }
-}
-
 /// Outcome statistics of a pseudo-labeling pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PseudoLabelStats {
@@ -180,310 +104,15 @@ impl PseudoLabelStats {
     }
 }
 
-/// Per-cluster membership of the store at one revision. Cheap to build —
-/// one batched read of the `cluster` secondary index plus the id list, no
-/// document decoding — and reused by every [`SystemSnapshot`] read until
-/// the store's revision moves.
-struct MembershipIndex {
-    /// [`Collection::revision`] observed before the index was read.
-    revision: u64,
-    /// Document ids per cluster (`members[c]` for cluster `c < k`).
-    members: Vec<Vec<DocId>>,
-    /// Every document id — the fallback pool for empty clusters.
-    all_ids: Vec<DocId>,
-}
-
-/// Per-cluster cached embeddings (and labels) at one revision, so that
-/// nearest-neighbour reads never touch (or decode) stored documents until
-/// the best match is known. Two-level IVF (DESIGN.md §12): the k-means
-/// plane routes a query to a cluster, and large clusters carry a ball
-/// sub-partition that the triangle inequality prunes — exactly, results
-/// stay bit-identical to the brute per-cluster scan.
-///
-/// Built once by decoding the whole store, then kept current from the
-/// store's change log: the index of the next revision shares every
-/// cluster and ball the logged mutations did not touch.
-struct EmbeddingIndex {
-    revision: u64,
-    /// Every indexed id is below this, so a changed id at or above it is a
-    /// new row — the ingest case, which appends instead of rebuilding.
-    end_id: DocId,
-    clusters: Vec<Arc<ClusterEmbeddings>>,
-}
-
-/// One store document as the index keeps it.
-struct IndexRow {
-    id: DocId,
-    cluster: usize,
-    emb: Vec<f32>,
-    label: Option<Arc<[f32]>>,
-}
-
-/// A dense block of index rows, ascending by id: one ball of a partitioned
-/// cluster, or all rows of an unpartitioned one.
-#[derive(Clone, Default)]
-struct IndexBall {
-    ids: Vec<DocId>,
-    /// Flattened `[rows, embed_dim]` embeddings, row-parallel to `ids`:
-    /// the dense panel per-ball GEMMs read with no per-query gather.
-    emb: Vec<f32>,
-    /// Cached `‖x‖²` per row — the store-side half of the
-    /// `‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x` GEMM expansion.
-    norms: Vec<f32>,
-    /// Stored label per row (`None` when the document carries none).
-    labels: Vec<Option<Arc<[f32]>>>,
-    /// Conservative radius around the ball's center (stored flattened in
-    /// [`ClusterEmbeddings::ball_centers`]); unused while unpartitioned.
-    radius: f32,
-    /// Whether any row carries a label (the eligibility bit for
-    /// label-donating searches).
-    labeled: bool,
-}
-
-impl IndexBall {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn push(&mut self, id: DocId, emb: &[f32], norm: f32, label: Option<Arc<[f32]>>) {
-        self.ids.push(id);
-        self.emb.extend_from_slice(emb);
-        self.norms.push(norm);
-        self.labeled |= label.is_some();
-        self.labels.push(label);
-    }
-
-    fn push_row(&mut self, row: IndexRow) {
-        // The same ascending-index sum `row_sq_norms` takes.
-        let norm = row.emb.iter().map(|&v| v * v).sum();
-        self.push(row.id, &row.emb, norm, row.label);
-    }
-
-    /// Copies row `r` of `src` onto the end of this block.
-    fn push_from(&mut self, src: &IndexBall, r: usize, dim: usize) {
-        self.push(
-            src.ids[r],
-            &src.emb[r * dim..(r + 1) * dim],
-            src.norms[r],
-            src.labels[r].clone(),
-        );
-    }
-
-    /// A new block of this block's rows `members`, in that order.
-    fn gather(&self, members: &[usize], dim: usize) -> IndexBall {
-        let mut out = IndexBall::default();
-        members.iter().for_each(|&r| out.push_from(self, r, dim));
-        out
-    }
-
-    /// Nearest row to `z` (Euclidean over embeddings), scanning in
-    /// ascending id order with a strict `<` — the brute scan every routed
-    /// read must reproduce. `labeled_only` restricts the search to rows
-    /// that carry a stored label — the pseudo-labeling contract, where an
-    /// unlabeled neighbour can never donate a label no matter how close it
-    /// sits.
-    fn nearest(&self, z: &[f32], labeled_only: bool) -> Option<(f32, usize)> {
-        let dim = z.len();
-        let mut best: Option<(f32, usize)> = None;
-        for (row, emb) in self.emb.chunks_exact(dim).enumerate() {
-            if labeled_only && self.labels[row].is_none() {
-                continue;
-            }
-            let dist = sq_dist(z, emb).sqrt();
-            if best.map(|(d, _)| dist < d).unwrap_or(true) {
-                best = Some((dist, row));
-            }
-        }
-        best
-    }
-}
-
-/// What shapes one cluster's sub-partition. Fixed for a snapshot, so every
-/// build, append and re-split of the cluster agrees on it.
-struct ClusterLayout {
-    dim: usize,
-    /// Rows from which the cluster is sub-partitioned (`usize::MAX` when
-    /// routing is off).
-    min_rows: usize,
-    /// Ball sizing, seeded per cluster.
-    ball: BallPartitionConfig,
-}
-
-/// The embedding cache of one cluster: documents that carry an `embedding`
-/// field of the snapshot's embedding width. A cluster below
-/// `min_cluster_rows` is one block scanned linearly; a larger one is
-/// sub-partitioned into balls, each owning its rows.
-#[derive(Clone, Default)]
-struct ClusterEmbeddings {
-    rows: usize,
-    balls: Vec<Arc<IndexBall>>,
-    /// Flattened `[balls, embed_dim]` ball centers (empty while
-    /// unpartitioned).
-    ball_centers: Vec<f32>,
-    /// `‖c‖²` per ball center.
-    ball_center_norms: Vec<f32>,
-}
-
-/// Pruning slack applied on top of [`normed_margin`] when comparing ball
-/// bounds: the bounds pass through a `sqrt` and a radius addition, so the
-/// lower bound is deflated and the upper bound inflated by this relative
-/// factor before any ball is discarded. Generous against f32 rounding
-/// (real GEMM error is ~1e-6 relative); pruning stays exact.
-const PRUNE_SLACK: f32 = 1e-3;
-
-impl ClusterEmbeddings {
-    /// Builds one cluster's cache from all of its rows (`flat`, ascending
-    /// by id); the sub-partition is deterministic in the rows and seed.
-    fn build(flat: &IndexBall, lay: &ClusterLayout) -> ClusterEmbeddings {
-        let mut cl = ClusterEmbeddings {
-            rows: flat.len(),
-            ..ClusterEmbeddings::default()
-        };
-        if cl.rows >= lay.min_rows {
-            cl.push_split(flat, lay, lay.ball.seed);
-        } else if cl.rows > 0 {
-            cl.balls.push(Arc::new(flat.clone()));
-        }
-        cl
-    }
-
-    fn is_partitioned(&self) -> bool {
-        !self.ball_center_norms.is_empty()
-    }
-
-    /// What searching this cluster costs per `dim`-wide query, in
-    /// multiply–add equivalents (the unit of `ops::PAR_MIN_WORK`). A block
-    /// is scanned row by row, one scalar distance each. A partitioned
-    /// cluster's search — every ball scored, the probe ball and the
-    /// survivors evaluated, the exact refine — measures what a scan of
-    /// 7–15 of its balls would (5–18 µs from 10⁴ to 10⁵ documents at
-    /// `dim` 16, `benches/scale_store`) and is counted as
-    /// [`SEARCH_BALLS`].
-    fn search_work(&self, dim: usize) -> usize {
-        let scanned = if self.is_partitioned() {
-            SEARCH_BALLS * self.rows / self.balls.len()
-        } else {
-            self.rows
-        };
-        scanned * dim * SQ_DIST_WORK
-    }
-
-    /// Partitions `block` into balls and adds them to the cluster.
-    fn push_split(&mut self, block: &IndexBall, lay: &ClusterLayout, seed: u64) {
-        let cfg = BallPartitionConfig {
-            seed,
-            ..lay.ball.clone()
-        };
-        for b in partition_balls(&block.emb, lay.dim, &cfg) {
-            let mut ball = block.gather(&b.members, lay.dim);
-            ball.radius = b.radius;
-            self.ball_center_norms
-                .push(b.center.iter().map(|&v| v * v).sum());
-            self.ball_centers.extend_from_slice(&b.center);
-            self.balls.push(Arc::new(ball));
-        }
-    }
-
-    /// Adds a row whose id is above every id in the cluster, leaving every
-    /// ball it does not land in shared with the previous index. The row
-    /// joins the ball whose center is nearest by the exact scalar distance
-    /// and widens its radius to cover it; a ball that outgrows the
-    /// partitioner's leaf rule is re-split on its own, and an unpartitioned
-    /// cluster is partitioned the moment it reaches `min_cluster_rows`.
-    fn append(&mut self, row: IndexRow, lay: &ClusterLayout) {
-        self.rows += 1;
-        if !self.is_partitioned() {
-            if self.balls.is_empty() {
-                self.balls.push(Arc::default());
-            }
-            let block = Arc::make_mut(&mut self.balls[0]);
-            block.push_row(row);
-            if self.rows >= lay.min_rows {
-                *self = ClusterEmbeddings::build(&std::mem::take(block), lay);
-            }
-            return;
-        }
-        let (mut j, mut dist) = (0, f32::INFINITY);
-        for (b, center) in self.ball_centers.chunks_exact(lay.dim).enumerate() {
-            let d = sq_dist(&row.emb, center).sqrt();
-            if d < dist {
-                (j, dist) = (b, d);
-            }
-        }
-        let ball = Arc::make_mut(&mut self.balls[j]);
-        ball.radius = ball.radius.max(inflated_radius(dist));
-        ball.push_row(row);
-        if ball.len() > lay.ball.leaf_rows() {
-            // Re-split ball `j` alone: take it out (the last ball fills its
-            // slot) and add its parts.
-            let last = self.balls.len() - 1;
-            let block = self.balls.swap_remove(j);
-            self.ball_center_norms.swap_remove(j);
-            self.ball_centers
-                .copy_within(last * lay.dim..(last + 1) * lay.dim, j * lay.dim);
-            self.ball_centers.truncate(last * lay.dim);
-            let seed = lay.ball.seed ^ block.ids[0].wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.push_split(&block, lay, seed);
-        }
-    }
-
-    fn contains(&self, id: DocId) -> bool {
-        self.balls
-            .iter()
-            .any(|ball| ball.ids.binary_search(&id).is_ok())
-    }
-
-    /// The cluster rebuilt from scratch over its rows minus the ids in
-    /// `drop`, plus `add` — the layout a full build of those rows yields.
-    fn rebuilt(
-        &self,
-        drop: &HashSet<DocId>,
-        add: Vec<IndexRow>,
-        lay: &ClusterLayout,
-    ) -> ClusterEmbeddings {
-        let mut flat = IndexBall::default();
-        for ball in &self.balls {
-            for r in (0..ball.len()).filter(|&r| !drop.contains(&ball.ids[r])) {
-                flat.push_from(ball, r, lay.dim);
-            }
-        }
-        add.into_iter().for_each(|row| flat.push_row(row));
-        let mut order: Vec<usize> = (0..flat.len()).collect();
-        order.sort_unstable_by_key(|&r| flat.ids[r]);
-        ClusterEmbeddings::build(&flat.gather(&order, lay.dim), lay)
-    }
-}
-
-/// Fetching and decoding one stored document into an [`IndexRow`], in
-/// multiply–add equivalents (1–2 µs; the unit of `ops::PAR_MIN_WORK`).
-const ROW_DECODE_WORK: usize = 1 << 14;
-
-/// The balls' worth of rows a routed search of a partitioned cluster is
-/// counted as scanning ([`ClusterEmbeddings::search_work`]).
-const SEARCH_BALLS: usize = 8;
-
-/// What one cluster search found for its query group: per query, the
-/// winner's `(distance, ball, row in ball)`.
-type GroupHits = Vec<(usize, Option<(f32, usize, usize)>)>;
-
-/// Rows leaving and entering one cluster while the index is advanced,
-/// held until the cluster is rebuilt.
-#[derive(Default)]
-struct DirtyCluster {
-    drop: HashSet<DocId>,
-    add: Vec<IndexRow>,
-}
-
 /// An immutable view of a fitted fairDS system plane.
 ///
 /// All methods take `&self`; a `SystemSnapshot` behind an `Arc` is safe to
 /// share across any number of reader threads with no locking on the fast
 /// path. Interior mutation is limited to a relaxed atomic counter that
 /// derives per-call sampling seeds for
-/// [`SystemSnapshot::lookup_matching`], plus two revision-keyed index
-/// caches (cluster membership, cluster embeddings) that are brought up to
-/// date at most once per store mutation and shared by every read in
-/// between.
+/// [`SystemSnapshot::lookup_matching`], plus the revision-keyed read index
+/// ([`crate::read_index`]) that is brought up to date at most once per
+/// store mutation and shared by every read in between.
 pub struct SystemSnapshot {
     embedder: Arc<dyn Embedder>,
     kmeans: Arc<KMeans>,
@@ -495,261 +124,20 @@ pub struct SystemSnapshot {
     /// Publication number (0 for the first trained snapshot, +1 per
     /// retrain). Lets tests and clients detect snapshot turnover.
     version: u64,
-    /// Cluster-membership index, keyed on the store revision. Seeded at
-    /// publication; refreshed when the store has changed since.
-    members_cache: RwLock<Option<Arc<MembershipIndex>>>,
-    /// Embedding cache, keyed on the store revision. Built lazily on the
-    /// first nearest-neighbour read (one decode pass over the store), then
-    /// advanced through the store's change log.
-    emb_cache: RwLock<Option<Arc<EmbeddingIndex>>>,
+    /// The one store-derived index, keyed on the store revision: nearest-
+    /// row reads and PDF-matched draws are both answered from it. It also
+    /// holds the read statistics shared with the owning [`FairDS`] across
+    /// publications.
+    pub(crate) index: ReadIndex,
     /// The data-reuse plane's content-addressed embedding memo table,
     /// shared with the owning [`FairDS`] across publications. Entries are
     /// generation-fenced to this snapshot's [`SystemSnapshot::version`]:
     /// after a retrain the new snapshot's probes can never match (or be
     /// poisoned by) embeddings of the replaced embedder.
     reuse: Arc<EmbedCache>,
-    /// Routed-read statistics, shared with the owning [`FairDS`] across
-    /// publications (counters survive snapshot turnover).
-    read_stats: Arc<ReadIndexCounters>,
-}
-
-/// Cache-hit path shared by both indexes: a *shared* read lock and an
-/// `Arc` clone, so concurrent readers on an unchanged store never
-/// serialize behind each other.
-fn cache_hit<T>(
-    cache: &RwLock<Option<Arc<T>>>,
-    rev: u64,
-    rev_of: impl Fn(&T) -> u64,
-) -> Option<Arc<T>> {
-    let guard = cache.read();
-    guard
-        .as_ref()
-        .filter(|idx| rev_of(idx) == rev)
-        .map(Arc::clone)
-}
-
-/// Publishes a freshly built index unless a concurrent builder already
-/// installed one that is at least as new (revisions are monotone):
-/// first build wins per revision, and a slow builder for an older
-/// revision never clobbers a newer index — that would force every
-/// subsequent reader back into a redundant rebuild.
-fn cache_install<T>(
-    cache: &RwLock<Option<Arc<T>>>,
-    built: Arc<T>,
-    rev: u64,
-    rev_of: impl Fn(&T) -> u64,
-) -> Arc<T> {
-    let mut guard = cache.write();
-    if let Some(existing) = guard.as_ref() {
-        if rev_of(existing) >= rev {
-            return Arc::clone(existing);
-        }
-    }
-    *guard = Some(Arc::clone(&built));
-    built
 }
 
 impl SystemSnapshot {
-    /// The one place snapshots are constructed — both publication and
-    /// cache-reconfiguration go through here, so a new field cannot be
-    /// wired into one path and forgotten in the other. Index caches
-    /// start empty and the sampling sequence restarts (draws stay
-    /// deterministic-in-sequence per snapshot, which is all the contract
-    /// promises).
-    fn assemble(
-        embedder: Arc<dyn Embedder>,
-        kmeans: Arc<KMeans>,
-        store: Arc<Collection>,
-        cfg: FairDsConfig,
-        version: u64,
-        reuse: Arc<EmbedCache>,
-        read_stats: Arc<ReadIndexCounters>,
-    ) -> SystemSnapshot {
-        SystemSnapshot {
-            embedder,
-            kmeans,
-            store,
-            cfg,
-            sample_seq: AtomicU64::new(0),
-            version,
-            members_cache: RwLock::new(None),
-            emb_cache: RwLock::new(None),
-            reuse,
-            read_stats,
-        }
-    }
-
-    /// The current membership index, rebuilding if the store moved on.
-    ///
-    /// The revision is read *before* the index, so a mutation racing the
-    /// build at worst tags the index with an older revision and the next
-    /// read rebuilds — a reader can observe a slightly stale membership
-    /// view (exactly as it could under per-call `find_by` queries), never
-    /// a torn one. Rebuilds run *outside* the lock: racing readers may
-    /// duplicate a build right after a mutation, but no reader ever
-    /// blocks behind another's store scan.
-    fn membership_index(&self) -> Arc<MembershipIndex> {
-        let rev = self.store.revision();
-        if let Some(idx) = cache_hit(&self.members_cache, rev, |i| i.revision) {
-            return idx;
-        }
-        let clusters: Vec<i64> = (0..self.k() as i64).collect();
-        let idx = Arc::new(MembershipIndex {
-            revision: rev,
-            members: self.store.find_by_many("cluster", &clusters),
-            all_ids: self.store.ids(),
-        });
-        cache_install(&self.members_cache, idx, rev, |i| i.revision)
-    }
-
-    /// The current embedding index, brought up to date if the store moved
-    /// on. Rows whose stored embedding width differs from this snapshot's
-    /// embedder (stale documents from an earlier system plane) are
-    /// excluded, mirroring the per-query width check the uncached path
-    /// applied.
-    ///
-    /// The first read builds the index from the whole store. After that a
-    /// revision miss costs O(rows written since): the previous index is
-    /// advanced through the store's change log ([`Collection::
-    /// changes_since`]), decoding only the changed documents and sharing
-    /// every cluster and ball they did not touch. A log trimmed past the
-    /// previous index falls back to the full build. Like the membership
-    /// index, builds run outside the lock and the first one per revision
-    /// wins.
-    fn embedding_index(&self) -> Arc<EmbeddingIndex> {
-        let rev = self.store.revision();
-        if let Some(idx) = cache_hit(&self.emb_cache, rev, |i| i.revision) {
-            return idx;
-        }
-        let prev = self.emb_cache.read().clone();
-        let idx = prev
-            .and_then(|prev| self.advance_index(&prev))
-            .unwrap_or_else(|| self.build_index(rev));
-        let rev = idx.revision;
-        cache_install(&self.emb_cache, Arc::new(idx), rev, |i| i.revision)
-    }
-
-    fn cluster_layout(&self, cluster: usize) -> ClusterLayout {
-        let ri = &self.cfg.read_index;
-        let dim = self.embedder.embed_dim();
-        ClusterLayout {
-            dim,
-            min_rows: if ri.enabled && dim > 0 {
-                ri.min_cluster_rows.max(1)
-            } else {
-                usize::MAX
-            },
-            ball: BallPartitionConfig {
-                target: ri.ball_target.max(1),
-                max_depth: 3,
-                seed: self.cfg.seed ^ (cluster as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            },
-        }
-    }
-
-    /// Decodes one stored document into an index row; `None` when it is
-    /// gone or has no place in this snapshot's index.
-    fn decode_row(&self, id: DocId) -> Option<IndexRow> {
-        let doc = self.store.get(id)?;
-        self.read_stats.rows_decoded.fetch_add(1, Ordering::Relaxed);
-        let emb = doc.get_f32s("embedding")?;
-        let cluster = usize::try_from(doc.get_i64("cluster")?).ok()?;
-        (emb.len() == self.embedder.embed_dim() && cluster < self.k()).then(|| IndexRow {
-            id,
-            cluster,
-            emb: emb.to_vec(),
-            label: doc.get_f32s("label").map(Arc::from),
-        })
-    }
-
-    /// The full build: one decode pass over the store, rows scattered to
-    /// their clusters in ascending-id order (the brute scan's deterministic
-    /// tie order), then each cluster partitioned — both passes split across
-    /// the pool once the store is large enough to pay for it.
-    fn build_index(&self, revision: u64) -> EmbeddingIndex {
-        let ids = self.store.ids();
-        // Per document: one fetch-and-decode, then its share of its
-        // cluster's partition.
-        let lay = self.cluster_layout(0);
-        let split = ids.len() * (ROW_DECODE_WORK + lay.ball.row_work(lay.dim)) >= PAR_MIN_WORK;
-        let decode = |id: &DocId| self.decode_row(*id);
-        let rows: Vec<Option<IndexRow>> = if split {
-            ids.par_iter().map(decode).collect()
-        } else {
-            ids.iter().map(decode).collect()
-        };
-        let mut flats: Vec<IndexBall> = vec![IndexBall::default(); self.k()];
-        for row in rows.into_iter().flatten() {
-            flats[row.cluster].push_row(row);
-        }
-        let partition = |(c, flat): (usize, &IndexBall)| {
-            Arc::new(ClusterEmbeddings::build(flat, &self.cluster_layout(c)))
-        };
-        let clusters = if split {
-            flats.par_iter().enumerate().map(partition).collect()
-        } else {
-            flats.iter().enumerate().map(partition).collect()
-        };
-        EmbeddingIndex {
-            revision,
-            end_id: ids.last().map_or(0, |&last| last + 1),
-            clusters,
-        }
-    }
-
-    /// The index after the mutations logged since `prev` (`None` when the
-    /// log no longer reaches back that far). Each changed id is applied
-    /// once, in log order, as "make the row for this id equal the stored
-    /// document now" — so applying an entry again, or one whose document
-    /// has since changed again, is harmless. A new id appends to its
-    /// cluster; anything else (update, delete, cluster move, an id logged
-    /// out of order) marks the clusters it leaves and enters, and each
-    /// marked cluster is rebuilt from its previous rows — before the next
-    /// append into it, or at the end — so the resulting layout depends on
-    /// the mutation sequence, not on how reads happened to batch it.
-    fn advance_index(&self, prev: &EmbeddingIndex) -> Option<EmbeddingIndex> {
-        let mut changed = self.store.changes_since(prev.revision)?;
-        let mut next = EmbeddingIndex {
-            revision: prev.revision + changed.len() as u64,
-            end_id: prev.end_id,
-            clusters: prev.clusters.clone(),
-        };
-        let mut seen = HashSet::with_capacity(changed.len());
-        changed.retain(|&id| seen.insert(id));
-        let mut dirty: Vec<DirtyCluster> = std::iter::repeat_with(DirtyCluster::default)
-            .take(next.clusters.len())
-            .collect();
-        let flush = |cl: &mut Arc<ClusterEmbeddings>, d: &mut DirtyCluster, c: usize| {
-            if !d.drop.is_empty() || !d.add.is_empty() {
-                let add = std::mem::take(&mut d.add);
-                *cl = Arc::new(cl.rebuilt(&d.drop, add, &self.cluster_layout(c)));
-                d.drop.clear();
-            }
-        };
-        for id in changed {
-            let row = self.decode_row(id);
-            if id >= next.end_id {
-                if let Some(row) = row {
-                    let c = row.cluster;
-                    flush(&mut next.clusters[c], &mut dirty[c], c);
-                    Arc::make_mut(&mut next.clusters[c]).append(row, &self.cluster_layout(c));
-                    next.end_id = id + 1;
-                }
-                continue;
-            }
-            if let Some(c) = next.clusters.iter().position(|cl| cl.contains(id)) {
-                dirty[c].drop.insert(id);
-            }
-            if let Some(row) = row {
-                dirty[row.cluster].add.push(row);
-            }
-        }
-        for (c, (cl, d)) in next.clusters.iter_mut().zip(&mut dirty).enumerate() {
-            flush(cl, d, c);
-        }
-        Some(next)
-    }
-
     /// The number of fitted clusters.
     pub fn k(&self) -> usize {
         self.kmeans.k()
@@ -892,23 +280,25 @@ impl SystemSnapshot {
 
     /// PDF-matched retrieval: draws `count` labeled documents from the
     /// store, cluster-sampled according to `pdf` (the paper's data-store
-    /// query). Clusters with no stored members fall back to the global
-    /// pool so the requested count is always served when the store is
-    /// non-empty.
+    /// query). A draw is the `i`-th id, ascending, among the rows the read
+    /// index holds for the cluster ([`crate::read_index`] states which rows
+    /// those are). Clusters with no indexed rows fall back to the pool of
+    /// all indexed rows, so the requested count is always served from a
+    /// non-empty index.
     ///
     /// ## Complexity
     ///
-    /// O(count) id draws against the revision-keyed membership index plus
-    /// one document decode per draw. The index itself is rebuilt at most
-    /// once per store mutation (O(store ids), no decoding), so a burst of
-    /// lookups against an unchanged store costs O(store + Σ count) — not
-    /// the O(store × count) of re-running `find_by` and cloning `ids()`
-    /// inside every draw.
+    /// O(count) id draws plus one document decode per draw. After a store
+    /// write the index is advanced once through the store's change log —
+    /// O(rows written), shared with the nearest-neighbour reads.
     pub fn lookup_matching(&self, pdf: &[f64], count: usize) -> Vec<Document> {
         assert_eq!(pdf.len(), self.k(), "pdf length must equal k");
-        let mut out = Vec::with_capacity(count);
-        let index = self.membership_index();
-        if index.all_ids.is_empty() {
+        let index = self.index.current();
+        let pool = index.rows();
+        // Reserved from the caller's number only up to what the index
+        // holds: `count` may be anything.
+        let mut out = Vec::with_capacity(count.min(pool));
+        if pool == 0 {
             return out;
         }
         // Per-call RNG: the atomic sequence keeps concurrent callers on
@@ -917,45 +307,25 @@ impl SystemSnapshot {
         let mut rng =
             TensorRng::seeded((self.cfg.seed ^ 0xDA7A).wrapping_add(draw.wrapping_mul(0x9E37)));
         let weights: Vec<f32> = pdf.iter().map(|&p| p as f32).collect();
-        'draws: for _ in 0..count {
+        for _ in 0..count {
             let cluster = rng.next_weighted(&weights);
-            let ids = &index.members[cluster];
-            let pick = if ids.is_empty() {
-                index.all_ids[rng.next_index(index.all_ids.len())]
-            } else {
-                ids[rng.next_index(ids.len())]
+            let pick = match index.cluster_rows(cluster) {
+                0 => index.pool_id(rng.next_index(pool)),
+                rows => index.cluster_id(cluster, rng.next_index(rows)),
             };
-            if let Some(doc) = self.store.get(pick) {
-                out.push(doc);
-                continue;
+            // A drawn id that has vanished (a delete raced this lookup
+            // against the revision-keyed index) is backfilled from the
+            // pool: a wrap-around scan from a random start finds any
+            // survivor, so a non-empty store serves the requested count.
+            let doc = self.store.get(pick).or_else(|| {
+                let start = rng.next_index(pool);
+                (0..pool).find_map(|off| self.store.get(index.pool_id((start + off) % pool)))
+            });
+            match doc {
+                Some(doc) => out.push(doc),
+                // Every indexed id is gone: the store emptied mid-call.
+                None => break,
             }
-            // The drawn id vanished (a delete raced this lookup against the
-            // revision-keyed index): backfill from the global pool so a
-            // non-empty store always serves the requested count. A few
-            // redraws first; if the pool is badly decayed, a deterministic
-            // wrap-around scan from a random start finds any survivor.
-            let mut filled = false;
-            for _ in 0..8 {
-                let cand = index.all_ids[rng.next_index(index.all_ids.len())];
-                if let Some(doc) = self.store.get(cand) {
-                    out.push(doc);
-                    filled = true;
-                    break;
-                }
-            }
-            if filled {
-                continue;
-            }
-            let start = rng.next_index(index.all_ids.len());
-            for off in 0..index.all_ids.len() {
-                let cand = index.all_ids[(start + off) % index.all_ids.len()];
-                if let Some(doc) = self.store.get(cand) {
-                    out.push(doc);
-                    continue 'draws;
-                }
-            }
-            // Every indexed id is gone: the store emptied mid-call.
-            break;
         }
         out
     }
@@ -999,362 +369,35 @@ impl SystemSnapshot {
         (Tensor::from_vec(flat, &[n, width]), stats)
     }
 
-    /// Parallel per-sample nearest-stored-label search: `(distance, label)`
-    /// for each input row, `None` when its cluster holds no labeled docs.
-    ///
-    /// Served entirely from the embedding index, routed through the IVF
-    /// read path — no per-sample `find_by` queries and no per-candidate
-    /// document decoding.
+    /// Per-sample nearest-stored-label search: `(distance, label)` for
+    /// each input row, `None` when its cluster holds no labeled docs.
+    /// Served entirely from the read index — no per-sample `find_by`
+    /// queries and no per-candidate document decoding.
     fn nearest_labels_parallel(&self, images: &Tensor) -> Vec<Option<(f32, Vec<f32>)>> {
         let z = self.embed_cached(images);
-        let index = self.embedding_index();
-        self.routed_nearest(&z, &index, true)
-            .into_iter()
-            .map(|hit| {
-                let (dist, ball, row) = hit?;
-                Some((dist, ball.labels[row].as_ref()?.to_vec()))
-            })
+        let index = self.index.current();
+        let hits = index.routed_nearest(&z, &self.kmeans.predict(&z), true);
+        hits.into_iter()
+            .map(|hit| hit.and_then(|(dist, _, label)| Some((dist, label?.to_vec()))))
             .collect()
     }
 
     /// For each input sample, the nearest stored document in its cluster
     /// together with the embedding distance — the §III-E `BO` construction
     /// uses the *stored* `{p, l(p)}` pair when the distance is below the
-    /// threshold. Routed through the IVF read path; only the winning
-    /// document is decoded.
+    /// threshold. Only the winning document is decoded.
     pub fn nearest_labeled(&self, images: &Tensor) -> Vec<Option<(f32, Document)>> {
         let z = self.embed_cached(images);
-        let index = self.embedding_index();
-        self.routed_nearest(&z, &index, false)
-            .into_iter()
-            .map(|hit| {
-                let (dist, ball, row) = hit?;
-                let doc = self.store.get(ball.ids[row])?;
-                Some((dist, doc))
-            })
+        let index = self.index.current();
+        let hits = index.routed_nearest(&z, &self.kmeans.predict(&z), false);
+        hits.into_iter()
+            .map(|hit| hit.and_then(|(dist, id, _)| Some((dist, self.store.get(id)?))))
             .collect()
-    }
-
-    /// The shared nearest-row search behind [`SystemSnapshot::pseudo_label`]
-    /// and [`SystemSnapshot::nearest_labeled`]: routes the whole batch with
-    /// one GEMM-batched `predict`, groups queries by routed cluster, and
-    /// searches each cluster group through the ball-pruned, GEMM-batched
-    /// read index. Returns `(distance, block, row in block)` per query.
-    ///
-    /// **Exactness contract:** results — distance bits *and* winner row —
-    /// are identical to the brute per-cluster scan ([`IndexBall::nearest`]
-    /// over the cluster's rows in ascending id order). GEMM distances only ever *pre-select*: every candidate
-    /// within [`normed_margin`] of the best GEMM distance is re-evaluated
-    /// with the scalar `sq_dist(..).sqrt()` the brute scan uses, in
-    /// ascending id order with the same strict-`<` tie rule, and ball
-    /// pruning discards a ball only when its triangle-inequality lower
-    /// bound (slack-deflated) exceeds a slack-inflated upper bound some
-    /// probed stored row is proven to realize.
-    fn routed_nearest<'a>(
-        &self,
-        z: &Tensor,
-        index: &'a EmbeddingIndex,
-        labeled_only: bool,
-    ) -> Vec<Option<(f32, &'a IndexBall, usize)>> {
-        let n = z.shape()[0];
-        if n == 0 {
-            return Vec::new();
-        }
-        let routed = self.kmeans.predict(z);
-        // Every query's search of the cluster it routes to. Queries (and
-        // query groups) are independent, so the hits are the same either
-        // side of the gate.
-        let dim = z.shape()[1];
-        let work: usize = routed
-            .iter()
-            .map(|&c| index.clusters[c].search_work(dim))
-            .sum();
-        if !self.cfg.read_index.enabled {
-            // Brute reference path (the pre-index read plane): per-row
-            // linear scan of the routed cluster's cached embeddings, which
-            // an index built with routing off keeps in one block.
-            let scan = |i: usize| {
-                let block = index.clusters[routed[i]].balls.first()?;
-                let (d, row) = block.nearest(z.row(i), labeled_only)?;
-                Some((d, &**block, row))
-            };
-            return if work >= PAR_MIN_WORK {
-                (0..n).into_par_iter().map(scan).collect()
-            } else {
-                (0..n).map(scan).collect()
-            };
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); index.clusters.len()];
-        for (i, &c) in routed.iter().enumerate() {
-            groups[c].push(i);
-        }
-        let touched: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, qs)| !qs.is_empty())
-            .collect();
-        let search = |g: &(usize, Vec<usize>)| {
-            let hits = self.search_cluster(&index.clusters[g.0], &g.1, z, labeled_only);
-            (g.0, hits)
-        };
-        let grouped: Vec<(usize, GroupHits)> = if work >= PAR_MIN_WORK {
-            touched.par_iter().map(search).collect()
-        } else {
-            touched.iter().map(search).collect()
-        };
-        let mut out = vec![None; n];
-        for (c, hits) in grouped {
-            for (q, hit) in hits {
-                out[q] = hit.map(|(d, ball, row)| (d, &*index.clusters[c].balls[ball], row));
-            }
-        }
-        out
-    }
-
-    /// Searches one cluster for one query group (see
-    /// [`SystemSnapshot::routed_nearest`] for the exactness argument).
-    fn search_cluster(
-        &self,
-        cl: &ClusterEmbeddings,
-        qs: &[usize],
-        z: &Tensor,
-        labeled_only: bool,
-    ) -> GroupHits {
-        if qs.is_empty() {
-            return Vec::new();
-        }
-        if cl.rows == 0 {
-            self.read_stats.record(qs.len() as u64, 0, 0);
-            return qs.iter().map(|&q| (q, None)).collect();
-        }
-        // Small cluster (no ball partition): the brute scan *is* the read
-        // path; every row is a scanned candidate.
-        if !cl.is_partitioned() {
-            self.read_stats
-                .record(qs.len() as u64, 0, (qs.len() * cl.rows) as u64);
-            return qs
-                .iter()
-                .map(|&q| {
-                    let hit = cl.balls[0].nearest(z.row(q), labeled_only);
-                    (q, hit.map(|(d, row)| (d, 0, row)))
-                })
-                .collect();
-        }
-        let d = z.shape()[1];
-        let m = qs.len();
-        let mut qdata = Vec::with_capacity(m * d);
-        for &q in qs {
-            qdata.extend_from_slice(z.row(q));
-        }
-        let qnorms = row_sq_norms(&qdata, d);
-        // Level-2 routing: one GEMM of the query group against the ball
-        // centers, then per-query triangle-inequality pruning.
-        let nb = cl.balls.len();
-        let mut bd = vec![0.0f32; m * nb];
-        sq_dist_into(
-            m,
-            d,
-            nb,
-            &qdata,
-            &cl.ball_centers,
-            &qnorms,
-            &cl.ball_center_norms,
-            &mut bd,
-            Threading::Auto,
-        );
-        // Probe stage: each query's closest eligible ball (by center
-        // distance) is evaluated first, via one GEMM over the union of
-        // probe balls. The best margin-inflated squared distance among a
-        // probe ball's eligible rows upper-bounds the winner's true
-        // distance with a *realized* point distance — far tighter than
-        // any center-plus-radius bound, which in high dimensions barely
-        // prunes (ball radii rival inter-point distances).
-        let mut probe_ball: Vec<usize> = Vec::with_capacity(m);
-        for drow in bd.chunks_exact(nb) {
-            let mut best = usize::MAX;
-            let mut best_d = f32::INFINITY;
-            for (j, ball) in cl.balls.iter().enumerate() {
-                if labeled_only && !ball.labeled {
-                    continue;
-                }
-                if best == usize::MAX || drow[j] < best_d {
-                    best = j;
-                    best_d = drow[j];
-                }
-            }
-            probe_ball.push(best);
-        }
-        // Per-ball GEMM batching over each ball's own dense block: queries
-        // needing the same ball are evaluated as one GEMM against it. The alternative — one GEMM over the
-        // *union* of surviving rows across the query group — makes every
-        // query pay for every other query's survivors (m × union work,
-        // quadratic in group size); per-ball subgrouping does exactly the
-        // distances some query needs, with no per-row gather at all.
-        let ball_dists = |j: usize, qi: &[u32]| -> Vec<f32> {
-            let ball = &cl.balls[j];
-            let len = ball.len();
-            let mut sub_q = Vec::with_capacity(qi.len() * d);
-            let mut sub_n = Vec::with_capacity(qi.len());
-            for &i in qi {
-                let i = i as usize;
-                sub_q.extend_from_slice(&qdata[i * d..(i + 1) * d]);
-                sub_n.push(qnorms[i]);
-            }
-            let mut dd = vec![0.0f32; qi.len() * len];
-            sq_dist_into(
-                qi.len(),
-                d,
-                len,
-                &sub_q,
-                &ball.emb,
-                &sub_n,
-                &ball.norms,
-                &mut dd,
-                Threading::Auto,
-            );
-            dd
-        };
-        let mut probe_queries: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for (i, &j) in probe_ball.iter().enumerate() {
-            if j != usize::MAX {
-                probe_queries[j].push(i as u32);
-            }
-        }
-        // Upper bound on each query's winner distance, anchored to its
-        // probe ball: `gd + margin ≥ exact d²` by the GEMM error
-        // contract, so the sqrt of the best such value is a distance some
-        // eligible stored row provably realizes (slack-inflated for the
-        // f32 sqrt). The winner — and any exact tie — sits at or below
-        // it, so a ball whose slack-deflated lower bound exceeds it
-        // cannot contain either.
-        let mut bound = vec![f32::NEG_INFINITY; m];
-        for (j, qi) in probe_queries.iter().enumerate() {
-            if qi.is_empty() {
-                continue;
-            }
-            let pd = ball_dists(j, qi);
-            let ball = &cl.balls[j];
-            let len = ball.len();
-            for (a, &iq) in qi.iter().enumerate() {
-                let i = iq as usize;
-                let qn = qnorms[i];
-                let mut cut = f32::INFINITY;
-                for t in 0..len {
-                    if labeled_only && ball.labels[t].is_none() {
-                        continue;
-                    }
-                    cut = cut.min(pd[a * len + t] + normed_margin(qn, ball.norms[t]));
-                }
-                if cut < f32::INFINITY {
-                    bound[i] = cut.max(0.0).sqrt() * (1.0 + PRUNE_SLACK);
-                }
-            }
-        }
-        // Triangle-inequality pass: per query, a ball survives when its
-        // slack-deflated lower bound does not clear the probe-anchored
-        // upper bound. Survivors are recorded ball-major, feeding the
-        // per-ball GEMM batches below.
-        let mut surv_queries: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        let mut pruned_total = 0u64;
-        for (i, drow) in bd.chunks_exact(nb).enumerate() {
-            let qn = qnorms[i];
-            let mut eligible = 0usize;
-            let mut kept = 0usize;
-            for (j, ball) in cl.balls.iter().enumerate() {
-                if labeled_only && !ball.labeled {
-                    continue;
-                }
-                eligible += 1;
-                let margin = normed_margin(qn, cl.ball_center_norms[j]);
-                let lb = ((drow[j] - margin).max(0.0).sqrt() - ball.radius).max(0.0)
-                    * (1.0 - PRUNE_SLACK);
-                if lb <= bound[i] {
-                    surv_queries[j].push(i as u32);
-                    kept += 1;
-                }
-            }
-            pruned_total += (eligible - kept) as u64;
-        }
-        // cutoff = min over a query's surviving rows of (GEMM dist +
-        // margin): an upper bound on the exact squared distance of the
-        // true winner, so every row whose GEMM interval reaches it — the
-        // winner and all its ties included — survives to the exact pass.
-        let mut cutoff = vec![f32::INFINITY; m];
-        let mut surv_dist: Vec<Vec<f32>> = vec![Vec::new(); nb];
-        for (j, qi) in surv_queries.iter().enumerate() {
-            if qi.is_empty() {
-                continue;
-            }
-            let dd = ball_dists(j, qi);
-            let ball = &cl.balls[j];
-            let len = ball.len();
-            for (a, &iq) in qi.iter().enumerate() {
-                let i = iq as usize;
-                let qn = qnorms[i];
-                for t in 0..len {
-                    if labeled_only && ball.labels[t].is_none() {
-                        continue;
-                    }
-                    cutoff[i] = cutoff[i].min(dd[a * len + t] + normed_margin(qn, ball.norms[t]));
-                }
-            }
-            surv_dist[j] = dd;
-        }
-        // Candidates carry their document id first: rows are ascending by id
-        // within a cluster, so sorting candidates is the brute scan's order.
-        let mut cands: Vec<Vec<(DocId, usize, usize)>> = vec![Vec::new(); m];
-        for (j, qi) in surv_queries.iter().enumerate() {
-            let dd = &surv_dist[j];
-            let ball = &cl.balls[j];
-            let len = ball.len();
-            for (a, &iq) in qi.iter().enumerate() {
-                let i = iq as usize;
-                if cutoff[i] == f32::INFINITY {
-                    continue;
-                }
-                let qn = qnorms[i];
-                for t in 0..len {
-                    if labeled_only && ball.labels[t].is_none() {
-                        continue;
-                    }
-                    if dd[a * len + t] - normed_margin(qn, ball.norms[t]) <= cutoff[i] {
-                        cands[i].push((ball.ids[t], j, t));
-                    }
-                }
-            }
-        }
-        // Exact refine, in the brute scan's ascending-id order with its
-        // strict-`<` rule: bit-identical winner and bits.
-        let mut scanned_total = 0u64;
-        let out = qs
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| {
-                if cutoff[i] == f32::INFINITY {
-                    return (q, None);
-                }
-                let c = &mut cands[i];
-                c.sort_unstable();
-                scanned_total += c.len() as u64;
-                let zrow = z.row(q);
-                let mut best: Option<(f32, usize, usize)> = None;
-                for &(_, j, t) in c.iter() {
-                    let dist_e = sq_dist(zrow, &cl.balls[j].emb[t * d..(t + 1) * d]).sqrt();
-                    if best.map(|(bd, _, _)| dist_e < bd).unwrap_or(true) {
-                        best = Some((dist_e, j, t));
-                    }
-                }
-                (q, best)
-            })
-            .collect();
-        self.read_stats
-            .record(m as u64, pruned_total, scanned_total);
-        out
     }
 
     /// The routed-read statistics shared across this service's snapshots.
     pub fn read_index_counters(&self) -> &Arc<ReadIndexCounters> {
-        &self.read_stats
+        &self.index.stats
     }
 
     /// Fuzzy-clustering certainty of a dataset under this snapshot's
@@ -1607,50 +650,55 @@ impl FairDS {
         self.embedder.input_dim()
     }
 
-    /// Replaces the embedding-reuse cache with a fresh one of the given
-    /// sizing (deployment knob — e.g. the service config's
-    /// `embed_cache_capacity`/`embed_cache_shards`). The already-published
-    /// snapshot, if any, is re-issued over the new cache so readers start
-    /// using it immediately; its version (and thus the generation fence)
-    /// is unchanged.
-    pub fn configure_embed_cache(&mut self, cache_cfg: EmbedCacheConfig) {
-        self.cfg.embed_cache = cache_cfg;
-        self.reuse = Arc::new(EmbedCache::new(cache_cfg));
-        if let Some(old) = self.current.as_ref() {
-            self.reuse.advance_generation(old.version);
-            self.current = Some(Arc::new(SystemSnapshot::assemble(
-                Arc::clone(&old.embedder),
-                Arc::clone(&old.kmeans),
-                Arc::clone(&old.store),
-                old.cfg.clone(),
-                old.version,
-                Arc::clone(&self.reuse),
-                Arc::clone(&self.read_stats),
-            )));
+    /// Replaces the read-index layout (ball sizing, or `min_cluster_rows:
+    /// usize::MAX` for the brute per-cluster scan). The already-published
+    /// snapshot, if any, is re-issued — same models, same version — with
+    /// an empty index, so its next store read builds one under the new
+    /// layout.
+    pub fn configure_read_index(&mut self, ri: ReadIndexConfig) {
+        self.cfg.read_index = ri;
+        if let Some(old) = self.current.take() {
+            let cfg = FairDsConfig {
+                read_index: ri,
+                ..old.cfg.clone()
+            };
+            let (embedder, kmeans) = (Arc::clone(&old.embedder), Arc::clone(&old.kmeans));
+            self.current = Some(self.issue(embedder, kmeans, cfg, old.version));
         }
     }
 
-    /// Replaces the read-index layout (deployment knob — ball sizing, or
-    /// disabling routing entirely to fall back to the brute per-cluster
-    /// scan). The already-published snapshot, if any, is re-issued under
-    /// the new layout so readers pick it up immediately; its version and
-    /// models are unchanged, and the next nearest-neighbour read rebuilds
-    /// the index caches under the new configuration.
-    pub fn configure_read_index(&mut self, ri: ReadIndexConfig) {
-        self.cfg.read_index = ri;
-        if let Some(old) = self.current.as_ref() {
-            let mut cfg = old.cfg.clone();
-            cfg.read_index = ri;
-            self.current = Some(Arc::new(SystemSnapshot::assemble(
-                Arc::clone(&old.embedder),
-                Arc::clone(&old.kmeans),
-                Arc::clone(&old.store),
-                cfg,
-                old.version,
-                Arc::clone(&self.reuse),
-                Arc::clone(&self.read_stats),
-            )));
-        }
+    /// The one place snapshots are constructed — publication and
+    /// re-configuration both go through here, so a new field cannot be
+    /// wired into one path and forgotten in the other. The read index
+    /// starts empty and the sampling sequence restarts (draws stay
+    /// deterministic-in-sequence per snapshot, which is all the contract
+    /// promises).
+    fn issue(
+        &self,
+        embedder: Arc<dyn Embedder>,
+        kmeans: Arc<KMeans>,
+        cfg: FairDsConfig,
+        version: u64,
+    ) -> Arc<SystemSnapshot> {
+        let index = ReadIndex {
+            store: Arc::clone(&self.store),
+            dim: embedder.embed_dim(),
+            k: kmeans.k(),
+            seed: cfg.seed,
+            cfg: cfg.read_index,
+            stats: Arc::clone(&self.read_stats),
+            cache: Default::default(),
+        };
+        Arc::new(SystemSnapshot {
+            embedder,
+            kmeans,
+            store: Arc::clone(&self.store),
+            cfg,
+            sample_seq: AtomicU64::new(0),
+            version,
+            index,
+            reuse: Arc::clone(&self.reuse),
+        })
     }
 
     /// The routed-read statistics shared into every published snapshot.
@@ -1679,10 +727,9 @@ impl FairDS {
             .unwrap_or_else(|| panic!("{op} before system training"))
     }
 
-    /// Freezes the just-fitted models into a new published snapshot. The
-    /// membership index is seeded eagerly (publication-time, one batched
-    /// index read) so the first post-publication lookup pays nothing; the
-    /// embedding cache fills on first nearest-neighbour use.
+    /// Freezes the just-fitted models into a new published snapshot. No
+    /// store-sized work happens here: the read index fills on the
+    /// snapshot's first store read.
     fn publish(&mut self, kmeans: KMeans) {
         let version = self.versions_published;
         self.versions_published += 1;
@@ -1693,17 +740,8 @@ impl FairDS {
         // holds the new snapshot while the cache still accepts old-
         // generation inserts.
         self.reuse.advance_generation(version);
-        let snap = Arc::new(SystemSnapshot::assemble(
-            Arc::from(self.embedder.clone_embedder()),
-            Arc::new(kmeans),
-            Arc::clone(&self.store),
-            self.cfg.clone(),
-            version,
-            Arc::clone(&self.reuse),
-            Arc::clone(&self.read_stats),
-        ));
-        let _ = snap.membership_index();
-        self.current = Some(snap);
+        let embedder = Arc::from(self.embedder.clone_embedder());
+        self.current = Some(self.issue(embedder, Arc::new(kmeans), self.cfg.clone(), version));
     }
 
     /// System-plane training (Fig 5, yellow): fits the embedding model on
@@ -1816,12 +854,11 @@ impl FairDS {
             clusters,
         } = trained;
         self.embedder = embedder;
-        // Write-back first: the publication below seeds the membership
-        // index eagerly, and it should see the re-clustered store, not the
-        // about-to-be-overwritten assignments of the replaced plane.
+        // Write-back first: a reader that picks up the new snapshot should
+        // find the re-clustered store, not the about-to-be-overwritten
+        // assignments of the replaced plane.
         let mut copied = 0usize;
-        let mut written: std::collections::HashSet<DocId> =
-            std::collections::HashSet::with_capacity(captured.len());
+        let mut written: HashSet<DocId> = HashSet::with_capacity(captured.len());
         for (row, &id) in captured.iter().enumerate() {
             let Some(mut doc) = self.store.get(id) else {
                 continue; // deleted mid-flight
@@ -1990,14 +1027,14 @@ impl FairDS {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::embedding::AutoencoderEmbedder;
 
-    const SIDE: usize = 8;
+    pub(crate) const SIDE: usize = 8;
 
     /// Images of bright blobs at `n_modes` distinct locations.
-    fn blob_images(per_mode: usize, n_modes: usize, seed: u64) -> (Tensor, Tensor) {
+    pub(crate) fn blob_images(per_mode: usize, n_modes: usize, seed: u64) -> (Tensor, Tensor) {
         let mut rng = TensorRng::seeded(seed);
         let centers = [(2.0f32, 2.0f32), (5.0, 5.0), (2.0, 5.0), (5.0, 2.0)];
         let mut data = Vec::new();
@@ -2021,7 +1058,7 @@ mod tests {
         )
     }
 
-    fn quick_embed_cfg() -> EmbedTrainConfig {
+    pub(crate) fn quick_embed_cfg() -> EmbedTrainConfig {
         EmbedTrainConfig {
             epochs: 6,
             batch_size: 16,
@@ -2030,7 +1067,7 @@ mod tests {
         }
     }
 
-    fn fairds_with_k(k: usize) -> FairDS {
+    pub(crate) fn fairds_with_k(k: usize) -> FairDS {
         let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 0);
         FairDS::in_memory(
             Box::new(embedder),
@@ -2086,141 +1123,6 @@ mod tests {
         let docs = ds.lookup_matching(&[1.0, 0.0], 40);
         assert_eq!(docs.len(), 40);
         assert!(docs.iter().all(|d| d.get_i64("cluster") == Some(0)));
-    }
-
-    #[test]
-    fn lookup_matching_backfills_ids_deleted_mid_call() {
-        let (x, y) = blob_images(25, 2, 90);
-        let mut ds = fairds_with_k(2);
-        ds.train_system(&x, &quick_embed_cfg());
-        ds.ingest_labeled(&x, &y, 0);
-        let snap = ds.snapshot().unwrap();
-        // Simulate the race window: a lookup holds a membership index
-        // built just before concurrent deletes landed. Build the index,
-        // delete a third of the store, then restore the stale index under
-        // the post-delete revision so the next lookup draws dead ids.
-        let idx = snap.membership_index();
-        for &id in idx.all_ids.iter().step_by(3) {
-            assert!(ds.store().delete(id));
-        }
-        let stale = Arc::new(MembershipIndex {
-            revision: ds.store().revision(),
-            members: idx.members.clone(),
-            all_ids: idx.all_ids.clone(),
-        });
-        *snap.members_cache.write() = Some(stale);
-        // Every draw that hits a deleted id must backfill from the pool:
-        // a non-empty store always serves the full requested count.
-        for _ in 0..20 {
-            let docs = snap.lookup_matching(&[0.5, 0.5], 30);
-            assert_eq!(docs.len(), 30, "deleted draws must be backfilled");
-        }
-    }
-
-    /// The work bound of the read index, as counts: after a B-document
-    /// ingest into a warm N-document index the next read decodes exactly B
-    /// documents and shares every cluster and ball the batch did not land
-    /// in; only a change-log overrun decodes the store again.
-    #[test]
-    fn index_refresh_after_ingest_decodes_only_the_batch() {
-        const BATCH: usize = 32;
-        let (train, _) = blob_images(20, 4, 30);
-        for n in [1_000usize, 8_000] {
-            let mut ds = fairds_with_k(4);
-            ds.train_system(&train, &quick_embed_cfg());
-            let (x, y) = blob_images(n / 4, 4, 31);
-            ds.ingest_labeled(&x, &y, 0);
-            let snap = ds.snapshot().unwrap();
-            let counters = Arc::clone(ds.read_index_counters());
-            let query = x.slice_rows(0, 1);
-            let index_of = |snap: &SystemSnapshot| snap.emb_cache.read().clone().unwrap();
-
-            // First read: the full build decodes the store once; a read of
-            // the unchanged store decodes nothing.
-            snap.nearest_labeled(&query);
-            assert_eq!(counters.rows_decoded(), n as u64, "n={n}: full build");
-            snap.nearest_labeled(&query);
-            assert_eq!(counters.rows_decoded(), n as u64, "n={n}: warm read");
-            let before = index_of(&snap);
-
-            // The whole batch is one frame, so it lands in one ball.
-            let frame = x.slice_rows(0, 1);
-            let target = snap.assign(&frame)[0];
-            let batch = Tensor::from_vec(frame.data().repeat(BATCH), &[BATCH, SIDE * SIDE]);
-            ds.ingest_labeled(&batch, &Tensor::zeros(&[BATCH, 2]), 1);
-            snap.nearest_labeled(&query);
-            assert_eq!(
-                counters.rows_decoded(),
-                (n + BATCH) as u64,
-                "n={n}: the refresh decodes exactly the batch"
-            );
-            let after = index_of(&snap);
-            assert_eq!(after.revision, ds.store().revision());
-            for (c, (b, a)) in before.clusters.iter().zip(&after.clusters).enumerate() {
-                if c != target {
-                    assert!(Arc::ptr_eq(b, a), "n={n}: cluster {c} was not written");
-                    continue;
-                }
-                assert_eq!(a.rows, b.rows + BATCH);
-                let min_rows = ds.config().read_index.min_cluster_rows;
-                assert_eq!(a.is_partitioned(), a.rows >= min_rows, "n={n}");
-                if b.is_partitioned() {
-                    let shared = (a.balls.iter())
-                        .filter(|ball| b.balls.iter().any(|old| Arc::ptr_eq(old, ball)))
-                        .count();
-                    assert_eq!(shared, b.balls.len() - 1, "n={n}: one ball took the batch");
-                }
-            }
-
-            // More writes than the change log holds: the store is decoded
-            // again.
-            let (x, y) = blob_images(1_250, 4, 32);
-            ds.ingest_labeled(&x, &y, 2);
-            snap.nearest_labeled(&query);
-            assert_eq!(
-                counters.rows_decoded(),
-                (2 * (n + BATCH) + 5_000) as u64,
-                "n={n}: a log overrun decodes the store"
-            );
-        }
-    }
-
-    /// An index grown batch by batch keeps the shape the partitioner
-    /// promises the search: balls within the leaf rule, every row inside
-    /// its ball's radius, ids ascending, labeled bits set.
-    #[test]
-    fn delta_grown_index_keeps_the_partition_invariants() {
-        let (train, _) = blob_images(20, 4, 33);
-        let mut ds = fairds_with_k(2);
-        ds.train_system(&train, &quick_embed_cfg());
-        let snap = ds.snapshot().unwrap();
-        let query = train.slice_rows(0, 1);
-        for round in 0..100 {
-            let (x, y) = blob_images(4, 4, 100 + round);
-            ds.ingest_labeled(&x, &y, round as usize);
-            snap.nearest_labeled(&query);
-        }
-        let counters = ds.read_index_counters();
-        assert_eq!(counters.rows_decoded(), 100 * 16, "no row decoded twice");
-        let index = snap.emb_cache.read().clone().unwrap();
-        let dim = snap.embedder.embed_dim();
-        let leaf = 2 * snap.cfg.read_index.ball_target;
-        let mut rows = 0;
-        for cl in &index.clusters {
-            assert!(cl.is_partitioned(), "{} rows partition", cl.rows);
-            assert!(cl.balls.len() > 2, "{} rows split", cl.rows);
-            assert_eq!(cl.balls.iter().map(|b| b.len()).sum::<usize>(), cl.rows);
-            rows += cl.rows;
-            for (ball, center) in cl.balls.iter().zip(cl.ball_centers.chunks_exact(dim)) {
-                assert!(ball.len() <= leaf, "ball of {} rows", ball.len());
-                assert!(ball.ids.windows(2).all(|w| w[0] < w[1]));
-                assert!(ball.labeled);
-                for emb in ball.emb.chunks_exact(dim) {
-                    assert!(sq_dist(emb, center).sqrt() <= ball.radius);
-                }
-            }
-        }
-        assert_eq!(rows, 100 * 16);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! foundation — or training from scratch when nothing in the Zoo is within
 //! the user-defined distance threshold (§II-C).
 
-use crate::jsd::{jsd, jsd_normalized, jsd_normalized_bounded, jsd_prenormalized, normalize_pdf};
+use crate::jsd::{jsd, jsd_normalized, jsd_normalized_bounded, normalize_pdf};
 use crate::models::ArchSpec;
 use bytes::Bytes;
 use fairdms_datastore::{Collection, Document};
 use fairdms_nn::checkpoint;
 use fairdms_nn::layers::Sequential;
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One model in the Zoo.
@@ -285,6 +284,9 @@ impl ZooSnapshot {
         }
         let query = normalize_pdf(input_pdf);
         let dq = uniform_pivot_dist(&query);
+        // No ranking is longer than the zoo, whatever the caller asked for
+        // (`k` may have come off the wire).
+        let k = k.min(self.pdf_keys.len());
         // `ranked` holds the running top-k, ascending by divergence.
         let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
         for (i, key) in self.pdf_keys.iter().enumerate() {
@@ -313,24 +315,6 @@ impl ZooSnapshot {
         }
         Some(Recommendation { ranked })
     }
-}
-
-/// Full JSD ranking over any entry slice (owned, borrowed, or
-/// `Arc`-shared), normalizing the query once.
-fn rank_slice<E: Borrow<ZooEntry>>(entries: &[E], input_pdf: &[f64]) -> Option<Recommendation> {
-    let candidates: Vec<usize> = (0..entries.len())
-        .filter(|&i| entries[i].borrow().train_pdf.len() == input_pdf.len())
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let query = normalize_pdf(input_pdf);
-    let mut ranked: Vec<(usize, f64)> = candidates
-        .into_iter()
-        .map(|i| (i, jsd_prenormalized(&query, &entries[i].borrow().train_pdf)))
-        .collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Some(Recommendation { ranked })
 }
 
 impl ZooEntry {
@@ -498,34 +482,18 @@ impl ModelManager {
     /// Ranks every zoo entry by JSD to `input_pdf`. Returns `None` when
     /// the zoo is empty. Entries whose PDF length differs from the input
     /// (stale cluster count) are skipped.
+    ///
+    /// Ranked through [`ModelZoo::snapshot`] (cached between `add`s), i.e.
+    /// by [`ZooSnapshot::rank`] over the registration-time keys — the one
+    /// ranking stack, shared with the read plane's `Recommend`.
     pub fn rank(&self, zoo: &ModelZoo, input_pdf: &[f64]) -> Option<Recommendation> {
-        self.rank_entries(zoo.entries(), input_pdf)
-    }
-
-    /// [`ModelManager::rank`] over a bare entry slice — the form the
-    /// read plane uses to rank against a [`ZooSnapshot`]. The query PDF
-    /// is normalized once, not once per entry.
-    pub fn rank_entries<E: Borrow<ZooEntry>>(
-        &self,
-        entries: &[E],
-        input_pdf: &[f64],
-    ) -> Option<Recommendation> {
-        rank_slice(entries, input_pdf)
+        zoo.snapshot().rank(input_pdf)
     }
 
     /// The full decision: fine-tune the best entry when it is within the
     /// threshold, otherwise train from scratch.
     pub fn decide(&self, zoo: &ModelZoo, input_pdf: &[f64]) -> ModelDecision {
-        self.decide_entries(zoo.entries(), input_pdf)
-    }
-
-    /// [`ModelManager::decide`] over a bare entry slice.
-    pub fn decide_entries<E: Borrow<ZooEntry>>(
-        &self,
-        entries: &[E],
-        input_pdf: &[f64],
-    ) -> ModelDecision {
-        match self.rank_entries(entries, input_pdf).and_then(|r| r.best()) {
+        match self.rank(zoo, input_pdf).and_then(|r| r.best()) {
             Some((zoo_id, divergence)) if divergence <= self.distance_threshold => {
                 ModelDecision::FineTune { zoo_id, divergence }
             }
@@ -754,8 +722,7 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(zoo.len(), 2);
         // Ranking against the snapshot sees only the frozen entries.
-        let mgr = ModelManager::default();
-        let rec = mgr.rank_entries(snap.entries(), &[0.1, 0.9]).unwrap();
+        let rec = snap.rank(&[0.1, 0.9]).unwrap();
         assert_eq!(rec.ranked.len(), 1);
         assert_eq!(rec.best().unwrap().0, 0);
         // The snapshot still instantiates its checkpoints.
@@ -810,6 +777,18 @@ mod tests {
         let snap = zoo.snapshot();
         let query: Vec<f64> = (0..8).map(|_| rng.next_uniform(0.01, 1.0) as f64).collect();
         let full = snap.rank(&query).unwrap().ranked;
+        // The manager ranks through the same keys, and lands on the bits
+        // `jsd` computes from the raw (un-normalised) masses.
+        assert_eq!(
+            ModelManager::default().rank(&zoo, &query).unwrap().ranked,
+            full
+        );
+        for &(id, div) in &full {
+            assert_eq!(
+                div.to_bits(),
+                jsd(&query, &zoo.get(id).unwrap().train_pdf).to_bits()
+            );
+        }
         for k in [1, 3, 8, 64, 100] {
             let top = snap.rank_top_k(&query, k).unwrap().ranked;
             assert_eq!(top.len(), k.min(full.len()));
@@ -834,6 +813,13 @@ mod tests {
         assert!(snap.rank_top_k(&[0.2, 0.3, 0.5], 0).is_none());
         assert!(snap.rank_top_k(&[0.25; 4], 2).is_none());
         assert!(ZooSnapshot::empty().rank_top_k(&[1.0], 1).is_none());
+        // A `k` no zoo could fill reserves nothing for it.
+        for k in [usize::MAX - 1, usize::MAX] {
+            assert_eq!(
+                snap.rank_top_k(&[0.2, 0.3, 0.5], k).unwrap().ranked,
+                top.ranked
+            );
+        }
     }
 
     #[test]

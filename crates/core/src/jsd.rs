@@ -14,38 +14,13 @@
 /// Panics when lengths differ, either input sums to zero, or any entry is
 /// negative.
 pub fn jsd(p: &[f64], q: &[f64]) -> f64 {
-    assert!(!p.is_empty(), "jsd: empty distributions");
-    jsd_prenormalized(&normalize(p), q)
-}
-
-/// [`jsd`] against a query that is already normalized (sums to 1).
-///
-/// Ranking a zoo of `n` entries against one query normalizes the query
-/// once with [`normalize_pdf`] and calls this per entry, instead of
-/// re-normalizing (and re-allocating) the query `n` times inside [`jsd`].
-/// Only `q` is renormalized defensively; `p` is trusted as-is.
-pub fn jsd_prenormalized(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(
-        p.len(),
-        q.len(),
-        "jsd: length mismatch {} vs {}",
-        p.len(),
-        q.len()
-    );
-    assert!(!p.is_empty(), "jsd: empty distributions");
-    let q = normalize(q);
-    let mut acc = 0.0f64;
-    for (&pi, &qi) in p.iter().zip(&q) {
-        let mi = 0.5 * (pi + qi);
-        acc += 0.5 * xlog2x_ratio(pi, mi) + 0.5 * xlog2x_ratio(qi, mi);
-    }
-    // Clamp float residue into the theoretical range.
-    acc.clamp(0.0, 1.0)
+    jsd_normalized(&normalize_pdf(p), &normalize_pdf(q))
 }
 
 /// [`jsd`] between two *already normalized* PDFs: the allocation-free
 /// kernel ranking paths use once both sides are prepared with
-/// [`normalize_pdf`].
+/// [`normalize_pdf`] — the query once per ranking, each zoo entry once at
+/// registration.
 pub fn jsd_normalized(p: &[f64], q: &[f64]) -> f64 {
     jsd_normalized_bounded(p, q, f64::INFINITY).expect("infinite limit never abandons")
 }
@@ -84,7 +59,13 @@ pub fn jsd_normalized_bounded(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
 /// contract [`jsd`] enforces.
 pub fn normalize_pdf(x: &[f64]) -> Vec<f64> {
     assert!(!x.is_empty(), "jsd: empty distributions");
-    normalize(x)
+    assert!(
+        x.iter().all(|&v| v >= 0.0 && v.is_finite()),
+        "jsd: negative or non-finite probability mass"
+    );
+    let total: f64 = x.iter().sum();
+    assert!(total > 0.0, "jsd: distribution sums to zero");
+    x.iter().map(|&v| v / total).collect()
 }
 
 /// Whether a slice is acceptable PDF mass: non-empty, finite,
@@ -99,16 +80,6 @@ pub fn is_valid_pdf_mass(x: &[f64]) -> bool {
 /// inequality), useful when distances are composed.
 pub fn jsd_distance(p: &[f64], q: &[f64]) -> f64 {
     jsd(p, q).sqrt()
-}
-
-fn normalize(x: &[f64]) -> Vec<f64> {
-    assert!(
-        x.iter().all(|&v| v >= 0.0 && v.is_finite()),
-        "jsd: negative or non-finite probability mass"
-    );
-    let total: f64 = x.iter().sum();
-    assert!(total > 0.0, "jsd: distribution sums to zero");
-    x.iter().map(|&v| v / total).collect()
 }
 
 #[inline]
@@ -199,7 +170,8 @@ mod tests {
             vec![1.0, 0.0, 0.0],
             vec![2.0, 2.0, 2.0],
         ] {
-            assert!((jsd_prenormalized(&qn, &e) - jsd(&q, &e)).abs() < 1e-15);
+            let ranked = jsd_normalized(&qn, &normalize_pdf(&e));
+            assert_eq!(ranked.to_bits(), jsd(&q, &e).to_bits());
         }
     }
 

@@ -12,6 +12,9 @@
 //! * [`fairds`] — the data service: embed → cluster → index → PDF-matched
 //!   retrieval and nearest-embedding pseudo-labeling, with the fuzzy-
 //!   certainty staleness monitor that triggers system-plane retraining;
+//! * [`read_index`] — the one store-derived index behind fairDS's two store
+//!   queries (nearest stored row, PDF-matched draws), kept current from
+//!   the store's change log;
 //! * [`fairms`] — the model service: a Zoo of checkpoints indexed by their
 //!   training-set cluster PDFs, ranked by Jensen–Shannon divergence;
 //! * [`workflow`] — the rapid model-update workflow combining both
@@ -34,6 +37,7 @@ pub mod fairds;
 pub mod fairms;
 pub mod jsd;
 pub mod models;
+pub mod read_index;
 pub mod reuse;
 pub mod uncertainty;
 pub mod workflow;

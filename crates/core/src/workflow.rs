@@ -288,35 +288,26 @@ impl RapidTrainer {
         seeded_split(&self.cfg, n)
     }
 
-    /// Builds the starting network for a strategy given the input PDF.
-    /// Returns `(net, foundation id, divergence, lr)`.
+    /// The zoo entry `strategy` fine-tunes for a dataset with this PDF, as
+    /// `(zoo id, divergence)`; `None` for scratch or an empty ranking.
+    fn pick_foundation(&self, strategy: TrainStrategy, pdf: &[f64]) -> Option<(usize, f64)> {
+        let rank = || self.manager.rank(&self.zoo, pdf);
+        match strategy {
+            TrainStrategy::Scratch => None,
+            TrainStrategy::FineTuneBest => rank()?.best(),
+            TrainStrategy::FineTuneMedian => rank()?.median(),
+            TrainStrategy::FineTuneWorst => rank()?.worst(),
+        }
+    }
+
+    /// Builds the starting network from a picked zoo entry, or from
+    /// scratch. Returns `(net, foundation id, divergence, lr)`.
     fn foundation_for(
         &self,
-        strategy: TrainStrategy,
-        pdf: &[f64],
+        picked: Option<(usize, f64)>,
     ) -> (Sequential, Option<usize>, Option<f64>, f32) {
         // Distinct mask so scratch weights differ from zoo-load seeds.
         const FRESH_SEED_MASK: u64 = 0xF8E5;
-        let scratch = || {
-            (
-                self.cfg.arch.build(self.cfg.seed ^ FRESH_SEED_MASK),
-                None,
-                None,
-                self.cfg.lr,
-            )
-        };
-        if strategy == TrainStrategy::Scratch {
-            return scratch();
-        }
-        let picked = self
-            .manager
-            .rank(&self.zoo, pdf)
-            .and_then(|rec| match strategy {
-                TrainStrategy::FineTuneBest => rec.best(),
-                TrainStrategy::FineTuneMedian => rec.median(),
-                TrainStrategy::FineTuneWorst => rec.worst(),
-                TrainStrategy::Scratch => unreachable!(),
-            });
         match picked {
             Some((zoo_id, div)) => {
                 let net = self
@@ -330,7 +321,12 @@ impl RapidTrainer {
                     self.cfg.lr * self.cfg.finetune_lr_scale,
                 )
             }
-            None => scratch(),
+            None => (
+                self.cfg.arch.build(self.cfg.seed ^ FRESH_SEED_MASK),
+                None,
+                None,
+                self.cfg.lr,
+            ),
         }
     }
 
@@ -364,7 +360,8 @@ impl RapidTrainer {
         pdf: &[f64],
         strategy: TrainStrategy,
     ) -> (Sequential, TrainReport, Option<usize>, Option<f64>) {
-        let (mut net, foundation, divergence, lr) = self.foundation_for(strategy, pdf);
+        let (mut net, foundation, divergence, lr) =
+            self.foundation_for(self.pick_foundation(strategy, pdf));
         let tx = self.to_model_input(train_x_flat);
         let vx = self.to_model_input(val_x_flat);
         let mut opt = Adam::new(lr);
@@ -422,11 +419,13 @@ impl RapidTrainer {
                 .pseudo_label(x_flat, self.cfg.label_threshold, fallback);
         let label_secs = t_label.elapsed().as_secs_f64();
 
-        let strategy = match self.manager.decide(&self.zoo, &pdf) {
-            ModelDecision::FineTune { .. } => TrainStrategy::FineTuneBest,
-            ModelDecision::TrainFromScratch => TrainStrategy::Scratch,
+        // One ranking: the decision already names the best entry and its
+        // divergence.
+        let picked = match self.manager.decide(&self.zoo, &pdf) {
+            ModelDecision::FineTune { zoo_id, divergence } => Some((zoo_id, divergence)),
+            ModelDecision::TrainFromScratch => None,
         };
-        let (net, foundation, divergence, lr) = self.foundation_for(strategy, &pdf);
+        let (net, foundation, divergence, lr) = self.foundation_for(picked);
         UpdatePlan {
             cfg: self.cfg.clone(),
             x_flat: x_flat.clone(),

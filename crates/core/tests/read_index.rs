@@ -51,7 +51,6 @@ fn quantized_row(rng: &mut TensorRng, spread: f32) -> Vec<f32> {
 }
 
 const TINY_BALLS: ReadIndexConfig = ReadIndexConfig {
-    enabled: true,
     ball_target: 4,
     min_cluster_rows: 4,
 };
@@ -124,7 +123,7 @@ proptest! {
 
         let routed = ds.snapshot().expect("trained");
         ds.configure_read_index(ReadIndexConfig {
-            enabled: false,
+            min_cluster_rows: usize::MAX,
             ..ReadIndexConfig::default()
         });
         let brute = ds.snapshot().expect("trained");
@@ -179,7 +178,7 @@ fn quantized_rows(rng: &mut TensorRng, n: usize, spread: f32) -> Tensor {
 /// the mutations (its index advanced through the change log), `fresh` has
 /// never read (its first read is a full build), `brute` is the unrouted
 /// oracle. All three must agree on every distance bit, winner document and
-/// pseudo-label.
+/// pseudo-label, and their PDF-matched draws must not depend on the layout.
 fn views_agree(
     live: &SystemSnapshot,
     fresh: &SystemSnapshot,
@@ -207,6 +206,40 @@ fn views_agree(
         }
         if view.pseudo_label(queries, f32::INFINITY, fallback) != reference_labels {
             return Err(format!("{name} index pseudo-labels differ from brute"));
+        }
+    }
+    // PDF-matched draws come from the same index, and must not see its
+    // layout: `fresh` and `brute` were issued for this read, so both are at
+    // draw 0 and the same calls must return the same documents.
+    let k = live.k();
+    let uniform = vec![1.0 / k as f64; k];
+    for count in [1, 7, 20] {
+        let (got, want) = (
+            fresh.lookup_matching(&uniform, count),
+            brute.lookup_matching(&uniform, count),
+        );
+        if got != want {
+            return Err(format!(
+                "lookup of {count}: partitioned index drew {got:?}, unpartitioned {want:?}"
+            ));
+        }
+    }
+    // The delta-grown view serves the requested count, and from a one-hot
+    // PDF only documents of that cluster (every document here carries a
+    // current-width embedding, so the store's `cluster` index says which
+    // clusters have drawable rows).
+    let store = live.store();
+    for c in 0..k {
+        let mut one_hot = vec![0.0; k];
+        one_hot[c] = 1.0;
+        let docs = live.lookup_matching(&one_hot, 9);
+        let want = if store.is_empty() { 0 } else { 9 };
+        if docs.len() != want {
+            return Err(format!("cluster {c}: served {} of {want}", docs.len()));
+        }
+        let has_rows = !store.find_by("cluster", c as i64).is_empty();
+        if has_rows && docs.iter().any(|d| d.get_i64("cluster") != Some(c as i64)) {
+            return Err(format!("cluster {c}: drew outside the cluster: {docs:?}"));
         }
     }
     Ok(())
@@ -264,7 +297,7 @@ fn run_interleaving(k: usize, seed: u64, ops: &[(usize, usize, u64)]) -> Result<
                 ds.configure_read_index(TINY_BALLS);
                 let fresh = ds.snapshot().expect("trained");
                 ds.configure_read_index(ReadIndexConfig {
-                    enabled: false,
+                    min_cluster_rows: usize::MAX,
                     ..TINY_BALLS
                 });
                 let brute = ds.snapshot().expect("trained");
@@ -381,7 +414,8 @@ fn concurrent_rebuild_never_serves_a_torn_index() {
         let queries = Tensor::from_vec(qdata, &[8, DIM]);
         readers.push(std::thread::spawn(move || {
             let mut served = 0usize;
-            while !done.load(Ordering::Acquire) {
+            // At least one pass, however fast the writer storm ends.
+            loop {
                 let hits = snap.nearest_labeled(&queries);
                 assert_eq!(hits.len(), 8);
                 for (i, hit) in hits.iter().enumerate() {
@@ -398,6 +432,9 @@ fn concurrent_rebuild_never_serves_a_torn_index() {
                         "distance does not match the served document: torn index"
                     );
                     served += 1;
+                }
+                if done.load(Ordering::Acquire) {
+                    break;
                 }
             }
             served

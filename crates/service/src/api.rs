@@ -75,6 +75,11 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Most documents one [`Request::LookupMatching`] may ask for; a larger
+/// `count` answers [`ServiceError::Invalid`]. 65,536 documents of the
+/// 1–2 KB a deployment stores already fill the wire plane's 64 MiB frame.
+pub const MAX_LOOKUP_COUNT: usize = 1 << 16;
+
 /// User-plane requests.
 #[derive(Debug)]
 pub enum Request {
@@ -111,7 +116,7 @@ pub enum Request {
     LookupMatching {
         /// Target cluster PDF (length must equal the fitted K).
         pdf: Vec<f64>,
-        /// Number of documents to draw.
+        /// Number of documents to draw (at most [`MAX_LOOKUP_COUNT`]).
         count: usize,
     },
     /// Rank the model Zoo against a dataset PDF.
@@ -120,7 +125,8 @@ pub enum Request {
         pdf: Vec<f64>,
         /// `Some(k)` returns only the `k` lowest-divergence entries via
         /// the snapshot's partial-ranking path (pruned by the √JSD
-        /// triangle inequality); `None` ranks the whole zoo.
+        /// triangle inequality); `None` ranks the whole zoo. A `k` beyond
+        /// the zoo's length returns the whole ranking.
         top_k: Option<usize>,
     },
     /// Full rapid-model-update (pseudo-label → recommend → train →

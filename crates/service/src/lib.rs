@@ -76,7 +76,9 @@ pub mod server;
 #[allow(unsafe_code)]
 pub mod swap;
 
-pub use api::{DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId};
+pub use api::{
+    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId, MAX_LOOKUP_COUNT,
+};
 pub use metrics::{Metrics, MetricsSnapshot, NetStats, OpSnapshot};
 pub use multi::{MultiDms, MultiDmsBuilder, TenantSpec};
 pub use net::{NetServer, NetServerConfig, NetServerHandle, PipelinedClient, TenantRouter};

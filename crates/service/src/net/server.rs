@@ -64,9 +64,6 @@ pub struct NetServerConfig {
     /// above it). Bounds per-connection memory against hostile or corrupt
     /// length prefixes.
     pub max_frame_len: u32,
-    /// `TCP_NODELAY` on accepted sockets (ignored for Unix sockets).
-    /// Leave on: the writer already batches, so Nagle only adds latency.
-    pub nodelay: bool,
 }
 
 impl Default for NetServerConfig {
@@ -74,7 +71,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             max_connections: 1024,
             max_frame_len: 64 << 20,
-            nodelay: true,
         }
     }
 }
@@ -87,8 +83,9 @@ trait NetStream: Read + Write + Send + Sized + 'static {
     fn duplicate(&self) -> io::Result<Self>;
     /// Half- or full-closes the socket.
     fn shut(&self, how: Shutdown) -> io::Result<()>;
-    /// Applies `TCP_NODELAY` where it exists (no-op otherwise).
-    fn set_nodelay_opt(&self, on: bool);
+    /// Sets `TCP_NODELAY` where it exists (no-op otherwise): replies are
+    /// already batched per flush, so Nagle would only add latency.
+    fn set_nodelay_opt(&self);
     /// Switches the socket — every handle onto it — between blocking and
     /// non-blocking I/O.
     fn nonblocking(&self, on: bool) -> io::Result<()>;
@@ -118,8 +115,8 @@ impl NetStream for TcpStream {
     fn shut(&self, how: Shutdown) -> io::Result<()> {
         self.shutdown(how)
     }
-    fn set_nodelay_opt(&self, on: bool) {
-        let _ = self.set_nodelay(on);
+    fn set_nodelay_opt(&self) {
+        let _ = self.set_nodelay(true);
     }
     fn nonblocking(&self, on: bool) -> io::Result<()> {
         self.set_nonblocking(on)
@@ -134,7 +131,7 @@ impl NetStream for std::os::unix::net::UnixStream {
     fn shut(&self, how: Shutdown) -> io::Result<()> {
         self.shutdown(how)
     }
-    fn set_nodelay_opt(&self, _on: bool) {}
+    fn set_nodelay_opt(&self) {}
     fn nonblocking(&self, on: bool) -> io::Result<()> {
         self.set_nonblocking(on)
     }
@@ -422,7 +419,7 @@ fn spawn_connection<S: NetStream>(
     conn_id: u64,
     stream: S,
 ) -> io::Result<()> {
-    stream.set_nodelay_opt(shared.cfg.nodelay);
+    stream.set_nodelay_opt();
     let drain_half = stream.duplicate()?;
     let (lane, sequencer) = reply_lane(stream.duplicate()?, Arc::clone(&shared.counters));
     let state = Arc::new(ConnState {

@@ -41,14 +41,15 @@
 //! `Arc` swap — before the owning client sees its reply, so a client that
 //! hears an ack can immediately read the state the ack describes.
 
-use crate::api::{DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult};
+use crate::api::{
+    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, MAX_LOOKUP_COUNT,
+};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::swap::SnapshotCell;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::{RetrainJob, RetrainedSystem, SystemSnapshot};
 use fairdms_core::fairms::{ModelManager, ZooSnapshot};
-use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, TrainedUpdate, UpdatePlan};
 use fairdms_core::ZooEntry;
 use fairdms_flows::jobs::{CancelToken, JobPool, TenantId, TenantQueueConfig, DEFAULT_TENANT};
@@ -70,9 +71,6 @@ pub struct DmsServerConfig {
     /// Admission queue depth of the mutation actor; `try_send` beyond this
     /// blocks the client (backpressure instead of unbounded memory growth).
     pub queue_capacity: usize,
-    /// Pseudo-label reuse threshold used by [`Request::PseudoLabel`] when
-    /// the caller passes a non-finite threshold, and by `UpdateModel`.
-    pub default_label_threshold: f32,
     /// Whether the certainty monitor may trigger system-plane retraining.
     pub auto_retrain: bool,
     /// Minimum number of monitored requests between two triggered
@@ -100,28 +98,17 @@ pub struct DmsServerConfig {
     /// admission instead of unbounded queue growth (DESIGN.md §14). The
     /// gauge is `training_jobs_queued` in the metrics snapshot.
     pub training_queue_capacity: usize,
-    /// Total entry budget of the embedding-reuse cache (the data-reuse
-    /// plane, DESIGN.md §8): repeated frames served to `DatasetPdf`,
-    /// `Certainty`, `PseudoLabel` and the ingest path skip the encoder
-    /// forward pass. `0` disables memoization.
-    pub embed_cache_capacity: usize,
-    /// Shard count of the embedding-reuse cache (lock-light concurrency:
-    /// one short mutex per shard, no global lock).
-    pub embed_cache_shards: usize,
 }
 
 impl Default for DmsServerConfig {
     fn default() -> Self {
         DmsServerConfig {
             queue_capacity: 64,
-            default_label_threshold: 0.5,
             auto_retrain: true,
             retrain_cooldown: 0,
             retrain_embed_cfg: EmbedTrainConfig::default(),
             training_pool_size: 1,
             training_queue_capacity: 64,
-            embed_cache_capacity: EmbedCacheConfig::default().capacity,
-            embed_cache_shards: EmbedCacheConfig::default().shards,
         }
     }
 }
@@ -432,20 +419,13 @@ impl DmsServer {
     /// ([`JobPool::configure_tenant`]); `cfg.training_pool_size` is not
     /// read here, the pool is already sized.
     pub fn spawn_shared(
-        mut trainer: RapidTrainer,
+        trainer: RapidTrainer,
         labeler: FallbackLabeler,
         cfg: DmsServerConfig,
         pool: Arc<JobPool>,
         tenant: TenantId,
     ) -> (DmsClient, ServerHandle) {
         let (write_tx, write_rx) = bounded::<Msg>(cfg.queue_capacity);
-        // Size the data-reuse plane to the deployment's knobs (replacing
-        // whatever the fairDS builder defaulted to) and expose its
-        // counters through the metrics registry.
-        trainer.fairds.configure_embed_cache(EmbedCacheConfig {
-            capacity: cfg.embed_cache_capacity,
-            shards: cfg.embed_cache_shards,
-        });
         let metrics = Arc::new(Metrics::new());
         metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache()));
         metrics.attach_read_index(Arc::clone(trainer.fairds.read_index_counters()));
@@ -547,6 +527,12 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
                     "pdf length {} != k {}",
                     pdf.len(),
                     sys.k()
+                )));
+            }
+            // Bounded where it enters: a loop bound and a reply size.
+            if count > MAX_LOOKUP_COUNT {
+                return Err(ServiceError::Invalid(format!(
+                    "count {count} above the {MAX_LOOKUP_COUNT}-document limit of one lookup"
                 )));
             }
             Ok(Reply::Documents(sys.lookup_matching(&pdf, count)))
@@ -1040,7 +1026,7 @@ fn handle_write(
             let thr = if threshold.is_finite() {
                 threshold
             } else {
-                cfg.default_label_threshold
+                trainer.config().label_threshold
             };
             let (labels, stats) = trainer.fairds.pseudo_label(&images, thr, |p| labeler(p));
             Ok(Reply::Labeled { labels, stats })

@@ -68,6 +68,31 @@ fn serve(client: &DmsClient, cfg: NetServerConfig) -> fairdms_service::net::NetS
     NetServer::serve_tcp(client.clone(), ("127.0.0.1", 0), cfg).expect("bind")
 }
 
+/// Tenants 1 and 2 behind one TCP listener, tenant `t` seeded `base + t`
+/// over the embedder `embedder(seed)` builds.
+fn two_tenants(
+    base: u64,
+    embedder: impl Fn(u64) -> Box<dyn Embedder>,
+) -> (MultiDms, fairdms_service::net::NetServerHandle) {
+    let mut builder = MultiDms::builder(1);
+    for tenant in [1, 2] {
+        let seed = base + u64::from(tenant);
+        builder = builder.tenant(
+            TenantSpec {
+                config: server_cfg(),
+                ..TenantSpec::new(tenant)
+            },
+            trainer_over(embedder(seed), seed),
+            Box::new(|_| vec![0.5, 0.5]),
+        );
+    }
+    let multi = builder.spawn();
+    let net = multi
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
+        .expect("bind");
+    (multi, net)
+}
+
 /// Background work (connection teardown, counter updates) completes
 /// asynchronously; wait for the observable effect instead of sleeping.
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -486,23 +511,14 @@ impl Embedder for TrippingEmbedder {
 
 #[test]
 fn a_panicking_read_costs_its_tenant_not_the_connection_or_the_caller() {
-    let mut builder = MultiDms::builder(1);
-    for tenant in [1, 2] {
-        let seed = u64::from(tenant);
-        let embedder = TrippingEmbedder(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed));
-        builder = builder.tenant(
-            TenantSpec {
-                config: server_cfg(),
-                ..TenantSpec::new(tenant)
-            },
-            trainer_over(Box::new(embedder), seed),
-            Box::new(|_| vec![0.5, 0.5]),
-        );
-    }
-    let multi = builder.spawn();
-    let net = multi
-        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
-        .expect("bind");
+    let (multi, net) = two_tenants(0, |seed| {
+        Box::new(TrippingEmbedder(AutoencoderEmbedder::new(
+            SIDE * SIDE,
+            32,
+            8,
+            seed,
+        )))
+    });
     // One socket, two tenants.
     let doomed = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
     let neighbour = doomed.for_tenant(2);
@@ -544,6 +560,58 @@ fn a_panicking_read_costs_its_tenant_not_the_connection_or_the_caller() {
     assert_eq!(local.certainty(x).unwrap_err(), ServiceError::Unavailable);
 
     drop((doomed, neighbour));
+    net.shutdown();
+    multi.shutdown();
+}
+
+/// A count is a loop bound, a reservation and a reply size, and on the wire
+/// it is eight bytes anyone can send: `usize::MAX` once overflowed a
+/// `Vec::with_capacity` in the read handler (poisoning the tenant) and
+/// `1 << 44` aborted the process in the allocator. Each must be answered —
+/// `Invalid`, or the whole ranking for a `top_k` no zoo could fill — through
+/// both doors of the tenant, which keeps serving, as do its neighbour and
+/// the connection they share.
+#[test]
+fn hostile_counts_are_answered_not_obeyed() {
+    let (multi, net) = two_tenants(0, |seed| {
+        Box::new(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed))
+    });
+    // One socket, two tenants.
+    let target = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
+    let neighbour = target.for_tenant(2);
+    let (x, y) = frames(24, 95);
+    let checkpoint = fairdms_nn::checkpoint::save(&ArchSpec::BraggNN { patch: SIDE }.build(96));
+    for api in [&target, &neighbour] {
+        api.train_system(x.clone(), embed_cfg()).unwrap();
+        api.ingest(x.clone(), y.clone(), 0).unwrap();
+        for (i, pdf) in [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]].iter().enumerate() {
+            api.publish("m", checkpoint.clone(), pdf.to_vec(), i)
+                .unwrap();
+        }
+    }
+
+    fn probe(api: &impl DmsApi) {
+        let pdf = vec![0.7, 0.3];
+        for count in [usize::MAX, 1 << 44, fairdms_service::MAX_LOOKUP_COUNT + 1] {
+            let err = api.lookup(pdf.clone(), count).unwrap_err();
+            assert!(matches!(err, ServiceError::Invalid(_)), "{count}: {err:?}");
+            // Nothing was poisoned: the next read of the same tenant serves.
+            assert_eq!(api.lookup(pdf.clone(), 3).unwrap().len(), 3);
+        }
+        let whole = api.recommend(pdf.clone()).unwrap();
+        assert_eq!(whole.ranked.len(), 3);
+        for k in [usize::MAX - 1, usize::MAX] {
+            assert_eq!(api.recommend_top_k(pdf.clone(), k).unwrap(), whole);
+        }
+    }
+    probe(&target);
+    probe(multi.client(1).expect("tenant 1"));
+
+    assert!(!target.is_closed(), "the connection outlives the requests");
+    assert_eq!(neighbour.lookup(vec![0.5, 0.5], 3).unwrap().len(), 3);
+    assert!(target.dataset_pdf(x).is_ok());
+
+    drop((target, neighbour));
     net.shutdown();
     multi.shutdown();
 }
@@ -656,23 +724,9 @@ fn a_read_behind_an_in_flight_write_is_sequenced_and_a_window_1_stream_is_not() 
 
 #[test]
 fn two_tenants_pipelining_beside_window_1_calls_each_get_their_own_replies() {
-    let mut builder = MultiDms::builder(1);
-    for tenant in [1, 2] {
-        let seed = 20 + u64::from(tenant);
-        let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
-        builder = builder.tenant(
-            TenantSpec {
-                config: server_cfg(),
-                ..TenantSpec::new(tenant)
-            },
-            trainer_over(Box::new(embedder), seed),
-            Box::new(|_| vec![0.5, 0.5]),
-        );
-    }
-    let multi = builder.spawn();
-    let net = multi
-        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
-        .expect("bind");
+    let (multi, net) = two_tenants(20, |seed| {
+        Box::new(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed))
+    });
     let one = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
     let two = one.for_tenant(2);
     let (x, y) = frames(16, 94);

@@ -5,6 +5,7 @@ use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
+use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
 use fairdms_service::{DmsApi, ServiceError};
@@ -49,20 +50,26 @@ fn embed_cfg() -> EmbedTrainConfig {
 }
 
 fn spawn_server_k(seed: u64, auto_retrain: bool, k: usize) -> (DmsClient, ServerHandle) {
+    let ds_cfg = FairDsConfig {
+        k: Some(k),
+        // Calibrated for this fixture the way deployments calibrate
+        // (see examples/service_deployment.rs): measured certainty is
+        // 1.0 on in-distribution blobs, ~0.50 on unseen uniform noise,
+        // and ~0.63 on noise after the triggered retrain absorbs it, so
+        // the threshold sits between trigger and absorbed.
+        certainty_threshold: 0.55,
+        ..FairDsConfig::default()
+    };
+    spawn_server_over(seed, auto_retrain, ds_cfg)
+}
+
+fn spawn_server_over(
+    seed: u64,
+    auto_retrain: bool,
+    ds_cfg: FairDsConfig,
+) -> (DmsClient, ServerHandle) {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
-    let fairds = FairDS::in_memory(
-        Box::new(embedder),
-        FairDsConfig {
-            k: Some(k),
-            // Calibrated for this fixture the way deployments calibrate
-            // (see examples/service_deployment.rs): measured certainty is
-            // 1.0 on in-distribution blobs, ~0.50 on unseen uniform noise,
-            // and ~0.63 on noise after the triggered retrain absorbs it, so
-            // the threshold sits between trigger and absorbed.
-            certainty_threshold: 0.55,
-            ..FairDsConfig::default()
-        },
-    );
+    let fairds = FairDS::in_memory(Box::new(embedder), ds_cfg);
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 4;
     tcfg.train.batch_size = 16;
@@ -115,6 +122,47 @@ fn lifecycle_train_ingest_pdf_lookup() {
     assert!(docs.iter().all(|d| d.get_f32s("label").is_some()));
 
     drop(client);
+    handle.shutdown();
+}
+
+/// The embedding-reuse cache behind a server is the one the trainer's
+/// `FairDsConfig::embed_cache` sized (DESIGN.md §8): spawning neither swaps a
+/// disabled cache for a default-sized one nor grows a small one.
+#[test]
+fn the_trainers_embed_cache_sizing_survives_spawn() {
+    let spawn_with = |capacity: usize| {
+        let ds_cfg = FairDsConfig {
+            k: Some(2),
+            embed_cache: EmbedCacheConfig {
+                capacity,
+                shards: 1,
+            },
+            ..FairDsConfig::default()
+        };
+        spawn_server_over(70, false, ds_cfg)
+    };
+    let (x, _) = blob_images(8, 2, 71); // one 16-frame batch
+
+    // Capacity 0 stays uncached however often the batch repeats.
+    let (client, handle) = spawn_with(0);
+    client.train_system(x.clone(), embed_cfg()).expect("train");
+    for _ in 0..3 {
+        client.dataset_pdf(x.clone()).expect("pdf");
+    }
+    let stats = client.metrics().expect("metrics").embed_cache;
+    assert_eq!(stats.hits, 0, "{stats:?}");
+    assert_eq!(stats.misses, 0, "a disabled cache is not even probed");
+    handle.shutdown();
+
+    // Two entries cannot hold sixteen frames.
+    let (client, handle) = spawn_with(2);
+    client.train_system(x.clone(), embed_cfg()).expect("train");
+    client.dataset_pdf(x).expect("pdf");
+    let stats = client.metrics().expect("metrics").embed_cache;
+    assert!(
+        stats.evictions > 0,
+        "a two-entry cache must evict: {stats:?}"
+    );
     handle.shutdown();
 }
 

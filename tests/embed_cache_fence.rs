@@ -18,6 +18,7 @@ use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
+use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsServer, DmsServerConfig};
 use fairdms_service::DmsApi;
@@ -145,6 +146,10 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
         FairDsConfig {
             k: Some(3),
             seed: 51,
+            embed_cache: EmbedCacheConfig {
+                capacity: 1024,
+                shards: 4,
+            },
             ..FairDsConfig::default()
         },
     );
@@ -166,8 +171,6 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
         DmsServerConfig {
             auto_retrain: true,
             retrain_embed_cfg: embed_cfg(),
-            embed_cache_capacity: 1024,
-            embed_cache_shards: 4,
             ..DmsServerConfig::default()
         },
     );
