@@ -590,6 +590,8 @@ pub struct FairDS {
     /// Routed-read statistics, shared into every published snapshot so
     /// counters survive snapshot turnover.
     read_stats: Arc<ReadIndexCounters>,
+    /// Values per stored label, once known ([`FairDS::label_width`]).
+    label_width: Option<usize>,
 }
 
 impl FairDS {
@@ -607,6 +609,7 @@ impl FairDS {
             versions_published: 0,
             reuse,
             read_stats: Arc::new(ReadIndexCounters::default()),
+            label_width: None,
         }
     }
 
@@ -648,6 +651,22 @@ impl FairDS {
     /// them panic deep inside a forward pass.
     pub fn input_dim(&self) -> usize {
         self.embedder.input_dim()
+    }
+
+    /// Values per label of the documents already stored — the width a new
+    /// labeled batch must have, because [`SystemSnapshot::pseudo_label`]
+    /// reuses stored labels beside fresh ones in one `[N, L]` matrix.
+    /// `None` while the store holds no labeled document. Found by reading
+    /// documents until one carries a label (the first, in a store this
+    /// service filled) and remembered from then on.
+    pub fn label_width(&mut self) -> Option<usize> {
+        if self.label_width.is_none() {
+            self.label_width = self.store.ids().into_iter().find_map(|id| {
+                let doc = self.store.get(id)?;
+                Some(doc.get_f32s("label")?.len())
+            });
+        }
+        self.label_width
     }
 
     /// Replaces the read-index layout (ball sizing, or `min_cluster_rows:
@@ -956,6 +975,7 @@ impl FairDS {
         assert_eq!(images.shape()[0], labels.shape()[0], "image/label mismatch");
         let z = snap.embed_cached(images);
         let label_w = labels.row_size();
+        self.label_width.get_or_insert(label_w);
         // One GEMM-batched routing pass for the whole batch — bit-identical
         // to the per-row centroid scan (`predict` refines every near-tie
         // with the exact scalar distance).

@@ -142,7 +142,8 @@ impl ModelZoo {
         &self.entries
     }
 
-    /// Rebuilds the network of an entry (architecture + checkpoint).
+    /// Rebuilds the network of an entry (architecture + checkpoint); `None`
+    /// for an unknown id or a checkpoint that does not load.
     pub fn instantiate(&self, id: usize, seed: u64) -> Option<Sequential> {
         instantiate_entry(self.entries.get(id)?, seed)
     }
@@ -168,10 +169,12 @@ impl ModelZoo {
     }
 }
 
+/// `None` when the entry's bytes do not load into its architecture: the
+/// zoo stores whatever was published (the bytes are the publisher's), so a
+/// checkpoint is only known to be one when something opens it.
 fn instantiate_entry(entry: &ZooEntry, seed: u64) -> Option<Sequential> {
     let mut net = entry.arch.build(seed);
-    checkpoint::load(&mut net, &entry.checkpoint)
-        .expect("zoo checkpoint does not match its architecture");
+    checkpoint::load(&mut net, &entry.checkpoint).ok()?;
     Some(net)
 }
 
@@ -228,7 +231,8 @@ impl ZooSnapshot {
         &self.entries
     }
 
-    /// Rebuilds the network of an entry (architecture + checkpoint).
+    /// Rebuilds the network of an entry (architecture + checkpoint); `None`
+    /// for an unknown id or a checkpoint that does not load.
     pub fn instantiate(&self, id: usize, seed: u64) -> Option<Sequential> {
         instantiate_entry(self.entries.get(id)?, seed)
     }

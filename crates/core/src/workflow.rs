@@ -301,26 +301,26 @@ impl RapidTrainer {
     }
 
     /// Builds the starting network from a picked zoo entry, or from
-    /// scratch. Returns `(net, foundation id, divergence, lr)`.
+    /// scratch — also when the picked entry's bytes do not load: an entry
+    /// that cannot be opened is not a foundation. Returns `(net, foundation
+    /// id, divergence, lr)`.
     fn foundation_for(
         &self,
         picked: Option<(usize, f64)>,
     ) -> (Sequential, Option<usize>, Option<f64>, f32) {
         // Distinct mask so scratch weights differ from zoo-load seeds.
         const FRESH_SEED_MASK: u64 = 0xF8E5;
-        match picked {
-            Some((zoo_id, div)) => {
-                let net = self
-                    .zoo
-                    .instantiate(zoo_id, self.cfg.seed)
-                    .expect("ranked entry must instantiate");
-                (
-                    net,
-                    Some(zoo_id),
-                    Some(div),
-                    self.cfg.lr * self.cfg.finetune_lr_scale,
-                )
-            }
+        let loaded = picked.and_then(|(zoo_id, div)| {
+            let net = self.zoo.instantiate(zoo_id, self.cfg.seed)?;
+            Some((net, zoo_id, div))
+        });
+        match loaded {
+            Some((net, zoo_id, div)) => (
+                net,
+                Some(zoo_id),
+                Some(div),
+                self.cfg.lr * self.cfg.finetune_lr_scale,
+            ),
             None => (
                 self.cfg.arch.build(self.cfg.seed ^ FRESH_SEED_MASK),
                 None,

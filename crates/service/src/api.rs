@@ -80,7 +80,9 @@ impl std::error::Error for ServiceError {}
 /// 1–2 KB a deployment stores already fill the wire plane's 64 MiB frame.
 pub const MAX_LOOKUP_COUNT: usize = 1 << 16;
 
-/// User-plane requests.
+/// User-plane requests. An operation's wire tag, metrics name, plane and
+/// field order are its row of the operation table in [`crate::net::codec`];
+/// [`Request::is_read_only`] and [`Request::op_name`] are generated from it.
 #[derive(Debug)]
 pub enum Request {
     /// System-plane bootstrap: fit embedding + clustering on a historical
@@ -161,43 +163,6 @@ pub enum Request {
     },
     /// Snapshot of the server's request metrics.
     Metrics,
-}
-
-impl Request {
-    /// Whether the request only reads published state and can be served
-    /// from an immutable snapshot, off the actor thread.
-    ///
-    /// `PseudoLabel` is *not* read-only even though it writes no service
-    /// state: it drives the server's fallback labeler, an exclusive
-    /// `FnMut`, so it serializes through the actor.
-    pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            Request::DatasetPdf { .. }
-                | Request::LookupMatching { .. }
-                | Request::Recommend { .. }
-                | Request::FetchModel { .. }
-                | Request::Certainty { .. }
-                | Request::Metrics
-        )
-    }
-
-    /// Short operation label used by the metrics registry.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::TrainSystem { .. } => "train_system",
-            Request::IngestLabeled { .. } => "ingest",
-            Request::DatasetPdf { .. } => "pdf",
-            Request::PseudoLabel { .. } => "pseudo_label",
-            Request::LookupMatching { .. } => "lookup",
-            Request::Recommend { .. } => "recommend",
-            Request::UpdateModel { .. } => "update_model",
-            Request::PublishModel { .. } => "publish",
-            Request::FetchModel { .. } => "fetch",
-            Request::Certainty { .. } => "certainty",
-            Request::Metrics => "metrics",
-        }
-    }
 }
 
 /// A ranked zoo recommendation as returned over the wire.

@@ -141,20 +141,9 @@ impl OpSnapshot {
     }
 }
 
-/// Operations tracked by the registry, in display order.
-pub const OPS: [&str; 11] = [
-    "train_system",
-    "ingest",
-    "pdf",
-    "pseudo_label",
-    "lookup",
-    "recommend",
-    "update_model",
-    "publish",
-    "fetch",
-    "certainty",
-    "metrics",
-];
+/// Operations tracked by the registry, in display order: the names of the
+/// operation table's rows, in tag order.
+pub use crate::net::codec::OPS;
 
 /// Declares a registry and its plain-data snapshot from **one field
 /// table**, so a counter is spelled once: the table generates the
@@ -252,16 +241,10 @@ u64_table! {
     snapshot MetricsSnapshot {
         /// Per-operation run-time snapshots (dequeue → reply), in [`OPS`]
         /// order.
-        ops: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| OPS
-            .iter()
-            .map(|&name| (name, m.op(name).snapshot()))
-            .collect(),
+        ops: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| snapshot_table(&m.ops),
         /// Per-operation queue-wait snapshots (admission → dequeue), in
         /// [`OPS`] order.
-        queue: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| OPS
-            .iter()
-            .map(|&name| (name, m.queue_of(name).snapshot()))
-            .collect(),
+        queue: Vec<(&'static str, OpSnapshot)> = |m: &Metrics| snapshot_table(&m.queue),
         /// Data-reuse plane counters
         /// (`embed_cache_{hits,misses,evictions,stale_generation}`), zeroed
         /// when no cache is attached.
@@ -373,6 +356,13 @@ u64_table! {
     read {}
 }
 
+fn snapshot_table(stats: &[OpStats; OPS.len()]) -> Vec<(&'static str, OpSnapshot)> {
+    OPS.iter()
+        .zip(stats)
+        .map(|(&name, s)| (name, s.snapshot()))
+        .collect()
+}
+
 impl NetCounters {
     /// A fresh, zeroed counter block.
     pub fn new() -> Self {
@@ -452,12 +442,23 @@ impl Metrics {
     /// Run-time stats slot for an operation name (dequeue → reply); panics
     /// on unknown names (the set of operations is closed).
     pub fn op(&self, name: &str) -> &OpStats {
-        &self.ops[Self::idx(name)]
+        self.op_at(Self::idx(name))
     }
 
     /// Queue-wait stats slot for an operation name (admission → dequeue).
     pub fn queue_of(&self, name: &str) -> &OpStats {
-        &self.queue[Self::idx(name)]
+        self.queue_at(Self::idx(name))
+    }
+
+    /// Run-time slot by [`crate::api::Request::op_index`]: the request
+    /// path records by tag and never searches the names.
+    pub(crate) fn op_at(&self, op: usize) -> &OpStats {
+        &self.ops[op]
+    }
+
+    /// Queue-wait slot by operation index.
+    pub(crate) fn queue_at(&self, op: usize) -> &OpStats {
+        &self.queue[op]
     }
 
     /// Attaches the deployment's embedding-reuse cache so its counters

@@ -1,6 +1,14 @@
 //! Binary codecs for [`Request`], [`Reply`] and [`ServiceError`]
 //! (DESIGN.md §13).
 //!
+//! Every type on this wire has **one** layout declaration — a leaf row, a
+//! struct's field list, an enum's row per variant — and both its encoder
+//! and its decoder are generated from it (`Wire`), so the two cannot
+//! disagree and a field or variant without a place in its declaration does
+//! not compile. The user plane itself is the `operations!` table: one row
+//! per operation carrying its tag, its metrics name, its plane and its two
+//! messages.
+//!
 //! Built on the bounds-checked little-endian primitives of
 //! [`fairdms_datastore::wire`]: every decode of hostile bytes fails with a
 //! [`WireError`] instead of panicking or allocating unbounded memory.
@@ -17,13 +25,16 @@
 //! * `String`/byte blobs as `u32` length + raw bytes (strings UTF-8
 //!   checked);
 //! * `Option<T>` as a one-byte flag + `T` when present;
+//! * `Vec<T>` as a `u32` count + the elements; pairs, fixed arrays and
+//!   structs as their parts in order; enums as a tag byte + the variant's
+//!   fields;
 //! * [`Tensor`] as `u8` ndim + ndim × `u32` dims + row-major `f32` data
 //!   (bit patterns preserved exactly — encode∘decode is the identity even
 //!   for NaN payloads);
 //! * [`Document`] via [`RawCodec`] with a `u32` length prefix.
 
 use crate::api::{RankedModels, Reply, Request, ServiceError};
-use crate::metrics::{MetricsSnapshot, OpSnapshot, BUCKETS, OPS};
+use crate::metrics::{MetricsSnapshot, OpSnapshot, BUCKETS};
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::PseudoLabelStats;
 use fairdms_core::reuse::EmbedCacheStats;
@@ -81,345 +92,364 @@ impl From<CodecError> for WireError {
 }
 
 // ---------------------------------------------------------------------
-// Field helpers
+// One layout per type
 // ---------------------------------------------------------------------
 
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    out.put_u64(v as u64);
+/// A type with exactly one wire layout: `get` reads back what `put` of the
+/// same impl wrote (module docs).
+trait Wire: Sized {
+    /// Fewest bytes one value can occupy: what [`get_count`] holds a
+    /// claimed element count against.
+    const MIN_BYTES: usize;
+    /// Appends the value to a payload.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value; hostile bytes fail, they never panic.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-fn get_usize(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    usize::try_from(r.u64()?).map_err(|_| WireError::Invalid("usize overflow".into()))
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    assert!(n <= u32::MAX as usize, "field over u32::MAX elements");
+    out.put_u32(n as u32);
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.put_u8(v as u8);
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(WireError::BadTag {
-            what: "bool",
-            tag: b,
-        }),
+/// Reads a `u32` element count and validates the byte size it implies
+/// (`count × min_bytes`) against the input that is left **before** the
+/// caller allocates for it: a forged count must fail here, not in the
+/// allocator. The one copy of that guard — blobs, vectors and documents
+/// all come through it.
+fn get_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, WireError> {
+    let n = r.u32()? as usize;
+    match n.checked_mul(min_bytes) {
+        Some(need) if need <= r.remaining() => Ok(n),
+        _ => Err(WireError::Truncated),
     }
 }
 
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    assert!(v.len() <= u32::MAX as usize, "blob over u32::MAX bytes");
-    out.put_u32(v.len() as u32);
-    out.extend_from_slice(v);
+fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_count(out, bytes.len());
+    out.extend_from_slice(bytes);
 }
 
-fn get_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
-    let len = r.u32()? as usize;
-    Ok(r.take(len)?.to_vec())
+fn get_blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
+    let len = get_count(r, 1)?;
+    Ok(r.take(len)?)
 }
 
-fn put_string(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
+/// Declares the leaves, one row each: the type, its `MIN_BYTES`, how it
+/// is written and how it is read back. (`#[inline]` here and on the other
+/// generated impls: left to itself the compiler makes a call of every
+/// `u64`, and a small reply decodes a quarter slower.)
+macro_rules! wire_leaf {
+    ($($T:ty, $min:literal, |$v:ident, $out:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Wire for $T {
+            const MIN_BYTES: usize = $min;
+            #[inline]
+            fn put(&self, $out: &mut Vec<u8>) {
+                let $v = self;
+                $put;
+            }
+            #[inline]
+            fn get($r: &mut Reader<'_>) -> Result<Self, WireError> {
+                $get
+            }
+        }
+    )*};
 }
 
-fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    String::from_utf8(get_bytes(r)?).map_err(|_| WireError::BadUtf8)
+// Numbers are little-endian with their bit patterns preserved; `usize`
+// travels as `u64` and a value this host cannot hold is refused; `bool` is
+// one byte, 0 or 1; blobs and strings sit behind a `u32` length, strings
+// UTF-8 checked; a `Document` is a blob of its `RawCodec` bytes.
+wire_leaf! {
+    u64, 8, |v, out| out.put_u64(*v), |r| Ok(r.u64()?);
+    f32, 4, |v, out| out.put_f32(*v), |r| Ok(r.f32()?);
+    f64, 8, |v, out| out.put_f64(*v), |r| Ok(r.f64()?);
+    usize, 8, |v, out| out.put_u64(*v as u64),
+        |r| usize::try_from(r.u64()?).map_err(|_| WireError::Invalid("usize overflow".into()));
+    bool, 1, |v, out| out.put_u8(*v as u8),
+        |r| match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
+        };
+    Vec<u8>, 4, |v, out| put_blob(out, v), |r| Ok(get_blob(r)?.to_vec());
+    String, 4, |v, out| put_blob(out, v.as_bytes()),
+        |r| String::from_utf8(Wire::get(r)?).map_err(|_| WireError::BadUtf8);
+    Document, 4, |v, out| put_blob(out, &RawCodec.encode(v)),
+        |r| Ok(RawCodec.decode(get_blob(r)?)?);
 }
 
-fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    assert!(v.len() <= u32::MAX as usize, "vector over u32::MAX entries");
-    out.put_u32(v.len() as u32);
-    for x in v {
-        out.put_f64(*x);
-    }
-}
-
-fn get_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, WireError> {
-    let len = r.u32()? as usize;
-    // Validate the implied byte size against the input before allocating:
-    // a forged count must fail here, not in the allocator.
-    let need = len.checked_mul(8).ok_or(WireError::Truncated)?;
-    if need > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(r.f64()?);
-    }
-    Ok(v)
-}
-
-fn put_opt_usize(out: &mut Vec<u8>, v: Option<usize>) {
-    match v {
-        None => out.put_u8(0),
-        Some(x) => {
-            out.put_u8(1);
-            put_usize(out, x);
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
         }
     }
-}
-
-fn get_opt_usize(r: &mut Reader<'_>) -> Result<Option<usize>, WireError> {
-    Ok(if get_bool(r)? {
-        Some(get_usize(r)?)
-    } else {
-        None
-    })
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.put_u8(0),
-        Some(x) => {
-            out.put_u8(1);
-            out.put_f64(x);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
     }
 }
 
-fn get_opt_f64(r: &mut Reader<'_>) -> Result<Option<f64>, WireError> {
-    Ok(if get_bool(r)? { Some(r.f64()?) } else { None })
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(out, self.len());
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = get_count(r, T::MIN_BYTES)?;
+        let mut v = Vec::with_capacity(len);
+        for _ in 0..len {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut a = [T::default(); N];
+        for v in &mut a {
+            *v = T::get(r)?;
+        }
+        Ok(a)
+    }
 }
 
 /// Most tensors on this wire are `[N, side²]` matrices; 8 dims is far
 /// beyond anything the service constructs and bounds hostile inputs.
 const MAX_TENSOR_NDIM: u8 = 8;
 
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    let shape = t.shape();
-    assert!(
-        shape.len() <= MAX_TENSOR_NDIM as usize,
-        "tensor rank over wire limit"
-    );
-    out.put_u8(shape.len() as u8);
-    for d in shape {
-        assert!(*d <= u32::MAX as usize, "tensor dim over u32::MAX");
-        out.put_u32(*d as u32);
+impl Wire for Tensor {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        let shape = self.shape();
+        assert!(
+            shape.len() <= MAX_TENSOR_NDIM as usize,
+            "tensor rank over wire limit"
+        );
+        out.put_u8(shape.len() as u8);
+        for d in shape {
+            assert!(*d <= u32::MAX as usize, "tensor dim over u32::MAX");
+            out.put_u32(*d as u32);
+        }
+        // One reservation and a straight copy: a payload is mostly tensor,
+        // and a capacity check per element is most of what writing it cost.
+        let at = out.len();
+        out.resize(at + 4 * self.numel(), 0);
+        for (dst, x) in out[at..].chunks_exact_mut(4).zip(self.data()) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
     }
-    for x in t.data() {
-        out.put_f32(*x);
-    }
-}
-
-fn get_tensor(r: &mut Reader<'_>) -> Result<Tensor, WireError> {
-    let ndim = r.u8()?;
-    if ndim > MAX_TENSOR_NDIM {
-        return Err(WireError::Invalid(format!("tensor rank {ndim} over limit")));
-    }
-    let mut dims = Vec::with_capacity(ndim as usize);
-    let mut numel = 1usize;
-    for _ in 0..ndim {
-        let d = r.u32()? as usize;
-        numel = numel
-            .checked_mul(d)
-            .ok_or_else(|| WireError::Invalid("tensor element count overflow".into()))?;
-        dims.push(d);
-    }
-    let need = numel.checked_mul(4).ok_or(WireError::Truncated)?;
-    if need > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let raw = r.take(need).expect("size checked");
-    let mut data = Vec::with_capacity(numel);
-    for chunk in raw.chunks_exact(4) {
-        data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    Ok(Tensor::from_vec(data, &dims))
-}
-
-fn put_document(out: &mut Vec<u8>, doc: &Document) {
-    put_bytes(out, &RawCodec.encode(doc));
-}
-
-fn get_document(r: &mut Reader<'_>) -> Result<Document, WireError> {
-    let len = r.u32()? as usize;
-    let bytes = r.take(len)?;
-    Ok(RawCodec.decode(bytes)?)
-}
-
-fn put_documents(out: &mut Vec<u8>, docs: &[Document]) {
-    assert!(docs.len() <= u32::MAX as usize, "too many documents");
-    out.put_u32(docs.len() as u32);
-    for d in docs {
-        put_document(out, d);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let ndim = r.u8()?;
+        if ndim > MAX_TENSOR_NDIM {
+            return Err(WireError::Invalid(format!("tensor rank {ndim} over limit")));
+        }
+        let mut dims = Vec::with_capacity(ndim as usize);
+        let mut numel = 1usize;
+        for _ in 0..ndim {
+            let d = r.u32()? as usize;
+            numel = numel
+                .checked_mul(d)
+                .ok_or_else(|| WireError::Invalid("tensor element count overflow".into()))?;
+            dims.push(d);
+        }
+        // `take` refuses a claimed size the input does not hold before the
+        // data vector exists.
+        let raw = r.take(numel.checked_mul(4).ok_or(WireError::Truncated)?)?;
+        let data = raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
+            .collect();
+        Ok(Tensor::from_vec(data, &dims))
     }
 }
 
-fn get_documents(r: &mut Reader<'_>) -> Result<Vec<Document>, WireError> {
-    let len = r.u32()? as usize;
-    // Each document costs ≥4 bytes of input (its own length prefix), so
-    // the count is bounded by what's actually present.
-    if len.checked_mul(4).ok_or(WireError::Truncated)? > r.remaining() {
-        return Err(WireError::Truncated);
+/// The `MIN_BYTES` of a field named by its accessor, so a struct's field
+/// list needs no types.
+const fn min_bytes_of<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Declares struct layouts: each struct's fields in wire order. A field
+/// missing from its list does not compile (`put` destructures the struct,
+/// `get` builds it), so a struct cannot grow a field the wire drops.
+macro_rules! wire_struct {
+    ($($S:ty { $($f:ident),* })*) => {$(
+        impl Wire for $S {
+            const MIN_BYTES: usize = 0 $(+ min_bytes_of(|s: &Self| &s.$f))*;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                let Self { $($f),* } = self;
+                $($f.put(out);)*
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($f: Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    EmbedTrainConfig { epochs, batch_size, lr, temperature, tau, seed }
+    PseudoLabelStats { reused, computed }
+    EpochStat { epoch, train_loss, val_loss }
+    TrainReport { curve, wall_secs, stopped_early, cancelled }
+    UpdateReport {
+        label_secs, train_secs, label_stats, foundation, divergence, epochs, train_report,
+        registered_id
     }
-    let mut docs = Vec::with_capacity(len);
-    for _ in 0..len {
-        docs.push(get_document(r)?);
-    }
-    Ok(docs)
+    RankedModels { ranked, fine_tunable }
+    OpSnapshot { count, errors, total_ns, min_ns, max_ns, histogram }
+    EmbedCacheStats { hits, misses, evictions, stale_generation }
 }
 
-fn put_embed_cfg(out: &mut Vec<u8>, cfg: &EmbedTrainConfig) {
-    put_usize(out, cfg.epochs);
-    put_usize(out, cfg.batch_size);
-    out.put_f32(cfg.lr);
-    out.put_f32(cfg.temperature);
-    out.put_f32(cfg.tau);
-    out.put_u64(cfg.seed);
+/// Declares an enum's layout, one row per variant: its tag byte, then its
+/// fields in wire order. `put` matches exhaustively, so a variant without
+/// a row does not compile.
+macro_rules! wire_enum {
+    ($E:ident, $what:literal:
+        $($tag:literal => $V:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?,)*) => {
+        impl Wire for $E {
+            const MIN_BYTES: usize = 1;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    $E::$V $({ $($f),* })? $(( $($t),* ))? => {
+                        out.put_u8($tag);
+                        $($($f.put(out);)*)?
+                        $($($t.put(out);)*)?
+                    }
+                )*}
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $f = Wire::get(r)?;)*)?
+                        $($(let $t = Wire::get(r)?;)*)?
+                        Ok($E::$V $({ $($f),* })? $(( $($t),* ))?)
+                    })*
+                    tag => Err(WireError::BadTag { what: $what, tag }),
+                }
+            }
+        }
+    };
 }
 
-fn get_embed_cfg(r: &mut Reader<'_>) -> Result<EmbedTrainConfig, WireError> {
-    Ok(EmbedTrainConfig {
-        epochs: get_usize(r)?,
-        batch_size: get_usize(r)?,
-        lr: r.f32()?,
-        temperature: r.f32()?,
-        tau: r.f32()?,
-        seed: r.u64()?,
-    })
+/// Declares the user plane, one row per operation: its tag — the first
+/// byte of the request *and* of the reply that answers it, and the slot
+/// the metrics registry records it under — its metrics name, the plane
+/// that serves it, and the two messages' fields in wire order.
+macro_rules! operations {
+    (@read_only read) => { true };
+    (@read_only write) => { false };
+    ($($tag:literal $name:literal $plane:ident: $Q:ident $({ $($q:ident),* })?
+        => $P:ident $({ $($p:ident),* })? $(( $pt:ident ))?,)*) => {
+        wire_enum!(Request, "request": $($tag => $Q $({ $($q),* })?,)*);
+        wire_enum!(Reply, "reply": $($tag => $P $({ $($p),* })? $(( $pt ))?,)*);
+
+        /// Operations tracked by the metrics registry: `OPS[tag]` is the
+        /// operation's name. A gap in the tags does not compile.
+        pub const OPS: [&str; [$($tag),*].len()] = {
+            let mut ops = [""; [$($tag),*].len()];
+            $(ops[$tag] = $name;)*
+            ops
+        };
+
+        impl Request {
+            /// The operation's wire tag, which is also its index in
+            /// [`OPS`] and in the metrics registry.
+            pub(crate) fn op_index(&self) -> usize {
+                match self {
+                    $(Request::$Q { .. } => $tag,)*
+                }
+            }
+
+            /// Short operation label used by the metrics registry.
+            pub fn op_name(&self) -> &'static str {
+                OPS[self.op_index()]
+            }
+
+            /// Whether the request only reads published state and can be
+            /// served from an immutable snapshot, off the actor thread.
+            pub fn is_read_only(&self) -> bool {
+                match self {
+                    $(Request::$Q { .. } => operations!(@read_only $plane),)*
+                }
+            }
+        }
+    };
 }
 
-fn put_label_stats(out: &mut Vec<u8>, s: &PseudoLabelStats) {
-    put_usize(out, s.reused);
-    put_usize(out, s.computed);
+// `PseudoLabel` is a *write* even though it writes no service state: it
+// drives the server's fallback labeler, an exclusive `FnMut`, so it
+// serializes through the actor.
+operations! {
+    0 "train_system" write: TrainSystem { embed_cfg, images } => SystemTrained { k },
+    1 "ingest" write: IngestLabeled { scan, images, labels } => Ingested { count, retrained },
+    2 "pdf" read: DatasetPdf { images } => Pdf(pdf),
+    3 "pseudo_label" write: PseudoLabel { threshold, images } => Labeled { stats, labels },
+    4 "lookup" read: LookupMatching { count, pdf } => Documents(docs),
+    5 "recommend" read: Recommend { top_k, pdf } => Ranked(ranked),
+    6 "update_model" write: UpdateModel { scan, images } => Updated { report, checkpoint },
+    7 "publish" write: PublishModel { name, scan, pdf, checkpoint } => Published { zoo_id },
+    8 "fetch" read: FetchModel { zoo_id } => Model { pdf, checkpoint },
+    9 "certainty" read: Certainty { images } => Certainty(certainty),
+    10 "metrics" read: Metrics => Metrics(snapshot),
 }
 
-fn get_label_stats(r: &mut Reader<'_>) -> Result<PseudoLabelStats, WireError> {
-    Ok(PseudoLabelStats {
-        reused: get_usize(r)?,
-        computed: get_usize(r)?,
-    })
-}
+wire_enum!(ServiceError, "service error":
+    0 => NotReady,
+    1 => UnknownModel(zoo_id),
+    2 => Invalid(msg),
+    3 => Unavailable,
+    4 => Superseded,
+    5 => Busy,
+    6 => Protocol(msg),
+);
 
-fn put_train_report(out: &mut Vec<u8>, rep: &TrainReport) {
-    assert!(rep.curve.len() <= u32::MAX as usize, "curve over u32::MAX");
-    out.put_u32(rep.curve.len() as u32);
-    for s in &rep.curve {
-        put_usize(out, s.epoch);
-        out.put_f32(s.train_loss);
-        out.put_f32(s.val_loss);
-    }
-    out.put_f64(rep.wall_secs);
-    put_bool(out, rep.stopped_early);
-    put_bool(out, rep.cancelled);
-}
-
-fn get_train_report(r: &mut Reader<'_>) -> Result<TrainReport, WireError> {
-    let len = r.u32()? as usize;
-    // 16 bytes per epoch stat on the wire.
-    if len.checked_mul(16).ok_or(WireError::Truncated)? > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut curve = Vec::with_capacity(len);
-    for _ in 0..len {
-        curve.push(EpochStat {
-            epoch: get_usize(r)?,
-            train_loss: r.f32()?,
-            val_loss: r.f32()?,
-        });
-    }
-    Ok(TrainReport {
-        curve,
-        wall_secs: r.f64()?,
-        stopped_early: get_bool(r)?,
-        cancelled: get_bool(r)?,
-    })
-}
-
-fn put_update_report(out: &mut Vec<u8>, rep: &UpdateReport) {
-    out.put_f64(rep.label_secs);
-    out.put_f64(rep.train_secs);
-    put_label_stats(out, &rep.label_stats);
-    put_opt_usize(out, rep.foundation);
-    put_opt_f64(out, rep.divergence);
-    put_usize(out, rep.epochs);
-    put_train_report(out, &rep.train_report);
-    put_usize(out, rep.registered_id);
-}
-
-fn get_update_report(r: &mut Reader<'_>) -> Result<UpdateReport, WireError> {
-    Ok(UpdateReport {
-        label_secs: r.f64()?,
-        train_secs: r.f64()?,
-        label_stats: get_label_stats(r)?,
-        foundation: get_opt_usize(r)?,
-        divergence: get_opt_f64(r)?,
-        epochs: get_usize(r)?,
-        train_report: get_train_report(r)?,
-        registered_id: get_usize(r)?,
-    })
-}
-
-fn put_ranked(out: &mut Vec<u8>, ranked: &RankedModels) {
-    assert!(
-        ranked.ranked.len() <= u32::MAX as usize,
-        "ranking over u32::MAX"
-    );
-    out.put_u32(ranked.ranked.len() as u32);
-    for (id, jsd) in &ranked.ranked {
-        put_usize(out, *id);
-        out.put_f64(*jsd);
-    }
-    put_bool(out, ranked.fine_tunable);
-}
-
-fn get_ranked(r: &mut Reader<'_>) -> Result<RankedModels, WireError> {
-    let len = r.u32()? as usize;
-    if len.checked_mul(16).ok_or(WireError::Truncated)? > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut ranked = Vec::with_capacity(len);
-    for _ in 0..len {
-        let id = get_usize(r)?;
-        let jsd = r.f64()?;
-        ranked.push((id, jsd));
-    }
-    Ok(RankedModels {
-        ranked,
-        fine_tunable: get_bool(r)?,
-    })
-}
-
-fn put_op_snapshot(out: &mut Vec<u8>, s: &OpSnapshot) {
-    out.put_u64(s.count);
-    out.put_u64(s.errors);
-    out.put_u64(s.total_ns);
-    out.put_u64(s.min_ns);
-    out.put_u64(s.max_ns);
-    for b in &s.histogram {
-        out.put_u64(*b);
-    }
-}
-
-fn get_op_snapshot(r: &mut Reader<'_>) -> Result<OpSnapshot, WireError> {
-    let count = r.u64()?;
-    let errors = r.u64()?;
-    let total_ns = r.u64()?;
-    let min_ns = r.u64()?;
-    let max_ns = r.u64()?;
-    let mut histogram = [0u64; BUCKETS];
-    for b in histogram.iter_mut() {
-        *b = r.u64()?;
-    }
-    Ok(OpSnapshot {
-        count,
-        errors,
-        total_ns,
-        min_ns,
-        max_ns,
-        histogram,
-    })
-}
+// ---------------------------------------------------------------------
+// Metrics: written by hand around the counters' own field table
+// ---------------------------------------------------------------------
 
 fn put_op_table(out: &mut Vec<u8>, table: &[(&'static str, OpSnapshot)]) {
-    assert!(table.len() <= u32::MAX as usize, "op table over u32::MAX");
-    out.put_u32(table.len() as u32);
+    put_count(out, table.len());
     for (name, snap) in table {
-        put_string(out, name);
-        put_op_snapshot(out, snap);
+        put_blob(out, name.as_bytes());
+        snap.put(out);
     }
 }
 
+/// Not a `Vec<T>`: the registry is closed, so a table longer than it or a
+/// name outside it is refused instead of carried.
 fn get_op_table(r: &mut Reader<'_>) -> Result<Vec<(&'static str, OpSnapshot)>, WireError> {
     let len = r.u32()? as usize;
     if len > OPS.len() {
@@ -430,7 +460,7 @@ fn get_op_table(r: &mut Reader<'_>) -> Result<Vec<(&'static str, OpSnapshot)>, W
     }
     let mut table = Vec::with_capacity(len);
     for _ in 0..len {
-        let name = get_string(r)?;
+        let name = String::get(r)?;
         // Map back onto the registry's static names so the decoded
         // snapshot is indistinguishable from a local one.
         let static_name = OPS
@@ -438,400 +468,93 @@ fn get_op_table(r: &mut Reader<'_>) -> Result<Vec<(&'static str, OpSnapshot)>, W
             .copied()
             .find(|n| *n == name)
             .ok_or_else(|| WireError::Invalid(format!("unknown op name {name:?}")))?;
-        table.push((static_name, get_op_snapshot(r)?));
+        table.push((static_name, OpSnapshot::get(r)?));
     }
     Ok(table)
 }
 
-fn put_embed_cache(out: &mut Vec<u8>, s: &EmbedCacheStats) {
-    out.put_u64(s.hits);
-    out.put_u64(s.misses);
-    out.put_u64(s.evictions);
-    out.put_u64(s.stale_generation);
-}
-
-fn get_embed_cache(r: &mut Reader<'_>) -> Result<EmbedCacheStats, WireError> {
-    Ok(EmbedCacheStats {
-        hits: r.u64()?,
-        misses: r.u64()?,
-        evictions: r.u64()?,
-        stale_generation: r.u64()?,
-    })
-}
-
-fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    // Histogram width goes first so a peer built against a different
-    // BUCKETS fails loudly instead of misparsing every histogram.
-    out.put_u32(BUCKETS as u32);
-    put_op_table(out, &m.ops);
-    put_op_table(out, &m.queue);
-    put_embed_cache(out, &m.embed_cache);
-    m.put_u64s(out);
-    m.net.put_u64s(out);
-}
-
-fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
-    let buckets = r.u32()? as usize;
-    if buckets != BUCKETS {
-        return Err(WireError::Invalid(format!(
-            "histogram width {buckets} != {BUCKETS}"
-        )));
+impl Wire for MetricsSnapshot {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        // Histogram width goes first so a peer built against a different
+        // BUCKETS fails loudly instead of misparsing every histogram.
+        out.put_u32(BUCKETS as u32);
+        put_op_table(out, &self.ops);
+        put_op_table(out, &self.queue);
+        self.embed_cache.put(out);
+        self.put_u64s(out);
+        self.net.put_u64s(out);
     }
-    // The plain counters are read back by the field table that declares
-    // them (`metrics::u64_table!`), in the order `put_metrics` wrote them.
-    let mut m = MetricsSnapshot {
-        ops: get_op_table(r)?,
-        queue: get_op_table(r)?,
-        embed_cache: get_embed_cache(r)?,
-        ..MetricsSnapshot::default()
-    };
-    m.get_u64s(r)?;
-    m.net.get_u64s(r)?;
-    Ok(m)
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let buckets = r.u32()? as usize;
+        if buckets != BUCKETS {
+            return Err(WireError::Invalid(format!(
+                "histogram width {buckets} != {BUCKETS}"
+            )));
+        }
+        // The plain counters are read back by the field table that declares
+        // them (`metrics::u64_table!`), in the order `put` wrote them.
+        let mut m = MetricsSnapshot {
+            ops: get_op_table(r)?,
+            queue: get_op_table(r)?,
+            embed_cache: Wire::get(r)?,
+            ..MetricsSnapshot::default()
+        };
+        m.get_u64s(r)?;
+        m.net.get_u64s(r)?;
+        Ok(m)
+    }
 }
 
 // ---------------------------------------------------------------------
-// Request
+// Messages
 // ---------------------------------------------------------------------
 
-const REQ_TRAIN_SYSTEM: u8 = 0;
-const REQ_INGEST: u8 = 1;
-const REQ_PDF: u8 = 2;
-const REQ_PSEUDO_LABEL: u8 = 3;
-const REQ_LOOKUP: u8 = 4;
-const REQ_RECOMMEND: u8 = 5;
-const REQ_UPDATE: u8 = 6;
-const REQ_PUBLISH: u8 = 7;
-const REQ_FETCH: u8 = 8;
-const REQ_CERTAINTY: u8 = 9;
-const REQ_METRICS: u8 = 10;
+fn encode<T: Wire>(msg: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    msg.put(&mut out);
+    out
+}
+
+/// Every byte must be consumed: trailing garbage is a protocol error, not
+/// silently ignored slack.
+fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    match T::get(&mut r) {
+        Ok(_) if !r.is_empty() => Err(WireError::TrailingBytes(r.remaining())),
+        decoded => decoded,
+    }
+}
 
 /// Encodes a request into its wire payload (the frame layer adds the
 /// seq/kind envelope).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    match req {
-        Request::TrainSystem { images, embed_cfg } => {
-            out.put_u8(REQ_TRAIN_SYSTEM);
-            put_embed_cfg(&mut out, embed_cfg);
-            put_tensor(&mut out, images);
-        }
-        Request::IngestLabeled {
-            images,
-            labels,
-            scan,
-        } => {
-            out.put_u8(REQ_INGEST);
-            put_usize(&mut out, *scan);
-            put_tensor(&mut out, images);
-            put_tensor(&mut out, labels);
-        }
-        Request::DatasetPdf { images } => {
-            out.put_u8(REQ_PDF);
-            put_tensor(&mut out, images);
-        }
-        Request::PseudoLabel { images, threshold } => {
-            out.put_u8(REQ_PSEUDO_LABEL);
-            out.put_f32(*threshold);
-            put_tensor(&mut out, images);
-        }
-        Request::LookupMatching { pdf, count } => {
-            out.put_u8(REQ_LOOKUP);
-            put_usize(&mut out, *count);
-            put_f64_vec(&mut out, pdf);
-        }
-        Request::Recommend { pdf, top_k } => {
-            out.put_u8(REQ_RECOMMEND);
-            put_opt_usize(&mut out, *top_k);
-            put_f64_vec(&mut out, pdf);
-        }
-        Request::UpdateModel { images, scan } => {
-            out.put_u8(REQ_UPDATE);
-            put_usize(&mut out, *scan);
-            put_tensor(&mut out, images);
-        }
-        Request::PublishModel {
-            name,
-            checkpoint,
-            pdf,
-            scan,
-        } => {
-            out.put_u8(REQ_PUBLISH);
-            put_string(&mut out, name);
-            put_usize(&mut out, *scan);
-            put_f64_vec(&mut out, pdf);
-            put_bytes(&mut out, checkpoint);
-        }
-        Request::FetchModel { zoo_id } => {
-            out.put_u8(REQ_FETCH);
-            put_usize(&mut out, *zoo_id);
-        }
-        Request::Certainty { images } => {
-            out.put_u8(REQ_CERTAINTY);
-            put_tensor(&mut out, images);
-        }
-        Request::Metrics => {
-            out.put_u8(REQ_METRICS);
-        }
-    }
-    out
+    encode(req)
 }
 
 /// Decodes a request payload; every byte must be consumed.
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(bytes);
-    let tag = r.u8()?;
-    let req = match tag {
-        REQ_TRAIN_SYSTEM => {
-            let embed_cfg = get_embed_cfg(&mut r)?;
-            let images = get_tensor(&mut r)?;
-            Request::TrainSystem { images, embed_cfg }
-        }
-        REQ_INGEST => {
-            let scan = get_usize(&mut r)?;
-            let images = get_tensor(&mut r)?;
-            let labels = get_tensor(&mut r)?;
-            Request::IngestLabeled {
-                images,
-                labels,
-                scan,
-            }
-        }
-        REQ_PDF => Request::DatasetPdf {
-            images: get_tensor(&mut r)?,
-        },
-        REQ_PSEUDO_LABEL => {
-            let threshold = r.f32()?;
-            let images = get_tensor(&mut r)?;
-            Request::PseudoLabel { images, threshold }
-        }
-        REQ_LOOKUP => {
-            let count = get_usize(&mut r)?;
-            let pdf = get_f64_vec(&mut r)?;
-            Request::LookupMatching { pdf, count }
-        }
-        REQ_RECOMMEND => {
-            let top_k = get_opt_usize(&mut r)?;
-            let pdf = get_f64_vec(&mut r)?;
-            Request::Recommend { pdf, top_k }
-        }
-        REQ_UPDATE => {
-            let scan = get_usize(&mut r)?;
-            let images = get_tensor(&mut r)?;
-            Request::UpdateModel { images, scan }
-        }
-        REQ_PUBLISH => {
-            let name = get_string(&mut r)?;
-            let scan = get_usize(&mut r)?;
-            let pdf = get_f64_vec(&mut r)?;
-            let checkpoint = get_bytes(&mut r)?;
-            Request::PublishModel {
-                name,
-                checkpoint,
-                pdf,
-                scan,
-            }
-        }
-        REQ_FETCH => Request::FetchModel {
-            zoo_id: get_usize(&mut r)?,
-        },
-        REQ_CERTAINTY => Request::Certainty {
-            images: get_tensor(&mut r)?,
-        },
-        REQ_METRICS => Request::Metrics,
-        t => {
-            return Err(WireError::BadTag {
-                what: "request",
-                tag: t,
-            })
-        }
-    };
-    finish(r)?;
-    Ok(req)
+    decode(bytes)
 }
-
-// ---------------------------------------------------------------------
-// Reply
-// ---------------------------------------------------------------------
-
-const REP_SYSTEM_TRAINED: u8 = 0;
-const REP_INGESTED: u8 = 1;
-const REP_PDF: u8 = 2;
-const REP_LABELED: u8 = 3;
-const REP_DOCUMENTS: u8 = 4;
-const REP_RANKED: u8 = 5;
-const REP_UPDATED: u8 = 6;
-const REP_PUBLISHED: u8 = 7;
-const REP_MODEL: u8 = 8;
-const REP_CERTAINTY: u8 = 9;
-const REP_METRICS: u8 = 10;
 
 /// Encodes a successful reply into its wire payload.
 pub fn encode_reply(rep: &Reply) -> Vec<u8> {
-    let mut out = Vec::new();
-    match rep {
-        Reply::SystemTrained { k } => {
-            out.put_u8(REP_SYSTEM_TRAINED);
-            put_usize(&mut out, *k);
-        }
-        Reply::Ingested { count, retrained } => {
-            out.put_u8(REP_INGESTED);
-            put_usize(&mut out, *count);
-            put_bool(&mut out, *retrained);
-        }
-        Reply::Pdf(pdf) => {
-            out.put_u8(REP_PDF);
-            put_f64_vec(&mut out, pdf);
-        }
-        Reply::Labeled { labels, stats } => {
-            out.put_u8(REP_LABELED);
-            put_label_stats(&mut out, stats);
-            put_tensor(&mut out, labels);
-        }
-        Reply::Documents(docs) => {
-            out.put_u8(REP_DOCUMENTS);
-            put_documents(&mut out, docs);
-        }
-        Reply::Ranked(ranked) => {
-            out.put_u8(REP_RANKED);
-            put_ranked(&mut out, ranked);
-        }
-        Reply::Updated { checkpoint, report } => {
-            out.put_u8(REP_UPDATED);
-            put_update_report(&mut out, report);
-            put_bytes(&mut out, checkpoint);
-        }
-        Reply::Published { zoo_id } => {
-            out.put_u8(REP_PUBLISHED);
-            put_usize(&mut out, *zoo_id);
-        }
-        Reply::Model { checkpoint, pdf } => {
-            out.put_u8(REP_MODEL);
-            put_f64_vec(&mut out, pdf);
-            put_bytes(&mut out, checkpoint);
-        }
-        Reply::Certainty(c) => {
-            out.put_u8(REP_CERTAINTY);
-            out.put_f64(*c);
-        }
-        Reply::Metrics(m) => {
-            out.put_u8(REP_METRICS);
-            put_metrics(&mut out, m);
-        }
-    }
-    out
+    encode(rep)
 }
 
 /// Decodes a reply payload; every byte must be consumed.
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
-    let mut r = Reader::new(bytes);
-    let tag = r.u8()?;
-    let rep = match tag {
-        REP_SYSTEM_TRAINED => Reply::SystemTrained {
-            k: get_usize(&mut r)?,
-        },
-        REP_INGESTED => Reply::Ingested {
-            count: get_usize(&mut r)?,
-            retrained: get_bool(&mut r)?,
-        },
-        REP_PDF => Reply::Pdf(get_f64_vec(&mut r)?),
-        REP_LABELED => {
-            let stats = get_label_stats(&mut r)?;
-            let labels = get_tensor(&mut r)?;
-            Reply::Labeled { labels, stats }
-        }
-        REP_DOCUMENTS => Reply::Documents(get_documents(&mut r)?),
-        REP_RANKED => Reply::Ranked(get_ranked(&mut r)?),
-        REP_UPDATED => {
-            let report = get_update_report(&mut r)?;
-            let checkpoint = get_bytes(&mut r)?;
-            Reply::Updated { checkpoint, report }
-        }
-        REP_PUBLISHED => Reply::Published {
-            zoo_id: get_usize(&mut r)?,
-        },
-        REP_MODEL => {
-            let pdf = get_f64_vec(&mut r)?;
-            let checkpoint = get_bytes(&mut r)?;
-            Reply::Model { checkpoint, pdf }
-        }
-        REP_CERTAINTY => Reply::Certainty(r.f64()?),
-        REP_METRICS => Reply::Metrics(get_metrics(&mut r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "reply",
-                tag: t,
-            })
-        }
-    };
-    finish(r)?;
-    Ok(rep)
+    decode(bytes)
 }
-
-// ---------------------------------------------------------------------
-// ServiceError
-// ---------------------------------------------------------------------
-
-const ERR_NOT_READY: u8 = 0;
-const ERR_UNKNOWN_MODEL: u8 = 1;
-const ERR_INVALID: u8 = 2;
-const ERR_UNAVAILABLE: u8 = 3;
-const ERR_SUPERSEDED: u8 = 4;
-const ERR_BUSY: u8 = 5;
-const ERR_PROTOCOL: u8 = 6;
 
 /// Encodes a service error into its wire payload.
 pub fn encode_error(err: &ServiceError) -> Vec<u8> {
-    let mut out = Vec::new();
-    match err {
-        ServiceError::NotReady => out.put_u8(ERR_NOT_READY),
-        ServiceError::UnknownModel(id) => {
-            out.put_u8(ERR_UNKNOWN_MODEL);
-            put_usize(&mut out, *id);
-        }
-        ServiceError::Invalid(msg) => {
-            out.put_u8(ERR_INVALID);
-            put_string(&mut out, msg);
-        }
-        ServiceError::Unavailable => out.put_u8(ERR_UNAVAILABLE),
-        ServiceError::Superseded => out.put_u8(ERR_SUPERSEDED),
-        ServiceError::Busy => out.put_u8(ERR_BUSY),
-        ServiceError::Protocol(msg) => {
-            out.put_u8(ERR_PROTOCOL);
-            put_string(&mut out, msg);
-        }
-    }
-    out
+    encode(err)
 }
 
 /// Decodes a service error payload; every byte must be consumed.
 pub fn decode_error(bytes: &[u8]) -> Result<ServiceError, WireError> {
-    let mut r = Reader::new(bytes);
-    let err = match r.u8()? {
-        ERR_NOT_READY => ServiceError::NotReady,
-        ERR_UNKNOWN_MODEL => ServiceError::UnknownModel(get_usize(&mut r)?),
-        ERR_INVALID => ServiceError::Invalid(get_string(&mut r)?),
-        ERR_UNAVAILABLE => ServiceError::Unavailable,
-        ERR_SUPERSEDED => ServiceError::Superseded,
-        ERR_BUSY => ServiceError::Busy,
-        ERR_PROTOCOL => ServiceError::Protocol(get_string(&mut r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "service error",
-                tag: t,
-            })
-        }
-    };
-    finish(r)?;
-    Ok(err)
-}
-
-fn finish(r: Reader<'_>) -> Result<(), WireError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(WireError::TrailingBytes(r.remaining()))
-    }
+    decode(bytes)
 }
 
 #[cfg(test)]
@@ -930,7 +653,7 @@ mod tests {
     fn forged_vector_count_fails_before_allocating() {
         // LookupMatching with a pdf count of u32::MAX but no data.
         let mut bytes = Vec::new();
-        bytes.put_u8(REQ_LOOKUP);
+        bytes.put_u8(4); // LookupMatching
         bytes.put_u64(1); // count
         bytes.put_u32(u32::MAX); // forged pdf length
         assert_eq!(decode_request(&bytes).unwrap_err(), WireError::Truncated);
@@ -940,7 +663,7 @@ mod tests {
     fn forged_tensor_dims_fail_cleanly() {
         // 2×u32::MAX claimed elements — the checked_mul path.
         let mut bytes = Vec::new();
-        bytes.put_u8(REQ_CERTAINTY);
+        bytes.put_u8(9); // Certainty
         bytes.put_u8(4); // ndim
         for _ in 0..4 {
             bytes.put_u32(u32::MAX);
@@ -950,6 +673,26 @@ mod tests {
             matches!(err, WireError::Invalid(_) | WireError::Truncated),
             "got {err:?}"
         );
+    }
+
+    /// The op table is the one sequence the generic `Vec<T>` does not
+    /// read: the registry is closed, so rows it has no slot for are refused.
+    #[test]
+    fn op_table_outside_the_registry_is_invalid() {
+        let metrics_reply = |table: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = Vec::new();
+            bytes.put_u8(10); // Reply::Metrics
+            bytes.put_u32(BUCKETS as u32);
+            table(&mut bytes);
+            decode_reply(&bytes).unwrap_err()
+        };
+        let too_long = metrics_reply(&|b| b.put_u32(OPS.len() as u32 + 1));
+        assert!(matches!(too_long, WireError::Invalid(_)), "{too_long:?}");
+        let unknown = metrics_reply(&|b| {
+            b.put_u32(1);
+            String::from("nope").put(b);
+        });
+        assert!(matches!(unknown, WireError::Invalid(_)), "{unknown:?}");
     }
 
     #[test]

@@ -48,9 +48,9 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::swap::SnapshotCell;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
-use fairdms_core::fairds::{RetrainJob, RetrainedSystem, SystemSnapshot};
+use fairdms_core::fairds::{RetrainedSystem, SystemSnapshot};
 use fairdms_core::fairms::{ModelManager, ZooSnapshot};
-use fairdms_core::workflow::{RapidTrainer, TrainedUpdate, UpdatePlan};
+use fairdms_core::workflow::{RapidTrainer, TrainedUpdate};
 use fairdms_core::ZooEntry;
 use fairdms_flows::jobs::{CancelToken, JobPool, TenantId, TenantQueueConfig, DEFAULT_TENANT};
 use fairdms_nn::checkpoint;
@@ -179,9 +179,11 @@ enum TrainOutcome {
     Update {
         job: u64,
         reply: Sender<ServiceResult>,
-        /// When the actor dequeued the originating request; completion
-        /// records `started.elapsed()` as the op's run time.
+        /// When the actor dequeued the originating request, and the
+        /// operation it was admitted as: completion records
+        /// `started.elapsed()` as that op's run time.
         started: Instant,
+        op: usize,
         /// `None` when the job panicked (a bug in the training loop) —
         /// the actor poisons the service loudly, the same contract a
         /// panic on the actor itself has. Boxed to keep the queued
@@ -207,16 +209,25 @@ enum RetrainResult {
     Panicked,
 }
 
-/// One in-flight training job (the latest trigger for its plane).
+/// One in-flight training job (the latest trigger on its lane).
 struct InFlight {
     job: u64,
     token: CancelToken,
 }
 
+/// What the executor trains. Each lane keeps its own latest job: a newer
+/// trigger supersedes the job in flight on the *same* lane only.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// `UpdateModel` fine-tunes.
+    Update,
+    /// Certainty-triggered system-plane retrains.
+    Retrain,
+}
+
 /// Actor-owned training-executor state: the pool, the completion channel,
-/// and the latest in-flight job per plane (model updates / system
-/// retrains). "Latest" is the supersession rule: submitting a newer job
-/// for a plane cancels the previous one's token.
+/// and the latest in-flight job per lane. "Latest" is the supersession
+/// rule: submitting a newer job on a lane cancels the previous one's token.
 struct TrainingExec {
     /// `Arc` because the pool may be shared by every tenant of a
     /// multi-tenant deployment (DESIGN.md §14); a solo server holds the
@@ -228,8 +239,8 @@ struct TrainingExec {
     done_tx: Sender<TrainOutcome>,
     wake_tx: Sender<Msg>,
     next_job: u64,
-    update: Option<InFlight>,
-    retrain: Option<InFlight>,
+    /// Indexed by [`Lane`].
+    in_flight: [Option<InFlight>; 2],
 }
 
 impl TrainingExec {
@@ -240,10 +251,14 @@ impl TrainingExec {
         self.pool.has_capacity(self.tenant)
     }
 
-    /// Cancels the in-flight update (a newer trigger supersedes it) and
-    /// counts the supersession.
-    fn supersede_update(&mut self, metrics: &Metrics) {
-        if let Some(prev) = self.update.take() {
+    fn is_training(&self, lane: Lane) -> bool {
+        self.in_flight[lane as usize].is_some()
+    }
+
+    /// Cancels the lane's in-flight job (a newer trigger supersedes it)
+    /// and counts the supersession.
+    fn supersede(&mut self, lane: Lane, metrics: &Metrics) {
+        if let Some(prev) = self.in_flight[lane as usize].take() {
             prev.token.cancel();
             metrics
                 .training_jobs_superseded
@@ -251,26 +266,33 @@ impl TrainingExec {
         }
     }
 
-    /// Cancels the in-flight retrain (a newer trigger supersedes it) and
-    /// counts the supersession.
-    fn supersede_retrain(&mut self, metrics: &Metrics) {
-        if let Some(prev) = self.retrain.take() {
-            prev.token.cancel();
-            metrics
-                .training_jobs_superseded
-                .fetch_add(1, Ordering::Relaxed);
+    /// Frees the lane of a finished job if it is still the lane's latest;
+    /// `false` means a newer trigger displaced it (counted back then).
+    fn retire(&mut self, lane: Lane, job: u64) -> bool {
+        let slot = &mut self.in_flight[lane as usize];
+        let is_latest = slot.as_ref().is_some_and(|f| f.job == job);
+        if is_latest {
+            *slot = None;
         }
+        is_latest
     }
 
-    /// Submits a prepared update plan to the executor; the reply sender
-    /// travels with the job and is answered at fenced completion. A panic
-    /// inside the epoch loop is caught on the worker and reported as a
-    /// failed outcome — never a silently vanished job.
-    fn submit_update(&mut self, plan: UpdatePlan, reply: Sender<ServiceResult>, started: Instant) {
+    /// Submits prepared training work as the lane's latest job. `work`
+    /// runs on the executor under the job's cancel token; a panic inside
+    /// it is caught on the worker and reaches `finish` as `None` — a failed
+    /// outcome, never a silently vanished job. Whatever must survive that
+    /// panic (an update's reply sender) therefore rides in `finish`, which
+    /// wraps the result into the completion the actor fences.
+    fn submit<R>(
+        &mut self,
+        lane: Lane,
+        work: impl FnOnce(&TrainControl) -> R + Send + 'static,
+        finish: impl FnOnce(u64, Option<R>) -> TrainOutcome + Send + 'static,
+    ) {
         let job = self.next_job;
         self.next_job += 1;
         let token = CancelToken::new();
-        self.update = Some(InFlight {
+        self.in_flight[lane as usize] = Some(InFlight {
             job,
             token: token.clone(),
         });
@@ -279,43 +301,9 @@ impl TrainingExec {
         self.pool
             .try_spawn_for(self.tenant, token, move |ctl| {
                 let ctl = TrainControl::from_flag(ctl.flag());
-                let trained =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.train(&ctl)))
-                        .ok()
-                        .map(Box::new);
-                let _ = done.send(TrainOutcome::Update {
-                    job,
-                    reply,
-                    started,
-                    trained,
-                });
-                let _ = wake.try_send(Msg::Wake);
-            })
-            .expect("caller checked has_queue_capacity before preparing the plan");
-    }
-
-    /// Submits a prepared system-plane retrain to the executor.
-    fn submit_retrain(&mut self, rjob: RetrainJob, embed_cfg: EmbedTrainConfig) {
-        let job = self.next_job;
-        self.next_job += 1;
-        let token = CancelToken::new();
-        self.retrain = Some(InFlight {
-            job,
-            token: token.clone(),
-        });
-        let done = self.done_tx.clone();
-        let wake = self.wake_tx.clone();
-        self.pool
-            .try_spawn_for(self.tenant, token, move |ctl| {
-                let ctl = TrainControl::from_flag(ctl.flag());
-                let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    rjob.train(&embed_cfg, &ctl)
-                })) {
-                    Ok(Some(r)) => RetrainResult::Completed(Box::new(r)),
-                    Ok(None) => RetrainResult::Cancelled,
-                    Err(_) => RetrainResult::Panicked,
-                };
-                let _ = done.send(TrainOutcome::Retrain { job, result });
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&ctl))).ok();
+                let _ = done.send(finish(job, result));
                 let _ = wake.try_send(Msg::Wake);
             })
             .expect("caller checked has_queue_capacity before preparing the job");
@@ -327,7 +315,7 @@ impl TrainingExec {
     /// observe `Unavailable` when their reply senders drop with the
     /// undrained completion channel.
     fn shutdown(self) {
-        for f in [self.update, self.retrain].into_iter().flatten() {
+        for f in self.in_flight.into_iter().flatten() {
             f.token.cancel();
         }
     }
@@ -472,52 +460,114 @@ impl DmsServer {
     }
 }
 
-fn validate_images(images: &Tensor) -> Result<(), ServiceError> {
-    if images.shape().len() != 2 || images.shape()[0] == 0 {
-        return Err(ServiceError::Invalid(format!(
-            "expected non-empty [N, D] images, got shape {:?}",
-            images.shape()
-        )));
+/// Admission: the one check of what a request's payload *is*, run by both
+/// planes before their handler — reads with the snapshot's embedder width
+/// (`None` before `TrainSystem`), writes with the builder's. Shapes, like
+/// counts, are input: unchecked, a mismatched batch panics deep inside a
+/// forward pass or a row slice, and a panic on the actor poisons the whole
+/// service. One bad client batch must cost one `Invalid` reply, not the
+/// deployment.
+///
+/// Errors keep the order each operation answers them in: the images' rank
+/// and rows, their width, the operation's fewest rows, `NotReady`, the
+/// labels.
+/// `stored_label_width` is asked only for a batch that passed all of that.
+fn admit(
+    req: &Request,
+    width: Option<usize>,
+    ready: bool,
+    stored_label_width: impl FnOnce() -> Option<usize>,
+) -> Result<(), ServiceError> {
+    let invalid = |msg: String| Err(ServiceError::Invalid(msg));
+    let (images, labels) = match req {
+        Request::IngestLabeled { images, labels, .. } => (images, Some(labels)),
+        Request::TrainSystem { images, .. }
+        | Request::DatasetPdf { images }
+        | Request::PseudoLabel { images, .. }
+        | Request::UpdateModel { images, .. }
+        | Request::Certainty { images } => (images, None),
+        // Full mass validation, not just non-emptiness: ranking and
+        // registration normalize the PDF (`ModelZoo::add_shared`, `jsd`),
+        // whose input assertions would otherwise unwind the handler.
+        Request::Recommend { pdf, .. } | Request::PublishModel { pdf, .. } => {
+            if !fairdms_core::jsd::is_valid_pdf_mass(pdf) {
+                return invalid(
+                    "pdf must be non-empty, finite, non-negative mass with a positive sum".into(),
+                );
+            }
+            return Ok(());
+        }
+        Request::LookupMatching { .. } | Request::FetchModel { .. } | Request::Metrics => {
+            return Ok(())
+        }
+    };
+    let (rows, cols) = match *images.shape() {
+        [rows, cols] if rows > 0 => (rows, cols),
+        _ => {
+            return invalid(format!(
+                "expected non-empty [N, D] images, got shape {:?}",
+                images.shape()
+            ))
+        }
+    };
+    if let Some(want) = width.filter(|&want| want != cols) {
+        return invalid(format!("expected {want} features per image, got {cols}"));
     }
-    Ok(())
-}
-
-/// Width check shared by both planes: every image-bearing request must
-/// match the embedder's input width *at admission* — reads check the
-/// snapshot's frozen embedder, writes the builder's. Without this, a
-/// mismatched batch would panic deep inside a forward pass (or, before
-/// the `prepare_retrain` width guard, silently shear the training matrix)
-/// — and a panic on the actor poisons the whole service. One bad client
-/// batch must cost one `Invalid` reply, not the deployment.
-fn validate_image_width(images: &Tensor, want: usize) -> Result<(), ServiceError> {
-    if images.shape()[1] != want {
-        return Err(ServiceError::Invalid(format!(
-            "expected {} features per image, got {}",
-            want,
-            images.shape()[1]
-        )));
+    // The system plane is not fitted on fewer than four rows
+    // (`FairDS::train_system` asserts it) and the update's train/validation
+    // split needs two; a shorter batch would panic the actor.
+    let min_rows = match req {
+        Request::TrainSystem { .. } => 4,
+        Request::UpdateModel { .. } => 2,
+        _ => 1,
+    };
+    if rows < min_rows {
+        return invalid(format!(
+            "{} needs at least {min_rows} samples, got {rows}",
+            req.op_name()
+        ));
     }
-    Ok(())
+    if !ready && !matches!(req, Request::TrainSystem { .. }) {
+        return Err(ServiceError::NotReady);
+    }
+    let Some(labels) = labels else { return Ok(()) };
+    // One leading row per image, at least one value in each (`[N]` is
+    // width 1, as `Tensor::row_size` reads it), and the width the store's
+    // labels already have: `pseudo_label` reuses stored labels beside
+    // fresh ones in one `[N, L]` matrix.
+    if labels.shape().first() != Some(&rows) {
+        return invalid(format!(
+            "labels of shape {:?} do not have one row per image ({rows})",
+            labels.shape()
+        ));
+    }
+    let label_width = labels.numel() / rows;
+    if label_width == 0 {
+        return invalid(format!(
+            "labels of shape {:?} hold no value per row",
+            labels.shape()
+        ));
+    }
+    match stored_label_width() {
+        Some(stored) if stored != label_width => invalid(format!(
+            "labels are {label_width} wide, the store's are {stored}"
+        )),
+        _ => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------
 // Read plane
 // ---------------------------------------------------------------------
 
-/// Validates images against the fitted embedder's input width, turning
-/// what would be a snapshot-side assertion panic into a client error.
-fn validate_image_dim(images: &Tensor, sys: &Arc<SystemSnapshot>) -> Result<(), ServiceError> {
-    validate_image_width(images, sys.embedder().input_dim())
-}
-
 /// Serves one read-only request from an immutable view. Never blocks on
 /// the actor; every code path here takes `&self` on snapshot state.
 fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceResult {
+    let width = view.system.as_ref().map(|sys| sys.embedder().input_dim());
+    admit(&req, width, width.is_some(), || None)?;
     match req {
         Request::DatasetPdf { images } => {
-            validate_images(&images)?;
             let sys = view.system.as_ref().ok_or(ServiceError::NotReady)?;
-            validate_image_dim(&images, sys)?;
             Ok(Reply::Pdf(sys.dataset_pdf(&images)))
         }
         Request::LookupMatching { pdf, count } => {
@@ -538,21 +588,13 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
             Ok(Reply::Documents(sys.lookup_matching(&pdf, count)))
         }
         Request::Certainty { images } => {
-            validate_images(&images)?;
             let sys = view.system.as_ref().ok_or(ServiceError::NotReady)?;
-            validate_image_dim(&images, sys)?;
             Ok(Reply::Certainty(sys.certainty(&images)))
         }
         Request::Recommend { pdf, top_k } => {
             // Validate instead of asserting: a panic here would poison the
-            // whole deployment (see `ModelManager::new` / `jsd`'s input
-            // assertions), turning one bad request or one misconfigured
-            // trainer into a dead service.
-            if !fairdms_core::jsd::is_valid_pdf_mass(&pdf) {
-                return Err(ServiceError::Invalid(
-                    "pdf must be non-empty, finite, non-negative mass with a positive sum".into(),
-                ));
-            }
+            // whole deployment (see `ModelManager::new`), turning one
+            // misconfigured trainer into a dead service.
             let Some(manager) = ModelManager::try_new(view.distance_threshold) else {
                 return Err(ServiceError::Invalid(format!(
                     "configured distance threshold {} outside [0, 1]",
@@ -635,8 +677,7 @@ fn actor_loop(
         done_tx,
         wake_tx,
         next_job: 0,
-        update: None,
-        retrain: None,
+        in_flight: [None, None],
     };
     'serve: while let Ok(msg) = rx.recv() {
         // Completions first: a job that already finished must publish (or
@@ -657,11 +698,11 @@ fn actor_loop(
             Msg::Wake => continue,
             Msg::Shutdown => break,
         };
-        let op = env.req.op_name();
+        let op = env.req.op_index();
         let start = Instant::now();
         shared
             .metrics
-            .queue_of(op)
+            .queue_at(op)
             .record(start.saturating_duration_since(env.enqueued), true);
         // Panic-poisoning order is handled *inside* handle_write (and
         // handle_train_done): the guard there is declared after the reply
@@ -680,7 +721,7 @@ fn actor_loop(
             WriteOutcome::Reply(reply, result) => {
                 shared
                     .metrics
-                    .op(op)
+                    .op_at(op)
                     .record(start.elapsed(), result.is_ok());
                 let _ = reply.send(result);
             }
@@ -712,6 +753,7 @@ fn handle_train_done(
             job,
             reply,
             started,
+            op,
             trained,
         } => {
             // Poison-before-reply-disconnect ordering, as in the request
@@ -719,19 +761,13 @@ fn handle_train_done(
             // (zoo/store panic) poisons the service before the client
             // observes `Unavailable`.
             let poison = PoisonOnPanic(Arc::clone(shared));
-            let is_latest = exec.update.as_ref().map(|f| f.job) == Some(job);
-            if is_latest {
-                exec.update = None;
-            }
+            let is_latest = exec.retire(Lane::Update, job);
             let Some(trained) = trained else {
                 // The epoch loop panicked on the executor. Poison before
                 // the reply leaves (same ordering contract as `poison`),
                 // then tell the actor to stop.
                 shared.poisoned.store(true, Ordering::Release);
-                shared
-                    .metrics
-                    .op("update_model")
-                    .record(started.elapsed(), false);
+                shared.metrics.op_at(op).record(started.elapsed(), false);
                 let _ = reply.send(Err(ServiceError::Unavailable));
                 drop(poison);
                 return true;
@@ -769,7 +805,7 @@ fn handle_train_done(
             };
             shared
                 .metrics
-                .op("update_model")
+                .op_at(op)
                 .record(started.elapsed(), result.is_ok());
             let _ = reply.send(result);
             drop(poison);
@@ -777,10 +813,7 @@ fn handle_train_done(
         }
         TrainOutcome::Retrain { job, result } => {
             let poison = PoisonOnPanic(Arc::clone(shared));
-            let is_latest = exec.retrain.as_ref().map(|f| f.job) == Some(job);
-            if is_latest {
-                exec.retrain = None;
-            }
+            let is_latest = exec.retire(Lane::Retrain, job);
             let fatal = match result {
                 RetrainResult::Panicked => {
                     shared.poisoned.store(true, Ordering::Release);
@@ -794,28 +827,7 @@ fn handle_train_done(
                     if trainer.fairds.snapshot().map(|s| s.version())
                         == retrained.trained_from_version()
                     {
-                        // O(copy) install: the job's shipped embeddings
-                        // write back by DocId; only docs ingested while
-                        // the job trained pay a fresh (delta) embed. The
-                        // actor is occupied for O(store × copy), not
-                        // O(store × forward-pass).
-                        let install = trainer.fairds.install_retrained(*retrained);
-                        shared
-                            .metrics
-                            .retrain_docs_copied
-                            .fetch_add(install.copied as u64, Ordering::Relaxed);
-                        shared
-                            .metrics
-                            .retrain_docs_delta_embedded
-                            .fetch_add(install.delta_embedded as u64, Ordering::Relaxed);
-                        shared
-                            .metrics
-                            .system_retrains
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .metrics
-                            .training_jobs_completed
-                            .fetch_add(1, Ordering::Relaxed);
+                        install_and_count(trainer, &shared.metrics, *retrained);
                         shared.view.store(Arc::new(ServiceView::of(trainer)));
                     } else {
                         // Fence: e.g. a manual TrainSystem replaced the
@@ -832,6 +844,26 @@ fn handle_train_done(
             fatal
         }
     }
+}
+
+/// Installs a finished retrain and counts it. The install is O(copy): the
+/// job's shipped embeddings write back by DocId and only documents ingested
+/// while it trained pay a fresh (delta) embed, so the actor is occupied for
+/// O(store × copy), not O(store × forward-pass). An inline retrain comes
+/// through here too — nothing was ingested between its prepare and its
+/// install, so its delta is empty and the write-back covers the whole store.
+fn install_and_count(trainer: &mut RapidTrainer, metrics: &Metrics, retrained: RetrainedSystem) {
+    let install = trainer.fairds.install_retrained(retrained);
+    metrics
+        .retrain_docs_copied
+        .fetch_add(install.copied as u64, Ordering::Relaxed);
+    metrics
+        .retrain_docs_delta_embedded
+        .fetch_add(install.delta_embedded as u64, Ordering::Relaxed);
+    metrics.system_retrains.fetch_add(1, Ordering::Relaxed);
+    metrics
+        .training_jobs_completed
+        .fetch_add(1, Ordering::Relaxed);
 }
 
 /// Runs the certainty monitor on a batch; triggers a system-plane retrain
@@ -873,7 +905,7 @@ fn monitor_and_maybe_retrain(
     if state.since_retrain <= cfg.retrain_cooldown {
         return false;
     }
-    if !force_inline && exec.retrain.is_some() {
+    if !force_inline && exec.is_training(Lane::Retrain) {
         // One retrain at a time: let the running refit install instead of
         // cancelling it per drifted batch. The counter stays advanced, so
         // the next monitored batch re-checks immediately after install.
@@ -898,34 +930,26 @@ fn monitor_and_maybe_retrain(
         .training_jobs_started
         .fetch_add(1, Ordering::Relaxed);
     if !force_inline {
-        exec.submit_retrain(rjob, cfg.retrain_embed_cfg.clone());
+        let embed_cfg = cfg.retrain_embed_cfg.clone();
+        exec.submit(
+            Lane::Retrain,
+            move |ctl| rjob.train(&embed_cfg, ctl),
+            |job, trained| TrainOutcome::Retrain {
+                job,
+                result: match trained {
+                    Some(Some(r)) => RetrainResult::Completed(Box::new(r)),
+                    Some(None) => RetrainResult::Cancelled,
+                    None => RetrainResult::Panicked,
+                },
+            },
+        );
     } else {
         // The inline refit subsumes whatever was in flight.
-        exec.supersede_retrain(&shared.metrics);
+        exec.supersede(Lane::Retrain, &shared.metrics);
         let trained = rjob
             .train(&cfg.retrain_embed_cfg, &TrainControl::new())
             .expect("uncancelled retrain always completes");
-        // Inline retrains install through the same O(copy) path: nothing
-        // was ingested between prepare and install (both ran in this
-        // call), so the delta is empty and the write-back covers the
-        // whole store.
-        let install = trainer.fairds.install_retrained(trained);
-        shared
-            .metrics
-            .retrain_docs_copied
-            .fetch_add(install.copied as u64, Ordering::Relaxed);
-        shared
-            .metrics
-            .retrain_docs_delta_embedded
-            .fetch_add(install.delta_embedded as u64, Ordering::Relaxed);
-        shared
-            .metrics
-            .system_retrains
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .training_jobs_completed
-            .fetch_add(1, Ordering::Relaxed);
+        install_and_count(trainer, &shared.metrics, trained);
     }
     true
 }
@@ -963,6 +987,11 @@ fn handle_write(
         "read op {} on the actor",
         req.op_name()
     );
+    let (width, ready) = (trainer.fairds.input_dim(), trainer.fairds.is_ready());
+    if let Err(e) = admit(&req, Some(width), ready, || trainer.fairds.label_width()) {
+        return WriteOutcome::Reply(reply, Err(e));
+    }
+    let op = req.op_index();
     // Publish-before-acknowledge: freeze the post-mutation state into the
     // read plane *before* the reply leaves, so a client that hears an ack
     // (e.g. "retrained: true") can immediately read the new system plane.
@@ -971,11 +1000,6 @@ fn handle_write(
     };
     let result: ServiceResult = match req {
         Request::TrainSystem { images, embed_cfg } => {
-            if let Err(e) = validate_images(&images)
-                .and_then(|()| validate_image_width(&images, trainer.fairds.input_dim()))
-            {
-                return WriteOutcome::Reply(reply, Err(e));
-            }
             // A manual (re)bootstrap replaces the plane that any
             // in-flight training job trained from; the version fence
             // would reject both kinds at completion anyway — cancel them
@@ -983,8 +1007,8 @@ fn handle_write(
             // single-worker pool, block newly submitted jobs) on the way
             // to a deterministic rejection. The update's client answers
             // `Superseded`, exactly as it would have at the fence.
-            exec.supersede_retrain(&shared.metrics);
-            exec.supersede_update(&shared.metrics);
+            exec.supersede(Lane::Retrain, &shared.metrics);
+            exec.supersede(Lane::Update, &shared.metrics);
             let k = trainer.fairds.train_system(&images, &embed_cfg);
             publish(trainer);
             Ok(Reply::SystemTrained { k })
@@ -993,19 +1017,7 @@ fn handle_write(
             images,
             labels,
             scan,
-        } => (|| {
-            validate_images(&images)?;
-            validate_image_width(&images, trainer.fairds.input_dim())?;
-            if !trainer.fairds.is_ready() {
-                return Err(ServiceError::NotReady);
-            }
-            if labels.shape()[0] != images.shape()[0] {
-                return Err(ServiceError::Invalid(format!(
-                    "label rows {} != image rows {}",
-                    labels.shape()[0],
-                    images.shape()[0]
-                )));
-            }
+        } => {
             let retrained =
                 monitor_and_maybe_retrain(trainer, cfg, monitor, &images, shared, exec, false);
             // No republish: a triggered retrain publishes at install, and
@@ -1016,13 +1028,8 @@ fn handle_write(
                 count: ids.len(),
                 retrained,
             })
-        })(),
-        Request::PseudoLabel { images, threshold } => (|| {
-            validate_images(&images)?;
-            validate_image_width(&images, trainer.fairds.input_dim())?;
-            if !trainer.fairds.is_ready() {
-                return Err(ServiceError::NotReady);
-            }
+        }
+        Request::PseudoLabel { images, threshold } => {
             let thr = if threshold.is_finite() {
                 threshold
             } else {
@@ -1030,26 +1037,8 @@ fn handle_write(
             };
             let (labels, stats) = trainer.fairds.pseudo_label(&images, thr, |p| labeler(p));
             Ok(Reply::Labeled { labels, stats })
-        })(),
+        }
         Request::UpdateModel { images, scan } => {
-            if let Err(e) = validate_images(&images)
-                .and_then(|()| validate_image_width(&images, trainer.fairds.input_dim()))
-            {
-                return WriteOutcome::Reply(reply, Err(e));
-            }
-            if images.shape()[0] < 2 {
-                // The update's train/validation split needs at least two
-                // rows; a single sample would panic the epoch loop.
-                return WriteOutcome::Reply(
-                    reply,
-                    Err(ServiceError::Invalid(
-                        "UpdateModel needs at least 2 samples for its train/val split".into(),
-                    )),
-                );
-            }
-            if !trainer.fairds.is_ready() {
-                return WriteOutcome::Reply(reply, Err(ServiceError::NotReady));
-            }
             if !exec.has_queue_capacity() {
                 // Bounded admission (DESIGN.md §14): answer `Busy` before
                 // the inline monitor, the O(ms) bookend work, and — most
@@ -1075,8 +1064,18 @@ fn handle_write(
             // labels + foundation resolution. The epoch loop runs on
             // the executor; a newer UpdateModel supersedes this one.
             let plan = trainer.prepare_update(&images, |p| labeler(p), scan);
-            exec.supersede_update(&shared.metrics);
-            exec.submit_update(plan, reply, started);
+            exec.supersede(Lane::Update, &shared.metrics);
+            exec.submit(
+                Lane::Update,
+                move |ctl| plan.train(ctl),
+                move |job, trained| TrainOutcome::Update {
+                    job,
+                    reply,
+                    started,
+                    op,
+                    trained: trained.map(Box::new),
+                },
+            );
             return WriteOutcome::Deferred;
         }
         Request::PublishModel {
@@ -1084,17 +1083,10 @@ fn handle_write(
             checkpoint,
             pdf,
             scan,
-        } => (|| {
-            // Full mass validation, not just non-emptiness: registration
-            // normalizes the PDF into the ranking index
-            // (`ModelZoo::add_shared`), whose assertions would otherwise
-            // unwind the actor — and an actor panic poisons the whole
-            // service.
-            if !fairdms_core::jsd::is_valid_pdf_mass(&pdf) {
-                return Err(ServiceError::Invalid(
-                    "pdf must be non-empty, finite, non-negative mass with a positive sum".into(),
-                ));
-            }
+        } => {
+            // The bytes are not opened here: the zoo stores what was
+            // published, and a checkpoint that does not load is simply
+            // never a foundation (`ModelZoo::instantiate`).
             let arch = trainer.config().arch;
             let zoo_id = trainer.zoo.add(ZooEntry {
                 name,
@@ -1105,7 +1097,7 @@ fn handle_write(
             });
             publish(trainer);
             Ok(Reply::Published { zoo_id })
-        })(),
+        }
         other => unreachable!("read request {:?} routed to the actor", other.op_name()),
     };
     WriteOutcome::Reply(reply, result)
@@ -1184,9 +1176,9 @@ impl DmsClient {
             shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Unavailable);
         }
-        let op = req.op_name();
+        let op = req.op_index();
         let start = Instant::now();
-        shared.metrics.queue_of(op).record(Duration::ZERO, true);
+        shared.metrics.queue_at(op).record(Duration::ZERO, true);
         let result = if shared.poisoned.load(Ordering::Acquire) {
             Err(ServiceError::Unavailable)
         } else {
@@ -1200,7 +1192,7 @@ impl DmsClient {
         };
         shared
             .metrics
-            .op(op)
+            .op_at(op)
             .record(start.elapsed(), result.is_ok());
         result
     }

@@ -616,6 +616,87 @@ fn hostile_counts_are_answered_not_obeyed() {
     multi.shutdown();
 }
 
+/// A shape is input too: it is an index bound and a slice width, and on the
+/// wire it is a rank byte and a few `u32`s anyone can send. Four requests
+/// that decode cleanly once killed the actor — labels of rank 0 (an index
+/// into an empty shape), labels `[N, 0]` (a slice of an empty buffer),
+/// labels of another width than the store's (accepted, then the next
+/// `PseudoLabel` reusing one of each tripped an assertion), and a published
+/// "checkpoint" that is not one (accepted, rightly, then the `UpdateModel`
+/// that ranked it first tried to load it). The first three must answer
+/// `Invalid`, the fourth must train from scratch, through both doors of the
+/// tenant, which keeps serving, as do its neighbour and the connection
+/// they share. So must a `TrainSystem` of three rows, one fewer than a
+/// system plane is fitted on, which used to reach that assertion.
+#[test]
+fn hostile_shapes_are_answered_not_obeyed() {
+    let (multi, net) = two_tenants(0, |seed| {
+        Box::new(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed))
+    });
+    // One socket, two tenants.
+    let target = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
+    let neighbour = target.for_tenant(2);
+    let (x, y) = frames(24, 97);
+    for api in [&target, &neighbour] {
+        api.train_system(x.clone(), embed_cfg()).unwrap();
+        api.ingest(x.clone(), y.clone(), 0).unwrap();
+    }
+
+    /// `fresh` are frames the tenant has not stored; `stored` it has.
+    fn probe(api: &impl DmsApi, stored: &Tensor, fresh: &Tensor) {
+        let n = fresh.shape()[0];
+        let err = api
+            .train_system(fresh.gather_rows(&[0, 1, 2]), embed_cfg())
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Invalid(_)), "3 rows: {err:?}");
+        let both = Tensor::from_vec(
+            [stored.data(), fresh.data()].concat(),
+            &[stored.shape()[0] + n, SIDE * SIDE],
+        );
+        for labels in [
+            Tensor::from_vec(vec![0.5], &[]),
+            Tensor::from_vec(vec![], &[n, 0]),
+            Tensor::from_vec(vec![0.5; n * 3], &[n, 3]),
+        ] {
+            let shape = labels.shape().to_vec();
+            let err = api.ingest(fresh.clone(), labels, 1).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Invalid(_)),
+                "{shape:?}: {err:?}"
+            );
+            // Nothing was poisoned and nothing was stored: with a threshold
+            // no distance exceeds, every row reuses a stored label, and they
+            // are all still two wide.
+            let (reused, stats) = api.pseudo_label(both.clone(), f32::MAX).unwrap();
+            assert_eq!(reused.shape(), &[both.shape()[0], 2], "{shape:?}");
+            assert_eq!(stats.computed, 0, "{shape:?}");
+        }
+        // Bytes that are no checkpoint, keyed so the update ranks them first.
+        let pdf = api.dataset_pdf(fresh.clone()).unwrap();
+        let junk = vec![0xAB; 64];
+        let junk_id = api.publish("junk", junk.clone(), pdf.clone(), 9).unwrap();
+        assert_eq!(api.recommend(pdf).unwrap().ranked[0].0, junk_id);
+        let (checkpoint, report) = api.update_model(fresh.clone(), 2).unwrap();
+        assert_eq!(report.foundation, None, "junk is not a foundation");
+        assert!(fairdms_nn::checkpoint::read_tensors(&checkpoint).is_ok());
+        // The zoo hands back what was published, and the tenant serves on.
+        assert_eq!(api.fetch(junk_id).unwrap().0, junk);
+        assert!(api.dataset_pdf(stored.clone()).is_ok());
+    }
+    // Each door its own fresh frames, so its junk entry — keyed by their
+    // PDF — is the one its update ranks first.
+    probe(&target, &x, &frames(16, 98).0);
+    probe(multi.client(1).expect("tenant 1"), &x, &frames(10, 99).0);
+
+    assert!(!target.is_closed(), "the connection outlives the requests");
+    assert_eq!(neighbour.lookup(vec![0.5, 0.5], 3).unwrap().len(), 3);
+    assert!(neighbour.ingest(x.clone(), y, 1).is_ok());
+
+    drop((target, neighbour));
+    net.shutdown();
+    multi.shutdown();
+}
+
 /// Blocks in the forward pass while a batch carries the sentinel pixel,
 /// until the test sends a token — a write the test holds in flight.
 struct GatedEmbedder(AutoencoderEmbedder, crossbeam_channel::Receiver<()>);
