@@ -1,22 +1,29 @@
 //! Data-reuse plane bench: repeated-frame vs adversarial all-miss reads.
 //!
 //! Guards the two performance claims of the embedding memo table
-//! (DESIGN.md §8):
+//! (DESIGN.md §8), each stated as what it protects, in absolute time:
 //!
-//! 1. **Warm repeated frames are ≥3× cheaper.** `DatasetPdf` and
-//!    `Certainty` over a batch the cache has seen must run well below
-//!    the same batch through the all-miss path — the paper's data-reuse
-//!    speedup, asserted loudly. (The floor was ≥10× against the naive
-//!    kernels; the blocked GEMM engine cut the all-miss forward pass
-//!    ~5×, which shrinks this ratio's denominator — the warm path
-//!    didn't get slower, the miss path got fast.)
-//! 2. **The adversarial all-miss path stays cheap.** A stream of
+//! 1. **Warm repeated frames skip the forward pass.** `DatasetPdf` and
+//!    `Certainty` over a batch the cache has seen cost hash + probe +
+//!    copy + the clustering step, and nothing that scales with the
+//!    encoder: the warm p50 of each must stay under [`WARM_PDF_BOUND`] /
+//!    [`WARM_CERT_BOUND`] for the 128-frame batch.
+//! 2. **The adversarial all-miss path pays a fixed tax.** A stream of
 //!    never-repeating frames (every probe misses, every insert evicts)
-//!    must not regress far from the pre-cache baseline (cache
-//!    disabled). Hashing + probing + installing is a fixed per-row tax;
-//!    against hardware-speed kernels it is a visible fraction of the
-//!    now-sub-millisecond forward pass, so the bound is <30% (it was
-//!    <10% of a 4 ms pass — same absolute tax, smaller denominator).
+//!    costs hashing + probing + installing per row on top of the uncached
+//!    forward pass: the per-row difference `all_miss − uncached` (median
+//!    of interleaved pairs) must stay under [`MISS_TAX_BOUND`].
+//!
+//! Both used to be ratios over the all-miss forward pass — "warm ≥ 3×
+//! below all-miss", "all-miss < 30% over uncached" — and a ratio moves
+//! when its denominator does. It moved once when the blocked GEMM engine
+//! cut the forward pass ~5× (the ≥10× floor became ≥3×, the <10% bound
+//! <30%: same absolute tax, smaller denominator), and a frozen embedder
+//! multiplying against pre-packed weights shrinks that denominator again
+//! (certainty's warm ratio sat at 3.86× before it). The warm path and the
+//! tax did not get slower either time, so the gates now name them
+//! directly; the two ratios are still recorded, ungated, for the
+//! trajectory.
 //!
 //! Results are also written machine-readably to
 //! `results/BENCH_embed_cache.json` (p50/p99/mean per series plus
@@ -44,6 +51,19 @@ const HIDDEN: usize = 256;
 const EMBED: usize = 16;
 const BATCH: usize = 128;
 const ITERS: usize = 60;
+
+/// Gate 1: the warm p50 of one 128-frame request. Recorded at 116 µs
+/// (`dataset_pdf`) and 238 µs (`certainty`, which adds the fuzzy
+/// memberships) on the 2-vCPU CI box; the bounds leave ~2.5× for a busy
+/// neighbour and are still a third of what one forward pass costs.
+const WARM_PDF_BOUND: Duration = Duration::from_micros(300);
+const WARM_CERT_BOUND: Duration = Duration::from_micros(600);
+
+/// Gate 2: the cache's tax on a row it cannot help — hash, probe, insert,
+/// evict. Recorded at 0.8–1.3 µs a row; a tax that grew with the row's
+/// embedding cost, or a second forward pass hiding in the miss path, is
+/// tens of µs a row.
+const MISS_TAX_BOUND: Duration = Duration::from_micros(3);
 
 fn frames(n: usize, seed: u64) -> Tensor {
     let mut rng = TensorRng::seeded(seed);
@@ -112,7 +132,7 @@ struct WorkloadResult {
 /// all-miss comparison is **interleaved and paired**: each fresh batch
 /// is timed uncached-then-cached back to back, so scheduler jitter and
 /// frequency scaling hit both series alike instead of skewing the
-/// <10%-overhead ratio CI gates on. (Both orders touch the same dense
+/// per-pair difference CI gates on. (Both orders touch the same dense
 /// math on the same bytes; the cached run still misses on every row
 /// because that snapshot has never seen the batch.)
 fn run_workload(uncached: &Arc<SystemSnapshot>, cached: &Arc<SystemSnapshot>) -> WorkloadResult {
@@ -212,53 +232,69 @@ fn bench_embed_cache(_c: &mut Criterion) {
     let p50_miss_cert = summarize("certainty/all_miss", &cached.miss_cert);
     let p50_warm_cert = summarize("certainty/warm", &cached.warm_cert);
 
-    // Claim 1: warm repeated frames ≥3× below the all-miss path.
+    // Recorded, not gated: both ratios divide by the forward pass.
     let pdf_speedup = p50_miss_pdf.as_secs_f64() / p50_warm_pdf.as_secs_f64();
     let cert_speedup = p50_miss_cert.as_secs_f64() / p50_warm_cert.as_secs_f64();
-    // Claim 2: the all-miss path pays < 30% over the uncached baseline.
-    // Median of the *per-pair* ratios: each fresh batch was timed through
-    // both paths back to back, so per-pair division cancels whatever the
+    // Median over the *pairs*: each fresh batch was timed through both
+    // paths back to back, so per-pair arithmetic cancels whatever the
     // machine was doing at that moment.
-    let paired_overhead = |cached_lat: &[Duration], uncached_lat: &[Duration]| {
-        let mut ratios: Vec<f64> = cached_lat
-            .iter()
-            .zip(uncached_lat)
-            .map(|(c, u)| c.as_secs_f64() / u.as_secs_f64().max(1e-12))
-            .collect();
-        ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-        ratios[ratios.len() / 2]
-    };
-    let pdf_overhead = paired_overhead(&cached.miss_pdf, &cached.uncached_pdf);
-    let cert_overhead = paired_overhead(&cached.miss_cert, &cached.uncached_cert);
+    let paired_median =
+        |cached_lat: &[Duration], uncached_lat: &[Duration], f: fn(f64, f64) -> f64| {
+            let mut per_pair: Vec<f64> = cached_lat
+                .iter()
+                .zip(uncached_lat)
+                .map(|(c, u)| f(c.as_secs_f64(), u.as_secs_f64()))
+                .collect();
+            per_pair.sort_unstable_by(|a, b| a.total_cmp(b));
+            per_pair[per_pair.len() / 2]
+        };
+    let overhead = |c: f64, u: f64| c / u.max(1e-12) - 1.0;
+    let pdf_overhead = paired_median(&cached.miss_pdf, &cached.uncached_pdf, overhead);
+    let cert_overhead = paired_median(&cached.miss_cert, &cached.uncached_cert, overhead);
+    // Gate 2's figure: seconds of tax per missed row.
+    let tax_per_row = |c: f64, u: f64| (c - u) / BATCH as f64;
+    let pdf_tax = paired_median(&cached.miss_pdf, &cached.uncached_pdf, tax_per_row);
+    let cert_tax = paired_median(&cached.miss_cert, &cached.uncached_cert, tax_per_row);
 
     println!(
-        "\nwarm speedup: dataset_pdf {pdf_speedup:.1}x, certainty {cert_speedup:.1}x (must be ≥ 3x)"
+        "\nwarm p50: dataset_pdf {p50_warm_pdf:.1?} (bound {WARM_PDF_BOUND:.0?}), \
+         certainty {p50_warm_cert:.1?} (bound {WARM_CERT_BOUND:.0?})"
     );
     println!(
-        "all-miss overhead vs uncached: dataset_pdf {:.1}%, certainty {:.1}% (must be < 30%)",
-        (pdf_overhead - 1.0) * 100.0,
-        (cert_overhead - 1.0) * 100.0
+        "all-miss tax per row: dataset_pdf {:.2} µs, certainty {:.2} µs (bound {MISS_TAX_BOUND:.0?})",
+        pdf_tax * 1e6,
+        cert_tax * 1e6
     );
+    println!(
+        "ungated ratios: warm speedup {pdf_speedup:.1}x / {cert_speedup:.1}x, \
+         all-miss overhead {:.1}% / {:.1}%",
+        pdf_overhead * 100.0,
+        cert_overhead * 100.0
+    );
+    report.add_metric("all_miss_tax_per_row_s_dataset_pdf", pdf_tax);
+    report.add_metric("all_miss_tax_per_row_s_certainty", cert_tax);
     report.add_metric("warm_speedup_dataset_pdf", pdf_speedup);
     report.add_metric("warm_speedup_certainty", cert_speedup);
-    report.add_metric("all_miss_overhead_dataset_pdf", pdf_overhead - 1.0);
-    report.add_metric("all_miss_overhead_certainty", cert_overhead - 1.0);
+    report.add_metric("all_miss_overhead_dataset_pdf", pdf_overhead);
+    report.add_metric("all_miss_overhead_certainty", cert_overhead);
     report.add_metric("hit_ratio", stats.hit_ratio());
     report.add_metric("evictions", stats.evictions as f64);
     let path = report.write("embed_cache");
     println!("wrote {}", path.display());
 
     assert!(
-        pdf_speedup >= 3.0 && cert_speedup >= 3.0,
-        "warm repeated-frame reads must be ≥3x below all-miss \
-         (dataset_pdf {pdf_speedup:.1}x, certainty {cert_speedup:.1}x)"
+        p50_warm_pdf <= WARM_PDF_BOUND && p50_warm_cert <= WARM_CERT_BOUND,
+        "a warm {BATCH}-frame read must not pay for the encoder \
+         (dataset_pdf {p50_warm_pdf:.1?} > {WARM_PDF_BOUND:.0?} or \
+         certainty {p50_warm_cert:.1?} > {WARM_CERT_BOUND:.0?})"
     );
+    let bound = MISS_TAX_BOUND.as_secs_f64();
     assert!(
-        pdf_overhead < 1.30 && cert_overhead < 1.30,
-        "all-miss path must regress <30% vs the uncached baseline \
-         (dataset_pdf {:.1}%, certainty {:.1}%)",
-        (pdf_overhead - 1.0) * 100.0,
-        (cert_overhead - 1.0) * 100.0
+        pdf_tax <= bound && cert_tax <= bound,
+        "the all-miss path must cost a fixed tax per row over the uncached \
+         baseline (dataset_pdf {:.2} µs, certainty {:.2} µs, bound {MISS_TAX_BOUND:.0?})",
+        pdf_tax * 1e6,
+        cert_tax * 1e6
     );
 }
 

@@ -14,6 +14,9 @@
 //!   never more than 10% slower than `Threading::Sequential` — the
 //!   dispatch may decline to fan out, it may not pay for a region it
 //!   cannot win back;
+//! * the embedder's first layer at request size (16×256 · 512×256ᵀ +
+//!   bias) against a [`PackedB`] ≥1.5× the same product packing per call:
+//!   a frozen forward pass that quietly went back to packing reads 1×;
 //! * BraggNN's second convolution, forward + backward, ≥3× a direct
 //!   seven-loop convolution on the same batch.
 
@@ -25,7 +28,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_datasets::voigt::{fit_peak, render, FitConfig, PeakParams};
 use fairdms_nn::layers::{Conv2d, Layer, Mode};
 use fairdms_nn::loss::{Loss, Mse};
-use fairdms_tensor::gemm::{self, Threading};
+use fairdms_tensor::gemm::{self, PackedB, Threading};
 use fairdms_tensor::{ops, rng::TensorRng, Tensor};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -227,6 +230,86 @@ fn bench_gemm(c: &mut Criterion) {
         auto_vs_seq.push(((m, k, n), ratio));
     }
 
+    // A constant right-hand operand packed once against the same product
+    // packing it per call: the embedder's first layer at request size,
+    // where the 256×512 weight is most of the bytes touched, and the read
+    // index's query-group-against-one-ball distance block, where the
+    // strided transposed pack is as much work as the product.
+    let packed_embed = {
+        let (m, k, n) = (16, 256, 512);
+        let mut rng = TensorRng::seeded(0);
+        let x = rng.uniform(&[m, k], -1.0, 1.0);
+        let w = rng.uniform(&[n, k], -1.0, 1.0);
+        let bias = rng.uniform(&[n], -1.0, 1.0);
+        let panels = PackedB::pack_transposed(&w);
+        let packed = || gemm::matmul_packed_bias(&x, &panels, &bias, Threading::Auto);
+        let per_call = || gemm::matmul_transb_bias(&x, &w, &bias);
+        assert_eq!(packed(), per_call(), "the two sides are one product");
+        let (lat_packed, lat_per_call) = measure_pair(
+            400,
+            || {
+                black_box(packed());
+            },
+            || {
+                black_box(per_call());
+            },
+        );
+        let flops = 2.0 * (m * k * n) as f64;
+        summarize(
+            &mut report,
+            "gemm/embed_16x256x512_packed",
+            &lat_packed,
+            flops,
+        );
+        summarize(
+            &mut report,
+            "gemm/embed_16x256x512_per_call",
+            &lat_per_call,
+            flops,
+        );
+        let speedup = paired_speedup(&lat_packed, &lat_per_call);
+        println!("embed 16x256x512: packed {speedup:.2}x per-call (paired median)");
+        report.add_metric("embed_packed_vs_per_call", speedup);
+        speedup
+    };
+    {
+        let (m, k, n) = (2, 16, 64);
+        let mut rng = TensorRng::seeded(0);
+        let q = rng.uniform(&[m, k], -1.0, 1.0);
+        let rows = rng.uniform(&[n, k], -1.0, 1.0);
+        let (qn, rn) = (
+            ops::row_sq_norms(q.data(), k),
+            ops::row_sq_norms(rows.data(), k),
+        );
+        let panels = PackedB::pack_transposed(&rows);
+        let (mut out_packed, mut out_per_call) = (vec![0.0; m * n], vec![0.0; m * n]);
+        let (lat_packed, lat_per_call) = measure_pair(
+            2000,
+            || {
+                let out = &mut out_packed;
+                gemm::sq_dist_packed_into(m, q.data(), &panels, &qn, &rn, out, Threading::Auto);
+                black_box(out);
+            },
+            || {
+                let (a, b, out) = (q.data(), rows.data(), &mut out_per_call);
+                gemm::sq_dist_into(m, k, n, a, b, &qn, &rn, out, Threading::Auto);
+                black_box(out);
+            },
+        );
+        assert_eq!(out_packed, out_per_call, "the two sides are one product");
+        let flops = 2.0 * (m * k * n) as f64;
+        summarize(&mut report, "gemm/index_2x16x64_packed", &lat_packed, flops);
+        summarize(
+            &mut report,
+            "gemm/index_2x16x64_per_call",
+            &lat_per_call,
+            flops,
+        );
+        let speedup = paired_speedup(&lat_packed, &lat_per_call);
+        println!("index 2x16x64 sq_dist: packed {speedup:.2}x per-call (paired median)");
+        report.add_metric("index_packed_vs_per_call", speedup);
+    }
+
     // What one parallel region costs on this machine: the number
     // `ops::PAR_MIN_WORK` is sized against.
     let mut lanes = vec![0u8; rayon::current_num_threads().max(2)];
@@ -382,6 +465,12 @@ fn bench_gemm(c: &mut Criterion) {
             (1.0 / ratio - 1.0) * 100.0
         );
     }
+    // A frozen layer multiplies against its panels; this is what a fall
+    // back to per-call packing behind `Layer::freeze` would read as 1×.
+    assert!(
+        packed_embed >= 1.5,
+        "the packed embed product must be ≥1.5x the per-call one, got {packed_embed:.2}x"
+    );
     assert!(
         conv_speedup >= 3.0,
         "lowered conv2 fwd+bwd must be ≥3x the direct convolution, got {conv_speedup:.2}x"

@@ -88,6 +88,27 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The machine a record was taken on, as a JSON object: what a reader
+/// needs before comparing two records — the CPUs the process may use, the
+/// CPU model where the OS tells (Linux `/proc/cpuinfo`), OS and
+/// architecture.
+fn machine_stamp() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{\"cpus\": {cpus}, \"cpu_model\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\"}}",
+        json_escape(&model),
+        std::env::consts::OS,
+        std::env::consts::ARCH
+    )
+}
+
 impl BenchReport {
     /// An empty report.
     pub fn new() -> Self {
@@ -107,7 +128,7 @@ impl BenchReport {
 
     /// Serializes the report as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"series\": [\n");
+        let mut out = format!("{{\n  \"machine\": {},\n  \"series\": [\n", machine_stamp());
         for (i, s) in self.series.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"samples\": {}, \"p50_s\": {}, \"p99_s\": {}, \"mean_s\": {}, \"inv_mean_latency_per_s\": {}}}{}\n",
@@ -175,6 +196,7 @@ mod tests {
         r.add_metric("speedup", 12.5);
         r.add_metric("bad", f64::NAN);
         let j = r.to_json();
+        assert!(j.contains("\"machine\": {\"cpus\": "));
         assert!(j.contains("\"name\": \"warm\""));
         assert!(j.contains("\"speedup\": 12.5"));
         assert!(j.contains("\"bad\": null"));

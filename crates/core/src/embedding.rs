@@ -89,6 +89,12 @@ pub trait Embedder: Send + Sync {
     /// Deep-copies the embedder behind the trait object (used to publish a
     /// frozen copy into a snapshot while the original keeps training).
     fn clone_embedder(&self) -> Box<dyn Embedder>;
+    /// Called once on the copy a snapshot is about to publish, never on an
+    /// embedder that trains: whatever [`Embedder::embed`] can prepare once
+    /// for all the batches to come, it prepares here
+    /// ([`Sequential::freeze`]). `embed` returns the same bits either way;
+    /// the default prepares nothing.
+    fn freeze(&mut self) {}
 }
 
 /// Per-sample standardization: zero mean, unit variance per row. Applied
@@ -312,6 +318,10 @@ impl Embedder for AutoencoderEmbedder {
     fn clone_embedder(&self) -> Box<dyn Embedder> {
         Box::new(self.clone())
     }
+
+    fn freeze(&mut self) {
+        self.encoder.freeze();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -414,6 +424,10 @@ impl Embedder for ContrastiveEmbedder {
 
     fn clone_embedder(&self) -> Box<dyn Embedder> {
         Box::new(self.clone())
+    }
+
+    fn freeze(&mut self) {
+        self.encoder.freeze();
     }
 }
 
@@ -584,6 +598,11 @@ impl Embedder for ByolEmbedder {
 
     fn clone_embedder(&self) -> Box<dyn Embedder> {
         Box::new(self.clone())
+    }
+
+    fn freeze(&mut self) {
+        self.online_encoder.freeze();
+        self.online_projector.freeze();
     }
 }
 

@@ -759,8 +759,12 @@ impl FairDS {
         // holds the new snapshot while the cache still accepts old-
         // generation inserts.
         self.reuse.advance_generation(version);
-        let embedder = Arc::from(self.embedder.clone_embedder());
-        self.current = Some(self.issue(embedder, Arc::new(kmeans), self.cfg.clone(), version));
+        // The one place a snapshot's embedder is made, so the one place an
+        // embedder is frozen: the copy never trains again.
+        let mut embedder = self.embedder.clone_embedder();
+        embedder.freeze();
+        let snapshot = self.issue(embedder.into(), Arc::new(kmeans), self.cfg.clone(), version);
+        self.current = Some(snapshot);
     }
 
     /// System-plane training (Fig 5, yellow): fits the embedding model on

@@ -15,11 +15,12 @@
 use fairdms_clustering::kmeans::normed_margin;
 use fairdms_clustering::{inflated_radius, partition_balls, BallPartitionConfig};
 use fairdms_datastore::{Collection, DocId};
-use fairdms_tensor::gemm::Threading;
-use fairdms_tensor::ops::{row_sq_norms, sq_dist, sq_dist_into, PAR_MIN_WORK, SQ_DIST_WORK};
+use fairdms_tensor::gemm::{sq_dist_packed_into, PackedB, Threading};
+use fairdms_tensor::ops::{sq_dist, PAR_MIN_WORK, SQ_DIST_WORK};
 use fairdms_tensor::Tensor;
 use parking_lot::RwLock;
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -122,8 +123,14 @@ struct IndexRow {
 struct IndexBall {
     ids: Vec<DocId>,
     /// Flattened `[rows, embed_dim]` embeddings, row-parallel to `ids`:
-    /// the dense panel per-ball GEMMs read with no per-query gather.
+    /// what the exact scalar distances and the partitioner read.
     emb: Vec<f32>,
+    /// `emb` in GEMM panels, for a ball of a partitioned cluster — the one
+    /// place a GEMM reads the rows; empty in an unpartitioned block. Packed
+    /// when the ball is split off ([`ClusterEmbeddings::push_split`]) and
+    /// extended row by row ([`ClusterEmbeddings::append`]), so a search
+    /// packs nothing.
+    packed: PackedB,
     /// Cached `‖x‖²` per row — the store-side half of the
     /// `‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x` GEMM expansion.
     norms: Vec<f32>,
@@ -246,6 +253,8 @@ struct ClusterEmbeddings {
     ball_centers: Vec<f32>,
     /// `‖c‖²` per ball center.
     ball_center_norms: Vec<f32>,
+    /// `ball_centers` in GEMM panels, re-packed whenever balls are added.
+    center_panels: PackedB,
 }
 
 /// Pruning slack applied on top of [`normed_margin`] when comparing ball
@@ -303,11 +312,13 @@ impl ClusterEmbeddings {
         for b in partition_balls(&block.emb, lay.dim, &cfg) {
             let mut ball = block.gather(&b.members, lay.dim);
             ball.radius = b.radius;
+            ball.packed = PackedB::from_rows(lay.dim, &ball.emb);
             self.ball_center_norms
                 .push(b.center.iter().map(|&v| v * v).sum());
             self.ball_centers.extend_from_slice(&b.center);
             self.balls.push(Arc::new(ball));
         }
+        self.center_panels = PackedB::from_rows(lay.dim, &self.ball_centers);
     }
 
     /// Adds a row whose id is above every id in the cluster, leaving every
@@ -338,6 +349,7 @@ impl ClusterEmbeddings {
         }
         let ball = Arc::make_mut(&mut self.balls[j]);
         ball.radius = ball.radius.max(inflated_radius(dist));
+        ball.packed.push_row(&row.emb);
         ball.push_row(row);
         if ball.len() > lay.ball.leaf_rows() {
             // Re-split ball `j` alone: take it out (the last ball fills its
@@ -488,6 +500,86 @@ impl EmbeddingIndex {
     }
 }
 
+/// One query's distances to every row of one ball it must look into.
+struct BallEval {
+    query: u32,
+    ball: u32,
+    /// Where the ball's `len` distances start in [`SearchScratch::dists`].
+    at: usize,
+    /// Whether the ball survived the query's triangle bound. A query's
+    /// probe ball is evaluated before the bound exists; its distances are
+    /// kept and count only once it has passed like any other ball.
+    survived: bool,
+}
+
+/// Every buffer one [`search_cluster`] call fills, recycled per thread so
+/// a steady-state read allocates only its result.
+#[derive(Default)]
+struct SearchScratch {
+    /// The query group's embeddings, gathered, and their squared norms.
+    qdata: Vec<f32>,
+    qnorms: Vec<f32>,
+    /// `[queries, balls]` squared distances to the ball centers.
+    center_dists: Vec<f32>,
+    /// Per ball, the queries to evaluate it for: first as a probe ball,
+    /// then as a survivor.
+    ball_queries: Vec<Vec<u32>>,
+    /// One ball's share of `qdata`/`qnorms`, gathered for its GEMM.
+    sub_q: Vec<f32>,
+    sub_n: Vec<f32>,
+    /// Every evaluated `(query, ball)` pair and, back to back, its
+    /// distances.
+    evals: Vec<BallEval>,
+    dists: Vec<f32>,
+    /// Per query: its probe ball's entry in `evals`, the probe-anchored
+    /// upper bound, the refine cutoff.
+    probe_eval: Vec<usize>,
+    bound: Vec<f32>,
+    cutoff: Vec<f32>,
+    /// `(query, id, ball, row)` of every row that reaches the exact pass.
+    cands: Vec<(u32, DocId, u32, u32)>,
+}
+
+thread_local! {
+    static SEARCH_SCRATCH: Cell<SearchScratch> = Cell::default();
+}
+
+impl SearchScratch {
+    /// Evaluates ball `j` for the queries listed in `ball_queries[j]`: one
+    /// GEMM of their embeddings against the ball's packed rows, appended to
+    /// `dists`, one `evals` entry per query.
+    fn evaluate_ball(&mut self, j: usize, ball: &IndexBall, survived: bool) {
+        let (qi, d) = (&self.ball_queries[j], ball.packed.k());
+        self.sub_q.clear();
+        self.sub_n.clear();
+        for &i in qi {
+            let i = i as usize;
+            self.sub_q
+                .extend_from_slice(&self.qdata[i * d..(i + 1) * d]);
+            self.sub_n.push(self.qnorms[i]);
+        }
+        let (len, at) = (ball.len(), self.dists.len());
+        self.dists.resize(at + qi.len() * len, 0.0);
+        sq_dist_packed_into(
+            qi.len(),
+            &self.sub_q,
+            &ball.packed,
+            &self.sub_n,
+            &ball.norms,
+            &mut self.dists[at..],
+            Threading::Auto,
+        );
+        for (a, &query) in qi.iter().enumerate() {
+            self.evals.push(BallEval {
+                query,
+                ball: j as u32,
+                at: at + a * len,
+                survived,
+            });
+        }
+    }
+}
+
 /// Searches one cluster for one query group (see
 /// [`EmbeddingIndex::routed_nearest`] for the exactness argument).
 fn search_cluster(
@@ -516,84 +608,65 @@ fn search_cluster(
             })
             .collect();
     }
+    let mut sc = SEARCH_SCRATCH.take();
     let d = z.shape()[1];
     let m = qs.len();
-    let mut qdata = Vec::with_capacity(m * d);
+    sc.qdata.clear();
+    sc.qnorms.clear();
     for &q in qs {
-        qdata.extend_from_slice(z.row(q));
+        let row = z.row(q);
+        sc.qdata.extend_from_slice(row);
+        // The same ascending-index sum `row_sq_norms` takes.
+        sc.qnorms.push(row.iter().map(|&v| v * v).sum());
     }
-    let qnorms = row_sq_norms(&qdata, d);
     // Level-2 routing: one GEMM of the query group against the ball
     // centers, then per-query triangle-inequality pruning.
     let nb = cl.balls.len();
-    let mut bd = vec![0.0f32; m * nb];
-    sq_dist_into(
+    sc.center_dists.resize(m * nb, 0.0);
+    sq_dist_packed_into(
         m,
-        d,
-        nb,
-        &qdata,
-        &cl.ball_centers,
-        &qnorms,
+        &sc.qdata,
+        &cl.center_panels,
+        &sc.qnorms,
         &cl.ball_center_norms,
-        &mut bd,
+        &mut sc.center_dists,
         Threading::Auto,
     );
+    let eligible = |ball: &IndexBall| !labeled_only || ball.labeled;
+    let donates = |ball: &IndexBall, t: usize| !labeled_only || ball.labels[t].is_some();
     // Probe stage: each query's closest eligible ball (by center
-    // distance) is evaluated first, via one GEMM over the union of
-    // probe balls. The best margin-inflated squared distance among a
-    // probe ball's eligible rows upper-bounds the winner's true
-    // distance with a *realized* point distance — far tighter than
-    // any center-plus-radius bound, which in high dimensions barely
-    // prunes (ball radii rival inter-point distances).
-    let mut probe_ball: Vec<usize> = Vec::with_capacity(m);
-    for drow in bd.chunks_exact(nb) {
-        let mut best = usize::MAX;
-        let mut best_d = f32::INFINITY;
+    // distance) is evaluated first, one GEMM per probe ball over the
+    // queries that chose it. The best margin-inflated squared distance
+    // among a probe ball's eligible rows upper-bounds the winner's true
+    // distance with a *realized* point distance — far tighter than any
+    // center-plus-radius bound, which in high dimensions barely prunes
+    // (ball radii rival inter-point distances).
+    //
+    // Per-ball GEMM batching over each ball's own packed block: queries
+    // needing the same ball are evaluated as one GEMM against it. The
+    // alternative — one GEMM over the *union* of surviving rows across the
+    // query group — makes every query pay for every other query's
+    // survivors (m × union work, quadratic in group size); per-ball
+    // subgrouping does exactly the distances some query needs, with no
+    // per-row gather at all.
+    sc.ball_queries.iter_mut().for_each(Vec::clear);
+    sc.ball_queries.resize(nb, Vec::new());
+    for (i, drow) in sc.center_dists.chunks_exact(nb).enumerate() {
+        let mut best: Option<usize> = None;
         for (j, ball) in cl.balls.iter().enumerate() {
-            if labeled_only && !ball.labeled {
-                continue;
-            }
-            if best == usize::MAX || drow[j] < best_d {
-                best = j;
-                best_d = drow[j];
+            if eligible(ball) && best.is_none_or(|b| drow[j] < drow[b]) {
+                best = Some(j);
             }
         }
-        probe_ball.push(best);
+        if let Some(j) = best {
+            sc.ball_queries[j].push(i as u32);
+        }
     }
-    // Per-ball GEMM batching over each ball's own dense block: queries
-    // needing the same ball are evaluated as one GEMM against it. The alternative — one GEMM over the
-    // *union* of surviving rows across the query group — makes every
-    // query pay for every other query's survivors (m × union work,
-    // quadratic in group size); per-ball subgrouping does exactly the
-    // distances some query needs, with no per-row gather at all.
-    let ball_dists = |j: usize, qi: &[u32]| -> Vec<f32> {
-        let ball = &cl.balls[j];
-        let len = ball.len();
-        let mut sub_q = Vec::with_capacity(qi.len() * d);
-        let mut sub_n = Vec::with_capacity(qi.len());
-        for &i in qi {
-            let i = i as usize;
-            sub_q.extend_from_slice(&qdata[i * d..(i + 1) * d]);
-            sub_n.push(qnorms[i]);
-        }
-        let mut dd = vec![0.0f32; qi.len() * len];
-        sq_dist_into(
-            qi.len(),
-            d,
-            len,
-            &sub_q,
-            &ball.emb,
-            &sub_n,
-            &ball.norms,
-            &mut dd,
-            Threading::Auto,
-        );
-        dd
-    };
-    let mut probe_queries: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for (i, &j) in probe_ball.iter().enumerate() {
-        if j != usize::MAX {
-            probe_queries[j].push(i as u32);
+    sc.evals.clear();
+    sc.dists.clear();
+    for (j, ball) in cl.balls.iter().enumerate() {
+        if !sc.ball_queries[j].is_empty() {
+            sc.evaluate_ball(j, ball, false);
         }
     }
     // Upper bound on each query's winner distance, anchored to its
@@ -603,127 +676,107 @@ fn search_cluster(
     // f32 sqrt). The winner — and any exact tie — sits at or below
     // it, so a ball whose slack-deflated lower bound exceeds it
     // cannot contain either.
-    let mut bound = vec![f32::NEG_INFINITY; m];
-    for (j, qi) in probe_queries.iter().enumerate() {
-        if qi.is_empty() {
-            continue;
+    sc.bound.clear();
+    sc.bound.resize(m, f32::NEG_INFINITY);
+    sc.probe_eval.clear();
+    sc.probe_eval.resize(m, usize::MAX);
+    for (e, eval) in sc.evals.iter().enumerate() {
+        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
+        sc.probe_eval[i] = e;
+        let qn = sc.qnorms[i];
+        let mut cut = f32::INFINITY;
+        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
+            if donates(ball, t) {
+                cut = cut.min(gd + normed_margin(qn, ball.norms[t]));
+            }
         }
-        let pd = ball_dists(j, qi);
-        let ball = &cl.balls[j];
-        let len = ball.len();
-        for (a, &iq) in qi.iter().enumerate() {
-            let i = iq as usize;
-            let qn = qnorms[i];
-            let mut cut = f32::INFINITY;
-            for t in 0..len {
-                if labeled_only && ball.labels[t].is_none() {
-                    continue;
-                }
-                cut = cut.min(pd[a * len + t] + normed_margin(qn, ball.norms[t]));
-            }
-            if cut < f32::INFINITY {
-                bound[i] = cut.max(0.0).sqrt() * (1.0 + PRUNE_SLACK);
-            }
+        if cut < f32::INFINITY {
+            sc.bound[i] = cut.max(0.0).sqrt() * (1.0 + PRUNE_SLACK);
         }
     }
     // Triangle-inequality pass: per query, a ball survives when its
     // slack-deflated lower bound does not clear the probe-anchored
     // upper bound. Survivors are recorded ball-major, feeding the
-    // per-ball GEMM batches below.
-    let mut surv_queries: Vec<Vec<u32>> = vec![Vec::new(); nb];
+    // per-ball GEMM batches below — except a query's probe ball, whose
+    // distances are already there and are only marked.
+    sc.ball_queries.iter_mut().for_each(Vec::clear);
     let mut pruned_total = 0u64;
-    for (i, drow) in bd.chunks_exact(nb).enumerate() {
-        let qn = qnorms[i];
-        let mut eligible = 0usize;
-        let mut kept = 0usize;
+    for (i, drow) in sc.center_dists.chunks_exact(nb).enumerate() {
+        let qn = sc.qnorms[i];
+        let probe = sc.evals.get_mut(sc.probe_eval[i]);
+        let probe_ball = probe.as_ref().map(|eval| eval.ball as usize);
+        let mut probe_survived = false;
         for (j, ball) in cl.balls.iter().enumerate() {
-            if labeled_only && !ball.labeled {
+            if !eligible(ball) {
                 continue;
             }
-            eligible += 1;
             let margin = normed_margin(qn, cl.ball_center_norms[j]);
             let lb =
                 ((drow[j] - margin).max(0.0).sqrt() - ball.radius).max(0.0) * (1.0 - PRUNE_SLACK);
-            if lb <= bound[i] {
-                surv_queries[j].push(i as u32);
-                kept += 1;
+            if lb <= sc.bound[i] {
+                if probe_ball == Some(j) {
+                    probe_survived = true;
+                } else {
+                    sc.ball_queries[j].push(i as u32);
+                }
+            } else {
+                pruned_total += 1;
             }
         }
-        pruned_total += (eligible - kept) as u64;
+        if let Some(eval) = probe {
+            eval.survived = probe_survived;
+        }
+    }
+    for (j, ball) in cl.balls.iter().enumerate() {
+        if !sc.ball_queries[j].is_empty() {
+            sc.evaluate_ball(j, ball, true);
+        }
     }
     // cutoff = min over a query's surviving rows of (GEMM dist +
     // margin): an upper bound on the exact squared distance of the
     // true winner, so every row whose GEMM interval reaches it — the
     // winner and all its ties included — survives to the exact pass.
-    let mut cutoff = vec![f32::INFINITY; m];
-    let mut surv_dist: Vec<Vec<f32>> = vec![Vec::new(); nb];
-    for (j, qi) in surv_queries.iter().enumerate() {
-        if qi.is_empty() {
+    sc.cutoff.clear();
+    sc.cutoff.resize(m, f32::INFINITY);
+    for eval in sc.evals.iter().filter(|eval| eval.survived) {
+        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
+        let qn = sc.qnorms[i];
+        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
+            if donates(ball, t) {
+                sc.cutoff[i] = sc.cutoff[i].min(gd + normed_margin(qn, ball.norms[t]));
+            }
+        }
+    }
+    // Candidates sort by query, then document id: rows are ascending by
+    // id within a cluster, so that is the brute scan's order.
+    sc.cands.clear();
+    for eval in sc.evals.iter().filter(|eval| eval.survived) {
+        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
+        if sc.cutoff[i] == f32::INFINITY {
             continue;
         }
-        let dd = ball_dists(j, qi);
-        let ball = &cl.balls[j];
-        let len = ball.len();
-        for (a, &iq) in qi.iter().enumerate() {
-            let i = iq as usize;
-            let qn = qnorms[i];
-            for t in 0..len {
-                if labeled_only && ball.labels[t].is_none() {
-                    continue;
-                }
-                cutoff[i] = cutoff[i].min(dd[a * len + t] + normed_margin(qn, ball.norms[t]));
-            }
-        }
-        surv_dist[j] = dd;
-    }
-    // Candidates carry their document id first: rows are ascending by id
-    // within a cluster, so sorting candidates is the brute scan's order.
-    let mut cands: Vec<Vec<(DocId, usize, usize)>> = vec![Vec::new(); m];
-    for (j, qi) in surv_queries.iter().enumerate() {
-        let dd = &surv_dist[j];
-        let ball = &cl.balls[j];
-        let len = ball.len();
-        for (a, &iq) in qi.iter().enumerate() {
-            let i = iq as usize;
-            if cutoff[i] == f32::INFINITY {
-                continue;
-            }
-            let qn = qnorms[i];
-            for t in 0..len {
-                if labeled_only && ball.labels[t].is_none() {
-                    continue;
-                }
-                if dd[a * len + t] - normed_margin(qn, ball.norms[t]) <= cutoff[i] {
-                    cands[i].push((ball.ids[t], j, t));
-                }
+        let qn = sc.qnorms[i];
+        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
+            if donates(ball, t) && gd - normed_margin(qn, ball.norms[t]) <= sc.cutoff[i] {
+                sc.cands
+                    .push((eval.query, ball.ids[t], eval.ball, t as u32));
             }
         }
     }
+    sc.cands.sort_unstable();
     // Exact refine, in the brute scan's ascending-id order with its
     // strict-`<` rule: bit-identical winner and bits.
-    let mut scanned_total = 0u64;
-    let out = qs
-        .iter()
-        .enumerate()
-        .map(|(i, &q)| {
-            if cutoff[i] == f32::INFINITY {
-                return (q, None);
-            }
-            let c = &mut cands[i];
-            c.sort_unstable();
-            scanned_total += c.len() as u64;
-            let zrow = z.row(q);
-            let mut best: Option<(f32, usize, usize)> = None;
-            for &(_, j, t) in c.iter() {
-                let dist_e = sq_dist(zrow, &cl.balls[j].emb[t * d..(t + 1) * d]).sqrt();
-                if best.map(|(bd, _, _)| dist_e < bd).unwrap_or(true) {
-                    best = Some((dist_e, j, t));
-                }
-            }
-            (q, best)
-        })
-        .collect();
-    stats.record(m as u64, pruned_total, scanned_total);
+    let mut out: GroupHits = qs.iter().map(|&q| (q, None)).collect();
+    for &(i, _, j, t) in &sc.cands {
+        let (q, best) = &mut out[i as usize];
+        let (j, t) = (j as usize, t as usize);
+        let dist_e = sq_dist(z.row(*q), &cl.balls[j].emb[t * d..(t + 1) * d]).sqrt();
+        if best.is_none_or(|(bd, _, _)| dist_e < bd) {
+            *best = Some((dist_e, j, t));
+        }
+    }
+    stats.record(m as u64, pruned_total, sc.cands.len() as u64);
+    SEARCH_SCRATCH.set(sc);
     out
 }
 
@@ -1041,15 +1094,30 @@ mod tests {
         ds.train_system(&train, &quick_embed_cfg());
         let snap = ds.snapshot().unwrap();
         let query = train.slice_rows(0, 1);
+        let dim = snap.embedder().embed_dim();
         for round in 0..100 {
             let (x, y) = blob_images(4, 4, 100 + round);
             ds.ingest_labeled(&x, &y, round as usize);
             snap.nearest_labeled(&query);
+            // Rows appended one at a time — through the cluster's first
+            // split and every re-split of a ball — leave the panels a pack
+            // of the finished block yields; a block no GEMM reads has none.
+            for cl in &snap.index.current().clusters {
+                if !cl.is_partitioned() {
+                    assert_eq!(cl.center_panels.n() + cl.balls[0].packed.n(), 0);
+                    continue;
+                }
+                let centers = PackedB::from_rows(dim, &cl.ball_centers);
+                assert_eq!(cl.center_panels, centers, "round {round}");
+                for ball in &cl.balls {
+                    let packed = PackedB::from_rows(dim, &ball.emb);
+                    assert_eq!(ball.packed, packed, "round {round}");
+                }
+            }
         }
         let counters = ds.read_index_counters();
         assert_eq!(counters.rows_decoded(), 100 * 16, "no row decoded twice");
         let index = snap.index.current();
-        let dim = snap.embedder().embed_dim();
         let leaf = 2 * snap.config().read_index.ball_target;
         let mut rows = 0;
         for cl in &index.clusters {

@@ -21,6 +21,8 @@ use fairdms_tensor::Tensor;
 
 const MAGIC: &[u8; 8] = b"FDMSCKPT";
 const VERSION: u32 = 1;
+/// Highest tensor rank a checkpoint may declare (the wire codec's limit).
+const MAX_RANK: usize = 8;
 
 /// Errors produced when loading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +33,9 @@ pub enum CheckpointError {
     BadVersion(u32),
     /// The blob ended prematurely or had trailing garbage.
     Truncated,
+    /// The blob declares something no checkpoint holds (a tensor rank over
+    /// the limit, an element count that overflows).
+    Invalid(String),
     /// Parameter count or a parameter shape differs from the target network.
     ShapeMismatch {
         /// Index of the offending parameter.
@@ -55,6 +60,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "not a fairDMS checkpoint (bad magic)"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::Truncated => write!(f, "checkpoint is truncated or has trailing bytes"),
+            CheckpointError::Invalid(why) => write!(f, "malformed checkpoint: {why}"),
             CheckpointError::ShapeMismatch { index, stored, expected } => write!(
                 f,
                 "parameter {index}: stored shape {stored:?} does not match network shape {expected:?}"
@@ -131,19 +137,31 @@ pub fn read_tensors(bytes: &[u8]) -> Result<Vec<Tensor>, CheckpointError> {
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let n = cursor.u32()? as usize;
+    // Counts read from the blob are input: each is checked against the
+    // bytes that remain before anything is allocated for it.
+    let n = cursor.count(4)?;
     let mut tensors = Vec::with_capacity(n);
     for _ in 0..n {
         let rank = cursor.u32()? as usize;
+        if rank > MAX_RANK {
+            return Err(CheckpointError::Invalid(format!(
+                "tensor rank {rank} over the limit of {MAX_RANK}"
+            )));
+        }
         let mut dims = Vec::with_capacity(rank);
+        let mut numel = 1usize;
         for _ in 0..rank {
-            dims.push(cursor.u32()? as usize);
+            let d = cursor.u32()? as usize;
+            numel = numel
+                .checked_mul(d)
+                .ok_or_else(|| CheckpointError::Invalid("tensor element count overflows".into()))?;
+            dims.push(d);
         }
-        let numel: usize = dims.iter().product();
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(f32::from_le_bytes(cursor.take(4)?.try_into().unwrap()));
-        }
+        let raw = cursor.take(numel.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
+        let data = raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
+            .collect();
         tensors.push(Tensor::from_vec(data, &dims));
     }
     if cursor.pos != bytes.len() {
@@ -159,7 +177,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(CheckpointError::Truncated);
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -168,7 +186,19 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("took 4 bytes"),
+        ))
+    }
+
+    /// A `u32` element count, refused when `count × min_bytes` is more than
+    /// the blob still holds.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_bytes) {
+            Some(need) if need <= self.bytes.len() - self.pos => Ok(n),
+            _ => Err(CheckpointError::Truncated),
+        }
     }
 }
 
@@ -233,6 +263,40 @@ mod tests {
         let mut blob = save(&a);
         blob.push(0);
         assert_eq!(load(&mut net(1), &blob), Err(CheckpointError::Truncated));
+    }
+
+    #[test]
+    fn forged_counts_are_refused_before_allocating() {
+        let header = |n: u32| {
+            let mut blob = MAGIC.to_vec();
+            blob.extend_from_slice(&VERSION.to_le_bytes());
+            blob.extend_from_slice(&n.to_le_bytes());
+            blob
+        };
+        // A tensor count the blob cannot hold.
+        assert_eq!(
+            read_tensors(&header(u32::MAX)),
+            Err(CheckpointError::Truncated)
+        );
+        // A rank over the limit, and dims whose product overflows `usize`.
+        let mut blob = header(1);
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            read_tensors(&blob),
+            Err(CheckpointError::Invalid(_))
+        ));
+        let mut blob = header(1);
+        blob.extend_from_slice(&8u32.to_le_bytes());
+        blob.extend_from_slice(&[0xFF; 32]);
+        assert!(matches!(
+            read_tensors(&blob),
+            Err(CheckpointError::Invalid(_))
+        ));
+        // An element count that fits `usize` but not the blob.
+        let mut blob = header(1);
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        blob.extend_from_slice(&[0xFF; 8]);
+        assert_eq!(read_tensors(&blob), Err(CheckpointError::Truncated));
     }
 
     #[test]

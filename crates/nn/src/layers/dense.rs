@@ -2,17 +2,28 @@
 
 use super::{Layer, Mode};
 use crate::param::Param;
+use fairdms_tensor::gemm::{self, PackedB, Threading};
 use fairdms_tensor::{ops, rng::TensorRng, Tensor};
+use std::sync::Arc;
 
 /// A fully connected layer: `y = x Wᵀ + b`.
 ///
 /// The weight is stored `[out_features, in_features]` so both the forward
 /// pass (`matmul_transb`) and the input-gradient pass (`matmul`) run on the
 /// stored layout without materializing a transpose.
+///
+/// [`Layer::freeze`] packs the weight into GEMM panels once; from then on
+/// every forward pass multiplies against them instead of re-packing the
+/// weight per call — the same product, bit for bit. The panels live only
+/// while nobody can have changed the weight: handing it out through
+/// [`Layer::params_mut`] drops them. A layer that is being trained is
+/// never frozen and packs per call into the thread's recycled scratch.
 #[derive(Clone)]
 pub struct Dense {
     weight: Param,
     bias: Param,
+    /// The weight in panels while frozen; clones share them.
+    frozen: Option<Arc<PackedB>>,
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
@@ -24,6 +35,7 @@ impl Dense {
         Dense {
             weight: Param::new(rng.xavier(in_features, out_features)),
             bias: Param::new(Tensor::zeros(&[out_features])),
+            frozen: None,
             in_features,
             out_features,
             cached_input: None,
@@ -61,7 +73,14 @@ impl Layer for Dense {
         // output element as the final depth block flushes, which is the same
         // final-add ordering as a separate broadcast pass — bit-identical,
         // one sweep over the output instead of two.
-        ops::matmul_transb_bias(x, &self.weight.value, &self.bias.value)
+        match &self.frozen {
+            Some(panels) => gemm::matmul_packed_bias(x, panels, &self.bias.value, Threading::Auto),
+            None => ops::matmul_transb_bias(x, &self.weight.value, &self.bias.value),
+        }
+    }
+
+    fn freeze(&mut self) {
+        self.frozen = Some(Arc::new(PackedB::pack_transposed(&self.weight.value)));
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -84,6 +103,8 @@ impl Layer for Dense {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        // Whoever holds these may write the weight: the panels go first.
+        self.frozen = None;
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -128,6 +149,25 @@ mod tests {
         layer.forward(&x, Mode::Train);
         layer.backward(&g);
         assert_eq!(layer.bias.grad.data(), &[4.0, 4.0]);
+    }
+
+    #[test]
+    fn frozen_panels_are_shared_by_clones_and_dropped_with_params_mut() {
+        let mut rng = TensorRng::seeded(3);
+        let mut layer = Dense::new(20, 9, &mut rng);
+        let x = rng.uniform(&[5, 20], -1.0, 1.0);
+        let unfrozen = layer.infer(&x);
+        layer.freeze();
+        assert_eq!(layer.infer(&x), unfrozen);
+        let twin = layer.clone();
+        let (a, b) = (
+            layer.frozen.as_ref().unwrap(),
+            twin.frozen.as_ref().unwrap(),
+        );
+        assert!(Arc::ptr_eq(a, b), "a clone shares the panels");
+        layer.params_mut();
+        assert!(layer.frozen.is_none(), "handing the weight out thaws");
+        assert!(twin.frozen.is_some(), "the clone owns its own weight");
     }
 
     #[test]

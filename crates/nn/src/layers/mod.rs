@@ -84,6 +84,13 @@ pub trait Layer: Send + Sync {
     /// hyper-parameters; transient backward caches need not be preserved).
     fn clone_layer(&self) -> Box<dyn Layer>;
 
+    /// Prepares the layer to serve many forward passes with the parameters
+    /// it has now: whatever of them can be put in the form the kernels
+    /// read, once, is (see [`Dense`]). Outputs do not change by a bit. The
+    /// preparation must not outlive the parameters it was made from —
+    /// [`Layer::params_mut`] undoes it.
+    fn freeze(&mut self) {}
+
     /// Mutable access to the layer's learnable parameters (may be empty).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -154,6 +161,14 @@ impl Sequential {
             cur = layer.infer(&cur);
         }
         cur
+    }
+
+    /// Freezes every layer ([`Layer::freeze`]): for a network about to be
+    /// published and served, never for one being trained — each optimizer
+    /// step would throw the packed weights away. Same outputs, bit for bit;
+    /// [`Sequential::params_mut`] thaws.
+    pub fn freeze(&mut self) {
+        self.layers.iter_mut().for_each(|l| l.freeze());
     }
 
     /// Runs the full backward pass, returning ∂L/∂input.
@@ -260,6 +275,54 @@ mod tests {
         assert_eq!(full, params_only);
         // An empty network has nothing to accumulate.
         Sequential::empty().backward_params(&dy);
+    }
+
+    fn dense_net(seed: u64) -> Sequential {
+        let mut rng = TensorRng::seeded(seed);
+        Sequential::new(vec![
+            Box::new(Dense::new(70, 40, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Dense::new(40, 9, &mut rng)),
+        ])
+    }
+
+    #[test]
+    fn a_frozen_net_infers_the_same_bits() {
+        let mut net = dense_net(4);
+        let mut rng = TensorRng::seeded(5);
+        for rows in [1, 16, 33] {
+            let x = rng.uniform(&[rows, 70], -1.0, 1.0);
+            let unfrozen = net.infer(&x);
+            let mut frozen = net.clone();
+            frozen.freeze();
+            assert_eq!(frozen.infer(&x), unfrozen, "{rows} rows");
+            assert_eq!(frozen.forward(&x, Mode::Eval), unfrozen, "{rows} rows");
+        }
+        net.freeze();
+        assert_eq!(net.clone().infer(&Tensor::ones(&[2, 70])).shape(), &[2, 9]);
+    }
+
+    #[test]
+    fn training_a_frozen_net_equals_training_a_never_frozen_twin() {
+        use crate::optim::{Optimizer, Sgd};
+        let mut rng = TensorRng::seeded(6);
+        let x = rng.uniform(&[8, 70], -1.0, 1.0);
+        let dy = rng.uniform(&[8, 9], -1.0, 1.0);
+        let mut twin = dense_net(7);
+        let mut thawed = twin.clone();
+        thawed.freeze();
+        for net in [&mut twin, &mut thawed] {
+            let mut opt = Sgd::new(0.1);
+            for _ in 0..2 {
+                net.zero_grad();
+                net.forward(&x, Mode::Train);
+                net.backward_params(&dy);
+                opt.step(net.params_mut());
+            }
+        }
+        // Stale panels would serve the weights from before the steps.
+        assert_eq!(thawed.infer(&x), twin.infer(&x));
+        assert_ne!(thawed.infer(&x), dense_net(7).infer(&x));
     }
 
     #[test]

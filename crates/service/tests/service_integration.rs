@@ -8,7 +8,9 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::{DmsApi, ServiceError};
+use fairdms_service::{
+    DmsApi, MultiDms, NetServerConfig, PipelinedClient, ServiceError, TenantSpec,
+};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::thread;
@@ -63,24 +65,31 @@ fn spawn_server_k(seed: u64, auto_retrain: bool, k: usize) -> (DmsClient, Server
     spawn_server_over(seed, auto_retrain, ds_cfg)
 }
 
-fn spawn_server_over(
-    seed: u64,
-    auto_retrain: bool,
-    ds_cfg: FairDsConfig,
-) -> (DmsClient, ServerHandle) {
+fn trainer_over(seed: u64, ds_cfg: FairDsConfig) -> RapidTrainer {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
     let fairds = FairDS::in_memory(Box::new(embedder), ds_cfg);
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 4;
     tcfg.train.batch_size = 16;
     tcfg.seed = seed;
-    let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
+    RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg)
+}
+
+fn spawn_server_over(
+    seed: u64,
+    auto_retrain: bool,
+    ds_cfg: FairDsConfig,
+) -> (DmsClient, ServerHandle) {
     let cfg = DmsServerConfig {
         auto_retrain,
         retrain_embed_cfg: embed_cfg(),
         ..DmsServerConfig::default()
     };
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
+    DmsServer::spawn(
+        trainer_over(seed, ds_cfg),
+        Box::new(|_| vec![0.5, 0.5]),
+        cfg,
+    )
 }
 
 fn spawn_server(seed: u64, auto_retrain: bool) -> (DmsClient, ServerHandle) {
@@ -265,6 +274,71 @@ fn publish_and_fetch_external_models() {
     );
     drop(client);
     handle.shutdown();
+}
+
+#[test]
+fn a_forged_checkpoint_is_never_a_foundation_and_costs_nobody_else_anything() {
+    // Checkpoint bytes are input. These sixteen sit behind the right magic
+    // and version and claim 2³²−1 tensors: opened with the count trusted,
+    // they abort the process in the allocator.
+    let mut forged = b"FDMSCKPT".to_vec();
+    forged.extend_from_slice(&1u32.to_le_bytes());
+    forged.extend_from_slice(&u32::MAX.to_le_bytes());
+
+    let mut builder = MultiDms::builder(1);
+    for tenant in [1, 2] {
+        let ds_cfg = FairDsConfig {
+            k: Some(2),
+            ..FairDsConfig::default()
+        };
+        let spec = TenantSpec {
+            config: DmsServerConfig {
+                auto_retrain: false,
+                ..DmsServerConfig::default()
+            },
+            ..TenantSpec::new(tenant)
+        };
+        let trainer = trainer_over(40 + u64::from(tenant), ds_cfg);
+        builder = builder.tenant(spec, trainer, Box::new(|_| vec![0.5, 0.5]));
+    }
+    let multi = builder.spawn();
+    let net = multi
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
+        .expect("bind");
+    let one = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 1).unwrap();
+    let two = one.for_tenant(2);
+    let (x, y) = blob_images(25, 2, 43);
+    for api in [&one, &two] {
+        api.train_system(x.clone(), embed_cfg()).unwrap();
+        api.ingest(x.clone(), y.clone(), 0).unwrap();
+    }
+
+    // Published under the very PDF the update will ask with, so it ranks
+    // first: the zoo stores what it is given and the bytes come back as
+    // they went in.
+    let (x_new, _) = blob_images(15, 2, 44);
+    let pdf = one.dataset_pdf(x_new.clone()).unwrap();
+    let forged_id = one
+        .publish("forged", forged.clone(), pdf.clone(), 9)
+        .unwrap();
+    assert_eq!(one.recommend(pdf.clone()).unwrap().ranked[0].0, forged_id);
+
+    // The update opens it, finds no checkpoint, and trains from scratch.
+    let (ckpt, report) = one.update_model(x_new.clone(), 1).unwrap();
+    assert!(report.foundation.is_none(), "{:?}", report.foundation);
+    assert!(!ckpt.is_empty());
+    assert_eq!(one.fetch(forged_id).unwrap(), (forged, pdf.clone()));
+    assert_eq!(one.fetch(report.registered_id).unwrap().0, ckpt);
+
+    // The connection, the tenant and its neighbour all keep serving.
+    assert_eq!(one.dataset_pdf(x_new.clone()).unwrap(), pdf);
+    assert_eq!(two.dataset_pdf(x_new.clone()).unwrap().len(), 2);
+    let (_, neighbour) = two.update_model(x_new, 1).unwrap();
+    assert!(neighbour.foundation.is_none(), "tenant 2's zoo was empty");
+
+    drop((one, two));
+    net.shutdown();
+    multi.shutdown();
 }
 
 #[test]

@@ -18,7 +18,9 @@
 //!   contiguous, aligned `[f32; NR]` row per k step regardless of B's
 //!   original layout — which is also what lets `matmul_transb` run at full
 //!   speed without materializing `Bᵀ`: transposition happens during the
-//!   pack, touching each element once.
+//!   pack, touching each element once. An operand that outlives many
+//!   products is packed once instead ([`PackedB`]): the block loop then
+//!   borrows its panels, and everything from there on is the same code.
 //! * **Register micro-kernel.** An `MR×NR` accumulator array of plain
 //!   `f32` lives entirely in registers; the hand-unrolled `NR`-wide inner
 //!   statements autovectorize on stable rustc (the accumulator array is
@@ -104,6 +106,123 @@ enum BSrc<'a> {
     Normal(&'a [f32]),
     /// Row-major `[n, k]`; the logical operand is its transpose.
     Transposed(&'a [f32]),
+    /// Already in panels: the pack step borrows them.
+    Packed(&'a PackedB),
+}
+
+/// A right-hand operand packed once, for as long as it lives: the panels
+/// [`gemm_rows`] would build from it on every call, block after block in
+/// the order the block loop walks them. A product against it runs the same
+/// loop, macro-kernel and accumulation order as a product against the
+/// unpacked operand — every result is that product's, bit for bit — and
+/// skips the pack step; parallel workers share the one copy.
+///
+/// For an operand that outlives many products: a published network's
+/// weights, the read index's embedding blocks. Whoever owns one owns the
+/// source it was packed from and must drop it when the source changes.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// Column blocks of `NC` in ascending order; within one, depth blocks
+    /// of `KC` in ascending order, each laid out as [`pack_b`] writes it.
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs `b`, stored `[k, n]` (the operand of [`matmul`]).
+    pub fn pack(b: &Tensor) -> PackedB {
+        let (k, n) = dims2(b, "PackedB::pack: B");
+        PackedB::pack_src(BSrc::Normal(b.data()), k, n)
+    }
+
+    /// Packs `b`, stored `[n, k]` (the operand of [`matmul_transb`]).
+    pub fn pack_transposed(b: &Tensor) -> PackedB {
+        let (n, k) = dims2(b, "PackedB::pack_transposed: B");
+        PackedB::pack_src(BSrc::Transposed(b.data()), k, n)
+    }
+
+    /// Slice-level [`PackedB::pack_transposed`]: `rows` is `[n, k]` flat.
+    /// `k` of zero packs no rows.
+    pub fn from_rows(k: usize, rows: &[f32]) -> PackedB {
+        let n = rows.len().checked_div(k).unwrap_or(0);
+        assert_eq!(rows.len(), n * k, "PackedB::from_rows: ragged rows");
+        PackedB::pack_src(BSrc::Transposed(rows), k, n)
+    }
+
+    fn pack_src(b: BSrc<'_>, k: usize, n: usize) -> PackedB {
+        let mut data = Vec::with_capacity(n.next_multiple_of(NR) * k);
+        let mut block = Vec::new();
+        for jc in (0..n).step_by(NC) {
+            let nc_b = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc_b = KC.min(k - pc);
+                data.extend_from_slice(pack_b(b, k, n, pc, kc_b, jc, nc_b, &mut block));
+            }
+        }
+        PackedB { k, n, data }
+    }
+
+    /// Depth of the operand (rows of the logical `[k, n]` matrix).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the logical `[k, n]` operand — rows packed so far, for
+    /// one built with [`PackedB::from_rows`] and [`PackedB::push_row`].
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Where the `[pc..pc+kc_b, jc..jc+nc_b]` block sits in `data`. Every
+    /// column block before `jc` is full (`NC·k` floats, `NC` being whole
+    /// panels), and every depth block before `pc` holds this column
+    /// block's panels `KC` deep.
+    fn block_range(
+        k: usize,
+        jc: usize,
+        nc_b: usize,
+        pc: usize,
+        kc_b: usize,
+    ) -> std::ops::Range<usize> {
+        let lanes = nc_b.next_multiple_of(NR);
+        let start = jc * k + lanes * pc;
+        start..start + lanes * kc_b
+    }
+
+    /// Appends one column to the logical operand — one more row of the
+    /// `[n, k]` storage [`PackedB::from_rows`] packs — leaving exactly the
+    /// panels a from-scratch pack of all the rows yields. The row lands in
+    /// one lane of one panel per depth block: O(k), plus, for an operand
+    /// deeper than `KC`, a shift of the last column block whenever a row
+    /// opens a new panel.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.k, "PackedB::push_row: row width");
+        let k = self.k;
+        let jc = self.n / NC * NC;
+        let col = self.n - jc;
+        let lane = col % NR;
+        if lane == 0 {
+            // A new zeroed panel at the end of every depth block of the
+            // last column block, deepest first so the offsets still hold.
+            let mut end = self.data.len();
+            for pc in (0..k).step_by(KC).rev() {
+                let kc_b = KC.min(k - pc);
+                self.data
+                    .splice(end..end, std::iter::repeat_n(0.0, kc_b * NR));
+                end -= col * kc_b;
+            }
+        }
+        for pc in (0..k).step_by(KC) {
+            let kc_b = KC.min(k - pc);
+            let block = PackedB::block_range(k, jc, col + 1, pc, kc_b);
+            let panel = &mut self.data[block][col / NR * kc_b * NR..];
+            for (dst, &x) in panel.chunks_exact_mut(NR).zip(&row[pc..pc + kc_b]) {
+                dst[lane] = x;
+            }
+        }
+        self.n += 1;
+    }
 }
 
 /// Fused operation applied exactly once per output element, when the
@@ -306,6 +425,82 @@ pub fn matmul_transb_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[m, n])
 }
 
+/// `C = A × B` against a [`PackedB`]: [`matmul`] or [`matmul_transb`] of
+/// the operand it was packed from, bit for bit, without the pack step.
+pub fn matmul_packed(a: &Tensor, b: &PackedB, threading: Threading) -> Tensor {
+    let (m, k) = dims2(a, "matmul_packed: A");
+    assert_eq!(k, b.k, "matmul_packed: inner dimensions differ");
+    let mut out = vec![0.0f32; m * b.n];
+    gemm_driver(
+        m,
+        k,
+        b.n,
+        a.data(),
+        BSrc::Packed(b),
+        Epilogue::None,
+        &mut out,
+        threading,
+    );
+    Tensor::from_vec(out, &[m, b.n])
+}
+
+/// `C = A × B + bias` against a [`PackedB`]: [`matmul_transb_bias`] of the
+/// `[n, k]` operand it was packed from, bit for bit, without the pack
+/// step — the forward pass of a frozen dense layer.
+pub fn matmul_packed_bias(a: &Tensor, b: &PackedB, bias: &Tensor, threading: Threading) -> Tensor {
+    let (m, k) = dims2(a, "matmul_packed_bias: A");
+    assert_eq!(k, b.k, "matmul_packed_bias: inner dimensions differ");
+    assert_eq!(
+        bias.numel(),
+        b.n,
+        "matmul_packed_bias: bias length {} must equal output columns {}",
+        bias.numel(),
+        b.n
+    );
+    let mut out = vec![0.0f32; m * b.n];
+    gemm_driver(
+        m,
+        k,
+        b.n,
+        a.data(),
+        BSrc::Packed(b),
+        Epilogue::Bias(bias.data()),
+        &mut out,
+        threading,
+    );
+    Tensor::from_vec(out, &[m, b.n])
+}
+
+/// [`sq_dist_into`] against the rows packed into `b`
+/// ([`PackedB::from_rows`]): the same distances, bit for bit, without the
+/// pack step. `b_norms` are those rows' squared norms.
+pub fn sq_dist_packed_into(
+    m: usize,
+    a: &[f32],
+    b: &PackedB,
+    a_norms: &[f32],
+    b_norms: &[f32],
+    out: &mut [f32],
+    threading: Threading,
+) {
+    let (k, n) = (b.k, b.n);
+    assert_eq!(a.len(), m * k, "sq_dist_packed_into: A extent");
+    assert_eq!(a_norms.len(), m, "sq_dist_packed_into: a_norms length");
+    assert_eq!(b_norms.len(), n, "sq_dist_packed_into: b_norms length");
+    assert_eq!(out.len(), m * n, "sq_dist_packed_into: output extent");
+    out.fill(0.0);
+    gemm_driver(
+        m,
+        k,
+        n,
+        a,
+        BSrc::Packed(b),
+        Epilogue::SqDist { a_norms, b_norms },
+        out,
+        threading,
+    );
+}
+
 /// `C = Aᵀ × B` (`A` stored `[k, m]`) through the blocked engine.
 ///
 /// A is pre-transposed once into recycled thread-local scratch — an
@@ -442,13 +637,13 @@ fn gemm_driver(
     }
 }
 
-/// The block loop over the C rows `row_base ..` held in `c_rows`: packs one
-/// `[KC×NC]` block of B at a time into this thread's scratch and sweeps it
+/// The block loop over the C rows `row_base ..` held in `c_rows`: takes one
+/// `[KC×NC]` block of B at a time in panels ([`pack_b`]) and sweeps it
 /// across every `MC`-row panel. The epilogue is handed to the macro-kernel
 /// only for the final depth block — every earlier block flushes plain.
-/// Parallel workers each pack for themselves: the copy is `k·n` against
-/// `rows·k·n` multiply–adds, and it buys a region per call instead of one
-/// per block.
+/// Parallel workers each pack an unpacked operand for themselves: the copy
+/// is `k·n` against `rows·k·n` multiply–adds, and it buys a region per
+/// call instead of one per block. A [`PackedB`] they share.
 fn gemm_rows(
     k: usize,
     n: usize,
@@ -459,14 +654,14 @@ fn gemm_rows(
     c_rows: &mut [f32],
 ) {
     let k_blocks = k.div_ceil(KC);
-    let mut packed = PACK_B.with(Cell::take);
+    let mut scratch = PACK_B.with(Cell::take);
     let mut jc = 0;
     while jc < n {
         let nc_b = NC.min(n - jc);
         for kb in 0..k_blocks {
             let pc = kb * KC;
             let kc_b = KC.min(k - pc);
-            pack_b(b, k, n, pc, kc_b, jc, nc_b, &mut packed);
+            let packed = pack_b(b, k, n, pc, kc_b, jc, nc_b, &mut scratch);
             // The epilogue rides on the last depth block only.
             let ep = if kb + 1 == k_blocks {
                 epilogue
@@ -475,37 +670,42 @@ fn gemm_rows(
             };
             for (pi, c_panel) in c_rows.chunks_mut(MC * n).enumerate() {
                 let row0 = row_base + pi * MC;
-                macro_kernel(a, k, row0, c_panel, n, &packed, kc_b, pc, jc, nc_b, ep);
+                macro_kernel(a, k, row0, c_panel, n, packed, kc_b, pc, jc, nc_b, ep);
             }
         }
         jc += NC;
     }
-    PACK_B.with(|c| c.set(packed));
+    PACK_B.with(|c| c.set(scratch));
 }
 
-/// Packs the `[pc..pc+kc_b, jc..jc+nc_b]` block of B into `NR`-wide column
-/// panels: panel `t` holds columns `jc + t·NR ..`, stored k-major
+/// The `[pc..pc+kc_b, jc..jc+nc_b]` block of B in `NR`-wide column panels:
+/// panel `t` holds columns `jc + t·NR ..`, stored k-major
 /// (`packed[t·kc_b·NR + p·NR + v] = B[pc+p, jc + t·NR + v]`), zero-padded
 /// past the right edge so the micro-kernel never branches on column count.
+/// A [`PackedB`] lends the panels it holds; any other operand is packed
+/// into `scratch`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
-    b: BSrc<'_>,
+fn pack_b<'s>(
+    b: BSrc<'s>,
     k: usize,
     n: usize,
     pc: usize,
     kc_b: usize,
     jc: usize,
     nc_b: usize,
-    packed: &mut Vec<f32>,
-) {
+    scratch: &'s mut Vec<f32>,
+) -> &'s [f32] {
+    if let BSrc::Packed(b) = b {
+        return &b.data[PackedB::block_range(k, jc, nc_b, pc, kc_b)];
+    }
     let panels = nc_b.div_ceil(NR);
     // Every lane of a full panel is overwritten below, so only the edge
     // panel's padding needs zeroing — no sweep over the whole block.
-    packed.resize(panels * kc_b * NR, 0.0);
+    scratch.resize(panels * kc_b * NR, 0.0);
     for t in 0..panels {
         let j0 = jc + t * NR;
         let jw = NR.min(jc + nc_b - j0);
-        let dst_panel = &mut packed[t * kc_b * NR..(t + 1) * kc_b * NR];
+        let dst_panel = &mut scratch[t * kc_b * NR..(t + 1) * kc_b * NR];
         if jw < NR {
             dst_panel.fill(0.0);
         }
@@ -535,8 +735,10 @@ fn pack_b(
                     }
                 }
             }
+            BSrc::Packed(_) => unreachable!("lent above"),
         }
     }
+    scratch
 }
 
 /// Updates one `MC`-row panel of C with one packed `[KC×NC]` block of B:
