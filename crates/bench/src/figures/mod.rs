@@ -70,12 +70,15 @@ pub fn bragg_flat(patches: &[BraggPatch]) -> (Tensor, Tensor) {
 /// A fairDS over a BYOL embedder for Bragg patches — the configuration
 /// the paper converged on (§IV) — trained on the given historical patches.
 pub fn bragg_fairds(historical: &[BraggPatch], k: usize, seed: u64, embed_epochs: usize) -> FairDS {
-    let cfg = FairDsConfig {
+    bragg_fairds_with(historical, bragg_cfg(k, seed), embed_epochs)
+}
+
+fn bragg_cfg(k: usize, seed: u64) -> FairDsConfig {
+    FairDsConfig {
         k: Some(k),
         seed,
         ..FairDsConfig::default()
-    };
-    bragg_fairds_with(historical, cfg, embed_epochs)
+    }
 }
 
 /// [`bragg_fairds`] with a caller-supplied configuration (used by the
@@ -85,20 +88,8 @@ pub fn bragg_fairds_with(
     cfg: FairDsConfig,
     embed_epochs: usize,
 ) -> FairDS {
-    let seed = cfg.seed;
-    let embedder = ByolEmbedder::new(BRAGG_SIDE, 64, 16, seed);
-    let mut ds = FairDS::in_memory(Box::new(embedder), cfg);
-    let (x, y) = bragg_flat(historical);
-    let ecfg = EmbedTrainConfig {
-        epochs: embed_epochs,
-        batch_size: 64,
-        lr: 2e-3,
-        seed,
-        ..EmbedTrainConfig::default()
-    };
-    ds.train_system(&x, &ecfg);
-    ds.ingest_labeled(&x, &y, 0);
-    ds
+    let embedder = ByolEmbedder::new(BRAGG_SIDE, 64, 16, cfg.seed);
+    build_fairds(Box::new(embedder), historical, cfg, embed_epochs)
 }
 
 /// Same fixture with the autoencoder embedding (used by the ablations).
@@ -109,33 +100,31 @@ pub fn bragg_fairds_autoencoder(
     embed_epochs: usize,
 ) -> FairDS {
     let embedder = AutoencoderEmbedder::new(BRAGG_SIDE * BRAGG_SIDE, 64, 16, seed);
-    build_fairds(Box::new(embedder), historical, k, seed, embed_epochs)
+    build_fairds(
+        Box::new(embedder),
+        historical,
+        bragg_cfg(k, seed),
+        embed_epochs,
+    )
 }
 
 fn build_fairds(
     embedder: Box<dyn Embedder>,
     historical: &[BraggPatch],
-    k: usize,
-    seed: u64,
+    cfg: FairDsConfig,
     embed_epochs: usize,
 ) -> FairDS {
-    let mut ds = FairDS::in_memory(
-        embedder,
-        FairDsConfig {
-            k: Some(k),
-            seed,
-            ..FairDsConfig::default()
-        },
-    );
+    let seed = cfg.seed;
+    let mut ds = FairDS::in_memory(embedder, cfg);
     let (x, y) = bragg_flat(historical);
-    let cfg = EmbedTrainConfig {
+    let ecfg = EmbedTrainConfig {
         epochs: embed_epochs,
         batch_size: 64,
         lr: 2e-3,
         seed,
         ..EmbedTrainConfig::default()
     };
-    ds.train_system(&x, &cfg);
+    ds.train_system(&x, &ecfg);
     ds.ingest_labeled(&x, &y, 0);
     ds
 }

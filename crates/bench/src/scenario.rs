@@ -200,9 +200,9 @@ pub fn spawn_scenario_deployment(
             TenantSpec {
                 id: sc.tenant,
                 weight: sc.weight,
-                training_queue_capacity: sc.training_queue_capacity,
                 config: DmsServerConfig {
                     auto_retrain: false,
+                    training_queue_capacity: sc.training_queue_capacity,
                     ..DmsServerConfig::default()
                 },
             },

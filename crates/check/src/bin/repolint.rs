@@ -75,7 +75,7 @@ fn main() -> ExitCode {
             println!("{}", f.render());
         }
         if findings.is_empty() {
-            println!("repolint: clean ({} rules enforced)", 7);
+            println!("repolint: clean ({} rules enforced)", 8);
         } else {
             println!("repolint: {} finding(s)", findings.len());
         }

@@ -13,6 +13,7 @@
 //! | `relaxed-allowlist` | `Ordering::Relaxed` only at sites on the audited allowlist below, each with a recorded justification |
 //! | `blocking-net` | blocking `std::net` / Unix-socket stream and listener types only in files on the audited `NET_ALLOWLIST` — the wire plane owns every socket, and each exempt file records where its blocking reads park and what unblocks them |
 //! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
+//! | `one-publish` | within `crates/service/src`, a `ServiceView` is published (`.view.store(`) from exactly one non-test function — every path that changes what readers see goes through it, so a step that must precede publication (re-keying the zoo at a plane install, DESIGN.md §7) has one place to go |
 //!
 //! Zones: the shim crates are exempt from `no-std-sync` / `sleep-polling`
 //! / `relaxed-allowlist` / `par-gate` (they *implement* those layers), and
@@ -94,6 +95,11 @@ pub const RELAXED_ALLOWLIST: &[(&str, &str)] = &[
         "monotonic metric counters (requests, drops); approximate reads are acceptable and order nothing",
     ),
     (
+        "crates/service/src/training.rs",
+        "the training-job and retrain-install counters, moved here from server.rs with the \
+         completion function that bumps them; read only by the stats endpoint, they order nothing",
+    ),
+    (
         "crates/service/src/swap.rs",
         "test-only stop flag for reader soak threads; shutdown timing is irrelevant and the flag guards no data",
     ),
@@ -173,6 +179,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     collect_rs(root, &mut files);
     files.sort();
     let mut findings = Vec::new();
+    let mut publishers = Vec::new();
     for f in files {
         let rel = f
             .strip_prefix(root)
@@ -183,7 +190,9 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
             continue;
         };
         lint_file(&rel, &text, &mut findings);
+        publishers.extend(publish_sites(&rel, &text));
     }
+    findings.extend(one_publish(publishers));
     findings
 }
 
@@ -375,6 +384,66 @@ pub fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
     }
 }
 
+/// The `one-publish` candidates of one file: each non-test, non-comment
+/// line under `crates/service/src` that publishes a `ServiceView`, keyed
+/// by its file and the function it sits in (the nearest `fn` above it).
+fn publish_sites(rel: &str, text: &str) -> Vec<(String, Finding)> {
+    let mut sites = Vec::new();
+    if !rel.contains("crates/service/src/") {
+        return sites;
+    }
+    let mut function = "";
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        if is_comment(line) {
+            continue;
+        }
+        if let Some(at) = line.find("fn ") {
+            let name = &line[at + 3..];
+            function = &name[..name.find(['(', '<']).unwrap_or(name.len())];
+        }
+        if line.contains(".view.store(") {
+            let finding = Finding {
+                rule: "one-publish",
+                path: rel.to_string(),
+                line: i + 1,
+                excerpt: line.to_string(),
+                message: format!(
+                    "`{function}` publishes a ServiceView and so does another function; keep \
+                     one (`Shared::publish`) and call it, so nothing that must precede \
+                     publication can be skipped"
+                ),
+            };
+            sites.push((format!("{rel}::{function}"), finding));
+        }
+    }
+    sites
+}
+
+/// `one-publish` over the whole workspace: clean when every site sits in
+/// one function; otherwise every site is a finding (the rule cannot know
+/// which one is meant to stay), and no site at all is one too — the
+/// publication moved somewhere this rule no longer sees.
+fn one_publish(mut sites: Vec<(String, Finding)>) -> Vec<Finding> {
+    sites.dedup_by(|b, a| a.0 == b.0);
+    match sites.len() {
+        1 => Vec::new(),
+        0 => vec![Finding {
+            rule: "one-publish",
+            path: "crates/service/src".to_string(),
+            line: 0,
+            excerpt: String::new(),
+            message: "no `.view.store(` found: if publication was renamed, rename it in \
+                      crates/check/src/lint.rs too"
+                .to_string(),
+        }],
+        _ => sites.into_iter().map(|(_, f)| f).collect(),
+    }
+}
+
 /// Whether the line calls one of the shim's region-opening iterators.
 fn opens_region(line: &str) -> bool {
     [
@@ -557,6 +626,54 @@ mod tests {
                 "{path}: stale entry"
             );
         }
+    }
+
+    #[test]
+    fn a_service_view_is_published_from_one_function() {
+        let lint = |files: &[(&str, &str)]| {
+            one_publish(
+                files
+                    .iter()
+                    .flat_map(|(p, t)| publish_sites(p, t))
+                    .collect(),
+            )
+        };
+        let home = "impl Shared {\n    fn publish(&self, t: &T) {\n        self.view.store(of(t));\n    }\n}\n";
+        let server = "crates/service/src/server.rs";
+        assert!(lint(&[(server, home)]).is_empty());
+        // Twice in the one function is still one home.
+        let twice = home.replace("}\n}\n", "    self.view.store(of(t));\n}\n}\n");
+        assert!(lint(&[(server, &twice)]).is_empty());
+        // A second function — same file or another — is flagged with the first.
+        let second = "fn complete<T>(shared: &Shared) {\n    shared.view.store(v);\n}\n";
+        let f = lint(&[(server, &format!("{home}{second}"))]);
+        let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(at, [("one-publish", 3), ("one-publish", 7)], "{f:?}");
+        assert!(f[1].message.contains("`complete`"), "{}", f[1].message);
+        let f = lint(&[(server, home), ("crates/service/src/training.rs", second)]);
+        assert_eq!(f.len(), 2, "{f:?}");
+        // Tests, comments and other crates are not publication sites…
+        let quiet = [
+            ("crates/service/tests/x.rs", second),
+            ("crates/core/src/x.rs", second),
+            (server, "// shared.view.store(v);\n"),
+            (
+                server,
+                "#[cfg(test)]\nmod tests {\n    fn t() { s.view.store(v); }\n}\n",
+            ),
+        ];
+        for (path, text) in quiet {
+            assert!(
+                lint(&[(server, home), (path, text)]).is_empty(),
+                "{path}: {text}"
+            );
+        }
+        // …and a tree with none has lost its publication to a rename.
+        assert_eq!(lint(&[(server, "fn f() {}\n")])[0].rule, "one-publish");
+        // The workspace itself has exactly one.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let f = lint_workspace(&root);
+        assert!(f.iter().all(|f| f.rule != "one-publish"), "{f:?}");
     }
 
     #[test]

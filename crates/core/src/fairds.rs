@@ -434,26 +434,34 @@ fn select_k(cfg: &FairDsConfig, z: &Tensor) -> usize {
     }
 }
 
-/// The immutable input snapshot of one system-plane retrain, captured by
-/// [`FairDS::prepare_retrain`] on the mutation actor and handed to a
-/// background training executor. Owns a private embedder copy, so the
-/// heavy [`RetrainJob::train`] step touches no live service state at all.
+/// One system-plane (re)fit, from capture to installation: built by
+/// [`FairDS::prepare_retrain`] / [`FairDS::prepare_bootstrap`] on the
+/// mutation actor, trained on a background executor (it owns a private
+/// embedder copy, so the heavy [`RetrainJob::train`] step touches no live
+/// service state at all) and given back to [`FairDS::install_retrained`]
+/// with everything the fit computed over the captured store — the
+/// embedding matrix and cluster assignments, row-parallel to the pixel
+/// rows — so installation copies these into the store documents instead
+/// of re-running the embedder.
 pub struct RetrainJob {
-    all: Tensor,
+    /// The training matrix: captured store rows, then the fresh batch.
+    pixels: Tensor,
     /// Ids of the store documents whose pixels form the first
-    /// `captured.len()` rows of `all` (the fresh trigger batch follows).
-    /// Shipped through [`RetrainedSystem`] so installation can write the
-    /// job's embeddings back by id instead of re-embedding the store.
+    /// `captured.len()` rows of `pixels` (the fresh trigger batch follows):
+    /// the key installation writes the job's embeddings back by.
     captured: Vec<DocId>,
     embedder: Box<dyn Embedder>,
     cfg: FairDsConfig,
     system_version: Option<u64>,
+    /// The fitted clustering with the embeddings and assignments of every
+    /// row of `pixels`, once [`RetrainJob::train`] has run.
+    fitted: Option<(KMeans, Tensor, Vec<usize>)>,
 }
 
 impl RetrainJob {
-    /// Number of samples (store + fresh batch) the retrain will fit on.
+    /// Number of samples (store + fresh batch) the retrain fits on.
     pub fn sample_count(&self) -> usize {
-        self.all.shape()[0]
+        self.pixels.shape()[0]
     }
 
     /// Number of store documents captured into the training matrix (their
@@ -463,8 +471,9 @@ impl RetrainJob {
     }
 
     /// Version of the system plane this job was prepared against (`None`
-    /// when the plane was untrained — a retrain may bootstrap it, exactly
-    /// like the synchronous [`FairDS::retrain_system`] always could).
+    /// when the plane was untrained — the job bootstraps it). A live plane
+    /// whose version has moved past this means the result is stale and
+    /// must not be installed.
     pub fn trained_from_version(&self) -> Option<u64> {
         self.system_version
     }
@@ -475,22 +484,18 @@ impl RetrainJob {
     /// partially-trained weights are dropped, nothing is published.
     ///
     /// The embedding matrix and cluster assignments the fit produces are
-    /// **kept** and shipped back with the result (keyed by the captured
-    /// [`DocId`]s), so [`FairDS::install_retrained`] never has to repeat
-    /// the full-store forward pass on the mutation actor.
-    pub fn train(
-        mut self,
-        embed_cfg: &EmbedTrainConfig,
-        ctl: &TrainControl,
-    ) -> Option<RetrainedSystem> {
+    /// **kept** (keyed by the captured [`DocId`]s), so
+    /// [`FairDS::install_retrained`] never has to repeat the full-store
+    /// forward pass on the mutation actor.
+    pub fn train(mut self, embed_cfg: &EmbedTrainConfig, ctl: &TrainControl) -> Option<Self> {
         assert!(
-            self.all.shape()[0] >= 4,
+            self.sample_count() >= 4,
             "need at least a handful of samples"
         );
-        if !self.embedder.fit_controlled(&self.all, embed_cfg, ctl) {
+        if !self.embedder.fit_controlled(&self.pixels, embed_cfg, ctl) {
             return None;
         }
-        let z = self.embedder.embed(&self.all);
+        let z = self.embedder.embed(&self.pixels);
         let k = select_k(&self.cfg, &z);
         // One more boundary check: K-means on a large matrix is the other
         // non-trivial chunk of work, and a superseded job should not pay
@@ -505,58 +510,8 @@ impl RetrainJob {
         // computing them here (on the executor) is precisely what makes
         // installation a pure write-back on the actor.
         let clusters = kmeans.predict(&z);
-        Some(RetrainedSystem {
-            embedder: self.embedder,
-            kmeans,
-            k,
-            system_version: self.system_version,
-            captured: self.captured,
-            pixels: self.all,
-            embeddings: z,
-            clusters,
-        })
-    }
-}
-
-/// A completed off-thread retrain, ready for
-/// [`FairDS::install_retrained`].
-///
-/// Besides the fitted models it carries everything the training job
-/// already computed over the captured store — the embedding matrix, the
-/// cluster assignments, and the captured pixel rows — keyed by the
-/// [`DocId`]s [`FairDS::prepare_retrain`] recorded. Installation copies
-/// these into the store documents instead of re-running the embedder.
-pub struct RetrainedSystem {
-    embedder: Box<dyn Embedder>,
-    kmeans: KMeans,
-    k: usize,
-    system_version: Option<u64>,
-    /// Row-parallel to the first `captured.len()` rows of `pixels`,
-    /// `embeddings` and `clusters`; the fresh trigger batch follows.
-    captured: Vec<DocId>,
-    pixels: Tensor,
-    embeddings: Tensor,
-    clusters: Vec<usize>,
-}
-
-impl RetrainedSystem {
-    /// The fitted cluster count.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Version of the system plane the job trained from (`None` ⇒ it
-    /// bootstrapped an untrained plane). A live plane whose version has
-    /// moved past this means the result is stale and must not be
-    /// installed.
-    pub fn trained_from_version(&self) -> Option<u64> {
-        self.system_version
-    }
-
-    /// Number of store documents whose embeddings ship with this result
-    /// (and therefore install as a pure copy).
-    pub fn captured_docs(&self) -> usize {
-        self.captured.len()
+        self.fitted = Some((kmeans, z, clusters));
+        Some(self)
     }
 }
 
@@ -770,37 +725,29 @@ impl FairDS {
     /// System-plane training (Fig 5, yellow): fits the embedding model on
     /// historical images, then the clustering model on their embeddings,
     /// then publishes a fresh snapshot. Returns the selected K.
+    ///
+    /// A retrain job like any other ([`FairDS::prepare_bootstrap`]), so a
+    /// re-bootstrap re-embeds whatever the store already holds.
     pub fn train_system(&mut self, images: &Tensor, embed_cfg: &EmbedTrainConfig) -> usize {
-        assert!(images.shape()[0] >= 4, "need at least a handful of samples");
-        assert_eq!(
-            images.shape()[1],
-            self.embedder.input_dim(),
-            "training batch width {} does not match the embedder's input dim {}",
-            images.shape()[1],
-            self.embedder.input_dim()
-        );
-        self.embedder.fit(images, embed_cfg);
-        let z = self.embedder.embed(images);
-        let k = select_k(&self.cfg, &z);
-        let mut km_cfg = KMeansConfig::new(k);
-        km_cfg.seed = self.cfg.seed;
-        self.publish(KMeans::fit(&z, &km_cfg));
-        k
+        self.run_inline(self.prepare_bootstrap(images), embed_cfg)
     }
 
     /// Re-fits embedding + clustering on the full historical store plus
     /// `fresh` images (the uncertainty-triggered system update of Fig 16),
-    /// publishing a new snapshot before re-indexing the store under it.
+    /// re-indexing the store under the new snapshot.
     ///
     /// This is the synchronous composition of the retrain halves — see
     /// [`FairDS::prepare_retrain`] / [`RetrainJob::train`] /
     /// [`FairDS::install_retrained`] for the split a background training
     /// executor uses to keep the heavy middle step off the mutation actor.
     pub fn retrain_system(&mut self, fresh: &Tensor, embed_cfg: &EmbedTrainConfig) -> usize {
-        let trained = self
-            .prepare_retrain(fresh)
+        self.run_inline(self.prepare_retrain(fresh), embed_cfg)
+    }
+
+    fn run_inline(&mut self, job: RetrainJob, embed_cfg: &EmbedTrainConfig) -> usize {
+        let trained = job
             .train(embed_cfg, &TrainControl::new())
-            .expect("uncancelled retrain always completes");
+            .expect("uncancelled job always completes");
         self.install_retrained(trained).k
     }
 
@@ -810,21 +757,32 @@ impl FairDS {
     /// [`DocId`] of every captured row (the installation write-back key),
     /// a deep copy of the embedder to fit, the configuration, and the
     /// version of the plane the job trains *from* (the staleness fence).
-    ///
-    /// The fresh batch must match the embedder's input width — a
+    pub fn prepare_retrain(&self, fresh: &Tensor) -> RetrainJob {
+        self.capture(self.store.ids(), fresh)
+    }
+
+    /// [`FairDS::prepare_retrain`] for a (re)bootstrap: the job trains on
+    /// `images` alone. Its captured set is empty — a bootstrap does not
+    /// train on the store, so nothing has embedded those rows and
+    /// installation re-embeds all of them.
+    pub fn prepare_bootstrap(&self, images: &Tensor) -> RetrainJob {
+        self.capture(Vec::new(), images)
+    }
+
+    /// Builds the job that trains on the pixels of `ids` followed by
+    /// `fresh`. The fresh batch must match the embedder's input width — a
     /// mismatched batch would otherwise shear every subsequent row of the
     /// flattened training matrix, silently corrupting the whole fit.
-    pub fn prepare_retrain(&self, fresh: &Tensor) -> RetrainJob {
+    fn capture(&self, ids: Vec<DocId>, fresh: &Tensor) -> RetrainJob {
         let dim = self.embedder.input_dim();
         assert!(
             fresh.rank() == 2 && fresh.shape()[1] == dim,
-            "fresh batch shape {:?} does not match the embedder's input dim {dim}",
+            "training batch shape {:?} does not match the embedder's input dim {dim}",
             fresh.shape()
         );
-        let system_version = self.current.as_ref().map(|s| s.version());
         let mut rows: Vec<f32> = Vec::new();
         let mut captured: Vec<DocId> = Vec::new();
-        for id in self.store.ids() {
+        for id in ids {
             if let Some(doc) = self.store.get(id) {
                 if let Some(pixels) = doc.get_f32s("pixels") {
                     if pixels.len() == dim {
@@ -837,46 +795,40 @@ impl FairDS {
         rows.extend_from_slice(fresh.data());
         let n = rows.len() / dim;
         RetrainJob {
-            all: Tensor::from_vec(rows, &[n, dim]),
+            pixels: Tensor::from_vec(rows, &[n, dim]),
             captured,
             embedder: self.embedder.clone_embedder(),
             cfg: self.cfg.clone(),
-            system_version,
+            system_version: self.current.as_ref().map(|s| s.version()),
+            fitted: None,
         }
     }
 
-    /// Last retrain half (actor side, **O(copy)**): installs the
-    /// off-thread training result without repeating any captured forward
-    /// pass —
+    /// Last retrain half (actor side, **O(copy)**) and the one step that
+    /// replaces a system plane: installs the off-thread training result
+    /// without repeating any captured forward pass —
     ///
     /// 1. the freshly fitted embedder replaces the builder's and the
     ///    clustering is published as a new snapshot;
-    /// 2. the job's shipped embeddings and cluster assignments are
-    ///    *written back* into the captured store documents by [`DocId`]
-    ///    (pure copies — the training job already embedded every captured
-    ///    row when it fit the clustering);
-    /// 3. the new [`EmbedCache`] generation is bulk-warmed with the
-    ///    shipped rows, so the post-retrain read burst starts hot;
-    /// 4. only documents ingested *mid-flight* (present in the store but
-    ///    absent from the captured set) pay a fresh embed, in one delta
-    ///    batch ([`FairDS::reindex_ids`]).
+    /// 2. the job's embeddings and cluster assignments are *written back*
+    ///    into the captured store documents by [`DocId`] (pure copies — the
+    ///    training job already embedded every captured row when it fit the
+    ///    clustering);
+    /// 3. the new [`EmbedCache`] generation is bulk-warmed with the job's
+    ///    rows, so the post-retrain read burst starts hot;
+    /// 4. only documents the job did not capture (ingested *mid-flight*;
+    ///    the whole store for a re-bootstrap) pay a fresh embed, in one
+    ///    delta batch ([`FairDS::reindex_ids`]).
     ///
     /// The caller is responsible for fencing: compare
-    /// [`RetrainedSystem::trained_from_version`] against the live
+    /// [`RetrainJob::trained_from_version`] against the live
     /// [`SystemSnapshot::version`] and *discard* results trained from a
     /// plane that has since been replaced.
-    pub fn install_retrained(&mut self, trained: RetrainedSystem) -> RetrainInstall {
-        let RetrainedSystem {
-            embedder,
-            kmeans,
-            k,
-            system_version: _,
-            captured,
-            pixels,
-            embeddings,
-            clusters,
-        } = trained;
-        self.embedder = embedder;
+    pub fn install_retrained(&mut self, job: RetrainJob) -> RetrainInstall {
+        let (kmeans, embeddings, clusters) = job.fitted.expect("install_retrained before train");
+        let (pixels, captured) = (job.pixels, job.captured);
+        let k = kmeans.k();
+        self.embedder = job.embedder;
         // Write-back first: a reader that picks up the new snapshot should
         // find the re-clustered store, not the about-to-be-overwritten
         // assignments of the replaced plane.
@@ -894,10 +846,10 @@ impl FairDS {
             }
         }
         self.publish(kmeans);
-        // Warm the new generation with every shipped row (captured store
-        // docs *and* the fresh trigger batch — both are inputs the read
-        // plane is likely to see again): hashes + memo inserts only, no
-        // forward pass.
+        // Warm the new generation with every row of the job (captured store
+        // docs *and* the fresh batch — both are inputs the read plane is
+        // likely to see again): hashes + memo inserts only, no forward
+        // pass.
         if self.reuse.is_enabled() {
             let generation = self.current.as_ref().map(|s| s.version()).unwrap_or(0);
             let hashes = row_hashes(&pixels);
@@ -1026,7 +978,7 @@ impl FairDS {
         threshold: f32,
         fallback: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> (Tensor, PseudoLabelStats) {
-        self.ready("lookup")
+        self.ready("pseudo_label")
             .pseudo_label(images, threshold, fallback)
     }
 
@@ -1321,6 +1273,12 @@ pub(crate) mod tests {
         assert_eq!(install.delta_embedded, 8);
         // Every stored doc — captured and mid-flight alike — now carries
         // the *new* embedder's embedding and a consistent cluster id.
+        assert_store_is_under_the_published_plane(&ds);
+    }
+
+    /// Every stored document's `embedding` is the published embedder's, to
+    /// the bit, and its `cluster` the published clustering's.
+    fn assert_store_is_under_the_published_plane(ds: &FairDS) {
         let snap = ds.snapshot().unwrap();
         for id in ds.store().ids() {
             let doc = ds.store().get(id).unwrap();
@@ -1332,9 +1290,38 @@ pub(crate) mod tests {
                 z.row(0),
                 "stored embedding must match the installed embedder"
             );
-            let (cluster, _) = snap.kmeans.predict_one(z.row(0));
-            assert_eq!(doc.get_i64("cluster"), Some(cluster as i64));
+            assert_eq!(doc.get_i64("cluster"), Some(snap.assign(&x1)[0] as i64));
         }
+    }
+
+    #[test]
+    fn rebootstrap_reindexes_the_store_under_the_new_plane() {
+        let (x, y) = blob_images(30, 2, 80);
+        let mut ds = fairds_with_k(2);
+        ds.train_system(&x, &quick_embed_cfg());
+        ds.ingest_labeled(&x, &y, 0);
+        let v0 = ds.snapshot().unwrap().version();
+
+        // A second bootstrap on a different batch and seed replaces the
+        // embedder and the clustering under a populated store.
+        let (other, _) = blob_images(20, 2, 81);
+        let cfg = EmbedTrainConfig {
+            seed: 7,
+            ..quick_embed_cfg()
+        };
+        ds.train_system(&other, &cfg);
+        assert_eq!(ds.snapshot().unwrap().version(), v0 + 1);
+
+        assert_store_is_under_the_published_plane(&ds);
+        // A stored frame is its own nearest stored neighbour…
+        for (i, hit) in ds.nearest_labeled(&x).into_iter().enumerate() {
+            let (dist, _) = hit.expect("every cluster holds its own rows");
+            assert_eq!(dist, 0.0, "frame {i}");
+        }
+        // …so labeling the stored frames reuses every label it holds.
+        let (labels, stats) = ds.pseudo_label(&x, 0.5, |_| panic!("nothing to compute"));
+        assert_eq!((stats.reused, stats.computed), (60, 0));
+        assert_eq!(labels.data(), y.data());
     }
 
     #[test]

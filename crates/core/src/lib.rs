@@ -45,10 +45,10 @@ pub mod workflow;
 pub use embedding::{AutoencoderEmbedder, ByolEmbedder, ContrastiveEmbedder, Embedder};
 pub use fairds::{
     FairDS, FairDsConfig, PseudoLabelStats, ReadIndexConfig, ReadIndexCounters, RetrainJob,
-    RetrainedSystem, SystemSnapshot,
+    SystemSnapshot,
 };
 pub use fairms::{ModelManager, ModelZoo, Recommendation, ZooEntry, ZooSnapshot};
 pub use jsd::jsd;
 pub use models::ArchSpec;
 pub use reuse::{EmbedCache, EmbedCacheConfig, EmbedCacheStats};
-pub use workflow::{RapidTrainer, TrainStrategy, TrainedUpdate, UpdatePlan, UpdateReport};
+pub use workflow::{RapidTrainer, TrainStrategy, UpdateJob, UpdateReport};

@@ -110,31 +110,55 @@ impl RapidTrainerConfig {
     }
 }
 
-/// Reshapes flattened images into a model's `[N, 1, side, side]`.
-fn model_input(cfg: &RapidTrainerConfig, x: &Tensor) -> Tensor {
+/// Deterministic train/validation row split of a labeled dataset:
+/// `(train_x, train_y, val_x, val_y)`.
+fn seeded_split(cfg: &RapidTrainerConfig, x: &Tensor, y: &Tensor) -> [Tensor; 4] {
     let n = x.shape()[0];
-    x.reshape(&[n, 1, cfg.side, cfg.side])
-}
-
-/// Deterministic train/validation row split for `n` samples.
-fn seeded_split(cfg: &RapidTrainerConfig, n: usize) -> (Vec<usize>, Vec<usize>) {
     let mut rng = fairdms_tensor::rng::TensorRng::seeded(cfg.seed ^ 0x5417);
     let order = rng.permutation(n);
     let n_val = ((n as f32 * cfg.val_fraction) as usize).clamp(1, n - 1);
-    let val = order[..n_val].to_vec();
-    let train = order[n_val..].to_vec();
-    (train, val)
+    let (val, train) = order.split_at(n_val);
+    [
+        x.gather_rows(train),
+        y.gather_rows(train),
+        x.gather_rows(val),
+        y.gather_rows(val),
+    ]
 }
 
-/// The immutable input snapshot of one model-update training job.
+/// The one fit under every training entry point: reshapes the flattened
+/// images into the model's `[N, 1, side, side]` and runs the epoch loop
+/// with a fresh Adam at `lr`, cancellable at every epoch boundary.
+fn fit(
+    cfg: &RapidTrainerConfig,
+    net: &mut Sequential,
+    lr: f32,
+    [tx, ty, vx, vy]: [&Tensor; 4],
+    ctl: &TrainControl,
+) -> TrainReport {
+    let model_input = |x: &Tensor| x.reshape(&[x.shape()[0], 1, cfg.side, cfg.side]);
+    let mut opt = Adam::new(lr);
+    Trainer::new(cfg.train.clone()).fit_controlled(
+        net,
+        &mut opt,
+        &Mse,
+        &model_input(tx),
+        ty,
+        &model_input(vx),
+        vy,
+        ctl,
+    )
+}
+
+/// One model-update training job, from preparation to registration.
 ///
 /// Built by [`RapidTrainer::prepare_update`] on the mutation actor (cheap:
 /// PDF, pseudo-labels, foundation resolution), carried to a background
-/// executor whose [`UpdatePlan::train`] runs the multi-epoch fine-tune
+/// executor whose [`UpdateJob::train`] runs the multi-epoch fine-tune
 /// against *only this owned data* — no live service state — and finally
-/// handed back to the actor as a [`TrainedUpdate`] for fenced registration
-/// via [`RapidTrainer::complete_update`].
-pub struct UpdatePlan {
+/// handed back to the actor for fenced registration via
+/// [`RapidTrainer::complete_update`].
+pub struct UpdateJob {
     cfg: RapidTrainerConfig,
     x_flat: Tensor,
     labels: Tensor,
@@ -147,101 +171,31 @@ pub struct UpdatePlan {
     label_stats: PseudoLabelStats,
     scan: usize,
     system_version: u64,
+    /// Training wall time and curve, once [`UpdateJob::train`] has run.
+    trained: Option<(f64, TrainReport)>,
 }
 
-impl UpdatePlan {
-    /// Provenance scan index of the update.
-    pub fn scan(&self) -> usize {
-        self.scan
-    }
-
-    /// Version of the system plane the plan was prepared against (the
+impl UpdateJob {
+    /// Version of the system plane the job was prepared against (the
     /// staleness fence checked before the result is published).
     pub fn trained_from_version(&self) -> u64 {
         self.system_version
     }
 
     /// The heavy half (executor side): the multi-epoch training run, pure
-    /// over the plan's owned data, cancellable at every epoch boundary
-    /// through `ctl`. Always returns — a cancelled run comes back with
-    /// [`TrainedUpdate::cancelled`] set and is *not* registrable.
-    pub fn train(self, ctl: &TrainControl) -> TrainedUpdate {
-        let UpdatePlan {
-            cfg,
-            x_flat,
-            labels,
-            pdf,
-            mut net,
-            foundation,
-            divergence,
-            lr,
-            label_secs,
-            label_stats,
-            scan,
-            system_version,
-        } = self;
+    /// over the job's owned data, cancellable at every epoch boundary
+    /// through `ctl`. Returns `None` when the run was cancelled (a
+    /// superseded job) — partially-trained weights are dropped, nothing is
+    /// registrable.
+    pub fn train(mut self, ctl: &TrainControl) -> Option<Self> {
         let t_train = Instant::now();
-        let (train_idx, val_idx) = seeded_split(&cfg, x_flat.shape()[0]);
-        let (tx, ty) = (
-            x_flat.gather_rows(&train_idx),
-            labels.gather_rows(&train_idx),
-        );
-        let (vx, vy) = (x_flat.gather_rows(&val_idx), labels.gather_rows(&val_idx));
-        let tx = model_input(&cfg, &tx);
-        let vx = model_input(&cfg, &vx);
-        let mut opt = Adam::new(lr);
-        let train_report = Trainer::new(cfg.train.clone())
-            .fit_controlled(&mut net, &mut opt, &Mse, &tx, &ty, &vx, &vy, ctl);
-        TrainedUpdate {
-            x_flat,
-            labels,
-            pdf,
-            net,
-            foundation,
-            divergence,
-            label_secs,
-            label_stats,
-            scan,
-            system_version,
-            train_secs: t_train.elapsed().as_secs_f64(),
-            train_report,
+        let [tx, ty, vx, vy] = seeded_split(&self.cfg, &self.x_flat, &self.labels);
+        let report = fit(&self.cfg, &mut self.net, self.lr, [&tx, &ty, &vx, &vy], ctl);
+        if report.cancelled {
+            return None;
         }
-    }
-}
-
-/// A finished (or cancelled) off-thread update run, ready for
-/// [`RapidTrainer::complete_update`].
-pub struct TrainedUpdate {
-    x_flat: Tensor,
-    labels: Tensor,
-    pdf: Vec<f64>,
-    net: Sequential,
-    foundation: Option<usize>,
-    divergence: Option<f64>,
-    label_secs: f64,
-    label_stats: PseudoLabelStats,
-    scan: usize,
-    system_version: u64,
-    train_secs: f64,
-    train_report: TrainReport,
-}
-
-impl TrainedUpdate {
-    /// Whether the training run was cancelled at an epoch boundary (a
-    /// superseded job). Cancelled results must be discarded, never
-    /// registered.
-    pub fn cancelled(&self) -> bool {
-        self.train_report.cancelled
-    }
-
-    /// Version of the system plane the job trained from (the fence).
-    pub fn trained_from_version(&self) -> u64 {
-        self.system_version
-    }
-
-    /// Provenance scan index of the update.
-    pub fn scan(&self) -> usize {
-        self.scan
+        self.trained = Some((t_train.elapsed().as_secs_f64(), report));
+        Some(self)
     }
 }
 
@@ -276,16 +230,6 @@ impl RapidTrainer {
     /// budget between update phases).
     pub fn config_mut(&mut self) -> &mut RapidTrainerConfig {
         &mut self.cfg
-    }
-
-    /// Reshapes flattened images into the model's `[N, 1, side, side]`.
-    fn to_model_input(&self, x: &Tensor) -> Tensor {
-        model_input(&self.cfg, x)
-    }
-
-    /// Deterministic train/validation row split.
-    fn split(&self, n: usize) -> (Vec<usize>, Vec<usize>) {
-        seeded_split(&self.cfg, n)
     }
 
     /// The zoo entry `strategy` fine-tunes for a dataset with this PDF, as
@@ -339,9 +283,7 @@ impl RapidTrainer {
         pdf: &[f64],
         strategy: TrainStrategy,
     ) -> (Sequential, TrainReport, Option<usize>, Option<f64>) {
-        let (train_idx, val_idx) = self.split(x_flat.shape()[0]);
-        let (tx, ty) = (x_flat.gather_rows(&train_idx), y.gather_rows(&train_idx));
-        let (vx, vy) = (x_flat.gather_rows(&val_idx), y.gather_rows(&val_idx));
+        let [tx, ty, vx, vy] = seeded_split(&self.cfg, x_flat, y);
         self.fit_strategy_with_val(&tx, &ty, &vx, &vy, pdf, strategy)
     }
 
@@ -362,11 +304,13 @@ impl RapidTrainer {
     ) -> (Sequential, TrainReport, Option<usize>, Option<f64>) {
         let (mut net, foundation, divergence, lr) =
             self.foundation_for(self.pick_foundation(strategy, pdf));
-        let tx = self.to_model_input(train_x_flat);
-        let vx = self.to_model_input(val_x_flat);
-        let mut opt = Adam::new(lr);
-        let report = Trainer::new(self.cfg.train.clone())
-            .fit(&mut net, &mut opt, &Mse, &tx, train_y, &vx, val_y);
+        let report = fit(
+            &self.cfg,
+            &mut net,
+            lr,
+            [train_x_flat, train_y, val_x_flat, val_y],
+            &TrainControl::new(),
+        );
         (net, report, foundation, divergence)
     }
 
@@ -375,7 +319,7 @@ impl RapidTrainer {
     /// image when no stored label is close enough.
     ///
     /// This is the synchronous composition of the three update halves —
-    /// [`RapidTrainer::prepare_update`], [`UpdatePlan::train`],
+    /// [`RapidTrainer::prepare_update`], [`UpdateJob::train`],
     /// [`RapidTrainer::complete_update`] — which a background training
     /// executor runs separately so the heavy middle step never holds the
     /// mutation actor.
@@ -385,23 +329,24 @@ impl RapidTrainer {
         fallback: impl FnMut(&[f32]) -> Vec<f32>,
         scan: usize,
     ) -> (Sequential, UpdateReport) {
-        let plan = self.prepare_update(x_flat, fallback, scan);
-        let trained = plan.train(&TrainControl::new());
+        let job = self.prepare_update(x_flat, fallback, scan);
+        let trained = job
+            .train(&TrainControl::new())
+            .expect("uncancelled update always completes");
         self.complete_update(trained)
-            .expect("uncancelled update always completes")
     }
 
     /// First update half (actor side, O(ms–label): no epoch loop): computes
     /// the dataset PDF, pseudo-labels through the fallback, decides the
     /// strategy, and resolves + instantiates the foundation network from
-    /// the current zoo. The returned plan owns everything the training run
+    /// the current zoo. The returned job owns everything the training run
     /// needs and records the system-plane version it was prepared against.
     pub fn prepare_update(
         &self,
         x_flat: &Tensor,
         fallback: impl FnMut(&[f32]) -> Vec<f32>,
         scan: usize,
-    ) -> UpdatePlan {
+    ) -> UpdateJob {
         assert!(
             self.fairds.is_ready(),
             "fairDS system plane must be trained before updates"
@@ -426,7 +371,7 @@ impl RapidTrainer {
             ModelDecision::TrainFromScratch => None,
         };
         let (net, foundation, divergence, lr) = self.foundation_for(picked);
-        UpdatePlan {
+        UpdateJob {
             cfg: self.cfg.clone(),
             x_flat: x_flat.clone(),
             labels,
@@ -439,60 +384,38 @@ impl RapidTrainer {
             label_stats,
             scan,
             system_version,
+            trained: None,
         }
     }
 
     /// Last update half (actor side, O(ms)): registers the trained model
-    /// into the zoo and ingests its (pseudo-)labeled data. Returns `None`
-    /// for a cancelled run — nothing is registered or ingested.
+    /// into the zoo and ingests its (pseudo-)labeled data.
     ///
     /// Version fencing is the caller's: compare
-    /// [`TrainedUpdate::trained_from_version`] against the live plane and
+    /// [`UpdateJob::trained_from_version`] against the live plane and
     /// discard stale results instead of completing them.
-    pub fn complete_update(
-        &mut self,
-        trained: TrainedUpdate,
-    ) -> Option<(Sequential, UpdateReport)> {
-        if trained.cancelled() {
-            return None;
-        }
-        let TrainedUpdate {
-            x_flat,
-            labels,
-            pdf,
-            net,
-            foundation,
-            divergence,
-            label_secs,
-            label_stats,
-            scan,
-            system_version: _,
-            train_secs,
-            train_report,
-        } = trained;
+    pub fn complete_update(&mut self, job: UpdateJob) -> (Sequential, UpdateReport) {
+        let (train_secs, train_report) = job.trained.expect("complete_update before train");
+        let scan = job.scan;
         let registered_id = self.zoo.add_model(
             &format!("{}-scan{scan}", self.cfg.arch.name()),
             self.cfg.arch,
-            &net,
-            pdf,
+            &job.net,
+            job.pdf,
             scan,
         );
-        self.fairds.ingest_labeled(&x_flat, &labels, scan);
-
-        let epochs = train_report.curve.len();
-        Some((
-            net,
-            UpdateReport {
-                label_secs,
-                train_secs,
-                label_stats,
-                foundation,
-                divergence,
-                epochs,
-                train_report,
-                registered_id,
-            },
-        ))
+        self.fairds.ingest_labeled(&job.x_flat, &job.labels, scan);
+        let report = UpdateReport {
+            label_secs: job.label_secs,
+            train_secs,
+            label_stats: job.label_stats,
+            foundation: job.foundation,
+            divergence: job.divergence,
+            epochs: train_report.curve.len(),
+            train_report,
+            registered_id,
+        };
+        (job.net, report)
     }
 }
 
@@ -689,11 +612,9 @@ mod tests {
 
         let (_, direct) = a.update_model(&x_new, |_| vec![0.5, 0.5], 1);
 
-        let plan = b.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
-        assert_eq!(plan.scan(), 1);
-        let trained = plan.train(&TrainControl::new());
-        assert!(!trained.cancelled());
-        let (_, split) = b.complete_update(trained).expect("uncancelled");
+        let job = b.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
+        let trained = job.train(&TrainControl::new()).expect("uncancelled");
+        let (_, split) = b.complete_update(trained);
 
         assert_eq!(direct.foundation, split.foundation);
         assert_eq!(direct.registered_id, split.registered_id);
@@ -710,12 +631,13 @@ mod tests {
         prime(&mut trainer, 34);
         let (x_new, _) = blob_task(30, 35);
         let store_docs_before = trainer.fairds.store().len();
-        let plan = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
+        let job = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
         let ctl = TrainControl::new();
         ctl.cancel();
-        let trained = plan.train(&ctl);
-        assert!(trained.cancelled());
-        assert!(trainer.complete_update(trained).is_none());
+        assert!(
+            job.train(&ctl).is_none(),
+            "cancelled update must yield no registrable result"
+        );
         assert_eq!(trainer.zoo.len(), 0, "cancelled model must not register");
         assert_eq!(
             trainer.fairds.store().len(),
@@ -730,8 +652,8 @@ mod tests {
         let (x, _) = prime(&mut trainer, 37);
         let v0 = trainer.fairds.snapshot().unwrap().version();
         let (x_new, _) = blob_task(30, 38);
-        let plan = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
-        assert_eq!(plan.trained_from_version(), v0);
+        let job = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
+        assert_eq!(job.trained_from_version(), v0);
         // A system retrain between prepare and complete advances the live
         // version past the plan's — the fence a publisher must check.
         trainer.fairds.retrain_system(
@@ -741,7 +663,7 @@ mod tests {
                 ..EmbedTrainConfig::default()
             },
         );
-        let trained = plan.train(&TrainControl::new());
+        let trained = job.train(&TrainControl::new()).expect("uncancelled");
         assert!(
             trainer.fairds.snapshot().unwrap().version() > trained.trained_from_version(),
             "fence must detect the mid-flight plane change"

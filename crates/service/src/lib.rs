@@ -70,6 +70,7 @@ pub mod metrics;
 pub mod multi;
 pub mod net;
 pub mod server;
+mod training;
 // The left-right SnapshotCell is the one sanctioned unsafe island in the
 // workspace: every block carries a SAFETY comment (enforced by repolint)
 // and the protocol is model-checked in tests/model_swap.rs.

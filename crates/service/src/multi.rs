@@ -22,7 +22,7 @@
 //!   cancel tenant A's older one, because cancel tokens never leave the
 //!   deployment that minted them.
 //! * **Admission quotas** — each tenant's training queue is bounded
-//!   ([`TenantSpec::training_queue_capacity`]); a flood past the cap is
+//!   (`DmsServerConfig::training_queue_capacity`); a flood past the cap is
 //!   answered [`crate::api::ServiceError::Busy`] instead of growing the
 //!   queue, and each tenant keeps its own actor queue depth
 //!   (`DmsServerConfig::queue_capacity`).
@@ -48,25 +48,19 @@ pub struct TenantSpec {
     /// round-robin: a weight-3 tenant gets up to 3 jobs per sweep where a
     /// weight-1 tenant gets 1, when both are backlogged.
     pub weight: u32,
-    /// Training-queue admission cap: jobs queued (not yet running) beyond
-    /// this answer `Busy`. Bounds one tenant's memory and backlog without
-    /// touching the others.
-    pub training_queue_capacity: usize,
     /// The tenant's own deployment knobs (actor queue depth, retrain
-    /// policy, caches…). `training_pool_size` is ignored — the
-    /// pool is shared and sized by [`MultiDmsBuilder::new`].
+    /// policy, training-queue admission cap…). `training_pool_size` is
+    /// ignored — the pool is shared and sized by [`MultiDms::builder`].
     pub config: DmsServerConfig,
 }
 
 impl TenantSpec {
     /// A weight-1 tenant with default deployment knobs.
     pub fn new(id: TenantId) -> Self {
-        let config = DmsServerConfig::default();
         TenantSpec {
             id,
             weight: 1,
-            training_queue_capacity: config.training_queue_capacity,
-            config,
+            config: DmsServerConfig::default(),
         }
     }
 }
@@ -110,13 +104,11 @@ impl MultiDmsBuilder {
                 spec.id,
                 TenantQueueConfig {
                     weight: spec.weight,
-                    capacity: spec.training_queue_capacity,
+                    capacity: spec.config.training_queue_capacity,
                 },
             );
-            let mut cfg = spec.config;
-            cfg.training_queue_capacity = spec.training_queue_capacity;
             let (client, handle) =
-                DmsServer::spawn_shared(trainer, labeler, cfg, Arc::clone(&pool), spec.id);
+                DmsServer::spawn_shared(trainer, labeler, spec.config, Arc::clone(&pool), spec.id);
             tenants.push((spec.id, client, handle));
         }
         tenants.sort_by_key(|(id, _, _)| *id);

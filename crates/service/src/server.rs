@@ -14,15 +14,8 @@
 //! * **Training executor** — a background
 //!   [`JobPool`](fairdms_flows::jobs::JobPool) owning the heavy work:
 //!   multi-epoch `UpdateModel` fine-tunes and certainty-triggered system
-//!   retrains. Jobs run against an **immutable input snapshot** prepared
-//!   by the actor ([`fairdms_core::workflow::UpdatePlan`],
-//!   [`fairdms_core::fairds::RetrainJob`]), poll a cancel token at every
-//!   epoch boundary, and complete by messaging their result back to the
-//!   actor, which **fences** it (the plane version the job trained from
-//!   must still be live) before registering + publishing. A newer trigger
-//!   for the same plane *supersedes* the running job: it is cancelled at
-//!   its next epoch boundary and its client answers
-//!   [`ServiceError::Superseded`] instead of publishing a stale model.
+//!   retrains, each completed on the actor by the one fenced-job protocol
+//!   of `training.rs` (fence on the plane version, then apply + publish).
 //! * **Read plane** — every read-only request (`DatasetPdf`,
 //!   `LookupMatching`, `Recommend`, `FetchModel`, `Certainty`, `Metrics`)
 //!   is answered *on the thread that asked* — an in-process caller's own
@@ -46,16 +39,15 @@ use crate::api::{
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::swap::SnapshotCell;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crate::training::{Completion, Lane, Outcome, TrainingExec, Waiter};
+use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
-use fairdms_core::fairds::{RetrainedSystem, SystemSnapshot};
+use fairdms_core::fairds::SystemSnapshot;
 use fairdms_core::fairms::{ModelManager, ZooSnapshot};
-use fairdms_core::workflow::{RapidTrainer, TrainedUpdate};
+use fairdms_core::workflow::RapidTrainer;
 use fairdms_core::ZooEntry;
-use fairdms_flows::jobs::{CancelToken, JobPool, TenantId, TenantQueueConfig, DEFAULT_TENANT};
-use fairdms_nn::checkpoint;
+use fairdms_flows::jobs::{JobPool, TenantId, TenantQueueConfig, DEFAULT_TENANT};
 use fairdms_nn::trainer::TrainControl;
-use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -141,20 +133,40 @@ impl ServiceView {
     }
 }
 
-struct Shared {
-    view: SnapshotCell<ServiceView>,
-    metrics: Arc<Metrics>,
+pub(crate) struct Shared {
+    /// Replaced only by [`Shared::publish`] (repolint `one-publish`).
+    pub(crate) view: SnapshotCell<ServiceView>,
+    pub(crate) metrics: Arc<Metrics>,
     /// Set when the actor dies by panic or a read handler panics: the
     /// state can no longer be trusted or maintained, so the whole service
     /// reports `Unavailable` rather than serving reads from it.
-    poisoned: AtomicBool,
+    pub(crate) poisoned: AtomicBool,
     /// Set (Release) when the [`ServerHandle`] begins shutdown; reads load
     /// it (Acquire) and answer `Unavailable` from then on, the read-side
     /// counterpart of the actor's disconnected admission channel.
     shut_down: AtomicBool,
 }
 
-struct Envelope {
+impl Shared {
+    pub(crate) fn new(trainer: &RapidTrainer, metrics: Arc<Metrics>) -> Self {
+        Shared {
+            view: SnapshotCell::new(Arc::new(ServiceView::of(trainer))),
+            metrics,
+            poisoned: AtomicBool::new(false),
+            shut_down: AtomicBool::new(false),
+        }
+    }
+
+    /// Freezes the trainer's post-mutation state into the read plane — the
+    /// one place a [`ServiceView`] is published. Callers publish *before*
+    /// they acknowledge, so a client that hears an ack (e.g. `Updated`)
+    /// can immediately read the state the ack describes.
+    pub(crate) fn publish(&self, trainer: &RapidTrainer) {
+        self.view.store(Arc::new(ServiceView::of(trainer)));
+    }
+}
+
+pub(crate) struct Envelope {
     req: Request,
     reply: Sender<ServiceResult>,
     /// When the client started admission; `dequeue − enqueued` is the
@@ -162,163 +174,14 @@ struct Envelope {
     enqueued: Instant,
 }
 
-enum Msg {
+pub(crate) enum Msg {
     Req(Envelope),
     /// Best-effort nudge from a training worker: a completion is waiting
-    /// on the actor's done channel. Carries nothing — the actor drains
+    /// on the executor's done channel. Carries nothing — the actor drains
     /// completions at every iteration anyway; the wake only matters when
     /// the actor is blocked on an empty request queue.
     Wake,
     Shutdown,
-}
-
-/// A finished training job travelling back to the actor for fenced
-/// completion. The reply sender of the originating request rides along on
-/// update jobs (retrains have no waiting client).
-enum TrainOutcome {
-    Update {
-        job: u64,
-        reply: Sender<ServiceResult>,
-        /// When the actor dequeued the originating request, and the
-        /// operation it was admitted as: completion records
-        /// `started.elapsed()` as that op's run time.
-        started: Instant,
-        op: usize,
-        /// `None` when the job panicked (a bug in the training loop) —
-        /// the actor poisons the service loudly, the same contract a
-        /// panic on the actor itself has. Boxed to keep the queued
-        /// completion message small (the payload carries the fine-tuned
-        /// network and report).
-        trained: Option<Box<TrainedUpdate>>,
-    },
-    Retrain {
-        job: u64,
-        result: RetrainResult,
-    },
-}
-
-/// How a retrain job ended on the executor. The completed payload is
-/// boxed: it now ships the job's full embedding/pixel matrices (the
-/// O(copy) install input), which would otherwise bloat every queued
-/// completion message to the largest variant's size.
-enum RetrainResult {
-    Completed(Box<RetrainedSystem>),
-    /// Observed its cancel token and wound down (benign).
-    Cancelled,
-    /// Panicked (a bug in the training loop); the actor poisons.
-    Panicked,
-}
-
-/// One in-flight training job (the latest trigger on its lane).
-struct InFlight {
-    job: u64,
-    token: CancelToken,
-}
-
-/// What the executor trains. Each lane keeps its own latest job: a newer
-/// trigger supersedes the job in flight on the *same* lane only.
-#[derive(Clone, Copy)]
-enum Lane {
-    /// `UpdateModel` fine-tunes.
-    Update,
-    /// Certainty-triggered system-plane retrains.
-    Retrain,
-}
-
-/// Actor-owned training-executor state: the pool, the completion channel,
-/// and the latest in-flight job per lane. "Latest" is the supersession
-/// rule: submitting a newer job on a lane cancels the previous one's token.
-struct TrainingExec {
-    /// `Arc` because the pool may be shared by every tenant of a
-    /// multi-tenant deployment (DESIGN.md §14); a solo server holds the
-    /// only strong reference and still joins the workers at shutdown.
-    pool: Arc<JobPool>,
-    /// The tenant this actor submits training work as; queue bounds and
-    /// round-robin fairness in the shared pool key off it.
-    tenant: TenantId,
-    done_tx: Sender<TrainOutcome>,
-    wake_tx: Sender<Msg>,
-    next_job: u64,
-    /// Indexed by [`Lane`].
-    in_flight: [Option<InFlight>; 2],
-}
-
-impl TrainingExec {
-    /// Whether the tenant's training queue can admit one more job.
-    /// Race-free as an admission pre-check because this actor is the only
-    /// thread that enqueues under its tenant id.
-    fn has_queue_capacity(&self) -> bool {
-        self.pool.has_capacity(self.tenant)
-    }
-
-    fn is_training(&self, lane: Lane) -> bool {
-        self.in_flight[lane as usize].is_some()
-    }
-
-    /// Cancels the lane's in-flight job (a newer trigger supersedes it)
-    /// and counts the supersession.
-    fn supersede(&mut self, lane: Lane, metrics: &Metrics) {
-        if let Some(prev) = self.in_flight[lane as usize].take() {
-            prev.token.cancel();
-            metrics
-                .training_jobs_superseded
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Frees the lane of a finished job if it is still the lane's latest;
-    /// `false` means a newer trigger displaced it (counted back then).
-    fn retire(&mut self, lane: Lane, job: u64) -> bool {
-        let slot = &mut self.in_flight[lane as usize];
-        let is_latest = slot.as_ref().is_some_and(|f| f.job == job);
-        if is_latest {
-            *slot = None;
-        }
-        is_latest
-    }
-
-    /// Submits prepared training work as the lane's latest job. `work`
-    /// runs on the executor under the job's cancel token; a panic inside
-    /// it is caught on the worker and reaches `finish` as `None` — a failed
-    /// outcome, never a silently vanished job. Whatever must survive that
-    /// panic (an update's reply sender) therefore rides in `finish`, which
-    /// wraps the result into the completion the actor fences.
-    fn submit<R>(
-        &mut self,
-        lane: Lane,
-        work: impl FnOnce(&TrainControl) -> R + Send + 'static,
-        finish: impl FnOnce(u64, Option<R>) -> TrainOutcome + Send + 'static,
-    ) {
-        let job = self.next_job;
-        self.next_job += 1;
-        let token = CancelToken::new();
-        self.in_flight[lane as usize] = Some(InFlight {
-            job,
-            token: token.clone(),
-        });
-        let done = self.done_tx.clone();
-        let wake = self.wake_tx.clone();
-        self.pool
-            .try_spawn_for(self.tenant, token, move |ctl| {
-                let ctl = TrainControl::from_flag(ctl.flag());
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&ctl))).ok();
-                let _ = done.send(finish(job, result));
-                let _ = wake.try_send(Msg::Wake);
-            })
-            .expect("caller checked has_queue_capacity before preparing the job");
-    }
-
-    /// Shutdown path: cancel whatever is in flight (jobs wind down at
-    /// their next epoch boundary) and release the pool, which joins the
-    /// workers when this was the last reference. In-flight clients
-    /// observe `Unavailable` when their reply senders drop with the
-    /// undrained completion channel.
-    fn shutdown(self) {
-        for f in self.in_flight.into_iter().flatten() {
-            f.token.cancel();
-        }
-    }
 }
 
 /// Clone-able client handle. Every call is synchronous: a read-only
@@ -420,29 +283,13 @@ impl DmsServer {
         // Weak: the registry must not keep pool workers alive past the
         // owner's shutdown; the gauge just reads 0 afterwards.
         metrics.attach_training_pool(Arc::downgrade(&pool), tenant);
-        let shared = Arc::new(Shared {
-            view: SnapshotCell::new(Arc::new(ServiceView::of(&trainer))),
-            metrics,
-            poisoned: AtomicBool::new(false),
-            shut_down: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(&trainer, metrics));
 
         let actor_shared = Arc::clone(&shared);
-        let wake_tx = write_tx.clone();
+        let exec = TrainingExec::new(pool, tenant, write_tx.clone());
         let actor = std::thread::Builder::new()
             .name("fairdms-actor".into())
-            .spawn(move || {
-                actor_loop(
-                    trainer,
-                    labeler,
-                    cfg,
-                    pool,
-                    tenant,
-                    write_rx,
-                    wake_tx,
-                    actor_shared,
-                )
-            })
+            .spawn(move || actor_loop(trainer, labeler, cfg, exec, write_rx, actor_shared))
             .expect("failed to spawn fairdms-actor thread");
 
         let client = DmsClient {
@@ -514,7 +361,7 @@ fn admit(
         return invalid(format!("expected {want} features per image, got {cols}"));
     }
     // The system plane is not fitted on fewer than four rows
-    // (`FairDS::train_system` asserts it) and the update's train/validation
+    // (`RetrainJob::train` asserts it) and the update's train/validation
     // split needs two; a shorter batch would panic the actor.
     let min_rows = match req {
         Request::TrainSystem { .. } => 4,
@@ -639,16 +486,9 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
 // Write plane
 // ---------------------------------------------------------------------
 
-/// Per-actor state of the certainty monitor.
-#[derive(Default)]
-struct MonitorState {
-    /// Monitored requests seen since the last triggered retrain.
-    since_retrain: usize,
-}
-
 /// Marks the service poisoned if the actor unwinds (labeler panic etc.),
 /// so reads fail fast instead of serving an unmaintained state.
-struct PoisonOnPanic(Arc<Shared>);
+pub(crate) struct PoisonOnPanic(pub(crate) Arc<Shared>);
 
 impl Drop for PoisonOnPanic {
     fn drop(&mut self) {
@@ -658,325 +498,56 @@ impl Drop for PoisonOnPanic {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn actor_loop(
     mut trainer: RapidTrainer,
     mut labeler: FallbackLabeler,
     cfg: DmsServerConfig,
-    pool: Arc<JobPool>,
-    tenant: TenantId,
+    mut exec: TrainingExec,
     rx: Receiver<Msg>,
-    wake_tx: Sender<Msg>,
     shared: Arc<Shared>,
 ) {
-    let mut monitor = MonitorState::default();
-    let (done_tx, done_rx) = unbounded::<TrainOutcome>();
-    let mut exec = TrainingExec {
-        pool,
-        tenant,
-        done_tx,
-        wake_tx,
-        next_job: 0,
-        in_flight: [None, None],
-    };
-    'serve: while let Ok(msg) = rx.recv() {
+    while let Ok(msg) = rx.recv() {
         // Completions first: a job that already finished must publish (or
         // be fenced) before any queued request is allowed to supersede it
         // retroactively, and its waiting client unblocks soonest. The
         // drain also runs on `Wake`, the training workers' nudge for an
         // otherwise idle actor.
-        while let Ok(outcome) = done_rx.try_recv() {
-            if handle_train_done(&mut trainer, &shared, &mut exec, outcome) {
-                // A training job panicked: the same contract as a panic on
-                // this thread — the service is poisoned and the write
-                // plane stops, loudly.
-                break 'serve;
-            }
+        if exec.drain(&mut trainer, &shared) {
+            // A training job panicked: the same contract as a panic on
+            // this thread — the service is poisoned and the write
+            // plane stops, loudly.
+            break;
         }
         let env = match msg {
             Msg::Req(env) => env,
             Msg::Wake => continue,
             Msg::Shutdown => break,
         };
-        let op = env.req.op_index();
-        let start = Instant::now();
-        shared
-            .metrics
-            .queue_at(op)
-            .record(start.saturating_duration_since(env.enqueued), true);
-        // Panic-poisoning order is handled *inside* handle_write (and
-        // handle_train_done): the guard there is declared after the reply
-        // sender, so an unwinding handler sets the poison flag before the
-        // client's reply channel disconnects.
-        match handle_write(
-            &mut trainer,
-            &mut labeler,
-            &cfg,
-            &mut monitor,
-            env,
-            &shared,
-            &mut exec,
-            start,
-        ) {
-            WriteOutcome::Reply(reply, result) => {
-                shared
-                    .metrics
-                    .op_at(op)
-                    .record(start.elapsed(), result.is_ok());
-                let _ = reply.send(result);
-            }
-            // The reply sender travels with the training job; run time is
-            // recorded at fenced completion.
-            WriteOutcome::Deferred => {}
-        }
+        // Panic-poisoning order is handled inside `handle_write` and
+        // `TrainingExec::complete`: each declares its guard after the reply
+        // sender, so the poison flag is set before that sender disconnects.
+        handle_write(&mut trainer, &mut labeler, &cfg, env, &shared, &mut exec);
     }
-    // Shutdown: cancel in-flight jobs (they wind down at the next epoch
-    // boundary) and release the executor. Undrained completions — and with
-    // them the deferred reply senders — drop here, surfacing as
-    // `Unavailable` at their clients.
     exec.shutdown();
 }
 
-/// Applies a completed training job on the actor: supersession and
-/// version fencing first, then registration + publication, then (for
-/// updates) the deferred reply. Returns `true` when the job *panicked* —
-/// the actor must poison and stop, matching the contract of a panic on
-/// the actor thread itself.
-fn handle_train_done(
-    trainer: &mut RapidTrainer,
-    shared: &Arc<Shared>,
-    exec: &mut TrainingExec,
-    outcome: TrainOutcome,
-) -> bool {
-    match outcome {
-        TrainOutcome::Update {
-            job,
-            reply,
-            started,
-            op,
-            trained,
-        } => {
-            // Poison-before-reply-disconnect ordering, as in the request
-            // path: declared after `reply` so an unwinding completion
-            // (zoo/store panic) poisons the service before the client
-            // observes `Unavailable`.
-            let poison = PoisonOnPanic(Arc::clone(shared));
-            let is_latest = exec.retire(Lane::Update, job);
-            let Some(trained) = trained else {
-                // The epoch loop panicked on the executor. Poison before
-                // the reply leaves (same ordering contract as `poison`),
-                // then tell the actor to stop.
-                shared.poisoned.store(true, Ordering::Release);
-                shared.metrics.op_at(op).record(started.elapsed(), false);
-                let _ = reply.send(Err(ServiceError::Unavailable));
-                drop(poison);
-                return true;
-            };
-            let result: ServiceResult = if !is_latest || trained.cancelled() {
-                // Cancelled (or displaced) by a newer trigger; counted
-                // when the supersession happened.
-                Err(ServiceError::Superseded)
-            } else if trainer.fairds.snapshot().map(|s| s.version())
-                != Some(trained.trained_from_version())
-            {
-                // Version fence: the system plane the job trained from
-                // (its PDF key in particular) was replaced mid-flight; a
-                // stale model must not be registered.
-                shared
-                    .metrics
-                    .training_jobs_superseded
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::Superseded)
-            } else {
-                let (net, report) = trainer
-                    .complete_update(*trained)
-                    .expect("cancellation checked above");
-                shared
-                    .metrics
-                    .training_jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                // Publish-before-acknowledge: the new zoo entry goes live
-                // before the updating client hears about it.
-                shared.view.store(Arc::new(ServiceView::of(trainer)));
-                Ok(Reply::Updated {
-                    checkpoint: checkpoint::save(&net),
-                    report,
-                })
-            };
-            shared
-                .metrics
-                .op_at(op)
-                .record(started.elapsed(), result.is_ok());
-            let _ = reply.send(result);
-            drop(poison);
-            false
-        }
-        TrainOutcome::Retrain { job, result } => {
-            let poison = PoisonOnPanic(Arc::clone(shared));
-            let is_latest = exec.retire(Lane::Retrain, job);
-            let fatal = match result {
-                RetrainResult::Panicked => {
-                    shared.poisoned.store(true, Ordering::Release);
-                    true
-                }
-                // Cancelled jobs produced nothing; displaced jobs were
-                // counted at supersession time. Both just drain.
-                RetrainResult::Cancelled => false,
-                RetrainResult::Completed(_) if !is_latest => false,
-                RetrainResult::Completed(retrained) => {
-                    if trainer.fairds.snapshot().map(|s| s.version())
-                        == retrained.trained_from_version()
-                    {
-                        install_and_count(trainer, &shared.metrics, *retrained);
-                        shared.view.store(Arc::new(ServiceView::of(trainer)));
-                    } else {
-                        // Fence: e.g. a manual TrainSystem replaced the
-                        // plane while the retrain was in flight.
-                        shared
-                            .metrics
-                            .training_jobs_superseded
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    false
-                }
-            };
-            drop(poison);
-            fatal
-        }
-    }
-}
-
-/// Installs a finished retrain and counts it. The install is O(copy): the
-/// job's shipped embeddings write back by DocId and only documents ingested
-/// while it trained pay a fresh (delta) embed, so the actor is occupied for
-/// O(store × copy), not O(store × forward-pass). An inline retrain comes
-/// through here too — nothing was ingested between its prepare and its
-/// install, so its delta is empty and the write-back covers the whole store.
-fn install_and_count(trainer: &mut RapidTrainer, metrics: &Metrics, retrained: RetrainedSystem) {
-    let install = trainer.fairds.install_retrained(retrained);
-    metrics
-        .retrain_docs_copied
-        .fetch_add(install.copied as u64, Ordering::Relaxed);
-    metrics
-        .retrain_docs_delta_embedded
-        .fetch_add(install.delta_embedded as u64, Ordering::Relaxed);
-    metrics.system_retrains.fetch_add(1, Ordering::Relaxed);
-    metrics
-        .training_jobs_completed
-        .fetch_add(1, Ordering::Relaxed);
-}
-
-/// Runs the certainty monitor on a batch; triggers a system-plane retrain
-/// when it fires and the cooldown allows. Returns whether a retrain was
-/// triggered.
-///
-/// Scheduling, by caller:
-///
-/// * **Ingest** (`force_inline: false`): the retrain is *submitted* and
-///   installs asynchronously after the fence. While one retrain is
-///   already in flight, new triggers are **skipped rather than
-///   superseding it** — every retrain refits the whole store, so the
-///   running job is not stale, and superseding per drifted batch would
-///   let a sustained drift stream cancel every retrain before it could
-///   install (starvation). The next monitored batch after installation
-///   re-evaluates the refreshed plane and re-triggers if drift remains.
-/// * **UpdateModel** (`force_inline: true`): the retrain completes inline
-///   on the actor before the update is prepared — the update's dataset
-///   PDF and pseudo-labels must be computed under the refreshed plane,
-///   and submitting it asynchronously would deterministically fence-
-///   reject the caller's own update. Any in-flight ingest-triggered
-///   retrain is superseded: the inline refit subsumes it.
-///
-/// Degenerate planes (fewer than 4 samples across store + batch) cannot
-/// be refit and never trigger.
-fn monitor_and_maybe_retrain(
-    trainer: &mut RapidTrainer,
-    cfg: &DmsServerConfig,
-    state: &mut MonitorState,
-    images: &Tensor,
-    shared: &Shared,
-    exec: &mut TrainingExec,
-    force_inline: bool,
-) -> bool {
-    if !cfg.auto_retrain || !trainer.fairds.is_ready() {
-        return false;
-    }
-    state.since_retrain += 1;
-    if state.since_retrain <= cfg.retrain_cooldown {
-        return false;
-    }
-    if !force_inline && exec.is_training(Lane::Retrain) {
-        // One retrain at a time: let the running refit install instead of
-        // cancelling it per drifted batch. The counter stays advanced, so
-        // the next monitored batch re-checks immediately after install.
-        return false;
-    }
-    if !force_inline && !exec.has_queue_capacity() {
-        // Bounded admission (DESIGN.md §14): the tenant's training queue
-        // is full, so skip this trigger rather than grow the queue. The
-        // counter stays advanced; the next monitored batch re-checks.
-        return false;
-    }
-    if !trainer.fairds.needs_system_update(images) {
-        return false;
-    }
-    let rjob = trainer.fairds.prepare_retrain(images);
-    if rjob.sample_count() < 4 {
-        return false; // nothing to refit on; trigger again when data exists
-    }
-    state.since_retrain = 0;
-    shared
-        .metrics
-        .training_jobs_started
-        .fetch_add(1, Ordering::Relaxed);
-    if !force_inline {
-        let embed_cfg = cfg.retrain_embed_cfg.clone();
-        exec.submit(
-            Lane::Retrain,
-            move |ctl| rjob.train(&embed_cfg, ctl),
-            |job, trained| TrainOutcome::Retrain {
-                job,
-                result: match trained {
-                    Some(Some(r)) => RetrainResult::Completed(Box::new(r)),
-                    Some(None) => RetrainResult::Cancelled,
-                    None => RetrainResult::Panicked,
-                },
-            },
-        );
-    } else {
-        // The inline refit subsumes whatever was in flight.
-        exec.supersede(Lane::Retrain, &shared.metrics);
-        let trained = rjob
-            .train(&cfg.retrain_embed_cfg, &TrainControl::new())
-            .expect("uncancelled retrain always completes");
-        install_and_count(trainer, &shared.metrics, trained);
-    }
-    true
-}
-
-/// What the actor does with a handled write: reply now, or let the reply
-/// travel with a deferred training job.
-// One short-lived value per handled write; boxing the reply to shrink the
-// enum would cost an allocation on the hot path for no win.
-#[allow(clippy::large_enum_variant)]
-enum WriteOutcome {
-    Reply(Sender<ServiceResult>, ServiceResult),
-    Deferred,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Handles one mutating request on the actor. Every path either answers
+/// the request's [`Waiter`] (run time recorded, reply sent) or hands it to
+/// a training job, whose fenced completion answers it.
 fn handle_write(
     trainer: &mut RapidTrainer,
     labeler: &mut FallbackLabeler,
     cfg: &DmsServerConfig,
-    monitor: &mut MonitorState,
     env: Envelope,
     shared: &Arc<Shared>,
     exec: &mut TrainingExec,
-    started: Instant,
-) -> WriteOutcome {
+) {
+    let (op, started) = (env.req.op_index(), Instant::now());
+    let queue_wait = started.saturating_duration_since(env.enqueued);
+    shared.metrics.queue_at(op).record(queue_wait, true);
     let Envelope { req, reply, .. } = env;
-    // Declared *after* `reply`, so during a panic unwind it drops (and
+    let waiter = Waiter { reply, started, op };
+    // Declared *after* `waiter`, so during a panic unwind it drops (and
     // sets the poison flag) *before* the reply sender disconnects: by the
     // time the panicking request surfaces as `Unavailable` at its client,
     // no follow-up read can slip through un-poisoned. Disarmed on normal
@@ -989,15 +560,8 @@ fn handle_write(
     );
     let (width, ready) = (trainer.fairds.input_dim(), trainer.fairds.is_ready());
     if let Err(e) = admit(&req, Some(width), ready, || trainer.fairds.label_width()) {
-        return WriteOutcome::Reply(reply, Err(e));
+        return waiter.answer(&shared.metrics, Err(e));
     }
-    let op = req.op_index();
-    // Publish-before-acknowledge: freeze the post-mutation state into the
-    // read plane *before* the reply leaves, so a client that hears an ack
-    // (e.g. "retrained: true") can immediately read the new system plane.
-    let publish = |trainer: &RapidTrainer| {
-        shared.view.store(Arc::new(ServiceView::of(trainer)));
-    };
     let result: ServiceResult = match req {
         Request::TrainSystem { images, embed_cfg } => {
             // A manual (re)bootstrap replaces the plane that any
@@ -1009,17 +573,30 @@ fn handle_write(
             // `Superseded`, exactly as it would have at the fence.
             exec.supersede(Lane::Retrain, &shared.metrics);
             exec.supersede(Lane::Update, &shared.metrics);
-            let k = trainer.fairds.train_system(&images, &embed_cfg);
-            publish(trainer);
-            Ok(Reply::SystemTrained { k })
+            // The fit runs inline; its result completes like every other
+            // trained job's: fence, install, publish, answer.
+            let job = trainer
+                .fairds
+                .prepare_bootstrap(&images)
+                .train(&embed_cfg, &TrainControl::new())
+                .expect("uncancelled bootstrap always completes");
+            let done = Completion {
+                slot: None,
+                waiter: Some(waiter),
+                outcome: Outcome::System {
+                    job: Box::new(job),
+                    retrain: false,
+                },
+            };
+            exec.complete(trainer, shared, done);
+            return;
         }
         Request::IngestLabeled {
             images,
             labels,
             scan,
         } => {
-            let retrained =
-                monitor_and_maybe_retrain(trainer, cfg, monitor, &images, shared, exec, false);
+            let retrained = exec.monitor(trainer, cfg, &images, shared, false);
             // No republish: a triggered retrain publishes at install, and
             // store writes are visible to readers through the shared
             // collection.
@@ -1045,17 +622,11 @@ fn handle_write(
                 // importantly — before superseding: a flood answered
                 // `Busy` must not cancel the legitimately in-flight
                 // update. The client retries after backoff.
-                return WriteOutcome::Reply(reply, Err(ServiceError::Busy));
+                return waiter.answer(&shared.metrics, Err(ServiceError::Busy));
             }
-            // The monitor runs *inline* for updates: the update's PDF and
-            // pseudo-labels must be computed under the refreshed plane,
-            // and an async retrain would deterministically fence-reject
-            // this very request. Publish the refreshed plane immediately
-            // — if the update is later superseded, readers must still see
-            // the retrain.
-            if monitor_and_maybe_retrain(trainer, cfg, monitor, &images, shared, exec, true) {
-                publish(trainer);
-            }
+            // The monitor runs *inline* for updates (see
+            // `TrainingExec::monitor`).
+            exec.monitor(trainer, cfg, &images, shared, true);
             shared
                 .metrics
                 .training_jobs_started
@@ -1063,20 +634,12 @@ fn handle_write(
             // The actor does only the O(ms) bookend: PDF + pseudo-
             // labels + foundation resolution. The epoch loop runs on
             // the executor; a newer UpdateModel supersedes this one.
-            let plan = trainer.prepare_update(&images, |p| labeler(p), scan);
+            let job = trainer.prepare_update(&images, |p| labeler(p), scan);
             exec.supersede(Lane::Update, &shared.metrics);
-            exec.submit(
-                Lane::Update,
-                move |ctl| plan.train(ctl),
-                move |job, trained| TrainOutcome::Update {
-                    job,
-                    reply,
-                    started,
-                    op,
-                    trained: trained.map(Box::new),
-                },
-            );
-            return WriteOutcome::Deferred;
+            exec.submit(Lane::Update, Some(waiter), move |ctl| {
+                Some(Outcome::Update(Box::new(job.train(ctl)?)))
+            });
+            return;
         }
         Request::PublishModel {
             name,
@@ -1095,12 +658,12 @@ fn handle_write(
                 train_pdf: pdf,
                 scan,
             });
-            publish(trainer);
+            shared.publish(trainer);
             Ok(Reply::Published { zoo_id })
         }
         other => unreachable!("read request {:?} routed to the actor", other.op_name()),
     };
-    WriteOutcome::Reply(reply, result)
+    waiter.answer(&shared.metrics, result)
 }
 
 // ---------------------------------------------------------------------

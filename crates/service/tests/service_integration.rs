@@ -866,6 +866,56 @@ fn republication_reuses_zoo_entry_allocations() {
 }
 
 #[test]
+fn rebootstrap_leaves_no_document_under_the_replaced_plane() {
+    let (client, handle) = spawn_server(60, false);
+    let (x, y) = blob_images(30, 2, 61);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+
+    // A second TrainSystem, on another batch and seed, replaces the
+    // embedder and the clustering under the 60 stored documents.
+    let (other, _) = blob_images(20, 2, 62);
+    let reseeded = EmbedTrainConfig {
+        seed: 7,
+        ..embed_cfg()
+    };
+    client.train_system(other, reseeded).unwrap();
+
+    let snap = client.current_view().system.clone().unwrap();
+    assert_eq!(snap.version(), 1);
+    assert_eq!(snap.store().len(), 60);
+    for id in snap.store().ids() {
+        let doc = snap.store().get(id).unwrap();
+        let pixels = doc.get_f32s("pixels").unwrap().to_vec();
+        let x1 = Tensor::from_vec(pixels, &[1, SIDE * SIDE]);
+        assert_eq!(
+            doc.get_f32s("embedding").unwrap(),
+            snap.embedder().embed(&x1).row(0),
+            "document {id:?} is embedded under the replaced embedder"
+        );
+        let cluster = snap.assign(&x1)[0] as i64;
+        assert_eq!(doc.get_i64("cluster"), Some(cluster), "document {id:?}");
+    }
+    // Every stored frame is its own nearest stored neighbour, so labeling
+    // the stored frames at the default threshold reuses every label.
+    for (i, hit) in snap.nearest_labeled(&x).into_iter().enumerate() {
+        let (dist, _) = hit.expect("every cluster holds its own rows");
+        assert_eq!(dist, 0.0, "frame {i}");
+    }
+    let (labels, stats) = client.pseudo_label(x, f32::NAN).unwrap();
+    assert_eq!((stats.reused, stats.computed), (60, 0));
+    assert_eq!(labels.data(), y.data());
+
+    // A bootstrap is neither a retrain nor a training job.
+    let m = client.metrics().unwrap();
+    let jobs = m.training_jobs_started + m.training_jobs_completed + m.training_jobs_superseded;
+    assert_eq!((m.system_retrains, jobs), (0, 0));
+    assert_eq!(m.retrain_docs_copied + m.retrain_docs_delta_embedded, 0);
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
 fn ingest_triggered_retrain_republishes_sharing_zoo_entries() {
     use std::sync::Arc;
     // IngestLabeled republishes only when the certainty monitor fires; the

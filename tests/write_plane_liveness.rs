@@ -238,3 +238,50 @@ fn newer_update_supersedes_the_running_job_at_an_epoch_boundary() {
     drop(client);
     handle.shutdown();
 }
+
+#[test]
+fn train_system_supersedes_the_running_update() {
+    // Far more epochs than the update can run before the re-bootstrap is
+    // dequeued: the job is still training when its plane is replaced.
+    let (client, handle) = spawn_server(20, 400);
+    let (x, y) = blob_images(30, 2, 21);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y, 0).unwrap();
+
+    let update = {
+        let client = client.clone();
+        let (xa, _) = blob_images(40, 2, 22);
+        thread::spawn(move || client.update_model(xa, 1))
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client.metrics().unwrap().training_jobs_started < 1 {
+        assert!(Instant::now() < deadline, "the update never started");
+        thread::yield_now();
+    }
+
+    // A manual re-bootstrap replaces the plane the update trains from: the
+    // update is cancelled now rather than fence-rejected 400 epochs later.
+    let (other, _) = blob_images(30, 2, 23);
+    client.train_system(other, embed_cfg()).unwrap();
+    let err = update
+        .join()
+        .unwrap()
+        .expect_err("stale update must not publish");
+    assert_eq!(err, ServiceError::Superseded);
+
+    let view = client.current_view();
+    assert_eq!(
+        view.zoo.len(),
+        0,
+        "the superseded update registered nothing"
+    );
+    assert_eq!(view.system.as_ref().unwrap().version(), 1);
+    let m = client.metrics().unwrap();
+    assert_eq!(m.training_jobs_started, 1);
+    assert_eq!(m.training_jobs_completed, 0);
+    assert_eq!(m.training_jobs_superseded, 1, "counted once, at the cancel");
+    assert_eq!(m.system_retrains, 0, "a bootstrap is not a retrain");
+
+    drop(client);
+    handle.shutdown();
+}
