@@ -149,7 +149,7 @@ mod tests {
         // of payload bytes) must be strictly larger. The decode-CPU side
         // is measured wall time and inverts in the noise of unoptimized
         // builds, so it is intentionally not asserted here — the release
-        // benches (`cargo bench -p fairdms-bench storage`) report it.
+        // figure regenerators (`figures -- fig6`, its `decode_cpu` column) report it.
         let samples: Vec<Document> = (0..12).map(|_| sample(16 * 1024)).collect();
         let pickle = profile_backend(&RemoteStore::mongo_pickle(), &samples);
         let nfs = profile_backend(&RemoteStore::nfs_raw(), &samples);

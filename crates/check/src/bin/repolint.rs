@@ -7,8 +7,8 @@
 //! * `--json` — one JSON object per finding (machine-readable).
 //! * `--root <dir>` — lint a tree other than the current workspace.
 //! * `--allowlist` — print the audited `Ordering::Relaxed`, blocking-
-//!   socket and ungated parallel-region sites with their justifications,
-//!   then exit.
+//!   socket, ungated parallel-region and orphan-`pub fn` sites with their
+//!   justifications, then exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,6 +49,10 @@ fn main() -> ExitCode {
         for (path, why) in lint::PAR_ALLOWLIST {
             println!("{path}\n    {why}");
         }
+        println!("# pub fns no other file names");
+        for (site, caller) in lint::ORPHAN_ALLOWLIST {
+            println!("{site}\n    {caller}");
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -75,7 +79,7 @@ fn main() -> ExitCode {
             println!("{}", f.render());
         }
         if findings.is_empty() {
-            println!("repolint: clean ({} rules enforced)", 8);
+            println!("repolint: clean ({} rules enforced)", 9);
         } else {
             println!("repolint: {} finding(s)", findings.len());
         }

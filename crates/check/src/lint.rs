@@ -14,6 +14,7 @@
 //! | `blocking-net` | blocking `std::net` / Unix-socket stream and listener types only in files on the audited `NET_ALLOWLIST` — the wire plane owns every socket, and each exempt file records where its blocking reads park and what unblocks them |
 //! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
 //! | `one-publish` | within `crates/service/src`, a `ServiceView` is published (`.view.store(`) from exactly one non-test function — every path that changes what readers see goes through it, so a step that must precede publication (re-keying the zoo at a plane install, DESIGN.md §7) has one place to go |
+//! | `orphan-pub` | every free or inherent `pub fn` under `crates/{tensor,nn,clustering,datastore,flows,core,service}/src` — the crates the service links — has its name in at least one other `.rs` file of the workspace (`benches/e2e/src` counts), or its site is on the audited `ORPHAN_ALLOWLIST` with the caller text cannot see: what nothing outside its own file runs loses its `pub` or goes (DESIGN.md §11). Trait methods carry no `pub` and are not scanned |
 //!
 //! Zones: the shim crates are exempt from `no-std-sync` / `sleep-polling`
 //! / `relaxed-allowlist` / `par-gate` (they *implement* those layers), and
@@ -26,6 +27,7 @@
 //! renders them human-readable or as JSON (`--json`) and exits non-zero
 //! on any finding, which CI gates on.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -152,11 +154,6 @@ pub const NET_ALLOWLIST: &[(&str, &str)] = &[
 /// `ops::PAR_MIN_WORK` before opening a region.
 pub const PAR_ALLOWLIST: &[(&str, &str)] = &[
     (
-        "crates/clustering/src/metrics.rs",
-        "silhouette / Davies–Bouldin: offline cluster-quality scores over a whole dataset, \
-         called by benches and figure regenerators, never on a request",
-    ),
-    (
         "crates/datasets/src/voigt.rs",
         "label_batch: the conventional labeler's per-node fan-out, a ~0.1 ms pseudo-Voigt fit \
          per patch over a dataset-sized batch; offline, and the thing the paper's reuse avoids",
@@ -166,6 +163,22 @@ pub const PAR_ALLOWLIST: &[(&str, &str)] = &[
         "figure regenerator: the same per-patch Voigt fit over a whole scan, offline",
     ),
 ];
+
+/// The crates `fairdms-service` links; `orphan-pub` scans their `src/`.
+const LINKED_CRATES: [&str; 7] = [
+    "tensor",
+    "nn",
+    "clustering",
+    "datastore",
+    "flows",
+    "core",
+    "service",
+];
+
+/// Audited `pub fn`s no other file names: (`path::name`, who calls it in a
+/// way text cannot see — a macro that pastes the name together, a symbol
+/// looked up at run time). At most five; a sixth means the rule is wrong.
+pub const ORPHAN_ALLOWLIST: &[(&str, &str)] = &[];
 
 /// How many lines above a parallel-iterator call `par-gate` looks for the
 /// comparison (the furthest audited site, the GEMM driver's dispatch
@@ -178,21 +191,25 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
     collect_rs(root, &mut files);
     files.sort();
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|f| {
+            let rel = f
+                .strip_prefix(root)
+                .unwrap_or(f)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Some((rel, fs::read_to_string(f).ok()?))
+        })
+        .collect();
     let mut findings = Vec::new();
     let mut publishers = Vec::new();
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let Ok(text) = fs::read_to_string(&f) else {
-            continue;
-        };
-        lint_file(&rel, &text, &mut findings);
-        publishers.extend(publish_sites(&rel, &text));
+    for (rel, text) in &sources {
+        lint_file(rel, text, &mut findings);
+        publishers.extend(publish_sites(rel, text));
     }
     findings.extend(one_publish(publishers));
+    findings.extend(orphan_pub(&sources, ORPHAN_ALLOWLIST));
     findings
 }
 
@@ -444,6 +461,61 @@ fn one_publish(mut sites: Vec<(String, Finding)>) -> Vec<Finding> {
     }
 }
 
+/// `orphan-pub` over the whole workspace (`(path, text)` of every `.rs`
+/// file): a finding for each non-test `pub fn` of a linked crate whose name
+/// is a word of no other file and whose `path::name` is not in `allow`.
+fn orphan_pub(files: &[(String, String)], allow: &[(&str, &str)]) -> Vec<Finding> {
+    let words: Vec<HashSet<&str>> = files
+        .iter()
+        .map(|(_, text)| {
+            text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .collect()
+        })
+        .collect();
+    let mut findings = Vec::new();
+    for (at, (rel, text)) in files.iter().enumerate() {
+        let linked = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once("/src/"))
+            .is_some_and(|(krate, _)| LINKED_CRATES.contains(&krate));
+        if !linked {
+            continue;
+        }
+        for (i, raw) in text.lines().enumerate() {
+            let line = raw.trim();
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            let Some(decl) = line
+                .strip_prefix("pub fn ")
+                .or_else(|| line.strip_prefix("pub const fn "))
+            else {
+                continue;
+            };
+            let name = &decl[..decl.find(['(', '<']).unwrap_or(decl.len())];
+            let named_elsewhere = words
+                .iter()
+                .enumerate()
+                .any(|(other, w)| other != at && w.contains(name));
+            let site = format!("{rel}::{name}");
+            if !named_elsewhere && !allow.iter().any(|(s, _)| *s == site) {
+                findings.push(Finding {
+                    rule: "orphan-pub",
+                    path: rel.clone(),
+                    line: i + 1,
+                    excerpt: line.to_string(),
+                    message: format!(
+                        "no other file names `{name}`: nothing outside this file runs it — \
+                         drop the `pub`, delete it if only this file's tests call it, or \
+                         record its caller in ORPHAN_ALLOWLIST"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
 /// Whether the line calls one of the shim's region-opening iterators.
 fn opens_region(line: &str) -> bool {
     [
@@ -674,6 +746,56 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let f = lint_workspace(&root);
         assert!(f.iter().all(|f| f.rule != "one-publish"), "{f:?}");
+    }
+
+    #[test]
+    fn a_linked_crates_pub_fn_is_named_by_another_file() {
+        let lint = |files: &[(&str, &str)], allow: &[(&str, &str)]| {
+            let files: Vec<_> = files
+                .iter()
+                .map(|(p, t)| (p.to_string(), t.to_string()))
+                .collect();
+            orphan_pub(&files, allow)
+        };
+        let store = "crates/datastore/src/store.rs";
+        let decl = "impl Collection {\n    /// Calls `find_by_many`.\n    pub fn find_by_many<T>(&self) {}\n    pub const fn cap() -> usize { 4 }\n}\n";
+        let f = lint(&[(store, decl)], &[]);
+        let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(at, [("orphan-pub", 3), ("orphan-pub", 4)], "{f:?}");
+        assert!(f[0].message.contains("`find_by_many`"), "{}", f[0].message);
+        // Any other file naming it is a caller — a test, the e2e adapter —
+        // as a whole word only.
+        for caller in ["tests/persistence.rs", "benches/e2e/src/sut.rs"] {
+            let uses = (caller, "fn t() { c.find_by_many(); Collection::cap(); }\n");
+            assert!(lint(&[(store, decl), uses], &[]).is_empty(), "{caller}");
+        }
+        let near = ("tests/x.rs", "fn t() { c.find_by_many_more(); recap(); }\n");
+        assert_eq!(lint(&[(store, decl), near], &[]).len(), 2);
+        // An allowlisted site passes; so do private fns, trait methods, the
+        // file's own test module, and crates the service does not link.
+        let allow = [
+            ("crates/datastore/src/store.rs::find_by_many", "a macro"),
+            ("crates/datastore/src/store.rs::cap", "a macro"),
+        ];
+        assert!(lint(&[(store, decl)], &allow).is_empty());
+        let quiet = [
+            (store, "fn helper() {}\npub(crate) fn inner() {}\n"),
+            (store, "impl Codec for Raw {\n    fn encode(&self) {}\n}\n"),
+            (
+                store,
+                "#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n",
+            ),
+            ("crates/datasets/src/tomo.rs", "pub fn phantom() {}\n"),
+            ("crates/bench/src/table.rs", "pub fn render() {}\n"),
+        ];
+        for (path, text) in quiet {
+            assert!(lint(&[(path, text)], &[]).is_empty(), "{path}: {text}");
+        }
+        // The workspace itself has none, and its allowlist stays short.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let f = lint_workspace(&root);
+        assert!(f.iter().all(|f| f.rule != "orphan-pub"), "{f:?}");
+        assert!(ORPHAN_ALLOWLIST.len() <= 5);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn select_k(data: &Tensor, k_min: usize, k_max: usize, seed: u64) -> ElbowRe
 /// Returns the x value with the highest distance below the chord joining
 /// the curve's endpoints, together with the per-point scores. Degenerate
 /// curves (flat, or fewer than 3 points) fall back to the smallest x.
-pub fn knee_of(xs: &[usize], ys: &[f32]) -> (usize, Vec<f32>) {
+fn knee_of(xs: &[usize], ys: &[f32]) -> (usize, Vec<f32>) {
     assert_eq!(xs.len(), ys.len(), "knee_of: length mismatch");
     assert!(!xs.is_empty(), "knee_of: empty curve");
     if xs.len() < 3 {

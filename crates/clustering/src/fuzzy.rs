@@ -25,7 +25,7 @@ pub const DEFAULT_FUZZIFIER: f32 = 2.0;
 /// Fuzzy membership vector of a single sample against a set of centers.
 ///
 /// A sample exactly on a center gets membership 1 for it (and 0 elsewhere).
-pub fn membership_of(sample: &[f32], centers: &Tensor, fuzzifier: f32) -> Vec<f32> {
+fn membership_of(sample: &[f32], centers: &Tensor, fuzzifier: f32) -> Vec<f32> {
     assert!(fuzzifier > 1.0, "fuzzifier must exceed 1");
     let k = centers.shape()[0];
     let exponent = 2.0 / (fuzzifier - 1.0);

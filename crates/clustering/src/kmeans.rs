@@ -36,28 +36,25 @@ pub fn normed_margin(qn: f32, xn: f32) -> f32 {
     NORMED_EPS_REL * (qn + xn) + NORMED_EPS_ABS
 }
 
+/// Maximum Lloyd iterations of one [`KMeans::fit`].
+pub const MAX_ITERS: usize = 100;
+
+/// Convergence threshold on the maximum center displacement.
+pub const TOL: f32 = 1e-4;
+
 /// K-means hyperparameters.
 #[derive(Clone, Debug)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Convergence threshold on the maximum center displacement.
-    pub tol: f32,
     /// Seed for k-means++ initialization.
     pub seed: u64,
 }
 
 impl KMeansConfig {
-    /// A reasonable default configuration for `k` clusters.
+    /// `k` clusters, seed 0.
     pub fn new(k: usize) -> Self {
-        KMeansConfig {
-            k,
-            max_iters: 100,
-            tol: 1e-4,
-            seed: 0,
-        }
+        KMeansConfig { k, seed: 0 }
     }
 }
 
@@ -66,7 +63,6 @@ impl KMeansConfig {
 pub struct KMeans {
     centers: Tensor, // [k, d]
     inertia: f32,
-    iterations: usize,
 }
 
 impl KMeans {
@@ -84,9 +80,7 @@ impl KMeans {
         let mut centers = kmeanspp_init(data, cfg.k, &mut rng);
         let mut assignments = vec![0usize; n];
 
-        let mut iterations = 0;
-        for iter in 0..cfg.max_iters {
-            iterations = iter + 1;
+        for _ in 0..MAX_ITERS {
             assign_parallel(data, &centers, &mut assignments);
 
             // Recompute centers; empty clusters are reseeded to the point
@@ -124,28 +118,20 @@ impl KMeans {
                 max_shift = max_shift.max(shift);
             }
             centers = new_centers;
-            if max_shift <= cfg.tol {
+            if max_shift <= TOL {
                 break;
             }
         }
 
         assign_parallel(data, &centers, &mut assignments);
         let inertia = wss(data, &centers, &assignments);
-        KMeans {
-            centers,
-            inertia,
-            iterations,
-        }
+        KMeans { centers, inertia }
     }
 
     /// Assembles a model from raw parts (crate-internal: used by the
     /// mini-batch trainer).
-    pub(crate) fn with_parts(centers: Tensor, inertia: f32, iterations: usize) -> KMeans {
-        KMeans {
-            centers,
-            inertia,
-            iterations,
-        }
+    pub(crate) fn with_parts(centers: Tensor, inertia: f32) -> KMeans {
+        KMeans { centers, inertia }
     }
 
     /// Consumes the model, returning its centers (crate-internal).
@@ -166,11 +152,6 @@ impl KMeans {
     /// Within-cluster sum of squared errors on the training data.
     pub fn inertia(&self) -> f32 {
         self.inertia
-    }
-
-    /// Lloyd iterations executed during fitting.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Assigns each row of `data` to its nearest center.

@@ -17,14 +17,12 @@
 pub mod elbow;
 pub mod fuzzy;
 pub mod kmeans;
-pub mod metrics;
 pub mod minibatch;
 pub mod partition;
 
 pub use elbow::{select_k, ElbowReport};
 pub use fuzzy::{certainty, certainty_with_fuzzifier, memberships};
 pub use kmeans::{KMeans, KMeansConfig};
-pub use metrics::{davies_bouldin, silhouette};
 pub use minibatch::{fit_minibatch, MiniBatchConfig};
 pub use partition::{inflated_radius, partition_balls, Ball, BallPartitionConfig};
 
@@ -32,7 +30,7 @@ pub use partition::{inflated_radius, partition_balls, Ball, BallPartitionConfig}
 ///
 /// Empty inputs produce the uniform distribution (every downstream consumer
 /// — JSD, PDF-matched sampling — requires a valid distribution).
-pub fn counts_to_pdf(counts: &[usize]) -> Vec<f64> {
+fn counts_to_pdf(counts: &[usize]) -> Vec<f64> {
     let total: usize = counts.iter().sum();
     if total == 0 {
         let k = counts.len().max(1);

@@ -102,17 +102,17 @@ impl KMeans {
     /// Wraps externally computed centers into a model, scoring inertia on
     /// `data` (used by the mini-batch trainer and by tests that need a
     /// model with known centers).
-    pub fn from_centers(centers: Tensor, data: &Tensor) -> KMeans {
+    fn from_centers(centers: Tensor, data: &Tensor) -> KMeans {
         assert_eq!(centers.rank(), 2, "centers must be [k, d]");
         assert_eq!(
             centers.shape()[1],
             data.shape()[1],
             "center/data dimension mismatch"
         );
-        let model = KMeans::with_parts(centers, 0.0, 0);
+        let model = KMeans::with_parts(centers, 0.0);
         let assignments = model.predict(data);
         let inertia = wss(data, model.centers(), &assignments);
-        KMeans::with_parts(model.into_centers(), inertia, 0)
+        KMeans::with_parts(model.into_centers(), inertia)
     }
 }
 

@@ -99,7 +99,7 @@ pub trait Embedder: Send + Sync {
 
 /// Per-sample standardization: zero mean, unit variance per row. Applied
 /// inside every embedder so raw detector intensities don't dominate.
-pub fn standardize_rows(x: &Tensor) -> Tensor {
+fn standardize_rows(x: &Tensor) -> Tensor {
     assert_eq!(x.rank(), 2, "standardize_rows expects [n, d]");
     let (n, d) = (x.shape()[0], x.shape()[1]);
     let mut out = Vec::with_capacity(n * d);
@@ -114,7 +114,7 @@ pub fn standardize_rows(x: &Tensor) -> Tensor {
 }
 
 /// L2-normalizes every row in place (zero rows are left untouched).
-pub fn l2_normalize_rows(x: &mut Tensor) {
+fn l2_normalize_rows(x: &mut Tensor) {
     let (n, d) = (x.shape()[0], x.shape()[1]);
     for i in 0..n {
         let row = &mut x.data_mut()[i * d..(i + 1) * d];
@@ -131,29 +131,26 @@ pub fn l2_normalize_rows(x: &mut Tensor) {
 // Augmentations
 // ---------------------------------------------------------------------
 
+/// Additive Gaussian noise level of a view (in standardized units).
+const NOISE_STD: f32 = 0.08;
+/// Maximum |shift| of a view in pixels along each axis.
+const MAX_SHIFT: isize = 1;
+
 /// Square-image augmentations for self-supervised view generation.
 #[derive(Clone, Copy, Debug)]
-pub struct Augmenter {
+struct Augmenter {
     /// Image edge length.
-    pub side: usize,
-    /// Additive Gaussian noise level (in standardized units).
-    pub noise_std: f32,
-    /// Maximum |shift| in pixels along each axis.
-    pub max_shift: isize,
+    side: usize,
 }
 
 impl Augmenter {
-    /// An augmenter for `side`×`side` images with default strengths.
-    pub fn new(side: usize) -> Self {
-        Augmenter {
-            side,
-            noise_std: 0.08,
-            max_shift: 1,
-        }
+    /// An augmenter for `side`×`side` images.
+    fn new(side: usize) -> Self {
+        Augmenter { side }
     }
 
     /// 90°-clockwise rotation.
-    pub fn rot90(&self, img: &[f32]) -> Vec<f32> {
+    fn rot90(&self, img: &[f32]) -> Vec<f32> {
         let s = self.side;
         assert_eq!(img.len(), s * s, "image size mismatch");
         let mut out = vec![0.0f32; s * s];
@@ -166,7 +163,7 @@ impl Augmenter {
     }
 
     /// Horizontal mirror.
-    pub fn flip_h(&self, img: &[f32]) -> Vec<f32> {
+    fn flip_h(&self, img: &[f32]) -> Vec<f32> {
         let s = self.side;
         let mut out = vec![0.0f32; s * s];
         for y in 0..s {
@@ -178,7 +175,7 @@ impl Augmenter {
     }
 
     /// Integer shift with zero fill.
-    pub fn shift(&self, img: &[f32], dy: isize, dx: isize) -> Vec<f32> {
+    fn shift(&self, img: &[f32], dy: isize, dx: isize) -> Vec<f32> {
         let s = self.side as isize;
         let mut out = vec![0.0f32; (s * s) as usize];
         for y in 0..s {
@@ -194,7 +191,7 @@ impl Augmenter {
 
     /// A random composition: rotation power, optional flip, small shift,
     /// pixel noise.
-    pub fn random_view(&self, img: &[f32], rng: &mut TensorRng) -> Vec<f32> {
+    fn random_view(&self, img: &[f32], rng: &mut TensorRng) -> Vec<f32> {
         let mut view = img.to_vec();
         for _ in 0..rng.next_index(4) {
             view = self.rot90(&view);
@@ -202,15 +199,13 @@ impl Augmenter {
         if rng.next_uniform(0.0, 1.0) < 0.5 {
             view = self.flip_h(&view);
         }
-        let dy = rng.next_index(2 * self.max_shift as usize + 1) as isize - self.max_shift;
-        let dx = rng.next_index(2 * self.max_shift as usize + 1) as isize - self.max_shift;
+        let dy = rng.next_index(2 * MAX_SHIFT as usize + 1) as isize - MAX_SHIFT;
+        let dx = rng.next_index(2 * MAX_SHIFT as usize + 1) as isize - MAX_SHIFT;
         if dy != 0 || dx != 0 {
             view = self.shift(&view, dy, dx);
         }
-        if self.noise_std > 0.0 {
-            for v in &mut view {
-                *v += rng.next_normal_with(0.0, self.noise_std);
-            }
+        for v in &mut view {
+            *v += rng.next_normal_with(0.0, NOISE_STD);
         }
         view
     }

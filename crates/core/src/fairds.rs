@@ -42,16 +42,19 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Elbow sweep range (inclusive) when [`FairDsConfig::k`] is `None`.
+pub const K_RANGE: (usize, usize) = (4, 20);
+
+/// Fuzzy-membership confidence defining a "certain" assignment (paper:
+/// 0.5).
+pub const CONFIDENCE: f32 = 0.5;
+
 /// fairDS configuration.
 #[derive(Clone, Debug)]
 pub struct FairDsConfig {
-    /// Fixed cluster count, or `None` to select K by the elbow method.
+    /// Fixed cluster count, or `None` to select K over [`K_RANGE`] by the
+    /// elbow method.
     pub k: Option<usize>,
-    /// Elbow sweep range (inclusive) when `k` is `None`.
-    pub k_range: (usize, usize),
-    /// Fuzzy-membership confidence defining a "certain" assignment
-    /// (paper: 0.5).
-    pub confidence: f32,
     /// Fuzzy c-means fuzzifier for the certainty monitor. The metric's
     /// operating point: m = 2 is conventional but scores diffusely at
     /// large K; smaller values sharpen memberships toward hard assignment.
@@ -72,8 +75,6 @@ impl Default for FairDsConfig {
     fn default() -> Self {
         FairDsConfig {
             k: Some(15), // the paper's Bragg configuration (Fig 12)
-            k_range: (4, 20),
-            confidence: 0.5,
             fuzzifier: 2.0,
             certainty_threshold: 0.8,
             seed: 0,
@@ -402,15 +403,15 @@ impl SystemSnapshot {
 
     /// Fuzzy-clustering certainty of a dataset under this snapshot's
     /// system models (the Fig 16 metric), using the snapshot's configured
-    /// confidence and fuzzifier.
+    /// fuzzifier.
     pub fn certainty(&self, images: &Tensor) -> f64 {
-        self.certainty_with(images, self.cfg.confidence, self.cfg.fuzzifier)
+        self.certainty_with(images, self.cfg.fuzzifier)
     }
 
-    /// [`SystemSnapshot::certainty`] with explicit monitor parameters.
-    pub fn certainty_with(&self, images: &Tensor, confidence: f32, fuzzifier: f32) -> f64 {
+    /// [`SystemSnapshot::certainty`] with an explicit fuzzifier.
+    fn certainty_with(&self, images: &Tensor, fuzzifier: f32) -> f64 {
         let z = self.embed_cached(images);
-        fuzzy::certainty_with_fuzzifier(&z, &self.kmeans, confidence, fuzzifier)
+        fuzzy::certainty_with_fuzzifier(&z, &self.kmeans, CONFIDENCE, fuzzifier)
     }
 
     /// Whether the staleness monitor demands a system-plane retrain
@@ -427,7 +428,7 @@ fn select_k(cfg: &FairDsConfig, z: &Tensor) -> usize {
     match cfg.k {
         Some(k) => k.min(z.shape()[0]),
         None => {
-            let (lo, hi) = cfg.k_range;
+            let (lo, hi) = K_RANGE;
             let hi = hi.min(z.shape()[0]);
             elbow::select_k(z, lo.min(hi), hi, cfg.seed).best_k
         }
@@ -956,11 +957,6 @@ impl FairDS {
         self.store.insert_many(&docs)
     }
 
-    /// Embeds a dataset and returns its per-sample cluster assignments.
-    pub fn assign(&self, images: &Tensor) -> Vec<usize> {
-        self.ready("assign").assign(images)
-    }
-
     /// The cluster-occupancy PDF of a dataset (delegates to the snapshot).
     pub fn dataset_pdf(&self, images: &Tensor) -> Vec<f64> {
         self.ready("dataset_pdf").dataset_pdf(images)
@@ -992,7 +988,7 @@ impl FairDS {
     /// configuration so threshold calibration applies without republishing.
     pub fn certainty(&self, images: &Tensor) -> f64 {
         self.ready("certainty")
-            .certainty_with(images, self.cfg.confidence, self.cfg.fuzzifier)
+            .certainty_with(images, self.cfg.fuzzifier)
     }
 
     /// Whether the staleness monitor demands a system-plane retrain
@@ -1080,12 +1076,11 @@ pub(crate) mod tests {
             Box::new(embedder),
             FairDsConfig {
                 k: None,
-                k_range: (2, 8),
                 ..FairDsConfig::default()
             },
         );
         let k = ds.train_system(&x, &quick_embed_cfg());
-        assert!((2..=8).contains(&k), "selected k={k}");
+        assert!((K_RANGE.0..=K_RANGE.1).contains(&k), "selected k={k}");
         assert_eq!(ds.k(), k);
     }
 
@@ -1178,7 +1173,7 @@ pub(crate) mod tests {
             let doc = ds.store().get(id).unwrap();
             let pixels = doc.get_f32s("pixels").unwrap().to_vec();
             let x1 = Tensor::from_vec(pixels, &[1, SIDE * SIDE]);
-            let fresh = ds.assign(&x1)[0] as i64;
+            let fresh = ds.snapshot().unwrap().assign(&x1)[0] as i64;
             assert_eq!(doc.get_i64("cluster"), Some(fresh));
         }
     }

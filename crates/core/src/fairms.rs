@@ -82,24 +82,19 @@ impl ModelZoo {
         ModelZoo::default()
     }
 
-    /// Registers a trained model, returning its zoo id.
+    /// Registers a trained model, returning its zoo id. Panics when the
+    /// entry's PDF is empty or carries no valid probability mass
+    /// (negative/non-finite entries, zero sum) — the same contract
+    /// [`crate::jsd::jsd`] would otherwise enforce at ranking time, moved
+    /// to registration so one bad entry cannot break every later
+    /// recommendation.
     pub fn add(&mut self, entry: ZooEntry) -> usize {
-        self.add_shared(Arc::new(entry))
-    }
-
-    /// Registers an already-shared entry (no copy), returning its zoo id.
-    /// Panics when the entry's PDF is empty or carries no valid
-    /// probability mass (negative/non-finite entries, zero sum) — the
-    /// same contract [`crate::jsd::jsd`] would otherwise enforce at
-    /// ranking time, moved to registration so one bad entry cannot break
-    /// every later recommendation.
-    pub fn add_shared(&mut self, entry: Arc<ZooEntry>) -> usize {
         assert!(
             !entry.train_pdf.is_empty(),
             "zoo entries must carry a training-data PDF"
         );
         self.pdf_keys.push(PdfKey::of(&entry.train_pdf));
-        self.entries.push(entry);
+        self.entries.push(Arc::new(entry));
         *self.snapshot_cache.lock() = None;
         self.entries.len() - 1
     }
@@ -418,8 +413,7 @@ impl Recommendation {
     /// [`ModelManager`] ranking paths) return `None` instead of an empty
     /// recommendation, so for their results this is always `Some` — but
     /// `ranked` is a public field and an empty `Recommendation` is
-    /// constructible, and these accessors used to panic on one
-    /// (`self.ranked.last().unwrap()`).
+    /// constructible, so every accessor here answers `None` on one.
     pub fn best(&self) -> Option<(usize, f64)> {
         self.ranked.first().copied()
     }

@@ -76,12 +76,6 @@ pub fn is_valid_pdf_mass(x: &[f64]) -> bool {
     !x.is_empty() && x.iter().all(|&v| v >= 0.0 && v.is_finite()) && x.iter().sum::<f64>() > 0.0
 }
 
-/// The square root of the JSD — a true metric (satisfies the triangle
-/// inequality), useful when distances are composed.
-pub fn jsd_distance(p: &[f64], q: &[f64]) -> f64 {
-    jsd(p, q).sqrt()
-}
-
 #[inline]
 fn xlog2x_ratio(x: f64, m: f64) -> f64 {
     if x <= 0.0 {
@@ -152,9 +146,9 @@ mod tests {
         for a in &dists {
             for b in &dists {
                 for c in &dists {
-                    let ab = jsd_distance(a, b);
-                    let bc = jsd_distance(b, c);
-                    let ac = jsd_distance(a, c);
+                    let ab = jsd(a, b).sqrt();
+                    let bc = jsd(b, c).sqrt();
+                    let ac = jsd(a, c).sqrt();
                     assert!(ac <= ab + bc + 1e-9, "triangle violated");
                 }
             }

@@ -66,6 +66,13 @@ impl UpdateReport {
     }
 }
 
+/// Learning-rate multiplier for fine-tuning (the paper fine-tunes "using a
+/// much smaller learning rate").
+pub const FINETUNE_LR_SCALE: f32 = 0.25;
+
+/// Fraction of an update's dataset held out for validation.
+pub const VAL_FRACTION: f32 = 0.2;
+
 /// Workflow configuration.
 #[derive(Clone, Debug)]
 pub struct RapidTrainerConfig {
@@ -76,15 +83,11 @@ pub struct RapidTrainerConfig {
     /// Training-loop configuration (epochs cap, batch size, convergence
     /// target…).
     pub train: TrainConfig,
-    /// Base learning rate for training from scratch.
+    /// Base learning rate for training from scratch; fine-tuning runs at
+    /// [`FINETUNE_LR_SCALE`] of it.
     pub lr: f32,
-    /// Learning-rate multiplier for fine-tuning (the paper fine-tunes
-    /// "using a much smaller learning rate").
-    pub finetune_lr_scale: f32,
     /// Embedding-distance threshold for label reuse.
     pub label_threshold: f32,
-    /// Fraction of the dataset held out for validation.
-    pub val_fraction: f32,
     /// Seed for splits and fresh initializations.
     pub seed: u64,
 }
@@ -102,9 +105,7 @@ impl RapidTrainerConfig {
                 ..TrainConfig::default()
             },
             lr: 2e-3,
-            finetune_lr_scale: 0.25,
             label_threshold: 0.5,
-            val_fraction: 0.2,
             seed: 0,
         }
     }
@@ -116,7 +117,7 @@ fn seeded_split(cfg: &RapidTrainerConfig, x: &Tensor, y: &Tensor) -> [Tensor; 4]
     let n = x.shape()[0];
     let mut rng = fairdms_tensor::rng::TensorRng::seeded(cfg.seed ^ 0x5417);
     let order = rng.permutation(n);
-    let n_val = ((n as f32 * cfg.val_fraction) as usize).clamp(1, n - 1);
+    let n_val = ((n as f32 * VAL_FRACTION) as usize).clamp(1, n - 1);
     let (val, train) = order.split_at(n_val);
     [
         x.gather_rows(train),
@@ -263,7 +264,7 @@ impl RapidTrainer {
                 net,
                 Some(zoo_id),
                 Some(div),
-                self.cfg.lr * self.cfg.finetune_lr_scale,
+                self.cfg.lr * FINETUNE_LR_SCALE,
             ),
             None => (
                 self.cfg.arch.build(self.cfg.seed ^ FRESH_SEED_MASK),

@@ -35,5 +35,5 @@ pub mod wire;
 
 pub use codec::{BloscCodec, Codec, CodecError, PickleCodec, RawCodec};
 pub use snapshot::SnapshotError;
-pub use store::{Collection, DocId, DocStore};
+pub use store::{Collection, DocId};
 pub use value::{Document, Value};

@@ -15,7 +15,6 @@
 
 use crate::store::{Collection, DocId};
 use crate::value::Document;
-use crate::Codec;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -141,23 +140,9 @@ impl RemoteStore {
         }
     }
 
-    /// A fully custom backend.
-    pub fn with_config(label: &'static str, codec: Arc<dyn Codec>, link: LinkModel) -> Self {
-        RemoteStore {
-            label,
-            collection: Collection::new(label, codec),
-            link,
-        }
-    }
-
     /// The underlying collection (for index management etc.).
     pub fn collection(&self) -> &Collection {
         &self.collection
-    }
-
-    /// The link model.
-    pub fn link(&self) -> LinkModel {
-        self.link
     }
 }
 

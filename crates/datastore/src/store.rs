@@ -9,7 +9,7 @@
 //! *encoded* (through the collection's [`Codec`]) so read paths pay the same
 //! deserialization cost the paper measures.
 
-use crate::codec::{Codec, RawCodec};
+use crate::codec::Codec;
 use crate::value::Document;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -333,46 +333,6 @@ impl Collection {
         self.scan(|doc| doc.get_i64(field) == Some(value))
     }
 
-    /// Batched [`Collection::find_by`]: the id lists of every `value`, in
-    /// order, from a single traversal of the index (one read-lock
-    /// acquisition instead of one per value). Without an index on `field`
-    /// the whole batch is answered from **one** full scan, not
-    /// `values.len()` of them.
-    pub fn find_by_many(&self, field: &str, values: &[i64]) -> Vec<Vec<DocId>> {
-        {
-            let indexes = self.indexes.read();
-            if let Some(index) = indexes.iter().find(|i| i.field == field) {
-                return values
-                    .iter()
-                    .map(|v| {
-                        index
-                            .map
-                            .get(v)
-                            .map(|s| s.iter().copied().collect())
-                            .unwrap_or_default()
-                    })
-                    .collect();
-            }
-        }
-        let mut positions: HashMap<i64, Vec<usize>> = HashMap::new();
-        for (i, &v) in values.iter().enumerate() {
-            positions.entry(v).or_default().push(i);
-        }
-        let mut out = vec![Vec::new(); values.len()];
-        for id in self.ids() {
-            if let Some(doc) = self.get(id) {
-                if let Some(v) = doc.get_i64(field) {
-                    if let Some(slots) = positions.get(&v) {
-                        for &slot in slots {
-                            out[slot].push(id);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Full scan with a decoded-document predicate; returns matching ids in
     /// ascending order.
     pub fn scan(&self, pred: impl Fn(&Document) -> bool) -> Vec<DocId> {
@@ -384,75 +344,12 @@ impl Collection {
         out.sort_unstable();
         out
     }
-
-    /// Distinct values of an indexed integer field with their cardinality,
-    /// ascending by value. Panics when the field is not indexed.
-    pub fn index_histogram(&self, field: &str) -> Vec<(i64, usize)> {
-        let indexes = self.indexes.read();
-        let index = indexes
-            .iter()
-            .find(|i| i.field == field)
-            .unwrap_or_else(|| panic!("no index on field '{field}'"));
-        let mut entries: Vec<(i64, usize)> = index
-            .map
-            .iter()
-            .filter(|(_, ids)| !ids.is_empty())
-            .map(|(&v, ids)| (v, ids.len()))
-            .collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-}
-
-/// A named group of collections (the "database").
-#[derive(Default)]
-pub struct DocStore {
-    collections: RwLock<HashMap<String, Arc<Collection>>>,
-}
-
-impl DocStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        DocStore::default()
-    }
-
-    /// Creates a collection with the given codec, replacing any existing
-    /// collection with the same name.
-    pub fn create_collection(&self, name: &str, codec: Arc<dyn Codec>) -> Arc<Collection> {
-        let coll = Arc::new(Collection::new(name, codec));
-        self.collections
-            .write()
-            .insert(name.to_string(), Arc::clone(&coll));
-        coll
-    }
-
-    /// Creates a collection with the default raw codec.
-    pub fn create_collection_raw(&self, name: &str) -> Arc<Collection> {
-        self.create_collection(name, Arc::new(RawCodec))
-    }
-
-    /// Looks up a collection.
-    pub fn collection(&self, name: &str) -> Option<Arc<Collection>> {
-        self.collections.read().get(name).cloned()
-    }
-
-    /// Drops a collection, returning whether it existed.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        self.collections.write().remove(name).is_some()
-    }
-
-    /// Names of all collections, sorted.
-    pub fn collection_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.collections.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{BloscCodec, PickleCodec};
+    use crate::codec::{BloscCodec, PickleCodec, RawCodec};
     use std::thread;
 
     fn doc(cluster: i64, scan: i64) -> Document {
@@ -502,17 +399,6 @@ mod tests {
         assert_eq!(coll.find_by("cluster", 5), vec![id]);
         coll.delete(id);
         assert!(coll.find_by("cluster", 5).is_empty());
-    }
-
-    #[test]
-    fn index_histogram_counts_values() {
-        let coll = Collection::new("t", Arc::new(RawCodec));
-        for i in 0..10 {
-            coll.insert(&doc(i % 3, i));
-        }
-        coll.create_index("cluster");
-        let hist = coll.index_histogram("cluster");
-        assert_eq!(hist, vec![(0, 4), (1, 3), (2, 3)]);
     }
 
     #[test]
@@ -571,38 +457,6 @@ mod tests {
         let blosc = mk(Arc::new(BloscCodec::default()));
         assert!(pickle > raw, "pickle {pickle} !> raw {raw}");
         assert!(blosc < raw, "blosc {blosc} !< raw {raw}");
-    }
-
-    #[test]
-    fn docstore_manages_collections() {
-        let store = DocStore::new();
-        store.create_collection_raw("a");
-        store.create_collection("b", Arc::new(PickleCodec));
-        assert_eq!(store.collection_names(), vec!["a", "b"]);
-        assert!(store.collection("a").is_some());
-        assert!(store.collection("c").is_none());
-        assert!(store.drop_collection("a"));
-        assert!(!store.drop_collection("a"));
-        assert_eq!(store.collection_names(), vec!["b"]);
-    }
-
-    #[test]
-    fn find_by_many_matches_individual_lookups() {
-        let coll = Collection::new("t", Arc::new(RawCodec));
-        for i in 0..60 {
-            coll.insert(&doc(i % 5, i));
-        }
-        let values: Vec<i64> = vec![0, 3, 99, 3]; // misses and repeats
-                                                  // Unindexed: answered from one scan.
-        let scanned = coll.find_by_many("cluster", &values);
-        coll.create_index("cluster");
-        let indexed = coll.find_by_many("cluster", &values);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(scanned[i], coll.find_by("cluster", v), "value {v}");
-            assert_eq!(indexed[i], coll.find_by("cluster", v), "value {v}");
-        }
-        assert!(indexed[2].is_empty());
-        assert_eq!(indexed[1], indexed[3]);
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //! Per-tenant queues are **bounded** ([`TenantQueueConfig::capacity`]).
 //! A tenant that enqueues faster than the workers drain gets
 //! [`QueueFull`] backpressure from [`JobPool::try_spawn_for`] — the
-//! service layer answers `Busy` — instead of unbounded queue growth
-//! (superseded-but-still-queued jobs used to pile up behind a long-running
-//! job without limit). Queue depths are observable via [`JobPool::queued`]
-//! for metrics gauges.
+//! service layer answers `Busy` — so superseded-but-still-queued jobs
+//! behind a long-running one never grow a queue past its capacity. Queue
+//! depths are observable via [`JobPool::queued`] for metrics gauges.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -330,11 +329,6 @@ impl JobPool {
             .find(|t| t.tenant == tenant)
             .map_or(0, |t| t.jobs.len())
     }
-
-    /// Queued (not yet running) jobs across all tenants.
-    pub fn queued_total(&self) -> usize {
-        self.inner.state.lock().queued
-    }
 }
 
 fn worker_loop(inner: &PoolInner) {
@@ -491,7 +485,7 @@ mod tests {
         assert_eq!(pool.queued(7), 2);
         // Another tenant is unaffected by 7's full queue.
         assert_eq!(pool.try_spawn_for(8, CancelToken::new(), |_| {}), Ok(()));
-        assert_eq!(pool.queued_total(), 3); // tenant 7's two + tenant 8's one
+        assert_eq!(pool.queued(8), 1);
         hold_tx.send(()).unwrap();
         drop(pool);
     }

@@ -106,11 +106,6 @@ impl TransferService {
         self.log.read().clone()
     }
 
-    /// Total modeled seconds across all logged transfers.
-    pub fn total_virtual_secs(&self) -> f64 {
-        self.log.read().iter().map(|r| r.virtual_secs).sum()
-    }
-
     /// Total bytes moved.
     pub fn total_bytes(&self) -> usize {
         self.log.read().iter().map(|r| r.bytes).sum()
@@ -161,6 +156,6 @@ mod tests {
         svc.transfer(&a, &b, 200);
         assert_eq!(svc.log().len(), 2);
         assert_eq!(svc.total_bytes(), 300);
-        assert!(svc.total_virtual_secs() > 0.0);
+        assert!(svc.log().iter().all(|r| r.virtual_secs > 0.0));
     }
 }

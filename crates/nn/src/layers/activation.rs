@@ -105,15 +105,6 @@ impl Layer for Activation {
             Kind::Tanh => grad_out.zip(cache, |g, y| g * (1.0 - y * y)),
         }
     }
-
-    fn name(&self) -> &'static str {
-        match self.kind {
-            Kind::Relu => "ReLU",
-            Kind::LeakyRelu(_) => "LeakyReLU",
-            Kind::Sigmoid => "Sigmoid",
-            Kind::Tanh => "Tanh",
-        }
-    }
 }
 
 #[cfg(test)]

@@ -229,7 +229,7 @@ impl Conv2d {
     }
 
     /// Output spatial extent for an input extent.
-    pub fn out_extent(&self, in_extent: usize) -> usize {
+    fn out_extent(&self, in_extent: usize) -> usize {
         assert!(
             in_extent + 2 * self.padding >= self.kernel,
             "input extent {} too small for kernel {} with padding {}",
@@ -403,10 +403,6 @@ impl Layer for Conv2d {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "Conv2d"
     }
 }
 

@@ -25,7 +25,6 @@ pub struct Dense {
     /// The weight in panels while frozen; clones share them.
     frozen: Option<Arc<PackedB>>,
     in_features: usize,
-    out_features: usize,
     cached_input: Option<Tensor>,
 }
 
@@ -37,19 +36,8 @@ impl Dense {
             bias: Param::new(Tensor::zeros(&[out_features])),
             frozen: None,
             in_features,
-            out_features,
             cached_input: None,
         }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 }
 
@@ -110,10 +98,6 @@ impl Layer for Dense {
 
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "Dense"
     }
 }
 

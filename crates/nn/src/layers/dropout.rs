@@ -30,11 +30,6 @@ impl Dropout {
             mask: None,
         }
     }
-
-    /// The drop probability.
-    pub fn probability(&self) -> f32 {
-        self.p
-    }
 }
 
 impl Layer for Dropout {
@@ -74,10 +69,6 @@ impl Layer for Dropout {
             Some(mask) => grad_out.mul(mask),
             None => grad_out.clone(),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Dropout"
     }
 }
 

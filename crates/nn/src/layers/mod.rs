@@ -9,7 +9,6 @@ mod activation;
 mod conv;
 mod dense;
 mod dropout;
-mod norm;
 mod pool;
 mod shape_ops;
 
@@ -17,8 +16,7 @@ pub use activation::Activation;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
-pub use norm::BatchNorm;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::MaxPool2d;
 pub use shape_ops::{Flatten, Upsample2x};
 
 use crate::param::Param;
@@ -27,14 +25,12 @@ use fairdms_tensor::Tensor;
 /// Execution mode for a forward pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: dropout active, batch-norm uses batch statistics and
-    /// updates its running estimates.
+    /// Training: dropout active.
     Train,
-    /// Inference: dropout inactive, batch-norm uses running statistics.
+    /// Inference: dropout inactive.
     Eval,
     /// Monte-Carlo dropout inference: dropout stays *active* (sampling the
-    /// posterior per Gal & Ghahramani) while batch-norm uses running
-    /// statistics. Used by [`crate::mc_dropout`].
+    /// posterior per Gal & Ghahramani). Used by [`crate::mc_dropout`].
     McDropout,
 }
 
@@ -43,12 +39,6 @@ impl Mode {
     #[inline]
     pub fn dropout_active(self) -> bool {
         matches!(self, Mode::Train | Mode::McDropout)
-    }
-
-    /// Whether batch statistics (vs running statistics) should be used.
-    #[inline]
-    pub fn use_batch_stats(self) -> bool {
-        matches!(self, Mode::Train)
     }
 }
 
@@ -100,9 +90,6 @@ pub trait Layer: Send + Sync {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
-
-    /// A short human-readable layer name for debugging and summaries.
-    fn name(&self) -> &'static str;
 }
 
 /// An ordered container of layers executed front-to-back.
@@ -215,21 +202,6 @@ impl Sequential {
             p.zero_grad();
         }
     }
-
-    /// Total number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.numel()).sum()
-    }
-
-    /// One-line-per-layer architecture summary.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            s.push_str(&format!("{i:>3}: {}\n", l.name()));
-        }
-        s.push_str(&format!("params: {}", self.num_params()));
-        s
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +223,6 @@ mod tests {
         let gx = net.backward(&Tensor::ones(&[5, 2]));
         assert_eq!(gx.shape(), &[5, 3]);
         assert_eq!(net.params().len(), 4); // 2 dense layers × (W, b)
-        assert!(net.num_params() > 0);
     }
 
     #[test]
@@ -335,18 +306,5 @@ mod tests {
         assert!(net.params().iter().any(|p| p.grad.norm_sq() > 0.0));
         net.zero_grad();
         assert!(net.params().iter().all(|p| p.grad.norm_sq() == 0.0));
-    }
-
-    #[test]
-    fn summary_mentions_every_layer() {
-        let mut rng = TensorRng::seeded(2);
-        let net = Sequential::new(vec![
-            Box::new(Dense::new(2, 2, &mut rng)),
-            Box::new(Activation::sigmoid()),
-        ]);
-        let s = net.summary();
-        assert!(s.contains("Dense"));
-        assert!(s.contains("Sigmoid"));
-        assert!(s.contains("params:"));
     }
 }

@@ -1,43 +1,30 @@
-//! Spatial pooling layers for `[N, C, H, W]` tensors.
+//! Spatial pooling for `[N, C, H, W]` tensors.
 
 use super::{Layer, Mode};
 use fairdms_tensor::Tensor;
 
-/// Max pooling with a square window.
+/// Max pooling with a square non-overlapping window (stride = window).
 ///
 /// Caches the linear index of each window's winner so the backward pass can
 /// route the gradient exclusively to it.
 #[derive(Clone)]
 pub struct MaxPool2d {
     window: usize,
-    stride: usize,
     argmax: Option<Vec<usize>>,
     in_shape: Option<Vec<usize>>,
 }
 
 impl MaxPool2d {
-    /// A `window`×`window` max pool with stride equal to the window
-    /// (the common non-overlapping configuration).
+    /// A `window`×`window` max pool with stride equal to the window.
     pub fn new(window: usize) -> Self {
-        Self::with_stride(window, window)
-    }
-
-    /// A max pool with an explicit stride.
-    pub fn with_stride(window: usize, stride: usize) -> Self {
-        assert!(
-            window > 0 && stride > 0,
-            "window and stride must be positive"
-        );
+        assert!(window > 0, "window must be positive");
         MaxPool2d {
             window,
-            stride,
             argmax: None,
             in_shape: None,
         }
     }
-}
 
-impl MaxPool2d {
     /// The pooling computation; returns `(output, argmax)` so `forward` can
     /// cache winner indices while `infer` drops them.
     fn compute(&self, x: &Tensor) -> (Tensor, Vec<usize>) {
@@ -49,8 +36,7 @@ impl MaxPool2d {
             h,
             w
         );
-        let oh = (h - self.window) / self.stride + 1;
-        let ow = (w - self.window) / self.stride + 1;
+        let (oh, ow) = (h / self.window, w / self.window);
         let mut out = Vec::with_capacity(n * c * oh * ow);
         let mut argmax = Vec::with_capacity(n * c * oh * ow);
         let xd = x.data();
@@ -63,8 +49,8 @@ impl MaxPool2d {
                         let mut best_idx = 0usize;
                         for ky in 0..self.window {
                             for kx in 0..self.window {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
+                                let iy = oy * self.window + ky;
+                                let ix = ox * self.window + kx;
                                 let idx = base + iy * w + ix;
                                 if xd[idx] > best {
                                     best = xd[idx];
@@ -112,101 +98,6 @@ impl Layer for MaxPool2d {
         }
         dx
     }
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-}
-
-/// Average pooling with a square non-overlapping window.
-#[derive(Clone)]
-pub struct AvgPool2d {
-    window: usize,
-    in_shape: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// A `window`×`window` average pool with stride equal to the window.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        AvgPool2d {
-            window,
-            in_shape: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.in_shape = Some(x.shape().to_vec());
-        self.infer(x)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let (n, c, h, w) = dims4(x);
-        let k = self.window;
-        assert!(
-            h % k == 0 && w % k == 0,
-            "AvgPool2d requires divisible extents"
-        );
-        let (oh, ow) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut out = Vec::with_capacity(n * c * oh * ow);
-        let xd = x.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                acc += xd[base + (oy * k + ky) * w + ox * k + kx];
-                            }
-                        }
-                        out.push(acc * inv);
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, c, oh, ow])
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_shape = self.in_shape.clone().expect("backward before forward");
-        let (n, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let k = self.window;
-        let (oh, ow) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut dx = Tensor::zeros(&in_shape);
-        let dxd = dx.data_mut();
-        let gd = grad_out.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                let gbase = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gd[gbase + oy * ow + ox] * inv;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                dxd[base + (oy * k + ky) * w + ox * k + kx] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        dx
-    }
-
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
-    }
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -247,24 +138,5 @@ mod tests {
         pool.forward(&x, Mode::Train);
         let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn avgpool_averages_and_spreads_gradient() {
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let mut pool = AvgPool2d::new(2);
-        let y = pool.forward(&x, Mode::Train);
-        assert_eq!(y.data(), &[4.0]);
-        let dx = pool.backward(&Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]));
-        assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn overlapping_maxpool_stride_one() {
-        let x = Tensor::from_vec((0..9).map(|v| v as f32).collect(), &[1, 1, 3, 3]);
-        let mut pool = MaxPool2d::with_stride(2, 1);
-        let y = pool.forward(&x, Mode::Train);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[4.0, 5.0, 7.0, 8.0]);
     }
 }

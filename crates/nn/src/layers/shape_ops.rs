@@ -45,10 +45,6 @@ impl Layer for Flatten {
             .expect("Flatten::backward called before forward");
         grad_out.reshape(&shape)
     }
-
-    fn name(&self) -> &'static str {
-        "Flatten"
-    }
 }
 
 /// Nearest-neighbour 2× spatial upsampling for `[N, C, H, W]` tensors —
@@ -118,10 +114,6 @@ impl Layer for Upsample2x {
             }
         }
         Tensor::from_vec(dx, &in_shape)
-    }
-
-    fn name(&self) -> &'static str {
-        "Upsample2x"
     }
 }
 

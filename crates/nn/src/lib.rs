@@ -15,11 +15,11 @@
 //! Feature summary:
 //!
 //! * layers: [`layers::Dense`], [`layers::Conv2d`], [`layers::MaxPool2d`],
-//!   [`layers::AvgPool2d`], [`layers::BatchNorm`], [`layers::Dropout`]
-//!   (with Monte-Carlo mode), activations, [`layers::Flatten`],
-//!   [`layers::Upsample2x`], and the [`Sequential`] container;
-//! * losses: [`loss::Mse`], [`loss::Huber`], [`loss::BceWithLogits`];
-//! * optimizers: [`optim::Sgd`] (momentum + weight decay), [`optim::Adam`];
+//!   [`layers::Dropout`] (with Monte-Carlo mode), activations,
+//!   [`layers::Flatten`], [`layers::Upsample2x`], and the [`Sequential`]
+//!   container;
+//! * losses: [`loss::Mse`] and the contrastive [`loss::nt_xent`];
+//! * optimizers: [`optim::Sgd`], [`optim::Adam`];
 //! * a [`trainer::Trainer`] with validation tracking, early stopping and
 //!   convergence-epoch detection (the unit the paper's Figs 13–14 report);
 //! * [`checkpoint`]: self-describing binary parameter serialization;
@@ -59,7 +59,6 @@ pub mod loss;
 pub mod mc_dropout;
 pub mod optim;
 pub mod param;
-pub mod schedule;
 pub mod trainer;
 
 pub use layers::{Layer, Mode, Sequential};
@@ -68,12 +67,10 @@ pub use param::Param;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::layers::{
-        Activation, AvgPool2d, BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode,
-        Sequential, Upsample2x,
+        Activation, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Sequential, Upsample2x,
     };
-    pub use crate::loss::{BceWithLogits, Huber, Loss, Mse};
-    pub use crate::optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+    pub use crate::loss::{Loss, Mse};
+    pub use crate::optim::{Adam, Optimizer, Sgd};
     pub use crate::param::Param;
-    pub use crate::schedule::LrSchedule;
     pub use crate::trainer::{TrainConfig, TrainControl, TrainReport, Trainer};
 }

@@ -12,8 +12,6 @@ pub trait Loss {
     fn forward(&self, pred: &Tensor, target: &Tensor) -> f32;
     /// The gradient ∂L/∂pred (same shape as `pred`).
     fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor;
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Mean squared error over all elements.
@@ -38,90 +36,6 @@ impl Loss for Mse {
         assert_eq!(pred.shape(), target.shape(), "MSE: shape mismatch");
         let scale = 2.0 / pred.numel().max(1) as f32;
         pred.zip(target, |p, t| scale * (p - t))
-    }
-
-    fn name(&self) -> &'static str {
-        "MSE"
-    }
-}
-
-/// Huber (smooth-L1) loss with threshold `delta`: quadratic near zero,
-/// linear in the tails. Robust to the occasional mislabeled peak.
-pub struct Huber {
-    /// Transition point between the quadratic and linear regimes.
-    pub delta: f32,
-}
-
-impl Huber {
-    /// Creates a Huber loss with the given delta.
-    pub fn new(delta: f32) -> Self {
-        assert!(delta > 0.0, "Huber delta must be positive");
-        Huber { delta }
-    }
-}
-
-impl Loss for Huber {
-    fn forward(&self, pred: &Tensor, target: &Tensor) -> f32 {
-        assert_eq!(pred.shape(), target.shape(), "Huber: shape mismatch");
-        let n = pred.numel().max(1) as f32;
-        let d = self.delta;
-        pred.data()
-            .iter()
-            .zip(target.data())
-            .map(|(&p, &t)| {
-                let e = (p - t).abs();
-                if e <= d {
-                    0.5 * e * e
-                } else {
-                    d * (e - 0.5 * d)
-                }
-            })
-            .sum::<f32>()
-            / n
-    }
-
-    fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor {
-        let scale = 1.0 / pred.numel().max(1) as f32;
-        let d = self.delta;
-        pred.zip(target, |p, t| {
-            let e = p - t;
-            scale * if e.abs() <= d { e } else { d * e.signum() }
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "Huber"
-    }
-}
-
-/// Binary cross-entropy on logits (numerically stable log-sum-exp form).
-pub struct BceWithLogits;
-
-impl Loss for BceWithLogits {
-    fn forward(&self, pred: &Tensor, target: &Tensor) -> f32 {
-        assert_eq!(pred.shape(), target.shape(), "BCE: shape mismatch");
-        let n = pred.numel().max(1) as f32;
-        pred.data()
-            .iter()
-            .zip(target.data())
-            .map(|(&z, &t)| {
-                // max(z,0) - z*t + ln(1 + e^{-|z|})
-                z.max(0.0) - z * t + (1.0 + (-z.abs()).exp()).ln()
-            })
-            .sum::<f32>()
-            / n
-    }
-
-    fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor {
-        let scale = 1.0 / pred.numel().max(1) as f32;
-        pred.zip(target, |z, t| {
-            let s = 1.0 / (1.0 + (-z).exp());
-            scale * (s - t)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "BCEWithLogits"
     }
 }
 
@@ -236,52 +150,22 @@ mod tests {
     }
 
     #[test]
-    fn huber_is_quadratic_inside_linear_outside() {
-        let h = Huber::new(1.0);
-        let p = Tensor::from_vec(vec![0.5, 3.0], &[2]);
-        let t = Tensor::zeros(&[2]);
-        let expected = (0.5 * 0.25 + (3.0 - 0.5)) / 2.0;
-        assert!((h.forward(&p, &t) - expected).abs() < 1e-6);
-        let g = h.backward(&p, &t);
-        assert!((g.data()[0] - 0.25).abs() < 1e-6); // e/n
-        assert!((g.data()[1] - 0.5).abs() < 1e-6); // δ·sign/n
-    }
-
-    #[test]
-    fn bce_gradient_is_sigmoid_minus_target() {
-        let p = Tensor::from_vec(vec![0.0], &[1]);
-        let t = Tensor::from_vec(vec![1.0], &[1]);
-        let g = BceWithLogits.backward(&p, &t);
-        assert!((g.data()[0] + 0.5).abs() < 1e-6);
-        // Loss at logit 0 is ln 2 regardless of target.
-        assert!((BceWithLogits.forward(&p, &t) - std::f32::consts::LN_2).abs() < 1e-6);
-    }
-
-    #[test]
     fn losses_agree_with_numerical_gradient() {
         let mut rng = TensorRng::seeded(5);
         let p = rng.uniform(&[6], -2.0, 2.0);
         let t = rng.uniform(&[6], -2.0, 2.0);
-        for loss in [&Mse as &dyn Loss, &Huber::new(0.7), &BceWithLogits] {
-            let t_eff = if loss.name() == "BCEWithLogits" {
-                t.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-            } else {
-                t.clone()
-            };
-            let analytic = loss.backward(&p, &t_eff);
-            for i in 0..p.numel() {
-                let mut pp = p.clone();
-                pp.data_mut()[i] += 1e-3;
-                let mut pm = p.clone();
-                pm.data_mut()[i] -= 1e-3;
-                let num = (loss.forward(&pp, &t_eff) - loss.forward(&pm, &t_eff)) / 2e-3;
-                assert!(
-                    (num - analytic.data()[i]).abs() < 1e-2,
-                    "{}: numeric {num} vs analytic {}",
-                    loss.name(),
-                    analytic.data()[i]
-                );
-            }
+        let analytic = Mse.backward(&p, &t);
+        for i in 0..p.numel() {
+            let mut pp = p.clone();
+            pp.data_mut()[i] += 1e-3;
+            let mut pm = p.clone();
+            pm.data_mut()[i] -= 1e-3;
+            let num = (Mse.forward(&pp, &t) - Mse.forward(&pm, &t)) / 2e-3;
+            assert!(
+                (num - analytic.data()[i]).abs() < 1e-2,
+                "numeric {num} vs analytic {}",
+                analytic.data()[i]
+            );
         }
     }
 

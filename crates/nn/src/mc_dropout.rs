@@ -26,11 +26,6 @@ impl McEstimate {
     pub fn mean_uncertainty(&self) -> f32 {
         self.std.mean()
     }
-
-    /// Half-width of the 95 % confidence band (1.96 σ), elementwise mean.
-    pub fn ci95_halfwidth(&self) -> f32 {
-        1.96 * self.mean_uncertainty()
-    }
 }
 
 /// Runs `samples` stochastic forward passes in [`Mode::McDropout`] and
@@ -106,7 +101,6 @@ mod tests {
         assert!(est.mean_uncertainty() > 0.0);
         assert_eq!(est.mean.shape(), &[8, 1]);
         assert_eq!(est.std.shape(), &[8, 1]);
-        assert!((est.ci95_halfwidth() - 1.96 * est.mean_uncertainty()).abs() < 1e-6);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! First-order optimizers.
 //!
-//! Optimizers key their per-parameter state (momentum buffers, Adam moments)
-//! on the *position* of each parameter in the list handed to
+//! Optimizers key their per-parameter state (Adam's moments) on the
+//! *position* of each parameter in the list handed to
 //! [`Optimizer::step`]. [`crate::Sequential::params_mut`] returns parameters
 //! in stable layer order, so the pairing holds for the lifetime of a
 //! network/optimizer pair.
@@ -13,123 +13,53 @@ use fairdms_tensor::Tensor;
 pub trait Optimizer {
     /// Applies one update step and clears the gradients.
     fn step(&mut self, params: Vec<&mut Param>);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-
-    /// Overrides the learning rate (used by fine-tuning, which the paper
-    /// runs "using a much smaller learning rate").
-    fn set_lr(&mut self, lr: f32);
 }
 
-/// Rescales all gradients so their global L2 norm is at most `max_norm`,
-/// returning the pre-clip norm. The standard stabilizer for from-scratch
-/// training on freshly labeled (possibly noisy) data.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "clip norm must be positive");
-    let total = params.iter().map(|p| p.grad.norm_sq()).sum::<f32>().sqrt();
-    if total > max_norm {
-        let scale = max_norm / total;
-        for p in params.iter_mut() {
-            for g in p.grad.data_mut() {
-                *g *= scale;
-            }
-        }
-    }
-    total
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Plain stochastic gradient descent.
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Plain SGD.
+    /// SGD at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0, 0.0)
-    }
-
-    /// SGD with momentum `mu` and L2 weight decay `wd`.
-    pub fn with_momentum(lr: f32, mu: f32, wd: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum: mu,
-            weight_decay: wd,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: Vec<&mut Param>) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "optimizer was initialized with a different parameter list"
-        );
-        for (p, v) in params.into_iter().zip(&mut self.velocity) {
-            for i in 0..p.value.numel() {
-                let mut g = p.grad.data()[i];
-                if self.weight_decay > 0.0 {
-                    g += self.weight_decay * p.value.data()[i];
-                }
-                let vel = self.momentum * v.data()[i] + g;
-                v.data_mut()[i] = vel;
-                p.value.data_mut()[i] -= self.lr * vel;
+        for p in params {
+            for (w, g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+                *w -= self.lr * g;
             }
             p.zero_grad();
         }
     }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
-/// Adam (Kingma & Ba) with optional decoupled weight decay.
+/// Adam's first-moment decay β₁ (Kingma & Ba's default).
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard ε.
+const EPS: f32 = 1e-8;
+
+/// Adam (Kingma & Ba) at the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: u32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
+    /// Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Fully configured Adam.
-    pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -155,34 +85,21 @@ impl Optimizer for Adam {
             "optimizer was initialized with a different parameter list"
         );
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for ((p, m), v) in params.into_iter().zip(&mut self.m).zip(&mut self.v) {
             for i in 0..p.value.numel() {
                 let g = p.grad.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
+                let mi = BETA1 * m.data()[i] + (1.0 - BETA1) * g;
+                let vi = BETA2 * v.data()[i] + (1.0 - BETA2) * g * g;
                 m.data_mut()[i] = mi;
                 v.data_mut()[i] = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                let mut update = m_hat / (v_hat.sqrt() + self.eps);
-                if self.weight_decay > 0.0 {
-                    update += self.weight_decay * p.value.data()[i];
-                }
-                p.value.data_mut()[i] -= self.lr * update;
+                p.value.data_mut()[i] -= self.lr * (m_hat / (v_hat.sqrt() + EPS));
             }
             p.zero_grad();
         }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 
@@ -211,20 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accelerates_convergence() {
-        let run = |mu: f32| {
-            let mut p = quad_param();
-            let mut opt = Sgd::with_momentum(0.02, mu, 0.0);
-            for _ in 0..40 {
-                p.grad = grad_of(&p);
-                opt.step(vec![&mut p]);
-            }
-            p.value.data()[0].abs()
-        };
-        assert!(run(0.9) < run(0.0), "momentum should reach lower |w|");
-    }
-
-    #[test]
     fn adam_descends_a_quadratic() {
         let mut p = quad_param();
         let mut opt = Adam::new(0.2);
@@ -242,25 +145,5 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.step(vec![&mut p]);
         assert_eq!(p.grad.norm_sq(), 0.0);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters_without_gradient() {
-        let mut p = Param::new(Tensor::from_vec(vec![1.0], &[1]));
-        let mut opt = Sgd::with_momentum(0.1, 0.0, 0.5);
-        opt.step(vec![&mut p]); // grad = 0, decay pulls toward 0
-        assert!(p.value.data()[0] < 1.0);
-    }
-
-    #[test]
-    fn set_lr_changes_subsequent_steps() {
-        let mut p = quad_param();
-        let mut opt = Sgd::new(0.1);
-        opt.set_lr(0.0011);
-        assert!((opt.lr() - 0.0011).abs() < 1e-9);
-        p.grad = grad_of(&p);
-        opt.step(vec![&mut p]);
-        // w ← 4 − 0.0011·8
-        assert!((p.value.data()[0] - (4.0 - 0.0011 * 8.0)).abs() < 1e-5);
     }
 }

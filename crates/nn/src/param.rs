@@ -34,11 +34,6 @@ impl Param {
     }
 }
 
-/// Total number of scalar parameters across a parameter list.
-pub fn count_params(params: &[&Param]) -> usize {
-    params.iter().map(|p| p.numel()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,12 +52,5 @@ mod tests {
         p.grad.fill(5.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
-    }
-
-    #[test]
-    fn count_params_sums_all() {
-        let a = Param::new(Tensor::zeros(&[2, 3]));
-        let b = Param::new(Tensor::zeros(&[4]));
-        assert_eq!(count_params(&[&a, &b]), 10);
     }
 }

@@ -8,8 +8,7 @@
 
 use crate::layers::{Mode, Sequential};
 use crate::loss::Loss;
-use crate::optim::{clip_grad_norm, Optimizer};
-use crate::schedule::LrSchedule;
+use crate::optim::Optimizer;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,6 +52,10 @@ impl TrainControl {
     }
 }
 
+/// Minimum validation-loss improvement that counts as progress towards
+/// [`TrainConfig::patience`].
+pub const MIN_DELTA: f32 = 1e-5;
+
 /// Training-loop configuration.
 #[derive(Clone, Debug)]
 pub struct TrainConfig {
@@ -60,20 +63,14 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size (the final batch of an epoch may be smaller).
     pub batch_size: usize,
-    /// Epochs without `min_delta` improvement before early stop
+    /// Epochs without a [`MIN_DELTA`] improvement before early stop
     /// (0 disables early stopping).
     pub patience: usize,
-    /// Minimum validation-loss improvement that counts as progress.
-    pub min_delta: f32,
     /// Validation loss below which training stops immediately
     /// (`None` disables).
     pub target_val_loss: Option<f32>,
     /// Seed for the per-epoch shuffle.
     pub shuffle_seed: u64,
-    /// Learning-rate schedule applied on top of the optimizer's base rate.
-    pub schedule: LrSchedule,
-    /// Global gradient-norm clip applied before each step (`None` disables).
-    pub grad_clip: Option<f32>,
 }
 
 impl Default for TrainConfig {
@@ -82,11 +79,8 @@ impl Default for TrainConfig {
             epochs: 100,
             batch_size: 32,
             patience: 0,
-            min_delta: 1e-5,
             target_val_loss: None,
             shuffle_seed: 0,
-            schedule: LrSchedule::Constant,
-            grad_clip: None,
         }
     }
 }
@@ -219,7 +213,6 @@ impl Trainer {
         let mut stopped_early = false;
         let mut cancelled = false;
 
-        let base_lr = opt.lr();
         // Minibatch gather buffers, recycled across every batch of every
         // epoch: the batch tensors are rebuilt from (and returned to) these
         // vectors each step, so steady-state training performs zero
@@ -231,7 +224,6 @@ impl Trainer {
                 cancelled = true;
                 break;
             }
-            opt.set_lr(self.cfg.schedule.lr_at(epoch, base_lr));
             let order = rng.permutation(n);
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
@@ -252,10 +244,6 @@ impl Trainer {
                 epoch_loss += loss.forward(&pred, &by) as f64;
                 let grad = loss.backward(&pred, &by);
                 net.backward_params(&grad);
-                if let Some(max_norm) = self.cfg.grad_clip {
-                    let mut params = net.params_mut();
-                    clip_grad_norm(&mut params, max_norm);
-                }
                 opt.step(net.params_mut());
                 batches += 1;
 
@@ -277,7 +265,7 @@ impl Trainer {
                 }
             }
             if self.cfg.patience > 0 {
-                if val_loss < best - self.cfg.min_delta {
+                if val_loss < best - MIN_DELTA {
                     best = val_loss;
                     stale = 0;
                 } else {
@@ -302,7 +290,7 @@ impl Trainer {
     /// through [`Sequential::infer`], so scoring a validation set between
     /// epochs leaves the layers' backward caches (and their recycled
     /// allocations) sized for the training batch.
-    pub fn evaluate(&self, net: &Sequential, loss: &dyn Loss, x: &Tensor, y: &Tensor) -> f32 {
+    fn evaluate(&self, net: &Sequential, loss: &dyn Loss, x: &Tensor, y: &Tensor) -> f32 {
         let n = x.shape()[0];
         if n == 0 {
             return 0.0;
@@ -396,7 +384,6 @@ mod tests {
             epochs: 300,
             batch_size: 32,
             patience: 5,
-            min_delta: 1e-4,
             ..TrainConfig::default()
         };
         let report = Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, &x, &y, &x, &y);
@@ -426,52 +413,6 @@ mod tests {
             "loss {}",
             report.final_val_loss()
         );
-    }
-
-    #[test]
-    fn schedule_changes_optimizer_lr_per_epoch() {
-        let (x, y) = toy_problem(32, 6);
-        let mut net = linear_net(7);
-        let mut opt = Sgd::new(0.1);
-        let cfg = TrainConfig {
-            epochs: 4,
-            batch_size: 32,
-            schedule: crate::schedule::LrSchedule::Step {
-                every: 2,
-                gamma: 0.1,
-            },
-            ..TrainConfig::default()
-        };
-        Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, &x, &y, &x, &y);
-        // Last epoch (index 3) runs at 0.1 · 0.1^(3/2=1) = 0.01.
-        assert!((opt.lr() - 0.01).abs() < 1e-7, "lr {}", opt.lr());
-    }
-
-    #[test]
-    fn grad_clip_stabilizes_a_divergent_rate() {
-        let run = |clip: Option<f32>| {
-            let (x, y) = toy_problem(64, 8);
-            // Amplified targets + huge lr ⇒ plain SGD diverges.
-            let y_big = y.scale(50.0);
-            let mut net = linear_net(9);
-            let mut opt = Sgd::new(1.5);
-            let cfg = TrainConfig {
-                epochs: 15,
-                batch_size: 16,
-                grad_clip: clip,
-                ..TrainConfig::default()
-            };
-            Trainer::new(cfg)
-                .fit(&mut net, &mut opt, &Mse, &x, &y_big, &x, &y_big)
-                .final_val_loss()
-        };
-        let unclipped = run(None);
-        let clipped = run(Some(1.0));
-        assert!(
-            !unclipped.is_finite() || unclipped > 1e3,
-            "expected divergence without clipping, got {unclipped}"
-        );
-        assert!(clipped.is_finite(), "clipped run must stay finite");
     }
 
     #[test]

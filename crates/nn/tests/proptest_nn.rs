@@ -115,57 +115,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn schedules_always_produce_positive_bounded_rates(
-        kind in 0u8..4,
-        every in 1usize..30,
-        gamma_pct in 1u32..=100,
-        total in 2usize..200,
-        warmup_frac in 0u32..90,
-        min_frac_pct in 0u32..=100,
-        epoch in 0usize..400,
-        base_milli in 1u32..1000,
-    ) {
-        use fairdms_nn::schedule::LrSchedule;
-        let base = base_milli as f32 * 1e-3;
-        let min_frac = min_frac_pct as f32 / 100.0;
-        let warmup = (total * warmup_frac as usize / 100).min(total - 1);
-        let s = match kind {
-            0 => LrSchedule::Constant,
-            1 => LrSchedule::Step { every, gamma: gamma_pct as f32 / 100.0 },
-            2 => LrSchedule::Cosine { total_epochs: total, min_frac },
-            _ => LrSchedule::WarmupCosine { warmup, total_epochs: total, min_frac },
-        };
-        let lr = s.lr_at(epoch, base);
-        prop_assert!(lr > 0.0, "{s:?} at {epoch}: {lr}");
-        prop_assert!(lr <= base * 1.0001, "{s:?} at {epoch}: {lr} > base {base}");
-    }
-
-    #[test]
-    fn grad_clip_caps_global_norm(
-        values in proptest::collection::vec(-50.0f32..50.0, 1..64),
-        max_norm_deci in 1u32..100,
-    ) {
-        use fairdms_nn::optim::clip_grad_norm;
-        use fairdms_nn::Param;
-        let max_norm = max_norm_deci as f32 / 10.0;
-        let n = values.len();
-        let mut p = Param::new(Tensor::zeros(&[n]));
-        p.grad = Tensor::from_vec(values, &[n]);
-        let pre = p.grad.norm_sq().sqrt();
-        let reported = {
-            let mut params = vec![&mut p];
-            clip_grad_norm(&mut params, max_norm)
-        };
-        prop_assert!((reported - pre).abs() < 1e-3 * pre.max(1.0));
-        let post = p.grad.norm_sq().sqrt();
-        prop_assert!(post <= max_norm * 1.001, "post-clip norm {post} > {max_norm}");
-        if pre <= max_norm {
-            prop_assert!((post - pre).abs() < 1e-5, "no-op clip changed the gradient");
-        }
-    }
-}

@@ -80,6 +80,16 @@ impl std::error::Error for ServiceError {}
 /// 1–2 KB a deployment stores already fill the wire plane's 64 MiB frame.
 pub const MAX_LOOKUP_COUNT: usize = 1 << 16;
 
+/// Most epochs one [`Request::TrainSystem`] may ask for; more answers
+/// [`ServiceError::Invalid`]. The fit runs inline on the tenant's actor,
+/// which serves no ingest, update or shutdown until it returns, so the
+/// bound is on how long one request may hold a tenant: 1,000 is a hundred
+/// times the default and eighty times what the figure regenerators run at
+/// paper scale (12), and on a 16,384-frame store (the e2e deployment:
+/// 1.5 s an epoch at batch 32 on two vCPUs) it is 25 minutes, where
+/// `usize::MAX` is forever.
+pub const MAX_EMBED_EPOCHS: usize = 1000;
+
 /// User-plane requests. An operation's wire tag, metrics name, plane and
 /// field order are its row of the operation table in [`crate::net::codec`];
 /// [`Request::is_read_only`] and [`Request::op_name`] are generated from it.
@@ -90,7 +100,9 @@ pub enum Request {
     TrainSystem {
         /// Flattened historical images `[N, side²]`.
         images: Tensor,
-        /// Embedding training hyper-parameters.
+        /// Embedding training hyper-parameters: `lr` and `temperature`
+        /// finite and positive, `tau` in `[0, 1]`, `batch_size` at least 1,
+        /// at most [`MAX_EMBED_EPOCHS`] epochs.
         embed_cfg: EmbedTrainConfig,
     },
     /// Store labeled samples (embedded + cluster-indexed on ingest).

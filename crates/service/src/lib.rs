@@ -78,7 +78,8 @@ mod training;
 pub mod swap;
 
 pub use api::{
-    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId, MAX_LOOKUP_COUNT,
+    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, TenantId, MAX_EMBED_EPOCHS,
+    MAX_LOOKUP_COUNT,
 };
 pub use metrics::{Metrics, MetricsSnapshot, NetStats, OpSnapshot};
 pub use multi::{MultiDms, MultiDmsBuilder, TenantSpec};

@@ -445,11 +445,6 @@ impl Metrics {
         self.op_at(Self::idx(name))
     }
 
-    /// Queue-wait stats slot for an operation name (admission → dequeue).
-    pub fn queue_of(&self, name: &str) -> &OpStats {
-        self.queue_at(Self::idx(name))
-    }
-
     /// Run-time slot by [`crate::api::Request::op_index`]: the request
     /// path records by tag and never searches the names.
     pub(crate) fn op_at(&self, op: usize) -> &OpStats {
@@ -486,11 +481,6 @@ impl Metrics {
     /// shares one counter block.
     pub fn attach_net(&self, counters: Arc<NetCounters>) {
         let _ = self.net.set(counters);
-    }
-
-    /// The attached wire-plane counters, if any listener was spawned.
-    pub fn net_counters(&self) -> Option<&Arc<NetCounters>> {
-        self.net.get()
     }
 
     /// Attaches the training pool this deployment submits to (and the
@@ -612,7 +602,8 @@ mod tests {
         // waited 8 ms and ran 1 ms must not read the same as one that
         // waited 1 ms and ran 8 ms.
         let m = Metrics::new();
-        m.queue_of("ingest").record(Duration::from_millis(8), true);
+        m.queue_at(Metrics::idx("ingest"))
+            .record(Duration::from_millis(8), true);
         m.op("ingest").record(Duration::from_millis(1), true);
         let snap = m.snapshot();
         let q = snap.queue_op("ingest").unwrap();

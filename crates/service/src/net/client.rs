@@ -254,10 +254,7 @@ impl PipelinedClient {
 
     /// Connects over a Unix-domain socket, addressing `tenant`.
     #[cfg(unix)]
-    pub fn connect_uds_tenant(
-        path: impl AsRef<std::path::Path>,
-        tenant: TenantId,
-    ) -> io::Result<Self> {
+    fn connect_uds_tenant(path: impl AsRef<std::path::Path>, tenant: TenantId) -> io::Result<Self> {
         let stream = std::os::unix::net::UnixStream::connect(path)?;
         let read_half = stream.try_clone()?;
         Self::over(Box::new(stream), Box::new(read_half), tenant)

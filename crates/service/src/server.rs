@@ -35,7 +35,8 @@
 //! hears an ack can immediately read the state the ack describes.
 
 use crate::api::{
-    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, MAX_LOOKUP_COUNT,
+    DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, MAX_EMBED_EPOCHS,
+    MAX_LOOKUP_COUNT,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::swap::SnapshotCell;
@@ -71,11 +72,9 @@ pub struct DmsServerConfig {
     /// retrain on *every* request; the cooldown bounds that thrashing.
     /// `0` disables the cooldown.
     ///
-    /// Since the user-plane split, only *mutating* image-bearing requests
-    /// (`IngestLabeled`, `UpdateModel`) are monitored — reads are served
-    /// from snapshots off the actor and never tick this counter, so
-    /// deployments tuned against the old all-requests counting should
-    /// lower their cooldown accordingly.
+    /// Only *mutating* image-bearing requests (`IngestLabeled`,
+    /// `UpdateModel`) are monitored — reads are served from snapshots off
+    /// the actor and never tick this counter.
     pub retrain_cooldown: usize,
     /// Embedding hyper-parameters for triggered retrains.
     pub retrain_embed_cfg: EmbedTrainConfig,
@@ -334,7 +333,7 @@ fn admit(
         | Request::UpdateModel { images, .. }
         | Request::Certainty { images } => (images, None),
         // Full mass validation, not just non-emptiness: ranking and
-        // registration normalize the PDF (`ModelZoo::add_shared`, `jsd`),
+        // registration normalize the PDF (`ModelZoo::add`, `jsd`),
         // whose input assertions would otherwise unwind the handler.
         Request::Recommend { pdf, .. } | Request::PublishModel { pdf, .. } => {
             if !fairdms_core::jsd::is_valid_pdf_mass(pdf) {
@@ -374,7 +373,35 @@ fn admit(
             req.op_name()
         ));
     }
-    if !ready && !matches!(req, Request::TrainSystem { .. }) {
+    if let Request::TrainSystem { embed_cfg: c, .. } = req {
+        // The optimizer, the NT-Xent loss and the BYOL target update assert
+        // these ranges, on the actor; an epoch count is how long the actor
+        // is held. A NaN fails every comparison below.
+        let positive = |v: f32| v.is_finite() && v > 0.0;
+        if !positive(c.lr) {
+            return invalid(format!("lr {} is not finite and positive", c.lr));
+        }
+        if !positive(c.temperature) {
+            return invalid(format!(
+                "temperature {} is not finite and positive",
+                c.temperature
+            ));
+        }
+        if !(0.0..=1.0).contains(&c.tau) {
+            return invalid(format!("tau {} is outside [0, 1]", c.tau));
+        }
+        if c.batch_size == 0 {
+            return invalid("batch_size must be at least 1".into());
+        }
+        if c.epochs > MAX_EMBED_EPOCHS {
+            return invalid(format!(
+                "{} epochs above the {MAX_EMBED_EPOCHS}-epoch limit of one bootstrap",
+                c.epochs
+            ));
+        }
+        return Ok(());
+    }
+    if !ready {
         return Err(ServiceError::NotReady);
     }
     let Some(labels) = labels else { return Ok(()) };

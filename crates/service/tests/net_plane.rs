@@ -627,7 +627,8 @@ fn hostile_counts_are_answered_not_obeyed() {
 /// `Invalid`, the fourth must train from scratch, through both doors of the
 /// tenant, which keeps serving, as do its neighbour and the connection
 /// they share. So must a `TrainSystem` of three rows, one fewer than a
-/// system plane is fitted on, which used to reach that assertion.
+/// system plane is fitted on, and one whose learning rate is NaN: each
+/// reached an assertion on the actor.
 #[test]
 fn hostile_shapes_are_answered_not_obeyed() {
     let (multi, net) = two_tenants(0, |seed| {
@@ -649,6 +650,12 @@ fn hostile_shapes_are_answered_not_obeyed() {
             .train_system(fresh.gather_rows(&[0, 1, 2]), embed_cfg())
             .unwrap_err();
         assert!(matches!(err, ServiceError::Invalid(_)), "3 rows: {err:?}");
+        let nan_lr = EmbedTrainConfig {
+            lr: f32::NAN,
+            ..embed_cfg()
+        };
+        let err = api.train_system(fresh.clone(), nan_lr).unwrap_err();
+        assert!(matches!(err, ServiceError::Invalid(_)), "NaN lr: {err:?}");
         let both = Tensor::from_vec(
             [stored.data(), fresh.data()].concat(),
             &[stored.shape()[0] + n, SIDE * SIDE],

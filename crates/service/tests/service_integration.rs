@@ -224,6 +224,163 @@ fn shape_validation_rejects_garbage() {
     handle.shutdown();
 }
 
+/// `EmbedTrainConfig` is input too: six numbers anyone can put in a
+/// well-formed `TrainSystem`. Each row below once unwound the actor in the
+/// optimizer's or the loss's assertion (or held it for as long as
+/// `usize::MAX` epochs take), the request answered `Unavailable` and the
+/// tenant was poisoned for good. Each must answer `Invalid` before anything
+/// is superseded or published: the update in flight beside them completes,
+/// the plane stays the one good `TrainSystem`'s, and the tenant goes on
+/// training, ingesting and reading.
+#[test]
+fn a_hostile_embed_config_is_invalid_and_supersedes_nothing() {
+    // A long fit, so the update is still on the executor while the rows go by.
+    let mut trainer = trainer_over(20, FairDsConfig::default());
+    trainer.config_mut().train.epochs = 300;
+    trainer.config_mut().train.patience = 0;
+    let (client, handle) = DmsServer::spawn(
+        trainer,
+        Box::new(|_| vec![0.5, 0.5]),
+        DmsServerConfig {
+            auto_retrain: false,
+            ..DmsServerConfig::default()
+        },
+    );
+    let (x, y) = blob_images(10, 2, 21);
+    let good = embed_cfg();
+    client.train_system(x.clone(), good.clone()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+    let version = || client.current_view().system.as_ref().unwrap().version();
+    let made = version();
+
+    let update = {
+        let (client, x) = (client.clone(), x.clone());
+        thread::spawn(move || client.update_model(x, 1))
+    };
+    wait_until("the update to reach the executor", || {
+        client.metrics().unwrap().training_jobs_started == 1
+    });
+
+    let max = fairdms_service::MAX_EMBED_EPOCHS;
+    let rows: Vec<(&str, EmbedTrainConfig)> = vec![
+        (
+            "lr NaN",
+            EmbedTrainConfig {
+                lr: f32::NAN,
+                ..good.clone()
+            },
+        ),
+        (
+            "lr 0",
+            EmbedTrainConfig {
+                lr: 0.0,
+                ..good.clone()
+            },
+        ),
+        (
+            "lr < 0",
+            EmbedTrainConfig {
+                lr: -1e-3,
+                ..good.clone()
+            },
+        ),
+        (
+            "lr inf",
+            EmbedTrainConfig {
+                lr: f32::INFINITY,
+                ..good.clone()
+            },
+        ),
+        (
+            "temperature 0",
+            EmbedTrainConfig {
+                temperature: 0.0,
+                ..good.clone()
+            },
+        ),
+        (
+            "temperature < 0",
+            EmbedTrainConfig {
+                temperature: -0.5,
+                ..good.clone()
+            },
+        ),
+        (
+            "temperature NaN",
+            EmbedTrainConfig {
+                temperature: f32::NAN,
+                ..good.clone()
+            },
+        ),
+        (
+            "tau < 0",
+            EmbedTrainConfig {
+                tau: -0.1,
+                ..good.clone()
+            },
+        ),
+        (
+            "tau > 1",
+            EmbedTrainConfig {
+                tau: 1.1,
+                ..good.clone()
+            },
+        ),
+        (
+            "tau NaN",
+            EmbedTrainConfig {
+                tau: f32::NAN,
+                ..good.clone()
+            },
+        ),
+        (
+            "batch_size 0",
+            EmbedTrainConfig {
+                batch_size: 0,
+                ..good.clone()
+            },
+        ),
+        (
+            "epochs over the cap",
+            EmbedTrainConfig {
+                epochs: max + 1,
+                ..good.clone()
+            },
+        ),
+        (
+            "epochs usize::MAX",
+            EmbedTrainConfig {
+                epochs: usize::MAX,
+                ..good.clone()
+            },
+        ),
+    ];
+    for (what, cfg) in rows {
+        let err = client.train_system(x.clone(), cfg).unwrap_err();
+        assert!(matches!(err, ServiceError::Invalid(_)), "{what}: {err:?}");
+    }
+    assert_eq!(version(), made, "a rejected bootstrap publishes nothing");
+    update
+        .join()
+        .unwrap()
+        .expect("a rejected bootstrap cancels nobody's update");
+    assert_eq!(client.metrics().unwrap().training_jobs_superseded, 0);
+
+    // The tenant serves on, and the bounds themselves are admitted.
+    assert_eq!(client.ingest(x.clone(), y, 2).unwrap().0, 20);
+    assert!(client.dataset_pdf(x.clone()).is_ok());
+    let edge = EmbedTrainConfig {
+        tau: 1.0,
+        batch_size: 1,
+        epochs: 0,
+        ..good
+    };
+    client.train_system(x, edge).unwrap();
+    assert_eq!(version(), made + 1);
+    drop(client);
+    handle.shutdown();
+}
+
 #[test]
 fn update_model_round_trips_a_checkpoint() {
     let (client, handle) = spawn_server(6, false);

@@ -43,18 +43,6 @@ pub const HASH_WORK: usize = 32;
 /// kernels retire 10–25.
 pub const SQ_DIST_WORK: usize = 16;
 
-/// Outer product `A = x ⊗ y` (`[m] × [n] → [m,n]`).
-pub fn outer(x: &Tensor, y: &Tensor) -> Tensor {
-    let (m, n) = (x.numel(), y.numel());
-    let mut out = Vec::with_capacity(m * n);
-    for &xi in x.data() {
-        for &yj in y.data() {
-            out.push(xi * yj);
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 /// Squared Euclidean distance between two flat vectors.
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
@@ -81,24 +69,6 @@ pub fn row_sq_norms(data: &[f32], d: usize) -> Vec<f32> {
     data.chunks_exact(d)
         .map(|row| row.iter().map(|&v| v * v).sum())
         .collect()
-}
-
-/// Cosine similarity between two flat vectors (0 when either is all-zero).
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine_similarity: length mismatch");
-    let mut dot = 0.0f32;
-    let mut na = 0.0f32;
-    let mut nb = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
 }
 
 /// The pre-engine reference GEMM: the sequential `ikj` row loop that used
@@ -171,12 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_outer_are_consistent() {
+    fn matvec_sums_each_row() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[2]);
         assert_eq!(matvec(&a, &x).data(), &[3.0, 7.0]);
-        let o = outer(&x, &Tensor::from_vec(vec![2.0, 5.0], &[2]));
-        assert_eq!(o.data(), &[2.0, 5.0, 2.0, 5.0]);
     }
 
     #[test]
@@ -185,15 +153,6 @@ mod tests {
         let a = rng.uniform(&[8, 8], -2.0, 2.0);
         assert!(allclose(&matmul(&a, &Tensor::eye(8)), &a, 1e-5));
         assert!(allclose(&matmul(&Tensor::eye(8), &a), &a, 1e-5));
-    }
-
-    #[test]
-    fn cosine_similarity_bounds() {
-        let a = [1.0f32, 0.0];
-        let b = [0.0f32, 1.0];
-        assert!((cosine_similarity(&a, &a) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&a, &b).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &b), 0.0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl TensorRng {
     }
 
     /// A standard-normal sample via the Box–Muller transform.
-    pub fn next_normal(&mut self) -> f32 {
+    fn next_normal(&mut self) -> f32 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -89,7 +89,7 @@ impl TensorRng {
     }
 
     /// A tensor of normal samples.
-    pub fn normal(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
+    fn normal(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
         let n: usize = dims.iter().product();
         let data = (0..n).map(|_| self.next_normal_with(mean, std)).collect();
         Tensor::from_vec(data, dims)

@@ -33,16 +33,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Row-major strides: `strides[i]` is the linear distance between
-    /// consecutive indices along dimension `i`.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Converts a multi-dimensional index into a linear offset.
     ///
     /// Panics when the index rank or any coordinate is out of range.
@@ -69,18 +59,6 @@ impl Shape {
         }
         off
     }
-
-    /// Inverse of [`Shape::offset`]: converts a linear offset into a
-    /// multi-dimensional index.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        assert!(offset < self.numel().max(1), "offset out of bounds");
-        let mut idx = vec![0usize; self.0.len()];
-        for i in (0..self.0.len()).rev() {
-            idx[i] = offset % self.0[i];
-            offset /= self.0[i];
-        }
-        idx
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -100,19 +78,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strides_are_row_major() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        assert_eq!(s.numel(), 24);
-        assert_eq!(s.rank(), 3);
-    }
-
-    #[test]
-    fn offset_roundtrips_with_unravel() {
+    fn offset_is_row_major() {
         let s = Shape::new(&[3, 5, 7]);
-        for lin in 0..s.numel() {
-            let idx = s.unravel(lin);
-            assert_eq!(s.offset(&idx), lin);
+        assert_eq!((s.numel(), s.rank()), (105, 3));
+        let mut lin = 0;
+        for i in 0..3 {
+            for j in 0..5 {
+                for k in 0..7 {
+                    assert_eq!(s.offset(&[i, j, k]), lin);
+                    lin += 1;
+                }
+            }
         }
     }
 

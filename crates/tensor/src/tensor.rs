@@ -159,13 +159,6 @@ impl Tensor {
         }
     }
 
-    /// In-place variant of [`Tensor::reshape`] (no copy).
-    pub fn reshape_in_place(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        assert_eq!(shape.numel(), self.numel(), "reshape changes element count");
-        self.shape = shape;
-    }
-
     /// Transpose of a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose() requires a rank-2 tensor");
@@ -295,13 +288,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise with `f`.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "zip: shape mismatch");
@@ -339,30 +325,9 @@ impl Tensor {
         }
     }
 
-    /// In-place elementwise `self -= other`.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
-    /// In-place `self += alpha * other` (BLAS axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Elementwise scaling by a constant.
     pub fn scale(&self, alpha: f32) -> Tensor {
         self.map(|x| x * alpha)
-    }
-
-    /// In-place scaling.
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        self.map_in_place(|x| x * alpha);
     }
 
     /// Fills the tensor with `value`.
@@ -456,11 +421,6 @@ impl Tensor {
         self.data.iter().map(|&x| x * x).sum()
     }
 
-    /// L2 norm of all elements.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
-    }
-
     /// Dot product of two same-shaped tensors viewed as flat vectors.
     pub fn dot(&self, other: &Tensor) -> f32 {
         assert_eq!(self.numel(), other.numel(), "dot: length mismatch");
@@ -520,9 +480,6 @@ mod tests {
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.dot(&b), 32.0);
-        let mut c = a.clone();
-        c.axpy(2.0, &b);
-        assert_eq!(c.data(), &[9.0, 12.0, 15.0]);
     }
 
     #[test]
