@@ -1,9 +1,9 @@
-//! Criterion microbenches for the compute kernels: GEMM, conv forward/
-//! backward, k-means, fuzzy memberships, JSD and the pseudo-Voigt fitter.
+//! Kernel-engine bench: GEMM, convolution forward/backward and the
+//! BraggNN training step.
 //!
-//! The GEMM/BraggNN section doubles as the kernel-engine CI gate: it
-//! writes `results/BENCH_kernels.json` (p50/p99 + GFLOP/s per size, plus
-//! the speedup metrics) through [`fairdms_bench::report::BenchReport`]
+//! It is the kernel engine's CI gate: it writes
+//! `results/BENCH_kernels.json` (p50/p99 + GFLOP/s per size, plus the
+//! speedup metrics) through [`fairdms_bench::report::BenchReport`]
 //! and asserts the perf floors the engine must hold, each measured on
 //! interleaved pairs so machine jitter hits both sides alike (the same
 //! pairing discipline as the embed-cache smoke):
@@ -22,10 +22,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairdms_bench::report::BenchReport;
-use fairdms_clustering::{fuzzy, KMeans, KMeansConfig};
-use fairdms_core::jsd::jsd;
 use fairdms_core::models::ArchSpec;
-use fairdms_datasets::voigt::{fit_peak, render, FitConfig, PeakParams};
 use fairdms_nn::layers::{Conv2d, Layer, Mode};
 use fairdms_nn::loss::{Loss, Mse};
 use fairdms_tensor::gemm::{self, PackedB, Threading};
@@ -477,61 +474,6 @@ fn bench_gemm(c: &mut Criterion) {
     );
 }
 
-fn bench_braggnn_step(c: &mut Criterion) {
-    let mut net = ArchSpec::BraggNN { patch: 16 }.build(0);
-    let mut rng = TensorRng::seeded(1);
-    let x = rng.uniform(&[32, 1, 16, 16], 0.0, 1.0);
-    let y = rng.uniform(&[32, 2], 0.0, 1.0);
-    c.bench_function("braggnn_fwd_bwd_batch32", |b| {
-        b.iter(|| {
-            let pred = net.forward(&x, Mode::Train);
-            let grad = Mse.backward(&pred, &y);
-            net.backward_params(&grad)
-        })
-    });
-}
-
-fn bench_kmeans(c: &mut Criterion) {
-    let mut rng = TensorRng::seeded(2);
-    let data = rng.uniform(&[2000, 16], -1.0, 1.0);
-    c.bench_function("kmeans_fit_2000x16_k15", |b| {
-        b.iter(|| KMeans::fit(&data, &KMeansConfig::new(15)))
-    });
-    let model = KMeans::fit(&data, &KMeansConfig::new(15));
-    c.bench_function("kmeans_assign_2000x16_k15", |b| {
-        b.iter(|| model.predict(&data))
-    });
-    c.bench_function("fuzzy_memberships_2000x16_k15", |b| {
-        b.iter(|| fuzzy::memberships(&data, &model, 2.0))
-    });
-}
-
-fn bench_jsd(c: &mut Criterion) {
-    let mut rng = TensorRng::seeded(3);
-    let p: Vec<f64> = (0..15).map(|_| rng.next_uniform(0.0, 1.0) as f64).collect();
-    let q: Vec<f64> = (0..15).map(|_| rng.next_uniform(0.0, 1.0) as f64).collect();
-    c.bench_function("jsd_k15", |b| b.iter(|| jsd(&p, &q)));
-}
-
-fn bench_voigt_fit(c: &mut Criterion) {
-    let mut rng = TensorRng::seeded(4);
-    let params = PeakParams {
-        amplitude: 100.0,
-        cx: 7.2,
-        cy: 6.8,
-        width: 1.8,
-        eta: 0.4,
-        background: 10.0,
-    };
-    let img = render(&params, 15, 1.5, &mut rng);
-    c.bench_function("voigt_fit_quick", |b| {
-        b.iter(|| fit_peak(&img, 15, &FitConfig::QUICK))
-    });
-    c.bench_function("voigt_fit_midas_grade", |b| {
-        b.iter(|| fit_peak(&img, 15, &FitConfig::MIDAS_GRADE))
-    });
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -542,6 +484,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_gemm, bench_braggnn_step, bench_kmeans, bench_jsd, bench_voigt_fit
+    targets = bench_gemm
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Tenant-plane fairness bench (DESIGN.md §14): read isolation under a
 //! neighboring tenant's retrain storm.
 //!
-//! Two scenario replays through the multi-tenant TCP front door:
+//! Two replays through the multi-tenant TCP front door
+//! (`fairdms_bench::load`):
 //!
 //! 1. **Solo baseline.** Tenant B (CookieBox, read-heavy, no updates)
 //!    replays its scan stream as the only tenant in the deployment; its
@@ -21,98 +22,129 @@
 //! `.github/workflows/ci.yml`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fairdms_bench::load::{self, Conn, Experiment, Outcome, Plan, Tenant};
 use fairdms_bench::report::BenchReport;
-use fairdms_bench::scenario::{
-    replay_mix, spawn_scenario_deployment, ScenarioKind, TenantReport, TenantScenario,
-};
 use fairdms_service::net::NetServerConfig;
+use fairdms_service::Request;
 use std::time::Duration;
 
-const STORM: u32 = 1;
-const VICTIM: u32 = 2;
+const STORM: Tenant = Tenant {
+    id: 1,
+    experiment: Experiment::Bragg,
+    seed: 101,
+};
+const VICTIM: Tenant = Tenant {
+    id: 2,
+    experiment: Experiment::CookieBox,
+    seed: 202,
+};
 
-/// Tenant B: read-heavy CookieBox replay, no training traffic at all.
-fn victim_scenario() -> TenantScenario {
-    TenantScenario {
-        reads_per_scan: 16,
-        read_batch: 288,
-        update_every: 0,
-        scans: 8,
-        ..TenantScenario::new(VICTIM, ScenarioKind::CookieBox, 202)
+/// Tenant B: 8 scans of 16 routed `DatasetPdf` reads over 288 fresh
+/// CookieBox frames each, no training traffic at all; two untimed reads
+/// of the first batch warm the read path.
+fn victim_plan() -> Plan {
+    const READS: usize = 16;
+    const BATCH: usize = 288;
+    let batches: Vec<_> = (1..=8)
+        .flat_map(|scan| {
+            let (x, _) = VICTIM.experiment.frames(VICTIM.seed, scan, READS * BATCH);
+            (0..READS).map(move |i| x.slice_rows(i * BATCH, (i + 1) * BATCH))
+        })
+        .collect();
+    let pdf = |images| Request::DatasetPdf { images };
+    Plan {
+        tenant: VICTIM.id,
+        warmup: vec![pdf(batches[0].clone()), pdf(batches[0].clone())],
+        requests: batches.into_iter().map(pdf).collect(),
+        window: 1,
+        call: true,
     }
 }
 
-/// Tenant A: Bragg replay issuing an `UpdateModel` on *every* scan and
-/// nothing else — a sustained occupant of the shared training pool.
-fn storm_scenario() -> TenantScenario {
-    TenantScenario {
-        reads_per_scan: 0,
-        update_every: 1,
-        scans: 10,
-        ..TenantScenario::new(STORM, ScenarioKind::Bragg, 101)
+/// Tenant A: an `UpdateModel` over 16 Bragg frames on *every* one of 10
+/// scans and nothing else — a sustained occupant of the shared training
+/// pool.
+fn storm_plan() -> Plan {
+    let update = |scan| Request::UpdateModel {
+        images: STORM.experiment.frames(STORM.seed, scan, 16).0,
+        scan,
+    };
+    Plan {
+        tenant: STORM.id,
+        warmup: Vec::new(),
+        requests: (1..=10).map(update).collect(),
+        window: 1,
+        call: true,
     }
 }
 
-fn print_report(label: &str, r: &TenantReport, summary_p99: Duration) {
+fn errors(c: &Conn) -> usize {
+    c.count(Outcome::Service) + c.count(Outcome::Protocol)
+}
+
+/// Records the latencies of `c`'s `op` requests answered ok as `series`,
+/// prints them beside the connection's refusals, errors and wall time, and
+/// returns their p99.
+fn record(report: &mut BenchReport, series: &str, label: &str, c: &Conn, op: &str) -> Duration {
+    let lat = c.latencies(op, Outcome::Ok);
+    let p99 = report.add_series(series, &lat).p99;
     println!(
-        "multi_tenant/{label:<16} reads {:>4}  read p99 {:>9.2?}  updates {:>2}  busy {:>2}  errors {:>2}  wall {:>8.2?}",
-        r.read_latencies.len(),
-        summary_p99,
-        r.update_latencies.len(),
-        r.busy,
-        r.errors,
-        r.wall
+        "multi_tenant/{label:<16} {op:<12} {:>4}  p99 {p99:>9.2?}  busy {:>2}  errors {:>2}  wall {:>8.2?}",
+        lat.len(),
+        c.count(Outcome::Busy),
+        errors(c),
+        c.last - c.first
     );
+    p99
 }
 
 /// One solo-then-contended measurement. Returns `(solo_p99, contended_p99,
 /// ratio)` and records the attempt's series and metrics in `report`.
 fn measure(attempt: usize, report: &mut BenchReport) -> (Duration, Duration, f64) {
     // Solo baseline: tenant B alone in its own deployment.
-    let solo_dep = spawn_scenario_deployment(&[victim_scenario()], 1, NetServerConfig::default());
-    let solo = replay_mix(solo_dep.addr(), &[victim_scenario()])
-        .pop()
-        .expect("solo replay report");
-    solo_dep.shutdown();
-    let solo_p99 = report
-        .add_series(
-            &format!("victim_reads/solo/{attempt}"),
-            &solo.read_latencies,
-        )
-        .p99;
-    print_report("victim solo", &solo, solo_p99);
-    assert_eq!(solo.errors, 0, "solo replay must be error-free");
+    let dep = load::spawn(&[VICTIM], 1, NetServerConfig::default());
+    let solo = load::drive(dep.addr, &[victim_plan()]);
+    dep.shutdown();
+    let solo = &solo.conns[0];
+    assert_eq!(
+        errors(solo) + solo.count(Outcome::Busy),
+        0,
+        "solo replay must be error-free"
+    );
+    let series = format!("victim_reads/solo/{attempt}");
+    let solo_p99 = record(report, &series, "victim solo", solo, "pdf");
 
     // Contended: same tenant B, now sharing the service (and its single
-    // training worker) with tenant A's per-scan retrain storm.
-    let mix = [storm_scenario(), victim_scenario()];
-    let dep = spawn_scenario_deployment(&mix, 1, NetServerConfig::default());
-    let reports = replay_mix(dep.addr(), &mix);
+    // training worker) with tenant A's per-scan retrain storm. The checks
+    // come before the records: an empty series has no p99.
+    let dep = load::spawn(&[STORM, VICTIM], 1, NetServerConfig::default());
+    let run = load::drive(dep.addr, &[storm_plan(), victim_plan()]);
     dep.shutdown();
-    let storm = &reports[0];
-    let victim = &reports[1];
-    let storm_p99 = report
-        .add_series(&format!("storm_updates/{attempt}"), &storm.update_latencies)
-        .p99;
-    print_report("storm", storm, storm_p99);
-    let contended_p99 = report
-        .add_series(
-            &format!("victim_reads/contended/{attempt}"),
-            &victim.read_latencies,
-        )
-        .p99;
-    print_report("victim contended", victim, contended_p99);
-    assert_eq!(victim.errors, 0, "victim replay must be error-free");
-    assert_eq!(storm.errors, 0, "storm replay must be error-free");
+    let (storm, victim) = (&run.conns[0], &run.conns[1]);
+    assert_eq!(errors(victim), 0, "victim replay must be error-free");
+    assert_eq!(errors(storm), 0, "storm replay must be error-free");
+    let completed = storm.latencies("update_model", Outcome::Ok).len();
     assert!(
-        !storm.update_latencies.is_empty(),
+        completed > 0,
         "the storm must land at least one retrain for the run to contend"
     );
+    record(
+        report,
+        &format!("storm_updates/{attempt}"),
+        "storm",
+        storm,
+        "update_model",
+    );
+    let series = format!("victim_reads/contended/{attempt}");
+    let contended_p99 = record(report, &series, "victim contended", victim, "pdf");
     report.add_metric(
         &format!("storm_updates_completed/{attempt}"),
-        storm.update_latencies.len() as f64,
+        completed as f64,
     );
-    report.add_metric(&format!("storm_updates_busy/{attempt}"), storm.busy as f64);
+    report.add_metric(
+        &format!("storm_updates_busy/{attempt}"),
+        storm.count(Outcome::Busy) as f64,
+    );
 
     let ratio = contended_p99.as_secs_f64() / solo_p99.as_secs_f64().max(1e-9);
     println!("multi_tenant/isolation  contended vs solo read p99: {ratio:.2}x");

@@ -1,7 +1,8 @@
 //! Wire-plane bench (DESIGN.md §13): pipelining speedup and kilo-client
 //! sustain.
 //!
-//! Two experiments against one trained TCP deployment:
+//! Two experiments against one trained single-tenant TCP deployment
+//! (`fairdms_bench::load`, Bragg frames at 16×16):
 //!
 //! 1. **Pipelining speedup.** The same read-only workload runs three ways
 //!    — strict request-response (`window = 1` as `submit` + `wait`, one
@@ -10,82 +11,102 @@
 //!    own reply: a blocking socket's two wake-ups) and pipelined
 //!    (`window = 32`, the client keeps a window on the wire and the
 //!    server's reply sequencer batches its flushes) — at 256 connections
-//!    and on one. The per-request syscall + scheduler-wakeup cost
+//!    and on one. The read is `LookupMatching { count: 0 }`: a routed read
+//!    that embeds nothing and samples nothing, so the transport is the
+//!    per-request cost. The per-request syscall + scheduler-wakeup cost
 //!    amortizes across the window, and the bench **asserts** the
 //!    pipelined run clears ≥1.5× the strict-RPC throughput at 256
 //!    connections, gated in CI. The floor is what a serialized pipeline
 //!    fails (its ratio is 1), not what pipelining is worth: timed on the
 //!    workers' own clocks, fifteen runs on this box's two vCPUs read
-//!    1.8–4.0× (median 2.4×) on the code that the old ≥3× gate, timed
-//!    from the main thread's wake-up, passed and failed by turns (DESIGN
-//!    §13 "Load"). A connection's reader thread writing a window-1 reply
-//!    itself speeds strict request-response up, so the ratio may fall
-//!    while both absolute rates rise: the record carries all three
-//!    throughputs beside each ratio. The one-connection series is the
-//!    round trip itself, with nothing else competing for the box; its
-//!    ratio (4–16×) is recorded, not gated.
+//!    1.8–4.0× (median 2.4×) (DESIGN §13 "Load"). A connection's reader
+//!    thread writing a window-1 reply itself speeds strict
+//!    request-response up, so the ratio may fall while both absolute
+//!    rates rise: the record carries all three throughputs beside each
+//!    ratio. The one-connection series is the round trip itself, with
+//!    nothing else competing for the box; its ratio (4–16×) is recorded,
+//!    not gated.
 //!
 //! 2. **Kilo-client sustain.** 1,000 concurrent connections (within the
-//!    default 1,024 admission limit) each push a pipelined read/write
-//!    mix; the bench **asserts** every request is answered successfully —
-//!    zero protocol errors client-side, zero decode errors and zero busy
-//!    rejections server-side.
+//!    default 1,024 admission limit) each push a pipelined mix — nine
+//!    routed lookups in ten, one single-frame ingest; the bench
+//!    **asserts** every request is answered successfully — zero protocol
+//!    errors client-side, zero decode errors and zero busy rejections
+//!    server-side.
 //!
 //! Results land in `results/BENCH_net_plane.json` via
 //! `fairdms_bench::report`. CI runs this bench at exactly this scale (see
 //! `.github/workflows/ci.yml`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairdms_bench::netload::{
-    run_load, spawn_wire_deployment, LoadConfig, ReadKind, WireDeployment,
-};
+use fairdms_bench::load::{self, Deployment, Experiment, Outcome, Plan, Run, Tenant};
 use fairdms_bench::report::BenchReport;
 use fairdms_service::net::NetServerConfig;
+use fairdms_service::{Request, TenantId};
 use std::time::Duration;
+
+const TENANT: TenantId = 0;
+const SEED: u64 = 21;
+
+/// A routed read: `count: 0` for the transport-bound pipelining runs,
+/// `count: 1` for the kilo mix.
+fn lookup(count: usize) -> Request {
+    Request::LookupMatching {
+        pdf: vec![0.5, 0.5],
+        count,
+    }
+}
+
+/// Records `r`'s latencies as `series` and prints its rate and tail.
+fn record(report: &mut BenchReport, series: &str, label: &str, r: &Run) {
+    let s = report.add_series(series, &r.latencies());
+    println!(
+        "net_plane/{label:<10} conns {:>4}  reqs {:>6}  wall {:>8.2?}  thr {:>9.0} req/s  p50 {:>9.2?}  p99 {:>9.2?}",
+        r.conns.len(),
+        r.requests(),
+        r.wall(),
+        r.throughput(),
+        s.p50,
+        s.p99
+    );
+}
 
 /// Runs the three request styles at `conns` connections and records their
 /// series, throughputs and the pipelined-over-strict ratio, which it
 /// returns.
 fn bench_pipelining_speedup(
-    dep: &WireDeployment,
+    dep: &Deployment,
     report: &mut BenchReport,
     conns: usize,
     reqs: usize,
 ) -> f64 {
-    let run = |window, blocking_call, seed| {
-        run_load(
-            dep.addr(),
-            &LoadConfig {
-                connections: conns,
-                requests_per_connection: reqs,
+    let run = |window, call| {
+        let plans: Vec<Plan> = (0..conns)
+            .map(|_| Plan {
+                tenant: TENANT,
+                warmup: Vec::new(),
+                requests: (0..reqs).map(|_| lookup(0)).collect(),
                 window,
-                read_fraction: 1.0,
-                read_kind: ReadKind::RoutedProbe,
-                blocking_call,
-                seed,
-            },
-        )
+                call,
+            })
+            .collect();
+        load::drive(dep.addr, &plans)
     };
-    let strict = run(1, false, 11);
-    let pipelined = run(32, false, 12);
-    let call = run(1, true, 11);
+    let strict = run(1, false);
+    let pipelined = run(32, false);
+    let call = run(1, true);
 
     for (label, r) in [
         ("window1", &strict),
         ("call", &call),
         ("pipelined", &pipelined),
     ] {
-        let s = report.add_series(&format!("{label}/{conns}conn"), &r.latencies);
-        println!(
-            "net_plane/{label:<10} conns {conns:>3}  reqs {:>6}  wall {:>8.2?}  thr {:>9.0} req/s  p50 {:>9.2?}  p99 {:>9.2?}",
-            r.requests,
-            r.wall,
-            r.throughput(),
-            s.p50,
-            s.p99
+        record(report, &format!("{label}/{conns}conn"), label, r);
+        assert_eq!(
+            r.count(Outcome::Ok),
+            r.requests(),
+            "{label}: every request must succeed under load"
         );
-        assert_eq!(r.protocol_errors, 0, "{label}: protocol errors under load");
-        assert_eq!(r.service_errors, 0, "{label}: service errors under load");
         report.add_metric(&format!("throughput_{label}_{conns}conn"), r.throughput());
     }
 
@@ -100,40 +121,48 @@ fn bench_pipelining_speedup(
     speedup
 }
 
-fn bench_kilo_client_sustain(dep: &WireDeployment, report: &mut BenchReport) {
+fn bench_kilo_client_sustain(dep: &Deployment, report: &mut BenchReport) {
     const CONNS: usize = 1000;
+    const REQS: usize = 4;
 
-    let load = run_load(
-        dep.addr(),
-        &LoadConfig {
-            connections: CONNS,
-            requests_per_connection: 4,
-            window: 4,
-            read_fraction: 0.9,
-            read_kind: ReadKind::RoutedLookup,
-            blocking_call: false,
-            seed: 13,
-        },
-    );
-    let s = report.add_series(&format!("kilo_mix/{CONNS}conn"), &load.latencies);
-    println!(
-        "net_plane/kilo_mix   conns {CONNS} reqs {:>6}  wall {:>8.2?}  thr {:>9.0} req/s  p50 {:>9.2?}  p99 {:>9.2?}",
-        load.requests,
-        load.wall,
-        load.throughput(),
-        s.p50,
-        s.p99
-    );
+    // Every tenth request (counted across connections) is a write; each
+    // connection ingests its own frame.
+    let plans: Vec<Plan> = (0..CONNS)
+        .map(|conn| {
+            let (images, labels) = Experiment::Bragg.frames(SEED, 1_000 + conn, 1);
+            let requests = (0..REQS)
+                .map(|i| match (conn * REQS + i) % 10 {
+                    0 => Request::IngestLabeled {
+                        images: images.clone(),
+                        labels: labels.clone(),
+                        scan: 1_000 + conn,
+                    },
+                    _ => lookup(1),
+                })
+                .collect();
+            Plan {
+                tenant: TENANT,
+                warmup: Vec::new(),
+                requests,
+                window: REQS,
+                call: false,
+            }
+        })
+        .collect();
+    let load = load::drive(dep.addr, &plans);
+    record(report, &format!("kilo_mix/{CONNS}conn"), "kilo_mix", &load);
+    let protocol_errors = load.count(Outcome::Protocol);
     report.add_metric("kilo_connections", CONNS as f64);
-    report.add_metric("kilo_protocol_errors", load.protocol_errors as f64);
+    report.add_metric("kilo_protocol_errors", protocol_errors as f64);
     report.add_metric("kilo_throughput", load.throughput());
 
     assert_eq!(
-        load.protocol_errors, 0,
+        protocol_errors, 0,
         "kilo-client sustain saw protocol errors"
     );
     assert_eq!(
-        load.ok, load.requests,
+        load.count(Outcome::Ok),
+        load.requests(),
         "every request must succeed against the trained deployment"
     );
     let stats = dep.net.counters().snapshot();
@@ -145,7 +174,12 @@ fn bench_kilo_client_sustain(dep: &WireDeployment, report: &mut BenchReport) {
 }
 
 fn bench_net_plane(_c: &mut Criterion) {
-    let dep = spawn_wire_deployment(21, NetServerConfig::default());
+    let tenant = Tenant {
+        id: TENANT,
+        experiment: Experiment::Bragg,
+        seed: SEED,
+    };
+    let dep = load::spawn(&[tenant], 1, NetServerConfig::default());
     let mut report = BenchReport::new();
     // Loud regression guard (the CI gate): a pipeline that serializes
     // reads 1x; honest runs on two vCPUs read 1.8x and up.

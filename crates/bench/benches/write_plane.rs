@@ -37,9 +37,10 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_core::ModelManager;
+use fairdms_flows::jobs::DEFAULT_TENANT;
 use fairdms_nn::trainer::TrainControl;
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
-use fairdms_service::DmsApi;
+use fairdms_service::server::DmsServerConfig;
+use fairdms_service::{DmsApi, MultiDms, TenantSpec};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +80,9 @@ fn embed_cfg() -> EmbedTrainConfig {
     }
 }
 
-fn spawn(seed: u64) -> (DmsClient, ServerHandle) {
+/// One tenant on a one-worker training pool — the in-process deployment,
+/// no listener.
+fn spawn(seed: u64) -> MultiDms {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
     let fairds = FairDS::in_memory(
         Box::new(embedder),
@@ -94,21 +97,24 @@ fn spawn(seed: u64) -> (DmsClient, ServerHandle) {
     tcfg.train.patience = 0;
     tcfg.seed = seed;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    DmsServer::spawn(
-        trainer,
-        Box::new(|_| vec![0.5, 0.5]),
-        DmsServerConfig {
+    let spec = TenantSpec {
+        config: DmsServerConfig {
             auto_retrain: false,
             ..DmsServerConfig::default()
         },
-    )
+        ..TenantSpec::new(DEFAULT_TENANT)
+    };
+    MultiDms::builder(1)
+        .tenant(spec, trainer, Box::new(|_| vec![0.5, 0.5]))
+        .spawn()
 }
 
 /// Primes a deployment, kicks off a slow update, hammers ingest until the
 /// update completes, and returns the during-update ingest latencies and
 /// the update's wall time.
 fn ingest_during_update() -> (Vec<Duration>, Duration) {
-    let (client, handle) = spawn(7);
+    let dep = spawn(7);
+    let client = dep.client(DEFAULT_TENANT).expect("spawned").clone();
     let (x, y) = blob_images(60, 8);
     client.train_system(x.clone(), embed_cfg()).expect("train");
     client.ingest(x, y, 0).expect("prime");
@@ -147,7 +153,7 @@ fn ingest_during_update() -> (Vec<Duration>, Duration) {
     }
     let update_took = updater.join().expect("updater");
     drop(client);
-    handle.shutdown();
+    dep.shutdown();
     (ingests, update_took)
 }
 

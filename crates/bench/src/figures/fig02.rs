@@ -4,15 +4,12 @@
 //! (scan ~444 there), then error and uncertainty climb together; the drift
 //! model reproduces the same knee at a configurable scan.
 
-use crate::figures::{bragg_flat, BRAGG_SIDE};
+use crate::figures::{bragg_flat, fit_holdout, BRAGG_SIDE};
 use crate::table::{f, Table};
 use crate::Scale;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::uncertainty::{degradation_series, detect_degradation};
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
-use fairdms_nn::loss::Mse;
-use fairdms_nn::optim::Adam;
-use fairdms_nn::trainer::{TrainConfig, Trainer};
 use fairdms_tensor::Tensor;
 
 /// Regenerates Fig 2.
@@ -43,22 +40,8 @@ pub fn run(scale: Scale) -> Result<(), String> {
     let x = x_flat.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
 
     let mut net = ArchSpec::BraggNN { patch: BRAGG_SIDE }.build(1);
-    let mut opt = Adam::new(2e-3);
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 64,
-        ..TrainConfig::default()
-    };
+    let report = fit_holdout(&mut net, &x, &y, 2e-3, epochs, 64);
     let n_val = (n / 5).max(1);
-    let report = Trainer::new(cfg).fit(
-        &mut net,
-        &mut opt,
-        &Mse,
-        &x.slice_rows(n_val, n),
-        &y.slice_rows(n_val, n),
-        &x.slice_rows(0, n_val),
-        &y.slice_rows(0, n_val),
-    );
     println!(
         "trained BraggNN on scans 0..{train_scans} ({} patches), val loss {:.5}\n",
         n - n_val,

@@ -4,16 +4,15 @@
 //! holdout, together with the labeling times (the paper: ~1 h conventional
 //! vs <1 min fairDS).
 
-use crate::figures::{bragg_fairds, bragg_flat, bragg_history, embed_epochs, BRAGG_SIDE};
+use crate::figures::{
+    bragg_fairds, bragg_flat, bragg_history, embed_epochs, fit_holdout, BRAGG_SIDE,
+};
 use crate::table::{secs, Table};
 use crate::Scale;
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{BraggPatch, BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, FitConfig};
 use fairdms_nn::layers::{Mode, Sequential};
-use fairdms_nn::loss::Mse;
-use fairdms_nn::optim::Adam;
-use fairdms_nn::trainer::{TrainConfig, Trainer};
 use fairdms_tensor::Tensor;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -41,22 +40,7 @@ fn train_braggnn(x_flat: &Tensor, y: &Tensor, epochs: usize, seed: u64) -> Seque
     let n = x_flat.shape()[0];
     let x = x_flat.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
     let mut net = ArchSpec::BraggNN { patch: BRAGG_SIDE }.build(seed);
-    let mut opt = Adam::new(2e-3);
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
-    let n_val = (n / 5).max(1);
-    Trainer::new(cfg).fit(
-        &mut net,
-        &mut opt,
-        &Mse,
-        &x.slice_rows(n_val, n),
-        &y.slice_rows(n_val, n),
-        &x.slice_rows(0, n_val),
-        &y.slice_rows(0, n_val),
-    );
+    fit_holdout(&mut net, &x, y, 2e-3, epochs, 32);
     net
 }
 

@@ -5,7 +5,7 @@
 //! cluster-PDF bars comparing the input dataset against the best- and
 //! worst-ranked models' training distributions.
 
-use crate::figures::{bragg_fairds, bragg_flat, embed_epochs, BRAGG_SIDE};
+use crate::figures::{bragg_fairds, bragg_flat, embed_epochs, fit_holdout, BRAGG_SIDE};
 use crate::table::{f, Table};
 use crate::Scale;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
@@ -16,11 +16,8 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::uncertainty::mean_row_distance;
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::cookiebox::{to_training_tensors as cookie_tensors, CookieBoxSimulator};
-use fairdms_nn::layers::{Mode, Sequential};
+use fairdms_nn::layers::Mode;
 use fairdms_nn::loss::{Loss, Mse};
-use fairdms_nn::optim::Adam;
-use fairdms_nn::trainer::{TrainConfig, Trainer};
-use fairdms_tensor::Tensor;
 
 /// Spearman rank correlation between two equally long series.
 pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
@@ -55,28 +52,6 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-fn fit_quick(arch: ArchSpec, x4: &Tensor, y: &Tensor, epochs: usize, seed: u64) -> Sequential {
-    let mut net = arch.build(seed);
-    let mut opt = Adam::new(2e-3);
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
-    let n = x4.shape()[0];
-    let n_val = (n / 5).max(1);
-    Trainer::new(cfg).fit(
-        &mut net,
-        &mut opt,
-        &Mse,
-        &x4.slice_rows(n_val, n),
-        &y.slice_rows(n_val, n),
-        &x4.slice_rows(0, n_val),
-        &y.slice_rows(0, n_val),
-    );
-    net
-}
-
 /// A zoo built over a drifting Bragg experiment: one BraggNN per scan,
 /// indexed by the fairDS PDF of its training data.
 pub struct BraggZoo {
@@ -84,8 +59,6 @@ pub struct BraggZoo {
     pub fairds: FairDS,
     /// The model zoo.
     pub zoo: ModelZoo,
-    /// Scans the zoo models were trained on.
-    pub scans: Vec<usize>,
 }
 
 /// Builds the Fig 10 fixture: bimodal drift (config change mid-series).
@@ -110,18 +83,17 @@ pub fn build_bragg_zoo(scale: Scale, k: usize, seed: u64) -> BraggZoo {
     let fairds = bragg_fairds(&history, k, seed, embed_epochs(scale));
     let mut zoo = ModelZoo::new();
     let arch = ArchSpec::BraggNN { patch: BRAGG_SIDE };
-    let mut scans = Vec::new();
     for s in 0..n_zoo {
         let patches = sim.scan(s, per_scan);
         let (xf, y) = bragg_flat(&patches);
         let pdf = fairds.dataset_pdf(&xf);
         let n = xf.shape()[0];
         let x4 = xf.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
-        let net = fit_quick(arch, &x4, &y, epochs, seed + s as u64);
+        let mut net = arch.build(seed + s as u64);
+        fit_holdout(&mut net, &x4, &y, 2e-3, epochs, 32);
         zoo.add_model(&format!("braggnn-scan{s}"), arch, &net, pdf, s);
-        scans.push(s);
     }
-    BraggZoo { fairds, zoo, scans }
+    BraggZoo { fairds, zoo }
 }
 
 /// **Fig 10** — BraggNN error-vs-JSD scatter over four test datasets.
@@ -230,7 +202,8 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
         let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
-        let net = fit_quick(arch, &x4, &y4, epochs, 40 + m as u64);
+        let mut net = arch.build(40 + m as u64);
+        fit_holdout(&mut net, &x4, &y4, 2e-3, epochs, 32);
         zoo.add_model(&format!("cookienetae-scan{scan}"), arch, &net, pdf, scan);
     }
 

@@ -6,7 +6,7 @@
 //! first few epochs; Retrain converges slowest.
 
 use crate::figures::fig10_12::build_bragg_zoo;
-use crate::figures::{bragg_flat, BRAGG_SIDE};
+use crate::figures::{bragg_flat, fit_holdout, BRAGG_SIDE};
 use crate::table::Table;
 use crate::Scale;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
@@ -16,39 +16,8 @@ use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::cookiebox::{to_training_tensors as cookie_tensors, CookieBoxSimulator};
 use fairdms_nn::layers::Sequential;
-use fairdms_nn::loss::Mse;
-use fairdms_nn::optim::Adam;
-use fairdms_nn::trainer::{TrainConfig, TrainReport, Trainer};
-use fairdms_tensor::Tensor;
 
 const STRATEGIES: [&str; 4] = ["Retrain", "FineTune-B", "FineTune-M", "FineTune-W"];
-
-/// Trains from a given starting network, returning the validation curve.
-fn train_curve(
-    mut net: Sequential,
-    x4: &Tensor,
-    y: &Tensor,
-    epochs: usize,
-    lr: f32,
-) -> TrainReport {
-    let n = x4.shape()[0];
-    let n_val = (n / 5).max(1);
-    let mut opt = Adam::new(lr);
-    let cfg = TrainConfig {
-        epochs,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
-    Trainer::new(cfg).fit(
-        &mut net,
-        &mut opt,
-        &Mse,
-        &x4.slice_rows(n_val, n),
-        &y.slice_rows(n_val, n),
-        &x4.slice_rows(0, n_val),
-        &y.slice_rows(0, n_val),
-    )
-}
 
 /// Starting nets for the four strategies, given a ranked recommendation.
 fn strategy_nets(
@@ -150,9 +119,9 @@ pub fn run_braggnn(scale: Scale) -> Result<(), String> {
         let x4 = xf.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
         let rec = mgr.rank(&fx.zoo, &pdf).expect("zoo is non-empty");
         let mut curves = vec![Vec::new(); 4];
-        for (col, net) in strategy_nets(&fx.zoo, &rec, arch, 60 + t as u64) {
+        for (col, mut net) in strategy_nets(&fx.zoo, &rec, arch, 60 + t as u64) {
             let lr = if col == 0 { 2e-3 } else { 5e-4 };
-            let report = train_curve(net, &x4, &y, epochs, lr);
+            let report = fit_holdout(&mut net, &x4, &y, lr, epochs, 32);
             curves[col] = report.val_curve();
         }
         results.push((format!("dataset D{t} (scan {ts})"), curves));
@@ -214,33 +183,9 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
         let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
-        let report_net = {
-            let mut net = arch.build(80 + m as u64);
-            let mut opt = Adam::new(2e-3);
-            let cfg = TrainConfig {
-                epochs: zoo_epochs,
-                batch_size: 16,
-                ..TrainConfig::default()
-            };
-            let n_val = (n / 5).max(1);
-            Trainer::new(cfg).fit(
-                &mut net,
-                &mut opt,
-                &Mse,
-                &x4.slice_rows(n_val, n),
-                &y4.slice_rows(n_val, n),
-                &x4.slice_rows(0, n_val),
-                &y4.slice_rows(0, n_val),
-            );
-            net
-        };
-        zoo.add_model(
-            &format!("cookienetae-scan{scan}"),
-            arch,
-            &report_net,
-            pdf,
-            scan,
-        );
+        let mut net = arch.build(80 + m as u64);
+        fit_holdout(&mut net, &x4, &y4, 2e-3, zoo_epochs, 16);
+        zoo.add_model(&format!("cookienetae-scan{scan}"), arch, &net, pdf, scan);
     }
 
     let mgr = ModelManager::default();
@@ -253,9 +198,9 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
         let rec = mgr.rank(&zoo, &pdf).expect("zoo is non-empty");
         let mut curves = vec![Vec::new(); 4];
-        for (col, net) in strategy_nets(&zoo, &rec, arch, 90 + t as u64) {
+        for (col, mut net) in strategy_nets(&zoo, &rec, arch, 90 + t as u64) {
             let lr = if col == 0 { 2e-3 } else { 5e-4 };
-            let report = train_curve(net, &x4, &y4, epochs, lr);
+            let report = fit_holdout(&mut net, &x4, &y4, lr, epochs, 32);
             curves[col] = report.val_curve();
         }
         results.push((format!("dataset D{t} (scan {ts})"), curves));

@@ -12,9 +12,13 @@ pub mod fig16;
 pub mod scalability;
 
 use crate::Scale;
-use fairdms_core::embedding::{AutoencoderEmbedder, ByolEmbedder, EmbedTrainConfig, Embedder};
+use fairdms_core::embedding::{ByolEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggPatch, BraggSimulator, DriftModel};
+use fairdms_nn::layers::Sequential;
+use fairdms_nn::loss::Mse;
+use fairdms_nn::optim::Adam;
+use fairdms_nn::trainer::{TrainConfig, TrainReport, Trainer};
 use fairdms_tensor::Tensor;
 
 /// Patch edge length used throughout the Bragg experiments (paper: 15).
@@ -70,15 +74,12 @@ pub fn bragg_flat(patches: &[BraggPatch]) -> (Tensor, Tensor) {
 /// A fairDS over a BYOL embedder for Bragg patches — the configuration
 /// the paper converged on (§IV) — trained on the given historical patches.
 pub fn bragg_fairds(historical: &[BraggPatch], k: usize, seed: u64, embed_epochs: usize) -> FairDS {
-    bragg_fairds_with(historical, bragg_cfg(k, seed), embed_epochs)
-}
-
-fn bragg_cfg(k: usize, seed: u64) -> FairDsConfig {
-    FairDsConfig {
+    let cfg = FairDsConfig {
         k: Some(k),
         seed,
         ..FairDsConfig::default()
-    }
+    };
+    bragg_fairds_with(historical, cfg, embed_epochs)
 }
 
 /// [`bragg_fairds`] with a caller-supplied configuration (used by the
@@ -88,34 +89,9 @@ pub fn bragg_fairds_with(
     cfg: FairDsConfig,
     embed_epochs: usize,
 ) -> FairDS {
-    let embedder = ByolEmbedder::new(BRAGG_SIDE, 64, 16, cfg.seed);
-    build_fairds(Box::new(embedder), historical, cfg, embed_epochs)
-}
-
-/// Same fixture with the autoencoder embedding (used by the ablations).
-pub fn bragg_fairds_autoencoder(
-    historical: &[BraggPatch],
-    k: usize,
-    seed: u64,
-    embed_epochs: usize,
-) -> FairDS {
-    let embedder = AutoencoderEmbedder::new(BRAGG_SIDE * BRAGG_SIDE, 64, 16, seed);
-    build_fairds(
-        Box::new(embedder),
-        historical,
-        bragg_cfg(k, seed),
-        embed_epochs,
-    )
-}
-
-fn build_fairds(
-    embedder: Box<dyn Embedder>,
-    historical: &[BraggPatch],
-    cfg: FairDsConfig,
-    embed_epochs: usize,
-) -> FairDS {
     let seed = cfg.seed;
-    let mut ds = FairDS::in_memory(embedder, cfg);
+    let embedder = ByolEmbedder::new(BRAGG_SIDE, 64, 16, seed);
+    let mut ds = FairDS::in_memory(Box::new(embedder), cfg);
     let (x, y) = bragg_flat(historical);
     let ecfg = EmbedTrainConfig {
         epochs: embed_epochs,
@@ -137,6 +113,35 @@ pub fn bragg_history(n_scans: usize, per_scan: usize, seed: u64) -> Vec<BraggPat
         .into_iter()
         .flat_map(|(_, p)| p)
         .collect()
+}
+
+/// Trains `net` under `Adam(lr)` + MSE for `epochs` at `batch_size`,
+/// validating on the first `max(n/5, 1)` rows and training on the rest —
+/// the one supervised fit every figure runs.
+pub fn fit_holdout(
+    net: &mut Sequential,
+    x: &Tensor,
+    y: &Tensor,
+    lr: f32,
+    epochs: usize,
+    batch_size: usize,
+) -> TrainReport {
+    let n = x.shape()[0];
+    let n_val = (n / 5).max(1);
+    let cfg = TrainConfig {
+        epochs,
+        batch_size,
+        ..TrainConfig::default()
+    };
+    Trainer::new(cfg).fit(
+        net,
+        &mut Adam::new(lr),
+        &Mse,
+        &x.slice_rows(n_val, n),
+        &y.slice_rows(n_val, n),
+        &x.slice_rows(0, n_val),
+        &y.slice_rows(0, n_val),
+    )
 }
 
 /// Converts scale to the embedding-training epoch budget.

@@ -13,26 +13,23 @@
 //! 3. **Labeling throughput vs cores** — the measured pseudo-Voigt fit
 //!    cost under rayon pools of increasing size, the single-node
 //!    counterpart of the paper's Voigt-80/Voigt-1440 extrapolation.
-//! 4. **Service throughput vs concurrent clients** — the actor-style
-//!    fairDMS server under closed-loop PDF/lookup load.
+//! 4. **Service throughput vs concurrent clients** — the fairDMS service
+//!    behind its TCP listener (`crate::load`) under closed-loop
+//!    PDF/lookup load, one connection per client.
 
+use crate::load::{self, Experiment, Outcome, Plan, Tenant};
 use crate::table::{secs, Table};
 use crate::Scale;
 use fairdms_clustering::{fit_minibatch, KMeans, KMeansConfig, MiniBatchConfig};
-use fairdms_core::embedding::EmbedTrainConfig;
-use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::ModelManager;
-use fairdms_core::models::ArchSpec;
-use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::voigt::{label_batch, FitConfig};
 use fairdms_datastore::{Collection, Document, RawCodec};
-use fairdms_service::server::{DmsServer, DmsServerConfig};
-use fairdms_service::DmsApi;
+use fairdms_service::net::NetServerConfig;
+use fairdms_service::{DmsApi, Request};
 use fairdms_tensor::rng::TensorRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{bragg_flat, bragg_history, BRAGG_SIDE};
+use super::{bragg_history, BRAGG_SIDE};
 
 /// Store lookup latency: indexed vs full-scan, growing corpus.
 fn store_lookup_scaling(scale: Scale) -> Table {
@@ -174,47 +171,20 @@ fn labeling_scaling(scale: Scale) -> Table {
     table
 }
 
-/// Closed-loop service throughput under concurrent clients.
+/// Closed-loop service throughput under concurrent clients, through the
+/// TCP front door: each client is one connection alternating a
+/// `DatasetPdf` over a 32-frame probe and a `LookupMatching` of 8
+/// documents, one blocking call at a time.
 fn service_scaling(scale: Scale) -> Table {
-    let per_scan = scale.pick(60, 200, 400);
-    let history = bragg_history(2, per_scan, 11);
-    let (hx, hy) = bragg_flat(&history);
-
-    let embedder =
-        fairdms_core::embedding::AutoencoderEmbedder::new(BRAGG_SIDE * BRAGG_SIDE, 64, 16, 11);
-    let fairds = FairDS::in_memory(
-        Box::new(embedder),
-        FairDsConfig {
-            k: Some(15),
-            seed: 11,
-            ..FairDsConfig::default()
-        },
-    );
-    let tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: BRAGG_SIDE }, BRAGG_SIDE);
-    let trainer = RapidTrainer::new(fairds, ModelManager::default(), tcfg);
-    let (client, handle) = DmsServer::spawn(
-        trainer,
-        Box::new(|_| vec![0.5, 0.5]),
-        DmsServerConfig {
-            auto_retrain: false,
-            ..DmsServerConfig::default()
-        },
-    );
-    client
-        .train_system(
-            hx.clone(),
-            EmbedTrainConfig {
-                epochs: 2,
-                batch_size: 64,
-                lr: 2e-3,
-                ..EmbedTrainConfig::default()
-            },
-        )
-        .expect("train_system");
-    client.ingest(hx, hy, 0).expect("ingest");
-
-    let probe_patches = bragg_history(1, 32, 12);
-    let (probe, _) = bragg_flat(&probe_patches);
+    let tenant = Tenant {
+        id: 0,
+        experiment: Experiment::Bragg,
+        seed: 11,
+    };
+    let dep = load::spawn(&[tenant], 1, NetServerConfig::default());
+    let (probe, _) = tenant.experiment.frames(tenant.seed, 1, 32);
+    let client = dep.multi.client(tenant.id).expect("spawned");
+    let probe_pdf = client.dataset_pdf(probe.clone()).expect("pdf");
 
     let mut table = Table::new(
         "Scalability: fairDMS service throughput vs concurrent clients (PDF+lookup closed loop)",
@@ -222,32 +192,33 @@ fn service_scaling(scale: Scale) -> Table {
     );
     for &n_clients in &[1usize, 2, 4, 8] {
         let per_client = scale.pick(5, 15, 40);
-        let start = Instant::now();
-        let mut joins = Vec::new();
-        for _ in 0..n_clients {
-            let c = client.clone();
-            let x = probe.clone();
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..per_client {
-                    let pdf = c.dataset_pdf(x.clone()).expect("pdf");
-                    c.lookup(pdf, 8).expect("lookup");
-                }
-            }));
-        }
-        for j in joins {
-            j.join().expect("client thread");
-        }
-        let wall = start.elapsed().as_secs_f64();
-        let reqs = (n_clients * per_client * 2) as f64;
+        let plans: Vec<Plan> = (0..n_clients)
+            .map(|_| Plan {
+                tenant: tenant.id,
+                warmup: Vec::new(),
+                requests: (0..per_client)
+                    .flat_map(|_| {
+                        let (images, pdf) = (probe.clone(), probe_pdf.clone());
+                        [
+                            Request::DatasetPdf { images },
+                            Request::LookupMatching { pdf, count: 8 },
+                        ]
+                    })
+                    .collect(),
+                window: 1,
+                call: true,
+            })
+            .collect();
+        let run = load::drive(dep.addr, &plans);
+        assert_eq!(run.count(Outcome::Ok), run.requests(), "closed loop");
         table.row(vec![
             n_clients.to_string(),
-            format!("{reqs:.0}"),
-            secs(wall),
-            format!("{:.0}", reqs / wall),
+            run.requests().to_string(),
+            secs(run.wall().as_secs_f64()),
+            format!("{:.0}", run.throughput()),
         ]);
     }
-    drop(client);
-    handle.shutdown();
+    dep.shutdown();
     table
 }
 

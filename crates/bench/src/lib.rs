@@ -11,15 +11,21 @@
 //! and writes a CSV under `results/`. Scale defaults are laptop-sized;
 //! `--full` raises them toward paper scale (see DESIGN.md §4 for the
 //! documented scale substitutions).
+//!
+//! Beside them: [`load`], the one load generator (a multi-tenant
+//! deployment behind TCP and a connection driver) that the wire benches,
+//! the scalability figure and the load examples run on; [`report`], the
+//! `results/BENCH_*.json` records; [`calibrate`], the measured fetch and
+//! training costs behind Figs 6–8; [`table`], the figures' tables and
+//! CSVs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
 pub mod figures;
-pub mod netload;
+pub mod load;
 pub mod report;
-pub mod scenario;
 pub mod table;
 
 /// Run-scale selector for figure regenerators.

@@ -25,7 +25,8 @@ pub struct SeriesSummary {
     pub samples: usize,
     /// Median latency.
     pub p50: Duration,
-    /// 99th-percentile latency (max for short series).
+    /// 99th-percentile latency: `sorted[⌊(n−1)·0.99⌋]`, the largest sample
+    /// only when n = 1 and the second-largest for every 2 ≤ n ≤ 101.
     pub p99: Duration,
     /// Mean latency.
     pub mean: Duration,
@@ -183,6 +184,9 @@ mod tests {
         assert_eq!(s.p50, Duration::from_micros(50));
         assert_eq!(s.p99, Duration::from_micros(99));
         assert!((s.inv_mean_latency - 1.0 / s.mean.as_secs_f64()).abs() < 1e-6);
+        // A short series' p99 is its second-largest sample, not its max.
+        let ten: Vec<Duration> = (1..=10).map(Duration::from_micros).collect();
+        assert_eq!(SeriesSummary::of("ten", &ten).p99, Duration::from_micros(9));
     }
 
     #[test]

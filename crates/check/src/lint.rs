@@ -643,7 +643,7 @@ mod tests {
         // Tests may open raw sockets (hostile-bytes injection needs them).
         assert!(lint_str("crates/service/tests/x.rs", body).is_empty());
         // Address *types* are not blocking I/O.
-        assert!(lint_str("crates/bench/src/netload.rs", "use std::net::SocketAddr;\n").is_empty());
+        assert!(lint_str("crates/bench/src/load.rs", "use std::net::SocketAddr;\n").is_empty());
     }
 
     #[test]

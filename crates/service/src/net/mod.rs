@@ -31,8 +31,9 @@
 //! and nothing else. One connection's reads therefore run one after
 //! another; reads from different connections run in parallel, one reader
 //! thread each. `benches/net_plane.rs` measures what pipelining buys over
-//! strict request-response usage of the same stack, gated at ≥3× on one
-//! connection (`results/BENCH_net_plane.json`).
+//! strict request-response usage of the same stack, gated at ≥1.5× on 256
+//! connections; the one-connection ratio is recorded, not gated
+//! (`results/BENCH_net_plane.json`).
 
 pub mod client;
 pub mod codec;
