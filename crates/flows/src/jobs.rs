@@ -20,19 +20,16 @@
 //!
 //! One pool can be shared by N tenants (DESIGN.md §14): every job is
 //! enqueued under a [`TenantId`] into that tenant's own bounded FIFO, and
-//! idle workers pick the next job by **deficit-weighted round-robin**
-//! across the tenant queues. Each tenant holds a deficit counter; a worker
-//! sweeps the tenants from a rotating cursor and serves the first
-//! backlogged tenant with deficit remaining, decrementing it. When no
-//! backlogged tenant has deficit left, every deficit refills to the
-//! tenant's weight and the sweep repeats. The bound this buys: between two
-//! jobs of one backlogged tenant with weight *w*, at most
-//! `sum(other weights)` jobs of other tenants can be served per *w* of its
-//! own — a flooding tenant cannot starve anyone.
+//! idle workers pick the next job by **round-robin** across the tenant
+//! queues: a worker sweeps the tenants from a rotating cursor, serves the
+//! first backlogged one, and moves the cursor past it. The bound this
+//! buys: between two jobs of one backlogged tenant, at most `n − 1` jobs
+//! of the other `n − 1` tenants are served — a flooding tenant cannot
+//! starve anyone.
 //!
 //! # Bounded admission
 //!
-//! Per-tenant queues are **bounded** ([`TenantQueueConfig::capacity`]).
+//! Per-tenant queues are **bounded** ([`JobPool::set_capacity`]).
 //! A tenant that enqueues faster than the workers drain gets
 //! [`QueueFull`] backpressure from [`JobPool::try_spawn_for`] — the
 //! service layer answers `Busy` — so superseded-but-still-queued jobs
@@ -92,26 +89,6 @@ impl CancelToken {
     }
 }
 
-/// Per-tenant scheduling parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TenantQueueConfig {
-    /// Round-robin weight: how many jobs this tenant may take per deficit
-    /// round relative to the others. Clamped to ≥ 1.
-    pub weight: u32,
-    /// Maximum queued (not yet running) jobs before
-    /// [`JobPool::try_spawn_for`] answers [`QueueFull`].
-    pub capacity: usize,
-}
-
-impl Default for TenantQueueConfig {
-    fn default() -> Self {
-        TenantQueueConfig {
-            weight: 1,
-            capacity: DEFAULT_TENANT_CAPACITY,
-        }
-    }
-}
-
 /// Admission refusal: the tenant's queue is at capacity. The job was *not*
 /// enqueued; the caller owns the backpressure decision (the service layer
 /// answers `Busy`).
@@ -139,18 +116,15 @@ type Job = Box<dyn FnOnce(&CancelToken) + Send>;
 
 struct TenantQueue {
     tenant: TenantId,
-    weight: u32,
     capacity: usize,
-    deficit: u32,
     jobs: VecDeque<(Job, CancelToken)>,
 }
 
+#[derive(Default)]
 struct PoolState {
     tenants: Vec<TenantQueue>,
-    /// Index into `tenants` where the next deficit sweep starts.
+    /// Index into `tenants` where the next sweep starts.
     cursor: usize,
-    /// Total queued jobs across tenants (not counting running ones).
-    queued: usize,
     shutdown: bool,
 }
 
@@ -159,44 +133,23 @@ impl PoolState {
         if let Some(i) = self.tenants.iter().position(|t| t.tenant == tenant) {
             return &mut self.tenants[i];
         }
-        let cfg = TenantQueueConfig::default();
         self.tenants.push(TenantQueue {
             tenant,
-            weight: cfg.weight,
-            capacity: cfg.capacity,
-            deficit: 0,
+            capacity: DEFAULT_TENANT_CAPACITY,
             jobs: VecDeque::new(),
         });
         self.tenants.last_mut().expect("just pushed")
     }
 
-    /// Deficit-weighted round-robin pop: serve the first backlogged tenant
-    /// with deficit remaining, starting at the cursor; if none, refill
-    /// every deficit from the weights and sweep once more.
+    /// Round-robin pop: serve the first backlogged tenant at or after the
+    /// cursor, then move the cursor past it.
     fn pop_next(&mut self) -> Option<(Job, CancelToken)> {
-        if self.queued == 0 {
-            return None;
-        }
         let n = self.tenants.len();
-        for round in 0..2 {
-            for i in 0..n {
-                let idx = (self.cursor + i) % n;
-                let t = &mut self.tenants[idx];
-                if t.deficit > 0 && !t.jobs.is_empty() {
-                    t.deficit -= 1;
-                    // Exhausted deficit passes the turn; remaining deficit
-                    // lets the tenant finish its weighted burst first.
-                    self.cursor = if t.deficit == 0 { (idx + 1) % n } else { idx };
-                    self.queued -= 1;
-                    return self.tenants[idx].jobs.pop_front();
-                }
-            }
-            debug_assert!(round == 0, "queued > 0 but no backlogged tenant found");
-            for t in &mut self.tenants {
-                t.deficit = t.weight.max(1);
-            }
-        }
-        unreachable!("refilled deficits must admit one of the queued jobs")
+        let idx = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&idx| !self.tenants[idx].jobs.is_empty())?;
+        self.cursor = (idx + 1) % n;
+        self.tenants[idx].jobs.pop_front()
     }
 }
 
@@ -207,8 +160,8 @@ struct PoolInner {
 }
 
 /// A fixed pool of named worker threads draining per-tenant bounded queues
-/// of cancellable jobs under deficit-weighted round-robin (see the module
-/// docs for the fairness and admission contracts).
+/// of cancellable jobs under round-robin (see the module docs for the
+/// fairness and admission contracts).
 ///
 /// Submitters never block: admission either succeeds immediately or
 /// answers [`QueueFull`], so backpressure is explicit and the actors that
@@ -223,12 +176,7 @@ impl JobPool {
     pub fn new(workers: usize, name: &str) -> Self {
         assert!(workers > 0, "job pool needs at least one worker");
         let inner = Arc::new(PoolInner {
-            state: Mutex::new(PoolState {
-                tenants: Vec::new(),
-                cursor: 0,
-                queued: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(PoolState::default()),
             available: Condvar::new(),
         });
         let handles = (0..workers)
@@ -249,14 +197,13 @@ impl JobPool {
         }
     }
 
-    /// Sets (or creates) a tenant's weight and queue capacity. Jobs already
-    /// queued are kept even if the new capacity is below the current depth;
-    /// the bound applies to subsequent admissions.
-    pub fn configure_tenant(&self, tenant: TenantId, cfg: TenantQueueConfig) {
-        let mut st = self.inner.state.lock();
-        let t = st.tenant_mut(tenant);
-        t.weight = cfg.weight.max(1);
-        t.capacity = cfg.capacity;
+    /// Sets (or creates) a tenant's queue capacity: the most queued (not
+    /// yet running) jobs before [`JobPool::try_spawn_for`] answers
+    /// [`QueueFull`]. Jobs already queued are kept even if the new capacity
+    /// is below the current depth; the bound applies to subsequent
+    /// admissions.
+    pub fn set_capacity(&self, tenant: TenantId, capacity: usize) {
+        self.inner.state.lock().tenant_mut(tenant).capacity = capacity;
     }
 
     /// Submits a job for `tenant` under a caller-provided token. Answers
@@ -281,7 +228,6 @@ impl JobPool {
                 });
             }
             t.jobs.push_back((Box::new(job), token));
-            st.queued += 1;
         }
         self.inner.available.notify_one();
         Ok(())
@@ -378,6 +324,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use parking_lot::Mutex;
+    use proptest::prelude::*;
 
     #[test]
     fn jobs_run_and_deliver_results_through_their_own_channel() {
@@ -457,13 +404,7 @@ mod tests {
     #[test]
     fn admission_is_bounded_per_tenant() {
         let pool = JobPool::new(1, "bounded-pool");
-        pool.configure_tenant(
-            7,
-            TenantQueueConfig {
-                weight: 1,
-                capacity: 2,
-            },
-        );
+        pool.set_capacity(7, 2);
         // Occupy the single worker so queued jobs cannot drain.
         let (hold_tx, hold_rx) = crossbeam_channel::bounded::<()>(1);
         let (running_tx, running_rx) = crossbeam_channel::bounded::<()>(1);
@@ -491,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn deficit_round_robin_interleaves_backlogged_tenants() {
+    fn round_robin_interleaves_backlogged_tenants() {
         let pool = JobPool::new(1, "drr-pool");
         let order = Arc::new(Mutex::new(Vec::new()));
         // Occupy the worker while both backlogs build, so the scheduling
@@ -516,8 +457,8 @@ mod tests {
         drop(pool); // drains, then joins
         let got = order.lock().clone();
         assert_eq!(got.len(), 8);
-        // Equal weights ⇒ strict alternation: never two consecutive jobs
-        // from the same tenant while the other is backlogged.
+        // Strict alternation: never two consecutive jobs from the same
+        // tenant while the other is backlogged.
         for w in got.windows(2) {
             assert_ne!(w[0].0, w[1].0, "tenants must alternate: {got:?}");
         }
@@ -532,46 +473,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weights_bias_the_round_robin() {
-        let pool = JobPool::new(1, "weight-pool");
-        pool.configure_tenant(
-            1,
-            TenantQueueConfig {
-                weight: 3,
-                capacity: 64,
-            },
-        );
-        pool.configure_tenant(
-            2,
-            TenantQueueConfig {
-                weight: 1,
-                capacity: 64,
-            },
-        );
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (hold_tx, hold_rx) = crossbeam_channel::bounded::<()>(1);
-        let (running_tx, running_rx) = crossbeam_channel::bounded::<()>(1);
-        pool.spawn(move |_| {
-            running_tx.send(()).unwrap();
-            let _ = hold_rx.recv();
-        });
-        running_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        for tenant in [1u32, 2u32] {
-            for _ in 0..6 {
-                let order = Arc::clone(&order);
-                pool.try_spawn_for(tenant, CancelToken::new(), move |_| {
-                    order.lock().push(tenant);
-                })
-                .unwrap();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Popping a staged backlog to empty returns every job once, in
+        /// FIFO order per tenant, and runs at most `n − 1` other jobs
+        /// between two jobs of a tenant that is still backlogged.
+        #[test]
+        fn round_robin_bounds_the_wait(
+            backlogs in proptest::collection::vec(0usize..=20, 2..6),
+        ) {
+            let n = backlogs.len();
+            let ran = Arc::new(Mutex::new(Vec::new()));
+            let mut st = PoolState::default();
+            for (tenant, &depth) in backlogs.iter().enumerate() {
+                let queue = &mut st.tenant_mut(tenant as TenantId).jobs;
+                for seq in 0..depth {
+                    let ran = Arc::clone(&ran);
+                    let job: Job = Box::new(move |_| ran.lock().push((tenant, seq)));
+                    queue.push_back((job, CancelToken::new()));
+                }
+            }
+            while let Some((job, token)) = st.pop_next() {
+                job(&token);
+            }
+            let ran = ran.lock().clone();
+            prop_assert_eq!(ran.len(), backlogs.iter().sum::<usize>());
+            for (tenant, &depth) in backlogs.iter().enumerate() {
+                let pos: Vec<usize> = (0..ran.len()).filter(|&i| ran[i].0 == tenant).collect();
+                let seqs: Vec<usize> = pos.iter().map(|&i| ran[i].1).collect();
+                prop_assert_eq!(seqs, (0..depth).collect::<Vec<_>>());
+                // Every tenant is backlogged from the first pop on, so its
+                // first job is bounded too.
+                let mut prev = None;
+                for &p in &pos {
+                    let waited = prev.map_or(p, |q: usize| p - q - 1);
+                    prop_assert!(waited < n, "tenant {} waited {} jobs: {:?}", tenant, waited, ran);
+                    prev = Some(p);
+                }
             }
         }
-        hold_tx.send(()).unwrap();
-        drop(pool);
-        let got = order.lock().clone();
-        // First deficit round: three of tenant 1, one of tenant 2.
-        assert_eq!(&got[..4], &[1, 1, 1, 2], "weighted burst order: {got:?}");
-        assert_eq!(got.iter().filter(|&&t| t == 1).count(), 6);
-        assert_eq!(got.iter().filter(|&&t| t == 2).count(), 6);
     }
 }

@@ -23,8 +23,9 @@ use fairdms_datastore::Document;
 use fairdms_tensor::Tensor;
 
 /// Identifier of one tenant — one isolated experiment deployment — inside
-/// a shared service process (DESIGN.md §14). Carried on every wire frame;
-/// single-tenant deployments are tenant [`fairdms_flows::jobs::DEFAULT_TENANT`].
+/// a [`crate::multi::MultiDms`] (DESIGN.md §14). Carried on every wire
+/// frame; a socket client names it when it connects
+/// ([`crate::net::PipelinedClient::connect_tcp_tenant`]).
 pub type TenantId = fairdms_flows::jobs::TenantId;
 
 /// Errors surfaced to clients.

@@ -11,7 +11,7 @@
 //!   one typed client surface ([`api::DmsApi`]);
 //! * [`swap`] — [`swap::SnapshotCell`], the lock-free atomically-swappable
 //!   `Arc` cell snapshot publication rides on;
-//! * [`server`] — [`server::DmsServer`]: a thin mutation actor
+//! * [`server`] — one tenant's deployment: a thin mutation actor
 //!   (bounded-queue admission, O(ms) operations only), a **background
 //!   training executor** running cancellable, supersedable training jobs
 //!   (`UpdateModel` fine-tunes, certainty-triggered retrains) whose
@@ -23,12 +23,13 @@
 //!   and training-job counters, served to clients without ever entering
 //!   an admission queue;
 //! * [`net`] — the wire plane (DESIGN.md §13): a pipelined TCP/UDS
-//!   listener over the same deployment ([`net::NetServer`]) and the
-//!   matching socket client ([`net::PipelinedClient`]);
+//!   listener over the same deployment and the matching socket client
+//!   ([`net::PipelinedClient`]);
 //! * [`multi`] — the tenant plane (DESIGN.md §14): [`multi::MultiDms`]
 //!   hosts N isolated deployments behind one process, sharing one
 //!   fair-scheduled training pool and one wire listener, with per-tenant
-//!   admission quotas.
+//!   admission quotas. It is the service's only constructor: a single
+//!   experiment is a one-tenant `MultiDms`.
 //!
 //! ```no_run
 //! use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
@@ -36,8 +37,7 @@
 //! use fairdms_core::fairms::ModelManager;
 //! use fairdms_core::models::ArchSpec;
 //! use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-//! use fairdms_service::server::{DmsServer, DmsServerConfig};
-//! use fairdms_service::DmsApi; // the typed helpers
+//! use fairdms_service::{DmsApi, MultiDms, TenantSpec}; // DmsApi: the typed helpers
 //!
 //! let side = 8;
 //! let embedder = AutoencoderEmbedder::new(side * side, 32, 8, 0);
@@ -47,15 +47,18 @@
 //!     ModelManager::default(),
 //!     RapidTrainerConfig::new(ArchSpec::BraggNN { patch: side }, side),
 //! );
-//! let cfg = DmsServerConfig::default();
-//! let (client, handle) = DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg);
+//! let dms = MultiDms::builder(1)
+//!     .tenant(TenantSpec::new(0), trainer, Box::new(|_| vec![0.5, 0.5]))
+//!     .spawn();
+//! let client = dms.client(0).expect("tenant 0 is registered");
 //! // Mutations serialize through the actor...
 //! // client.train_system(...)?; client.update_model(...)?;
 //! // ...while reads are answered on the calling thread, concurrently,
 //! // from published snapshots:
 //! // client.dataset_pdf(...)?; client.recommend(...)?; client.metrics()?;
-//! drop(client);
-//! handle.shutdown();
+//! // Remote clients reach the same tenant through one listener:
+//! // dms.serve_tcp(("127.0.0.1", 0), Default::default())?;
+//! dms.shutdown();
 //! ```
 //!
 //! `DESIGN.md` §6 documents the snapshot-publication architecture and its
@@ -83,8 +86,6 @@ pub use api::{
 };
 pub use metrics::{Metrics, MetricsSnapshot, NetStats, OpSnapshot};
 pub use multi::{MultiDms, MultiDmsBuilder, TenantSpec};
-pub use net::{NetServer, NetServerConfig, NetServerHandle, PipelinedClient, TenantRouter};
-pub use server::{
-    DmsClient, DmsServer, DmsServerConfig, FallbackLabeler, ServerHandle, ServiceView,
-};
+pub use net::{NetServerConfig, NetServerHandle, PipelinedClient};
+pub use server::{DmsClient, DmsServerConfig, FallbackLabeler, ServiceView};
 pub use swap::SnapshotCell;

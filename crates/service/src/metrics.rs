@@ -123,21 +123,24 @@ impl OpSnapshot {
         }
     }
 
-    /// Approximate quantile from the histogram (upper bucket bound).
+    /// Approximate quantile from the histogram: the upper bound of the
+    /// bucket holding it, clamped to the slowest recorded call. The last
+    /// bucket is open-ended, so a quantile landing there answers `max_ns`.
     pub fn quantile(&self, q: f64) -> Duration {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
         if self.count == 0 {
             return Duration::ZERO;
         }
-        let target = (self.count as f64 * q).ceil() as u64;
+        let max = Duration::from_nanos(self.max_ns);
+        let target = ((self.count as f64 * q).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &c) in self.histogram.iter().enumerate() {
+        for (i, &c) in self.histogram.iter().enumerate().take(BUCKETS - 1) {
             seen += c;
             if seen >= target {
-                return Duration::from_micros(1u64 << (i + 1));
+                return Duration::from_micros(1u64 << (i + 1)).min(max);
             }
         }
-        Duration::from_nanos(self.max_ns)
+        max
     }
 }
 
@@ -557,6 +560,20 @@ mod tests {
         assert!(snap.quantile(0.5) <= snap.quantile(0.99));
         assert!(snap.quantile(1.0) >= Duration::from_micros(512));
         assert_eq!(OpSnapshot::default_zero().quantile(0.9), Duration::ZERO);
+
+        // Every answer lies inside the recorded range: one 20 s call sits
+        // in the open-ended last bucket, whose upper bound (2^24 µs) is
+        // below it; calls at 10 µs sit in [8, 16) µs, whose bound is above.
+        for (call, reps) in [(Duration::from_secs(20), 1), (Duration::from_micros(10), 5)] {
+            let s = OpStats::default();
+            for _ in 0..reps {
+                s.record(call, true);
+            }
+            let snap = s.snapshot();
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(snap.quantile(q), call, "quantile({q}) of {call:?}");
+            }
+        }
     }
 
     impl OpSnapshot {

@@ -2,6 +2,11 @@
 //! behind one service process, sharing one training executor and one wire
 //! listener.
 //!
+//! [`MultiDms`] is the only way to stand up the service: a single
+//! experiment is a one-tenant `MultiDms`, built with
+//! [`MultiDms::builder`] and served with [`MultiDms::serve_tcp`] or
+//! [`MultiDms::serve_uds`].
+//!
 //! The fairDMS paper deploys the service per-beamline, but one facility
 //! runs many experiments at once — tomography, cookiebox, Bragg peak
 //! scans — and giving each its own process wastes the training hardware
@@ -15,9 +20,9 @@
 //!   solo (proven by `tests/tenant_differential.rs`).
 //! * **Fair shared training** — all tenants submit background training
 //!   jobs (`UpdateModel` fine-tunes, certainty retrains) to one
-//!   [`JobPool`] that serves them by deficit-weighted round-robin, so a
-//!   tenant flooding retrains cannot starve another's single update
-//!   (bounded interleave; see `crates/flows/tests/fairness.rs`).
+//!   [`JobPool`] that serves them by round-robin, so a tenant flooding
+//!   retrains cannot starve another's single update (at most `n − 1`
+//!   other jobs in between; see `crates/flows/tests/fairness.rs`).
 //!   Supersession remains per-tenant: tenant A's newer job can only ever
 //!   cancel tenant A's older one, because cancel tokens never leave the
 //!   deployment that minted them.
@@ -26,16 +31,17 @@
 //!   answered [`crate::api::ServiceError::Busy`] instead of growing the
 //!   queue, and each tenant keeps its own actor queue depth
 //!   (`DmsServerConfig::queue_capacity`).
-//! * **One wire plane** — [`MultiDms::serve_tcp`] publishes every tenant
-//!   through a single listener; frames carry a tenant id and route to
-//!   that tenant's client. Unknown tenants are answered `Invalid` on a
-//!   live socket.
+//! * **One wire plane** — [`MultiDms::serve_tcp`] (or
+//!   [`MultiDms::serve_uds`]) publishes every tenant through a single
+//!   listener; frames carry a tenant id and route to that tenant's
+//!   client. Unknown tenants are answered `Invalid` on a live socket.
 
 use crate::api::{Request, ServiceError, ServiceResult, TenantId};
-use crate::net::{NetServerConfig, NetServerHandle, TenantRouter};
-use crate::server::{DmsClient, DmsServer, DmsServerConfig, FallbackLabeler, ServerHandle};
+use crate::net::server::{self as net_server, TenantRouter};
+use crate::net::{NetServerConfig, NetServerHandle};
+use crate::server::{spawn_tenant, DmsClient, DmsServerConfig, FallbackLabeler, ServerHandle};
 use fairdms_core::workflow::RapidTrainer;
-use fairdms_flows::jobs::{JobPool, TenantQueueConfig};
+use fairdms_flows::jobs::JobPool;
 use std::io;
 use std::sync::Arc;
 
@@ -44,22 +50,18 @@ use std::sync::Arc;
 pub struct TenantSpec {
     /// The tenant's wire identity. Must be unique within one [`MultiDms`].
     pub id: TenantId,
-    /// Fair-share weight in the shared training pool's deficit-weighted
-    /// round-robin: a weight-3 tenant gets up to 3 jobs per sweep where a
-    /// weight-1 tenant gets 1, when both are backlogged.
-    pub weight: u32,
     /// The tenant's own deployment knobs (actor queue depth, retrain
-    /// policy, training-queue admission cap…). `training_pool_size` is
-    /// ignored — the pool is shared and sized by [`MultiDms::builder`].
+    /// policy, training-queue admission cap…). The service does not read
+    /// its `training_pool_size`: the pool is shared and sized by the
+    /// argument of [`MultiDms::builder`].
     pub config: DmsServerConfig,
 }
 
 impl TenantSpec {
-    /// A weight-1 tenant with default deployment knobs.
+    /// A tenant with default deployment knobs.
     pub fn new(id: TenantId) -> Self {
         TenantSpec {
             id,
-            weight: 1,
             config: DmsServerConfig::default(),
         }
     }
@@ -85,33 +87,28 @@ impl MultiDmsBuilder {
     }
 
     /// Spawns every tenant's deployment around one shared training pool.
-    /// Panics if no tenants were registered or two share an id.
-    pub fn spawn(self) -> MultiDms {
+    /// Panics, before any actor starts, if no tenants were registered or
+    /// two share an id.
+    pub fn spawn(mut self) -> MultiDms {
         assert!(
             !self.tenants.is_empty(),
             "MultiDms needs at least one tenant"
         );
-        let pool = Arc::new(JobPool::new(self.training_pool_size, "fairdms-train"));
-        let mut tenants: Vec<(TenantId, DmsClient, ServerHandle)> =
-            Vec::with_capacity(self.tenants.len());
-        for (spec, trainer, labeler) in self.tenants {
-            assert!(
-                tenants.iter().all(|(id, _, _)| *id != spec.id),
-                "duplicate tenant id {}",
-                spec.id
-            );
-            pool.configure_tenant(
-                spec.id,
-                TenantQueueConfig {
-                    weight: spec.weight,
-                    capacity: spec.config.training_queue_capacity,
-                },
-            );
-            let (client, handle) =
-                DmsServer::spawn_shared(trainer, labeler, spec.config, Arc::clone(&pool), spec.id);
-            tenants.push((spec.id, client, handle));
+        self.tenants.sort_by_key(|(spec, _, _)| spec.id);
+        if let Some(w) = self.tenants.windows(2).find(|w| w[0].0.id == w[1].0.id) {
+            panic!("duplicate tenant id {}", w[0].0.id);
         }
-        tenants.sort_by_key(|(id, _, _)| *id);
+        let pool = Arc::new(JobPool::new(self.training_pool_size, "fairdms-train"));
+        let tenants = self
+            .tenants
+            .into_iter()
+            .map(|(spec, trainer, labeler)| {
+                pool.set_capacity(spec.id, spec.config.training_queue_capacity);
+                let (client, handle) =
+                    spawn_tenant(trainer, labeler, spec.config, Arc::clone(&pool), spec.id);
+                (spec.id, client, handle)
+            })
+            .collect();
         MultiDms { tenants, pool }
     }
 }
@@ -163,10 +160,7 @@ impl MultiDms {
         self.pool.queued(tenant)
     }
 
-    /// A wire router over every tenant, for
-    /// [`crate::net::NetServer::serve_tcp_router`] /
-    /// [`crate::net::NetServer::serve_uds_router`].
-    pub fn router(&self) -> TenantRouter {
+    fn router(&self) -> TenantRouter {
         TenantRouter::new(
             self.tenants
                 .iter()
@@ -175,14 +169,29 @@ impl MultiDms {
         )
     }
 
-    /// Serves every tenant over one TCP listener (frames route by their
-    /// tenant header). Convenience over [`MultiDms::router`].
+    /// Serves every tenant over one TCP listener: frames route by their
+    /// tenant header, unknown tenants are answered `Invalid`. Binds `addr`
+    /// (port 0 for an ephemeral port, then
+    /// [`NetServerHandle::local_addr`]) and returns once the listener is
+    /// live.
     pub fn serve_tcp(
         &self,
         addr: impl std::net::ToSocketAddrs,
         cfg: NetServerConfig,
     ) -> io::Result<NetServerHandle> {
-        crate::net::NetServer::serve_tcp_router(self.router(), addr, cfg)
+        net_server::serve_tcp(self.router(), addr, cfg)
+    }
+
+    /// Serves every tenant over one Unix-domain socket at `path` (removed
+    /// on [`NetServerHandle::shutdown`]); binding fails if the path
+    /// exists.
+    #[cfg(unix)]
+    pub fn serve_uds(
+        &self,
+        path: impl Into<std::path::PathBuf>,
+        cfg: NetServerConfig,
+    ) -> io::Result<NetServerHandle> {
+        net_server::serve_uds(self.router(), path.into(), cfg)
     }
 
     /// Shuts every tenant down (draining each deployment's queues), then

@@ -49,7 +49,6 @@ use crate::net::frame::{
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use fairdms_check::atomic::{AtomicBool, AtomicU64};
 use fairdms_check::thread::{self, JoinHandle};
-use fairdms_flows::jobs::DEFAULT_TENANT;
 use parking_lot::{Mutex, MutexGuard};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -233,12 +232,7 @@ pub struct Pending {
 }
 
 impl PipelinedClient {
-    /// Connects over TCP, addressing tenant 0 (the single-tenant default).
-    pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_tcp_tenant(addr, DEFAULT_TENANT)
-    }
-
-    /// Connects over TCP, addressing `tenant` on a multi-tenant listener.
+    /// Connects over TCP, addressing `tenant`.
     pub fn connect_tcp_tenant(addr: impl ToSocketAddrs, tenant: TenantId) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -246,15 +240,12 @@ impl PipelinedClient {
         Self::over(Box::new(stream), Box::new(read_half), tenant)
     }
 
-    /// Connects over a Unix-domain socket, addressing tenant 0.
-    #[cfg(unix)]
-    pub fn connect_uds(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Self::connect_uds_tenant(path, DEFAULT_TENANT)
-    }
-
     /// Connects over a Unix-domain socket, addressing `tenant`.
     #[cfg(unix)]
-    fn connect_uds_tenant(path: impl AsRef<std::path::Path>, tenant: TenantId) -> io::Result<Self> {
+    pub fn connect_uds_tenant(
+        path: impl AsRef<std::path::Path>,
+        tenant: TenantId,
+    ) -> io::Result<Self> {
         let stream = std::os::unix::net::UnixStream::connect(path)?;
         let read_half = stream.try_clone()?;
         Self::over(Box::new(stream), Box::new(read_half), tenant)

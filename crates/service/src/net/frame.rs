@@ -12,13 +12,12 @@
 //! all little-endian. `length` covers the body (seq + tenant + kind +
 //! payload), not itself; `seq` is the connection-local request sequence
 //! number, echoed on the matching reply; `tenant` addresses one tenant of
-//! a multi-tenant deployment (DESIGN.md §14) and is echoed on the reply —
-//! single-tenant clients send tenant 0. The decoder enforces a
-//! configurable `max_frame_len` **before** allocating anything: a hostile
-//! or corrupt length prefix answers [`FrameError::TooLong`] — which the
-//! server turns into a protocol-error frame — instead of an unbounded
-//! allocation. Frames shorter than the 13-byte body header are equally
-//! rejected without being read.
+//! the deployment (DESIGN.md §14) and is echoed on the reply. The decoder
+//! enforces a configurable `max_frame_len` **before** allocating anything:
+//! a hostile or corrupt length prefix answers [`FrameError::TooLong`] —
+//! which the server turns into a protocol-error frame — instead of an
+//! unbounded allocation. Frames shorter than the 13-byte body header are
+//! equally rejected without being read.
 
 use fairdms_datastore::wire::{Reader, WriteExt};
 use std::io::{self, Read};

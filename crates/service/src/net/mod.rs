@@ -9,7 +9,8 @@
 //!   guard, safe against hostile length prefixes;
 //! * [`codec`] — bounds-checked binary codecs for `Request` / `Reply` /
 //!   `ServiceError`, built on [`fairdms_datastore::wire`];
-//! * [`server`] — [`server::NetServer`]: threaded TCP/UDS listener with a
+//! * [`server`] — the threaded TCP/UDS listener behind
+//!   [`crate::multi::MultiDms::serve_tcp`] / `serve_uds`, with a
 //!   bounded connection limit (over-limit sockets are *answered* `Busy`),
 //!   per-connection pipelining into the deployment's actor queue, and
 //!   graceful drain;
@@ -44,4 +45,4 @@ pub mod server;
 pub use client::{Pending, PipelinedClient};
 pub use codec::WireError;
 pub use frame::{Frame, FrameError, FrameKind};
-pub use server::{NetServer, NetServerConfig, NetServerHandle, TenantRouter};
+pub use server::{NetServerConfig, NetServerHandle};

@@ -1,9 +1,10 @@
 //! The threaded, pipelined socket front-end of a fairDMS deployment
 //! (DESIGN.md §13).
 //!
-//! [`NetServer::serve_tcp`] (and [`NetServer::serve_uds`] on Unix) bolts a
-//! real listener onto an existing [`DmsClient`]. Each accepted connection
-//! gets two threads:
+//! `serve_tcp` (and `serve_uds` on Unix) bolts a real listener onto a
+//! running deployment's tenants; [`crate::multi::MultiDms::serve_tcp`] and
+//! [`crate::multi::MultiDms::serve_uds`] are their only callers. Each
+//! accepted connection gets two threads:
 //!
 //! * a **reader** that decodes request frames and routes each one the way
 //!   an in-process caller's would go: a read-only request is answered
@@ -163,51 +164,32 @@ impl NetListener for std::os::unix::net::UnixListener {
     }
 }
 
-/// Routes each frame's tenant id to that tenant's in-process client — the
-/// wire plane's half of the multi-tenant refactor (DESIGN.md §14). One
-/// listener serves N isolated deployments; a frame addressed to a tenant
-/// the router does not know is *answered* (`Invalid`), never dropped.
+/// Routes each frame's tenant id to that tenant's in-process client
+/// (DESIGN.md §14). One listener serves N isolated deployments; a frame
+/// addressed to a tenant the router does not know is *answered*
+/// (`Invalid`), never dropped.
 ///
 /// Tenant counts are small (one per live experiment), so a sorted slice
 /// beats a hash map and keeps lookup allocation-free on the reader's hot
 /// path.
-#[derive(Clone)]
-pub struct TenantRouter {
-    tenants: Arc<[(TenantId, DmsClient)]>,
+pub(crate) struct TenantRouter {
+    tenants: Vec<(TenantId, DmsClient)>,
 }
 
 impl TenantRouter {
-    /// A single-tenant router: every deployment so far is "tenant 0".
-    pub fn single(client: DmsClient) -> Self {
-        TenantRouter::new(vec![(0, client)])
-    }
-
-    /// A router over explicit `(tenant, client)` pairs. Panics on
-    /// duplicate tenant ids (two deployments claiming one id is a wiring
-    /// bug, not a runtime condition) or an empty set.
-    pub fn new(mut tenants: Vec<(TenantId, DmsClient)>) -> Self {
-        assert!(!tenants.is_empty(), "router needs at least one tenant");
-        tenants.sort_by_key(|(id, _)| *id);
-        assert!(
-            tenants.windows(2).all(|w| w[0].0 != w[1].0),
-            "duplicate tenant id in router"
-        );
-        TenantRouter {
-            tenants: tenants.into(),
-        }
+    /// A router over `(tenant, client)` pairs sorted by unique id — the
+    /// table [`crate::multi::MultiDmsBuilder::spawn`] built and checked.
+    pub(crate) fn new(tenants: Vec<(TenantId, DmsClient)>) -> Self {
+        debug_assert!(tenants.windows(2).all(|w| w[0].0 < w[1].0));
+        TenantRouter { tenants }
     }
 
     /// The client owning `tenant`, if registered.
-    pub fn client(&self, tenant: TenantId) -> Option<&DmsClient> {
+    fn client(&self, tenant: TenantId) -> Option<&DmsClient> {
         self.tenants
             .binary_search_by_key(&tenant, |(id, _)| *id)
             .ok()
             .map(|i| &self.tenants[i].1)
-    }
-
-    /// All registered tenants, ascending.
-    pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.tenants.iter().map(|(id, _)| *id)
     }
 }
 
@@ -237,73 +219,45 @@ struct Conn {
     finished: Arc<AtomicBool>,
 }
 
-/// Entry points for serving a deployment over real sockets.
-pub struct NetServer;
-
-impl NetServer {
-    /// Serves `client`'s deployment over TCP as tenant 0. Binds `addr`
-    /// (use port 0 for an ephemeral port, then
-    /// [`NetServerHandle::local_addr`]) and returns once the listener is
-    /// live.
-    pub fn serve_tcp(
-        client: DmsClient,
-        addr: impl ToSocketAddrs,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServerHandle> {
-        Self::serve_tcp_router(TenantRouter::single(client), addr, cfg)
-    }
-
-    /// Serves every tenant of `router` over one TCP listener
-    /// (DESIGN.md §14): frames route by their tenant header; unknown
-    /// tenants are answered `Invalid` on a live socket.
-    pub fn serve_tcp_router(
-        router: TenantRouter,
-        addr: impl ToSocketAddrs,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let handle = spawn_accept(router, listener, cfg)?;
-        Ok(NetServerHandle {
-            local_addr: Some(local),
-            #[cfg(unix)]
-            uds_path: None,
-            ..handle
-        })
-    }
-
-    /// Serves `client`'s deployment over a Unix-domain socket at `path`
-    /// (removed on [`NetServerHandle::shutdown`]) as tenant 0. Binding
-    /// fails if the path exists.
+/// Where a listener is bound: the address [`wake_listener`] connects to
+/// and, for a Unix socket, the file a drain removes.
+enum Endpoint {
+    Tcp(SocketAddr),
     #[cfg(unix)]
-    pub fn serve_uds(
-        client: DmsClient,
-        path: impl Into<std::path::PathBuf>,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServerHandle> {
-        Self::serve_uds_router(TenantRouter::single(client), path, cfg)
-    }
+    Uds(std::path::PathBuf),
+}
 
-    /// Serves every tenant of `router` over one Unix-domain socket.
-    #[cfg(unix)]
-    pub fn serve_uds_router(
-        router: TenantRouter,
-        path: impl Into<std::path::PathBuf>,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServerHandle> {
-        let path = path.into();
-        let listener = std::os::unix::net::UnixListener::bind(&path)?;
-        let handle = spawn_accept(router, listener, cfg)?;
-        Ok(NetServerHandle {
-            uds_path: Some(path),
-            ..handle
-        })
-    }
+/// Serves every tenant of `router` over one TCP listener: frames route by
+/// their tenant header; unknown tenants are answered `Invalid` on a live
+/// socket. Binds `addr` (port 0 for an ephemeral port, then
+/// [`NetServerHandle::local_addr`]) and returns once the listener is live.
+pub(crate) fn serve_tcp(
+    router: TenantRouter,
+    addr: impl ToSocketAddrs,
+    cfg: NetServerConfig,
+) -> io::Result<NetServerHandle> {
+    let listener = TcpListener::bind(addr)?;
+    let endpoint = Endpoint::Tcp(listener.local_addr()?);
+    spawn_accept(router, listener, endpoint, cfg)
+}
+
+/// Serves every tenant of `router` over a Unix-domain socket at `path`
+/// (removed on [`NetServerHandle::shutdown`]). Binding fails if the path
+/// exists.
+#[cfg(unix)]
+pub(crate) fn serve_uds(
+    router: TenantRouter,
+    path: std::path::PathBuf,
+    cfg: NetServerConfig,
+) -> io::Result<NetServerHandle> {
+    let listener = std::os::unix::net::UnixListener::bind(&path)?;
+    spawn_accept(router, listener, Endpoint::Uds(path), cfg)
 }
 
 fn spawn_accept<L: NetListener>(
     router: TenantRouter,
     listener: L,
+    endpoint: Endpoint,
     cfg: NetServerConfig,
 ) -> io::Result<NetServerHandle> {
     let counters = Arc::new(NetCounters::new());
@@ -314,10 +268,8 @@ fn spawn_accept<L: NetListener>(
     // snapshot stays isolated. First listener wins per registry; later
     // listeners keep their own counters but snapshots follow the first —
     // one deployment, one wire plane, is the intended topology.
-    for tenant in router.tenants() {
-        if let Some(client) = router.client(tenant) {
-            client.metrics_registry().attach_net(Arc::clone(&counters));
-        }
+    for (_, client) in &router.tenants {
+        client.metrics_registry().attach_net(Arc::clone(&counters));
     }
     let shared = Arc::new(NetShared {
         router,
@@ -332,11 +284,9 @@ fn spawn_accept<L: NetListener>(
         .spawn(move || accept_loop(accept_shared, listener))?;
     Ok(NetServerHandle {
         shared,
-        accept: Some(accept),
+        accept,
         counters,
-        local_addr: None,
-        #[cfg(unix)]
-        uds_path: None,
+        endpoint,
     })
 }
 
@@ -601,23 +551,25 @@ fn writer_loop<S: NetStream>(mut sequencer: Sequencer<S>, state: &ConnState) -> 
 
 /// Handle onto a running listener; dropping it *without* calling
 /// [`NetServerHandle::shutdown`] leaves the listener running for the
-/// process lifetime (detached), mirroring `ServerHandle`'s contract.
+/// process lifetime (detached).
 pub struct NetServerHandle {
     shared: Arc<NetShared>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     counters: Arc<NetCounters>,
-    local_addr: Option<SocketAddr>,
-    #[cfg(unix)]
-    uds_path: Option<std::path::PathBuf>,
+    endpoint: Endpoint,
 }
 
 impl NetServerHandle {
     /// The bound TCP address (`None` for Unix-socket listeners) — the
     /// thing to hand to
-    /// [`crate::net::client::PipelinedClient::connect_tcp`] after binding
-    /// port 0.
+    /// [`crate::net::client::PipelinedClient::connect_tcp_tenant`] after
+    /// binding port 0.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local_addr
+        match self.endpoint {
+            Endpoint::Tcp(addr) => Some(addr),
+            #[cfg(unix)]
+            Endpoint::Uds(_) => None,
+        }
     }
 
     /// Live view of this listener's wire counters (the same numbers
@@ -629,20 +581,12 @@ impl NetServerHandle {
     /// Graceful drain: stop accepting, half-close every connection's read
     /// side, and join connection threads — every request already read off
     /// a socket is answered and flushed before this returns. The
-    /// underlying deployment keeps running; shut it down separately via
-    /// its own `ServerHandle` once its listeners are drained.
-    pub fn shutdown(mut self) {
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        let accept = match self.accept.take() {
-            Some(a) => a,
-            None => return,
-        };
+    /// deployment keeps running; shut it down separately via
+    /// [`crate::multi::MultiDms::shutdown`] once its listeners are drained.
+    pub fn shutdown(self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        wake_listener(self);
-        let _ = accept.join();
+        wake_listener(&self);
+        let _ = self.accept.join();
         let conns: Vec<Conn> = {
             let mut map = self.shared.conns.lock();
             map.drain().map(|(_, c)| c).collect()
@@ -655,7 +599,7 @@ impl NetServerHandle {
             let _ = conn.writer.join();
         }
         #[cfg(unix)]
-        if let Some(path) = self.uds_path.take() {
+        if let Endpoint::Uds(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -663,12 +607,13 @@ impl NetServerHandle {
 
 /// Unblocks the accept thread with a throwaway self-connection.
 fn wake_listener(handle: &NetServerHandle) {
-    if let Some(addr) = handle.local_addr {
-        let _ = TcpStream::connect(addr);
-        return;
-    }
-    #[cfg(unix)]
-    if let Some(path) = &handle.uds_path {
-        let _ = std::os::unix::net::UnixStream::connect(path);
+    match &handle.endpoint {
+        Endpoint::Tcp(addr) => {
+            let _ = TcpStream::connect(addr);
+        }
+        #[cfg(unix)]
+        Endpoint::Uds(path) => {
+            let _ = std::os::unix::net::UnixStream::connect(path);
+        }
     }
 }

@@ -47,7 +47,7 @@ use fairdms_core::fairds::SystemSnapshot;
 use fairdms_core::fairms::{ModelManager, ZooSnapshot};
 use fairdms_core::workflow::RapidTrainer;
 use fairdms_core::ZooEntry;
-use fairdms_flows::jobs::{JobPool, TenantId, TenantQueueConfig, DEFAULT_TENANT};
+use fairdms_flows::jobs::{JobPool, TenantId};
 use fairdms_nn::trainer::TrainControl;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,10 +78,11 @@ pub struct DmsServerConfig {
     pub retrain_cooldown: usize,
     /// Embedding hyper-parameters for triggered retrains.
     pub retrain_embed_cfg: EmbedTrainConfig,
-    /// Training-executor worker count (default 1, at least 1). Heavy
-    /// training jobs — `UpdateModel` fine-tunes and certainty-triggered
-    /// system retrains — run on this background pool so the mutation
-    /// actor keeps serving ingest while models train.
+    /// Not read by the service: the training pool is shared by every
+    /// tenant and sized by the argument of
+    /// [`crate::multi::MultiDms::builder`]. Kept because the end-to-end
+    /// benchmark's adapter (`benches/e2e/src/sut.rs`) passes its default
+    /// there.
     pub training_pool_size: usize,
     /// Maximum training jobs queued (admitted but not yet picked up by an
     /// executor worker) for this deployment's tenant before new training
@@ -193,31 +194,24 @@ pub struct DmsClient {
     shared: Arc<Shared>,
 }
 
-/// Join handle owning the server's lifetime: the actor runs until this
-/// handle is dropped or [`ServerHandle::shutdown`] is called. The handle
+/// Join handle owning one tenant's actor: the actor runs until this handle
+/// is dropped or [`ServerHandle::shutdown`] is called, which
+/// [`crate::multi::MultiDms::shutdown`] does for every tenant. The handle
 /// stops admitting reads, then enqueues the shutdown message behind
 /// whatever writes are already queued, so those drain before the actor
 /// exits, and clients still alive observe [`ServiceError::Unavailable`]
-/// from then on.
-///
-/// Dropping every [`DmsClient`] clone does *not* stop the server by
-/// itself — the handle keeps the admission channel open so it can always
-/// deliver its shutdown signal. Leaking the handle therefore leaks the
-/// actor thread; drop it (or call `shutdown`) to end the deployment.
-pub struct ServerHandle {
+/// from then on. Dropping every [`DmsClient`] clone does *not* stop the
+/// actor — the handle keeps the admission channel open so it can always
+/// deliver its shutdown signal.
+pub(crate) struct ServerHandle {
     actor: Option<JoinHandle<()>>,
     write_tx: Sender<Msg>,
     shared: Arc<Shared>,
 }
 
 impl ServerHandle {
-    /// Metrics registry shared with the actor and every client.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.shared.metrics
-    }
-
     /// Signals shutdown, drains queued requests, and joins the actor.
-    pub fn shutdown(self) {
+    pub(crate) fn shutdown(self) {
         drop(self) // Drop does the work; this method exists for intent.
     }
 }
@@ -233,77 +227,50 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The server: spawns the mutating actor and its training executor, and
-/// serves [`Request`]s until its [`ServerHandle`] shuts it down.
-pub struct DmsServer;
+/// Spawns one tenant's deployment — its actor, snapshot cell and metrics
+/// registry — submitting its training work to the shared `pool` under
+/// `tenant`, and returns a client plus the join handle. The one
+/// constructor behind [`crate::multi::MultiDmsBuilder::spawn`], which sizes
+/// the pool and sets the tenant's queue capacity on it first.
+///
+/// The `trainer` carries the fairDS instance (trained or not), the Zoo,
+/// and the recommendation policy; `labeler` is the conventional
+/// (expensive) labeling fallback.
+pub(crate) fn spawn_tenant(
+    trainer: RapidTrainer,
+    labeler: FallbackLabeler,
+    cfg: DmsServerConfig,
+    pool: Arc<JobPool>,
+    tenant: TenantId,
+) -> (DmsClient, ServerHandle) {
+    let (write_tx, write_rx) = bounded::<Msg>(cfg.queue_capacity);
+    let metrics = Arc::new(Metrics::new());
+    metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache()));
+    metrics.attach_read_index(Arc::clone(trainer.fairds.read_index_counters()));
+    // Weak: the registry must not keep pool workers alive past the
+    // owner's shutdown; the gauge just reads 0 afterwards.
+    metrics.attach_training_pool(Arc::downgrade(&pool), tenant);
+    let shared = Arc::new(Shared::new(&trainer, metrics));
 
-impl DmsServer {
-    /// Spawns the actor and a `training_pool_size`-worker training
-    /// executor, and returns a client plus the join handle.
-    ///
-    /// The `trainer` carries the fairDS instance (trained or not), the
-    /// Zoo, and the recommendation policy; `labeler` is the conventional
-    /// (expensive) labeling fallback.
-    pub fn spawn(
-        trainer: RapidTrainer,
-        labeler: FallbackLabeler,
-        cfg: DmsServerConfig,
-    ) -> (DmsClient, ServerHandle) {
-        let pool = Arc::new(JobPool::new(cfg.training_pool_size, "fairdms-train"));
-        pool.configure_tenant(
-            DEFAULT_TENANT,
-            TenantQueueConfig {
-                weight: 1,
-                capacity: cfg.training_queue_capacity,
-            },
-        );
-        Self::spawn_shared(trainer, labeler, cfg, pool, DEFAULT_TENANT)
-    }
+    let actor_shared = Arc::clone(&shared);
+    let exec = TrainingExec::new(pool, tenant, write_tx.clone());
+    let actor = std::thread::Builder::new()
+        .name("fairdms-actor".into())
+        .spawn(move || actor_loop(trainer, labeler, cfg, exec, write_rx, actor_shared))
+        .expect("failed to spawn fairdms-actor thread");
 
-    /// Spawns a deployment that submits its training work to a caller-owned
-    /// [`JobPool`] under `tenant` — the multi-tenant building block
-    /// (DESIGN.md §14): N deployments share one pool (fair deficit-weighted
-    /// round-robin across tenants) while keeping their own actor,
-    /// snapshots, caches and metrics. The caller configures the tenant's
-    /// weight and queue capacity on the pool
-    /// ([`JobPool::configure_tenant`]); `cfg.training_pool_size` is not
-    /// read here, the pool is already sized.
-    pub fn spawn_shared(
-        trainer: RapidTrainer,
-        labeler: FallbackLabeler,
-        cfg: DmsServerConfig,
-        pool: Arc<JobPool>,
-        tenant: TenantId,
-    ) -> (DmsClient, ServerHandle) {
-        let (write_tx, write_rx) = bounded::<Msg>(cfg.queue_capacity);
-        let metrics = Arc::new(Metrics::new());
-        metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache()));
-        metrics.attach_read_index(Arc::clone(trainer.fairds.read_index_counters()));
-        // Weak: the registry must not keep pool workers alive past the
-        // owner's shutdown; the gauge just reads 0 afterwards.
-        metrics.attach_training_pool(Arc::downgrade(&pool), tenant);
-        let shared = Arc::new(Shared::new(&trainer, metrics));
-
-        let actor_shared = Arc::clone(&shared);
-        let exec = TrainingExec::new(pool, tenant, write_tx.clone());
-        let actor = std::thread::Builder::new()
-            .name("fairdms-actor".into())
-            .spawn(move || actor_loop(trainer, labeler, cfg, exec, write_rx, actor_shared))
-            .expect("failed to spawn fairdms-actor thread");
-
-        let client = DmsClient {
-            write_tx: write_tx.clone(),
-            shared: Arc::clone(&shared),
-        };
-        (
-            client,
-            ServerHandle {
-                actor: Some(actor),
-                write_tx,
-                shared,
-            },
-        )
-    }
+    let client = DmsClient {
+        write_tx: write_tx.clone(),
+        shared: Arc::clone(&shared),
+    };
+    (
+        client,
+        ServerHandle {
+            actor: Some(actor),
+            write_tx,
+            shared,
+        },
+    )
 }
 
 /// Admission: the one check of what a request's payload *is*, run by both

@@ -13,8 +13,8 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::frame::{write_frame, FrameKind};
-use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::net::{NetServerConfig, PipelinedClient};
+use fairdms_service::server::{DmsClient, DmsServerConfig, FallbackLabeler};
 use fairdms_service::{DmsApi, Reply, Request, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
@@ -23,6 +23,18 @@ use std::net::TcpStream;
 use std::thread;
 
 const SIDE: usize = 8;
+
+/// A one-tenant deployment (tenant 0) and that tenant's in-process client.
+fn spawn_one(
+    trainer: RapidTrainer,
+    labeler: FallbackLabeler,
+    config: DmsServerConfig,
+) -> (DmsClient, MultiDms) {
+    let dms = MultiDms::builder(1)
+        .tenant(TenantSpec { id: 0, config }, trainer, labeler)
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
+}
 
 fn trainer_over(embedder: Box<dyn Embedder>, seed: u64) -> RapidTrainer {
     let fairds = FairDS::in_memory(
@@ -45,10 +57,10 @@ fn server_cfg() -> DmsServerConfig {
     }
 }
 
-fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
+fn spawn_deployment(seed: u64) -> (DmsClient, MultiDms) {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
     let trainer = trainer_over(Box::new(embedder), seed);
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), server_cfg())
+    spawn_one(trainer, Box::new(|_| vec![0.5, 0.5]), server_cfg())
 }
 
 fn frames(n: usize, seed: u64) -> (Tensor, Tensor) {
@@ -64,8 +76,8 @@ fn embed_cfg() -> EmbedTrainConfig {
     }
 }
 
-fn serve(client: &DmsClient, cfg: NetServerConfig) -> fairdms_service::net::NetServerHandle {
-    NetServer::serve_tcp(client.clone(), ("127.0.0.1", 0), cfg).expect("bind")
+fn serve(dms: &MultiDms, cfg: NetServerConfig) -> fairdms_service::net::NetServerHandle {
+    dms.serve_tcp(("127.0.0.1", 0), cfg).expect("bind")
 }
 
 /// Tenants 1 and 2 behind one TCP listener, tenant `t` seeded `base + t`
@@ -109,10 +121,10 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 #[test]
 fn untrained_deployment_answers_not_ready_over_tcp() {
     let (client, server) = spawn_deployment(1);
-    let net = serve(&client, NetServerConfig::default());
+    let net = serve(&server, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
 
-    let tcp = PipelinedClient::connect_tcp(addr).unwrap();
+    let tcp = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     let err = tcp
         .dataset_pdf(fairdms_tensor::Tensor::zeros(&[1, SIDE * SIDE]))
         .unwrap_err();
@@ -128,8 +140,8 @@ fn untrained_deployment_answers_not_ready_over_tcp() {
 #[test]
 fn pipelined_requests_on_one_socket_all_answer_in_order() {
     let (client, server) = spawn_deployment(2);
-    let net = serve(&client, NetServerConfig::default());
-    let pipe = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    let net = serve(&server, NetServerConfig::default());
+    let pipe = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 0).unwrap();
 
     // Fire a full window before waiting on anything.
     let pendings: Vec<_> = (0..64)
@@ -162,7 +174,7 @@ fn pipelined_requests_on_one_socket_all_answer_in_order() {
 fn over_limit_connection_is_answered_busy_not_dropped() {
     let (client, server) = spawn_deployment(3);
     let net = serve(
-        &client,
+        &server,
         NetServerConfig {
             max_connections: 1,
             ..NetServerConfig::default()
@@ -170,12 +182,12 @@ fn over_limit_connection_is_answered_busy_not_dropped() {
     );
     let addr = net.local_addr().unwrap();
 
-    let first = PipelinedClient::connect_tcp(addr).unwrap();
+    let first = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     // Make the first connection *observed* (accepted + registered) before
     // racing the second one against the limit.
     assert!(first.call(&Request::Metrics).is_ok());
 
-    let second = PipelinedClient::connect_tcp(addr).unwrap();
+    let second = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     let err = second.call(&Request::Metrics).unwrap_err();
     assert_eq!(
         err,
@@ -195,7 +207,7 @@ fn over_limit_connection_is_answered_busy_not_dropped() {
     wait_until("first connection reaped", || {
         net.counters().snapshot().connections_active == 0
     });
-    let third = PipelinedClient::connect_tcp(addr).unwrap();
+    let third = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     assert!(third.call(&Request::Metrics).is_ok());
 
     let stats = net.counters().snapshot();
@@ -211,10 +223,10 @@ fn over_limit_connection_is_answered_busy_not_dropped() {
 #[test]
 fn abrupt_disconnect_mid_pipeline_does_not_disturb_others() {
     let (client, server) = spawn_deployment(4);
-    let net = serve(&client, NetServerConfig::default());
+    let net = serve(&server, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
 
-    let healthy = PipelinedClient::connect_tcp(addr).unwrap();
+    let healthy = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     assert!(healthy.metrics().is_ok());
 
     // A client that dies mid-frame: half a length prefix, then gone.
@@ -255,7 +267,7 @@ fn abrupt_disconnect_mid_pipeline_does_not_disturb_others() {
 fn hostile_length_prefix_answers_protocol_error_frame() {
     let (client, server) = spawn_deployment(5);
     let net = serve(
-        &client,
+        &server,
         NetServerConfig {
             max_frame_len: 1024,
             ..NetServerConfig::default()
@@ -266,7 +278,7 @@ fn hostile_length_prefix_answers_protocol_error_frame() {
     // Drive the hostile bytes through a real client so we can observe the
     // ProtocolError frame coming back (a raw socket would too, but the
     // client decodes it for us).
-    let pipe = PipelinedClient::connect_tcp(addr).unwrap();
+    let pipe = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     let good = pipe.submit(&Request::Metrics);
     assert!(good.wait().is_ok(), "connection healthy before the attack");
 
@@ -292,8 +304,8 @@ fn hostile_length_prefix_answers_protocol_error_frame() {
 #[test]
 fn graceful_drain_answers_every_dispatched_request() {
     let (client, server) = spawn_deployment(6);
-    let net = serve(&client, NetServerConfig::default());
-    let pipe = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    let net = serve(&server, NetServerConfig::default());
+    let pipe = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 0).unwrap();
 
     let pendings: Vec<_> = (0..32).map(|_| pipe.submit(&Request::Metrics)).collect();
     // Force the buffered frames onto the wire, then wait until the server
@@ -333,7 +345,7 @@ fn graceful_drain_answers_every_dispatched_request() {
 fn kill_storm_of_half_open_connections_releases_admission_slots() {
     let (client, server) = spawn_deployment(9);
     let net = serve(
-        &client,
+        &server,
         NetServerConfig {
             max_connections: 2,
             ..NetServerConfig::default()
@@ -391,10 +403,10 @@ fn kill_storm_of_half_open_connections_releases_admission_slots() {
 
     // Both admission slots are usable again: two concurrent clients get
     // served, so no slot leaked anywhere in the storm.
-    let a = PipelinedClient::connect_tcp(addr).unwrap();
+    let a = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     let ra = a.call(&Request::Metrics);
     assert!(ra.is_ok(), "slot leaked? {ra:?}");
-    let b = PipelinedClient::connect_tcp(addr).unwrap();
+    let b = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     let rb = b.call(&Request::Metrics);
     assert!(rb.is_ok(), "slot leaked? {rb:?}");
 
@@ -412,9 +424,9 @@ fn unix_socket_transport_works_end_to_end() {
     let dir = std::env::temp_dir().join(format!("fairdms-uds-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wire.sock");
-    let net = NetServer::serve_uds(client.clone(), &path, NetServerConfig::default()).unwrap();
+    let net = server.serve_uds(&path, NetServerConfig::default()).unwrap();
 
-    let uds = PipelinedClient::connect_uds(&path).unwrap();
+    let uds = PipelinedClient::connect_uds_tenant(&path, 0).unwrap();
     let snap = uds.metrics().unwrap();
     assert!(snap.net.connections_active >= 1);
 
@@ -472,8 +484,8 @@ fn typed_helpers_are_one_surface_in_process_and_over_tcp() {
     server.shutdown();
 
     let (backing, server) = spawn_deployment(11);
-    let net = serve(&backing, NetServerConfig::default());
-    let remote = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    let net = serve(&server, NetServerConfig::default());
+    let remote = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 0).unwrap();
     typed_tour(&remote);
     drop(remote);
     net.shutdown();
@@ -752,14 +764,14 @@ fn read_replies_up_to(
 fn a_read_behind_an_in_flight_write_is_sequenced_and_a_window_1_stream_is_not() {
     let (release, gate) = crossbeam_channel::unbounded();
     let embedder = GatedEmbedder(AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 12), gate);
-    let (client, server) = DmsServer::spawn(
+    let (client, server) = spawn_one(
         trainer_over(Box::new(embedder), 12),
         Box::new(|_| vec![0.5, 0.5]),
         server_cfg(),
     );
     let (x, y) = frames(16, 93);
     client.train_system(x.clone(), embed_cfg()).unwrap();
-    let net = serve(&client, NetServerConfig::default());
+    let net = serve(&server, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
     let stats = || net.counters().snapshot();
 
@@ -791,7 +803,7 @@ fn a_read_behind_an_in_flight_write_is_sequenced_and_a_window_1_stream_is_not() 
 
     // A fresh connection at window 1: every reply is the reader's own.
     let before = stats();
-    let tcp = PipelinedClient::connect_tcp(addr).unwrap();
+    let tcp = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     for i in 0..32 {
         match i % 3 {
             0 => assert_eq!(tcp.dataset_pdf(x.clone()).unwrap().len(), 2),
@@ -968,8 +980,8 @@ fn a_self_reading_call_meets_terminal_conditions_exactly_as_the_demux_thread_doe
 #[test]
 fn a_drain_mid_stream_answers_every_request_a_window_1_caller_got_in() {
     let (client, server) = spawn_deployment(13);
-    let net = serve(&client, NetServerConfig::default());
-    let tcp = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    let net = serve(&server, NetServerConfig::default());
+    let tcp = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 0).unwrap();
     assert!(tcp.call(&Request::Metrics).is_ok());
 
     let (started_tx, started_rx) = crossbeam_channel::bounded(1);
@@ -1019,9 +1031,9 @@ fn a_peer_reset_during_an_inline_write_tears_the_connection_down() {
     let big = client
         .publish("big", vec![7u8; 16 << 20], vec![0.5, 0.5], 0)
         .unwrap();
-    let net = serve(&client, NetServerConfig::default());
+    let net = serve(&server, NetServerConfig::default());
     let addr = net.local_addr().unwrap();
-    let healthy = PipelinedClient::connect_tcp(addr).unwrap();
+    let healthy = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
     assert!(healthy.metrics().is_ok());
 
     let mut raw = TcpStream::connect(addr).unwrap();
@@ -1059,7 +1071,7 @@ fn a_peer_that_writes_its_window_before_it_reads_is_still_served() {
     let big = client
         .publish("big", checkpoint.clone(), vec![0.5, 0.5], 0)
         .unwrap();
-    let net = serve(&client, NetServerConfig::default());
+    let net = serve(&server, NetServerConfig::default());
     let stats = || net.counters().snapshot();
 
     // The first request arrives alone — window 1 as far as the reader can

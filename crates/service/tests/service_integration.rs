@@ -7,7 +7,7 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::server::{DmsClient, DmsServerConfig, FallbackLabeler};
 use fairdms_service::{
     DmsApi, MultiDms, NetServerConfig, PipelinedClient, ServiceError, TenantSpec,
 };
@@ -16,6 +16,18 @@ use fairdms_tensor::Tensor;
 use std::thread;
 
 const SIDE: usize = 8;
+
+/// A one-tenant deployment (tenant 0) and that tenant's in-process client.
+fn spawn_one(
+    trainer: RapidTrainer,
+    labeler: FallbackLabeler,
+    config: DmsServerConfig,
+) -> (DmsClient, MultiDms) {
+    let dms = MultiDms::builder(1)
+        .tenant(TenantSpec { id: 0, config }, trainer, labeler)
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
+}
 
 /// Gaussian blob images at `n_modes` fixed centers plus center labels.
 fn blob_images(per_mode: usize, n_modes: usize, seed: u64) -> (Tensor, Tensor) {
@@ -51,7 +63,7 @@ fn embed_cfg() -> EmbedTrainConfig {
     }
 }
 
-fn spawn_server_k(seed: u64, auto_retrain: bool, k: usize) -> (DmsClient, ServerHandle) {
+fn spawn_server_k(seed: u64, auto_retrain: bool, k: usize) -> (DmsClient, MultiDms) {
     let ds_cfg = FairDsConfig {
         k: Some(k),
         // Calibrated for this fixture the way deployments calibrate
@@ -75,24 +87,20 @@ fn trainer_over(seed: u64, ds_cfg: FairDsConfig) -> RapidTrainer {
     RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg)
 }
 
-fn spawn_server_over(
-    seed: u64,
-    auto_retrain: bool,
-    ds_cfg: FairDsConfig,
-) -> (DmsClient, ServerHandle) {
+fn spawn_server_over(seed: u64, auto_retrain: bool, ds_cfg: FairDsConfig) -> (DmsClient, MultiDms) {
     let cfg = DmsServerConfig {
         auto_retrain,
         retrain_embed_cfg: embed_cfg(),
         ..DmsServerConfig::default()
     };
-    DmsServer::spawn(
+    spawn_one(
         trainer_over(seed, ds_cfg),
         Box::new(|_| vec![0.5, 0.5]),
         cfg,
     )
 }
 
-fn spawn_server(seed: u64, auto_retrain: bool) -> (DmsClient, ServerHandle) {
+fn spawn_server(seed: u64, auto_retrain: bool) -> (DmsClient, MultiDms) {
     spawn_server_k(seed, auto_retrain, 2)
 }
 
@@ -238,7 +246,7 @@ fn a_hostile_embed_config_is_invalid_and_supersedes_nothing() {
     let mut trainer = trainer_over(20, FairDsConfig::default());
     trainer.config_mut().train.epochs = 300;
     trainer.config_mut().train.patience = 0;
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
@@ -558,7 +566,7 @@ fn backpressure_waits_are_not_counted_as_rejections() {
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 2;
     let trainer = RapidTrainer::new(fairds, ModelManager::default(), tcfg);
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
@@ -765,7 +773,7 @@ fn training_job_panic_poisons_the_service_loudly() {
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 2;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
@@ -865,7 +873,7 @@ fn out_of_range_threshold_is_invalid_not_a_poisoned_service() {
     tcfg.train.epochs = 2;
     let mut trainer = RapidTrainer::new(fairds, ModelManager::default(), tcfg);
     trainer.manager.distance_threshold = 7.5; // out of [0, 1]
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
@@ -1135,7 +1143,7 @@ fn worker_panic_surfaces_as_unavailable_not_a_hang() {
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 2;
     let trainer = RapidTrainer::new(fairds, ModelManager::default(), tcfg);
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| panic!("labeler exploded")),
         DmsServerConfig {

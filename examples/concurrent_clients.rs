@@ -20,8 +20,7 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
-use fairdms_service::server::{DmsServer, DmsServerConfig};
-use fairdms_service::DmsApi;
+use fairdms_service::{DmsApi, DmsServerConfig, MultiDms, TenantSpec};
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,14 +51,17 @@ fn main() {
     tcfg.train.epochs = 12;
     tcfg.train.batch_size = 32;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, handle) = DmsServer::spawn(
-        trainer,
-        Box::new(|_| vec![0.5, 0.5]),
-        DmsServerConfig {
+    let spec = TenantSpec {
+        id: 0,
+        config: DmsServerConfig {
             auto_retrain: false,
             ..DmsServerConfig::default()
         },
-    );
+    };
+    let dms = MultiDms::builder(1)
+        .tenant(spec, trainer, Box::new(|_| vec![0.5, 0.5]))
+        .spawn();
+    let client = dms.client(0).expect("tenant 0").clone();
 
     let sim = BraggSimulator::new(DriftModel::none(), 3);
     let history: Vec<_> = sim
@@ -236,6 +238,6 @@ fn main() {
     }
 
     drop(client);
-    handle.shutdown();
+    dms.shutdown();
     println!("server drained and shut down cleanly");
 }

@@ -7,7 +7,7 @@
 //! the same `fairdms_bench::load` harness the CI fairness bench runs.
 //! Each tenant streams routed reads and periodic `UpdateModel` retrains
 //! concurrently; the run ends with per-tenant latency summaries and the
-//! deficit-scheduled pool's admission counters.
+//! round-robin pool's admission counters.
 //!
 //! Run with: `cargo run --release --example multi_tenant_deployment`
 

@@ -3,8 +3,8 @@
 //! The paper frames fairDMS as a *service platform* (Figs 3–5): experiment
 //! clients hit the user plane (label queries, model recommendations, model
 //! updates) while the system plane maintains the embedding/clustering
-//! models in the background. This example stands up the
-//! [`fairdms_service::DmsServer`], drives it from several concurrent
+//! models in the background. This example stands up a one-tenant
+//! [`fairdms_service::MultiDms`], drives it from several concurrent
 //! clients, forces a drift event that fires the certainty-triggered
 //! system-plane retrain, and prints the server's request metrics.
 //!
@@ -17,8 +17,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, FitConfig};
-use fairdms_service::server::{DmsServer, DmsServerConfig};
-use fairdms_service::DmsApi;
+use fairdms_service::{DmsApi, DmsServerConfig, MultiDms, TenantSpec};
 use fairdms_tensor::Tensor;
 
 const SIDE: usize = 15;
@@ -94,10 +93,9 @@ fn main() {
         vec![cx / px, cy / px]
     });
 
-    let (client, handle) = DmsServer::spawn(
-        trainer,
-        labeler,
-        DmsServerConfig {
+    let spec = TenantSpec {
+        id: 0,
+        config: DmsServerConfig {
             auto_retrain: true,
             // Only *mutating* requests are monitored since the user-plane
             // split (reads are served from snapshots off the actor), so
@@ -111,7 +109,9 @@ fn main() {
             },
             ..DmsServerConfig::default()
         },
-    );
+    };
+    let dms = MultiDms::builder(1).tenant(spec, trainer, labeler).spawn();
+    let client = dms.client(0).expect("tenant 0").clone();
 
     // --- Prime the store through the service. ----------------------------
     client.ingest(hx, hy, 0).expect("historical ingest");
@@ -225,6 +225,6 @@ fn main() {
     );
 
     drop(client);
-    handle.shutdown();
+    dms.shutdown();
     println!("\nserver drained and shut down cleanly");
 }

@@ -2,7 +2,7 @@
 //!
 //! `service_deployment.rs` drives the server through in-process clients;
 //! this example puts the wire plane (DESIGN.md §13) in front of the same
-//! stack: a [`fairdms_service::net::NetServer`] listens on a loopback
+//! stack: a one-tenant [`fairdms_service::MultiDms`] listens on a loopback
 //! port, a [`fairdms_service::net::PipelinedClient`] talks to it with
 //! the strict request-response pattern through the typed
 //! [`fairdms_service::DmsApi`] helpers, a second one pushes a pipelined
@@ -16,9 +16,8 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
-use fairdms_service::server::{DmsServer, DmsServerConfig};
-use fairdms_service::{DmsApi, Request};
+use fairdms_service::net::{NetServerConfig, PipelinedClient};
+use fairdms_service::{DmsApi, DmsServerConfig, MultiDms, Request, TenantSpec};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 
@@ -63,14 +62,17 @@ fn main() {
     tcfg.train.epochs = 2;
     tcfg.seed = 7;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, server) = DmsServer::spawn(
-        trainer,
-        Box::new(|_| vec![0.5, 0.5]),
-        DmsServerConfig {
+    let spec = TenantSpec {
+        id: 0,
+        config: DmsServerConfig {
             auto_retrain: false,
             ..DmsServerConfig::default()
         },
-    );
+    };
+    let dms = MultiDms::builder(1)
+        .tenant(spec, trainer, Box::new(|_| vec![0.5, 0.5]))
+        .spawn();
+    let client = dms.client(0).expect("tenant 0").clone();
     let (x, y) = blob_images(48, 11);
     let k = client
         .train_system(
@@ -86,13 +88,14 @@ fn main() {
     println!("system plane trained: K = {k}, store primed with 48 documents");
 
     // --- Wire plane: listen on a loopback port. -------------------------
-    let net = NetServer::serve_tcp(client.clone(), ("127.0.0.1", 0), NetServerConfig::default())
+    let net = dms
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
         .expect("bind wire plane");
     let addr = net.local_addr().expect("tcp address");
     println!("wire plane listening on {addr}\n");
 
     // --- Strict request-response over TCP. ------------------------------
-    let tcp = PipelinedClient::connect_tcp(addr).expect("connect");
+    let tcp = PipelinedClient::connect_tcp_tenant(addr, 0).expect("connect");
     let pdf = tcp
         .dataset_pdf(blob_images(8, 12).0)
         .expect("dataset_pdf over TCP");
@@ -101,7 +104,7 @@ fn main() {
     println!("lookup_matching over TCP: {} documents", docs.len());
 
     // --- A pipelined burst down one socket. -----------------------------
-    let pipe = PipelinedClient::connect_tcp(addr).expect("connect pipelined");
+    let pipe = PipelinedClient::connect_tcp_tenant(addr, 0).expect("connect pipelined");
     let pendings: Vec<_> = (0..64)
         .map(|_| {
             pipe.submit(&Request::LookupMatching {
@@ -147,5 +150,5 @@ fn main() {
         after.connections_active, after.drains_graceful, after.drains_abrupt
     );
     drop(client);
-    server.shutdown();
+    dms.shutdown();
 }

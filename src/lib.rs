@@ -21,7 +21,7 @@
 //! * [`dataloader`] — loader + training-pipeline simulator,
 //! * [`datasets`] — synthetic instruments and the pseudo-Voigt labeler,
 //! * [`flows`] — orchestration (flows / executor / transfers),
-//! * [`service`] — the concurrent service deployment (DmsServer/DmsClient).
+//! * [`service`] — the concurrent service deployment (MultiDms/DmsClient).
 #![forbid(unsafe_code)]
 
 pub use fairdms_clustering as clustering;

@@ -20,13 +20,26 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::reuse::EmbedCacheConfig;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::server::{DmsServer, DmsServerConfig};
+use fairdms_service::multi::{MultiDms, TenantSpec};
+use fairdms_service::server::{DmsClient, DmsServerConfig, FallbackLabeler};
 use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 
 const SIDE: usize = 8;
 const DIM: usize = SIDE * SIDE;
+
+/// A one-tenant deployment (tenant 0) and that tenant's in-process client.
+fn spawn_one(
+    trainer: RapidTrainer,
+    labeler: FallbackLabeler,
+    config: DmsServerConfig,
+) -> (DmsClient, MultiDms) {
+    let dms = MultiDms::builder(1)
+        .tenant(TenantSpec { id: 0, config }, trainer, labeler)
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
+}
 
 fn blob_images(per_mode: usize, n_modes: usize, seed: u64) -> (Tensor, Tensor) {
     let mut rng = TensorRng::seeded(seed);
@@ -165,7 +178,7 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
     tcfg.train.epochs = 3;
     tcfg.train.batch_size = 16;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {
@@ -263,7 +276,7 @@ fn ingest_triggered_async_retrain_fences_too() {
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 2;
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
-    let (client, handle) = DmsServer::spawn(
+    let (client, handle) = spawn_one(
         trainer,
         Box::new(|_| vec![0.5, 0.5]),
         DmsServerConfig {

@@ -17,9 +17,10 @@ use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_datasets::bragg::{to_training_tensors, BraggPatch, BraggSimulator, DriftModel};
+use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::codec::{decode_request, encode_reply, encode_request};
-use fairdms_service::net::{NetServer, NetServerConfig, PipelinedClient};
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::net::{NetServerConfig, PipelinedClient};
+use fairdms_service::server::{DmsClient, DmsServerConfig};
 use fairdms_service::{Reply, Request, ServiceError, ServiceResult};
 use fairdms_tensor::Tensor;
 
@@ -31,7 +32,7 @@ fn flat(patches: &[BraggPatch]) -> (Tensor, Tensor) {
     (x4.reshape(&[n, SIDE * SIDE]), y)
 }
 
-fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
+fn spawn_deployment(seed: u64) -> (DmsClient, MultiDms) {
     let fairds = FairDS::in_memory(
         Box::new(ByolEmbedder::new(SIDE, 64, 16, seed)),
         FairDsConfig {
@@ -48,7 +49,14 @@ fn spawn_deployment(seed: u64) -> (DmsClient, ServerHandle) {
         auto_retrain: false,
         ..DmsServerConfig::default()
     };
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
+    let dms = MultiDms::builder(1)
+        .tenant(
+            TenantSpec { id: 0, config: cfg },
+            trainer,
+            Box::new(|_| vec![0.5, 0.5]),
+        )
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
 }
 
 /// Clones a request by round-tripping it through the wire codec — the
@@ -92,13 +100,10 @@ fn assert_identical(label: &str, local: ServiceResult, remote: ServiceResult) ->
 fn every_request_variant_is_bit_identical_over_tcp() {
     let (local, local_srv) = spawn_deployment(42);
     let (backing, backing_srv) = spawn_deployment(42);
-    let net = NetServer::serve_tcp(
-        backing.clone(),
-        ("127.0.0.1", 0),
-        NetServerConfig::default(),
-    )
-    .expect("bind");
-    let remote = PipelinedClient::connect_tcp(net.local_addr().unwrap()).unwrap();
+    let net = backing_srv
+        .serve_tcp(("127.0.0.1", 0), NetServerConfig::default())
+        .expect("bind");
+    let remote = PipelinedClient::connect_tcp_tenant(net.local_addr().unwrap(), 0).unwrap();
 
     let run = |label: &str, req: Request| -> ServiceResult {
         let twin = wire_clone(&req);

@@ -15,7 +15,8 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::multi::{MultiDms, TenantSpec};
+use fairdms_service::server::{DmsClient, DmsServerConfig};
 use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
@@ -64,7 +65,7 @@ fn spawn_server(
     k: usize,
     auto_retrain: bool,
     train_epochs: usize,
-) -> (DmsClient, ServerHandle) {
+) -> (DmsClient, MultiDms) {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
     let fairds = FairDS::in_memory(
         Box::new(embedder),
@@ -83,7 +84,14 @@ fn spawn_server(
         retrain_embed_cfg: embed_cfg(),
         ..DmsServerConfig::default()
     };
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
+    let dms = MultiDms::builder(1)
+        .tenant(
+            TenantSpec { id: 0, config: cfg },
+            trainer,
+            Box::new(|_| vec![0.5, 0.5]),
+        )
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
 }
 
 #[test]

@@ -22,7 +22,7 @@ use fairdms_datasets::tomo::TomoSimulator;
 use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::codec::{decode_request, encode_reply, encode_request};
 use fairdms_service::net::NetServerConfig;
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::server::{DmsClient, DmsServerConfig};
 use fairdms_service::{PipelinedClient, Reply, Request, ServiceError, ServiceResult, TenantId};
 use fairdms_tensor::Tensor;
 
@@ -50,12 +50,18 @@ fn trainer_for(seed: u64) -> RapidTrainer {
     RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg)
 }
 
-fn spawn_solo(seed: u64) -> (DmsClient, ServerHandle) {
-    DmsServer::spawn(
-        trainer_for(seed),
-        Box::new(|_| vec![0.5, 0.5]),
-        server_cfg(),
-    )
+fn spawn_solo(seed: u64) -> (DmsClient, MultiDms) {
+    let dms = MultiDms::builder(1)
+        .tenant(
+            TenantSpec {
+                id: 0,
+                config: server_cfg(),
+            },
+            trainer_for(seed),
+            Box::new(|_| vec![0.5, 0.5]),
+        )
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
 }
 
 /// Deterministic `[n, 2]` regression labels for datasets that do not carry
@@ -191,7 +197,7 @@ struct TenantRun {
     name: &'static str,
     tenant: TenantId,
     solo: DmsClient,
-    solo_srv: ServerHandle,
+    solo_srv: MultiDms,
     remote: PipelinedClient,
     mix: ScanMix,
     pdf: Vec<f64>,
@@ -360,7 +366,7 @@ fn three_interleaved_tenants_are_bit_identical_to_solo_runs() {
     let addr = net.local_addr().unwrap();
 
     // One physical connection carries all three tenants' traffic.
-    let wire = PipelinedClient::connect_tcp(addr).unwrap();
+    let wire = PipelinedClient::connect_tcp_tenant(addr, 0).unwrap();
 
     let mut runs: Vec<TenantRun> = mixes
         .iter()

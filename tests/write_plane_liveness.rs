@@ -18,7 +18,8 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
-use fairdms_service::server::{DmsClient, DmsServer, DmsServerConfig, ServerHandle};
+use fairdms_service::multi::{MultiDms, TenantSpec};
+use fairdms_service::server::{DmsClient, DmsServerConfig};
 use fairdms_service::{DmsApi, ServiceError};
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
@@ -65,7 +66,7 @@ fn embed_cfg() -> EmbedTrainConfig {
 /// A server whose `UpdateModel` jobs train for `train_epochs` full epochs
 /// (no early stopping), so a job reliably occupies the training executor
 /// for a stretch.
-fn spawn_server(seed: u64, train_epochs: usize) -> (DmsClient, ServerHandle) {
+fn spawn_server(seed: u64, train_epochs: usize) -> (DmsClient, MultiDms) {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
     let fairds = FairDS::in_memory(
         Box::new(embedder),
@@ -82,10 +83,16 @@ fn spawn_server(seed: u64, train_epochs: usize) -> (DmsClient, ServerHandle) {
     let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
     let cfg = DmsServerConfig {
         auto_retrain: false,
-        training_pool_size: 1,
         ..DmsServerConfig::default()
     };
-    DmsServer::spawn(trainer, Box::new(|_| vec![0.5, 0.5]), cfg)
+    let dms = MultiDms::builder(1)
+        .tenant(
+            TenantSpec { id: 0, config: cfg },
+            trainer,
+            Box::new(|_| vec![0.5, 0.5]),
+        )
+        .spawn();
+    (dms.client(0).expect("tenant 0").clone(), dms)
 }
 
 #[test]
