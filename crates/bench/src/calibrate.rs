@@ -5,7 +5,7 @@
 //! (real decode CPU + modeled wire), and the training compute time per
 //! batch on this machine. This module measures both.
 
-use fairdms_datastore::netsim::{RemoteStore, SampleStore};
+use crate::netsim::RemoteStore;
 use fairdms_datastore::Document;
 use fairdms_nn::layers::{Mode, Sequential};
 use fairdms_nn::loss::{Loss, Mse};
@@ -122,7 +122,6 @@ pub fn profile_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairdms_datastore::netsim::RemoteStore;
     use fairdms_nn::layers::{Activation, Dense};
     use fairdms_tensor::rng::TensorRng;
 

@@ -8,9 +8,8 @@
 //! stages for real — the CPU cost and the payload reduction measured by the
 //! benches are genuine, which is what the Fig 6–8 reproduction needs.
 
-use super::{Codec, CodecError, RawCodec};
-use crate::value::Document;
-use crate::wire::{Reader, WriteExt};
+use fairdms_datastore::wire::{Reader, WriteExt};
+use fairdms_datastore::{Codec, CodecError, Document, RawCodec};
 
 const MAGIC: u8 = 0xB1;
 const FLAG_COMPRESSED: u8 = 1;
@@ -206,9 +205,8 @@ pub fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Cod
 
 #[cfg(test)]
 mod tests {
-    use super::super::sample_doc;
     use super::*;
-    use crate::value::Document;
+    use crate::codec::sample_doc;
 
     #[test]
     fn roundtrip_preserves_documents() {

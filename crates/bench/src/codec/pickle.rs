@@ -8,9 +8,8 @@
 //! (9 bytes instead of 4) and decode must walk every tagged element and
 //! narrow it back to `f32`/`u16`.
 
-use super::{Codec, CodecError};
-use crate::value::{Document, Value};
-use crate::wire::{Reader, WriteExt};
+use fairdms_datastore::wire::{Reader, WriteExt};
+use fairdms_datastore::{Codec, CodecError, Document, Value};
 
 // Pickle-flavored opcodes (distinct from RawCodec tags to keep the formats
 // mutually unreadable, like the real systems).
@@ -211,8 +210,9 @@ impl Codec for PickleCodec {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{sample_doc, RawCodec};
     use super::*;
+    use crate::codec::sample_doc;
+    use fairdms_datastore::RawCodec;
 
     #[test]
     fn roundtrip_preserves_documents() {

@@ -11,12 +11,12 @@
 //! them through the causally exact discrete-event simulator.
 
 use crate::calibrate::{profile_backend, profile_compute, ComputeProfile, FetchProfile};
+use crate::netsim::paper_backends;
+use crate::pipesim::{simulate, PipelineParams};
 use crate::table::{f2, secs, Table};
 use crate::Scale;
 use fairdms_core::models::ArchSpec;
-use fairdms_dataloader::pipesim::{simulate, PipelineParams};
 use fairdms_datasets::{BraggSimulator, CookieBoxSimulator, DriftModel, TomoSimulator};
-use fairdms_datastore::netsim::paper_backends;
 use fairdms_datastore::Document;
 use fairdms_nn::layers::{Activation, Conv2d, Sequential};
 use fairdms_tensor::rng::TensorRng;

@@ -12,9 +12,12 @@
 //! of this repo's Gauss–Newton fitter, and the *paper-calibrated* MIDAS
 //! cost (≈4.1 core-seconds/peak, back-derived from the paper's own ~1 h on
 //! 80 cores for ~70 k peaks), since MIDAS fits full frames with
-//! overlapping peaks and is far heavier than a single-patch fitter.
+//! overlapping peaks and is far heavier than a single-patch fitter. The
+//! facility→cluster transfer of one paper-scale scan is modeled as a
+//! 50 ms, 10 Gb/s `LinkModel` (DESIGN.md §3).
 
 use crate::figures::{bragg_fairds, bragg_flat, bragg_history, embed_epochs, BRAGG_SIDE};
+use crate::netsim::LinkModel;
 use crate::table::{f2, secs, Table};
 use crate::Scale;
 use fairdms_core::fairms::ModelManager;
@@ -22,9 +25,7 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig, TrainStrategy};
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, ClusterModel, FitConfig};
-use fairdms_flows::{Endpoint, Flow, StepOutcome, TransferService};
 use fairdms_nn::trainer::TrainConfig;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// MIDAS per-peak cost back-derived from the paper's numbers
@@ -102,22 +103,16 @@ pub fn run(scale: Scale) -> Result<(), String> {
     };
 
     // ------------------------------------------------------------------
-    // Measured: fairDMS (pseudo-label + fine-tune), orchestrated as a
-    // Globus-Flows-style flow with a modeled facility→cluster transfer.
+    // Measured: fairDMS (pseudo-label + fine-tune). Modeled: moving one
+    // paper-scale scan of patches from the beamline to the cluster over a
+    // Globus route (50 ms per transfer, 10 Gb/s) — the scale every label
+    // and train column below is projected to.
     // ------------------------------------------------------------------
-    let transfers = Arc::new(TransferService::new());
-    let beamline = Endpoint::new("aps-beamline");
-    let cluster = Endpoint::new("alcf-cluster");
-    transfers.set_route(&beamline, &cluster, 0.05, 10.0);
-    let dataset_bytes = x22.numel() * 4;
-    let svc = Arc::clone(&transfers);
-    let (b, c) = (beamline.clone(), cluster.clone());
-    let flow = Flow::new().step("transfer-data", &[], move |_| {
-        let rec = svc.transfer(&b, &c, dataset_bytes);
-        Ok(StepOutcome::virtual_time(rec.virtual_secs))
-    });
-    let flow_report = flow.run().map_err(|e| e.to_string())?;
-    let transfer_secs = flow_report.step("transfer-data").unwrap().virtual_secs;
+    let globus = LinkModel {
+        latency_us: 50_000.0,
+        bandwidth_gbps: 10.0,
+    };
+    let transfer_secs = globus.transfer_secs(PAPER_PEAKS * BRAGG_SIDE * BRAGG_SIDE * 4);
 
     let t0 = Instant::now();
     let pdf22 = trainer.fairds.dataset_pdf(&x22);

@@ -16,15 +16,21 @@
 //! deployment behind TCP and a connection driver) that the wire benches,
 //! the scalability figure and the load examples run on; [`report`], the
 //! `results/BENCH_*.json` records; [`calibrate`], the measured fetch and
-//! training costs behind Figs 6–8; [`table`], the figures' tables and
-//! CSVs.
+//! training costs behind Figs 6–8; the simulators those figures and
+//! Fig 15 run on (DESIGN.md §1–§3): [`netsim`] (link models and timed
+//! storage backends), [`codec`] (the pickle and blosc payload formats) and
+//! [`pipesim`] (the prefetching loader pipeline); [`table`], the figures'
+//! tables and CSVs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
+pub mod codec;
 pub mod figures;
 pub mod load;
+pub mod netsim;
+pub mod pipesim;
 pub mod report;
 pub mod table;
 

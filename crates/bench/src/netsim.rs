@@ -2,19 +2,19 @@
 //!
 //! The authors ran MongoDB and NFS behind 100 GbE NICs (§III-D); this repo
 //! cannot, so the wire is modeled while the CPU work stays real
-//! (substitution documented in DESIGN.md §1). A [`SampleStore`] fetch
+//! (substitution documented in DESIGN.md §1). A [`RemoteStore`] fetch
 //! returns the decoded document together with a [`FetchTiming`] that splits
 //! the service time into
 //!
 //! * `cpu_secs` — *measured* wall time of the decode on this machine, and
 //! * `wire_secs` — *modeled* per-op latency + payload/bandwidth.
 //!
-//! The training-pipeline simulator (`fairdms-dataloader::pipesim`) composes
-//! these through a queueing model of the prefetching DataLoader to
-//! regenerate the paper's Figs 6–8.
+//! The training-pipeline simulator ([`pipesim`](crate::pipesim)) composes
+//! these through a queueing model of the prefetching loader to regenerate
+//! the paper's Figs 6–8.
 
-use crate::store::{Collection, DocId};
-use crate::value::Document;
+use crate::codec::{BloscCodec, PickleCodec};
+use fairdms_datastore::{Collection, DocId, Document, RawCodec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,35 +77,8 @@ impl FetchTiming {
     }
 }
 
-/// A storage backend that serves training samples with timing attribution.
-pub trait SampleStore: Send + Sync {
-    /// Backend name as it appears in the paper's figure legends
-    /// ("Blosc", "Pickle", "NFS").
-    fn label(&self) -> &'static str;
-
-    /// Stores a sample, returning its id.
-    fn put(&self, doc: &Document) -> DocId;
-
-    /// Fetches and decodes a sample with timing attribution.
-    fn fetch(&self, id: DocId) -> Option<(Document, FetchTiming)>;
-
-    /// Number of stored samples.
-    fn len(&self) -> usize;
-
-    /// Whether the backend holds no samples.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All sample ids.
-    fn ids(&self) -> Vec<DocId>;
-
-    /// Mean encoded payload size in bytes (0 when empty).
-    fn mean_payload_bytes(&self) -> usize;
-}
-
-/// A [`Collection`]-backed store behind a modeled link: the MongoDB and NFS
-/// configurations differ only in codec and link parameters.
+/// A [`Collection`]-backed sample store behind a modeled link: the MongoDB
+/// and NFS configurations differ only in codec and link parameters.
 pub struct RemoteStore {
     label: &'static str,
     collection: Collection,
@@ -117,7 +90,7 @@ impl RemoteStore {
     pub fn mongo_pickle() -> Self {
         RemoteStore {
             label: "Pickle",
-            collection: Collection::new("mongo-pickle", Arc::new(crate::PickleCodec)),
+            collection: Collection::new("mongo-pickle", Arc::new(PickleCodec)),
             link: LinkModel::MONGO_100GBE,
         }
     }
@@ -126,7 +99,7 @@ impl RemoteStore {
     pub fn mongo_blosc() -> Self {
         RemoteStore {
             label: "Blosc",
-            collection: Collection::new("mongo-blosc", Arc::new(crate::BloscCodec::default())),
+            collection: Collection::new("mongo-blosc", Arc::new(BloscCodec::default())),
             link: LinkModel::MONGO_100GBE,
         }
     }
@@ -135,7 +108,7 @@ impl RemoteStore {
     pub fn nfs_raw() -> Self {
         RemoteStore {
             label: "NFS",
-            collection: Collection::new("nfs-raw", Arc::new(crate::RawCodec)),
+            collection: Collection::new("nfs-raw", Arc::new(RawCodec)),
             link: LinkModel::NFS_100GBE,
         }
     }
@@ -144,18 +117,20 @@ impl RemoteStore {
     pub fn collection(&self) -> &Collection {
         &self.collection
     }
-}
 
-impl SampleStore for RemoteStore {
-    fn label(&self) -> &'static str {
+    /// Backend name as it appears in the paper's figure legends
+    /// ("Blosc", "Pickle", "NFS").
+    pub fn label(&self) -> &'static str {
         self.label
     }
 
-    fn put(&self, doc: &Document) -> DocId {
+    /// Stores a sample, returning its id.
+    pub fn put(&self, doc: &Document) -> DocId {
         self.collection.insert(doc)
     }
 
-    fn fetch(&self, id: DocId) -> Option<(Document, FetchTiming)> {
+    /// Fetches and decodes a sample with timing attribution.
+    pub fn fetch(&self, id: DocId) -> Option<(Document, FetchTiming)> {
         let raw = self.collection.get_raw(id)?;
         let wire_secs = self.link.transfer_secs(raw.len());
         let t0 = Instant::now();
@@ -175,15 +150,18 @@ impl SampleStore for RemoteStore {
         ))
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored samples.
+    pub fn len(&self) -> usize {
         self.collection.len()
     }
 
-    fn ids(&self) -> Vec<DocId> {
-        self.collection.ids()
+    /// Whether the backend holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn mean_payload_bytes(&self) -> usize {
+    /// Mean encoded payload size in bytes (0 when empty).
+    pub fn mean_payload_bytes(&self) -> usize {
         self.collection
             .stored_bytes()
             .checked_div(self.collection.len())

@@ -5,10 +5,10 @@
 //! Per the substitution rule in DESIGN.md, the *per-operation* costs are
 //! measured for real on this machine (codec decode CPU) or modeled
 //! explicitly (wire latency/bandwidth, compute time per batch), and this
-//! module composes them through the same pipeline the real loader
-//! implements: `W` fetch workers pull samples, grouped into batches of `B`,
-//! under a bounded prefetch window, while the trainer consumes batches in
-//! order.
+//! module composes them through the pipeline the paper's PyTorch loader
+//! runs (§III-D): `W` fetch workers pull samples, grouped into batches of
+//! `B`, under a bounded prefetch window, while the trainer consumes
+//! batches in order.
 //!
 //! The simulator is causally exact for that pipeline: a worker may start a
 //! sample of batch `b` only after batch `b − prefetch` finished computing
@@ -49,16 +49,6 @@ pub struct EpochReport {
     pub total_compute_secs: f64,
     /// Number of batches executed.
     pub batches: usize,
-}
-
-impl EpochReport {
-    /// Fraction of the epoch the trainer spent stalled on I/O.
-    pub fn io_stall_fraction(&self) -> f64 {
-        if self.epoch_secs <= 0.0 {
-            return 0.0;
-        }
-        (self.mean_io_wait_secs * self.batches as f64) / self.epoch_secs
-    }
 }
 
 /// Runs the discrete-event simulation.
@@ -137,27 +127,37 @@ pub fn simulate(params: &PipelineParams) -> EpochReport {
     }
 }
 
-/// Convenience: uniform fetch time for all samples.
-pub fn uniform_params(
-    n_samples: usize,
-    batch_size: usize,
-    workers: usize,
-    fetch_secs: f64,
-    compute_secs_per_batch: f64,
-) -> PipelineParams {
-    PipelineParams {
-        n_samples,
-        batch_size,
-        workers,
-        prefetch_batches: 2,
-        fetch_secs: vec![fetch_secs],
-        compute_secs_per_batch,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Uniform fetch time for all samples.
+    fn uniform_params(
+        n_samples: usize,
+        batch_size: usize,
+        workers: usize,
+        fetch_secs: f64,
+        compute_secs_per_batch: f64,
+    ) -> PipelineParams {
+        PipelineParams {
+            n_samples,
+            batch_size,
+            workers,
+            prefetch_batches: 2,
+            fetch_secs: vec![fetch_secs],
+            compute_secs_per_batch,
+        }
+    }
+
+    impl EpochReport {
+        /// Fraction of the epoch the trainer spent stalled on I/O.
+        fn io_stall_fraction(&self) -> f64 {
+            if self.epoch_secs <= 0.0 {
+                return 0.0;
+            }
+            (self.mean_io_wait_secs * self.batches as f64) / self.epoch_secs
+        }
+    }
 
     #[test]
     fn compute_bound_epoch_approaches_total_compute() {

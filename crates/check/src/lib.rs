@@ -2,8 +2,8 @@
 //!
 //! The concurrency-correctness plane (DESIGN.md §11). Every hand-rolled
 //! concurrent structure in this workspace — the left-right
-//! `SnapshotCell`, the generation-fenced `EmbedCache`, the
-//! `JobPool`/`FuncExecutor` supersession machinery — routes its
+//! `SnapshotCell`, the generation-fenced `EmbedCache`, the `JobPool`
+//! supersession machinery — routes its
 //! synchronization through the project-owned shim crates. This crate
 //! exploits that seam three ways:
 //!

@@ -1,20 +1,12 @@
-//! Serialization codecs — the storage-format axis of the paper's Figs 6–8.
+//! Serialization codecs: a [`Collection`](crate::Collection) stores every
+//! document encoded through one [`Codec`].
 //!
-//! Three codecs with deliberately different cost profiles:
-//!
-//! | codec | stands in for | payload | encode CPU | decode CPU |
-//! |---|---|---|---|---|
-//! | [`RawCodec`] | H5 direct read over NFS | tight | memcpy | memcpy |
-//! | [`PickleCodec`] | Python pickle in MongoDB | ~2.2× (f64 promotion + tags) | slow | slow |
-//! | [`BloscCodec`] | Blosc in MongoDB | compressed | shuffle+RLE | unshuffle+RLE |
-//!
-//! All three round-trip every [`Document`] exactly (property-tested).
-
-mod blosc;
-mod pickle;
-
-pub use blosc::{packbits_decode, packbits_encode, shuffle, unshuffle, BloscCodec};
-pub use pickle::PickleCodec;
+//! [`RawCodec`] is the tight little-endian layout every collection the
+//! service opens stores through — the "just read the bytes" H5-on-NFS
+//! baseline of the paper's Figs 6–8. The two MongoDB formats those figures
+//! compare against it (pickle, blosc) are simulators and live in
+//! `fairdms_bench::codec`. [`RawCodec`] round-trips every [`Document`]
+//! exactly (property-tested).
 
 use crate::value::{Document, Value};
 use crate::wire::{OutOfBounds, Reader, WriteExt};
@@ -61,7 +53,7 @@ pub trait Codec: Send + Sync {
     fn decode(&self, bytes: &[u8]) -> Result<Document, CodecError>;
 }
 
-// Value tags shared by RawCodec (and reused structurally by the others).
+// RawCodec's value tags.
 pub(crate) const TAG_NULL: u8 = 0;
 pub(crate) const TAG_BOOL: u8 = 1;
 pub(crate) const TAG_I64: u8 = 2;

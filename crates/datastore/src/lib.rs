@@ -1,39 +1,34 @@
 //! # fairdms-datastore
 //!
 //! The storage substrate of fairDS. The paper adopts MongoDB as the data
-//! store (§II-A) and evaluates training I/O against three configurations
-//! (Figs 6–8): MongoDB with **Pickle** serialization, MongoDB with **Blosc**
-//! compression, and direct **NFS** file reads. This crate reproduces that
-//! stack in-process:
+//! store (§II-A); this crate is the in-process document store the service
+//! keeps its corpus in:
 //!
 //! * [`value`] — a BSON-like document model ([`Document`], [`Value`]);
-//! * [`codec`] — the three serializers. [`codec::RawCodec`] is the tight
-//!   memcpy-style layout (the H5-on-NFS stand-in), [`codec::PickleCodec`]
-//!   emulates pickle's per-object tagging and f64 promotion (slow decode,
-//!   fat payload), and [`codec::BloscCodec`] does real byte-shuffle +
-//!   run-length compression (CPU-heavy encode, small payload);
+//! * [`codec`] — the [`Codec`] contract and [`RawCodec`], the tight layout
+//!   every collection the service opens stores through;
 //! * [`store`] — a sharded, concurrently readable/writable collection with
 //!   secondary indexes, covering the paper's Data Store requirements
 //!   (scale, indexed lookup, updates, parallel reads and writes);
-//! * [`netsim`] — latency+bandwidth link models and the [`netsim::SampleStore`]
-//!   backends that pair real (de)serialization cost with modeled wire time,
-//!   which is how the repo reproduces the authors' 100 GbE testbed
-//!   (substitution documented in DESIGN.md);
-//! * [`wire`] — the bounds-checked little-endian primitives all of the
-//!   above (and the service's real socket protocol, DESIGN.md §13) are
+//! * [`snapshot`] — a collection to bytes and back;
+//! * [`wire`] — the bounds-checked little-endian primitives the codecs,
+//!   snapshots and the service's socket protocol (DESIGN.md §13) are
 //!   built from.
+//!
+//! The storage configurations the paper's Figs 6–8 compare — MongoDB with
+//! Pickle or Blosc and NFS, each behind a modeled 100 GbE link — are
+//! simulators, and live in `fairdms_bench::{netsim, codec, pipesim}` beside those figures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod codec;
-pub mod netsim;
 pub mod snapshot;
 pub mod store;
 pub mod value;
 pub mod wire;
 
-pub use codec::{BloscCodec, Codec, CodecError, PickleCodec, RawCodec};
+pub use codec::{Codec, CodecError, RawCodec};
 pub use snapshot::SnapshotError;
 pub use store::{Collection, DocId};
 pub use value::{Document, Value};

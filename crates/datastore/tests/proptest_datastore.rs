@@ -1,10 +1,8 @@
-//! Property tests: codec round-trips over arbitrary documents, compression
-//! losslessness, and store/index consistency under random operation
-//! sequences.
+//! Property tests: raw-codec round-trips over arbitrary documents, and
+//! store/index/snapshot consistency under random operation sequences.
 
 use bytes::Bytes;
-use fairdms_datastore::codec::{packbits_decode, packbits_encode, shuffle, unshuffle};
-use fairdms_datastore::{BloscCodec, Codec, Collection, Document, PickleCodec, RawCodec, Value};
+use fairdms_datastore::{Codec, Collection, Document, RawCodec, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -54,47 +52,6 @@ proptest! {
     fn raw_codec_roundtrips(doc in arb_document()) {
         let bytes = RawCodec.encode(&doc);
         prop_assert_eq!(RawCodec.decode(&bytes).unwrap(), doc);
-    }
-
-    #[test]
-    fn pickle_codec_roundtrips(doc in arb_document()) {
-        let bytes = PickleCodec.encode(&doc);
-        prop_assert_eq!(PickleCodec.decode(&bytes).unwrap(), doc);
-    }
-
-    #[test]
-    fn blosc_codec_roundtrips(doc in arb_document()) {
-        let codec = BloscCodec::default();
-        let bytes = codec.encode(&doc);
-        prop_assert_eq!(codec.decode(&bytes).unwrap(), doc);
-    }
-
-    #[test]
-    fn blosc_roundtrips_at_any_element_size(
-        doc in arb_document(),
-        elem in 1usize..16,
-    ) {
-        let codec = BloscCodec::with_element_size(elem);
-        let bytes = codec.encode(&doc);
-        prop_assert_eq!(codec.decode(&bytes).unwrap(), doc);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation(data in proptest::collection::vec(any::<u8>(), 0..512), elem in 1usize..9) {
-        let s = shuffle(&data, elem);
-        prop_assert_eq!(s.len(), data.len());
-        let mut a = s.clone();
-        let mut b = data.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b); // same multiset of bytes
-        prop_assert_eq!(unshuffle(&s, elem), data);
-    }
-
-    #[test]
-    fn packbits_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let enc = packbits_encode(&data);
-        prop_assert_eq!(packbits_decode(&enc, data.len()).unwrap(), data);
     }
 
     #[test]

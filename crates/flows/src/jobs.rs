@@ -1,12 +1,9 @@
 //! A generic background job pool with cooperative cancellation and fair
 //! multi-tenant scheduling.
 //!
-//! [`FuncExecutor`](crate::executor::FuncExecutor) wraps this pool behind a
-//! funcX-style registry; [`JobPool`] is the underlying worker-pool pattern
-//! made reusable for jobs that are *not* `&[f64] → Vec<f64>` functions —
-//! most importantly the fairDMS training executor, where a job is "fine-tune
-//! a model for up to N epochs" and must be cancellable mid-flight when a
-//! newer trigger supersedes it.
+//! The fairDMS training executor runs on it: a job is "fine-tune a model
+//! for up to N epochs" and must be cancellable mid-flight when a newer
+//! trigger supersedes it.
 //!
 //! Each spawned job receives a [`CancelToken`]: a shared atomic flag the
 //! submitter keeps a clone of. Cancellation is *cooperative* — raising the
@@ -47,8 +44,8 @@ use fairdms_check::thread::JoinHandle;
 /// deployments use [`DEFAULT_TENANT`].
 pub type TenantId = u32;
 
-/// The tenant the single-tenant convenience API ([`JobPool::spawn`],
-/// [`JobPool::spawn_with`]) submits under.
+/// The tenant the single-tenant convenience API ([`JobPool::spawn`])
+/// submits under.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Default per-tenant queue capacity: generous enough that only a genuine
@@ -241,17 +238,10 @@ impl JobPool {
     /// [`JobPool::try_spawn_for`].
     pub fn spawn(&self, job: impl FnOnce(&CancelToken) + Send + 'static) -> CancelToken {
         let token = CancelToken::new();
-        self.spawn_with(token.clone(), job);
-        token
-    }
-
-    /// Submits a job for [`DEFAULT_TENANT`] under a caller-provided token
-    /// (lets the submitter register the token *before* the job can possibly
-    /// run). Panics if the queue is at capacity; see [`JobPool::spawn`].
-    pub fn spawn_with(&self, token: CancelToken, job: impl FnOnce(&CancelToken) + Send + 'static) {
-        if let Err(full) = self.try_spawn_for(DEFAULT_TENANT, token, job) {
+        if let Err(full) = self.try_spawn_for(DEFAULT_TENANT, token.clone(), job) {
             panic!("job pool overflow on the non-admission-aware path: {full}");
         }
+        token
     }
 
     /// Whether `tenant` has queue capacity for one more job right now. A
@@ -296,7 +286,7 @@ fn worker_loop(inner: &PoolInner) {
                 // silently decaying one bad job at a time ends with every
                 // later job queued forever. Failure delivery is the job's
                 // own duty: any completion signal it owes (a result
-                // channel, `FuncExecutor`'s task slot) must be wired to
+                // channel, a condvar-guarded slot) must be wired to
                 // fire during the unwind — channels disconnect when they
                 // drop; Condvar-style slots need an armed drop-guard, or a
                 // waiter blocks forever on a panic nothing ever reports.
@@ -399,6 +389,29 @@ mod tests {
             }
         } // drop: shutdown notifies the workers, which drain, then join
         assert_eq!(counter.load(Ordering::Relaxed), 12);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_pool_at_full_width() {
+        // Two workers, one panicking job, then two jobs that each hold their
+        // worker: both start only if the panic left both workers alive.
+        let pool = JobPool::new(2, "panic-pool");
+        let (hold_tx, hold_rx) = crossbeam_channel::bounded::<()>(1);
+        let (started_tx, started_rx) = crossbeam_channel::unbounded();
+        pool.spawn(|_| panic!("deliberate job panic"));
+        for _ in 0..2 {
+            let (hold_rx, started_tx) = (hold_rx.clone(), started_tx.clone());
+            pool.spawn(move |_| {
+                let _ = started_tx.send(());
+                let _ = hold_rx.recv();
+            });
+        }
+        for _ in 0..2 {
+            started_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a worker died with the panicking job");
+        }
+        drop(hold_tx);
     }
 
     #[test]

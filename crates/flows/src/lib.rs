@@ -1,29 +1,16 @@
 //! # fairdms-flows
 //!
-//! The orchestration substrate. The paper's end-to-end workflow (§III-C)
-//! "uses the Globus Flows service to orchestrate funcX and Globus transfer
-//! tasks": Flows sequences the steps, funcX executes user/system-plane
-//! functions serverlessly, and Globus transfer moves data and models
-//! between facility and compute cluster. Those are hosted services; this
-//! crate provides local equivalents with the same roles:
+//! The background job pool the service's training executor runs on
+//! ([`jobs::JobPool`], DESIGN.md §7): cancellable jobs in bounded
+//! per-tenant queues, served round-robin (§14).
 //!
-//! * [`executor::FuncExecutor`] — a registry + thread pool executing named
-//!   functions asynchronously with futures (funcX stand-in);
-//! * [`transfer::TransferService`] — endpoint-to-endpoint transfers with
-//!   modeled latency/bandwidth and per-transfer records (Globus transfer
-//!   stand-in; wire time is virtual, consistent with DESIGN.md);
-//! * [`flow::Flow`] — DAG flow definitions executed wave-parallel with
-//!   retries and per-step timing attribution (Globus Flows stand-in).
+//! The paper orchestrates its case study with Globus Flows, funcX and
+//! Globus transfer (§III-C). This repository models what they cost instead
+//! of running copies of them: the one cost a figure charges, Fig 15's
+//! facility→cluster transfer, is a link model in `fairdms_bench::netsim`
+//! (DESIGN.md §3).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod executor;
-pub mod flow;
 pub mod jobs;
-pub mod transfer;
-
-pub use executor::{FuncExecutor, TaskHandle};
-pub use flow::{Flow, FlowError, FlowReport, StepOutcome, StepReport};
-pub use jobs::{CancelToken, JobPool};
-pub use transfer::{Endpoint, TransferRecord, TransferService};

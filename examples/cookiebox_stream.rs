@@ -7,11 +7,11 @@
 //! cargo run --release --example cookiebox_stream
 //! ```
 
+use fairdms_bench::netsim::paper_backends;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::cookiebox::{to_training_tensors, CookieBoxSimulator};
-use fairdms_datastore::netsim::{paper_backends, SampleStore};
 use fairdms_nn::loss::Mse;
 use fairdms_nn::optim::Adam;
 use fairdms_nn::trainer::{TrainConfig, Trainer};

@@ -1,7 +1,6 @@
 //! A tour of the fairMS model Zoo: register models trained under an
 //! evolving experiment, inspect the JSD ranking for a new dataset, and see
-//! the distance-threshold policy flip between fine-tune and scratch —
-//! orchestrated as a Globus-Flows-style flow with a funcX-style executor.
+//! the distance-threshold policy flip between fine-tune and scratch.
 //!
 //! ```text
 //! cargo run --release --example model_zoo_tour
@@ -12,8 +11,6 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::{ModelDecision, ModelManager, ModelZoo};
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
-use fairdms_flows::{Flow, FuncExecutor, StepOutcome};
-use std::sync::Arc;
 
 const SIDE: usize = 15;
 
@@ -89,39 +86,4 @@ fn main() {
             println!("decision: train from scratch (nothing within threshold)\n")
         }
     }
-
-    // The same decision flow, expressed as a Flow over a funcX-style
-    // executor (how the paper wires user-plane functions, §III-C).
-    let executor = Arc::new(FuncExecutor::new(4));
-    executor.register("jsd_rank", {
-        let pdfs: Vec<Vec<f64>> = zoo.entries().iter().map(|e| e.train_pdf.clone()).collect();
-        let q = q_pdf.clone();
-        move |_args| {
-            let best = pdfs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, fairdms_core::jsd::jsd(&q, p)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap();
-            Ok(vec![best.0 as f64, best.1])
-        }
-    });
-    let ex = Arc::clone(&executor);
-    let flow = Flow::new()
-        .step("compute-pdf", &[], |_| {
-            Ok(StepOutcome::none().with_output("pdf_ready", 1.0))
-        })
-        .step("recommend", &["compute-pdf"], move |_| {
-            let out = ex.call("jsd_rank", &[])?;
-            Ok(StepOutcome::none()
-                .with_output("best_id", out[0])
-                .with_output("best_jsd", out[1]))
-        });
-    let report = flow.run().expect("flow runs");
-    println!(
-        "flow-based recommendation: model #{} at jsd {:.4} (flow took {:.1}ms)",
-        report.context["best_id"] as usize,
-        report.context["best_jsd"],
-        report.total_wall_secs * 1e3
-    );
 }

@@ -17,16 +17,17 @@
 //! * [`nn`] — the neural-network substrate,
 //! * [`tensor`] — tensors and parallel kernels,
 //! * [`clustering`] — k-means / elbow / fuzzy memberships,
-//! * [`datastore`] — document store, codecs, link models,
-//! * [`dataloader`] — loader + training-pipeline simulator,
+//! * [`datastore`] — document store, raw codec, snapshots,
 //! * [`datasets`] — synthetic instruments and the pseudo-Voigt labeler,
-//! * [`flows`] — orchestration (flows / executor / transfers),
+//! * [`flows`] — the job pool the training executor runs on,
 //! * [`service`] — the concurrent service deployment (MultiDms/DmsClient).
+//!
+//! The storage, link and loader simulators behind the paper's Figs 6–8
+//! and 15 are `fairdms_bench::{netsim, codec, pipesim}`, beside the figures that run them.
 #![forbid(unsafe_code)]
 
 pub use fairdms_clustering as clustering;
 pub use fairdms_core as core;
-pub use fairdms_dataloader as dataloader;
 pub use fairdms_datasets as datasets;
 pub use fairdms_datastore as datastore;
 pub use fairdms_flows as flows;
@@ -43,8 +44,7 @@ mod tests {
         let _ = crate::clustering::KMeansConfig::new(2);
         let _ = crate::datastore::Document::new();
         let _ = crate::core::jsd::jsd(&[0.5, 0.5], &[0.5, 0.5]);
-        let _ = crate::flows::TransferService::new();
-        let _ = crate::dataloader::DataLoaderConfig::default();
+        let _ = crate::flows::jobs::CancelToken::new();
         let _ = crate::datasets::voigt::FitConfig::QUICK;
         let _ = crate::nn::prelude::TrainConfig::default();
         let _ = crate::service::DmsServerConfig::default();

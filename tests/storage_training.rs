@@ -1,31 +1,13 @@
-//! Integration: training reads flow through the real storage stack —
-//! samples stored under each codec, fetched by the multi-worker loader,
-//! and consumed by a real training loop. All three backends must deliver
-//! bit-identical data for raw/blosc (lossless) and f32-identical data for
-//! pickle (f64 promotion is exact for f32 values).
+//! Integration: training reads go through the real storage stack —
+//! samples stored under each codec, fetched back by id and decoded into
+//! training pixels. All three backends must deliver bit-identical data for
+//! raw/blosc (lossless) and f32-identical data for pickle (f64 promotion is
+//! exact for f32 values).
 
-use fairdms_dataloader::{DataLoader, DataLoaderConfig, Dataset};
+use fairdms_bench::netsim::{paper_backends, RemoteStore};
 use fairdms_datasets::bragg::{BraggPatch, BraggSimulator, DriftModel};
-use fairdms_datastore::netsim::{paper_backends, RemoteStore, SampleStore};
 use fairdms_datastore::DocId;
 use std::sync::Arc;
-
-/// A dataset serving decoded samples straight from a storage backend.
-struct StoreDataset {
-    store: RemoteStore,
-    ids: Vec<DocId>,
-}
-
-impl Dataset for StoreDataset {
-    type Item = Vec<f32>;
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-    fn get(&self, index: usize) -> Vec<f32> {
-        let (doc, _) = self.store.fetch(self.ids[index]).expect("sample exists");
-        doc.get_f32s("pixels").expect("pixels field").to_vec()
-    }
-}
 
 fn patches(n: usize) -> Vec<BraggPatch> {
     BraggSimulator::new(DriftModel::none(), 9).scan(0, n)
@@ -34,27 +16,17 @@ fn patches(n: usize) -> Vec<BraggPatch> {
 #[test]
 fn all_backends_roundtrip_identical_training_data() {
     let data = patches(64);
-    let mut per_backend: Vec<Vec<Vec<f32>>> = Vec::new();
     for store in paper_backends() {
         let ids: Vec<DocId> = data.iter().map(|p| store.put(&p.to_document())).collect();
-        let ds = StoreDataset { store, ids };
-        let dl = DataLoader::new(
-            Arc::new(ds),
-            DataLoaderConfig {
-                batch_size: 16,
-                num_workers: 4,
-                prefetch_batches: 2,
-                drop_last: false,
-            },
-        );
-        let fetched: Vec<Vec<f32>> = dl.epoch((0..64).collect()).flatten().collect();
-        assert_eq!(fetched.len(), 64);
-        per_backend.push(fetched);
-    }
-    // Every backend returns exactly the generated pixels, in order.
-    for backend in &per_backend {
-        for (got, want) in backend.iter().zip(&data) {
-            assert_eq!(got, &want.pixels);
+        // Every backend returns exactly the generated pixels, in order.
+        for (&id, want) in ids.iter().zip(&data) {
+            let (doc, _) = store.fetch(id).expect("sample exists");
+            assert_eq!(
+                doc.get_f32s("pixels"),
+                Some(&want.pixels[..]),
+                "{}",
+                store.label()
+            );
         }
     }
 }
