@@ -18,13 +18,19 @@
 //!   bias) against a [`PackedB`] ≥1.5× the same product packing per call:
 //!   a frozen forward pass that quietly went back to packing reads 1×;
 //! * BraggNN's second convolution, forward + backward, ≥3× a direct
-//!   seven-loop convolution on the same batch.
+//!   seven-loop convolution on the same batch;
+//! * one `UpdateModel` fit (BraggNN, 51 + 13 frames, 8 epochs, batch 32)
+//!   at the default pool width ≥1.2× the same fit on a one-wide pool, on a
+//!   machine with two or more cores: the step's second shard must run on
+//!   the fit's helper thread, and that must pay.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairdms_bench::report::BenchReport;
 use fairdms_core::models::ArchSpec;
 use fairdms_nn::layers::{Conv2d, Layer, Mode};
 use fairdms_nn::loss::{Loss, Mse};
+use fairdms_nn::optim::Adam;
+use fairdms_nn::trainer::{TrainConfig, Trainer};
 use fairdms_tensor::gemm::{self, PackedB, Threading};
 use fairdms_tensor::{ops, rng::TensorRng, Tensor};
 use rayon::prelude::*;
@@ -436,6 +442,43 @@ fn bench_gemm(c: &mut Criterion) {
     }
     summarize(&mut report, "braggnn/fwd_bwd_batch32", &lat, 0.0);
 
+    // One `UpdateModel` fit as `benches/e2e` runs it, from the same
+    // foundation each time, on a one-wide pool and at the default width.
+    let fit_speedup = {
+        let x = rng.uniform(&[51, 1, 16, 16], 0.0, 1.0);
+        let y = rng.uniform(&[51, 2], 0.2, 0.8);
+        let (vx, vy) = (
+            rng.uniform(&[13, 1, 16, 16], 0.0, 1.0),
+            rng.uniform(&[13, 2], 0.2, 0.8),
+        );
+        let foundation = ArchSpec::BraggNN { patch: 16 }.build(3);
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 8,
+            batch_size: 32,
+            ..TrainConfig::default()
+        });
+        let fit = || {
+            let mut net = foundation.clone();
+            let mut opt = Adam::new(5e-4);
+            black_box(trainer.fit(&mut net, &mut opt, &Mse, &x, &y, &vx, &vy));
+        };
+        let one_wide = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        fit();
+        one_wide.install(fit);
+        let (lat_default, lat_one) = measure_pair(20, fit, || one_wide.install(fit));
+        summarize(&mut report, "braggnn/fit8_update", &lat_default, 0.0);
+        summarize(&mut report, "braggnn/fit8_update_one_wide", &lat_one, 0.0);
+        let speedup = paired_speedup(&lat_default, &lat_one);
+        println!(
+            "BraggNN 8-epoch update fit: default width {speedup:.2}x one-wide (paired median)"
+        );
+        report.add_metric("fit8_default_vs_one_wide", speedup);
+        speedup
+    };
+
     let path = report.write("kernels");
     println!("wrote {}", path.display());
 
@@ -472,6 +515,16 @@ fn bench_gemm(c: &mut Criterion) {
         conv_speedup >= 3.0,
         "lowered conv2 fwd+bwd must be ≥3x the direct convolution, got {conv_speedup:.2}x"
     );
+    // A second core must shorten a fit: shard 1 on the helper thread.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 2 {
+        assert!(
+            fit_speedup >= 1.2,
+            "an update fit at the default width must be ≥1.2x the one-wide fit, got {fit_speedup:.2}x"
+        );
+    } else {
+        println!("fit8_default_vs_one_wide floor skipped: {cores} core(s) available");
+    }
 }
 
 fn config() -> Criterion {

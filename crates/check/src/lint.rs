@@ -12,7 +12,7 @@
 //! | `no-static-mut` | no `static mut` anywhere — use an atomic or a lock |
 //! | `relaxed-allowlist` | `Ordering::Relaxed` only at sites on the audited allowlist below, each with a recorded justification |
 //! | `blocking-net` | blocking `std::net` / Unix-socket stream and listener types only in files on the audited `NET_ALLOWLIST` — the wire plane owns every socket, and each exempt file records where its blocking reads park and what unblocks them |
-//! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
+//! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` / `rayon::scope` / `rayon::join` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
 //! | `one-publish` | within `crates/service/src`, a `ServiceView` is published (`.view.store(`) from exactly one non-test function — every path that changes what readers see goes through it, so a step that must precede publication (re-keying the zoo at a plane install, DESIGN.md §7) has one place to go |
 //! | `orphan-pub` | every free or inherent `pub fn` under `crates/{tensor,nn,clustering,datastore,flows,core,service}/src` — the crates the service links — has its name in at least one other `.rs` file of the workspace (`benches/e2e/src` counts), or its site is on the audited `ORPHAN_ALLOWLIST` with the caller text cannot see: what nothing outside its own file runs loses its `pub` or goes (DESIGN.md §11). Trait methods carry no `pub` and are not scanned |
 //!
@@ -516,13 +516,16 @@ fn orphan_pub(files: &[(String, String)], allow: &[(&str, &str)]) -> Vec<Finding
     findings
 }
 
-/// Whether the line calls one of the shim's region-opening iterators.
+/// Whether the line calls one of the shim's region-opening iterators, or
+/// opens a scope or a join (a training step's helper thread).
 fn opens_region(line: &str) -> bool {
     [
         ".par_iter()",
         ".into_par_iter()",
         ".par_iter_mut()",
         ".par_chunks_mut(",
+        "rayon::scope(",
+        "rayon::join(",
     ]
     .iter()
     .any(|call| line.contains(call))
@@ -669,6 +672,18 @@ mod tests {
             "let _ = 0;\n".repeat(PAR_GATE_WINDOW)
         );
         assert_eq!(lint_str("crates/core/src/x.rs", &far).len(), 1);
+        // A scope or a join is a region too.
+        for call in ["rayon::scope(|s| s.spawn(f));", "rayon::join(a, b);"] {
+            let ungated = format!("fn f() {{\n    {call}\n}}\n");
+            let f = lint_str("crates/nn/src/x.rs", &ungated);
+            assert_eq!(
+                (f.len(), f[0].rule, f[0].line),
+                (1, "par-gate", 2),
+                "{call}"
+            );
+            let gated = format!("if 3 * work >= PAR_MIN_WORK {{\n    {call}\n}}\n");
+            assert!(lint_str("crates/nn/src/x.rs", &gated).is_empty(), "{call}");
+        }
     }
 
     #[test]

@@ -30,8 +30,6 @@ use std::time::Instant;
 pub enum TrainStrategy {
     /// Fine-tune the best-ranked zoo model (the fairDMS path).
     FineTuneBest,
-    /// Fine-tune the median-ranked model (paper baseline FineTune-M).
-    FineTuneMedian,
     /// Fine-tune the worst-ranked model (paper baseline FineTune-W).
     FineTuneWorst,
     /// Randomly initialized training (paper baseline Retrain).
@@ -240,7 +238,6 @@ impl RapidTrainer {
         match strategy {
             TrainStrategy::Scratch => None,
             TrainStrategy::FineTuneBest => rank()?.best(),
-            TrainStrategy::FineTuneMedian => rank()?.median(),
             TrainStrategy::FineTuneWorst => rank()?.worst(),
         }
     }

@@ -3,11 +3,14 @@
 //! `crates/tensor/tests/determinism.rs` pins the GEMM engine's contract —
 //! same inputs, same bits, any thread count. This suite extends it one
 //! layer up: a network *trained* under rayon pools of width 1, 2 and 3
-//! must serialize to byte-identical checkpoints. That holds because the
-//! convolution fans out over fixed-size sample blocks and sums the
-//! blocks' `∂W`/`∂b` partials in block order, so neither the split nor
-//! the reduction depends on how many workers there are — and it is what
-//! lets a tenant's model be reproduced on a machine of another size.
+//! must serialize to byte-identical checkpoints. That holds because a
+//! training step splits its batch into two fixed shards (`⌈n/2⌉` and
+//! `⌊n/2⌋` rows, whatever the width), runs shard 1 on a replica whose
+//! dropout draws a stream of its own, and adds the replica's gradients to
+//! the network's in shard order — on one core shard 1 runs after shard 0,
+//! on two or more on the fit's helper thread, and nothing else differs.
+//! That is what lets a tenant's model be reproduced on a machine of
+//! another size.
 
 use fairdms_core::models::ArchSpec;
 use fairdms_nn::checkpoint;
@@ -25,17 +28,16 @@ fn on_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// Three optimizer steps (96 samples, batch 32) plus the per-epoch
-/// validation pass. At this size BraggNN's second convolution fans out in
-/// its backward pass and everything else stays on the calling thread —
-/// the mix a deployed update runs; `Conv2d`'s own
-/// `fan_out_is_bit_identical_across_pool_widths` covers a layer with
-/// every pass split.
-fn train_three_steps(arch: ArchSpec, x: &Tensor, y: &Tensor) -> Vec<u8> {
+/// `epochs` passes over `x` at batch 32 (three steps an epoch at 96
+/// samples; a 32- and a ragged 19-row step at 51), each followed by the
+/// validation pass over the first 13 rows. Every step splits, and at these
+/// sizes every BraggNN step clears the gate, so on two or more cores shard
+/// 1 runs on the helper thread.
+fn train(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) -> Vec<u8> {
     let mut net = arch.build(7);
     let mut opt = Adam::new(1e-3);
     let cfg = TrainConfig {
-        epochs: 1,
+        epochs,
         batch_size: 32,
         ..TrainConfig::default()
     };
@@ -44,15 +46,15 @@ fn train_three_steps(arch: ArchSpec, x: &Tensor, y: &Tensor) -> Vec<u8> {
     checkpoint::save(&net)
 }
 
-fn assert_width_independent(arch: ArchSpec, x: &Tensor, y: &Tensor) {
-    let reference = on_pool(1, || train_three_steps(arch, x, y));
+fn assert_width_independent(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) {
+    let reference = on_pool(1, || train(arch, x, y, epochs));
     assert_ne!(
         reference,
         checkpoint::save(&arch.build(7)),
         "training must move the weights"
     );
     for threads in [2usize, 3] {
-        let got = on_pool(threads, || train_three_steps(arch, x, y));
+        let got = on_pool(threads, || train(arch, x, y, epochs));
         assert!(
             got == reference,
             "{} checkpoint differs at {threads} threads",
@@ -66,7 +68,19 @@ fn braggnn_checkpoints_are_byte_identical_across_pool_widths() {
     let mut rng = TensorRng::seeded(11);
     let x = rng.uniform(&[96, 1, 16, 16], 0.0, 1.0);
     let y = rng.uniform(&[96, 2], 0.2, 0.8);
-    assert_width_independent(ArchSpec::BraggNN { patch: 16 }, &x, &y);
+    assert_width_independent(ArchSpec::BraggNN { patch: 16 }, &x, &y, 1);
+}
+
+/// One `UpdateModel` fit's shape in `benches/e2e`: 64 frames split into
+/// 51 training and 13 validation rows, batch 32, with BraggNN's dropout
+/// live — two epochs, so the replica's resync and its second stream of
+/// masks are exercised too.
+#[test]
+fn braggnn_update_fit_with_a_ragged_batch_is_byte_identical_across_pool_widths() {
+    let mut rng = TensorRng::seeded(13);
+    let x = rng.uniform(&[51, 1, 16, 16], 0.0, 1.0);
+    let y = rng.uniform(&[51, 2], 0.2, 0.8);
+    assert_width_independent(ArchSpec::BraggNN { patch: 16 }, &x, &y, 2);
 }
 
 #[test]
@@ -74,5 +88,5 @@ fn cookienetae_checkpoints_are_byte_identical_across_pool_widths() {
     let mut rng = TensorRng::seeded(12);
     let x = rng.uniform(&[96, 1, 16, 16], 0.0, 4.0);
     let y = rng.uniform(&[96, 1, 16, 16], 0.0, 1.0);
-    assert_width_independent(ArchSpec::CookieNetAE { size: 16 }, &x, &y);
+    assert_width_independent(ArchSpec::CookieNetAE { size: 16 }, &x, &y, 1);
 }

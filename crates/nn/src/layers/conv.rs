@@ -22,19 +22,12 @@
 use super::{Layer, Mode};
 use crate::param::Param;
 use fairdms_tensor::gemm::{self, Threading};
-use fairdms_tensor::ops::PAR_MIN_WORK;
 use fairdms_tensor::{rng::TensorRng, Tensor};
-use rayon::prelude::*;
 use std::cell::Cell;
 
-/// Samples per fan-out task. Fixed — never derived from the pool width —
-/// because each block owns one `∂W`/`∂b` partial and the partials are
-/// summed in block order: the same blocks, the same order, the same bits
-/// at any thread count.
-const SAMPLE_BLOCK: usize = 2;
-
-/// The engine runs on the block's own thread: the fan-out over sample
-/// blocks is the pass's one parallel region.
+/// The engine runs on the calling thread: a training step fans out over
+/// whole samples a level up (`Trainer`), so a product here could only nest
+/// a region inside a shard.
 const SEQ: Threading = Threading::Sequential;
 
 thread_local! {
@@ -261,39 +254,33 @@ impl Conv2d {
         (n, geom)
     }
 
-    /// The forward pass shared by `forward` and `infer`: one fan-out over
-    /// sample blocks, each sample unrolled into this thread's scratch and
-    /// multiplied straight into its NCHW output block.
+    /// The forward pass shared by `forward` and `infer`: each sample
+    /// unrolled into this thread's scratch and multiplied straight into its
+    /// NCHW output block.
     fn lowered_forward(&self, x: &Tensor) -> Tensor {
         let (n, g) = self.geom(x);
         let (oc, patch, pixels) = (self.out_c, g.patch(), g.pixels());
         let (xd, wd, bias) = (x.data(), self.weight.value.data(), self.bias.value.data());
         let mut out = vec![0.0f32; n * oc * pixels];
-        let block = |(bi, y_block): (usize, &mut [f32])| {
-            with_scratch(patch * pixels, |t| {
-                for (si, y) in y_block.chunks_exact_mut(oc * pixels).enumerate() {
-                    let s = bi * SAMPLE_BLOCK + si;
-                    g.im2col(&xd[s * g.sample()..][..g.sample()], t);
-                    for (y_row, &b) in y.chunks_exact_mut(pixels).zip(bias) {
-                        y_row.fill(b);
-                    }
-                    gemm::matmul_acc(oc, patch, pixels, wd, t, y, SEQ);
+        with_scratch(patch * pixels, |t| {
+            for (xs, y) in xd
+                .chunks_exact(g.sample())
+                .zip(out.chunks_exact_mut(oc * pixels))
+            {
+                g.im2col(xs, t);
+                for (y_row, &b) in y.chunks_exact_mut(pixels).zip(bias) {
+                    y_row.fill(b);
                 }
-            });
-        };
-        let blocks = SAMPLE_BLOCK * oc * pixels;
-        if n * oc * patch * pixels >= PAR_MIN_WORK {
-            out.par_chunks_mut(blocks).enumerate().for_each(block);
-        } else {
-            out.chunks_mut(blocks).enumerate().for_each(block);
-        }
+                gemm::matmul_acc(oc, patch, pixels, wd, t, y, SEQ);
+            }
+        });
         Tensor::from_vec(out, &[n, oc, g.oh, g.ow])
     }
 
     /// The backward pass: accumulates `∂W`/`∂b` and, when `want_dx`, returns
-    /// `∂L/∂input`. One fan-out over the same sample blocks as the forward
-    /// pass; each block sums its samples' parameter gradients into its own
-    /// partial, and the partials are added to the parameters in block order.
+    /// `∂L/∂input`. The samples' parameter gradients are summed, in sample
+    /// order, into one `[C·K·K + 1, OC]` partial that is then added to the
+    /// parameters.
     fn lowered_backward(&mut self, grad_out: &Tensor, want_dx: bool) -> Option<Tensor> {
         let x = self
             .cached_input
@@ -310,57 +297,37 @@ impl Conv2d {
         // `[patch, oc]`: the A operand of `∂T = Wᵀ · ∂Y`.
         let wt = want_dx.then(|| self.weight.value.transpose());
 
-        // Per block: `∂Wᵀ` as `[patch, oc]` and, below it, `∂b` as the row
-        // the ones row of `T` produces.
-        let partial = (patch + 1) * oc;
-        let mut partials = vec![0.0f32; n.div_ceil(SAMPLE_BLOCK) * partial];
+        // `∂Wᵀ` as `[patch, oc]` and, below it, `∂b` as the row the ones
+        // row of `T` produces.
+        let mut dwt = vec![0.0f32; (patch + 1) * oc];
         let mut dx = want_dx.then(|| vec![0.0f32; n * g.sample()]);
-        let mut dx_blocks = dx
-            .iter_mut()
-            .flat_map(|dx| dx.chunks_mut(SAMPLE_BLOCK * g.sample()));
-        let mut blocks: Vec<(&mut [f32], Option<&mut [f32]>)> = partials
-            .chunks_exact_mut(partial)
-            .map(|p| (p, dx_blocks.next()))
-            .collect();
-        let block = |(bi, (dwt, dx_block)): (usize, &mut (&mut [f32], Option<&mut [f32]>))| {
-            with_scratch((2 * patch + 1) * pixels, |scratch| {
-                let (t, dt) = scratch.split_at_mut((patch + 1) * pixels);
-                t[patch * pixels..].fill(1.0);
-                let first = bi * SAMPLE_BLOCK;
-                for s in first..(first + SAMPLE_BLOCK).min(n) {
-                    let dy = &gd[s * oc * pixels..][..oc * pixels];
-                    g.im2col(
-                        &xd[s * g.sample()..][..g.sample()],
-                        &mut t[..patch * pixels],
-                    );
-                    gemm::matmul_transb_acc(patch + 1, pixels, oc, t, dy, dwt, SEQ);
-                    if let (Some(dx_block), Some(wt)) = (dx_block.as_deref_mut(), &wt) {
-                        dt.fill(0.0);
-                        gemm::matmul_acc(patch, oc, pixels, wt.data(), dy, dt, SEQ);
-                        g.col2im(dt, &mut dx_block[(s - first) * g.sample()..][..g.sample()]);
-                    }
+        with_scratch((2 * patch + 1) * pixels, |scratch| {
+            let (t, dt) = scratch.split_at_mut((patch + 1) * pixels);
+            t[patch * pixels..].fill(1.0);
+            for s in 0..n {
+                let dy = &gd[s * oc * pixels..][..oc * pixels];
+                g.im2col(
+                    &xd[s * g.sample()..][..g.sample()],
+                    &mut t[..patch * pixels],
+                );
+                gemm::matmul_transb_acc(patch + 1, pixels, oc, t, dy, &mut dwt, SEQ);
+                if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), &wt) {
+                    dt.fill(0.0);
+                    gemm::matmul_acc(patch, oc, pixels, wt.data(), dy, dt, SEQ);
+                    g.col2im(dt, &mut dx[s * g.sample()..][..g.sample()]);
                 }
-            });
-        };
-        let passes = 1 + usize::from(want_dx);
-        if passes * n * oc * patch * pixels >= PAR_MIN_WORK {
-            blocks.par_iter_mut().enumerate().for_each(block);
-        } else {
-            blocks.iter_mut().enumerate().for_each(block);
-        }
-        drop(blocks);
+            }
+        });
 
         let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        for partial in partials.chunks_exact(partial) {
-            let (dwt, dbias) = partial.split_at(patch * oc);
-            for (j, dwt_row) in dwt.chunks_exact(oc).enumerate() {
-                for (o, &v) in dwt_row.iter().enumerate() {
-                    dw[o * patch + j] += v;
-                }
+        let (dwt, dbias) = dwt.split_at(patch * oc);
+        for (j, dwt_row) in dwt.chunks_exact(oc).enumerate() {
+            for (o, &v) in dwt_row.iter().enumerate() {
+                dw[o * patch + j] += v;
             }
-            for (b, &v) in db.iter_mut().zip(dbias) {
-                *b += v;
-            }
+        }
+        for (b, &v) in db.iter_mut().zip(dbias) {
+            *b += v;
         }
         dx.map(|dx| Tensor::from_vec(dx, x.shape()))
     }
@@ -386,6 +353,11 @@ impl Layer for Conv2d {
 
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
+    }
+
+    fn work(&self, input: &[usize]) -> usize {
+        let (oh, ow) = (self.out_extent(input[2]), self.out_extent(input[3]));
+        input[0] * self.out_c * self.in_c * self.kernel * self.kernel * oh * ow
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -520,15 +492,14 @@ mod tests {
 
     #[test]
     fn lowering_matches_naive_reference_on_odd_shapes() {
-        // Odd extents, every stride/padding corner, a batch that is not a
-        // multiple of the sample block, and a non-square image so a
-        // swapped axis cannot hide.
+        // Odd extents, every stride/padding corner, an odd batch, and a
+        // non-square image so a swapped axis cannot hide.
         let mut rng = TensorRng::seeded(4);
         for &(h, w) in &[(15usize, 15usize), (9, 13)] {
             for stride in [1usize, 2] {
                 for pad in [0usize, 1] {
                     let at = format!("{h}x{w} stride={stride} pad={pad}");
-                    let n = 2 * SAMPLE_BLOCK + 1;
+                    let n = 5;
                     let mut conv = Conv2d::new(2, 3, 3, stride, pad, &mut rng);
                     conv.bias.value = rng.uniform(&[3], -0.5, 0.5);
                     let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
@@ -587,30 +558,6 @@ mod tests {
         let (dw_ref, _, dx_ref) = conv_naive_backward(&x, &conv.weight.value, &dy, 3, 1, 1);
         assert!(fairdms_tensor::allclose(&conv.backward(&dy), &dx_ref, 1e-5));
         assert!(fairdms_tensor::allclose(&conv.weight.grad, &dw_ref, 1e-5));
-    }
-
-    #[test]
-    fn fan_out_is_bit_identical_across_pool_widths() {
-        // Big enough that forward and backward both clear the parallel
-        // gate; 65 samples leave a ragged last block and uneven shares.
-        let mut rng = TensorRng::seeded(8);
-        let conv = Conv2d::new(16, 8, 3, 1, 1, &mut rng);
-        let x = rng.uniform(&[65, 16, 16, 16], -1.0, 1.0);
-        let dy = rng.uniform(&[65, 8, 16, 16], -1.0, 1.0);
-        assert!(x.shape()[0] * 8 * 144 * 256 >= PAR_MIN_WORK);
-        let run = |threads: usize| {
-            let mut conv = conv.clone();
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
-            pool.build().unwrap().install(|| {
-                let y = conv.forward(&x, Mode::Train);
-                let dx = conv.backward(&dy);
-                (y, dx, conv.weight.grad.clone(), conv.bias.grad.clone())
-            })
-        };
-        let reference = run(1);
-        for threads in [2usize, 3, 5] {
-            assert!(run(threads) == reference, "differs at {threads} threads");
-        }
     }
 
     #[test]

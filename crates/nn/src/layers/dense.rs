@@ -75,6 +75,10 @@ impl Layer for Dense {
         Box::new(self.clone())
     }
 
+    fn work(&self, input: &[usize]) -> usize {
+        input[0] * self.in_features * self.bias.value.numel()
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self
             .cached_input

@@ -64,6 +64,14 @@ impl Layer for Dropout {
         Box::new(self.clone())
     }
 
+    fn clone_for_shard(&self, shard: u64) -> Box<dyn Layer> {
+        Box::new(Dropout {
+            p: self.p,
+            rng: self.rng.fork(shard),
+            mask: None,
+        })
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         match &self.mask {
             Some(mask) => grad_out.mul(mask),
@@ -117,6 +125,26 @@ mod tests {
         let a = d.forward(&x, Mode::McDropout);
         let b = d.forward(&x, Mode::McDropout);
         assert_ne!(a, b, "MC dropout must resample masks");
+    }
+
+    #[test]
+    fn a_shard_copy_draws_its_own_masks_and_leaves_the_original_alone() {
+        let x = Tensor::ones(&[256]);
+        let d = Dropout::new(0.5, 13);
+        let mask = |layer: &mut Box<dyn Layer>| layer.forward(&x, Mode::Train);
+        let (mut same, mut shard1) = (d.clone_layer(), d.clone_for_shard(1));
+        let original = mask(&mut same);
+        assert_eq!(original, mask(&mut d.clone_layer()), "forking drew nothing");
+        assert_ne!(mask(&mut shard1), original);
+        assert_ne!(
+            mask(&mut d.clone_for_shard(2)),
+            mask(&mut d.clone_for_shard(1))
+        );
+        assert_eq!(
+            mask(&mut d.clone_for_shard(1)),
+            mask(&mut d.clone_for_shard(1)),
+            "a shard's stream is a function of the state and the index"
+        );
     }
 
     #[test]

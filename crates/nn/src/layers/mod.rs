@@ -74,6 +74,22 @@ pub trait Layer: Send + Sync {
     /// hyper-parameters; transient backward caches need not be preserved).
     fn clone_layer(&self) -> Box<dyn Layer>;
 
+    /// [`Layer::clone_layer`] for the copy a training step runs shard
+    /// `shard` of its mini-batch on: a layer that draws random numbers
+    /// gives the copy a stream of its own, a function of its own state and
+    /// `shard`, so no two shards share a draw and none depends on the
+    /// thread it runs on.
+    fn clone_for_shard(&self, _shard: u64) -> Box<dyn Layer> {
+        self.clone_layer()
+    }
+
+    /// Multiply–adds of one forward pass over an input of shape `input`
+    /// (rows first): what the training step's parallel gate counts. Layers
+    /// whose pass is a copy or an elementwise map count nothing.
+    fn work(&self, _input: &[usize]) -> usize {
+        0
+    }
+
     /// Prepares the layer to serve many forward passes with the parameters
     /// it has now: whatever of them can be put in the form the kernels
     /// read, once, is (see [`Dense`]). Outputs do not change by a bit. The
@@ -156,6 +172,34 @@ impl Sequential {
     /// [`Sequential::params_mut`] thaws.
     pub fn freeze(&mut self) {
         self.layers.iter_mut().for_each(|l| l.freeze());
+    }
+
+    /// A copy of the network for shard `shard` of a training step
+    /// ([`Layer::clone_for_shard`]), with its gradients cleared.
+    pub(crate) fn clone_for_shard(&self, shard: u64) -> Sequential {
+        let mut copy = Sequential {
+            layers: self
+                .layers
+                .iter()
+                .map(|l| l.clone_for_shard(shard))
+                .collect(),
+        };
+        copy.zero_grad();
+        copy
+    }
+
+    /// Multiply–adds of one forward pass over `x`, summed over the layers'
+    /// [`Layer::work`]. Each layer's input shape is found by running `x`
+    /// through [`Sequential::infer`], so pass one sample and scale: the
+    /// count is linear in the rows.
+    pub(crate) fn forward_work(&self, x: &Tensor) -> usize {
+        let mut cur = x.clone();
+        let mut work = 0;
+        for layer in &self.layers {
+            work += layer.work(cur.shape());
+            cur = layer.infer(&cur);
+        }
+        work
     }
 
     /// Runs the full backward pass, returning ∂L/∂input.

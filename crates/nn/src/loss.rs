@@ -7,11 +7,23 @@
 use fairdms_tensor::Tensor;
 
 /// A differentiable scalar loss over (prediction, target) pairs.
-pub trait Loss {
+///
+/// `Sync`, because the shards of a training step score their rows on two
+/// threads through one shared loss.
+pub trait Loss: Sync {
     /// The scalar loss value.
     fn forward(&self, pred: &Tensor, target: &Tensor) -> f32;
+
     /// The gradient ∂L/∂pred (same shape as `pred`).
-    fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor;
+    fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor {
+        self.batch_backward(pred, target, pred.shape()[0])
+    }
+
+    /// The gradient of the loss over a mini-batch of `batch_rows` rows,
+    /// with respect to the rows of it `pred` holds: a training shard's
+    /// share, scaled to the batch's mean rather than the shard's, so the
+    /// shards' gradients add up to the whole batch's.
+    fn batch_backward(&self, pred: &Tensor, target: &Tensor, batch_rows: usize) -> Tensor;
 }
 
 /// Mean squared error over all elements.
@@ -32,9 +44,10 @@ impl Loss for Mse {
             / n
     }
 
-    fn backward(&self, pred: &Tensor, target: &Tensor) -> Tensor {
+    fn batch_backward(&self, pred: &Tensor, target: &Tensor, batch_rows: usize) -> Tensor {
         assert_eq!(pred.shape(), target.shape(), "MSE: shape mismatch");
-        let scale = 2.0 / pred.numel().max(1) as f32;
+        let per_row = pred.numel() / pred.shape()[0].max(1);
+        let scale = 2.0 / (per_row * batch_rows).max(1) as f32;
         pred.zip(target, |p, t| scale * (p - t))
     }
 }
@@ -147,6 +160,18 @@ mod tests {
         assert!((Mse.forward(&p, &t) - 2.5).abs() < 1e-6);
         let g = Mse.backward(&p, &t);
         assert_eq!(g.data(), &[1.0, -2.0]);
+    }
+
+    #[test]
+    fn shard_gradients_are_the_batch_gradients_rows() {
+        let mut rng = TensorRng::seeded(6);
+        let p = rng.uniform(&[5, 3], -2.0, 2.0);
+        let t = rng.uniform(&[5, 3], -2.0, 2.0);
+        let whole = Mse.backward(&p, &t);
+        let head = Mse.batch_backward(&p.slice_rows(0, 3), &t.slice_rows(0, 3), 5);
+        let tail = Mse.batch_backward(&p.slice_rows(3, 5), &t.slice_rows(3, 5), 5);
+        assert_eq!(head, whole.slice_rows(0, 3));
+        assert_eq!(tail, whole.slice_rows(3, 5));
     }
 
     #[test]

@@ -5,14 +5,41 @@
 //! from scratch against fine-tuned models recommended by fairMS, so the
 //! trainer records the full validation curve and exposes several
 //! convergence measures on the resulting [`TrainReport`].
+//!
+//! **A step is two fixed shards.** Every mini-batch of two or more samples
+//! splits into its first `⌈n/2⌉` and last `⌊n/2⌋` rows, whatever the pool
+//! width. Shard 0 runs forward, loss gradient and `backward_params` on the
+//! network being trained; shard 1 on a replica cloned at the start of the
+//! fit ([`Layer::clone_for_shard`](crate::layers::Layer::clone_for_shard):
+//! its dropout draws a stream of its own) and re-synced from the trained
+//! network's values after every optimizer step. Each shard's loss gradient
+//! is scaled to the batch's mean ([`Loss::batch_backward`]); the replica's
+//! parameter gradients are added to the network's after its own, and one
+//! optimizer step follows. A one-sample batch runs whole.
+//!
+//! **Where shard 1 runs does not change a bit.** When a step's work —
+//! `STEP_PASSES` = 3 times its forward multiply–adds — clears
+//! `ops::PAR_MIN_WORK` on a pool at least two wide, the fit opens one
+//! helper thread (a `rayon::scope`, one region) for its whole epoch loop
+//! and hands shard 1 to it over a channel each step. Otherwise shard 1 runs
+//! on the calling thread after shard 0: the same computation on the same
+//! replica. The helper exits when the fit returns — completed, stopped
+//! early, cancelled, or panicking, which surfaces as the fit's panic. The
+//! validation pass stays on the calling thread.
 
 use crate::layers::{Mode, Sequential};
 use crate::loss::Loss;
 use crate::optim::Optimizer;
+use fairdms_tensor::ops::PAR_MIN_WORK;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Multiply–adds of a training step per multiply–add of its forward pass:
+/// the forward pass, the input gradients and the parameter gradients.
+const STEP_PASSES: usize = 3;
 
 /// Cooperative cancellation handle for a training run.
 ///
@@ -206,52 +233,66 @@ impl Trainer {
         assert!(n > 0, "empty training set");
 
         let start = Instant::now();
+        let data = [train_x, train_y, val_x, val_y];
+        let per_sample = net.forward_work(&train_x.slice_rows(0, 1));
+        // Shard 1's copy of the network, when some batch has rows to split.
+        let replica = (n >= 2).then(|| Shard::new(net.clone_for_shard(1)));
+        let widest = self.cfg.batch_size.min(n);
+        let two_wide = widest >= 2 && rayon::current_num_threads() >= 2;
+        let mut report = if two_wide && STEP_PASSES * per_sample * widest >= PAR_MIN_WORK {
+            rayon::scope(|s| {
+                let (work, todo) = mpsc::channel::<Shard>();
+                let (finished, done) = mpsc::channel();
+                s.spawn(move |_| {
+                    for mut shard in todo {
+                        shard.run(loss);
+                        if finished.send(shard).is_err() {
+                            break;
+                        }
+                    }
+                });
+                let helper = Helper { work, done };
+                let steps = Steps::new(loss, per_sample, Some(&helper), replica);
+                self.run_epochs(net, opt, steps, data, ctl)
+            })
+        } else {
+            let steps = Steps::new(loss, per_sample, None, replica);
+            self.run_epochs(net, opt, steps, data, ctl)
+        };
+        report.wall_secs = start.elapsed().as_secs_f64();
+        report
+    }
+
+    /// The epoch loop of [`Trainer::fit_controlled`], taking its steps
+    /// through `steps`.
+    fn run_epochs(
+        &self,
+        net: &mut Sequential,
+        opt: &mut dyn Optimizer,
+        mut steps: Steps<'_>,
+        [train_x, train_y, val_x, val_y]: [&Tensor; 4],
+        ctl: &TrainControl,
+    ) -> TrainReport {
         let mut rng = TensorRng::seeded(self.cfg.shuffle_seed);
         let mut curve = Vec::with_capacity(self.cfg.epochs);
         let mut best = f32::INFINITY;
         let mut stale = 0usize;
         let mut stopped_early = false;
         let mut cancelled = false;
-
-        // Minibatch gather buffers, recycled across every batch of every
-        // epoch: the batch tensors are rebuilt from (and returned to) these
-        // vectors each step, so steady-state training performs zero
-        // gather-side allocations.
-        let mut bx_buf: Vec<f32> = Vec::new();
-        let mut by_buf: Vec<f32> = Vec::new();
         for epoch in 0..self.cfg.epochs {
             if ctl.is_cancelled() {
                 cancelled = true;
                 break;
             }
-            let order = rng.permutation(n);
+            let order = rng.permutation(train_x.shape()[0]);
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
-            for chunk in order.chunks(self.cfg.batch_size) {
-                bx_buf.clear();
-                train_x.gather_rows_into(chunk, &mut bx_buf);
-                let mut bx_dims = train_x.shape().to_vec();
-                bx_dims[0] = chunk.len();
-                let bx = Tensor::from_vec(std::mem::take(&mut bx_buf), &bx_dims);
-
-                by_buf.clear();
-                train_y.gather_rows_into(chunk, &mut by_buf);
-                let mut by_dims = train_y.shape().to_vec();
-                by_dims[0] = chunk.len();
-                let by = Tensor::from_vec(std::mem::take(&mut by_buf), &by_dims);
-
-                let pred = net.forward(&bx, Mode::Train);
-                epoch_loss += loss.forward(&pred, &by) as f64;
-                let grad = loss.backward(&pred, &by);
-                net.backward_params(&grad);
-                opt.step(net.params_mut());
+            for batch in order.chunks(self.cfg.batch_size) {
+                epoch_loss += steps.step(net, opt, train_x, train_y, batch);
                 batches += 1;
-
-                bx_buf = bx.into_vec();
-                by_buf = by.into_vec();
             }
             let train_loss = (epoch_loss / batches.max(1) as f64) as f32;
-            let val_loss = self.evaluate(net, loss, val_x, val_y);
+            let val_loss = self.evaluate(net, steps.loss, val_x, val_y);
             curve.push(EpochStat {
                 epoch,
                 train_loss,
@@ -280,7 +321,8 @@ impl Trainer {
 
         TrainReport {
             curve,
-            wall_secs: start.elapsed().as_secs_f64(),
+            // `fit_controlled` times the whole fit, the helper's spawn too.
+            wall_secs: 0.0,
             stopped_early,
             cancelled,
         }
@@ -311,10 +353,158 @@ impl Trainer {
     }
 }
 
+/// Shard 1 of a mini-batch: the replica network it runs on and its rows.
+/// Owned, so it can cross to the helper thread and back.
+struct Shard {
+    net: Sequential,
+    x: Tensor,
+    y: Tensor,
+    /// Rows of the whole mini-batch: the loss gradient's denominator.
+    batch_rows: usize,
+    /// The shard's mean loss, once run.
+    loss: f32,
+}
+
+impl Shard {
+    fn new(net: Sequential) -> Self {
+        Shard {
+            net,
+            x: Tensor::zeros(&[0]),
+            y: Tensor::zeros(&[0]),
+            batch_rows: 0,
+            loss: 0.0,
+        }
+    }
+
+    fn run(&mut self, loss: &dyn Loss) {
+        self.loss = run_shard(&mut self.net, loss, &self.x, &self.y, self.batch_rows);
+    }
+}
+
+/// One shard's part of a step: forward pass, loss gradient scaled to the
+/// mean over the batch's `batch_rows` rows, parameter gradients. Returns
+/// the shard's own mean loss.
+fn run_shard(
+    net: &mut Sequential,
+    loss: &dyn Loss,
+    x: &Tensor,
+    y: &Tensor,
+    batch_rows: usize,
+) -> f32 {
+    let pred = net.forward(x, Mode::Train);
+    net.backward_params(&loss.batch_backward(&pred, y, batch_rows));
+    loss.forward(&pred, y)
+}
+
+/// The calling thread's ends of the helper thread's two channels.
+struct Helper {
+    work: Sender<Shard>,
+    done: Receiver<Shard>,
+}
+
+/// What a fit keeps from one step to the next: shard 0's rows (recycled
+/// allocations, so a steady-state step gathers without allocating), shard
+/// 1, and the helper when the fit opened one.
+struct Steps<'a> {
+    loss: &'a dyn Loss,
+    /// Multiply–adds of one sample's forward pass.
+    per_sample: usize,
+    helper: Option<&'a Helper>,
+    /// Shard 1 between steps (`None` for a one-row training set).
+    replica: Option<Shard>,
+    x: Tensor,
+    y: Tensor,
+}
+
+impl<'a> Steps<'a> {
+    fn new(
+        loss: &'a dyn Loss,
+        per_sample: usize,
+        helper: Option<&'a Helper>,
+        replica: Option<Shard>,
+    ) -> Self {
+        Steps {
+            loss,
+            per_sample,
+            helper,
+            replica,
+            x: Tensor::zeros(&[0]),
+            y: Tensor::zeros(&[0]),
+        }
+    }
+
+    /// One optimizer step of `net` on the rows `batch` of `(x, y)`.
+    /// Returns the batch's mean loss.
+    fn step(
+        &mut self,
+        net: &mut Sequential,
+        opt: &mut dyn Optimizer,
+        x: &Tensor,
+        y: &Tensor,
+        batch: &[usize],
+    ) -> f64 {
+        let rows = batch.len();
+        let (head, tail) = batch.split_at(rows.div_ceil(2));
+        gather_into(x, head, &mut self.x);
+        gather_into(y, head, &mut self.y);
+        let split = (!tail.is_empty()).then(|| {
+            self.replica
+                .take()
+                .expect("a fit of two rows or more has a replica")
+        });
+        let loss_sum = match split {
+            None => run_shard(net, self.loss, &self.x, &self.y, rows) as f64 * rows as f64,
+            Some(mut shard) => {
+                gather_into(x, tail, &mut shard.x);
+                gather_into(y, tail, &mut shard.y);
+                shard.batch_rows = rows;
+                let wide = STEP_PASSES * self.per_sample * rows >= PAR_MIN_WORK;
+                let (own, mut shard) = match self.helper.filter(|_| wide) {
+                    Some(helper) => {
+                        helper.work.send(shard).expect("the shard helper exited");
+                        let own = run_shard(net, self.loss, &self.x, &self.y, rows);
+                        (own, helper.done.recv().expect("the shard helper exited"))
+                    }
+                    None => {
+                        let own = run_shard(net, self.loss, &self.x, &self.y, rows);
+                        shard.run(self.loss);
+                        (own, shard)
+                    }
+                };
+                for (mine, theirs) in net.params_mut().into_iter().zip(shard.net.params_mut()) {
+                    mine.grad.add_assign(&theirs.grad);
+                    theirs.zero_grad();
+                }
+                let loss_sum =
+                    own as f64 * head.len() as f64 + shard.loss as f64 * tail.len() as f64;
+                self.replica = Some(shard);
+                loss_sum
+            }
+        };
+        opt.step(net.params_mut());
+        if let Some(replica) = &mut self.replica {
+            for (copy, master) in replica.net.params_mut().into_iter().zip(net.params()) {
+                copy.value.data_mut().copy_from_slice(master.value.data());
+            }
+        }
+        loss_sum / rows as f64
+    }
+}
+
+/// Refills `into` with `src`'s rows `rows`, in `into`'s allocation.
+fn gather_into(src: &Tensor, rows: &[usize], into: &mut Tensor) {
+    let mut buf = std::mem::replace(into, Tensor::zeros(&[0])).into_vec();
+    buf.clear();
+    src.gather_rows_into(rows, &mut buf);
+    let mut dims = src.shape().to_vec();
+    dims[0] = rows.len();
+    *into = Tensor::from_vec(buf, &dims);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Dense};
+    use crate::layers::{Activation, Conv2d, Dense, Dropout, Flatten};
     use crate::loss::Mse;
     use crate::optim::{Adam, Sgd};
 
@@ -335,6 +525,149 @@ mod tests {
     fn linear_net(seed: u64) -> Sequential {
         let mut rng = TensorRng::seeded(seed);
         Sequential::new(vec![Box::new(Dense::new(2, 1, &mut rng))])
+    }
+
+    /// Two convolutions, a dense head and live dropout on 16×16 images:
+    /// 364,576 multiply–adds a sample forward, so a step of 16 or more
+    /// samples clears the gate.
+    fn conv_net(seed: u64) -> Sequential {
+        let mut rng = TensorRng::seeded(seed);
+        Sequential::new(vec![
+            Box::new(Conv2d::new(1, 16, 3, 1, 1, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Conv2d::new(16, 8, 3, 1, 1, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Flatten::new()),
+            Box::new(Dense::new(8 * 256, 16, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Dropout::new(0.2, seed)),
+            Box::new(Dense::new(16, 2, &mut rng)),
+        ])
+    }
+
+    fn conv_problem(n: usize, seed: u64) -> (Tensor, Tensor) {
+        let mut rng = TensorRng::seeded(seed);
+        (
+            rng.uniform(&[n, 1, 16, 16], 0.0, 1.0),
+            rng.uniform(&[n, 2], 0.2, 0.8),
+        )
+    }
+
+    fn on_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// Fits `net` for two epochs at batch 32 on a pool of `threads`;
+    /// returns the trained parameters and the regions the fit opened.
+    fn fit_on_pool(
+        threads: usize,
+        mut net: Sequential,
+        [x, y, vx, vy]: [&Tensor; 4],
+    ) -> (Vec<Tensor>, u64) {
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 32,
+            ..TrainConfig::default()
+        };
+        on_pool(threads, || {
+            let before = rayon::regions_opened();
+            let mut opt = Adam::new(1e-3);
+            Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, x, y, vx, vy);
+            let regions = rayon::regions_opened() - before;
+            (
+                net.params().iter().map(|p| p.value.clone()).collect(),
+                regions,
+            )
+        })
+    }
+
+    /// 51 training rows (a 32- and a 19-row step at batch 32, both above
+    /// the gate for [`conv_net`]) and 13 validation rows.
+    fn conv_data() -> [Tensor; 4] {
+        let ((x, y), (vx, vy)) = (conv_problem(51, 30), conv_problem(13, 31));
+        [x, y, vx, vy]
+    }
+
+    #[test]
+    fn a_fit_above_the_gate_opens_one_region_on_two_cores_and_none_on_one() {
+        let [x, y, vx, vy] = conv_data();
+        let data = [&x, &y, &vx, &vy];
+        // The helper is the one region; the shim counts a scope task's
+        // regions as its caller's, so neither shard opened one inside.
+        assert_eq!(fit_on_pool(2, conv_net(40), data).1, 1);
+        assert_eq!(fit_on_pool(1, conv_net(40), data).1, 0, "one-wide pool");
+        let ((tx, ty), (tvx, tvy)) = (toy_problem(51, 32), toy_problem(13, 33));
+        let toy = fit_on_pool(2, linear_net(41), [&tx, &ty, &tvx, &tvy]);
+        assert_eq!(toy.1, 0, "below the gate");
+    }
+
+    #[test]
+    fn where_shard_one_runs_changes_no_bit() {
+        // Live dropout and a ragged 19-row batch; on two and three cores
+        // shard 1 runs on the helper, on one after shard 0.
+        let [x, y, vx, vy] = conv_data();
+        let data = [&x, &y, &vx, &vy];
+        let inline = fit_on_pool(1, conv_net(42), data).0;
+        assert_ne!(inline[0], conv_net(42).params()[0].value, "training moved");
+        for threads in [2, 3] {
+            let on_helper = fit_on_pool(threads, conv_net(42), data).0;
+            assert!(on_helper == inline, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_one_row_training_set_runs_whole() {
+        let (x, y) = toy_problem(1, 43);
+        let mut net = linear_net(44);
+        let before = net.params()[0].value.clone();
+        let report = Trainer::new(TrainConfig {
+            epochs: 3,
+            ..TrainConfig::default()
+        })
+        .fit(&mut net, &mut Sgd::new(0.1), &Mse, &x, &y, &x, &y);
+        assert!(report.final_val_loss().is_finite());
+        assert_ne!(net.params()[0].value, before);
+    }
+
+    /// [`Mse`] that fails on a 15-row shard: shard 1 of a 31-row batch.
+    struct FailsOnShardOne;
+
+    impl Loss for FailsOnShardOne {
+        fn forward(&self, pred: &Tensor, target: &Tensor) -> f32 {
+            Mse.forward(pred, target)
+        }
+
+        fn batch_backward(&self, pred: &Tensor, target: &Tensor, batch_rows: usize) -> Tensor {
+            assert_ne!(pred.shape()[0], 15, "shard 1 diverged");
+            Mse.batch_backward(pred, target, batch_rows)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 diverged")]
+    fn a_panic_on_the_helper_is_the_fits_panic() {
+        let (x, y) = conv_problem(31, 45);
+        on_pool(2, || {
+            let before = rayon::regions_opened();
+            let cfg = TrainConfig {
+                epochs: 1,
+                batch_size: 31,
+                ..TrainConfig::default()
+            };
+            let mut net = conv_net(46);
+            let mut opt = Sgd::new(0.1);
+            let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Trainer::new(cfg).fit(&mut net, &mut opt, &FailsOnShardOne, &x, &y, &x, &y)
+            }));
+            assert_eq!(rayon::regions_opened() - before, 1, "it ran on the helper");
+            if let Err(payload) = fit {
+                std::panic::resume_unwind(payload);
+            }
+        });
     }
 
     #[test]

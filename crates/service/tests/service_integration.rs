@@ -422,6 +422,25 @@ fn update_model_round_trips_a_checkpoint() {
 }
 
 #[test]
+fn a_two_frame_update_trains_on_one_sample_batches() {
+    // Two frames split into one training and one validation row: every
+    // batch of the fit holds one sample, which runs whole, unsharded.
+    let (client, handle) = spawn_server(6, false);
+    let (x, y) = blob_images(25, 2, 7);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x, y, 0).unwrap();
+
+    let (x_new, _) = blob_images(1, 2, 12);
+    let (ckpt, report) = client.update_model(x_new, 1).unwrap();
+    assert!(!ckpt.is_empty());
+    assert_eq!(report.train_report.curve.len(), 4, "every epoch ran");
+    assert!(report.train_report.final_val_loss().is_finite());
+
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
 fn publish_and_fetch_external_models() {
     let (client, handle) = spawn_server(10, false);
     let arch = ArchSpec::BraggNN { patch: SIDE };

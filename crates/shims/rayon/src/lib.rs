@@ -16,22 +16,29 @@
 //! * `slice.par_iter_mut()` and `slice.par_chunks_mut(n)` with
 //!   `.enumerate().for_each(...)`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] (pool width applies to
-//!   work submitted from inside the closure) and [`current_num_threads`].
+//!   work submitted from inside the closure) and [`current_num_threads`];
+//! * [`scope`] with [`Scope::spawn`].
 //!
 //! Deliberate divergences from rayon:
 //!
 //! * there is no persistent pool: a region that runs on more than one
 //!   worker spawns its workers and joins them before returning, so callers
 //!   gate on work (`fairdms_tensor::ops::PAR_MIN_WORK`) before opening one;
+//!   a [`Scope::spawn`] is one thread spawn, and it is a region too;
 //! * `ThreadPool::install` runs the closure on the calling thread and only
-//!   overrides the width of the regions it opens;
+//!   overrides the width of the regions it opens (a scope's tasks inherit
+//!   it);
 //! * [`regions_opened`] (hidden, shim-only) counts the regions the calling
 //!   thread has spawned workers for, so a test can assert that a
 //!   request-sized call opens none.
 #![forbid(unsafe_code)]
 
+use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 thread_local! {
     /// Pool-width override installed by [`ThreadPool::install`].
@@ -444,6 +451,80 @@ impl ThreadPool {
     }
 }
 
+/// Runs `op` with a [`Scope`] whose spawned tasks may borrow from the
+/// caller, and returns once every task has finished (mirrors
+/// `rayon::scope`). Each task runs on a thread of its own, at the caller's
+/// pool width; the regions a task opens are counted as the caller's.
+///
+/// A panic in a task or in `op` resumes on the caller after every task has
+/// been joined; when both panicked, the task's payload wins, since `op`
+/// typically panics because its task went away.
+pub fn scope<'env, OP, R>(op: OP) -> R
+where
+    OP: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
+    R: Send,
+{
+    let tally = Arc::new(Tally::default());
+    let out = std::thread::scope(|threads| {
+        let scope = Scope {
+            threads,
+            width: pool_width(),
+            tally: Arc::clone(&tally),
+        };
+        panic::catch_unwind(AssertUnwindSafe(|| op(&scope)))
+    });
+    let nested = tally.nested.load(Ordering::Acquire);
+    REGIONS_OPENED.with(|c| c.set(c.get() + nested));
+    let task_panic = tally
+        .task_panic
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take();
+    if let Some(payload) = task_panic {
+        panic::resume_unwind(payload);
+    }
+    out.unwrap_or_else(|payload| panic::resume_unwind(payload))
+}
+
+/// What a scope's tasks report back to its caller.
+#[derive(Default)]
+struct Tally {
+    /// Regions the tasks opened.
+    nested: AtomicU64,
+    /// The first task panic.
+    task_panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// The handle [`scope`] passes to its closure and to every task.
+#[derive(Clone)]
+pub struct Scope<'scope, 'env: 'scope> {
+    threads: &'scope std::thread::Scope<'scope, 'env>,
+    width: usize,
+    tally: Arc<Tally>,
+}
+
+impl<'scope, 'env> Scope<'scope, 'env> {
+    /// Runs `body` on a thread of its own; [`scope`] joins it before
+    /// returning.
+    pub fn spawn<BODY>(&self, body: BODY)
+    where
+        BODY: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
+    {
+        count_region();
+        let scope = self.clone();
+        self.threads.spawn(move || {
+            POOL_OVERRIDE.with(|c| c.set(scope.width));
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| body(&scope)));
+            let tally = &scope.tally;
+            tally.nested.fetch_add(regions_opened(), Ordering::AcqRel);
+            if let Err(payload) = ran {
+                let mut slot = tally.task_panic.lock().unwrap_or_else(|e| e.into_inner());
+                slot.get_or_insert(payload);
+            }
+        });
+    }
+}
+
 /// The prelude, mirroring `rayon::prelude::*`.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParIterMutSlice, ParIterSlice};
@@ -512,6 +593,50 @@ mod tests {
             vec![0u8; 64].par_iter_mut().for_each(|v| *v = 1);
         });
         assert_eq!(crate::regions_opened(), before + 2);
+    }
+
+    #[test]
+    fn scope_tasks_borrow_inherit_the_width_and_count_as_the_callers_regions() {
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let mut out = [0usize; 2];
+        let before = crate::regions_opened();
+        let (a, b) = out.split_at_mut(1);
+        pool.install(|| {
+            crate::scope(|s| {
+                s.spawn(|_| {
+                    a[0] = crate::current_num_threads();
+                    (0..64usize).into_par_iter().for_each(|_| {});
+                });
+                b[0] = 7;
+            })
+        });
+        assert_eq!(out, [3, 7]);
+        assert_eq!(
+            crate::regions_opened(),
+            before + 2,
+            "the spawn and its region"
+        );
+    }
+
+    #[test]
+    fn a_task_panic_resumes_on_the_caller_after_the_join() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::scope(move |s| {
+                s.spawn(move |_| {
+                    drop(tx);
+                    panic!("task failed");
+                });
+                // The caller notices its task went away and panics too;
+                // the task's payload is the one that surfaces.
+                rx.recv().expect("task exited");
+            })
+        }));
+        let payload = caught.expect_err("the panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task failed"));
     }
 
     #[test]

@@ -85,8 +85,9 @@ pub const NR: usize = 8;
 /// variants exist so the determinism regression tests can pin "sequential
 /// and parallel dispatch produce bit-identical results" directly instead
 /// of straddling the threshold with carefully sized inputs, and so a
-/// caller that already fans out itself (the convolution's sample blocks)
-/// can keep the engine from opening a region inside its own.
+/// caller that runs inside a fan-out of its own (the convolution, inside a
+/// training step's sample shard) can keep the engine from opening a region
+/// inside it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Threading {
     /// Parallelize when the product has at least [`PAR_MIN_WORK`]

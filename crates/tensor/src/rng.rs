@@ -26,6 +26,14 @@ impl TensorRng {
         }
     }
 
+    /// A generator for stream `stream`, seeded from this one's state, that
+    /// leaves this one untouched: the same state and stream give the same
+    /// generator, different streams independent ones.
+    pub fn fork(&self, stream: u64) -> TensorRng {
+        let seed = self.rng.clone().next_u64();
+        TensorRng::seeded(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
     /// A uniform sample in `[lo, hi)`.
     pub fn next_uniform(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(lo <= hi, "uniform range is inverted");
