@@ -38,6 +38,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fairdms_bench::report::BenchReport;
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig, SystemSnapshot};
+use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::Arc;
@@ -84,7 +85,9 @@ impl Embedder for PassthroughEmbedder {
     fn input_dim(&self) -> usize {
         DIM
     }
-    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
+        true
+    }
     fn embed(&self, images: &Tensor) -> Tensor {
         images.clone()
     }
@@ -320,7 +323,9 @@ impl Embedder for CropEmbedder {
     fn input_dim(&self) -> usize {
         FRAME
     }
-    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
+        true
+    }
     fn embed(&self, images: &Tensor) -> Tensor {
         let n = images.shape()[0];
         let data = (0..n).flat_map(|i| images.row(i)[..DIM].to_vec()).collect();

@@ -11,6 +11,7 @@ use crate::Scale;
 use fairdms_core::embedding::{ByolEmbedder, ContrastiveEmbedder, EmbedTrainConfig, Embedder};
 use fairdms_core::jsd::jsd;
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
+use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::ops::sq_dist;
 
 /// Elbow sweep over Bragg embeddings: WSS per K with the selected knee.
@@ -20,7 +21,7 @@ pub fn run_elbow(scale: Scale) -> Result<(), String> {
     // Train an embedder, then run the elbow sweep on its embeddings.
     let mut embedder = ByolEmbedder::new(BRAGG_SIDE, 64, 16, 19);
     let (x, _) = bragg_flat(&history);
-    embedder.fit(
+    embedder.fit_controlled(
         &x,
         &EmbedTrainConfig {
             epochs: embed_epochs(scale),
@@ -28,6 +29,7 @@ pub fn run_elbow(scale: Scale) -> Result<(), String> {
             lr: 2e-3,
             ..EmbedTrainConfig::default()
         },
+        &TrainControl::new(),
     );
     let z = embedder.embed(&x);
     let (lo, hi) = (2usize, scale.pick(8, 18, 24));

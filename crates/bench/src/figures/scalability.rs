@@ -1,86 +1,33 @@
 //! Scalability study (paper §IV future work: "further study the
 //! scalability of fairDMS").
 //!
-//! Four axes the paper's discussion raises but does not measure:
+//! Three axes the paper's discussion raises but does not measure:
 //!
-//! 1. **Store lookup vs corpus size** — the indexed two-level search is the
-//!    reason fairDS labeling stays sub-minute while the corpus grows; this
-//!    sweep shows indexed `find_by` staying flat while the unindexed scan
-//!    (decode-everything) grows linearly.
-//! 2. **Clustering trainer vs corpus size** — full Lloyd iterations against
+//! 1. **Clustering trainer vs corpus size** — full Lloyd iterations against
 //!    mini-batch K-means (Sculley 2010), the streaming path APS-U data
 //!    rates would force, with the WSS penalty the speedup costs.
-//! 3. **Labeling throughput vs cores** — the measured pseudo-Voigt fit
+//! 2. **Labeling throughput vs cores** — the measured pseudo-Voigt fit
 //!    cost under rayon pools of increasing size, the single-node
 //!    counterpart of the paper's Voigt-80/Voigt-1440 extrapolation.
-//! 4. **Service throughput vs concurrent clients** — the fairDMS service
+//! 3. **Service throughput vs concurrent clients** — the fairDMS service
 //!    behind its TCP listener (`crate::load`) under closed-loop
 //!    PDF/lookup load, one connection per client.
+//!
+//! Store size is the fourth axis, and `benches/scale_store.rs` covers it:
+//! routed vs brute nearest-neighbour reads over the read index from 10³ to
+//! 10⁵ documents, gated in CI.
 
 use crate::load::{self, Experiment, Outcome, Plan, Tenant};
 use crate::table::{secs, Table};
 use crate::Scale;
 use fairdms_clustering::{fit_minibatch, KMeans, KMeansConfig, MiniBatchConfig};
 use fairdms_datasets::voigt::{label_batch, FitConfig};
-use fairdms_datastore::{Collection, Document, RawCodec};
 use fairdms_service::net::NetServerConfig;
 use fairdms_service::{DmsApi, Request};
 use fairdms_tensor::rng::TensorRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 use super::{bragg_history, BRAGG_SIDE};
-
-/// Store lookup latency: indexed vs full-scan, growing corpus.
-fn store_lookup_scaling(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Smoke => vec![1_000, 4_000],
-        Scale::Default => vec![2_000, 10_000, 40_000],
-        Scale::Full => vec![10_000, 50_000, 200_000],
-    };
-    let mut table = Table::new(
-        "Scalability: cluster lookup latency vs corpus size (indexed vs scan)",
-        &["n_docs", "indexed_lookup", "full_scan", "scan/indexed"],
-    );
-    let mut rng = TensorRng::seeded(42);
-    for &n in &sizes {
-        let coll = Collection::new("scale", Arc::new(RawCodec));
-        coll.create_index("cluster");
-        for i in 0..n {
-            coll.insert(
-                &Document::new()
-                    .with("cluster", (i % 15) as i64)
-                    .with("embedding", {
-                        (0..16)
-                            .map(|_| rng.next_uniform(0.0, 1.0))
-                            .collect::<Vec<f32>>()
-                    }),
-            );
-        }
-        let reps = 20;
-        let t0 = Instant::now();
-        for r in 0..reps {
-            let ids = coll.find_by("cluster", (r % 15) as i64);
-            assert!(!ids.is_empty());
-        }
-        let indexed = t0.elapsed().as_secs_f64() / reps as f64;
-        let scan_reps = 3;
-        let t0 = Instant::now();
-        for r in 0..scan_reps {
-            let target = (r % 15) as i64;
-            let ids = coll.scan(|d| d.get_i64("cluster") == Some(target));
-            assert!(!ids.is_empty());
-        }
-        let scanned = t0.elapsed().as_secs_f64() / scan_reps as f64;
-        table.row(vec![
-            n.to_string(),
-            secs(indexed),
-            secs(scanned),
-            format!("{:.0}x", scanned / indexed.max(1e-12)),
-        ]);
-    }
-    table
-}
 
 /// Full Lloyd vs mini-batch K-means on growing embedding corpora.
 fn clustering_scaling(scale: Scale) -> Table {
@@ -224,7 +171,6 @@ fn service_scaling(scale: Scale) -> Table {
 
 /// Runs the scalability suite.
 pub fn run(scale: Scale) -> Result<(), String> {
-    store_lookup_scaling(scale).emit("scalability_store_lookup");
     clustering_scaling(scale).emit("scalability_clustering");
     labeling_scaling(scale).emit("scalability_labeling");
     service_scaling(scale).emit("scalability_service");

@@ -773,23 +773,23 @@ mod tests {
             orphan_pub(&files, allow)
         };
         let store = "crates/datastore/src/store.rs";
-        let decl = "impl Collection {\n    /// Calls `find_by_many`.\n    pub fn find_by_many<T>(&self) {}\n    pub const fn cap() -> usize { 4 }\n}\n";
+        let decl = "impl Collection {\n    /// Calls `lookup_many`.\n    pub fn lookup_many<T>(&self) {}\n    pub const fn cap() -> usize { 4 }\n}\n";
         let f = lint(&[(store, decl)], &[]);
         let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(at, [("orphan-pub", 3), ("orphan-pub", 4)], "{f:?}");
-        assert!(f[0].message.contains("`find_by_many`"), "{}", f[0].message);
+        assert!(f[0].message.contains("`lookup_many`"), "{}", f[0].message);
         // Any other file naming it is a caller — a test, the e2e adapter —
         // as a whole word only.
         for caller in ["tests/persistence.rs", "benches/e2e/src/sut.rs"] {
-            let uses = (caller, "fn t() { c.find_by_many(); Collection::cap(); }\n");
+            let uses = (caller, "fn t() { c.lookup_many(); Collection::cap(); }\n");
             assert!(lint(&[(store, decl), uses], &[]).is_empty(), "{caller}");
         }
-        let near = ("tests/x.rs", "fn t() { c.find_by_many_more(); recap(); }\n");
+        let near = ("tests/x.rs", "fn t() { c.lookup_many_more(); recap(); }\n");
         assert_eq!(lint(&[(store, decl), near], &[]).len(), 2);
         // An allowlisted site passes; so do private fns, trait methods, the
         // file's own test module, and crates the service does not link.
         let allow = [
-            ("crates/datastore/src/store.rs::find_by_many", "a macro"),
+            ("crates/datastore/src/store.rs::lookup_many", "a macro"),
             ("crates/datastore/src/store.rs::cap", "a macro"),
         ];
         assert!(lint(&[(store, decl)], &allow).is_empty());

@@ -52,7 +52,7 @@ impl Default for EmbedTrainConfig {
 
 /// A trainable image-embedding model (the paper's "embedding interface").
 ///
-/// Training mutates (`fit` takes `&mut self`), but *embedding is
+/// Training mutates (`fit_controlled` takes `&mut self`), but *embedding is
 /// inference*: [`Embedder::embed`] takes `&self` and must be safe to call
 /// concurrently through shared references (`Send + Sync`). That split is
 /// what lets a fitted embedder be frozen into an immutable
@@ -65,24 +65,17 @@ pub trait Embedder: Send + Sync {
     fn embed_dim(&self) -> usize;
     /// Flattened input size the model expects.
     fn input_dim(&self) -> usize;
-    /// Trains the embedding on unlabeled images (`[N, input_dim]`).
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig);
-    /// [`Embedder::fit`] under cooperative cancellation: implementations
-    /// should poll `ctl` at every epoch boundary and return `false` the
-    /// moment it is raised (partially-trained weights are left behind and
-    /// must not be published). The default implementation ignores the
-    /// control and always completes — custom embedders stay valid, they
-    /// just cancel with whole-fit rather than per-epoch latency.
+    /// Trains the embedding on unlabeled images (`[N, input_dim]`) under
+    /// cooperative cancellation: implementations poll `ctl` at every epoch
+    /// boundary and return `false` the moment it is raised
+    /// (partially-trained weights are left behind and must not be
+    /// published); `true` when the fit ran to the end.
     fn fit_controlled(
         &mut self,
         images: &Tensor,
         cfg: &EmbedTrainConfig,
         ctl: &TrainControl,
-    ) -> bool {
-        let _ = ctl;
-        self.fit(images, cfg);
-        true
-    }
+    ) -> bool;
     /// Embeds images into `[N, embed_dim]`, L2-normalized per row.
     /// Immutable: implementations must not touch training caches.
     fn embed(&self, images: &Tensor) -> Tensor;
@@ -270,10 +263,6 @@ impl Embedder for AutoencoderEmbedder {
         self.input_dim
     }
 
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.fit_controlled(images, cfg, &TrainControl::new());
-    }
-
     fn fit_controlled(
         &mut self,
         images: &Tensor,
@@ -372,10 +361,6 @@ impl Embedder for ContrastiveEmbedder {
 
     fn input_dim(&self) -> usize {
         self.input_dim
-    }
-
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.fit_controlled(images, cfg, &TrainControl::new());
     }
 
     fn fit_controlled(
@@ -530,10 +515,6 @@ impl Embedder for ByolEmbedder {
         self.input_dim
     }
 
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.fit_controlled(images, cfg, &TrainControl::new());
-    }
-
     fn fit_controlled(
         &mut self,
         images: &Tensor,
@@ -667,7 +648,7 @@ mod tests {
     fn autoencoder_separates_visual_classes() {
         let (x, labels) = two_class_data(24, 0);
         let mut emb = AutoencoderEmbedder::new(64, 32, 8, 1);
-        emb.fit(&x, &quick_cfg(2));
+        emb.fit_controlled(&x, &quick_cfg(2), &TrainControl::new());
         let z = emb.embed(&x);
         assert_eq!(z.shape(), &[48, 8]);
         let sep = separation(&z, &labels);
@@ -678,7 +659,7 @@ mod tests {
     fn contrastive_separates_visual_classes() {
         let (x, labels) = two_class_data(24, 3);
         let mut emb = ContrastiveEmbedder::new(8, 32, 8, 4);
-        emb.fit(&x, &quick_cfg(5));
+        emb.fit_controlled(&x, &quick_cfg(5), &TrainControl::new());
         let z = emb.embed(&x);
         let sep = separation(&z, &labels);
         assert!(sep < 0.7, "separation ratio {sep}");
@@ -688,7 +669,7 @@ mod tests {
     fn byol_separates_visual_classes() {
         let (x, labels) = two_class_data(24, 6);
         let mut emb = ByolEmbedder::new(8, 32, 8, 7);
-        emb.fit(&x, &quick_cfg(8));
+        emb.fit_controlled(&x, &quick_cfg(8), &TrainControl::new());
         let z = emb.embed(&x);
         let sep = separation(&z, &labels);
         assert!(sep < 0.8, "separation ratio {sep}");
@@ -698,7 +679,7 @@ mod tests {
     fn embeddings_are_l2_normalized() {
         let (x, _) = two_class_data(8, 9);
         let mut emb = AutoencoderEmbedder::new(64, 16, 4, 10);
-        emb.fit(&x, &quick_cfg(11));
+        emb.fit_controlled(&x, &quick_cfg(11), &TrainControl::new());
         let z = emb.embed(&x);
         for i in 0..z.shape()[0] {
             let norm: f32 = z.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -711,7 +692,7 @@ mod tests {
         let (x, _) = two_class_data(8, 12);
         let run = || {
             let mut emb = ContrastiveEmbedder::new(8, 16, 4, 13);
-            emb.fit(&x, &quick_cfg(14));
+            emb.fit_controlled(&x, &quick_cfg(14), &TrainControl::new());
             emb.embed(&x)
         };
         assert_eq!(run(), run());
@@ -796,11 +777,11 @@ mod tests {
         cfg.tau = 0.9;
         cfg.lr = 3e-3;
         let mut ae = AutoencoderEmbedder::new(64, 32, 8, 16);
-        ae.fit(&x, &cfg);
+        ae.fit_controlled(&x, &cfg, &TrainControl::new());
         let ae_score = score(&ae.embed(&x), &ae.embed(&xr));
 
         let mut byol = ByolEmbedder::new(8, 32, 8, 18);
-        byol.fit(&x, &cfg);
+        byol.fit_controlled(&x, &cfg, &TrainControl::new());
         let byol_score = score(&byol.embed(&x), &byol.embed(&xr));
 
         assert!(

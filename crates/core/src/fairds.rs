@@ -372,8 +372,8 @@ impl SystemSnapshot {
 
     /// Per-sample nearest-stored-label search: `(distance, label)` for
     /// each input row, `None` when its cluster holds no labeled docs.
-    /// Served entirely from the read index — no per-sample `find_by`
-    /// queries and no per-candidate document decoding.
+    /// Served entirely from the read index — no per-sample store queries
+    /// and no per-candidate document decoding.
     fn nearest_labels_parallel(&self, images: &Tensor) -> Vec<Option<(f32, Vec<f32>)>> {
         let z = self.embed_cached(images);
         let index = self.index.current();
@@ -552,10 +552,7 @@ pub struct FairDS {
 
 impl FairDS {
     /// Creates a fairDS over an embedding method and a backing collection.
-    /// The collection gets a `cluster` index (the paper's "building data
-    /// indexes as data are written").
     pub fn new(embedder: Box<dyn Embedder>, store: Arc<Collection>, cfg: FairDsConfig) -> Self {
-        store.create_index("cluster");
         let reuse = Arc::new(EmbedCache::new(cfg.embed_cache));
         FairDS {
             embedder,

@@ -11,6 +11,10 @@
 //! exactly the rows a nearest-row read searches in it, and a draw is a
 //! function of those rows, never of how they are spread over balls: an
 //! index built in one pass and one grown write by write draw alike.
+//!
+//! It is the paper's "building data indexes as data are written", and the
+//! only index over a fairDS store: every store write lands in the store's
+//! change log, and the next read folds in exactly the ids written.
 
 use fairdms_clustering::kmeans::normed_margin;
 use fairdms_clustering::{inflated_radius, partition_balls, BallPartitionConfig};
@@ -1138,13 +1142,13 @@ mod tests {
     }
 
     /// The fold's structural contract: after any mix of writes, each
-    /// cluster's drawable ids — order included — are the store's own
-    /// `cluster` index restricted to documents with a current-width
+    /// cluster's drawable ids — order included — are what a scan of the
+    /// store's documents finds in that cluster with a current-width
     /// embedding (what a nearest-neighbour read searches), and the pool is
     /// those lists in cluster order — for an index grown write by write and
     /// one built in one pass alike.
     #[test]
-    fn drawable_ids_are_the_store_cluster_index_in_order() {
+    fn drawable_ids_are_the_store_cluster_scan_in_order() {
         const K: usize = 2;
         let (train, _) = blob_images(20, K, 60);
         let mut ds = fairds_with_k(K);
@@ -1153,14 +1157,12 @@ mod tests {
         let dim = live.embedder().embed_dim();
         let check = |snap: &SystemSnapshot, what: &str| {
             let (index, store) = (snap.index.current(), snap.store());
-            let indexed = |id: &DocId| {
-                let doc = store.get(*id).unwrap();
-                doc.get_f32s("embedding").is_some_and(|e| e.len() == dim)
-            };
             let mut pool = Vec::new();
             for c in 0..K {
-                let mut want = store.find_by("cluster", c as i64);
-                want.retain(indexed);
+                let want = store.scan(|doc| {
+                    doc.get_i64("cluster") == Some(c as i64)
+                        && doc.get_f32s("embedding").is_some_and(|e| e.len() == dim)
+                });
                 let got: Vec<DocId> = (0..index.cluster_rows(c))
                     .map(|i| index.cluster_id(c, i))
                     .collect();

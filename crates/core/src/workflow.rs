@@ -30,8 +30,6 @@ use std::time::Instant;
 pub enum TrainStrategy {
     /// Fine-tune the best-ranked zoo model (the fairDMS path).
     FineTuneBest,
-    /// Fine-tune the worst-ranked model (paper baseline FineTune-W).
-    FineTuneWorst,
     /// Randomly initialized training (paper baseline Retrain).
     Scratch,
 }
@@ -234,11 +232,9 @@ impl RapidTrainer {
     /// The zoo entry `strategy` fine-tunes for a dataset with this PDF, as
     /// `(zoo id, divergence)`; `None` for scratch or an empty ranking.
     fn pick_foundation(&self, strategy: TrainStrategy, pdf: &[f64]) -> Option<(usize, f64)> {
-        let rank = || self.manager.rank(&self.zoo, pdf);
         match strategy {
             TrainStrategy::Scratch => None,
-            TrainStrategy::FineTuneBest => rank()?.best(),
-            TrainStrategy::FineTuneWorst => rank()?.worst(),
+            TrainStrategy::FineTuneBest => self.manager.rank(&self.zoo, pdf)?.best(),
         }
     }
 
@@ -563,9 +559,9 @@ mod tests {
         let pdf = vec![0.75, 0.15, 0.10];
         trainer.cfg.train.epochs = 2;
         let (_, _, best, _) = trainer.fit_strategy(&x, &y, &pdf, TrainStrategy::FineTuneBest);
-        let (_, _, worst, _) = trainer.fit_strategy(&x, &y, &pdf, TrainStrategy::FineTuneWorst);
+        let (_, _, none, _) = trainer.fit_strategy(&x, &y, &pdf, TrainStrategy::Scratch);
         assert_eq!(best, Some(0));
-        assert_ne!(best, worst);
+        assert_eq!(none, None);
     }
 
     #[test]

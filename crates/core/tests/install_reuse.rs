@@ -44,9 +44,6 @@ impl Embedder for CountingEmbedder {
     fn input_dim(&self) -> usize {
         self.inner.input_dim()
     }
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.inner.fit(images, cfg);
-    }
     fn fit_controlled(
         &mut self,
         images: &Tensor,

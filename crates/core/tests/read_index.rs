@@ -11,6 +11,7 @@
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig, SystemSnapshot};
 use fairdms_datastore::Document;
+use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::{ops::sq_dist, rng::TensorRng, Tensor};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +34,9 @@ impl Embedder for PassthroughEmbedder {
     fn input_dim(&self) -> usize {
         DIM
     }
-    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
+        true
+    }
     fn embed(&self, images: &Tensor) -> Tensor {
         images.clone()
     }
@@ -226,9 +229,16 @@ fn views_agree(
     }
     // The delta-grown view serves the requested count, and from a one-hot
     // PDF only documents of that cluster (every document here carries a
-    // current-width embedding, so the store's `cluster` index says which
-    // clusters have drawable rows).
+    // current-width embedding, so a cluster has drawable rows when a stored
+    // document names it; one pass over the documents says which do).
     let store = live.store();
+    let mut has_rows = vec![false; k];
+    for doc in store.ids().into_iter().filter_map(|id| store.get(id)) {
+        let c = doc
+            .get_i64("cluster")
+            .expect("every document has a cluster");
+        has_rows[c as usize] = true;
+    }
     for c in 0..k {
         let mut one_hot = vec![0.0; k];
         one_hot[c] = 1.0;
@@ -237,8 +247,7 @@ fn views_agree(
         if docs.len() != want {
             return Err(format!("cluster {c}: served {} of {want}", docs.len()));
         }
-        let has_rows = !store.find_by("cluster", c as i64).is_empty();
-        if has_rows && docs.iter().any(|d| d.get_i64("cluster") != Some(c as i64)) {
+        if has_rows[c] && docs.iter().any(|d| d.get_i64("cluster") != Some(c as i64)) {
             return Err(format!("cluster {c}: drew outside the cluster: {docs:?}"));
         }
     }

@@ -10,6 +10,7 @@
 use fairdms_clustering::{fuzzy, KMeans, KMeansConfig};
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig, SystemSnapshot};
+use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::ops::{PAR_MIN_WORK, POWF_WORK};
 use fairdms_tensor::{rng::TensorRng, Tensor};
 use rayon::{regions_opened, ThreadPoolBuilder};
@@ -32,7 +33,9 @@ impl Embedder for PassthroughEmbedder {
     fn input_dim(&self) -> usize {
         DIM
     }
-    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
+        true
+    }
     fn embed(&self, images: &Tensor) -> Tensor {
         images.clone()
     }

@@ -9,6 +9,7 @@
 use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_datastore::Document;
+use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 
 const DIM: usize = 8;
@@ -29,7 +30,9 @@ impl Embedder for PassthroughEmbedder {
     fn input_dim(&self) -> usize {
         DIM
     }
-    fn fit(&mut self, _images: &Tensor, _cfg: &EmbedTrainConfig) {}
+    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
+        true
+    }
     fn embed(&self, images: &Tensor) -> Tensor {
         images.clone()
     }

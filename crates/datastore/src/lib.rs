@@ -8,8 +8,9 @@
 //! * [`codec`] — the [`Codec`] contract and [`RawCodec`], the tight layout
 //!   every collection the service opens stores through;
 //! * [`store`] — a sharded, concurrently readable/writable collection with
-//!   secondary indexes, covering the paper's Data Store requirements
-//!   (scale, indexed lookup, updates, parallel reads and writes);
+//!   a change log, covering the paper's Data Store requirements of scale,
+//!   updates and parallel reads and writes (indexed lookup by cluster is
+//!   fairDS's read index, which that log keeps current);
 //! * [`snapshot`] — a collection to bytes and back;
 //! * [`wire`] — the bounds-checked little-endian primitives the codecs,
 //!   snapshots and the service's socket protocol (DESIGN.md §13) are

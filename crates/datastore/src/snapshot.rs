@@ -3,20 +3,19 @@
 //! MongoDB survives restarts; an in-memory stand-in needs an explicit
 //! durability story for the same workflows (a beamline's labeled corpus
 //! and model Zoo outlive one acquisition session). A snapshot captures the
-//! collection name, the id counter, the index definitions, and every
-//! *encoded* payload verbatim — restore therefore costs no re-encoding,
-//! only an index rebuild, and the stored bytes stay bit-identical across
-//! the round trip regardless of codec.
+//! collection name, the id counter and every *encoded* payload verbatim —
+//! restore therefore costs no re-encoding (each payload is decoded once, to
+//! validate it), and the stored bytes stay bit-identical across the round
+//! trip regardless of codec.
 //!
 //! Format (all little-endian):
 //!
 //! ```text
 //! magic   u32   0x46444D53 ("FDMS")
-//! version u8    1
+//! version u8    2  (format 1 also listed index field names; refused)
 //! codec   str   (u16 len + utf8) — sanity-checked on restore
 //! name    str
 //! next_id u64
-//! n_index u16, then that many index field names (str)
 //! n_docs  u64, then per doc: id u64, payload u32 len + bytes
 //! ```
 
@@ -28,7 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x4644_4D53;
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 /// Errors raised while restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,11 +103,6 @@ impl Collection {
         put_str(&mut buf, self.codec().name());
         put_str(&mut buf, self.name());
         buf.put_u64(self.next_id());
-        let fields = self.index_fields();
-        buf.put_u16(fields.len() as u16);
-        for f in &fields {
-            put_str(&mut buf, f);
-        }
         buf.put_u64(ids.len() as u64);
         for id in ids {
             // A concurrent delete between ids() and get_raw() surfaces as a
@@ -146,11 +140,6 @@ impl Collection {
         }
         let name = read_str(&mut r)?;
         let next_id = r.u64()? as DocId;
-        let n_index = r.u16()? as usize;
-        let mut index_fields = Vec::with_capacity(n_index);
-        for _ in 0..n_index {
-            index_fields.push(read_str(&mut r)?);
-        }
         let n_docs = r.u64()? as usize;
         let coll = Collection::new(&name, codec);
         for _ in 0..n_docs {
@@ -159,7 +148,7 @@ impl Collection {
             if len > 0 {
                 let payload = Bytes::copy_from_slice(r.take(len)?);
                 // Validate now: a payload that cannot decode would otherwise
-                // panic later inside `get`/index backfill.
+                // panic later inside `get`.
                 if coll.codec().decode(&payload).is_err() {
                     return Err(SnapshotError::CorruptDocument { id });
                 }
@@ -167,9 +156,6 @@ impl Collection {
             }
         }
         coll.set_next_id(next_id);
-        for field in &index_fields {
-            coll.create_index(field);
-        }
         Ok(coll)
     }
 
@@ -195,8 +181,6 @@ mod tests {
 
     fn populated(codec: Arc<dyn Codec>) -> Collection {
         let coll = Collection::new("snap-test", codec);
-        coll.create_index("cluster");
-        coll.create_index("scan");
         for i in 0..50i64 {
             coll.insert(
                 &Document::new()
@@ -221,13 +205,8 @@ mod tests {
         assert_eq!(back.len(), 48);
         assert_eq!(back.ids(), coll.ids());
         assert_eq!(back.next_id(), coll.next_id());
-        assert_eq!(back.index_fields(), vec!["cluster", "scan"]);
         for id in coll.ids() {
             assert_eq!(back.get_raw(id), coll.get_raw(id), "payload {id}");
-        }
-        // Indexes answer identically.
-        for c in 0..5 {
-            assert_eq!(back.find_by("cluster", c), coll.find_by("cluster", c));
         }
         // Ids continue from where the original left off.
         let new_id = back.insert(&Document::new().with("cluster", 0i64));
@@ -250,6 +229,29 @@ mod tests {
         assert_eq!(
             Collection::restore(Arc::clone(&raw), &snap).unwrap_err(),
             SnapshotError::BadVersion(99)
+        );
+    }
+
+    /// Format 1 listed index field names between the id counter and the
+    /// documents; read as format 2, that list would be taken for documents.
+    #[test]
+    fn restore_refuses_format_1() {
+        let mut v1 = Vec::new();
+        v1.put_u32(MAGIC);
+        v1.put_u8(1);
+        put_str(&mut v1, RawCodec.name());
+        put_str(&mut v1, "old");
+        v1.put_u64(1);
+        v1.put_u16(1);
+        put_str(&mut v1, "cluster");
+        let payload = RawCodec.encode(&Document::new().with("cluster", 3i64));
+        v1.put_u64(1);
+        v1.put_u64(0);
+        v1.put_u32(payload.len() as u32);
+        v1.extend_from_slice(&payload);
+        assert_eq!(
+            Collection::restore(Arc::new(RawCodec), &v1).unwrap_err(),
+            SnapshotError::BadVersion(1)
         );
     }
 
@@ -308,6 +310,5 @@ mod tests {
         let back = Collection::restore(Arc::new(RawCodec), &coll.snapshot()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.next_id(), 0);
-        assert!(back.index_fields().is_empty());
     }
 }

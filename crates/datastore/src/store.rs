@@ -3,17 +3,19 @@
 //! The paper's Data Store requirements (§II-A): (i) scale to large data,
 //! (ii) efficient lookup via embedding/cluster indexing, (iii) data updates,
 //! (iv) parallel reads during training, (v) parallel writes during update.
-//! [`Collection`] covers all five: documents live in hash shards guarded by
-//! independent `parking_lot::RwLock`s (parallel reads and writes), integer
-//! secondary indexes provide the indexed lookups, and documents are stored
-//! *encoded* (through the collection's [`Codec`]) so read paths pay the same
-//! deserialization cost the paper measures.
+//! [`Collection`] covers (i), (iii), (iv) and (v): documents live in hash
+//! shards guarded by independent `parking_lot::RwLock`s (parallel reads and
+//! writes), and are stored *encoded* (through the collection's [`Codec`])
+//! so read paths pay the same deserialization cost the paper measures.
+//! Lookup by cluster (ii) is fairDS's read index, kept current from this
+//! store's change log ([`Collection::changes_since`]); the store itself
+//! keeps no index over document fields.
 
 use crate::codec::Codec;
 use crate::value::Document;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,18 +33,11 @@ struct Shard {
     docs: HashMap<DocId, Bytes>,
 }
 
-/// A secondary index over a single integer field.
-struct Index {
-    field: String,
-    map: HashMap<i64, BTreeSet<DocId>>,
-}
-
-/// A named set of documents with shared codec, shards and indexes.
+/// A named set of documents with a shared codec, in hash shards.
 pub struct Collection {
     name: String,
     codec: Arc<dyn Codec>,
     shards: Vec<RwLock<Shard>>,
-    indexes: RwLock<Vec<Index>>,
     next_id: AtomicU64,
     /// The number of mutations ever logged: advanced by one per inserted,
     /// updated or deleted document. Readers key derived caches (e.g.
@@ -62,7 +57,6 @@ impl std::fmt::Debug for Collection {
             .field("name", &self.name)
             .field("codec", &self.codec.name())
             .field("len", &self.len())
-            .field("indexes", &self.index_fields())
             .finish()
     }
 }
@@ -81,7 +75,6 @@ impl Collection {
             name: name.to_string(),
             codec,
             shards,
-            indexes: RwLock::new(Vec::new()),
             next_id: AtomicU64::new(0),
             revision: AtomicU64::new(0),
             changes: Mutex::new(VecDeque::with_capacity(CHANGE_LOG_CAPACITY)),
@@ -137,14 +130,13 @@ impl Collection {
     }
 
     /// Inserts a document, returning its id. Encoding happens on the insert
-    /// path (the paper's "building data indexes as data are written").
+    /// path.
     pub fn insert(&self, doc: &Document) -> DocId {
         self.insert_many(std::slice::from_ref(doc))[0]
     }
 
     /// Inserts many documents, returning their (consecutive) ids in order.
-    /// Documents are encoded before any lock is taken, the secondary
-    /// indexes are locked once for the whole batch, and the batch is
+    /// Documents are encoded before any lock is taken, and the batch is
     /// published under a single revision advance.
     pub fn insert_many(&self, docs: &[Document]) -> Vec<DocId> {
         let first = self.next_id.fetch_add(docs.len() as u64, Ordering::Relaxed);
@@ -156,15 +148,6 @@ impl Collection {
         for (&id, payload) in ids.iter().zip(encoded) {
             self.shard_of(id).write().docs.insert(id, payload);
         }
-        let mut indexes = self.indexes.write();
-        for index in indexes.iter_mut() {
-            for (&id, doc) in ids.iter().zip(docs) {
-                if let Some(v) = doc.get_i64(&index.field) {
-                    index.map.entry(v).or_default().insert(id);
-                }
-            }
-        }
-        drop(indexes);
         self.bump_revision(&ids);
         ids
     }
@@ -185,50 +168,25 @@ impl Collection {
     }
 
     /// Replaces a document in place, keeping its id. Returns false when the
-    /// id does not exist.
+    /// id does not exist. The new document is encoded before the lock; the
+    /// existence check and the write are one step under the shard's write
+    /// lock, so an update racing a delete of the same id never resurrects it.
     pub fn update(&self, id: DocId, doc: &Document) -> bool {
-        let old = match self.get(id) {
-            Some(d) => d,
-            None => return false,
-        };
         let encoded = Bytes::from(self.codec.encode(doc));
-        self.shard_of(id).write().docs.insert(id, encoded);
-        let mut indexes = self.indexes.write();
-        for index in indexes.iter_mut() {
-            let old_v = old.get_i64(&index.field);
-            let new_v = doc.get_i64(&index.field);
-            if old_v != new_v {
-                if let Some(v) = old_v {
-                    if let Some(set) = index.map.get_mut(&v) {
-                        set.remove(&id);
-                    }
-                }
-                if let Some(v) = new_v {
-                    index.map.entry(v).or_default().insert(id);
-                }
-            }
+        match self.shard_of(id).write().docs.get_mut(&id) {
+            Some(payload) => *payload = encoded,
+            None => return false,
         }
-        drop(indexes);
         self.bump_revision(&[id]);
         true
     }
 
-    /// Deletes a document. Returns false when the id does not exist.
+    /// Deletes a document. Returns false when the id does not exist; of two
+    /// racing deletes of one id, exactly one returns true.
     pub fn delete(&self, id: DocId) -> bool {
-        let old = match self.get(id) {
-            Some(d) => d,
-            None => return false,
-        };
-        self.shard_of(id).write().docs.remove(&id);
-        let mut indexes = self.indexes.write();
-        for index in indexes.iter_mut() {
-            if let Some(v) = old.get_i64(&index.field) {
-                if let Some(set) = index.map.get_mut(&v) {
-                    set.remove(&id);
-                }
-            }
+        if self.shard_of(id).write().docs.remove(&id).is_none() {
+            return false;
         }
-        drop(indexes);
         self.bump_revision(&[id]);
         true
     }
@@ -267,21 +225,8 @@ impl Collection {
         self.next_id.load(Ordering::Relaxed)
     }
 
-    /// Names of the secondary indexes, sorted.
-    pub fn index_fields(&self) -> Vec<String> {
-        let mut fields: Vec<String> = self
-            .indexes
-            .read()
-            .iter()
-            .map(|i| i.field.clone())
-            .collect();
-        fields.sort();
-        fields
-    }
-
     /// Restores an already-encoded payload under a specific id (snapshot
-    /// restore path — bypasses re-encoding; indexes must be rebuilt with
-    /// [`Collection::create_index`] afterwards).
+    /// restore path — bypasses re-encoding).
     pub(crate) fn insert_raw_with_id(&self, id: DocId, payload: Bytes) {
         self.shard_of(id).write().docs.insert(id, payload);
         self.bump_revision(&[id]);
@@ -292,57 +237,14 @@ impl Collection {
         self.next_id.store(v, Ordering::Relaxed);
     }
 
-    /// Creates (or rebuilds) a secondary index over an integer field,
-    /// back-filling from existing documents.
-    pub fn create_index(&self, field: &str) {
-        let mut map: HashMap<i64, BTreeSet<DocId>> = HashMap::new();
-        for id in self.ids() {
-            if let Some(doc) = self.get(id) {
-                if let Some(v) = doc.get_i64(field) {
-                    map.entry(v).or_default().insert(id);
-                }
-            }
-        }
-        let mut indexes = self.indexes.write();
-        indexes.retain(|i| i.field != field);
-        indexes.push(Index {
-            field: field.to_string(),
-            map,
-        });
-    }
-
-    /// Whether an index exists on `field`.
-    pub fn has_index(&self, field: &str) -> bool {
-        self.indexes.read().iter().any(|i| i.field == field)
-    }
-
-    /// Ids whose `field` equals `value`. Uses the secondary index when one
-    /// exists, otherwise falls back to a full scan (decoding every
-    /// document — the cost the index exists to avoid).
-    pub fn find_by(&self, field: &str, value: i64) -> Vec<DocId> {
-        {
-            let indexes = self.indexes.read();
-            if let Some(index) = indexes.iter().find(|i| i.field == field) {
-                return index
-                    .map
-                    .get(&value)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-            }
-        }
-        self.scan(|doc| doc.get_i64(field) == Some(value))
-    }
-
     /// Full scan with a decoded-document predicate; returns matching ids in
-    /// ascending order.
+    /// ascending order. It derives membership from the documents
+    /// themselves, so it is the reference tests hold derived indexes to.
     pub fn scan(&self, pred: impl Fn(&Document) -> bool) -> Vec<DocId> {
-        let mut out: Vec<DocId> = self
-            .ids()
+        self.ids()
             .into_iter()
-            .filter(|&id| self.get(id).map(|d| pred(&d)).unwrap_or(false))
-            .collect();
-        out.sort_unstable();
-        out
+            .filter(|&id| self.get(id).is_some_and(|d| pred(&d)))
+            .collect()
     }
 }
 
@@ -375,36 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn indexed_lookup_matches_scan() {
-        let coll = Collection::new("t", Arc::new(RawCodec));
-        for i in 0..100 {
-            coll.insert(&doc(i % 7, i));
-        }
-        coll.create_index("cluster");
-        for c in 0..7 {
-            let via_index = coll.find_by("cluster", c);
-            let via_scan = coll.scan(|d| d.get_i64("cluster") == Some(c));
-            assert_eq!(via_index, via_scan, "cluster {c}");
-        }
-    }
-
-    #[test]
-    fn index_tracks_updates_and_deletes() {
-        let coll = Collection::new("t", Arc::new(RawCodec));
-        coll.create_index("cluster");
-        let id = coll.insert(&doc(3, 0));
-        assert_eq!(coll.find_by("cluster", 3), vec![id]);
-        coll.update(id, &doc(5, 0));
-        assert!(coll.find_by("cluster", 3).is_empty());
-        assert_eq!(coll.find_by("cluster", 5), vec![id]);
-        coll.delete(id);
-        assert!(coll.find_by("cluster", 5).is_empty());
-    }
-
-    #[test]
     fn parallel_writers_do_not_lose_documents() {
         let coll = Arc::new(Collection::new("t", Arc::new(RawCodec)));
-        coll.create_index("cluster");
         let mut handles = Vec::new();
         for t in 0..8 {
             let c = Arc::clone(&coll);
@@ -419,7 +293,7 @@ mod tests {
         }
         assert_eq!(coll.len(), 1600);
         for t in 0..8 {
-            assert_eq!(coll.find_by("cluster", t).len(), 200);
+            assert_eq!(coll.scan(|d| d.get_i64("cluster") == Some(t)).len(), 200);
         }
     }
 
@@ -459,7 +333,7 @@ mod tests {
         // Failed mutations and reads leave it unchanged.
         assert!(!coll.delete(id));
         assert!(!coll.update(id, &doc(0, 0)));
-        let _ = coll.find_by("cluster", 1);
+        let _ = coll.scan(|d| d.get_i64("cluster") == Some(1));
         assert_eq!(coll.revision(), r3);
     }
 
@@ -547,15 +421,5 @@ mod tests {
         inserted.sort_unstable();
         logged.sort_unstable();
         assert_eq!(logged, inserted, "every insert is logged exactly once");
-    }
-
-    #[test]
-    fn find_without_index_falls_back_to_scan() {
-        let coll = Collection::new("t", Arc::new(RawCodec));
-        for i in 0..20 {
-            coll.insert(&doc(i % 2, i));
-        }
-        assert!(!coll.has_index("cluster"));
-        assert_eq!(coll.find_by("cluster", 0).len(), 10);
     }
 }

@@ -11,6 +11,7 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
+use fairdms_nn::trainer::TrainControl;
 use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::net::frame::{write_frame, FrameKind};
 use fairdms_service::net::{NetServerConfig, PipelinedClient};
@@ -509,8 +510,13 @@ impl Embedder for TrippingEmbedder {
     fn input_dim(&self) -> usize {
         self.0.input_dim()
     }
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.0.fit(images, cfg);
+    fn fit_controlled(
+        &mut self,
+        images: &Tensor,
+        cfg: &EmbedTrainConfig,
+        ctl: &TrainControl,
+    ) -> bool {
+        self.0.fit_controlled(images, cfg, ctl)
     }
     fn embed(&self, images: &Tensor) -> Tensor {
         assert!(!images.data().contains(&SENTINEL), "embedder tripped");
@@ -730,8 +736,13 @@ impl Embedder for GatedEmbedder {
     fn input_dim(&self) -> usize {
         self.0.input_dim()
     }
-    fn fit(&mut self, images: &Tensor, cfg: &EmbedTrainConfig) {
-        self.0.fit(images, cfg);
+    fn fit_controlled(
+        &mut self,
+        images: &Tensor,
+        cfg: &EmbedTrainConfig,
+        ctl: &TrainControl,
+    ) -> bool {
+        self.0.fit_controlled(images, cfg, ctl)
     }
     fn embed(&self, images: &Tensor) -> Tensor {
         if images.data().contains(&SENTINEL) {

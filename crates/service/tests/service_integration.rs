@@ -739,6 +739,7 @@ fn sustained_drift_does_not_starve_the_retrain() {
 #[test]
 fn training_job_panic_poisons_the_service_loudly() {
     use fairdms_core::embedding::{EmbedTrainConfig as ECfg, Embedder};
+    use fairdms_nn::trainer::TrainControl;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -760,11 +761,11 @@ fn training_job_panic_poisons_the_service_loudly() {
         fn input_dim(&self) -> usize {
             self.inner.input_dim()
         }
-        fn fit(&mut self, images: &Tensor, cfg: &ECfg) {
+        fn fit_controlled(&mut self, images: &Tensor, cfg: &ECfg, ctl: &TrainControl) -> bool {
             if self.fits.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= 1 {
                 panic!("embedder exploded mid-refit");
             }
-            self.inner.fit(images, cfg);
+            self.inner.fit_controlled(images, cfg, ctl)
         }
         fn embed(&self, images: &Tensor) -> Tensor {
             self.inner.embed(images)

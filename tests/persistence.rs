@@ -95,7 +95,7 @@ fn beamline_session_survives_restart() {
         zoo.save_to_collection(&zoo_coll);
         zoo_coll.save_to(&zoo_path).unwrap();
 
-        let lookup: Vec<u64> = store.find_by("cluster", 0);
+        let lookup: Vec<u64> = store.scan(|d| d.get_i64("cluster") == Some(0));
         let rank = ModelManager::default().rank(&zoo, &pdf).unwrap().ranked;
         (pdf, lookup, rank, out)
     };
@@ -108,8 +108,10 @@ fn beamline_session_survives_restart() {
             .unwrap(),
     );
     assert_eq!(store.len(), 50);
-    assert!(store.has_index("cluster"));
-    assert_eq!(store.find_by("cluster", 0), lookup_before);
+    assert_eq!(
+        store.scan(|d| d.get_i64("cluster") == Some(0)),
+        lookup_before
+    );
 
     let zoo_coll = Collection::load_from(Arc::new(RawCodec), &zoo_path)
         .unwrap()
