@@ -81,14 +81,14 @@ fn frames(n: usize, seed: u64) -> Tensor {
     Tensor::from_vec(data, &[n, DIM])
 }
 
-fn trained_fairds(capacity: usize, shards: usize) -> FairDS {
+fn trained_fairds(capacity: usize) -> FairDS {
     let embedder = AutoencoderEmbedder::new(DIM, HIDDEN, EMBED, 7);
     let mut ds = FairDS::in_memory(
         Box::new(embedder),
         FairDsConfig {
             k: Some(10),
             seed: 7,
-            embed_cache: EmbedCacheConfig { capacity, shards },
+            embed_cache: EmbedCacheConfig { capacity },
             ..FairDsConfig::default()
         },
     );
@@ -192,8 +192,8 @@ fn run_workload(uncached: &Arc<SystemSnapshot>, cached: &Arc<SystemSnapshot>) ->
 fn bench_embed_cache(_c: &mut Criterion) {
     // Two identically-trained planes (training is deterministic given
     // seeds): the uncached one *is* the pre-PR baseline.
-    let ds_uncached = trained_fairds(0, 1);
-    let ds_cached = trained_fairds(4096, 8);
+    let ds_uncached = trained_fairds(0);
+    let ds_cached = trained_fairds(4096);
     let baseline_snap = ds_uncached.snapshot().expect("trained");
     let snap = ds_cached.snapshot().expect("trained");
     {

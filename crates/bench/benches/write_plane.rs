@@ -289,10 +289,7 @@ fn bench_retrain_install_occupancy(report: &mut BenchReport) {
         // shape and the same mid-flight ingest cadence.
         let mut recompute_lat = Vec::with_capacity(INSTALL_ITERS);
         {
-            let disabled = EmbedCacheConfig {
-                capacity: 0,
-                shards: 1,
-            };
+            let disabled = EmbedCacheConfig { capacity: 0 };
             let mut ds = install_fairds(disabled, store_size, 7);
             for i in 0..INSTALL_ITERS as u64 {
                 let (mid, mid_y) = install_frames(MID_FLIGHT, 0xA11 + i);

@@ -107,15 +107,16 @@ fn embedding_index_quality(scale: Scale) -> Table {
             },
         );
         fairds.ingest_labeled(&hx, &hy, 0);
+        let system = fairds.snapshot().expect("trained above");
 
         // Reference dataset at scan 0; candidates across the drift.
         let (ref_x, _) = bragg_flat(&sim.scan(0, per_scan));
-        let ref_pdf = fairds.dataset_pdf(&ref_x);
+        let ref_pdf = system.dataset_pdf(&ref_x);
         let mut jsds = Vec::new();
         let mut scan_dist = Vec::new();
         for s in 0..n_scans {
             let (x, _) = bragg_flat(&sim.scan(s, per_scan));
-            let pdf = fairds.dataset_pdf(&x);
+            let pdf = system.dataset_pdf(&x);
             jsds.push(jsd(&ref_pdf, &pdf));
             scan_dist.push(s as f64);
         }
@@ -126,9 +127,8 @@ fn embedding_index_quality(scale: Scale) -> Table {
 
 /// Ablation 2: JSD vs plain L2 between PDFs for picking the best zoo model.
 fn jsd_vs_l2(scale: Scale) -> Table {
-    let fx = crate::figures::fig10_12::build_bragg_zoo(scale, 15, 67);
-    let fairds = fx.fairds;
-    let zoo = fx.zoo;
+    let crate::figures::fig10_12::BraggZoo { system, zoo } =
+        crate::figures::fig10_12::build_bragg_zoo(scale, 15, 67);
     let n_zoo = zoo.len();
     let config_change = n_zoo / 2;
     let sim = BraggSimulator::new(
@@ -149,7 +149,7 @@ fn jsd_vs_l2(scale: Scale) -> Table {
     );
     for ts in [0usize, config_change, n_zoo - 1] {
         let (x, _) = bragg_flat(&sim.scan_shot(ts, 9, per_test));
-        let pdf = fairds.dataset_pdf(&x);
+        let pdf = system.dataset_pdf(&x);
         let pick = |metric: &dyn Fn(&[f64], &[f64]) -> f64| -> usize {
             (0..n_zoo)
                 .min_by(|&a, &b| {
@@ -181,7 +181,9 @@ fn jsd_vs_l2(scale: Scale) -> Table {
 fn threshold_sweep(scale: Scale) -> Table {
     let per_scan = scale.pick(60, 250, 500);
     let history = bragg_history(3, per_scan, 71);
-    let fairds = bragg_fairds(&history, 15, 71, embed_epochs(scale));
+    let system = bragg_fairds(&history, 15, 71, embed_epochs(scale))
+        .snapshot()
+        .expect("bragg_fairds trains");
     let sim = BraggSimulator::new(DriftModel::none(), 7171);
     let patches = sim.scan(0, per_scan.min(200));
     let (x, y_true) = bragg_flat(&patches);
@@ -192,7 +194,7 @@ fn threshold_sweep(scale: Scale) -> Table {
     );
     let px = (BRAGG_SIDE - 1) as f32;
     for &t in &[0.003f32, 0.01, 0.05, 0.2, 1.0] {
-        let (labels, stats) = fairds.pseudo_label(&x, t, |pixels| {
+        let (labels, stats) = system.pseudo_label(&x, t, |pixels| {
             let fit = fairdms_datasets::voigt::fit_peak(
                 pixels,
                 BRAGG_SIDE,
@@ -237,9 +239,11 @@ fn k_sensitivity(scale: Scale) -> Table {
         &["k", "certainty_in_dist", "certainty_drifted", "separation"],
     );
     for &k in &[5usize, 10, 15, 20] {
-        let fairds = bragg_fairds(&history, k, 83, embed_epochs(scale));
-        let c_in = fairds.certainty(&in_dist);
-        let c_drift = fairds.certainty(&drifted);
+        let system = bragg_fairds(&history, k, 83, embed_epochs(scale))
+            .snapshot()
+            .expect("bragg_fairds trains");
+        let c_in = system.certainty(&in_dist);
+        let c_drift = system.certainty(&drifted);
         table.row(vec![
             k.to_string(),
             format!("{:.2}", c_in),

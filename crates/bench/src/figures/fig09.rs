@@ -54,7 +54,9 @@ pub fn run(scale: Scale) -> Result<(), String> {
 
     // Historical corpus, ingested into fairDS.
     let history = bragg_history(hist_scans, per_scan, 11);
-    let fairds = bragg_fairds(&history, 15.min(history.len()), 11, embed_epochs(scale));
+    let system = bragg_fairds(&history, 15.min(history.len()), 11, embed_epochs(scale))
+        .snapshot()
+        .expect("bragg_fairds trains");
 
     // BR: a new experiment (different seed, same physics); BH ⊂ BR held out.
     let new_sim = BraggSimulator::new(DriftModel::none(), 999);
@@ -83,7 +85,7 @@ pub fn run(scale: Scale) -> Result<(), String> {
     //     Voigt fallback above it. ---
     let threshold = 0.6f32;
     let t0 = Instant::now();
-    let matches = fairds.nearest_labeled(&x_train_flat);
+    let matches = system.nearest_labeled(&x_train_flat);
     let mut bo_x = Vec::with_capacity(br_train.len() * BRAGG_SIDE * BRAGG_SIDE);
     let mut bo_y = Vec::with_capacity(br_train.len() * 2);
     let mut reused = 0usize;

@@ -9,8 +9,8 @@ use crate::figures::{bragg_fairds, bragg_flat, embed_epochs, fit_holdout, BRAGG_
 use crate::table::{f, Table};
 use crate::Scale;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
-use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::{ModelManager, ModelZoo};
+use fairdms_core::fairds::{FairDS, FairDsConfig, SystemSnapshot};
+use fairdms_core::fairms::{ModelZoo, ZooSnapshot};
 use fairdms_core::jsd::jsd;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::uncertainty::mean_row_distance;
@@ -18,6 +18,7 @@ use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::cookiebox::{to_training_tensors as cookie_tensors, CookieBoxSimulator};
 use fairdms_nn::layers::Mode;
 use fairdms_nn::loss::{Loss, Mse};
+use std::sync::Arc;
 
 /// Spearman rank correlation between two equally long series.
 pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
@@ -55,10 +56,11 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 /// A zoo built over a drifting Bragg experiment: one BraggNN per scan,
 /// indexed by the fairDS PDF of its training data.
 pub struct BraggZoo {
-    /// The data service (system plane trained on the pre-drift corpus).
-    pub fairds: FairDS,
-    /// The model zoo.
-    pub zoo: ModelZoo,
+    /// The published data service (system plane trained on history
+    /// spanning both phases).
+    pub system: Arc<SystemSnapshot>,
+    /// The published model zoo.
+    pub zoo: ZooSnapshot,
 }
 
 /// Builds the Fig 10 fixture: bimodal drift (config change mid-series).
@@ -80,26 +82,31 @@ pub fn build_bragg_zoo(scale: Scale, k: usize, seed: u64) -> BraggZoo {
     let history: Vec<_> = (0..n_zoo)
         .flat_map(|s| sim.scan_shot(s, 11, per_scan))
         .collect();
-    let fairds = bragg_fairds(&history, k, seed, embed_epochs(scale));
+    let system = bragg_fairds(&history, k, seed, embed_epochs(scale))
+        .snapshot()
+        .expect("bragg_fairds trains");
     let mut zoo = ModelZoo::new();
     let arch = ArchSpec::BraggNN { patch: BRAGG_SIDE };
     for s in 0..n_zoo {
         let patches = sim.scan(s, per_scan);
         let (xf, y) = bragg_flat(&patches);
-        let pdf = fairds.dataset_pdf(&xf);
+        let pdf = system.dataset_pdf(&xf);
         let n = xf.shape()[0];
         let x4 = xf.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
         let mut net = arch.build(seed + s as u64);
         fit_holdout(&mut net, &x4, &y, 2e-3, epochs, 32);
         zoo.add_model(&format!("braggnn-scan{s}"), arch, &net, pdf, s);
     }
-    BraggZoo { fairds, zoo }
+    BraggZoo {
+        system,
+        zoo: zoo.snapshot(),
+    }
 }
 
 /// **Fig 10** — BraggNN error-vs-JSD scatter over four test datasets.
 pub fn run_braggnn(scale: Scale) -> Result<(), String> {
-    let fx = build_bragg_zoo(scale, 15, 31);
-    let n_zoo = fx.zoo.len();
+    let BraggZoo { system, zoo } = build_bragg_zoo(scale, 15, 31);
+    let n_zoo = zoo.len();
     let per_test = scale.pick(40, 150, 300);
     let config_change = n_zoo / 2;
     let sim = BraggSimulator::new(
@@ -123,15 +130,15 @@ pub fn run_braggnn(scale: Scale) -> Result<(), String> {
     for (t_idx, &ts) in test_scans.iter().enumerate() {
         let patches = sim.scan_shot(ts, 5, per_test); // held-out shots of scan ts
         let (xf, y) = bragg_flat(&patches);
-        let pdf = fx.fairds.dataset_pdf(&xf);
+        let pdf = system.dataset_pdf(&xf);
         let n = xf.shape()[0];
         let x4 = xf.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
         let mut ds = Vec::new();
         let mut es = Vec::new();
         for id in 0..n_zoo {
-            let entry = fx.zoo.get(id).unwrap();
+            let entry = zoo.get(id).unwrap();
             let d = jsd(&pdf, &entry.train_pdf);
-            let mut net = fx.zoo.instantiate(id, 0).unwrap();
+            let mut net = zoo.instantiate(id, 0).unwrap();
             let pred = net.forward(&x4, Mode::Eval);
             let e = mean_row_distance(&pred, &y, px) as f64;
             table.row(vec![
@@ -193,6 +200,7 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         },
     );
     fairds.ingest_labeled(&hx_flat, &hy_flat, 0);
+    let system = fairds.snapshot().expect("trained above");
 
     let arch = ArchSpec::CookieNetAE { size };
     let mut zoo = ModelZoo::new();
@@ -201,11 +209,12 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let imgs = sim.scan(scan, per_scan);
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
-        let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
+        let pdf = system.dataset_pdf(&x4.reshape(&[n, size * size]));
         let mut net = arch.build(40 + m as u64);
         fit_holdout(&mut net, &x4, &y4, 2e-3, epochs, 32);
         zoo.add_model(&format!("cookienetae-scan{scan}"), arch, &net, pdf, scan);
     }
+    let zoo = zoo.snapshot();
 
     let mut table = Table::new(
         "Fig 11: CookieNetAE prediction error (MSE x 1e3) vs JSD dataset distance",
@@ -217,7 +226,7 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let imgs = sim.scan(ts, per_scan.min(32));
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
-        let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
+        let pdf = system.dataset_pdf(&x4.reshape(&[n, size * size]));
         let mut ds = Vec::new();
         let mut es = Vec::new();
         for id in 0..zoo.len() {
@@ -251,8 +260,8 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
 /// **Fig 12** — cluster-PDF bars: input dataset vs the training PDFs of
 /// the best- and worst-ranked zoo models (k = 15, matching the paper).
 pub fn run_distribution_bars(scale: Scale) -> Result<(), String> {
-    let fx = build_bragg_zoo(scale, 15, 77);
-    let n_zoo = fx.zoo.len();
+    let BraggZoo { system, zoo } = build_bragg_zoo(scale, 15, 77);
+    let n_zoo = zoo.len();
     let config_change = n_zoo / 2;
     let sim = BraggSimulator::new(
         DriftModel::paper_like(usize::MAX - 1, config_change),
@@ -261,12 +270,11 @@ pub fn run_distribution_bars(scale: Scale) -> Result<(), String> {
     let per_test = scale.pick(60, 250, 500);
     let patches = sim.scan_shot(config_change, 3, per_test); // held-out second-phase shots
     let (xf, _) = bragg_flat(&patches);
-    let pdf = fx.fairds.dataset_pdf(&xf);
+    let pdf = system.dataset_pdf(&xf);
 
-    let mgr = ModelManager::default();
-    let rec = mgr.rank(&fx.zoo, &pdf).expect("non-empty zoo");
-    let best = fx.zoo.get(rec.best().unwrap().0).unwrap();
-    let worst = fx.zoo.get(rec.worst().unwrap().0).unwrap();
+    let rec = zoo.rank(&pdf).expect("non-empty zoo");
+    let best = zoo.get(rec.best().unwrap().0).unwrap();
+    let worst = zoo.get(rec.worst().unwrap().0).unwrap();
 
     let mut table = Table::new(
         "Fig 12: cluster PDF — input vs best-ranked vs worst-ranked training data",

@@ -5,13 +5,13 @@
 //! The reproduction target is the *shape*: FineTune-B converges within the
 //! first few epochs; Retrain converges slowest.
 
-use crate::figures::fig10_12::build_bragg_zoo;
+use crate::figures::fig10_12::{build_bragg_zoo, BraggZoo};
 use crate::figures::{bragg_flat, fit_holdout, BRAGG_SIDE};
 use crate::table::Table;
 use crate::Scale;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::{ModelManager, ModelZoo, Recommendation};
+use fairdms_core::fairms::{ModelZoo, Recommendation, ZooSnapshot};
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::cookiebox::{to_training_tensors as cookie_tensors, CookieBoxSimulator};
@@ -21,7 +21,7 @@ const STRATEGIES: [&str; 4] = ["Retrain", "FineTune-B", "FineTune-M", "FineTune-
 
 /// Starting nets for the four strategies, given a ranked recommendation.
 fn strategy_nets(
-    zoo: &ModelZoo,
+    zoo: &ZooSnapshot,
     rec: &Recommendation,
     arch: ArchSpec,
     seed: u64,
@@ -97,8 +97,8 @@ fn emit_curves(
 
 /// **Fig 14** — BraggNN learning curves (bimodal Bragg zoo).
 pub fn run_braggnn(scale: Scale) -> Result<(), String> {
-    let fx = build_bragg_zoo(scale, 15, 51);
-    let n_zoo = fx.zoo.len();
+    let BraggZoo { system, zoo } = build_bragg_zoo(scale, 15, 51);
+    let n_zoo = zoo.len();
     let config_change = n_zoo / 2;
     let sim = BraggSimulator::new(
         DriftModel::paper_like(usize::MAX - 1, config_change),
@@ -106,7 +106,6 @@ pub fn run_braggnn(scale: Scale) -> Result<(), String> {
     );
     let per_test = scale.pick(50, 250, 500);
     let epochs = scale.pick(5, 30, 60);
-    let mgr = ModelManager::default();
     let arch = ArchSpec::BraggNN { patch: BRAGG_SIDE };
 
     let test_scans = [0, config_change.saturating_sub(1), config_change, n_zoo - 1];
@@ -114,12 +113,12 @@ pub fn run_braggnn(scale: Scale) -> Result<(), String> {
     for (t, &ts) in test_scans.iter().enumerate() {
         let patches = sim.scan_shot(ts, 7, per_test); // held-out shots of scan ts
         let (xf, y) = bragg_flat(&patches);
-        let pdf = fx.fairds.dataset_pdf(&xf);
+        let pdf = system.dataset_pdf(&xf);
         let n = xf.shape()[0];
         let x4 = xf.reshape(&[n, 1, BRAGG_SIDE, BRAGG_SIDE]);
-        let rec = mgr.rank(&fx.zoo, &pdf).expect("zoo is non-empty");
+        let rec = zoo.rank(&pdf).expect("zoo is non-empty");
         let mut curves = vec![Vec::new(); 4];
-        for (col, mut net) in strategy_nets(&fx.zoo, &rec, arch, 60 + t as u64) {
+        for (col, mut net) in strategy_nets(&zoo, &rec, arch, 60 + t as u64) {
             let lr = if col == 0 { 2e-3 } else { 5e-4 };
             let report = fit_holdout(&mut net, &x4, &y, lr, epochs, 32);
             curves[col] = report.val_curve();
@@ -174,6 +173,7 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
             ..EmbedTrainConfig::default()
         },
     );
+    let system = fairds.snapshot().expect("trained above");
 
     let arch = ArchSpec::CookieNetAE { size };
     let mut zoo = ModelZoo::new();
@@ -182,21 +182,21 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         let imgs = sim.scan(scan, per_scan);
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
-        let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
+        let pdf = system.dataset_pdf(&x4.reshape(&[n, size * size]));
         let mut net = arch.build(80 + m as u64);
         fit_holdout(&mut net, &x4, &y4, 2e-3, zoo_epochs, 16);
         zoo.add_model(&format!("cookienetae-scan{scan}"), arch, &net, pdf, scan);
     }
 
-    let mgr = ModelManager::default();
+    let zoo = zoo.snapshot();
     let test_scans: Vec<usize> = (0..4).map(|i| i * scan_stride * n_zoo / 4 + 5).collect();
     let mut results = Vec::new();
     for (t, &ts) in test_scans.iter().enumerate() {
         let imgs = sim.scan(ts, per_scan);
         let (x4, y4) = cookie_tensors(&imgs);
         let n = x4.shape()[0];
-        let pdf = fairds.dataset_pdf(&x4.reshape(&[n, size * size]));
-        let rec = mgr.rank(&zoo, &pdf).expect("zoo is non-empty");
+        let pdf = system.dataset_pdf(&x4.reshape(&[n, size * size]));
+        let rec = zoo.rank(&pdf).expect("zoo is non-empty");
         let mut curves = vec![Vec::new(); 4];
         for (col, mut net) in strategy_nets(&zoo, &rec, arch, 90 + t as u64) {
             let lr = if col == 0 { 2e-3 } else { 5e-4 };

@@ -63,7 +63,8 @@ pub fn run(scale: Scale) -> Result<(), String> {
     // Pre-train a foundation model on the stable phase (datasets 0..21 in
     // the paper's indexing) and register it.
     let (hx, hy) = bragg_flat(&history);
-    let hist_pdf = trainer.fairds.dataset_pdf(&hx);
+    let system = trainer.fairds.snapshot().expect("bragg_fairds trains");
+    let hist_pdf = system.dataset_pdf(&hx);
     let (seed_net, seed_report, _, _) =
         trainer.fit_strategy(&hx, &hy, &hist_pdf, TrainStrategy::Scratch);
     trainer.zoo.add_model(
@@ -115,8 +116,8 @@ pub fn run(scale: Scale) -> Result<(), String> {
     let transfer_secs = globus.transfer_secs(PAPER_PEAKS * BRAGG_SIDE * BRAGG_SIDE * 4);
 
     let t0 = Instant::now();
-    let pdf22 = trainer.fairds.dataset_pdf(&x22);
-    let (labels22, stats) = trainer.fairds.pseudo_label(&x22, 0.6, |pixels| {
+    let pdf22 = system.dataset_pdf(&x22);
+    let (labels22, stats) = system.pseudo_label(&x22, 0.6, |pixels| {
         let fit = fit_peak(pixels, BRAGG_SIDE, &FitConfig::MIDAS_GRADE);
         let (cx, cy) = fit.center();
         let s = (BRAGG_SIDE - 1) as f32;

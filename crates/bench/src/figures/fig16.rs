@@ -42,7 +42,9 @@ pub fn run(scale: Scale) -> Result<(), String> {
         fuzzifier: 1.45,
         ..FairDsConfig::default()
     };
-    let static_ds = bragg_fairds_with(&warmup_patches, ds_cfg(16), embed_epochs(scale));
+    let static_ds = bragg_fairds_with(&warmup_patches, ds_cfg(16), embed_epochs(scale))
+        .snapshot()
+        .expect("bragg_fairds_with trains");
     let mut triggered_ds = bragg_fairds_with(&warmup_patches, ds_cfg(16), embed_epochs(scale));
     let retrain_cfg = EmbedTrainConfig {
         epochs: embed_epochs(scale),
@@ -64,7 +66,7 @@ pub fn run(scale: Scale) -> Result<(), String> {
         let before = static_ds.certainty(&x);
         let mut fired = false;
         let after = {
-            let c = triggered_ds.certainty(&x);
+            let c = triggered_ds.snapshot().expect("trained").certainty(&x);
             if c < trigger_threshold {
                 // System-plane update: retrain embedding + clustering on
                 // the store plus the new data, then re-ingest.
@@ -74,7 +76,7 @@ pub fn run(scale: Scale) -> Result<(), String> {
                 if fired_at.is_none() {
                     fired_at = Some(d);
                 }
-                triggered_ds.certainty(&x)
+                triggered_ds.snapshot().expect("retrained").certainty(&x)
             } else {
                 triggered_ds.ingest_labeled(&x, &y, d);
                 c

@@ -5,7 +5,7 @@
 //! synchronization-relevant operation. On a thread that is not part of a
 //! model execution every hook is a no-op, so instrumented shims stay
 //! usable from ordinary tests. On a model thread each hook forwards to
-//! the per-execution [`Scheduler`](crate::sched::Scheduler) held in a
+//! the per-execution [`Scheduler`] held in a
 //! thread-local.
 //!
 //! Resources are identified by `u64` ids; for heap objects the stable

@@ -79,27 +79,16 @@ pub fn memberships(data: &Tensor, model: &KMeans, fuzzifier: f32) -> Tensor {
 }
 
 /// The paper's certainty metric: the fraction of samples whose *maximum*
-/// fuzzy membership is at least `confidence` (Fig 16 uses 0.5), with the
-/// conventional fuzzifier m = 2.
+/// fuzzy membership is at least `confidence` (Fig 16 uses 0.5). Returns a
+/// value in `[0, 1]`.
 ///
-/// Returns a value in `[0, 1]`.
-pub fn certainty(data: &Tensor, model: &KMeans, confidence: f32) -> f64 {
-    certainty_with_fuzzifier(data, model, confidence, DEFAULT_FUZZIFIER)
-}
-
-/// [`certainty`] with an explicit fuzzifier.
-///
-/// The fuzzifier sets the metric's operating point: at m = 2 with large K
-/// even well-clustered data rarely reaches 0.5 max-membership, while
-/// m → 1 approaches hard assignment (certainty → 1). The paper does not
-/// report its value; deployments calibrate m so in-distribution data
-/// scores near the paper's ~97 % baseline.
-pub fn certainty_with_fuzzifier(
-    data: &Tensor,
-    model: &KMeans,
-    confidence: f32,
-    fuzzifier: f32,
-) -> f64 {
+/// The fuzzifier sets the metric's operating point: at m = 2
+/// ([`DEFAULT_FUZZIFIER`]) with large K even well-clustered data rarely
+/// reaches 0.5 max-membership, while m → 1 approaches hard assignment
+/// (certainty → 1). The paper does not report its value; deployments
+/// calibrate m so in-distribution data scores near the paper's ~97 %
+/// baseline.
+pub fn certainty(data: &Tensor, model: &KMeans, confidence: f32, fuzzifier: f32) -> f64 {
     assert!(
         (0.0..=1.0).contains(&confidence),
         "confidence must be in [0,1]"
@@ -169,8 +158,8 @@ mod tests {
         let loose = blobs(4.0, 2);
         let m_tight = KMeans::fit(&tight, &KMeansConfig::new(3));
         let m_loose = KMeans::fit(&loose, &KMeansConfig::new(3));
-        let c_tight = certainty(&tight, &m_tight, 0.5);
-        let c_loose = certainty(&loose, &m_loose, 0.5);
+        let c_tight = certainty(&tight, &m_tight, 0.5, DEFAULT_FUZZIFIER);
+        let c_loose = certainty(&loose, &m_loose, 0.5, DEFAULT_FUZZIFIER);
         assert!(c_tight > c_loose, "{c_tight} !> {c_loose}");
         assert!(
             c_tight > 0.95,
@@ -192,8 +181,8 @@ mod tests {
             drifted.push(3.0 + rng.next_normal_with(0.0, 0.4));
         }
         let drifted = Tensor::from_vec(drifted, &[60, 2]);
-        let c_train = certainty(&train, &model, 0.5);
-        let c_drift = certainty(&drifted, &model, 0.5);
+        let c_train = certainty(&train, &model, 0.5, DEFAULT_FUZZIFIER);
+        let c_drift = certainty(&drifted, &model, 0.5, DEFAULT_FUZZIFIER);
         assert!(c_drift < c_train, "{c_drift} !< {c_train}");
     }
 
@@ -210,6 +199,6 @@ mod tests {
         let data = blobs(0.5, 5);
         let model = KMeans::fit(&data, &KMeansConfig::new(3));
         let empty = Tensor::zeros(&[0, 2]);
-        assert_eq!(certainty(&empty, &model, 0.5), 1.0);
+        assert_eq!(certainty(&empty, &model, 0.5, DEFAULT_FUZZIFIER), 1.0);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! The pipeline: fairDS embeds every sample into a compact feature vector,
 //! clusters the embedding space with [`KMeans`], summarizes datasets as
-//! cluster-occupancy PDFs, and uses [`fuzzy::certainty`] to decide when the
-//! embedding+clustering stack has gone stale.
+//! cluster-occupancy PDFs, and uses [`fuzzy::certainty`] (at a fuzzifier
+//! the deployment calibrates) to decide when the embedding+clustering stack
+//! has gone stale.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,7 +22,7 @@ pub mod minibatch;
 pub mod partition;
 
 pub use elbow::{select_k, ElbowReport};
-pub use fuzzy::{certainty, certainty_with_fuzzifier, memberships};
+pub use fuzzy::{certainty, memberships};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use minibatch::{fit_minibatch, MiniBatchConfig};
 pub use partition::{inflated_radius, partition_balls, Ball, BallPartitionConfig};

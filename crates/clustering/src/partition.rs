@@ -59,7 +59,7 @@ impl BallPartitionConfig {
     }
 
     /// Upper bound on the multiply–adds partitioning spends per `d`-wide
-    /// row: one assignment against at most [`MAX_FANOUT`] centers at each
+    /// row: one assignment against at most `MAX_FANOUT` centers at each
     /// of at most `max_depth` levels.
     pub fn row_work(&self, d: usize) -> usize {
         self.max_depth * MAX_FANOUT * d

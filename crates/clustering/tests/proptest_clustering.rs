@@ -73,7 +73,7 @@ proptest! {
         prop_assume!(n >= k);
         let data = random_data(n, 2, seed);
         let model = KMeans::fit(&data, &KMeansConfig::new(k));
-        let c = fuzzy::certainty(&data, &model, confidence);
+        let c = fuzzy::certainty(&data, &model, confidence, fuzzy::DEFAULT_FUZZIFIER);
         prop_assert!((0.0..=1.0).contains(&c));
     }
 

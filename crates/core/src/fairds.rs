@@ -12,19 +12,20 @@
 //! The service state is split in two:
 //!
 //! * [`SystemSnapshot`] — an **immutable** view of the fitted system plane
-//!   (frozen embedder, fitted k-means, a handle to the shared store). Every
-//!   user-plane read — [`SystemSnapshot::dataset_pdf`],
+//!   (frozen embedder, fitted k-means, a handle to the shared store), and
+//!   the one read API: [`SystemSnapshot::dataset_pdf`],
 //!   [`SystemSnapshot::lookup_matching`], [`SystemSnapshot::pseudo_label`],
-//!   [`SystemSnapshot::nearest_labeled`], [`SystemSnapshot::certainty`] —
-//!   takes `&self` and is safe to call from any number of threads
+//!   [`SystemSnapshot::nearest_labeled`] and [`SystemSnapshot::certainty`]
+//!   all take `&self` and are safe to call from any number of threads
 //!   concurrently. Snapshots are shared as `Arc<SystemSnapshot>`; replacing
 //!   one is a single atomic `Arc` swap.
 //! * [`FairDS`] — the **mutating builder** that owns the trainable
 //!   embedder. [`FairDS::train_system`] / [`FairDS::retrain_system`] fit
 //!   models and *publish* a fresh snapshot; [`FairDS::ingest_labeled`]
-//!   writes documents through the (internally synchronized) store. For
-//!   convenience every snapshot read is mirrored on `FairDS` itself,
-//!   delegating to the currently-published snapshot.
+//!   writes documents through the (internally synchronized) store. It
+//!   answers no user-plane query itself: a caller binds
+//!   [`FairDS::snapshot`] once and queries that. What the builder keeps is
+//!   the monitor's retrain decision, [`FairDS::needs_system_update`].
 //!
 //! This mirrors the paper's deployment, where the trainer reads the data
 //! store directly while the service keeps answering queries: queries never
@@ -405,19 +406,8 @@ impl SystemSnapshot {
     /// system models (the Fig 16 metric), using the snapshot's configured
     /// fuzzifier.
     pub fn certainty(&self, images: &Tensor) -> f64 {
-        self.certainty_with(images, self.cfg.fuzzifier)
-    }
-
-    /// [`SystemSnapshot::certainty`] with an explicit fuzzifier.
-    fn certainty_with(&self, images: &Tensor, fuzzifier: f32) -> f64 {
         let z = self.embed_cached(images);
-        fuzzy::certainty_with_fuzzifier(&z, &self.kmeans, CONFIDENCE, fuzzifier)
-    }
-
-    /// Whether the staleness monitor demands a system-plane retrain
-    /// (certainty below the snapshot's configured threshold).
-    pub fn needs_system_update(&self, images: &Tensor) -> bool {
-        self.certainty(images) < self.cfg.certainty_threshold
+        fuzzy::certainty(&z, &self.kmeans, CONFIDENCE, self.cfg.fuzzifier)
     }
 }
 
@@ -582,15 +572,14 @@ impl FairDS {
         &self.cfg
     }
 
-    /// Mutable access to the configuration — deployments calibrate the
-    /// certainty threshold against a measured baseline (absolute fuzzy
-    /// certainty depends on K and the embedding geometry, so a fixed
-    /// constant does not transfer across workloads). Monitor-parameter
-    /// changes take effect immediately on the builder's own reads;
-    /// already-published snapshots keep the configuration they were
-    /// trained under until the next publication.
-    pub fn config_mut(&mut self) -> &mut FairDsConfig {
-        &mut self.cfg
+    /// Sets the certainty below which [`FairDS::needs_system_update`]
+    /// asks for a retrain — deployments calibrate it against a measured
+    /// baseline (absolute fuzzy certainty depends on K and the embedding
+    /// geometry, so a fixed constant does not transfer across workloads).
+    /// Takes effect on the next monitor decision; snapshots carry the
+    /// configuration they were published under.
+    pub fn set_certainty_threshold(&mut self, threshold: f64) {
+        self.cfg.certainty_threshold = threshold;
     }
 
     /// The embedding-reuse cache shared into every published snapshot.
@@ -954,44 +943,10 @@ impl FairDS {
         self.store.insert_many(&docs)
     }
 
-    /// The cluster-occupancy PDF of a dataset (delegates to the snapshot).
-    pub fn dataset_pdf(&self, images: &Tensor) -> Vec<f64> {
-        self.ready("dataset_pdf").dataset_pdf(images)
-    }
-
-    /// PDF-matched retrieval (delegates to the snapshot).
-    pub fn lookup_matching(&self, pdf: &[f64], count: usize) -> Vec<Document> {
-        self.ready("lookup").lookup_matching(pdf, count)
-    }
-
-    /// Pseudo-labels a dataset (delegates to the snapshot).
-    pub fn pseudo_label(
-        &self,
-        images: &Tensor,
-        threshold: f32,
-        fallback: impl FnMut(&[f32]) -> Vec<f32>,
-    ) -> (Tensor, PseudoLabelStats) {
-        self.ready("pseudo_label")
-            .pseudo_label(images, threshold, fallback)
-    }
-
-    /// Nearest labeled documents (delegates to the snapshot).
-    pub fn nearest_labeled(&self, images: &Tensor) -> Vec<Option<(f32, Document)>> {
-        self.ready("nearest_labeled").nearest_labeled(images)
-    }
-
-    /// Fuzzy-clustering certainty of a dataset under the current system
-    /// models (the Fig 16 metric), using the builder's *live*
-    /// configuration so threshold calibration applies without republishing.
-    pub fn certainty(&self, images: &Tensor) -> f64 {
-        self.ready("certainty")
-            .certainty_with(images, self.cfg.fuzzifier)
-    }
-
-    /// Whether the staleness monitor demands a system-plane retrain
-    /// (certainty below the configured threshold).
+    /// The monitor's retrain decision: whether the published snapshot's
+    /// certainty on `images` is below the configured threshold.
     pub fn needs_system_update(&self, images: &Tensor) -> bool {
-        self.certainty(images) < self.cfg.certainty_threshold
+        self.ready("needs_system_update").certainty(images) < self.cfg.certainty_threshold
     }
 }
 
@@ -1058,7 +1013,8 @@ pub(crate) mod tests {
         ds.ingest_labeled(&x, &y, 0);
         assert_eq!(ds.store().len(), 40);
 
-        let pdf = ds.dataset_pdf(&x);
+        let snap = ds.snapshot().unwrap();
+        let pdf = snap.dataset_pdf(&x);
         assert_eq!(pdf.len(), 2);
         assert!((pdf.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Two balanced modes ⇒ roughly balanced PDF.
@@ -1088,7 +1044,8 @@ pub(crate) mod tests {
         ds.train_system(&x, &quick_embed_cfg());
         ds.ingest_labeled(&x, &y, 0);
         // Request only cluster 0.
-        let docs = ds.lookup_matching(&[1.0, 0.0], 40);
+        let snap = ds.snapshot().unwrap();
+        let docs = snap.lookup_matching(&[1.0, 0.0], 40);
         assert_eq!(docs.len(), 40);
         assert!(docs.iter().all(|d| d.get_i64("cluster") == Some(0)));
     }
@@ -1098,7 +1055,8 @@ pub(crate) mod tests {
         let (x, _) = blob_images(10, 2, 4);
         let mut ds = fairds_with_k(2);
         ds.train_system(&x, &quick_embed_cfg());
-        assert!(ds.lookup_matching(&[0.5, 0.5], 5).is_empty());
+        let snap = ds.snapshot().unwrap();
+        assert!(snap.lookup_matching(&[0.5, 0.5], 5).is_empty());
     }
 
     #[test]
@@ -1110,7 +1068,8 @@ pub(crate) mod tests {
 
         // New data from the same distribution: labels mostly reused.
         let (x_new, _) = blob_images(10, 2, 6);
-        let (labels, stats) = ds.pseudo_label(&x_new, 0.8, |_| vec![9.9, 9.9]);
+        let snap = ds.snapshot().unwrap();
+        let (labels, stats) = snap.pseudo_label(&x_new, 0.8, |_| vec![9.9, 9.9]);
         assert_eq!(labels.shape(), &[20, 2]);
         assert!(
             stats.reuse_fraction() > 0.8,
@@ -1128,7 +1087,8 @@ pub(crate) mod tests {
         ds.train_system(&x, &quick_embed_cfg());
         ds.ingest_labeled(&x, &y, 0);
         let (x_new, _) = blob_images(5, 2, 8);
-        let (labels, stats) = ds.pseudo_label(&x_new, 1e-9, |_| vec![7.0, 7.0]);
+        let snap = ds.snapshot().unwrap();
+        let (labels, stats) = snap.pseudo_label(&x_new, 1e-9, |_| vec![7.0, 7.0]);
         assert_eq!(stats.reused, 0);
         assert_eq!(stats.computed, 10);
         assert!(labels.data().iter().all(|&v| v == 7.0));
@@ -1147,10 +1107,11 @@ pub(crate) mod tests {
             },
         );
         ds.train_system(&x, &quick_embed_cfg());
-        let c_in = ds.certainty(&x);
+        let snap = ds.snapshot().unwrap();
+        let c_in = snap.certainty(&x);
         // Uniform-noise images: far from any training cluster.
         let noise = TensorRng::seeded(11).uniform(&[40, SIDE * SIDE], -1.0, 1.0);
-        let c_out = ds.certainty(&noise);
+        let c_out = snap.certainty(&noise);
         assert!(
             c_out < c_in,
             "drifted certainty {c_out} should drop below in-distribution {c_in}"
@@ -1306,12 +1267,13 @@ pub(crate) mod tests {
 
         assert_store_is_under_the_published_plane(&ds);
         // A stored frame is its own nearest stored neighbour…
-        for (i, hit) in ds.nearest_labeled(&x).into_iter().enumerate() {
+        let snap = ds.snapshot().unwrap();
+        for (i, hit) in snap.nearest_labeled(&x).into_iter().enumerate() {
             let (dist, _) = hit.expect("every cluster holds its own rows");
             assert_eq!(dist, 0.0, "frame {i}");
         }
         // …so labeling the stored frames reuses every label it holds.
-        let (labels, stats) = ds.pseudo_label(&x, 0.5, |_| panic!("nothing to compute"));
+        let (labels, stats) = snap.pseudo_label(&x, 0.5, |_| panic!("nothing to compute"));
         assert_eq!((stats.reused, stats.computed), (60, 0));
         assert_eq!(labels.data(), y.data());
     }

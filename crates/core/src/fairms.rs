@@ -3,10 +3,14 @@
 //! The Zoo accumulates checkpoints of the same architecture trained on
 //! different datasets; each entry is indexed by *the learned distribution
 //! of its training dataset* (the fairDS cluster PDF). Given a new
-//! dataset's PDF, the [`ModelManager`] ranks the Zoo by Jensen–Shannon
-//! divergence and recommends the closest model as the fine-tuning
-//! foundation — or training from scratch when nothing in the Zoo is within
-//! the user-defined distance threshold (§II-C).
+//! dataset's PDF, a [`ZooSnapshot`] ranks the Zoo by Jensen–Shannon
+//! divergence and the [`ModelManager`] recommends the closest model as the
+//! fine-tuning foundation — or training from scratch when nothing in the
+//! Zoo is within the user-defined distance threshold (§II-C).
+//!
+//! Every read — ranking, lookup, instantiation — is answered on a
+//! [`ZooSnapshot`]; the [`ModelZoo`] builder registers (and persists)
+//! models and hands out its latest snapshot.
 
 use crate::jsd::{jsd, jsd_normalized, jsd_normalized_bounded, normalize_pdf};
 use crate::models::ArchSpec;
@@ -33,21 +37,13 @@ pub struct ZooEntry {
 
 /// The model Zoo: an append-only registry of trained models.
 ///
-/// Entries are held as `Arc<ZooEntry>` so snapshot publication shares
-/// them structurally: freezing the registry clones entry *pointers*, never
-/// checkpoint bytes (DESIGN.md §6).
+/// The zoo *is* its latest [`ZooSnapshot`]: [`ModelZoo::add`] replaces it
+/// with a successor that shares every existing `Arc<ZooEntry>` and ranking
+/// key — a registration copies n entry pointers, never checkpoint bytes
+/// (DESIGN.md §6) — and [`ModelZoo::snapshot`] hands out a clone.
 #[derive(Default)]
 pub struct ModelZoo {
-    entries: Vec<Arc<ZooEntry>>,
-    /// Per-entry ranking key (normalized PDF + pivot distance), maintained
-    /// incrementally (O(PDF) per `add`) and frozen into snapshots for the
-    /// allocation-free ranking paths.
-    pdf_keys: Vec<PdfKey>,
-    /// Last published snapshot, reused until the next [`ModelZoo::add`].
-    /// Publication happens per *mutating service request*, so without the
-    /// cache a triggered retrain would re-slice the entry list even
-    /// though the zoo itself did not change.
-    snapshot_cache: parking_lot::Mutex<Option<ZooSnapshot>>,
+    current: ZooSnapshot,
 }
 
 /// Precomputed ranking key of one zoo entry: its training PDF normalized
@@ -93,10 +89,13 @@ impl ModelZoo {
             !entry.train_pdf.is_empty(),
             "zoo entries must carry a training-data PDF"
         );
-        self.pdf_keys.push(PdfKey::of(&entry.train_pdf));
-        self.entries.push(Arc::new(entry));
-        *self.snapshot_cache.lock() = None;
-        self.entries.len() - 1
+        let key = PdfKey::of(&entry.train_pdf);
+        let ZooSnapshot { entries, pdf_keys } = &self.current;
+        self.current = ZooSnapshot {
+            entries: entries.iter().cloned().chain([Arc::new(entry)]).collect(),
+            pdf_keys: pdf_keys.iter().cloned().chain([key]).collect(),
+        };
+        self.current.len() - 1
     }
 
     /// Registers a model directly from a live network.
@@ -119,58 +118,21 @@ impl ModelZoo {
 
     /// Number of stored models.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.current.len()
     }
 
     /// Whether the zoo is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.current.is_empty()
     }
 
-    /// Entry by id.
-    pub fn get(&self, id: usize) -> Option<&ZooEntry> {
-        self.entries.get(id).map(|e| e.as_ref())
-    }
-
-    /// All entries (shared allocations).
-    pub fn entries(&self) -> &[Arc<ZooEntry>] {
-        &self.entries
-    }
-
-    /// Rebuilds the network of an entry (architecture + checkpoint); `None`
-    /// for an unknown id or a checkpoint that does not load.
-    pub fn instantiate(&self, id: usize, seed: u64) -> Option<Sequential> {
-        instantiate_entry(self.entries.get(id)?, seed)
-    }
-
-    /// Freezes the current registry into an immutable, shareable snapshot
-    /// (the registry can keep growing while readers rank against the
-    /// frozen view — DESIGN.md §6).
-    ///
-    /// Publication is O(changed state), not O(total zoo bytes): the
-    /// snapshot shares every `Arc<ZooEntry>` with the registry, so
-    /// freezing copies entry *pointers* and pivot scalars only — zero
-    /// checkpoint bytes, regardless of how many models are resident. The
-    /// pointer slice itself is built at most once per mutation: repeat
-    /// calls between `add`s hand back the cached snapshot.
+    /// The latest registry state as an immutable, shareable snapshot (the
+    /// registry can keep growing while readers rank against the frozen
+    /// view — DESIGN.md §6). A clone: two `Arc` bumps, whatever the zoo
+    /// holds.
     pub fn snapshot(&self) -> ZooSnapshot {
-        let mut cache = self.snapshot_cache.lock();
-        cache
-            .get_or_insert_with(|| ZooSnapshot {
-                entries: Arc::from(self.entries.as_slice()),
-                pdf_keys: Arc::from(self.pdf_keys.as_slice()),
-            })
-            .clone()
+        self.current.clone()
     }
-}
-
-/// `None` when the entry's bytes do not load into its architecture: the
-/// zoo stores whatever was published (the bytes are the publisher's), so a
-/// checkpoint is only known to be one when something opens it.
-fn instantiate_entry(entry: &ZooEntry, seed: u64) -> Option<Sequential> {
-    let mut net = entry.arch.build(seed);
-    checkpoint::load(&mut net, &entry.checkpoint).ok()?;
-    Some(net)
 }
 
 /// An immutable view of the Zoo's JSD index.
@@ -188,7 +150,7 @@ fn instantiate_entry(entry: &ZooEntry, seed: u64) -> Option<Sequential> {
 /// candidates by a precomputed pivot bound and stops as soon as the
 /// triangle inequality proves the remaining entries cannot enter the
 /// top k, so it degrades to the full scan only in the worst case.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ZooSnapshot {
     entries: Arc<[Arc<ZooEntry>]>,
     /// Per-entry ranking keys (normalized PDF + pivot distance), computed
@@ -197,14 +159,6 @@ pub struct ZooSnapshot {
 }
 
 impl ZooSnapshot {
-    /// An empty snapshot (the state before any model is published).
-    pub fn empty() -> Self {
-        ZooSnapshot {
-            entries: Arc::from(Vec::new()),
-            pdf_keys: Arc::from(Vec::new()),
-        }
-    }
-
     /// Number of models in the snapshot.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -227,9 +181,14 @@ impl ZooSnapshot {
     }
 
     /// Rebuilds the network of an entry (architecture + checkpoint); `None`
-    /// for an unknown id or a checkpoint that does not load.
+    /// for an unknown id or a checkpoint that does not load — the zoo
+    /// stores whatever was published (the bytes are the publisher's), so a
+    /// checkpoint is only known to be one when something opens it.
     pub fn instantiate(&self, id: usize, seed: u64) -> Option<Sequential> {
-        instantiate_entry(self.entries.get(id)?, seed)
+        let entry = self.entries.get(id)?;
+        let mut net = entry.arch.build(seed);
+        checkpoint::load(&mut net, &entry.checkpoint).ok()?;
+        Some(net)
     }
 
     /// Full JSD ranking of every compatible entry, ascending. `None` when
@@ -367,7 +326,7 @@ impl ModelZoo {
         for id in coll.ids() {
             coll.delete(id);
         }
-        for (i, entry) in self.entries.iter().enumerate() {
+        for (i, entry) in self.current.entries.iter().enumerate() {
             coll.insert(&entry.to_document(i));
         }
     }
@@ -409,11 +368,11 @@ impl Recommendation {
     /// Best (lowest-divergence) entry, or `None` when the ranking is
     /// empty.
     ///
-    /// [`ZooSnapshot::rank`] / [`ZooSnapshot::rank_top_k`] (and the
-    /// [`ModelManager`] ranking paths) return `None` instead of an empty
-    /// recommendation, so for their results this is always `Some` — but
-    /// `ranked` is a public field and an empty `Recommendation` is
-    /// constructible, so every accessor here answers `None` on one.
+    /// [`ZooSnapshot::rank`] / [`ZooSnapshot::rank_top_k`] return `None`
+    /// instead of an empty recommendation, so for their results this is
+    /// always `Some` — but `ranked` is a public field and an empty
+    /// `Recommendation` is constructible, so every accessor here answers
+    /// `None` on one.
     pub fn best(&self) -> Option<(usize, f64)> {
         self.ranked.first().copied()
     }
@@ -445,53 +404,41 @@ pub enum ModelDecision {
     TrainFromScratch,
 }
 
-/// The model manager: JSD ranking plus the distance-threshold policy.
+/// The model manager: the distance-threshold policy over a zoo ranking.
+/// The threshold is validated once, at construction.
+#[derive(Clone, Copy, Debug)]
 pub struct ModelManager {
     /// JSD above which fine-tuning is not attempted (paper: user-defined).
-    pub distance_threshold: f64,
+    distance_threshold: f64,
 }
 
 impl Default for ModelManager {
     fn default() -> Self {
-        ModelManager {
-            distance_threshold: 0.5,
-        }
+        ModelManager::new(0.5)
     }
 }
 
 impl ModelManager {
-    /// A manager with an explicit threshold. Panics outside `[0, 1]`; use
-    /// [`ModelManager::try_new`] where unwinding is unacceptable (e.g. in
-    /// a read handler).
+    /// A manager with an explicit threshold. Panics outside `[0, 1]`
+    /// (JSD's range) and on NaN.
     pub fn new(distance_threshold: f64) -> Self {
-        Self::try_new(distance_threshold).expect("JSD threshold must be in [0, 1]")
+        assert!(
+            (0.0..=1.0).contains(&distance_threshold),
+            "JSD threshold must be in [0, 1], got {distance_threshold}"
+        );
+        ModelManager { distance_threshold }
     }
 
-    /// Fallible [`ModelManager::new`]: `None` when the threshold is
-    /// outside `[0, 1]` (JSD's range) or not finite.
-    pub fn try_new(distance_threshold: f64) -> Option<Self> {
-        if (0.0..=1.0).contains(&distance_threshold) {
-            Some(ModelManager { distance_threshold })
-        } else {
-            None
-        }
+    /// JSD above which fine-tuning is not attempted.
+    pub fn distance_threshold(&self) -> f64 {
+        self.distance_threshold
     }
 
-    /// Ranks every zoo entry by JSD to `input_pdf`. Returns `None` when
-    /// the zoo is empty. Entries whose PDF length differs from the input
-    /// (stale cluster count) are skipped.
-    ///
-    /// Ranked through [`ModelZoo::snapshot`] (cached between `add`s), i.e.
-    /// by [`ZooSnapshot::rank`] over the registration-time keys — the one
-    /// ranking stack, shared with the read plane's `Recommend`.
-    pub fn rank(&self, zoo: &ModelZoo, input_pdf: &[f64]) -> Option<Recommendation> {
-        zoo.snapshot().rank(input_pdf)
-    }
-
-    /// The full decision: fine-tune the best entry when it is within the
-    /// threshold, otherwise train from scratch.
-    pub fn decide(&self, zoo: &ModelZoo, input_pdf: &[f64]) -> ModelDecision {
-        match self.rank(zoo, input_pdf).and_then(|r| r.best()) {
+    /// The full decision: fine-tune the best entry of `zoo` when it is
+    /// within the threshold, otherwise train from scratch (also when no
+    /// entry matches the PDF's length).
+    pub fn decide(&self, zoo: &ZooSnapshot, input_pdf: &[f64]) -> ModelDecision {
+        match zoo.rank(input_pdf).and_then(|r| r.best()) {
             Some((zoo_id, divergence)) if divergence <= self.distance_threshold => {
                 ModelDecision::FineTune { zoo_id, divergence }
             }
@@ -524,8 +471,7 @@ mod tests {
         zoo.add(bragg_entry("far", vec![0.0, 0.0, 1.0], 0));
         zoo.add(bragg_entry("near", vec![0.5, 0.4, 0.1], 1));
         zoo.add(bragg_entry("exact", vec![0.6, 0.3, 0.1], 2));
-        let mgr = ModelManager::default();
-        let rec = mgr.rank(&zoo, &[0.6, 0.3, 0.1]).unwrap();
+        let rec = zoo.snapshot().rank(&[0.6, 0.3, 0.1]).unwrap();
         assert_eq!(rec.best().unwrap().0, 2);
         assert_eq!(rec.worst().unwrap().0, 0);
         assert_eq!(rec.median().unwrap().0, 1);
@@ -555,7 +501,6 @@ mod tests {
             snap.rank(&[0.4, 0.6]),
             snap.rank_top_k(&[0.4, 0.6], 1),
             snap.rank_top_k(&[0.4, 0.6], 10),
-            ModelManager::default().rank(&zoo, &[0.4, 0.6]),
         ] {
             let rec = rec.expect("compatible zoo must rank");
             assert!(!rec.ranked.is_empty());
@@ -572,20 +517,21 @@ mod tests {
     fn decision_respects_threshold() {
         let mut zoo = ModelZoo::new();
         zoo.add(bragg_entry("only", vec![1.0, 0.0], 0));
-        let near = ModelManager::new(0.9).decide(&zoo, &[0.9, 0.1]);
+        let snap = zoo.snapshot();
+        let near = ModelManager::new(0.9).decide(&snap, &[0.9, 0.1]);
         assert!(matches!(near, ModelDecision::FineTune { zoo_id: 0, .. }));
-        let far = ModelManager::new(0.1).decide(&zoo, &[0.0, 1.0]);
+        let far = ModelManager::new(0.1).decide(&snap, &[0.0, 1.0]);
         assert_eq!(far, ModelDecision::TrainFromScratch);
     }
 
     #[test]
     fn empty_zoo_means_scratch() {
-        let zoo = ModelZoo::new();
+        let zoo = ModelZoo::new().snapshot();
         assert_eq!(
             ModelManager::default().decide(&zoo, &[0.5, 0.5]),
             ModelDecision::TrainFromScratch
         );
-        assert!(ModelManager::default().rank(&zoo, &[1.0]).is_none());
+        assert!(zoo.rank(&[1.0]).is_none());
     }
 
     #[test]
@@ -593,9 +539,7 @@ mod tests {
         let mut zoo = ModelZoo::new();
         zoo.add(bragg_entry("old-k", vec![0.5, 0.5], 0)); // k=2 era
         zoo.add(bragg_entry("new-k", vec![0.3, 0.3, 0.4], 1)); // k=3 era
-        let rec = ModelManager::default()
-            .rank(&zoo, &[0.3, 0.3, 0.4])
-            .unwrap();
+        let rec = zoo.snapshot().rank(&[0.3, 0.3, 0.4]).unwrap();
         assert_eq!(rec.ranked.len(), 1);
         assert_eq!(rec.best().unwrap().0, 1);
     }
@@ -606,7 +550,7 @@ mod tests {
         let mut original = arch.build(42);
         let mut zoo = ModelZoo::new();
         let id = zoo.add_model("m", arch, &original, vec![1.0], 0);
-        let mut rebuilt = zoo.instantiate(id, 999).unwrap();
+        let mut rebuilt = zoo.snapshot().instantiate(id, 999).unwrap();
         let x = TensorRng::seeded(5).uniform(&[3, 1, 15, 15], 0.0, 1.0);
         let a = original.forward(&x, Mode::Eval);
         let b = rebuilt.forward(&x, Mode::Eval);
@@ -619,9 +563,10 @@ mod tests {
         let a = zoo.add(bragg_entry("a", vec![1.0], 0));
         let b = zoo.add(bragg_entry("b", vec![1.0], 1));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(zoo.get(a).unwrap().name, "a");
+        let snap = zoo.snapshot();
+        assert_eq!(snap.get(a).unwrap().name, "a");
         assert_eq!(zoo.len(), 2);
-        assert!(zoo.instantiate(99, 0).is_none());
+        assert!(snap.instantiate(99, 0).is_none());
     }
 
     #[test]
@@ -665,9 +610,9 @@ mod tests {
 
         let restored = ModelZoo::load_from_collection(&coll);
         assert_eq!(restored.len(), 3);
-        let mgr = ModelManager::default();
-        let before = mgr.rank(&zoo, &[0.85, 0.15]).unwrap().ranked;
-        let after = mgr.rank(&restored, &[0.85, 0.15]).unwrap().ranked;
+        let restored = restored.snapshot();
+        let before = zoo.snapshot().rank(&[0.85, 0.15]).unwrap().ranked;
+        let after = restored.rank(&[0.85, 0.15]).unwrap().ranked;
         assert_eq!(before.len(), after.len());
         for ((ia, da), (ib, db)) in before.iter().zip(&after) {
             assert_eq!(ia, ib);
@@ -689,7 +634,7 @@ mod tests {
         coll.insert(&Document::new().with("unrelated", 5i64));
         let restored = ModelZoo::load_from_collection(&coll);
         assert_eq!(restored.len(), 1);
-        assert_eq!(restored.get(0).unwrap().name, "good");
+        assert_eq!(restored.snapshot().get(0).unwrap().name, "good");
     }
 
     #[test]
@@ -708,7 +653,7 @@ mod tests {
         coll.insert(&legacy);
         let restored = ModelZoo::load_from_collection(&coll);
         assert_eq!(restored.len(), 1);
-        assert_eq!(restored.get(0).unwrap().name, "good");
+        assert_eq!(restored.snapshot().get(0).unwrap().name, "good");
     }
 
     #[test]
@@ -728,7 +673,7 @@ mod tests {
         assert!(snap.get(1).is_none());
         // A fresh snapshot picks up the new entry.
         assert_eq!(zoo.snapshot().len(), 2);
-        assert!(ZooSnapshot::empty().is_empty());
+        assert!(ZooSnapshot::default().is_empty());
     }
 
     #[test]
@@ -754,14 +699,10 @@ mod tests {
                 Arc::ptr_eq(&snap1.entries()[i], &snap2.entries()[i]),
                 "entry {i} must be structurally shared across publications"
             );
-            assert!(
-                Arc::ptr_eq(&snap2.entries()[i], &zoo.entries()[i]),
-                "entry {i} must be shared with the live registry"
-            );
         }
-        // Republication with no zoo change hands back the cached snapshot.
+        // Republication with no zoo change hands back the same snapshot.
         let snap3 = zoo.snapshot();
-        assert!(Arc::ptr_eq(&snap2.entries()[2], &snap3.entries()[2]));
+        assert!(Arc::ptr_eq(&snap2.entries, &snap3.entries));
     }
 
     #[test]
@@ -775,16 +716,12 @@ mod tests {
         let snap = zoo.snapshot();
         let query: Vec<f64> = (0..8).map(|_| rng.next_uniform(0.01, 1.0) as f64).collect();
         let full = snap.rank(&query).unwrap().ranked;
-        // The manager ranks through the same keys, and lands on the bits
-        // `jsd` computes from the raw (un-normalised) masses.
-        assert_eq!(
-            ModelManager::default().rank(&zoo, &query).unwrap().ranked,
-            full
-        );
+        // The registration-time keys land on the bits `jsd` computes from
+        // the raw (un-normalised) masses.
         for &(id, div) in &full {
             assert_eq!(
                 div.to_bits(),
-                jsd(&query, &zoo.get(id).unwrap().train_pdf).to_bits()
+                jsd(&query, &snap.get(id).unwrap().train_pdf).to_bits()
             );
         }
         for k in [1, 3, 8, 64, 100] {
@@ -810,7 +747,7 @@ mod tests {
         assert_eq!(top.best().unwrap().0, 1);
         assert!(snap.rank_top_k(&[0.2, 0.3, 0.5], 0).is_none());
         assert!(snap.rank_top_k(&[0.25; 4], 2).is_none());
-        assert!(ZooSnapshot::empty().rank_top_k(&[1.0], 1).is_none());
+        assert!(ZooSnapshot::default().rank_top_k(&[1.0], 1).is_none());
         // A `k` no zoo could fill reserves nothing for it.
         for k in [usize::MAX - 1, usize::MAX] {
             assert_eq!(
@@ -821,12 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_out_of_range_thresholds() {
-        assert!(ModelManager::try_new(0.0).is_some());
-        assert!(ModelManager::try_new(1.0).is_some());
-        assert!(ModelManager::try_new(-0.1).is_none());
-        assert!(ModelManager::try_new(1.7).is_none());
-        assert!(ModelManager::try_new(f64::NAN).is_none());
+    fn new_rejects_out_of_range_thresholds() {
+        assert_eq!(ModelManager::new(0.0).distance_threshold(), 0.0);
+        assert_eq!(ModelManager::new(1.0).distance_threshold(), 1.0);
+        for bad in [-0.1, 1.7, f64::NAN] {
+            let built = std::panic::catch_unwind(|| ModelManager::new(bad));
+            assert!(built.is_err(), "threshold {bad} must be rejected");
+        }
     }
 }
 

@@ -26,7 +26,7 @@
 //!   mechanism, §II-A);
 //! * [`models`] — BraggNN and CookieNetAE, the paper's two benchmark
 //!   applications (§III-A);
-//! * [`jsd`] — the divergence measure; [`uncertainty`] — MC-dropout
+//! * [`jsd`](mod@jsd) — the divergence measure; [`uncertainty`] — MC-dropout
 //!   degradation monitoring (Fig 2).
 
 #![warn(missing_docs)]

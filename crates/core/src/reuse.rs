@@ -23,10 +23,11 @@
 //!   the hit path — so a retrain can never serve pre-publication
 //!   embeddings. Inserts from superseded snapshots are dropped for the
 //!   same reason.
-//! * **Sharded and lock-light.** Entries live in `shards` independent
-//!   second-chance (clock) LRU segments, selected by the high hash bits;
-//!   a hit takes one short shard lock, and concurrent batches touch
-//!   disjoint shards most of the time. There is no global lock anywhere.
+//! * **Sharded and lock-light.** Entries live in independent second-
+//!   chance (clock) LRU segments — one per 512 entries of capacity, at
+//!   most eight — selected by the high hash bits; a hit takes one short
+//!   shard lock, and concurrent batches touch disjoint shards most of the
+//!   time. There is no global lock anywhere.
 //! * **Bounded.** Capacity is fixed at construction and split across
 //!   shards; insertion beyond capacity evicts via the clock hand
 //!   (recently-hit entries get a second chance before leaving).
@@ -49,11 +50,18 @@ use fairdms_check::atomic::AtomicU64 as CheckedAtomicU64;
 #[derive(Clone, Copy, Debug)]
 pub struct EmbedCacheConfig {
     /// Total entry budget across all shards. `0` disables caching
-    /// entirely (every probe misses, nothing is stored).
+    /// entirely (every probe misses, nothing is stored). The shard count
+    /// is derived from it ([`EmbedCache::new`]).
     pub capacity: usize,
-    /// Number of independent shards (clamped to ≥ 1 and ≤ capacity).
-    pub shards: usize,
 }
+
+/// Capacity each shard stands for: a cache gets one shard per this many
+/// entries, so a small cache is one segment with exact LRU-clock order.
+const ENTRIES_PER_SHARD: usize = 512;
+
+/// Shard-count ceiling — more segments than this buy no lock spread on the
+/// thread counts a deployment runs.
+const MAX_SHARDS: usize = 8;
 
 impl Default for EmbedCacheConfig {
     fn default() -> Self {
@@ -62,7 +70,6 @@ impl Default for EmbedCacheConfig {
             // enough to hold several full scans of the paper's Bragg
             // workload, small enough to be default-on.
             capacity: 4096,
-            shards: 8,
         }
     }
 }
@@ -245,9 +252,10 @@ impl std::fmt::Debug for EmbedCache {
 }
 
 impl EmbedCache {
-    /// A cache with the given sizing.
+    /// A cache with the given capacity, split across
+    /// `(capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS)` shards.
     pub fn new(cfg: EmbedCacheConfig) -> Self {
-        let shards = cfg.shards.clamp(1, cfg.capacity.max(1));
+        let shards = (cfg.capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS);
         EmbedCache {
             // Round the per-shard budget up so total capacity is never
             // silently below the configured one.
@@ -496,10 +504,7 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_and_eviction_counts() {
-        let cache = EmbedCache::new(EmbedCacheConfig {
-            capacity: 8,
-            shards: 2,
-        });
+        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 8 });
         for i in 0..32 {
             let r = row(i as f32, 8);
             cache.insert(0, hash_row(&r), &r, &row(0.0, 4));
@@ -512,10 +517,7 @@ mod tests {
     fn second_chance_protects_recently_hit_entries() {
         // One shard, capacity 2: hit entry A, then insert pressure must
         // evict the un-hit B first.
-        let cache = EmbedCache::new(EmbedCacheConfig {
-            capacity: 2,
-            shards: 1,
-        });
+        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 2 });
         let (a, b) = (row(1.0, 8), row(2.0, 8));
         cache.insert(0, hash_row(&a), &a, &row(10.0, 4));
         cache.insert(0, hash_row(&b), &b, &row(20.0, 4));
@@ -537,10 +539,7 @@ mod tests {
 
     #[test]
     fn warm_insert_populates_a_fresh_generation_in_bulk() {
-        let cache = EmbedCache::new(EmbedCacheConfig {
-            capacity: 64,
-            shards: 4,
-        });
+        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 64 });
         cache.advance_generation(3);
         let rows: Vec<Vec<f32>> = (0..16).map(|i| row(i as f32, 8)).collect();
         let values: Vec<Vec<f32>> = (0..16).map(|i| row(100.0 + i as f32, 4)).collect();
@@ -566,10 +565,7 @@ mod tests {
 
     #[test]
     fn warm_insert_respects_capacity_and_counts_evictions() {
-        let cache = EmbedCache::new(EmbedCacheConfig {
-            capacity: 8,
-            shards: 2,
-        });
+        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 8 });
         let rows: Vec<Vec<f32>> = (0..32).map(|i| row(i as f32, 8)).collect();
         let values = row(0.0, 4);
         cache.warm_insert(
@@ -582,11 +578,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_is_derived_from_capacity() {
+        for (capacity, shards) in [(0, 1), (4, 1), (1_024, 2), (4_096, 8), (1 << 20, 8)] {
+            let cache = EmbedCache::new(EmbedCacheConfig { capacity });
+            assert_eq!(cache.shards.len(), shards, "capacity {capacity}");
+            assert!(cache.capacity() >= capacity, "capacity {capacity}");
+        }
+        // Rounding the per-shard budget up never loses configured room.
+        for capacity in [1, 511, 513, 1_500, 4_097, 9_999] {
+            let cache = EmbedCache::new(EmbedCacheConfig { capacity });
+            assert!(cache.capacity() >= capacity, "capacity {capacity}");
+        }
+    }
+
+    #[test]
     fn zero_capacity_disables_cleanly() {
-        let cache = EmbedCache::new(EmbedCacheConfig {
-            capacity: 0,
-            shards: 4,
-        });
+        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 0 });
         assert!(!cache.is_enabled());
         assert_eq!(cache.capacity(), 0);
         let r = row(1.0, 8);
@@ -598,10 +605,7 @@ mod tests {
     #[test]
     fn concurrent_probes_and_inserts_stay_consistent() {
         use std::sync::Arc;
-        let cache = Arc::new(EmbedCache::new(EmbedCacheConfig {
-            capacity: 256,
-            shards: 4,
-        }));
+        let cache = Arc::new(EmbedCache::new(EmbedCacheConfig { capacity: 256 }));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let cache = Arc::clone(&cache);

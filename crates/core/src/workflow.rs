@@ -16,7 +16,7 @@
 //!    (so the Zoo "can respond with this model in the future").
 
 use crate::fairds::{FairDS, PseudoLabelStats};
-use crate::fairms::{ModelDecision, ModelManager, ModelZoo};
+use crate::fairms::{ModelDecision, ModelManager, ModelZoo, ZooSnapshot};
 use crate::models::ArchSpec;
 use fairdms_nn::layers::Sequential;
 use fairdms_nn::loss::Mse;
@@ -229,12 +229,17 @@ impl RapidTrainer {
         &mut self.cfg
     }
 
-    /// The zoo entry `strategy` fine-tunes for a dataset with this PDF, as
-    /// `(zoo id, divergence)`; `None` for scratch or an empty ranking.
-    fn pick_foundation(&self, strategy: TrainStrategy, pdf: &[f64]) -> Option<(usize, f64)> {
+    /// The entry of `zoo` that `strategy` fine-tunes for a dataset with
+    /// this PDF, as `(zoo id, divergence)`; `None` for scratch or an empty
+    /// ranking.
+    fn pick_foundation(
+        zoo: &ZooSnapshot,
+        strategy: TrainStrategy,
+        pdf: &[f64],
+    ) -> Option<(usize, f64)> {
         match strategy {
             TrainStrategy::Scratch => None,
-            TrainStrategy::FineTuneBest => self.manager.rank(&self.zoo, pdf)?.best(),
+            TrainStrategy::FineTuneBest => zoo.rank(pdf)?.best(),
         }
     }
 
@@ -244,12 +249,13 @@ impl RapidTrainer {
     /// id, divergence, lr)`.
     fn foundation_for(
         &self,
+        zoo: &ZooSnapshot,
         picked: Option<(usize, f64)>,
     ) -> (Sequential, Option<usize>, Option<f64>, f32) {
         // Distinct mask so scratch weights differ from zoo-load seeds.
         const FRESH_SEED_MASK: u64 = 0xF8E5;
         let loaded = picked.and_then(|(zoo_id, div)| {
-            let net = self.zoo.instantiate(zoo_id, self.cfg.seed)?;
+            let net = zoo.instantiate(zoo_id, self.cfg.seed)?;
             Some((net, zoo_id, div))
         });
         match loaded {
@@ -296,8 +302,9 @@ impl RapidTrainer {
         pdf: &[f64],
         strategy: TrainStrategy,
     ) -> (Sequential, TrainReport, Option<usize>, Option<f64>) {
+        let zoo = self.zoo.snapshot();
         let (mut net, foundation, divergence, lr) =
-            self.foundation_for(self.pick_foundation(strategy, pdf));
+            self.foundation_for(&zoo, Self::pick_foundation(&zoo, strategy, pdf));
         let report = fit(
             &self.cfg,
             &mut net,
@@ -332,39 +339,34 @@ impl RapidTrainer {
 
     /// First update half (actor side, O(ms–label): no epoch loop): computes
     /// the dataset PDF, pseudo-labels through the fallback, decides the
-    /// strategy, and resolves + instantiates the foundation network from
-    /// the current zoo. The returned job owns everything the training run
-    /// needs and records the system-plane version it was prepared against.
+    /// strategy, and resolves + instantiates the foundation network. All of
+    /// it is read from the published system and zoo snapshots, taken once,
+    /// so the job owns everything the training run needs and records the
+    /// version of the very snapshot it was computed from.
     pub fn prepare_update(
         &self,
         x_flat: &Tensor,
         fallback: impl FnMut(&[f32]) -> Vec<f32>,
         scan: usize,
     ) -> UpdateJob {
-        assert!(
-            self.fairds.is_ready(),
-            "fairDS system plane must be trained before updates"
-        );
-        let system_version = self
+        let system = self
             .fairds
             .snapshot()
-            .expect("is_ready checked above")
-            .version();
-        let pdf = self.fairds.dataset_pdf(x_flat);
+            .expect("fairDS system plane must be trained before updates");
+        let zoo = self.zoo.snapshot();
+        let pdf = system.dataset_pdf(x_flat);
 
         let t_label = Instant::now();
-        let (labels, label_stats) =
-            self.fairds
-                .pseudo_label(x_flat, self.cfg.label_threshold, fallback);
+        let (labels, label_stats) = system.pseudo_label(x_flat, self.cfg.label_threshold, fallback);
         let label_secs = t_label.elapsed().as_secs_f64();
 
         // One ranking: the decision already names the best entry and its
         // divergence.
-        let picked = match self.manager.decide(&self.zoo, &pdf) {
+        let picked = match self.manager.decide(&zoo, &pdf) {
             ModelDecision::FineTune { zoo_id, divergence } => Some((zoo_id, divergence)),
             ModelDecision::TrainFromScratch => None,
         };
-        let (net, foundation, divergence, lr) = self.foundation_for(picked);
+        let (net, foundation, divergence, lr) = self.foundation_for(&zoo, picked);
         UpdateJob {
             cfg: self.cfg.clone(),
             x_flat: x_flat.clone(),
@@ -377,7 +379,7 @@ impl RapidTrainer {
             label_secs,
             label_stats,
             scan,
-            system_version,
+            system_version: system.version(),
             trained: None,
         }
     }
@@ -506,9 +508,10 @@ mod tests {
     fn fine_tuning_converges_faster_than_scratch() {
         let mut trainer = trainer_fixture(7);
         prime(&mut trainer, 8);
+        let system = trainer.fairds.snapshot().unwrap();
         // Train a good model on a first batch and register it.
         let (x1, y1) = blob_task(80, 9);
-        let pdf1 = trainer.fairds.dataset_pdf(&x1);
+        let pdf1 = system.dataset_pdf(&x1);
         let mut long_cfg = trainer.cfg.train.clone();
         long_cfg.epochs = 25;
         trainer.cfg.train = long_cfg;
@@ -519,7 +522,7 @@ mod tests {
 
         // On fresh similar data, fine-tune vs scratch under a tight budget.
         let (x2, y2) = blob_task(60, 10);
-        let pdf2 = trainer.fairds.dataset_pdf(&x2);
+        let pdf2 = system.dataset_pdf(&x2);
         trainer.cfg.train.epochs = 6;
         let (_, ft, _, _) = trainer.fit_strategy(&x2, &y2, &pdf2, TrainStrategy::FineTuneBest);
         let (_, scratch, _, _) = trainer.fit_strategy(&x2, &y2, &pdf2, TrainStrategy::Scratch);
@@ -578,7 +581,7 @@ mod tests {
         prime(&mut trainer, 17);
         let (tx, ty) = blob_task(40, 18);
         let (vx, vy) = blob_task(12, 19);
-        let pdf = trainer.fairds.dataset_pdf(&tx);
+        let pdf = trainer.fairds.snapshot().unwrap().dataset_pdf(&tx);
         trainer.cfg.train.epochs = 3;
         let (_, report, _, _) =
             trainer.fit_strategy_with_val(&tx, &ty, &vx, &vy, &pdf, TrainStrategy::Scratch);
@@ -671,7 +674,7 @@ mod tests {
         let mut trainer = trainer_fixture(20);
         prime(&mut trainer, 21);
         let (x, y) = blob_task(50, 22);
-        let pdf = trainer.fairds.dataset_pdf(&x);
+        let pdf = trainer.fairds.snapshot().unwrap().dataset_pdf(&x);
         trainer.cfg.train.epochs = 2;
         let (_, a, _, _) = trainer.fit_strategy(&x, &y, &pdf, TrainStrategy::Scratch);
         let (_, b, _, _) = trainer.fit_strategy(&x, &y, &pdf, TrainStrategy::Scratch);

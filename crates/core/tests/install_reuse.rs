@@ -215,13 +215,7 @@ fn zero_forward_pass_install_does_not_depend_on_the_reuse_cache() {
     // The O(copy) contract is a property of the shipped write-back, not
     // of cache warming: with memoization disabled entirely, captured docs
     // still install as copies and only the mid-flight delta pays.
-    let (mut ds, counters) = counting_fairds(
-        EmbedCacheConfig {
-            capacity: 0,
-            shards: 1,
-        },
-        20,
-    );
+    let (mut ds, counters) = counting_fairds(EmbedCacheConfig { capacity: 0 }, 20);
     let (x, y) = blob_images(10, 2, 21);
     ds.train_system(&x, &embed_cfg());
     ds.ingest_labeled(&x, &y, 0);

@@ -20,10 +20,7 @@ const H2: u64 = 0x9999_0000_1111_2222;
 /// probers. No interleaving may serve a gen-0 embedding to a gen-1
 /// probe — stale entries must degrade to misses, never to wrong values.
 fn fence_vs_straggler_scenario() {
-    let cache = Arc::new(EmbedCache::new(EmbedCacheConfig {
-        capacity: 4,
-        shards: 1,
-    }));
+    let cache = Arc::new(EmbedCache::new(EmbedCacheConfig { capacity: 4 }));
     let row1 = [1.0f32, 2.0];
     let row2 = [3.0f32, 4.0];
     // Straggler: a superseded snapshot that computed embeddings under
@@ -74,10 +71,7 @@ fn embed_cache_fence_vs_straggler_exhaustive() {
 #[test]
 fn embed_cache_racing_advances_are_monotonic() {
     let report = Model::default().check_exhaustive(|| {
-        let cache = Arc::new(EmbedCache::new(EmbedCacheConfig {
-            capacity: 4,
-            shards: 1,
-        }));
+        let cache = Arc::new(EmbedCache::new(EmbedCacheConfig { capacity: 4 }));
         let slow_publisher = {
             let cache = Arc::clone(&cache);
             fairdms_check::thread::spawn(move || {
@@ -102,7 +96,6 @@ fn embed_cache_random_sweep() {
     let report = Model::default().check_random(0xfa1d_0002, 400, || {
         let cache = Arc::new(EmbedCache::new(EmbedCacheConfig {
             capacity: 2, // force evictions into the mix
-            shards: 1,
         }));
         let straggler = {
             let cache = Arc::clone(&cache);

@@ -57,7 +57,6 @@ fn snapshot() -> Arc<SystemSnapshot> {
                 seed: 3,
                 embed_cache: EmbedCacheConfig {
                     capacity: 24, // < POOL: eviction pressure on every case
-                    shards: 2,
                 },
                 ..FairDsConfig::default()
             },

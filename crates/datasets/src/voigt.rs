@@ -2,7 +2,7 @@
 //!
 //! HEDM analysis determines the sub-pixel center of mass of each
 //! diffraction peak by fitting a pseudo-Voigt profile (Sharma et al., the
-//! paper's ref [50]); the paper's "conventional method" baseline runs the
+//! paper's ref \[50\]); the paper's "conventional method" baseline runs the
 //! MIDAS implementation of that fit on 80 or 1440 cores. This module
 //! provides:
 //!

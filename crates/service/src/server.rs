@@ -11,11 +11,11 @@
 //!   state, no lock ordering; the channel *is* the synchronization. The
 //!   actor keeps only O(ms) work: ingest, the pseudo-label ledger, zoo
 //!   publication, snapshot swaps, and the *bookends* of training.
-//! * **Training executor** — a background
-//!   [`JobPool`](fairdms_flows::jobs::JobPool) owning the heavy work:
-//!   multi-epoch `UpdateModel` fine-tunes and certainty-triggered system
-//!   retrains, each completed on the actor by the one fenced-job protocol
-//!   of `training.rs` (fence on the plane version, then apply + publish).
+//! * **Training executor** — a background [`JobPool`] owning the heavy
+//!   work: multi-epoch `UpdateModel` fine-tunes and certainty-triggered
+//!   system retrains, each completed on the actor by the one fenced-job
+//!   protocol of `training.rs` (fence on the plane version, then apply +
+//!   publish).
 //! * **Read plane** — every read-only request (`DatasetPdf`,
 //!   `LookupMatching`, `Recommend`, `FetchModel`, `Certainty`, `Metrics`)
 //!   is answered *on the thread that asked* — an in-process caller's own
@@ -114,13 +114,10 @@ pub struct ServiceView {
     pub system: Option<Arc<SystemSnapshot>>,
     /// Frozen Zoo index.
     pub zoo: ZooSnapshot,
-    /// Recommendation policy frozen alongside the index. Taken verbatim
-    /// from the trainer's (publicly mutable) `ModelManager`; the read
-    /// plane re-validates it per `Recommend` and answers
-    /// [`ServiceError::Invalid`] when it is outside `[0, 1]` — an
-    /// out-of-range trainer configuration must degrade one operation, not
-    /// poison the deployment.
-    pub distance_threshold: f64,
+    /// Recommendation policy frozen alongside the index; its threshold was
+    /// validated when the manager was built, so `Recommend` never
+    /// re-checks it.
+    pub manager: ModelManager,
 }
 
 impl ServiceView {
@@ -128,7 +125,7 @@ impl ServiceView {
         ServiceView {
             system: trainer.fairds.snapshot(),
             zoo: trainer.zoo.snapshot(),
-            distance_threshold: trainer.manager.distance_threshold,
+            manager: trainer.manager,
         }
     }
 }
@@ -433,15 +430,6 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
             Ok(Reply::Certainty(sys.certainty(&images)))
         }
         Request::Recommend { pdf, top_k } => {
-            // Validate instead of asserting: a panic here would poison the
-            // whole deployment (see `ModelManager::new`), turning one
-            // misconfigured trainer into a dead service.
-            let Some(manager) = ModelManager::try_new(view.distance_threshold) else {
-                return Err(ServiceError::Invalid(format!(
-                    "configured distance threshold {} outside [0, 1]",
-                    view.distance_threshold
-                )));
-            };
             if top_k == Some(0) {
                 return Err(ServiceError::Invalid("top_k must be at least 1".into()));
             }
@@ -454,7 +442,7 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
             // ascending head whichever path produced it.
             let fine_tunable = ranked
                 .first()
-                .map(|&(_, div)| div <= manager.distance_threshold)
+                .map(|&(_, div)| div <= view.manager.distance_threshold())
                 .unwrap_or(false);
             Ok(Reply::Ranked(RankedModels {
                 ranked,
@@ -606,7 +594,10 @@ fn handle_write(
             } else {
                 trainer.config().label_threshold
             };
-            let (labels, stats) = trainer.fairds.pseudo_label(&images, thr, |p| labeler(p));
+            // Admission answered `NotReady` already when nothing is
+            // published.
+            let system = trainer.fairds.snapshot().expect("admitted after training");
+            let (labels, stats) = system.pseudo_label(&images, thr, |p| labeler(p));
             Ok(Reply::Labeled { labels, stats })
         }
         Request::UpdateModel { images, scan } => {
@@ -643,7 +634,7 @@ fn handle_write(
         } => {
             // The bytes are not opened here: the zoo stores what was
             // published, and a checkpoint that does not load is simply
-            // never a foundation (`ModelZoo::instantiate`).
+            // never a foundation (`ZooSnapshot::instantiate`).
             let arch = trainer.config().arch;
             let zoo_id = trainer.zoo.add(ZooEntry {
                 name,

@@ -1105,6 +1105,12 @@ fn a_peer_that_writes_its_window_before_it_reads_is_still_served() {
     raw.write_all(&request(3, &Request::FetchModel { zoo_id: big }))
         .unwrap();
     wait_until("reader took the whole window", || stats().frames_in == 3);
+    // A frame is counted when it is read, before it is answered: wait for
+    // the third answer too, or reading below can flush the stuck reply
+    // first and request 3 then rightly goes out inline.
+    wait_until("reader answered the whole window", || {
+        client.metrics().unwrap().op("fetch").unwrap().count == 2
+    });
 
     let replies = read_replies_up_to(&mut raw, 3, 32 << 20);
     let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();

@@ -143,7 +143,7 @@ where
 
 /// A lazily-evaluated parallel pipeline: an index space `0..len` plus a
 /// per-index producer. All combinators compose producers; terminals execute
-/// through [`run_indexed`].
+/// through `run_indexed`.
 pub struct ParPipeline<T, F> {
     len: usize,
     produce: F,

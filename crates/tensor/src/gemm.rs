@@ -112,7 +112,7 @@ enum BSrc<'a> {
 }
 
 /// A right-hand operand packed once, for as long as it lives: the panels
-/// [`gemm_rows`] would build from it on every call, block after block in
+/// `gemm_rows` would build from it on every call, block after block in
 /// the order the block loop walks them. A product against it runs the same
 /// loop, macro-kernel and accumulation order as a product against the
 /// unpacked operand — every result is that product's, bit for bit — and

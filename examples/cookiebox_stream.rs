@@ -70,12 +70,13 @@ fn main() {
             ..EmbedTrainConfig::default()
         },
     );
+    let system = fairds.snapshot().expect("trained above");
     println!("{:>5}  {:>10}  status", "scan", "certainty");
     for scan in (0..100).step_by(20) {
         let stream = sim.scan(scan, 32);
         let (sx, _) = to_training_tensors(&stream);
         let m = sx.shape()[0];
-        let c = fairds.certainty(&sx.reshape(&[m, SIZE * SIZE]));
+        let c = system.certainty(&sx.reshape(&[m, SIZE * SIZE]));
         println!(
             "{scan:>5}  {:>9.1}%  {}",
             c * 100.0,

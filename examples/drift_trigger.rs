@@ -57,11 +57,11 @@ fn main() {
     println!("{:>7}  {:>10}  action", "dataset", "certainty");
     for d in 5..16 {
         let (x, y) = flat(&sim.scan(d, PER_DATASET));
-        let certainty = fairds.certainty(&x);
+        let certainty = fairds.snapshot().expect("trained").certainty(&x);
         if fairds.needs_system_update(&x) {
             fairds.retrain_system(&x, &embed_cfg);
             fairds.ingest_labeled(&x, &y, d);
-            let after = fairds.certainty(&x);
+            let after = fairds.snapshot().expect("retrained").certainty(&x);
             println!(
                 "{d:>7}  {:>9.1}%  TRIGGER → retrain embedding+clustering → certainty {:.1}%",
                 certainty * 100.0,

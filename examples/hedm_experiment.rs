@@ -69,7 +69,11 @@ fn main() {
     cfg.train.epochs = 25;
     let mut trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), cfg);
 
-    let pdf0 = trainer.fairds.dataset_pdf(&cx);
+    let pdf0 = trainer
+        .fairds
+        .snapshot()
+        .expect("trained above")
+        .dataset_pdf(&cx);
     let (mut model, report, _, _) = trainer.fit_strategy(&cx, &cy, &pdf0, TrainStrategy::Scratch);
     trainer.zoo.add_model(
         "braggnn-commissioning",

@@ -40,6 +40,7 @@ fn main() {
         },
     );
     fairds.ingest_labeled(&hx, &hy, 0);
+    let system = fairds.snapshot().expect("trained above");
 
     // Register one (untrained, for speed) model per scan with its true
     // data PDF — the index is what this example demonstrates.
@@ -48,7 +49,7 @@ fn main() {
         let patches = sim.scan(scan, 200);
         let (x4, _) = to_training_tensors(&patches);
         let m = x4.shape()[0];
-        let pdf = fairds.dataset_pdf(&x4.reshape(&[m, SIDE * SIDE]));
+        let pdf = system.dataset_pdf(&x4.reshape(&[m, SIDE * SIDE]));
         let net = arch.build(scan as u64);
         zoo.add_model(&format!("braggnn-scan{scan}"), arch, &net, pdf, scan);
     }
@@ -61,9 +62,10 @@ fn main() {
     let query = sim.scan(6, 200);
     let (q4, _) = to_training_tensors(&query);
     let m = q4.shape()[0];
-    let q_pdf = fairds.dataset_pdf(&q4.reshape(&[m, SIDE * SIDE]));
+    let q_pdf = system.dataset_pdf(&q4.reshape(&[m, SIDE * SIDE]));
+    let zoo = zoo.snapshot();
     let manager = ModelManager::new(0.5);
-    let rec = manager.rank(&zoo, &q_pdf).expect("zoo is non-empty");
+    let rec = zoo.rank(&q_pdf).expect("zoo is non-empty");
     println!("JSD ranking for a scan-6 dataset (phase 2):");
     for (id, d) in &rec.ranked {
         let e = zoo.get(*id).unwrap();
@@ -80,7 +82,7 @@ fn main() {
         ModelDecision::FineTune { zoo_id, divergence } => println!(
             "decision: fine-tune '{}' (jsd {divergence:.4} ≤ threshold {})\n",
             zoo.get(zoo_id).unwrap().name,
-            manager.distance_threshold
+            manager.distance_threshold()
         ),
         ModelDecision::TrainFromScratch => {
             println!("decision: train from scratch (nothing within threshold)\n")

@@ -72,10 +72,11 @@ fn main() {
     );
     let (calib_in, _) = flat(&sim.scan_shot(0, 9, 80));
     let (calib_out, _) = flat(&calib_drift_sim.scan(20, 80));
-    let c_in = fairds.certainty(&calib_in);
-    let c_out = fairds.certainty(&calib_out);
+    let system = fairds.snapshot().expect("trained above");
+    let c_in = system.certainty(&calib_in);
+    let c_out = system.certainty(&calib_out);
     let threshold = (c_in + c_out) / 2.0;
-    fairds.config_mut().certainty_threshold = threshold;
+    fairds.set_certainty_threshold(threshold);
     println!(
         "calibrated trigger: in-dist certainty {c_in:.2}, drifted {c_out:.2} -> threshold {threshold:.2}\n"
     );

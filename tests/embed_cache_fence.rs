@@ -159,10 +159,7 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
         FairDsConfig {
             k: Some(3),
             seed: 51,
-            embed_cache: EmbedCacheConfig {
-                capacity: 1024,
-                shards: 4,
-            },
+            embed_cache: EmbedCacheConfig { capacity: 1024 },
             ..FairDsConfig::default()
         },
     );
@@ -170,10 +167,11 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
     // examples/service_deployment.rs does: the trigger threshold is the
     // midpoint between measured in-distribution and drifted certainty.
     fairds.train_system(&x, &embed_cfg());
-    let c_in = fairds.certainty(&x);
-    let c_out = fairds.certainty(&noise);
+    let system = fairds.snapshot().expect("trained above");
+    let c_in = system.certainty(&x);
+    let c_out = system.certainty(&noise);
     assert!(c_out < c_in, "noise must read as drift ({c_out} vs {c_in})");
-    fairds.config_mut().certainty_threshold = (c_in + c_out) / 2.0;
+    fairds.set_certainty_threshold((c_in + c_out) / 2.0);
     let mut tcfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: SIDE }, SIDE);
     tcfg.train.epochs = 3;
     tcfg.train.batch_size = 16;

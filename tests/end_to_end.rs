@@ -75,8 +75,9 @@ fn full_pipeline_update_reuses_labels_and_registers_models() {
 fn fine_tune_starts_better_than_scratch_on_similar_data() {
     let (mut trainer, sim) = build_trainer(200);
     // Train a decent foundation and register it.
+    let system = trainer.fairds.snapshot().unwrap();
     let (x0, y0) = flat(&sim.scan(3, 160));
-    let pdf0 = trainer.fairds.dataset_pdf(&x0);
+    let pdf0 = system.dataset_pdf(&x0);
     let saved = trainer.config().train.clone();
     trainer.config_mut().train.epochs = 20;
     let (net, _, _, _) = trainer.fit_strategy(&x0, &y0, &pdf0, TrainStrategy::Scratch);
@@ -90,7 +91,7 @@ fn fine_tune_starts_better_than_scratch_on_similar_data() {
     );
 
     let (x1, y1) = flat(&sim.scan(4, 120));
-    let pdf1 = trainer.fairds.dataset_pdf(&x1);
+    let pdf1 = system.dataset_pdf(&x1);
     let (_, ft, found, _) = trainer.fit_strategy(&x1, &y1, &pdf1, TrainStrategy::FineTuneBest);
     let (_, sc, _, _) = trainer.fit_strategy(&x1, &y1, &pdf1, TrainStrategy::Scratch);
     assert_eq!(found, Some(0));
@@ -115,8 +116,9 @@ fn drifted_scan_lowers_certainty_monotonically() {
     );
     let (x_near, _) = flat(&drift_sim.scan(1, 80));
     let (x_far, _) = flat(&drift_sim.scan(20, 80));
-    let c_near = trainer.fairds.certainty(&x_near);
-    let c_far = trainer.fairds.certainty(&x_far);
+    let system = trainer.fairds.snapshot().unwrap();
+    let c_near = system.certainty(&x_near);
+    let c_far = system.certainty(&x_far);
     assert!(
         c_far <= c_near + 1e-9,
         "certainty should not increase with drift: near {c_near}, far {c_far}"
@@ -127,8 +129,9 @@ fn drifted_scan_lowers_certainty_monotonically() {
 fn pdf_matched_lookup_returns_requested_count() {
     let (trainer, sim) = build_trainer(400);
     let (x, _) = flat(&sim.scan(7, 60));
-    let pdf = trainer.fairds.dataset_pdf(&x);
-    let docs = trainer.fairds.lookup_matching(&pdf, 100);
+    let system = trainer.fairds.snapshot().unwrap();
+    let pdf = system.dataset_pdf(&x);
+    let docs = system.lookup_matching(&pdf, 100);
     assert_eq!(docs.len(), 100);
     // All returned documents carry pixels, embedding, cluster, and label.
     for d in &docs {

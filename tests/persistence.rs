@@ -9,7 +9,7 @@
 
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::{ModelManager, ModelZoo};
+use fairdms_core::fairms::ModelZoo;
 use fairdms_core::models::ArchSpec;
 use fairdms_datastore::{Collection, RawCodec};
 use fairdms_nn::layers::Mode;
@@ -81,7 +81,7 @@ fn beamline_session_survives_restart() {
         fairds.ingest_labeled(&x, &y, 0);
 
         let mut zoo = ModelZoo::new();
-        let pdf = fairds.dataset_pdf(&probe);
+        let pdf = fairds.snapshot().unwrap().dataset_pdf(&probe);
         let mut net = arch.build(9);
         let out = net.forward(
             &probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]),
@@ -96,7 +96,7 @@ fn beamline_session_survives_restart() {
         zoo_coll.save_to(&zoo_path).unwrap();
 
         let lookup: Vec<u64> = store.scan(|d| d.get_i64("cluster") == Some(0));
-        let rank = ModelManager::default().rank(&zoo, &pdf).unwrap().ranked;
+        let rank = zoo.snapshot().rank(&pdf).unwrap().ranked;
         (pdf, lookup, rank, out)
     };
     // Session 1 state fully dropped here.
@@ -116,7 +116,7 @@ fn beamline_session_survives_restart() {
     let zoo_coll = Collection::load_from(Arc::new(RawCodec), &zoo_path)
         .unwrap()
         .unwrap();
-    let zoo = ModelZoo::load_from_collection(&zoo_coll);
+    let zoo = ModelZoo::load_from_collection(&zoo_coll).snapshot();
     assert_eq!(zoo.len(), 1);
     assert_eq!(zoo.get(0).unwrap().name, "session1-model");
 
@@ -129,10 +129,7 @@ fn beamline_session_survives_restart() {
     assert!(fairdms_tensor::allclose(&out, &model_out_before, 1e-6));
 
     // Ranking is preserved up to f32 PDF storage precision.
-    let rank = ModelManager::default()
-        .rank(&zoo, &pdf_before)
-        .unwrap()
-        .ranked;
+    let rank = zoo.rank(&pdf_before).unwrap().ranked;
     assert_eq!(rank.len(), rank_before.len());
     for ((ia, da), (ib, db)) in rank.iter().zip(&rank_before) {
         assert_eq!(ia, ib);
@@ -160,7 +157,10 @@ fn beamline_session_survives_restart() {
             ..EmbedTrainConfig::default()
         },
     );
-    let (labels, stats) = fairds.pseudo_label(&probe, 1.0, |_| vec![9.0, 9.0]);
+    let (labels, stats) = fairds
+        .snapshot()
+        .unwrap()
+        .pseudo_label(&probe, 1.0, |_| vec![9.0, 9.0]);
     assert_eq!(labels.shape(), &[12, 2]);
     assert!(
         stats.reused > 0,
