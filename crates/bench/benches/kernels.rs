@@ -19,6 +19,9 @@
 //!   a frozen forward pass that quietly went back to packing reads 1×;
 //! * BraggNN's second convolution, forward + backward, ≥3× a direct
 //!   seven-loop convolution on the same batch;
+//! * that convolution's backward pass (with `∂X`) ≤1.9× its forward pass:
+//!   the adjoint lowering's input gradient is one product of depth
+//!   `OC·K²` per sample, and a `col2im` route read 2.24×;
 //! * one `UpdateModel` fit (BraggNN, 51 + 13 frames, 8 epochs, batch 32)
 //!   at the default pool width ≥1.2× the same fit on a one-wide pool, on a
 //!   machine with two or more cores: the step's second shard must run on
@@ -69,9 +72,12 @@ fn paired_speedup(blocked: &[Duration], naive: &[Duration]) -> f64 {
     ratios[ratios.len() / 2]
 }
 
-/// `(m, k, n)` of the skinny products a 16→8-channel 3×3 convolution over
-/// 32 16×16 images lowers to: forward, `∂W` and `∂cols` in a row-major
-/// lowering, `∂T` in the channel-major one.
+/// `(m, k, n)` of skinny products of the shape a 16→8-channel 3×3
+/// convolution over 32 16×16 images lowered to before the per-sample
+/// lowering: forward, `∂W` and `∂cols` of a row-major lowering, and the
+/// `[C·K², OC]·[OC, pixels]` product a `col2im` route ran. No layer runs
+/// these shapes any more; they stay as inputs to the Auto-vs-Sequential
+/// gate.
 const SKINNY: [(usize, usize, usize); 4] = [
     (8192, 144, 8),
     (8, 8192, 144),
@@ -327,13 +333,21 @@ fn bench_gemm(c: &mut Criterion) {
 
     // BraggNN's two convolutions at the deployed 16×16 patch, batch 32,
     // forward and backward apart, so a step-time change can be traced to
-    // its layer.
+    // its layer; and CookieNetAE's strided encoder convolution on the same
+    // images, the one layer whose input gradient splits into stride phases.
     let mut rng = TensorRng::seeded(1);
-    let conv_flops = |cin: usize, cout: usize| 2.0 * (32 * cout * cin * 9 * 256) as f64;
-    for (name, cin, cout) in [("conv1_1to16", 1usize, 16usize), ("conv2_16to8", 16, 8)] {
-        let mut conv = Conv2d::new(cin, cout, 3, 1, 1, &mut rng);
+    let conv_flops =
+        |cin: usize, cout: usize, pixels: usize| 2.0 * (32 * cout * cin * 9 * pixels) as f64;
+    let mut conv2_bwd_vs_fwd = 0.0;
+    for (name, cin, cout, stride) in [
+        ("conv1_1to16", 1usize, 16usize, 1usize),
+        ("conv2_16to8", 16, 8, 1),
+        ("cookie_8to16_s2", 8, 16, 2),
+    ] {
+        let mut conv = Conv2d::new(cin, cout, 3, stride, 1, &mut rng);
+        let out = 16 / stride;
         let x = rng.uniform(&[32, cin, 16, 16], -1.0, 1.0);
-        let dy = rng.uniform(&[32, cout, 16, 16], -1.0, 1.0);
+        let dy = rng.uniform(&[32, cout, out, out], -1.0, 1.0);
         black_box(conv.forward(&x, Mode::Train));
         black_box(conv.backward(&dy));
         let (mut lat_fwd, mut lat_bwd) = (Vec::new(), Vec::new());
@@ -345,7 +359,7 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(conv.backward(&dy));
             lat_bwd.push(t0.elapsed());
         }
-        let flops = conv_flops(cin, cout);
+        let flops = conv_flops(cin, cout, out * out);
         summarize(
             &mut report,
             &format!("conv/{name}_fwd_batch32"),
@@ -358,6 +372,13 @@ fn bench_gemm(c: &mut Criterion) {
             &lat_bwd,
             2.0 * flops,
         );
+        // The pairs are interleaved: the median backward-over-forward ratio.
+        let ratio = paired_speedup(&lat_fwd, &lat_bwd);
+        println!("conv/{name}: backward {ratio:.2}x forward (paired median)");
+        report.add_metric(&format!("conv/{name}_bwd_vs_fwd"), ratio);
+        if name == "conv2_16to8" {
+            conv2_bwd_vs_fwd = ratio;
+        }
     }
 
     // The lowered second convolution against the direct seven-loop one:
@@ -408,7 +429,7 @@ fn bench_gemm(c: &mut Criterion) {
                 black_box(direct());
             },
         );
-        let flops = 3.0 * conv_flops(16, 8);
+        let flops = 3.0 * conv_flops(16, 8, 256);
         summarize(
             &mut report,
             "conv/conv2_lowered_fwd_bwd",
@@ -514,6 +535,12 @@ fn bench_gemm(c: &mut Criterion) {
     assert!(
         conv_speedup >= 3.0,
         "lowered conv2 fwd+bwd must be ≥3x the direct convolution, got {conv_speedup:.2}x"
+    );
+    // The input gradient is one adjoint product a sample; a `col2im` route
+    // with its depth-`OC` product reads above this.
+    assert!(
+        conv2_bwd_vs_fwd <= 1.9,
+        "conv2's backward pass must be ≤1.9x its forward pass, got {conv2_bwd_vs_fwd:.2}x"
     );
     // A second core must shorten a fit: shard 1 on the helper thread.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -9,6 +9,8 @@
 //! dropout draws a stream of its own, and adds the replica's gradients to
 //! the network's in shard order — on one core shard 1 runs after shard 0,
 //! on two or more on the fit's helper thread, and nothing else differs.
+//! The validation curves must match to the bit as well: with a helper,
+//! each validation batch's last `⌊n/2⌋` rows are scored on the replica.
 //! That is what lets a tenant's model be reproduced on a machine of
 //! another size.
 
@@ -32,8 +34,9 @@ fn on_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
 /// samples; a 32- and a ragged 19-row step at 51), each followed by the
 /// validation pass over the first 13 rows. Every step splits, and at these
 /// sizes every BraggNN step clears the gate, so on two or more cores shard
-/// 1 runs on the helper thread.
-fn train(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) -> Vec<u8> {
+/// 1 and half of each validation batch run on the helper thread. Returns
+/// the checkpoint and the validation curve's bits.
+fn train(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) -> (Vec<u8>, Vec<u32>) {
     let mut net = arch.build(7);
     let mut opt = Adam::new(1e-3);
     let cfg = TrainConfig {
@@ -42,22 +45,30 @@ fn train(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) -> Vec<u8> {
         ..TrainConfig::default()
     };
     let val = (x.slice_rows(0, 13), y.slice_rows(0, 13));
-    Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, x, y, &val.0, &val.1);
-    checkpoint::save(&net)
+    let report = Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, x, y, &val.0, &val.1);
+    let val_curve = report.val_curve().iter().map(|v| v.to_bits()).collect();
+    (checkpoint::save(&net), val_curve)
 }
 
 fn assert_width_independent(arch: ArchSpec, x: &Tensor, y: &Tensor, epochs: usize) {
-    let reference = on_pool(1, || train(arch, x, y, epochs));
+    let (reference, reference_val) = on_pool(1, || train(arch, x, y, epochs));
     assert_ne!(
         reference,
         checkpoint::save(&arch.build(7)),
         "training must move the weights"
     );
+    assert_eq!(reference_val.len(), epochs);
     for threads in [2usize, 3] {
-        let got = on_pool(threads, || train(arch, x, y, epochs));
+        let (got, val) = on_pool(threads, || train(arch, x, y, epochs));
         assert!(
             got == reference,
             "{} checkpoint differs at {threads} threads",
+            arch.name()
+        );
+        assert_eq!(
+            val,
+            reference_val,
+            "{} validation curve differs at {threads} threads",
             arch.name()
         );
     }

@@ -12,7 +12,12 @@
 //! * `∂Wᵀ += T · ∂Y_sᵀ` streams `T` as the engine's unpacked A operand
 //!   and reads `∂Y_s` straight out of the NCHW gradient; a row of ones
 //!   appended to `T` makes the same product emit `∂b`;
-//! * `∂T = Wᵀ · ∂Y_s` is folded back into `∂X_s` by the adjoint span adds.
+//! * `∂X_s = W_r · P(∂Y_s)` is the adjoint lowering: `P` unrolls the
+//!   *output* gradient by the same span copies, one row per `(o, ky, kx)`
+//!   holding, for every input pixel, the `∂Y` element that tap sent there,
+//!   and `W_r` is `W` re-indexed to `[C, OC·K·K]` once per call. At stride
+//!   `s > 1` the input pixels split into `s²` phases, each reached by its
+//!   own taps only, so no structural zero is multiplied.
 //!
 //! `T` is one sample's worth (147 KiB for BraggNN's second layer), lives
 //! in recycled per-thread scratch and never leaves cache; the backward
@@ -31,9 +36,10 @@ use std::cell::Cell;
 const SEQ: Threading = Threading::Sequential;
 
 thread_local! {
-    /// Recycled patch-matrix scratch (`T`, plus `∂T` in the backward
-    /// pass). Per thread rather than per layer: `infer` takes `&self` and
-    /// is called concurrently from every thread serving snapshot reads.
+    /// Recycled lowering scratch (`T`, plus `P` and a phase's block of
+    /// `∂X` in the backward pass). Per thread rather than per layer:
+    /// `infer` takes `&self` and is called concurrently from every thread
+    /// serving snapshot reads.
     static PATCHES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
@@ -60,8 +66,87 @@ pub struct Conv2d {
     cached_input: Option<Tensor>,
 }
 
-/// The extents of one lowering, and the span arithmetic both directions of
-/// it share.
+/// How one plane is read into one row of a lowered matrix: element
+/// `(y, x)` of the `[rows, cols]` row reads plane element
+/// `(y·stride + dy, x·stride + dx)` of the `[h, w]` plane, and 0 where that
+/// falls outside it. Both lowerings are rows of this kind: `T` reads the
+/// input at the layer's stride, `P` reads `∂Y` at stride 1.
+#[derive(Clone, Copy)]
+struct Window {
+    h: usize,
+    w: usize,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl Window {
+    /// The positions `lo..hi` along one axis whose read `o·stride + d`
+    /// falls inside `0..extent`; every other position reads padding.
+    fn inside(&self, d: isize, extent: usize, positions: usize) -> (usize, usize) {
+        let lo = if d < 0 {
+            d.unsigned_abs().div_ceil(self.stride)
+        } else {
+            0
+        };
+        let hi = (extent as isize - d)
+            .try_into()
+            .map_or(0, |past: usize| past.div_ceil(self.stride))
+            .min(positions);
+        (lo.min(hi), hi)
+    }
+
+    /// Writes every element of `row` from `plane`: the interior as span
+    /// copies, the padding as span fills. Inlined into both lowerings: out
+    /// of line, the call and its range set-up made CookieNetAE's strided
+    /// forward pass (72 short rows a sample) 10–14% slower.
+    #[inline(always)]
+    fn lower(&self, plane: &[f32], dy: isize, dx: isize, row: &mut [f32]) {
+        let (x_lo, x_hi) = self.inside(dx, self.w, self.cols);
+        if self.stride == 1 && (self.rows, self.cols) == (self.h, self.w) {
+            // Same extents at stride 1: the row is the whole plane displaced
+            // by a constant, one span instead of one per row. The elements
+            // that displacement carries across a row end are exactly the
+            // columns outside `x_lo..x_hi`.
+            let len = row.len() as isize;
+            let shift = dy * self.w as isize + dx;
+            // Clamped: a plane smaller than its padding displaces some rows
+            // clean off it.
+            let lo = (-shift).clamp(0, len) as usize;
+            let from = shift.clamp(0, len) as usize;
+            let span = row.len() - lo.max(from);
+            row[..lo].fill(0.0);
+            row[lo + span..].fill(0.0);
+            row[lo..lo + span].copy_from_slice(&plane[from..from + span]);
+            for x in (0..x_lo).chain(x_hi..self.cols) {
+                row[x..]
+                    .iter_mut()
+                    .step_by(self.cols)
+                    .for_each(|v| *v = 0.0);
+            }
+            return;
+        }
+        let (y_lo, y_hi) = self.inside(dy, self.h, self.rows);
+        let (cols, stride) = (self.cols, self.stride);
+        row[..y_lo * cols].fill(0.0);
+        row[y_hi * cols..].fill(0.0);
+        for (y, dst) in row.chunks_exact_mut(cols).enumerate().take(y_hi).skip(y_lo) {
+            dst[..x_lo].fill(0.0);
+            dst[x_hi..].fill(0.0);
+            if x_lo == x_hi {
+                continue;
+            }
+            // `inside` keeps both reads on the plane.
+            let src = &plane[(y * stride).wrapping_add_signed(dy) * self.w..][..self.w];
+            let src = src[(x_lo * stride).wrapping_add_signed(dx)..].chunks(stride);
+            for (d, from) in dst[x_lo..x_hi].iter_mut().zip(src) {
+                *d = from[0];
+            }
+        }
+    }
+}
+
+/// The extents of one convolution, from which both lowerings are cut.
 #[derive(Clone, Copy)]
 struct Geom {
     c: usize,
@@ -90,103 +175,140 @@ impl Geom {
         self.c * self.h * self.w
     }
 
-    /// The output positions `lo..hi` along one axis whose kernel tap `tap`
-    /// reads inside the input (`o·stride + tap − pad ∈ 0..extent`); every
-    /// other position reads padding.
-    fn inside(&self, tap: usize, extent: usize, out_extent: usize) -> (usize, usize) {
-        let lo = self.pad.saturating_sub(tap).div_ceil(self.stride);
-        let hi = (extent + self.pad)
-            .checked_sub(tap + 1)
-            .map_or(0, |last| (last / self.stride + 1).min(out_extent));
-        (lo.min(hi), hi)
-    }
-
-    /// With stride 1 and output rows as long as input rows (`2·pad = k − 1`),
-    /// a kernel tap reads the whole input plane displaced by a constant:
-    /// patch row `[lo .. lo + len]` is plane `[from .. from + len]`, one
-    /// span instead of one per output row. The elements that displacement
-    /// carries across a row end are exactly the tap's padding columns.
-    fn shifted_plane(&self, ky: usize, kx: usize) -> Option<(usize, usize, usize)> {
-        (self.stride == 1 && self.ow == self.w).then(|| {
-            let (tap, origin) = (ky * self.w + kx, (self.w + 1) * self.pad);
-            // Clamped: an image smaller than its padding displaces some
-            // taps clean off the plane.
-            let lo = origin.saturating_sub(tap).min(self.pixels());
-            let from = tap.saturating_sub(origin).min(self.pixels());
-            (lo, from, self.pixels() - lo.max(from))
-        })
-    }
-
-    /// Zeroes the columns of one patch row that tap column `kx` reads from
-    /// the left or right padding.
-    fn clear_padding_columns(&self, kx: usize, row: &mut [f32]) {
-        let (lo, hi) = self.inside(kx, self.w, self.ow);
-        for ox in (0..lo).chain(hi..self.ow) {
-            row[ox..].iter_mut().step_by(self.ow).for_each(|v| *v = 0.0);
-        }
-    }
-
-    /// Every kernel tap `(ci, ky, kx)`, in patch-row order.
-    fn taps(&self) -> impl Iterator<Item = (usize, usize, usize)> {
-        let k = self.k;
-        (0..self.c)
-            .flat_map(move |ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx))))
-    }
-
-    /// Unrolls one `[C, H, W]` sample into `t` (`[patch, pixels]`), writing
-    /// every element: interiors as span copies, padding as span fills.
+    /// Unrolls one `[C, H, W]` sample into `t` (`[patch, pixels]`, row
+    /// `(ci, ky, kx)` per kernel tap), writing every element.
     fn im2col(&self, x: &[f32], t: &mut [f32]) {
-        let (w, ow, stride) = (self.w, self.ow, self.stride);
-        for ((ci, ky, kx), row) in self.taps().zip(t.chunks_exact_mut(self.pixels())) {
-            let plane = &x[ci * self.h * w..][..self.h * w];
-            if let Some((lo, from, len)) = self.shifted_plane(ky, kx) {
-                row[..lo].fill(0.0);
-                row[lo + len..].fill(0.0);
-                row[lo..lo + len].copy_from_slice(&plane[from..from + len]);
-                self.clear_padding_columns(kx, row);
-                continue;
-            }
-            let (oy_lo, oy_hi) = self.inside(ky, self.h, self.oh);
-            let (ox_lo, ox_hi) = self.inside(kx, w, ow);
-            row[..oy_lo * ow].fill(0.0);
-            row[oy_hi * ow..].fill(0.0);
-            for oy in oy_lo..oy_hi {
-                let dst = &mut row[oy * ow..(oy + 1) * ow];
-                dst[..ox_lo].fill(0.0);
-                dst[ox_hi..].fill(0.0);
-                let src = &plane[(oy * stride + ky - self.pad) * w..][..w];
-                let src = src[ox_lo * stride + kx - self.pad..].iter().step_by(stride);
-                for (d, &v) in dst[ox_lo..ox_hi].iter_mut().zip(src) {
-                    *d = v;
-                }
-            }
+        let window = Window {
+            h: self.h,
+            w: self.w,
+            rows: self.oh,
+            cols: self.ow,
+            stride: self.stride,
+        };
+        let (k, pad) = (self.k, self.pad as isize);
+        let taps = (0..self.c)
+            .flat_map(move |ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx))));
+        for ((ci, ky, kx), row) in taps.zip(t.chunks_exact_mut(self.pixels())) {
+            let plane = &x[ci * self.h * self.w..][..self.h * self.w];
+            window.lower(plane, ky as isize - pad, kx as isize - pad, row);
         }
     }
 
-    /// The adjoint of [`Geom::im2col`]: adds every interior span of `dt`
-    /// back onto the input positions it was copied from (`dt` is scratch,
-    /// and is clobbered).
-    fn col2im(&self, dt: &mut [f32], dx: &mut [f32]) {
-        let (w, ow, stride) = (self.w, self.ow, self.stride);
-        for ((ci, ky, kx), row) in self.taps().zip(dt.chunks_exact_mut(self.pixels())) {
-            let plane = &mut dx[ci * self.h * w..][..self.h * w];
-            if let Some((lo, from, len)) = self.shifted_plane(ky, kx) {
-                self.clear_padding_columns(kx, row);
-                for (d, &v) in plane[from..from + len].iter_mut().zip(&row[lo..lo + len]) {
-                    *d += v;
+    /// The stride phases of the input pixels that some tap reaches and
+    /// that hold a pixel: one at stride 1, up to `stride²` otherwise.
+    fn phases(&self) -> Vec<Phase> {
+        let ys = self.axis_phases(self.h);
+        let xs = self.axis_phases(self.w);
+        ys.iter()
+            .flat_map(|&y| xs.iter().map(move |&x| Phase { y, x }))
+            .collect()
+    }
+
+    /// [`Geom::phases`] along one axis of input extent `extent`.
+    fn axis_phases(&self, extent: usize) -> Vec<PhaseAxis> {
+        let s = self.stride;
+        (0..s.min(self.k))
+            .map(|tap0| {
+                // `(first + pad) ≡ tap0 (mod s)`: the first position a tap
+                // `tap0 + s·t` reaches.
+                let first = (tap0 + s - self.pad % s) % s;
+                PhaseAxis {
+                    tap0,
+                    taps: (self.k - tap0).div_ceil(s),
+                    first,
+                    count: extent.saturating_sub(first).div_ceil(s),
+                    base: (first + self.pad - tap0) / s,
                 }
-                continue;
+            })
+            .filter(|a| a.count > 0)
+            .collect()
+    }
+}
+
+/// One axis of a stride phase: the input positions `first + s·j`
+/// (`j < count`) and the taps `tap0 + s·t` (`t < taps`), the only ones
+/// that reach them — position `first + s·j` receives tap `tap0 + s·t` from
+/// output position `j + base − t`.
+#[derive(Clone, Copy)]
+struct PhaseAxis {
+    tap0: usize,
+    taps: usize,
+    first: usize,
+    count: usize,
+    base: usize,
+}
+
+/// The input pixels of one stride phase and the taps that reach them: the
+/// unit of the adjoint lowering `∂X = W_r · P(∂Y)`. At stride 1 there is
+/// one phase, every pixel in NCHW order and every tap.
+struct Phase {
+    y: PhaseAxis,
+    x: PhaseAxis,
+}
+
+impl Phase {
+    /// Rows of `P` (the product's depth): `OC` times the phase's taps.
+    fn depth(&self, oc: usize) -> usize {
+        oc * self.y.taps * self.x.taps
+    }
+
+    /// Columns of `P`: the phase's input pixels.
+    fn pixels(&self) -> usize {
+        self.y.count * self.x.count
+    }
+
+    /// Every `(o, t, u)` row of `P`, in order.
+    fn rows(&self, oc: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (ty, tx) = (self.y.taps, self.x.taps);
+        (0..oc).flat_map(move |o| (0..ty).flat_map(move |t| (0..tx).map(move |u| (o, t, u))))
+    }
+
+    /// `W_r`, `[C, depth]`: entry `(c, (o, t, u))` is the weight of tap
+    /// `(tap0_y + s·t, tap0_x + s·u)` from input channel `c` to output
+    /// channel `o`.
+    fn weights(&self, g: &Geom, w: &[f32], oc: usize) -> Vec<f32> {
+        let (k, s) = (g.k, g.stride);
+        let mut wr = Vec::with_capacity(g.c * self.depth(oc));
+        for ci in 0..g.c {
+            for (o, t, u) in self.rows(oc) {
+                let (ky, kx) = (self.y.tap0 + s * t, self.x.tap0 + s * u);
+                wr.push(w[o * g.patch() + (ci * k + ky) * k + kx]);
             }
-            let (oy_lo, oy_hi) = self.inside(ky, self.h, self.oh);
-            let (ox_lo, ox_hi) = self.inside(kx, w, ow);
-            for oy in oy_lo..oy_hi {
-                let src = &row[oy * ow + ox_lo..oy * ow + ox_hi];
-                let dst = &mut plane[(oy * stride + ky - self.pad) * w..][..w];
-                let dst = dst[ox_lo * stride + kx - self.pad..]
-                    .iter_mut()
-                    .step_by(stride);
-                for (d, &v) in dst.zip(src) {
-                    *d += v;
+        }
+        wr
+    }
+
+    /// Unrolls one sample's `[OC, OH, OW]` output gradient into `p`
+    /// (`[depth, pixels]`): row `(o, t, u)` holds, for every pixel of the
+    /// phase, the `∂Y` element that tap sent it.
+    fn lower(&self, g: &Geom, grad_out: &[f32], oc: usize, p: &mut [f32]) {
+        let window = Window {
+            h: g.oh,
+            w: g.ow,
+            rows: self.y.count,
+            cols: self.x.count,
+            stride: 1,
+        };
+        let plane = g.pixels();
+        for ((o, t, u), row) in self.rows(oc).zip(p.chunks_exact_mut(self.pixels())) {
+            let dy = self.y.base as isize - t as isize;
+            let dx = self.x.base as isize - u as isize;
+            window.lower(&grad_out[o * plane..][..plane], dy, dx, row);
+        }
+    }
+
+    /// Writes the phase's `[C, pixels]` block of `∂X` onto its positions in
+    /// the sample's `[C, H, W]` gradient.
+    fn scatter(&self, g: &Geom, block: &[f32], dx: &mut [f32]) {
+        let s = g.stride;
+        for (plane, rows) in dx
+            .chunks_exact_mut(g.h * g.w)
+            .zip(block.chunks_exact(self.pixels()))
+        {
+            for (j, src) in rows.chunks_exact(self.x.count).enumerate() {
+                let dst = &mut plane[(self.y.first + s * j) * g.w + self.x.first..];
+                for (to, &v) in dst.chunks_mut(s).zip(src) {
+                    to[0] = v;
                 }
             }
         }
@@ -294,15 +416,25 @@ impl Conv2d {
             "Conv2d: gradient shape mismatch"
         );
         let (xd, gd) = (x.data(), grad_out.data());
-        // `[patch, oc]`: the A operand of `∂T = Wᵀ · ∂Y`.
-        let wt = want_dx.then(|| self.weight.value.transpose());
+        // The input gradient's phases, and each one's `W_r`.
+        let phases = if want_dx { g.phases() } else { Vec::new() };
+        let wd = self.weight.value.data();
+        let w_r: Vec<Vec<f32>> = phases.iter().map(|p| p.weights(&g, wd, oc)).collect();
+        let lowered = phases.iter().map(|p| p.depth(oc) * p.pixels()).max();
+        // At stride 1 the one phase is the sample's pixels in NCHW order and
+        // its product lands in place; otherwise each phase's block is
+        // staged, then written onto its pixels.
+        let staged = phases.iter().map(|p| g.c * p.pixels()).max();
+        let staged = if g.stride == 1 { None } else { staged };
+        let (lowered, staged) = (lowered.unwrap_or(0), staged.unwrap_or(0));
 
         // `∂Wᵀ` as `[patch, oc]` and, below it, `∂b` as the row the ones
         // row of `T` produces.
         let mut dwt = vec![0.0f32; (patch + 1) * oc];
         let mut dx = want_dx.then(|| vec![0.0f32; n * g.sample()]);
-        with_scratch((2 * patch + 1) * pixels, |scratch| {
-            let (t, dt) = scratch.split_at_mut((patch + 1) * pixels);
+        with_scratch((patch + 1) * pixels + lowered + staged, |scratch| {
+            let (t, rest) = scratch.split_at_mut((patch + 1) * pixels);
+            let (p_buf, block) = rest.split_at_mut(lowered);
             t[patch * pixels..].fill(1.0);
             for s in 0..n {
                 let dy = &gd[s * oc * pixels..][..oc * pixels];
@@ -311,10 +443,22 @@ impl Conv2d {
                     &mut t[..patch * pixels],
                 );
                 gemm::matmul_transb_acc(patch + 1, pixels, oc, t, dy, &mut dwt, SEQ);
-                if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), &wt) {
-                    dt.fill(0.0);
-                    gemm::matmul_acc(patch, oc, pixels, wt.data(), dy, dt, SEQ);
-                    g.col2im(dt, &mut dx[s * g.sample()..][..g.sample()]);
+                let Some(dx) = dx.as_deref_mut() else {
+                    continue;
+                };
+                let dx = &mut dx[s * g.sample()..][..g.sample()];
+                for (phase, wr) in phases.iter().zip(&w_r) {
+                    let (depth, cols) = (phase.depth(oc), phase.pixels());
+                    let p = &mut p_buf[..depth * cols];
+                    phase.lower(&g, dy, oc, p);
+                    if g.stride == 1 {
+                        gemm::matmul_acc(g.c, depth, cols, wr, p, dx, SEQ);
+                    } else {
+                        let block = &mut block[..g.c * cols];
+                        block.fill(0.0);
+                        gemm::matmul_acc(g.c, depth, cols, wr, p, block, SEQ);
+                        phase.scatter(&g, block, dx);
+                    }
                 }
             }
         });
@@ -493,40 +637,40 @@ mod tests {
     #[test]
     fn lowering_matches_naive_reference_on_odd_shapes() {
         // Odd extents, every stride/padding corner, an odd batch, and a
-        // non-square image so a swapped axis cannot hide.
+        // non-square image so a swapped axis cannot hide. The 5×5 kernel at
+        // stride 2 reaches the two input phases of an axis with three taps
+        // and with two.
         let mut rng = TensorRng::seeded(4);
         for &(h, w) in &[(15usize, 15usize), (9, 13)] {
-            for stride in [1usize, 2] {
-                for pad in [0usize, 1] {
-                    let at = format!("{h}x{w} stride={stride} pad={pad}");
-                    let n = 5;
-                    let mut conv = Conv2d::new(2, 3, 3, stride, pad, &mut rng);
-                    conv.bias.value = rng.uniform(&[3], -0.5, 0.5);
-                    let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
-                    let (wv, bv) = (conv.weight.value.clone(), conv.bias.value.clone());
+            let corners = [(3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (5, 2, 1)];
+            for (k, stride, pad) in corners {
+                let at = format!("{h}x{w} k={k} stride={stride} pad={pad}");
+                let n = 5;
+                let mut conv = Conv2d::new(2, 3, k, stride, pad, &mut rng);
+                conv.bias.value = rng.uniform(&[3], -0.5, 0.5);
+                let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
+                let (wv, bv) = (conv.weight.value.clone(), conv.bias.value.clone());
 
-                    let y = conv.forward(&x, Mode::Train);
-                    let y_ref = conv_naive(&x, &wv, &bv, 3, stride, pad);
-                    assert_eq!(y.shape(), y_ref.shape(), "{at}");
-                    assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4), "forward {at}");
-                    assert_eq!(conv.infer(&x), y, "infer {at}");
+                let y = conv.forward(&x, Mode::Train);
+                let y_ref = conv_naive(&x, &wv, &bv, k, stride, pad);
+                assert_eq!(y.shape(), y_ref.shape(), "{at}");
+                assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4), "forward {at}");
+                assert_eq!(conv.infer(&x), y, "infer {at}");
 
-                    let dy = rng.uniform(y.shape(), -1.0, 1.0);
-                    let (dw_ref, db_ref, dx_ref) =
-                        conv_naive_backward(&x, &wv, &dy, 3, stride, pad);
-                    let dx = conv.backward(&dy);
-                    assert!(fairdms_tensor::allclose(&dx, &dx_ref, 1e-4), "dx {at}");
-                    let (dw, db) = (conv.weight.grad.clone(), conv.bias.grad.clone());
-                    assert!(fairdms_tensor::allclose(&dw, &dw_ref, 1e-3), "dw {at}");
-                    assert!(fairdms_tensor::allclose(&db, &db_ref, 1e-3), "db {at}");
+                let dy = rng.uniform(y.shape(), -1.0, 1.0);
+                let (dw_ref, db_ref, dx_ref) = conv_naive_backward(&x, &wv, &dy, k, stride, pad);
+                let dx = conv.backward(&dy);
+                assert!(fairdms_tensor::allclose(&dx, &dx_ref, 1e-4), "dx {at}");
+                let (dw, db) = (conv.weight.grad.clone(), conv.bias.grad.clone());
+                assert!(fairdms_tensor::allclose(&dw, &dw_ref, 1e-3), "dw {at}");
+                assert!(fairdms_tensor::allclose(&db, &db_ref, 1e-3), "db {at}");
 
-                    // The params-only pass accumulates the same bits.
-                    conv.weight.zero_grad();
-                    conv.bias.zero_grad();
-                    conv.backward_params(&dy);
-                    assert_eq!(conv.weight.grad, dw, "params-only dw {at}");
-                    assert_eq!(conv.bias.grad, db, "params-only db {at}");
-                }
+                // The params-only pass accumulates the same bits.
+                conv.weight.zero_grad();
+                conv.bias.zero_grad();
+                conv.backward_params(&dy);
+                assert_eq!(conv.weight.grad, dw, "params-only dw {at}");
+                assert_eq!(conv.bias.grad, db, "params-only db {at}");
             }
         }
     }

@@ -24,8 +24,17 @@
 //! and hands shard 1 to it over a channel each step. Otherwise shard 1 runs
 //! on the calling thread after shard 0: the same computation on the same
 //! replica. The helper exits when the fit returns — completed, stopped
-//! early, cancelled, or panicking, which surfaces as the fit's panic. The
-//! validation pass stays on the calling thread.
+//! early, cancelled, or panicking, which surfaces as the fit's panic.
+//!
+//! **Validation splits the same way.** When the fit has opened its helper,
+//! each validation batch of two or more rows is scored in two halves: the
+//! calling thread runs [`Sequential::infer`] on its first `⌈n/2⌉` rows,
+//! the helper on the replica for the rest. The replica holds the trained
+//! network's values bit for bit after every resync, and a row's inference
+//! does not depend on the batch around it (DESIGN.md §9), so the two
+//! halves side by side are the whole batch's prediction and the loss is
+//! taken once over them: the same validation losses to the bit. Without a
+//! helper a validation batch runs whole on the calling thread.
 
 use crate::layers::{Mode, Sequential};
 use crate::loss::Loss;
@@ -292,7 +301,7 @@ impl Trainer {
                 batches += 1;
             }
             let train_loss = (epoch_loss / batches.max(1) as f64) as f32;
-            let val_loss = self.evaluate(net, steps.loss, val_x, val_y);
+            let val_loss = steps.evaluate(net, self.cfg.batch_size, val_x, val_y);
             curve.push(EpochStat {
                 epoch,
                 train_loss,
@@ -327,42 +336,22 @@ impl Trainer {
             cancelled,
         }
     }
-
-    /// Mean loss over a dataset in eval mode, batched to bound memory. Runs
-    /// through [`Sequential::infer`], so scoring a validation set between
-    /// epochs leaves the layers' backward caches (and their recycled
-    /// allocations) sized for the training batch.
-    fn evaluate(&self, net: &Sequential, loss: &dyn Loss, x: &Tensor, y: &Tensor) -> f32 {
-        let n = x.shape()[0];
-        if n == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + self.cfg.batch_size).min(n);
-            let bx = x.slice_rows(start, end);
-            let by = y.slice_rows(start, end);
-            let pred = net.infer(&bx);
-            total += loss.forward(&pred, &by) as f64 * (end - start) as f64;
-            count += end - start;
-            start = end;
-        }
-        (total / count as f64) as f32
-    }
 }
 
-/// Shard 1 of a mini-batch: the replica network it runs on and its rows.
-/// Owned, so it can cross to the helper thread and back.
+/// Shard 1 of a mini-batch or of a validation batch: the replica network it
+/// runs on and its rows. Owned, so it can cross to the helper thread and
+/// back.
 struct Shard {
     net: Sequential,
     x: Tensor,
     y: Tensor,
-    /// Rows of the whole mini-batch: the loss gradient's denominator.
-    batch_rows: usize,
-    /// The shard's mean loss, once run.
+    /// Rows of the whole mini-batch, the loss gradient's denominator; `None`
+    /// for a validation shard, which only predicts.
+    batch_rows: Option<usize>,
+    /// A training shard's mean loss, once run.
     loss: f32,
+    /// A validation shard's prediction, once run.
+    pred: Tensor,
 }
 
 impl Shard {
@@ -371,13 +360,17 @@ impl Shard {
             net,
             x: Tensor::zeros(&[0]),
             y: Tensor::zeros(&[0]),
-            batch_rows: 0,
+            batch_rows: None,
             loss: 0.0,
+            pred: Tensor::zeros(&[0]),
         }
     }
 
     fn run(&mut self, loss: &dyn Loss) {
-        self.loss = run_shard(&mut self.net, loss, &self.x, &self.y, self.batch_rows);
+        match self.batch_rows {
+            Some(rows) => self.loss = run_shard(&mut self.net, loss, &self.x, &self.y, rows),
+            None => self.pred = self.net.infer(&self.x),
+        }
     }
 }
 
@@ -404,7 +397,8 @@ struct Helper {
 
 /// What a fit keeps from one step to the next: shard 0's rows (recycled
 /// allocations, so a steady-state step gathers without allocating), shard
-/// 1, and the helper when the fit opened one.
+/// 1, and the helper when the fit opened one. Validation runs through it
+/// too, so it can use the same helper and replica.
 struct Steps<'a> {
     loss: &'a dyn Loss,
     /// Multiply–adds of one sample's forward pass.
@@ -457,7 +451,7 @@ impl<'a> Steps<'a> {
             Some(mut shard) => {
                 gather_into(x, tail, &mut shard.x);
                 gather_into(y, tail, &mut shard.y);
-                shard.batch_rows = rows;
+                shard.batch_rows = Some(rows);
                 let wide = STEP_PASSES * self.per_sample * rows >= PAR_MIN_WORK;
                 let (own, mut shard) = match self.helper.filter(|_| wide) {
                     Some(helper) => {
@@ -489,6 +483,49 @@ impl<'a> Steps<'a> {
         }
         loss_sum / rows as f64
     }
+
+    /// Mean loss of `net` over `(x, y)` in eval mode, in batches of `batch`
+    /// rows. Runs through [`Sequential::infer`], so scoring a validation
+    /// set between epochs leaves the layers' backward caches (and their
+    /// recycled allocations) sized for the training batch.
+    fn evaluate(&mut self, net: &Sequential, batch: usize, x: &Tensor, y: &Tensor) -> f32 {
+        let n = x.shape()[0];
+        if n == 0 {
+            return 0.0;
+        }
+        let mut total = 0.0f64;
+        for start in (0..n).step_by(batch) {
+            let end = (start + batch).min(n);
+            let pred = self.predict(net, x, start, end);
+            let rows = (end - start) as f64;
+            total += self.loss.forward(&pred, &y.slice_rows(start, end)) as f64 * rows;
+        }
+        (total / n as f64) as f32
+    }
+
+    /// `net`'s prediction for rows `start..end` of `x`: the last `⌊n/2⌋`
+    /// rows on the helper when the fit has one, the rest here.
+    fn predict(&mut self, net: &Sequential, x: &Tensor, start: usize, end: usize) -> Tensor {
+        let mid = start + (end - start).div_ceil(2);
+        let Some(helper) = self.helper.filter(|_| mid < end) else {
+            return net.infer(&x.slice_rows(start, end));
+        };
+        let mut shard = self
+            .replica
+            .take()
+            .expect("a fit with a helper has a replica");
+        shard.x = x.slice_rows(mid, end);
+        shard.batch_rows = None;
+        helper.work.send(shard).expect("the shard helper exited");
+        let head = net.infer(&x.slice_rows(start, mid));
+        let shard = helper.done.recv().expect("the shard helper exited");
+        let mut dims = head.shape().to_vec();
+        dims[0] = end - start;
+        let mut rows = head.into_vec();
+        rows.extend_from_slice(shard.pred.data());
+        self.replica = Some(shard);
+        Tensor::from_vec(rows, &dims)
+    }
 }
 
 /// Refills `into` with `src`'s rows `rows`, in `into`'s allocation.
@@ -507,6 +544,8 @@ mod tests {
     use crate::layers::{Activation, Conv2d, Dense, Dropout, Flatten};
     use crate::loss::Mse;
     use crate::optim::{Adam, Sgd};
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     fn toy_problem(n: usize, seed: u64) -> (Tensor, Tensor) {
         // y = 0.5·x0 − x1 + 0.2
@@ -562,12 +601,13 @@ mod tests {
     }
 
     /// Fits `net` for two epochs at batch 32 on a pool of `threads`;
-    /// returns the trained parameters and the regions the fit opened.
+    /// returns the trained parameters, the validation curve's bits and the
+    /// regions the fit opened.
     fn fit_on_pool(
         threads: usize,
         mut net: Sequential,
         [x, y, vx, vy]: [&Tensor; 4],
-    ) -> (Vec<Tensor>, u64) {
+    ) -> (Vec<Tensor>, Vec<u32>, u64) {
         let cfg = TrainConfig {
             epochs: 2,
             batch_size: 32,
@@ -576,13 +616,51 @@ mod tests {
         on_pool(threads, || {
             let before = rayon::regions_opened();
             let mut opt = Adam::new(1e-3);
-            Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, x, y, vx, vy);
+            let report = Trainer::new(cfg).fit(&mut net, &mut opt, &Mse, x, y, vx, vy);
             let regions = rayon::regions_opened() - before;
             (
                 net.params().iter().map(|p| p.value.clone()).collect(),
+                report.val_curve().iter().map(|v| v.to_bits()).collect(),
                 regions,
             )
         })
+    }
+
+    /// An identity layer that reports the thread each `infer` runs on.
+    #[derive(Clone)]
+    struct InferThreads(Sender<ThreadId>);
+
+    /// [`conv_net`] ending in an [`InferThreads`] probe, and the probe's
+    /// receiving end.
+    fn probed_conv_net(seed: u64) -> (Sequential, Receiver<ThreadId>) {
+        let (tx, rx) = mpsc::channel();
+        let mut net = conv_net(seed);
+        net.push(Box::new(InferThreads(tx)));
+        (net, rx)
+    }
+
+    /// How many threads the probe saw.
+    fn threads_seen(rx: &Receiver<ThreadId>) -> usize {
+        rx.try_iter().collect::<HashSet<_>>().len()
+    }
+
+    impl crate::layers::Layer for InferThreads {
+        fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+            x.clone()
+        }
+
+        fn infer(&self, x: &Tensor) -> Tensor {
+            self.0.send(std::thread::current().id()).unwrap();
+            x.clone()
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+
+        fn clone_layer(&self) -> Box<dyn crate::layers::Layer> {
+            Box::new(self.clone())
+        }
     }
 
     /// 51 training rows (a 32- and a 19-row step at batch 32, both above
@@ -597,25 +675,32 @@ mod tests {
         let [x, y, vx, vy] = conv_data();
         let data = [&x, &y, &vx, &vy];
         // The helper is the one region; the shim counts a scope task's
-        // regions as its caller's, so neither shard opened one inside.
-        assert_eq!(fit_on_pool(2, conv_net(40), data).1, 1);
-        assert_eq!(fit_on_pool(1, conv_net(40), data).1, 0, "one-wide pool");
+        // regions as its caller's, so neither shard opened one inside, and
+        // neither did the validation half the helper scored.
+        let (net, probe) = probed_conv_net(40);
+        assert_eq!(fit_on_pool(2, net, data).2, 1);
+        assert_eq!(threads_seen(&probe), 2, "validation ran on both threads");
+        let (net, probe) = probed_conv_net(40);
+        assert_eq!(fit_on_pool(1, net, data).2, 0, "one-wide pool");
+        assert_eq!(threads_seen(&probe), 1, "one-wide validation runs whole");
         let ((tx, ty), (tvx, tvy)) = (toy_problem(51, 32), toy_problem(13, 33));
         let toy = fit_on_pool(2, linear_net(41), [&tx, &ty, &tvx, &tvy]);
-        assert_eq!(toy.1, 0, "below the gate");
+        assert_eq!(toy.2, 0, "below the gate");
     }
 
     #[test]
     fn where_shard_one_runs_changes_no_bit() {
         // Live dropout and a ragged 19-row batch; on two and three cores
-        // shard 1 runs on the helper, on one after shard 0.
+        // shard 1 and half of each validation batch run on the helper, on
+        // one after shard 0.
         let [x, y, vx, vy] = conv_data();
         let data = [&x, &y, &vx, &vy];
-        let inline = fit_on_pool(1, conv_net(42), data).0;
+        let (inline, inline_val, _) = fit_on_pool(1, conv_net(42), data);
         assert_ne!(inline[0], conv_net(42).params()[0].value, "training moved");
         for threads in [2, 3] {
-            let on_helper = fit_on_pool(threads, conv_net(42), data).0;
+            let (on_helper, val, _) = fit_on_pool(threads, conv_net(42), data);
             assert!(on_helper == inline, "{threads} threads");
+            assert_eq!(val, inline_val, "validation at {threads} threads");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Dispatch determinism on the skinny shapes convolution lowers to.
+//! Dispatch determinism on skinny shapes.
 //!
 //! `determinism.rs` pins the engine's bit-identity contract on roughly
 //! square products. The shapes here are the degenerate corners of the
@@ -11,8 +11,10 @@
 use fairdms_tensor::gemm::{self, Threading};
 use fairdms_tensor::rng::TensorRng;
 
-/// `(m, k, n)` of `[m×k]·[k×n]`: conv2's forward, `∂W`, `∂cols` products
-/// in row-major lowering, and `∂T` in channel-major lowering.
+/// `(m, k, n)` of `[m×k]·[k×n]`: the shapes conv2's forward, `∂W` and
+/// `∂cols` products had in a row-major lowering, and the one its `∂T`
+/// product had beside `col2im`. No layer runs them now; they are the
+/// dispatch's degenerate corners.
 const SKINNY: [(usize, usize, usize); 4] = [
     (8192, 144, 8),
     (8, 8192, 144),
