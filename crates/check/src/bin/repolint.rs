@@ -79,7 +79,7 @@ fn main() -> ExitCode {
             println!("{}", f.render());
         }
         if findings.is_empty() {
-            println!("repolint: clean ({} rules enforced)", 9);
+            println!("repolint: clean ({} rules enforced)", 10);
         } else {
             println!("repolint: {} finding(s)", findings.len());
         }

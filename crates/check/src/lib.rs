@@ -1,24 +1,25 @@
 //! # fairdms-check
 //!
 //! The concurrency-correctness plane (DESIGN.md §11). Every hand-rolled
-//! concurrent structure in this workspace — the left-right
-//! `SnapshotCell`, the generation-fenced `EmbedCache`, the `JobPool`
-//! supersession machinery — routes its
+//! concurrent structure in this workspace — the generation-fenced
+//! `EmbedCache`, the `JobPool` supersession machinery, the wire plane's
+//! reply lane and client read hand-over — routes its
 //! synchronization through the project-owned shim crates. This crate
 //! exploits that seam three ways:
 //!
 //! * [`sched`] — a loom-lite **controlled scheduler**: tests register N
 //!   model threads, every shim `Mutex`/`RwLock`/`Condvar`/channel
-//!   operation (plus the [`atomic`] and [`cell`] wrappers) becomes a
-//!   yield point, and [`Model`] explores interleavings — exhaustive DFS
-//!   with a bounded-preemption budget (à la CHESS) for small models,
-//!   seeded random schedules for larger ones, with deterministic
-//!   schedule replay from a printed trace.
+//!   operation (plus the [`atomic`] wrappers) becomes a yield point, and
+//!   [`Model`] explores interleavings — exhaustive DFS with a
+//!   bounded-preemption budget (à la CHESS) for small models, seeded
+//!   random schedules for larger ones, with deterministic schedule replay
+//!   from a printed trace.
 //! * Dynamic analyses riding the same instrumentation: a vector-clock
 //!   **happens-before race detector** (FastTrack-style epochs per
-//!   [`cell::UnsafeCell`] location) and a **lock-order graph** with
-//!   cycle detection that turns a potential deadlock into a test
-//!   failure carrying both acquisition sites.
+//!   location reported through [`rt::cell_read`] / [`rt::cell_write`])
+//!   and a **lock-order graph** with cycle detection that turns a
+//!   potential deadlock into a test failure carrying both acquisition
+//!   sites.
 //! * [`lint`] — `repolint`, an xtask-style source gate
 //!   (`cargo run -p fairdms-check --bin repolint`) enforcing repo
 //!   invariants clippy cannot express: no `std::sync` primitives or
@@ -51,8 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
-pub mod cell;
-pub mod hint;
 pub mod lint;
 pub mod rt;
 pub mod sched;

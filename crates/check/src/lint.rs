@@ -1,7 +1,7 @@
 //! `repolint`: source-level invariants clippy cannot express.
 //!
 //! A line-based scanner over every `.rs` file in the workspace,
-//! enforcing the concurrency-hygiene rules the correctness plane
+//! enforcing the ten concurrency-hygiene rules the correctness plane
 //! depends on:
 //!
 //! | rule | invariant |
@@ -13,8 +13,9 @@
 //! | `relaxed-allowlist` | `Ordering::Relaxed` only at sites on the audited allowlist below, each with a recorded justification |
 //! | `blocking-net` | blocking `std::net` / Unix-socket stream and listener types only in files on the audited `NET_ALLOWLIST` — the wire plane owns every socket, and each exempt file records where its blocking reads park and what unblocks them |
 //! | `par-gate` | every `par_iter` / `into_par_iter` / `par_iter_mut` / `par_chunks_mut` / `rayon::scope` / `rayon::join` call in product code sits within a few lines below a comparison against `PAR_MIN_WORK` (the dispatch rule, DESIGN.md §9: a region is two thread spawns, so request-sized work must not open one), or its file is on the audited `PAR_ALLOWLIST` |
-//! | `one-publish` | within `crates/service/src`, a `ServiceView` is published (`.view.store(`) from exactly one non-test function — every path that changes what readers see goes through it, so a step that must precede publication (re-keying the zoo at a plane install, DESIGN.md §7) has one place to go |
+//! | `one-publish` | within `crates/service/src`, a `ServiceView` is published (`.view.write()`) from exactly one non-test function — every path that changes what readers see goes through it, so a step that must precede publication (re-keying the zoo at a plane install, DESIGN.md §7) has one place to go |
 //! | `orphan-pub` | every free or inherent `pub fn` under `crates/{tensor,nn,clustering,datastore,flows,core,service}/src` — the crates the service links — has its name in at least one other `.rs` file of the workspace (`benches/e2e/src` counts), or its site is on the audited `ORPHAN_ALLOWLIST` with the caller text cannot see: what nothing outside its own file runs loses its `pub` or goes (DESIGN.md §11). Trait methods carry no `pub` and are not scanned |
+//! | `stale-allowlist` | every `RELAXED_ALLOWLIST`, `NET_ALLOWLIST` and `PAR_ALLOWLIST` entry records a justification and names a file that exists and still has a site its rule would flag without the entry — an exemption outlives neither its file nor its reason |
 //!
 //! Zones: the shim crates are exempt from `no-std-sync` / `sleep-polling`
 //! / `relaxed-allowlist` / `par-gate` (they *implement* those layers), and
@@ -102,10 +103,6 @@ pub const RELAXED_ALLOWLIST: &[(&str, &str)] = &[
          completion function that bumps them; read only by the stats endpoint, they order nothing",
     ),
     (
-        "crates/service/src/swap.rs",
-        "test-only stop flag for reader soak threads; shutdown timing is irrelevant and the flag guards no data",
-    ),
-    (
         "crates/core/src/reuse.rs",
         "hit/miss statistics counters; generation fencing itself uses Acquire/AcqRel, only the stats are relaxed",
     ),
@@ -164,6 +161,17 @@ pub const PAR_ALLOWLIST: &[(&str, &str)] = &[
     ),
 ];
 
+/// An audited allowlist: (path suffix, justification) per entry.
+type Allowlist<'a> = &'a [(&'a str, &'a str)];
+
+/// The lists `stale-allowlist` keeps honest: (the rule an entry exempts a
+/// file from, the list's name, its entries).
+const ALLOWLISTS: [(&str, &str, Allowlist); 3] = [
+    ("relaxed-allowlist", "RELAXED_ALLOWLIST", RELAXED_ALLOWLIST),
+    ("blocking-net", "NET_ALLOWLIST", NET_ALLOWLIST),
+    ("par-gate", "PAR_ALLOWLIST", PAR_ALLOWLIST),
+];
+
 /// The crates `fairdms-service` links; `orphan-pub` scans their `src/`.
 const LINKED_CRATES: [&str; 7] = [
     "tensor",
@@ -210,6 +218,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     }
     findings.extend(one_publish(publishers));
     findings.extend(orphan_pub(&sources, ORPHAN_ALLOWLIST));
+    findings.extend(stale_allowlist(&sources, &ALLOWLISTS));
     findings
 }
 
@@ -422,7 +431,7 @@ fn publish_sites(rel: &str, text: &str) -> Vec<(String, Finding)> {
             let name = &line[at + 3..];
             function = &name[..name.find(['(', '<']).unwrap_or(name.len())];
         }
-        if line.contains(".view.store(") {
+        if line.contains(".view.write()") {
             let finding = Finding {
                 rule: "one-publish",
                 path: rel.to_string(),
@@ -453,7 +462,7 @@ fn one_publish(mut sites: Vec<(String, Finding)>) -> Vec<Finding> {
             path: "crates/service/src".to_string(),
             line: 0,
             excerpt: String::new(),
-            message: "no `.view.store(` found: if publication was renamed, rename it in \
+            message: "no `.view.write()` found: if publication was renamed, rename it in \
                       crates/check/src/lint.rs too"
                 .to_string(),
         }],
@@ -508,6 +517,58 @@ fn orphan_pub(files: &[(String, String)], allow: &[(&str, &str)]) -> Vec<Finding
                         "no other file names `{name}`: nothing outside this file runs it — \
                          drop the `pub`, delete it if only this file's tests call it, or \
                          record its caller in ORPHAN_ALLOWLIST"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// `stale-allowlist` over the whole workspace (`(path, text)` of every `.rs`
+/// file): a finding for each entry of `lists` that records no justification,
+/// that matches no file, or whose files, linted as if no list named them,
+/// raise nothing under its rule.
+fn stale_allowlist(files: &[(String, String)], lists: &[(&str, &str, Allowlist)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for &(rule, list, entries) in lists {
+        for (path, why) in entries {
+            if why.trim().is_empty() {
+                findings.push(Finding {
+                    rule: "stale-allowlist",
+                    path: path.to_string(),
+                    line: 0,
+                    excerpt: String::new(),
+                    message: format!(
+                        "{list} entry records no justification; say why the site is \
+                         safe in crates/check/src/lint.rs"
+                    ),
+                });
+            }
+            let matched: Vec<_> = files
+                .iter()
+                .filter(|(rel, _)| rel.ends_with(path))
+                .collect();
+            let needed = matched.iter().any(|(rel, text)| {
+                // Same directory, so the same zone; a name no entry matches.
+                let mut out = Vec::new();
+                lint_file(&format!("{rel}.unlisted"), text, &mut out);
+                out.iter().any(|f| f.rule == rule)
+            });
+            if !needed {
+                let why = if matched.is_empty() {
+                    "no such file".to_string()
+                } else {
+                    format!("the file has no `{rule}` site left to exempt")
+                };
+                findings.push(Finding {
+                    rule: "stale-allowlist",
+                    path: path.to_string(),
+                    line: 0,
+                    excerpt: String::new(),
+                    message: format!(
+                        "{list} entry exempts nothing ({why}); delete it from \
+                         crates/check/src/lint.rs"
                     ),
                 });
             }
@@ -701,18 +762,6 @@ mod tests {
         assert!(lint_str("crates/bench/benches/kernels.rs", ungated).is_empty());
         let gated_test = format!("#[cfg(test)]\nmod tests {{ fn t() {{ {ungated} }} }}\n");
         assert!(lint_str("crates/core/src/x.rs", &gated_test).is_empty());
-        // Every allowlisted file still exists and still needs its entry:
-        // linted under a path that is not on the list, it is flagged.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for (path, why) in PAR_ALLOWLIST {
-            assert!(!why.is_empty(), "{path}");
-            let text = fs::read_to_string(root.join(path)).expect(path);
-            let f = lint_str("crates/core/src/x.rs", &text);
-            assert!(
-                f.iter().any(|f| f.rule == "par-gate"),
-                "{path}: stale entry"
-            );
-        }
     }
 
     #[test]
@@ -725,14 +774,14 @@ mod tests {
                     .collect(),
             )
         };
-        let home = "impl Shared {\n    fn publish(&self, t: &T) {\n        self.view.store(of(t));\n    }\n}\n";
+        let home = "impl Shared {\n    fn publish(&self, t: &T) {\n        *self.view.write() = of(t);\n    }\n}\n";
         let server = "crates/service/src/server.rs";
         assert!(lint(&[(server, home)]).is_empty());
         // Twice in the one function is still one home.
-        let twice = home.replace("}\n}\n", "    self.view.store(of(t));\n}\n}\n");
+        let twice = home.replace("}\n}\n", "    *self.view.write() = of(t);\n}\n}\n");
         assert!(lint(&[(server, &twice)]).is_empty());
         // A second function — same file or another — is flagged with the first.
-        let second = "fn complete<T>(shared: &Shared) {\n    shared.view.store(v);\n}\n";
+        let second = "fn complete<T>(shared: &Shared) {\n    *shared.view.write() = v;\n}\n";
         let f = lint(&[(server, &format!("{home}{second}"))]);
         let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(at, [("one-publish", 3), ("one-publish", 7)], "{f:?}");
@@ -743,10 +792,15 @@ mod tests {
         let quiet = [
             ("crates/service/tests/x.rs", second),
             ("crates/core/src/x.rs", second),
-            (server, "// shared.view.store(v);\n"),
+            (server, "// *shared.view.write() = v;\n"),
+            // A reader takes the read guard, which publishes nothing.
             (
                 server,
-                "#[cfg(test)]\nmod tests {\n    fn t() { s.view.store(v); }\n}\n",
+                "fn load(&self) -> Arc<View> {\n    self.view.read().clone()\n}\n",
+            ),
+            (
+                server,
+                "#[cfg(test)]\nmod tests {\n    fn t() { *s.view.write() = v; }\n}\n",
             ),
         ];
         for (path, text) in quiet {
@@ -811,6 +865,62 @@ mod tests {
         let f = lint_workspace(&root);
         assert!(f.iter().all(|f| f.rule != "orphan-pub"), "{f:?}");
         assert!(ORPHAN_ALLOWLIST.len() <= 5);
+    }
+
+    #[test]
+    fn an_allowlist_entry_needs_a_file_with_a_site_it_exempts() {
+        let files: Vec<(String, String)> = [
+            (
+                "crates/core/src/live.rs",
+                "x.fetch_add(1, Ordering::Relaxed);\n",
+            ),
+            (
+                "crates/core/src/quiet.rs",
+                "// Ordering::Relaxed, once\nfn f() {}\n",
+            ),
+        ]
+        .iter()
+        .map(|(p, t)| (p.to_string(), t.to_string()))
+        .collect();
+        let entries = [
+            ("crates/core/src/live.rs", "a counter"),
+            ("crates/core/src/quiet.rs", "a counter, since removed"),
+            ("crates/core/src/gone.rs", "a deleted file"),
+        ];
+        let f = stale_allowlist(
+            &files,
+            &[("relaxed-allowlist", "RELAXED_ALLOWLIST", &entries)],
+        );
+        let at: Vec<_> = f.iter().map(|f| (f.rule, f.path.as_str())).collect();
+        assert_eq!(
+            at,
+            [
+                ("stale-allowlist", "crates/core/src/quiet.rs"),
+                ("stale-allowlist", "crates/core/src/gone.rs"),
+            ],
+            "{f:?}"
+        );
+        assert!(f[1].message.contains("no such file"), "{}", f[1].message);
+        // Only a site of the entry's own rule keeps it alive.
+        let net = [("crates/core/src/live.rs", "a socket")];
+        assert_eq!(
+            stale_allowlist(&files, &[("blocking-net", "NET_ALLOWLIST", &net)]).len(),
+            1
+        );
+        // An entry that says nothing about its site is a finding too, even
+        // on a live file.
+        let mute = [("crates/core/src/live.rs", " ")];
+        let f = stale_allowlist(&files, &[("relaxed-allowlist", "RELAXED_ALLOWLIST", &mute)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(
+            f[0].message.contains("no justification"),
+            "{}",
+            f[0].message
+        );
+        // Every entry of the workspace's own lists is live and justified.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let f = lint_workspace(&root);
+        assert!(f.iter().all(|f| f.rule != "stale-allowlist"), "{f:?}");
     }
 
     #[test]

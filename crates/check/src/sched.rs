@@ -7,8 +7,9 @@
 //! Model threads are real OS threads, but a token-passing scheduler
 //! serializes them: exactly one model thread runs at a time, and every
 //! instrumented operation (shim lock/channel ops, [`crate::atomic`],
-//! [`crate::cell`]) is a *yield point* where the scheduler decides who
-//! runs the next operation. One decision sequence = one interleaving.
+//! the [`crate::rt`] hooks) is a *yield point* where the scheduler
+//! decides who runs the next operation. One decision sequence = one
+//! interleaving.
 //!
 //! ## Exploration
 //!
@@ -31,7 +32,7 @@
 //! marks it runnable again. If no thread is runnable and some are
 //! blocked, the schedule is a **deadlock** and is reported with every
 //! thread's blocked site. Spin loops must call
-//! [`crate::hint::spin_loop`], which forces a switch away from the
+//! [`crate::rt::spin_hint`], which forces a switch away from the
 //! spinner so exhaustive exploration stays finite; a schedule exceeding
 //! `max_steps` is reported as a **livelock**.
 //!
@@ -439,7 +440,7 @@ impl Scheduler {
         if s.decisions.len() >= s.max_steps {
             let msg = format!(
                 "schedule exceeded {} steps without completing (livelock? \
-                 unbounded polling loops must use fairdms_check::hint::spin_loop)",
+                 unbounded polling loops must use fairdms_check::rt::spin_hint)",
                 s.max_steps
             );
             self.fail(&mut s, FailureKind::Livelock, msg);

@@ -13,7 +13,7 @@
 //! the service exists to arbitrate. [`MultiDms`] hosts them as *tenants*:
 //!
 //! * **Isolation** — each tenant owns a full deployment: its own mutation
-//!   actor, [`crate::swap::SnapshotCell`] chain, embed cache, read
+//!   actor, published [`crate::server::ServiceView`], embed cache, read
 //!   index, model zoo and [`crate::metrics::Metrics`] registry. A
 //!   publication, cache fill, or retrain in one tenant is invisible to
 //!   every other; replies are bit-identical to the same tenant running

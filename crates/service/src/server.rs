@@ -21,7 +21,8 @@
 //!   is answered *on the thread that asked* — an in-process caller's own
 //!   thread, or a connection's reader thread — from an immutable
 //!   [`ServiceView`] snapshot (frozen embedder + k-means + Zoo index)
-//!   fetched per request from a lock-free [`SnapshotCell`]. There is no
+//!   fetched per request as an `Arc` clone under a shared read lock — the
+//!   same `RwLock<Arc<_>>` the read index publishes through. There is no
 //!   read queue and no read worker: readers never touch the actor — and
 //!   with the training executor, neither does a training run, so ingest
 //!   keeps flowing *while* a model fine-tunes, exactly as the paper's
@@ -30,16 +31,16 @@
 //!   asynchronous checkpointed jobs against the registry).
 //!
 //! Every publication is still publish-before-acknowledge: the actor
-//! freezes the post-mutation state into the read plane — a single atomic
-//! `Arc` swap — before the owning client sees its reply, so a client that
-//! hears an ack can immediately read the state the ack describes.
+//! freezes the post-mutation state into the read plane — one `Arc`
+//! pointer store under the view's write lock — before the owning client
+//! sees its reply, so a client that hears an ack can immediately read
+//! the state the ack describes.
 
 use crate::api::{
     DmsApi, RankedModels, Reply, Request, ServiceError, ServiceResult, MAX_EMBED_EPOCHS,
     MAX_LOOKUP_COUNT,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::swap::SnapshotCell;
 use crate::training::{Completion, Lane, Outcome, TrainingExec, Waiter};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
@@ -49,6 +50,7 @@ use fairdms_core::workflow::RapidTrainer;
 use fairdms_core::ZooEntry;
 use fairdms_flows::jobs::{JobPool, TenantId};
 use fairdms_nn::trainer::TrainControl;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -108,7 +110,7 @@ impl Default for DmsServerConfig {
 /// The immutable state one read request is served from.
 ///
 /// No method on this type (or anything it holds) takes `&mut self`;
-/// publication replaces the whole view via [`SnapshotCell::store`].
+/// publication replaces the whole view (`Shared::publish`).
 pub struct ServiceView {
     /// Fitted fairDS system plane (`None` before `TrainSystem`).
     pub system: Option<Arc<SystemSnapshot>>,
@@ -131,8 +133,9 @@ impl ServiceView {
 }
 
 pub(crate) struct Shared {
-    /// Replaced only by [`Shared::publish`] (repolint `one-publish`).
-    pub(crate) view: SnapshotCell<ServiceView>,
+    /// Replaced only by [`Shared::publish`] (repolint `one-publish`);
+    /// read only through [`Shared::load`].
+    view: RwLock<Arc<ServiceView>>,
     pub(crate) metrics: Arc<Metrics>,
     /// Set when the actor dies by panic or a read handler panics: the
     /// state can no longer be trusted or maintained, so the whole service
@@ -147,7 +150,7 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn new(trainer: &RapidTrainer, metrics: Arc<Metrics>) -> Self {
         Shared {
-            view: SnapshotCell::new(Arc::new(ServiceView::of(trainer))),
+            view: RwLock::new(Arc::new(ServiceView::of(trainer))),
             metrics,
             poisoned: AtomicBool::new(false),
             shut_down: AtomicBool::new(false),
@@ -158,8 +161,20 @@ impl Shared {
     /// one place a [`ServiceView`] is published. Callers publish *before*
     /// they acknowledge, so a client that hears an ack (e.g. `Updated`)
     /// can immediately read the state the ack describes.
+    ///
+    /// The view is built before the write guard is taken and the replaced
+    /// one is dropped after it is released, so the guard covers one
+    /// pointer store and no reader queues behind a view's destructor.
     pub(crate) fn publish(&self, trainer: &RapidTrainer) {
-        self.view.store(Arc::new(ServiceView::of(trainer)));
+        let fresh = Arc::new(ServiceView::of(trainer));
+        let replaced = std::mem::replace(&mut *self.view.write(), fresh);
+        drop(replaced);
+    }
+
+    /// The current view. The read guard covers only the `Arc` clone and
+    /// drops on return, so no publication waits for a read in progress.
+    pub(crate) fn load(&self) -> Arc<ServiceView> {
+        self.view.read().clone()
     }
 }
 
@@ -731,7 +746,7 @@ impl DmsClient {
             Err(ServiceError::Unavailable)
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handle_read(&shared.view.load(), &shared.metrics, req)
+                handle_read(&shared.load(), &shared.metrics, req)
             }))
             .unwrap_or_else(|_| {
                 shared.poisoned.store(true, Ordering::Release);
@@ -756,7 +771,7 @@ impl DmsClient {
     /// training). Exposed for diagnostics and tests; the snapshot is
     /// immutable, so holding it never blocks the server.
     pub fn current_view(&self) -> Arc<ServiceView> {
-        self.shared.view.load()
+        self.shared.load()
     }
 }
 

@@ -535,14 +535,14 @@ mod tests {
                     op: Request::UpdateModel { images: x, scan: 1 }.op_index(),
                 });
 
-                let before = (shared.metrics.snapshot(), shared.view.load());
+                let before = (shared.metrics.snapshot(), shared.load());
                 let done = Completion {
                     slot: Some((lane, 5)),
                     waiter,
                     outcome,
                 };
                 let fatal = exec.complete(&mut trainer, &shared, done);
-                let after = (shared.metrics.snapshot(), shared.view.load());
+                let after = (shared.metrics.snapshot(), shared.load());
 
                 let want = expected(lane, ending);
                 let reply = reply_rx.try_recv().ok().map(|r| match r {

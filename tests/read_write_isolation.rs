@@ -9,19 +9,24 @@
 //!    retrain, readers observe the *new* published snapshot (version
 //!    advanced, consistent K), and concurrent readers never observe a
 //!    torn view mid-publication.
+//! 3. **Publication never waits for a read.** A reader holds the view's
+//!    lock only to clone the `Arc`, so a read parked inside its handler
+//!    holds up no publication, and a publication storm never shows a
+//!    reader a view older than one it has already seen.
 
-use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
+use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
+use fairdms_nn::trainer::TrainControl;
 use fairdms_service::multi::{MultiDms, TenantSpec};
 use fairdms_service::server::{DmsClient, DmsServerConfig};
 use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -67,8 +72,18 @@ fn spawn_server(
     train_epochs: usize,
 ) -> (DmsClient, MultiDms) {
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, seed);
+    spawn_over(Box::new(embedder), seed, k, auto_retrain, train_epochs)
+}
+
+fn spawn_over(
+    embedder: Box<dyn Embedder>,
+    seed: u64,
+    k: usize,
+    auto_retrain: bool,
+    train_epochs: usize,
+) -> (DmsClient, MultiDms) {
     let fairds = FairDS::in_memory(
-        Box::new(embedder),
+        embedder,
         FairDsConfig {
             k: Some(k),
             ..FairDsConfig::default()
@@ -240,6 +255,179 @@ fn certainty_triggered_retrain_publishes_a_fresh_untorn_snapshot() {
 
     let m = client.metrics().unwrap();
     assert_eq!(m.system_retrains, 1);
+
+    drop(client);
+    handle.shutdown();
+}
+
+/// A pixel value no generated frame carries.
+const SENTINEL: f32 = -12345.0;
+
+/// Parks `embed` on a two-party barrier for any batch carrying the
+/// sentinel pixel: the first wait tells the test the read is inside its
+/// handler, the second lets it finish. The barrier is shared, so it
+/// survives the clone and freeze a published snapshot makes.
+struct GatedEmbedder {
+    inner: AutoencoderEmbedder,
+    gate: Arc<Barrier>,
+}
+
+impl Embedder for GatedEmbedder {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn embed_dim(&self) -> usize {
+        self.inner.embed_dim()
+    }
+    fn input_dim(&self) -> usize {
+        self.inner.input_dim()
+    }
+    fn fit_controlled(
+        &mut self,
+        images: &Tensor,
+        cfg: &EmbedTrainConfig,
+        ctl: &TrainControl,
+    ) -> bool {
+        self.inner.fit_controlled(images, cfg, ctl)
+    }
+    fn embed(&self, images: &Tensor) -> Tensor {
+        if images.data().contains(&SENTINEL) {
+            self.gate.wait();
+            self.gate.wait();
+        }
+        self.inner.embed(images)
+    }
+    fn clone_embedder(&self) -> Box<dyn Embedder> {
+        Box::new(GatedEmbedder {
+            inner: self.inner.clone(),
+            gate: Arc::clone(&self.gate),
+        })
+    }
+    fn freeze(&mut self) {
+        self.inner.freeze();
+    }
+}
+
+#[test]
+fn a_publication_never_waits_for_an_in_flight_read() {
+    let gate = Arc::new(Barrier::new(2));
+    let embedder = GatedEmbedder {
+        inner: AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 30),
+        gate: Arc::clone(&gate),
+    };
+    let (client, handle) = spawn_over(Box::new(embedder), 30, 2, false, 2);
+    let (x, _) = blob_images(20, 2, 31);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    let pdf = client.dataset_pdf(x.clone()).unwrap();
+    let before = client.current_view().zoo.len();
+
+    // A read of a fresh frame misses the embed cache and parks in `embed`,
+    // inside `handle_read`, on a view it has already taken.
+    let mut held = x;
+    held.row_mut(0)[0] = SENTINEL;
+    let reader = {
+        let client = client.clone();
+        thread::spawn(move || client.dataset_pdf(held))
+    };
+    gate.wait();
+
+    // A publication from another clone must complete meanwhile.
+    let (done, published) = mpsc::channel();
+    let publisher = {
+        let client = client.clone();
+        thread::spawn(move || done.send(client.publish("parked", vec![7; 8], pdf, 1)))
+    };
+    let published = published.recv_timeout(Duration::from_secs(30));
+    let after = published.is_ok().then(|| client.current_view().zoo.len());
+    // Open the gate whatever happened, so the deployment can drain.
+    gate.wait();
+    publisher.join().unwrap().unwrap();
+    assert!(
+        matches!(published, Ok(Ok(_))),
+        "a publication waited for an in-flight read: {published:?}"
+    );
+    assert_eq!(after, Some(before + 1), "the publication is not visible");
+    assert_eq!(reader.join().unwrap().unwrap().len(), 2);
+
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn readers_never_see_the_view_go_back_under_a_publication_storm() {
+    const PUBLICATIONS: usize = 200;
+    let (client, handle) = spawn_server(40, 2, false, 2);
+    let (x, _) = blob_images(20, 2, 41);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    let pdf = client.dataset_pdf(x).unwrap();
+
+    const READERS: usize = 4;
+    let stop = Arc::new(AtomicBool::new(false));
+    // The publisher starts once every reader has served a round.
+    let started = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let client = client.clone();
+            let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
+            let pdf = pdf.clone();
+            thread::spawn(move || {
+                let mut seen = 0;
+                let mut first = true;
+                loop {
+                    // Stop is read first, so the last round starts after
+                    // the last publication.
+                    let last = stop.load(Ordering::Acquire);
+                    // Every entry has a PDF of this length, so a ranking
+                    // lists its whole view: no smaller than a view read
+                    // before it, no larger than one read after.
+                    let ranked = client.recommend(pdf.clone()).unwrap().ranked.len();
+                    let now = client.current_view().zoo.len();
+                    assert!(
+                        seen <= ranked && ranked <= now,
+                        "views out of order: {seen} then a ranking of {ranked} then {now}"
+                    );
+                    seen = now;
+                    if first {
+                        first = false;
+                        started.wait();
+                    }
+                    if last {
+                        return seen;
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let publisher = {
+        let client = client.clone();
+        thread::spawn(move || {
+            started.wait();
+            (0..PUBLICATIONS)
+                .map(|i| {
+                    client
+                        .publish(&format!("m{i}"), vec![i as u8; 8], pdf.clone(), i)
+                        .unwrap()
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let ids = publisher.join().unwrap();
+    stop.store(true, Ordering::Release);
+    for r in readers {
+        let seen = r.join().unwrap();
+        assert_eq!(
+            seen, PUBLICATIONS,
+            "a reader's last view misses publications"
+        );
+    }
+
+    let view = client.current_view();
+    assert_eq!(view.zoo.len(), PUBLICATIONS);
+    for id in ids {
+        assert!(view.zoo.get(id).is_some(), "publication {id} lost");
+    }
 
     drop(client);
     handle.shutdown();
