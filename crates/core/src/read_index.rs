@@ -450,8 +450,9 @@ impl EmbeddingIndex {
     /// over the cluster's rows in ascending id order). GEMM distances only
     /// ever *pre-select*: every candidate within [`normed_margin`] of the
     /// best GEMM distance is re-evaluated with the scalar
-    /// `sq_dist(..).sqrt()` the brute scan uses, in ascending id order with
-    /// the same strict-`<` tie rule, and ball pruning discards a ball only
+    /// `sq_dist(..).sqrt()` the brute scan uses, the least `(distance, id)`
+    /// wins (the row the brute scan's ascending-id strict-`<` pass keeps),
+    /// and ball pruning discards a ball only
     /// when its triangle-inequality lower bound (slack-deflated) exceeds a
     /// slack-inflated upper bound some probed stored row is proven to
     /// realize.
@@ -510,6 +511,10 @@ struct BallEval {
     ball: u32,
     /// Where the ball's `len` distances start in [`SearchScratch::dists`].
     at: usize,
+    /// `min(gd + normed_margin)` over the ball's donating rows, taken as
+    /// the distances land (`INFINITY` when none donates): an upper bound
+    /// on the exact squared distance of some donating row of the ball.
+    upper: f32,
     /// Whether the ball survived the query's triangle bound. A query's
     /// probe ball is evaluated before the bound exists; its distances are
     /// kept and count only once it has passed like any other ball.
@@ -535,13 +540,10 @@ struct SearchScratch {
     /// distances.
     evals: Vec<BallEval>,
     dists: Vec<f32>,
-    /// Per query: its probe ball's entry in `evals`, the probe-anchored
-    /// upper bound, the refine cutoff.
+    /// Per query: its probe ball's entry in `evals`, and the refine cutoff
+    /// (the least `upper` of its surviving evaluations).
     probe_eval: Vec<usize>,
-    bound: Vec<f32>,
     cutoff: Vec<f32>,
-    /// `(query, id, ball, row)` of every row that reaches the exact pass.
-    cands: Vec<(u32, DocId, u32, u32)>,
 }
 
 thread_local! {
@@ -551,8 +553,9 @@ thread_local! {
 impl SearchScratch {
     /// Evaluates ball `j` for the queries listed in `ball_queries[j]`: one
     /// GEMM of their embeddings against the ball's packed rows, appended to
-    /// `dists`, one `evals` entry per query.
-    fn evaluate_ball(&mut self, j: usize, ball: &IndexBall, survived: bool) {
+    /// `dists`, then one `evals` entry per query carrying its
+    /// [`BallEval::upper`], swept while the distances are in cache.
+    fn evaluate_ball(&mut self, j: usize, ball: &IndexBall, labeled_only: bool, survived: bool) {
         let (qi, d) = (&self.ball_queries[j], ball.packed.k());
         self.sub_q.clear();
         self.sub_n.clear();
@@ -573,11 +576,24 @@ impl SearchScratch {
             &mut self.dists[at..],
             Threading::Auto,
         );
-        for (a, &query) in qi.iter().enumerate() {
+        for (a, (&query, &qn)) in qi.iter().zip(&self.sub_n).enumerate() {
+            let upper = self.dists[at + a * len..at + (a + 1) * len]
+                .iter()
+                .zip(&ball.norms)
+                .zip(&ball.labels)
+                .map(|((&gd, &xn), label)| {
+                    if !labeled_only || label.is_some() {
+                        gd + normed_margin(qn, xn)
+                    } else {
+                        f32::INFINITY
+                    }
+                })
+                .fold(f32::INFINITY, f32::min);
             self.evals.push(BallEval {
                 query,
                 ball: j as u32,
                 at: at + a * len,
+                upper,
                 survived,
             });
         }
@@ -586,6 +602,13 @@ impl SearchScratch {
 
 /// Searches one cluster for one query group (see
 /// [`EmbeddingIndex::routed_nearest`] for the exactness argument).
+///
+/// Each evaluated `(query, ball)` pair's distances are swept at most
+/// twice: once as they land, for the pair's [`BallEval::upper`] (the probe
+/// bound and the refine cutoff are minima of those), and once in the
+/// refine if the ball survived, which takes the exact distance of every
+/// row within the cutoff where it finds it and keeps the least
+/// `(distance, id)`.
 fn search_cluster(
     cl: &ClusterEmbeddings,
     qs: &[usize],
@@ -637,7 +660,6 @@ fn search_cluster(
         Threading::Auto,
     );
     let eligible = |ball: &IndexBall| !labeled_only || ball.labeled;
-    let donates = |ball: &IndexBall, t: usize| !labeled_only || ball.labels[t].is_some();
     // Probe stage: each query's closest eligible ball (by center
     // distance) is evaluated first, one GEMM per probe ball over the
     // queries that chose it. The best margin-inflated squared distance
@@ -670,33 +692,13 @@ fn search_cluster(
     sc.dists.clear();
     for (j, ball) in cl.balls.iter().enumerate() {
         if !sc.ball_queries[j].is_empty() {
-            sc.evaluate_ball(j, ball, false);
+            sc.evaluate_ball(j, ball, labeled_only, false);
         }
     }
-    // Upper bound on each query's winner distance, anchored to its
-    // probe ball: `gd + margin ≥ exact d²` by the GEMM error
-    // contract, so the sqrt of the best such value is a distance some
-    // eligible stored row provably realizes (slack-inflated for the
-    // f32 sqrt). The winner — and any exact tie — sits at or below
-    // it, so a ball whose slack-deflated lower bound exceeds it
-    // cannot contain either.
-    sc.bound.clear();
-    sc.bound.resize(m, f32::NEG_INFINITY);
     sc.probe_eval.clear();
     sc.probe_eval.resize(m, usize::MAX);
     for (e, eval) in sc.evals.iter().enumerate() {
-        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
-        sc.probe_eval[i] = e;
-        let qn = sc.qnorms[i];
-        let mut cut = f32::INFINITY;
-        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
-            if donates(ball, t) {
-                cut = cut.min(gd + normed_margin(qn, ball.norms[t]));
-            }
-        }
-        if cut < f32::INFINITY {
-            sc.bound[i] = cut.max(0.0).sqrt() * (1.0 + PRUNE_SLACK);
-        }
+        sc.probe_eval[eval.query as usize] = e;
     }
     // Triangle-inequality pass: per query, a ball survives when its
     // slack-deflated lower bound does not clear the probe-anchored
@@ -709,6 +711,18 @@ fn search_cluster(
         let qn = sc.qnorms[i];
         let probe = sc.evals.get_mut(sc.probe_eval[i]);
         let probe_ball = probe.as_ref().map(|eval| eval.ball as usize);
+        // The upper bound on the query's winner distance: `gd + margin ≥
+        // exact d²` by the GEMM error contract, so the sqrt of the probe's
+        // `upper` is a distance some eligible stored row provably realizes
+        // (slack-inflated for the f32 sqrt). The winner — and any exact
+        // tie — sits at or below it, so a ball whose slack-deflated lower
+        // bound exceeds it cannot contain either.
+        let bound = probe
+            .as_ref()
+            .filter(|eval| eval.upper < f32::INFINITY)
+            .map_or(f32::NEG_INFINITY, |eval| {
+                eval.upper.max(0.0).sqrt() * (1.0 + PRUNE_SLACK)
+            });
         let mut probe_survived = false;
         for (j, ball) in cl.balls.iter().enumerate() {
             if !eligible(ball) {
@@ -717,7 +731,7 @@ fn search_cluster(
             let margin = normed_margin(qn, cl.ball_center_norms[j]);
             let lb =
                 ((drow[j] - margin).max(0.0).sqrt() - ball.radius).max(0.0) * (1.0 - PRUNE_SLACK);
-            if lb <= sc.bound[i] {
+            if lb <= bound {
                 if probe_ball == Some(j) {
                     probe_survived = true;
                 } else {
@@ -733,53 +747,60 @@ fn search_cluster(
     }
     for (j, ball) in cl.balls.iter().enumerate() {
         if !sc.ball_queries[j].is_empty() {
-            sc.evaluate_ball(j, ball, true);
+            sc.evaluate_ball(j, ball, labeled_only, true);
         }
     }
-    // cutoff = min over a query's surviving rows of (GEMM dist +
-    // margin): an upper bound on the exact squared distance of the
-    // true winner, so every row whose GEMM interval reaches it — the
-    // winner and all its ties included — survives to the exact pass.
+    // cutoff = the least `upper` of a query's surviving evaluations: an
+    // upper bound on the exact squared distance of the true winner, so
+    // every row whose GEMM interval reaches it — the winner and all its
+    // ties included — is refined.
     sc.cutoff.clear();
     sc.cutoff.resize(m, f32::INFINITY);
     for eval in sc.evals.iter().filter(|eval| eval.survived) {
-        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
-        let qn = sc.qnorms[i];
-        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
-            if donates(ball, t) {
-                sc.cutoff[i] = sc.cutoff[i].min(gd + normed_margin(qn, ball.norms[t]));
-            }
-        }
+        let cutoff = &mut sc.cutoff[eval.query as usize];
+        *cutoff = cutoff.min(eval.upper);
     }
-    // Candidates sort by query, then document id: rows are ascending by
-    // id within a cluster, so that is the brute scan's order.
-    sc.cands.clear();
+    // Exact refine, in evaluation order: each row within the cutoff takes
+    // the scalar `sq_dist(..).sqrt()` the brute scan uses, and the least
+    // `(distance, id)` wins — for finite distances the row the brute
+    // scan's ascending-id strict-`<` pass keeps, bits included.
+    let mut out: GroupHits = qs.iter().map(|&q| (q, None)).collect();
+    let mut refined = 0u64;
     for eval in sc.evals.iter().filter(|eval| eval.survived) {
-        let (i, ball) = (eval.query as usize, &cl.balls[eval.ball as usize]);
-        if sc.cutoff[i] == f32::INFINITY {
+        let (i, j) = (eval.query as usize, eval.ball as usize);
+        let cutoff = sc.cutoff[i];
+        if cutoff == f32::INFINITY {
             continue;
         }
-        let qn = sc.qnorms[i];
-        for (t, &gd) in sc.dists[eval.at..eval.at + ball.len()].iter().enumerate() {
-            if donates(ball, t) && gd - normed_margin(qn, ball.norms[t]) <= sc.cutoff[i] {
-                sc.cands
-                    .push((eval.query, ball.ids[t], eval.ball, t as u32));
+        let (ball, qn) = (&cl.balls[j], sc.qnorms[i]);
+        let (q, best) = &mut out[i];
+        let query = z.row(*q);
+        let dists = &sc.dists[eval.at..eval.at + ball.len()];
+        for (c, (gds, xns)) in dists.chunks(64).zip(ball.norms.chunks(64)).enumerate() {
+            // This chunk's rows within the cutoff, as bits: no branch per
+            // row, and a label looked at only for a row within it.
+            let mut within = 0u64;
+            for (b, (&gd, &xn)) in gds.iter().zip(xns).enumerate() {
+                within |= u64::from(gd - normed_margin(qn, xn) <= cutoff) << b;
+            }
+            while within != 0 {
+                let t = c * 64 + within.trailing_zeros() as usize;
+                within &= within - 1;
+                if labeled_only && ball.labels[t].is_none() {
+                    continue;
+                }
+                refined += 1;
+                let dist = sq_dist(query, &ball.emb[t * d..(t + 1) * d]).sqrt();
+                let wins = best.is_none_or(|(bd, bj, bt)| {
+                    dist < bd || (dist == bd && ball.ids[t] < cl.balls[bj].ids[bt])
+                });
+                if wins {
+                    *best = Some((dist, j, t));
+                }
             }
         }
     }
-    sc.cands.sort_unstable();
-    // Exact refine, in the brute scan's ascending-id order with its
-    // strict-`<` rule: bit-identical winner and bits.
-    let mut out: GroupHits = qs.iter().map(|&q| (q, None)).collect();
-    for &(i, _, j, t) in &sc.cands {
-        let (q, best) = &mut out[i as usize];
-        let (j, t) = (j as usize, t as usize);
-        let dist_e = sq_dist(z.row(*q), &cl.balls[j].emb[t * d..(t + 1) * d]).sqrt();
-        if best.is_none_or(|(bd, _, _)| dist_e < bd) {
-            *best = Some((dist_e, j, t));
-        }
-    }
-    stats.record(m as u64, pruned_total, sc.cands.len() as u64);
+    stats.record(m as u64, pruned_total, refined);
     SEARCH_SCRATCH.set(sc);
     out
 }

@@ -477,3 +477,43 @@ fn concurrent_rebuild_never_serves_a_torn_index() {
     let total: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(total > 0, "readers must have served real hits");
 }
+
+/// The tie rule, pinned on one layout: two labeled rows at bit-identical
+/// exact distance from the query sit in different balls, and the lower id
+/// is in the ball the search evaluates second (the query's probe ball is
+/// the other one, whose center is nearer). Both views must serve the lower
+/// id, as the brute scan's ascending-id strict-`<` pass does.
+#[test]
+fn an_exact_tie_across_balls_goes_to_the_lower_id() {
+    let mut ds = routed_fairds(1, 3);
+    // Lower ids: a group around (0, 3.4, …) holding the tie row (0, 3, …).
+    // Higher ids: a group around (3.2, 0, …) holding the tie row (3, 0, …).
+    // Every other row is farther than 3 from the origin.
+    let axis = |a: usize, v: f32, off: f32| {
+        let mut row = vec![0.0; DIM];
+        row[a] = v;
+        row[2] = off;
+        row
+    };
+    let mut rows = vec![(axis(1, 3.0, 0.0), 0, true)];
+    rows.extend((1..5).map(|i| (axis(1, 3.25, 0.25 * i as f32), 0, true)));
+    rows.push((axis(0, 3.0, 0.0), 0, true));
+    rows.extend((1..5).map(|i| (axis(0, 3.125, 0.125 * i as f32), 0, true)));
+    fill_store(&ds, &rows);
+    let routed = ds.snapshot().expect("trained");
+    ds.configure_read_index(ReadIndexConfig {
+        min_cluster_rows: usize::MAX,
+        ..ReadIndexConfig::default()
+    });
+    let brute = ds.snapshot().expect("trained");
+    let query = Tensor::zeros(&[1, DIM]);
+    let fallback = |row: &[f32]| vec![row[0] + 100.0, row[1] + 100.0];
+    for (name, view) in [("routed", &routed), ("brute", &brute)] {
+        let hits = view.nearest_labeled(&query);
+        let (dist, doc) = hits[0].as_ref().expect("a labeled store hits");
+        assert_eq!(*dist, 3.0, "{name}");
+        assert_eq!(doc.get_f32s("label"), Some(&[0.0, 3.0][..]), "{name}");
+        let (labels, _) = view.pseudo_label(&query, f32::INFINITY, fallback);
+        assert_eq!(labels.data(), &[0.0, 3.0], "{name}");
+    }
+}
