@@ -30,7 +30,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairdms_bench::report::BenchReport;
 use fairdms_core::models::ArchSpec;
-use fairdms_nn::layers::{Conv2d, Layer, Mode};
+use fairdms_nn::layers::{Conv2d, Layer};
 use fairdms_nn::loss::{Loss, Mse};
 use fairdms_nn::optim::Adam;
 use fairdms_nn::trainer::{TrainConfig, Trainer};
@@ -348,12 +348,12 @@ fn bench_gemm(c: &mut Criterion) {
         let out = 16 / stride;
         let x = rng.uniform(&[32, cin, 16, 16], -1.0, 1.0);
         let dy = rng.uniform(&[32, cout, out, out], -1.0, 1.0);
-        black_box(conv.forward(&x, Mode::Train));
+        black_box(conv.forward(&x));
         black_box(conv.backward(&dy));
         let (mut lat_fwd, mut lat_bwd) = (Vec::new(), Vec::new());
         for _ in 0..40 {
             let t0 = Instant::now();
-            black_box(conv.forward(&x, Mode::Train));
+            black_box(conv.forward(&x));
             lat_fwd.push(t0.elapsed());
             let t0 = Instant::now();
             black_box(conv.backward(&dy));
@@ -392,7 +392,7 @@ fn bench_gemm(c: &mut Criterion) {
             (p[0].value.clone(), p[1].value.clone())
         };
         let lowered = |conv: &mut Conv2d| {
-            let y = conv.forward(&x, Mode::Train);
+            let y = conv.forward(&x);
             (y, conv.backward(&dy))
         };
         let direct = || {
@@ -450,7 +450,7 @@ fn bench_gemm(c: &mut Criterion) {
     let x = rng.uniform(&[32, 1, 16, 16], 0.0, 1.0);
     let y = rng.uniform(&[32, 2], 0.0, 1.0);
     let step = |net: &mut fairdms_nn::Sequential| {
-        let pred = net.forward(&x, Mode::Train);
+        let pred = net.forward(&x);
         let grad = Mse.backward(&pred, &y);
         net.backward_params(&grad);
     };

@@ -7,7 +7,7 @@
 
 use crate::netsim::RemoteStore;
 use fairdms_datastore::Document;
-use fairdms_nn::layers::{Mode, Sequential};
+use fairdms_nn::layers::Sequential;
 use fairdms_nn::loss::{Loss, Mse};
 use fairdms_tensor::Tensor;
 use std::time::Instant;
@@ -95,12 +95,12 @@ pub fn profile_compute(
         dims[0] = batch;
         let x = Tensor::zeros(&dims);
         // Warm-up.
-        let y0 = net.forward(&x, Mode::Train);
+        let y0 = net.forward(&x);
         let target = Tensor::zeros(y0.shape());
         let reps = 3;
         let t0 = Instant::now();
         for _ in 0..reps {
-            let y = net.forward(&x, Mode::Train);
+            let y = net.forward(&x);
             let g = Mse.backward(&y, &target);
             net.backward(&g);
         }

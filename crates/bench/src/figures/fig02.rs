@@ -6,9 +6,9 @@
 
 use crate::figures::{bragg_flat, fit_holdout, BRAGG_SIDE};
 use crate::table::{f, Table};
+use crate::uncertainty::{degradation_series, detect_degradation};
 use crate::Scale;
 use fairdms_core::models::ArchSpec;
-use fairdms_core::uncertainty::{degradation_series, detect_degradation};
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_tensor::Tensor;
 

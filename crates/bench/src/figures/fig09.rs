@@ -12,14 +12,14 @@ use crate::Scale;
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{BraggPatch, BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, FitConfig};
-use fairdms_nn::layers::{Mode, Sequential};
+use fairdms_nn::layers::Sequential;
 use fairdms_tensor::Tensor;
 use rayon::prelude::*;
 use std::time::Instant;
 
 /// Per-peak center error (px) of a model over a labeled evaluation set.
-fn eval_errors(net: &mut Sequential, x: &Tensor, y: &Tensor) -> Vec<f32> {
-    let pred = net.forward(x, Mode::Eval);
+fn eval_errors(net: &Sequential, x: &Tensor, y: &Tensor) -> Vec<f32> {
+    let pred = net.infer(x);
     let scale = (BRAGG_SIDE - 1) as f32;
     (0..x.shape()[0])
         .map(|i| {
@@ -112,10 +112,10 @@ pub fn run(scale: Scale) -> Result<(), String> {
     let bo_y = Tensor::from_vec(bo_y, &[br_train.len(), 2]);
 
     // Train both models and evaluate on BH.
-    let mut net_conv = train_braggnn(&x_train_flat, &y_voigt, epochs, 21);
-    let mut net_fair = train_braggnn(&bo_x, &bo_y, epochs, 22);
-    let mut err_conv = eval_errors(&mut net_conv, &xh, &yh);
-    let mut err_fair = eval_errors(&mut net_fair, &xh, &yh);
+    let net_conv = train_braggnn(&x_train_flat, &y_voigt, epochs, 21);
+    let net_fair = train_braggnn(&bo_x, &bo_y, epochs, 22);
+    let mut err_conv = eval_errors(&net_conv, &xh, &yh);
+    let mut err_fair = eval_errors(&net_fair, &xh, &yh);
     err_conv.sort_by(f32::total_cmp);
     err_fair.sort_by(f32::total_cmp);
 

@@ -7,16 +7,15 @@
 
 use crate::figures::{bragg_fairds, bragg_flat, embed_epochs, fit_holdout, BRAGG_SIDE};
 use crate::table::{f, Table};
+use crate::uncertainty::mean_row_distance;
 use crate::Scale;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig, SystemSnapshot};
 use fairdms_core::fairms::{ModelZoo, ZooSnapshot};
 use fairdms_core::jsd::jsd;
 use fairdms_core::models::ArchSpec;
-use fairdms_core::uncertainty::mean_row_distance;
 use fairdms_datasets::bragg::{BraggSimulator, DriftModel};
 use fairdms_datasets::cookiebox::{to_training_tensors as cookie_tensors, CookieBoxSimulator};
-use fairdms_nn::layers::Mode;
 use fairdms_nn::loss::{Loss, Mse};
 use std::sync::Arc;
 
@@ -138,8 +137,8 @@ pub fn run_braggnn(scale: Scale) -> Result<(), String> {
         for id in 0..n_zoo {
             let entry = zoo.get(id).unwrap();
             let d = jsd(&pdf, &entry.train_pdf);
-            let mut net = zoo.instantiate(id, 0).unwrap();
-            let pred = net.forward(&x4, Mode::Eval);
+            let net = zoo.instantiate(id, 0).unwrap();
+            let pred = net.infer(&x4);
             let e = mean_row_distance(&pred, &y, px) as f64;
             table.row(vec![
                 format!("D{t_idx} (scan {ts})"),
@@ -232,8 +231,8 @@ pub fn run_cookienetae(scale: Scale) -> Result<(), String> {
         for id in 0..zoo.len() {
             let entry = zoo.get(id).unwrap();
             let d = jsd(&pdf, &entry.train_pdf);
-            let mut net = zoo.instantiate(id, 0).unwrap();
-            let pred = net.forward(&x4, Mode::Eval);
+            let net = zoo.instantiate(id, 0).unwrap();
+            let pred = net.infer(&x4);
             let e = (Mse.forward(&pred, &y4) * 1e3) as f64;
             table.row(vec![
                 format!("D{t_idx} (scan {ts})"),

@@ -19,8 +19,9 @@
 //! training costs behind Figs 6–8; the simulators those figures and
 //! Fig 15 run on (DESIGN.md §1–§3): [`netsim`] (link models and timed
 //! storage backends), [`codec`] (the pickle and blosc payload formats) and
-//! [`pipesim`] (the prefetching loader pipeline); [`table`], the figures'
-//! tables and CSVs.
+//! [`pipesim`] (the prefetching loader pipeline); [`uncertainty`], the
+//! Monte-Carlo dropout driver and degradation monitor behind Fig 2;
+//! [`table`], the figures' tables and CSVs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,6 +34,7 @@ pub mod netsim;
 pub mod pipesim;
 pub mod report;
 pub mod table;
+pub mod uncertainty;
 
 /// Run-scale selector for figure regenerators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,9 +1,72 @@
-//! Model-degradation monitoring: prediction error and MC-dropout
-//! uncertainty over an experiment series (the paper's Fig 2).
+//! Monte-Carlo dropout uncertainty and model-degradation monitoring: the
+//! paper's Fig 2 (and the HEDM example's monitor).
+//!
+//! Running a dropout-regularized network `T` times through its training
+//! pass ([`Sequential::forward`], which draws a fresh dropout mask on every
+//! call) approximates sampling from the posterior predictive distribution
+//! (Gal & Ghahramani). The paper uses the resulting spread as its
+//! model-degradation signal: when new data drifts away from the training
+//! distribution, predictive uncertainty widens before error is measurable.
 
-use fairdms_nn::layers::{Mode, Sequential};
-use fairdms_nn::mc_dropout;
+use fairdms_nn::layers::Sequential;
 use fairdms_tensor::Tensor;
+
+/// Mean and spread of `T` stochastic forward passes.
+#[derive(Clone, Debug)]
+pub struct McEstimate {
+    /// Elementwise mean prediction.
+    pub mean: Tensor,
+    /// Elementwise standard deviation across the `T` samples.
+    pub std: Tensor,
+    /// Number of stochastic passes used.
+    pub samples: usize,
+}
+
+impl McEstimate {
+    /// Mean standard deviation across all outputs — the scalar uncertainty
+    /// index plotted on the right axis of the paper's Fig 2.
+    pub fn mean_uncertainty(&self) -> f32 {
+        self.std.mean()
+    }
+}
+
+/// Runs `samples` stochastic training passes and aggregates mean and
+/// standard deviation.
+///
+/// The network must contain at least one
+/// [`Dropout`](fairdms_nn::layers::Dropout) layer for the estimate to carry
+/// information; with none, `std` is exactly zero.
+pub fn predict(net: &mut Sequential, x: &Tensor, samples: usize) -> McEstimate {
+    assert!(samples >= 2, "MC dropout needs at least 2 samples");
+    let mut sum: Option<Tensor> = None;
+    let mut sum_sq: Option<Tensor> = None;
+    for _ in 0..samples {
+        let y = net.forward(x);
+        match (&mut sum, &mut sum_sq) {
+            (Some(s), Some(q)) => {
+                s.add_assign(&y);
+                q.add_assign(&y.mul(&y));
+            }
+            _ => {
+                sum_sq = Some(y.mul(&y));
+                sum = Some(y);
+            }
+        }
+    }
+    let n = samples as f32;
+    let mean = sum.unwrap().scale(1.0 / n);
+    let var = sum_sq
+        .unwrap()
+        .scale(1.0 / n)
+        .sub(&mean.mul(&mean))
+        // Clamp tiny negatives from float cancellation.
+        .map(|v| v.max(0.0));
+    McEstimate {
+        mean,
+        std: var.map(f32::sqrt),
+        samples,
+    }
+}
 
 /// Error + uncertainty of one dataset in a series.
 #[derive(Clone, Copy, Debug)]
@@ -50,9 +113,9 @@ pub fn degradation_series(
     series
         .iter()
         .map(|(scan, x, y)| {
-            let pred = net.forward(x, Mode::Eval);
+            let pred = net.infer(x);
             let error = mean_row_distance(&pred, y, scale);
-            let est = mc_dropout::predict(net, x, mc_samples);
+            let est = predict(net, x, mc_samples);
             DegradationPoint {
                 scan: *scan,
                 error,
@@ -140,6 +203,57 @@ mod tests {
             })
             .collect();
         assert_eq!(detect_degradation(&points, 4, 2.0), Some(405));
+    }
+
+    fn dropout_net(seed: u64, p: f32) -> Sequential {
+        let mut rng = TensorRng::seeded(seed);
+        Sequential::new(vec![
+            Box::new(Dense::new(4, 16, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Dropout::new(p, seed + 1)),
+            Box::new(Dense::new(16, 1, &mut rng)),
+        ])
+    }
+
+    #[test]
+    fn no_dropout_means_zero_uncertainty() {
+        let mut net = dropout_net(0, 0.0);
+        let mut rng = TensorRng::seeded(5);
+        let x = rng.uniform(&[8, 4], -1.0, 1.0);
+        let est = predict(&mut net, &x, 8);
+        // Identical passes: only float cancellation residue remains, which
+        // the sum-of-squares formula leaves at ~sqrt(eps·|y|²).
+        assert!(est.mean_uncertainty() < 1e-3, "{}", est.mean_uncertainty());
+    }
+
+    #[test]
+    fn dropout_produces_positive_uncertainty() {
+        let mut net = dropout_net(1, 0.5);
+        let mut rng = TensorRng::seeded(6);
+        let x = rng.uniform(&[8, 4], -1.0, 1.0);
+        let est = predict(&mut net, &x, 16);
+        assert!(est.mean_uncertainty() > 0.0);
+        assert_eq!(est.mean.shape(), &[8, 1]);
+        assert_eq!(est.std.shape(), &[8, 1]);
+    }
+
+    #[test]
+    fn higher_dropout_rate_widens_uncertainty() {
+        let mut rng = TensorRng::seeded(7);
+        let x = rng.uniform(&[16, 4], -1.0, 1.0);
+        let mut low = dropout_net(2, 0.1);
+        let mut high = dropout_net(2, 0.6);
+        let u_low = predict(&mut low, &x, 32).mean_uncertainty();
+        let u_high = predict(&mut high, &x, 32).mean_uncertainty();
+        assert!(u_high > u_low, "{u_high} !> {u_low}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 samples")]
+    fn rejects_single_sample() {
+        let mut net = dropout_net(3, 0.2);
+        let x = Tensor::zeros(&[1, 4]);
+        predict(&mut net, &x, 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the paper found it a poor index for BraggNN models (reproduced in the
 //! ablation bench).
 
-use fairdms_nn::layers::{Activation, Dense, Mode, Sequential};
+use fairdms_nn::layers::{Activation, Dense, Sequential};
 use fairdms_nn::loss::{nt_xent, Loss, Mse};
 use fairdms_nn::optim::{Adam, Optimizer};
 use fairdms_nn::trainer::TrainControl;
@@ -279,8 +279,8 @@ impl Embedder for AutoencoderEmbedder {
             }
             for batch in epoch_batches(n, cfg.batch_size, &mut rng) {
                 let bx = x.gather_rows(&batch);
-                let z = self.encoder.forward(&bx, Mode::Train);
-                let recon = self.decoder.forward(&z, Mode::Train);
+                let z = self.encoder.forward(&bx);
+                let recon = self.decoder.forward(&z);
                 let grad = Mse.backward(&recon, &bx);
                 let gz = self.decoder.backward(&grad);
                 self.encoder.backward(&gz);
@@ -382,8 +382,8 @@ impl Embedder for ContrastiveEmbedder {
                     continue; // NT-Xent needs at least 2 pairs
                 }
                 let views = self.two_views(&x, &batch, &mut rng);
-                let h = self.encoder.forward(&views, Mode::Train);
-                let z = self.projector.forward(&h, Mode::Train);
+                let h = self.encoder.forward(&views);
+                let z = self.projector.forward(&h);
                 let (_, grad) = nt_xent(&z, cfg.temperature);
                 let gh = self.projector.backward(&grad);
                 self.encoder.backward(&gh);
@@ -542,12 +542,12 @@ impl Embedder for ByolEmbedder {
 
                 // Symmetric BYOL step: (v1 online, v2 target) and swapped.
                 for (online_view, target_view) in [(&v1, &v2), (&v2, &v1)] {
-                    let h = self.online_encoder.forward(online_view, Mode::Train);
-                    let z = self.online_projector.forward(&h, Mode::Train);
-                    let p = self.predictor.forward(&z, Mode::Train);
-                    // Stop-gradient branch.
-                    let ht = self.target_encoder.forward(target_view, Mode::Eval);
-                    let t = self.target_projector.forward(&ht, Mode::Eval);
+                    let h = self.online_encoder.forward(online_view);
+                    let z = self.online_projector.forward(&h);
+                    let p = self.predictor.forward(&z);
+                    // Stop-gradient branch: inference only, no caches.
+                    let ht = self.target_encoder.infer(target_view);
+                    let t = self.target_projector.infer(&ht);
 
                     let (_, grad) = Self::cosine_grad(&p, &t);
                     let gz = self.predictor.backward(&grad);
@@ -690,12 +690,19 @@ mod tests {
     #[test]
     fn embedding_is_deterministic_given_seeds() {
         let (x, _) = two_class_data(8, 12);
-        let run = || {
-            let mut emb = ContrastiveEmbedder::new(8, 16, 4, 13);
-            emb.fit_controlled(&x, &quick_cfg(14), &TrainControl::new());
-            emb.embed(&x)
-        };
-        assert_eq!(run(), run());
+        let embedders: [fn() -> Box<dyn Embedder>; 3] = [
+            || Box::new(ContrastiveEmbedder::new(8, 16, 4, 13)),
+            || Box::new(AutoencoderEmbedder::new(64, 16, 4, 13)),
+            || Box::new(ByolEmbedder::new(8, 16, 4, 13)),
+        ];
+        for new in embedders {
+            let run = || {
+                let mut emb = new();
+                emb.fit_controlled(&x, &quick_cfg(14), &TrainControl::new());
+                emb.embed(&x)
+            };
+            assert_eq!(run(), run(), "{}", new().name());
+        }
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //!   mechanism, §II-A);
 //! * [`models`] — BraggNN and CookieNetAE, the paper's two benchmark
 //!   applications (§III-A);
-//! * [`jsd`](mod@jsd) — the divergence measure; [`uncertainty`] — MC-dropout
-//!   degradation monitoring (Fig 2).
+//! * [`jsd`](mod@jsd) — the divergence measure.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +38,6 @@ pub mod jsd;
 pub mod models;
 pub mod read_index;
 pub mod reuse;
-pub mod uncertainty;
 pub mod workflow;
 
 pub use embedding::{AutoencoderEmbedder, ByolEmbedder, ContrastiveEmbedder, Embedder};

@@ -103,24 +103,23 @@ impl ArchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairdms_nn::layers::Mode;
     use fairdms_nn::loss::{Loss, Mse};
     use fairdms_nn::optim::{Adam, Optimizer};
 
     #[test]
     fn braggnn_shapes_are_correct() {
-        let mut net = ArchSpec::BraggNN { patch: 15 }.build(0);
+        let net = ArchSpec::BraggNN { patch: 15 }.build(0);
         let x = TensorRng::seeded(1).uniform(&[4, 1, 15, 15], 0.0, 1.0);
-        let y = net.forward(&x, Mode::Eval);
+        let y = net.infer(&x);
         assert_eq!(y.shape(), &[4, 2]);
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]
     fn cookienetae_shapes_are_correct() {
-        let mut net = ArchSpec::CookieNetAE { size: 16 }.build(0);
+        let net = ArchSpec::CookieNetAE { size: 16 }.build(0);
         let x = TensorRng::seeded(2).uniform(&[2, 1, 16, 16], 0.0, 5.0);
-        let y = net.forward(&x, Mode::Eval);
+        let y = net.infer(&x);
         assert_eq!(y.shape(), &[2, 1, 16, 16]);
     }
 
@@ -148,17 +147,17 @@ mod tests {
         let y = rng.uniform(&[8, 2], 0.3, 0.7);
         let mut opt = Adam::new(0.005);
         let first = {
-            let pred = net.forward(&x, Mode::Train);
+            let pred = net.forward(&x);
             Mse.forward(&pred, &y)
         };
         for _ in 0..30 {
-            let pred = net.forward(&x, Mode::Train);
+            let pred = net.forward(&x);
             let grad = Mse.backward(&pred, &y);
             net.backward(&grad);
             opt.step(net.params_mut());
         }
         let last = {
-            let pred = net.forward(&x, Mode::Eval);
+            let pred = net.infer(&x);
             Mse.forward(&pred, &y)
         };
         assert!(last < first * 0.5, "loss {first} → {last}");

@@ -1,6 +1,6 @@
 //! Pointwise activation layers.
 
-use super::{Layer, Mode};
+use super::Layer;
 use fairdms_tensor::Tensor;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -13,8 +13,9 @@ enum Kind {
 
 /// A pointwise activation function.
 ///
-/// ReLU/LeakyReLU cache the input sign; Sigmoid/Tanh cache the *output*,
-/// whose value alone determines the derivative.
+/// Every kind caches its *output*, whose value alone determines the
+/// derivative: a ReLU's output is positive exactly where its input is (for
+/// a leaky one too, its slope being non-negative).
 #[derive(Clone)]
 pub struct Activation {
     kind: Kind,
@@ -22,62 +23,37 @@ pub struct Activation {
 }
 
 impl Activation {
+    fn of(kind: Kind) -> Self {
+        Activation { kind, cache: None }
+    }
+
     /// Rectified linear unit.
     pub fn relu() -> Self {
-        Activation {
-            kind: Kind::Relu,
-            cache: None,
-        }
+        Self::of(Kind::Relu)
     }
 
     /// Leaky ReLU with negative-side slope `alpha`.
     pub fn leaky_relu(alpha: f32) -> Self {
         assert!(alpha >= 0.0, "leaky ReLU slope must be non-negative");
-        Activation {
-            kind: Kind::LeakyRelu(alpha),
-            cache: None,
-        }
+        Self::of(Kind::LeakyRelu(alpha))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid() -> Self {
-        Activation {
-            kind: Kind::Sigmoid,
-            cache: None,
-        }
+        Self::of(Kind::Sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh() -> Self {
-        Activation {
-            kind: Kind::Tanh,
-            cache: None,
-        }
+        Self::of(Kind::Tanh)
     }
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        match self.kind {
-            Kind::Relu => {
-                self.cache = Some(x.clone());
-                x.map(|v| v.max(0.0))
-            }
-            Kind::LeakyRelu(a) => {
-                self.cache = Some(x.clone());
-                x.map(|v| if v > 0.0 { v } else { a * v })
-            }
-            Kind::Sigmoid => {
-                let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-                self.cache = Some(y.clone());
-                y
-            }
-            Kind::Tanh => {
-                let y = x.map(|v| v.tanh());
-                self.cache = Some(y.clone());
-                y
-            }
-        }
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.cache = Some(y.clone());
+        y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
@@ -99,8 +75,8 @@ impl Layer for Activation {
             .as_ref()
             .expect("Activation::backward called before forward");
         match self.kind {
-            Kind::Relu => grad_out.zip(cache, |g, x| if x > 0.0 { g } else { 0.0 }),
-            Kind::LeakyRelu(a) => grad_out.zip(cache, |g, x| if x > 0.0 { g } else { a * g }),
+            Kind::Relu => grad_out.zip(cache, |g, y| if y > 0.0 { g } else { 0.0 }),
+            Kind::LeakyRelu(a) => grad_out.zip(cache, |g, y| if y > 0.0 { g } else { a * g }),
             Kind::Sigmoid => grad_out.zip(cache, |g, y| g * y * (1.0 - y)),
             Kind::Tanh => grad_out.zip(cache, |g, y| g * (1.0 - y * y)),
         }
@@ -115,7 +91,7 @@ mod tests {
     fn relu_clips_negatives_and_masks_gradient() {
         let mut a = Activation::relu();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(a.forward(&x, Mode::Train).data(), &[0.0, 0.0, 2.0]);
+        assert_eq!(a.forward(&x).data(), &[0.0, 0.0, 2.0]);
         let g = a.backward(&Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
     }
@@ -124,7 +100,7 @@ mod tests {
     fn leaky_relu_keeps_scaled_negative_slope() {
         let mut a = Activation::leaky_relu(0.1);
         let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]);
-        let y = a.forward(&x, Mode::Train);
+        let y = a.forward(&x);
         assert!((y.data()[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
         let g = a.backward(&Tensor::ones(&[2]));
@@ -135,7 +111,7 @@ mod tests {
     #[test]
     fn sigmoid_midpoint_and_derivative() {
         let mut a = Activation::sigmoid();
-        let y = a.forward(&Tensor::zeros(&[1]), Mode::Train);
+        let y = a.forward(&Tensor::zeros(&[1]));
         assert!((y.data()[0] - 0.5).abs() < 1e-6);
         let g = a.backward(&Tensor::ones(&[1]));
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
@@ -144,7 +120,7 @@ mod tests {
     #[test]
     fn tanh_is_odd_with_unit_slope_at_zero() {
         let mut a = Activation::tanh();
-        let y = a.forward(&Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]), Mode::Train);
+        let y = a.forward(&Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]));
         assert!((y.data()[0] + y.data()[2]).abs() < 1e-6);
         let g = a.backward(&Tensor::ones(&[3]));
         assert!((g.data()[1] - 1.0).abs() < 1e-6);

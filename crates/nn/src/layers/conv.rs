@@ -24,7 +24,7 @@
 //! pass rebuilds it from the cached *input* instead of keeping a batch of
 //! patch matrices alive between the passes. See DESIGN.md §9.
 
-use super::{Layer, Mode};
+use super::Layer;
 use crate::param::Param;
 use fairdms_tensor::gemm::{self, Threading};
 use fairdms_tensor::{rng::TensorRng, Tensor};
@@ -478,7 +478,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         // Keep the input for `backward`, in last step's allocation.
         let mut kept = self
             .cached_input
@@ -624,7 +624,7 @@ mod tests {
         for &(stride, pad) in &[(1usize, 0usize), (1, 1), (2, 1)] {
             let mut conv = Conv2d::new(2, 3, 3, stride, pad, &mut rng);
             let x = rng.uniform(&[2, 2, 6, 6], -1.0, 1.0);
-            let y = conv.forward(&x, Mode::Train);
+            let y = conv.forward(&x);
             let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 3, stride, pad);
             assert_eq!(y.shape(), y_ref.shape(), "stride={stride} pad={pad}");
             assert!(
@@ -651,7 +651,7 @@ mod tests {
                 let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
                 let (wv, bv) = (conv.weight.value.clone(), conv.bias.value.clone());
 
-                let y = conv.forward(&x, Mode::Train);
+                let y = conv.forward(&x);
                 let y_ref = conv_naive(&x, &wv, &bv, k, stride, pad);
                 assert_eq!(y.shape(), y_ref.shape(), "{at}");
                 assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4), "forward {at}");
@@ -682,7 +682,7 @@ mod tests {
         let mut rng = TensorRng::seeded(5);
         let mut conv = Conv2d::new(1, 2, 5, 1, 2, &mut rng);
         let x = rng.uniform(&[1, 1, 3, 3], -1.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x);
         let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 5, 1, 2);
         assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4));
         let dy = rng.uniform(y.shape(), -1.0, 1.0);
@@ -695,7 +695,7 @@ mod tests {
         let mut rng = TensorRng::seeded(7);
         let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[3, 2, 1, 1], -1.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x);
         let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 3, 1, 1);
         assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-5));
         let dy = rng.uniform(y.shape(), -1.0, 1.0);
@@ -709,11 +709,11 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[1, 1, 5, 5], -1.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x);
         let gx = conv.backward(&Tensor::ones(y.shape()));
         assert_eq!(gx.shape(), x.shape());
         let g1 = conv.weight.grad.clone();
-        conv.forward(&x, Mode::Train);
+        conv.forward(&x);
         conv.backward(&Tensor::ones(y.shape()));
         // Gradients accumulate across backward calls.
         assert!(fairdms_tensor::allclose(
@@ -728,7 +728,7 @@ mod tests {
         let mut rng = TensorRng::seeded(2);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
         let x = rng.uniform(&[2, 1, 3, 3], -1.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x);
         conv.backward(&Tensor::ones(y.shape()));
         // 2 samples × 3×3 outputs = 18 ones summed into the single bias.
         assert!((conv.bias.grad.data()[0] - 18.0).abs() < 1e-4);
@@ -739,7 +739,7 @@ mod tests {
         let mut rng = TensorRng::seeded(6);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[4, 1, 5, 5], -1.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x);
         // A validation batch of another size in between…
         conv.infer(&rng.uniform(&[3, 1, 5, 5], -1.0, 1.0));
         // …and backward still differentiates the training batch.
@@ -750,7 +750,7 @@ mod tests {
     #[should_panic(expected = "input channels")]
     fn rejects_channel_mismatch() {
         let mut rng = TensorRng::seeded(3);
-        let mut conv = Conv2d::new(3, 1, 3, 1, 0, &mut rng);
-        conv.forward(&Tensor::zeros(&[1, 2, 5, 5]), Mode::Eval);
+        let conv = Conv2d::new(3, 1, 3, 1, 0, &mut rng);
+        conv.infer(&Tensor::zeros(&[1, 2, 5, 5]));
     }
 }

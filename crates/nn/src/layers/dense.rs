@@ -1,6 +1,6 @@
 //! Fully connected (linear) layer.
 
-use super::{Layer, Mode};
+use super::Layer;
 use crate::param::Param;
 use fairdms_tensor::gemm::{self, PackedB, Threading};
 use fairdms_tensor::{ops, rng::TensorRng, Tensor};
@@ -42,7 +42,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let y = self.infer(x);
         self.cached_input = Some(x.clone());
         y
@@ -116,7 +116,7 @@ mod tests {
         layer.weight.value = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
         layer.bias.value = Tensor::from_vec(vec![0.5, -0.5, 0.0], &[3]);
         let x = Tensor::from_vec(vec![2.0, 3.0], &[1, 2]);
-        let y = layer.forward(&x, Mode::Eval);
+        let y = layer.infer(&x);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
@@ -125,7 +125,7 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let mut layer = Dense::new(2, 2, &mut rng);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        layer.forward(&x, Mode::Train);
+        layer.forward(&x);
         let g = Tensor::ones(&[2, 2]);
         let gx = layer.backward(&g);
         assert_eq!(gx.shape(), &[2, 2]);
@@ -134,7 +134,7 @@ mod tests {
         // ∂W[i][j] = Σ_batch g[., i] * x[., j] = [1+3, 2+4] per output row.
         assert_eq!(layer.weight.grad.data(), &[4.0, 6.0, 4.0, 6.0]);
         // Second backward accumulates (doubles).
-        layer.forward(&x, Mode::Train);
+        layer.forward(&x);
         layer.backward(&g);
         assert_eq!(layer.bias.grad.data(), &[4.0, 4.0]);
     }
@@ -162,7 +162,7 @@ mod tests {
     #[should_panic(expected = "expected 2 input features")]
     fn rejects_wrong_feature_count() {
         let mut rng = TensorRng::seeded(2);
-        let mut layer = Dense::new(2, 2, &mut rng);
-        layer.forward(&Tensor::zeros(&[1, 3]), Mode::Eval);
+        let layer = Dense::new(2, 2, &mut rng);
+        layer.infer(&Tensor::zeros(&[1, 3]));
     }
 }

@@ -1,14 +1,12 @@
-//! Inverted dropout with a Monte-Carlo inference mode.
+//! Inverted dropout.
 
-use super::{Layer, Mode};
+use super::Layer;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 
-/// Inverted dropout: in active modes each element survives with probability
-/// `1 - p` and is scaled by `1 / (1 - p)`, so expectations match eval mode.
-///
-/// In [`Mode::McDropout`] the mask stays active at inference time, which is
-/// what turns repeated forward passes into posterior samples (Gal &
-/// Ghahramani) — the uncertainty signal behind the paper's Fig 2.
+/// Inverted dropout: each [`Layer::forward`] draws a fresh mask that keeps
+/// an element with probability `1 - p`, scaled by `1 / (1 - p)`, so
+/// repeated passes are posterior samples (Gal & Ghahramani; the paper's
+/// Fig 2) whose expectation is [`Layer::infer`], the identity.
 #[derive(Clone)]
 pub struct Dropout {
     p: f32,
@@ -33,8 +31,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        if !mode.dropout_active() || self.p == 0.0 {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             self.mask = None;
             return x.clone();
         }
@@ -56,7 +54,7 @@ impl Layer for Dropout {
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        // Eval semantics: inverted dropout is the identity at inference.
+        // Inverted dropout is the identity at inference.
         x.clone()
     }
 
@@ -85,10 +83,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_mode_is_identity() {
+    fn infer_is_the_identity() {
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::ones(&[4, 4]);
-        let y = d.forward(&x, Mode::Eval);
+        let y = d.infer(&x);
         assert_eq!(y, x);
         let g = d.backward(&Tensor::ones(&[4, 4]));
         assert_eq!(g, Tensor::ones(&[4, 4]));
@@ -98,7 +96,7 @@ mod tests {
     fn train_mode_preserves_expectation() {
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones(&[100, 100]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         // Inverted dropout: E[y] = E[x]; tolerate sampling noise.
         assert!((y.mean() - 1.0).abs() < 0.02, "mean {}", y.mean());
         // Survivors are scaled by 1/keep.
@@ -110,7 +108,7 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[32]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         let g = d.backward(&Tensor::ones(&[32]));
         // The gradient is zero exactly where the output is zero.
         for (gy, yy) in g.data().iter().zip(y.data()) {
@@ -119,11 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn mc_mode_keeps_sampling() {
+    fn every_forward_draws_a_fresh_mask() {
         let mut d = Dropout::new(0.5, 11);
         let x = Tensor::ones(&[64]);
-        let a = d.forward(&x, Mode::McDropout);
-        let b = d.forward(&x, Mode::McDropout);
+        let a = d.forward(&x);
+        let b = d.forward(&x);
         assert_ne!(a, b, "MC dropout must resample masks");
     }
 
@@ -131,7 +129,7 @@ mod tests {
     fn a_shard_copy_draws_its_own_masks_and_leaves_the_original_alone() {
         let x = Tensor::ones(&[256]);
         let d = Dropout::new(0.5, 13);
-        let mask = |layer: &mut Box<dyn Layer>| layer.forward(&x, Mode::Train);
+        let mask = |layer: &mut Box<dyn Layer>| layer.forward(&x);
         let (mut same, mut shard1) = (d.clone_layer(), d.clone_for_shard(1));
         let original = mask(&mut same);
         assert_eq!(original, mask(&mut d.clone_layer()), "forking drew nothing");
@@ -151,6 +149,6 @@ mod tests {
     fn zero_probability_is_identity_even_in_train() {
         let mut d = Dropout::new(0.0, 5);
         let x = Tensor::ones(&[8]);
-        assert_eq!(d.forward(&x, Mode::Train), x);
+        assert_eq!(d.forward(&x), x);
     }
 }

@@ -3,7 +3,8 @@
 //! A layer is a differentiable function with internal state: `forward`
 //! caches whatever its backward pass needs, `backward` consumes that cache,
 //! accumulates parameter gradients and returns the gradient with respect to
-//! its input. Layers compose through [`Sequential`].
+//! its input; `infer` computes the output from `&self`, touching no cache.
+//! Layers compose through [`Sequential`].
 
 mod activation;
 mod conv;
@@ -22,26 +23,6 @@ pub use shape_ops::{Flatten, Upsample2x};
 use crate::param::Param;
 use fairdms_tensor::Tensor;
 
-/// Execution mode for a forward pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Training: dropout active.
-    Train,
-    /// Inference: dropout inactive.
-    Eval,
-    /// Monte-Carlo dropout inference: dropout stays *active* (sampling the
-    /// posterior per Gal & Ghahramani). Used by [`crate::mc_dropout`].
-    McDropout,
-}
-
-impl Mode {
-    /// Whether dropout masks should be sampled in this mode.
-    #[inline]
-    pub fn dropout_active(self) -> bool {
-        matches!(self, Mode::Train | Mode::McDropout)
-    }
-}
-
 /// A differentiable network layer.
 ///
 /// Layers are `Send + Sync`: shared references are safe to use across
@@ -49,17 +30,18 @@ impl Mode {
 /// touches no caches. This is what lets a trained network be frozen into an
 /// immutable snapshot (see `DESIGN.md` §6) and served concurrently.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output, caching state needed by `backward`.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+    /// The training pass: the layer output, caching what `backward` needs.
+    /// [`Dropout`] draws a fresh mask on every call; every other layer
+    /// returns [`Layer::infer`]'s bits.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
 
-    /// Computes the layer output in [`Mode::Eval`] semantics **without**
-    /// mutating any cache — the lock-free read path used by snapshot
-    /// serving. `backward` after `infer` is a caller bug.
+    /// The inference pass: the layer output **without** mutating any cache
+    /// — how a network is served (from snapshots, concurrently) and
+    /// evaluated. `backward` after `infer` is a caller bug.
     fn infer(&self, x: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (∂L/∂output) backwards: accumulates parameter
-    /// gradients and returns ∂L/∂input. Must be called after a `forward`
-    /// in a differentiable mode ([`Mode::Train`]).
+    /// gradients and returns ∂L/∂input. Must be called after a `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// [`Layer::backward`] for a layer whose input gradient nobody reads —
@@ -147,17 +129,16 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the full forward pass.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    /// Runs the full training pass ([`Layer::forward`]).
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
+            cur = layer.forward(&cur);
         }
         cur
     }
 
-    /// Runs an eval-mode forward pass without touching backward caches —
-    /// safe to call concurrently through shared references.
+    /// Runs the full inference pass ([`Layer::infer`]), safe through `&self`.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for layer in &self.layers {
@@ -262,7 +243,7 @@ mod tests {
             Box::new(Dense::new(4, 2, &mut rng)),
         ]);
         let x = rng.uniform(&[5, 3], -1.0, 1.0);
-        let y = net.forward(&x, Mode::Train);
+        let y = net.forward(&x);
         assert_eq!(y.shape(), &[5, 2]);
         let gx = net.backward(&Tensor::ones(&[5, 2]));
         assert_eq!(gx.shape(), &[5, 3]);
@@ -280,16 +261,46 @@ mod tests {
         ]);
         let x = rng.uniform(&[5, 1, 4, 4], -1.0, 1.0);
         let dy = rng.uniform(&[5, 3], -1.0, 1.0);
-        net.forward(&x, Mode::Train);
+        net.forward(&x);
         net.backward(&dy);
         let full: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
         net.zero_grad();
-        net.forward(&x, Mode::Train);
+        net.forward(&x);
         net.backward_params(&dy);
         let params_only: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
         assert_eq!(full, params_only);
         // An empty network has nothing to accumulate.
         Sequential::empty().backward_params(&dy);
+    }
+
+    /// What lets every evaluation run through `infer`.
+    #[test]
+    fn forward_and_infer_agree_bit_for_bit() {
+        let mut rng = TensorRng::seeded(8);
+        let conv1 = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let conv2 = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
+        let (dense, mut frozen) = (Dense::new(12, 5, &mut rng), Dense::new(12, 5, &mut rng));
+        frozen.freeze();
+        let image = rng.uniform(&[3, 2, 7, 7], -2.0, 2.0);
+        let rows = rng.uniform(&[3, 12], -2.0, 2.0);
+        let cases: Vec<(&str, Box<dyn Layer>, &Tensor)> = vec![
+            ("conv stride 1", Box::new(conv1), &image),
+            ("conv stride 2 padded", Box::new(conv2), &image),
+            ("max pool", Box::new(MaxPool2d::new(2)), &image),
+            ("relu", Box::new(Activation::relu()), &image),
+            ("leaky relu", Box::new(Activation::leaky_relu(0.1)), &image),
+            ("sigmoid", Box::new(Activation::sigmoid()), &image),
+            ("tanh", Box::new(Activation::tanh()), &image),
+            ("flatten", Box::new(Flatten::new()), &image),
+            ("upsample", Box::new(Upsample2x::new()), &image),
+            ("dense", Box::new(dense), &rows),
+            ("dense frozen", Box::new(frozen), &rows),
+            ("dropout p = 0", Box::new(Dropout::new(0.0, 9)), &rows),
+        ];
+        for (name, mut layer, x) in cases {
+            let inferred = layer.infer(x);
+            assert_eq!(layer.forward(x), inferred, "{name}");
+        }
     }
 
     fn dense_net(seed: u64) -> Sequential {
@@ -311,7 +322,7 @@ mod tests {
             let mut frozen = net.clone();
             frozen.freeze();
             assert_eq!(frozen.infer(&x), unfrozen, "{rows} rows");
-            assert_eq!(frozen.forward(&x, Mode::Eval), unfrozen, "{rows} rows");
+            assert_eq!(frozen.forward(&x), unfrozen, "{rows} rows");
         }
         net.freeze();
         assert_eq!(net.clone().infer(&Tensor::ones(&[2, 70])).shape(), &[2, 9]);
@@ -330,7 +341,7 @@ mod tests {
             let mut opt = Sgd::new(0.1);
             for _ in 0..2 {
                 net.zero_grad();
-                net.forward(&x, Mode::Train);
+                net.forward(&x);
                 net.backward_params(&dy);
                 opt.step(net.params_mut());
             }
@@ -345,7 +356,7 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, &mut rng))]);
         let x = rng.uniform(&[3, 2], -1.0, 1.0);
-        net.forward(&x, Mode::Train);
+        net.forward(&x);
         net.backward(&Tensor::ones(&[3, 2]));
         assert!(net.params().iter().any(|p| p.grad.norm_sq() > 0.0));
         net.zero_grad();

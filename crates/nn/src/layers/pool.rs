@@ -1,6 +1,6 @@
 //! Spatial pooling for `[N, C, H, W]` tensors.
 
-use super::{Layer, Mode};
+use super::Layer;
 use fairdms_tensor::Tensor;
 
 /// Max pooling with a square non-overlapping window (stride = window).
@@ -66,7 +66,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let (out, argmax) = self.compute(x);
         self.argmax = Some(argmax);
         self.in_shape = Some(x.shape().to_vec());
@@ -123,7 +123,7 @@ mod tests {
             &[1, 1, 4, 4],
         );
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x, Mode::Train);
+        let y = pool.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4.0, 8.0, -1.0, 0.5]);
     }
@@ -183,7 +183,7 @@ mod tests {
         }
         let x = Tensor::from_vec(data, &[2, 1, 4, 4]);
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x, Mode::Train);
+        let y = pool.forward(&x);
         assert!(y.data()[5].is_nan(), "an all-NaN window is NaN");
         assert_eq!(y.data()[6], f32::NEG_INFINITY);
         let mut g = vec![0.0f32; 8];
@@ -204,7 +204,7 @@ mod tests {
     fn maxpool_routes_gradient_to_argmax_only() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 9.0], &[1, 1, 2, 2]);
         let mut pool = MaxPool2d::new(2);
-        pool.forward(&x, Mode::Train);
+        pool.forward(&x);
         let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }

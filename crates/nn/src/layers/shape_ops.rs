@@ -1,6 +1,6 @@
 //! Shape-manipulation layers: flattening and nearest-neighbour upsampling.
 
-use super::{Layer, Mode};
+use super::Layer;
 use fairdms_tensor::Tensor;
 
 /// Flattens `[N, …]` inputs to `[N, prod(…)]`, remembering the original
@@ -24,7 +24,7 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         self.in_shape = Some(x.shape().to_vec());
         self.infer(x)
     }
@@ -68,7 +68,7 @@ impl Default for Upsample2x {
 }
 
 impl Layer for Upsample2x {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         self.in_shape = Some(x.shape().to_vec());
         self.infer(x)
     }
@@ -125,7 +125,7 @@ mod tests {
     fn flatten_roundtrips_shape() {
         let mut f = Flatten::new();
         let x = Tensor::arange(24).reshape(&[2, 3, 2, 2]);
-        let y = f.forward(&x, Mode::Train);
+        let y = f.forward(&x);
         assert_eq!(y.shape(), &[2, 12]);
         let g = f.backward(&y);
         assert_eq!(g.shape(), &[2, 3, 2, 2]);
@@ -136,7 +136,7 @@ mod tests {
     fn upsample_replicates_pixels() {
         let mut u = Upsample2x::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = u.forward(&x, Mode::Train);
+        let y = u.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 4, 4]);
         assert_eq!(y.at(&[0, 0, 0, 0]), 1.0);
         assert_eq!(y.at(&[0, 0, 0, 1]), 1.0);
@@ -148,7 +148,7 @@ mod tests {
     fn upsample_backward_sums_blocks() {
         let mut u = Upsample2x::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        u.forward(&x, Mode::Train);
+        u.forward(&x);
         let dx = u.backward(&Tensor::ones(&[1, 1, 4, 4]));
         assert_eq!(dx.data(), &[4.0, 4.0, 4.0, 4.0]);
     }

@@ -6,25 +6,22 @@
 //!
 //! The design mirrors classic layer-graph frameworks rather than a taped
 //! autograd: each [`Layer`] caches what its backward pass needs during
-//! `forward`, and `backward` consumes the cache, accumulates parameter
-//! gradients and returns the gradient with respect to its input. This keeps
-//! the framework small, allocation-predictable, and — crucially for a
-//! reproduction — easy to verify with numerical gradient checks (see
-//! `tests/gradcheck.rs`).
+//! `forward` (which trains; `infer` serves), and `backward` consumes the
+//! cache, accumulates parameter gradients and returns the gradient with
+//! respect to its input. This keeps the framework small,
+//! allocation-predictable, and — crucially for a reproduction — easy to
+//! verify with numerical gradient checks (see `tests/gradcheck.rs`).
 //!
 //! Feature summary:
 //!
 //! * layers: [`layers::Dense`], [`layers::Conv2d`], [`layers::MaxPool2d`],
-//!   [`layers::Dropout`] (with Monte-Carlo mode), activations,
-//!   [`layers::Flatten`], [`layers::Upsample2x`], and the [`Sequential`]
-//!   container;
+//!   [`layers::Dropout`], activations, [`layers::Flatten`],
+//!   [`layers::Upsample2x`], and the [`Sequential`] container;
 //! * losses: [`loss::Mse`] and the contrastive [`loss::nt_xent`];
 //! * optimizers: [`optim::Sgd`], [`optim::Adam`];
 //! * a [`trainer::Trainer`] with validation tracking, early stopping and
 //!   convergence-epoch detection (the unit the paper's Figs 13–14 report);
-//! * [`checkpoint`]: self-describing binary parameter serialization;
-//! * [`mc_dropout`]: Gal & Ghahramani-style epistemic uncertainty, used for
-//!   the paper's Fig 2 degradation monitor.
+//! * [`checkpoint`]: self-describing binary parameter serialization.
 //!
 //! ## Example: regression on a toy function
 //!
@@ -56,18 +53,17 @@
 pub mod checkpoint;
 pub mod layers;
 pub mod loss;
-pub mod mc_dropout;
 pub mod optim;
 pub mod param;
 pub mod trainer;
 
-pub use layers::{Layer, Mode, Sequential};
+pub use layers::{Layer, Sequential};
 pub use param::Param;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::layers::{
-        Activation, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Sequential, Upsample2x,
+        Activation, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Sequential, Upsample2x,
     };
     pub use crate::loss::{Loss, Mse};
     pub use crate::optim::{Adam, Optimizer, Sgd};

@@ -36,7 +36,7 @@
 //! taken once over them: the same validation losses to the bit. Without a
 //! helper a validation batch runs whole on the calling thread.
 
-use crate::layers::{Mode, Sequential};
+use crate::layers::Sequential;
 use crate::loss::Loss;
 use crate::optim::Optimizer;
 use fairdms_tensor::ops::PAR_MIN_WORK;
@@ -384,7 +384,7 @@ fn run_shard(
     y: &Tensor,
     batch_rows: usize,
 ) -> f32 {
-    let pred = net.forward(x, Mode::Train);
+    let pred = net.forward(x);
     net.backward_params(&loss.batch_backward(&pred, y, batch_rows));
     loss.forward(&pred, y)
 }
@@ -484,7 +484,7 @@ impl<'a> Steps<'a> {
         loss_sum / rows as f64
     }
 
-    /// Mean loss of `net` over `(x, y)` in eval mode, in batches of `batch`
+    /// Mean loss of `net` over `(x, y)`, in batches of `batch`
     /// rows. Runs through [`Sequential::infer`], so scoring a validation
     /// set between epochs leaves the layers' backward caches (and their
     /// recycled allocations) sized for the training batch.
@@ -645,7 +645,7 @@ mod tests {
     }
 
     impl crate::layers::Layer for InferThreads {
-        fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
             x.clone()
         }
 

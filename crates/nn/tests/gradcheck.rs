@@ -2,9 +2,7 @@
 //! pass must agree with central finite differences of the loss, both with
 //! respect to the input and with respect to every parameter.
 
-use fairdms_nn::layers::{
-    Activation, Conv2d, Dense, Flatten, MaxPool2d, Mode, Sequential, Upsample2x,
-};
+use fairdms_nn::layers::{Activation, Conv2d, Dense, Flatten, MaxPool2d, Sequential, Upsample2x};
 use fairdms_nn::loss::{Loss, Mse};
 use fairdms_tensor::{rng::TensorRng, Tensor};
 
@@ -13,7 +11,7 @@ const TOL: f32 = 2e-2;
 
 /// Scalar objective: MSE between the net output and a fixed random target.
 fn objective(net: &mut Sequential, x: &Tensor, target: &Tensor) -> f32 {
-    let y = net.forward(x, Mode::Train);
+    let y = net.forward(x);
     Mse.forward(&y, target)
 }
 
@@ -22,12 +20,12 @@ fn objective(net: &mut Sequential, x: &Tensor, target: &Tensor) -> f32 {
 fn gradcheck(mut net: Sequential, in_shape: &[usize], seed: u64) {
     let mut rng = TensorRng::seeded(seed);
     let x = rng.uniform(in_shape, -1.0, 1.0);
-    let y0 = net.forward(&x, Mode::Train);
+    let y0 = net.forward(&x);
     let target = rng.uniform(y0.shape(), -1.0, 1.0);
 
     // Analytic gradients.
     net.zero_grad();
-    let y = net.forward(&x, Mode::Train);
+    let y = net.forward(&x);
     let dl = Mse.backward(&y, &target);
     let dx = net.backward(&dl);
 
@@ -49,7 +47,7 @@ fn gradcheck(mut net: Sequential, in_shape: &[usize], seed: u64) {
     // Parameter gradients vs finite differences. Re-run forward/backward to
     // refresh analytic grads (finite-difference probes perturb caches).
     net.zero_grad();
-    let y = net.forward(&x, Mode::Train);
+    let y = net.forward(&x);
     let dl = Mse.backward(&y, &target);
     net.backward(&dl);
     let analytic: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();

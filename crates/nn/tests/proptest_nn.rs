@@ -2,7 +2,7 @@
 //! architectures, optimizer sanity, and training determinism.
 
 use fairdms_nn::checkpoint;
-use fairdms_nn::layers::{Activation, Dense, Dropout, Layer, Mode, Sequential};
+use fairdms_nn::layers::{Activation, Dense, Dropout, Layer, Sequential};
 use fairdms_nn::loss::Mse;
 use fairdms_nn::optim::Sgd;
 use fairdms_nn::trainer::{TrainConfig, Trainer};
@@ -39,13 +39,13 @@ proptest! {
         input in 1usize..12,
         output in 1usize..6,
     ) {
-        let mut a = random_mlp(&widths, &acts, seed, input, output);
+        let a = random_mlp(&widths, &acts, seed, input, output);
         let mut b = random_mlp(&widths, &acts, seed + 1, input, output);
         let blob = checkpoint::save(&a);
         checkpoint::load(&mut b, &blob).unwrap();
         let x = TensorRng::seeded(seed ^ 7).uniform(&[3, input], -1.0, 1.0);
-        let ya = a.forward(&x, Mode::Eval);
-        let yb = b.forward(&x, Mode::Eval);
+        let ya = a.infer(&x);
+        let yb = b.infer(&x);
         prop_assert!(fairdms_tensor::allclose(&ya, &yb, 1e-6));
     }
 
@@ -99,7 +99,7 @@ proptest! {
         let p = p_pct as f32 / 100.0;
         let mut d = Dropout::new(p, seed);
         let x = Tensor::ones(&[256]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         let g = d.backward(&Tensor::ones(&[256]));
         // Gradient mask equals forward mask exactly.
         for (gy, yy) in g.data().iter().zip(y.data()) {

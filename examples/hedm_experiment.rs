@@ -9,16 +9,14 @@
 //! cargo run --release --example hedm_experiment
 //! ```
 
+use fairdms_bench::uncertainty::{self, mean_row_distance};
 use fairdms_core::embedding::{ByolEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelManager;
 use fairdms_core::models::ArchSpec;
-use fairdms_core::uncertainty::mean_row_distance;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig, TrainStrategy};
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
 use fairdms_datasets::voigt::{fit_peak, FitConfig};
-use fairdms_nn::layers::Mode;
-use fairdms_nn::mc_dropout;
 
 const SIDE: usize = 15;
 const PER_SCAN: usize = 150;
@@ -104,9 +102,9 @@ fn main() {
 
         // Inference + monitoring (error needs ground truth; at a real
         // beamline the proxy is the MC-dropout uncertainty, also shown).
-        let pred = model.forward(&x4, Mode::Eval);
+        let pred = model.infer(&x4);
         let err = mean_row_distance(&pred, &y_true, px);
-        let unc = mc_dropout::predict(&mut model, &x4, 12).mean_uncertainty();
+        let unc = uncertainty::predict(&mut model, &x4, 12).mean_uncertainty();
 
         if err > error_budget {
             let (new_model, rep) = trainer.update_model(

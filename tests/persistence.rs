@@ -12,7 +12,6 @@ use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_core::fairms::ModelZoo;
 use fairdms_core::models::ArchSpec;
 use fairdms_datastore::{Collection, RawCodec};
-use fairdms_nn::layers::Mode;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::Arc;
@@ -82,11 +81,8 @@ fn beamline_session_survives_restart() {
 
         let mut zoo = ModelZoo::new();
         let pdf = fairds.snapshot().unwrap().dataset_pdf(&probe);
-        let mut net = arch.build(9);
-        let out = net.forward(
-            &probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]),
-            Mode::Eval,
-        );
+        let net = arch.build(9);
+        let out = net.infer(&probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
         zoo.add_model("session1-model", arch, &net, pdf.clone(), 0);
 
         // Persist the corpus and the zoo.
@@ -121,20 +117,13 @@ fn beamline_session_survives_restart() {
     assert_eq!(zoo.get(0).unwrap().name, "session1-model");
 
     // The restored checkpoint computes bit-identical outputs.
-    let mut net = zoo.instantiate(0, 42).unwrap();
-    let out = net.forward(
-        &probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]),
-        Mode::Eval,
-    );
-    assert!(fairdms_tensor::allclose(&out, &model_out_before, 1e-6));
+    let net = zoo.instantiate(0, 42).unwrap();
+    let out = net.infer(&probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
+    assert_eq!(out, model_out_before);
 
-    // Ranking is preserved up to f32 PDF storage precision.
+    // The PDFs are stored as f64: the ranking comes back bit for bit.
     let rank = zoo.rank(&pdf_before).unwrap().ranked;
-    assert_eq!(rank.len(), rank_before.len());
-    for ((ia, da), (ib, db)) in rank.iter().zip(&rank_before) {
-        assert_eq!(ia, ib);
-        assert!((da - db).abs() < 1e-6);
-    }
+    assert_eq!(rank, rank_before);
 
     // The restored store keeps serving the data service: a fresh fairDS
     // can retrain its system plane from the persisted corpus alone.
