@@ -15,7 +15,7 @@
 //! 5. registers the updated model back into the Zoo with the dataset PDF
 //!    (so the Zoo "can respond with this model in the future").
 
-use crate::fairds::{FairDS, PseudoLabelStats};
+use crate::fairds::{FairDS, PseudoLabelStats, SystemSnapshot};
 use crate::fairms::{ModelDecision, ModelManager, ModelZoo, ZooSnapshot};
 use crate::models::ArchSpec;
 use fairdms_nn::layers::Sequential;
@@ -23,6 +23,7 @@ use fairdms_nn::loss::Mse;
 use fairdms_nn::optim::Adam;
 use fairdms_nn::trainer::{TrainConfig, TrainControl, TrainReport, Trainer};
 use fairdms_tensor::Tensor;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which foundation the trainer starts from.
@@ -150,48 +151,78 @@ fn fit(
 /// One model-update training job, from preparation to registration.
 ///
 /// Built by [`RapidTrainer::prepare_update`] on the mutation actor (cheap:
-/// PDF, pseudo-labels, foundation resolution), carried to a background
-/// executor whose [`UpdateJob::train`] runs the multi-epoch fine-tune
-/// against *only this owned data* — no live service state — and finally
-/// handed back to the actor for fenced registration via
+/// PDF, decision, foundation resolution), carried to a background
+/// executor whose [`UpdateJob::train`] pseudo-labels the frames and runs
+/// the multi-epoch fine-tune against *only this owned data* and the
+/// system snapshot it was prepared from — no live service state — and
+/// finally handed back to the actor for fenced registration via
 /// [`RapidTrainer::complete_update`].
 pub struct UpdateJob {
     cfg: RapidTrainerConfig,
+    /// The published system plane the job was prepared from: its labels
+    /// are read through it and its version is the completion fence.
+    system: Arc<SystemSnapshot>,
     x_flat: Tensor,
-    labels: Tensor,
     pdf: Vec<f64>,
     net: Sequential,
     foundation: Option<usize>,
     divergence: Option<f64>,
     lr: f32,
+    scan: usize,
+    /// The label stage and the fit, once [`UpdateJob::train`] has run.
+    trained: Option<Trained>,
+}
+
+/// What [`UpdateJob::train`] adds to a prepared job.
+struct Trained {
+    labels: Tensor,
     label_secs: f64,
     label_stats: PseudoLabelStats,
-    scan: usize,
-    system_version: u64,
-    /// Training wall time and curve, once [`UpdateJob::train`] has run.
-    trained: Option<(f64, TrainReport)>,
+    train_secs: f64,
+    report: TrainReport,
 }
 
 impl UpdateJob {
     /// Version of the system plane the job was prepared against (the
     /// staleness fence checked before the result is published).
     pub fn trained_from_version(&self) -> u64 {
-        self.system_version
+        self.system.version()
     }
 
-    /// The heavy half (executor side): the multi-epoch training run, pure
-    /// over the job's owned data, cancellable at every epoch boundary
-    /// through `ctl`. Returns `None` when the run was cancelled (a
-    /// superseded job) — partially-trained weights are dropped, nothing is
-    /// registrable.
-    pub fn train(mut self, ctl: &TrainControl) -> Option<Self> {
+    /// The heavy half (executor side): pseudo-labels the frames through
+    /// the job's system snapshot, `fallback` computing a label for each
+    /// frame no stored label is near, then runs the multi-epoch training,
+    /// cancellable at every epoch boundary through `ctl`. Returns `None`
+    /// when the run was cancelled (a superseded job) — partially-trained
+    /// weights are dropped, nothing is registrable.
+    pub fn train(
+        mut self,
+        fallback: impl FnMut(&[f32]) -> Vec<f32>,
+        ctl: &TrainControl,
+    ) -> Option<Self> {
+        // Superseded while queued: the label stage is not worth paying.
+        if ctl.is_cancelled() {
+            return None;
+        }
+        let t_label = Instant::now();
+        let (labels, label_stats) =
+            self.system
+                .pseudo_label(&self.x_flat, self.cfg.label_threshold, fallback);
+        let label_secs = t_label.elapsed().as_secs_f64();
+
         let t_train = Instant::now();
-        let [tx, ty, vx, vy] = seeded_split(&self.cfg, &self.x_flat, &self.labels);
+        let [tx, ty, vx, vy] = seeded_split(&self.cfg, &self.x_flat, &labels);
         let report = fit(&self.cfg, &mut self.net, self.lr, [&tx, &ty, &vx, &vy], ctl);
         if report.cancelled {
             return None;
         }
-        self.trained = Some((t_train.elapsed().as_secs_f64(), report));
+        self.trained = Some(Trained {
+            labels,
+            label_secs,
+            label_stats,
+            train_secs: t_train.elapsed().as_secs_f64(),
+            report,
+        });
         Some(self)
     }
 }
@@ -330,35 +361,26 @@ impl RapidTrainer {
         fallback: impl FnMut(&[f32]) -> Vec<f32>,
         scan: usize,
     ) -> (Sequential, UpdateReport) {
-        let job = self.prepare_update(x_flat, fallback, scan);
-        let trained = job
-            .train(&TrainControl::new())
+        let trained = self
+            .prepare_update(x_flat, scan)
+            .train(fallback, &TrainControl::new())
             .expect("uncancelled update always completes");
         self.complete_update(trained)
     }
 
-    /// First update half (actor side, O(ms–label): no epoch loop): computes
-    /// the dataset PDF, pseudo-labels through the fallback, decides the
-    /// strategy, and resolves + instantiates the foundation network. All of
-    /// it is read from the published system and zoo snapshots, taken once,
-    /// so the job owns everything the training run needs and records the
-    /// version of the very snapshot it was computed from.
-    pub fn prepare_update(
-        &self,
-        x_flat: &Tensor,
-        fallback: impl FnMut(&[f32]) -> Vec<f32>,
-        scan: usize,
-    ) -> UpdateJob {
+    /// First update half (actor side, O(ms): no label stage, no epoch
+    /// loop): computes the dataset PDF, decides the strategy, and resolves
+    /// and instantiates the foundation network. All of it is read from the
+    /// published system and zoo snapshots, taken once; the job keeps the
+    /// system snapshot, which [`UpdateJob::train`] labels through and the
+    /// completion fences on.
+    pub fn prepare_update(&self, x_flat: &Tensor, scan: usize) -> UpdateJob {
         let system = self
             .fairds
             .snapshot()
             .expect("fairDS system plane must be trained before updates");
         let zoo = self.zoo.snapshot();
         let pdf = system.dataset_pdf(x_flat);
-
-        let t_label = Instant::now();
-        let (labels, label_stats) = system.pseudo_label(x_flat, self.cfg.label_threshold, fallback);
-        let label_secs = t_label.elapsed().as_secs_f64();
 
         // One ranking: the decision already names the best entry and its
         // divergence.
@@ -369,17 +391,14 @@ impl RapidTrainer {
         let (net, foundation, divergence, lr) = self.foundation_for(&zoo, picked);
         UpdateJob {
             cfg: self.cfg.clone(),
+            system,
             x_flat: x_flat.clone(),
-            labels,
             pdf,
             net,
             foundation,
             divergence,
             lr,
-            label_secs,
-            label_stats,
             scan,
-            system_version: system.version(),
             trained: None,
         }
     }
@@ -391,7 +410,7 @@ impl RapidTrainer {
     /// [`UpdateJob::trained_from_version`] against the live plane and
     /// discard stale results instead of completing them.
     pub fn complete_update(&mut self, job: UpdateJob) -> (Sequential, UpdateReport) {
-        let (train_secs, train_report) = job.trained.expect("complete_update before train");
+        let trained = job.trained.expect("complete_update before train");
         let scan = job.scan;
         let registered_id = self.zoo.add_model(
             &format!("{}-scan{scan}", self.cfg.arch.name()),
@@ -400,15 +419,16 @@ impl RapidTrainer {
             job.pdf,
             scan,
         );
-        self.fairds.ingest_labeled(&job.x_flat, &job.labels, scan);
+        self.fairds
+            .ingest_labeled(&job.x_flat, &trained.labels, scan);
         let report = UpdateReport {
-            label_secs: job.label_secs,
-            train_secs,
-            label_stats: job.label_stats,
+            label_secs: trained.label_secs,
+            train_secs: trained.train_secs,
+            label_stats: trained.label_stats,
             foundation: job.foundation,
             divergence: job.divergence,
-            epochs: train_report.curve.len(),
-            train_report,
+            epochs: trained.report.curve.len(),
+            train_report: trained.report,
             registered_id,
         };
         (job.net, report)
@@ -609,8 +629,10 @@ mod tests {
 
         let (_, direct) = a.update_model(&x_new, |_| vec![0.5, 0.5], 1);
 
-        let job = b.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
-        let trained = job.train(&TrainControl::new()).expect("uncancelled");
+        let job = b.prepare_update(&x_new, 1);
+        let trained = job
+            .train(|_| vec![0.5, 0.5], &TrainControl::new())
+            .expect("uncancelled");
         let (_, split) = b.complete_update(trained);
 
         assert_eq!(direct.foundation, split.foundation);
@@ -628,11 +650,11 @@ mod tests {
         prime(&mut trainer, 34);
         let (x_new, _) = blob_task(30, 35);
         let store_docs_before = trainer.fairds.store().len();
-        let job = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
+        let job = trainer.prepare_update(&x_new, 1);
         let ctl = TrainControl::new();
         ctl.cancel();
         assert!(
-            job.train(&ctl).is_none(),
+            job.train(|_| vec![0.5, 0.5], &ctl).is_none(),
             "cancelled update must yield no registrable result"
         );
         assert_eq!(trainer.zoo.len(), 0, "cancelled model must not register");
@@ -649,7 +671,7 @@ mod tests {
         let (x, _) = prime(&mut trainer, 37);
         let v0 = trainer.fairds.snapshot().unwrap().version();
         let (x_new, _) = blob_task(30, 38);
-        let job = trainer.prepare_update(&x_new, |_| vec![0.5, 0.5], 1);
+        let job = trainer.prepare_update(&x_new, 1);
         assert_eq!(job.trained_from_version(), v0);
         // A system retrain between prepare and complete advances the live
         // version past the plan's — the fence a publisher must check.
@@ -660,7 +682,9 @@ mod tests {
                 ..EmbedTrainConfig::default()
             },
         );
-        let trained = job.train(&TrainControl::new()).expect("uncancelled");
+        let trained = job
+            .train(|_| vec![0.5, 0.5], &TrainControl::new())
+            .expect("uncancelled");
         assert!(
             trainer.fairds.snapshot().unwrap().version() > trained.trained_from_version(),
             "fence must detect the mid-flight plane change"

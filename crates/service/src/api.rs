@@ -124,7 +124,10 @@ pub enum Request {
     PseudoLabel {
         /// Flattened images.
         images: Tensor,
-        /// Embedding-distance reuse threshold.
+        /// Embedding-distance reuse threshold: a frame reuses its nearest
+        /// stored label when that label is closer than this. NaN means
+        /// the server's default; `+∞` reuses every frame that has a
+        /// labeled neighbour, `−∞` none.
         threshold: f32,
     },
     /// PDF-matched retrieval of labeled historical documents.
@@ -302,7 +305,8 @@ pub trait DmsApi {
     }
 
     /// Pseudo-label with the server's fallback. Pass `f32::NAN` to use the
-    /// server's default threshold.
+    /// server's default threshold; every other value, `±∞` included, is
+    /// the threshold itself.
     fn pseudo_label(
         &self,
         images: Tensor,

@@ -409,14 +409,13 @@ macro_rules! operations {
     };
 }
 
-// `PseudoLabel` is a *write* even though it writes no service state: it
-// drives the server's fallback labeler, an exclusive `FnMut`, so it
-// serializes through the actor.
+// `PseudoLabel` is a read: it writes no service state, and the fallback
+// labeler it may call is a shared `Fn` the reader's own thread runs.
 operations! {
     0 "train_system" write: TrainSystem { embed_cfg, images } => SystemTrained { k },
     1 "ingest" write: IngestLabeled { scan, images, labels } => Ingested { count, retrained },
     2 "pdf" read: DatasetPdf { images } => Pdf(pdf),
-    3 "pseudo_label" write: PseudoLabel { threshold, images } => Labeled { stats, labels },
+    3 "pseudo_label" read: PseudoLabel { threshold, images } => Labeled { stats, labels },
     4 "lookup" read: LookupMatching { count, pdf } => Documents(docs),
     5 "recommend" read: Recommend { top_k, pdf } => Ranked(ranked),
     6 "update_model" write: UpdateModel { scan, images } => Updated { report, checkpoint },

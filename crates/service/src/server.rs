@@ -4,27 +4,29 @@
 //! and, within the write side, along the cheap/heavy axis (DESIGN.md §7):
 //!
 //! * **Mutation actor** — an actor-style event loop on one thread owning
-//!   the mutable state (the [`RapidTrainer`]: trainable fairDS, live model
-//!   Zoo, fallback labeler). All mutating requests (`TrainSystem`,
-//!   `IngestLabeled`, `PseudoLabel`, `UpdateModel`, `PublishModel`)
-//!   serialize through it over a bounded channel — no shared mutable
-//!   state, no lock ordering; the channel *is* the synchronization. The
-//!   actor keeps only O(ms) work: ingest, the pseudo-label ledger, zoo
-//!   publication, snapshot swaps, and the *bookends* of training.
+//!   the mutable state (the [`RapidTrainer`]: trainable fairDS and live
+//!   model Zoo). All mutating requests (`TrainSystem`, `IngestLabeled`,
+//!   `UpdateModel`, `PublishModel`) serialize through it over a bounded
+//!   channel — no shared mutable state, no lock ordering; the channel *is*
+//!   the synchronization. The actor keeps only O(ms) work: ingest, zoo
+//!   publication, snapshot swaps, and the *bookends* of training. It never
+//!   calls the fallback labeler.
 //! * **Training executor** — a background [`JobPool`] owning the heavy
-//!   work: multi-epoch `UpdateModel` fine-tunes and certainty-triggered
-//!   system retrains, each completed on the actor by the one fenced-job
-//!   protocol of `training.rs` (fence on the plane version, then apply +
-//!   publish).
+//!   work: `UpdateModel`'s label stage and multi-epoch fine-tune, and
+//!   certainty-triggered system retrains, each completed on the actor by
+//!   the one fenced-job protocol of `training.rs` (fence on the plane
+//!   version, then apply + publish).
 //! * **Read plane** — every read-only request (`DatasetPdf`,
-//!   `LookupMatching`, `Recommend`, `FetchModel`, `Certainty`, `Metrics`)
-//!   is answered *on the thread that asked* — an in-process caller's own
-//!   thread, or a connection's reader thread — from an immutable
-//!   [`ServiceView`] snapshot (frozen embedder + k-means + Zoo index)
-//!   fetched per request as an `Arc` clone under a shared read lock — the
-//!   same `RwLock<Arc<_>>` the read index publishes through. There is no
-//!   read queue and no read worker: readers never touch the actor — and
-//!   with the training executor, neither does a training run, so ingest
+//!   `PseudoLabel`, `LookupMatching`, `Recommend`, `FetchModel`,
+//!   `Certainty`, `Metrics`) is answered *on the thread that asked* — an
+//!   in-process caller's own thread, or a connection's reader thread —
+//!   from an immutable [`ServiceView`] snapshot
+//!   (frozen embedder + k-means + Zoo index) fetched per request as an
+//!   `Arc` clone under a shared read lock — the same `RwLock<Arc<_>>` the
+//!   read index publishes through; a `PseudoLabel` calls the tenant's
+//!   shared labeler there for the frames no stored label is near. There
+//!   is no read queue and no read worker: readers never touch the actor —
+//!   and with the training executor, neither does a training run, so ingest
 //!   keeps flowing *while* a model fine-tunes, exactly as the paper's
 //!   trainer reads MongoDB directly while the service handles updates
 //!   (fairDMS §III; the FAIR-HEDM follow-up runs fine-tuning as
@@ -57,8 +59,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A label fallback installed server-side (the expensive conventional
-/// labeler, e.g. a pseudo-Voigt fit).
-pub type FallbackLabeler = Box<dyn FnMut(&[f32]) -> Vec<f32> + Send>;
+/// labeler, e.g. a pseudo-Voigt fit). One per tenant, shared: it is called
+/// from any thread at once — by every `PseudoLabel` read, on the reader's
+/// thread, and by every `UpdateModel`'s training job, on the executor —
+/// and never by the mutation actor.
+pub type FallbackLabeler = Box<dyn Fn(&[f32]) -> Vec<f32> + Send + Sync>;
 
 /// Server deployment knobs.
 #[derive(Clone, Debug)]
@@ -145,15 +150,26 @@ pub(crate) struct Shared {
     /// it (Acquire) and answer `Unavailable` from then on, the read-side
     /// counterpart of the actor's disconnected admission channel.
     shut_down: AtomicBool,
+    /// The tenant's conventional labeler.
+    labeler: FallbackLabeler,
+    /// The trainer's `label_threshold`, read at spawn: the threshold a
+    /// `PseudoLabel` at NaN uses. The actor never changes it.
+    label_threshold: f32,
 }
 
 impl Shared {
-    pub(crate) fn new(trainer: &RapidTrainer, metrics: Arc<Metrics>) -> Self {
+    pub(crate) fn new(
+        trainer: &RapidTrainer,
+        labeler: FallbackLabeler,
+        metrics: Arc<Metrics>,
+    ) -> Self {
         Shared {
             view: RwLock::new(Arc::new(ServiceView::of(trainer))),
             metrics,
             poisoned: AtomicBool::new(false),
             shut_down: AtomicBool::new(false),
+            labeler,
+            label_threshold: trainer.config().label_threshold,
         }
     }
 
@@ -262,13 +278,13 @@ pub(crate) fn spawn_tenant(
     // Weak: the registry must not keep pool workers alive past the
     // owner's shutdown; the gauge just reads 0 afterwards.
     metrics.attach_training_pool(Arc::downgrade(&pool), tenant);
-    let shared = Arc::new(Shared::new(&trainer, metrics));
+    let shared = Arc::new(Shared::new(&trainer, labeler, metrics));
 
     let actor_shared = Arc::clone(&shared);
     let exec = TrainingExec::new(pool, tenant, write_tx.clone());
     let actor = std::thread::Builder::new()
         .name("fairdms-actor".into())
-        .spawn(move || actor_loop(trainer, labeler, cfg, exec, write_rx, actor_shared))
+        .spawn(move || actor_loop(trainer, cfg, exec, write_rx, actor_shared))
         .expect("failed to spawn fairdms-actor thread");
 
     let client = DmsClient {
@@ -414,14 +430,26 @@ fn admit(
 // ---------------------------------------------------------------------
 
 /// Serves one read-only request from an immutable view. Never blocks on
-/// the actor; every code path here takes `&self` on snapshot state.
-fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceResult {
+/// the actor; every code path here takes `&self` on snapshot state and on
+/// the tenant's shared labeler.
+fn handle_read(view: &ServiceView, shared: &Shared, req: Request) -> ServiceResult {
     let width = view.system.as_ref().map(|sys| sys.embedder().input_dim());
     admit(&req, width, width.is_some(), || None)?;
     match req {
         Request::DatasetPdf { images } => {
             let sys = view.system.as_ref().ok_or(ServiceError::NotReady)?;
             Ok(Reply::Pdf(sys.dataset_pdf(&images)))
+        }
+        Request::PseudoLabel { images, threshold } => {
+            let sys = view.system.as_ref().ok_or(ServiceError::NotReady)?;
+            // NaN is the one "use the default" sentinel; ±∞ are thresholds.
+            let threshold = if threshold.is_nan() {
+                shared.label_threshold
+            } else {
+                threshold
+            };
+            let (labels, stats) = sys.pseudo_label(&images, threshold, &shared.labeler);
+            Ok(Reply::Labeled { labels, stats })
         }
         Request::LookupMatching { pdf, count } => {
             let sys = view.system.as_ref().ok_or(ServiceError::NotReady)?;
@@ -471,7 +499,7 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
             }),
             None => Err(ServiceError::UnknownModel(zoo_id)),
         },
-        Request::Metrics => Ok(Reply::Metrics(metrics.snapshot())),
+        Request::Metrics => Ok(Reply::Metrics(shared.metrics.snapshot())),
         other => unreachable!(
             "mutating request {:?} routed to the read plane",
             other.op_name()
@@ -483,7 +511,7 @@ fn handle_read(view: &ServiceView, metrics: &Metrics, req: Request) -> ServiceRe
 // Write plane
 // ---------------------------------------------------------------------
 
-/// Marks the service poisoned if the actor unwinds (labeler panic etc.),
+/// Marks the service poisoned if the actor unwinds (a store or zoo panic),
 /// so reads fail fast instead of serving an unmaintained state.
 pub(crate) struct PoisonOnPanic(pub(crate) Arc<Shared>);
 
@@ -497,7 +525,6 @@ impl Drop for PoisonOnPanic {
 
 fn actor_loop(
     mut trainer: RapidTrainer,
-    mut labeler: FallbackLabeler,
     cfg: DmsServerConfig,
     mut exec: TrainingExec,
     rx: Receiver<Msg>,
@@ -523,7 +550,7 @@ fn actor_loop(
         // Panic-poisoning order is handled inside `handle_write` and
         // `TrainingExec::complete`: each declares its guard after the reply
         // sender, so the poison flag is set before that sender disconnects.
-        handle_write(&mut trainer, &mut labeler, &cfg, env, &shared, &mut exec);
+        handle_write(&mut trainer, &cfg, env, &shared, &mut exec);
     }
     exec.shutdown();
 }
@@ -533,7 +560,6 @@ fn actor_loop(
 /// a training job, whose fenced completion answers it.
 fn handle_write(
     trainer: &mut RapidTrainer,
-    labeler: &mut FallbackLabeler,
     cfg: &DmsServerConfig,
     env: Envelope,
     shared: &Arc<Shared>,
@@ -603,18 +629,6 @@ fn handle_write(
                 retrained,
             })
         }
-        Request::PseudoLabel { images, threshold } => {
-            let thr = if threshold.is_finite() {
-                threshold
-            } else {
-                trainer.config().label_threshold
-            };
-            // Admission answered `NotReady` already when nothing is
-            // published.
-            let system = trainer.fairds.snapshot().expect("admitted after training");
-            let (labels, stats) = system.pseudo_label(&images, thr, |p| labeler(p));
-            Ok(Reply::Labeled { labels, stats })
-        }
         Request::UpdateModel { images, scan } => {
             if !exec.has_queue_capacity() {
                 // Bounded admission (DESIGN.md §14): answer `Busy` before
@@ -631,13 +645,15 @@ fn handle_write(
                 .metrics
                 .training_jobs_started
                 .fetch_add(1, Ordering::Relaxed);
-            // The actor does only the O(ms) bookend: PDF + pseudo-
-            // labels + foundation resolution. The epoch loop runs on
-            // the executor; a newer UpdateModel supersedes this one.
-            let job = trainer.prepare_update(&images, |p| labeler(p), scan);
+            // The actor does only the O(ms) bookend: PDF + decision +
+            // foundation resolution. The label stage and the epoch loop
+            // run on the executor; a newer UpdateModel supersedes this one.
+            let job = trainer.prepare_update(&images, scan);
             exec.supersede(Lane::Update, &shared.metrics);
+            let shared = Arc::clone(shared);
             exec.submit(Lane::Update, Some(waiter), move |ctl| {
-                Some(Outcome::Update(Box::new(job.train(ctl)?)))
+                let trained = job.train(&shared.labeler, ctl)?;
+                Some(Outcome::Update(Box::new(trained)))
             });
             return;
         }
@@ -728,8 +744,8 @@ impl DmsClient {
     /// current snapshot — the one read route, for in-process callers and
     /// connection reader threads alike (DESIGN.md §6, §13). There is no
     /// queue, so every read records a zero queue wait next to its run
-    /// time. A handler that panics (a user `Embedder::embed`, say) is
-    /// caught here: the deployment is poisoned and *this* request answers
+    /// time. A handler that panics (a user `Embedder::embed` or fallback
+    /// labeler, say) is caught here: the deployment is poisoned and *this* request answers
     /// `Unavailable`, but the calling thread — which may be a connection
     /// reader pipelining other tenants' requests — is not unwound.
     pub(crate) fn serve_read(&self, req: Request) -> ServiceResult {
@@ -746,7 +762,7 @@ impl DmsClient {
             Err(ServiceError::Unavailable)
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handle_read(&shared.load(), &shared.metrics, req)
+                handle_read(&shared.load(), shared, req)
             }))
             .unwrap_or_else(|_| {
                 shared.poisoned.store(true, Ordering::Release);

@@ -63,8 +63,9 @@ pub(crate) enum Outcome {
     },
     /// Observed its cancel token and wound down (benign).
     Cancelled,
-    /// Panicked (a bug in the training loop) — the actor poisons the
-    /// service loudly, the same contract a panic on the actor itself has.
+    /// Panicked (a bug in the training loop, or an update's fallback
+    /// labeler) — the actor poisons the service loudly, the same contract a
+    /// panic on the actor itself has.
     Panicked,
 }
 
@@ -229,8 +230,9 @@ impl TrainingExec {
         };
         let result: ServiceResult = match done.outcome {
             Outcome::Panicked => {
-                // The epoch loop panicked on the executor. Poison before
-                // the reply leaves (same ordering contract as `_poison`).
+                // The job panicked on the executor (its label stage or its
+                // epoch loop). Poison before the reply leaves (same
+                // ordering contract as `_poison`).
                 shared.poisoned.store(true, Ordering::Release);
                 Err(ServiceError::Unavailable)
             }
@@ -491,7 +493,11 @@ mod tests {
             for ending in [Current, Cancelled, Displaced, Fenced, Panicked] {
                 let row = format!("{lane:?} × {ending:?}");
                 let mut trainer = trainer();
-                let shared = Arc::new(Shared::new(&trainer, Arc::new(Metrics::new())));
+                let shared = Arc::new(Shared::new(
+                    &trainer,
+                    Box::new(|_| vec![0.5, 0.5]),
+                    Arc::new(Metrics::new()),
+                ));
                 let (wake_tx, _wake_rx) = bounded(1);
                 let mut exec = TrainingExec::new(Arc::clone(&pool), 0, wake_tx);
 
@@ -508,8 +514,8 @@ mod tests {
                     (Panicked, _) => Outcome::Panicked,
                     (_, Lane::Update) => Outcome::Update(Box::new(
                         trainer
-                            .prepare_update(&x, |_| vec![0.5, 0.5], 1)
-                            .train(&TrainControl::new())
+                            .prepare_update(&x, 1)
+                            .train(|_| vec![0.5, 0.5], &TrainControl::new())
                             .expect("uncancelled"),
                     )),
                     (_, Lane::Retrain) => Outcome::System {

@@ -1100,10 +1100,11 @@ fn ingest_triggered_retrain_republishes_sharing_zoo_entries() {
 
 #[test]
 fn worker_panic_surfaces_as_unavailable_not_a_hang() {
-    // Failure injection: a fallback labeler that panics kills the worker
-    // thread mid-request. The in-flight client must observe Unavailable
-    // (its one-shot reply sender is dropped during unwind), and so must
-    // every later call — never a hang.
+    // Failure injection: a fallback labeler that panics mid-request. A
+    // `PseudoLabel` is a read, so the panic unwinds on this test's own
+    // thread into `serve_read`'s `catch_unwind`, which poisons the tenant.
+    // The in-flight call must observe Unavailable, and so must every
+    // later call — never a hang.
     let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 30);
     let fairds = FairDS::in_memory(
         Box::new(embedder),
@@ -1136,4 +1137,76 @@ fn worker_panic_surfaces_as_unavailable_not_a_hang() {
     );
     drop(client);
     handle.shutdown(); // joins the dead worker without hanging
+}
+
+/// A tenant whose `label_threshold` is −1: no distance is below it, so
+/// at the default threshold every frame reaches `labeler`.
+fn spawn_never_reusing(seed: u64, labeler: FallbackLabeler) -> (DmsClient, MultiDms) {
+    let ds_cfg = FairDsConfig {
+        k: Some(2),
+        ..FairDsConfig::default()
+    };
+    let mut trainer = trainer_over(seed, ds_cfg);
+    trainer.config_mut().label_threshold = -1.0;
+    let cfg = DmsServerConfig {
+        auto_retrain: false,
+        ..DmsServerConfig::default()
+    };
+    spawn_one(trainer, labeler, cfg)
+}
+
+#[test]
+fn only_nan_selects_the_default_label_threshold() {
+    let (client, handle) = spawn_never_reusing(80, Box::new(|_| vec![0.5, 0.5]));
+    let (x, y) = blob_images(10, 2, 81);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+    let n = x.shape()[0];
+
+    // Every frame is stored, so each has a labeled neighbour at distance 0.
+    let counts = |threshold: f32| {
+        let (_, stats) = client.pseudo_label(x.clone(), threshold).unwrap();
+        (stats.reused, stats.computed)
+    };
+    assert_eq!(counts(f32::NAN), (0, n), "NaN is the tenant's −1");
+    assert_eq!(counts(f32::INFINITY), (n, 0), "+∞ reuses every neighbour");
+    assert_eq!(counts(f32::NEG_INFINITY), (0, n), "−∞ reuses none");
+    let (labels, _) = client.pseudo_label(x, f32::INFINITY).unwrap();
+    assert_eq!(labels.data(), y.data());
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn a_labeler_panic_inside_an_update_job_poisons_cleanly() {
+    let (client, handle) = spawn_never_reusing(82, Box::new(|_| panic!("labeler exploded")));
+    let (x, y) = blob_images(10, 2, 83);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+
+    // The update's label stage runs on its training job; the labeler
+    // panics there and the job completes as panicked.
+    assert_eq!(
+        client.update_model(x.clone(), 1).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    // The tenant is poisoned for reads and stopped for writes.
+    assert_eq!(
+        client.dataset_pdf(x.clone()).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    assert_eq!(
+        client.pseudo_label(x.clone(), f32::INFINITY).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    assert_eq!(
+        client.ingest(x.clone(), y, 1).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    assert_eq!(
+        client.update_model(x, 2).unwrap_err(),
+        ServiceError::Unavailable
+    );
+    drop(client);
+    handle.shutdown(); // joins the stopped actor without hanging
 }

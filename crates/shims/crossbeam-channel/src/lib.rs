@@ -7,7 +7,8 @@
 //! * [`bounded`] / [`unbounded`] constructors;
 //! * cloneable [`Sender`] / [`Receiver`] with sender/receiver reference
 //!   counting — `recv` on an empty channel fails once every sender is gone,
-//!   `send` fails once every receiver is gone;
+//!   `send` fails once every receiver is gone, and the last receiver's
+//!   drop discards the messages still queued, as the real crate does;
 //! * `send` blocks on a full bounded channel; `try_send` returns
 //!   [`TrySendError::Full`]; zero-capacity channels rendezvous through a
 //!   one-slot buffer (adequate for the signalling patterns used here);
@@ -171,8 +172,20 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
+        // Under the queue lock, so no send lands after the discard below:
+        // every send checks for receivers under the same lock.
+        let mut q = self
+            .chan
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if self.chan.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last receiver: wake senders blocked on a full queue.
+            // Last receiver: nobody will take what is queued, so drop it
+            // now (outside the lock) rather than with the last sender, and
+            // wake senders blocked on a full queue.
+            let unread = std::mem::take(&mut *q);
+            drop(q);
+            drop(unread);
             self.chan.not_full.notify_all();
             #[cfg(feature = "check")]
             if rt::is_model_thread() {
@@ -438,6 +451,22 @@ mod tests {
         drop(rx);
         assert_eq!(tx.send(5), Err(SendError(5)));
         assert!(matches!(tx.try_send(5), Err(TrySendError::Disconnected(5))));
+    }
+
+    #[test]
+    fn dropping_the_last_receiver_discards_queued_messages() {
+        let (tx, rx) = unbounded();
+        let queued = Arc::new(());
+        tx.send(Arc::clone(&queued)).unwrap();
+        let rx2 = rx.clone();
+        drop(rx);
+        assert_eq!(Arc::strong_count(&queued), 2, "a receiver remains");
+        drop(rx2);
+        assert_eq!(
+            Arc::strong_count(&queued),
+            1,
+            "the message outlived its channel's receivers"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Read/write isolation of the split user plane (DESIGN.md §6).
 //!
-//! Two properties the refactor exists to provide:
+//! Four properties the split exists to provide:
 //!
 //! 1. **Reads do not queue behind training.** `DatasetPdf`,
 //!    `LookupMatching`, and `Recommend` complete while a slow
@@ -13,6 +13,10 @@
 //!    lock only to clone the `Arc`, so a read parked inside its handler
 //!    holds up no publication, and a publication storm never shows a
 //!    reader a view older than one it has already seen.
+//! 4. **No write waits for the fallback labeler.** A `PseudoLabel` is a
+//!    read, answered on its caller's thread, and an `UpdateModel` labels
+//!    on its training job: a labeler parked in either holds up no write
+//!    and no other read.
 
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig, Embedder};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
@@ -21,10 +25,11 @@ use fairdms_core::models::ArchSpec;
 use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_nn::trainer::TrainControl;
 use fairdms_service::multi::{MultiDms, TenantSpec};
-use fairdms_service::server::{DmsClient, DmsServerConfig};
+use fairdms_service::server::{DmsClient, DmsServerConfig, FallbackLabeler};
 use fairdms_service::DmsApi;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
@@ -82,6 +87,16 @@ fn spawn_over(
     auto_retrain: bool,
     train_epochs: usize,
 ) -> (DmsClient, MultiDms) {
+    let trainer = trainer_over(embedder, seed, k, train_epochs);
+    deploy(trainer, auto_retrain, Box::new(|_| vec![0.5, 0.5]))
+}
+
+fn trainer_over(
+    embedder: Box<dyn Embedder>,
+    seed: u64,
+    k: usize,
+    train_epochs: usize,
+) -> RapidTrainer {
     let fairds = FairDS::in_memory(
         embedder,
         FairDsConfig {
@@ -93,18 +108,22 @@ fn spawn_over(
     tcfg.train.epochs = train_epochs;
     tcfg.train.batch_size = 16;
     tcfg.seed = seed;
-    let trainer = RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg);
+    RapidTrainer::new(fairds, ModelManager::new(0.9), tcfg)
+}
+
+/// A one-tenant deployment (tenant 0) and that tenant's in-process client.
+fn deploy(
+    trainer: RapidTrainer,
+    auto_retrain: bool,
+    labeler: FallbackLabeler,
+) -> (DmsClient, MultiDms) {
     let cfg = DmsServerConfig {
         auto_retrain,
         retrain_embed_cfg: embed_cfg(),
         ..DmsServerConfig::default()
     };
     let dms = MultiDms::builder(1)
-        .tenant(
-            TenantSpec { id: 0, config: cfg },
-            trainer,
-            Box::new(|_| vec![0.5, 0.5]),
-        )
+        .tenant(TenantSpec { id: 0, config: cfg }, trainer, labeler)
         .spawn();
     (dms.client(0).expect("tenant 0").clone(), dms)
 }
@@ -428,6 +447,147 @@ fn readers_never_see_the_view_go_back_under_a_publication_storm() {
     for id in ids {
         assert!(view.zoo.get(id).is_some(), "publication {id} lost");
     }
+
+    drop(client);
+    handle.shutdown();
+}
+
+/// The test's side of a gated fallback labeler (see [`gated_labeler`]).
+struct LabelerGate {
+    open: Arc<(Mutex<bool>, Condvar)>,
+    entered: mpsc::Receiver<()>,
+}
+
+impl LabelerGate {
+    /// Whether some call reached the labeler within `timeout`.
+    fn entered_within(&self, timeout: Duration) -> bool {
+        self.entered.recv_timeout(timeout).is_ok()
+    }
+
+    /// Lets every parked call, and every later one, through.
+    fn open(&self) {
+        let (open, opened) = &*self.open;
+        *open.lock() = true;
+        opened.notify_all();
+    }
+}
+
+/// A labeler that reports every call to the returned gate, then parks
+/// until the gate is open.
+fn gated_labeler() -> (FallbackLabeler, LabelerGate) {
+    let open = Arc::new((Mutex::new(false), Condvar::new()));
+    let (enter, entered) = mpsc::channel();
+    let gate = Arc::clone(&open);
+    let labeler: FallbackLabeler = Box::new(move |_| {
+        // The gate's side is gone only once its test has ended.
+        let _ = enter.send(());
+        let (open, opened) = &*gate;
+        let mut is_open = open.lock();
+        while !*is_open {
+            opened.wait(&mut is_open);
+        }
+        vec![0.5, 0.5]
+    });
+    (labeler, LabelerGate { open, entered })
+}
+
+/// Runs `call` on its own thread: its answer, if it came within
+/// `timeout`, and the thread, to join once what it may wait for is
+/// released.
+fn answered_within<T: Send + 'static>(
+    timeout: Duration,
+    call: impl FnOnce() -> T + Send + 'static,
+) -> (Result<T, mpsc::RecvTimeoutError>, thread::JoinHandle<()>) {
+    let (done, answer) = mpsc::channel();
+    let caller = thread::spawn(move || {
+        // The answer is dropped unread when it came too late.
+        let _ = done.send(call());
+    });
+    (answer.recv_timeout(timeout), caller)
+}
+
+#[test]
+fn a_pseudo_label_never_waits_for_the_actor() {
+    const PATIENCE: Duration = Duration::from_secs(30);
+    let (labeler, gate) = gated_labeler();
+    let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 50);
+    let trainer = trainer_over(Box::new(embedder), 50, 2, 2);
+    let (client, handle) = deploy(trainer, false, labeler);
+    let (x, y) = blob_images(20, 2, 51);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+    let pdf = client.dataset_pdf(x.clone()).unwrap();
+
+    // Thread A: at threshold 0 no stored label is near enough, so the
+    // first frame reaches the labeler and parks there.
+    let parked = {
+        let client = client.clone();
+        let (fresh, _) = blob_images(4, 2, 52);
+        thread::spawn(move || client.pseudo_label(fresh, 0.0))
+    };
+    assert!(
+        gate.entered_within(PATIENCE),
+        "the labeler was never called"
+    );
+
+    // Thread B: a write, a publication and a read of stored frames, each
+    // of which reuses its own label and never reaches the labeler.
+    let b = client.clone();
+    let (answers, caller) = answered_within(PATIENCE, move || {
+        let ingested = b.ingest(x.clone(), y, 1);
+        let published = b.publish("beside", vec![1; 8], pdf, 1);
+        let labeled = b.pseudo_label(x, f32::NAN);
+        (ingested, published, labeled)
+    });
+    // Open the gate whatever happened, so the deployment can drain.
+    gate.open();
+    caller.join().unwrap();
+    let (ingested, published, labeled) = answers.expect("a call waited for the parked labeler");
+    assert_eq!(ingested.unwrap().0, 40);
+    assert!(published.is_ok());
+    let (_, stats) = labeled.unwrap();
+    assert_eq!((stats.reused, stats.computed), (40, 0));
+    let (_, stats) = parked.join().unwrap().unwrap();
+    assert_eq!((stats.reused, stats.computed), (0, 8));
+
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn an_updates_label_stage_never_holds_the_actor() {
+    const PATIENCE: Duration = Duration::from_secs(30);
+    let (labeler, gate) = gated_labeler();
+    let embedder = AutoencoderEmbedder::new(SIDE * SIDE, 32, 8, 60);
+    let mut trainer = trainer_over(Box::new(embedder), 60, 2, 2);
+    // No distance is below −1: every frame of an update misses.
+    trainer.config_mut().label_threshold = -1.0;
+    let (client, handle) = deploy(trainer, false, labeler);
+    let (x, y) = blob_images(20, 2, 61);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x.clone(), y.clone(), 0).unwrap();
+
+    let update = {
+        let client = client.clone();
+        let (fresh, _) = blob_images(8, 2, 62);
+        thread::spawn(move || client.update_model(fresh, 1))
+    };
+    assert!(
+        gate.entered_within(PATIENCE),
+        "the labeler was never called"
+    );
+
+    let b = client.clone();
+    let (ingested, caller) = answered_within(PATIENCE, move || b.ingest(x, y, 2));
+    gate.open();
+    caller.join().unwrap();
+    let ingested = ingested.expect("an ingest waited for an update's labeler");
+    assert_eq!(ingested.unwrap().0, 40);
+    let (_, report) = update.join().unwrap().unwrap();
+    assert_eq!(
+        (report.label_stats.reused, report.label_stats.computed),
+        (0, 16)
+    );
 
     drop(client);
     handle.shutdown();
