@@ -1,11 +1,10 @@
 //! # fairdms-check
 //!
 //! The concurrency-correctness plane (DESIGN.md §11). Every hand-rolled
-//! concurrent structure in this workspace — the generation-fenced
-//! `EmbedCache`, the `JobPool` supersession machinery, the wire plane's
-//! reply lane and client read hand-over — routes its
-//! synchronization through the project-owned shim crates. This crate
-//! exploits that seam three ways:
+//! concurrent structure in this workspace — the `JobPool` supersession
+//! machinery, the wire plane's reply lane and client read hand-over —
+//! routes its synchronization through the project-owned shim crates. This
+//! crate exploits that seam three ways:
 //!
 //! * [`sched`] — a loom-lite **controlled scheduler**: tests register N
 //!   model threads, every shim `Mutex`/`RwLock`/`Condvar`/channel

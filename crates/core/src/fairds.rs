@@ -34,11 +34,11 @@
 use crate::embedding::{EmbedTrainConfig, Embedder};
 use crate::read_index::ReadIndex;
 pub use crate::read_index::{ReadIndexConfig, ReadIndexCounters};
-use crate::reuse::{EmbedCache, EmbedCacheConfig};
+use crate::reuse::{EmbedCache, EmbedCacheConfig, EmbedCacheCounters};
 use fairdms_clustering::{assignments_to_pdf, elbow, fuzzy, KMeans, KMeansConfig};
 use fairdms_datastore::{Collection, DocId, Document, RawCodec};
 use fairdms_nn::trainer::TrainControl;
-use fairdms_tensor::{hash::row_hashes, rng::TensorRng, Tensor};
+use fairdms_tensor::{rng::TensorRng, Tensor};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -112,9 +112,10 @@ impl PseudoLabelStats {
 /// share across any number of reader threads with no locking on the fast
 /// path. Interior mutation is limited to a relaxed atomic counter that
 /// derives per-call sampling seeds for
-/// [`SystemSnapshot::lookup_matching`], plus the revision-keyed read index
+/// [`SystemSnapshot::lookup_matching`], the revision-keyed read index
 /// ([`crate::read_index`]) that is brought up to date at most once per
-/// store mutation and shared by every read in between.
+/// store mutation and shared by every read in between, and the snapshot's
+/// own embedding memo table ([`crate::reuse`]).
 pub struct SystemSnapshot {
     embedder: Arc<dyn Embedder>,
     kmeans: Arc<KMeans>,
@@ -131,11 +132,8 @@ pub struct SystemSnapshot {
     /// holds the read statistics shared with the owning [`FairDS`] across
     /// publications.
     pub(crate) index: ReadIndex,
-    /// The data-reuse plane's content-addressed embedding memo table,
-    /// shared with the owning [`FairDS`] across publications. Entries are
-    /// generation-fenced to this snapshot's [`SystemSnapshot::version`]:
-    /// after a retrain the new snapshot's probes can never match (or be
-    /// poisoned by) embeddings of the replaced embedder.
+    /// This snapshot's own embedding memo table (DESIGN.md §8); only its
+    /// counters are shared with the owning [`FairDS`].
     reuse: Arc<EmbedCache>,
 }
 
@@ -165,105 +163,19 @@ impl SystemSnapshot {
         self.embedder.as_ref()
     }
 
-    /// The embedding-reuse cache this snapshot probes (shared across
-    /// snapshots; fenced per generation).
+    /// The embedding-reuse cache this snapshot owns and probes.
     pub fn embed_cache(&self) -> &Arc<EmbedCache> {
         &self.reuse
     }
 
-    /// Embeds a dataset through the data-reuse plane: rows the cache has
-    /// seen under this embedder generation are served from the memo
-    /// table; **only the misses** are gathered into one partial batch for
-    /// a single forward pass, scattered back, and installed.
-    ///
-    /// Bit-identical to `self.embedder().embed(images)` — every embedder
-    /// in this workspace is row-independent and deterministic, hits are
-    /// confirmed by full-row equality, and the generation fence rules out
-    /// cross-embedder reuse — so callers can switch freely.
+    /// Embeds a dataset through this snapshot's memo table
+    /// ([`EmbedCache::embed`]): only rows it has not embedded before pay a
+    /// forward pass. Bit-identical to `self.embedder().embed(images)`, so
+    /// callers can switch freely.
     pub fn embed_cached(&self, images: &Tensor) -> Tensor {
-        if !self.reuse.is_enabled() {
-            return self.embedder.embed(images);
-        }
-        let n = images.shape()[0];
-        let dim = self.embedder.embed_dim();
-        if n == 0 {
-            return Tensor::zeros(&[0, dim]);
-        }
-        let generation = self.version;
-        let hashes = row_hashes(images);
-
-        // Per-reader-thread scratch, recycled across batches: the miss index
-        // list, a single probe row, and the partial-miss gather buffer. With
-        // these, the probe loop and the all-miss path below perform zero
-        // heap allocations beyond what the forward pass itself needs.
-        thread_local! {
-            static MISS_IDX: std::cell::Cell<Vec<usize>> = const { std::cell::Cell::new(Vec::new()) };
-            static PROBE_ROW: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
-            static GATHER_BUF: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
-        }
-        let mut misses = MISS_IDX.take();
-        misses.clear();
-        let mut probe = PROBE_ROW.take();
-        probe.clear();
-        probe.resize(dim, 0.0);
-
-        // The output tensor is allocated lazily, on the first hit: a cold
-        // (all-miss) batch never materializes it and instead returns the
-        // forward pass's own output directly — no zeros fill, no scatter.
-        let mut out: Option<Tensor> = None;
-        for (i, &h) in hashes.iter().enumerate() {
-            let hit = match out.as_mut() {
-                Some(o) => self
-                    .reuse
-                    .get_into(generation, h, images.row(i), o.row_mut(i)),
-                None => {
-                    let hit = self
-                        .reuse
-                        .get_into(generation, h, images.row(i), &mut probe);
-                    if hit {
-                        let mut o = Tensor::zeros(&[n, dim]);
-                        o.row_mut(i).copy_from_slice(&probe);
-                        out = Some(o);
-                    }
-                    hit
-                }
-            };
-            if !hit {
-                misses.push(i);
-            }
-        }
-        PROBE_ROW.set(probe);
-
-        let result = match out {
-            // All-miss (cold or adversarial) batch: embed the input as-is
-            // and hand the embedding back untouched — the cache must cost
-            // ~nothing when it cannot help.
-            None => {
-                let mz = self.embedder.embed(images);
-                for (i, &h) in hashes.iter().enumerate() {
-                    self.reuse.insert(generation, h, images.row(i), mz.row(i));
-                }
-                mz
-            }
-            Some(mut out) => {
-                if !misses.is_empty() {
-                    let mut rows = GATHER_BUF.take();
-                    rows.clear();
-                    images.gather_rows_into(&misses, &mut rows);
-                    let partial = Tensor::from_vec(rows, &[misses.len(), images.shape()[1]]);
-                    let mz = self.embedder.embed(&partial);
-                    GATHER_BUF.set(partial.into_vec());
-                    out.scatter_rows_from(&misses, &mz);
-                    for (j, &i) in misses.iter().enumerate() {
-                        self.reuse
-                            .insert(generation, hashes[i], images.row(i), mz.row(j));
-                    }
-                }
-                out
-            }
-        };
-        MISS_IDX.set(misses);
-        result
+        self.reuse.embed(images, self.embedder.embed_dim(), |x| {
+            self.embedder.embed(x)
+        })
     }
 
     /// Embeds a dataset and returns its per-sample cluster assignments.
@@ -337,9 +249,11 @@ impl SystemSnapshot {
     /// `threshold` its label is reused, otherwise `fallback` computes one.
     /// Returns the label matrix plus reuse statistics.
     ///
-    /// The nearest-neighbor search runs in parallel over samples (the
-    /// store supports parallel reads); only the fallback labeler runs
-    /// sequentially, since it is an arbitrary `FnMut`.
+    /// The nearest-neighbor search is one routed read-index search, which
+    /// opens at most one parallel region, and only above the work gate
+    /// (DESIGN.md §9's dispatch rule). The fallback labeler is then called
+    /// once per unmatched sample, in order, on the calling thread: the
+    /// service passes its shared `Fn`, and any `FnMut` works as well.
     pub fn pseudo_label(
         &self,
         images: &Tensor,
@@ -347,7 +261,7 @@ impl SystemSnapshot {
         mut fallback: impl FnMut(&[f32]) -> Vec<f32>,
     ) -> (Tensor, PseudoLabelStats) {
         let n = images.shape()[0];
-        let nearest = self.nearest_labels_parallel(images);
+        let nearest = self.nearest_labels(images);
         let mut stats = PseudoLabelStats::default();
         let mut labels: Vec<Vec<f32>> = Vec::with_capacity(n);
         for (i, candidate) in nearest.into_iter().enumerate() {
@@ -375,7 +289,7 @@ impl SystemSnapshot {
     /// each input row, `None` when its cluster holds no labeled docs.
     /// Served entirely from the read index — no per-sample store queries
     /// and no per-candidate document decoding.
-    fn nearest_labels_parallel(&self, images: &Tensor) -> Vec<Option<(f32, Vec<f32>)>> {
+    fn nearest_labels(&self, images: &Tensor) -> Vec<Option<(f32, Vec<f32>)>> {
         let z = self.embed_cached(images);
         let index = self.index.current();
         let hits = index.routed_nearest(&z, &self.kmeans.predict(&z), true);
@@ -529,10 +443,9 @@ pub struct FairDS {
     store: Arc<Collection>,
     cfg: FairDsConfig,
     versions_published: u64,
-    /// The data-reuse plane's memo table, shared into every published
-    /// snapshot. Publication advances its generation fence, atomically
-    /// invalidating entries computed under the replaced embedder.
-    reuse: Arc<EmbedCache>,
+    /// The data-reuse plane's statistics, shared into every published
+    /// snapshot's memo table so counters survive snapshot turnover.
+    embed_stats: Arc<EmbedCacheCounters>,
     /// Routed-read statistics, shared into every published snapshot so
     /// counters survive snapshot turnover.
     read_stats: Arc<ReadIndexCounters>,
@@ -543,14 +456,13 @@ pub struct FairDS {
 impl FairDS {
     /// Creates a fairDS over an embedding method and a backing collection.
     pub fn new(embedder: Box<dyn Embedder>, store: Arc<Collection>, cfg: FairDsConfig) -> Self {
-        let reuse = Arc::new(EmbedCache::new(cfg.embed_cache));
         FairDS {
             embedder,
             current: None,
             store,
             cfg,
             versions_published: 0,
-            reuse,
+            embed_stats: Arc::default(),
             read_stats: Arc::new(ReadIndexCounters::default()),
             label_width: None,
         }
@@ -582,9 +494,10 @@ impl FairDS {
         self.cfg.certainty_threshold = threshold;
     }
 
-    /// The embedding-reuse cache shared into every published snapshot.
-    pub fn embed_cache(&self) -> &Arc<EmbedCache> {
-        &self.reuse
+    /// The embedding-reuse statistics shared by every published
+    /// snapshot's memo table.
+    pub fn embed_cache_counters(&self) -> &Arc<EmbedCacheCounters> {
+        &self.embed_stats
     }
 
     /// Flattened input width the builder's embedder expects. Available
@@ -613,9 +526,9 @@ impl FairDS {
 
     /// Replaces the read-index layout (ball sizing, or `min_cluster_rows:
     /// usize::MAX` for the brute per-cluster scan). The already-published
-    /// snapshot, if any, is re-issued — same models, same version — with
-    /// an empty index, so its next store read builds one under the new
-    /// layout.
+    /// snapshot, if any, is re-issued — same models, same version, same
+    /// embedding memo table — with an empty index, so its next store read
+    /// builds one under the new layout.
     pub fn configure_read_index(&mut self, ri: ReadIndexConfig) {
         self.cfg.read_index = ri;
         if let Some(old) = self.current.take() {
@@ -624,7 +537,8 @@ impl FairDS {
                 ..old.cfg.clone()
             };
             let (embedder, kmeans) = (Arc::clone(&old.embedder), Arc::clone(&old.kmeans));
-            self.current = Some(self.issue(embedder, kmeans, cfg, old.version));
+            let reuse = Arc::clone(&old.reuse);
+            self.current = Some(self.issue(embedder, kmeans, reuse, cfg, old.version));
         }
     }
 
@@ -638,6 +552,7 @@ impl FairDS {
         &self,
         embedder: Arc<dyn Embedder>,
         kmeans: Arc<KMeans>,
+        reuse: Arc<EmbedCache>,
         cfg: FairDsConfig,
         version: u64,
     ) -> Arc<SystemSnapshot> {
@@ -658,7 +573,7 @@ impl FairDS {
             sample_seq: AtomicU64::new(0),
             version,
             index,
-            reuse: Arc::clone(&self.reuse),
+            reuse,
         })
     }
 
@@ -688,25 +603,20 @@ impl FairDS {
             .unwrap_or_else(|| panic!("{op} before system training"))
     }
 
-    /// Freezes the just-fitted models into a new published snapshot. No
-    /// store-sized work happens here: the read index fills on the
-    /// snapshot's first store read.
+    /// Freezes the just-fitted models into a new published snapshot with
+    /// an empty embedding memo table of its own. No store-sized work
+    /// happens here: the read index fills on the snapshot's first store
+    /// read.
     fn publish(&mut self, kmeans: KMeans) {
         let version = self.versions_published;
         self.versions_published += 1;
-        // The publication fence: from this line on, probes against older
-        // generations miss (stale) and inserts from superseded snapshots
-        // are dropped — a retrain can never serve a pre-publication
-        // embedding. Ordered *before* the snapshot swap so no reader ever
-        // holds the new snapshot while the cache still accepts old-
-        // generation inserts.
-        self.reuse.advance_generation(version);
         // The one place a snapshot's embedder is made, so the one place an
         // embedder is frozen: the copy never trains again.
         let mut embedder = self.embedder.clone_embedder();
         embedder.freeze();
-        let snapshot = self.issue(embedder.into(), Arc::new(kmeans), self.cfg.clone(), version);
-        self.current = Some(snapshot);
+        let table = EmbedCache::new(self.cfg.embed_cache, Arc::clone(&self.embed_stats));
+        let (kmeans, reuse) = (Arc::new(kmeans), Arc::new(table));
+        self.current = Some(self.issue(embedder.into(), kmeans, reuse, self.cfg.clone(), version));
     }
 
     /// System-plane training (Fig 5, yellow): fits the embedding model on
@@ -801,7 +711,7 @@ impl FairDS {
     ///    into the captured store documents by [`DocId`] (pure copies — the
     ///    training job already embedded every captured row when it fit the
     ///    clustering);
-    /// 3. the new [`EmbedCache`] generation is bulk-warmed with the job's
+    /// 3. the new snapshot's [`EmbedCache`] is bulk-warmed with the job's
     ///    rows, so the post-retrain read burst starts hot;
     /// 4. only documents the job did not capture (ingested *mid-flight*;
     ///    the whole store for a re-bootstrap) pay a fresh embed, in one
@@ -833,18 +743,9 @@ impl FairDS {
             }
         }
         self.publish(kmeans);
-        // Warm the new generation with every row of the job (captured store
-        // docs *and* the fresh batch — both are inputs the read plane is
-        // likely to see again): hashes + memo inserts only, no forward
-        // pass.
-        if self.reuse.is_enabled() {
-            let generation = self.current.as_ref().map(|s| s.version()).unwrap_or(0);
-            let hashes = row_hashes(&pixels);
-            self.reuse.warm_insert(
-                generation,
-                (0..pixels.shape()[0]).map(|i| (hashes[i], pixels.row(i), embeddings.row(i))),
-            );
-        }
+        // Warm the new snapshot's table with every row of the job (captured
+        // docs *and* the fresh batch, both likely to be read again).
+        self.ready("install").reuse.warm(&pixels, &embeddings);
         // Delta reindex: only docs the job never saw pay a forward pass.
         let delta: Vec<DocId> = self
             .store
@@ -896,8 +797,8 @@ impl FairDS {
         }
         let x = Tensor::from_vec(rows, &[pending.len(), dim]);
         // Cached path: a reindex right after a retrain also *warms* the
-        // new generation with every re-embedded frame, so the first post-
-        // retrain read burst starts hot.
+        // new snapshot's table with every re-embedded frame, so the first
+        // post-retrain read burst starts hot.
         let z = snap.embed_cached(&x);
         let clusters = snap.kmeans.predict(&z);
         let n = pending.len();
@@ -1167,6 +1068,31 @@ pub(crate) mod tests {
         let pdf_a_again = snap_a.dataset_pdf(&x);
         assert_eq!(pdf_a, pdf_a_again, "old snapshot must stay frozen");
         assert_eq!(snap_b.dataset_pdf(&x).len(), snap_b.k());
+    }
+
+    #[test]
+    fn reissued_snapshot_keeps_its_embedding_table() {
+        let (x, _) = blob_images(10, 2, 15);
+        let mut ds = fairds_with_k(2);
+        ds.train_system(&x, &quick_embed_cfg());
+        let snap = ds.snapshot().expect("trained");
+        let z = snap.embed_cached(&x);
+
+        // Same embedder, new index layout: the re-issue shares the table,
+        // so every row cached before it is a hit after it.
+        ds.configure_read_index(ReadIndexConfig {
+            min_cluster_rows: usize::MAX,
+            ..ds.config().read_index
+        });
+        let reissued = ds.snapshot().expect("re-issued");
+        assert!(!Arc::ptr_eq(&snap, &reissued), "re-issue swaps the Arc");
+        let before = reissued.embed_cache().stats();
+        assert_eq!(reissued.embed_cached(&x), z);
+        let after = reissued.embed_cache().stats();
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits + x.shape()[0] as u64, before.misses)
+        );
     }
 
     #[test]

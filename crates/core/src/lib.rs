@@ -20,9 +20,9 @@
 //! * [`workflow`] — the rapid model-update workflow combining both
 //!   services, with the legacy (Voigt + train-from-scratch) baselines and
 //!   the timing attribution used in the paper's case study (Fig 15);
-//! * [`reuse`] — the data-reuse plane: the content-addressed,
-//!   generation-fenced embedding memo table every snapshot read probes
-//!   before paying for a forward pass (the paper's hash-and-reuse
+//! * [`reuse`] — the data-reuse plane: the content-addressed embedding
+//!   memo table each published snapshot owns and every one of its reads
+//!   probes before paying for a forward pass (the paper's hash-and-reuse
 //!   mechanism, §II-A);
 //! * [`models`] — BraggNN and CookieNetAE, the paper's two benchmark
 //!   applications (§III-A);

@@ -1,50 +1,36 @@
 //! The data-reuse plane: a content-addressed embedding memo table.
 //!
-//! fairDMS's headline mechanism is **data reuse** — hash incoming frames
-//! and serve cached DNN outputs for data the system has already seen, so
-//! only genuinely new data pays for a forward pass (paper §II-A). In this
-//! reproduction the reused DNN output is the *embedding*: every read-plane
-//! operation ([`SystemSnapshot::dataset_pdf`], `certainty`,
-//! `pseudo_label`, `nearest_labeled`) starts by embedding its image batch,
-//! and at an experiment facility the same frames recur constantly
-//! (repeated scans, re-queried datasets, monitor batches over a sliding
-//! window).
-//!
-//! [`EmbedCache`] memoizes that first step:
+//! fairDMS's headline mechanism is **data reuse**: hash incoming frames
+//! and serve stored DNN outputs for data already seen, so only new data
+//! pays for a forward pass (paper §II-A). Here the reused output is the
+//! *embedding*, the first step of every read ([`SystemSnapshot::dataset_pdf`],
+//! `certainty`, `pseudo_label`, `nearest_labeled`). [`EmbedCache::embed`]
+//! is the one path through the table: probe every row, forward **only the
+//! misses** as one partial batch, scatter them back, install them.
 //!
 //! * **Content-addressed.** The key is a fast 64-bit hash of the row's
 //!   `f32` bit patterns plus its length ([`fairdms_tensor::hash`]),
 //!   confirmed by a full-row equality check before a hit is served — a
 //!   64-bit collision degrades to a miss, never to a wrong embedding.
-//! * **Generation-fenced.** Every entry is tagged with the embedder
-//!   *generation* (the published [`SystemSnapshot::version`]). A system
-//!   retrain publishes a new generation; entries from the old embedder
-//!   stop matching instantly — no scan, no flush, just a fence check on
-//!   the hit path — so a retrain can never serve pre-publication
-//!   embeddings. Inserts from superseded snapshots are dropped for the
-//!   same reason.
-//! * **Sharded and lock-light.** Entries live in independent second-
-//!   chance (clock) LRU segments — one per 512 entries of capacity, at
-//!   most eight — selected by the high hash bits; a hit takes one short
-//!   shard lock, and concurrent batches touch disjoint shards most of the
-//!   time. There is no global lock anywhere.
-//! * **Bounded.** Capacity is fixed at construction and split across
-//!   shards; insertion beyond capacity evicts via the clock hand
-//!   (recently-hit entries get a second chance before leaving).
+//! * **Owned by one snapshot.** Each published [`SystemSnapshot`] has its
+//!   own table, as it has its own read index, so a table only ever holds
+//!   its owner's embeddings: a retrain's snapshot starts from a fresh
+//!   table ([`EmbedCache::warm`]ed by the install) and a reader still
+//!   holding the old snapshot keeps hitting the old one. Only the
+//!   counters are shared ([`EmbedCacheCounters`]).
+//! * **Sharded and bounded.** Entries live in independent second-chance
+//!   (clock) LRU segments — one per 512 entries of capacity, at most
+//!   eight — selected by the high hash bits; a hit takes one short shard
+//!   lock and there is no global lock. Insertion beyond capacity evicts
+//!   via the clock hand (recently-hit entries get a second chance).
 //!
-//! The consumer-side pattern is *miss-only batched inference*
-//! ([`SystemSnapshot::embed_cached`]): probe the cache per row, gather
-//! only the misses into one partial batch for a single forward pass
-//! (one GEMM instead of N), scatter the results back, install them.
-//!
+//! [`SystemSnapshot`]: crate::fairds::SystemSnapshot
 //! [`SystemSnapshot::dataset_pdf`]: crate::fairds::SystemSnapshot::dataset_pdf
-//! [`SystemSnapshot::version`]: crate::fairds::SystemSnapshot::version
-//! [`SystemSnapshot::embed_cached`]: crate::fairds::SystemSnapshot::embed_cached
 
+use fairdms_tensor::{hash::row_hashes, Tensor};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use fairdms_check::atomic::AtomicU64 as CheckedAtomicU64;
+use std::sync::Arc;
 
 /// Embedding-cache sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -77,14 +63,14 @@ impl Default for EmbedCacheConfig {
 /// Point-in-time copy of the cache's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EmbedCacheStats {
-    /// Probes served from the table (hash + generation + full row match).
+    /// Probes served from the table (hash + full row match).
     pub hits: u64,
-    /// Probes that paid a forward pass (including disabled-cache probes).
+    /// Probes that missed. A disabled cache probes nothing.
     pub misses: u64,
     /// Entries displaced by the clock hand to make room.
     pub evictions: u64,
-    /// Probes whose key matched an entry from a *previous* embedder
-    /// generation — the fence working as designed after a retrain.
+    /// Always 0: no table is shared across embedders, so no probe is ever
+    /// refused as stale. Kept because the wire format carries it.
     pub stale_generation: u64,
 }
 
@@ -100,15 +86,31 @@ impl EmbedCacheStats {
     }
 }
 
-/// One entry of a bulk warm: `(row hash, input row, embedding)` — the
-/// same triple [`EmbedCache::insert`] takes, borrowed from the warmer's
-/// matrices.
-pub type WarmEntry<'a> = (u64, &'a [f32], &'a [f32]);
+/// Monotone statistics of every table one [`crate::fairds::FairDS`]
+/// publishes, surfaced through the service's metrics endpoint. Counters
+/// only — all `Relaxed`, nothing is ordered by them.
+#[derive(Debug, Default)]
+pub struct EmbedCacheCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl EmbedCacheCounters {
+    /// A point-in-time copy of the counters.
+    pub fn stats(&self) -> EmbedCacheStats {
+        EmbedCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            stale_generation: 0,
+        }
+    }
+}
 
 /// One memoized embedding.
 struct Entry {
     hash: u64,
-    generation: u64,
     /// The full input row — the collision check (and the reason a hit can
     /// be trusted bit-for-bit).
     key: Box<[f32]>,
@@ -122,73 +124,45 @@ struct Entry {
 /// One independent segment: a slot arena + hash index + clock hand.
 #[derive(Default)]
 struct Shard {
-    /// `hash → slot` index. One slot per hash: a true 64-bit collision
-    /// (different rows, same hash) keeps the resident entry and the
-    /// newcomer simply stays uncached — correctness comes from the
-    /// full-row check, capacity accounting stays exact.
+    /// `hash → slot` index. One slot per hash: an insert whose hash is
+    /// resident replaces that entry in place — the same row, or a true
+    /// 64-bit collision — so capacity accounting stays exact and
+    /// correctness comes from the full-row check.
     index: std::collections::HashMap<u64, usize>,
     slots: Vec<Entry>,
     hand: usize,
 }
 
 impl Shard {
-    /// Copies the cached embedding into `dst` when `hash`+`generation`+
-    /// full row match.
-    fn get_into(&mut self, generation: u64, hash: u64, row: &[f32], dst: &mut [f32]) -> Probe {
+    /// Copies the cached embedding into `dst` when `hash` and the full row
+    /// match.
+    fn get_into(&mut self, hash: u64, row: &[f32], dst: &mut [f32]) -> bool {
         let Some(&slot) = self.index.get(&hash) else {
-            return Probe::Miss;
+            return false;
         };
         let e = &mut self.slots[slot];
-        if e.generation != generation {
-            // Fence: the entry predates (or postdates) this snapshot's
-            // embedder. Do NOT serve it; leave replacement to inserts
-            // from the *current* generation.
-            return Probe::Stale;
-        }
         if e.key.as_ref() != row {
-            return Probe::Miss; // 64-bit collision — extremely rare
+            return false; // 64-bit collision — extremely rare
         }
         dst.copy_from_slice(&e.value);
         e.referenced = true;
-        Probe::Hit
+        true
     }
 
     /// Installs `row → value`, evicting via second chance when at
     /// `capacity`. Returns the number of evictions (0 or 1).
-    fn insert(
-        &mut self,
-        capacity: usize,
-        generation: u64,
-        hash: u64,
-        row: &[f32],
-        value: &[f32],
-    ) -> u64 {
+    fn insert(&mut self, capacity: usize, hash: u64, row: &[f32], value: &[f32]) -> u64 {
         if capacity == 0 {
             return 0;
         }
         if let Some(&slot) = self.index.get(&hash) {
             let e = &mut self.slots[slot];
-            // Generations only move forward, re-checked here *under the
-            // shard lock*: the caller's fence test races the publisher,
-            // so a straggler insert from a just-superseded snapshot can
-            // reach this point after a current-generation reader already
-            // installed the row's new embedding — it must not downgrade
-            // that fresh entry back to the old embedder's value.
-            if generation < e.generation {
-                return 0;
-            }
-            // Same hash resident: refresh it (a stale-generation entry is
-            // replaced here — this is how old generations drain without a
-            // flush). A colliding different row of the same generation
-            // also lands here; replacing is as correct as keeping.
-            e.generation = generation;
             e.key = row.into();
             e.value = value.into();
             return 0;
         }
         let entry = Entry {
             hash,
-            generation,
             key: row.into(),
             value: value.into(),
             referenced: false,
@@ -216,56 +190,25 @@ impl Shard {
     }
 }
 
-/// What one shard probe found.
-enum Probe {
-    Hit,
-    Miss,
-    Stale,
-}
-
-/// Sharded, generation-fenced, content-addressed embedding memo table.
-/// See the [module docs](self) for the design.
+/// Sharded, content-addressed embedding memo table of one published
+/// snapshot. See the [module docs](self) for the design.
 pub struct EmbedCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    /// The only generation inserts are accepted for — advanced by each
-    /// system-plane publication ([`EmbedCache::advance_generation`]).
-    /// A `fairdms_check` wrapper (std passthrough in default builds) so
-    /// the fence-advance protocol is model-checkable; the stats counters
-    /// below stay plain std atomics (they guard nothing).
-    generation: CheckedAtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    stale_generation: AtomicU64,
-}
-
-impl std::fmt::Debug for EmbedCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EmbedCache")
-            .field("capacity", &self.capacity())
-            .field("shards", &self.shards.len())
-            .field("generation", &self.generation())
-            .field("stats", &self.stats())
-            .finish()
-    }
+    counters: Arc<EmbedCacheCounters>,
 }
 
 impl EmbedCache {
-    /// A cache with the given capacity, split across
+    /// An empty table counting into `counters`, its capacity split across
     /// `(capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS)` shards.
-    pub fn new(cfg: EmbedCacheConfig) -> Self {
+    pub fn new(cfg: EmbedCacheConfig, counters: Arc<EmbedCacheCounters>) -> Self {
         let shards = (cfg.capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS);
         EmbedCache {
             // Round the per-shard budget up so total capacity is never
             // silently below the configured one.
             per_shard_capacity: cfg.capacity.div_ceil(shards),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            generation: CheckedAtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_generation: AtomicU64::new(0),
+            counters,
         }
     }
 
@@ -276,143 +219,118 @@ impl EmbedCache {
 
     /// Total entry budget.
     pub fn capacity(&self) -> usize {
-        if self.per_shard_capacity == 0 {
-            0
-        } else {
-            self.per_shard_capacity * self.shards.len()
-        }
-    }
-
-    /// The generation inserts are currently accepted for.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Moves the fence to a freshly published embedder generation.
-    /// Resident entries of older generations stop matching immediately
-    /// (served as [`EmbedCacheStats::stale_generation`] misses) and are
-    /// replaced lazily by inserts; in-flight inserts tagged with an older
-    /// generation are dropped at the door.
-    pub fn advance_generation(&self, generation: u64) {
-        // `fetch_max`, not `store`: a slow publisher must never move the
-        // fence backwards and resurrect stale entries.
-        self.generation.fetch_max(generation, Ordering::AcqRel);
+        self.per_shard_capacity * self.shards.len()
     }
 
     #[inline]
-    fn shard_index(&self, hash: u64) -> usize {
+    fn shard_of(&self, hash: u64) -> usize {
         // High bits select the shard; low bits feed the HashMap. The
         // splitmix finalizer avalanches fully, so both are uniform.
         ((hash >> 48) as usize) % self.shards.len()
     }
 
-    #[inline]
-    fn shard_of(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(hash)]
-    }
-
-    /// Probes for `row` under `generation`, copying the embedding into
-    /// `dst` on a hit. Counts the probe either way.
-    pub fn get_into(&self, generation: u64, hash: u64, row: &[f32], dst: &mut [f32]) -> bool {
+    /// Embeds `images` (`[n, d]`) into `[n, dim]`: hits are copied straight
+    /// into the output, **only the misses** go through one `forward` call,
+    /// scattered back and installed. A batch with no hit is forwarded whole
+    /// and `forward`'s own output returned; a disabled table is `forward`
+    /// itself. Bit-identical to `forward(images)` for a row-independent,
+    /// deterministic `forward`, as every embedder in this workspace is.
+    pub fn embed(
+        &self,
+        images: &Tensor,
+        dim: usize,
+        forward: impl FnOnce(&Tensor) -> Tensor,
+    ) -> Tensor {
+        let n = images.shape()[0];
         if !self.is_enabled() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return forward(images);
         }
-        let probe = self
-            .shard_of(hash)
-            .lock()
-            .get_into(generation, hash, row, dst);
-        match probe {
-            Probe::Hit => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                true
+        if n == 0 {
+            return Tensor::zeros(&[0, dim]);
+        }
+        let hashes = row_hashes(images);
+        let mut out = Tensor::zeros(&[n, dim]);
+        let misses: Vec<usize> = (0..n)
+            .filter(|&i| !self.get_into(hashes[i], images.row(i), out.row_mut(i)))
+            .collect();
+        if misses.len() == n {
+            let z = forward(images);
+            for (i, &h) in hashes.iter().enumerate() {
+                self.insert(h, images.row(i), z.row(i));
             }
-            Probe::Stale => {
-                self.stale_generation.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Probe::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
+            return z;
+        }
+        if !misses.is_empty() {
+            let z = forward(&images.gather_rows(&misses));
+            out.scatter_rows_from(&misses, &z);
+            for (j, &i) in misses.iter().enumerate() {
+                self.insert(hashes[i], images.row(i), z.row(j));
             }
         }
+        out
     }
 
-    /// Installs a freshly computed embedding — but only when `generation`
-    /// is still the cache's current one: a superseded snapshot must not
-    /// repopulate the table with embeddings of a replaced embedder.
-    pub fn insert(&self, generation: u64, hash: u64, row: &[f32], value: &[f32]) {
-        if !self.is_enabled() || generation != self.generation() {
+    /// Installs row `i` of `embeddings` as the embedding of row `i` of
+    /// `images`, under **one lock acquisition per shard**: the warm path of
+    /// an O(copy) retrain install, whose training job already embedded
+    /// every row, so the new snapshot's table starts hot.
+    pub fn warm(&self, images: &Tensor, embeddings: &Tensor) {
+        if !self.is_enabled() {
             return;
         }
-        let evicted = self.shard_of(hash).lock().insert(
+        let hashes = row_hashes(images);
+        let mut buckets = vec![Vec::new(); self.shards.len()];
+        for (i, &h) in hashes.iter().enumerate() {
+            buckets[self.shard_of(h)].push(i);
+        }
+        let mut evicted = 0;
+        for (shard, rows) in self.shards.iter().zip(buckets) {
+            let mut shard = shard.lock();
+            for i in rows {
+                let (row, value) = (images.row(i), embeddings.row(i));
+                evicted += shard.insert(self.per_shard_capacity, hashes[i], row, value);
+            }
+        }
+        self.count_evictions(evicted);
+    }
+
+    /// Probes for `row`, copying the embedding into `dst` on a hit. Counts
+    /// the probe either way.
+    fn get_into(&self, hash: u64, row: &[f32], dst: &mut [f32]) -> bool {
+        let hit = self.shards[self.shard_of(hash)]
+            .lock()
+            .get_into(hash, row, dst);
+        let counter = if hit {
+            &self.counters.hits
+        } else {
+            &self.counters.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Installs a freshly computed embedding.
+    fn insert(&self, hash: u64, row: &[f32], value: &[f32]) {
+        let evicted = self.shards[self.shard_of(hash)].lock().insert(
             self.per_shard_capacity,
-            generation,
             hash,
             row,
             value,
         );
+        self.count_evictions(evicted);
+    }
+
+    fn count_evictions(&self, evicted: u64) {
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
-    /// Bulk-installs freshly computed embeddings for a (typically brand
-    /// new) generation — the warm path of an O(copy) retrain install:
-    /// the training job already embedded every captured row, so the new
-    /// generation can start hot without a single forward pass.
-    ///
-    /// Entries are bucketed by shard first and installed under **one lock
-    /// acquisition per shard** instead of one per row; the per-entry fence
-    /// check of [`EmbedCache::insert`] is hoisted to a single generation
-    /// comparison up front (callers pass the generation they are warming,
-    /// and a superseded warmer is dropped wholesale).
-    pub fn warm_insert<'a>(
-        &self,
-        generation: u64,
-        entries: impl IntoIterator<Item = WarmEntry<'a>>,
-    ) {
-        if !self.is_enabled() || generation != self.generation() {
-            return;
-        }
-        let mut buckets: Vec<Vec<WarmEntry<'_>>> = vec![Vec::new(); self.shards.len()];
-        for e in entries {
-            buckets[self.shard_index(e.0)].push(e);
-        }
-        let mut evicted = 0u64;
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[i].lock();
-            for (hash, row, value) in bucket {
-                evicted += shard.insert(self.per_shard_capacity, generation, hash, row, value);
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of the counters.
+    /// A point-in-time copy of the counters every table of a `FairDS` shares.
     pub fn stats(&self) -> EmbedCacheStats {
-        EmbedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_generation: self.stale_generation.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resident entry count (sums shard lengths; diagnostic only).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().slots.len()).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.counters.stats()
     }
 }
 
@@ -425,91 +343,59 @@ mod tests {
         (0..d).map(|i| seed + i as f32 * 0.5).collect()
     }
 
-    fn probe(cache: &EmbedCache, generation: u64, r: &[f32]) -> Option<Vec<f32>> {
+    fn table(cfg: EmbedCacheConfig) -> EmbedCache {
+        EmbedCache::new(cfg, Arc::default())
+    }
+
+    fn probe(cache: &EmbedCache, r: &[f32]) -> Option<Vec<f32>> {
         let mut dst = vec![0.0f32; 4];
-        cache
-            .get_into(generation, hash_row(r), r, &mut dst)
-            .then_some(dst)
+        cache.get_into(hash_row(r), r, &mut dst).then_some(dst)
+    }
+
+    fn resident(cache: &EmbedCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().slots.len()).sum()
+    }
+
+    fn matrix(rows: &[Vec<f32>]) -> Tensor {
+        Tensor::from_vec(rows.concat(), &[rows.len(), rows[0].len()])
     }
 
     #[test]
     fn round_trips_by_content() {
-        let cache = EmbedCache::new(EmbedCacheConfig::default());
+        let cache = table(EmbedCacheConfig::default());
         let r = row(1.0, 8);
         let z = row(9.0, 4);
-        assert!(probe(&cache, 0, &r).is_none());
-        cache.insert(0, hash_row(&r), &r, &z);
+        assert!(probe(&cache, &r).is_none());
+        cache.insert(hash_row(&r), &r, &z);
         // Same content, fresh allocation: still a hit.
         let r2 = row(1.0, 8);
-        assert_eq!(probe(&cache, 0, &r2).as_deref(), Some(&z[..]));
+        assert_eq!(probe(&cache, &r2).as_deref(), Some(&z[..]));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!(s.hit_ratio() > 0.49 && s.hit_ratio() < 0.51);
     }
 
     #[test]
-    fn generation_fence_blocks_old_entries_and_old_inserts() {
-        let cache = EmbedCache::new(EmbedCacheConfig::default());
-        let r = row(2.0, 8);
-        cache.insert(0, hash_row(&r), &r, &row(0.0, 4));
-        cache.advance_generation(1);
-        // The gen-0 entry must not serve a gen-1 probe.
-        assert!(probe(&cache, 1, &r).is_none());
-        assert_eq!(cache.stats().stale_generation, 1);
-        // A straggler snapshot of gen 0 cannot reinstall its embedding…
-        let r_new = row(3.0, 8);
-        cache.insert(0, hash_row(&r_new), &r_new, &row(1.0, 4));
-        assert!(probe(&cache, 0, &r_new).is_none());
-        // …but the current generation can, and then hits.
-        cache.insert(1, hash_row(&r_new), &r_new, &row(1.0, 4));
-        assert_eq!(probe(&cache, 1, &r_new).as_deref(), Some(&row(1.0, 4)[..]));
-        // Fence never moves backwards.
-        cache.advance_generation(0);
-        assert_eq!(cache.generation(), 1);
-    }
-
-    #[test]
-    fn straggler_insert_cannot_downgrade_a_newer_entry() {
-        // A superseded snapshot that passed the (unlocked) fence check
-        // just before the publication must not overwrite the row's fresh
-        // current-generation entry with the old embedder's value: the
-        // shard re-checks generation monotonicity under its lock.
-        let cache = EmbedCache::new(EmbedCacheConfig::default());
-        cache.advance_generation(1);
-        let r = row(6.0, 8);
-        let h = hash_row(&r);
-        cache.insert(1, h, &r, &row(11.0, 4));
-        // Simulate the straggler racing past EmbedCache::insert's fence:
-        // drive the shard-level path with the stale generation directly.
-        cache.shard_of(h).lock().insert(64, 0, h, &r, &row(99.0, 4));
-        assert_eq!(
-            probe(&cache, 1, &r).as_deref(),
-            Some(&row(11.0, 4)[..]),
-            "gen-1 entry must survive a stale gen-0 refresh"
-        );
-    }
-
-    #[test]
     fn full_row_confirmation_rules_out_forged_hash_matches() {
-        let cache = EmbedCache::new(EmbedCacheConfig::default());
+        let cache = table(EmbedCacheConfig::default());
         let r = row(4.0, 8);
         let h = hash_row(&r);
-        cache.insert(0, h, &r, &row(0.0, 4));
+        cache.insert(h, &r, &row(0.0, 4));
         // Probe with the *same hash* but different content (a simulated
         // 64-bit collision): the full-row check must refuse the hit.
         let imposter = row(5.0, 8);
         let mut dst = vec![0.0f32; 4];
-        assert!(!cache.get_into(0, h, &imposter, &mut dst));
+        assert!(!cache.get_into(h, &imposter, &mut dst));
     }
 
     #[test]
     fn capacity_is_bounded_and_eviction_counts() {
-        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 8 });
+        let cache = table(EmbedCacheConfig { capacity: 8 });
         for i in 0..32 {
             let r = row(i as f32, 8);
-            cache.insert(0, hash_row(&r), &r, &row(0.0, 4));
+            cache.insert(hash_row(&r), &r, &row(0.0, 4));
         }
-        assert!(cache.len() <= cache.capacity());
+        assert!(resident(&cache) <= cache.capacity());
         assert!(cache.stats().evictions > 0);
     }
 
@@ -517,95 +403,79 @@ mod tests {
     fn second_chance_protects_recently_hit_entries() {
         // One shard, capacity 2: hit entry A, then insert pressure must
         // evict the un-hit B first.
-        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 2 });
+        let cache = table(EmbedCacheConfig { capacity: 2 });
         let (a, b) = (row(1.0, 8), row(2.0, 8));
-        cache.insert(0, hash_row(&a), &a, &row(10.0, 4));
-        cache.insert(0, hash_row(&b), &b, &row(20.0, 4));
+        cache.insert(hash_row(&a), &a, &row(10.0, 4));
+        cache.insert(hash_row(&b), &b, &row(20.0, 4));
         // Touch A so only A carries the second-chance bit.
-        assert!(probe(&cache, 0, &a).is_some());
+        assert!(probe(&cache, &a).is_some());
         let newcomer = row(4.0, 8);
-        cache.insert(0, hash_row(&newcomer), &newcomer, &row(40.0, 4));
+        cache.insert(hash_row(&newcomer), &newcomer, &row(40.0, 4));
         assert!(
-            probe(&cache, 0, &a).is_some(),
+            probe(&cache, &a).is_some(),
             "recently-hit entry must survive one insertion wave"
         );
-        assert!(probe(&cache, 0, &newcomer).is_some());
+        assert!(probe(&cache, &newcomer).is_some());
         assert!(
-            probe(&cache, 0, &b).is_none(),
+            probe(&cache, &b).is_none(),
             "the un-hit entry is the victim"
         );
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
-    fn warm_insert_populates_a_fresh_generation_in_bulk() {
-        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 64 });
-        cache.advance_generation(3);
+    fn warm_populates_a_fresh_table_in_bulk() {
+        let cache = table(EmbedCacheConfig { capacity: 64 });
         let rows: Vec<Vec<f32>> = (0..16).map(|i| row(i as f32, 8)).collect();
         let values: Vec<Vec<f32>> = (0..16).map(|i| row(100.0 + i as f32, 4)).collect();
-        let hashes: Vec<u64> = rows.iter().map(|r| hash_row(r)).collect();
-        cache.warm_insert(
-            3,
-            (0..16).map(|i| (hashes[i], rows[i].as_slice(), values[i].as_slice())),
-        );
+        cache.warm(&matrix(&rows), &matrix(&values));
         for i in 0..16 {
             assert_eq!(
-                probe(&cache, 3, &rows[i]).as_deref(),
+                probe(&cache, &rows[i]).as_deref(),
                 Some(&values[i][..]),
                 "warmed row {i} must hit"
             );
         }
-        // A warm for a superseded generation is dropped wholesale.
-        let stale = row(99.0, 8);
-        let h = hash_row(&stale);
-        cache.warm_insert(2, [(h, stale.as_slice(), values[0].as_slice())]);
-        assert!(probe(&cache, 2, &stale).is_none());
-        assert!(probe(&cache, 3, &stale).is_none());
     }
 
     #[test]
-    fn warm_insert_respects_capacity_and_counts_evictions() {
-        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 8 });
+    fn warm_respects_capacity_and_counts_evictions() {
+        let cache = table(EmbedCacheConfig { capacity: 8 });
         let rows: Vec<Vec<f32>> = (0..32).map(|i| row(i as f32, 8)).collect();
-        let values = row(0.0, 4);
-        cache.warm_insert(
-            0,
-            rows.iter()
-                .map(|r| (hash_row(r), r.as_slice(), &values[..])),
-        );
-        assert!(cache.len() <= cache.capacity());
+        let values = vec![row(0.0, 4); 32];
+        cache.warm(&matrix(&rows), &matrix(&values));
+        assert!(resident(&cache) <= cache.capacity());
         assert!(cache.stats().evictions > 0);
     }
 
     #[test]
     fn shard_count_is_derived_from_capacity() {
         for (capacity, shards) in [(0, 1), (4, 1), (1_024, 2), (4_096, 8), (1 << 20, 8)] {
-            let cache = EmbedCache::new(EmbedCacheConfig { capacity });
+            let cache = table(EmbedCacheConfig { capacity });
             assert_eq!(cache.shards.len(), shards, "capacity {capacity}");
             assert!(cache.capacity() >= capacity, "capacity {capacity}");
         }
         // Rounding the per-shard budget up never loses configured room.
         for capacity in [1, 511, 513, 1_500, 4_097, 9_999] {
-            let cache = EmbedCache::new(EmbedCacheConfig { capacity });
+            let cache = table(EmbedCacheConfig { capacity });
             assert!(cache.capacity() >= capacity, "capacity {capacity}");
         }
     }
 
     #[test]
     fn zero_capacity_disables_cleanly() {
-        let cache = EmbedCache::new(EmbedCacheConfig { capacity: 0 });
+        let cache = table(EmbedCacheConfig { capacity: 0 });
         assert!(!cache.is_enabled());
         assert_eq!(cache.capacity(), 0);
         let r = row(1.0, 8);
-        cache.insert(0, hash_row(&r), &r, &row(0.0, 4));
-        assert!(probe(&cache, 0, &r).is_none());
+        cache.insert(hash_row(&r), &r, &row(0.0, 4));
+        assert!(probe(&cache, &r).is_none());
         assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]
     fn concurrent_probes_and_inserts_stay_consistent() {
-        use std::sync::Arc;
-        let cache = Arc::new(EmbedCache::new(EmbedCacheConfig { capacity: 256 }));
+        let cache = Arc::new(table(EmbedCacheConfig { capacity: 256 }));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let cache = Arc::clone(&cache);
@@ -614,12 +484,12 @@ mod tests {
                     let r = row(((t * 37 + i) % 64) as f32, 16);
                     let h = hash_row(&r);
                     let mut dst = vec![0.0f32; 4];
-                    if cache.get_into(0, h, &r, &mut dst) {
+                    if cache.get_into(h, &r, &mut dst) {
                         // A hit must carry the value inserted for this row.
                         assert_eq!(dst[0], r[0] * 2.0, "foreign value served");
                     } else {
                         let z = vec![r[0] * 2.0, 0.0, 0.0, 0.0];
-                        cache.insert(0, h, &r, &z);
+                        cache.insert(h, &r, &z);
                     }
                 }
             }));
@@ -629,6 +499,6 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 8 * 200);
-        assert!(cache.len() <= cache.capacity());
+        assert!(resident(&cache) <= cache.capacity());
     }
 }

@@ -26,7 +26,7 @@
 //! handler, and dashboards could not tell which plane to scale.
 
 use fairdms_core::fairds::ReadIndexCounters;
-use fairdms_core::reuse::{EmbedCache, EmbedCacheStats};
+use fairdms_core::reuse::{EmbedCacheCounters, EmbedCacheStats};
 use fairdms_datastore::wire::{OutOfBounds, Reader, WriteExt};
 use fairdms_flows::jobs::{JobPool, TenantId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,11 +218,10 @@ u64_table! {
     registry Metrics {
         ops: [OpStats; OPS.len()],
         queue: [OpStats; OPS.len()],
-        /// Handle onto the data-reuse plane's embedding cache, attached at
-        /// server spawn so snapshots can report
-        /// `embed_cache_{hits,misses,evictions,stale_generation}`. The cache
-        /// keeps its own lock-free counters; this is a read-only view.
-        embed_cache: OnceLock<Arc<EmbedCache>>,
+        /// The counters every published snapshot's embedding cache shares,
+        /// attached at server spawn so snapshots can report
+        /// `embed_cache_{hits,misses,evictions,stale_generation}`.
+        embed_cache: OnceLock<Arc<EmbedCacheCounters>>,
         /// Handle onto the read plane's IVF index counters, attached at
         /// server spawn so snapshots report the `read_index_*` fields
         /// (DESIGN.md §12). Read-only view, same contract as
@@ -459,11 +458,10 @@ impl Metrics {
         &self.queue[op]
     }
 
-    /// Attaches the deployment's embedding-reuse cache so its counters
-    /// appear in every subsequent [`Metrics::snapshot`]. First attachment
-    /// wins (the registry outlives any one cache swap).
-    pub fn attach_embed_cache(&self, cache: Arc<EmbedCache>) {
-        let _ = self.embed_cache.set(cache);
+    /// Attaches the deployment's embedding-reuse counters so they appear
+    /// in every subsequent [`Metrics::snapshot`]. First attachment wins.
+    pub fn attach_embed_cache(&self, counters: Arc<EmbedCacheCounters>) {
+        let _ = self.embed_cache.set(counters);
     }
 
     /// Attaches the deployment's read-index counters so IVF probe/prune

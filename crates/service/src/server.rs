@@ -273,7 +273,7 @@ pub(crate) fn spawn_tenant(
 ) -> (DmsClient, ServerHandle) {
     let (write_tx, write_rx) = bounded::<Msg>(cfg.queue_capacity);
     let metrics = Arc::new(Metrics::new());
-    metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache()));
+    metrics.attach_embed_cache(Arc::clone(trainer.fairds.embed_cache_counters()));
     metrics.attach_read_index(Arc::clone(trainer.fairds.read_index_counters()));
     // Weak: the registry must not keep pool workers alive past the
     // owner's shutdown; the gauge just reads 0 afterwards.

@@ -182,24 +182,18 @@ impl Tensor {
     /// Gathers rows (leading-dimension slices) by index into a new tensor.
     /// Works for any rank ≥ 1; the output keeps the trailing dimensions.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        assert!(self.rank() >= 1, "gather_rows requires rank ≥ 1");
-        let n = self.shape()[0];
-        let rs = self.row_size();
-        let mut data = Vec::with_capacity(indices.len() * rs);
-        for &i in indices {
-            assert!(i < n, "gather_rows: index {i} out of bounds for {n} rows");
-            data.extend_from_slice(&self.data[i * rs..(i + 1) * rs]);
-        }
+        let mut data = Vec::new();
+        self.gather_rows_into(indices, &mut data);
         let mut dims = self.shape().to_vec();
         dims[0] = indices.len();
         Tensor::from_vec(data, &dims)
     }
 
     /// Appends the selected rows onto `out` without allocating a fresh
-    /// tensor per call — the miss-gather path of the embedding cache
-    /// reuses one buffer across batches instead of churning the
-    /// allocator. `out` is *appended to* (clear it first for a fresh
-    /// gather); the caller shapes it afterwards.
+    /// tensor per call — the trainer's mini-batch gather reuses one buffer
+    /// across steps instead of churning the allocator. `out` is *appended
+    /// to* (clear it first for a fresh gather); the caller shapes it
+    /// afterwards.
     pub fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
         assert!(self.rank() >= 1, "gather_rows_into requires rank ≥ 1");
         let n = self.shape()[0];

@@ -213,12 +213,11 @@ fn main() {
         m.training_jobs_started, m.training_jobs_completed, m.training_jobs_superseded
     );
     println!(
-        "embed cache: {} hits / {} misses (hit ratio {:.1}%), {} evictions, {} stale-generation",
+        "embed cache: {} hits / {} misses (hit ratio {:.1}%), {} evictions",
         m.embed_cache.hits,
         m.embed_cache.misses,
         100.0 * m.embed_cache_hit_ratio(),
-        m.embed_cache.evictions,
-        m.embed_cache.stale_generation
+        m.embed_cache.evictions
     );
     println!(
         "read index: {} probes, {} balls pruned, {} candidates scanned",

@@ -1,18 +1,19 @@
-//! Generation fencing of the data-reuse plane (DESIGN.md §8).
+//! The data-reuse plane across a retrain (DESIGN.md §8).
 //!
 //! The dangerous failure mode of an embedding memo table is serving an
 //! embedding computed by a *replaced* embedder: cluster assignments,
 //! PDFs and pseudo-labels would silently mix two incompatible geometric
-//! spaces. These tests pin the fence from both ends:
+//! spaces. Each published snapshot owns its table, and these tests pin
+//! that from both ends:
 //!
-//! * core level — a retrain publication must atomically invalidate every
-//!   pre-publication entry (new snapshot reads are bit-identical to the
-//!   new embedder, never the old one), while *old* snapshots still held
-//!   by readers keep answering with their own frozen models;
+//! * core level — a retrain publication starts a table of its own (new
+//!   snapshot reads are bit-identical to the new embedder, never the old
+//!   one), while *old* snapshots still held by readers keep answering
+//!   with their own frozen models from their own tables;
 //! * service level — a completed `UpdateModel`-triggered (and an
 //!   ingest-triggered) system retrain must flip the read plane onto the
-//!   new generation before any post-publication read can observe a
-//!   cached pre-publication embedding.
+//!   new snapshot before any post-publication read can observe a cached
+//!   pre-publication embedding.
 
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
@@ -89,10 +90,10 @@ fn retrain_publication_fences_cached_embeddings() {
     ds.ingest_labeled(&x, &y, 0);
     let snap_a = ds.snapshot().expect("trained");
 
-    // Warm the cache with generation-A embeddings of the stored batch
-    // *and* of a transient batch that is neither stored nor part of the
-    // upcoming retrain (so the O(copy) install's bulk warm cannot replace
-    // its entries — they stay resident under generation A).
+    // Warm snapshot A's table with embeddings of the stored batch *and*
+    // of a transient batch that is neither stored nor part of the
+    // upcoming retrain (so the O(copy) install's bulk warm never embeds
+    // it — it stays resident in A's table only).
     let z_a = snap_a.embed_cached(&x);
     assert_eq!(z_a, snap_a.embedder().embed(&x), "gen-A cached == direct");
     let (x_extra, _) = blob_images(6, 2, 43);
@@ -100,17 +101,17 @@ fn retrain_publication_fences_cached_embeddings() {
     let warmed = snap_a.embed_cache().stats();
     assert!(warmed.misses > 0, "warm pass must have installed entries");
 
-    // Retrain: new embedder, new snapshot, same shared cache. The O(copy)
-    // install bulk-warms the new generation with the rows the training
-    // job embedded (the captured store + the fresh trigger batch).
+    // Retrain: new embedder, new snapshot, new table. The O(copy) install
+    // bulk-warms it with the rows the training job embedded (the captured
+    // store + the fresh trigger batch).
     let (fresh, _) = blob_images(10, 2, 42);
     ds.retrain_system(&fresh, &embed_cfg());
     let snap_b = ds.snapshot().expect("retrained");
     assert!(snap_b.version() > snap_a.version());
 
-    // The poisoning scenario, warmed flavor: the stored batch's entries
-    // were *replaced* by the install's warm pass — reads through the new
-    // snapshot must serve the new embedder's output, bit-for-bit.
+    // The poisoning scenario, warmed flavor: the install's warm pass put
+    // the stored batch into B's table — reads through the new snapshot
+    // must serve the new embedder's output, bit-for-bit.
     let z_b = snap_b.embed_cached(&x);
     assert_eq!(
         z_b,
@@ -122,26 +123,35 @@ fn retrain_publication_fences_cached_embeddings() {
         "sanity: the retrain actually changed the embedding space"
     );
     // The poisoning scenario, resident flavor: the transient batch still
-    // sits in the table under generation A. The fence must find those
-    // keys, refuse them, and recompute under the new embedder.
-    let stale_before = snap_b.embed_cache().stats().stale_generation;
+    // sits in snapshot A's table. Snapshot B's own table never held it, so
+    // every row misses and is recomputed under the new embedder.
+    let before = snap_b.embed_cache().stats();
     let z_extra_b = snap_b.embed_cached(&x_extra);
     assert_eq!(
         z_extra_b,
         snap_b.embedder().embed(&x_extra),
         "resident gen-A entries must be refused, not served"
     );
-    assert!(
-        snap_b.embed_cache().stats().stale_generation > stale_before,
-        "the generation fence should have intercepted the resident stale entries"
+    let after = snap_b.embed_cache().stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits, before.misses + x_extra.shape()[0] as u64),
+        "rows snapshot A cached must all miss in snapshot B's table"
     );
     assert_ne!(z_extra_a, z_extra_b, "sanity: geometry changed");
 
-    // A reader still holding the old snapshot keeps its frozen geometry:
-    // recomputation under generation A matches what it saw before the
-    // retrain, even though its inserts are now rejected.
+    // A reader still holding the old snapshot keeps its frozen geometry,
+    // served from its own table: every row it cached before the retrain
+    // still hits.
+    let before = snap_a.embed_cache().stats();
     let z_a_again = snap_a.embed_cached(&x);
+    let after = snap_a.embed_cache().stats();
     assert_eq!(z_a_again, z_a, "old snapshots stay frozen after the fence");
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + x.shape()[0] as u64, before.misses),
+        "an old snapshot keeps hitting its own table"
+    );
 }
 
 /// Trigger calibration mirrors `service_integration.rs`: measured
@@ -189,8 +199,8 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
 
     // Warm the read plane's cache with the historical batch, plus a
     // transient batch that is neither stored nor the retrain trigger —
-    // its entries stay resident under generation 0 across the install's
-    // bulk warm, so they exercise the fence's refuse-and-recompute path.
+    // its entries stay resident in the old snapshot's table only, so they
+    // exercise the new table's miss-and-recompute path.
     let pdf_before = client.dataset_pdf(x.clone()).expect("pdf");
     let (x_extra, _) = blob_images(8, 3, 53);
     let _ = client.dataset_pdf(x_extra.clone()).expect("pdf");
@@ -206,8 +216,8 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
     );
 
     // Drifted `UpdateModel`: the certainty monitor fires and completes an
-    // *inline* retrain before the update is prepared — a new generation
-    // is published under the same shared cache.
+    // *inline* retrain before the update is prepared — a new snapshot is
+    // published with a table of its own.
     client.update_model(noise, 1).expect("update");
     let retrains = client.metrics().expect("metrics").system_retrains;
     assert!(retrains >= 1, "drifted update must trigger the retrain");
@@ -215,8 +225,8 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
     // Post-publication reads of the *warmed* batch: must be computed by
     // the new embedder, never assembled from pre-publication entries.
     // (The O(copy) install warmed these exact rows into the new
-    // generation, so this also checks the warm path shipped the right
-    // values.)
+    // snapshot's table, so this also checks the warm path shipped the
+    // right values.)
     let sys_after = client.current_view().system.clone().expect("retrained");
     assert!(sys_after.version() > sys_before.version());
     let z_cached = sys_after.embed_cached(&x);
@@ -225,18 +235,20 @@ fn update_model_triggered_retrain_never_serves_stale_embeddings() {
         sys_after.embedder().embed(&x),
         "read plane served a pre-publication cached embedding after UpdateModel"
     );
-    // The transient batch's gen-0 entries are still resident: the fence
-    // must refuse them and recompute under the new embedder.
-    let stale_before = client.metrics().expect("metrics").embed_cache;
+    // The transient batch's gen-0 entries are still resident in the old
+    // snapshot's table; the new snapshot's own table never held them, so
+    // every row misses and is recomputed under the new embedder.
+    let before = client.metrics().expect("metrics").embed_cache;
     assert_eq!(
         sys_after.embed_cached(&x_extra),
         sys_after.embedder().embed(&x_extra),
         "resident gen-0 entries must be refused, not served"
     );
     let stats = client.metrics().expect("metrics").embed_cache;
-    assert!(
-        stats.stale_generation > stale_before.stale_generation,
-        "the fence should have intercepted resident gen-0 entries ({stats:?})"
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (before.hits, before.misses + x_extra.shape()[0] as u64),
+        "gen-0 rows must all miss in the new snapshot's table ({stats:?})"
     );
     // The install was O(copy): captured docs shipped as copies, and the
     // installs (ingest-triggered or update-inline) never re-embedded them.
