@@ -76,9 +76,6 @@ const REFRESH_GROWTH_BOUND: f64 = 15.0;
 struct PassthroughEmbedder;
 
 impl Embedder for PassthroughEmbedder {
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
     fn embed_dim(&self) -> usize {
         DIM
     }
@@ -90,9 +87,6 @@ impl Embedder for PassthroughEmbedder {
     }
     fn embed(&self, images: &Tensor) -> Tensor {
         images.clone()
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
     }
 }
 
@@ -314,9 +308,6 @@ const REQUEST_ITERS: usize = 400;
 struct CropEmbedder;
 
 impl Embedder for CropEmbedder {
-    fn name(&self) -> &'static str {
-        "crop"
-    }
     fn embed_dim(&self) -> usize {
         DIM
     }
@@ -330,9 +321,6 @@ impl Embedder for CropEmbedder {
         let n = images.shape()[0];
         let data = (0..n).flat_map(|i| images.row(i)[..DIM].to_vec()).collect();
         Tensor::from_vec(data, &[n, DIM])
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
     }
 }
 

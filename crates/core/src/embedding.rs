@@ -55,12 +55,11 @@ impl Default for EmbedTrainConfig {
 /// Training mutates (`fit_controlled` takes `&mut self`), but *embedding is
 /// inference*: [`Embedder::embed`] takes `&self` and must be safe to call
 /// concurrently through shared references (`Send + Sync`). That split is
-/// what lets a fitted embedder be frozen into an immutable
+/// what lets a fitted embedder be cloned into an immutable
 /// [`SystemSnapshot`](crate::fairds::SystemSnapshot) and served from many
-/// reader threads while a fresh copy retrains (DESIGN.md §6).
-pub trait Embedder: Send + Sync {
-    /// Method name ("autoencoder", "contrastive", "byol").
-    fn name(&self) -> &'static str;
+/// reader threads while another clone retrains (DESIGN.md §6): an
+/// implementor derives `Clone`, which [`EmbedderClone`] boxes.
+pub trait Embedder: EmbedderClone + Send + Sync {
     /// Dimensionality of the produced embeddings.
     fn embed_dim(&self) -> usize;
     /// Flattened input size the model expects.
@@ -69,7 +68,8 @@ pub trait Embedder: Send + Sync {
     /// cooperative cancellation: implementations poll `ctl` at every epoch
     /// boundary and return `false` the moment it is raised
     /// (partially-trained weights are left behind and must not be
-    /// published); `true` when the fit ran to the end.
+    /// published); `true` when the fit ran to the end, after freezing the
+    /// nets `embed` serves ([`Sequential::freeze`]: the same bits, packed).
     fn fit_controlled(
         &mut self,
         images: &Tensor,
@@ -79,15 +79,24 @@ pub trait Embedder: Send + Sync {
     /// Embeds images into `[N, embed_dim]`, L2-normalized per row.
     /// Immutable: implementations must not touch training caches.
     fn embed(&self, images: &Tensor) -> Tensor;
-    /// Deep-copies the embedder behind the trait object (used to publish a
-    /// frozen copy into a snapshot while the original keeps training).
-    fn clone_embedder(&self) -> Box<dyn Embedder>;
-    /// Called once on the copy a snapshot is about to publish, never on an
-    /// embedder that trains: whatever [`Embedder::embed`] can prepare once
-    /// for all the batches to come, it prepares here
-    /// ([`Sequential::freeze`]). `embed` returns the same bits either way;
-    /// the default prepares nothing.
-    fn freeze(&mut self) {}
+}
+
+/// The clone of an [`Embedder`] behind `Box<dyn Embedder>`, for every `Embedder + Clone`.
+pub trait EmbedderClone {
+    /// A deep copy of the embedder, boxed.
+    fn clone_box(&self) -> Box<dyn Embedder>;
+}
+
+impl<T: Embedder + Clone + 'static> EmbedderClone for T {
+    fn clone_box(&self) -> Box<dyn Embedder> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Embedder> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }
 
 /// Per-sample standardization: zero mean, unit variance per row. Applied
@@ -251,10 +260,6 @@ impl AutoencoderEmbedder {
 }
 
 impl Embedder for AutoencoderEmbedder {
-    fn name(&self) -> &'static str {
-        "autoencoder"
-    }
-
     fn embed_dim(&self) -> usize {
         self.embed_dim
     }
@@ -289,6 +294,7 @@ impl Embedder for AutoencoderEmbedder {
                 opt.step(params);
             }
         }
+        self.encoder.freeze();
         true
     }
 
@@ -297,14 +303,6 @@ impl Embedder for AutoencoderEmbedder {
         let mut z = self.encoder.infer(&x);
         l2_normalize_rows(&mut z);
         z
-    }
-
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-
-    fn freeze(&mut self) {
-        self.encoder.freeze();
     }
 }
 
@@ -351,10 +349,6 @@ impl ContrastiveEmbedder {
 }
 
 impl Embedder for ContrastiveEmbedder {
-    fn name(&self) -> &'static str {
-        "contrastive"
-    }
-
     fn embed_dim(&self) -> usize {
         self.embed_dim
     }
@@ -392,6 +386,7 @@ impl Embedder for ContrastiveEmbedder {
                 opt.step(params);
             }
         }
+        self.encoder.freeze();
         true
     }
 
@@ -400,14 +395,6 @@ impl Embedder for ContrastiveEmbedder {
         let mut z = self.encoder.infer(&x);
         l2_normalize_rows(&mut z);
         z
-    }
-
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-
-    fn freeze(&mut self) {
-        self.encoder.freeze();
     }
 }
 
@@ -503,10 +490,6 @@ impl ByolEmbedder {
 }
 
 impl Embedder for ByolEmbedder {
-    fn name(&self) -> &'static str {
-        "byol"
-    }
-
     fn embed_dim(&self) -> usize {
         self.embed_dim
     }
@@ -561,6 +544,8 @@ impl Embedder for ByolEmbedder {
                 self.ema_update(cfg.tau);
             }
         }
+        self.online_encoder.freeze();
+        self.online_projector.freeze();
         true
     }
 
@@ -570,15 +555,6 @@ impl Embedder for ByolEmbedder {
         let mut z = self.online_projector.infer(&h);
         l2_normalize_rows(&mut z);
         z
-    }
-
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-
-    fn freeze(&mut self) {
-        self.online_encoder.freeze();
-        self.online_projector.freeze();
     }
 }
 
@@ -687,21 +663,27 @@ mod tests {
         }
     }
 
+    /// Same seeds, same bits — also after a clone sharing the fit's panels
+    /// is refitted on other frames: that refit thaws the clone alone.
     #[test]
     fn embedding_is_deterministic_given_seeds() {
-        let (x, _) = two_class_data(8, 12);
+        let ((x, _), (other, _)) = (two_class_data(8, 12), two_class_data(8, 20));
         let embedders: [fn() -> Box<dyn Embedder>; 3] = [
             || Box::new(ContrastiveEmbedder::new(8, 16, 4, 13)),
             || Box::new(AutoencoderEmbedder::new(64, 16, 4, 13)),
             || Box::new(ByolEmbedder::new(8, 16, 4, 13)),
         ];
-        for new in embedders {
-            let run = || {
-                let mut emb = new();
-                emb.fit_controlled(&x, &quick_cfg(14), &TrainControl::new());
-                emb.embed(&x)
+        for (method, new) in embedders.into_iter().enumerate() {
+            let fit = |x: &Tensor, mut emb: Box<dyn Embedder>| {
+                assert!(emb.fit_controlled(x, &quick_cfg(14), &TrainControl::new()));
+                emb
             };
-            assert_eq!(run(), run(), "{}", new().name());
+            let (a, twin) = (fit(&x, new()), fit(&x, new()));
+            let before = a.embed(&x);
+            let b = fit(&other, a.clone());
+            assert_ne!(b.embed(&x), before, "method {method}: the refit clone");
+            assert_eq!(a.embed(&x), before, "method {method}");
+            assert_eq!(a.embed(&x), twin.embed(&x), "method {method}");
         }
     }
 

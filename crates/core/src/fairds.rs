@@ -603,20 +603,17 @@ impl FairDS {
             .unwrap_or_else(|| panic!("{op} before system training"))
     }
 
-    /// Freezes the just-fitted models into a new published snapshot with
-    /// an empty embedding memo table of its own. No store-sized work
-    /// happens here: the read index fills on the snapshot's first store
-    /// read.
+    /// Publishes the just-fitted models as a new snapshot: a clone of the
+    /// builder's embedder (serving its fit's panels) and an empty embedding
+    /// memo table of its own. No store-sized work happens here: the read
+    /// index fills on the snapshot's first store read.
     fn publish(&mut self, kmeans: KMeans) {
         let version = self.versions_published;
         self.versions_published += 1;
-        // The one place a snapshot's embedder is made, so the one place an
-        // embedder is frozen: the copy never trains again.
-        let mut embedder = self.embedder.clone_embedder();
-        embedder.freeze();
         let table = EmbedCache::new(self.cfg.embed_cache, Arc::clone(&self.embed_stats));
         let (kmeans, reuse) = (Arc::new(kmeans), Arc::new(table));
-        self.current = Some(self.issue(embedder.into(), kmeans, reuse, self.cfg.clone(), version));
+        let embedder = self.embedder.clone().into();
+        self.current = Some(self.issue(embedder, kmeans, reuse, self.cfg.clone(), version));
     }
 
     /// System-plane training (Fig 5, yellow): fits the embedding model on
@@ -694,7 +691,7 @@ impl FairDS {
         RetrainJob {
             pixels: Tensor::from_vec(rows, &[n, dim]),
             captured,
-            embedder: self.embedder.clone_embedder(),
+            embedder: self.embedder.clone(),
             cfg: self.cfg.clone(),
             system_version: self.current.as_ref().map(|s| s.version()),
             fitted: None,

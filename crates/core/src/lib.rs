@@ -8,7 +8,8 @@
 //!
 //! * [`embedding`] — self-supervised embedding models (autoencoder,
 //!   SimCLR-style contrastive, BYOL) behind a pluggable [`embedding::Embedder`]
-//!   interface, plus the physics-inspired augmentations of §IV;
+//!   interface (a `Clone` type that fits, packing what it serves, and
+//!   embeds), plus the physics-inspired augmentations of §IV;
 //! * [`fairds`] — the data service: embed → cluster → index → PDF-matched
 //!   retrieval and nearest-embedding pseudo-labeling, with the fuzzy-
 //!   certainty staleness monitor that triggers system-plane retraining;

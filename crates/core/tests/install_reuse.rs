@@ -28,6 +28,7 @@ const DIM: usize = SIDE * SIDE;
 /// Wraps a real embedder and counts `embed` traffic. Clones share the
 /// counters, so the totals cover the builder's copy, every published
 /// snapshot's copy, and the training job's copy alike.
+#[derive(Clone)]
 struct CountingEmbedder {
     inner: Box<dyn Embedder>,
     batches: Arc<AtomicUsize>,
@@ -35,9 +36,6 @@ struct CountingEmbedder {
 }
 
 impl Embedder for CountingEmbedder {
-    fn name(&self) -> &'static str {
-        "counting"
-    }
     fn embed_dim(&self) -> usize {
         self.inner.embed_dim()
     }
@@ -56,13 +54,6 @@ impl Embedder for CountingEmbedder {
         self.batches.fetch_add(1, Ordering::SeqCst);
         self.rows.fetch_add(images.shape()[0], Ordering::SeqCst);
         self.inner.embed(images)
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(CountingEmbedder {
-            inner: self.inner.clone_embedder(),
-            batches: Arc::clone(&self.batches),
-            rows: Arc::clone(&self.rows),
-        })
     }
 }
 

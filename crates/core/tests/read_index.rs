@@ -8,42 +8,18 @@
 //! the brute per-cluster scan. Not "close": identical, because
 //! pseudo-labeling sits on knife-edge threshold comparisons.
 
-use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
+mod common;
+
+use common::PassthroughEmbedder;
+use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::{FairDS, FairDsConfig, ReadIndexConfig, SystemSnapshot};
 use fairdms_datastore::Document;
-use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::{ops::sq_dist, rng::TensorRng, Tensor};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const DIM: usize = 6;
-
-/// Identity embedder: rows pass through untouched, so tests control the
-/// embedding geometry (duplicates, exact ties, magnitudes) directly.
-#[derive(Clone)]
-struct PassthroughEmbedder;
-
-impl Embedder for PassthroughEmbedder {
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
-    fn embed_dim(&self) -> usize {
-        DIM
-    }
-    fn input_dim(&self) -> usize {
-        DIM
-    }
-    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
-        true
-    }
-    fn embed(&self, images: &Tensor) -> Tensor {
-        images.clone()
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-}
 
 /// Tie-heavy embedding rows: coordinates quantized to a handful of
 /// values, so exact duplicates and exact distance ties are common.
@@ -63,7 +39,7 @@ const TINY_BALLS: ReadIndexConfig = ReadIndexConfig {
 /// generated stores exercise routing, pruning, and the GEMM batch path.
 fn routed_fairds(k: usize, seed: u64) -> FairDS {
     let mut ds = FairDS::in_memory(
-        Box::new(PassthroughEmbedder),
+        Box::new(PassthroughEmbedder { width: DIM }),
         FairDsConfig {
             k: Some(k),
             seed,

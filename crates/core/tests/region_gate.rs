@@ -8,9 +8,11 @@
 //! spawn no matter how many cores the test host has.
 
 use fairdms_clustering::{fuzzy, KMeans, KMeansConfig};
-use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
+mod common;
+
+use common::PassthroughEmbedder;
+use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::{FairDS, FairDsConfig, SystemSnapshot};
-use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::ops::{PAR_MIN_WORK, POWF_WORK};
 use fairdms_tensor::{rng::TensorRng, Tensor};
 use rayon::{regions_opened, ThreadPoolBuilder};
@@ -18,31 +20,6 @@ use rayon::{regions_opened, ThreadPoolBuilder};
 const DIM: usize = 8;
 const K: usize = 8;
 const ROWS_PER_CLUSTER: usize = 600;
-
-/// Identity embedder: the test places the clusters itself.
-#[derive(Clone)]
-struct PassthroughEmbedder;
-
-impl Embedder for PassthroughEmbedder {
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
-    fn embed_dim(&self) -> usize {
-        DIM
-    }
-    fn input_dim(&self) -> usize {
-        DIM
-    }
-    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
-        true
-    }
-    fn embed(&self, images: &Tensor) -> Tensor {
-        images.clone()
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-}
 
 /// `n` rows cycling over `K` well-separated blobs (blob `i % K` for row
 /// `i`), so any batch of two or more rows touches two or more clusters.
@@ -62,7 +39,7 @@ fn blobs(n: usize, seed: u64) -> Tensor {
 /// ball-partitioned under the default read-index layout.
 fn partitioned_snapshot() -> std::sync::Arc<SystemSnapshot> {
     let mut ds = FairDS::in_memory(
-        Box::new(PassthroughEmbedder),
+        Box::new(PassthroughEmbedder { width: DIM }),
         FairDsConfig {
             k: Some(K),
             ..FairDsConfig::default()

@@ -6,40 +6,17 @@
 //! rows are scanned. The numbers below were read off the implementation
 //! that evaluated probe balls twice, on this store and these requests.
 
-use fairdms_core::embedding::{EmbedTrainConfig, Embedder};
+mod common;
+
+use common::PassthroughEmbedder;
+use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::{FairDS, FairDsConfig};
 use fairdms_datastore::Document;
-use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 
 const DIM: usize = 8;
 const K: usize = 4;
 const ROWS_PER_CLUSTER: usize = 700;
-
-/// Identity embedder: the test places the clusters itself.
-#[derive(Clone)]
-struct PassthroughEmbedder;
-
-impl Embedder for PassthroughEmbedder {
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
-    fn embed_dim(&self) -> usize {
-        DIM
-    }
-    fn input_dim(&self) -> usize {
-        DIM
-    }
-    fn fit_controlled(&mut self, _: &Tensor, _: &EmbedTrainConfig, _: &TrainControl) -> bool {
-        true
-    }
-    fn embed(&self, images: &Tensor) -> Tensor {
-        images.clone()
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(self.clone())
-    }
-}
 
 /// `n` rows cycling over `K` separated blobs, each made of `DIM` tight
 /// knots: a cluster's balls follow the knots, so a query prunes most of
@@ -61,7 +38,7 @@ fn blobs(n: usize, seed: u64) -> Tensor {
 #[test]
 fn a_fixed_request_sequence_prunes_and_scans_what_it_always_did() {
     let mut ds = FairDS::in_memory(
-        Box::new(PassthroughEmbedder),
+        Box::new(PassthroughEmbedder { width: DIM }),
         FairDsConfig {
             k: Some(K),
             ..FairDsConfig::default()

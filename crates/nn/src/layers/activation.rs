@@ -65,10 +65,6 @@ impl Layer for Activation {
         }
     }
 
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self
             .cache

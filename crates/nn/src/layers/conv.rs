@@ -495,10 +495,6 @@ impl Layer for Conv2d {
         self.lowered_forward(x)
     }
 
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn work(&self, input: &[usize]) -> usize {
         let (oh, ow) = (self.out_extent(input[2]), self.out_extent(input[3]));
         input[0] * self.out_c * self.in_c * self.kernel * self.kernel * oh * ow

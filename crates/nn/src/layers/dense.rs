@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// every forward pass multiplies against them instead of re-packing the
 /// weight per call — the same product, bit for bit. The panels live only
 /// while nobody can have changed the weight: handing it out through
-/// [`Layer::params_mut`] drops them. A layer that is being trained is
-/// never frozen and packs per call into the thread's recycled scratch.
+/// [`Layer::params_mut`] drops them, so a layer that trains packs per call
+/// into the thread's recycled scratch from its first optimizer step on.
 #[derive(Clone)]
 pub struct Dense {
     weight: Param,
@@ -69,10 +69,6 @@ impl Layer for Dense {
 
     fn freeze(&mut self) {
         self.frozen = Some(Arc::new(PackedB::pack_transposed(&self.weight.value)));
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 
     fn work(&self, input: &[usize]) -> usize {

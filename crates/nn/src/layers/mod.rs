@@ -28,8 +28,9 @@ use fairdms_tensor::Tensor;
 /// Layers are `Send + Sync`: shared references are safe to use across
 /// threads because the only `&self` entry point is [`Layer::infer`], which
 /// touches no caches. This is what lets a trained network be frozen into an
-/// immutable snapshot (see `DESIGN.md` §6) and served concurrently.
-pub trait Layer: Send + Sync {
+/// immutable snapshot (see `DESIGN.md` §6) and served concurrently. Layers
+/// derive `Clone`, which [`LayerClone`] carries through `Box<dyn Layer>`.
+pub trait Layer: LayerClone + Send + Sync {
     /// The training pass: the layer output, caching what `backward` needs.
     /// [`Dropout`] draws a fresh mask on every call; every other layer
     /// returns [`Layer::infer`]'s bits.
@@ -52,17 +53,13 @@ pub trait Layer: Send + Sync {
         self.backward(grad_out);
     }
 
-    /// Deep-copies the layer behind the trait object (parameters and
-    /// hyper-parameters; transient backward caches need not be preserved).
-    fn clone_layer(&self) -> Box<dyn Layer>;
-
-    /// [`Layer::clone_layer`] for the copy a training step runs shard
+    /// A clone of the layer for the copy a training step runs shard
     /// `shard` of its mini-batch on: a layer that draws random numbers
     /// gives the copy a stream of its own, a function of its own state and
     /// `shard`, so no two shards share a draw and none depends on the
     /// thread it runs on.
     fn clone_for_shard(&self, _shard: u64) -> Box<dyn Layer> {
-        self.clone_layer()
+        self.clone_box()
     }
 
     /// Multiply–adds of one forward pass over an input of shape `input`
@@ -90,17 +87,28 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// An ordered container of layers executed front-to-back.
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+/// The clone of a [`Layer`] behind `Box<dyn Layer>`, for every `Layer + Clone`.
+pub trait LayerClone {
+    /// A deep copy of the layer, boxed.
+    fn clone_box(&self) -> Box<dyn Layer>;
 }
 
-impl Clone for Sequential {
-    fn clone(&self) -> Self {
-        Sequential {
-            layers: self.layers.iter().map(|l| l.clone_layer()).collect(),
-        }
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
+/// An ordered container of layers executed front-to-back.
+#[derive(Clone)]
+pub struct Sequential {
+    layers: Vec<Box<dyn Layer>>,
 }
 
 impl Sequential {
@@ -147,9 +155,9 @@ impl Sequential {
         cur
     }
 
-    /// Freezes every layer ([`Layer::freeze`]): for a network about to be
-    /// published and served, never for one being trained — each optimizer
-    /// step would throw the packed weights away. Same outputs, bit for bit;
+    /// Freezes every layer ([`Layer::freeze`]): at the end of a fit whose
+    /// network will serve, never between its steps — each optimizer step
+    /// throws the packed weights away. Same outputs, bit for bit;
     /// [`Sequential::params_mut`] thaws.
     pub fn freeze(&mut self) {
         self.layers.iter_mut().for_each(|l| l.freeze());

@@ -77,10 +77,6 @@ impl Layer for MaxPool2d {
         self.compute(x).0
     }
 
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let argmax = self
             .argmax

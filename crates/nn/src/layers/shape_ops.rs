@@ -34,10 +34,6 @@ impl Layer for Flatten {
         x.reshape(&[x.shape()[0], x.row_size()])
     }
 
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self
             .in_shape
@@ -89,10 +85,6 @@ impl Layer for Upsample2x {
             }
         }
         Tensor::from_vec(out, &[n, c, oh, ow])
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -16,7 +16,8 @@
 //!
 //! * layers: [`layers::Dense`], [`layers::Conv2d`], [`layers::MaxPool2d`],
 //!   [`layers::Dropout`], activations, [`layers::Flatten`],
-//!   [`layers::Upsample2x`], and the [`Sequential`] container;
+//!   [`layers::Upsample2x`], and the [`Sequential`] container (layers
+//!   derive `Clone`; [`layers::LayerClone`] clones a `Box<dyn Layer>`);
 //! * losses: [`loss::Mse`] and the contrastive [`loss::nt_xent`];
 //! * optimizers: [`optim::Sgd`], [`optim::Adam`];
 //! * a [`trainer::Trainer`] with validation tracking, early stopping and

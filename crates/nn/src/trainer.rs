@@ -657,10 +657,6 @@ mod tests {
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
         }
-
-        fn clone_layer(&self) -> Box<dyn crate::layers::Layer> {
-            Box::new(self.clone())
-        }
     }
 
     /// 51 training rows (a 32- and a 19-row step at batch 32, both above

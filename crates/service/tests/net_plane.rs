@@ -496,14 +496,12 @@ fn typed_helpers_are_one_surface_in_process_and_over_tcp() {
 
 /// Panics in the forward pass when a batch carries the sentinel pixel —
 /// a stand-in for a bug in a user-supplied embedder.
+#[derive(Clone)]
 struct TrippingEmbedder(AutoencoderEmbedder);
 
 const SENTINEL: f32 = -12345.0;
 
 impl Embedder for TrippingEmbedder {
-    fn name(&self) -> &'static str {
-        "tripping"
-    }
     fn embed_dim(&self) -> usize {
         self.0.embed_dim()
     }
@@ -521,9 +519,6 @@ impl Embedder for TrippingEmbedder {
     fn embed(&self, images: &Tensor) -> Tensor {
         assert!(!images.data().contains(&SENTINEL), "embedder tripped");
         self.0.embed(images)
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(TrippingEmbedder(self.0.clone()))
     }
 }
 
@@ -724,12 +719,10 @@ fn hostile_shapes_are_answered_not_obeyed() {
 
 /// Blocks in the forward pass while a batch carries the sentinel pixel,
 /// until the test sends a token — a write the test holds in flight.
+#[derive(Clone)]
 struct GatedEmbedder(AutoencoderEmbedder, crossbeam_channel::Receiver<()>);
 
 impl Embedder for GatedEmbedder {
-    fn name(&self) -> &'static str {
-        "gated"
-    }
     fn embed_dim(&self) -> usize {
         self.0.embed_dim()
     }
@@ -749,9 +742,6 @@ impl Embedder for GatedEmbedder {
             let _ = self.1.recv();
         }
         self.0.embed(images)
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(GatedEmbedder(self.0.clone(), self.1.clone()))
     }
 }
 

@@ -742,16 +742,14 @@ fn training_job_panic_poisons_the_service_loudly() {
 
     // An embedder that trains normally once (the bootstrap) and panics on
     // any refit — simulating a bug inside a background training job. The
-    // fit counter is shared across `clone_embedder` copies, so the
-    // retrain job's private clone still observes the bootstrap.
+    // fit counter is shared across clones, so the retrain job's private
+    // clone still observes the bootstrap.
+    #[derive(Clone)]
     struct FaultyEmbedder {
         inner: AutoencoderEmbedder,
         fits: Arc<AtomicUsize>,
     }
     impl Embedder for FaultyEmbedder {
-        fn name(&self) -> &'static str {
-            "faulty"
-        }
         fn embed_dim(&self) -> usize {
             self.inner.embed_dim()
         }
@@ -766,12 +764,6 @@ fn training_job_panic_poisons_the_service_loudly() {
         }
         fn embed(&self, images: &Tensor) -> Tensor {
             self.inner.embed(images)
-        }
-        fn clone_embedder(&self) -> Box<dyn Embedder> {
-            Box::new(FaultyEmbedder {
-                inner: self.inner.clone(),
-                fits: Arc::clone(&self.fits),
-            })
         }
     }
 

@@ -285,16 +285,14 @@ const SENTINEL: f32 = -12345.0;
 /// Parks `embed` on a two-party barrier for any batch carrying the
 /// sentinel pixel: the first wait tells the test the read is inside its
 /// handler, the second lets it finish. The barrier is shared, so it
-/// survives the clone and freeze a published snapshot makes.
+/// survives the clone a published snapshot makes.
+#[derive(Clone)]
 struct GatedEmbedder {
     inner: AutoencoderEmbedder,
     gate: Arc<Barrier>,
 }
 
 impl Embedder for GatedEmbedder {
-    fn name(&self) -> &'static str {
-        "gated"
-    }
     fn embed_dim(&self) -> usize {
         self.inner.embed_dim()
     }
@@ -315,15 +313,6 @@ impl Embedder for GatedEmbedder {
             self.gate.wait();
         }
         self.inner.embed(images)
-    }
-    fn clone_embedder(&self) -> Box<dyn Embedder> {
-        Box::new(GatedEmbedder {
-            inner: self.inner.clone(),
-            gate: Arc::clone(&self.gate),
-        })
-    }
-    fn freeze(&mut self) {
-        self.inner.freeze();
     }
 }
 
