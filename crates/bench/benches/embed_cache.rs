@@ -25,6 +25,10 @@
 //! directly; the two ratios are still recorded, ungated, for the
 //! trajectory.
 //!
+//! Beside the gates it records, ungated, the row hash alone
+//! (`hash/row_hashes/*`): the e2e tenants' 16-frame 16×16 read and this
+//! bench's 128-frame 15×15 batch, the first step of every probe.
+//!
 //! Results are also written machine-readably to
 //! `results/BENCH_embed_cache.json` (p50/p99/mean per series plus
 //! the two assertion margins), so the perf trajectory is tracked across
@@ -37,6 +41,7 @@ use fairdms_bench::report::BenchReport;
 use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig, SystemSnapshot};
 use fairdms_core::reuse::EmbedCacheConfig;
+use fairdms_tensor::hash::row_hashes;
 use fairdms_tensor::rng::TensorRng;
 use fairdms_tensor::Tensor;
 use std::sync::Arc;
@@ -51,6 +56,8 @@ const HIDDEN: usize = 256;
 const EMBED: usize = 16;
 const BATCH: usize = 128;
 const ITERS: usize = 60;
+/// Timed calls per `hash/row_hashes` series: one call is 1–20 µs.
+const HASH_ITERS: usize = 2_000;
 
 /// Gate 1: the warm p50 of one 128-frame request. Recorded at 116 µs
 /// (`dataset_pdf`) and 238 µs (`certainty`, which adds the fuzzy
@@ -225,6 +232,13 @@ fn bench_embed_cache(_c: &mut Criterion) {
         );
         s.p50
     };
+    for (rows, width) in [(16, 256), (BATCH, DIM)] {
+        let batch = TensorRng::seeded(5).uniform(&[rows, width], 0.0, 10.0);
+        let lat = measure(HASH_ITERS, |_| {
+            black_box(row_hashes(black_box(&batch)));
+        });
+        summarize(&format!("hash/row_hashes/{rows}x{width}"), &lat);
+    }
     summarize("dataset_pdf/uncached", &cached.uncached_pdf);
     let p50_miss_pdf = summarize("dataset_pdf/all_miss", &cached.miss_pdf);
     let p50_warm_pdf = summarize("dataset_pdf/warm", &cached.warm_pdf);

@@ -288,7 +288,7 @@ impl Embedder for AutoencoderEmbedder {
                 let recon = self.decoder.forward(&z);
                 let grad = Mse.backward(&recon, &bx);
                 let gz = self.decoder.backward(&grad);
-                self.encoder.backward(&gz);
+                self.encoder.backward_params(&gz);
                 let mut params = self.encoder.params_mut();
                 params.extend(self.decoder.params_mut());
                 opt.step(params);
@@ -380,7 +380,7 @@ impl Embedder for ContrastiveEmbedder {
                 let z = self.projector.forward(&h);
                 let (_, grad) = nt_xent(&z, cfg.temperature);
                 let gh = self.projector.backward(&grad);
-                self.encoder.backward(&gh);
+                self.encoder.backward_params(&gh);
                 let mut params = self.encoder.params_mut();
                 params.extend(self.projector.params_mut());
                 opt.step(params);
@@ -535,7 +535,7 @@ impl Embedder for ByolEmbedder {
                     let (_, grad) = Self::cosine_grad(&p, &t);
                     let gz = self.predictor.backward(&grad);
                     let gh = self.online_projector.backward(&gz);
-                    self.online_encoder.backward(&gh);
+                    self.online_encoder.backward_params(&gh);
                     let mut params = self.online_encoder.params_mut();
                     params.extend(self.online_projector.params_mut());
                     params.extend(self.predictor.params_mut());

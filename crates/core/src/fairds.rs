@@ -19,8 +19,9 @@
 //!   all take `&self` and are safe to call from any number of threads
 //!   concurrently. Snapshots are shared as `Arc<SystemSnapshot>`; replacing
 //!   one is a single atomic `Arc` swap.
-//! * [`FairDS`] — the **mutating builder** that owns the trainable
-//!   embedder. [`FairDS::train_system`] / [`FairDS::retrain_system`] fit
+//! * [`FairDS`] — the **mutating builder** that holds the last fitted
+//!   embedder (shared with the snapshots it publishes; a retrain fits a
+//!   deep copy). [`FairDS::train_system`] / [`FairDS::retrain_system`] fit
 //!   models and *publish* a fresh snapshot; [`FairDS::ingest_labeled`]
 //!   writes documents through the (internally synchronized) store. It
 //!   answers no user-plane query itself: a caller binds
@@ -438,7 +439,10 @@ pub struct RetrainInstall {
 /// The FAIR data service builder: owns the trainable models, publishes
 /// immutable [`SystemSnapshot`]s.
 pub struct FairDS {
-    embedder: Box<dyn Embedder>,
+    /// The last completed fit, shared with every snapshot published from
+    /// it: nothing mutates it in place, a retrain fits a deep copy and
+    /// installs that in its stead.
+    embedder: Arc<dyn Embedder>,
     current: Option<Arc<SystemSnapshot>>,
     store: Arc<Collection>,
     cfg: FairDsConfig,
@@ -457,7 +461,7 @@ impl FairDS {
     /// Creates a fairDS over an embedding method and a backing collection.
     pub fn new(embedder: Box<dyn Embedder>, store: Arc<Collection>, cfg: FairDsConfig) -> Self {
         FairDS {
-            embedder,
+            embedder: embedder.into(),
             current: None,
             store,
             cfg,
@@ -603,8 +607,8 @@ impl FairDS {
             .unwrap_or_else(|| panic!("{op} before system training"))
     }
 
-    /// Publishes the just-fitted models as a new snapshot: a clone of the
-    /// builder's embedder (serving its fit's panels) and an empty embedding
+    /// Publishes the just-fitted models as a new snapshot: the builder's
+    /// embedder, shared (serving its fit's panels), and an empty embedding
     /// memo table of its own. No store-sized work happens here: the read
     /// index fills on the snapshot's first store read.
     fn publish(&mut self, kmeans: KMeans) {
@@ -612,7 +616,7 @@ impl FairDS {
         self.versions_published += 1;
         let table = EmbedCache::new(self.cfg.embed_cache, Arc::clone(&self.embed_stats));
         let (kmeans, reuse) = (Arc::new(kmeans), Arc::new(table));
-        let embedder = self.embedder.clone().into();
+        let embedder = Arc::clone(&self.embedder);
         self.current = Some(self.issue(embedder, kmeans, reuse, self.cfg.clone(), version));
     }
 
@@ -691,7 +695,7 @@ impl FairDS {
         RetrainJob {
             pixels: Tensor::from_vec(rows, &[n, dim]),
             captured,
-            embedder: self.embedder.clone(),
+            embedder: self.embedder.clone_box(),
             cfg: self.cfg.clone(),
             system_version: self.current.as_ref().map(|s| s.version()),
             fitted: None,
@@ -722,7 +726,7 @@ impl FairDS {
         let (kmeans, embeddings, clusters) = job.fitted.expect("install_retrained before train");
         let (pixels, captured) = (job.pixels, job.captured);
         let k = kmeans.k();
-        self.embedder = job.embedder;
+        self.embedder = job.embedder.into();
         // Write-back first: a reader that picks up the new snapshot should
         // find the re-clustered store, not the about-to-be-overwritten
         // assignments of the replaced plane.

@@ -6,7 +6,10 @@
 //! *embedding*, the first step of every read ([`SystemSnapshot::dataset_pdf`],
 //! `certainty`, `pseudo_label`, `nearest_labeled`). [`EmbedCache::embed`]
 //! is the one path through the table: probe every row, forward **only the
-//! misses** as one partial batch, scatter them back, install them.
+//! misses** as one partial batch, scatter them back, install them. The
+//! probe and the install are each one pass over the request's rows
+//! grouped by shard: one lock per touched shard, and one update of each
+//! shared counter, per pass.
 //!
 //! * **Content-addressed.** The key is a fast 64-bit hash of the row's
 //!   `f32` bit patterns plus its length ([`fairdms_tensor::hash`]),
@@ -20,15 +23,17 @@
 //!   counters are shared ([`EmbedCacheCounters`]).
 //! * **Sharded and bounded.** Entries live in independent second-chance
 //!   (clock) LRU segments — one per 512 entries of capacity, at most
-//!   eight — selected by the high hash bits; a hit takes one short shard
-//!   lock and there is no global lock. Insertion beyond capacity evicts
-//!   via the clock hand (recently-hit entries get a second chance).
+//!   eight — selected by the high hash bits; there is no global lock.
+//!   Insertion beyond capacity evicts via the clock hand (recently-hit
+//!   entries get a second chance), overwriting the victim in place.
 //!
 //! [`SystemSnapshot`]: crate::fairds::SystemSnapshot
 //! [`SystemSnapshot::dataset_pdf`]: crate::fairds::SystemSnapshot::dataset_pdf
 
 use fairdms_tensor::{hash::row_hashes, Tensor};
 use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,6 +126,44 @@ struct Entry {
     referenced: bool,
 }
 
+/// The hasher of a shard's index: its keys are [`row_hashes`] output,
+/// already fully mixed, so hashing them again would only cost time.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher, through `write_u64`.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Adds `n` to a shared counter, touching its cache line only when `n > 0`.
+fn count(counter: &AtomicU64, n: usize) {
+    if n > 0 {
+        counter.fetch_add(n as u64, Ordering::Relaxed);
+    }
+}
+
+/// Copies `src` into `dst`, reusing `dst`'s allocation when the widths agree.
+fn overwrite(dst: &mut Box<[f32]>, src: &[f32]) {
+    if dst.len() == src.len() {
+        dst.copy_from_slice(src);
+    } else {
+        *dst = src.into();
+    }
+}
+
 /// One independent segment: a slot arena + hash index + clock hand.
 #[derive(Default)]
 struct Shard {
@@ -128,7 +171,7 @@ struct Shard {
     /// resident replaces that entry in place — the same row, or a true
     /// 64-bit collision — so capacity accounting stays exact and
     /// correctness comes from the full-row check.
-    index: std::collections::HashMap<u64, usize>,
+    index: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Entry>,
     hand: usize,
 }
@@ -151,29 +194,29 @@ impl Shard {
 
     /// Installs `row → value`, evicting via second chance when at
     /// `capacity`. Returns the number of evictions (0 or 1).
-    fn insert(&mut self, capacity: usize, hash: u64, row: &[f32], value: &[f32]) -> u64 {
+    fn insert(&mut self, capacity: usize, hash: u64, row: &[f32], value: &[f32]) -> usize {
         if capacity == 0 {
             return 0;
         }
         if let Some(&slot) = self.index.get(&hash) {
             let e = &mut self.slots[slot];
-            e.key = row.into();
-            e.value = value.into();
+            overwrite(&mut e.key, row);
+            overwrite(&mut e.value, value);
             return 0;
         }
-        let entry = Entry {
-            hash,
-            key: row.into(),
-            value: value.into(),
-            referenced: false,
-        };
         if self.slots.len() < capacity {
             self.index.insert(hash, self.slots.len());
-            self.slots.push(entry);
+            self.slots.push(Entry {
+                hash,
+                key: row.into(),
+                value: value.into(),
+                referenced: false,
+            });
             return 0;
         }
         // Second-chance clock: skip (and strip) referenced entries, evict
-        // the first unreferenced one. Bounded by 2×capacity steps.
+        // the first unreferenced one, overwriting it in place. Bounded by
+        // 2×capacity steps.
         loop {
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.slots.len();
@@ -184,7 +227,9 @@ impl Shard {
             }
             self.index.remove(&victim.hash);
             self.index.insert(hash, slot);
-            self.slots[slot] = entry;
+            victim.hash = hash;
+            overwrite(&mut victim.key, row);
+            overwrite(&mut victim.value, value);
             return 1;
         }
     }
@@ -224,9 +269,21 @@ impl EmbedCache {
 
     #[inline]
     fn shard_of(&self, hash: u64) -> usize {
-        // High bits select the shard; low bits feed the HashMap. The
-        // splitmix finalizer avalanches fully, so both are uniform.
+        // High bits select the shard; the index reads the low ones. The
+        // hash's finalizer avalanches fully, so both are uniform.
         ((hash >> 48) as usize) % self.shards.len()
+    }
+
+    /// `(shard, row)` for every row, ordered by shard and then by row: the
+    /// rows one shard lock covers are adjacent.
+    fn route(&self, hashes: &[u64]) -> Vec<(usize, usize)> {
+        let mut routed: Vec<(usize, usize)> = hashes
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (self.shard_of(h), i))
+            .collect();
+        routed.sort_unstable();
+        routed
     }
 
     /// Embeds `images` (`[n, d]`) into `[n, dim]`: hits are copied straight
@@ -250,82 +307,71 @@ impl EmbedCache {
         }
         let hashes = row_hashes(images);
         let mut out = Tensor::zeros(&[n, dim]);
-        let misses: Vec<usize> = (0..n)
-            .filter(|&i| !self.get_into(hashes[i], images.row(i), out.row_mut(i)))
-            .collect();
-        if misses.len() == n {
+        let missed = self.probe(&self.route(&hashes), &hashes, images, &mut out);
+        if missed.len() == n {
             let z = forward(images);
-            for (i, &h) in hashes.iter().enumerate() {
-                self.insert(h, images.row(i), z.row(i));
-            }
+            self.install(&missed, &hashes, images, &z);
             return z;
         }
-        if !misses.is_empty() {
-            let z = forward(&images.gather_rows(&misses));
-            out.scatter_rows_from(&misses, &z);
-            for (j, &i) in misses.iter().enumerate() {
-                self.insert(hashes[i], images.row(i), z.row(j));
-            }
+        if !missed.is_empty() {
+            let mut rows: Vec<usize> = missed.iter().map(|&(_, i)| i).collect();
+            rows.sort_unstable();
+            let z = forward(&images.gather_rows(&rows));
+            out.scatter_rows_from(&rows, &z);
+            self.install(&missed, &hashes, images, &out);
         }
         out
     }
 
     /// Installs row `i` of `embeddings` as the embedding of row `i` of
-    /// `images`, under **one lock acquisition per shard**: the warm path of
-    /// an O(copy) retrain install, whose training job already embedded
-    /// every row, so the new snapshot's table starts hot.
+    /// `images`: the warm path of an O(copy) retrain install, whose
+    /// training job already embedded every row, so the new snapshot's
+    /// table starts hot.
     pub fn warm(&self, images: &Tensor, embeddings: &Tensor) {
         if !self.is_enabled() {
             return;
         }
         let hashes = row_hashes(images);
-        let mut buckets = vec![Vec::new(); self.shards.len()];
-        for (i, &h) in hashes.iter().enumerate() {
-            buckets[self.shard_of(h)].push(i);
+        self.install(&self.route(&hashes), &hashes, images, embeddings);
+    }
+
+    /// The probe pass over `routed` rows ([`EmbedCache::route`]'s order):
+    /// copies every hit into its row of `out`, under one lock per touched
+    /// shard, and returns the missed `(shard, row)` pairs in the same
+    /// order. Counts the pass's hits and misses once.
+    fn probe(
+        &self,
+        routed: &[(usize, usize)],
+        hashes: &[u64],
+        images: &Tensor,
+        out: &mut Tensor,
+    ) -> Vec<(usize, usize)> {
+        let mut missed = Vec::new();
+        for run in routed.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.shards[run[0].0].lock();
+            for &(s, i) in run {
+                if !shard.get_into(hashes[i], images.row(i), out.row_mut(i)) {
+                    missed.push((s, i));
+                }
+            }
         }
-        let mut evicted = 0;
-        for (shard, rows) in self.shards.iter().zip(buckets) {
-            let mut shard = shard.lock();
-            for i in rows {
-                let (row, value) = (images.row(i), embeddings.row(i));
+        count(&self.counters.hits, routed.len() - missed.len());
+        count(&self.counters.misses, missed.len());
+        missed
+    }
+
+    /// The install pass: `row i → values.row(i)` for every routed row, under
+    /// one lock per touched shard. Counts the pass's evictions once.
+    fn install(&self, routed: &[(usize, usize)], hashes: &[u64], images: &Tensor, values: &Tensor) {
+        let mut evicted = 0usize;
+        for run in routed.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.shards[run[0].0].lock();
+            for &(_, i) in run {
+                let (row, value) = (images.row(i), values.row(i));
                 evicted += shard.insert(self.per_shard_capacity, hashes[i], row, value);
             }
         }
-        self.count_evictions(evicted);
-    }
-
-    /// Probes for `row`, copying the embedding into `dst` on a hit. Counts
-    /// the probe either way.
-    fn get_into(&self, hash: u64, row: &[f32], dst: &mut [f32]) -> bool {
-        let hit = self.shards[self.shard_of(hash)]
-            .lock()
-            .get_into(hash, row, dst);
-        let counter = if hit {
-            &self.counters.hits
-        } else {
-            &self.counters.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        hit
-    }
-
-    /// Installs a freshly computed embedding.
-    fn insert(&self, hash: u64, row: &[f32], value: &[f32]) {
-        let evicted = self.shards[self.shard_of(hash)].lock().insert(
-            self.per_shard_capacity,
-            hash,
-            row,
-            value,
-        );
-        self.count_evictions(evicted);
-    }
-
-    fn count_evictions(&self, evicted: u64) {
-        if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
+        count(&self.counters.evictions, evicted);
     }
 
     /// A point-in-time copy of the counters every table of a `FairDS` shares.
@@ -338,6 +384,7 @@ impl EmbedCache {
 mod tests {
     use super::*;
     use fairdms_tensor::hash::hash_row;
+    use fairdms_tensor::rng::TensorRng;
 
     fn row(seed: f32, d: usize) -> Vec<f32> {
         (0..d).map(|i| seed + i as f32 * 0.5).collect()
@@ -347,17 +394,33 @@ mod tests {
         EmbedCache::new(cfg, Arc::default())
     }
 
+    /// One probe pass over the one-row batch `r`, filed under `hash`.
+    fn probe_as(cache: &EmbedCache, hash: u64, r: &[f32]) -> Option<Vec<f32>> {
+        let mut dst = Tensor::zeros(&[1, 4]);
+        let missed = cache.probe(&cache.route(&[hash]), &[hash], &matrix(&[r]), &mut dst);
+        missed.is_empty().then(|| dst.row(0).to_vec())
+    }
+
     fn probe(cache: &EmbedCache, r: &[f32]) -> Option<Vec<f32>> {
-        let mut dst = vec![0.0f32; 4];
-        cache.get_into(hash_row(r), r, &mut dst).then_some(dst)
+        probe_as(cache, hash_row(r), r)
+    }
+
+    /// One install pass of the one-row batch `r → z`, filed under `hash`.
+    fn insert(cache: &EmbedCache, hash: u64, r: &[f32], z: &[f32]) {
+        cache.install(&cache.route(&[hash]), &[hash], &matrix(&[r]), &matrix(&[z]));
     }
 
     fn resident(cache: &EmbedCache) -> usize {
         cache.shards.iter().map(|s| s.lock().slots.len()).sum()
     }
 
-    fn matrix(rows: &[Vec<f32>]) -> Tensor {
-        Tensor::from_vec(rows.concat(), &[rows.len(), rows[0].len()])
+    fn matrix<R: AsRef<[f32]>>(rows: &[R]) -> Tensor {
+        let width = rows[0].as_ref().len();
+        let data = rows
+            .iter()
+            .flat_map(|r| r.as_ref().iter().copied())
+            .collect();
+        Tensor::from_vec(data, &[rows.len(), width])
     }
 
     #[test]
@@ -366,7 +429,7 @@ mod tests {
         let r = row(1.0, 8);
         let z = row(9.0, 4);
         assert!(probe(&cache, &r).is_none());
-        cache.insert(hash_row(&r), &r, &z);
+        insert(&cache, hash_row(&r), &r, &z);
         // Same content, fresh allocation: still a hit.
         let r2 = row(1.0, 8);
         assert_eq!(probe(&cache, &r2).as_deref(), Some(&z[..]));
@@ -380,12 +443,11 @@ mod tests {
         let cache = table(EmbedCacheConfig::default());
         let r = row(4.0, 8);
         let h = hash_row(&r);
-        cache.insert(h, &r, &row(0.0, 4));
+        insert(&cache, h, &r, &row(0.0, 4));
         // Probe with the *same hash* but different content (a simulated
         // 64-bit collision): the full-row check must refuse the hit.
         let imposter = row(5.0, 8);
-        let mut dst = vec![0.0f32; 4];
-        assert!(!cache.get_into(h, &imposter, &mut dst));
+        assert!(probe_as(&cache, h, &imposter).is_none());
     }
 
     #[test]
@@ -393,7 +455,7 @@ mod tests {
         let cache = table(EmbedCacheConfig { capacity: 8 });
         for i in 0..32 {
             let r = row(i as f32, 8);
-            cache.insert(hash_row(&r), &r, &row(0.0, 4));
+            insert(&cache, hash_row(&r), &r, &row(0.0, 4));
         }
         assert!(resident(&cache) <= cache.capacity());
         assert!(cache.stats().evictions > 0);
@@ -405,12 +467,12 @@ mod tests {
         // evict the un-hit B first.
         let cache = table(EmbedCacheConfig { capacity: 2 });
         let (a, b) = (row(1.0, 8), row(2.0, 8));
-        cache.insert(hash_row(&a), &a, &row(10.0, 4));
-        cache.insert(hash_row(&b), &b, &row(20.0, 4));
+        insert(&cache, hash_row(&a), &a, &row(10.0, 4));
+        insert(&cache, hash_row(&b), &b, &row(20.0, 4));
         // Touch A so only A carries the second-chance bit.
         assert!(probe(&cache, &a).is_some());
         let newcomer = row(4.0, 8);
-        cache.insert(hash_row(&newcomer), &newcomer, &row(40.0, 4));
+        insert(&cache, hash_row(&newcomer), &newcomer, &row(40.0, 4));
         assert!(
             probe(&cache, &a).is_some(),
             "recently-hit entry must survive one insertion wave"
@@ -421,6 +483,57 @@ mod tests {
             "the un-hit entry is the victim"
         );
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// A row-independent stand-in for an embedder's forward pass.
+    fn forward(x: &Tensor) -> Tensor {
+        let z: Vec<Vec<f32>> = (0..x.shape()[0])
+            .map(|i| vec![x.row(i)[0] * 10.0, x.row(i)[1], 0.0, 1.0])
+            .collect();
+        matrix(&z)
+    }
+
+    #[test]
+    fn a_batch_counts_and_forwards_as_row_by_row_probes_would() {
+        let cache = table(EmbedCacheConfig::default());
+        let (a, b, c, d) = (row(1.0, 8), row(2.0, 8), row(3.0, 8), row(4.0, 8));
+        cache.warm(&matrix(&[&a, &b]), &forward(&matrix(&[&a, &b])));
+        // Two hits, a row that arrives twice, and one more miss.
+        let batch = matrix(&[&a, &c, &b, &c, &d]);
+        let mut calls = Vec::new();
+        let z = cache.embed(&batch, 4, |x| {
+            calls.push(x.clone());
+            forward(x)
+        });
+        assert_eq!(z, forward(&batch));
+        // One forward pass over the misses, in row order; both copies of
+        // `c` miss, and installing them leaves one entry.
+        assert_eq!(calls, vec![matrix(&[&c, &c, &d])]);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 3, 0));
+        assert_eq!(resident(&cache), 4);
+        let again = cache.embed(&batch, 4, |_| panic!("every row is resident"));
+        assert_eq!(again, z);
+        assert_eq!(cache.stats().hits, 7);
+    }
+
+    #[test]
+    fn rows_fill_the_shards_evenly() {
+        // 4,096 rows over the default table's 8 shards: 512 a shard, σ ≈ 21,
+        // so ±15% (±3.6σ) holds any hash whose high bits are uniform, and
+        // a shard selector that reads bits the hash leaves unmixed piles
+        // the rows into a few shards.
+        let cache = table(EmbedCacheConfig::default());
+        assert_eq!(cache.shards.len(), 8);
+        let random = TensorRng::seeded(17).uniform(&[4_096, 225], 0.0, 1.0);
+        let counters: Vec<Vec<f32>> = (0..4_096).map(|i| row(i as f32, 225)).collect();
+        for rows in [random, matrix(&counters)] {
+            let mut fill = [0usize; 8];
+            for h in row_hashes(&rows) {
+                fill[cache.shard_of(h)] += 1;
+            }
+            assert!(fill.iter().all(|f| (435..=589).contains(f)), "{fill:?}");
+        }
     }
 
     #[test]
@@ -468,7 +581,7 @@ mod tests {
         assert!(!cache.is_enabled());
         assert_eq!(cache.capacity(), 0);
         let r = row(1.0, 8);
-        cache.insert(hash_row(&r), &r, &row(0.0, 4));
+        insert(&cache, hash_row(&r), &r, &row(0.0, 4));
         assert!(probe(&cache, &r).is_none());
         assert_eq!(cache.stats().hits, 0);
     }
@@ -482,14 +595,12 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
                     let r = row(((t * 37 + i) % 64) as f32, 16);
-                    let h = hash_row(&r);
-                    let mut dst = vec![0.0f32; 4];
-                    if cache.get_into(h, &r, &mut dst) {
+                    if let Some(dst) = probe(&cache, &r) {
                         // A hit must carry the value inserted for this row.
                         assert_eq!(dst[0], r[0] * 2.0, "foreign value served");
                     } else {
                         let z = vec![r[0] * 2.0, 0.0, 0.0, 0.0];
-                        cache.insert(h, &r, &z);
+                        insert(&cache, hash_row(&r), &r, &z);
                     }
                 }
             }));

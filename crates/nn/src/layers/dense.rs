@@ -76,6 +76,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // ∂X = ∂Y × W  → [batch, in]
+        ops::matmul(grad_out, &self.weight.value)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
@@ -86,8 +92,6 @@ impl Layer for Dense {
             .add_assign(&ops::matmul_transa(grad_out, x));
         // ∂b = column sums of ∂Y
         self.bias.grad.add_assign(&grad_out.sum_rows());
-        // ∂X = ∂Y × W  → [batch, in]
-        ops::matmul(grad_out, &self.weight.value)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

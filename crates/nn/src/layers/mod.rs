@@ -261,22 +261,30 @@ mod tests {
     #[test]
     fn backward_params_accumulates_the_same_parameter_gradients() {
         let mut rng = TensorRng::seeded(3);
-        let mut net = Sequential::new(vec![
+        let conv_first = Sequential::new(vec![
             Box::new(Conv2d::new(1, 2, 3, 1, 1, &mut rng)),
             Box::new(Activation::relu()),
             Box::new(Flatten::new()),
             Box::new(Dense::new(2 * 4 * 4, 3, &mut rng)),
         ]);
+        // An embedder's encoder: the first layer is `Dense`.
+        let dense_first = Sequential::new(vec![
+            Box::new(Dense::new(16, 8, &mut rng)),
+            Box::new(Activation::relu()),
+            Box::new(Dense::new(8, 3, &mut rng)),
+        ]);
         let x = rng.uniform(&[5, 1, 4, 4], -1.0, 1.0);
         let dy = rng.uniform(&[5, 3], -1.0, 1.0);
-        net.forward(&x);
-        net.backward(&dy);
-        let full: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
-        net.zero_grad();
-        net.forward(&x);
-        net.backward_params(&dy);
-        let params_only: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
-        assert_eq!(full, params_only);
+        for (mut net, x) in [(conv_first, x.clone()), (dense_first, x.reshape(&[5, 16]))] {
+            net.forward(&x);
+            net.backward(&dy);
+            let full: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
+            net.zero_grad();
+            net.forward(&x);
+            net.backward_params(&dy);
+            let params_only: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
+            assert_eq!(full, params_only);
+        }
         // An empty network has nothing to accumulate.
         Sequential::empty().backward_params(&dy);
     }

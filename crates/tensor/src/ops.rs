@@ -34,9 +34,10 @@ pub const PAR_MIN_WORK: usize = 1 << 24;
 pub const POWF_WORK: usize = 128;
 
 /// Hashing one `f32` of a row in multiply–add equivalents
-/// ([`crate::hash::hash_row`]: half a round of a serially dependent
-/// three-multiply mixer, ~2 ns).
-pub const HASH_WORK: usize = 32;
+/// ([`crate::hash::hash_row`]: a quarter of one of a chunk's four
+/// independent 64×64→128 multiplies). ~0.25 ns from cache, but a batch
+/// near the gate is megabytes and streams from memory at 0.5–0.75 ns.
+pub const HASH_WORK: usize = 8;
 
 /// One term of a scalar [`sq_dist`] in multiply–add equivalents: its sum
 /// is one serially dependent `f32` chain, ~1 ns a term where the blocked
