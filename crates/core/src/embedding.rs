@@ -115,20 +115,6 @@ fn standardize_rows(x: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[n, d])
 }
 
-/// L2-normalizes every row in place (zero rows are left untouched).
-fn l2_normalize_rows(x: &mut Tensor) {
-    let (n, d) = (x.shape()[0], x.shape()[1]);
-    for i in 0..n {
-        let row = &mut x.data_mut()[i * d..(i + 1) * d];
-        let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-        if norm > 1e-12 {
-            for v in row.iter_mut() {
-                *v /= norm;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Augmentations
 // ---------------------------------------------------------------------
@@ -146,11 +132,6 @@ struct Augmenter {
 }
 
 impl Augmenter {
-    /// An augmenter for `side`×`side` images.
-    fn new(side: usize) -> Self {
-        Augmenter { side }
-    }
-
     /// 90°-clockwise rotation.
     fn rot90(&self, img: &[f32]) -> Vec<f32> {
         let s = self.side;
@@ -214,23 +195,60 @@ impl Augmenter {
 }
 
 // ---------------------------------------------------------------------
-// MLP building blocks
+// MLP building blocks, the one fit loop and the one serving pass
 // ---------------------------------------------------------------------
 
-fn mlp(dims: &[usize], final_activation: bool, rng: &mut TensorRng) -> Sequential {
+/// One tower: an MLP per stage, each `Dense` layers through its widths with
+/// ReLU between them (none after a stage's last layer), stacked in order.
+fn mlp(stages: &[&[usize]], rng: &mut TensorRng) -> Sequential {
     let mut net = Sequential::empty();
-    for w in 0..dims.len() - 1 {
-        net.push(Box::new(Dense::new(dims[w], dims[w + 1], rng)));
-        if w + 2 < dims.len() || final_activation {
-            net.push(Box::new(Activation::relu()));
+    for dims in stages {
+        for w in 0..dims.len() - 1 {
+            net.push(Box::new(Dense::new(dims[w], dims[w + 1], rng)));
+            if w + 2 < dims.len() {
+                net.push(Box::new(Activation::relu()));
+            }
         }
     }
     net
 }
 
-fn epoch_batches(n: usize, batch: usize, rng: &mut TensorRng) -> Vec<Vec<usize>> {
-    let order = rng.permutation(n);
-    order.chunks(batch.max(2)).map(|c| c.to_vec()).collect()
+/// The fit every built-in embedder runs: standardize the images, then
+/// for each epoch check `ctl` and hand `step` every seeded batch of row
+/// indices with the standardized matrix, the fit's RNG and its one
+/// [`Adam`]. `false` when `ctl` was raised at an epoch boundary.
+fn fit_epochs(
+    images: &Tensor,
+    cfg: &EmbedTrainConfig,
+    ctl: &TrainControl,
+    mut step: impl FnMut(&Tensor, &[usize], &mut TensorRng, &mut Adam),
+) -> bool {
+    let x = standardize_rows(images);
+    let mut rng = TensorRng::seeded(cfg.seed);
+    let mut opt = Adam::new(cfg.lr);
+    for _ in 0..cfg.epochs {
+        if ctl.is_cancelled() {
+            return false;
+        }
+        for batch in rng.permutation(x.shape()[0]).chunks(cfg.batch_size.max(2)) {
+            step(&x, batch, &mut rng, &mut opt);
+        }
+    }
+    true
+}
+
+/// The serving pass every built-in embedder's `embed` is: standardize,
+/// `tower.infer`, then L2-normalize each row (zero rows stay zero).
+fn serve(tower: &Sequential, images: &Tensor) -> Tensor {
+    let mut z = tower.infer(&standardize_rows(images));
+    let d = z.shape()[1].max(1);
+    for row in z.data_mut().chunks_exact_mut(d) {
+        let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
+        if norm > 1e-12 {
+            row.iter_mut().for_each(|v| *v /= norm);
+        }
+    }
+    z
 }
 
 // ---------------------------------------------------------------------
@@ -251,8 +269,8 @@ impl AutoencoderEmbedder {
     pub fn new(input_dim: usize, hidden: usize, embed_dim: usize, seed: u64) -> Self {
         let mut rng = TensorRng::seeded(seed);
         AutoencoderEmbedder {
-            encoder: mlp(&[input_dim, hidden, embed_dim], false, &mut rng),
-            decoder: mlp(&[embed_dim, hidden, input_dim], false, &mut rng),
+            encoder: mlp(&[&[input_dim, hidden, embed_dim]], &mut rng),
+            decoder: mlp(&[&[embed_dim, hidden, input_dim]], &mut rng),
             input_dim,
             embed_dim,
         }
@@ -274,35 +292,24 @@ impl Embedder for AutoencoderEmbedder {
         cfg: &EmbedTrainConfig,
         ctl: &TrainControl,
     ) -> bool {
-        let x = standardize_rows(images);
-        let n = x.shape()[0];
-        let mut rng = TensorRng::seeded(cfg.seed);
-        let mut opt = Adam::new(cfg.lr);
-        for _ in 0..cfg.epochs {
-            if ctl.is_cancelled() {
-                return false;
-            }
-            for batch in epoch_batches(n, cfg.batch_size, &mut rng) {
-                let bx = x.gather_rows(&batch);
-                let z = self.encoder.forward(&bx);
-                let recon = self.decoder.forward(&z);
-                let grad = Mse.backward(&recon, &bx);
-                let gz = self.decoder.backward(&grad);
-                self.encoder.backward_params(&gz);
-                let mut params = self.encoder.params_mut();
-                params.extend(self.decoder.params_mut());
-                opt.step(params);
-            }
+        let done = fit_epochs(images, cfg, ctl, |x, batch, _, opt| {
+            let bx = x.gather_rows(batch);
+            let z = self.encoder.forward(&bx);
+            let recon = self.decoder.forward(&z);
+            let gz = self.decoder.backward(&Mse.backward(&recon, &bx));
+            self.encoder.backward_params(&gz);
+            let mut params = self.encoder.params_mut();
+            params.extend(self.decoder.params_mut());
+            opt.step(params);
+        });
+        if done {
+            self.encoder.freeze();
         }
-        self.encoder.freeze();
-        true
+        done
     }
 
     fn embed(&self, images: &Tensor) -> Tensor {
-        let x = standardize_rows(images);
-        let mut z = self.encoder.infer(&x);
-        l2_normalize_rows(&mut z);
-        z
+        serve(&self.encoder, images)
     }
 }
 
@@ -326,25 +333,12 @@ impl ContrastiveEmbedder {
         let input_dim = side * side;
         let mut rng = TensorRng::seeded(seed);
         ContrastiveEmbedder {
-            encoder: mlp(&[input_dim, hidden, embed_dim], false, &mut rng),
-            projector: mlp(&[embed_dim, embed_dim, embed_dim / 2], false, &mut rng),
-            augmenter: Augmenter::new(side),
+            encoder: mlp(&[&[input_dim, hidden, embed_dim]], &mut rng),
+            projector: mlp(&[&[embed_dim, embed_dim, embed_dim / 2]], &mut rng),
+            augmenter: Augmenter { side },
             input_dim,
             embed_dim,
         }
-    }
-
-    /// Builds the `[2B, input]` two-view batch for a set of rows.
-    fn two_views(&self, x: &Tensor, batch: &[usize], rng: &mut TensorRng) -> Tensor {
-        let d = self.input_dim;
-        let mut data = Vec::with_capacity(2 * batch.len() * d);
-        for &i in batch {
-            data.extend(self.augmenter.random_view(x.row(i), rng));
-        }
-        for &i in batch {
-            data.extend(self.augmenter.random_view(x.row(i), rng));
-        }
-        Tensor::from_vec(data, &[2 * batch.len(), d])
     }
 }
 
@@ -363,38 +357,33 @@ impl Embedder for ContrastiveEmbedder {
         cfg: &EmbedTrainConfig,
         ctl: &TrainControl,
     ) -> bool {
-        let x = standardize_rows(images);
-        let n = x.shape()[0];
-        let mut rng = TensorRng::seeded(cfg.seed);
-        let mut opt = Adam::new(cfg.lr);
-        for _ in 0..cfg.epochs {
-            if ctl.is_cancelled() {
-                return false;
+        let done = fit_epochs(images, cfg, ctl, |x, batch, rng, opt| {
+            if batch.len() < 2 {
+                return; // NT-Xent needs at least 2 pairs
             }
-            for batch in epoch_batches(n, cfg.batch_size, &mut rng) {
-                if batch.len() < 2 {
-                    continue; // NT-Xent needs at least 2 pairs
-                }
-                let views = self.two_views(&x, &batch, &mut rng);
-                let h = self.encoder.forward(&views);
-                let z = self.projector.forward(&h);
-                let (_, grad) = nt_xent(&z, cfg.temperature);
-                let gh = self.projector.backward(&grad);
-                self.encoder.backward_params(&gh);
-                let mut params = self.encoder.params_mut();
-                params.extend(self.projector.params_mut());
-                opt.step(params);
+            // `[2B, input]`: every row's first view, then every row's second.
+            let (d, mut views) = (self.input_dim, Vec::new());
+            for &i in batch.iter().chain(batch) {
+                views.extend(self.augmenter.random_view(x.row(i), rng));
             }
+            let views = Tensor::from_vec(views, &[2 * batch.len(), d]);
+            let h = self.encoder.forward(&views);
+            let z = self.projector.forward(&h);
+            let (_, grad) = nt_xent(&z, cfg.temperature);
+            let gh = self.projector.backward(&grad);
+            self.encoder.backward_params(&gh);
+            let mut params = self.encoder.params_mut();
+            params.extend(self.projector.params_mut());
+            opt.step(params);
+        });
+        if done {
+            self.encoder.freeze();
         }
-        self.encoder.freeze();
-        true
+        done
     }
 
     fn embed(&self, images: &Tensor) -> Tensor {
-        let x = standardize_rows(images);
-        let mut z = self.encoder.infer(&x);
-        l2_normalize_rows(&mut z);
-        z
+        serve(&self.encoder, images)
     }
 }
 
@@ -406,17 +395,17 @@ impl Embedder for ContrastiveEmbedder {
 /// stop-gradient and EMA target updates — the method the paper settled on
 /// for Bragg peaks after the autoencoder failure (§IV).
 ///
-/// [`Embedder::embed`] returns the *projected* representation: in this
-/// indexing application the projector's augmentation invariance is exactly
-/// the property fairDS needs (rotated peaks must land on the same index),
-/// unlike transfer-learning uses where the encoder output is customary.
+/// The online tower is the encoder followed by the projector, one
+/// [`Sequential`], and [`Embedder::embed`] serves all of it: the
+/// *projected* representation. In this indexing application the
+/// projector's augmentation invariance is exactly the property fairDS
+/// needs (rotated peaks must land on the same index), unlike
+/// transfer-learning uses where the encoder output is customary.
 #[derive(Clone)]
 pub struct ByolEmbedder {
-    online_encoder: Sequential,
-    online_projector: Sequential,
+    online: Sequential,
     predictor: Sequential,
-    target_encoder: Sequential,
-    target_projector: Sequential,
+    target: Sequential,
     augmenter: Augmenter,
     input_dim: usize,
     embed_dim: usize,
@@ -428,64 +417,50 @@ impl ByolEmbedder {
     pub fn new(side: usize, hidden: usize, embed_dim: usize, seed: u64) -> Self {
         let input_dim = side * side;
         let repr_dim = embed_dim * 2;
-        let proj_dim = embed_dim;
         let mut rng = TensorRng::seeded(seed);
-        let online_encoder = mlp(&[input_dim, hidden, repr_dim], false, &mut rng);
-        let online_projector = mlp(&[repr_dim, repr_dim, proj_dim], false, &mut rng);
-        let predictor = mlp(&[proj_dim, proj_dim, proj_dim], false, &mut rng);
-        // Targets start as copies of the online networks.
-        let mut rng_t = TensorRng::seeded(seed);
-        let target_encoder = mlp(&[input_dim, hidden, repr_dim], false, &mut rng_t);
-        let target_projector = mlp(&[repr_dim, repr_dim, proj_dim], false, &mut rng_t);
+        let encoder = [input_dim, hidden, repr_dim];
+        let projector = [repr_dim, repr_dim, embed_dim];
+        let online = mlp(&[&encoder, &projector], &mut rng);
+        let predictor = mlp(&[&[embed_dim, embed_dim, embed_dim]], &mut rng);
         ByolEmbedder {
-            online_encoder,
-            online_projector,
+            // The target starts as a copy of the online tower.
+            target: online.clone(),
+            online,
             predictor,
-            target_encoder,
-            target_projector,
-            augmenter: Augmenter::new(side),
+            augmenter: Augmenter { side },
             input_dim,
             embed_dim,
         }
     }
 
-    /// EMA update of the target networks toward the online networks.
+    /// EMA update of the target tower (a copy of the online tower's
+    /// layers, so the two parameter lists pair up) toward the online one.
     fn ema_update(&mut self, tau: f32) {
-        let pairs = [
-            (&self.online_encoder, &mut self.target_encoder),
-            (&self.online_projector, &mut self.target_projector),
-        ];
-        for (online, target) in pairs {
-            let o = online.params();
-            let mut t = target.params_mut();
-            assert_eq!(o.len(), t.len(), "online/target structure diverged");
-            for (op, tp) in o.iter().zip(t.iter_mut()) {
-                for (tv, &ov) in tp.value.data_mut().iter_mut().zip(op.value.data()) {
-                    *tv = tau * *tv + (1.0 - tau) * ov;
-                }
+        let online = self.online.params();
+        for (tp, op) in self.target.params_mut().into_iter().zip(online) {
+            for (tv, &ov) in tp.value.data_mut().iter_mut().zip(op.value.data()) {
+                *tv = tau * *tv + (1.0 - tau) * ov;
             }
         }
     }
 
     /// Gradient of `2 − 2·cos(p, t)` with respect to `p`, rows paired.
-    fn cosine_grad(p: &Tensor, t: &Tensor) -> (f32, Tensor) {
+    fn cosine_grad(p: &Tensor, t: &Tensor) -> Tensor {
         let (n, d) = (p.shape()[0], p.shape()[1]);
         let mut grad = Tensor::zeros(p.shape());
-        let mut loss = 0.0f32;
         for i in 0..n {
             let (pr, tr) = (p.row(i), t.row(i));
             let np = pr.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
             let nt = tr.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
             let dot: f32 = pr.iter().zip(tr).map(|(&a, &b)| a * b).sum();
             let cos = dot / (np * nt);
-            loss += 2.0 - 2.0 * cos;
             let g = &mut grad.data_mut()[i * d..(i + 1) * d];
             for k in 0..d {
                 // ∂(−2cos)/∂p_k, averaged over the batch.
                 g[k] = -2.0 * (tr[k] / (np * nt) - cos * pr[k] / (np * np)) / n as f32;
             }
         }
-        (loss / n as f32, grad)
+        grad
     }
 }
 
@@ -504,57 +479,38 @@ impl Embedder for ByolEmbedder {
         cfg: &EmbedTrainConfig,
         ctl: &TrainControl,
     ) -> bool {
-        let x = standardize_rows(images);
-        let n = x.shape()[0];
-        let mut rng = TensorRng::seeded(cfg.seed);
-        let mut opt = Adam::new(cfg.lr);
-        for _ in 0..cfg.epochs {
-            if ctl.is_cancelled() {
-                return false;
+        let done = fit_epochs(images, cfg, ctl, |x, batch, rng, opt| {
+            let (d, mut v1, mut v2) = (self.input_dim, Vec::new(), Vec::new());
+            for &i in batch {
+                v1.extend(self.augmenter.random_view(x.row(i), rng));
+                v2.extend(self.augmenter.random_view(x.row(i), rng));
             }
-            for batch in epoch_batches(n, cfg.batch_size, &mut rng) {
-                let d = self.input_dim;
-                let mut v1 = Vec::with_capacity(batch.len() * d);
-                let mut v2 = Vec::with_capacity(batch.len() * d);
-                for &i in &batch {
-                    v1.extend(self.augmenter.random_view(x.row(i), &mut rng));
-                    v2.extend(self.augmenter.random_view(x.row(i), &mut rng));
-                }
-                let v1 = Tensor::from_vec(v1, &[batch.len(), d]);
-                let v2 = Tensor::from_vec(v2, &[batch.len(), d]);
+            let v1 = Tensor::from_vec(v1, &[batch.len(), d]);
+            let v2 = Tensor::from_vec(v2, &[batch.len(), d]);
 
-                // Symmetric BYOL step: (v1 online, v2 target) and swapped.
-                for (online_view, target_view) in [(&v1, &v2), (&v2, &v1)] {
-                    let h = self.online_encoder.forward(online_view);
-                    let z = self.online_projector.forward(&h);
-                    let p = self.predictor.forward(&z);
-                    // Stop-gradient branch: inference only, no caches.
-                    let ht = self.target_encoder.infer(target_view);
-                    let t = self.target_projector.infer(&ht);
+            // Symmetric BYOL step: (v1 online, v2 target) and swapped.
+            for (online_view, target_view) in [(&v1, &v2), (&v2, &v1)] {
+                let z = self.online.forward(online_view);
+                let p = self.predictor.forward(&z);
+                // Stop-gradient branch: inference only, no caches.
+                let t = self.target.infer(target_view);
 
-                    let (_, grad) = Self::cosine_grad(&p, &t);
-                    let gz = self.predictor.backward(&grad);
-                    let gh = self.online_projector.backward(&gz);
-                    self.online_encoder.backward_params(&gh);
-                    let mut params = self.online_encoder.params_mut();
-                    params.extend(self.online_projector.params_mut());
-                    params.extend(self.predictor.params_mut());
-                    opt.step(params);
-                }
-                self.ema_update(cfg.tau);
+                let gz = self.predictor.backward(&Self::cosine_grad(&p, &t));
+                self.online.backward_params(&gz);
+                let mut params = self.online.params_mut();
+                params.extend(self.predictor.params_mut());
+                opt.step(params);
             }
+            self.ema_update(cfg.tau);
+        });
+        if done {
+            self.online.freeze();
         }
-        self.online_encoder.freeze();
-        self.online_projector.freeze();
-        true
+        done
     }
 
     fn embed(&self, images: &Tensor) -> Tensor {
-        let x = standardize_rows(images);
-        let h = self.online_encoder.infer(&x);
-        let mut z = self.online_projector.infer(&h);
-        l2_normalize_rows(&mut z);
-        z
+        serve(&self.online, images)
     }
 }
 
@@ -689,7 +645,7 @@ mod tests {
 
     #[test]
     fn rot90_four_times_is_identity() {
-        let aug = Augmenter::new(5);
+        let aug = Augmenter { side: 5 };
         let img: Vec<f32> = (0..25).map(|v| v as f32).collect();
         let mut r = img.clone();
         for _ in 0..4 {
@@ -703,7 +659,7 @@ mod tests {
 
     #[test]
     fn flip_is_involutive_and_shift_roundtrips_interior() {
-        let aug = Augmenter::new(4);
+        let aug = Augmenter { side: 4 };
         let img: Vec<f32> = (0..16).map(|v| v as f32).collect();
         assert_eq!(aug.flip_h(&aug.flip_h(&img)), img);
         let shifted = aug.shift(&img, 1, 0);
@@ -736,7 +692,7 @@ mod tests {
         // image and its rotation closer (relative to unrelated images)
         // than a pixel-reconstruction autoencoder does.
         let x = distinct_blob_data(40, 15);
-        let aug = Augmenter::new(8);
+        let aug = Augmenter { side: 8 };
         let rotated_rows: Vec<f32> = (0..x.shape()[0])
             .flat_map(|i| aug.rot90(x.row(i)))
             .collect();

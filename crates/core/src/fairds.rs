@@ -678,18 +678,8 @@ impl FairDS {
             "training batch shape {:?} does not match the embedder's input dim {dim}",
             fresh.shape()
         );
-        let mut rows: Vec<f32> = Vec::new();
         let mut captured: Vec<DocId> = Vec::new();
-        for id in ids {
-            if let Some(doc) = self.store.get(id) {
-                if let Some(pixels) = doc.get_f32s("pixels") {
-                    if pixels.len() == dim {
-                        rows.extend_from_slice(pixels);
-                        captured.push(id);
-                    }
-                }
-            }
-        }
+        let mut rows = self.stored_pixels(&ids, dim, |id, _| captured.push(id));
         rows.extend_from_slice(fresh.data());
         let n = rows.len() / dim;
         RetrainJob {
@@ -762,6 +752,25 @@ impl FairDS {
         }
     }
 
+    /// Concatenates, in `ids` order, the `pixels` row of every stored
+    /// document among `ids` whose row is `dim` wide, and hands each such
+    /// document to `kept`.
+    fn stored_pixels(
+        &self,
+        ids: &[DocId],
+        dim: usize,
+        mut kept: impl FnMut(DocId, Document),
+    ) -> Vec<f32> {
+        let mut rows = Vec::new();
+        for (id, doc) in ids.iter().filter_map(|&id| Some((id, self.store.get(id)?))) {
+            if let Some(pixels) = doc.get_f32s("pixels").filter(|p| p.len() == dim) {
+                rows.extend_from_slice(pixels);
+                kept(id, doc);
+            }
+        }
+        rows
+    }
+
     /// Recomputes embeddings and cluster assignments of every stored
     /// document under the currently-published system models (the *full*
     /// reindex; [`FairDS::reindex_ids`] is the delta variant).
@@ -782,17 +791,7 @@ impl FairDS {
         let snap = Arc::clone(self.ready("reindex"));
         let dim = snap.embedder.input_dim();
         let mut pending: Vec<(DocId, Document)> = Vec::new();
-        let mut rows: Vec<f32> = Vec::new();
-        for &id in ids {
-            if let Some(doc) = self.store.get(id) {
-                if let Some(pixels) = doc.get_f32s("pixels") {
-                    if pixels.len() == dim {
-                        rows.extend_from_slice(pixels);
-                        pending.push((id, doc));
-                    }
-                }
-            }
-        }
+        let rows = self.stored_pixels(ids, dim, |id, doc| pending.push((id, doc)));
         if pending.is_empty() {
             return 0;
         }

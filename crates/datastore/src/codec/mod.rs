@@ -22,6 +22,8 @@ pub enum CodecError {
     BadUtf8,
     /// Compressed block failed to decompress to the declared size.
     BadCompression,
+    /// Documents and arrays nested deeper than [`MAX_NESTING`].
+    TooDeep,
 }
 
 impl std::fmt::Display for CodecError {
@@ -31,6 +33,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown value tag {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             CodecError::BadCompression => write!(f, "corrupt compressed block"),
+            CodecError::TooDeep => write!(f, "nesting deeper than {MAX_NESTING} levels"),
         }
     }
 }
@@ -52,6 +55,12 @@ pub trait Codec: Send + Sync {
     /// Deserializes a document.
     fn decode(&self, bytes: &[u8]) -> Result<Document, CodecError>;
 }
+
+/// Most documents and arrays [`RawCodec`] decodes one inside another,
+/// counting the outermost document: decoding recurses once a level, so a
+/// hostile input gets an `Err`, not a stack overflow. The service writes
+/// two (a document, its `train_pdf` array).
+pub const MAX_NESTING: usize = 32;
 
 // RawCodec's value tags.
 pub(crate) const TAG_NULL: u8 = 0;
@@ -109,16 +118,12 @@ impl RawCodec {
             Value::F32Array(a) => {
                 out.put_u8(TAG_F32ARR);
                 out.put_u32(a.len() as u32);
-                for &x in a {
-                    out.put_f32(x);
-                }
+                out.put_f32s(a);
             }
             Value::U16Array(a) => {
                 out.put_u8(TAG_U16ARR);
                 out.put_u32(a.len() as u32);
-                for &x in a {
-                    out.put_u16(x);
-                }
+                out.put_u16s(a);
             }
             Value::Array(items) => {
                 out.put_u8(TAG_ARRAY);
@@ -134,7 +139,8 @@ impl RawCodec {
         }
     }
 
-    pub(crate) fn read_doc(r: &mut Reader<'_>) -> Result<Document, CodecError> {
+    /// Reads a document at nesting level `depth` (1 for the outermost).
+    pub(crate) fn read_doc(r: &mut Reader<'_>, depth: usize) -> Result<Document, CodecError> {
         let n = r.u32()? as usize;
         let mut doc = Document::new();
         for _ in 0..n {
@@ -142,13 +148,13 @@ impl RawCodec {
             let key = std::str::from_utf8(r.take(klen)?)
                 .map_err(|_| CodecError::BadUtf8)?
                 .to_string();
-            let value = Self::read_value(r)?;
-            doc.set(&key, ValueWrapper(value));
+            doc.set(&key, Self::read_value(r, depth)?);
         }
         Ok(doc)
     }
 
-    fn read_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    /// Reads one value held by a container at nesting level `depth`.
+    fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, CodecError> {
         let tag = r.u8()?;
         Ok(match tag {
             TAG_NULL => Value::Null,
@@ -169,43 +175,24 @@ impl RawCodec {
             }
             TAG_F32ARR => {
                 let n = r.u32()? as usize;
-                let raw = r.take(n * 4)?;
-                let mut a = Vec::with_capacity(n);
-                for chunk in raw.chunks_exact(4) {
-                    a.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-                }
-                Value::F32Array(a)
+                Value::F32Array(r.f32s(n)?)
             }
             TAG_U16ARR => {
                 let n = r.u32()? as usize;
-                let raw = r.take(n * 2)?;
-                let mut a = Vec::with_capacity(n);
-                for chunk in raw.chunks_exact(2) {
-                    a.push(u16::from_le_bytes(chunk.try_into().unwrap()));
-                }
-                Value::U16Array(a)
+                Value::U16Array(r.u16s(n)?)
             }
+            TAG_ARRAY | TAG_DOC if depth >= MAX_NESTING => return Err(CodecError::TooDeep),
             TAG_ARRAY => {
                 let n = r.u32()? as usize;
                 let mut items = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    items.push(Self::read_value(r)?);
+                    items.push(Self::read_value(r, depth + 1)?);
                 }
                 Value::Array(items)
             }
-            TAG_DOC => Value::Doc(Self::read_doc(r)?),
+            TAG_DOC => Value::Doc(Self::read_doc(r, depth + 1)?),
             other => return Err(CodecError::BadTag(other)),
         })
-    }
-}
-
-/// Adapter so `Document::set` (which takes `impl Into<Value>`) accepts a
-/// decoded `Value` directly.
-struct ValueWrapper(Value);
-
-impl From<ValueWrapper> for Value {
-    fn from(w: ValueWrapper) -> Value {
-        w.0
     }
 }
 
@@ -222,7 +209,7 @@ impl Codec for RawCodec {
 
     fn decode(&self, bytes: &[u8]) -> Result<Document, CodecError> {
         let mut r = Reader::new(bytes);
-        let doc = Self::read_doc(&mut r)?;
+        let doc = Self::read_doc(&mut r, 1)?;
         if !r.is_empty() {
             return Err(CodecError::Truncated);
         }
@@ -285,6 +272,32 @@ mod tests {
         bytes.push(b'x');
         bytes.push(0xAB);
         assert_eq!(RawCodec.decode(&bytes), Err(CodecError::BadTag(0xAB)));
+    }
+
+    /// A document whose field holds `levels - 1` one-element arrays, one
+    /// inside another, around a null: `levels` containers in all.
+    fn nested_arrays(levels: usize) -> Vec<u8> {
+        let mut bytes = vec![1, 0, 0, 0, 1, 0, b'a'];
+        (1..levels).for_each(|_| bytes.extend([TAG_ARRAY, 1, 0, 0, 0]));
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let too_deep = Err(CodecError::TooDeep);
+        assert!(RawCodec.decode(&nested_arrays(MAX_NESTING)).is_ok());
+        assert_eq!(RawCodec.decode(&nested_arrays(MAX_NESTING + 1)), too_deep);
+        // A million levels must fail before they overflow the stack.
+        let million = nested_arrays(1_000_001);
+        assert_eq!(million.len(), 5_000_008);
+        assert_eq!(RawCodec.decode(&million), too_deep);
+        // A document is a level like an array, as the encoder writes it.
+        let nest = |d: Document| Document::new().with("d", Value::Doc(d));
+        let deepest = (1..MAX_NESTING).fold(Document::new(), |d, _| nest(d));
+        let bytes = RawCodec.encode(&deepest);
+        assert_eq!(RawCodec.decode(&bytes), Ok(deepest.clone()));
+        assert_eq!(RawCodec.decode(&RawCodec.encode(&nest(deepest))), too_deep);
     }
 
     #[test]

@@ -80,6 +80,31 @@ impl<'a> Reader<'a> {
     pub fn f64(&mut self) -> Result<f64, OutOfBounds> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// Reads a run of `n` little-endian `f32`s (bit patterns preserved
+    /// exactly) under one bounds check: a claimed `n` the input does not
+    /// hold fails before the vector exists.
+    #[inline]
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, OutOfBounds> {
+        self.run(n, f32::from_le_bytes)
+    }
+
+    /// Reads a run of `n` little-endian `u16`s ([`Reader::f32s`]).
+    #[inline]
+    pub fn u16s(&mut self, n: usize) -> Result<Vec<u16>, OutOfBounds> {
+        self.run(n, u16::from_le_bytes)
+    }
+
+    #[inline]
+    fn run<T, const W: usize>(
+        &mut self,
+        n: usize,
+        from: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, OutOfBounds> {
+        let raw = self.take(n.checked_mul(W).ok_or(OutOfBounds)?)?;
+        let values = raw.chunks_exact(W).map(|c| from(c.try_into().unwrap()));
+        Ok(values.collect())
+    }
 }
 
 /// Write helpers over a growable buffer.
@@ -98,6 +123,11 @@ pub trait WriteExt {
     fn put_f32(&mut self, v: f32);
     /// Appends a little-endian `f64` (bit pattern preserved exactly).
     fn put_f64(&mut self, v: f64);
+    /// Appends a run of little-endian `f32`s (bit patterns preserved
+    /// exactly), no length prefix.
+    fn put_f32s(&mut self, v: &[f32]);
+    /// Appends a run of little-endian `u16`s, no length prefix.
+    fn put_u16s(&mut self, v: &[u16]);
 }
 
 impl WriteExt for Vec<u8> {
@@ -121,6 +151,25 @@ impl WriteExt for Vec<u8> {
     }
     fn put_f64(&mut self, v: f64) {
         self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn put_f32s(&mut self, v: &[f32]) {
+        put_run(self, v, f32::to_le_bytes);
+    }
+    #[inline]
+    fn put_u16s(&mut self, v: &[u16]) {
+        put_run(self, v, u16::to_le_bytes);
+    }
+}
+
+/// One reservation and a straight copy: a capacity check per element is
+/// most of what writing a run one value at a time costs.
+#[inline]
+fn put_run<T: Copy, const W: usize>(out: &mut Vec<u8>, v: &[T], to: impl Fn(T) -> [u8; W]) {
+    let at = out.len();
+    out.resize(at + W * v.len(), 0);
+    for (dst, &x) in out[at..].chunks_exact_mut(W).zip(v) {
+        dst.copy_from_slice(&to(x));
     }
 }
 
@@ -166,6 +215,8 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.take(usize::MAX), Err(OutOfBounds));
         assert_eq!(r.take(usize::MAX - 2), Err(OutOfBounds));
+        assert_eq!(r.f32s(usize::MAX / 2), Err(OutOfBounds));
+        assert_eq!(r.u16s(3), Err(OutOfBounds));
         assert_eq!(r.remaining(), 4);
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! * **queue wait** — admission to dequeue: how long the request sat in
 //!   (or blocked on) the plane's bounded queue before a worker picked it
-//!   up. A saturated plane shows up here.
+//!   up. A saturated plane shows up here. Only writes have a queue: a
+//!   read is served on its caller's thread and records its run time only.
 //! * **run** — dequeue to reply: how long the handler actually took. A
 //!   slow handler shows up here. For a background training job this spans
 //!   the whole job (prepare → epochs on the executor → fenced completion),

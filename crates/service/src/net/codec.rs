@@ -258,13 +258,7 @@ impl Wire for Tensor {
             assert!(*d <= u32::MAX as usize, "tensor dim over u32::MAX");
             out.put_u32(*d as u32);
         }
-        // One reservation and a straight copy: a payload is mostly tensor,
-        // and a capacity check per element is most of what writing it cost.
-        let at = out.len();
-        out.resize(at + 4 * self.numel(), 0);
-        for (dst, x) in out[at..].chunks_exact_mut(4).zip(self.data()) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        out.put_f32s(self.data());
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let ndim = r.u8()?;
@@ -280,14 +274,9 @@ impl Wire for Tensor {
                 .ok_or_else(|| WireError::Invalid("tensor element count overflow".into()))?;
             dims.push(d);
         }
-        // `take` refuses a claimed size the input does not hold before the
+        // `f32s` refuses a claimed size the input does not hold before the
         // data vector exists.
-        let raw = r.take(numel.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        let data = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
-            .collect();
-        Ok(Tensor::from_vec(data, &dims))
+        Ok(Tensor::from_vec(r.f32s(numel)?, &dims))
     }
 }
 
@@ -692,6 +681,30 @@ mod tests {
             String::from("nope").put(b);
         });
         assert!(matches!(unknown, WireError::Invalid(_)), "{unknown:?}");
+    }
+
+    /// A document nested past the codec's bound inside a reply is an
+    /// error, not a client whose stack overflows.
+    #[test]
+    fn deeply_nested_document_in_a_reply_fails_cleanly() {
+        use fairdms_datastore::codec::MAX_NESTING;
+        let reply = |levels: usize| {
+            // One field holding `levels - 1` nested one-element arrays.
+            let mut doc = vec![1, 0, 0, 0, 1, 0, b'a'];
+            (1..levels).for_each(|_| doc.extend([8, 1, 0, 0, 0]));
+            doc.push(0);
+            // `Documents` of one empty document ends in its blob: a `u32`
+            // length and the document's four-byte field count.
+            let mut bytes = encode_reply(&Reply::Documents(vec![Document::new()]));
+            bytes.truncate(bytes.len() - 8);
+            put_blob(&mut bytes, &doc);
+            decode_reply(&bytes)
+        };
+        assert!(matches!(reply(MAX_NESTING), Ok(Reply::Documents(d)) if d.len() == 1));
+        for levels in [MAX_NESTING + 1, 1_000_001] {
+            let err = format!("{:?}", reply(levels).unwrap_err());
+            assert!(err.contains("TooDeep"), "{levels} levels: {err}");
+        }
     }
 
     #[test]

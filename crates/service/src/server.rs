@@ -43,7 +43,7 @@ use crate::api::{
     MAX_LOOKUP_COUNT,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::training::{Completion, Lane, Outcome, TrainingExec, Waiter};
+use crate::training::{Lane, Outcome, TrainingExec, Waiter};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::SystemSnapshot;
@@ -51,12 +51,11 @@ use fairdms_core::fairms::{ModelManager, ZooSnapshot};
 use fairdms_core::workflow::RapidTrainer;
 use fairdms_core::ZooEntry;
 use fairdms_flows::jobs::{JobPool, TenantId};
-use fairdms_nn::trainer::TrainControl;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A label fallback installed server-side (the expensive conventional
 /// labeler, e.g. a pseudo-Voigt fit). One per tenant, shared: it is called
@@ -72,17 +71,8 @@ pub struct DmsServerConfig {
     /// blocks the client (backpressure instead of unbounded memory growth).
     pub queue_capacity: usize,
     /// Whether the certainty monitor may trigger system-plane retraining.
+    /// It watches `IngestLabeled` and `UpdateModel` batches, never reads.
     pub auto_retrain: bool,
-    /// Minimum number of monitored requests between two triggered
-    /// retrains. A system plane whose refresh cannot lift certainty above
-    /// the threshold (e.g. genuinely ambiguous data) would otherwise
-    /// retrain on *every* request; the cooldown bounds that thrashing.
-    /// `0` disables the cooldown.
-    ///
-    /// Only *mutating* image-bearing requests (`IngestLabeled`,
-    /// `UpdateModel`) are monitored — reads are served from snapshots off
-    /// the actor and never tick this counter.
-    pub retrain_cooldown: usize,
     /// Embedding hyper-parameters for triggered retrains.
     pub retrain_embed_cfg: EmbedTrainConfig,
     /// Not read by the service: the training pool is shared by every
@@ -104,7 +94,6 @@ impl Default for DmsServerConfig {
         DmsServerConfig {
             queue_capacity: 64,
             auto_retrain: true,
-            retrain_cooldown: 0,
             retrain_embed_cfg: EmbedTrainConfig::default(),
             training_pool_size: 1,
             training_queue_capacity: 64,
@@ -596,23 +585,8 @@ fn handle_write(
             // `Superseded`, exactly as it would have at the fence.
             exec.supersede(Lane::Retrain, &shared.metrics);
             exec.supersede(Lane::Update, &shared.metrics);
-            // The fit runs inline; its result completes like every other
-            // trained job's: fence, install, publish, answer.
-            let job = trainer
-                .fairds
-                .prepare_bootstrap(&images)
-                .train(&embed_cfg, &TrainControl::new())
-                .expect("uncancelled bootstrap always completes");
-            let done = Completion {
-                slot: None,
-                waiter: Some(waiter),
-                outcome: Outcome::System {
-                    job: Box::new(job),
-                    retrain: false,
-                },
-            };
-            exec.complete(trainer, shared, done);
-            return;
+            let job = trainer.fairds.prepare_bootstrap(&images);
+            return exec.complete_inline(trainer, shared, job, &embed_cfg, Some(waiter), false);
         }
         Request::IngestLabeled {
             images,
@@ -743,9 +717,9 @@ impl DmsClient {
     /// Serves a read-only request *on the calling thread* against the
     /// current snapshot — the one read route, for in-process callers and
     /// connection reader threads alike (DESIGN.md §6, §13). There is no
-    /// queue, so every read records a zero queue wait next to its run
-    /// time. A handler that panics (a user `Embedder::embed` or fallback
-    /// labeler, say) is caught here: the deployment is poisoned and *this* request answers
+    /// queue, so a read records its run time only. A handler that panics
+    /// (a user `Embedder::embed` or fallback labeler, say) is caught here:
+    /// the deployment is poisoned and *this* request answers
     /// `Unavailable`, but the calling thread — which may be a connection
     /// reader pipelining other tenants' requests — is not unwound.
     pub(crate) fn serve_read(&self, req: Request) -> ServiceResult {
@@ -757,7 +731,6 @@ impl DmsClient {
         }
         let op = req.op_index();
         let start = Instant::now();
-        shared.metrics.queue_at(op).record(Duration::ZERO, true);
         let result = if shared.poisoned.load(Ordering::Acquire) {
             Err(ServiceError::Unavailable)
         } else {

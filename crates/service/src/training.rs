@@ -9,6 +9,7 @@ use crate::api::{Reply, ServiceError, ServiceResult};
 use crate::metrics::Metrics;
 use crate::server::{DmsServerConfig, Msg, PoisonOnPanic, Shared};
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::RetrainJob;
 use fairdms_core::workflow::{RapidTrainer, UpdateJob};
 use fairdms_flows::jobs::{CancelToken, JobPool, TenantId};
@@ -70,25 +71,20 @@ pub(crate) enum Outcome {
 }
 
 /// A finished training job on its way through [`TrainingExec::complete`].
-pub(crate) struct Completion {
-    /// The lane slot the job holds; `None` for work the actor ran inline
-    /// (the monitor's refit before an update, `TrainSystem`).
-    pub(crate) slot: Option<(Lane, u64)>,
+struct Completion {
+    /// The job's lane and its cancel token, its identity; `None` for work
+    /// the actor ran inline (the monitor's refit, `TrainSystem`).
+    slot: Option<(Lane, CancelToken)>,
     /// `None` for retrains: no client waits for one.
-    pub(crate) waiter: Option<Waiter>,
-    pub(crate) outcome: Outcome,
+    waiter: Option<Waiter>,
+    outcome: Outcome,
 }
 
-/// One in-flight training job (the latest trigger on its lane).
-struct InFlight {
-    job: u64,
-    token: CancelToken,
-}
-
-/// Actor-owned training-executor state: the pool, the completion channel,
-/// the latest in-flight job per lane and the certainty monitor's counter.
-/// "Latest" is the supersession rule: submitting a newer job on a lane
-/// cancels the previous one's token.
+/// Actor-owned training-executor state: the pool, the completion channel
+/// and the cancel token of the latest in-flight job per lane. Only
+/// [`TrainingExec::supersede`] cancels a token while completions drain
+/// (shutdown cancels after the loop), so a job is its lane's latest
+/// exactly when its token is uncancelled.
 pub(crate) struct TrainingExec {
     /// `Arc` because the pool may be shared by every tenant of a
     /// multi-tenant deployment (DESIGN.md §14); a solo server holds the
@@ -100,11 +96,8 @@ pub(crate) struct TrainingExec {
     done_tx: Sender<Completion>,
     done_rx: Receiver<Completion>,
     wake_tx: Sender<Msg>,
-    next_job: u64,
     /// Indexed by [`Lane`].
-    in_flight: [Option<InFlight>; 2],
-    /// Monitored requests seen since the last triggered retrain.
-    since_retrain: usize,
+    in_flight: [Option<CancelToken>; 2],
 }
 
 impl TrainingExec {
@@ -116,9 +109,7 @@ impl TrainingExec {
             done_tx,
             done_rx,
             wake_tx,
-            next_job: 0,
             in_flight: [None, None],
-            since_retrain: 0,
         }
     }
 
@@ -133,22 +124,11 @@ impl TrainingExec {
     /// and counts the supersession.
     pub(crate) fn supersede(&mut self, lane: Lane, metrics: &Metrics) {
         if let Some(prev) = self.in_flight[lane as usize].take() {
-            prev.token.cancel();
+            prev.cancel();
             metrics
                 .training_jobs_superseded
                 .fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Frees the lane of a finished job if it is still the lane's latest;
-    /// `false` means a newer trigger displaced it (counted back then).
-    fn retire(&mut self, lane: Lane, job: u64) -> bool {
-        let slot = &mut self.in_flight[lane as usize];
-        let is_latest = slot.as_ref().is_some_and(|f| f.job == job);
-        if is_latest {
-            *slot = None;
-        }
-        is_latest
     }
 
     /// Submits prepared training work as the lane's latest job. `work`
@@ -163,22 +143,17 @@ impl TrainingExec {
         waiter: Option<Waiter>,
         work: impl FnOnce(&TrainControl) -> Option<Outcome> + Send + 'static,
     ) {
-        let job = self.next_job;
-        self.next_job += 1;
         let token = CancelToken::new();
-        self.in_flight[lane as usize] = Some(InFlight {
-            job,
-            token: token.clone(),
-        });
+        self.in_flight[lane as usize] = Some(token.clone());
         let done = self.done_tx.clone();
         let wake = self.wake_tx.clone();
         self.pool
-            .try_spawn_for(self.tenant, token, move |ctl| {
-                let ctl = TrainControl::from_flag(ctl.flag());
+            .try_spawn_for(self.tenant, token, move |token| {
+                let ctl = TrainControl::from_flag(token.flag());
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&ctl)))
                     .map_or(Outcome::Panicked, |o| o.unwrap_or(Outcome::Cancelled));
                 let _ = done.send(Completion {
-                    slot: Some((lane, job)),
+                    slot: Some((lane, token.clone())),
                     waiter,
                     outcome,
                 });
@@ -206,7 +181,7 @@ impl TrainingExec {
     /// or install), publishes it, counts it and answers the waiting client,
     /// if any. Returns `true` when the job *panicked* — the actor must
     /// stop, matching the contract of a panic on the actor thread itself.
-    pub(crate) fn complete(
+    fn complete(
         &mut self,
         trainer: &mut RapidTrainer,
         shared: &Arc<Shared>,
@@ -221,7 +196,16 @@ impl TrainingExec {
         let count = |counter: &AtomicU64, by: usize| {
             counter.fetch_add(by as u64, Ordering::Relaxed);
         };
-        let is_latest = done.slot.is_none_or(|(lane, job)| self.retire(lane, job));
+        // A job is its lane's latest exactly when its token is uncancelled;
+        // the latest frees its lane, a displaced one was counted back then.
+        let is_latest = match &done.slot {
+            Some((_, token)) if token.is_cancelled() => false,
+            Some((lane, _)) => {
+                self.in_flight[*lane as usize] = None;
+                true
+            }
+            None => true,
+        };
         let fatal = matches!(done.outcome, Outcome::Panicked);
         let trained_from = match &done.outcome {
             Outcome::Update(job) => Some(job.trained_from_version()),
@@ -286,8 +270,7 @@ impl TrainingExec {
     }
 
     /// Runs the certainty monitor on a batch; triggers a system-plane
-    /// retrain when it fires and the cooldown allows. Returns whether a
-    /// retrain was triggered.
+    /// retrain when it fires. Returns whether a retrain was triggered.
     ///
     /// Scheduling, by caller:
     ///
@@ -321,20 +304,9 @@ impl TrainingExec {
         if !cfg.auto_retrain || !trainer.fairds.is_ready() {
             return false;
         }
-        self.since_retrain += 1;
-        if self.since_retrain <= cfg.retrain_cooldown {
-            return false;
-        }
-        if !force_inline && self.in_flight[Lane::Retrain as usize].is_some() {
-            // One retrain at a time: let the running refit install instead of
-            // cancelling it per drifted batch. The counter stays advanced, so
-            // the next monitored batch re-checks immediately after install.
-            return false;
-        }
-        if !force_inline && !self.has_queue_capacity() {
-            // Bounded admission (DESIGN.md §14): the tenant's training queue
-            // is full, so skip this trigger rather than grow the queue. The
-            // counter stays advanced; the next monitored batch re-checks.
+        // An ingest skips while a retrain runs or the queue is full (DESIGN.md §14).
+        let busy = self.in_flight[Lane::Retrain as usize].is_some() || !self.has_queue_capacity();
+        if !force_inline && busy {
             return false;
         }
         if !trainer.fairds.needs_system_update(images) {
@@ -344,29 +316,45 @@ impl TrainingExec {
         if rjob.sample_count() < 4 {
             return false; // nothing to refit on; trigger again when data exists
         }
-        self.since_retrain = 0;
         shared
             .metrics
             .training_jobs_started
             .fetch_add(1, Ordering::Relaxed);
-        let embed_cfg = cfg.retrain_embed_cfg.clone();
-        let work = move |ctl: &TrainControl| {
-            let job = Box::new(rjob.train(&embed_cfg, ctl)?);
-            Some(Outcome::System { job, retrain: true })
-        };
-        if !force_inline {
-            self.submit(Lane::Retrain, None, work);
-        } else {
+        if force_inline {
             // The inline refit subsumes whatever was in flight.
             self.supersede(Lane::Retrain, &shared.metrics);
-            let done = Completion {
-                slot: None,
-                waiter: None,
-                outcome: work(&TrainControl::new()).expect("uncancelled retrain always completes"),
-            };
-            self.complete(trainer, shared, done);
+            self.complete_inline(trainer, shared, rjob, &cfg.retrain_embed_cfg, None, true);
+        } else {
+            let embed_cfg = cfg.retrain_embed_cfg.clone();
+            self.submit(Lane::Retrain, None, move |ctl| {
+                let job = Box::new(rjob.train(&embed_cfg, ctl)?);
+                Some(Outcome::System { job, retrain: true })
+            });
         }
         true
+    }
+
+    /// Fits a system plane on the actor and completes it like every other
+    /// trained job (fence, install, publish, answer `waiter`): nothing can
+    /// cancel it and it holds no lane.
+    pub(crate) fn complete_inline(
+        &mut self,
+        trainer: &mut RapidTrainer,
+        shared: &Arc<Shared>,
+        job: RetrainJob,
+        embed_cfg: &EmbedTrainConfig,
+        waiter: Option<Waiter>,
+        retrain: bool,
+    ) {
+        let job = job.train(embed_cfg, &TrainControl::new());
+        let job = Box::new(job.expect("an uncancelled fit always completes"));
+        let outcome = Outcome::System { job, retrain };
+        let done = Completion {
+            slot: None,
+            waiter,
+            outcome,
+        };
+        self.complete(trainer, shared, done);
     }
 
     /// Shutdown path: cancel whatever is in flight (jobs wind down at
@@ -375,8 +363,8 @@ impl TrainingExec {
     /// and with them the deferred reply senders — drop here, surfacing as
     /// `Unavailable` at their clients.
     pub(crate) fn shutdown(self) {
-        for f in self.in_flight.into_iter().flatten() {
-            f.token.cancel();
+        for token in self.in_flight.into_iter().flatten() {
+            token.cancel();
         }
     }
 }
@@ -387,7 +375,7 @@ mod tests {
     use crate::api::Request;
     use crate::server::ServiceView;
     use crossbeam_channel::bounded;
-    use fairdms_core::embedding::{AutoencoderEmbedder, EmbedTrainConfig};
+    use fairdms_core::embedding::AutoencoderEmbedder;
     use fairdms_core::fairds::{FairDS, FairDsConfig};
     use fairdms_core::fairms::ModelManager;
     use fairdms_core::models::ArchSpec;
@@ -501,13 +489,14 @@ mod tests {
                 let (wake_tx, _wake_rx) = bounded(1);
                 let mut exec = TrainingExec::new(Arc::clone(&pool), 0, wake_tx);
 
-                // The job under test is number 5 on its lane; a displaced
-                // one finds number 6 there.
-                let latest = if ending == Displaced { 6 } else { 5 };
-                exec.in_flight[lane as usize] = Some(InFlight {
-                    job: latest,
-                    token: CancelToken::new(),
-                });
+                // The job under test holds its lane; a displaced one's
+                // token was cancelled and a newer job's token holds the lane.
+                let (own, newer) = (CancelToken::new(), CancelToken::new());
+                let displaced = ending == Displaced;
+                if displaced {
+                    own.cancel();
+                }
+                exec.in_flight[lane as usize] = Some(if displaced { &newer } else { &own }.clone());
                 let (x, _) = frames(12, 3);
                 let outcome = match (ending, lane) {
                     (Cancelled, _) => Outcome::Cancelled,
@@ -543,7 +532,7 @@ mod tests {
 
                 let before = (shared.metrics.snapshot(), shared.load());
                 let done = Completion {
-                    slot: Some((lane, 5)),
+                    slot: Some((lane, own)),
                     waiter,
                     outcome,
                 };
@@ -584,8 +573,9 @@ mod tests {
                 assert_eq!(grew, usize::from(want.zoo_grew), "{row}: published zoo");
                 // Only a displaced job leaves its lane occupied — by the
                 // newer job, which is still training.
-                let left = exec.in_flight[lane as usize].as_ref().map(|f| f.job);
-                assert_eq!(left, (ending == Displaced).then_some(6), "{row}: lane slot");
+                let left = exec.in_flight[lane as usize].as_ref();
+                let left = left.map(|t| Arc::ptr_eq(&t.flag(), &newer.flag()));
+                assert_eq!(left, displaced.then_some(true), "{row}: lane slot");
             }
         }
     }

@@ -859,6 +859,8 @@ fn metrics_histograms_cover_all_calls() {
     assert_eq!(pdf.histogram.iter().sum::<u64>(), 10);
     assert!(pdf.mean().as_nanos() > 0);
     assert!(pdf.quantile(0.5) <= pdf.quantile(1.0));
+    // Reads have no queue: they record run time only.
+    assert_eq!(m.queue_op("pdf").unwrap().count, 0);
     assert!(m.total_calls() >= 11);
     drop(client);
     handle.shutdown();

@@ -98,10 +98,6 @@ fn main() {
         id: 0,
         config: DmsServerConfig {
             auto_retrain: true,
-            // Only *mutating* requests are monitored since the user-plane
-            // split (reads are served from snapshots off the actor), so
-            // the cooldown counts ingests/updates, not PDF queries.
-            retrain_cooldown: 2,
             retrain_embed_cfg: EmbedTrainConfig {
                 epochs: 3,
                 batch_size: 64,
