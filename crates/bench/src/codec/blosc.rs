@@ -169,9 +169,16 @@ pub fn packbits_encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Most bytes one input byte of a PackBits stream can decode to: a
+/// two-byte run control expands to 128.
+const MAX_EXPANSION: usize = 64;
+
 /// Inverse of [`packbits_encode`]; `expected_len` guards against corrupt
-/// streams.
+/// streams, and one the input cannot expand to reserves nothing.
 pub fn packbits_decode(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+    if expected_len > input.len().saturating_mul(MAX_EXPANSION) {
+        return Err(CodecError::BadCompression);
+    }
     let mut out = Vec::with_capacity(expected_len);
     let mut i = 0usize;
     while i < input.len() {
@@ -249,6 +256,23 @@ mod tests {
                 .unwrap(),
             doc
         );
+    }
+
+    #[test]
+    fn forged_raw_lengths_are_errors_not_reservations() {
+        let img: Vec<f32> = (0..64 * 64).map(|i| 100.0 + (i as f32) * 1e-3).collect();
+        let mut bytes = BloscCodec::default().encode(&Document::new().with("img", img));
+        assert_eq!(bytes[6], FLAG_COMPRESSED);
+        bytes[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            BloscCodec::default().decode(&bytes),
+            Err(CodecError::BadCompression)
+        );
+        // A run at full expansion still decodes; one byte more cannot.
+        let run = packbits_encode(&[7; 128]);
+        assert_eq!(packbits_decode(&run, 128), Ok(vec![7; 128]));
+        assert_eq!(packbits_decode(&run, 129), Err(CodecError::BadCompression));
+        assert!(packbits_decode(&run, usize::MAX).is_err());
     }
 
     #[test]

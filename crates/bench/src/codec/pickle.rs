@@ -8,6 +8,7 @@
 //! (9 bytes instead of 4) and decode must walk every tagged element and
 //! narrow it back to `f32`/`u16`.
 
+use fairdms_datastore::codec::MAX_NESTING;
 use fairdms_datastore::wire::{Reader, WriteExt};
 use fairdms_datastore::{Codec, CodecError, Document, Value};
 
@@ -24,6 +25,8 @@ const OP_LIST: u8 = b'L';
 const OP_FLOAT_ELEM: u8 = b'f';
 const OP_INT_ELEM: u8 = b'i';
 const OP_STOP: u8 = b'.';
+/// Encoded size of one `f` / `i` list element: its tag and 8 bytes.
+const ELEM_BYTES: usize = 9;
 
 /// The pickle-emulating codec. See the module docs for the cost rationale.
 #[derive(Clone, Copy, Debug, Default)]
@@ -98,7 +101,10 @@ impl PickleCodec {
         }
     }
 
-    fn read_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    /// Reads one value held by a container at nesting level `depth` (1
+    /// for the outermost document), bounded like `RawCodec` by
+    /// [`MAX_NESTING`].
+    fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, CodecError> {
         let op = r.u8()?;
         Ok(match op {
             OP_NULL => Value::Null,
@@ -121,6 +127,12 @@ impl PickleCodec {
                 let kind = r.u8()?;
                 let n = r.u32()? as usize;
                 match kind {
+                    // A count the rest of the input cannot hold reserves
+                    // nothing.
+                    b'f' | b'i' if n > r.remaining() / ELEM_BYTES => {
+                        return Err(CodecError::Truncated)
+                    }
+                    b'o' if depth >= MAX_NESTING => return Err(CodecError::TooDeep),
                     b'f' => {
                         let mut a = Vec::with_capacity(n);
                         for _ in 0..n {
@@ -144,22 +156,22 @@ impl PickleCodec {
                     b'o' => {
                         let mut items = Vec::with_capacity(n.min(1 << 16));
                         for _ in 0..n {
-                            items.push(Self::read_value(r)?);
+                            items.push(Self::read_value(r, depth + 1)?);
                         }
                         Value::Array(items)
                     }
                     other => return Err(CodecError::BadTag(other)),
                 }
             }
-            OP_DOC => {
-                // Re-enter document parsing (the opcode was consumed).
-                Value::Doc(Self::read_doc_body(r)?)
-            }
+            OP_DOC if depth >= MAX_NESTING => return Err(CodecError::TooDeep),
+            // Re-enter document parsing (the opcode was consumed).
+            OP_DOC => Value::Doc(Self::read_doc_body(r, depth + 1)?),
             other => return Err(CodecError::BadTag(other)),
         })
     }
 
-    fn read_doc_body(r: &mut Reader<'_>) -> Result<Document, CodecError> {
+    /// Reads the body of a document at nesting level `depth`.
+    fn read_doc_body(r: &mut Reader<'_>, depth: usize) -> Result<Document, CodecError> {
         let n = r.u32()? as usize;
         let mut doc = Document::new();
         for _ in 0..n {
@@ -167,18 +179,9 @@ impl PickleCodec {
             let key = std::str::from_utf8(r.take(klen)?)
                 .map_err(|_| CodecError::BadUtf8)?
                 .to_string();
-            let value = Self::read_value(r)?;
-            doc.set(&key, Wrapper(value));
+            doc.set(&key, Self::read_value(r, depth)?);
         }
         Ok(doc)
-    }
-}
-
-struct Wrapper(Value);
-
-impl From<Wrapper> for Value {
-    fn from(w: Wrapper) -> Value {
-        w.0
     }
 }
 
@@ -200,7 +203,7 @@ impl Codec for PickleCodec {
         if r.u8()? != OP_DOC {
             return Err(CodecError::BadTag(OP_DOC));
         }
-        let doc = Self::read_doc_body(&mut r)?;
+        let doc = Self::read_doc_body(&mut r, 1)?;
         if r.u8()? != OP_STOP || !r.is_empty() {
             return Err(CodecError::Truncated);
         }
@@ -243,6 +246,40 @@ mod tests {
     fn truncation_is_detected() {
         let bytes = PickleCodec.encode(&sample_doc());
         assert!(PickleCodec.decode(&bytes[..bytes.len() - 2]).is_err());
+    }
+
+    /// A document whose field holds `levels - 1` one-element `o` lists,
+    /// one inside another, around a null: `levels` containers in all.
+    fn nested_lists(levels: usize) -> Vec<u8> {
+        let mut bytes = vec![OP_DOC, 1, 0, 0, 0, 1, 0, b'a'];
+        (1..levels).for_each(|_| bytes.extend([OP_LIST, b'o', 1, 0, 0, 0]));
+        bytes.extend([OP_NULL, OP_STOP]);
+        bytes
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let too_deep = Err(CodecError::TooDeep);
+        assert!(PickleCodec.decode(&nested_lists(MAX_NESTING)).is_ok());
+        assert_eq!(PickleCodec.decode(&nested_lists(MAX_NESTING + 1)), too_deep);
+        assert_eq!(PickleCodec.decode(&nested_lists(1_000_001)), too_deep);
+        // A document is a level like a list, as the encoder writes it.
+        let nest = |d: Document| Document::new().with("d", Value::Doc(d));
+        let deepest = (1..MAX_NESTING).fold(Document::new(), |d, _| nest(d));
+        let bytes = PickleCodec.encode(&deepest);
+        assert_eq!(PickleCodec.decode(&bytes), Ok(deepest.clone()));
+        let past = PickleCodec.encode(&nest(deepest));
+        assert_eq!(PickleCodec.decode(&past), too_deep);
+    }
+
+    #[test]
+    fn forged_list_counts_are_errors_not_reservations() {
+        for kind in [b'f', b'i'] {
+            let mut bytes = vec![OP_DOC, 1, 0, 0, 0, 1, 0, b'a', OP_LIST, kind];
+            bytes.put_u32(u32::MAX);
+            bytes.push(OP_STOP);
+            assert_eq!(PickleCodec.decode(&bytes), Err(CodecError::Truncated));
+        }
     }
 
     #[test]

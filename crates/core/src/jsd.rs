@@ -18,23 +18,9 @@ pub fn jsd(p: &[f64], q: &[f64]) -> f64 {
 }
 
 /// [`jsd`] between two *already normalized* PDFs: the allocation-free
-/// kernel ranking paths use once both sides are prepared with
-/// [`normalize_pdf`] — the query once per ranking, each zoo entry once at
-/// registration.
+/// kernel the zoo's ranking pass runs once both sides are prepared as
+/// [`normalize_pdf`] prepares them.
 pub fn jsd_normalized(p: &[f64], q: &[f64]) -> f64 {
-    jsd_normalized_bounded(p, q, f64::INFINITY).expect("infinite limit never abandons")
-}
-
-/// [`jsd_normalized`] with early abandonment: returns `None` as soon as
-/// the partial sum reaches `limit`.
-///
-/// Valid because each bin's contribution to the Jensen–Shannon divergence
-/// is non-negative (per bin it equals `(pᵢ+qᵢ)·(1 − H₂(pᵢ/(pᵢ+qᵢ)))/2 ≥ 0`
-/// in base-2), so the running sum only grows: a prefix that already
-/// reaches `limit` proves the full divergence would too. Top-k ranking
-/// passes the current k-th best divergence as `limit` and skips the tail
-/// of every entry that cannot place.
-pub fn jsd_normalized_bounded(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
     assert_eq!(
         p.len(),
         q.len(),
@@ -47,11 +33,8 @@ pub fn jsd_normalized_bounded(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
     for (&pi, &qi) in p.iter().zip(q) {
         let mi = 0.5 * (pi + qi);
         acc += 0.5 * xlog2x_ratio(pi, mi) + 0.5 * xlog2x_ratio(qi, mi);
-        if acc >= limit {
-            return None;
-        }
     }
-    Some(acc.clamp(0.0, 1.0))
+    acc.clamp(0.0, 1.0)
 }
 
 /// Normalizes a non-negative mass vector into a PDF (sums to 1). Panics on
@@ -167,19 +150,6 @@ mod tests {
             let ranked = jsd_normalized(&qn, &normalize_pdf(&e));
             assert_eq!(ranked.to_bits(), jsd(&q, &e).to_bits());
         }
-    }
-
-    #[test]
-    fn bounded_kernel_matches_and_abandons() {
-        let p = normalize_pdf(&[0.7, 0.2, 0.1]);
-        let q = normalize_pdf(&[0.1, 0.3, 0.6]);
-        let full = jsd(&p, &q);
-        assert!((jsd_normalized(&p, &q) - full).abs() < 1e-12);
-        // A limit above the true divergence completes…
-        assert!(jsd_normalized_bounded(&p, &q, full + 1e-9).is_some());
-        // …a limit at or below it abandons.
-        assert_eq!(jsd_normalized_bounded(&p, &q, full * 0.5), None);
-        assert_eq!(jsd_normalized_bounded(&p, &q, 0.0), None);
     }
 
     #[test]

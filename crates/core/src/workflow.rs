@@ -16,7 +16,7 @@
 //!    (so the Zoo "can respond with this model in the future").
 
 use crate::fairds::{FairDS, PseudoLabelStats, SystemSnapshot};
-use crate::fairms::{ModelDecision, ModelManager, ModelZoo, ZooSnapshot};
+use crate::fairms::{ModelManager, ModelZoo, ZooSnapshot};
 use crate::models::ArchSpec;
 use fairdms_nn::layers::Sequential;
 use fairdms_nn::loss::Mse;
@@ -270,7 +270,7 @@ impl RapidTrainer {
     ) -> Option<(usize, f64)> {
         match strategy {
             TrainStrategy::Scratch => None,
-            TrainStrategy::FineTuneBest => zoo.rank(pdf)?.best(),
+            TrainStrategy::FineTuneBest => zoo.rank_top_k(pdf, 1)?.best(),
         }
     }
 
@@ -382,13 +382,8 @@ impl RapidTrainer {
         let zoo = self.zoo.snapshot();
         let pdf = system.dataset_pdf(x_flat);
 
-        // One ranking: the decision already names the best entry and its
-        // divergence.
-        let picked = match self.manager.decide(&zoo, &pdf) {
-            ModelDecision::FineTune { zoo_id, divergence } => Some((zoo_id, divergence)),
-            ModelDecision::TrainFromScratch => None,
-        };
-        let (net, foundation, divergence, lr) = self.foundation_for(&zoo, picked);
+        let (net, foundation, divergence, lr) =
+            self.foundation_for(&zoo, self.manager.decide(&zoo, &pdf));
         UpdateJob {
             cfg: self.cfg.clone(),
             system,

@@ -141,10 +141,9 @@ pub enum Request {
     Recommend {
         /// Input dataset PDF.
         pdf: Vec<f64>,
-        /// `Some(k)` returns only the `k` lowest-divergence entries via
-        /// the snapshot's partial-ranking path (pruned by the √JSD
-        /// triangle inequality); `None` ranks the whole zoo. A `k` beyond
-        /// the zoo's length returns the whole ranking.
+        /// `Some(k)` returns only the `k` lowest-divergence entries, the
+        /// full ranking's first `k`; `None` ranks the whole zoo. A `k`
+        /// beyond the zoo's length returns the whole ranking.
         top_k: Option<usize>,
     },
     /// Full rapid-model-update (pseudo-label → recommend → train →
@@ -334,9 +333,8 @@ pub trait DmsApi {
         }
     }
 
-    /// The `k` lowest-divergence zoo entries for a dataset PDF, ascending
-    /// — served by the snapshot's pruned partial-ranking path, which
-    /// avoids sorting (and usually scoring) the whole zoo.
+    /// The `k` lowest-divergence zoo entries for a dataset PDF, ascending:
+    /// the first `k` of [`DmsApi::recommend`]'s ranking.
     fn recommend_top_k(&self, pdf: Vec<f64>, k: usize) -> Result<RankedModels, ServiceError> {
         match self.call(Request::Recommend {
             pdf,

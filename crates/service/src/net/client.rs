@@ -261,11 +261,6 @@ impl PipelinedClient {
         }
     }
 
-    /// The tenant this handle addresses.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     /// A client over any byte transport: request frames leave through
     /// `write_half`, reply frames come back through `read_half`. The
     /// socket constructors end here; an in-memory pair lets tests and

@@ -465,17 +465,17 @@ fn handle_read(view: &ServiceView, shared: &Shared, req: Request) -> ServiceResu
             if top_k == Some(0) {
                 return Err(ServiceError::Invalid("top_k must be at least 1".into()));
             }
-            let recommendation = match top_k {
-                Some(k) => view.zoo.rank_top_k(&pdf, k),
-                None => view.zoo.rank(&pdf),
-            };
-            let ranked = recommendation.map(|r| r.ranked).unwrap_or_default();
-            // One ranking pass decides both fields: the best entry is the
-            // ascending head whichever path produced it.
-            let fine_tunable = ranked
-                .first()
-                .map(|&(_, div)| div <= view.manager.distance_threshold())
-                .unwrap_or(false);
+            let ranked = view
+                .zoo
+                .rank_top_k(&pdf, top_k.unwrap_or(usize::MAX))
+                .map(|r| r.ranked)
+                .unwrap_or_default();
+            // One ranking pass decides both fields: the threshold is the
+            // manager's, applied to the ascending head.
+            let fine_tunable = view
+                .manager
+                .within_threshold(ranked.first().copied())
+                .is_some();
             Ok(Reply::Ranked(RankedModels {
                 ranked,
                 fine_tunable,

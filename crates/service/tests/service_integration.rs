@@ -942,11 +942,17 @@ fn top_k_recommend_agrees_with_the_full_ranking() {
     assert_eq!(full.ranked.len(), 24);
     for k in [1usize, 5, 24, 50] {
         let top = client.recommend_top_k(query.clone(), k).unwrap();
-        assert_eq!(top.ranked.len(), k.min(24));
         assert_eq!(top.fine_tunable, full.fine_tunable);
-        for (a, b) in top.ranked.iter().zip(&full.ranked) {
-            assert!((a.1 - b.1).abs() < 1e-12, "top-{k} prefix must match");
-        }
+        // Same ids, same divergence bits: top-k is the full ranking's
+        // prefix.
+        let bits = |r: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            r.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&top.ranked),
+            bits(&full.ranked[..k.min(24)]),
+            "top-{k}"
+        );
     }
     drop(client);
     handle.shutdown();

@@ -414,16 +414,6 @@ impl Tensor {
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
     }
-
-    /// Dot product of two same-shaped tensors viewed as flat vectors.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.numel(), other.numel(), "dot: length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .sum()
-    }
 }
 
 impl fmt::Debug for Tensor {
@@ -473,7 +463,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.dot(&b), 32.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use fairdms_core::embedding::{ByolEmbedder, EmbedTrainConfig};
 use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::{ModelDecision, ModelManager, ModelZoo};
+use fairdms_core::fairms::{ModelManager, ModelZoo};
 use fairdms_core::models::ArchSpec;
 use fairdms_datasets::bragg::{to_training_tensors, BraggSimulator, DriftModel};
 
@@ -79,12 +79,12 @@ fn main() {
     );
 
     match manager.decide(&zoo, &q_pdf) {
-        ModelDecision::FineTune { zoo_id, divergence } => println!(
+        Some((zoo_id, divergence)) => println!(
             "decision: fine-tune '{}' (jsd {divergence:.4} ≤ threshold {})\n",
             zoo.get(zoo_id).unwrap().name,
             manager.distance_threshold()
         ),
-        ModelDecision::TrainFromScratch => {
+        None => {
             println!("decision: train from scratch (nothing within threshold)\n")
         }
     }
