@@ -1,57 +1,44 @@
-//! 2-D convolution lowered to GEMM one sample at a time.
+//! 2-D convolution whose products read their operands in place.
 //!
-//! Each sample's `[C, H, W]` image is unrolled into a **channel-major**
-//! patch matrix `T` of shape `[C·K·K, OH·OW]` — row `(c, ky, kx)` holds,
-//! for every output pixel, the input value that kernel tap reads. In that
-//! layout the lowering is span copies (one per kernel tap and output row,
-//! the padding border filled as two spans — no per-element branch), and
-//! every product reads and writes `[N, C, H, W]` buffers in place:
+//! A convolution is three products per sample — `Y = W·T`, `∂Wᵀ += T·∂Yᵀ`
+//! and `∂X = W_r·P(∂Y)` in the lowered form, where `T` is the patch matrix
+//! (row `(c, ky, kx)` holding, for every output pixel, the input value that
+//! tap reads) and `P` the adjoint lowering of the output gradient. None of
+//! the three builds `T`, `P` or a packed panel: each is the register tile
+//! [`gemm::shifted_tile`] — `SR` rows of packed weights against `SL`
+//! consecutive elements of a zero-padded copy of its operand, read at a
+//! constant offset per step of the product's depth.
 //!
-//! * forward `Y_s = W · T` lands directly in the sample's `[OC, OH·OW]`
-//!   block of the NCHW output, seeded with the bias;
-//! * `∂Wᵀ += T · ∂Y_sᵀ` streams `T` as the engine's unpacked A operand
-//!   and reads `∂Y_s` straight out of the NCHW gradient; a row of ones
-//!   appended to `T` makes the same product emit `∂b`;
-//! * `∂X_s = W_r · P(∂Y_s)` is the adjoint lowering: `P` unrolls the
-//!   *output* gradient by the same span copies, one row per `(o, ky, kx)`
-//!   holding, for every input pixel, the `∂Y` element that tap sent there,
-//!   and `W_r` is `W` re-indexed to `[C, OC·K·K]` once per call. At stride
-//!   `s > 1` the input pixels split into `s²` phases, each reached by its
-//!   own taps only, so no structural zero is multiplied.
+//! * The **forward pass** splits each `[C, H, W]` sample into zero-padded
+//!   planes — at stride `s`, `s²` phase planes a channel, phase `(a, b)`
+//!   holding the padded pixels `(a + s·i, b + s·j)` — in which a tap's reads
+//!   over one output row are one contiguous run. Output channels `SR` at a
+//!   time against `SL` output pixels, the tile seeded with the bias and its
+//!   lanes stored on the NCHW output.
+//! * The **weight gradient** sums over pixels, so its lanes cannot be
+//!   pixels: they are `SL` consecutive taps `(kx, c)` of one kernel row —
+//!   of `m` rows stacked, for a layer with few channels — which at one
+//!   output pixel are one run of the sample zero-padded channels-last
+//!   (`[H + 2p, W + 2p, m, C]`). Output channels `SR` at a time, the packed
+//!   weights being a pixel-major copy of `∂Y`, the depth the pixels. The
+//!   training pass writes that copy while the sample is in cache and keeps
+//!   it for the backward pass in place of the input; `∂b` is the plain
+//!   per-channel sum of `∂Y`.
+//! * The **input gradient** zero-pads `∂Y` once a sample and runs one
+//!   shifted product per stride phase of the input pixels: phase pixels
+//!   `(first_y + s·j, first_x + s·i)` receive exactly the taps `tap0 + s·t`,
+//!   each reading the padded `∂Y` at a constant offset, input channels `SR`
+//!   at a time. At stride 1 there is one phase, every pixel and every tap.
 //!
-//! `T` is one sample's worth (147 KiB for BraggNN's second layer), lives
-//! in recycled per-thread scratch and never leaves cache; the backward
-//! pass rebuilds it from the cached *input* instead of keeping a batch of
-//! patch matrices alive between the passes. See DESIGN.md §9.
+//! Every product keeps the engine's per-element order — the depth in
+//! ascending order, `KC` at a time, each block's sum added into the output
+//! — so every output and gradient is the lowered products' to the bit
+//! (`tests/conv_implicit.rs` holds it to them). See DESIGN.md §9.
 
 use super::Layer;
 use crate::param::Param;
-use fairdms_tensor::gemm::{self, Threading};
+use fairdms_tensor::gemm::{self, KC, SL, SR};
 use fairdms_tensor::{rng::TensorRng, Tensor};
-use std::cell::Cell;
-
-/// The engine runs on the calling thread: a training step fans out over
-/// whole samples a level up (`Trainer`), so a product here could only nest
-/// a region inside a shard.
-const SEQ: Threading = Threading::Sequential;
-
-thread_local! {
-    /// Recycled lowering scratch (`T`, plus `P` and a phase's block of
-    /// `∂X` in the backward pass). Per thread rather than per layer:
-    /// `infer` takes `&self` and is called concurrently from every thread
-    /// serving snapshot reads.
-    static PATCHES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-}
-
-/// Runs `f` on `len` floats of this thread's scratch (contents unspecified).
-fn with_scratch(len: usize, f: impl FnOnce(&mut [f32])) {
-    let mut buf = PATCHES.take();
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    f(&mut buf[..len]);
-    PATCHES.set(buf);
-}
 
 /// 2-D convolution over `[N, C, H, W]` inputs.
 #[derive(Clone)]
@@ -63,90 +50,19 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cached_input: Option<Tensor>,
+    cached: Option<Kept>,
 }
 
-/// How one plane is read into one row of a lowered matrix: element
-/// `(y, x)` of the `[rows, cols]` row reads plane element
-/// `(y·stride + dy, x·stride + dx)` of the `[h, w]` plane, and 0 where that
-/// falls outside it. Both lowerings are rows of this kind: `T` reads the
-/// input at the layer's stride, `P` reads `∂Y` at stride 1.
-#[derive(Clone, Copy)]
-struct Window {
-    h: usize,
-    w: usize,
-    rows: usize,
-    cols: usize,
-    stride: usize,
+/// The training pass's input as the weight gradient reads it: each sample
+/// channels-last ([`Geom::channels_last`]), `SL` readable floats past the
+/// last one.
+#[derive(Clone)]
+struct Kept {
+    shape: [usize; 4],
+    nhwc: Vec<f32>,
 }
 
-impl Window {
-    /// The positions `lo..hi` along one axis whose read `o·stride + d`
-    /// falls inside `0..extent`; every other position reads padding.
-    fn inside(&self, d: isize, extent: usize, positions: usize) -> (usize, usize) {
-        let lo = if d < 0 {
-            d.unsigned_abs().div_ceil(self.stride)
-        } else {
-            0
-        };
-        let hi = (extent as isize - d)
-            .try_into()
-            .map_or(0, |past: usize| past.div_ceil(self.stride))
-            .min(positions);
-        (lo.min(hi), hi)
-    }
-
-    /// Writes every element of `row` from `plane`: the interior as span
-    /// copies, the padding as span fills. Inlined into both lowerings: out
-    /// of line, the call and its range set-up made CookieNetAE's strided
-    /// forward pass (72 short rows a sample) 10–14% slower.
-    #[inline(always)]
-    fn lower(&self, plane: &[f32], dy: isize, dx: isize, row: &mut [f32]) {
-        let (x_lo, x_hi) = self.inside(dx, self.w, self.cols);
-        if self.stride == 1 && (self.rows, self.cols) == (self.h, self.w) {
-            // Same extents at stride 1: the row is the whole plane displaced
-            // by a constant, one span instead of one per row. The elements
-            // that displacement carries across a row end are exactly the
-            // columns outside `x_lo..x_hi`.
-            let len = row.len() as isize;
-            let shift = dy * self.w as isize + dx;
-            // Clamped: a plane smaller than its padding displaces some rows
-            // clean off it.
-            let lo = (-shift).clamp(0, len) as usize;
-            let from = shift.clamp(0, len) as usize;
-            let span = row.len() - lo.max(from);
-            row[..lo].fill(0.0);
-            row[lo + span..].fill(0.0);
-            row[lo..lo + span].copy_from_slice(&plane[from..from + span]);
-            for x in (0..x_lo).chain(x_hi..self.cols) {
-                row[x..]
-                    .iter_mut()
-                    .step_by(self.cols)
-                    .for_each(|v| *v = 0.0);
-            }
-            return;
-        }
-        let (y_lo, y_hi) = self.inside(dy, self.h, self.rows);
-        let (cols, stride) = (self.cols, self.stride);
-        row[..y_lo * cols].fill(0.0);
-        row[y_hi * cols..].fill(0.0);
-        for (y, dst) in row.chunks_exact_mut(cols).enumerate().take(y_hi).skip(y_lo) {
-            dst[..x_lo].fill(0.0);
-            dst[x_hi..].fill(0.0);
-            if x_lo == x_hi {
-                continue;
-            }
-            // `inside` keeps both reads on the plane.
-            let src = &plane[(y * stride).wrapping_add_signed(dy) * self.w..][..self.w];
-            let src = src[(x_lo * stride).wrapping_add_signed(dx)..].chunks(stride);
-            for (d, from) in dst[x_lo..x_hi].iter_mut().zip(src) {
-                *d = from[0];
-            }
-        }
-    }
-}
-
-/// The extents of one convolution, from which both lowerings are cut.
+/// The extents of one convolution.
 #[derive(Clone, Copy)]
 struct Geom {
     c: usize,
@@ -160,12 +76,12 @@ struct Geom {
 }
 
 impl Geom {
-    /// Rows of the patch matrix.
+    /// Rows of the patch matrix: the kernel taps.
     fn patch(&self) -> usize {
         self.c * self.k * self.k
     }
 
-    /// Columns of the patch matrix.
+    /// Output pixels of one channel.
     fn pixels(&self) -> usize {
         self.oh * self.ow
     }
@@ -175,36 +91,114 @@ impl Geom {
         self.c * self.h * self.w
     }
 
-    /// Unrolls one `[C, H, W]` sample into `t` (`[patch, pixels]`, row
-    /// `(ci, ky, kx)` per kernel tap), writing every element.
-    fn im2col(&self, x: &[f32], t: &mut [f32]) {
-        let window = Window {
-            h: self.h,
-            w: self.w,
-            rows: self.oh,
-            cols: self.ow,
-            stride: self.stride,
-        };
-        let (k, pad) = (self.k, self.pad as isize);
-        let taps = (0..self.c)
-            .flat_map(move |ci| (0..k).flat_map(move |ky| (0..k).map(move |kx| (ci, ky, kx))));
-        for ((ci, ky, kx), row) in taps.zip(t.chunks_exact_mut(self.pixels())) {
-            let plane = &x[ci * self.h * self.w..][..self.h * self.w];
-            window.lower(plane, ky as isize - pad, kx as isize - pad, row);
+    /// Phase planes per axis: tap `ky` reads phase `ky mod stride`.
+    fn tap_phases(&self) -> usize {
+        self.stride.min(self.k)
+    }
+
+    /// Row pitch of a phase plane: the output width plus the reach of the
+    /// widest tap within its phase.
+    fn pitch(&self) -> usize {
+        self.ow + (self.k - 1) / self.stride
+    }
+
+    /// Floats of one phase plane.
+    fn plane(&self) -> usize {
+        (self.oh + (self.k - 1) / self.stride) * self.pitch()
+    }
+
+    /// Floats of one sample's planes.
+    fn planes(&self) -> usize {
+        self.c * self.tap_phases().pow(2) * self.plane()
+    }
+
+    /// Writes one `[C, H, W]` sample's planes into `dst`: per channel, per
+    /// phase `(a, b)`, the padded pixels `(a + s·i, b + s·j)`. Only the
+    /// pixels are written; the padding must already be 0.
+    fn split(&self, x: &[f32], dst: &mut [f32]) {
+        let (phases, pad) = (self.tap_phases(), self.pad as isize);
+        let mut planes = dst.chunks_exact_mut(self.plane());
+        for xc in x.chunks_exact(self.h * self.w) {
+            for a in 0..phases {
+                for b in 0..phases {
+                    let plane = planes.next().expect("one plane per channel phase");
+                    let from = (a as isize - pad, b as isize - pad);
+                    resample(xc, (self.h, self.w), from, self.stride, plane, self.pitch());
+                }
+            }
         }
     }
 
-    /// The stride phases of the input pixels that some tap reaches and
-    /// that hold a pixel: one at stride 1, up to `stride²` otherwise.
-    fn phases(&self) -> Vec<Phase> {
-        let ys = self.axis_phases(self.h);
-        let xs = self.axis_phases(self.w);
-        ys.iter()
-            .flat_map(|&y| xs.iter().map(move |&x| Phase { y, x }))
-            .collect()
+    /// Padded rows and columns of the input.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.pad, self.w + 2 * self.pad)
     }
 
-    /// [`Geom::phases`] along one axis of input extent `extent`.
+    /// Kernel rows stacked in one cell of the weight gradient's copy of
+    /// the input: as many as fill a tile's `SL` lanes with taps, so a layer
+    /// with few channels does not spend its lanes on padding.
+    fn stack(&self) -> usize {
+        self.k.min(SL.div_ceil(self.k * self.c))
+    }
+
+    /// Floats of one sample's [`Geom::channels_last`] copy.
+    fn stacked_len(&self) -> usize {
+        let (hp, wp) = self.padded();
+        hp * wp * self.stack() * self.c
+    }
+
+    /// Writes one `[C, H, W]` sample zero-padded and channels-last into
+    /// `dst`, `m` = [`Geom::stack`] padded rows a cell (`[H + 2p, W + 2p,
+    /// m, C]`, element `(y, x, j, c)` being padded pixel `(y + j, x)`): the
+    /// taps `(kx, j, c)` of kernel rows `ky .. ky + m` at one output pixel
+    /// are then one run of `K·m·C` floats. Only the pixels are written: the
+    /// padding must already be 0, and stays so from sample to sample.
+    fn channels_last(&self, x: &[f32], dst: &mut [f32]) {
+        let (c, pad, m, wp, w) = (self.c, self.pad, self.stack(), self.padded().1, self.w);
+        let plane = self.h * w;
+        for y in 0..self.h {
+            let src = |ci: usize| &x[ci * plane + y * w..][..w];
+            // Padded row `y + pad` is row `j` of the cells `j` above it.
+            for j in 0..m.min(y + pad + 1) {
+                let at = (((y + pad - j) * wp + pad) * m + j) * c;
+                // Four channels a store: a scalar store each reads 30%
+                // slower, the copy being mostly cache misses.
+                let mut ci = 0;
+                while ci + 4 <= c {
+                    let s = [src(ci), src(ci + 1), src(ci + 2), src(ci + 3)];
+                    for (x, cell) in dst[at..].chunks_mut(m * c).take(w).enumerate() {
+                        cell[ci..ci + 4].copy_from_slice(&[s[0][x], s[1][x], s[2][x], s[3][x]]);
+                    }
+                    ci += 4;
+                }
+                for ci in ci..c {
+                    for (cell, &v) in dst[at..].chunks_mut(m * c).zip(src(ci)) {
+                        cell[ci] = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where each tap `(ci, ky, kx)`, in patch order, reads output pixel
+    /// `(0, 0)` in a sample's planes; pixel `(y, x)` is `y·pitch + x` on.
+    fn tap_offsets(&self) -> Vec<usize> {
+        let (k, s, phases) = (self.k, self.stride, self.tap_phases());
+        let mut offs = Vec::with_capacity(self.patch());
+        for ci in 0..self.c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let plane = (ci * phases + ky % s) * phases + kx % s;
+                    offs.push(plane * self.plane() + ky / s * self.pitch() + kx / s);
+                }
+            }
+        }
+        offs
+    }
+
+    /// The stride phases of the input pixels along one axis of input
+    /// extent `extent` that some tap reaches and that hold a pixel: one at
+    /// stride 1, up to `stride` otherwise.
     fn axis_phases(&self, extent: usize) -> Vec<PhaseAxis> {
         let s = self.stride;
         (0..s.min(self.k))
@@ -225,10 +219,10 @@ impl Geom {
     }
 }
 
-/// One axis of a stride phase: the input positions `first + s·j`
-/// (`j < count`) and the taps `tap0 + s·t` (`t < taps`), the only ones
-/// that reach them — position `first + s·j` receives tap `tap0 + s·t` from
-/// output position `j + base − t`.
+/// One axis of a stride phase of the input pixels: the positions `first +
+/// s·j` (`j < count`) and the taps `tap0 + s·t` (`t < taps`), the only
+/// ones that reach them — position `first + s·j` receives tap `tap0 + s·t`
+/// from output position `j + base − t`.
 #[derive(Clone, Copy)]
 struct PhaseAxis {
     tap0: usize,
@@ -238,79 +232,239 @@ struct PhaseAxis {
     base: usize,
 }
 
-/// The input pixels of one stride phase and the taps that reach them: the
-/// unit of the adjoint lowering `∂X = W_r · P(∂Y)`. At stride 1 there is
-/// one phase, every pixel in NCHW order and every tap.
-struct Phase {
-    y: PhaseAxis,
-    x: PhaseAxis,
+/// Writes the `[rows, pitch]` plane `dst` from the `[h, w]` plane `src`
+/// read at stride `s` from `(y0, x0)`: element `(i, j)` is `src[y0 + s·i,
+/// x0 + s·j]` where that falls on `src`. The elements that fall off it —
+/// the padding — are left alone: a caller zeroes its scratch once and
+/// rewrites only the pixels, sample after sample.
+fn resample(
+    src: &[f32],
+    (h, w): (usize, usize),
+    (y0, x0): (isize, isize),
+    s: usize,
+    dst: &mut [f32],
+    pitch: usize,
+) {
+    let (lo, hi) = inside(x0, s, w, pitch);
+    for (i, row) in dst.chunks_exact_mut(pitch).enumerate() {
+        let y = y0 + (s * i) as isize;
+        if lo == hi || !(0..h as isize).contains(&y) {
+            continue;
+        }
+        let from = &src[y as usize * w..][..w][(x0 + (s * lo) as isize) as usize..];
+        let row = &mut row[lo..hi];
+        if s == 1 {
+            let from = &from[..row.len()];
+            // Whole `SL` runs as fixed-width moves, not a call each.
+            let (mut to, mut from) = (row.chunks_exact_mut(SL), from.chunks_exact(SL));
+            for (d, v) in to.by_ref().zip(from.by_ref()) {
+                d.copy_from_slice(v);
+            }
+            let rest = to.into_remainder();
+            rest.copy_from_slice(&from.remainder()[..rest.len()]);
+        } else {
+            for (d, &v) in row.iter_mut().zip(from.iter().step_by(s)) {
+                *d = v;
+            }
+        }
+    }
 }
 
-impl Phase {
-    /// Rows of `P` (the product's depth): `OC` times the phase's taps.
-    fn depth(&self, oc: usize) -> usize {
-        oc * self.y.taps * self.x.taps
-    }
+/// The positions `lo..hi` of `count` whose read `x0 + s·j` falls inside
+/// `0..extent`; every other position reads padding.
+fn inside(x0: isize, s: usize, extent: usize, count: usize) -> (usize, usize) {
+    let lo = if x0 < 0 {
+        x0.unsigned_abs().div_ceil(s)
+    } else {
+        0
+    };
+    let hi = (extent as isize - x0)
+        .try_into()
+        .map_or(0, |past: usize| past.div_ceil(s))
+        .min(count);
+    (lo.min(hi), hi)
+}
 
-    /// Columns of `P`: the phase's input pixels.
-    fn pixels(&self) -> usize {
-        self.y.count * self.x.count
-    }
+/// A lane of a [`Tile`] that lands nowhere.
+const SKIP: usize = usize::MAX;
 
-    /// Every `(o, t, u)` row of `P`, in order.
-    fn rows(&self, oc: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-        let (ty, tx) = (self.y.taps, self.x.taps);
-        (0..oc).flat_map(move |o| (0..ty).flat_map(move |t| (0..tx).map(move |u| (o, t, u))))
-    }
+/// `SL` consecutive positions of a grid laid out `pitch` apart — what one
+/// [`gemm::shifted_tile`] computes — and the output element each lane
+/// lands on, [`SKIP`] for the positions past a row's end.
+struct Tile {
+    at: usize,
+    dest: [usize; SL],
+    /// Every lane lands, on consecutive elements: the tile is one store.
+    whole: bool,
+}
 
-    /// `W_r`, `[C, depth]`: entry `(c, (o, t, u))` is the weight of tap
-    /// `(tap0_y + s·t, tap0_x + s·u)` from input channel `c` to output
-    /// channel `o`.
-    fn weights(&self, g: &Geom, w: &[f32], oc: usize) -> Vec<f32> {
-        let (k, s) = (g.k, g.stride);
-        let mut wr = Vec::with_capacity(g.c * self.depth(oc));
-        for ci in 0..g.c {
-            for (o, t, u) in self.rows(oc) {
-                let (ky, kx) = (self.y.tap0 + s * t, self.x.tap0 + s * u);
-                wr.push(w[o * g.patch() + (ci * k + ky) * k + kx]);
+/// The tiles covering a `rows × cols` grid laid out `pitch` apart, position
+/// `(y, x)` landing on `dest(y, x)`. Each tile starts at the first position
+/// the last one left uncovered: a row `SL` wide is one tile, and narrower
+/// rows share one.
+fn tiles(
+    rows: usize,
+    cols: usize,
+    pitch: usize,
+    dest: impl Fn(usize, usize) -> usize,
+) -> Vec<Tile> {
+    let mut tiles = Vec::new();
+    let mut at = 0;
+    while cols > 0 && at < rows * pitch {
+        if at % pitch >= cols {
+            at = at.next_multiple_of(pitch);
+            continue;
+        }
+        let mut lanes = [SKIP; SL];
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let (y, x) = ((at + j) / pitch, (at + j) % pitch);
+            if y < rows && x < cols {
+                *lane = dest(y, x);
             }
         }
-        wr
+        let whole = lanes.iter().enumerate().all(|(j, &d)| d == lanes[0] + j);
+        tiles.push(Tile {
+            at,
+            dest: lanes,
+            whole,
+        });
+        at += SL;
+    }
+    tiles
+}
+
+/// One shifted product: `rows` outputs of `depth` taps, every tap reading
+/// the source at its offset (plus the tile's position), over a grid of
+/// tiles. The weights are packed tap-major `SR` rows at a time, the rows
+/// past `rows` zero.
+struct Shifted {
+    w: Vec<Vec<[f32; SR]>>,
+    offs: Vec<usize>,
+    tiles: Vec<Tile>,
+}
+
+impl Shifted {
+    fn new(
+        rows: usize,
+        offs: Vec<usize>,
+        tiles: Vec<Tile>,
+        w: impl Fn(usize, usize) -> f32,
+    ) -> Self {
+        let w = (0..rows.div_ceil(SR))
+            .map(|g| {
+                (0..offs.len())
+                    .map(|k| {
+                        std::array::from_fn(|r| {
+                            let row = g * SR + r;
+                            if row < rows {
+                                w(row, k)
+                            } else {
+                                0.0
+                            }
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        Shifted { w, offs, tiles }
     }
 
-    /// Unrolls one sample's `[OC, OH, OW]` output gradient into `p`
-    /// (`[depth, pixels]`): row `(o, t, u)` holds, for every pixel of the
-    /// phase, the `∂Y` element that tap sent it.
-    fn lower(&self, g: &Geom, grad_out: &[f32], oc: usize, p: &mut [f32]) {
-        let window = Window {
-            h: g.oh,
-            w: g.ow,
-            rows: self.y.count,
-            cols: self.x.count,
-            stride: 1,
-        };
-        let plane = g.pixels();
-        for ((o, t, u), row) in self.rows(oc).zip(p.chunks_exact_mut(self.pixels())) {
-            let dy = self.y.base as isize - t as isize;
-            let dx = self.x.base as isize - u as isize;
-            window.lower(&grad_out[o * plane..][..plane], dy, dx, row);
-        }
-    }
-
-    /// Writes the phase's `[C, pixels]` block of `∂X` onto its positions in
-    /// the sample's `[C, H, W]` gradient.
-    fn scatter(&self, g: &Geom, block: &[f32], dx: &mut [f32]) {
-        let s = g.stride;
-        for (plane, rows) in dx
-            .chunks_exact_mut(g.h * g.w)
-            .zip(block.chunks_exact(self.pixels()))
-        {
-            for (j, src) in rows.chunks_exact(self.x.count).enumerate() {
-                let dst = &mut plane[(self.y.first + s * j) * g.w + self.x.first..];
-                for (to, &v) in dst.chunks_mut(s).zip(src) {
-                    to[0] = v;
+    /// Stores `seed(row)` plus the product on every tile's lanes of `out`
+    /// (rows `plane` apart).
+    fn run(&self, src: &[f32], seed: impl Fn(usize) -> f32, out: &mut [f32], plane: usize) {
+        for (g, w) in self.w.iter().enumerate() {
+            let seeds: [f32; SR] = std::array::from_fn(|r| seed(g * SR + r));
+            for tile in &self.tiles {
+                let mut acc = seeds.map(|s| [s; SL]);
+                gemm::shifted_tile(w, &self.offs, src, tile.at, &mut acc);
+                for (dst, lanes) in out[g * SR * plane..].chunks_exact_mut(plane).zip(&acc) {
+                    if tile.whole {
+                        dst[tile.dest[0]..][..SL].copy_from_slice(lanes);
+                        continue;
+                    }
+                    for (&d, &v) in tile.dest.iter().zip(lanes) {
+                        if d != SKIP {
+                            dst[d] = v;
+                        }
+                    }
                 }
             }
+        }
+    }
+}
+
+/// The input gradient's plan: `∂Y` zero-padded so every phase's taps read
+/// it in place, and one [`Shifted`] product per stride phase.
+struct InputGrad {
+    /// Rows and columns of `∂Y`'s padding above and left of it.
+    pad: (usize, usize),
+    pitch: usize,
+    plane: usize,
+    phases: Vec<Shifted>,
+    /// One sample's padded `∂Y`, `SL` floats of slack after it.
+    dy: Vec<f32>,
+}
+
+impl InputGrad {
+    fn new(g: &Geom, oc: usize, w: &[f32]) -> Self {
+        let (ys, xs) = (g.axis_phases(g.h), g.axis_phases(g.w));
+        // Room for the lowest read, `base − (taps − 1)`, and the highest,
+        // `count − 1 + base`, of every phase, and for all of `∂Y`.
+        let lo = |axes: &[PhaseAxis]| {
+            let reach = axes.iter().map(|a| (a.taps - 1).saturating_sub(a.base));
+            reach.max().unwrap_or(0)
+        };
+        let span = |axes: &[PhaseAxis], extent| {
+            axes.iter()
+                .map(|a| a.count + a.base)
+                .fold(extent, usize::max)
+        };
+        let pad = (lo(&ys), lo(&xs));
+        let (rows, pitch) = (pad.0 + span(&ys, g.oh), pad.1 + span(&xs, g.ow));
+        let plane = rows * pitch;
+        let (k, s, patch) = (g.k, g.stride, g.patch());
+        let mut phases = Vec::new();
+        for y in &ys {
+            for x in &xs {
+                // Depth `(o, t, u)`: output channel, then the phase's taps.
+                let taps = y.taps * x.taps;
+                let mut offs = Vec::with_capacity(oc * taps);
+                for o in 0..oc {
+                    for t in 0..y.taps {
+                        for u in 0..x.taps {
+                            let row = y.base + pad.0 - t;
+                            offs.push(o * plane + row * pitch + x.base + pad.1 - u);
+                        }
+                    }
+                }
+                let at = |jy, jx| (y.first + s * jy) * g.w + x.first + s * jx;
+                let tiles = tiles(y.count, x.count, pitch, at);
+                phases.push(Shifted::new(g.c, offs, tiles, |ci, d| {
+                    let (o, t, u) = (d / taps, d % taps / x.taps, d % x.taps);
+                    let (ky, kx) = (y.tap0 + s * t, x.tap0 + s * u);
+                    w[o * patch + (ci * k + ky) * k + kx]
+                }));
+            }
+        }
+        InputGrad {
+            pad,
+            pitch,
+            plane,
+            phases,
+            dy: vec![0.0; oc * plane + SL],
+        }
+    }
+
+    /// Writes one sample's `∂X` (`[C, H, W]`); pixels no tap reaches stay
+    /// as they are.
+    fn run(&mut self, g: &Geom, dy: &[f32], dx: &mut [f32]) {
+        let from = (-(self.pad.0 as isize), -(self.pad.1 as isize));
+        let planes = self.dy.chunks_exact_mut(self.plane);
+        for (src, dst) in dy.chunks_exact(g.pixels()).zip(planes) {
+            resample(src, (g.oh, g.ow), from, 1, dst, self.pitch);
+        }
+        for phase in &self.phases {
+            phase.run(&self.dy, |_| 0.0, dx, g.h * g.w);
         }
     }
 }
@@ -339,7 +493,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cached_input: None,
+            cached: None,
         }
     }
 
@@ -355,9 +509,14 @@ impl Conv2d {
         (in_extent + 2 * self.padding - self.kernel) / self.stride + 1
     }
 
-    /// Checks an input's shape and derives the lowering's extents from it.
-    fn geom(&self, x: &Tensor) -> (usize, Geom) {
-        let (n, c, h, w) = dims4(x);
+    /// Checks an input shape and derives the convolution's extents from it.
+    fn geom(&self, shape: &[usize]) -> (usize, Geom) {
+        assert_eq!(
+            shape.len(),
+            4,
+            "expected [N, C, H, W] tensor, got {shape:?}"
+        );
+        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(
             c, self.in_c,
             "Conv2d: expected {} input channels, got {c}",
@@ -376,123 +535,161 @@ impl Conv2d {
         (n, geom)
     }
 
-    /// The forward pass shared by `forward` and `infer`: each sample
-    /// unrolled into this thread's scratch and multiplied straight into its
-    /// NCHW output block.
-    fn lowered_forward(&self, x: &Tensor) -> Tensor {
-        let (n, g) = self.geom(x);
-        let (oc, patch, pixels) = (self.out_c, g.patch(), g.pixels());
-        let (xd, wd, bias) = (x.data(), self.weight.value.data(), self.bias.value.data());
+    /// The forward pass, sample by sample: split into planes, multiplied
+    /// into the sample's NCHW output and, when `keep` is given, written
+    /// channels-last into it while still in cache.
+    fn conv_forward(&self, x: &Tensor, mut keep: Option<&mut Vec<f32>>) -> Tensor {
+        let (n, g) = self.geom(x.shape());
+        let plan = self.forward_plan(&g);
+        let (oc, pixels, bias) = (self.out_c, g.pixels(), self.bias.value.data());
+        let mut planes = vec![0.0f32; g.planes() + SL];
         let mut out = vec![0.0f32; n * oc * pixels];
-        with_scratch(patch * pixels, |t| {
-            for (xs, y) in xd
-                .chunks_exact(g.sample())
-                .zip(out.chunks_exact_mut(oc * pixels))
-            {
-                g.im2col(xs, t);
-                for (y_row, &b) in y.chunks_exact_mut(pixels).zip(bias) {
-                    y_row.fill(b);
-                }
-                gemm::matmul_acc(oc, patch, pixels, wd, t, y, SEQ);
+        let samples = x.data().chunks_exact(g.sample());
+        for (s, (xs, y)) in samples.zip(out.chunks_exact_mut(oc * pixels)).enumerate() {
+            g.split(xs, &mut planes[..g.planes()]);
+            let seed = |o: usize| bias.get(o).copied().unwrap_or(0.0);
+            plan.run(&planes, seed, y, pixels);
+            if let Some(keep) = keep.as_deref_mut() {
+                let per = g.stacked_len();
+                g.channels_last(xs, &mut keep[s * per..][..per]);
             }
-        });
+        }
         Tensor::from_vec(out, &[n, oc, g.oh, g.ow])
+    }
+
+    /// The forward product: weights packed once a call, output channels
+    /// against the split planes.
+    fn forward_plan(&self, g: &Geom) -> Shifted {
+        let (wd, patch, ow) = (self.weight.value.data(), g.patch(), g.ow);
+        let tiles = tiles(g.oh, ow, g.pitch(), |y, x| y * ow + x);
+        Shifted::new(self.out_c, g.tap_offsets(), tiles, |o, t| wd[o * patch + t])
     }
 
     /// The backward pass: accumulates `∂W`/`∂b` and, when `want_dx`, returns
     /// `∂L/∂input`. The samples' parameter gradients are summed, in sample
-    /// order, into one `[C·K·K + 1, OC]` partial that is then added to the
-    /// parameters.
-    fn lowered_backward(&mut self, grad_out: &Tensor, want_dx: bool) -> Option<Tensor> {
-        let x = self
-            .cached_input
+    /// order, into one partial that is then added to the parameters.
+    fn conv_backward(&mut self, grad_out: &Tensor, want_dx: bool) -> Option<Tensor> {
+        let kept = self
+            .cached
             .as_ref()
             .expect("Conv2d::backward called before forward");
-        let (n, g) = self.geom(x);
-        let (oc, patch, pixels) = (self.out_c, g.patch(), g.pixels());
+        let (n, g) = self.geom(&kept.shape);
+        let (oc, patch, pixels, k, c) = (self.out_c, g.patch(), g.pixels(), g.k, g.c);
         assert_eq!(
             grad_out.shape(),
             &[n, oc, g.oh, g.ow],
             "Conv2d: gradient shape mismatch"
         );
-        let (xd, gd) = (x.data(), grad_out.data());
-        // The input gradient's phases, and each one's `W_r`.
-        let phases = if want_dx { g.phases() } else { Vec::new() };
-        let wd = self.weight.value.data();
-        let w_r: Vec<Vec<f32>> = phases.iter().map(|p| p.weights(&g, wd, oc)).collect();
-        let lowered = phases.iter().map(|p| p.depth(oc) * p.pixels()).max();
-        // At stride 1 the one phase is the sample's pixels in NCHW order and
-        // its product lands in place; otherwise each phase's block is
-        // staged, then written onto its pixels.
-        let staged = phases.iter().map(|p| g.c * p.pixels()).max();
-        let staged = if g.stride == 1 { None } else { staged };
-        let (lowered, staged) = (lowered.unwrap_or(0), staged.unwrap_or(0));
-
-        // `∂Wᵀ` as `[patch, oc]` and, below it, `∂b` as the row the ones
-        // row of `T` produces.
-        let mut dwt = vec![0.0f32; (patch + 1) * oc];
+        let gd = grad_out.data();
+        // `∂W`: output channels `SR` at a time, weighted by `∂Y`, against
+        // `SL` of the `K·m·C` taps `(kx, j, c)` of kernel rows `ky .. ky +
+        // m` at a time, over the output pixels — pixel `(y, x)`'s taps there
+        // are the run of the channels-last copy from cell `(s·y + ky, s·x)`
+        // on.
+        let (wp, m, per) = (g.padded().1, g.stack(), g.stacked_len());
+        let (cell, stacks) = (m * c, k.div_ceil(m));
+        let offs: Vec<usize> = (0..g.oh)
+            .flat_map(|y| (0..g.ow).map(move |x| (y * wp + x) * g.stride * cell))
+            .collect();
+        let (groups, runs) = (oc.div_ceil(SR), (k * cell).div_ceil(SL));
+        let mut dwt = vec![[[0.0f32; SL]; SR]; groups * stacks * runs];
+        let mut dbias = vec![[0.0f32; SR]; groups];
+        let mut block = vec![[0.0f32; SR]; groups];
+        // Pixel-major `∂Y`, `SR` channels at a time, zero past the last.
+        let mut dyt = vec![[0.0f32; SR]; groups * pixels];
+        let mut input_grad = want_dx.then(|| InputGrad::new(&g, oc, self.weight.value.data()));
         let mut dx = want_dx.then(|| vec![0.0f32; n * g.sample()]);
-        with_scratch((patch + 1) * pixels + lowered + staged, |scratch| {
-            let (t, rest) = scratch.split_at_mut((patch + 1) * pixels);
-            let (p_buf, block) = rest.split_at_mut(lowered);
-            t[patch * pixels..].fill(1.0);
-            for s in 0..n {
-                let dy = &gd[s * oc * pixels..][..oc * pixels];
-                g.im2col(
-                    &xd[s * g.sample()..][..g.sample()],
-                    &mut t[..patch * pixels],
-                );
-                gemm::matmul_transb_acc(patch + 1, pixels, oc, t, dy, &mut dwt, SEQ);
-                let Some(dx) = dx.as_deref_mut() else {
-                    continue;
-                };
-                let dx = &mut dx[s * g.sample()..][..g.sample()];
-                for (phase, wr) in phases.iter().zip(&w_r) {
-                    let (depth, cols) = (phase.depth(oc), phase.pixels());
-                    let p = &mut p_buf[..depth * cols];
-                    phase.lower(&g, dy, oc, p);
-                    if g.stride == 1 {
-                        gemm::matmul_acc(g.c, depth, cols, wr, p, dx, SEQ);
-                    } else {
-                        let block = &mut block[..g.c * cols];
-                        block.fill(0.0);
-                        gemm::matmul_acc(g.c, depth, cols, wr, p, block, SEQ);
-                        phase.scatter(&g, block, dx);
+
+        for s in 0..n {
+            let dy = &gd[s * oc * pixels..][..oc * pixels];
+            // `SR` channels a store where there are that many.
+            for (rows, lanes) in dy.chunks(SR * pixels).zip(dyt.chunks_exact_mut(pixels)) {
+                if rows.len() == SR * pixels {
+                    for (p, l) in lanes.iter_mut().enumerate() {
+                        *l = std::array::from_fn(|r| rows[r * pixels + p]);
+                    }
+                } else {
+                    for (r, row) in rows.chunks_exact(pixels).enumerate() {
+                        for (l, &v) in lanes.iter_mut().zip(row) {
+                            l[r] = v;
+                        }
                     }
                 }
             }
-        });
-
-        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        let (dwt, dbias) = dwt.split_at(patch * oc);
-        for (j, dwt_row) in dwt.chunks_exact(oc).enumerate() {
-            for (o, &v) in dwt_row.iter().enumerate() {
-                dw[o * patch + j] += v;
+            // `∂b` is the plain sum over pixels of `∂Y` (the lowering's
+            // `1.0·∂Y` is `∂Y`), in the depth blocks of the product.
+            for p0 in (0..pixels).step_by(KC) {
+                block.fill([0.0; SR]);
+                for p in p0..pixels.min(p0 + KC) {
+                    for (gi, acc) in block.iter_mut().enumerate() {
+                        for (a, v) in acc.iter_mut().zip(dyt[gi * pixels + p]) {
+                            *a += v;
+                        }
+                    }
+                }
+                for (d, acc) in dbias.iter_mut().zip(&block) {
+                    for (d, a) in d.iter_mut().zip(acc) {
+                        *d += a;
+                    }
+                }
+            }
+            let src = &kept.nhwc[s * per..];
+            for (w, tiles) in dyt
+                .chunks_exact(pixels)
+                .zip(dwt.chunks_exact_mut(stacks * runs))
+            {
+                for (i, tile) in tiles.iter_mut().enumerate() {
+                    let (ky, run) = (i / runs * m, i % runs);
+                    gemm::shifted_tile(w, &offs, src, ky * wp * cell + run * SL, tile);
+                }
+            }
+            if let (Some(grad), Some(dx)) = (input_grad.as_mut(), dx.as_deref_mut()) {
+                grad.run(&g, dy, &mut dx[s * g.sample()..][..g.sample()]);
             }
         }
-        for (b, &v) in db.iter_mut().zip(dbias) {
-            *b += v;
+
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        for (i, tile) in dwt.iter().enumerate() {
+            let (gi, ky0, run) = (i / (stacks * runs), i / runs % stacks * m, i % runs);
+            for (r, lanes) in tile.iter().enumerate() {
+                for (lane, &v) in lanes.iter().enumerate() {
+                    let (o, q) = (gi * SR + r, run * SL + lane);
+                    let (kx, ky, ci) = (q / cell, ky0 + q / c % m, q % c);
+                    if o < oc && kx < k && ky < k {
+                        dw[o * patch + (ci * k + ky) * k + kx] += v;
+                    }
+                }
+            }
         }
-        dx.map(|dx| Tensor::from_vec(dx, x.shape()))
+        for (o, b) in db.iter_mut().enumerate() {
+            *b += dbias[o / SR][o % SR];
+        }
+        let shape = kept.shape;
+        dx.map(|dx| Tensor::from_vec(dx, &shape))
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        // Keep the input for `backward`, in last step's allocation.
-        let mut kept = self
-            .cached_input
+        // Keep the input as the weight gradient reads it, in last step's
+        // allocation while the sample's extents stay: its padding is 0
+        // already, and only its pixels are rewritten.
+        let (n, g) = self.geom(x.shape());
+        let shape = [n, g.c, g.h, g.w];
+        let mut nhwc = self
+            .cached
             .take()
-            .map(Tensor::into_vec)
+            .filter(|k| k.shape[1..] == shape[1..])
+            .map(|k| k.nhwc)
             .unwrap_or_default();
-        kept.clear();
-        kept.extend_from_slice(x.data());
-        self.cached_input = Some(Tensor::from_vec(kept, x.shape()));
-        self.lowered_forward(x)
+        nhwc.resize(nhwc.len().max(n * g.stacked_len() + SL), 0.0);
+        let y = self.conv_forward(x, Some(&mut nhwc));
+        self.cached = Some(Kept { shape, nhwc });
+        y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.lowered_forward(x)
+        self.conv_forward(x, None)
     }
 
     fn work(&self, input: &[usize]) -> usize {
@@ -501,12 +698,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.lowered_backward(grad_out, true)
+        self.conv_backward(grad_out, true)
             .expect("input gradient was requested")
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        self.lowered_backward(grad_out, false);
+        self.conv_backward(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -518,20 +715,20 @@ impl Layer for Conv2d {
     }
 }
 
-/// Splits a rank-4 shape into its `(n, c, h, w)` components.
-fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(
-        t.rank(),
-        4,
-        "expected [N, C, H, W] tensor, got {:?}",
-        t.shape()
-    );
-    (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits a rank-4 shape into its `(n, c, h, w)` components.
+    fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
+        assert_eq!(
+            t.rank(),
+            4,
+            "expected [N, C, H, W] tensor, got {:?}",
+            t.shape()
+        );
+        (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
+    }
 
     /// Direct (non-GEMM) convolution used as a reference implementation.
     fn conv_naive(

@@ -917,6 +917,64 @@ fn micro_kernel_1(
     apply_epilogue(crow, epilogue, arow, j0);
 }
 
+/// Output rows of a [`shifted_tile`]: output channels in a convolution's
+/// forward pass and weight gradient, input channels in its input gradient.
+/// Four rows of `SL` lanes keep eight AVX2 accumulators; eight rows, in a
+/// standalone probe, lost the vectorization (3 GFLOP/s against 44).
+pub const SR: usize = 4;
+
+/// Lanes of a [`shifted_tile`]: consecutive elements of the shifted
+/// operand — output pixels in a convolution's forward pass and input
+/// gradient, kernel taps in its weight gradient.
+pub const SL: usize = 16;
+
+/// The convolution's register tile: `out[r][j] += Σ_k w[k][r] ·
+/// src[base + offs[k] + j]` — `SR` rows of weights, packed depth-major,
+/// against `SL` consecutive elements of the source at each depth step's
+/// offset. Each of a convolution's three products is this tile over a
+/// zero-padded copy of one operand in which what the lanes need is one
+/// run: a tap's reads over an output row (forward pass, input gradient),
+/// or a pixel's taps along a kernel row, channels last (weight gradient).
+/// The operand is read where it lies, with no patch matrix and no packed
+/// panel.
+///
+/// The per-element order is the engine's: the accumulator starts at
+/// `0.0`, takes the depth in ascending order, and is added into `out` once
+/// per `KC` steps — so a caller that seeds `out` as the engine's output
+/// was seeded gets the engine's product of the lowered operands, bit for
+/// bit. The caller keeps `SL` readable elements past every `base +
+/// offs[k]`; lanes it does not keep may read anything.
+// Constant-bound index loops over a `[[f32; SL]; SR]` accumulator are
+// what the SLP vectorizer turns into whole-register multiply–adds;
+// iterator-chain forms of the same tile lost most of that.
+#[allow(clippy::needless_range_loop)]
+pub fn shifted_tile(
+    w: &[[f32; SR]],
+    offs: &[usize],
+    src: &[f32],
+    base: usize,
+    out: &mut [[f32; SL]; SR],
+) {
+    assert_eq!(w.len(), offs.len(), "shifted_tile: one offset per tap");
+    for (wb, ob) in w.chunks(KC).zip(offs.chunks(KC)) {
+        let mut acc = [[0.0f32; SL]; SR];
+        for (wk, &off) in wb.iter().zip(ob) {
+            let x: &[f32; SL] = src[base + off..][..SL].try_into().expect("SL lanes");
+            for r in 0..SR {
+                let (wr, acc) = (wk[r], &mut acc[r]);
+                for j in 0..SL {
+                    acc[j] += wr * x[j];
+                }
+            }
+        }
+        for r in 0..SR {
+            for j in 0..SL {
+                out[r][j] += acc[r][j];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
