@@ -22,7 +22,7 @@
 //! * that convolution's backward pass (with `∂X`) ≤1.9× its forward pass:
 //!   the input gradient is one shifted product of depth `OC·K²` per
 //!   sample, and a `col2im` route read 2.24×;
-//! * one `UpdateModel` fit (BraggNN, 51 + 13 frames, 8 epochs, batch 32)
+//! * one `UpdateModel` fit (BraggNN, 52 + 12 frames, 8 epochs, batch 32)
 //!   at the default pool width ≥1.2× the same fit on a one-wide pool, on a
 //!   machine with two or more cores: the step's second shard must run on
 //!   the fit's helper thread, and that must pay.
@@ -151,14 +151,15 @@ fn minor_faults() -> Option<u64> {
         .ok()
 }
 
-/// One `UpdateModel` fit as `benches/e2e` runs it (BraggNN, 51 + 13
-/// frames, 8 epochs, batch 32), from the same foundation each call.
+/// One `UpdateModel` fit as `benches/e2e` runs it (BraggNN, 64 frames
+/// split 52 + 12 as `workflow::seeded_split` splits them, 8 epochs, batch
+/// 32), from the same foundation each call.
 fn update_fit(rng: &mut TensorRng) -> impl Fn() + Sync {
-    let x = rng.uniform(&[51, 1, 16, 16], 0.0, 1.0);
-    let y = rng.uniform(&[51, 2], 0.2, 0.8);
+    let x = rng.uniform(&[52, 1, 16, 16], 0.0, 1.0);
+    let y = rng.uniform(&[52, 2], 0.2, 0.8);
     let (vx, vy) = (
-        rng.uniform(&[13, 1, 16, 16], 0.0, 1.0),
-        rng.uniform(&[13, 2], 0.2, 0.8),
+        rng.uniform(&[12, 1, 16, 16], 0.0, 1.0),
+        rng.uniform(&[12, 2], 0.2, 0.8),
     );
     let foundation = ArchSpec::BraggNN { patch: 16 }.build(3);
     let trainer = Trainer::new(TrainConfig {
@@ -413,15 +414,17 @@ fn bench_gemm(c: &mut Criterion) {
         let out = 16 / stride;
         let x = rng.uniform(&[32, cin, 16, 16], -1.0, 1.0);
         let dy = rng.uniform(&[32, cout, out, out], -1.0, 1.0);
-        black_box(conv.forward(&x));
-        black_box(conv.backward(&dy));
+        black_box(conv.forward(x.clone()));
+        black_box(conv.backward(dy.clone()));
         let (mut lat_fwd, mut lat_bwd) = (Vec::new(), Vec::new());
         for _ in 0..40 {
+            // The layers take their tensors: the copies are made untimed.
+            let (x, dy) = (x.clone(), dy.clone());
             let t0 = Instant::now();
-            black_box(conv.forward(&x));
+            black_box(conv.forward(x));
             lat_fwd.push(t0.elapsed());
             let t0 = Instant::now();
-            black_box(conv.backward(&dy));
+            black_box(conv.backward(dy));
             lat_bwd.push(t0.elapsed());
         }
         let flops = conv_flops(cin, cout, out * out);
@@ -458,8 +461,8 @@ fn bench_gemm(c: &mut Criterion) {
             (p[0].value.clone(), p[1].value.clone())
         };
         let lowered = |conv: &mut Conv2d| {
-            let y = conv.forward(&x);
-            (y, conv.backward(&dy))
+            let y = conv.forward(x.clone());
+            (y, conv.backward(dy.clone()))
         };
         let direct = || {
             conv_direct_fwd_bwd(
@@ -510,24 +513,33 @@ fn bench_gemm(c: &mut Criterion) {
     };
 
     // BraggNN training step at the deployed patch size: forward, loss
-    // gradient, parameter gradients — what `Trainer` runs per batch,
-    // recorded so kernel changes show up in model-step terms too.
-    let mut net = ArchSpec::BraggNN { patch: 16 }.build(0);
-    let x = rng.uniform(&[32, 1, 16, 16], 0.0, 1.0);
-    let y = rng.uniform(&[32, 2], 0.0, 1.0);
-    let step = |net: &mut fairdms_nn::Sequential| {
-        let pred = net.forward(&x);
-        let grad = Mse.backward(&pred, &y);
-        net.backward_params(&grad);
-    };
-    step(&mut net); // warm (first step sizes the recycled buffers)
-    let mut lat = Vec::with_capacity(40);
-    for _ in 0..40 {
-        let t0 = Instant::now();
-        step(&mut net);
-        lat.push(t0.elapsed());
+    // gradient, parameter gradients — what `Trainer` runs per shard — over
+    // 32 rows and over 16, the shard an update step runs, recorded so kernel
+    // and layer changes show up in model-step terms too. The network takes
+    // its rows, so each step's copy is made untimed.
+    for rows in [32usize, 16] {
+        let mut net = ArchSpec::BraggNN { patch: 16 }.build(0);
+        let x = rng.uniform(&[rows, 1, 16, 16], 0.0, 1.0);
+        let y = rng.uniform(&[rows, 2], 0.0, 1.0);
+        let step = |net: &mut fairdms_nn::Sequential, x: Tensor| {
+            let pred = net.forward(x);
+            net.backward_params(Mse.backward(&pred, &y));
+        };
+        step(&mut net, x.clone()); // warm (first step sizes the recycled buffers)
+        let mut lat = Vec::with_capacity(40);
+        for _ in 0..40 {
+            let x = x.clone();
+            let t0 = Instant::now();
+            step(&mut net, x);
+            lat.push(t0.elapsed());
+        }
+        summarize(
+            &mut report,
+            &format!("braggnn/fwd_bwd_batch{rows}"),
+            &lat,
+            0.0,
+        );
     }
-    summarize(&mut report, "braggnn/fwd_bwd_batch32", &lat, 0.0);
 
     // The update fit on a one-wide pool and at the default width.
     let fit_speedup = {

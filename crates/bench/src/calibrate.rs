@@ -102,7 +102,7 @@ pub fn profile_compute(
         for _ in 0..reps {
             let y = net.forward(&x);
             let g = Mse.backward(&y, &target);
-            net.backward(&g);
+            net.backward(g);
         }
         t0.elapsed().as_secs_f64() / reps as f64
     };

@@ -240,7 +240,7 @@ fn fit_epochs(
 /// The serving pass every built-in embedder's `embed` is: standardize,
 /// `tower.infer`, then L2-normalize each row (zero rows stay zero).
 fn serve(tower: &Sequential, images: &Tensor) -> Tensor {
-    let mut z = tower.infer(&standardize_rows(images));
+    let mut z = tower.infer(standardize_rows(images));
     let d = z.shape()[1].max(1);
     for row in z.data_mut().chunks_exact_mut(d) {
         let norm: f32 = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
@@ -293,11 +293,12 @@ impl Embedder for AutoencoderEmbedder {
         ctl: &TrainControl,
     ) -> bool {
         let done = fit_epochs(images, cfg, ctl, |x, batch, _, opt| {
+            // The batch is the target too: the encoder keeps a copy.
             let bx = x.gather_rows(batch);
             let z = self.encoder.forward(&bx);
-            let recon = self.decoder.forward(&z);
-            let gz = self.decoder.backward(&Mse.backward(&recon, &bx));
-            self.encoder.backward_params(&gz);
+            let recon = self.decoder.forward(z);
+            let gz = self.decoder.backward(Mse.backward(&recon, &bx));
+            self.encoder.backward_params(gz);
             let mut params = self.encoder.params_mut();
             params.extend(self.decoder.params_mut());
             opt.step(params);
@@ -367,11 +368,11 @@ impl Embedder for ContrastiveEmbedder {
                 views.extend(self.augmenter.random_view(x.row(i), rng));
             }
             let views = Tensor::from_vec(views, &[2 * batch.len(), d]);
-            let h = self.encoder.forward(&views);
-            let z = self.projector.forward(&h);
+            let h = self.encoder.forward(views);
+            let z = self.projector.forward(h);
             let (_, grad) = nt_xent(&z, cfg.temperature);
-            let gh = self.projector.backward(&grad);
-            self.encoder.backward_params(&gh);
+            let gh = self.projector.backward(grad);
+            self.encoder.backward_params(gh);
             let mut params = self.encoder.params_mut();
             params.extend(self.projector.params_mut());
             opt.step(params);
@@ -489,14 +490,14 @@ impl Embedder for ByolEmbedder {
             let v2 = Tensor::from_vec(v2, &[batch.len(), d]);
 
             // Symmetric BYOL step: (v1 online, v2 target) and swapped.
-            for (online_view, target_view) in [(&v1, &v2), (&v2, &v1)] {
+            for (online_view, target_view) in [(v1.clone(), v2.clone()), (v2, v1)] {
                 let z = self.online.forward(online_view);
-                let p = self.predictor.forward(&z);
+                let p = self.predictor.forward(z);
                 // Stop-gradient branch: inference only, no caches.
                 let t = self.target.infer(target_view);
 
-                let gz = self.predictor.backward(&Self::cosine_grad(&p, &t));
-                self.online.backward_params(&gz);
+                let gz = self.predictor.backward(Self::cosine_grad(&p, &t));
+                self.online.backward_params(gz);
                 let mut params = self.online.params_mut();
                 params.extend(self.predictor.params_mut());
                 opt.step(params);

@@ -153,7 +153,7 @@ mod tests {
         for _ in 0..30 {
             let pred = net.forward(&x);
             let grad = Mse.backward(&pred, &y);
-            net.backward(&grad);
+            net.backward(grad);
             opt.step(net.params_mut());
         }
         let last = {

@@ -11,20 +11,26 @@ enum Kind {
     Tanh,
 }
 
-/// A pointwise activation function.
+/// A pointwise activation function, mapped in place.
 ///
-/// Every kind caches its *output*, whose value alone determines the
+/// Every kind keeps its *output*, whose value alone determines the
 /// derivative: a ReLU's output is positive exactly where its input is (for
-/// a leaky one too, its slope being non-negative).
+/// a leaky one too, its slope being non-negative). The training pass copies
+/// it into an allocation recycled from step to step; the backward pass
+/// scales the gradient in place.
 #[derive(Clone)]
 pub struct Activation {
     kind: Kind,
-    cache: Option<Tensor>,
+    /// The last training pass's output.
+    out: Vec<f32>,
 }
 
 impl Activation {
     fn of(kind: Kind) -> Self {
-        Activation { kind, cache: None }
+        Activation {
+            kind,
+            out: Vec::new(),
+        }
     }
 
     /// Rectified linear unit.
@@ -49,33 +55,50 @@ impl Activation {
     }
 }
 
+/// `v = f(v)` over every element of `values`.
+fn map(values: &mut [f32], f: impl Fn(f32) -> f32) {
+    values.iter_mut().for_each(|v| *v = f(*v));
+}
+
+/// `g = f(g, y)` over every gradient element and the output it belongs to.
+fn scale(grad: &mut [f32], out: &[f32], f: impl Fn(f32, f32) -> f32) {
+    grad.iter_mut().zip(out).for_each(|(g, &y)| *g = f(*g, y));
+}
+
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: Tensor) -> Tensor {
         let y = self.infer(x);
-        self.cache = Some(y.clone());
+        self.out.clear();
+        self.out.extend_from_slice(y.data());
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        let v = x.data_mut();
         match self.kind {
-            Kind::Relu => x.map(|v| v.max(0.0)),
-            Kind::LeakyRelu(a) => x.map(|v| if v > 0.0 { v } else { a * v }),
-            Kind::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
-            Kind::Tanh => x.map(|v| v.tanh()),
+            Kind::Relu => map(v, |v| v.max(0.0)),
+            Kind::LeakyRelu(a) => map(v, |v| if v > 0.0 { v } else { a * v }),
+            Kind::Sigmoid => map(v, |v| 1.0 / (1.0 + (-v).exp())),
+            Kind::Tanh => map(v, |v| v.tanh()),
         }
+        x
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("Activation::backward called before forward");
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        let y = &self.out;
+        assert_eq!(
+            grad_out.numel(),
+            y.len(),
+            "Activation::backward called before forward, or on another batch"
+        );
+        let g = grad_out.data_mut();
         match self.kind {
-            Kind::Relu => grad_out.zip(cache, |g, y| if y > 0.0 { g } else { 0.0 }),
-            Kind::LeakyRelu(a) => grad_out.zip(cache, |g, y| if y > 0.0 { g } else { a * g }),
-            Kind::Sigmoid => grad_out.zip(cache, |g, y| g * y * (1.0 - y)),
-            Kind::Tanh => grad_out.zip(cache, |g, y| g * (1.0 - y * y)),
+            Kind::Relu => scale(g, y, |g, y| if y > 0.0 { g } else { 0.0 }),
+            Kind::LeakyRelu(a) => scale(g, y, |g, y| if y > 0.0 { g } else { a * g }),
+            Kind::Sigmoid => scale(g, y, |g, y| g * y * (1.0 - y)),
+            Kind::Tanh => scale(g, y, |g, y| g * (1.0 - y * y)),
         }
+        grad_out
     }
 }
 
@@ -87,8 +110,8 @@ mod tests {
     fn relu_clips_negatives_and_masks_gradient() {
         let mut a = Activation::relu();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(a.forward(&x).data(), &[0.0, 0.0, 2.0]);
-        let g = a.backward(&Tensor::ones(&[3]));
+        assert_eq!(a.forward(x).data(), &[0.0, 0.0, 2.0]);
+        let g = a.backward(Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
     }
 
@@ -96,10 +119,10 @@ mod tests {
     fn leaky_relu_keeps_scaled_negative_slope() {
         let mut a = Activation::leaky_relu(0.1);
         let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]);
-        let y = a.forward(&x);
+        let y = a.forward(x);
         assert!((y.data()[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
-        let g = a.backward(&Tensor::ones(&[2]));
+        let g = a.backward(Tensor::ones(&[2]));
         assert!((g.data()[0] - 0.1).abs() < 1e-6);
         assert_eq!(g.data()[1], 1.0);
     }
@@ -107,18 +130,18 @@ mod tests {
     #[test]
     fn sigmoid_midpoint_and_derivative() {
         let mut a = Activation::sigmoid();
-        let y = a.forward(&Tensor::zeros(&[1]));
+        let y = a.forward(Tensor::zeros(&[1]));
         assert!((y.data()[0] - 0.5).abs() < 1e-6);
-        let g = a.backward(&Tensor::ones(&[1]));
+        let g = a.backward(Tensor::ones(&[1]));
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn tanh_is_odd_with_unit_slope_at_zero() {
         let mut a = Activation::tanh();
-        let y = a.forward(&Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]));
+        let y = a.forward(Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]));
         assert!((y.data()[0] + y.data()[2]).abs() < 1e-6);
-        let g = a.backward(&Tensor::ones(&[3]));
+        let g = a.backward(Tensor::ones(&[3]));
         assert!((g.data()[1] - 1.0).abs() < 1e-6);
     }
 }

@@ -35,7 +35,7 @@
 //! — so every output and gradient is the lowered products' to the bit
 //! (`tests/conv_implicit.rs` holds it to them). See DESIGN.md §9.
 
-use super::Layer;
+use super::{Layer, Spare};
 use crate::param::Param;
 use fairdms_tensor::gemm::{self, KC, SL, SR};
 use fairdms_tensor::{rng::TensorRng, Tensor};
@@ -51,6 +51,7 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached: Option<Kept>,
+    spare: Spare,
 }
 
 /// The training pass's input as the weight gradient reads it: each sample
@@ -494,6 +495,7 @@ impl Conv2d {
             stride,
             padding,
             cached: None,
+            spare: Spare::default(),
         }
     }
 
@@ -536,14 +538,20 @@ impl Conv2d {
     }
 
     /// The forward pass, sample by sample: split into planes, multiplied
-    /// into the sample's NCHW output and, when `keep` is given, written
-    /// channels-last into it while still in cache.
-    fn conv_forward(&self, x: &Tensor, mut keep: Option<&mut Vec<f32>>) -> Tensor {
+    /// into the sample's NCHW output in `out` (resized; every element is
+    /// written) and, when `keep` is given, written channels-last into it
+    /// while still in cache.
+    fn conv_forward(
+        &self,
+        x: &Tensor,
+        mut out: Vec<f32>,
+        mut keep: Option<&mut Vec<f32>>,
+    ) -> Tensor {
         let (n, g) = self.geom(x.shape());
         let plan = self.forward_plan(&g);
         let (oc, pixels, bias) = (self.out_c, g.pixels(), self.bias.value.data());
         let mut planes = vec![0.0f32; g.planes() + SL];
-        let mut out = vec![0.0f32; n * oc * pixels];
+        out.resize(n * oc * pixels, 0.0);
         let samples = x.data().chunks_exact(g.sample());
         for (s, (xs, y)) in samples.zip(out.chunks_exact_mut(oc * pixels)).enumerate() {
             g.split(xs, &mut planes[..g.planes()]);
@@ -568,7 +576,7 @@ impl Conv2d {
     /// The backward pass: accumulates `∂W`/`∂b` and, when `want_dx`, returns
     /// `∂L/∂input`. The samples' parameter gradients are summed, in sample
     /// order, into one partial that is then added to the parameters.
-    fn conv_backward(&mut self, grad_out: &Tensor, want_dx: bool) -> Option<Tensor> {
+    fn conv_backward(&mut self, grad_out: Tensor, want_dx: bool) -> Option<Tensor> {
         let kept = self
             .cached
             .as_ref()
@@ -598,7 +606,7 @@ impl Conv2d {
         // Pixel-major `∂Y`, `SR` channels at a time, zero past the last.
         let mut dyt = vec![[0.0f32; SR]; groups * pixels];
         let mut input_grad = want_dx.then(|| InputGrad::new(&g, oc, self.weight.value.data()));
-        let mut dx = want_dx.then(|| vec![0.0f32; n * g.sample()]);
+        let mut dx = want_dx.then(|| self.spare.input_grad(n * g.sample()));
 
         for s in 0..n {
             let dy = &gd[s * oc * pixels..][..oc * pixels];
@@ -665,12 +673,13 @@ impl Conv2d {
             *b += dbias[o / SR][o % SR];
         }
         let shape = kept.shape;
+        self.spare.out = grad_out.into_vec();
         dx.map(|dx| Tensor::from_vec(dx, &shape))
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: Tensor) -> Tensor {
         // Keep the input as the weight gradient reads it, in last step's
         // allocation while the sample's extents stay: its padding is 0
         // already, and only its pixels are rewritten.
@@ -683,13 +692,15 @@ impl Layer for Conv2d {
             .map(|k| k.nhwc)
             .unwrap_or_default();
         nhwc.resize(nhwc.len().max(n * g.stacked_len() + SL), 0.0);
-        let y = self.conv_forward(x, Some(&mut nhwc));
+        let out = std::mem::take(&mut self.spare.out);
+        let y = self.conv_forward(&x, out, Some(&mut nhwc));
         self.cached = Some(Kept { shape, nhwc });
+        self.spare.grad = x.into_vec();
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.conv_forward(x, None)
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.conv_forward(&x, Vec::new(), None)
     }
 
     fn work(&self, input: &[usize]) -> usize {
@@ -697,12 +708,12 @@ impl Layer for Conv2d {
         input[0] * self.out_c * self.in_c * self.kernel * self.kernel * oh * ow
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         self.conv_backward(grad_out, true)
             .expect("input gradient was requested")
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) {
+    fn backward_params(&mut self, grad_out: Tensor) {
         self.conv_backward(grad_out, false);
     }
 
@@ -817,7 +828,7 @@ mod tests {
         for &(stride, pad) in &[(1usize, 0usize), (1, 1), (2, 1)] {
             let mut conv = Conv2d::new(2, 3, 3, stride, pad, &mut rng);
             let x = rng.uniform(&[2, 2, 6, 6], -1.0, 1.0);
-            let y = conv.forward(&x);
+            let y = conv.forward(x.clone());
             let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 3, stride, pad);
             assert_eq!(y.shape(), y_ref.shape(), "stride={stride} pad={pad}");
             assert!(
@@ -844,15 +855,15 @@ mod tests {
                 let x = rng.uniform(&[n, 2, h, w], -1.0, 1.0);
                 let (wv, bv) = (conv.weight.value.clone(), conv.bias.value.clone());
 
-                let y = conv.forward(&x);
+                let y = conv.forward(x.clone());
                 let y_ref = conv_naive(&x, &wv, &bv, k, stride, pad);
                 assert_eq!(y.shape(), y_ref.shape(), "{at}");
                 assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4), "forward {at}");
-                assert_eq!(conv.infer(&x), y, "infer {at}");
+                assert_eq!(conv.infer(x.clone()), y, "infer {at}");
 
                 let dy = rng.uniform(y.shape(), -1.0, 1.0);
                 let (dw_ref, db_ref, dx_ref) = conv_naive_backward(&x, &wv, &dy, k, stride, pad);
-                let dx = conv.backward(&dy);
+                let dx = conv.backward(dy.clone());
                 assert!(fairdms_tensor::allclose(&dx, &dx_ref, 1e-4), "dx {at}");
                 let (dw, db) = (conv.weight.grad.clone(), conv.bias.grad.clone());
                 assert!(fairdms_tensor::allclose(&dw, &dw_ref, 1e-3), "dw {at}");
@@ -861,7 +872,7 @@ mod tests {
                 // The params-only pass accumulates the same bits.
                 conv.weight.zero_grad();
                 conv.bias.zero_grad();
-                conv.backward_params(&dy);
+                conv.backward_params(dy.clone());
                 assert_eq!(conv.weight.grad, dw, "params-only dw {at}");
                 assert_eq!(conv.bias.grad, db, "params-only db {at}");
             }
@@ -875,12 +886,16 @@ mod tests {
         let mut rng = TensorRng::seeded(5);
         let mut conv = Conv2d::new(1, 2, 5, 1, 2, &mut rng);
         let x = rng.uniform(&[1, 1, 3, 3], -1.0, 1.0);
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 5, 1, 2);
         assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-4));
         let dy = rng.uniform(y.shape(), -1.0, 1.0);
         let (_, _, dx_ref) = conv_naive_backward(&x, &conv.weight.value, &dy, 5, 1, 2);
-        assert!(fairdms_tensor::allclose(&conv.backward(&dy), &dx_ref, 1e-4));
+        assert!(fairdms_tensor::allclose(
+            &conv.backward(dy.clone()),
+            &dx_ref,
+            1e-4
+        ));
     }
 
     #[test]
@@ -888,12 +903,16 @@ mod tests {
         let mut rng = TensorRng::seeded(7);
         let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[3, 2, 1, 1], -1.0, 1.0);
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         let y_ref = conv_naive(&x, &conv.weight.value, &conv.bias.value, 3, 1, 1);
         assert!(fairdms_tensor::allclose(&y, &y_ref, 1e-5));
         let dy = rng.uniform(y.shape(), -1.0, 1.0);
         let (dw_ref, _, dx_ref) = conv_naive_backward(&x, &conv.weight.value, &dy, 3, 1, 1);
-        assert!(fairdms_tensor::allclose(&conv.backward(&dy), &dx_ref, 1e-5));
+        assert!(fairdms_tensor::allclose(
+            &conv.backward(dy.clone()),
+            &dx_ref,
+            1e-5
+        ));
         assert!(fairdms_tensor::allclose(&conv.weight.grad, &dw_ref, 1e-5));
     }
 
@@ -902,12 +921,12 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[1, 1, 5, 5], -1.0, 1.0);
-        let y = conv.forward(&x);
-        let gx = conv.backward(&Tensor::ones(y.shape()));
+        let y = conv.forward(x.clone());
+        let gx = conv.backward(Tensor::ones(y.shape()));
         assert_eq!(gx.shape(), x.shape());
         let g1 = conv.weight.grad.clone();
-        conv.forward(&x);
-        conv.backward(&Tensor::ones(y.shape()));
+        conv.forward(x.clone());
+        conv.backward(Tensor::ones(y.shape()));
         // Gradients accumulate across backward calls.
         assert!(fairdms_tensor::allclose(
             &conv.weight.grad,
@@ -921,8 +940,8 @@ mod tests {
         let mut rng = TensorRng::seeded(2);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
         let x = rng.uniform(&[2, 1, 3, 3], -1.0, 1.0);
-        let y = conv.forward(&x);
-        conv.backward(&Tensor::ones(y.shape()));
+        let y = conv.forward(x.clone());
+        conv.backward(Tensor::ones(y.shape()));
         // 2 samples × 3×3 outputs = 18 ones summed into the single bias.
         assert!((conv.bias.grad.data()[0] - 18.0).abs() < 1e-4);
     }
@@ -932,11 +951,11 @@ mod tests {
         let mut rng = TensorRng::seeded(6);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let x = rng.uniform(&[4, 1, 5, 5], -1.0, 1.0);
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         // A validation batch of another size in between…
-        conv.infer(&rng.uniform(&[3, 1, 5, 5], -1.0, 1.0));
+        conv.infer(rng.uniform(&[3, 1, 5, 5], -1.0, 1.0));
         // …and backward still differentiates the training batch.
-        assert_eq!(conv.backward(&Tensor::ones(y.shape())).shape(), x.shape());
+        assert_eq!(conv.backward(Tensor::ones(y.shape())).shape(), x.shape());
     }
 
     #[test]
@@ -944,6 +963,6 @@ mod tests {
     fn rejects_channel_mismatch() {
         let mut rng = TensorRng::seeded(3);
         let conv = Conv2d::new(3, 1, 3, 1, 0, &mut rng);
-        conv.infer(&Tensor::zeros(&[1, 2, 5, 5]));
+        conv.infer(Tensor::zeros(&[1, 2, 5, 5]));
     }
 }

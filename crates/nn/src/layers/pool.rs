@@ -1,17 +1,19 @@
 //! Spatial pooling for `[N, C, H, W]` tensors.
 
-use super::Layer;
+use super::{Layer, Spare};
 use fairdms_tensor::Tensor;
 
 /// Max pooling with a square non-overlapping window (stride = window).
 ///
-/// Caches the linear index of each window's winner so the backward pass can
-/// route the gradient exclusively to it.
+/// Keeps the index of each window's winner, in an allocation recycled from
+/// step to step, so the backward pass can route the gradient exclusively
+/// to it.
 #[derive(Clone)]
 pub struct MaxPool2d {
     window: usize,
-    argmax: Option<Vec<usize>>,
+    argmax: Vec<u32>,
     in_shape: Option<Vec<usize>>,
+    spare: Spare,
 }
 
 impl MaxPool2d {
@@ -20,75 +22,82 @@ impl MaxPool2d {
         assert!(window > 0, "window must be positive");
         MaxPool2d {
             window,
-            argmax: None,
+            argmax: Vec::new(),
             in_shape: None,
+            spare: Spare::default(),
         }
-    }
-
-    /// The pooling computation; returns `(output, argmax)` so `forward` can
-    /// cache winner indices while `infer` drops them.
-    fn compute(&self, x: &Tensor) -> (Tensor, Vec<usize>) {
-        let (n, c, h, w) = dims4(x);
-        assert!(
-            h >= self.window && w >= self.window,
-            "pool window {} larger than input {}x{}",
-            self.window,
-            h,
-            w
-        );
-        let win = self.window;
-        let (oh, ow) = (h / win, w / win);
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        let xd = x.data();
-        let outputs = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
-        // Output row `r` of plane `r / oh` pools `win` input rows.
-        for (r, (best, best_idx)) in outputs.enumerate() {
-            let first = (r / oh * h + r % oh * win) * w;
-            for (ox, (b, i)) in best.iter_mut().zip(best_idx.iter_mut()).enumerate() {
-                // Each window starts from its own first element, so a window
-                // in which nothing compares greater (all −∞, all NaN) keeps
-                // that value, and its gradient stays inside it.
-                let at = first + ox * win;
-                let (mut max, mut arg) = (xd[at], at);
-                for row in (at..).step_by(w).take(win) {
-                    for (kx, &v) in xd[row..row + win].iter().enumerate() {
-                        if v > max {
-                            (max, arg) = (v, row + kx);
-                        }
-                    }
-                }
-                (*b, *i) = (max, arg);
-            }
-        }
-        (Tensor::from_vec(out, &[n, c, oh, ow]), argmax)
     }
 }
 
+/// `win`×`win` max pooling of `x` into `out` (resized), each window's
+/// winner's index in `x` written to `argmax`.
+fn pool(x: &Tensor, win: usize, mut out: Vec<f32>, argmax: &mut Vec<u32>) -> Tensor {
+    let (n, c, h, w) = dims4(x);
+    assert!(
+        h >= win && w >= win,
+        "pool window {win} larger than input {h}x{w}"
+    );
+    assert!(x.numel() <= u32::MAX as usize, "pool input too large");
+    let (oh, ow) = (h / win, w / win);
+    out.resize(n * c * oh * ow, 0.0);
+    argmax.clear();
+    argmax.resize(out.len(), 0);
+    // A window's cells, row-major, as offsets from its first: one flat
+    // loop for every window, whatever its extent.
+    let cells: Vec<usize> = (0..win * win).map(|t| t / win * w + t % win).collect();
+    let span = (win - 1) * w + win;
+    let xd = x.data();
+    let outputs = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
+    // Output row `r` of plane `r / oh` pools `win` input rows.
+    for (r, (best, best_idx)) in outputs.enumerate() {
+        let first = (r / oh * h + r % oh * win) * w;
+        for (ox, (b, i)) in best.iter_mut().zip(best_idx.iter_mut()).enumerate() {
+            // Each window starts from its own first element, so a window
+            // in which nothing compares greater (all −∞, all NaN) keeps
+            // that value, and its gradient stays inside it.
+            let at = first + ox * win;
+            let window = &xd[at..at + span];
+            let (mut max, mut arg) = (window[0], 0);
+            for &c in &cells {
+                if window[c] > max {
+                    (max, arg) = (window[c], c);
+                }
+            }
+            (*b, *i) = (max, (at + arg) as u32);
+        }
+    }
+    Tensor::from_vec(out, &[n, c, oh, ow])
+}
+
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (out, argmax) = self.compute(x);
-        self.argmax = Some(argmax);
+    fn forward(&mut self, x: Tensor) -> Tensor {
+        let out = std::mem::take(&mut self.spare.out);
+        let out = pool(&x, self.window, out, &mut self.argmax);
         self.in_shape = Some(x.shape().to_vec());
+        self.spare.grad = x.into_vec();
         out
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.compute(x).0
+    fn infer(&self, x: Tensor) -> Tensor {
+        pool(&x, self.window, Vec::new(), &mut Vec::new())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .argmax
-            .as_ref()
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        let in_shape = self
+            .in_shape
+            .as_deref()
             .expect("MaxPool2d::backward called before forward");
-        let in_shape = self.in_shape.clone().expect("missing input shape");
-        assert_eq!(grad_out.numel(), argmax.len(), "gradient size mismatch");
-        let mut dx = Tensor::zeros(&in_shape);
-        let dxd = dx.data_mut();
-        for (&idx, &g) in argmax.iter().zip(grad_out.data()) {
-            dxd[idx] += g;
+        assert_eq!(
+            grad_out.numel(),
+            self.argmax.len(),
+            "gradient size mismatch"
+        );
+        let mut dx = self.spare.input_grad(in_shape.iter().product());
+        for (&idx, &g) in self.argmax.iter().zip(grad_out.data()) {
+            dx[idx as usize] += g;
         }
+        let dx = Tensor::from_vec(dx, in_shape);
+        self.spare.out = grad_out.into_vec();
         dx
     }
 }
@@ -119,7 +128,7 @@ mod tests {
             &[1, 1, 4, 4],
         );
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x);
+        let y = pool.forward(x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4.0, 8.0, -1.0, 0.5]);
     }
@@ -158,8 +167,10 @@ mod tests {
             let x = rng
                 .uniform(&[3, 2, 7, 11], -1.0, 1.0)
                 .map(|v| (v * 2.0).round());
-            let (out, argmax) = MaxPool2d::new(win).compute(&x);
+            let mut argmax = Vec::new();
+            let out = pool(&x, win, Vec::new(), &mut argmax);
             let (want, want_idx) = pool_reference(&x, win);
+            let argmax: Vec<usize> = argmax.iter().map(|&i| i as usize).collect();
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(out.data()), bits(&want), "window {win}");
             assert_eq!(argmax, want_idx, "window {win}");
@@ -179,12 +190,12 @@ mod tests {
         }
         let x = Tensor::from_vec(data, &[2, 1, 4, 4]);
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x);
+        let y = pool.forward(x);
         assert!(y.data()[5].is_nan(), "an all-NaN window is NaN");
         assert_eq!(y.data()[6], f32::NEG_INFINITY);
         let mut g = vec![0.0f32; 8];
         (g[5], g[6]) = (2.0, 3.0);
-        let dx = pool.backward(&Tensor::from_vec(g, &[2, 1, 2, 2]));
+        let dx = pool.backward(Tensor::from_vec(g, &[2, 1, 2, 2]));
         let hit: Vec<(usize, f32)> = (0..32)
             .filter(|&i| dx.data()[i] != 0.0)
             .map(|i| (i, dx.data()[i]))
@@ -200,8 +211,8 @@ mod tests {
     fn maxpool_routes_gradient_to_argmax_only() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 9.0], &[1, 1, 2, 2]);
         let mut pool = MaxPool2d::new(2);
-        pool.forward(&x);
-        let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
+        pool.forward(x);
+        let dx = pool.backward(Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 }

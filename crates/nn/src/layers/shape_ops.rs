@@ -3,8 +3,8 @@
 use super::Layer;
 use fairdms_tensor::Tensor;
 
-/// Flattens `[N, …]` inputs to `[N, prod(…)]`, remembering the original
-/// shape for the backward pass.
+/// Flattens `[N, …]` inputs to `[N, prod(…)]` in their own storage,
+/// remembering the original shape for the backward pass.
 #[derive(Clone)]
 pub struct Flatten {
     in_shape: Option<Vec<usize>>,
@@ -24,22 +24,23 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: Tensor) -> Tensor {
         self.in_shape = Some(x.shape().to_vec());
         self.infer(x)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    fn infer(&self, x: Tensor) -> Tensor {
         assert!(x.rank() >= 2, "Flatten expects a batch dimension");
-        x.reshape(&[x.shape()[0], x.row_size()])
+        let dims = [x.shape()[0], x.row_size()];
+        x.into_shape(&dims)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let shape = self
             .in_shape
-            .clone()
+            .as_deref()
             .expect("Flatten::backward called before forward");
-        grad_out.reshape(&shape)
+        grad_out.into_shape(shape)
     }
 }
 
@@ -64,12 +65,12 @@ impl Default for Upsample2x {
 }
 
 impl Layer for Upsample2x {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: Tensor) -> Tensor {
         self.in_shape = Some(x.shape().to_vec());
         self.infer(x)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    fn infer(&self, x: Tensor) -> Tensor {
         assert_eq!(x.rank(), 4, "Upsample2x expects [N, C, H, W]");
         let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let (oh, ow) = (h * 2, w * 2);
@@ -87,7 +88,7 @@ impl Layer for Upsample2x {
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let in_shape = self
             .in_shape
             .clone()
@@ -117,9 +118,9 @@ mod tests {
     fn flatten_roundtrips_shape() {
         let mut f = Flatten::new();
         let x = Tensor::arange(24).reshape(&[2, 3, 2, 2]);
-        let y = f.forward(&x);
+        let y = f.forward(x.clone());
         assert_eq!(y.shape(), &[2, 12]);
-        let g = f.backward(&y);
+        let g = f.backward(y);
         assert_eq!(g.shape(), &[2, 3, 2, 2]);
         assert_eq!(g.data(), x.data());
     }
@@ -128,7 +129,7 @@ mod tests {
     fn upsample_replicates_pixels() {
         let mut u = Upsample2x::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = u.forward(&x);
+        let y = u.forward(x);
         assert_eq!(y.shape(), &[1, 1, 4, 4]);
         assert_eq!(y.at(&[0, 0, 0, 0]), 1.0);
         assert_eq!(y.at(&[0, 0, 0, 1]), 1.0);
@@ -140,8 +141,8 @@ mod tests {
     fn upsample_backward_sums_blocks() {
         let mut u = Upsample2x::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        u.forward(&x);
-        let dx = u.backward(&Tensor::ones(&[1, 1, 4, 4]));
+        u.forward(x);
+        let dx = u.backward(Tensor::ones(&[1, 1, 4, 4]));
         assert_eq!(dx.data(), &[4.0, 4.0, 4.0, 4.0]);
     }
 }

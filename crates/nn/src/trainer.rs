@@ -243,7 +243,7 @@ impl Trainer {
 
         let start = Instant::now();
         let data = [train_x, train_y, val_x, val_y];
-        let per_sample = net.forward_work(&train_x.slice_rows(0, 1));
+        let per_sample = net.forward_work(train_x.slice_rows(0, 1));
         // Shard 1's copy of the network, when some batch has rows to split.
         let replica = (n >= 2).then(|| Shard::new(net.clone_for_shard(1)));
         let widest = self.cfg.batch_size.min(n);
@@ -343,7 +343,8 @@ impl Trainer {
 /// back.
 struct Shard {
     net: Sequential,
-    x: Tensor,
+    /// The rows to run, until the run hands them to the network.
+    x: Option<Tensor>,
     y: Tensor,
     /// Rows of the whole mini-batch, the loss gradient's denominator; `None`
     /// for a validation shard, which only predicts.
@@ -358,7 +359,7 @@ impl Shard {
     fn new(net: Sequential) -> Self {
         Shard {
             net,
-            x: Tensor::zeros(&[0]),
+            x: None,
             y: Tensor::zeros(&[0]),
             batch_rows: None,
             loss: 0.0,
@@ -367,9 +368,13 @@ impl Shard {
     }
 
     fn run(&mut self, loss: &dyn Loss) {
+        let x = self
+            .x
+            .take()
+            .expect("a shard is run on the rows handed to it");
         match self.batch_rows {
-            Some(rows) => self.loss = run_shard(&mut self.net, loss, &self.x, &self.y, rows),
-            None => self.pred = self.net.infer(&self.x),
+            Some(rows) => self.loss = run_shard(&mut self.net, loss, x, &self.y, rows),
+            None => self.pred = self.net.infer(x),
         }
     }
 }
@@ -380,12 +385,12 @@ impl Shard {
 fn run_shard(
     net: &mut Sequential,
     loss: &dyn Loss,
-    x: &Tensor,
+    x: Tensor,
     y: &Tensor,
     batch_rows: usize,
 ) -> f32 {
     let pred = net.forward(x);
-    net.backward_params(&loss.batch_backward(&pred, y, batch_rows));
+    net.backward_params(loss.batch_backward(&pred, y, batch_rows));
     loss.forward(&pred, y)
 }
 
@@ -395,10 +400,9 @@ struct Helper {
     done: Receiver<Shard>,
 }
 
-/// What a fit keeps from one step to the next: shard 0's rows (recycled
-/// allocations, so a steady-state step gathers without allocating), shard
-/// 1, and the helper when the fit opened one. Validation runs through it
-/// too, so it can use the same helper and replica.
+/// What a fit keeps from one step to the next: shard 1 and the helper when
+/// the fit opened one. Validation runs through it too, so it can use the
+/// same helper and replica.
 struct Steps<'a> {
     loss: &'a dyn Loss,
     /// Multiply–adds of one sample's forward pass.
@@ -406,8 +410,6 @@ struct Steps<'a> {
     helper: Option<&'a Helper>,
     /// Shard 1 between steps (`None` for a one-row training set).
     replica: Option<Shard>,
-    x: Tensor,
-    y: Tensor,
 }
 
 impl<'a> Steps<'a> {
@@ -422,13 +424,12 @@ impl<'a> Steps<'a> {
             per_sample,
             helper,
             replica,
-            x: Tensor::zeros(&[0]),
-            y: Tensor::zeros(&[0]),
         }
     }
 
-    /// One optimizer step of `net` on the rows `batch` of `(x, y)`.
-    /// Returns the batch's mean loss.
+    /// One optimizer step of `net` on the rows `batch` of `(x, y)`: each
+    /// shard's gathered rows are handed to its network. Returns the batch's
+    /// mean loss.
     fn step(
         &mut self,
         net: &mut Sequential,
@@ -439,28 +440,27 @@ impl<'a> Steps<'a> {
     ) -> f64 {
         let rows = batch.len();
         let (head, tail) = batch.split_at(rows.div_ceil(2));
-        gather_into(x, head, &mut self.x);
-        gather_into(y, head, &mut self.y);
+        let (own_x, own_y) = (x.gather_rows(head), y.gather_rows(head));
         let split = (!tail.is_empty()).then(|| {
             self.replica
                 .take()
                 .expect("a fit of two rows or more has a replica")
         });
         let loss_sum = match split {
-            None => run_shard(net, self.loss, &self.x, &self.y, rows) as f64 * rows as f64,
+            None => run_shard(net, self.loss, own_x, &own_y, rows) as f64 * rows as f64,
             Some(mut shard) => {
-                gather_into(x, tail, &mut shard.x);
-                gather_into(y, tail, &mut shard.y);
+                shard.x = Some(x.gather_rows(tail));
+                shard.y = y.gather_rows(tail);
                 shard.batch_rows = Some(rows);
                 let wide = STEP_PASSES * self.per_sample * rows >= PAR_MIN_WORK;
                 let (own, mut shard) = match self.helper.filter(|_| wide) {
                     Some(helper) => {
                         helper.work.send(shard).expect("the shard helper exited");
-                        let own = run_shard(net, self.loss, &self.x, &self.y, rows);
+                        let own = run_shard(net, self.loss, own_x, &own_y, rows);
                         (own, helper.done.recv().expect("the shard helper exited"))
                     }
                     None => {
-                        let own = run_shard(net, self.loss, &self.x, &self.y, rows);
+                        let own = run_shard(net, self.loss, own_x, &own_y, rows);
                         shard.run(self.loss);
                         (own, shard)
                     }
@@ -508,16 +508,16 @@ impl<'a> Steps<'a> {
     fn predict(&mut self, net: &Sequential, x: &Tensor, start: usize, end: usize) -> Tensor {
         let mid = start + (end - start).div_ceil(2);
         let Some(helper) = self.helper.filter(|_| mid < end) else {
-            return net.infer(&x.slice_rows(start, end));
+            return net.infer(x.slice_rows(start, end));
         };
         let mut shard = self
             .replica
             .take()
             .expect("a fit with a helper has a replica");
-        shard.x = x.slice_rows(mid, end);
+        shard.x = Some(x.slice_rows(mid, end));
         shard.batch_rows = None;
         helper.work.send(shard).expect("the shard helper exited");
-        let head = net.infer(&x.slice_rows(start, mid));
+        let head = net.infer(x.slice_rows(start, mid));
         let shard = helper.done.recv().expect("the shard helper exited");
         let mut dims = head.shape().to_vec();
         dims[0] = end - start;
@@ -526,16 +526,6 @@ impl<'a> Steps<'a> {
         self.replica = Some(shard);
         Tensor::from_vec(rows, &dims)
     }
-}
-
-/// Refills `into` with `src`'s rows `rows`, in `into`'s allocation.
-fn gather_into(src: &Tensor, rows: &[usize], into: &mut Tensor) {
-    let mut buf = std::mem::replace(into, Tensor::zeros(&[0])).into_vec();
-    buf.clear();
-    src.gather_rows_into(rows, &mut buf);
-    let mut dims = src.shape().to_vec();
-    dims[0] = rows.len();
-    *into = Tensor::from_vec(buf, &dims);
 }
 
 #[cfg(test)]
@@ -645,17 +635,17 @@ mod tests {
     }
 
     impl crate::layers::Layer for InferThreads {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
-            x.clone()
+        fn forward(&mut self, x: Tensor) -> Tensor {
+            x
         }
 
-        fn infer(&self, x: &Tensor) -> Tensor {
+        fn infer(&self, x: Tensor) -> Tensor {
             self.0.send(std::thread::current().id()).unwrap();
-            x.clone()
+            x
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            grad_out.clone()
+        fn backward(&mut self, grad_out: Tensor) -> Tensor {
+            grad_out
         }
     }
 

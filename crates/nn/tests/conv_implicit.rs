@@ -229,14 +229,17 @@ fn check(g: Geom, n: usize, seed: u64, specials: bool) {
         (p[0].value.clone(), p[1].value.clone())
     };
 
-    let y = conv.forward(&x);
+    let y = conv.forward(x.clone());
     let y_ref = oracle_forward(g, x.data(), w.data(), b.data());
     assert_eq!(y.shape(), &[n, g.oc, g.oh(), g.ow()], "shape {at}");
     assert!(bits(y.data()) == bits(&y_ref), "Y {at}");
-    assert!(bits(conv.infer(&x).data()) == bits(&y_ref), "infer {at}");
+    assert!(
+        bits(conv.infer(x.clone()).data()) == bits(&y_ref),
+        "infer {at}"
+    );
 
     let (dw_ref, db_ref, dx_ref) = oracle_backward(g, x.data(), w.data(), dy.data());
-    let dx = conv.backward(&dy);
+    let dx = conv.backward(dy.clone());
     assert!(bits(dx.data()) == bits(&dx_ref), "dX {at}");
     let grads = |conv: &Conv2d| {
         let p = conv.params();
@@ -250,7 +253,7 @@ fn check(g: Geom, n: usize, seed: u64, specials: bool) {
     for p in conv.params_mut() {
         p.zero_grad();
     }
-    conv.backward_params(&dy);
+    conv.backward_params(dy.clone());
     assert!(grads(&conv) == (dw, db), "params-only {at}");
 }
 

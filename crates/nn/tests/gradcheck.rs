@@ -27,7 +27,7 @@ fn gradcheck(mut net: Sequential, in_shape: &[usize], seed: u64) {
     net.zero_grad();
     let y = net.forward(&x);
     let dl = Mse.backward(&y, &target);
-    let dx = net.backward(&dl);
+    let dx = net.backward(dl.clone());
 
     // Input gradient vs finite differences.
     for i in (0..x.numel()).step_by((x.numel() / 24).max(1)) {
@@ -49,7 +49,7 @@ fn gradcheck(mut net: Sequential, in_shape: &[usize], seed: u64) {
     net.zero_grad();
     let y = net.forward(&x);
     let dl = Mse.backward(&y, &target);
-    net.backward(&dl);
+    net.backward(dl.clone());
     let analytic: Vec<Tensor> = net.params().iter().map(|p| p.grad.clone()).collect();
     let n_params = analytic.len();
     for pi in 0..n_params {

@@ -99,8 +99,8 @@ proptest! {
         let p = p_pct as f32 / 100.0;
         let mut d = Dropout::new(p, seed);
         let x = Tensor::ones(&[256]);
-        let y = d.forward(&x);
-        let g = d.backward(&Tensor::ones(&[256]));
+        let y = d.forward(x);
+        let g = d.backward(Tensor::ones(&[256]));
         // Gradient mask equals forward mask exactly.
         for (gy, yy) in g.data().iter().zip(y.data()) {
             prop_assert_eq!(*gy == 0.0, *yy == 0.0);

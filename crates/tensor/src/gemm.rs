@@ -514,9 +514,25 @@ pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// [`matmul_transa`] with an explicit [`Threading`] policy.
 pub fn matmul_transa_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tensor {
+    let (m, n) = (
+        dims2(a, "matmul_transa: A").1,
+        dims2(b, "matmul_transa: B").1,
+    );
+    let mut out = vec![0.0f32; m * n];
+    matmul_transa_acc(a, b, &mut out, threading);
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// `C += Aᵀ × B` into the row-major `[m, n]` slice `c`; see
+/// [`matmul_transa`] and [`matmul_acc`]. Over a depth of at most [`KC`]
+/// the product's sum is added into each element of `c` once, so
+/// accumulating into `c` gives the bits of adding in a [`matmul_transa`]
+/// result.
+pub fn matmul_transa_acc(a: &Tensor, b: &Tensor, c: &mut [f32], threading: Threading) {
     let (k, m) = dims2(a, "matmul_transa: A");
     let (k2, n) = dims2(b, "matmul_transa: B");
     assert_eq!(k, k2, "matmul_transa: inner dimensions {k} vs {k2} differ");
+    assert_eq!(c.len(), m * n, "matmul_transa_acc: C extent");
     let mut at = TRANS_A.with(Cell::take);
     at.clear();
     at.resize(m * k, 0.0);
@@ -526,19 +542,9 @@ pub fn matmul_transa_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tenso
             at[i * k + p] = v;
         }
     }
-    let mut out = vec![0.0f32; m * n];
-    gemm_driver(
-        m,
-        k,
-        n,
-        &at,
-        BSrc::Normal(b.data()),
-        Epilogue::None,
-        &mut out,
-        threading,
-    );
+    let b = BSrc::Normal(b.data());
+    gemm_driver(m, k, n, &at, b, Epilogue::None, c, threading);
     TRANS_A.with(|c| c.set(at));
-    Tensor::from_vec(out, &[m, n])
 }
 
 /// Matrix–vector product `y = A × x` (`[m,k] × [k] → [m]`), routed through

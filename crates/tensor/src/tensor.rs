@@ -143,8 +143,14 @@ impl Tensor {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Reinterprets the tensor with a new shape of identical element count.
+    /// A copy of the tensor with a new shape of identical element count.
     pub fn reshape(&self, dims: &[usize]) -> Tensor {
+        self.clone().into_shape(dims)
+    }
+
+    /// Reinterprets the tensor with a new shape of identical element count,
+    /// in its own storage: nothing is copied.
+    pub fn into_shape(self, dims: &[usize]) -> Tensor {
         let shape = Shape::new(dims);
         assert_eq!(
             shape.numel(),
@@ -154,7 +160,7 @@ impl Tensor {
             shape
         );
         Tensor {
-            data: self.data.clone(),
+            data: self.data,
             shape,
         }
     }
@@ -189,12 +195,9 @@ impl Tensor {
         Tensor::from_vec(data, &dims)
     }
 
-    /// Appends the selected rows onto `out` without allocating a fresh
-    /// tensor per call — the trainer's mini-batch gather reuses one buffer
-    /// across steps instead of churning the allocator. `out` is *appended
-    /// to* (clear it first for a fresh gather); the caller shapes it
+    /// Appends the selected rows onto `out`; the caller shapes it
     /// afterwards.
-    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
+    fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
         assert!(self.rank() >= 1, "gather_rows_into requires rank ≥ 1");
         let n = self.shape()[0];
         let rs = self.row_size();
@@ -413,6 +416,14 @@ impl Tensor {
     /// Squared L2 norm of all elements.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
+    }
+}
+
+/// A copy of a borrowed tensor: what a by-value entry point (such as a
+/// network's inference pass) takes from a caller that keeps its input.
+impl From<&Tensor> for Tensor {
+    fn from(t: &Tensor) -> Tensor {
+        t.clone()
     }
 }
 

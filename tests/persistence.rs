@@ -82,7 +82,7 @@ fn beamline_session_survives_restart() {
         let mut zoo = ModelZoo::new();
         let pdf = fairds.snapshot().unwrap().dataset_pdf(&probe);
         let net = arch.build(9);
-        let out = net.infer(&probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
+        let out = net.infer(probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
         zoo.add_model("session1-model", arch, &net, pdf.clone(), 0);
 
         // Persist the corpus and the zoo.
@@ -118,7 +118,7 @@ fn beamline_session_survives_restart() {
 
     // The restored checkpoint computes bit-identical outputs.
     let net = zoo.instantiate(0, 42).unwrap();
-    let out = net.infer(&probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
+    let out = net.infer(probe.reshape(&[probe.shape()[0], 1, SIDE, SIDE]));
     assert_eq!(out, model_out_before);
 
     // The PDFs are stored as f64: the ranking comes back bit for bit.
