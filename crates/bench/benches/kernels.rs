@@ -10,10 +10,10 @@
 //!
 //! * blocked GEMM ≥2× the naive `ikj` reference at 256×256 and no
 //!   regression at 64×64;
-//! * on the four skinny shapes convolution lowers to, `Threading::Auto`
-//!   never more than 10% slower than `Threading::Sequential` — the
-//!   dispatch may decline to fan out, it may not pay for a region it
-//!   cannot win back;
+//! * on four skinny shapes, a product at the default pool width never more
+//!   than 10% slower than the same product on a one-wide pool, where
+//!   nothing splits — the dispatch may decline to fan out, it may not pay
+//!   for a region it cannot win back;
 //! * the embedder's first layer at request size (16×256 · 512×256ᵀ +
 //!   bias) against a [`PackedB`] ≥1.5× the same product packing per call:
 //!   a frozen forward pass that quietly went back to packing reads 1×;
@@ -34,7 +34,7 @@ use fairdms_nn::layers::{Conv2d, Layer};
 use fairdms_nn::loss::{Loss, Mse};
 use fairdms_nn::optim::Adam;
 use fairdms_nn::trainer::{TrainConfig, Trainer};
-use fairdms_tensor::gemm::{self, PackedB, Threading};
+use fairdms_tensor::gemm::{self, PackedB};
 use fairdms_tensor::{ops, rng::TensorRng, Tensor};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -76,8 +76,8 @@ fn paired_speedup(blocked: &[Duration], naive: &[Duration]) -> f64 {
 /// convolution over 32 16×16 images lowered to before the per-sample
 /// lowering: forward, `∂W` and `∂cols` of a row-major lowering, and the
 /// `[C·K², OC]·[OC, pixels]` product a `col2im` route ran. No layer runs
-/// these shapes any more; they stay as inputs to the Auto-vs-Sequential
-/// gate.
+/// these shapes any more; they stay as the dispatch's degenerate corners,
+/// inputs to the default-width-vs-one-wide gate.
 const SKINNY: [(usize, usize, usize); 4] = [
     (8192, 144, 8),
     (8, 8192, 144),
@@ -210,7 +210,7 @@ fn bench_gemm(c: &mut Criterion) {
         let a = rng.uniform(&[n, n], -1.0, 1.0);
         let b = rng.uniform(&[n, n], -1.0, 1.0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| ops::matmul(&a, &b))
+            bench.iter(|| gemm::matmul(&a, &b))
         });
     }
     group.finish();
@@ -236,12 +236,12 @@ fn bench_gemm(c: &mut Criterion) {
         let a = rng.uniform(&[n, n], -1.0, 1.0);
         let b = rng.uniform(&[n, n], -1.0, 1.0);
         // Warm both paths (thread pool spin-up, packing scratch).
-        black_box(ops::matmul(&a, &b));
+        black_box(gemm::matmul(&a, &b));
         black_box(ops::matmul_naive(&a, &b));
         let (lat_blocked, lat_naive) = measure_pair(
             iters,
             || {
-                black_box(ops::matmul(&a, &b));
+                black_box(gemm::matmul(&a, &b));
             },
             || {
                 black_box(ops::matmul_naive(&a, &b));
@@ -267,11 +267,11 @@ fn bench_gemm(c: &mut Criterion) {
         let mut rng = TensorRng::seeded(0);
         let a = rng.uniform(&[n, n], -1.0, 1.0);
         let b = rng.uniform(&[n, n], -1.0, 1.0);
-        black_box(ops::matmul(&a, &b));
+        black_box(gemm::matmul(&a, &b));
         let mut lat = Vec::with_capacity(15);
         for _ in 0..15 {
             let t0 = Instant::now();
-            black_box(ops::matmul(&a, &b));
+            black_box(gemm::matmul(&a, &b));
             lat.push(t0.elapsed());
         }
         summarize(
@@ -282,20 +282,24 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
 
-    // The skinny shapes, each under Auto and Sequential on interleaved
-    // pairs. GFLOP/s is recorded per policy; the gate is their ratio.
+    // The skinny shapes, each at the default pool width (`_auto`) and on a
+    // one-wide pool (`_seq`), on interleaved pairs. GFLOP/s is recorded per
+    // width; the gate is their ratio.
+    let one_wide = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
     let mut auto_vs_seq = Vec::new();
     for &(m, k, n) in &SKINNY {
         let mut rng = TensorRng::seeded(0);
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
-        let run = |policy| {
-            black_box(gemm::matmul_with(&a, &b, policy));
+        let run = || {
+            black_box(gemm::matmul(&a, &b));
         };
-        run(Threading::Auto);
-        run(Threading::Sequential);
-        let (lat_auto, lat_seq) =
-            measure_pair(40, || run(Threading::Auto), || run(Threading::Sequential));
+        run();
+        one_wide.install(run);
+        let (lat_auto, lat_seq) = measure_pair(40, run, || one_wide.install(run));
         let flops = 2.0 * (m * k * n) as f64;
         let name = format!("gemm/skinny_{m}x{k}x{n}");
         summarize(&mut report, &format!("{name}_auto"), &lat_auto, flops);
@@ -317,7 +321,7 @@ fn bench_gemm(c: &mut Criterion) {
         let w = rng.uniform(&[n, k], -1.0, 1.0);
         let bias = rng.uniform(&[n], -1.0, 1.0);
         let panels = PackedB::pack_transposed(&w);
-        let packed = || gemm::matmul_packed_bias(&x, &panels, &bias, Threading::Auto);
+        let packed = || gemm::matmul_packed_bias(&x, &panels, &bias);
         let per_call = || gemm::matmul_transb_bias(&x, &w, &bias);
         assert_eq!(packed(), per_call(), "the two sides are one product");
         let (lat_packed, lat_per_call) = measure_pair(
@@ -362,12 +366,12 @@ fn bench_gemm(c: &mut Criterion) {
             2000,
             || {
                 let out = &mut out_packed;
-                gemm::sq_dist_packed_into(m, q.data(), &panels, &qn, &rn, out, Threading::Auto);
+                gemm::sq_dist_packed_into(m, q.data(), &panels, &qn, &rn, out);
                 black_box(out);
             },
             || {
                 let (a, b, out) = (q.data(), rows.data(), &mut out_per_call);
-                gemm::sq_dist_into(m, k, n, a, b, &qn, &rn, out, Threading::Auto);
+                gemm::sq_dist_into(m, k, n, a, b, &qn, &rn, out);
                 black_box(out);
             },
         );
@@ -544,10 +548,6 @@ fn bench_gemm(c: &mut Criterion) {
     // The update fit on a one-wide pool and at the default width.
     let fit_speedup = {
         let fit = &update_fit(&mut rng);
-        let one_wide = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         fit();
         one_wide.install(fit);
         let (lat_default, lat_one) = measure_pair(20, fit, || one_wide.install(fit));
@@ -582,12 +582,12 @@ fn bench_gemm(c: &mut Criterion) {
         s64 >= 0.95,
         "blocked GEMM must not regress at 64x64, got {s64:.2}x vs naive"
     );
-    // Auto may stay sequential on a skinny shape; what it may not do is
-    // open a region that costs more than it returns.
+    // The default width may stay on one thread for a skinny shape; what it
+    // may not do is open a region that costs more than it returns.
     for ((m, k, n), ratio) in auto_vs_seq {
         assert!(
             ratio >= 1.0 / 1.1,
-            "Auto is {:.0}% slower than Sequential on {m}x{k}x{n}",
+            "the default width is {:.0}% slower than a one-wide pool on {m}x{k}x{n}",
             (1.0 / ratio - 1.0) * 100.0
         );
     }

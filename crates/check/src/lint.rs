@@ -189,9 +189,9 @@ const LINKED_CRATES: [&str; 7] = [
 pub const ORPHAN_ALLOWLIST: &[(&str, &str)] = &[];
 
 /// How many lines above a parallel-iterator call `par-gate` looks for the
-/// comparison (the furthest audited site, the GEMM driver's dispatch
-/// `match`, sits 16 above its region).
-const PAR_GATE_WINDOW: usize = 24;
+/// comparison (the furthest audited site, `ReadIndex::build_index`'s
+/// second pass, sits 15 above its region).
+const PAR_GATE_WINDOW: usize = 15;
 
 /// Lints every `.rs` file under `root`. Paths in findings are relative
 /// to `root`.

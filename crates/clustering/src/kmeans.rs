@@ -5,9 +5,9 @@
 //! scalability and fast convergence" (§II-A); this implementation keeps
 //! those properties.
 
-use fairdms_tensor::gemm::Threading;
 use fairdms_tensor::{
-    ops::{row_sq_norms, sq_dist, sq_dist_into, PAR_MIN_WORK},
+    gemm::sq_dist_into,
+    ops::{row_sq_norms, sq_dist, PAR_MIN_WORK},
     rng::TensorRng,
     Tensor,
 };
@@ -272,17 +272,7 @@ fn assign_parallel(data: &Tensor, centers: &Tensor, out: &mut [usize]) {
     let mut dist = ASSIGN_DIST.with(Cell::take);
     dist.clear();
     dist.resize(n * k, 0.0);
-    sq_dist_into(
-        n,
-        d,
-        k,
-        raw,
-        centers.data(),
-        &dn,
-        &cn,
-        &mut dist,
-        Threading::Auto,
-    );
+    sq_dist_into(n, d, k, raw, centers.data(), &dn, &cn, &mut dist);
     per_row(out, &|i| {
         let row = &raw[i * d..(i + 1) * d];
         refine_nearest(&dist[i * k..(i + 1) * k], dn[i], &cn, row, centers)

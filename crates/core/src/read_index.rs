@@ -19,7 +19,7 @@
 use fairdms_clustering::kmeans::normed_margin;
 use fairdms_clustering::{inflated_radius, partition_balls, BallPartitionConfig};
 use fairdms_datastore::{Collection, DocId};
-use fairdms_tensor::gemm::{sq_dist_packed_into, PackedB, Threading};
+use fairdms_tensor::gemm::{sq_dist_packed_into, PackedB};
 use fairdms_tensor::ops::{sq_dist, PAR_MIN_WORK, SQ_DIST_WORK};
 use fairdms_tensor::Tensor;
 use parking_lot::RwLock;
@@ -574,7 +574,6 @@ impl SearchScratch {
             &self.sub_n,
             &ball.norms,
             &mut self.dists[at..],
-            Threading::Auto,
         );
         for (a, (&query, &qn)) in qi.iter().zip(&self.sub_n).enumerate() {
             let upper = self.dists[at + a * len..at + (a + 1) * len]
@@ -657,7 +656,6 @@ fn search_cluster(
         &sc.qnorms,
         &cl.ball_center_norms,
         &mut sc.center_dists,
-        Threading::Auto,
     );
     let eligible = |ball: &IndexBall| !labeled_only || ball.labeled;
     // Probe stage: each query's closest eligible ball (by center

@@ -2,14 +2,15 @@
 
 use super::Layer;
 use crate::param::Param;
-use fairdms_tensor::gemm::{self, PackedB, Threading};
-use fairdms_tensor::{ops, rng::TensorRng, Tensor};
+use fairdms_tensor::gemm::{self, PackedB};
+use fairdms_tensor::{rng::TensorRng, Tensor};
 use std::sync::Arc;
 
 /// A fully connected layer: `y = x Wᵀ + b`.
 ///
-/// The weight is stored `[out_features, in_features]` so both the forward
-/// pass (`matmul_transb`) and the input-gradient pass (`matmul`) run on the
+/// The weight is stored `[out_features, in_features]` so the forward pass
+/// (`gemm::matmul_transb_bias`), the input-gradient pass (`gemm::matmul`)
+/// and the weight-gradient pass (`gemm::matmul_transa_acc`) all run on the
 /// stored layout without materializing a transpose. The training pass keeps
 /// the input it was handed for the weight gradient.
 ///
@@ -56,8 +57,8 @@ impl Dense {
         // final-add ordering as a separate broadcast pass — bit-identical,
         // one sweep over the output instead of two.
         match &self.frozen {
-            Some(panels) => gemm::matmul_packed_bias(x, panels, &self.bias.value, Threading::Auto),
-            None => ops::matmul_transb_bias(x, &self.weight.value, &self.bias.value),
+            Some(panels) => gemm::matmul_packed_bias(x, panels, &self.bias.value),
+            None => gemm::matmul_transb_bias(x, &self.weight.value, &self.bias.value),
         }
     }
 }
@@ -83,7 +84,7 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
         // ∂X = ∂Y × W  → [batch, in]
-        let dx = ops::matmul(&grad_out, &self.weight.value);
+        let dx = gemm::matmul(&grad_out, &self.weight.value);
         self.backward_params(grad_out);
         dx
     }
@@ -93,16 +94,10 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .expect("Dense::backward called before forward");
-        // ∂W += ∂Yᵀ × X  → [out, in]. A batch of at most one depth block
-        // adds its product into ∂W in place, the same bits as adding a
-        // separate product; a deeper one sums its blocks apart first, as
-        // adding into ∂W block by block would round differently.
-        let dw = &mut self.weight.grad;
-        if x.shape()[0] <= gemm::KC {
-            gemm::matmul_transa_acc(&grad_out, x, dw.data_mut(), Threading::Auto);
-        } else {
-            dw.add_assign(&ops::matmul_transa(&grad_out, x));
-        }
+        // ∂W += ∂Yᵀ × X  → [out, in], added into ∂W in place once per
+        // depth block of the batch: for a batch of at most `KC` rows, the
+        // same bits as adding a separate product.
+        gemm::matmul_transa_acc(&grad_out, x, self.weight.grad.data_mut());
         // ∂b = column sums of ∂Y
         self.bias.grad.add_assign(&grad_out.sum_rows());
     }
@@ -150,6 +145,37 @@ mod tests {
         layer.forward(x);
         layer.backward(g);
         assert_eq!(layer.bias.grad.data(), &[4.0, 4.0]);
+    }
+
+    #[test]
+    fn a_batch_deeper_than_one_depth_block_accumulates_its_weight_gradient() {
+        // 300 rows: ∂W's depth spans two `KC` blocks, each added into ∂W
+        // as it is flushed. Wide enough that the products split on a pool
+        // wider than one.
+        let (rows, inp, out) = (300, 880, 72);
+        const { assert!(300 > gemm::KC) };
+        let mut rng = TensorRng::seeded(4);
+        let layer = Dense::new(inp, out, &mut rng);
+        let x = rng.uniform(&[rows, inp], -1.0, 1.0);
+        let g = rng.uniform(&[rows, out], -1.0, 1.0);
+        let weight_grad = |threads: usize| {
+            let mut layer = layer.clone();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                layer.forward(x.clone());
+                layer.backward(g.clone());
+            });
+            let dw = layer.weight.grad;
+            let bits: Vec<u32> = dw.data().iter().map(|v| v.to_bits()).collect();
+            (dw, bits)
+        };
+        let (dw, bits) = weight_grad(1);
+        let naive = fairdms_tensor::ops::matmul_naive(&g.transpose(), &x);
+        assert!(fairdms_tensor::allclose_rel(&dw, &naive, 1e-4, 1e-4));
+        assert_eq!(bits, weight_grad(3).1, "∂W depends on the pool width");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! operands in place: each sample unrolled into a patch matrix `T`
 //! (`[C·K·K, OH·OW]`, zero where a tap reads padding), `Y = W·T` through
 //! [`gemm::matmul_acc`] into the bias-seeded output, `∂Wᵀ += T·∂Yᵀ` (plus a
-//! row of ones for `∂b`) through [`gemm::matmul_transb_acc`], and the input
+//! row of ones for `∂b`) through [`gemm::matmul_acc`] on the explicit
+//! transpose of `∂Y` (both layouts pack into the same panels), and the input
 //! gradient as the adjoint lowering `∂X = W_r·P(∂Y)`, one product per stride
 //! phase of the input pixels. The convolution must produce every output and
 //! gradient of that oracle to the bit — the `to_bits` of `Y`, `∂X`, `∂W` and
@@ -13,10 +14,8 @@
 //! depth block, degenerate borders and non-finite inputs.
 
 use fairdms_nn::layers::{Conv2d, Layer};
-use fairdms_tensor::gemm::{self, Threading};
+use fairdms_tensor::gemm;
 use fairdms_tensor::{rng::TensorRng, Tensor};
-
-const SEQ: Threading = Threading::Sequential;
 
 /// The extents of one convolution.
 #[derive(Clone, Copy, Debug)]
@@ -108,7 +107,7 @@ fn oracle_forward(g: Geom, x: &[f32], w: &[f32], b: &[f32]) -> Vec<f32> {
         for (row, &bv) in y.chunks_exact_mut(pixels).zip(b) {
             row.fill(bv);
         }
-        gemm::matmul_acc(oc, g.patch(), pixels, w, &t, y, SEQ);
+        gemm::matmul_acc(oc, g.patch(), pixels, w, &t, y);
     }
     out
 }
@@ -124,7 +123,8 @@ fn oracle_backward(g: Geom, x: &[f32], w: &[f32], dy: &[f32]) -> (Vec<f32>, Vec<
     for (si, xs_in) in x.chunks_exact(g.sample()).enumerate() {
         let dys = &dy[si * oc * pixels..][..oc * pixels];
         let t = g.im2col(xs_in, 1);
-        gemm::matmul_transb_acc(patch + 1, pixels, oc, &t, dys, &mut dwt, SEQ);
+        let dyt = Tensor::from_vec(dys.to_vec(), &[oc, pixels]).transpose();
+        gemm::matmul_acc(patch + 1, pixels, oc, &t, dyt.data(), &mut dwt);
         let dxs = &mut dx[si * g.sample()..][..g.sample()];
         for py in &ys {
             for px in &xs {
@@ -157,7 +157,7 @@ fn oracle_backward(g: Geom, x: &[f32], w: &[f32], dy: &[f32]) -> (Vec<f32>, Vec<
                     }
                 }
                 let mut block = vec![0.0f32; g.c * cy * cx];
-                gemm::matmul_acc(g.c, depth, cy * cx, &wr, &p, &mut block, SEQ);
+                gemm::matmul_acc(g.c, depth, cy * cx, &wr, &p, &mut block);
                 for ci in 0..g.c {
                     for jy in 0..cy {
                         for jx in 0..cx {

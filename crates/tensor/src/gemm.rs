@@ -1,12 +1,13 @@
 //! The blocked GEMM engine: cache-blocked, panel-packed, register-tiled
 //! dense matrix multiplication.
 //!
-//! Every forward pass, backward pass and retrain-install delta in this
-//! workspace bottoms out in one of four dense products (`A×B`, `A×Bᵀ`,
-//! `Aᵀ×B`, `A×x`), and `results/BENCH_embed_cache.json` showed the naive
-//! row-loop kernel paying ~4 ms per cache-miss batch. This module replaces
-//! that loop with the standard high-performance GEMM decomposition
-//! (Goto/BLIS-style), portable to stable Rust without intrinsics:
+//! Every dense layer's forward and backward pass, every embedding-cache
+//! miss and every K-means or read-index distance in this workspace bottoms
+//! out in one of three dense products (`A×B`, `A×Bᵀ`, `Aᵀ×B`), and
+//! `results/BENCH_embed_cache.json` showed the naive row-loop kernel paying
+//! ~4 ms per cache-miss batch. This module replaces that loop with the
+//! standard high-performance GEMM decomposition (Goto/BLIS-style), portable
+//! to stable Rust without intrinsics:
 //!
 //! * **Cache blocking.** The product is computed in `[MC×KC] × [KC×NC]`
 //!   blocks so the working set of the inner loops stays resident: one
@@ -16,9 +17,9 @@
 //!   contiguous `NR`-wide column panels (k-major inside a panel, zero-padded
 //!   at the right edge), so the micro-kernel's inner loop reads one
 //!   contiguous, aligned `[f32; NR]` row per k step regardless of B's
-//!   original layout — which is also what lets `matmul_transb` run at full
-//!   speed without materializing `Bᵀ`: transposition happens during the
-//!   pack, touching each element once. An operand that outlives many
+//!   original layout — which is also what lets `matmul_transb_bias` run at
+//!   full speed without materializing `Bᵀ`: transposition happens during
+//!   the pack, touching each element once. An operand that outlives many
 //!   products is packed once instead ([`PackedB`]): the block loop then
 //!   borrows its panels, and everything from there on is the same code.
 //! * **Register micro-kernel.** An `MR×NR` accumulator array of plain
@@ -39,6 +40,16 @@
 //!   cached-vs-uncached bit-identity contract (DESIGN.md §8) rests on this:
 //!   a row's embedding must not depend on which batch, which thread, or
 //!   which panel position computed it.
+//!
+//! The entry points are the products something runs: [`matmul`] and
+//! [`matmul_acc`] (`A×B`: a dense layer's `∂X`), [`matmul_transb_bias`]
+//! and [`matmul_packed_bias`] (`A×Bᵀ + bias`: a dense layer's forward
+//! pass, per call or against frozen panels), [`matmul_transa_acc`] (`Aᵀ×B`
+//! added into C: a dense layer's `∂W`), [`sq_dist_into`] and
+//! [`sq_dist_packed_into`] (`‖aᵢ − bⱼ‖²`: K-means assignment and the read
+//! index), and the convolution's register tile [`shifted_tile`]. A call's
+//! work alone decides whether it splits ([`PAR_MIN_WORK`]); the rayon pool
+//! it runs in decides how wide.
 //!
 //! Because blocked accumulation *reassociates* floating-point sums relative
 //! to a naive `j`-inner loop, agreement with [`matmul_naive`] is a
@@ -76,29 +87,6 @@ pub const MR: usize = 4;
 /// statements are written for.
 pub const NR: usize = 8;
 
-/// Execution policy for the row split.
-///
-/// [`Threading::Auto`] switches on work (`m·k·n` ≥ [`PAR_MIN_WORK`]
-/// multiply–adds, over at least `2·MC` rows ⇒ parallel): a region costs
-/// its thread spawns however little each thread is given, so the gate is
-/// the time there is to win, not the size of the output. The forced
-/// variants exist so the determinism regression tests can pin "sequential
-/// and parallel dispatch produce bit-identical results" directly instead
-/// of straddling the threshold with carefully sized inputs, and so a
-/// caller that runs inside a fan-out of its own (the convolution, inside a
-/// training step's sample shard) can keep the engine from opening a region
-/// inside it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Threading {
-    /// Parallelize when the product has at least [`PAR_MIN_WORK`]
-    /// multiply–adds and `2·MC` rows.
-    Auto,
-    /// Always run on the calling thread.
-    Sequential,
-    /// Always split the rows across the rayon pool.
-    Parallel,
-}
-
 /// How the B operand is stored; the pack step normalizes both layouts into
 /// identical panels, so everything downstream is layout-oblivious.
 #[derive(Clone, Copy)]
@@ -131,13 +119,7 @@ pub struct PackedB {
 }
 
 impl PackedB {
-    /// Packs `b`, stored `[k, n]` (the operand of [`matmul`]).
-    pub fn pack(b: &Tensor) -> PackedB {
-        let (k, n) = dims2(b, "PackedB::pack: B");
-        PackedB::pack_src(BSrc::Normal(b.data()), k, n)
-    }
-
-    /// Packs `b`, stored `[n, k]` (the operand of [`matmul_transb`]).
+    /// Packs `b`, stored `[n, k]` (the operand of [`matmul_transb_bias`]).
     pub fn pack_transposed(b: &Tensor) -> PackedB {
         let (n, k) = dims2(b, "PackedB::pack_transposed: B");
         PackedB::pack_src(BSrc::Transposed(b.data()), k, n)
@@ -253,83 +235,39 @@ thread_local! {
     /// Packed-B scratch, one per thread, recycled across calls so steady
     /// state GEMM performs no allocations beyond the output itself.
     static PACK_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Scratch for the pre-transposed A of [`matmul_transa`].
+    /// Scratch for the pre-transposed A of [`matmul_transa_acc`].
     static TRANS_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// `C = A × B` through the blocked engine.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_with(a, b, Threading::Auto)
-}
-
-/// [`matmul`] with an explicit [`Threading`] policy.
-pub fn matmul_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tensor {
     let (m, k) = dims2(a, "matmul: A");
     let (k2, n) = dims2(b, "matmul: B");
     assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2} differ");
     let mut out = vec![0.0f32; m * n];
-    matmul_acc(m, k, n, a.data(), b.data(), &mut out, threading);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// `C = A × Bᵀ` (`B` stored `[n, k]`) through the blocked engine; the
-/// transpose happens inside the pack step, never materialized.
-pub fn matmul_transb(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transb_with(a, b, Threading::Auto)
-}
-
-/// [`matmul_transb`] with an explicit [`Threading`] policy.
-pub fn matmul_transb_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tensor {
-    let (m, k) = dims2(a, "matmul_transb: A");
-    let (n, k2) = dims2(b, "matmul_transb: B");
-    assert_eq!(k, k2, "matmul_transb: inner dimensions {k} vs {k2} differ");
-    let mut out = vec![0.0f32; m * n];
-    matmul_transb_acc(m, k, n, a.data(), b.data(), &mut out, threading);
+    matmul_acc(m, k, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
 /// Slice-level `C += A × B` (`A` `[m, k]`, `B` `[k, n]`, `C` `[m, n]`, all
 /// row-major): the engine's accumulate-into-C flush made public, so a
 /// caller can seed `C` (a bias, an earlier partial sum) and write the
-/// product straight into a slice of a larger buffer — the convolution
-/// writes each sample's `[out_c, oh·ow]` block of the NCHW output this way.
-pub fn matmul_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threading: Threading,
-) {
+/// product straight into a slice of a larger buffer.
+pub fn matmul_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_acc: A extent");
     assert_eq!(b.len(), k * n, "matmul_acc: B extent");
     assert_eq!(c.len(), m * n, "matmul_acc: C extent");
-    gemm_driver(m, k, n, a, BSrc::Normal(b), Epilogue::None, c, threading);
-}
-
-/// Slice-level `C += A × Bᵀ` (`B` stored `[n, k]`); see [`matmul_acc`].
-pub fn matmul_transb_acc(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    threading: Threading,
-) {
-    assert_eq!(a.len(), m * k, "matmul_transb_acc: A extent");
-    assert_eq!(b.len(), n * k, "matmul_transb_acc: B extent");
-    assert_eq!(c.len(), m * n, "matmul_transb_acc: C extent");
-    let b = BSrc::Transposed(b);
-    gemm_driver(m, k, n, a, b, Epilogue::None, c, threading);
+    gemm_driver(m, k, n, a, BSrc::Normal(b), Epilogue::None, c);
 }
 
 /// Pairwise squared Euclidean distances `D[i,j] = ‖aᵢ − bⱼ‖²` between the
-/// rows of `A` (`[m, k]`) and the rows of `B` (`[n, k]`), computed as one
-/// `A × Bᵀ` GEMM with the norm expansion `‖a‖² + ‖b‖² − 2·a·b` fused into
-/// the epilogue — no second pass over the `[m, n]` output, no materialized
-/// dot-product matrix.
+/// rows of `A` (`[m, k]`) and the rows of `B` (`[n, k]`), written into
+/// caller-owned scratch `out` (`[m, n]`), so a steady-state read path
+/// recycles one buffer instead of allocating per probe batch (the §9
+/// scratch-recycling contract). One `A × Bᵀ` GEMM with the norm expansion
+/// `‖a‖² + ‖b‖² − 2·a·b` fused into the epilogue — no second pass over the
+/// output, no materialized dot-product matrix. `out` is fully overwritten;
+/// its previous contents are irrelevant.
 ///
 /// `a_norms`/`b_norms` are the precomputed squared row norms (see
 /// [`crate::ops::row_sq_norms`]); callers cache them alongside the rows so
@@ -341,30 +279,6 @@ pub fn matmul_transb_acc(
 /// Exact consumers — the read index's bit-identity protocol — use these
 /// values only to *bound* candidates and recompute the survivors with
 /// `sq_dist`.
-pub fn sq_dist_matrix(a: &Tensor, b: &Tensor, a_norms: &[f32], b_norms: &[f32]) -> Tensor {
-    let (m, k) = dims2(a, "sq_dist_matrix: A");
-    let (n, k2) = dims2(b, "sq_dist_matrix: B");
-    assert_eq!(k, k2, "sq_dist_matrix: inner dimensions {k} vs {k2} differ");
-    let mut out = vec![0.0f32; m * n];
-    sq_dist_into(
-        m,
-        k,
-        n,
-        a.data(),
-        b.data(),
-        a_norms,
-        b_norms,
-        &mut out,
-        Threading::Auto,
-    );
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Slice-level [`sq_dist_matrix`] writing into caller-owned scratch, so a
-/// steady-state read path recycles one buffer instead of allocating a
-/// fresh `[m, n]` tensor per probe batch (the §9 scratch-recycling
-/// contract). `out` is fully overwritten; its previous contents are
-/// irrelevant.
 #[allow(clippy::too_many_arguments)]
 pub fn sq_dist_into(
     m: usize,
@@ -375,7 +289,6 @@ pub fn sq_dist_into(
     a_norms: &[f32],
     b_norms: &[f32],
     out: &mut [f32],
-    threading: Threading,
 ) {
     assert_eq!(a.len(), m * k, "sq_dist_into: A extent");
     assert_eq!(b.len(), n * k, "sq_dist_into: B extent");
@@ -383,25 +296,20 @@ pub fn sq_dist_into(
     assert_eq!(b_norms.len(), n, "sq_dist_into: b_norms length");
     assert_eq!(out.len(), m * n, "sq_dist_into: output extent");
     out.fill(0.0);
-    gemm_driver(
-        m,
-        k,
-        n,
-        a,
-        BSrc::Transposed(b),
-        Epilogue::SqDist { a_norms, b_norms },
-        out,
-        threading,
-    );
+    let epilogue = Epilogue::SqDist { a_norms, b_norms };
+    gemm_driver(m, k, n, a, BSrc::Transposed(b), epilogue, out);
 }
 
-/// `C = A × Bᵀ + bias` with the row-broadcast bias folded into the GEMM
-/// epilogue: the bias is added exactly once per element, when the final
-/// depth block's accumulator is flushed — no second pass over `[m, n]`.
+/// `C = A × Bᵀ + bias` (`B` stored `[n, k]`) with the row-broadcast bias
+/// folded into the GEMM epilogue: the transpose happens inside the pack
+/// step, never materialized, and the bias is added exactly once per
+/// element, when the final depth block's accumulator is flushed — no
+/// second pass over `[m, n]`.
 ///
-/// Bit-identical to `matmul_transb(a, b)` followed by
-/// [`Tensor::add_row_broadcast`]: both orderings add the bias as one final
-/// operation after the full accumulation.
+/// Bit-identical to [`matmul`] of the explicit transpose followed by
+/// [`Tensor::add_row_broadcast`]: both layouts pack into the same panels,
+/// and both orderings add the bias as one final operation after the full
+/// accumulation.
 pub fn matmul_transb_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
     let (m, k) = dims2(a, "matmul_transb_bias: A");
     let (n, k2) = dims2(b, "matmul_transb_bias: B");
@@ -413,42 +321,15 @@ pub fn matmul_transb_bias(a: &Tensor, b: &Tensor, bias: &Tensor) -> Tensor {
         bias.numel()
     );
     let mut out = vec![0.0f32; m * n];
-    gemm_driver(
-        m,
-        k,
-        n,
-        a.data(),
-        BSrc::Transposed(b.data()),
-        Epilogue::Bias(bias.data()),
-        &mut out,
-        Threading::Auto,
-    );
+    let (b, epilogue) = (BSrc::Transposed(b.data()), Epilogue::Bias(bias.data()));
+    gemm_driver(m, k, n, a.data(), b, epilogue, &mut out);
     Tensor::from_vec(out, &[m, n])
-}
-
-/// `C = A × B` against a [`PackedB`]: [`matmul`] or [`matmul_transb`] of
-/// the operand it was packed from, bit for bit, without the pack step.
-pub fn matmul_packed(a: &Tensor, b: &PackedB, threading: Threading) -> Tensor {
-    let (m, k) = dims2(a, "matmul_packed: A");
-    assert_eq!(k, b.k, "matmul_packed: inner dimensions differ");
-    let mut out = vec![0.0f32; m * b.n];
-    gemm_driver(
-        m,
-        k,
-        b.n,
-        a.data(),
-        BSrc::Packed(b),
-        Epilogue::None,
-        &mut out,
-        threading,
-    );
-    Tensor::from_vec(out, &[m, b.n])
 }
 
 /// `C = A × B + bias` against a [`PackedB`]: [`matmul_transb_bias`] of the
 /// `[n, k]` operand it was packed from, bit for bit, without the pack
 /// step — the forward pass of a frozen dense layer.
-pub fn matmul_packed_bias(a: &Tensor, b: &PackedB, bias: &Tensor, threading: Threading) -> Tensor {
+pub fn matmul_packed_bias(a: &Tensor, b: &PackedB, bias: &Tensor) -> Tensor {
     let (m, k) = dims2(a, "matmul_packed_bias: A");
     assert_eq!(k, b.k, "matmul_packed_bias: inner dimensions differ");
     assert_eq!(
@@ -459,16 +340,8 @@ pub fn matmul_packed_bias(a: &Tensor, b: &PackedB, bias: &Tensor, threading: Thr
         b.n
     );
     let mut out = vec![0.0f32; m * b.n];
-    gemm_driver(
-        m,
-        k,
-        b.n,
-        a.data(),
-        BSrc::Packed(b),
-        Epilogue::Bias(bias.data()),
-        &mut out,
-        threading,
-    );
+    let epilogue = Epilogue::Bias(bias.data());
+    gemm_driver(m, k, b.n, a.data(), BSrc::Packed(b), epilogue, &mut out);
     Tensor::from_vec(out, &[m, b.n])
 }
 
@@ -482,7 +355,6 @@ pub fn sq_dist_packed_into(
     a_norms: &[f32],
     b_norms: &[f32],
     out: &mut [f32],
-    threading: Threading,
 ) {
     let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "sq_dist_packed_into: A extent");
@@ -490,48 +362,27 @@ pub fn sq_dist_packed_into(
     assert_eq!(b_norms.len(), n, "sq_dist_packed_into: b_norms length");
     assert_eq!(out.len(), m * n, "sq_dist_packed_into: output extent");
     out.fill(0.0);
-    gemm_driver(
-        m,
-        k,
-        n,
-        a,
-        BSrc::Packed(b),
-        Epilogue::SqDist { a_norms, b_norms },
-        out,
-        threading,
-    );
+    let epilogue = Epilogue::SqDist { a_norms, b_norms };
+    gemm_driver(m, k, n, a, BSrc::Packed(b), epilogue, out);
 }
 
-/// `C = Aᵀ × B` (`A` stored `[k, m]`) through the blocked engine.
+/// `C += Aᵀ × B` (`A` stored `[k, m]`, `B` `[k, n]`) into the row-major
+/// `[m, n]` slice `c`; see [`matmul_acc`].
 ///
 /// A is pre-transposed once into recycled thread-local scratch — an
 /// O(k·m) copy against the O(m·k·n) product — so the macro-kernel always
 /// streams unit-stride A rows and the accumulation order (hence the
-/// result) is exactly that of `matmul(Aᵀ, B)`.
-pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_transa_with(a, b, Threading::Auto)
-}
-
-/// [`matmul_transa`] with an explicit [`Threading`] policy.
-pub fn matmul_transa_with(a: &Tensor, b: &Tensor, threading: Threading) -> Tensor {
-    let (m, n) = (
-        dims2(a, "matmul_transa: A").1,
-        dims2(b, "matmul_transa: B").1,
+/// result) is exactly that of [`matmul_acc`] on the explicit transpose.
+/// Each depth block of `KC` flushes into `c` once: over a depth of at
+/// most [`KC`], accumulating into `c` gives the bits of adding in a
+/// separate product; a deeper one adds into `c` block by block.
+pub fn matmul_transa_acc(a: &Tensor, b: &Tensor, c: &mut [f32]) {
+    let (k, m) = dims2(a, "matmul_transa_acc: A");
+    let (k2, n) = dims2(b, "matmul_transa_acc: B");
+    assert_eq!(
+        k, k2,
+        "matmul_transa_acc: inner dimensions {k} vs {k2} differ"
     );
-    let mut out = vec![0.0f32; m * n];
-    matmul_transa_acc(a, b, &mut out, threading);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// `C += Aᵀ × B` into the row-major `[m, n]` slice `c`; see
-/// [`matmul_transa`] and [`matmul_acc`]. Over a depth of at most [`KC`]
-/// the product's sum is added into each element of `c` once, so
-/// accumulating into `c` gives the bits of adding in a [`matmul_transa`]
-/// result.
-pub fn matmul_transa_acc(a: &Tensor, b: &Tensor, c: &mut [f32], threading: Threading) {
-    let (k, m) = dims2(a, "matmul_transa: A");
-    let (k2, n) = dims2(b, "matmul_transa: B");
-    assert_eq!(k, k2, "matmul_transa: inner dimensions {k} vs {k2} differ");
     assert_eq!(c.len(), m * n, "matmul_transa_acc: C extent");
     let mut at = TRANS_A.with(Cell::take);
     at.clear();
@@ -542,29 +393,8 @@ pub fn matmul_transa_acc(a: &Tensor, b: &Tensor, c: &mut [f32], threading: Threa
             at[i * k + p] = v;
         }
     }
-    let b = BSrc::Normal(b.data());
-    gemm_driver(m, k, n, &at, b, Epilogue::None, c, threading);
+    gemm_driver(m, k, n, &at, BSrc::Normal(b.data()), Epilogue::None, c);
     TRANS_A.with(|c| c.set(at));
-}
-
-/// Matrix–vector product `y = A × x` (`[m,k] × [k] → [m]`), routed through
-/// the engine as a GEMM with `n = 1` so there is exactly one accumulation
-/// code path to verify.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    let (m, k) = dims2(a, "matvec: A");
-    assert_eq!(x.numel(), k, "matvec: vector length mismatch");
-    let mut out = vec![0.0f32; m];
-    gemm_driver(
-        m,
-        k,
-        1,
-        a.data(),
-        BSrc::Normal(x.data()),
-        Epilogue::None,
-        &mut out,
-        Threading::Auto,
-    );
-    Tensor::from_vec(out, &[m])
 }
 
 /// Rank-2 extents with a uniform panic message.
@@ -577,7 +407,6 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 /// work whether to split, and runs [`gemm_rows`] once on the calling thread
 /// or once per worker over contiguous row ranges — one parallel region per
 /// call, whatever the depth.
-#[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     m: usize,
     k: usize,
@@ -586,7 +415,6 @@ fn gemm_driver(
     b: BSrc<'_>,
     epilogue: Epilogue<'_>,
     out: &mut [f32],
-    threading: Threading,
 ) {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 {
@@ -615,19 +443,15 @@ fn gemm_driver(
         return;
     }
 
-    let parallel = match threading {
-        // Enough work to win back a region, and enough rows that the
-        // workers' private repacks of B (`k·n` each) stay small beside
-        // their `rows·k·n` of arithmetic. An eight-row product eight
-        // thousand deep is all repack: splitting it doubles the cost.
-        Threading::Auto => m * k * n >= PAR_MIN_WORK && m >= 2 * MC,
-        Threading::Sequential => false,
-        Threading::Parallel => true,
-    };
-    // Rows per worker, in whole register tiles. Where a row lands — which
-    // worker, which panel, interior tile or tail — never changes its bits,
-    // so the split is free to follow the pool width.
-    let rows_per_task = if parallel {
+    // Split only with enough work to win back a region, and enough rows
+    // that the workers' private repacks of B (`k·n` each) stay small
+    // beside their `rows·k·n` of arithmetic: an eight-row product eight
+    // thousand deep is all repack, and splitting it doubles the cost. Rows
+    // per worker come in whole register tiles, as many workers as the pool
+    // is wide; a one-wide pool hands them all to this thread. Where a row
+    // lands — which worker, which panel, interior tile or tail — never
+    // changes its bits, so the split is free to follow the pool width.
+    let rows_per_task = if m * k * n >= PAR_MIN_WORK && m >= 2 * MC {
         m.div_ceil(rayon::current_num_threads())
             .next_multiple_of(MR)
     } else {
@@ -989,6 +813,14 @@ mod tests {
     const RTOL: f32 = 1e-5;
     const ATOL: f32 = 1e-6;
 
+    /// [`sq_dist_into`] into a fresh `[m, n]` buffer.
+    fn sq_dist_matrix(a: &Tensor, b: &Tensor, a_norms: &[f32], b_norms: &[f32]) -> Vec<f32> {
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[0]);
+        let mut out = vec![0.0f32; m * n];
+        sq_dist_into(m, k, n, a.data(), b.data(), a_norms, b_norms, &mut out);
+        out
+    }
+
     #[test]
     fn blocked_matches_naive_across_tile_edges() {
         // Shapes straddling every tile parameter: MR/NR/MC/KC/NC edges.
@@ -1014,11 +846,22 @@ mod tests {
 
     #[test]
     fn forced_threading_modes_are_bit_identical() {
+        // Above the split gate: a one-wide pool runs the product on this
+        // thread, a two-wide one splits it across workers.
+        let (m, k, n) = (150, 381, 300);
+        const { assert!(150 * 381 * 300 >= PAR_MIN_WORK && 150 >= 2 * MC) };
+        let on_pool = |threads: usize, a: &Tensor, b: &Tensor| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| matmul(a, b))
+        };
         let mut rng = TensorRng::seeded(5);
-        let a = rng.uniform(&[77, 300], -1.0, 1.0);
-        let b = rng.uniform(&[300, 65], -1.0, 1.0);
-        let seq = matmul_with(&a, &b, Threading::Sequential);
-        let par = matmul_with(&a, &b, Threading::Parallel);
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let b = rng.uniform(&[k, n], -1.0, 1.0);
+        let seq = on_pool(1, &a, &b);
+        let par = on_pool(2, &a, &b);
         assert_eq!(
             seq, par,
             "sequential and parallel dispatch must agree bitwise"
@@ -1033,7 +876,7 @@ mod tests {
         let w = rng.uniform(&[19, 70], -1.0, 1.0);
         let bias = rng.uniform(&[19], -0.5, 0.5);
         let fused = matmul_transb_bias(&x, &w, &bias);
-        let mut unfused = matmul_transb(&x, &w);
+        let mut unfused = matmul(&x, &w.transpose());
         unfused.add_row_broadcast(&bias);
         assert_eq!(fused, unfused);
     }
@@ -1067,7 +910,7 @@ mod tests {
             for (i, &ani) in an.iter().enumerate() {
                 for (j, &bnj) in bn.iter().enumerate() {
                     let exact = ops::sq_dist(a.row(i), b.row(j));
-                    let got = d.data()[i * n + j];
+                    let got = d[i * n + j];
                     assert!(got >= 0.0, "negative distance at ({i},{j})");
                     let tol = 1e-4 * (ani + bnj) + 1e-6;
                     assert!(
@@ -1088,33 +931,14 @@ mod tests {
         let an = ops::row_sq_norms(a.data(), k);
         let bn = ops::row_sq_norms(b.data(), k);
         let mut first = vec![f32::NAN; m * n];
-        sq_dist_into(
-            m,
-            k,
-            n,
-            a.data(),
-            b.data(),
-            &an,
-            &bn,
-            &mut first,
-            Threading::Sequential,
-        );
-        // Same dirty buffer, parallel dispatch: same bits.
+        sq_dist_into(m, k, n, a.data(), b.data(), &an, &bn, &mut first);
+        // A dirty buffer, then the same buffer again: same bits.
         let mut second = first.clone();
         second.reverse();
-        sq_dist_into(
-            m,
-            k,
-            n,
-            a.data(),
-            b.data(),
-            &an,
-            &bn,
-            &mut second,
-            Threading::Parallel,
-        );
-        assert_eq!(first, second, "scratch reuse or threading changed bits");
-        assert_eq!(first, sq_dist_matrix(&a, &b, &an, &bn).data());
+        for _ in 0..2 {
+            sq_dist_into(m, k, n, a.data(), b.data(), &an, &bn, &mut second);
+            assert_eq!(first, second, "scratch reuse changed bits");
+        }
     }
 
     #[test]
@@ -1131,7 +955,7 @@ mod tests {
         for i in [0usize, 5, 11] {
             let one = Tensor::from_vec(a.row(i).to_vec(), &[1, k]);
             let d1 = sq_dist_matrix(&one, &b, &an[i..i + 1], &bn);
-            assert_eq!(d1.data(), &full.data()[i * n..(i + 1) * n], "row {i}");
+            assert_eq!(d1, &full[i * n..(i + 1) * n], "row {i}");
         }
     }
 
@@ -1140,17 +964,6 @@ mod tests {
         let a = Tensor::zeros(&[2, 0]);
         let b = Tensor::zeros(&[3, 0]);
         let d = sq_dist_matrix(&a, &b, &[1.0, 2.0], &[0.5, 0.0, 4.0]);
-        assert_eq!(d.data(), &[1.5, 1.0, 5.0, 2.5, 2.0, 6.0]);
-    }
-
-    #[test]
-    fn matvec_routes_through_engine() {
-        let mut rng = TensorRng::seeded(11);
-        let a = rng.uniform(&[300, 70], -1.0, 1.0);
-        let x = rng.uniform(&[70], -1.0, 1.0);
-        let via_gemm = matmul(&a, &x.reshape(&[70, 1]));
-        let y = matvec(&a, &x);
-        assert_eq!(y.shape(), &[300]);
-        assert_eq!(y.data(), via_gemm.data());
+        assert_eq!(d, &[1.5, 1.0, 5.0, 2.5, 2.0, 6.0]);
     }
 }

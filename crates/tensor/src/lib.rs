@@ -8,8 +8,9 @@
 //!
 //! * elementwise arithmetic (scalar and tensor-tensor, in-place variants),
 //! * reductions (sum / mean / max / argmax / variance, per-axis rows),
-//! * a blocked, panel-packed, register-tiled GEMM engine ([`gemm`]) behind
-//!   the [`ops::matmul`] family, with a fused bias epilogue for inference,
+//! * a blocked, panel-packed, register-tiled GEMM engine ([`gemm`]): the
+//!   dense products the layers, K-means and the read index run, with fused
+//!   bias and distance epilogues, and the convolution's register tile,
 //! * seeded random initialization (uniform, Xavier/He normal).
 //!
 //! Parallelism follows the HPC guides bundled with this repository: hot
@@ -26,11 +27,11 @@
 //! ## Example
 //!
 //! ```
-//! use fairdms_tensor::{Tensor, ops};
+//! use fairdms_tensor::{gemm, Tensor};
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 //! let b = Tensor::eye(2);
-//! let c = ops::matmul(&a, &b);
+//! let c = gemm::matmul(&a, &b);
 //! assert_eq!(c.data(), a.data());
 //! ```
 

@@ -1,22 +1,20 @@
-//! Linear-algebra kernels: the public entry points of the dense engine.
+//! Reference kernels and the dispatch rule's constants.
 //!
-//! GEMM dominates the training cost of every model in this repository (dense
-//! layers directly; convolutions via im2col in `fairdms-nn`) and the
-//! inference cost of every embedding-cache miss. All dense products —
-//! [`matmul`], [`matmul_transb`], [`matmul_transa`], [`matvec`] — route
-//! through the blocked, panel-packed, register-tiled engine in
-//! [`crate::gemm`]; the pre-engine row loop survives as [`matmul_naive`],
-//! the reference that tests and the kernel CI bench compare against.
+//! GEMM dominates the training cost of every dense layer in this
+//! repository and the inference cost of every embedding-cache miss; every
+//! dense product runs through the blocked, panel-packed, register-tiled
+//! engine in [`crate::gemm`], and convolutions run the engine's shifted
+//! register tile ([`crate::gemm::shifted_tile`]) over their operands in
+//! place. What lives here is the scalar side: the pre-engine row loop,
+//! kept as [`matmul_naive`] — the reference that tests and the kernel CI
+//! bench compare against — and the per-pair distance [`sq_dist`] with the
+//! row norms [`row_sq_norms`] the engine's fused distance epilogue reads.
 //!
 //! Every parallel-iterator site in the workspace states its work in
 //! multiply–add equivalents and opens a region only from [`PAR_MIN_WORK`]
 //! (the dispatch rule, DESIGN.md §9).
 
 use crate::Tensor;
-
-pub use crate::gemm::{
-    matmul, matmul_transa, matmul_transb, matmul_transb_bias, matvec, sq_dist_into, sq_dist_matrix,
-};
 
 /// The dispatch rule's one constant: the least work, in multiply–add
 /// equivalents (`m·k·n` for a GEMM), from which a call site opens a
@@ -59,7 +57,7 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 
 /// Squared L2 norm of every `d`-wide row of a flattened `[n, d]` matrix —
 /// the cached half of the `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` expansion that
-/// [`sq_dist_matrix`] fuses into the GEMM epilogue. Each norm is a plain
+/// [`crate::gemm::sq_dist_into`] fuses into the GEMM epilogue. Each norm is a plain
 /// ascending-index sum, so the value is deterministic and independent of
 /// which batch the row was normed in.
 pub fn row_sq_norms(data: &[f32], d: usize) -> Vec<f32> {
@@ -103,6 +101,7 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{matmul, matmul_transa_acc, matmul_transb_bias};
     use crate::{allclose, allclose_rel, rng::TensorRng};
 
     #[test]
@@ -126,26 +125,21 @@ mod tests {
         let a = rng.uniform(&[6, 5], -1.0, 1.0);
         let b = rng.uniform(&[7, 5], -1.0, 1.0);
         assert!(allclose_rel(
-            &matmul_transb(&a, &b),
+            &matmul_transb_bias(&a, &b, &Tensor::zeros(&[7])),
             &matmul(&a, &b.transpose()),
             1e-5,
             1e-6
         ));
         let c = rng.uniform(&[5, 6], -1.0, 1.0);
         let d = rng.uniform(&[5, 7], -1.0, 1.0);
+        let mut transa = Tensor::zeros(&[6, 7]);
+        matmul_transa_acc(&c, &d, transa.data_mut());
         assert!(allclose_rel(
-            &matmul_transa(&c, &d),
+            &transa,
             &matmul(&c.transpose(), &d),
             1e-5,
             1e-6
         ));
-    }
-
-    #[test]
-    fn matvec_sums_each_row() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[2]);
-        assert_eq!(matvec(&a, &x).data(), &[3.0, 7.0]);
     }
 
     #[test]
@@ -186,7 +180,7 @@ mod tests {
     #[test]
     fn large_matmul_uses_parallel_path_and_matches() {
         // 256³ = 16 M multiply–adds reaches PAR_MIN_WORK, exercising the
-        // rayon branch.
+        // rayon branch on a pool two or more wide.
         let mut rng = TensorRng::seeded(42);
         let a = rng.uniform(&[256, 256], -1.0, 1.0);
         let b = rng.uniform(&[256, 256], -1.0, 1.0);

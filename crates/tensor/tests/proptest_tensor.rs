@@ -4,8 +4,20 @@
 //! is not the contract — determinism is, see `tests/determinism.rs`), and
 //! shape manipulations must be lossless.
 
-use fairdms_tensor::{allclose, allclose_rel, ops, rng::TensorRng, Tensor};
+use fairdms_tensor::{allclose, allclose_rel, gemm, ops, rng::TensorRng, Tensor};
 use proptest::prelude::*;
+
+/// `A × Bᵀ` (`B` stored `[n, k]`) through the fused-bias product, bias zero.
+fn transb(a: &Tensor, b: &Tensor) -> Tensor {
+    gemm::matmul_transb_bias(a, b, &Tensor::zeros(&[b.shape()[0]]))
+}
+
+/// `Aᵀ × B` (`A` stored `[k, m]`) accumulated into zeros.
+fn transa(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut c = Tensor::zeros(&[a.shape()[1], b.shape()[1]]);
+    gemm::matmul_transa_acc(a, b, c.data_mut());
+    c
+}
 
 /// Relative/absolute tolerances for blocked-vs-naive agreement. Small dims
 /// accumulate few terms; the bound is generous against [-2,2] inputs.
@@ -55,7 +67,7 @@ proptest! {
         let mut rng = TensorRng::seeded(seed);
         let a = rng.uniform(&[m, k], -2.0, 2.0);
         let b = rng.uniform(&[k, n], -2.0, 2.0);
-        let fast = ops::matmul(&a, &b);
+        let fast = gemm::matmul(&a, &b);
         let slow = ops::matmul_naive(&a, &b);
         prop_assert!(allclose_rel(&fast, &slow, RTOL, ATOL));
     }
@@ -66,8 +78,8 @@ proptest! {
         let a = rng.uniform(&[m, k], -2.0, 2.0);
         let b = rng.uniform(&[n, k], -2.0, 2.0);
         prop_assert!(allclose_rel(
-            &ops::matmul_transb(&a, &b),
-            &ops::matmul(&a, &b.transpose()),
+            &transb(&a, &b),
+            &gemm::matmul(&a, &b.transpose()),
             RTOL,
             ATOL
         ));
@@ -79,8 +91,8 @@ proptest! {
         let a = rng.uniform(&[k, m], -2.0, 2.0);
         let b = rng.uniform(&[k, n], -2.0, 2.0);
         prop_assert!(allclose_rel(
-            &ops::matmul_transa(&a, &b),
-            &ops::matmul(&a.transpose(), &b),
+            &transa(&a, &b),
+            &gemm::matmul(&a.transpose(), &b),
             RTOL,
             ATOL
         ));
@@ -99,20 +111,14 @@ proptest! {
         let reference = ops::matmul_naive(&a, &b);
 
         // matmul
-        prop_assert!(allclose_rel(&ops::matmul(&a, &b), &reference, RTOL, ATOL));
-        // matmul_transb on Bᵀ reaches the same product through the
-        // transposed packing path.
+        prop_assert!(allclose_rel(&gemm::matmul(&a, &b), &reference, RTOL, ATOL));
+        // The fused-bias product on Bᵀ reaches the same product through
+        // the transposed packing path.
         let bt = b.transpose();
-        prop_assert!(allclose_rel(&ops::matmul_transb(&a, &bt), &reference, RTOL, ATOL));
-        // matmul_transa on Aᵀ reaches it through the pre-transpose path.
+        prop_assert!(allclose_rel(&transb(&a, &bt), &reference, RTOL, ATOL));
+        // matmul_transa_acc on Aᵀ reaches it through the pre-transpose path.
         let at = a.transpose();
-        prop_assert!(allclose_rel(&ops::matmul_transa(&at, &b), &reference, RTOL, ATOL));
-        // matvec is the n = 1 column of the engine.
-        let x = rng.uniform(&[k], -2.0, 2.0);
-        let xc = x.reshape(&[k, 1]);
-        let mv = ops::matvec(&a, &x);
-        let full = ops::matmul_naive(&a, &xc);
-        prop_assert!(allclose_rel(&mv.reshape(&[m, 1]), &full, RTOL, ATOL));
+        prop_assert!(allclose_rel(&transa(&at, &b), &reference, RTOL, ATOL));
     }
 
     #[test]
