@@ -10,10 +10,12 @@
 //!
 //! * blocked GEMM ≥2× the naive `ikj` reference at 256×256 and no
 //!   regression at 64×64;
-//! * on four skinny shapes, a product at the default pool width never more
-//!   than 10% slower than the same product on a one-wide pool, where
+//! * on eight skinny shapes, a product at the default pool width never
+//!   more than 10% slower than the same product on a one-wide pool, where
 //!   nothing splits — the dispatch may decline to fan out, it may not pay
-//!   for a region it cannot win back;
+//!   for a region it cannot win back. Four shapes are below the parallel
+//!   gate (both sides run one path); the other four are above it, so the
+//!   default width does split them;
 //! * the embedder's first layer at request size (16×256 · 512×256ᵀ +
 //!   bias) against a [`PackedB`] ≥1.5× the same product packing per call:
 //!   a frozen forward pass that quietly went back to packing reads 1×;
@@ -26,6 +28,13 @@
 //!   at the default pool width ≥1.2× the same fit on a one-wide pool, on a
 //!   machine with two or more cores: the step's second shard must run on
 //!   the fit's helper thread, and that must pay.
+//!
+//! Ungated, it records what a layer spends around its register tiles:
+//! BraggNN's two convolutions at an update shard's 16 rows, forward and
+//! backward, each timed against the layer's own register-tile calls run
+//! bare on its last sample's laid-out operands ([`Conv2d::bare_tiles`];
+//! `conv/{layer}_{fwd,bwd}_vs_tiles_batch16`, the median of interleaved
+//! pairs' ratios): what is above 1× is layout, packing and stores.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairdms_bench::report::BenchReport;
@@ -84,6 +93,23 @@ const SKINNY: [(usize, usize, usize); 4] = [
     (8192, 8, 144),
     (144, 8, 8192),
 ];
+
+/// Skinny products above the parallel gate: the shapes of [`SKINNY`] with
+/// `m ≥ 2·MC` at 64 images instead of 32, and a product at the gate's
+/// smallest `m`, 64 rows, 2,048 deep — the default width splits each, and
+/// the floor asks that the split pay.
+const SKINNY_SPLIT: [(usize, usize, usize); 4] = [
+    (16384, 144, 8),
+    (16384, 8, 144),
+    (144, 8, 16384),
+    (64, 2048, 144),
+];
+
+/// Whether the GEMM engine splits a product of this shape on a pool two or
+/// more wide (`gemm`'s dispatch gate).
+const fn above_gate((m, k, n): (usize, usize, usize)) -> bool {
+    m * k * n >= ops::PAR_MIN_WORK && m >= 2 * gemm::MC
+}
 
 /// Direct seven-loop 3×3-style convolution, forward and backward, over
 /// flat NCHW buffers: the reference the layer is floored against.
@@ -290,7 +316,11 @@ fn bench_gemm(c: &mut Criterion) {
         .build()
         .unwrap();
     let mut auto_vs_seq = Vec::new();
-    for &(m, k, n) in &SKINNY {
+    const { assert!(above_gate(SKINNY_SPLIT[0])) };
+    const { assert!(above_gate(SKINNY_SPLIT[1])) };
+    const { assert!(above_gate(SKINNY_SPLIT[2])) };
+    const { assert!(above_gate(SKINNY_SPLIT[3])) };
+    for &(m, k, n) in SKINNY.iter().chain(&SKINNY_SPLIT) {
         let mut rng = TensorRng::seeded(0);
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
@@ -450,6 +480,62 @@ fn bench_gemm(c: &mut Criterion) {
         report.add_metric(&format!("conv/{name}_bwd_vs_fwd"), ratio);
         if name == "conv2_16to8" {
             conv2_bwd_vs_fwd = ratio;
+        }
+    }
+
+    // BraggNN's convolutions at an update shard's 16 rows against bare
+    // loops of their tile calls, interleaved: forward, then the backward
+    // pass the training step runs (parameters only for conv1, the first
+    // layer; with `∂X` for conv2).
+    for (name, cin, cout, dx) in [("conv1_1to16", 1, 16, false), ("conv2_16to8", 16, 8, true)] {
+        let mut conv = Conv2d::new(cin, cout, 3, 1, 1, &mut rng);
+        let x = rng.uniform(&[16, cin, 16, 16], -1.0, 1.0);
+        let dy = rng.uniform(&[16, cout, 16, 16], -1.0, 1.0);
+        // The layer's outputs are dropped untimed, as a network hands them on.
+        let backward = |conv: &mut Conv2d, dy: Tensor| match dx {
+            true => Some(conv.backward(dy)),
+            false => {
+                conv.backward_params(dy);
+                None
+            }
+        };
+        black_box(conv.forward(x.clone()));
+        black_box(backward(&mut conv, dy.clone()));
+        let mut lat = [(); 4].map(|_| Vec::with_capacity(300));
+        for _ in 0..300 {
+            let (x, dy) = (x.clone(), dy.clone());
+            let t0 = Instant::now();
+            let y = black_box(conv.forward(x));
+            lat[0].push(t0.elapsed());
+            drop(y);
+            let t0 = Instant::now();
+            conv.bare_tiles(false);
+            lat[1].push(t0.elapsed());
+            let t0 = Instant::now();
+            let dx_out = backward(&mut conv, dy);
+            lat[2].push(t0.elapsed());
+            drop(black_box(dx_out));
+            let t0 = Instant::now();
+            conv.bare_tiles(true);
+            lat[3].push(t0.elapsed());
+        }
+        for (i, pass) in ["fwd", "bwd"].into_iter().enumerate() {
+            let (layer, tiles) = (&lat[2 * i], &lat[2 * i + 1]);
+            summarize(
+                &mut report,
+                &format!("conv/{name}_{pass}_batch16"),
+                layer,
+                0.0,
+            );
+            summarize(
+                &mut report,
+                &format!("conv/{name}_{pass}_tiles_batch16"),
+                tiles,
+                0.0,
+            );
+            let ratio = paired_speedup(tiles, layer);
+            println!("conv/{name} {pass}: layer {ratio:.2}x its bare tiles (paired median)");
+            report.add_metric(&format!("conv/{name}_{pass}_vs_tiles_batch16"), ratio);
         }
     }
 

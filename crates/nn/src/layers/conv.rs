@@ -21,14 +21,25 @@
 //!   output pixel are one run of the sample zero-padded channels-last
 //!   (`[H + 2p, W + 2p, m, C]`). Output channels `SR` at a time, the packed
 //!   weights being a pixel-major copy of `∂Y`, the depth the pixels. The
-//!   training pass writes that copy while the sample is in cache and keeps
-//!   it for the backward pass in place of the input; `∂b` is the plain
-//!   per-channel sum of `∂Y`.
+//!   training pass writes that copy right after the sample's planes, while
+//!   the sample is in cache ([`Geom::lay_out`]), and keeps it for the
+//!   backward pass in place of the input; `∂b` is the plain per-channel sum
+//!   of `∂Y`.
 //! * The **input gradient** zero-pads `∂Y` once a sample and runs one
 //!   shifted product per stride phase of the input pixels: phase pixels
 //!   `(first_y + s·j, first_x + s·i)` receive exactly the taps `tap0 + s·t`,
 //!   each reading the padded `∂Y` at a constant offset, input channels `SR`
 //!   at a time. At stride 1 there is one phase, every pixel and every tap.
+//!   Each `SR`-channel group of a sample's `∂Y` goes into the weight
+//!   gradient's pixel-major copy and, while in cache, into the padded one.
+//!   When the phases hold every input pixel (a stride no wider than the
+//!   kernel), `∂X` is written whole and its storage is not zeroed first.
+//!
+//! What the training passes build from the input's extents alone — the
+//! planes and the padded `∂Y` (whose padding stays 0: only pixels are
+//! rewritten), the packed weights' storage, the tile lists, offsets and
+//! index maps — is kept from step to step while those extents hold
+//! ([`Scratch`]).
 //!
 //! Every product keeps the engine's per-element order — the depth in
 //! ascending order, `KC` at a time, each block's sum added into the output
@@ -52,19 +63,36 @@ pub struct Conv2d {
     padding: usize,
     cached: Option<Kept>,
     spare: Spare,
+    scratch: Scratch,
 }
 
 /// The training pass's input as the weight gradient reads it: each sample
-/// channels-last ([`Geom::channels_last`]), `SL` readable floats past the
-/// last one.
+/// channels-last ([`Geom::lay_out`]), `SL` readable floats past the last
+/// one.
 #[derive(Clone)]
 struct Kept {
     shape: [usize; 4],
     nhwc: Vec<f32>,
 }
 
+/// The training passes' per-call scratch, each part kept from one call to
+/// the next while the input's extents stay those it was built for. A clone
+/// starts empty: the storage is scratch, not state. [`Layer::infer`] builds
+/// its own.
+#[derive(Default)]
+struct Scratch {
+    forward: Option<Forward>,
+    backward: Option<Backward>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 /// The extents of one convolution.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Geom {
     c: usize,
     h: usize,
@@ -108,26 +136,42 @@ impl Geom {
         (self.oh + (self.k - 1) / self.stride) * self.pitch()
     }
 
-    /// Floats of one sample's planes.
-    fn planes(&self) -> usize {
-        self.c * self.tap_phases().pow(2) * self.plane()
+    /// Floats of one channel's phase planes.
+    fn channel_planes(&self) -> usize {
+        self.tap_phases().pow(2) * self.plane()
     }
 
-    /// Writes one `[C, H, W]` sample's planes into `dst`: per channel, per
-    /// phase `(a, b)`, the padded pixels `(a + s·i, b + s·j)`. Only the
-    /// pixels are written; the padding must already be 0.
-    fn split(&self, x: &[f32], dst: &mut [f32]) {
-        let (phases, pad) = (self.tap_phases(), self.pad as isize);
-        let mut planes = dst.chunks_exact_mut(self.plane());
-        for xc in x.chunks_exact(self.h * self.w) {
-            for a in 0..phases {
-                for b in 0..phases {
-                    let plane = planes.next().expect("one plane per channel phase");
-                    let from = (a as isize - pad, b as isize - pad);
-                    resample(xc, (self.h, self.w), from, self.stride, plane, self.pitch());
-                }
-            }
-        }
+    /// Where each input row that some tap reads lands in its channel's
+    /// planes: `(y, at)`, `at` the start of the phase-`(a, 0)` plane row
+    /// holding padded row `y + pad`. Column phase `b` is [`Run::dst`] on
+    /// from there.
+    fn row_runs(&self) -> Vec<(usize, usize)> {
+        let (s, phases, plane, pitch) =
+            (self.stride, self.tap_phases(), self.plane(), self.pitch());
+        (0..self.h)
+            .filter_map(|y| {
+                let (a, i) = ((y + self.pad) % s, (y + self.pad) / s);
+                (a < phases && i < plane / pitch).then(|| (y, a * phases * plane + i * pitch))
+            })
+            .collect()
+    }
+
+    /// The runs one input row is split into, one per column phase `b`: the
+    /// phase plane's columns `lo..hi` that read a pixel, the pixel of
+    /// column `j` being `b − pad + s·j`. The same for every row.
+    fn col_runs(&self) -> Vec<Run> {
+        let (s, pad) = (self.stride, self.pad as isize);
+        (0..self.tap_phases())
+            .filter_map(|b| {
+                let x0 = b as isize - pad;
+                let (lo, hi) = inside(x0, s, self.w, self.pitch());
+                (lo < hi).then(|| Run {
+                    dst: b * self.plane() + lo,
+                    src: (x0 + (s * lo) as isize) as usize,
+                    len: hi - lo,
+                })
+            })
+            .collect()
     }
 
     /// Padded rows and columns of the input.
@@ -142,40 +186,85 @@ impl Geom {
         self.k.min(SL.div_ceil(self.k * self.c))
     }
 
-    /// Floats of one sample's [`Geom::channels_last`] copy.
+    /// Floats of one sample's channels-last copy.
     fn stacked_len(&self) -> usize {
         let (hp, wp) = self.padded();
         hp * wp * self.stack() * self.c
     }
 
-    /// Writes one `[C, H, W]` sample zero-padded and channels-last into
-    /// `dst`, `m` = [`Geom::stack`] padded rows a cell (`[H + 2p, W + 2p,
-    /// m, C]`, element `(y, x, j, c)` being padded pixel `(y + j, x)`): the
-    /// taps `(kx, j, c)` of kernel rows `ky .. ky + m` at one output pixel
-    /// are then one run of `K·m·C` floats. Only the pixels are written: the
-    /// padding must already be 0, and stays so from sample to sample.
-    fn channels_last(&self, x: &[f32], dst: &mut [f32]) {
-        let (c, pad, m, wp, w) = (self.c, self.pad, self.stack(), self.padded().1, self.w);
-        let plane = self.h * w;
-        for y in 0..self.h {
-            let src = |ci: usize| &x[ci * plane + y * w..][..w];
-            // Padded row `y + pad` is row `j` of the cells `j` above it.
-            for j in 0..m.min(y + pad + 1) {
-                let at = (((y + pad - j) * wp + pad) * m + j) * c;
-                // Four channels a store: a scalar store each reads 30%
-                // slower, the copy being mostly cache misses.
-                let mut ci = 0;
-                while ci + 4 <= c {
-                    let s = [src(ci), src(ci + 1), src(ci + 2), src(ci + 3)];
-                    for (x, cell) in dst[at..].chunks_mut(m * c).take(w).enumerate() {
-                        cell[ci..ci + 4].copy_from_slice(&[s[0][x], s[1][x], s[2][x], s[3][x]]);
-                    }
-                    ci += 4;
+    /// Lays one `[C, H, W]` sample out for the forward product — its phase
+    /// planes in `planes`, each input row in whole runs — and, when `cl` is
+    /// given, for the weight gradient: zero-padded and channels-last, `m` =
+    /// [`Geom::stack`] padded rows a cell (`[H + 2p, W + 2p, m, C]`,
+    /// element `(y, x, j, c)` being padded pixel `(y + j, x)`), so the taps
+    /// `(kx, j, c)` of kernel rows `ky .. ky + m` at one output pixel are
+    /// one run of `K·m·C` floats ([`Geom::cells`]). Only pixels are
+    /// written: both copies' padding must already be 0, and stays so from
+    /// sample to sample.
+    fn lay_out(
+        &self,
+        (rows, cols): (&[(usize, usize)], &[Run]),
+        x: &[f32],
+        planes: &mut [f32],
+        cl: Option<(&mut [f32], &mut Vec<f32>)>,
+    ) {
+        let (c, w, hw, s) = (self.c, self.w, self.h * self.w, self.stride);
+        let per_channel = self.channel_planes();
+        for (xc, dst) in x.chunks_exact(hw).zip(planes.chunks_exact_mut(per_channel)) {
+            for &(y, at) in rows {
+                for run in cols {
+                    copy_run(
+                        &mut dst[at + run.dst..][..run.len],
+                        &xc[y * w + run.src..],
+                        s,
+                    );
                 }
-                for ci in ci..c {
-                    for (cell, &v) in dst[at..].chunks_mut(m * c).zip(src(ci)) {
-                        cell[ci] = v;
+            }
+        }
+        let Some((cl, columns)) = cl else { return };
+        // Eight channels a block while there are that many — one AVX
+        // register a pixel — then one at a time.
+        let mut ci = 0;
+        while c - ci >= 8 {
+            self.cells::<8>(x, ci, cl, columns);
+            ci += 8;
+        }
+        for ci in ci..c {
+            self.cells::<1>(x, ci, cl, columns);
+        }
+    }
+
+    /// Writes channels `ci .. ci + N` of one sample into its channels-last
+    /// copy `cl` ([`Geom::lay_out`]): the `N` channel planes transposed
+    /// whole into `columns`, `N` floats a pixel, then moved into the cells a
+    /// pixel a store. Whole planes keep the transpose one long loop, which
+    /// the compiler vectorizes.
+    fn cells<const N: usize>(&self, x: &[f32], ci: usize, cl: &mut [f32], columns: &mut Vec<f32>) {
+        let (hw, w, pad, m, c) = (self.h * self.w, self.w, self.pad, self.stack(), self.c);
+        let wp = self.padded().1;
+        // Padded row `y + pad` is row `j` of the cells `j` above it.
+        let at = |y: usize, j: usize| (((y + pad - j) * wp + pad) * m + j) * c + ci;
+        if N == 1 {
+            // One channel needs no transpose: each row straight into its
+            // cells.
+            for (y, row) in x[ci * hw..][..hw].chunks_exact(w).enumerate() {
+                for j in 0..m.min(y + pad + 1) {
+                    let cells = &mut cl[at(y, j)..][..(w - 1) * m * c + 1];
+                    for (d, &v) in cells.iter_mut().step_by(m * c).zip(row) {
+                        *d = v;
                     }
+                }
+            }
+            return;
+        }
+        columns.resize(columns.len().max(N * hw), 0.0);
+        let (columns, _) = columns[..N * hw].as_chunks_mut::<N>();
+        interleave(std::array::from_fn(|i| &x[(ci + i) * hw..][..hw]), columns);
+        for (y, row) in columns.chunks_exact(w).enumerate() {
+            for j in 0..m.min(y + pad + 1) {
+                let cells = &mut cl[at(y, j)..][..(w - 1) * m * c + N];
+                for (x, column) in row.iter().enumerate() {
+                    cells[x * m * c..][..N].copy_from_slice(column);
                 }
             }
         }
@@ -218,6 +307,80 @@ impl Geom {
             .filter(|a| a.count > 0)
             .collect()
     }
+
+    /// Whether the input gradient's stride phases hold every input pixel,
+    /// so that it writes every element of `∂X`: the phases of an axis are
+    /// distinct residues mod the stride, so they cover it when their
+    /// positions add up to its extent — at a stride no wider than the
+    /// kernel. Otherwise the pixels between them get no tap and read 0.
+    fn phases_cover(&self) -> bool {
+        [self.h, self.w].into_iter().all(|extent| {
+            let phases = self.axis_phases(extent);
+            phases.iter().map(|a| a.count).sum::<usize>() == extent
+        })
+    }
+}
+
+/// One run of an input row in a channel's phase planes: `len` elements from
+/// `dst` on, read from the row's column `src` on at the stride.
+struct Run {
+    dst: usize,
+    src: usize,
+    len: usize,
+}
+
+/// Copies `dst.len()` elements of `src` read `s` apart into `dst`.
+fn copy_run(dst: &mut [f32], src: &[f32], s: usize) {
+    if s == 1 {
+        let src = &src[..dst.len()];
+        // Whole `SL` runs as fixed-width moves, not a call each.
+        let (mut to, mut from) = (dst.chunks_exact_mut(SL), src.chunks_exact(SL));
+        for (d, v) in to.by_ref().zip(from.by_ref()) {
+            d.copy_from_slice(v);
+        }
+        for (d, &v) in to.into_remainder().iter_mut().zip(from.remainder()) {
+            *d = v;
+        }
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+            *d = v;
+        }
+    }
+}
+
+/// Transposes `N` equal rows into `dst`, one `N`-float column per
+/// element: for `N` up to eight, a loop the compiler turns into wide
+/// loads, shuffles and wide stores.
+fn interleave<const N: usize>(rows: [&[f32]; N], dst: &mut [[f32; N]]) {
+    let rows = rows.map(|r| &r[..dst.len()]);
+    for (x, column) in dst.iter_mut().enumerate() {
+        *column = std::array::from_fn(|r| rows[r][x]);
+    }
+}
+
+/// Adds `G` channel groups' sums of their pixel-major `∂Y` over the pixels
+/// into `dbias`: per group, a partial a `KC` block of pixels, summed in
+/// ascending order from 0 and added in — the engine's order for the
+/// lowering's row of ones. The `G` groups' sums run side by side, so their
+/// adds overlap instead of waiting on one another.
+fn sum_pixels<const G: usize>(dyt: &[[f32; SR]], dbias: &mut [[f32; SR]]) {
+    let pixels = dyt.len() / G;
+    let lanes: [&[[f32; SR]]; G] = std::array::from_fn(|g| &dyt[g * pixels..][..pixels]);
+    for p0 in (0..pixels).step_by(KC) {
+        let mut block = [[0.0f32; SR]; G];
+        for p in p0..pixels.min(p0 + KC) {
+            for (acc, lane) in block.iter_mut().zip(&lanes) {
+                for (a, v) in acc.iter_mut().zip(lane[p]) {
+                    *a += v;
+                }
+            }
+        }
+        for (total, acc) in dbias.iter_mut().zip(&block) {
+            for (t, a) in total.iter_mut().zip(acc) {
+                *t += a;
+            }
+        }
+    }
 }
 
 /// One axis of a stride phase of the input pixels: the positions `first +
@@ -231,44 +394,6 @@ struct PhaseAxis {
     first: usize,
     count: usize,
     base: usize,
-}
-
-/// Writes the `[rows, pitch]` plane `dst` from the `[h, w]` plane `src`
-/// read at stride `s` from `(y0, x0)`: element `(i, j)` is `src[y0 + s·i,
-/// x0 + s·j]` where that falls on `src`. The elements that fall off it —
-/// the padding — are left alone: a caller zeroes its scratch once and
-/// rewrites only the pixels, sample after sample.
-fn resample(
-    src: &[f32],
-    (h, w): (usize, usize),
-    (y0, x0): (isize, isize),
-    s: usize,
-    dst: &mut [f32],
-    pitch: usize,
-) {
-    let (lo, hi) = inside(x0, s, w, pitch);
-    for (i, row) in dst.chunks_exact_mut(pitch).enumerate() {
-        let y = y0 + (s * i) as isize;
-        if lo == hi || !(0..h as isize).contains(&y) {
-            continue;
-        }
-        let from = &src[y as usize * w..][..w][(x0 + (s * lo) as isize) as usize..];
-        let row = &mut row[lo..hi];
-        if s == 1 {
-            let from = &from[..row.len()];
-            // Whole `SL` runs as fixed-width moves, not a call each.
-            let (mut to, mut from) = (row.chunks_exact_mut(SL), from.chunks_exact(SL));
-            for (d, v) in to.by_ref().zip(from.by_ref()) {
-                d.copy_from_slice(v);
-            }
-            let rest = to.into_remainder();
-            rest.copy_from_slice(&from.remainder()[..rest.len()]);
-        } else {
-            for (d, &v) in row.iter_mut().zip(from.iter().step_by(s)) {
-                *d = v;
-            }
-        }
-    }
 }
 
 /// The positions `lo..hi` of `count` whose read `x0 + s·j` falls inside
@@ -337,37 +462,64 @@ fn tiles(
 /// One shifted product: `rows` outputs of `depth` taps, every tap reading
 /// the source at its offset (plus the tile's position), over a grid of
 /// tiles. The weights are packed tap-major `SR` rows at a time, the rows
-/// past `rows` zero.
+/// past `rows` zero, into storage that outlives the call, from the layer's
+/// weight through a map worked out once.
 struct Shifted {
     w: Vec<Vec<[f32; SR]>>,
+    /// Where each packed weight is read in the layer's weight, group by
+    /// group, tap by tap; [`SKIP`] for the rows past `rows`.
+    from: Vec<[usize; SR]>,
     offs: Vec<usize>,
     tiles: Vec<Tile>,
 }
 
 impl Shifted {
+    /// The product's plan, row `r`'s tap `k` being the layer's weight
+    /// `at(r, k)`; every weight is 0 until [`Shifted::pack`].
     fn new(
         rows: usize,
         offs: Vec<usize>,
         tiles: Vec<Tile>,
-        w: impl Fn(usize, usize) -> f32,
+        at: impl Fn(usize, usize) -> usize,
     ) -> Self {
-        let w = (0..rows.div_ceil(SR))
-            .map(|g| {
-                (0..offs.len())
-                    .map(|k| {
-                        std::array::from_fn(|r| {
-                            let row = g * SR + r;
-                            if row < rows {
-                                w(row, k)
-                            } else {
-                                0.0
-                            }
-                        })
-                    })
-                    .collect()
+        let groups = rows.div_ceil(SR);
+        let from = (0..groups * offs.len())
+            .map(|i| {
+                let (g, k) = (i / offs.len(), i % offs.len());
+                std::array::from_fn(|r| {
+                    if g * SR + r < rows {
+                        at(g * SR + r, k)
+                    } else {
+                        SKIP
+                    }
+                })
             })
             .collect();
-        Shifted { w, offs, tiles }
+        Shifted {
+            w: vec![vec![[0.0; SR]; offs.len()]; groups],
+            from,
+            offs,
+            tiles,
+        }
+    }
+
+    /// Packs the layer's weight `w`.
+    fn pack(&mut self, w: &[f32]) {
+        let packed = self.w.iter_mut().flatten();
+        for (lanes, from) in packed.zip(&self.from) {
+            *lanes = from.map(|at| if at == SKIP { 0.0 } else { w[at] });
+        }
+    }
+
+    /// [`Shifted::run`]'s tile calls alone, on `src`, storing nothing.
+    fn bare(&self, src: &[f32]) {
+        for w in &self.w {
+            for tile in &self.tiles {
+                let mut acc = [[0.0; SL]; SR];
+                gemm::shifted_tile(w, &self.offs, src, tile.at, &mut acc);
+                std::hint::black_box(&acc);
+            }
+        }
     }
 
     /// Stores `seed(row)` plus the product on every tile's lanes of `out`
@@ -394,6 +546,102 @@ impl Shifted {
     }
 }
 
+/// The forward pass's plan: the product, where an input row lands in the
+/// planes, one sample's planes (`SL` readable floats past them), and the
+/// columns a block of channels is transposed into on its way to the
+/// channels-last copy ([`Geom::cells`]).
+struct Forward {
+    g: Geom,
+    product: Shifted,
+    rows: Vec<(usize, usize)>,
+    cols: Vec<Run>,
+    planes: Vec<f32>,
+    columns: Vec<f32>,
+}
+
+impl Forward {
+    fn new(g: &Geom, oc: usize) -> Self {
+        let ow = g.ow;
+        let tiles = tiles(g.oh, ow, g.pitch(), |y, x| y * ow + x);
+        Forward {
+            g: *g,
+            product: Shifted::new(oc, g.tap_offsets(), tiles, |o, t| o * g.patch() + t),
+            rows: g.row_runs(),
+            cols: g.col_runs(),
+            planes: vec![0.0; g.channel_planes() * g.c + SL],
+            columns: Vec::new(),
+        }
+    }
+}
+
+/// The backward pass's plan and accumulators.
+struct Backward {
+    g: Geom,
+    /// Where output pixel `(y, x)`'s taps start in a sample's channels-last
+    /// copy: cell `(s·y, s·x)`.
+    offs: Vec<usize>,
+    /// Where each of an output-channel group's `∂Wᵀ` tiles — per stack of
+    /// `m` kernel rows `ky ..`, per `SL` run of their taps — reads from
+    /// pixel `(0, 0)`'s: cell `(ky, 0)`, the run's first tap.
+    bases: Vec<usize>,
+    /// Pixel-major `∂Y`, `SR` channels at a time, zero past the last.
+    dyt: Vec<[f32; SR]>,
+    /// `∂Wᵀ`'s tiles: per output-channel group, per stack of kernel rows,
+    /// per `SL` run of its taps.
+    dwt: Vec<[[f32; SL]; SR]>,
+    /// Where each tile's lane adds into `∂W`, [`SKIP`] for the lanes past
+    /// the last output channel or tap.
+    dw_at: Vec<[[usize; SL]; SR]>,
+    /// `∂b` per output-channel group.
+    dbias: Vec<[f32; SR]>,
+    /// Built by the first pass that wants `∂X`.
+    input_grad: Option<InputGrad>,
+}
+
+impl Backward {
+    fn new(g: &Geom, oc: usize) -> Self {
+        let (wp, cell) = (g.padded().1, g.stack() * g.c);
+        let offs = (0..g.oh)
+            .flat_map(|y| (0..g.ow).map(move |x| (y * wp + x) * g.stride * cell))
+            .collect();
+        let (m, c, k, patch) = (g.stack(), g.c, g.k, g.patch());
+        let (groups, stacks, runs) = (oc.div_ceil(SR), k.div_ceil(m), (k * cell).div_ceil(SL));
+        // Tile `(group, stack, run)`'s lane `r, l` is tap `q = run·SL + l` =
+        // `(kx, j, c)` of kernel row `stack·m + j`, for output channel
+        // `group·SR + r`.
+        let bases = (0..stacks * runs)
+            .map(|i| i / runs * m * wp * cell + i % runs * SL)
+            .collect();
+        let dw_at = (0..groups * stacks * runs)
+            .map(|i| {
+                let (gi, ky0, run) = (i / (stacks * runs), i / runs % stacks * m, i % runs);
+                std::array::from_fn(|r| {
+                    std::array::from_fn(|lane| {
+                        let (o, q) = (gi * SR + r, run * SL + lane);
+                        let (kx, ky, ci) = (q / cell, ky0 + q / c % m, q % c);
+                        let inside = o < oc && kx < k && ky < k;
+                        if inside {
+                            o * patch + (ci * k + ky) * k + kx
+                        } else {
+                            SKIP
+                        }
+                    })
+                })
+            })
+            .collect();
+        Backward {
+            g: *g,
+            offs,
+            bases,
+            dyt: vec![[0.0; SR]; groups * g.pixels()],
+            dwt: vec![[[0.0; SL]; SR]; groups * stacks * runs],
+            dw_at,
+            dbias: vec![[0.0; SR]; groups],
+            input_grad: None,
+        }
+    }
+}
+
 /// The input gradient's plan: `∂Y` zero-padded so every phase's taps read
 /// it in place, and one [`Shifted`] product per stride phase.
 struct InputGrad {
@@ -407,7 +655,7 @@ struct InputGrad {
 }
 
 impl InputGrad {
-    fn new(g: &Geom, oc: usize, w: &[f32]) -> Self {
+    fn new(g: &Geom, oc: usize) -> Self {
         let (ys, xs) = (g.axis_phases(g.h), g.axis_phases(g.w));
         // Room for the lowest read, `base − (taps − 1)`, and the highest,
         // `count − 1 + base`, of every phase, and for all of `∂Y`.
@@ -423,13 +671,12 @@ impl InputGrad {
         let pad = (lo(&ys), lo(&xs));
         let (rows, pitch) = (pad.0 + span(&ys, g.oh), pad.1 + span(&xs, g.ow));
         let plane = rows * pitch;
-        let (k, s, patch) = (g.k, g.stride, g.patch());
+        let s = g.stride;
         let mut phases = Vec::new();
         for y in &ys {
             for x in &xs {
                 // Depth `(o, t, u)`: output channel, then the phase's taps.
-                let taps = y.taps * x.taps;
-                let mut offs = Vec::with_capacity(oc * taps);
+                let mut offs = Vec::with_capacity(oc * y.taps * x.taps);
                 for o in 0..oc {
                     for t in 0..y.taps {
                         for u in 0..x.taps {
@@ -440,11 +687,15 @@ impl InputGrad {
                 }
                 let at = |jy, jx| (y.first + s * jy) * g.w + x.first + s * jx;
                 let tiles = tiles(y.count, x.count, pitch, at);
-                phases.push(Shifted::new(g.c, offs, tiles, |ci, d| {
+                // Input channel `ci`'s depth `(o, t, u)` is tap `(tap0_y +
+                // s·t, tap0_x + s·u)` of the weight of output channel `o`.
+                let taps = y.taps * x.taps;
+                let at = |ci, d| {
                     let (o, t, u) = (d / taps, d % taps / x.taps, d % x.taps);
                     let (ky, kx) = (y.tap0 + s * t, x.tap0 + s * u);
-                    w[o * patch + (ci * k + ky) * k + kx]
-                }));
+                    o * g.patch() + (ci * g.k + ky) * g.k + kx
+                };
+                phases.push(Shifted::new(g.c, offs, tiles, at));
             }
         }
         InputGrad {
@@ -456,14 +707,22 @@ impl InputGrad {
         }
     }
 
-    /// Writes one sample's `∂X` (`[C, H, W]`); pixels no tap reaches stay
-    /// as they are.
-    fn run(&mut self, g: &Geom, dy: &[f32], dx: &mut [f32]) {
-        let from = (-(self.pad.0 as isize), -(self.pad.1 as isize));
-        let planes = self.dy.chunks_exact_mut(self.plane);
-        for (src, dst) in dy.chunks_exact(g.pixels()).zip(planes) {
-            resample(src, (g.oh, g.ow), from, 1, dst, self.pitch);
+    /// Packs each phase's weights from the layer's `w`.
+    fn pack(&mut self, w: &[f32]) {
+        for phase in &mut self.phases {
+            phase.pack(w);
         }
+    }
+
+    /// Where row `y` of output channel `o` of `∂Y` goes in the padded copy.
+    fn row(&mut self, o: usize, y: usize, ow: usize) -> &mut [f32] {
+        let at = o * self.plane + (self.pad.0 + y) * self.pitch + self.pad.1;
+        &mut self.dy[at..][..ow]
+    }
+
+    /// Writes one sample's `∂X` (`[C, H, W]`) from the padded `∂Y` its
+    /// rows were copied into; pixels no tap reaches stay as they are.
+    fn run(&self, g: &Geom, dx: &mut [f32]) {
         for phase in &self.phases {
             phase.run(&self.dy, |_| 0.0, dx, g.h * g.w);
         }
@@ -496,6 +755,7 @@ impl Conv2d {
             padding,
             cached: None,
             spare: Spare::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -537,40 +797,32 @@ impl Conv2d {
         (n, geom)
     }
 
-    /// The forward pass, sample by sample: split into planes, multiplied
+    /// The forward pass, sample by sample: laid out in `plan`'s planes —
+    /// and, when `keep` is given, channels-last into it — then multiplied
     /// into the sample's NCHW output in `out` (resized; every element is
-    /// written) and, when `keep` is given, written channels-last into it
-    /// while still in cache.
+    /// written). The weights are packed once a call.
     fn conv_forward(
         &self,
         x: &Tensor,
+        plan: &mut Forward,
         mut out: Vec<f32>,
         mut keep: Option<&mut Vec<f32>>,
     ) -> Tensor {
         let (n, g) = self.geom(x.shape());
-        let plan = self.forward_plan(&g);
+        plan.product.pack(self.weight.value.data());
         let (oc, pixels, bias) = (self.out_c, g.pixels(), self.bias.value.data());
-        let mut planes = vec![0.0f32; g.planes() + SL];
+        let seed = |o: usize| bias.get(o).copied().unwrap_or(0.0);
+        let per = g.stacked_len();
         out.resize(n * oc * pixels, 0.0);
         let samples = x.data().chunks_exact(g.sample());
         for (s, (xs, y)) in samples.zip(out.chunks_exact_mut(oc * pixels)).enumerate() {
-            g.split(xs, &mut planes[..g.planes()]);
-            let seed = |o: usize| bias.get(o).copied().unwrap_or(0.0);
-            plan.run(&planes, seed, y, pixels);
-            if let Some(keep) = keep.as_deref_mut() {
-                let per = g.stacked_len();
-                g.channels_last(xs, &mut keep[s * per..][..per]);
-            }
+            let cl = keep
+                .as_deref_mut()
+                .map(|k| (&mut k[s * per..][..per], &mut plan.columns));
+            g.lay_out((&plan.rows, &plan.cols), xs, &mut plan.planes, cl);
+            plan.product.run(&plan.planes, seed, y, pixels);
         }
         Tensor::from_vec(out, &[n, oc, g.oh, g.ow])
-    }
-
-    /// The forward product: weights packed once a call, output channels
-    /// against the split planes.
-    fn forward_plan(&self, g: &Geom) -> Shifted {
-        let (wd, patch, ow) = (self.weight.value.data(), g.patch(), g.ow);
-        let tiles = tiles(g.oh, ow, g.pitch(), |y, x| y * ow + x);
-        Shifted::new(self.out_c, g.tap_offsets(), tiles, |o, t| wd[o * patch + t])
     }
 
     /// The backward pass: accumulates `∂W`/`∂b` and, when `want_dx`, returns
@@ -582,90 +834,109 @@ impl Conv2d {
             .as_ref()
             .expect("Conv2d::backward called before forward");
         let (n, g) = self.geom(&kept.shape);
-        let (oc, patch, pixels, k, c) = (self.out_c, g.patch(), g.pixels(), g.k, g.c);
+        let (oc, pixels, ow) = (self.out_c, g.pixels(), g.ow);
         assert_eq!(
             grad_out.shape(),
-            &[n, oc, g.oh, g.ow],
+            &[n, oc, g.oh, ow],
             "Conv2d: gradient shape mismatch"
         );
         let gd = grad_out.data();
+        let mut plan = self
+            .scratch
+            .backward
+            .take()
+            .filter(|b| b.g == g)
+            .unwrap_or_else(|| Backward::new(&g, oc));
         // `∂W`: output channels `SR` at a time, weighted by `∂Y`, against
         // `SL` of the `K·m·C` taps `(kx, j, c)` of kernel rows `ky .. ky +
         // m` at a time, over the output pixels — pixel `(y, x)`'s taps there
         // are the run of the channels-last copy from cell `(s·y + ky, s·x)`
         // on.
-        let (wp, m, per) = (g.padded().1, g.stack(), g.stacked_len());
-        let (cell, stacks) = (m * c, k.div_ceil(m));
-        let offs: Vec<usize> = (0..g.oh)
-            .flat_map(|y| (0..g.ow).map(move |x| (y * wp + x) * g.stride * cell))
-            .collect();
-        let (groups, runs) = (oc.div_ceil(SR), (k * cell).div_ceil(SL));
-        let mut dwt = vec![[[0.0f32; SL]; SR]; groups * stacks * runs];
-        let mut dbias = vec![[0.0f32; SR]; groups];
-        let mut block = vec![[0.0f32; SR]; groups];
-        // Pixel-major `∂Y`, `SR` channels at a time, zero past the last.
-        let mut dyt = vec![[0.0f32; SR]; groups * pixels];
-        let mut input_grad = want_dx.then(|| InputGrad::new(&g, oc, self.weight.value.data()));
-        let mut dx = want_dx.then(|| self.spare.input_grad(n * g.sample()));
+        let per = g.stacked_len();
+        plan.dwt.fill([[0.0; SL]; SR]);
+        plan.dbias.fill([0.0; SR]);
+        let Backward {
+            offs,
+            bases,
+            dyt,
+            dwt,
+            dw_at,
+            dbias,
+            input_grad,
+            ..
+        } = &mut plan;
+        let mut input_grad = want_dx.then(|| {
+            let grad = input_grad.get_or_insert_with(|| InputGrad::new(&g, oc));
+            grad.pack(self.weight.value.data());
+            grad
+        });
+        // Every element of `∂X` is written when the stride phases hold
+        // every input pixel; otherwise the pixels between them read 0.
+        let mut dx = want_dx.then(|| match g.phases_cover() {
+            true => self.spare.overwritten_grad(n * g.sample()),
+            false => self.spare.input_grad(n * g.sample()),
+        });
 
         for s in 0..n {
             let dy = &gd[s * oc * pixels..][..oc * pixels];
-            // `SR` channels a store where there are that many.
-            for (rows, lanes) in dy.chunks(SR * pixels).zip(dyt.chunks_exact_mut(pixels)) {
-                if rows.len() == SR * pixels {
-                    for (p, l) in lanes.iter_mut().enumerate() {
-                        *l = std::array::from_fn(|r| rows[r * pixels + p]);
-                    }
+            // Each group of `SR` channels of `∂Y` into its pixel-major copy —
+            // four rows a transpose where there are that many — and, while
+            // they are in cache, row by row into the padded one.
+            for (gi, rows) in dy.chunks(SR * pixels).enumerate() {
+                let lanes = &mut dyt[gi * pixels..][..pixels];
+                let channels = rows.len() / pixels;
+                let channel = |r: usize| &rows[r * pixels..][..pixels];
+                if channels == SR {
+                    interleave(std::array::from_fn(channel), lanes);
                 } else {
-                    for (r, row) in rows.chunks_exact(pixels).enumerate() {
-                        for (l, &v) in lanes.iter_mut().zip(row) {
-                            l[r] = v;
+                    for r in 0..channels {
+                        for (lane, &v) in lanes.iter_mut().zip(channel(r)) {
+                            lane[r] = v;
+                        }
+                    }
+                }
+                if let Some(grad) = input_grad.as_deref_mut() {
+                    for r in 0..channels {
+                        for (y, row) in channel(r).chunks_exact(ow).enumerate() {
+                            grad.row(gi * SR + r, y, ow).copy_from_slice(row);
                         }
                     }
                 }
             }
             // `∂b` is the plain sum over pixels of `∂Y` (the lowering's
-            // `1.0·∂Y` is `∂Y`), in the depth blocks of the product.
-            for p0 in (0..pixels).step_by(KC) {
-                block.fill([0.0; SR]);
-                for p in p0..pixels.min(p0 + KC) {
-                    for (gi, acc) in block.iter_mut().enumerate() {
-                        for (a, v) in acc.iter_mut().zip(dyt[gi * pixels + p]) {
-                            *a += v;
-                        }
-                    }
-                }
-                for (d, acc) in dbias.iter_mut().zip(&block) {
-                    for (d, a) in d.iter_mut().zip(acc) {
-                        *d += a;
-                    }
-                }
+            // `1.0·∂Y` is `∂Y`), four channel groups at a time, then two,
+            // then one.
+            let (groups, mut gi) = (dbias.len(), 0);
+            while groups - gi >= 4 {
+                sum_pixels::<4>(&dyt[gi * pixels..][..4 * pixels], &mut dbias[gi..][..4]);
+                gi += 4;
+            }
+            if groups - gi >= 2 {
+                sum_pixels::<2>(&dyt[gi * pixels..][..2 * pixels], &mut dbias[gi..][..2]);
+                gi += 2;
+            }
+            if groups > gi {
+                sum_pixels::<1>(&dyt[gi * pixels..][..pixels], &mut dbias[gi..][..1]);
             }
             let src = &kept.nhwc[s * per..];
             for (w, tiles) in dyt
                 .chunks_exact(pixels)
-                .zip(dwt.chunks_exact_mut(stacks * runs))
+                .zip(dwt.chunks_exact_mut(bases.len()))
             {
-                for (i, tile) in tiles.iter_mut().enumerate() {
-                    let (ky, run) = (i / runs * m, i % runs);
-                    gemm::shifted_tile(w, &offs, src, ky * wp * cell + run * SL, tile);
+                for (tile, &base) in tiles.iter_mut().zip(bases.iter()) {
+                    gemm::shifted_tile(w, offs, src, base, tile);
                 }
             }
-            if let (Some(grad), Some(dx)) = (input_grad.as_mut(), dx.as_deref_mut()) {
-                grad.run(&g, dy, &mut dx[s * g.sample()..][..g.sample()]);
+            if let (Some(grad), Some(dx)) = (input_grad.as_deref(), dx.as_deref_mut()) {
+                grad.run(&g, &mut dx[s * g.sample()..][..g.sample()]);
             }
         }
 
         let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        for (i, tile) in dwt.iter().enumerate() {
-            let (gi, ky0, run) = (i / (stacks * runs), i / runs % stacks * m, i % runs);
-            for (r, lanes) in tile.iter().enumerate() {
-                for (lane, &v) in lanes.iter().enumerate() {
-                    let (o, q) = (gi * SR + r, run * SL + lane);
-                    let (kx, ky, ci) = (q / cell, ky0 + q / c % m, q % c);
-                    if o < oc && kx < k && ky < k {
-                        dw[o * patch + (ci * k + ky) * k + kx] += v;
-                    }
+        for (tile, at) in dwt.iter().zip(dw_at.iter()) {
+            for (&v, &at) in tile.iter().flatten().zip(at.iter().flatten()) {
+                if at != SKIP {
+                    dw[at] += v;
                 }
             }
         }
@@ -673,8 +944,51 @@ impl Conv2d {
             *b += dbias[o / SR][o % SR];
         }
         let shape = kept.shape;
+        self.scratch.backward = Some(plan);
         self.spare.out = grad_out.into_vec();
         dx.map(|dx| Tensor::from_vec(dx, &shape))
+    }
+
+    /// The register-tile calls of the last training passes alone, storing
+    /// nothing: the forward product's, or the weight gradient's and — once
+    /// the layer has computed one — the input gradient's, as many times as
+    /// the last batch had samples, each reading the last sample's operands
+    /// as the passes laid them out. What a pass would cost if its layout,
+    /// packing and stores were free: the kernels bench times the layer
+    /// against it.
+    #[doc(hidden)]
+    pub fn bare_tiles(&self, backward: bool) {
+        let kept = self.cached.as_ref().expect("no training forward pass yet");
+        let (n, g) = self.geom(&kept.shape);
+        if !backward {
+            let plan = self
+                .scratch
+                .forward
+                .as_ref()
+                .expect("kept by the forward pass");
+            (0..n).for_each(|_| plan.product.bare(&plan.planes));
+            return;
+        }
+        let plan = self
+            .scratch
+            .backward
+            .as_ref()
+            .expect("no backward pass yet");
+        let src = &kept.nhwc[(n - 1) * g.stacked_len()..];
+        for _ in 0..n {
+            for w in plan.dyt.chunks_exact(g.pixels()) {
+                for &base in &plan.bases {
+                    let mut acc = [[0.0; SL]; SR];
+                    gemm::shifted_tile(w, &plan.offs, src, base, &mut acc);
+                    std::hint::black_box(&acc);
+                }
+            }
+            if let Some(grad) = &plan.input_grad {
+                for phase in &grad.phases {
+                    phase.bare(&grad.dy);
+                }
+            }
+        }
     }
 }
 
@@ -682,7 +996,7 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: Tensor) -> Tensor {
         // Keep the input as the weight gradient reads it, in last step's
         // allocation while the sample's extents stay: its padding is 0
-        // already, and only its pixels are rewritten.
+        // already, and only its pixels are rewritten. So are the planes'.
         let (n, g) = self.geom(x.shape());
         let shape = [n, g.c, g.h, g.w];
         let mut nhwc = self
@@ -692,15 +1006,23 @@ impl Layer for Conv2d {
             .map(|k| k.nhwc)
             .unwrap_or_default();
         nhwc.resize(nhwc.len().max(n * g.stacked_len() + SL), 0.0);
+        let mut plan = self
+            .scratch
+            .forward
+            .take()
+            .filter(|f| f.g == g)
+            .unwrap_or_else(|| Forward::new(&g, self.out_c));
         let out = std::mem::take(&mut self.spare.out);
-        let y = self.conv_forward(&x, out, Some(&mut nhwc));
+        let y = self.conv_forward(&x, &mut plan, out, Some(&mut nhwc));
+        self.scratch.forward = Some(plan);
         self.cached = Some(Kept { shape, nhwc });
         self.spare.grad = x.into_vec();
         y
     }
 
     fn infer(&self, x: Tensor) -> Tensor {
-        self.conv_forward(&x, Vec::new(), None)
+        let (_, g) = self.geom(x.shape());
+        self.conv_forward(&x, &mut Forward::new(&g, self.out_c), Vec::new(), None)
     }
 
     fn work(&self, input: &[usize]) -> usize {
@@ -956,6 +1278,25 @@ mod tests {
         conv.infer(rng.uniform(&[3, 1, 5, 5], -1.0, 1.0));
         // …and backward still differentiates the training batch.
         assert_eq!(conv.backward(Tensor::ones(y.shape())).shape(), x.shape());
+    }
+
+    #[test]
+    fn bare_tiles_change_nothing_the_passes_compute() {
+        let mut rng = TensorRng::seeded(8);
+        let mut conv = Conv2d::new(3, 5, 3, 2, 1, &mut rng);
+        let mut twin = conv.clone();
+        let x = rng.uniform(&[2, 3, 7, 9], -1.0, 1.0);
+        let dy = rng.uniform(&[2, 5, 4, 5], -1.0, 1.0);
+        for _ in 0..2 {
+            let y = conv.forward(x.clone());
+            conv.bare_tiles(false);
+            let dx = conv.backward(dy.clone());
+            conv.bare_tiles(true);
+            assert_eq!(y.data(), twin.forward(x.clone()).data());
+            assert_eq!(dx.data(), twin.backward(dy.clone()).data());
+        }
+        assert_eq!(conv.weight.grad.data(), twin.weight.grad.data());
+        assert_eq!(conv.bias.grad.data(), twin.bias.grad.data());
     }
 
     #[test]

@@ -127,7 +127,8 @@ struct Spare {
     /// Storage for the next output, stale: its user sizes it and writes
     /// every element.
     out: Vec<f32>,
-    /// Storage for the next input gradient, zeroed by [`Spare::input_grad`].
+    /// Storage for the next input gradient: zeroed by [`Spare::input_grad`],
+    /// left stale by [`Spare::overwritten_grad`].
     grad: Vec<f32>,
 }
 
@@ -142,6 +143,14 @@ impl Spare {
     fn input_grad(&mut self, len: usize) -> Vec<f32> {
         let mut grad = std::mem::take(&mut self.grad);
         grad.clear();
+        grad.resize(len, 0.0);
+        grad
+    }
+
+    /// `len` floats for an input gradient whose user writes every element:
+    /// stale, so not zeroed first.
+    fn overwritten_grad(&mut self, len: usize) -> Vec<f32> {
+        let mut grad = std::mem::take(&mut self.grad);
         grad.resize(len, 0.0);
         grad
     }

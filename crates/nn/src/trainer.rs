@@ -26,6 +26,13 @@
 //! replica. The helper exits when the fit returns — completed, stopped
 //! early, cancelled, or panicking, which surfaces as the fit's panic.
 //!
+//! **A hand-off does not park.** Each receive of one — the helper's wait
+//! for work, the caller's wait for a finished shard, in a step and in a
+//! validation batch — tries its channel for up to `HANDOFF_SPIN` (80 µs)
+//! before it blocks: a parked thread's wake-up costs a round trip about
+//! 20 µs on a two-core box, and a fit makes 24 of them (16 steps and 8
+//! validations at the update fit's 52 + 12 rows).
+//!
 //! **Validation splits the same way.** When the fit has opened its helper,
 //! each validation batch of two or more rows is scored in two halves: the
 //! calling thread runs [`Sequential::infer`] on its first `⌈n/2⌉` rows,
@@ -42,13 +49,38 @@ use crate::optim::Optimizer;
 use fairdms_tensor::ops::PAR_MIN_WORK;
 use fairdms_tensor::{rng::TensorRng, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Multiply–adds of a training step per multiply–add of its forward pass:
 /// the forward pass, the input gradients and the parameter gradients.
 const STEP_PASSES: usize = 3;
+
+/// How long a shard hand-off's receive tries its channel before it parks:
+/// a parked thread's wake-up costs about 20 µs a round trip on a busy
+/// two-core box, a spinning receive well under one. Long enough to cover
+/// what the helper waits through between two steps — the caller's step
+/// tail (gradient merge, optimizer step and resync; about 55 µs over
+/// BraggNN's 36 K parameters on such a box) — short enough that a thread
+/// waiting on a whole shard parks after spending a few percent of it.
+const HANDOFF_SPIN: Duration = Duration::from_micros(80);
+
+/// Receives from `rx`, trying it for up to [`HANDOFF_SPIN`] before
+/// blocking; `Err` once the sender is gone and the channel empty.
+fn recv_handoff<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) if start.elapsed() < HANDOFF_SPIN => {
+                std::hint::spin_loop();
+            }
+            Err(TryRecvError::Empty) => return rx.recv(),
+        }
+    }
+}
 
 /// Cooperative cancellation handle for a training run.
 ///
@@ -253,7 +285,7 @@ impl Trainer {
                 let (work, todo) = mpsc::channel::<Shard>();
                 let (finished, done) = mpsc::channel();
                 s.spawn(move |_| {
-                    for mut shard in todo {
+                    while let Ok(mut shard) = recv_handoff(&todo) {
                         shard.run(loss);
                         if finished.send(shard).is_err() {
                             break;
@@ -457,7 +489,8 @@ impl<'a> Steps<'a> {
                     Some(helper) => {
                         helper.work.send(shard).expect("the shard helper exited");
                         let own = run_shard(net, self.loss, own_x, &own_y, rows);
-                        (own, helper.done.recv().expect("the shard helper exited"))
+                        let theirs = recv_handoff(&helper.done).expect("the shard helper exited");
+                        (own, theirs)
                     }
                     None => {
                         let own = run_shard(net, self.loss, own_x, &own_y, rows);
@@ -518,7 +551,7 @@ impl<'a> Steps<'a> {
         shard.batch_rows = None;
         helper.work.send(shard).expect("the shard helper exited");
         let head = net.infer(x.slice_rows(start, mid));
-        let shard = helper.done.recv().expect("the shard helper exited");
+        let shard = recv_handoff(&helper.done).expect("the shard helper exited");
         let mut dims = head.shape().to_vec();
         dims[0] = end - start;
         let mut rows = head.into_vec();

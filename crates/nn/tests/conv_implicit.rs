@@ -381,3 +381,69 @@ fn a_strided_layer_reads_only_its_taps() {
     assert_eq!(dx[1], 0.0);
     check(g, 1, 9, false);
 }
+
+#[test]
+fn every_channel_block_of_the_layout_matches_the_oracle() {
+    // The channels-last copy moves eight channels a block, then one at a
+    // time: 1, 2, 3 and 5 channels are all remainder, 8 one block of eight,
+    // 13 a block and five remainders. Each at every padding, at stride 1
+    // and at stride 2, on odd, non-square extents.
+    let mut seed = 300;
+    for c in [1, 2, 3, 5, 8, 13] {
+        for p in [0, 1, 2] {
+            for (h, w, s) in [(7, 9, 1), (9, 7, 2)] {
+                seed += 1;
+                let g = Geom {
+                    c,
+                    h,
+                    w,
+                    oc: 5,
+                    k: 3,
+                    s,
+                    p,
+                };
+                check(g, 2, seed, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn pixels_no_tap_reaches_read_zero() {
+    // At stride 3 a 2-wide kernel leaves every third row and column without
+    // a tap; at stride 2 with a 3-wide kernel and no padding, an even
+    // extent's last row and column lie past the last window. The layer's
+    // `∂X` storage held the input before, so a pixel it forgot to write
+    // would read an input value, not the oracle's 0.
+    let cases = [
+        (9, 8, 2, 3, 0),
+        (10, 11, 2, 3, 1),
+        (8, 8, 3, 2, 0),
+        (8, 7, 3, 2, 0),
+    ];
+    for (i, (h, w, k, s, p)) in cases.into_iter().enumerate() {
+        let g = Geom {
+            c: 5,
+            h,
+            w,
+            oc: 3,
+            k,
+            s,
+            p,
+        };
+        check(g, 2, 400 + i as u64, false);
+        let mut rng = TensorRng::seeded(500 + i as u64);
+        let mut conv = Conv2d::new(g.c, g.oc, k, s, p, &mut rng);
+        let y = conv.forward(rng.uniform(&[2, g.c, h, w], 1.0, 2.0));
+        let dx = conv.backward(Tensor::ones(y.shape()));
+        let tapped = |extent: usize, out: usize, at: usize| {
+            (0..out).any(|o| (0..k).any(|t| o * s + t == at + p)) && at < extent
+        };
+        for (j, &v) in dx.data().iter().enumerate() {
+            let (yy, xx) = (j / w % h, j % w);
+            if !tapped(h, g.oh(), yy) || !tapped(w, g.ow(), xx) {
+                assert_eq!(v.to_bits(), 0, "{g:?}: pixel ({yy}, {xx})");
+            }
+        }
+    }
+}

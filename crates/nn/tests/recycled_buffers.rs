@@ -48,6 +48,20 @@ fn cases() -> Vec<(&'static str, Box<dyn Layer>, Vec<usize>)> {
             Box::new(Conv2d::new(2, 3, 3, 2, 1, &mut rng)),
             image.clone(),
         ),
+        // Thirteen channels: the channels-last copy's blocks of eight and
+        // four and a single channel; stride 1, so `∂X` is written whole
+        // over stale storage.
+        (
+            "conv 13 channels",
+            Box::new(Conv2d::new(13, 3, 3, 1, 1, &mut rng)),
+            vec![13, 7, 7],
+        ),
+        // Stride 3, kernel 2: pixels between the taps, zeroed each step.
+        (
+            "conv stride 3",
+            Box::new(Conv2d::new(5, 2, 2, 3, 0, &mut rng)),
+            vec![5, 8, 8],
+        ),
         ("max pool", Box::new(MaxPool2d::new(2)), image.clone()),
         ("relu", Box::new(Activation::relu()), image.clone()),
         (
@@ -158,5 +172,41 @@ fn dropout_scales_each_batch_by_its_own_mask() {
         assert!(mask.data().iter().all(|&m| m == 0.0 || m == scale));
         assert!(mask.data().contains(&0.0) && mask.data().contains(&scale));
         assert_eq!(bits(&y), bits(&x.mul(&mask)), "{rows} rows");
+    }
+}
+
+#[test]
+fn a_convolution_rebuilds_its_scratch_when_the_image_changes() {
+    // The kept planes, padded `∂Y` and tile lists belong to one image size:
+    // alternating two sizes (and inferring on a third between the passes)
+    // must give a fresh clone's bits every step.
+    let mut rng = TensorRng::seeded(27);
+    let mut conv = Conv2d::new(6, 4, 3, 2, 1, &mut rng);
+    let fresh = conv.clone();
+    for (step, rows) in SIZES.into_iter().enumerate() {
+        let side = [9, 6][step % 2];
+        let x = rng.uniform(&[rows, 6, side, side], -2.0, 2.0);
+        let mut reference = fresh.clone();
+        let want_y = reference.forward(x.clone());
+        let dy = rng.uniform(want_y.shape(), -1.0, 1.0);
+        let want_dx = reference.backward(dy.clone());
+        let y = conv.forward(x);
+        assert_eq!(
+            bits(&y),
+            bits(&want_y),
+            "forward at {rows} rows, side {side}"
+        );
+        conv.infer(rng.uniform(&[3, 6, 5, 5], -2.0, 2.0));
+        let dx = conv.backward(dy);
+        assert_eq!(
+            bits(&dx),
+            bits(&want_dx),
+            "backward at {rows} rows, side {side}"
+        );
+        assert_eq!(
+            take_grads(&mut conv),
+            take_grads(&mut reference),
+            "{rows} rows"
+        );
     }
 }
