@@ -3,41 +3,17 @@
 //! Drop-in replacements for `std::sync::atomic::{AtomicUsize, AtomicU64,
 //! AtomicBool}` backed by the real std atomic. Without the `check`
 //! feature every method is an `#[inline]` delegation — identical
-//! codegen to std. With it, each operation on a model thread becomes a
-//! scheduler yield point and contributes happens-before edges matching
-//! its `Ordering`:
-//!
-//! * `Acquire` load / RMW — joins the location's release clock,
-//! * `Release` store / RMW — publishes the thread's clock to it,
-//! * `AcqRel` / `SeqCst` — both,
-//! * `Relaxed` — a yield point but **no** edge, so an algorithm that
-//!   leans on a `Relaxed` access for ordering shows up as a data race
-//!   on the cells it was supposed to order.
+//! codegen to std. With it, each operation on a model thread is first a
+//! scheduler yield point, so the explorer decides who runs it.
 //!
 //! The model serializes threads, so the underlying std operation always
 //! uses the caller's requested ordering unchanged — the wrapper only
-//! observes, never weakens.
+//! schedules, never weakens.
 
 use std::sync::atomic::Ordering;
 
 #[cfg(feature = "check")]
 use crate::rt;
-
-#[cfg(feature = "check")]
-fn pre_op(this: u64, ord: Ordering, op: &'static str) {
-    rt::op_yield(op);
-    // Release half happens before the store side of the operation.
-    if matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst) {
-        rt::sync_release(this);
-    }
-}
-
-#[cfg(feature = "check")]
-fn post_op(this: u64, ord: Ordering) {
-    if matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst) {
-        rt::sync_acquire(this);
-    }
-}
 
 macro_rules! model_atomic {
     ($name:ident, $std:ty, $val:ty) => {
@@ -55,43 +31,35 @@ macro_rules! model_atomic {
                 }
             }
 
-            /// Loads the value; an `Acquire`-or-stronger ordering joins
-            /// the location's release clock under the model.
+            /// Loads the value.
             #[inline]
             #[track_caller]
             pub fn load(&self, ord: Ordering) -> $val {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), Ordering::Relaxed, "atomic load");
-                let v = self.inner.load(ord);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), ord);
-                v
+                rt::op_yield("atomic load");
+                self.inner.load(ord)
             }
 
-            /// Stores a value; a `Release`-or-stronger ordering
-            /// publishes the thread's clock under the model.
+            /// Stores a value.
             #[inline]
             #[track_caller]
             pub fn store(&self, v: $val, ord: Ordering) {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), ord, "atomic store");
+                rt::op_yield("atomic store");
                 self.inner.store(v, ord);
             }
 
-            /// Atomic swap; read-modify-write edges per `ord`.
+            /// Atomic swap, returning the previous value.
             #[inline]
             #[track_caller]
             pub fn swap(&self, v: $val, ord: Ordering) -> $val {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), ord, "atomic swap");
-                let old = self.inner.swap(v, ord);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), ord);
-                old
+                rt::op_yield("atomic swap");
+                self.inner.swap(v, ord)
             }
 
-            /// Compare-exchange; edges per `success` on success (the
-            /// model runs serialized, failure edges follow `failure`).
+            /// Compare-exchange, returning the previous value on success
+            /// and the current one on failure.
             #[inline]
             #[track_caller]
             pub fn compare_exchange(
@@ -102,11 +70,8 @@ macro_rules! model_atomic {
                 failure: Ordering,
             ) -> Result<$val, $val> {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), success, "atomic compare_exchange");
-                let r = self.inner.compare_exchange(current, new, success, failure);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), if r.is_ok() { success } else { failure });
-                r
+                rt::op_yield("atomic compare_exchange");
+                self.inner.compare_exchange(current, new, success, failure)
             }
         }
     };
@@ -122,11 +87,8 @@ macro_rules! model_atomic_int {
             #[track_caller]
             pub fn fetch_add(&self, v: $val, ord: Ordering) -> $val {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), ord, "atomic fetch_add");
-                let old = self.inner.fetch_add(v, ord);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), ord);
-                old
+                rt::op_yield("atomic fetch_add");
+                self.inner.fetch_add(v, ord)
             }
 
             /// Atomic subtract, returning the previous value.
@@ -134,11 +96,8 @@ macro_rules! model_atomic_int {
             #[track_caller]
             pub fn fetch_sub(&self, v: $val, ord: Ordering) -> $val {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), ord, "atomic fetch_sub");
-                let old = self.inner.fetch_sub(v, ord);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), ord);
-                old
+                rt::op_yield("atomic fetch_sub");
+                self.inner.fetch_sub(v, ord)
             }
 
             /// Atomic maximum, returning the previous value.
@@ -146,11 +105,8 @@ macro_rules! model_atomic_int {
             #[track_caller]
             pub fn fetch_max(&self, v: $val, ord: Ordering) -> $val {
                 #[cfg(feature = "check")]
-                pre_op(rt::obj_id(self), ord, "atomic fetch_max");
-                let old = self.inner.fetch_max(v, ord);
-                #[cfg(feature = "check")]
-                post_op(rt::obj_id(self), ord);
-                old
+                rt::op_yield("atomic fetch_max");
+                self.inner.fetch_max(v, ord)
             }
         }
     };
@@ -166,10 +122,7 @@ impl AtomicBool {
     #[track_caller]
     pub fn fetch_or(&self, v: bool, ord: Ordering) -> bool {
         #[cfg(feature = "check")]
-        pre_op(rt::obj_id(self), ord, "atomic fetch_or");
-        let old = self.inner.fetch_or(v, ord);
-        #[cfg(feature = "check")]
-        post_op(rt::obj_id(self), ord);
-        old
+        rt::op_yield("atomic fetch_or");
+        self.inner.fetch_or(v, ord)
     }
 }

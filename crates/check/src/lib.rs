@@ -13,22 +13,23 @@
 //!   bounded-preemption budget (à la CHESS) for small models, seeded
 //!   random schedules for larger ones, with deterministic schedule replay
 //!   from a printed trace.
-//! * Dynamic analyses riding the same instrumentation: a vector-clock
-//!   **happens-before race detector** (FastTrack-style epochs per
-//!   location reported through [`rt::cell_read`] / [`rt::cell_write`])
-//!   and a **lock-order graph** with cycle detection that turns a
-//!   potential deadlock into a test failure carrying both acquisition
-//!   sites.
+//! * Dynamic analyses riding the same instrumentation: **deadlock
+//!   detection** (no thread runnable while some are blocked, reported
+//!   with every blocked site) and a **lock-order graph** with cycle
+//!   detection that turns a potential deadlock into a test failure
+//!   carrying both acquisition sites. Safe Rust cannot express a data
+//!   race and every crate forbids `unsafe`, so there is no race
+//!   detector.
 //! * [`lint`] — `repolint`, an xtask-style source gate
 //!   (`cargo run -p fairdms-check --bin repolint`) enforcing repo
 //!   invariants clippy cannot express: no `std::sync` primitives or
 //!   sleep-polling outside the shims, `// SAFETY:` on every `unsafe`,
 //!   no `static mut`, and an allowlist for `Ordering::Relaxed`.
 //!
-//! The scheduler, detectors, and lint engine are always compiled (so the
-//! crate's own tests run in the tier-1 suite); the `check` *feature* only
-//! switches the wrappers and shim hooks from passthroughs to
-//! instrumented operations. A default build is therefore bit-identical
+//! The scheduler, its analyses, and the lint engine are always compiled
+//! (so the crate's own tests run in the tier-1 suite); the `check`
+//! *feature* only switches the wrappers and shim hooks from passthroughs
+//! to instrumented operations. A default build is therefore bit-identical
 //! to a world without this crate.
 //!
 //! ## Writing a model-check test

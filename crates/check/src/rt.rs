@@ -79,17 +79,6 @@ pub fn op_yield(op: &'static str) {
     }
 }
 
-/// Spin-loop body marker: under the model this *forces* the token to
-/// another runnable thread (so exhaustive exploration never enumerates
-/// "spin one more time" schedules); outside it is a plain CPU hint.
-#[track_caller]
-pub fn spin_hint() {
-    match current() {
-        Some((s, t)) => s.spin_hint(t),
-        None => std::hint::spin_loop(),
-    }
-}
-
 /// Parks the model thread on `res` until [`unblock_all`] (or a notify /
 /// release hook) frees it. `timeoutable` marks operations with a real
 /// timeout (`recv_timeout`): the model fires the timeout only when no
@@ -110,9 +99,9 @@ pub fn unblock_all(res: u64) {
     }
 }
 
-/// Records a successful lock acquisition: happens-before acquire edge
-/// plus a lock-order-graph edge from every lock currently held (cycle ⇒
-/// failure with both acquisition sites).
+/// Records a successful lock acquisition: a lock-order-graph edge from
+/// every lock currently held (cycle ⇒ failure with both acquisition
+/// sites).
 #[track_caller]
 pub fn lock_acquired(res: u64) {
     if let Some((s, t)) = current() {
@@ -120,15 +109,15 @@ pub fn lock_acquired(res: u64) {
     }
 }
 
-/// Records a lock release: happens-before release edge, wakes waiters.
+/// Records a lock release and wakes its waiters.
 pub fn lock_released(res: u64) {
     if let Some((s, t)) = current() {
         s.lock_released(t, res);
     }
 }
 
-/// Condvar wait, first half: atomically releases `mutex_res` (edge +
-/// waiter wakeup) and parks as a waiter on `cv`. Returns once notified
+/// Condvar wait, first half: atomically releases `mutex_res` (waking
+/// its waiters) and parks as a waiter on `cv`. Returns once notified
 /// and scheduled; the caller then re-acquires the mutex through the
 /// normal lock path.
 #[track_caller]
@@ -140,42 +129,8 @@ pub fn cv_wait(cv: u64, mutex_res: u64) {
 
 /// Wakes one (lowest-tid — deterministic) or all waiters of `cv`.
 pub fn cv_notify(cv: u64, all: bool) {
-    if let Some((s, t)) = current() {
-        s.cv_notify(t, cv, all);
-    }
-}
-
-/// Standalone happens-before acquire edge from `res` (message receive,
-/// acquire-ordered atomic load).
-pub fn sync_acquire(res: u64) {
-    if let Some((s, t)) = current() {
-        s.sync_acquire(t, res);
-    }
-}
-
-/// Standalone happens-before release edge into `res` (message send,
-/// release-ordered atomic store).
-pub fn sync_release(res: u64) {
-    if let Some((s, t)) = current() {
-        s.sync_release(t, res);
-    }
-}
-
-/// Records a read of instrumented location `loc` for the race detector
-/// (a write unordered with it ⇒ data-race failure).
-#[track_caller]
-pub fn cell_read(loc: u64) {
-    if let Some((s, t)) = current() {
-        s.cell_access(t, loc, false);
-    }
-}
-
-/// Records a write of instrumented location `loc` for the race detector
-/// (any unordered conflicting access ⇒ data-race failure).
-#[track_caller]
-pub fn cell_write(loc: u64) {
-    if let Some((s, t)) = current() {
-        s.cell_access(t, loc, true);
+    if let Some((s, _)) = current() {
+        s.cv_notify(cv, all);
     }
 }
 

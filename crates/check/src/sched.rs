@@ -31,15 +31,13 @@
 //! in the scheduler as *blocked on a resource*; the releasing operation
 //! marks it runnable again. If no thread is runnable and some are
 //! blocked, the schedule is a **deadlock** and is reported with every
-//! thread's blocked site. Spin loops must call
-//! [`crate::rt::spin_hint`], which forces a switch away from the
-//! spinner so exhaustive exploration stays finite; a schedule exceeding
-//! `max_steps` is reported as a **livelock**.
+//! thread's blocked site. A schedule exceeding `max_steps` is reported
+//! as a **livelock**.
 //!
 //! ## Failure = replayable trace
 //!
-//! Any failure — data race, deadlock, lock-order cycle, livelock, or a
-//! plain assertion panic on a model thread — aborts the execution,
+//! Any failure — deadlock, lock-order cycle, livelock, or a plain
+//! assertion panic on a model thread — aborts the execution,
 //! winds every model thread down, and surfaces as a [`Failure`]
 //! carrying the [`Trace`] (the chosen thread id at every decision).
 //! [`Model::replay`] re-runs exactly that schedule.
@@ -51,73 +49,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
-// Vector clocks (FastTrack-style epochs for the race detector)
-// ---------------------------------------------------------------------------
-
-/// A vector clock over model-thread ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct VClock(Vec<u32>);
-
-impl VClock {
-    fn get(&self, tid: usize) -> u32 {
-        self.0.get(tid).copied().unwrap_or(0)
-    }
-
-    fn set(&mut self, tid: usize, v: u32) {
-        if self.0.len() <= tid {
-            self.0.resize(tid + 1, 0);
-        }
-        self.0[tid] = v;
-    }
-
-    fn tick(&mut self, tid: usize) {
-        let v = self.get(tid);
-        self.set(tid, v + 1);
-    }
-
-    fn join(&mut self, other: &VClock) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (i, v) in other.0.iter().enumerate() {
-            if self.0[i] < *v {
-                self.0[i] = *v;
-            }
-        }
-    }
-
-    /// Does the epoch `(tid, at)` happen-before this clock?
-    fn covers(&self, tid: usize, at: u32) -> bool {
-        self.get(tid) >= at
-    }
-}
-
-/// One recorded access epoch: thread, its clock component, source site.
-#[derive(Clone, Copy, Debug)]
-struct Epoch {
-    tid: usize,
-    at: u32,
-    site: &'static Location<'static>,
-}
-
-/// Shadow state of one instrumented memory location.
-#[derive(Default)]
-struct LocState {
-    last_write: Option<Epoch>,
-    /// Reads since the last write (one epoch per thread suffices: a
-    /// thread's later read supersedes its earlier one for HB checks).
-    reads: Vec<Epoch>,
-}
-
-// ---------------------------------------------------------------------------
 // Failures, traces, reports
 // ---------------------------------------------------------------------------
 
 /// What class of concurrency bug a failed execution exhibited.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureKind {
-    /// Two unordered conflicting accesses to an instrumented location.
-    DataRace,
     /// No thread runnable while some remain blocked.
     Deadlock,
     /// A cycle in the lock-acquisition-order graph.
@@ -255,8 +192,6 @@ struct ThreadSlot {
     op: &'static str,
     /// Wake kind to report when the parked operation resumes.
     wake: Wake,
-    /// Consecutive spin-hint yields while sole runnable (livelock guard).
-    solo_spins: u32,
 }
 
 /// One scheduling decision (for DFS backtracking and trace replay).
@@ -307,10 +242,7 @@ struct State {
     aborting: bool,
     all_finished: bool,
 
-    // --- dynamic analyses (reset per execution) ---
-    clocks: Vec<VClock>,
-    sync_clocks: HashMap<u64, VClock>,
-    locations: HashMap<u64, LocState>,
+    // --- lock-order analysis (reset per execution) ---
     held: Vec<Vec<LockHeld>>,
     /// Lock-order graph: `from` resource → acquired-while-held locks.
     lock_edges: HashMap<u64, Vec<(u64, LockEdge)>>,
@@ -329,7 +261,6 @@ pub struct Scheduler {
 pub(crate) struct SchedAbort;
 
 const MAX_MODEL_THREADS: usize = 64;
-const MAX_SOLO_SPINS: u32 = 256;
 
 impl Scheduler {
     fn new(mode: Mode, forced: Vec<usize>, seed: Option<u64>, max_steps: usize) -> Arc<Scheduler> {
@@ -338,10 +269,7 @@ impl Scheduler {
             site: Location::caller(),
             op: "start",
             wake: Wake::Normal,
-            solo_spins: 0,
         };
-        let mut clocks = vec![VClock::default()];
-        clocks[0].tick(0);
         Arc::new(Scheduler {
             state: Mutex::new(State {
                 threads: vec![root],
@@ -356,9 +284,6 @@ impl Scheduler {
                 failure: None,
                 aborting: false,
                 all_finished: false,
-                clocks,
-                sync_clocks: HashMap::new(),
-                locations: HashMap::new(),
                 held: vec![Vec::new()],
                 lock_edges: HashMap::new(),
             }),
@@ -403,11 +328,11 @@ impl Scheduler {
     /// Candidate order: current thread first (if runnable) so that
     /// choice index 0 is always the preemption-free default, then the
     /// rest by ascending tid (address-free ⇒ deterministic across runs).
-    fn candidates(s: &State, exclude_current: bool) -> (Vec<usize>, bool) {
+    fn candidates(s: &State) -> (Vec<usize>, bool) {
         let cur = s.current;
         let cur_runnable = matches!(s.threads.get(cur).map(|t| t.status), Some(Status::Runnable));
         let mut c = Vec::new();
-        if cur_runnable && !exclude_current {
+        if cur_runnable {
             c.push(cur);
         }
         for (tid, t) in s.threads.iter().enumerate() {
@@ -415,23 +340,13 @@ impl Scheduler {
                 c.push(tid);
             }
         }
-        if cur_runnable && exclude_current && c.is_empty() {
-            // A spin-hinted thread that is the sole runnable one keeps
-            // the token (and the livelock counter ticks).
-            c.push(cur);
-        }
-        (c, cur_runnable && !exclude_current)
+        (c, cur_runnable)
     }
 
     /// Makes one scheduling decision and hands the token over. Returns
     /// immediately when the calling thread keeps the token. Must be
     /// called with the state lock held; reacquires it internally.
-    fn schedule_next(
-        self: &Arc<Self>,
-        mut s: std::sync::MutexGuard<'_, State>,
-        me: usize,
-        exclude_current: bool,
-    ) {
+    fn schedule_next(self: &Arc<Self>, mut s: std::sync::MutexGuard<'_, State>, me: usize) {
         if s.aborting {
             drop(s);
             self.raise_abort();
@@ -439,8 +354,7 @@ impl Scheduler {
         }
         if s.decisions.len() >= s.max_steps {
             let msg = format!(
-                "schedule exceeded {} steps without completing (livelock? \
-                 unbounded polling loops must use fairdms_check::rt::spin_hint)",
+                "schedule exceeded {} steps without completing (livelock?)",
                 s.max_steps
             );
             self.fail(&mut s, FailureKind::Livelock, msg);
@@ -448,7 +362,7 @@ impl Scheduler {
             self.raise_abort();
             return;
         }
-        let (cands, preempt_base) = Self::candidates(&s, exclude_current);
+        let (cands, preempt_base) = Self::candidates(&s);
         if cands.is_empty() {
             if s.threads
                 .iter()
@@ -553,9 +467,6 @@ impl Scheduler {
             preempt_base,
             is_preemption,
         });
-        if chosen != me {
-            s.threads[me].solo_spins = 0;
-        }
         s.current = chosen;
         if chosen == me {
             return;
@@ -595,32 +506,7 @@ impl Scheduler {
         let mut s = self.lock();
         s.threads[me].site = Location::caller();
         s.threads[me].op = op;
-        s.threads[me].solo_spins = 0;
-        self.schedule_next(s, me, false);
-    }
-
-    /// A spin-loop hint: forces the token away from the spinner so DFS
-    /// never enumerates "spin once more" schedules; detects solo-spin
-    /// livelock.
-    #[track_caller]
-    pub(crate) fn spin_hint(self: &Arc<Self>, me: usize) {
-        let mut s = self.lock();
-        s.threads[me].site = Location::caller();
-        s.threads[me].op = "spin";
-        s.threads[me].solo_spins += 1;
-        if s.threads[me].solo_spins > MAX_SOLO_SPINS {
-            let msg = format!(
-                "thread {me} spun {MAX_SOLO_SPINS}+ times as the only runnable \
-                 thread at {}:{} — the condition it spins on can never change",
-                s.threads[me].site.file(),
-                s.threads[me].site.line()
-            );
-            self.fail(&mut s, FailureKind::Livelock, msg);
-            drop(s);
-            self.raise_abort();
-            return;
-        }
-        self.schedule_next(s, me, true);
+        self.schedule_next(s, me);
     }
 
     /// Parks on `res` until [`Scheduler::unblock`] releases it.
@@ -637,8 +523,7 @@ impl Scheduler {
         s.threads[me].op = op;
         s.threads[me].status = Status::Blocked { res, timeoutable };
         s.threads[me].wake = Wake::Normal;
-        s.threads[me].solo_spins = 0;
-        self.schedule_next(s, me, false);
+        self.schedule_next(s, me);
         let s = self.lock();
         s.threads[me].wake
     }
@@ -659,18 +544,17 @@ impl Scheduler {
 
     // -- condvars ----------------------------------------------------------
 
-    /// Atomically: record the mutex release (HB edge + unblock its
-    /// waiters), park this thread as a waiter on condvar `cv`, and hand
-    /// the token over. Returns once notified *and* scheduled. The caller
-    /// is responsible for having dropped the real mutex guard first and
-    /// for reacquiring afterwards.
+    /// Atomically: record the mutex release (unblock its waiters), park
+    /// this thread as a waiter on condvar `cv`, and hand the token over.
+    /// Returns once notified *and* scheduled. The caller is responsible
+    /// for having dropped the real mutex guard first and for reacquiring
+    /// afterwards.
     #[track_caller]
     pub(crate) fn cv_wait(self: &Arc<Self>, me: usize, cv: u64, mutex_res: u64) {
         let mut s = self.lock();
         s.threads[me].site = Location::caller();
         s.threads[me].op = "condvar wait";
         // Mutex release half (mirror of lock_released, under one lock).
-        Self::release_clock(&mut s, me, mutex_res);
         s.held[me].retain(|h| h.res != mutex_res);
         for t in s.threads.iter_mut() {
             if let Status::Blocked { res: r, .. } = t.status {
@@ -680,17 +564,12 @@ impl Scheduler {
             }
         }
         s.threads[me].status = Status::CondWait { res: cv };
-        self.schedule_next(s, me, false);
-        // Notified and scheduled: acquire the condvar's clock.
-        let mut s = self.lock();
-        Self::acquire_clock(&mut s, me, cv);
+        self.schedule_next(s, me);
     }
 
-    /// Wakes one (lowest-tid) or all waiters of condvar `cv`, with a
-    /// release edge from the notifier.
-    pub(crate) fn cv_notify(&self, me: usize, cv: u64, all: bool) {
+    /// Wakes one (lowest-tid) or all waiters of condvar `cv`.
+    pub(crate) fn cv_notify(&self, cv: u64, all: bool) {
         let mut s = self.lock();
-        Self::release_clock(&mut s, me, cv);
         let mut woken = 0;
         for t in s.threads.iter_mut() {
             if let Status::CondWait { res } = t.status {
@@ -706,43 +585,15 @@ impl Scheduler {
         }
     }
 
-    // -- vector clocks -----------------------------------------------------
-
-    fn acquire_clock(s: &mut State, me: usize, res: u64) {
-        if let Some(c) = s.sync_clocks.get(&res) {
-            let c = c.clone();
-            s.clocks[me].join(&c);
-        }
-    }
-
-    fn release_clock(s: &mut State, me: usize, res: u64) {
-        let mine = s.clocks[me].clone();
-        s.sync_clocks.entry(res).or_default().join(&mine);
-        s.clocks[me].tick(me);
-    }
-
-    /// Sync-acquire edge (lock acquired, message received, …).
-    pub(crate) fn sync_acquire(&self, me: usize, res: u64) {
-        let mut s = self.lock();
-        Self::acquire_clock(&mut s, me, res);
-    }
-
-    /// Sync-release edge (lock released, message sent, …).
-    pub(crate) fn sync_release(&self, me: usize, res: u64) {
-        let mut s = self.lock();
-        Self::release_clock(&mut s, me, res);
-    }
-
     // -- lock-order graph --------------------------------------------------
 
-    /// Registers a lock acquisition: HB acquire edge plus lock-order
-    /// edges from every lock currently held by this thread, with cycle
-    /// detection over the edges seen this execution.
+    /// Registers a lock acquisition: lock-order edges from every lock
+    /// currently held by this thread, with cycle detection over the edges
+    /// seen this execution.
     #[track_caller]
     pub(crate) fn lock_acquired(self: &Arc<Self>, me: usize, res: u64) {
         let site = Location::caller();
         let mut s = self.lock();
-        Self::acquire_clock(&mut s, me, res);
         let held: Vec<(u64, &'static Location<'static>)> =
             s.held[me].iter().map(|h| (h.res, h.site)).collect();
         for (from, from_site) in held {
@@ -823,10 +674,9 @@ impl Scheduler {
         go(edges, from, to, &mut seen, &mut path).then_some(path)
     }
 
-    /// Registers a lock release: HB release edge, drop from held set.
+    /// Registers a lock release: drop from held set, wake its waiters.
     pub(crate) fn lock_released(&self, me: usize, res: u64) {
         let mut s = self.lock();
-        Self::release_clock(&mut s, me, res);
         s.held[me].retain(|h| h.res != res);
         for t in s.threads.iter_mut() {
             if let Status::Blocked { res: r, .. } = t.status {
@@ -837,67 +687,11 @@ impl Scheduler {
         }
     }
 
-    // -- race detector -----------------------------------------------------
-
-    /// Records a read of `loc` and flags it if the last write is not
-    /// ordered before it.
-    #[track_caller]
-    pub(crate) fn cell_access(self: &Arc<Self>, me: usize, loc: u64, is_write: bool) {
-        let site = Location::caller();
-        let mut s = self.lock();
-        let my_at = s.clocks[me].get(me);
-        let my_clock = s.clocks[me].clone();
-        let st = s.locations.entry(loc).or_default();
-        let mut conflict: Option<Epoch> = None;
-        if let Some(w) = st.last_write {
-            if w.tid != me && !my_clock.covers(w.tid, w.at) {
-                conflict = Some(w);
-            }
-        }
-        if is_write && conflict.is_none() {
-            for r in &st.reads {
-                if r.tid != me && !my_clock.covers(r.tid, r.at) {
-                    conflict = Some(*r);
-                    break;
-                }
-            }
-        }
-        let epoch = Epoch {
-            tid: me,
-            at: my_at,
-            site,
-        };
-        if is_write {
-            st.last_write = Some(epoch);
-            st.reads.clear();
-        } else {
-            st.reads.retain(|r| r.tid != me);
-            st.reads.push(epoch);
-        }
-        if let Some(other) = conflict {
-            let msg = format!(
-                "data race: {} at {}:{} (thread {me}) is unordered with the {} at \
-                 {}:{} (thread {})",
-                if is_write { "write" } else { "read" },
-                site.file(),
-                site.line(),
-                "conflicting access",
-                other.site.file(),
-                other.site.line(),
-                other.tid
-            );
-            self.fail(&mut s, FailureKind::DataRace, msg);
-            drop(s);
-            self.raise_abort();
-        }
-    }
-
     // -- model-thread lifecycle --------------------------------------------
 
-    /// Registers a child model thread spawned by `parent`. The child
-    /// starts runnable (its OS thread gates on the token in
-    /// [`Scheduler::thread_begin`]).
-    pub(crate) fn register_thread(&self, parent: usize) -> usize {
+    /// Registers a child model thread. The child starts runnable (its
+    /// OS thread gates on the token in [`Scheduler::thread_begin`]).
+    pub(crate) fn register_thread(&self) -> usize {
         let mut s = self.lock();
         let tid = s.threads.len();
         assert!(tid < MAX_MODEL_THREADS, "model spawned too many threads");
@@ -906,13 +700,7 @@ impl Scheduler {
             site: Location::caller(),
             op: "spawned",
             wake: Wake::Normal,
-            solo_spins: 0,
         });
-        let parent_clock = s.clocks[parent].clone();
-        let mut child_clock = parent_clock;
-        child_clock.tick(tid);
-        s.clocks.push(child_clock);
-        s.clocks[parent].tick(parent);
         s.held.push(Vec::new());
         tid
     }
@@ -953,18 +741,15 @@ impl Scheduler {
                 }
             }
         }
-        // Joiners synchronize with everything the thread did.
-        Self::release_clock(&mut s, me, res);
         if s.aborting {
             self.cv.notify_all();
             // Wind-down: don't schedule, just leave.
             return;
         }
-        self.schedule_next(s, me, false);
+        self.schedule_next(s, me);
     }
 
-    /// Model-aware join: parks until `tid` finishes, then acquires its
-    /// final clock.
+    /// Model-aware join: parks until `tid` finishes.
     #[track_caller]
     pub(crate) fn join_thread(self: &Arc<Self>, me: usize, tid: usize) {
         let res = thread_res(tid);
@@ -981,7 +766,6 @@ impl Scheduler {
             }
             self.block_on(me, res, false, "thread join");
         }
-        self.sync_acquire(me, res);
     }
 
     /// Explorer-side wait for logical completion of every model thread.
@@ -994,15 +778,6 @@ impl Scheduler {
                 .all(|t| matches!(t.status, Status::Finished))
             {
                 return true;
-            }
-            if s.aborting
-                && s.threads
-                    .iter()
-                    .all(|t| matches!(t.status, Status::Finished | Status::Runnable))
-            {
-                // Aborting: runnable threads are free-running to their
-                // wrapper; parked ones were woken by fail(). Keep waiting
-                // for Finished marks below.
             }
             let now = Instant::now();
             if now >= deadline {
@@ -1030,8 +805,8 @@ fn thread_res(tid: usize) -> u64 {
 /// Exploration configuration: one instance checks one model closure.
 #[derive(Clone, Copy, Debug)]
 pub struct Model {
-    /// CHESS-style preemption budget for exhaustive DFS (involuntary
-    /// switches — blocking, spin hints — are free).
+    /// CHESS-style preemption budget for exhaustive DFS (a switch the
+    /// running thread forces by blocking or finishing is free).
     pub preemption_bound: usize,
     /// Hard cap on interleavings explored by one call.
     pub max_interleavings: usize,

@@ -7,8 +7,8 @@
 //! feature) the child is registered with the execution's scheduler: it
 //! runs as a real OS thread but only when holding the scheduler token,
 //! its panics are captured as model failures instead of unwinding the
-//! process, and `join` parks through the scheduler (with a
-//! happens-before edge from everything the child did).
+//! process, and `join` parks through the scheduler until the child
+//! has finished.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,7 +30,7 @@ enum Inner<T> {
 impl<T> JoinHandle<T> {
     /// Waits for the thread to finish, returning its value or the panic
     /// payload. Under the model, parks through the scheduler so other
-    /// threads keep running, and joins the child's vector clock.
+    /// threads keep running.
     #[track_caller]
     pub fn join(self) -> std::thread::Result<T> {
         match self.inner {
@@ -48,14 +48,6 @@ impl<T> JoinHandle<T> {
                     Err(e) => Err(e),
                 }
             }
-        }
-    }
-
-    /// Whether the thread has finished (std passthrough semantics).
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            Inner::Std(h) => h.is_finished(),
-            Inner::Model { handle, .. } => handle.is_finished(),
         }
     }
 }
@@ -94,8 +86,8 @@ impl Builder {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        if let Some((sched, me)) = crate::rt::current() {
-            let tid = sched.register_thread(me);
+        if let Some((sched, _)) = crate::rt::current() {
+            let tid = sched.register_thread();
             let child_sched = std::sync::Arc::clone(&sched);
             let handle = self.inner.spawn(move || {
                 crate::rt::set_ctx(std::sync::Arc::clone(&child_sched), tid);

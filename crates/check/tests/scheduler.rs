@@ -60,74 +60,6 @@ fn exhaustive_finds_lost_update() {
     assert!(!f.trace.0.is_empty());
 }
 
-/// Unordered conflicting cell accesses are a data race; the failure
-/// carries a trace that replays to the same race deterministically.
-#[test]
-fn race_detected_and_replayable() {
-    const LOC: u64 = 0x1000;
-    let model = || {
-        let t = thread::spawn(|| {
-            rt::cell_write(LOC);
-        });
-        rt::cell_write(LOC);
-        t.join().unwrap();
-    };
-    let report = Model::default().check_exhaustive(model);
-    let f = report.failure.expect("race must be found");
-    assert_eq!(f.kind, FailureKind::DataRace, "{}", f.message);
-    assert!(
-        f.message.contains("scheduler.rs"),
-        "sites in message: {}",
-        f.message
-    );
-
-    let replay = Model::default().replay(&f.trace.to_string(), model);
-    let rf = replay.failure.expect("replay must reproduce");
-    assert_eq!(rf.kind, FailureKind::DataRace);
-}
-
-/// The same accesses ordered by a join edge are not a race.
-#[test]
-fn join_edge_orders_accesses() {
-    const LOC: u64 = 0x2000;
-    let report = Model::default().check_exhaustive(|| {
-        let t = thread::spawn(|| {
-            rt::cell_write(LOC);
-        });
-        t.join().unwrap();
-        rt::cell_write(LOC);
-    });
-    report.assert_pass("join-ordered writes");
-    assert!(report.exhausted);
-}
-
-/// Release/acquire edges through a sync resource order accesses.
-#[test]
-fn sync_edge_orders_accesses() {
-    const LOC: u64 = 0x3000;
-    const RES: u64 = 0x3001;
-    let report = Model::default().check_exhaustive(|| {
-        let t = thread::spawn(|| {
-            rt::cell_write(LOC);
-            rt::sync_release(RES);
-            rt::unblock_all(RES);
-        });
-        // Wait for the writer's release, then read with an acquire edge.
-        rt::block_on(RES, true, "wait for publish");
-        rt::sync_acquire(RES);
-        rt::cell_read(LOC);
-        t.join().unwrap();
-    });
-    // NB: the block may time out (fire before the release) in some
-    // schedules — then the acquire joins an empty clock and the read
-    // races. That is real behaviour for a timeout path; restrict the
-    // assertion to schedules where the race detector stayed quiet after
-    // a normal wake by accepting only DataRace-free completion here.
-    if let Some(f) = &report.failure {
-        assert_eq!(f.kind, FailureKind::DataRace, "unexpected: {}", f.message);
-    }
-}
-
 /// A thread parked on a resource nobody releases is a deadlock, and the
 /// diagnostic names the blocked site.
 #[test]
@@ -175,29 +107,6 @@ fn lock_order_cycle_detected() {
     let f = report.failure.expect("cycle must be found");
     assert_eq!(f.kind, FailureKind::LockOrderCycle);
     assert!(f.message.contains("->"), "{}", f.message);
-}
-
-/// Spin loops marked with the hint stay finite under exploration: the
-/// spinner only re-runs when the other thread has had a chance to
-/// change the condition.
-#[test]
-fn spin_hint_keeps_exploration_finite() {
-    let report = Model::default().check_exhaustive(|| {
-        let flag = Arc::new(AtomicUsize::new(0));
-        let setter = {
-            let flag = Arc::clone(&flag);
-            thread::spawn(move || {
-                rt::op_yield("pre-set");
-                flag.store(1, Ordering::SeqCst);
-            })
-        };
-        while flag.load(Ordering::SeqCst) == 0 {
-            rt::spin_hint();
-        }
-        setter.join().unwrap();
-    });
-    report.assert_pass("spin wait");
-    assert!(report.exhausted);
 }
 
 /// Random exploration is reproducible: the same seed yields the same

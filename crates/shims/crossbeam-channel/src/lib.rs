@@ -74,8 +74,8 @@ struct Chan<T> {
 }
 
 impl<T> Chan<T> {
-    /// Base model resource: the channel's happens-before clock (every
-    /// send releases into it, every successful recv acquires from it).
+    /// Base model resource: the channel's identity, from which its two
+    /// wait queues derive.
     #[cfg(feature = "check")]
     fn res(&self) -> u64 {
         rt::obj_id(self)
@@ -212,7 +212,6 @@ impl<T> Sender<T> {
                 if q.len() < self.chan.capacity {
                     q.push_back(value);
                     drop(q);
-                    rt::sync_release(self.chan.res());
                     rt::unblock_all(self.chan.res_not_empty());
                     return Ok(());
                 }
@@ -262,7 +261,6 @@ impl<T> Sender<T> {
         #[cfg(feature = "check")]
         if rt::is_model_thread() {
             drop(q);
-            rt::sync_release(self.chan.res());
             rt::unblock_all(self.chan.res_not_empty());
             return Ok(());
         }
@@ -281,7 +279,6 @@ impl<T> Receiver<T> {
                 let mut q = self.chan.queue.lock().expect("channel mutex");
                 if let Some(v) = q.pop_front() {
                     drop(q);
-                    rt::sync_acquire(self.chan.res());
                     rt::unblock_all(self.chan.res_not_full());
                     return Ok(v);
                 }
@@ -327,7 +324,6 @@ impl<T> Receiver<T> {
             #[cfg(feature = "check")]
             if rt::is_model_thread() {
                 drop(q);
-                rt::sync_acquire(self.chan.res());
                 rt::unblock_all(self.chan.res_not_full());
                 return Ok(v);
             }
@@ -352,7 +348,6 @@ impl<T> Receiver<T> {
                 let mut q = self.chan.queue.lock().expect("channel mutex");
                 if let Some(v) = q.pop_front() {
                     drop(q);
-                    rt::sync_acquire(self.chan.res());
                     rt::unblock_all(self.chan.res_not_full());
                     return Ok(v);
                 }
@@ -365,7 +360,6 @@ impl<T> Receiver<T> {
                 let mut q = self.chan.queue.lock().expect("channel mutex");
                 if let Some(v) = q.pop_front() {
                     drop(q);
-                    rt::sync_acquire(self.chan.res());
                     rt::unblock_all(self.chan.res_not_full());
                     return Ok(v);
                 }
