@@ -19,6 +19,9 @@
 //! * the embedder's first layer at request size (16×256 · 512×256ᵀ +
 //!   bias) against a [`PackedB`] ≥1.5× the same product packing per call:
 //!   a frozen forward pass that quietly went back to packing reads 1×;
+//! * that packed product no slower than the naive `ikj` reference on the
+//!   same shape: the register tile depends on the SLP vectorizer, and a
+//!   tile that lost it reads about a quarter of naive's rate;
 //! * BraggNN's second convolution, forward + backward, ≥3× a direct
 //!   seven-loop convolution on the same batch;
 //! * that convolution's backward pass (with `∂X`) ≤1.9× its forward pass:
@@ -344,7 +347,7 @@ fn bench_gemm(c: &mut Criterion) {
     // where the 256×512 weight is most of the bytes touched, and the read
     // index's query-group-against-one-ball distance block, where the
     // strided transposed pack is as much work as the product.
-    let packed_embed = {
+    let (packed_embed, packed_embed_vs_naive) = {
         let (m, k, n) = (16, 256, 512);
         let mut rng = TensorRng::seeded(0);
         let x = rng.uniform(&[m, k], -1.0, 1.0);
@@ -379,7 +382,28 @@ fn bench_gemm(c: &mut Criterion) {
         let speedup = paired_speedup(&lat_packed, &lat_per_call);
         println!("embed 16x256x512: packed {speedup:.2}x per-call (paired median)");
         report.add_metric("embed_packed_vs_per_call", speedup);
-        speedup
+        let wt = w.transpose();
+        let (lat_packed, lat_naive) = measure_pair(
+            400,
+            || {
+                black_box(packed());
+            },
+            || {
+                let mut y = ops::matmul_naive(&x, &wt);
+                y.add_row_broadcast(&bias);
+                black_box(y);
+            },
+        );
+        summarize(
+            &mut report,
+            "gemm/embed_16x256x512_naive",
+            &lat_naive,
+            flops,
+        );
+        let vs_naive = paired_speedup(&lat_packed, &lat_naive);
+        println!("embed 16x256x512: packed {vs_naive:.2}x naive (paired median)");
+        report.add_metric("embed_packed_vs_naive", vs_naive);
+        (speedup, vs_naive)
     };
     {
         let (m, k, n) = (2, 16, 64);
@@ -682,6 +706,12 @@ fn bench_gemm(c: &mut Criterion) {
     assert!(
         packed_embed >= 1.5,
         "the packed embed product must be ≥1.5x the per-call one, got {packed_embed:.2}x"
+    );
+    // The register tile is only as fast as its vectorization: a tile that
+    // lost it falls below the naive loop on the same product.
+    assert!(
+        packed_embed_vs_naive >= 1.0,
+        "the packed embed product must be no slower than the naive one, got {packed_embed_vs_naive:.2}x"
     );
     assert!(
         conv_speedup >= 3.0,

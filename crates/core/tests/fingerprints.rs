@@ -15,8 +15,9 @@
 
 use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::{FairDS, FairDsConfig};
-use fairdms_core::fairms::{ModelZoo, ZooEntry};
+use fairdms_core::fairms::{ModelManager, ModelZoo, ZooEntry};
 use fairdms_core::models::ArchSpec;
+use fairdms_core::workflow::{RapidTrainer, RapidTrainerConfig};
 use fairdms_core::{AutoencoderEmbedder, ByolEmbedder, Embedder};
 use fairdms_nn::checkpoint;
 use fairdms_nn::loss::Mse;
@@ -146,6 +147,67 @@ fn plane_hashes() -> [(&'static str, u64); 4] {
     ]
 }
 
+/// A k = 8 workflow over 16×16 frames with the served embedder's shape
+/// (256 → 512 → 8): a 1,024-frame bootstrap and a 1,024-frame ingest of
+/// other frames (embeds above the engine's split gate), one
+/// `RapidTrainer::update_model` (label, fit a BraggNN from scratch,
+/// register, ingest), then a `retrain_system` over the store and a fresh
+/// batch. Hashes the update's checkpoint and
+/// validation curve — BraggNN's `Dense(64→32)` and `Dense(32→2)` — and the
+/// embeddings and clusters the retrain wrote back into the store, K-means'
+/// distances to eight centroids.
+fn workflow_hashes() -> [(&'static str, u64); 2] {
+    let mut rng = TensorRng::seeded(31);
+    let history = rng.uniform(&[1_024, 256], 0.0, 1.0);
+    let ingested = rng.uniform(&[1_024, 256], 0.0, 1.0);
+    let labels = rng.uniform(&[1_024, 2], 0.2, 0.8);
+    let scan = rng.uniform(&[64, 256], 0.0, 1.0);
+    let fresh = rng.uniform(&[64, 256], 0.0, 1.0);
+
+    let fairds = FairDS::in_memory(
+        Box::new(AutoencoderEmbedder::new(256, 512, 8, 32)),
+        FairDsConfig {
+            k: Some(8),
+            seed: 33,
+            ..FairDsConfig::default()
+        },
+    );
+    let mut cfg = RapidTrainerConfig::new(ArchSpec::BraggNN { patch: 16 }, 16);
+    cfg.train.epochs = 4;
+    cfg.train.batch_size = 16;
+    cfg.seed = 34;
+    let mut trainer = RapidTrainer::new(fairds, ModelManager::default(), cfg);
+    let embed_cfg = EmbedTrainConfig {
+        epochs: 1,
+        batch_size: 64,
+        seed: 35,
+        ..EmbedTrainConfig::default()
+    };
+    assert_eq!(trainer.fairds.train_system(&history, &embed_cfg), 8);
+    trainer.fairds.ingest_labeled(&ingested, &labels, 0);
+
+    let fallback = |row: &[f32]| vec![row[0], row[255]];
+    let (net, report) = trainer.update_model(&scan, fallback, 1);
+    let curve = report.train_report.val_curve();
+    let curve = curve.iter().flat_map(|v| v.to_bits().to_le_bytes());
+    let update_hash = fnv1a(checkpoint::save(&net).into_iter().chain(curve));
+
+    assert_eq!(trainer.fairds.retrain_system(&fresh, &embed_cfg), 8);
+    let store = trainer.fairds.store();
+    let mut written = Vec::new();
+    for id in store.ids() {
+        let doc = store.get(id).expect("a listed document");
+        let embedding = doc.get_f32s("embedding").expect("an embedding");
+        written.extend(embedding.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        let cluster = doc.get_i64("cluster").expect("a cluster");
+        written.extend(cluster.to_le_bytes());
+    }
+    [
+        ("rapid_update_checkpoint", update_hash),
+        ("retrain_written_back", fnv1a(written)),
+    ]
+}
+
 /// `rank_top_k` over 300 seeded random zoos, hashing the ids and score
 /// bits at k = 1, k = 3 and the full ranking. Each zoo registers some of
 /// its PDFs more than once (ties the stable sort orders by id), every
@@ -255,15 +317,17 @@ fn fingerprints() -> Vec<(&'static str, u64)> {
     ];
     rows.extend(plane_hashes());
     rows.push(("zoo_rank_top_k", ranking_hash()));
+    rows.extend(workflow_hashes());
     rows
 }
 
 /// The hashes recorded at the commit before convolutions read their
 /// operands in place (the first four rows), at the commit before layers
-/// took their tensors by value (the next five) and at `ea0e2a7` (the
+/// took their tensors by value (the next five), at `ea0e2a7` (the
 /// read plane and ranking rows, added by a change that touched neither
-/// path).
-const EXPECTED: [(&str, u64); 14] = [
+/// path) and at `d51cee9` (the workflow rows, recorded before the GEMM
+/// register tile widened from 8 to 16 columns).
+const EXPECTED: [(&str, u64); 16] = [
     ("braggnn16_update_fit", 0x59ce_bc47_bde9_c77d),
     ("braggnn16_finetune", 0x1c73_b1ff_b440_08d5),
     ("cookienetae16_fit", 0x3189_c984_2675_1744),
@@ -278,11 +342,12 @@ const EXPECTED: [(&str, u64); 14] = [
     ("k4_plane_certainty", 0xab39_6932_2a2d_b750),
     ("k4_plane_pseudo_label", 0xbb0c_1046_3570_17db),
     ("zoo_rank_top_k", 0x4ac1_a374_de7f_d801),
+    ("rapid_update_checkpoint", 0xe19e_7f53_afa6_e7c8),
+    ("retrain_written_back", 0x7b1b_6e6f_aea2_a330),
 ];
 
-#[test]
-fn training_results_match_their_recorded_fingerprints() {
-    let actual = fingerprints();
+/// Panics, printing the actual table, unless `actual` is the recorded one.
+fn assert_recorded(actual: &[(&str, u64)], pool: &str) {
     let table: String = actual
         .iter()
         .map(|(row, hash)| format!("    (\"{row}\", 0x{hash:016x}),\n"))
@@ -295,8 +360,29 @@ fn training_results_match_their_recorded_fingerprints() {
         .collect();
     assert!(
         actual.len() == EXPECTED.len() && moved.is_empty(),
-        "fingerprints moved: {moved:?}; the actual table is:\n{table}"
+        "fingerprints moved on {pool}: {moved:?}; the actual table is:\n{table}"
     );
+}
+
+#[test]
+fn training_results_match_their_recorded_fingerprints() {
+    assert_recorded(&fingerprints(), "the default pool");
+}
+
+/// The table does not depend on the pool width. A product above the
+/// engine's split gate (the workflow rows' 1,024-frame embeds) hands each
+/// worker whole register tiles of rows, and a fit above the trainer's gate
+/// runs its shards on a helper: a one-wide pool runs both on the calling
+/// thread, a three-wide one splits 1,024 rows into 344 + 344 + 336.
+#[test]
+fn the_table_holds_on_pools_of_width_one_and_three() {
+    for width in [1, 3] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("a pool");
+        assert_recorded(&pool.install(fingerprints), &format!("a {width}-wide pool"));
+    }
 }
 
 /// A fingerprint is a function of the run, not of the process: the same

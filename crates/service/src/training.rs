@@ -13,7 +13,6 @@ use fairdms_core::embedding::EmbedTrainConfig;
 use fairdms_core::fairds::RetrainJob;
 use fairdms_core::workflow::{RapidTrainer, UpdateJob};
 use fairdms_flows::jobs::{CancelToken, JobPool, TenantId};
-use fairdms_nn::checkpoint;
 use fairdms_nn::trainer::TrainControl;
 use fairdms_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,11 +231,15 @@ impl TrainingExec {
                 count(&metrics.training_jobs_superseded, 1);
                 Err(ServiceError::Superseded)
             }
+            // The reply carries the bytes the zoo registered: the network
+            // is serialized once, by the registration.
             Outcome::Update(job) => {
-                let (net, report) = trainer.complete_update(*job);
+                let (_, report) = trainer.complete_update(*job);
                 count(&metrics.training_jobs_completed, 1);
+                let zoo = trainer.zoo.snapshot();
+                let entry = zoo.get(report.registered_id).expect("just registered");
                 Ok(Reply::Updated {
-                    checkpoint: checkpoint::save(&net),
+                    checkpoint: entry.checkpoint.clone(),
                     report,
                 })
             }

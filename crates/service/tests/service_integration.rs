@@ -418,6 +418,32 @@ fn update_model_round_trips_a_checkpoint() {
     handle.shutdown();
 }
 
+/// An `Updated` reply carries the checkpoint the zoo registered: the bytes
+/// `FetchModel` returns for its `registered_id`, from scratch and when
+/// fine-tuned, and a checkpoint that loads into the architecture and
+/// saves back to itself.
+#[test]
+fn every_updated_reply_carries_the_registered_checkpoint() {
+    let (client, handle) = spawn_server(6, false);
+    let (x, y) = blob_images(25, 2, 7);
+    client.train_system(x.clone(), embed_cfg()).unwrap();
+    client.ingest(x, y, 0).unwrap();
+
+    for scan in 1..=3 {
+        let (x_new, _) = blob_images(15, 2, 20 + scan as u64);
+        let (ckpt, report) = client.update_model(x_new, scan).unwrap();
+        assert_eq!(report.foundation.is_some(), scan > 1, "scan {scan}");
+        let (fetched, _) = client.fetch(report.registered_id).unwrap();
+        assert_eq!(fetched, ckpt, "scan {scan}: reply vs FetchModel");
+        let mut net = ArchSpec::BraggNN { patch: SIDE }.build(0);
+        fairdms_nn::checkpoint::load(&mut net, &ckpt).unwrap();
+        assert_eq!(fairdms_nn::checkpoint::save(&net), ckpt, "scan {scan}");
+    }
+
+    drop(client);
+    handle.shutdown();
+}
+
 #[test]
 fn a_two_frame_update_trains_on_one_sample_batches() {
     // Two frames split into one training and one validation row: every

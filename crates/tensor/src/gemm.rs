@@ -22,12 +22,13 @@
 //!   the pack, touching each element once. An operand that outlives many
 //!   products is packed once instead ([`PackedB`]): the block loop then
 //!   borrows its panels, and everything from there on is the same code.
-//! * **Register micro-kernel.** An `MR×NR` accumulator array of plain
-//!   `f32` lives entirely in registers; the hand-unrolled `NR`-wide inner
-//!   statements autovectorize on stable rustc (the accumulator array is
-//!   exactly the shape LLVM's SLP vectorizer wants). No `std::arch`
-//!   intrinsics, no nightly `portable_simd` — the offline shim toolchain
-//!   stays buildable everywhere.
+//! * **Register micro-kernel.** A 4×16 (`MR×NR`) accumulator array of
+//!   plain `f32` lives entirely in registers: eight 8-lane vectors, the
+//!   shape of the convolution's [`shifted_tile`]. Its constant-bound index
+//!   loops autovectorize on stable rustc (the accumulator array is exactly
+//!   the shape LLVM's SLP vectorizer wants). No `std::arch` intrinsics, no
+//!   nightly `portable_simd` — the offline shim toolchain stays buildable
+//!   everywhere.
 //! * **Deterministic parallelism.** Rayon parallelizes over contiguous
 //!   row ranges of C only, in **one parallel region per call**: each worker
 //!   runs the whole block loop (packing included) over its own rows, so a
@@ -76,16 +77,21 @@ pub const KC: usize = 256;
 /// L2/L3-resident, repacked once and reused by every row panel).
 pub const NC: usize = 256;
 
-/// Micro-kernel rows: A values broadcast per k step. Four rows give the
-/// SLP vectorizer four independent `[f32; NR]` accumulator chains — wider
-/// tiles were measured slower here because the deeper zip chains defeat
-/// vectorization of the inner statements.
+/// Micro-kernel rows: A values broadcast per k step. Four rows of two
+/// 8-lane vectors each keep eight independent accumulator chains; eight
+/// rows lost the vectorization in the same form of tile ([`SR`]).
 pub const MR: usize = 4;
 
 /// Micro-kernel columns: width of one packed B panel and of each
-/// accumulator row — 8 f32 lanes, one AVX2 vector, the unroll the inner
-/// statements are written for.
-pub const NR: usize = 8;
+/// accumulator row — 16 f32 lanes, two AVX2 vectors. rustc never contracts
+/// `a*b + c` into an FMA, so every k step is a multiply and a dependent add
+/// per chain, and the add's latency is what a tile waits on: an 8-wide
+/// panel gave four chains, which left the adders idle, and the 16-wide one
+/// runs the embedder's 16×256×512 product ~8% faster (best of 10,000 calls
+/// against a frozen operand on a 2-vCPU AVX-512 Xeon, 54.8 → 50.3 µs). The
+/// cost is at the right edge: a product at most 8 columns wide fills half
+/// of each panel and takes about twice as long.
+pub const NR: usize = 16;
 
 /// How the B operand is stored; the pack step normalizes both layouts into
 /// identical panels, so everything downstream is layout-oblivious.
@@ -661,10 +667,15 @@ fn apply_epilogue(crow: &mut [f32], epilogue: Epilogue<'_>, grow: usize, j0: usi
 }
 
 /// The `MR×NR` register tile: `MR` A rows against one B panel. The
-/// accumulator array is `MR` rows of `[f32; NR]` — exactly the shape the
-/// SLP vectorizer turns into `MR` vector registers — and the inner loop is
-/// one broadcast-multiply-accumulate per row per k step.
-#[allow(clippy::too_many_arguments)]
+/// accumulator array is `MR` rows of `[f32; NR]` — eight AVX2 registers,
+/// the shape [`shifted_tile`] keeps — and the inner loop is one
+/// broadcast-multiply-accumulate per row per k step.
+// Constant-bound index loops over the `[[f32; NR]; MR]` accumulator, as in
+// `shifted_tile`: the SLP vectorizer turns them into whole-register
+// multiply–adds, where the `zip` form of the same tile at `NR` = 16 ran
+// many times slower. The operands are sliced to exactly `kc_b` steps up
+// front so the loop's indexing needs no bounds checks.
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 #[inline]
 fn micro_kernel_mr(
     a: &[f32],
@@ -680,24 +691,18 @@ fn micro_kernel_mr(
     jw: usize,
     epilogue: Epilogue<'_>,
 ) {
-    let arow = |r: usize| {
-        let base = (arow0 + r) * k + pc;
+    let arows: [&[f32]; MR] = std::array::from_fn(|ri| {
+        let base = (arow0 + ri) * k + pc;
         &a[base..base + kc_b]
-    };
-    let (a0, a1, a2, a3) = (arow(0), arow(1), arow(2), arow(3));
+    });
+    let bpanel = &bpanel[..kc_b * NR];
     let mut acc = [[0.0f32; NR]; MR];
-    // Pure-iterator walk: `chunks_exact` + `zip` let the optimizer drop
-    // every per-iteration bounds check, which is what keeps the loop at
-    // vector throughput instead of branch throughput.
-    let ks = bpanel
-        .chunks_exact(NR)
-        .zip(a0.iter().zip(a1).zip(a2.iter().zip(a3)));
-    for (bv, ((&a0p, &a1p), (&a2p, &a3p))) in ks {
-        let bv: &[f32; NR] = bv.try_into().expect("NR panel");
-        let av = [a0p, a1p, a2p, a3p];
-        for (accr, &a_rp) in acc.iter_mut().zip(&av) {
-            for (x, &bj) in accr.iter_mut().zip(bv) {
-                *x += a_rp * bj;
+    for p in 0..kc_b {
+        let bv: &[f32; NR] = bpanel[p * NR..][..NR].try_into().expect("NR panel");
+        for ri in 0..MR {
+            let (ar, acc) = (arows[ri][p], &mut acc[ri]);
+            for j in 0..NR {
+                acc[j] += ar * bv[j];
             }
         }
     }
@@ -715,7 +720,7 @@ fn micro_kernel_mr(
 /// element is identical to [`micro_kernel_mr`] — `[f32; NR]` accumulator,
 /// ascending k, one flush — so a row computes the same bits whether it
 /// lands in an interior tile or the tail.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 #[inline]
 fn micro_kernel_1(
     a: &[f32],
@@ -732,11 +737,13 @@ fn micro_kernel_1(
     epilogue: Epilogue<'_>,
 ) {
     let a0 = &a[arow * k + pc..arow * k + pc + kc_b];
+    let bpanel = &bpanel[..kc_b * NR];
     let mut acc = [0.0f32; NR];
-    for (bv, &a_rp) in bpanel.chunks_exact(NR).zip(a0) {
-        let bv: &[f32; NR] = bv.try_into().expect("NR panel");
-        for (x, &bj) in acc.iter_mut().zip(bv) {
-            *x += a_rp * bj;
+    for p in 0..kc_b {
+        let bv: &[f32; NR] = bpanel[p * NR..][..NR].try_into().expect("NR panel");
+        let ar = a0[p];
+        for j in 0..NR {
+            acc[j] += ar * bv[j];
         }
     }
     let base = r * n + j0;

@@ -39,7 +39,8 @@ const fn splits(m: usize, k: usize, n: usize) -> bool {
 #[test]
 fn matmul_is_bit_identical_across_thread_counts() {
     // Edges off every tile multiple: 263 rows (MR = 4, MC = 32), two depth
-    // blocks (KC = 256), 251 columns (NR = 8).
+    // blocks (KC = 256), 251 columns (NR = 16: fifteen panels and an
+    // 11-wide edge; off the earlier 8-wide panel's multiples too).
     const M: usize = 263;
     const K: usize = 259;
     const N: usize = 251;

@@ -39,13 +39,19 @@ fn depth() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Columns around `NR` = 8 and `NC` = 256, up to three column blocks.
+/// Columns around `NR` = 16 (one and two panels, and half of one: 7, 8
+/// and 9 were the edges of the earlier 8-wide panel) and `NC` = 256, up to
+/// three column blocks.
 fn cols() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(1usize),
         Just(7usize),
         Just(8usize),
         Just(9usize),
+        Just(15usize),
+        Just(16usize),
+        Just(17usize),
+        Just(33usize),
         Just(64usize),
         Just(255usize),
         Just(256usize),

@@ -29,9 +29,11 @@ fn small_dims() -> impl Strategy<Value = (usize, usize, usize)> {
 }
 
 /// Shapes engineered to straddle the engine's tile boundaries: degenerate
-/// `1` edges, the register-tile sizes MR=4/NR=8 and their off-by-ones, the
-/// MC=32 row-panel edge, and depths crossing the KC=256 block boundary
-/// (paired with tiny m·n so the cases stay fast).
+/// `1` edges, the register-tile sizes MR=4/NR=16 and their off-by-ones
+/// (8 and its neighbours: half a panel, and the earlier 8-wide tile's
+/// edges), the MC=32 row-panel edge, two panels and one over, and depths
+/// crossing the KC=256 block boundary (paired with tiny m·n so the cases
+/// stay fast).
 fn awkward_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(1usize),
@@ -42,6 +44,9 @@ fn awkward_dim() -> impl Strategy<Value = usize> {
         Just(7usize),
         Just(8usize),
         Just(9usize),
+        Just(15usize),
+        Just(16usize),
+        Just(17usize),
         Just(31usize),
         Just(32usize),
         Just(33usize),
